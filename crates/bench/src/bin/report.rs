@@ -7,28 +7,30 @@
 //!     [--sched-json <path>]
 //! ```
 //!
-//! The telemetry JSON lands at `target/inl-obs.json` unless `--obs-json`
-//! overrides it. The interpreter-vs-VM wall-time comparison additionally
-//! lands in `BENCH_exec.json` (override with `--bench-json`) so the
-//! executor's perf trajectory is tracked across PRs. The report runs with
+//! Every output lands under `target/` unless its flag overrides it (the
+//! committed copies live in `baselines/`; README's operations reference has
+//! the regeneration procedure). The telemetry JSON is
+//! `target/inl-obs.json`; the interpreter-vs-VM wall-time comparison is
+//! `target/BENCH_exec.json` (`--bench-json`), the batch compile sweep
+//! `target/BENCH_pipeline.json` (`--pipeline-json`). The report runs with
 //! the decision-provenance layer on: an `## explain` section summarizes
 //! why each of the 24 Cholesky loop orders was accepted or rejected, and
 //! the full record store lands at `target/inl-explain.json` (override with
 //! `--explain-json`) for the `inl-explain` query tool. The `## schedule`
 //! section sweeps the auto-scheduler over the zoo and writes its gated
-//! counters to `BENCH_sched.json` (override with `--sched-json`).
+//! counters to `target/BENCH_sched.json` (override with `--sched-json`).
 
 use inl_bench::{
-    cholesky_variants, compile_batch, explain_section, kernel_cholesky_kjli, kernel_cholesky_left,
+    cholesky_variants, explain_section, kernel_cholesky_kjli, kernel_cholesky_left,
     kernel_cholesky_right, kernel_matmul_ikj, kernel_matmul_tiled, kernel_wavefront_sqrt_seq,
-    kernel_wavefront_sqrt_skewed_parallel, spd_init,
+    kernel_wavefront_sqrt_skewed_parallel,
 };
-use inl_codegen::generate;
+use inl_codegen::{compile_batch, generate};
 use inl_core::depend::analyze;
 use inl_core::instance::InstanceLayout;
 use inl_core::transform::Transform;
 use inl_exec::{run_fresh, run_traced, Interpreter, Machine, ParallelExecutor, VmRunner};
-use inl_ir::zoo;
+use inl_ir::zoo::{self, spd_init};
 use inl_obs::{Json, PipelineReport};
 use std::time::{Duration, Instant};
 
@@ -61,11 +63,11 @@ fn flag_path(flag: &str, default: &str) -> std::path::PathBuf {
 
 fn main() {
     let json_path = flag_path("--obs-json", "target/inl-obs.json");
-    let bench_path = flag_path("--bench-json", "BENCH_exec.json");
-    let pipeline_path = flag_path("--pipeline-json", "BENCH_pipeline.json");
+    let bench_path = flag_path("--bench-json", "target/BENCH_exec.json");
+    let pipeline_path = flag_path("--pipeline-json", "target/BENCH_pipeline.json");
     let trace_path = flag_path("--trace-json", "target/inl-trace.json");
     let explain_path = flag_path("--explain-json", "target/inl-explain.json");
-    let sched_path = flag_path("--sched-json", "BENCH_sched.json");
+    let sched_path = flag_path("--sched-json", "target/BENCH_sched.json");
     inl_obs::set_enabled(true);
     inl_obs::set_timeline_enabled(true);
     inl_obs::set_explain_enabled(true);
@@ -218,7 +220,8 @@ fn main() {
     pipeline_json.insert("sweep", Json::Str("cholesky12".to_string()));
     pipeline_json.insert("threads", Json::Int(batch_threads as u64));
     pipeline_json.insert("programs", Json::Array(pipeline_entries));
-    std::fs::write(&pipeline_path, pipeline_json.to_pretty_string())
+    pipeline_json
+        .write_file(&pipeline_path)
         .expect("write BENCH_pipeline.json");
     println!("pipeline batch -> {}", pipeline_path.display());
 
@@ -410,7 +413,9 @@ fn main() {
     bench_json.insert("version", Json::Int(1));
     bench_json.insert("reps", Json::Int(3));
     bench_json.insert("programs", Json::Array(bench_entries.clone()));
-    std::fs::write(&bench_path, bench_json.to_pretty_string()).expect("write BENCH_exec.json");
+    bench_json
+        .write_file(&bench_path)
+        .expect("write BENCH_exec.json");
     println!("\nbackend comparison -> {}", bench_path.display());
 
     // ------------------------------------------------- E8: wavefront
@@ -522,7 +527,9 @@ fn main() {
         worst_spread.1
     );
     let sweep_json = inl_sched::sweep::bench_json(&sweep, &sched_cfg);
-    std::fs::write(&sched_path, sweep_json.to_pretty_string()).expect("write BENCH_sched.json");
+    sweep_json
+        .write_file(&sched_path)
+        .expect("write BENCH_sched.json");
     println!("schedule sweep -> {}", sched_path.display());
 
     // ------------------------------------------------- trace summary

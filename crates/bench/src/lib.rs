@@ -1,43 +1,23 @@
 //! # inl-bench
 //!
-//! Benchmark harnesses reproducing the paper's worked examples and its
-//! motivating performance claims. See `EXPERIMENTS.md` at the workspace
-//! root for the experiment index (E1–E9) and recorded results.
+//! What the `report` binary needs to reproduce the paper's worked examples
+//! and its motivating performance claims. See `EXPERIMENTS.md` at the
+//! workspace root for the experiment index (E1–E14) and recorded results.
 //!
-//! Two kinds of measurements:
-//!
-//! * **framework costs** — instance-vector construction, dependence
-//!   analysis, legality checking (abstract vs. exact ablation), completion
-//!   and code generation, over nests of growing depth/width;
-//! * **schedule quality** — the six legal Cholesky loop orders and the
-//!   wavefront schedules, executed both through the reference interpreter
-//!   (framework-generated programs) and as hand-compiled Rust kernels
-//!   (what a compiler's backend would emit), where cache behaviour makes
-//!   the paper's "performance can be quite different" visible.
-
-// The parallel batch driver moved to `inl_codegen::batch` (the
-// auto-scheduler drives it without depending on this crate); re-exported
-// here so the report binary and older callers keep their import paths.
-pub use inl_codegen::batch::{compile_batch, CompiledVariant};
+//! The measurements are of **schedule quality**: the legal Cholesky loop
+//! orders and the wavefront schedules, executed both through the
+//! interpreter and the VM (framework-generated programs) and as
+//! hand-compiled Rust kernels (what a compiler's backend would emit),
+//! where cache behaviour makes the paper's "performance can be quite
+//! different" visible. Framework costs (layout, dependence analysis,
+//! legality, completion, code generation) are layer rows of the system
+//! benchmark in `benchmark/`.
 
 use inl_core::complete::complete_transform;
-use inl_core::depend::{analyze, DependenceMatrix};
+use inl_core::depend::analyze;
 use inl_core::instance::InstanceLayout;
 use inl_ir::{zoo, Program};
-use inl_linalg::{IMat, IVec};
-
-/// Symmetric positive-definite-ish initializer for factorizations.
-pub fn spd_init(_: &str, idx: &[usize]) -> f64 {
-    if idx.len() == 2 {
-        if idx[0] == idx[1] {
-            (idx[0] + 10) as f64
-        } else {
-            1.0 / ((idx[0] + idx[1] + 2) as f64)
-        }
-    } else {
-        2.0 + idx[0] as f64
-    }
-}
+use inl_linalg::{permutations, IMat, IVec};
 
 /// The legal Cholesky loop-order variants: `(label, matrix)` pairs
 /// discovered by enumerating slot assignments and completing each.
@@ -104,64 +84,6 @@ pub fn explain_section() -> String {
     out
 }
 
-/// All permutations of a small slice.
-pub fn permutations(v: &[usize]) -> Vec<Vec<usize>> {
-    if v.len() <= 1 {
-        return vec![v.to_vec()];
-    }
-    let mut out = Vec::new();
-    for i in 0..v.len() {
-        let mut rest = v.to_vec();
-        let x = rest.remove(i);
-        for mut tail in permutations(&rest) {
-            tail.insert(0, x);
-            out.push(tail);
-        }
-    }
-    out
-}
-
-/// A deep imperfect nest with `depth` loops and one statement per level —
-/// used to measure how framework costs scale.
-pub fn deep_nest(depth: usize) -> Program {
-    use inl_ir::{Aff, ProgramBuilder};
-    let mut b = ProgramBuilder::new(format!("deep{depth}"));
-    let n = b.param("N");
-    let ext = Aff::param(n) + Aff::konst(2);
-    let a = b.array("A", std::slice::from_ref(&ext));
-    fn nest(
-        b: &mut ProgramBuilder,
-        level: usize,
-        depth: usize,
-        a: inl_ir::ArrayId,
-        n: inl_ir::ParamId,
-    ) {
-        use inl_ir::{Aff, Expr};
-        let name = format!("i{level}");
-        b.hloop(name.clone(), Aff::konst(1), Aff::param(n), move |b| {
-            let iv = b.loop_var(&name);
-            b.stmt(
-                format!("S{level}"),
-                a,
-                vec![Aff::var(iv)],
-                Expr::add(Expr::read(a, vec![Aff::var(iv)]), Expr::konst(1.0)),
-            );
-            if level + 1 < depth {
-                nest(b, level + 1, depth, a, n);
-            }
-        });
-    }
-    nest(&mut b, 0, depth, a, n);
-    b.finish()
-}
-
-/// Dependence matrix of a zoo program (helper for benches).
-pub fn deps_of(p: &Program) -> (InstanceLayout, DependenceMatrix) {
-    let layout = InstanceLayout::new(p);
-    let deps = analyze(p, &layout).expect("analysis");
-    (layout, deps)
-}
-
 // ---------------------------------------------------------------------
 // Hand-compiled kernels: what a backend would emit for the schedules the
 // framework derives. Dense row-major N+1 × N+1 matrices, 1-based indices.
@@ -216,9 +138,10 @@ pub fn kernel_cholesky_kjli(a: &mut [f64], n: usize) {
     }
 }
 
-/// Matrix-multiply kernels for the three canonical orders (all legal per
-/// the framework; wildly different cache behaviour).
-pub fn kernel_matmul_ijk(c: &mut [f64], a: &[f64], b: &[f64], n: usize) {
+/// Scalar `ijk` matrix multiply: the reference the `ikj`-family kernels
+/// are checked against.
+#[cfg(test)]
+fn kernel_matmul_ijk(c: &mut [f64], a: &[f64], b: &[f64], n: usize) {
     let w = n + 1;
     for i in 1..=n {
         for j in 1..=n {
@@ -309,30 +232,6 @@ pub fn kernel_matmul_tiled(c: &mut [f64], a: &[f64], b: &[f64], n: usize, t: usi
     }
 }
 
-/// `jki` order: innermost loop strides down columns (cache-hostile in
-/// row-major storage).
-pub fn kernel_matmul_jki(c: &mut [f64], a: &[f64], b: &[f64], n: usize) {
-    let w = n + 1;
-    for j in 1..=n {
-        for k in 1..=n {
-            let bkj = b[k * w + j];
-            for i in 1..=n {
-                c[i * w + j] += a[i * w + k] * bkj;
-            }
-        }
-    }
-}
-
-/// Sequential wavefront recurrence (row-major sweep).
-pub fn kernel_wavefront_seq(a: &mut [f64], n: usize) {
-    let w = n + 1;
-    for i in 1..=n {
-        for j in 1..=n {
-            a[i * w + j] = a[(i - 1) * w + j] + a[i * w + (j - 1)];
-        }
-    }
-}
-
 /// A sense-reversing spin barrier: wavefront synchronization happens once
 /// per anti-diagonal (thousands of times per run), so the microseconds of
 /// a futex-based barrier dominate; spinning costs tens of nanoseconds.
@@ -387,7 +286,7 @@ fn wf_update(up: f64, left: f64) -> f64 {
     (b + left.abs()).sqrt()
 }
 
-/// Sequential sqrt-weighted wavefront (for the parallel speedup benches).
+/// Sequential sqrt-weighted wavefront (the baseline of the E8 speedup table).
 pub fn kernel_wavefront_sqrt_seq(a: &mut [f64], n: usize) {
     let w = n + 1;
     for i in 1..=n {
@@ -437,45 +336,11 @@ pub fn kernel_wavefront_sqrt_skewed_parallel(a: &mut [f64], n: usize, threads: u
     });
 }
 
-/// Plain-add skewed wavefront (kept for bit-exact correctness checks
-/// against [`kernel_wavefront_seq`]; grain is too fine for speedup).
-pub fn kernel_wavefront_skewed_parallel(a: &mut [f64], n: usize, threads: usize) {
-    let w = n + 1;
-    struct Shared(*mut f64);
-    unsafe impl Sync for Shared {}
-    let ptr = Shared(a.as_mut_ptr());
-    let shared = &ptr;
-    let barrier = SpinBarrier::new(threads);
-    let barrier = &barrier;
-    std::thread::scope(|scope| {
-        for tid in 0..threads {
-            scope.spawn(move || {
-                for t in 2..=2 * n {
-                    let jlo = t.saturating_sub(n).max(1);
-                    let jhi = (t - 1).min(n);
-                    if jhi >= jlo {
-                        let count = jhi - jlo + 1;
-                        let chunk = count.div_ceil(threads);
-                        let start = jlo + tid * chunk;
-                        let end = (start + chunk).min(jhi + 1);
-                        for j in start..end {
-                            let i = t - j;
-                            unsafe {
-                                *shared.0.add(i * w + j) =
-                                    *shared.0.add((i - 1) * w + j) + *shared.0.add(i * w + (j - 1));
-                            }
-                        }
-                    }
-                    barrier.wait();
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inl_codegen::compile_batch;
+    use inl_ir::zoo::spd_init;
 
     /// The explain flag is process-global: serialize the tests that sweep
     /// Cholesky orders so one test's sessions don't interleave another's.
@@ -588,9 +453,6 @@ mod tests {
         let mut c2 = vec![0.0; w * w];
         kernel_matmul_ikj(&mut c2, &a, &b, n);
         assert_eq!(ref_c, c2);
-        let mut c3 = vec![0.0; w * w];
-        kernel_matmul_jki(&mut c3, &a, &b, n);
-        assert_eq!(ref_c, c3);
         // and against the interpreted zoo program
         let p = zoo::matmul();
         let m = inl_exec::run_fresh(&p, &[n as i128], &|name, idx| match name {
@@ -650,23 +512,10 @@ mod tests {
                 par[i * w + j] = init(i, j);
             }
         }
-        kernel_wavefront_seq(&mut seq, n);
-        kernel_wavefront_skewed_parallel(&mut par, n, 4);
+        // every cell is the same function of the same two neighbours in
+        // either schedule, so the skewed sweep is bitwise equal
+        kernel_wavefront_sqrt_seq(&mut seq, n);
+        kernel_wavefront_sqrt_skewed_parallel(&mut par, n, 4);
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn deep_nest_scales() {
-        for d in [1, 3, 5] {
-            let p = deep_nest(d);
-            assert_eq!(p.loops().count(), d);
-            assert!(p.validate().is_ok());
-            let (layout, deps) = deps_of(&p);
-            // each non-innermost loop contributes its position + 2 edges
-            assert_eq!(layout.len(), 3 * d - 2);
-            // a single level writes each cell once (no deps); deeper nests
-            // conflict across levels
-            assert_eq!(deps.deps.is_empty(), d == 1);
-        }
     }
 }

@@ -10,9 +10,8 @@
 //! variant index, so a Chrome trace shows the per-variant schedule across
 //! worker threads.
 //!
-//! This lives in `inl-codegen` (moved here from `inl-bench`) so the
-//! auto-scheduler can drive its cache-warm candidate sweep without
-//! depending on the benchmark harness; `inl_bench` re-exports it.
+//! This lives in `inl-codegen` so the auto-scheduler can drive its
+//! cache-warm candidate sweep without depending on the report harness.
 
 use crate::cost::CostFeatures;
 use crate::generate::generate;

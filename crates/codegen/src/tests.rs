@@ -7,7 +7,8 @@ use inl_core::depend::analyze;
 use inl_core::instance::InstanceLayout;
 use inl_core::transform::Transform;
 use inl_exec::equivalent;
-use inl_ir::{zoo, LoopId, Program, StmtId};
+use inl_ir::zoo::{self, spd_init};
+use inl_ir::{LoopId, Program, StmtId};
 use inl_linalg::IMat;
 
 fn looop(p: &Program, name: &str) -> LoopId {
@@ -32,18 +33,6 @@ fn check_matrix(p: &Program, m: &IMat, init: &dyn Fn(&str, &[usize]) -> f64) -> 
         });
     }
     result.program
-}
-
-fn spd_init(_: &str, idx: &[usize]) -> f64 {
-    if idx.len() == 2 {
-        if idx[0] == idx[1] {
-            (idx[0] + 10) as f64
-        } else {
-            1.0 / ((idx[0] + idx[1] + 2) as f64)
-        }
-    } else {
-        2.0 + idx[0] as f64
-    }
 }
 
 #[test]

@@ -21,12 +21,12 @@
 //! outermost" on right-looking Cholesky into the left-looking form — is
 //! reproduced in the tests.
 
-use crate::depend::{DepEntry, Dependence, DependenceMatrix};
+use crate::depend::DependenceMatrix;
 use crate::instance::{InstanceLayout, Position};
 use crate::legal::{check_legal, LegalityReport};
+use crate::project::{build_states, commit_all, step_all, DepState};
 use inl_ir::{LoopId, Node, Program, StmtId};
-use inl_linalg::{IMat, IVec, InlError, Int};
-use inl_poly::{is_empty, Feasibility, LinExpr};
+use inl_linalg::{IMat, IVec, InlError};
 use std::collections::HashMap;
 
 /// Why completion failed.
@@ -74,144 +74,6 @@ pub struct Completion {
     pub report: LegalityReport,
 }
 
-/// Per-dependence completion state.
-struct DepState<'a> {
-    /// Index into `deps.deps` (names the dependence in explain records).
-    idx: usize,
-    dep: &'a Dependence,
-    /// Common loop positions (ascending) of src/dst.
-    common: Vec<usize>,
-    /// Rows already applied at this dependence's common slots that may be
-    /// zero on some instances (context for exact queries).
-    zero_context: Vec<IVec>,
-    satisfied: bool,
-}
-
-/// Interval of `row · entries`. Bounds that overflow widen to "unbounded"
-/// — sound, and inconclusive intervals fall through to the exact check.
-fn row_dot(row: &IVec, entries: &[DepEntry]) -> DepEntry {
-    let mut acc = DepEntry::dist(0);
-    for (j, &c) in row.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        let e = entries[j];
-        let scaled = if c > 0 {
-            DepEntry {
-                lo: e.lo.and_then(|x| x.checked_mul(c)),
-                hi: e.hi.and_then(|x| x.checked_mul(c)),
-            }
-        } else {
-            DepEntry {
-                lo: e.hi.and_then(|x| x.checked_mul(c)),
-                hi: e.lo.and_then(|x| x.checked_mul(c)),
-            }
-        };
-        acc = DepEntry {
-            lo: acc.lo.zip(scaled.lo).and_then(|(a, b)| a.checked_add(b)),
-            hi: acc.hi.zip(scaled.hi).and_then(|(a, b)| a.checked_add(b)),
-        };
-    }
-    acc
-}
-
-/// `row · Δ` as a linear expression over the dependence polyhedron.
-fn row_expr(
-    layout: &InstanceLayout,
-    nparams: usize,
-    d: &Dependence,
-    row: &IVec,
-) -> Result<LinExpr, InlError> {
-    let space = d.system.nvars();
-    let mut acc = LinExpr::zero(space);
-    for (j, &c) in row.iter().enumerate() {
-        if c != 0 {
-            let term = d.checked_delta_expr(layout, nparams, j)?.checked_scale(c)?;
-            acc = acc.checked_add(&term)?;
-        }
-    }
-    Ok(acc)
-}
-
-/// Outcome of applying a row to a dependence.
-enum RowEffect {
-    /// Every instance gets a strictly positive value: dependence satisfied.
-    Satisfies,
-    /// Identically zero (or possibly zero, never negative): stays active.
-    /// The boolean says whether the row must join the zero context.
-    NonNegative(bool),
-    /// Some instance would go negative: the row is invalid.
-    Invalid,
-}
-
-fn apply_row(
-    layout: &InstanceLayout,
-    nparams: usize,
-    st: &DepState<'_>,
-    row: &IVec,
-) -> Result<RowEffect, InlError> {
-    let v = row_dot(row, &st.dep.entries);
-    if v.is_positive() {
-        return Ok(RowEffect::Satisfies);
-    }
-    if v.is_zero() {
-        return Ok(RowEffect::NonNegative(false));
-    }
-    // Both polyhedral questions below share the dependence system with the
-    // zero context pinned, and the candidate row as a LinExpr — build each
-    // once here instead of per query.
-    let ctx = context_system(layout, nparams, st)?;
-    let re = row_expr(layout, nparams, st.dep, row)?;
-    if v.lo.is_some_and(|l| l >= 0) {
-        // never negative; strictly positive unless it can be 0
-        return Ok(if can_be(&ctx, &re, 0)? {
-            RowEffect::NonNegative(true)
-        } else {
-            RowEffect::Satisfies
-        });
-    }
-    // interval admits negative values: ask the polyhedron
-    Ok(if can_be_negative(&ctx, &re)? {
-        RowEffect::Invalid
-    } else if can_be(&ctx, &re, 0)? {
-        RowEffect::NonNegative(true)
-    } else {
-        RowEffect::Satisfies
-    })
-}
-
-fn context_system(
-    layout: &InstanceLayout,
-    nparams: usize,
-    st: &DepState<'_>,
-) -> Result<inl_poly::System, InlError> {
-    let mut sys = st.dep.system.clone();
-    for z in &st.zero_context {
-        sys.add_eq(row_expr(layout, nparams, st.dep, z)?);
-    }
-    Ok(sys)
-}
-
-/// Can `row_expr` go strictly negative over the context polyhedron?
-fn can_be_negative(ctx: &inl_poly::System, row_expr: &LinExpr) -> Result<bool, InlError> {
-    let mut sys = ctx.clone();
-    let space = sys.nvars();
-    sys.add_ge(
-        row_expr
-            .checked_neg()?
-            .checked_sub(&LinExpr::constant(space, 1))?,
-    );
-    Ok(is_empty(&sys) != Feasibility::Empty)
-}
-
-/// Can `row_expr` take exactly `value` over the context polyhedron?
-fn can_be(ctx: &inl_poly::System, row_expr: &LinExpr, value: Int) -> Result<bool, InlError> {
-    let mut sys = ctx.clone();
-    let space = sys.nvars();
-    sys.add_eq(row_expr.checked_sub(&LinExpr::constant(space, value))?);
-    Ok(is_empty(&sys) != Feasibility::Empty)
-}
-
 /// Loop-slot positions of the layout, outside-in.
 fn loop_slot_positions(layout: &InstanceLayout) -> Vec<usize> {
     layout
@@ -221,76 +83,6 @@ fn loop_slot_positions(layout: &InstanceLayout) -> Vec<usize> {
         .filter(|(_, pos)| matches!(pos, Position::Loop(_)))
         .map(|(i, _)| i)
         .collect()
-}
-
-/// Fresh per-dependence completion state for every dependence.
-fn build_states<'a>(layout: &InstanceLayout, deps: &'a DependenceMatrix) -> Vec<DepState<'a>> {
-    deps.deps
-        .iter()
-        .enumerate()
-        .map(|(idx, d)| {
-            let ncommon = d.common_loops();
-            let mut common: Vec<usize> = d.src_loops[..ncommon]
-                .iter()
-                .map(|&l| layout.loop_position(l))
-                .collect();
-            common.sort_unstable();
-            DepState {
-                idx,
-                dep: d,
-                common,
-                zero_context: Vec::new(),
-                satisfied: false,
-            }
-        })
-        .collect()
-}
-
-/// Evaluate a candidate row at `slot` against all active dependences whose
-/// common slots include this slot; returns the first violated dependence's
-/// index (into `deps.deps`), or `None` if the row is legal here.
-fn evaluate_at(
-    layout: &InstanceLayout,
-    nparams: usize,
-    slot: usize,
-    row: &IVec,
-    states: &[DepState<'_>],
-) -> Result<Option<usize>, InlError> {
-    for st in states.iter() {
-        if st.satisfied || !st.common.contains(&slot) {
-            continue;
-        }
-        if matches!(apply_row(layout, nparams, st, row)?, RowEffect::Invalid) {
-            return Ok(Some(st.idx));
-        }
-    }
-    Ok(None)
-}
-
-/// Commit a validated row at `slot`: mark newly satisfied dependences and
-/// extend zero contexts where the row may be zero on some instances.
-fn commit_at(
-    layout: &InstanceLayout,
-    nparams: usize,
-    slot: usize,
-    row: &IVec,
-    states: &mut [DepState<'_>],
-) -> Result<(), InlError> {
-    for st in states.iter_mut() {
-        if st.satisfied || !st.common.contains(&slot) {
-            continue;
-        }
-        match apply_row(layout, nparams, st, row)? {
-            RowEffect::Invalid => unreachable!("validated"),
-            RowEffect::Satisfies => st.satisfied = true,
-            RowEffect::NonNegative(needs_ctx) => {
-                if needs_ctx {
-                    st.zero_context.push(row.clone());
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Outcome of [`check_prefix`]: either every supplied row keeps every
@@ -347,10 +139,10 @@ pub fn check_prefix(
                 want: n,
             });
         }
-        if let Some(dep) = evaluate_at(layout, nparams, slot, row, &states)? {
-            return Ok(PrefixCheck::Violation { row: slot_idx, dep });
+        match step_all(layout, nparams, slot, row.as_slice(), &states)? {
+            Err(dep) => return Ok(PrefixCheck::Violation { row: slot_idx, dep }),
+            Ok(effects) => commit_all(&mut states, effects),
         }
-        commit_at(layout, nparams, slot, row, &mut states)?;
     }
     Ok(PrefixCheck::Legal)
 }
@@ -375,19 +167,16 @@ pub fn complete_transform(
     }
 
     // dependency state
-    let mut states: Vec<DepState<'_>> = build_states(layout, deps);
+    let mut states = build_states(layout, deps);
 
     let mut chosen_rows: Vec<(usize, IVec)> = Vec::new(); // (slot, row)
     let mut used_positions: Vec<bool> = vec![false; n];
     for (slot_idx, &slot) in loop_slots.iter().enumerate() {
-        // evaluate a candidate against all active deps whose common slots
-        // include this slot; returns the first violated dependence's index
-        let evaluate =
-            |row: &IVec, states: &Vec<DepState<'_>>| -> Result<Option<usize>, InlError> {
-                evaluate_at(layout, nparams, slot, row, states)
-            };
-        let commit = |row: &IVec, states: &mut Vec<DepState<'_>>| -> Result<(), InlError> {
-            commit_at(layout, nparams, slot, row, states)
+        // one projection step of a row against every active dependence
+        // whose common slots include this slot: the first violated
+        // dependence's index, or the verdicts to commit
+        let step = |row: &IVec, states: &[DepState<'_>]| {
+            step_all(layout, nparams, slot, row.as_slice(), states)
         };
 
         let independent = |row: &IVec, chosen: &[(usize, IVec)]| -> Result<bool, InlError> {
@@ -409,7 +198,7 @@ pub fn complete_transform(
                     want: n,
                 });
             }
-            if let Some(dep_idx) = evaluate(&row, &states)? {
+            let effects = step(&row, &states)?.map_err(|dep_idx| {
                 if inl_obs::explain_enabled() {
                     let d = &deps.deps[dep_idx];
                     inl_obs::explain::reject(
@@ -427,8 +216,8 @@ pub fn complete_transform(
                     .feature("slot", slot as i64)
                     .feature("deps", deps.deps.len() as i64);
                 }
-                return Err(CompletionError::PartialRowIllegal(slot_idx));
-            }
+                CompletionError::PartialRowIllegal(slot_idx)
+            })?;
             if inl_obs::explain_enabled() {
                 inl_obs::explain::accept(
                     "complete",
@@ -440,7 +229,7 @@ pub fn complete_transform(
                 )
                 .feature("slot", slot as i64);
             }
-            commit(&row, &mut states)?;
+            commit_all(&mut states, effects);
             for (j, &v) in row.iter().enumerate() {
                 if v != 0 {
                     used_positions[j] = true;
@@ -475,17 +264,19 @@ pub fn complete_transform(
                 }
             }
         }
-        let mut picked: Option<IVec> = None;
+        let mut picked = None;
         let mut tried = 0i64;
         for cand in &candidates {
             inl_obs::counter_add!("complete.candidates_tried", 1);
             tried += 1;
-            if independent(cand, &chosen_rows)? && evaluate(cand, &states)?.is_none() {
-                picked = Some(cand.clone());
-                break;
+            if independent(cand, &chosen_rows)? {
+                if let Ok(effects) = step(cand, &states)? {
+                    picked = Some((cand.clone(), effects));
+                    break;
+                }
             }
         }
-        let Some(row) = picked else {
+        let Some((row, effects)) = picked else {
             if inl_obs::explain_enabled() {
                 inl_obs::explain::reject(
                     "complete",
@@ -509,7 +300,7 @@ pub fn complete_transform(
             .feature("slot", slot as i64)
             .feature("candidates_tried", tried);
         }
-        commit(&row, &mut states)?;
+        commit_all(&mut states, effects);
         for (j, &v) in row.iter().enumerate() {
             if v != 0 {
                 used_positions[j] = true;
@@ -823,6 +614,69 @@ mod tests {
             complete_transform(&p, &layout, &deps, &bad),
             Err(CompletionError::PartialRowIllegal(0))
         ));
+    }
+
+    #[test]
+    fn prefix_violation_iff_projection_violation() {
+        // One stepper, walked two ways — slot by slot over candidate rows
+        // (check_prefix) and dependence by dependence over a finished
+        // matrix (check_legal) — must tell the same story for every signed
+        // full-depth loop permutation: the prefix is cut iff the matrix
+        // assembled from those rows has a projection violation, and the
+        // dependence the cut names is one of the violated ones.
+        for (name, make) in zoo::ALL {
+            let p = make();
+            let layout = InstanceLayout::new(&p);
+            let slots = loop_slot_positions(&layout);
+            if slots.len() > 4 {
+                continue;
+            }
+            let deps = analyze(&p, &layout).expect("analysis");
+            let n = layout.len();
+            for order in inl_linalg::permutations(&slots) {
+                for signs in 0..1u32 << slots.len() {
+                    let rows: Vec<IVec> = order
+                        .iter()
+                        .enumerate()
+                        .map(|(k, &q)| {
+                            let unit = IVec::unit(n, q);
+                            if signs >> k & 1 == 1 {
+                                -&unit
+                            } else {
+                                unit
+                            }
+                        })
+                        .collect();
+                    // the rows at the loop slots, identity at the edge slots
+                    let mut m = IMat::identity(n);
+                    for (&slot, row) in slots.iter().zip(&rows) {
+                        for (j, &v) in row.iter().enumerate() {
+                            m[(slot, j)] = v;
+                        }
+                    }
+                    let report = check_legal(&p, &layout, &deps, &m).expect("legality");
+                    assert!(report.new_ast.is_ok(), "{name}: signed permutation");
+                    // a zero projection against the syntactic order is the
+                    // completion's business (child reordering), not a cut
+                    let negative: Vec<usize> = report
+                        .violations
+                        .iter()
+                        .filter(|v| !v.reason.starts_with("projection is zero"))
+                        .map(|v| v.dep)
+                        .collect();
+                    match check_prefix(&p, &layout, &deps, &rows).expect("prefix") {
+                        PrefixCheck::Legal => assert!(
+                            negative.is_empty(),
+                            "{name} {rows:?}: prefix legal, check_legal violates {negative:?}"
+                        ),
+                        PrefixCheck::Violation { dep, .. } => assert!(
+                            negative.contains(&dep),
+                            "{name} {rows:?}: prefix names dep {dep}, check_legal {negative:?}"
+                        ),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

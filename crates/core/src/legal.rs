@@ -13,16 +13,17 @@
 //! `P = 0` with `S1 = S2` is allowed — the dependence is *unsatisfied* and
 //! must be carried by the extra loops the augmentation step adds (§5.4).
 //!
-//! The dependence test runs in two tiers: interval arithmetic over the
-//! distance/direction entries (fast, conservative), falling back to exact
-//! feasibility queries on the retained dependence polyhedra when the
-//! intervals are inconclusive.
+//! The dependence test walks each dependence through the rows of `M` on
+//! the projection stepper (`project.rs`) that the completion procedure
+//! also uses: interval arithmetic over the distance/direction entries
+//! (fast, conservative), falling back to exact feasibility queries on the
+//! retained dependence polyhedra when the intervals are inconclusive.
 
-use crate::depend::{DepEntry, Dependence, DependenceMatrix};
+use crate::depend::{Dependence, DependenceMatrix};
 use crate::instance::InstanceLayout;
+use crate::project::{row_dot, DepState, RowEffect};
 use inl_ir::{LoopId, Program, StmtId};
-use inl_linalg::{IMat, InlError, Int};
-use inl_poly::{is_empty, Feasibility, LinExpr};
+use inl_linalg::{IMat, InlError};
 use std::collections::HashMap;
 
 /// The recovered transformed AST (Fig. 6): the source program with each
@@ -183,42 +184,6 @@ pub fn recover_ast(p: &Program, layout: &InstanceLayout, m: &IMat) -> Result<New
     })
 }
 
-/// Interval arithmetic over dependence entries. A bound whose product
-/// overflows is widened to "unbounded" — sound (the interval only grows)
-/// and inconclusive intervals fall through to the exact polyhedral check.
-fn scale_entry(e: DepEntry, k: Int) -> DepEntry {
-    if k == 0 {
-        return DepEntry::dist(0);
-    }
-    let (lo, hi) = (
-        e.lo.and_then(|x| x.checked_mul(k)),
-        e.hi.and_then(|x| x.checked_mul(k)),
-    );
-    if k > 0 {
-        DepEntry { lo, hi }
-    } else {
-        DepEntry { lo: hi, hi: lo }
-    }
-}
-
-fn add_entry(a: DepEntry, b: DepEntry) -> DepEntry {
-    DepEntry {
-        lo: a.lo.zip(b.lo).and_then(|(x, y)| x.checked_add(y)),
-        hi: a.hi.zip(b.hi).and_then(|(x, y)| x.checked_add(y)),
-    }
-}
-
-/// One transformed row of `M · d` as an interval.
-pub(crate) fn transformed_entry(m: &IMat, d: &Dependence, row: usize) -> DepEntry {
-    let mut acc = DepEntry::dist(0);
-    for (j, &coef) in m.row_slice(row).iter().enumerate() {
-        if coef != 0 {
-            acc = add_entry(acc, scale_entry(d.entries[j], coef));
-        }
-    }
-    acc
-}
-
 /// Outcome of one dependence under the transformation.
 enum DepStatus {
     Satisfied,
@@ -243,7 +208,7 @@ pub fn check_legal(
     let mut unsatisfied_self = Vec::new();
     if let Ok(ast) = &new_ast {
         for (idx, d) in deps.deps.iter().enumerate() {
-            match check_dep(p, layout, ast, m, d)? {
+            match check_dep(p, layout, ast, m, idx, d)? {
                 DepStatus::Satisfied => {}
                 DepStatus::UnsatisfiedSelf => unsatisfied_self.push(idx),
                 DepStatus::Violated(reason) => violations.push(Violation { dep: idx, reason }),
@@ -286,7 +251,7 @@ fn record_verdict(
     let projected = |d: &Dependence| -> String {
         let proj: Vec<String> = common_new_positions(layout, ast, d)
             .iter()
-            .map(|&row| transformed_entry(m, d, row).to_string())
+            .map(|&row| row_dot(m.row_slice(row), &d.entries).to_string())
             .collect();
         format!("[{}]", proj.join(" "))
     };
@@ -367,45 +332,47 @@ pub(crate) fn common_new_positions(
     pos
 }
 
+/// Walk one dependence through the rows of `m` at its common loops,
+/// outside-in, on the shared projection stepper.
 fn check_dep(
     p: &Program,
     layout: &InstanceLayout,
     ast: &NewAst,
     m: &IMat,
+    idx: usize,
     d: &Dependence,
 ) -> Result<DepStatus, InlError> {
-    let common = common_new_positions(layout, ast, d);
-    // fast path: interval arithmetic
-    let mut need_exact = false;
-    let mut decided: Option<DepStatus> = None;
-    for (k, &row) in common.iter().enumerate() {
-        let e = transformed_entry(m, d, row);
-        if e.is_positive() {
-            decided = Some(DepStatus::Satisfied);
-            break;
-        } else if e.is_zero() {
-            continue;
-        } else if e.is_negative() {
-            decided = Some(DepStatus::Violated(format!(
-                "projected entry {k} is negative ({e})"
-            )));
-            break;
-        } else {
-            need_exact = true;
+    let mut st = DepState::new(idx, d, common_new_positions(layout, ast, d));
+    // once a row has needed the polyhedron, a violation is reported as an
+    // instance of it rather than as an interval
+    let mut exact = false;
+    let mut status = None;
+    for k in 0..st.common.len() {
+        let step = st.step(layout, p.nparams(), m.row_slice(st.common[k]))?;
+        exact |= step.exact;
+        status = match step.effect {
+            RowEffect::Satisfies => Some(DepStatus::Satisfied),
+            RowEffect::Invalid => Some(DepStatus::Violated(if exact {
+                format!("dependence instance with negative projected entry {k} exists")
+            } else {
+                format!("projected entry {k} is negative ({})", step.value)
+            })),
+            stays_active => {
+                st.commit(stays_active);
+                None
+            }
+        };
+        if status.is_some() {
             break;
         }
     }
-    if !need_exact {
+    if exact {
+        inl_obs::counter_add!("legal.exact_fallbacks", 1);
+    } else {
         inl_obs::counter_add!("legal.fast_path_hits", 1);
-        return Ok(match decided {
-            Some(s) => s,
-            // all projected entries exactly zero
-            None => zero_case(ast, d),
-        });
     }
-    // exact fallback: per-prefix feasibility on the dependence polyhedron
-    inl_obs::counter_add!("legal.exact_fallbacks", 1);
-    exact_check(p, layout, ast, m, d, &common)
+    // every common row can be zero at once: syntactic order decides
+    Ok(status.unwrap_or_else(|| zero_case(ast, d)))
 }
 
 fn zero_case(ast: &NewAst, d: &Dependence) -> DepStatus {
@@ -418,57 +385,6 @@ fn zero_case(ast: &NewAst, d: &Dependence) -> DepStatus {
             "projection is zero but statements are reordered against the dependence".to_string(),
         )
     }
-}
-
-fn exact_check(
-    p: &Program,
-    layout: &InstanceLayout,
-    ast: &NewAst,
-    m: &IMat,
-    d: &Dependence,
-    common: &[usize],
-) -> Result<DepStatus, InlError> {
-    let _span = inl_obs::span("legal.exact");
-    let nparams = p.nparams();
-    let space = d.system.nvars();
-    // new-space row `row` of M·Δ as a LinExpr over the dependence polyhedron
-    let row_expr = |row: usize| -> Result<LinExpr, InlError> {
-        let mut acc = LinExpr::zero(space);
-        for (j, &coef) in m.row_slice(row).iter().enumerate() {
-            if coef != 0 {
-                let term = d
-                    .checked_delta_expr(layout, nparams, j)?
-                    .checked_scale(coef)?;
-                acc = acc.checked_add(&term)?;
-            }
-        }
-        Ok(acc)
-    };
-    // violation at prefix q: rows 0..q zero, row q negative. The prefix
-    // system grows by one equality per step, so accumulate it once instead
-    // of rebuilding the q-row prefix from scratch for every q.
-    let mut prefix = d.system.clone();
-    for (q, &row) in common.iter().enumerate() {
-        let re = row_expr(row)?;
-        let mut sys = prefix.clone();
-        sys.add_ge(
-            re.checked_neg()?
-                .checked_sub(&LinExpr::constant(space, 1))?,
-        );
-        if is_empty(&sys) != Feasibility::Empty {
-            return Ok(DepStatus::Violated(format!(
-                "dependence instance with negative projected entry {q} exists"
-            )));
-        }
-        prefix.add_eq(re);
-    }
-    // all-zero case feasible? `prefix` now carries every common row pinned
-    // to zero.
-    Ok(if is_empty(&prefix) != Feasibility::Empty {
-        zero_case(ast, d)
-    } else {
-        DepStatus::Satisfied
-    })
 }
 
 /// Convenience: check legality of a transformation sequence. An invalid

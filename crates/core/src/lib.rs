@@ -67,6 +67,7 @@ pub mod instance;
 pub mod legal;
 pub mod parallel;
 pub mod perstmt;
+mod project;
 pub mod provenance;
 pub mod sink;
 pub mod structural;

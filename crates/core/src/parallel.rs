@@ -19,7 +19,8 @@
 
 use crate::depend::DependenceMatrix;
 use crate::instance::{InstanceLayout, Position};
-use crate::legal::{common_new_positions, transformed_entry, NewAst};
+use crate::legal::{common_new_positions, NewAst};
+use crate::project::row_dot;
 use inl_linalg::{gauss, IMat, IVec, InlError};
 
 /// Integer basis of rows `r` with `r · d = 0` for every dependence `d`
@@ -158,7 +159,7 @@ pub fn parallel_slots(
             }
             let mut carried_at = None;
             for &row in common.iter().take_while(|&&r| r < q) {
-                let e = transformed_entry(m, d, row);
+                let e = row_dot(m.row_slice(row), &d.entries);
                 if e.is_positive() {
                     carried_at = Some(row);
                     break;
@@ -177,7 +178,7 @@ pub fn parallel_slots(
                 }
                 continue;
             }
-            if !transformed_entry(m, d, q).is_zero() {
+            if !row_dot(m.row_slice(q), &d.entries).is_zero() {
                 if explain {
                     inl_obs::explain::reject(
                         "parallel",
@@ -186,7 +187,7 @@ pub fn parallel_slots(
                             "{} has nonzero entry {} at this slot and no earlier slot \
                              provably carries it",
                             crate::provenance::dep_label_short(di, d),
-                            transformed_entry(m, d, q)
+                            row_dot(m.row_slice(q), &d.entries)
                         ),
                     )
                     .detail("dep_row", crate::provenance::dep_row(d))

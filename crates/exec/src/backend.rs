@@ -135,25 +135,15 @@ mod tests {
 
     #[test]
     fn vm_matches_interpreter_on_every_zoo_program() {
-        for (p, params) in [
-            (zoo::simple_cholesky(), vec![7]),
-            (zoo::running_example(), vec![6]),
-            (zoo::perfect_nest(), vec![6]),
-            (zoo::augmentation_example(), vec![6]),
-            (zoo::cholesky_kij(), vec![8]),
-            (zoo::cholesky_left_looking(), vec![8]),
-            (zoo::lu_kij(), vec![8]),
-            (zoo::matmul(), vec![6]),
-            (zoo::wavefront(), vec![8]),
-            (zoo::rect_wavefront(), vec![5, 9]),
-            (zoo::row_prefix_sums(), vec![7]),
-            (zoo::distributed_simple_cholesky(), vec![7]),
-            (zoo::independent_pair(), vec![6]),
-        ] {
+        for (name, make) in zoo::ALL {
+            let p = make();
+            // distinct sizes per parameter (rect_wavefront takes two)
+            let params: Vec<inl_linalg::Int> =
+                (0..p.nparams()).map(|k| 7 + 2 * k as i128).collect();
             let a = run_fresh_with(Backend::Interp, &p, &params, &spdish);
             let b = run_fresh_with(Backend::Vm, &p, &params, &spdish);
             a.same_state(&b)
-                .unwrap_or_else(|e| panic!("{}: VM differs: {e}", p.name()));
+                .unwrap_or_else(|e| panic!("{name}: VM differs: {e}"));
         }
     }
 

@@ -4,6 +4,13 @@
 //! `inl-core::parallel` analysis results) execute their iterations across
 //! worker threads; everything else runs sequentially in AST order.
 //!
+//! The executor holds no statement semantics of its own: it compiles the
+//! program once for the bytecode VM and drives it — evaluating a parallel
+//! loop's bounds, setting the loop-variable register, and running the
+//! loop *body* range per iteration on each worker. The sequential
+//! [`crate::Interpreter`] is the one reference those results are compared
+//! against.
+//!
 //! # Safety contract
 //!
 //! The executor trusts the `parallel` flags: distinct iterations of a
@@ -12,78 +19,13 @@
 //! framework certifies (a loop slot with no carried dependence —
 //! [`inl_core`-level `parallel_slots`]); executing a loop wrongly marked
 //! parallel is a data race. Array storage is shared across threads through
-//! raw pointers for exactly this reason.
+//! [`inl_vm::SharedBuf`] for exactly this reason.
 
 use crate::backend::{copy_in, copy_out};
 use crate::machine::Machine;
-use inl_ir::{Aff, ArrayId, Expr, Guard, LoopId, Node, Program, VarKey};
-use inl_linalg::Int;
+use inl_ir::{LoopId, Node, Program};
 use inl_vm::bytecode::BoundProgram;
 use inl_vm::{exec_range, SharedBuf, VmState};
-
-/// Per-worker execution context: a reused subscript scratch buffer and the
-/// batched `exec.instances` tally (flushed per loop completion, and once
-/// more when the worker finishes).
-#[derive(Default)]
-struct ExecCtx {
-    scratch: Vec<usize>,
-    pending: u64,
-}
-
-impl ExecCtx {
-    #[inline]
-    fn flush(&mut self) {
-        if self.pending > 0 {
-            inl_obs::counter_add!("exec.instances", self.pending);
-        }
-        self.pending = 0;
-    }
-}
-
-/// Raw shared view of the machine's arrays.
-struct RawArray {
-    ptr: *mut f64,
-    dims: Vec<usize>,
-    name: String,
-}
-
-struct RawStorage<'a> {
-    arrays: Vec<RawArray>,
-    params: &'a [Int],
-}
-
-// Shared across worker threads under the module's safety contract.
-unsafe impl Send for RawStorage<'_> {}
-unsafe impl Sync for RawStorage<'_> {}
-
-impl RawStorage<'_> {
-    #[inline]
-    fn flat(&self, a: ArrayId, idx: &[usize]) -> usize {
-        let arr = &self.arrays[a.0];
-        let mut f = 0usize;
-        for (d, (&i, &ext)) in idx.iter().zip(&arr.dims).enumerate() {
-            assert!(
-                i < ext,
-                "array {}: index {i} out of bounds {ext} in dim {d}",
-                arr.name
-            );
-            f = f * ext + i;
-        }
-        f
-    }
-
-    #[inline]
-    fn read(&self, a: ArrayId, idx: &[usize]) -> f64 {
-        let f = self.flat(a, idx);
-        unsafe { *self.arrays[a.0].ptr.add(f) }
-    }
-
-    #[inline]
-    fn write(&self, a: ArrayId, idx: &[usize], v: f64) {
-        let f = self.flat(a, idx);
-        unsafe { *self.arrays[a.0].ptr.add(f) = v }
-    }
-}
 
 /// Executes a program, running `parallel`-marked loops across threads.
 pub struct ParallelExecutor<'p> {
@@ -103,41 +45,11 @@ impl<'p> ParallelExecutor<'p> {
         ParallelExecutor { program, nthreads }
     }
 
-    /// Execute on the machine.
+    /// Execute on the machine: compile once, copy the arrays into the
+    /// VM's flat buffer, then run wavefronts by dispatching parallel-loop
+    /// *body* ranges across workers over shared storage. Sequential
+    /// subtrees with no parallel loop below them run as straight bytecode.
     pub fn run(&self, m: &mut Machine) {
-        let _span = inl_obs::span("exec.parallel");
-        let params = m.params().to_vec();
-        let storage = RawStorage {
-            arrays: m
-                .arrays_mut()
-                .iter_mut()
-                .map(|a| RawArray {
-                    ptr: a.data.as_mut_ptr(),
-                    dims: a.dims.clone(),
-                    name: a.name.clone(),
-                })
-                .collect(),
-            params: &params,
-        };
-        let mut env: Vec<Option<Int>> = vec![None; self.program.loops().count()];
-        let mut ctx = ExecCtx::default();
-        exec_nodes(
-            self.program,
-            self.program.root(),
-            &mut env,
-            &storage,
-            self.nthreads,
-            &mut ctx,
-        );
-        ctx.flush();
-    }
-
-    /// Execute on the machine through the bytecode VM: compile once, copy
-    /// the arrays into the VM's flat buffer, then run wavefronts by
-    /// dispatching parallel-loop *body* ranges across workers over shared
-    /// storage. Sequential subtrees with no parallel loop below them run
-    /// as straight bytecode.
-    pub fn run_vm(&self, m: &mut Machine) {
         let _span = inl_obs::span("exec.parallel");
         let compiled = inl_vm::compile(self.program);
         let bp = compiled.bind(m.params());
@@ -158,7 +70,7 @@ impl<'p> ParallelExecutor<'p> {
 
 /// Explain-record one wavefront dispatch of a `parallel`-marked loop
 /// (stage `exec`): the wavefront width, worker count, and chunking.
-fn record_wavefront(name: &str, width: usize, nthreads: usize, chunk: usize, backend: &str) {
+fn record_wavefront(name: &str, width: usize, nthreads: usize, chunk: usize) {
     if !inl_obs::explain_enabled() {
         return;
     }
@@ -167,7 +79,7 @@ fn record_wavefront(name: &str, width: usize, nthreads: usize, chunk: usize, bac
         format!("loop {name}"),
         format!(
             "dispatched a {width}-iteration wavefront across {nthreads} worker(s), \
-             chunk size {chunk} ({backend} backend)"
+             chunk size {chunk}"
         ),
     )
     .feature("wavefront_width", width as i64)
@@ -240,7 +152,7 @@ fn vm_loop(
             &[("iters", iters.len() as i64), ("threads", nthreads as i64)],
         );
         let chunk = iters.len().div_ceil(nthreads);
-        record_wavefront(&ld.name, iters.len(), nthreads, chunk, "vm");
+        record_wavefront(&ld.name, iters.len(), nthreads, chunk);
         std::thread::scope(|scope| {
             for ch in iters.chunks(chunk) {
                 let mut thread_st = st.clone();
@@ -271,171 +183,11 @@ fn vm_loop(
     }
 }
 
-fn lookup<'e>(env: &'e [Option<Int>], params: &'e [Int]) -> impl Fn(VarKey) -> Int + 'e {
-    move |v: VarKey| match v {
-        VarKey::Param(p) => params[p.0],
-        VarKey::Loop(l) => env[l.0].expect("loop variable read outside its loop"),
-    }
-}
-
-fn exec_nodes(
-    p: &Program,
-    nodes: &[Node],
-    env: &mut Vec<Option<Int>>,
-    st: &RawStorage<'_>,
-    nthreads: usize,
-    ctx: &mut ExecCtx,
-) {
-    for &n in nodes {
-        match n {
-            Node::Loop(l) => exec_loop(p, l, env, st, nthreads, ctx),
-            Node::Stmt(s) => exec_stmt(p, s, env, st, ctx),
-        }
-    }
-}
-
-fn exec_loop(
-    p: &Program,
-    l: LoopId,
-    env: &mut Vec<Option<Int>>,
-    st: &RawStorage<'_>,
-    nthreads: usize,
-    ctx: &mut ExecCtx,
-) {
-    let ld = p.loop_decl(l);
-    let (lo, hi) = {
-        let look = lookup(env, st.params);
-        (ld.lower.eval_lower(&look), ld.upper.eval_upper(&look))
-    };
-    if lo > hi {
-        return;
-    }
-    let iters: Vec<Int> = {
-        let mut v = Vec::new();
-        let mut i = lo;
-        while i <= hi {
-            v.push(i);
-            i += ld.step;
-        }
-        v
-    };
-    if ld.parallel && nthreads > 1 && iters.len() > 1 {
-        inl_obs::counter_add!("exec.par.wavefronts", 1);
-        let _wf = inl_obs::timeline::scope_args(
-            "exec.par.wavefront",
-            &[("iters", iters.len() as i64), ("threads", nthreads as i64)],
-        );
-        let chunk = iters.len().div_ceil(nthreads);
-        record_wavefront(&ld.name, iters.len(), nthreads, chunk, "tree");
-        std::thread::scope(|scope| {
-            for ch in iters.chunks(chunk) {
-                let mut thread_env = env.clone();
-                scope.spawn(move || {
-                    let _slice = inl_obs::timeline::scope_args(
-                        "exec.par.chunk",
-                        &[("lo", ch[0] as i64), ("hi", *ch.last().unwrap() as i64)],
-                    );
-                    let busy = std::time::Instant::now();
-                    let mut thread_ctx = ExecCtx::default();
-                    for &i in ch {
-                        thread_env[l.0] = Some(i);
-                        // inner parallel loops run sequentially inside a
-                        // worker (one level of parallelism is enough here)
-                        exec_nodes(p, &ld.children, &mut thread_env, st, 1, &mut thread_ctx);
-                    }
-                    thread_ctx.flush();
-                    inl_obs::counter_add!(
-                        "exec.par.thread_busy_ns",
-                        busy.elapsed().as_nanos() as u64
-                    );
-                });
-            }
-        });
-    } else {
-        for &i in &iters {
-            env[l.0] = Some(i);
-            exec_nodes(p, &ld.children, env, st, nthreads, ctx);
-        }
-    }
-    env[l.0] = None;
-    // per-loop-completion counter flush (see ExecCtx)
-    ctx.flush();
-}
-
-fn exec_stmt(
-    p: &Program,
-    s: inl_ir::StmtId,
-    env: &[Option<Int>],
-    st: &RawStorage<'_>,
-    ctx: &mut ExecCtx,
-) {
-    let sd = p.stmt_decl(s);
-    // one lookup closure per statement instance, shared by guards, rhs,
-    // and write subscripts
-    let look = lookup(env, st.params);
-    for g in &sd.guards {
-        let pass = match g {
-            Guard::Ge(a) => a.eval(&look).signum() >= 0,
-            Guard::Eq(a) => a.eval(&look).is_zero(),
-            Guard::Div(a, k) => {
-                let v = a.eval(&look);
-                v.is_integer() && v.num() % *k == 0
-            }
-        };
-        if !pass {
-            return;
-        }
-    }
-    ctx.pending += 1;
-    let value = eval(p, &sd.rhs, &look, st, ctx);
-    eval_subscripts_into(&sd.write.idxs, &look, &mut ctx.scratch);
-    st.write(sd.write.array, &ctx.scratch, value);
-}
-
-/// Evaluate subscripts into a reused scratch buffer (no allocation).
-fn eval_subscripts_into(idxs: &[Aff], look: &dyn Fn(VarKey) -> Int, scratch: &mut Vec<usize>) {
-    scratch.clear();
-    for a in idxs {
-        let v = a
-            .eval_int(look)
-            .unwrap_or_else(|| panic!("subscript {a:?} not integral"));
-        assert!(v >= 0, "negative subscript {v}");
-        scratch.push(v as usize);
-    }
-}
-
-#[allow(clippy::only_used_in_recursion)] // keep the program in scope for future expression forms
-fn eval(
-    p: &Program,
-    e: &Expr,
-    look: &dyn Fn(VarKey) -> Int,
-    st: &RawStorage<'_>,
-    ctx: &mut ExecCtx,
-) -> f64 {
-    match e {
-        Expr::Const(v) => *v,
-        Expr::Index(a) => {
-            let r = a.eval(look);
-            r.num() as f64 / r.den() as f64
-        }
-        Expr::Read(acc) => {
-            eval_subscripts_into(&acc.idxs, look, &mut ctx.scratch);
-            st.read(acc.array, &ctx.scratch)
-        }
-        Expr::Neg(x) => -eval(p, x, look, st, ctx),
-        Expr::Sqrt(x) => eval(p, x, look, st, ctx).sqrt(),
-        Expr::Add(a, b) => eval(p, a, look, st, ctx) + eval(p, b, look, st, ctx),
-        Expr::Sub(a, b) => eval(p, a, look, st, ctx) - eval(p, b, look, st, ctx),
-        Expr::Mul(a, b) => eval(p, a, look, st, ctx) * eval(p, b, look, st, ctx),
-        Expr::Div(a, b) => eval(p, a, look, st, ctx) / eval(p, b, look, st, ctx),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::interp::Interpreter;
-    use inl_ir::{zoo, Bound, ProgramBuilder};
+    use inl_ir::{zoo, Aff, Bound, Expr, Guard, ProgramBuilder};
 
     /// A dependence-free doubly nested initialization, marked parallel.
     fn parallel_init_program() -> Program {
@@ -498,35 +250,38 @@ mod tests {
     }
 
     #[test]
-    fn vm_path_matches_interpreter() {
-        let p = parallel_init_program();
-        let mut seq = Machine::new(&p, &[17], &|_, _| -1.0);
+    fn guarded_statement_in_parallel_loop_matches_interpreter() {
+        // do I = 1..N parallel: if (2 | I) X(I) = I — a `Div` guard under
+        // a wavefront, the guard the deleted tree-walking copy evaluated
+        // differently from the interpreter
+        let mut b = ProgramBuilder::new("parguard");
+        let n = b.param("N");
+        let x = b.array("X", &[Aff::param(n) + Aff::konst(1)]);
+        b.loop_full(
+            "I",
+            Bound::single(Aff::konst(1)),
+            Bound::single(Aff::param(n)),
+            1,
+            true, // parallel
+            |b| {
+                let i = b.loop_var("I");
+                b.stmt_guarded(
+                    "S",
+                    x,
+                    vec![Aff::var(i)],
+                    Expr::index(Aff::var(i)),
+                    vec![Guard::Div(Aff::var(i), 2)],
+                );
+            },
+        );
+        let p = b.finish();
+        let mut seq = Machine::new(&p, &[9], &|_, _| -1.0);
         Interpreter::new(&p).run(&mut seq);
-        for threads in [1, 2, 4] {
-            let mut par = Machine::new(&p, &[17], &|_, _| -1.0);
-            ParallelExecutor::new(&p, threads).run_vm(&mut par);
-            seq.same_state(&par)
-                .unwrap_or_else(|e| panic!("vm, {threads} threads: {e}"));
-        }
-    }
-
-    #[test]
-    fn vm_path_sequential_fallback() {
-        // wavefront is NOT parallel: the VM path must run it as straight
-        // bytecode and agree bitwise
-        let p = zoo::wavefront();
-        let init = |_: &str, idx: &[usize]| {
-            if idx[0] == 0 || idx[1] == 0 {
-                1.0
-            } else {
-                0.0
-            }
-        };
-        let mut seq = Machine::new(&p, &[8], &init);
-        Interpreter::new(&p).run(&mut seq);
-        let mut par = Machine::new(&p, &[8], &init);
-        ParallelExecutor::new(&p, 4).run_vm(&mut par);
-        seq.same_state(&par).expect("identical");
+        let mut par = Machine::new(&p, &[9], &|_, _| -1.0);
+        ParallelExecutor::new(&p, 2).run(&mut par);
+        seq.same_state(&par).expect("bitwise identical");
+        let x = seq.array_by_name("X").unwrap();
+        assert_eq!(&x[..5], &[-1.0, -1.0, 2.0, -1.0, 4.0]);
     }
 
     #[test]

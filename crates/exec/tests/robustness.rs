@@ -87,19 +87,8 @@ fn three_dimensional_arrays() {
 fn executors_agree_on_every_zoo_program() {
     // sequential interpreter vs. the (unmarked, hence sequential-order)
     // parallel executor: bitwise identical across the zoo
-    for p in [
-        zoo::simple_cholesky(),
-        zoo::running_example(),
-        zoo::perfect_nest(),
-        zoo::augmentation_example(),
-        zoo::cholesky_kij(),
-        zoo::cholesky_left_looking(),
-        zoo::lu_kij(),
-        zoo::matmul(),
-        zoo::wavefront(),
-        zoo::row_prefix_sums(),
-        zoo::independent_pair(),
-    ] {
+    for (_, make) in zoo::ALL {
+        let p = make();
         let params: Vec<i128> = vec![5; p.nparams()];
         let init = |_: &str, idx: &[usize]| (idx.iter().sum::<usize>() + 2) as f64 * 1.75;
         let mut a = Machine::new(&p, &params, &init);

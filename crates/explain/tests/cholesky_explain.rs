@@ -10,7 +10,7 @@ use std::process::Command;
 /// All 24 KJLI-style permutation labels.
 fn all_orders() -> BTreeSet<String> {
     let names = ["K", "J", "L", "I"];
-    inl_bench::permutations(&[0usize, 1, 2, 3])
+    inl_linalg::permutations(&[0usize, 1, 2, 3])
         .into_iter()
         .map(|pm| pm.iter().map(|&i| names[i]).collect::<Vec<_>>().join(""))
         .collect()

@@ -531,28 +531,53 @@ pub fn independent_pair() -> Program {
     b.finish()
 }
 
+/// A zoo entry: the wire name clients use, and the program constructor.
+pub type ZooEntry = (&'static str, fn() -> Program);
+
+/// Every zoo program under its wire name, in the order services list and
+/// sweeps visit them. This is the one table: the compile service, the
+/// scheduler sweep, and the differential tests all iterate it.
+pub const ALL: &[ZooEntry] = &[
+    ("simple_cholesky", simple_cholesky),
+    ("running_example", running_example),
+    ("perfect_nest", perfect_nest),
+    ("augmentation_example", augmentation_example),
+    ("cholesky_kij", cholesky_kij),
+    ("cholesky_left_looking", cholesky_left_looking),
+    ("lu_kij", lu_kij),
+    ("wavefront", wavefront),
+    ("matmul", matmul),
+    ("rect_wavefront", rect_wavefront),
+    ("row_prefix_sums", row_prefix_sums),
+    ("distributed_simple_cholesky", distributed_simple_cholesky),
+    ("independent_pair", independent_pair),
+];
+
+/// Deterministic array initializer for measurement and bitwise
+/// equivalence checks: symmetric positive-definite-ish for 2-D arrays, so
+/// the Cholesky-family programs stay numerically stable.
+pub fn spd_init(_: &str, idx: &[usize]) -> f64 {
+    if idx.len() == 2 {
+        if idx[0] == idx[1] {
+            (idx[0] + 10) as f64
+        } else {
+            1.0 / ((idx[0] + idx[1] + 2) as f64)
+        }
+    } else {
+        2.0 + idx[0] as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn all_zoo_programs_validate() {
-        for p in [
-            simple_cholesky(),
-            running_example(),
-            perfect_nest(),
-            augmentation_example(),
-            cholesky_kij(),
-            cholesky_left_looking(),
-            lu_kij(),
-            matmul(),
-            wavefront(),
-            rect_wavefront(),
-            row_prefix_sums(),
-            distributed_simple_cholesky(),
-            independent_pair(),
-        ] {
-            assert!(p.validate().is_ok(), "{} fails validation", p.name());
+        for (name, make) in ALL {
+            let p = make();
+            assert_eq!(p.name(), *name, "wire name is the program's name");
+            assert!(p.validate().is_ok(), "{name} fails validation");
         }
     }
 

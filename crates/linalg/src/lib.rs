@@ -100,6 +100,24 @@ pub fn lcm(a: Int, b: Int) -> Result<Int, InlError> {
         .ok_or_else(|| InlError::overflow("lcm"))
 }
 
+/// All orderings of a small slice, in lexicographic order of positions
+/// (the first ordering is the slice itself).
+pub fn permutations<T: Clone>(items: &[T]) -> Vec<Vec<T>> {
+    if items.len() <= 1 {
+        return vec![items.to_vec()];
+    }
+    let mut out = Vec::new();
+    for i in 0..items.len() {
+        let mut rest = items.to_vec();
+        let x = rest.remove(i);
+        for mut tail in permutations(&rest) {
+            tail.insert(0, x.clone());
+            out.push(tail);
+        }
+    }
+    out
+}
+
 /// Extended Euclid: returns `(g, x, y)` with `a*x + b*y == g == gcd(a, b)`,
 /// `g >= 0`.
 ///

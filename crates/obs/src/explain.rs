@@ -363,13 +363,7 @@ pub fn to_json() -> Json {
 
 /// Write the JSON artifact to `path`, creating parent directories.
 pub fn write_json(path: impl AsRef<Path>) -> io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, to_json().to_pretty_string())
+    to_json().write_file(path)
 }
 
 #[cfg(test)]

@@ -138,6 +138,16 @@ impl Json {
         }
     }
 
+    /// Write the pretty serialization to `path`, creating parent
+    /// directories.
+    pub fn write_file(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
+        let path = path.as_ref();
+        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+            std::fs::create_dir_all(parent)?;
+        }
+        std::fs::write(path, self.to_pretty_string())
+    }
+
     /// Serialize with two-space indentation and a trailing newline.
     pub fn to_pretty_string(&self) -> String {
         let mut out = String::new();

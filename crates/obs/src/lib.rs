@@ -86,11 +86,23 @@ static EXIT_OBS_JSON: OnceLock<Option<PathBuf>> = OnceLock::new();
 static EXIT_TRACE_JSON: OnceLock<Option<PathBuf>> = OnceLock::new();
 static EXIT_EXPLAIN_JSON: OnceLock<Option<PathBuf>> = OnceLock::new();
 
-fn env_on(name: &str) -> bool {
-    matches!(
-        std::env::var(name).ok().as_deref(),
-        Some("1") | Some("true") | Some("on")
-    )
+/// Parse a boolean environment variable. One grammar for every `INL_*`
+/// switch: `1`, `true`, `on` turn it on; `0`, `false`, `off` turn it off;
+/// unset or empty keeps `default`; anything else warns once to stderr (see
+/// [`env_usize`]) and keeps `default`.
+pub fn env_flag(name: &str, default: bool) -> bool {
+    let Ok(raw) = std::env::var(name) else {
+        return default;
+    };
+    match raw.trim() {
+        "" => default,
+        "1" | "true" | "on" => true,
+        "0" | "false" | "off" => false,
+        _ => {
+            warn_once(name, &raw, "1|true|on or 0|false|off", &default);
+            default
+        }
+    }
 }
 
 fn env_path(name: &str) -> Option<PathBuf> {
@@ -100,17 +112,31 @@ fn env_path(name: &str) -> Option<PathBuf> {
 }
 
 /// Parse a numeric environment variable, warning **once per variable** to
-/// stderr when the value is set but malformed (previously such values
-/// were silently ignored). Unset variables and valid values never warn;
-/// malformed or zero values fall back to `default`.
+/// stderr when the value is set but malformed. Unset variables and valid
+/// values never warn; malformed or zero values fall back to `default`.
 pub fn env_usize(name: &str, default: usize) -> usize {
+    env_number(name, default, 1)
+}
+
+/// [`env_usize`] for variables where zero is a meaningful value (a worker
+/// count of 0 = one per core): only malformed values warn and fall back.
+pub fn env_count(name: &str, default: usize) -> usize {
+    env_number(name, default, 0)
+}
+
+fn env_number(name: &str, default: usize, min: usize) -> usize {
     let Ok(raw) = std::env::var(name) else {
         return default;
     };
     match raw.trim().parse::<usize>() {
-        Ok(v) if v > 0 => v,
+        Ok(v) if v >= min => v,
         _ => {
-            warn_once(name, &raw, default);
+            let expected = if min == 0 {
+                "a non-negative integer"
+            } else {
+                "a positive integer"
+            };
+            warn_once(name, &raw, expected, &default);
             default
         }
     }
@@ -118,7 +144,7 @@ pub fn env_usize(name: &str, default: usize) -> usize {
 
 /// Emit the malformed-env warning at most once per variable name per
 /// process, even if the variable is parsed from several call sites.
-fn warn_once(name: &str, raw: &str, default: usize) {
+fn warn_once(name: &str, raw: &str, expected: &str, default: &dyn std::fmt::Display) {
     static WARNED: OnceLock<Mutex<Vec<String>>> = OnceLock::new();
     let mut warned = WARNED
         .get_or_init(|| Mutex::new(Vec::new()))
@@ -129,7 +155,7 @@ fn warn_once(name: &str, raw: &str, default: usize) {
     }
     warned.push(name.to_string());
     eprintln!(
-        "inl-obs: ignoring malformed {name}={raw:?} (expected a positive integer); \
+        "inl-obs: ignoring malformed {name}={raw:?} (expected {expected}); \
          using default {default}"
     );
 }
@@ -172,13 +198,13 @@ fn flags_cell() -> &'static AtomicU8 {
         // Anchor the timeline epoch before any event can be recorded.
         timeline::epoch();
         let mut f = 0u8;
-        if env_on("INL_OBS") {
+        if env_flag("INL_OBS", false) {
             f |= FLAG_OBS;
         }
-        if env_on("INL_TRACE") {
+        if env_flag("INL_TRACE", false) {
             f |= FLAG_TIMELINE;
         }
-        if env_on("INL_EXPLAIN") {
+        if env_flag("INL_EXPLAIN", false) {
             f |= FLAG_EXPLAIN;
         }
         let obs_json = env_path("INL_OBS_JSON");

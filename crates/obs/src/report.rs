@@ -340,13 +340,7 @@ impl PipelineReport {
 
     /// Write the JSON document to `path`, creating parent directories.
     pub fn write_json(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_json_string())
+        self.to_json().write_file(path)
     }
 
     /// Render a human-readable table (counters, then histograms with

@@ -439,13 +439,7 @@ pub fn export_chrome_trace() -> Json {
 
 /// Write the Chrome trace JSON to `path`, creating parent directories.
 pub fn write_chrome_trace(path: impl AsRef<Path>) -> io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, export_chrome_trace().to_pretty_string())
+    export_chrome_trace().write_file(path)
 }
 
 #[cfg(test)]

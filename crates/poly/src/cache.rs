@@ -124,11 +124,9 @@ pub fn cache_enabled() -> bool {
         1 => true,
         2 => false,
         _ => {
-            let off = std::env::var("INL_POLY_CACHE")
-                .map(|v| matches!(v.as_str(), "0" | "false" | "off"))
-                .unwrap_or(false);
-            ENABLED.store(if off { 2 } else { 1 }, Ordering::Relaxed);
-            !off
+            let on = inl_obs::env_flag("INL_POLY_CACHE", true);
+            ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
+            on
         }
     }
 }

@@ -17,7 +17,7 @@
 //! and the run exits 1 at the end, as it does when any chosen variant
 //! fails the bitwise-equivalence check against its source program.
 
-use inl_sched::sweep::{bench_json_with_errors, render_table, sweep_program, SWEEP_ZOO};
+use inl_sched::sweep::{bench_json_with_errors, render_table, sweep_program, sweep_targets};
 use inl_sched::SchedConfig;
 use std::process::ExitCode;
 
@@ -64,19 +64,17 @@ fn main() -> ExitCode {
         inl_obs::set_explain_enabled(true);
     }
 
-    let targets: Vec<_> = match &program {
-        None => SWEEP_ZOO.to_vec(),
-        Some(name) => {
-            let Some(t) = SWEEP_ZOO.iter().find(|(n, _, _)| n == name) else {
-                eprintln!("unknown program '{name}'; the zoo:");
-                for (n, _, _) in SWEEP_ZOO {
-                    eprintln!("  {n}");
-                }
-                return ExitCode::FAILURE;
-            };
-            vec![*t]
+    let mut targets = sweep_targets();
+    if let Some(name) = &program {
+        if !targets.iter().any(|(n, _, _)| n == name) {
+            eprintln!("unknown program '{name}'; the zoo:");
+            for (n, _, _) in &targets {
+                eprintln!("  {n}");
+            }
+            return ExitCode::FAILURE;
         }
-    };
+        targets.retain(|(n, _, _)| n == name);
+    }
 
     // A failing program is recorded and skipped, never fatal mid-sweep:
     // the remaining targets still get scheduled, the table and JSON carry

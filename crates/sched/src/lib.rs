@@ -99,16 +99,17 @@ pub struct SchedConfig {
     /// keeping what it found — when the budget is exhausted.
     pub budget: u64,
     /// Include reversed loop selectors (`INL_SCHED_REVERSAL`, default on;
-    /// `0` disables).
+    /// `0|false|off` disables).
     pub reversal: bool,
     /// Refine the front-runner with statement-alignment offsets
-    /// (`INL_SCHED_ALIGN`, default on; `0` disables).
+    /// (`INL_SCHED_ALIGN`, default on; `0|false|off` disables).
     pub align: bool,
     /// Enumerate jam/distribute shapes (`INL_SCHED_SHAPES`, default on;
-    /// `0` disables).
+    /// `0|false|off` disables).
     pub shapes: bool,
     /// Enumerate strip-mined (tiled) shapes on the innermost
-    /// reuse-carrying loop (`INL_SCHED_TILE`, default on; `0` disables).
+    /// reuse-carrying loop (`INL_SCHED_TILE`, default on; `0|false|off`
+    /// disables).
     pub tile: bool,
     /// Candidate tile sizes for the tile axis (`INL_SCHED_TILE_SIZES`,
     /// comma-separated, default `16,32,64`; sizes below 2 are ignored).
@@ -141,21 +142,11 @@ impl SchedConfig {
     /// falling back to the defaults.
     pub fn from_env() -> SchedConfig {
         let mut cfg = SchedConfig::default();
-        let flag = |name: &str, default: bool| -> bool {
-            match std::env::var(name) {
-                Ok(v) => v != "0" && !v.is_empty(),
-                Err(_) => default,
-            }
-        };
-        if let Ok(v) = std::env::var("INL_SCHED_BUDGET") {
-            if let Ok(n) = v.parse::<u64>() {
-                cfg.budget = n;
-            }
-        }
-        cfg.reversal = flag("INL_SCHED_REVERSAL", cfg.reversal);
-        cfg.align = flag("INL_SCHED_ALIGN", cfg.align);
-        cfg.shapes = flag("INL_SCHED_SHAPES", cfg.shapes);
-        cfg.tile = flag("INL_SCHED_TILE", cfg.tile);
+        cfg.budget = inl_obs::env_count("INL_SCHED_BUDGET", cfg.budget as usize) as u64;
+        cfg.reversal = inl_obs::env_flag("INL_SCHED_REVERSAL", cfg.reversal);
+        cfg.align = inl_obs::env_flag("INL_SCHED_ALIGN", cfg.align);
+        cfg.shapes = inl_obs::env_flag("INL_SCHED_SHAPES", cfg.shapes);
+        cfg.tile = inl_obs::env_flag("INL_SCHED_TILE", cfg.tile);
         if let Ok(v) = std::env::var("INL_SCHED_TILE_SIZES") {
             let sizes: Vec<inl_ir::Int> = v
                 .split(',')
@@ -166,16 +157,8 @@ impl SchedConfig {
                 cfg.tile_sizes = sizes;
             }
         }
-        if let Ok(v) = std::env::var("INL_SCHED_THREADS") {
-            if let Ok(n) = v.parse::<usize>() {
-                cfg.threads = n;
-            }
-        }
-        if let Ok(v) = std::env::var("INL_SCHED_REPS") {
-            if let Ok(n) = v.parse::<usize>() {
-                cfg.measure_reps = n.max(1);
-            }
-        }
+        cfg.threads = inl_obs::env_count("INL_SCHED_THREADS", cfg.threads);
+        cfg.measure_reps = inl_obs::env_count("INL_SCHED_REPS", cfg.measure_reps).max(1);
         cfg
     }
 }
@@ -399,6 +382,59 @@ mod tests {
         }
     }
 
+    /// `nodes_exhaustive` of `simple_cholesky` under `cfg`.
+    fn exhaustive(cfg: &SchedConfig) -> u64 {
+        let cfg = SchedConfig {
+            threads: 1,
+            ..cfg.clone()
+        };
+        schedule_with(&zoo::simple_cholesky(), &cfg)
+            .expect("schedules")
+            .stats
+            .nodes_exhaustive
+    }
+
+    #[test]
+    fn reversal_switch_accepts_every_documented_off_spelling() {
+        // README documents `0`, `false`, `off`; `from_env` used to honour
+        // only `0`. The environment is process-global, so each spelling is
+        // read in a child: this test binary re-executed with the variable
+        // set, printing what the search tree shrank to.
+        const CHILD: &str = "SCHED_TEST_FROM_ENV_CHILD";
+        if std::env::var_os(CHILD).is_some() {
+            println!("exhaustive={}", exhaustive(&SchedConfig::from_env()));
+            return;
+        }
+        let with_reversal = exhaustive(&SchedConfig::default());
+        let without = exhaustive(&SchedConfig {
+            reversal: false,
+            ..SchedConfig::default()
+        });
+        assert!(without < with_reversal, "reversal widens the tree");
+        let exe = std::env::current_exe().expect("test binary path");
+        for (spelling, want) in [
+            ("0", without),
+            ("false", without),
+            ("off", without),
+            ("on", with_reversal),
+        ] {
+            let out = std::process::Command::new(&exe)
+                .args([
+                    "reversal_switch_accepts_every_documented_off_spelling",
+                    "--nocapture",
+                ])
+                .env(CHILD, "1")
+                .env("INL_SCHED_REVERSAL", spelling)
+                .output()
+                .expect("spawn child test process");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                out.status.success() && stdout.contains(&format!("exhaustive={want}\n")),
+                "INL_SCHED_REVERSAL={spelling}: want exhaustive={want}, child printed:\n{stdout}"
+            );
+        }
+    }
+
     #[test]
     fn cholesky_search_is_pinned_and_pruned() {
         // the end-to-end pin: full Cholesky with the default axes visits
@@ -428,7 +464,7 @@ mod tests {
         // source program — across shapes, reversals, and alignment.
         let p = zoo::simple_cholesky();
         let r = schedule_with(&p, &quiet_cfg()).expect("schedules");
-        let init = crate::sweep::measurement_init;
+        let init = zoo::spd_init;
         for v in &r.variants {
             let src = inl_exec::run_fresh(&p, &[8], &init);
             let got = inl_exec::run_fresh(&v.program, &[8], &init);

@@ -9,28 +9,11 @@
 
 use crate::{schedule_with, Cost, SchedConfig, SchedError, SearchStats};
 use inl_exec::{run_fresh, Machine, VmRunner};
-use inl_ir::{zoo, Program};
+use inl_ir::zoo::{self, spd_init};
+use inl_ir::Program;
 use inl_linalg::{InlError, Int};
 use inl_obs::Json;
 use std::time::Instant;
-
-/// Deterministic array initializer used for measurement and the bitwise
-/// equivalence check. This is a *deliberate duplicate* of
-/// `inl_bench::spd_init` — `inl-bench` depends on this crate (its report
-/// prints the schedule sweep), so the init cannot be imported from there
-/// without a cycle. Symmetric positive-definite-ish for 2-D arrays so
-/// Cholesky-family programs stay numerically stable.
-pub fn measurement_init(_: &str, idx: &[usize]) -> f64 {
-    if idx.len() == 2 {
-        if idx[0] == idx[1] {
-            (idx[0] + 10) as f64
-        } else {
-            1.0 / ((idx[0] + idx[1] + 2) as f64)
-        }
-    } else {
-        2.0 + idx[0] as f64
-    }
-}
 
 /// Problem size used by the sweep: large enough that loop-order locality
 /// effects are visible on the VM, small enough that measuring every legal
@@ -40,36 +23,22 @@ pub const SWEEP_N: Int = 56;
 /// One sweep target: wire name, constructor, measurement parameters.
 pub type SweepTarget = (&'static str, fn() -> Program, &'static [Int]);
 
-/// The programs the sweep schedules — the same list `inl-serve` exposes
-/// (mirrored here because the dependency points the other way: the
-/// service calls into this crate).
-pub const SWEEP_ZOO: &[SweepTarget] = &[
-    ("simple_cholesky", zoo::simple_cholesky, &[SWEEP_N]),
-    ("running_example", zoo::running_example, &[SWEEP_N]),
-    ("perfect_nest", zoo::perfect_nest, &[SWEEP_N]),
-    (
-        "augmentation_example",
-        zoo::augmentation_example,
-        &[SWEEP_N],
-    ),
-    ("cholesky_kij", zoo::cholesky_kij, &[SWEEP_N]),
-    (
-        "cholesky_left_looking",
-        zoo::cholesky_left_looking,
-        &[SWEEP_N],
-    ),
-    ("lu_kij", zoo::lu_kij, &[SWEEP_N]),
-    ("wavefront", zoo::wavefront, &[SWEEP_N]),
-    ("matmul", zoo::matmul, &[28]),
-    ("rect_wavefront", zoo::rect_wavefront, &[28, 36]),
-    ("row_prefix_sums", zoo::row_prefix_sums, &[SWEEP_N]),
-    (
-        "distributed_simple_cholesky",
-        zoo::distributed_simple_cholesky,
-        &[SWEEP_N],
-    ),
-    ("independent_pair", zoo::independent_pair, &[SWEEP_N]),
-];
+/// The programs the sweep schedules: the whole [`zoo::ALL`] table, each
+/// with its measurement parameters ([`SWEEP_N`], smaller where the program
+/// is cubic in a 2-D size or takes two parameters).
+pub fn sweep_targets() -> Vec<SweepTarget> {
+    zoo::ALL
+        .iter()
+        .map(|&(name, ctor)| {
+            let params: &[Int] = match name {
+                "matmul" => &[28],
+                "rect_wavefront" => &[28, 36],
+                _ => &[SWEEP_N],
+            };
+            (name, ctor, params)
+        })
+        .collect()
+}
 
 /// One measured variant: cost-rank order is the `Vec` order in
 /// [`SweepEntry::measured`].
@@ -164,7 +133,7 @@ pub fn sweep_program(
         .map(|v| VmRunner::new(&v.program))
         .collect();
     for (v, runner) in result.variants.iter().zip(&runners) {
-        let mut warm = Machine::new(&v.program, params, &measurement_init);
+        let mut warm = Machine::new(&v.program, params, &spd_init);
         runner.run(&mut warm);
     }
     // interleave the timed reps across variants (rep-major, not
@@ -175,7 +144,7 @@ pub fn sweep_program(
     let mut best_ns_per: Vec<u64> = vec![u64::MAX; result.variants.len()];
     for _ in 0..cfg.measure_reps.max(1) {
         for ((v, runner), best) in result.variants.iter().zip(&runners).zip(&mut best_ns_per) {
-            let mut m = Machine::new(&v.program, params, &measurement_init);
+            let mut m = Machine::new(&v.program, params, &spd_init);
             let t = Instant::now();
             runner.run(&mut m);
             *best = (*best).min(t.elapsed().as_nanos() as u64);
@@ -211,8 +180,8 @@ pub fn sweep_program(
         }
     }
 
-    let source = run_fresh(p, params, &measurement_init);
-    let transformed = run_fresh(&result.chosen().program, params, &measurement_init);
+    let source = run_fresh(p, params, &spd_init);
+    let transformed = run_fresh(&result.chosen().program, params, &spd_init);
     let bitwise_identical = source.same_state(&transformed).is_ok();
 
     let chosen = result.chosen().label.clone();
@@ -256,13 +225,12 @@ pub fn measured_extremes(
     Ok((first.ns, best.ns, best.label.clone(), worst_ns))
 }
 
-/// Run [`sweep_program`] over the whole [`SWEEP_ZOO`].
+/// Run [`sweep_program`] over all of [`sweep_targets`].
 pub fn sweep_zoo(cfg: &SchedConfig) -> Result<Vec<SweepEntry>, SchedError> {
-    let mut entries = Vec::with_capacity(SWEEP_ZOO.len());
-    for (name, ctor, params) in SWEEP_ZOO {
-        entries.push(sweep_program(name, &ctor(), params, cfg)?);
-    }
-    Ok(entries)
+    sweep_targets()
+        .into_iter()
+        .map(|(name, ctor, params)| sweep_program(name, &ctor(), params, cfg))
+        .collect()
 }
 
 /// Render the sweep as the markdown table shared by the `inl-sched` CLI

@@ -17,7 +17,6 @@ use inl_core::instance::{InstanceLayout, Position};
 use inl_exec::run_fresh;
 use inl_ir::{zoo, LoopId, Program};
 use inl_linalg::IVec;
-use inl_sched::sweep::measurement_init;
 use inl_sched::{schedule_with, SchedConfig};
 use proptest::prelude::*;
 
@@ -176,9 +175,9 @@ proptest! {
         let p = ctor();
         let cfg = SchedConfig { threads: 1, ..SchedConfig::default() };
         let result = schedule_with(&p, &cfg).expect("search");
-        let reference = run_fresh(&p, params, &measurement_init);
+        let reference = run_fresh(&p, params, &zoo::spd_init);
         for v in &result.variants {
-            let m = run_fresh(&v.program, params, &measurement_init);
+            let m = run_fresh(&v.program, params, &zoo::spd_init);
             prop_assert!(
                 reference.same_state(&m).is_ok(),
                 "variant {} of {} diverged from the source program",

@@ -3,7 +3,7 @@
 //!
 //! ```sh
 //! inl-load [--addr HOST:PORT] [--requests N] [--connections C]
-//!          [--telemetry] [--out BENCH_serve.json] [--shutdown]
+//!          [--telemetry] [--out target/BENCH_serve.json] [--shutdown]
 //! ```
 //!
 //! The workload cycles a fixed schedule — identity compiles and runs for
@@ -73,7 +73,7 @@ fn base_schedule(telemetry: bool) -> Vec<Request> {
         }
     }
     let names = ["K", "J", "L", "I"];
-    for pm in inl_bench::permutations(&[0usize, 1, 2, 3]) {
+    for pm in inl_linalg::permutations(&[0usize, 1, 2, 3]) {
         let order: String = pm.iter().map(|&i| names[i]).collect();
         reqs.push(Request::Compile {
             program: "cholesky_kij".to_string(),
@@ -120,7 +120,7 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .filter(|&c| c > 0)
         .unwrap_or(4);
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_serve.json".to_string());
+    let out_path = flag_value("--out").unwrap_or_else(|| "target/BENCH_serve.json".to_string());
     let send_shutdown = std::env::args().any(|a| a == "--shutdown");
     let telemetry = std::env::args().any(|a| a == "--telemetry");
 
@@ -288,7 +288,7 @@ fn main() {
     doc.insert("requests", inl_obs::Json::Int(completed));
     doc.insert("connections", inl_obs::Json::Int(connections as u64));
     doc.insert("programs", inl_obs::Json::Array(vec![entry]));
-    if let Err(e) = std::fs::write(&out_path, doc.to_pretty_string()) {
+    if let Err(e) = doc.write_file(&out_path) {
         eprintln!("inl-load: cannot write {out_path}: {e}");
         std::process::exit(1);
     }

@@ -21,30 +21,12 @@ use inl_proto::{BackendChoice, CompileOutcome, Request, Response};
 /// client monopolize a worker (cholesky at N=512 is already ~10⁸ flops).
 pub const MAX_PARAM: u32 = 512;
 
-/// A zoo entry: the wire name clients use, and the program constructor.
-pub type ZooEntry = (&'static str, fn() -> Program);
+pub use inl_ir::zoo::ZooEntry;
 
-/// Every program a request may name, with its constructor. The list is
-/// the `inl_ir::zoo` — the service exposes exactly the programs the test
-/// suite and benchmarks use, nothing dynamic.
-pub const ZOO: &[ZooEntry] = &[
-    ("simple_cholesky", zoo::simple_cholesky),
-    ("running_example", zoo::running_example),
-    ("perfect_nest", zoo::perfect_nest),
-    ("augmentation_example", zoo::augmentation_example),
-    ("cholesky_kij", zoo::cholesky_kij),
-    ("cholesky_left_looking", zoo::cholesky_left_looking),
-    ("lu_kij", zoo::lu_kij),
-    ("wavefront", zoo::wavefront),
-    ("matmul", zoo::matmul),
-    ("rect_wavefront", zoo::rect_wavefront),
-    ("row_prefix_sums", zoo::row_prefix_sums),
-    (
-        "distributed_simple_cholesky",
-        zoo::distributed_simple_cholesky,
-    ),
-    ("independent_pair", zoo::independent_pair),
-];
+/// Every program a request may name, with its constructor: the
+/// `inl_ir::zoo` table itself — the service exposes exactly the programs
+/// the test suite and benchmarks use, nothing dynamic.
+pub const ZOO: &[ZooEntry] = zoo::ALL;
 
 fn zoo_program(name: &str) -> Result<Program, InlError> {
     ZOO.iter()
@@ -205,7 +187,7 @@ fn handle_run(
     };
     let machine = {
         let _span = inl_obs::span("serve.exec");
-        inl_exec::run_fresh_with(be, &generated, &ints, &inl_bench::spd_init)
+        inl_exec::run_fresh_with(be, &generated, &ints, &zoo::spd_init)
     };
     let (digest, arrays, cells) = digest_machine(&machine);
     Ok(Response::Run {

@@ -9,7 +9,7 @@
 //!   **bitwise-identical** to local computation (responses encode
 //!   deterministically, so equality is byte equality on the wire).
 //! * [`server`] — listener thread + worker pool over a shared connection
-//!   queue (the same atomic-queue idiom as `inl_bench::compile_batch`),
+//!   queue (the same atomic-queue idiom as `inl_codegen::compile_batch`),
 //!   per-request `serve.*` spans/counters, typed error responses for
 //!   malformed input, and graceful drain on `shutdown`.
 //! * [`client`] — a minimal blocking client used by the `inl-client`

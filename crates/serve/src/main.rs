@@ -23,9 +23,8 @@ fn flag_value(flag: &str) -> Option<String> {
 fn main() {
     let addr = flag_value("--addr").unwrap_or_else(|| "127.0.0.1:7878".to_string());
     let workers = flag_value("--workers")
-        .or_else(|| std::env::var("INL_SERVE_WORKERS").ok())
         .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(0);
+        .unwrap_or_else(|| inl_obs::env_count("INL_SERVE_WORKERS", 0));
     let quiet = std::env::args().any(|a| a == "--quiet");
 
     inl_obs::set_enabled(true);

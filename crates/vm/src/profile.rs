@@ -29,12 +29,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 fn enabled_cell() -> &'static AtomicBool {
     static ENABLED: OnceLock<AtomicBool> = OnceLock::new();
-    ENABLED.get_or_init(|| {
-        AtomicBool::new(matches!(
-            std::env::var("INL_VM_PROFILE").ok().as_deref(),
-            Some("1") | Some("true") | Some("on")
-        ))
-    })
+    ENABLED.get_or_init(|| AtomicBool::new(inl_obs::env_flag("INL_VM_PROFILE", false)))
 }
 
 /// True iff opcode profiling is on (one relaxed atomic load; checked once

@@ -55,7 +55,7 @@ impl BoundProgram<'_> {
 /// Bounds are checked on every access, but *aliasing* is the caller's
 /// contract: concurrent writers must target disjoint cells (the parallel
 /// executor only runs loops proven dependence-free, which is exactly that
-/// guarantee — same discipline as `RawArray` in `inl-exec`).
+/// guarantee).
 #[derive(Clone, Copy)]
 pub struct SharedBuf<'a> {
     ptr: *mut f64,

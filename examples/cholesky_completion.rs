@@ -66,13 +66,7 @@ fn main() {
         result.program.to_pseudocode()
     );
 
-    let spd = |_: &str, idx: &[usize]| {
-        if idx[0] == idx[1] {
-            (idx[0] + 10) as f64
-        } else {
-            1.0 / ((idx[0] + idx[1] + 2) as f64)
-        }
-    };
+    let spd = zoo::spd_init;
     for n in [2, 8, 32] {
         equivalent(&p, &result.program, &[n], &spd).expect("matches source");
         equivalent(&zoo::cholesky_left_looking(), &result.program, &[n], &spd)

@@ -17,24 +17,8 @@ use inl::core::depend::analyze;
 use inl::core::instance::InstanceLayout;
 use inl::exec::{run_fresh, Interpreter, Machine};
 use inl::ir::zoo;
-use inl::linalg::IVec;
+use inl::linalg::{permutations, IVec};
 use std::time::Instant;
-
-fn permutations(v: &[usize]) -> Vec<Vec<usize>> {
-    if v.len() <= 1 {
-        return vec![v.to_vec()];
-    }
-    let mut out = Vec::new();
-    for i in 0..v.len() {
-        let mut rest = v.to_vec();
-        let x = rest.remove(i);
-        for mut tail in permutations(&rest) {
-            tail.insert(0, x);
-            out.push(tail);
-        }
-    }
-    out
-}
 
 fn main() {
     let p = zoo::cholesky_kij();
@@ -49,13 +33,7 @@ fn main() {
         })
         .collect();
 
-    let spd = |_: &str, idx: &[usize]| {
-        if idx[0] == idx[1] {
-            (idx[0] + 10) as f64
-        } else {
-            1.0 / ((idx[0] + idx[1] + 2) as f64)
-        }
-    };
+    let spd = zoo::spd_init;
     let n: i128 = 120;
 
     // reference result

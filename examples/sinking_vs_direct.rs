@@ -64,13 +64,7 @@ fn main() {
         "\n…while the direct framework permutes it to left-looking form:\n{}",
         result.program.to_pseudocode()
     );
-    let spd = |_: &str, idx: &[usize]| {
-        if idx[0] == idx[1] {
-            (idx[0] + 10) as f64
-        } else {
-            1.0 / ((idx[0] + idx[1] + 2) as f64)
-        }
-    };
+    let spd = zoo::spd_init;
     equivalent(&p, &result.program, &[12], &spd).expect("identical");
     println!("verified identical ✓");
 }

@@ -11,14 +11,6 @@
 use inl::exec::{run_fresh, run_fresh_with, Backend, Machine, VmRunner};
 use inl::ir::zoo;
 
-fn spd(_: &str, idx: &[usize]) -> f64 {
-    if idx[0] == idx[1] {
-        (idx[0] + 10) as f64
-    } else {
-        1.0 / ((idx[0] + idx[1] + 2) as f64)
-    }
-}
-
 fn main() {
     let p = zoo::cholesky_kij();
 
@@ -26,7 +18,7 @@ fn main() {
     // INL_BACKEND=vm|interp, defaulting to the interpreter.
     let backend = Backend::from_env();
     println!("backend from INL_BACKEND: {backend:?}");
-    let m = run_fresh_with(backend, &p, &[6], &spd);
+    let m = run_fresh_with(backend, &p, &[6], &zoo::spd_init);
     println!("A[0..4] = {:?}\n", &m.array_by_name("A").unwrap()[..4]);
 
     // The two-stage lowering, spelled out. `compile` is parameter-
@@ -45,8 +37,8 @@ fn main() {
     // happens inside `run` against the machine's parameters.
     let runner = VmRunner::new(&p);
     for n in [2i128, 4, 8, 16] {
-        let interp = run_fresh(&p, &[n], &spd);
-        let mut vm = Machine::new(&p, &[n], &spd);
+        let interp = run_fresh(&p, &[n], &zoo::spd_init);
+        let mut vm = Machine::new(&p, &[n], &zoo::spd_init);
         runner.run(&mut vm);
         println!(
             "N={n:2}: VM bitwise-identical to interpreter? {}",

@@ -14,7 +14,7 @@ use inl::core::instance::InstanceLayout;
 use inl::core::legal::check_legal;
 use inl::core::parallel::{parallel_rows, parallel_slots};
 use inl::core::transform::Transform;
-use inl::exec::{Interpreter, Machine, ParallelExecutor};
+use inl::exec::{Interpreter, Machine, ParallelExecutor, VmRunner};
 use inl::ir::zoo;
 use std::time::Instant;
 
@@ -61,11 +61,11 @@ fn main() {
     result.program.set_loop_parallel(inner, true);
     println!("== skewed program ==\n{}", result.program.to_pseudocode());
 
-    // Correctness of the parallel wavefront schedule. (With the reference
-    // interpreter, spawning one thread team per anti-diagonal costs more
-    // than the tiny per-iteration work saves — the *schedule* is what the
-    // framework certifies; compiled kernels in `inl-bench` show the
-    // speedup.)
+    // Correctness of the parallel wavefront schedule, against the
+    // reference interpreter. (Spawning one thread team per anti-diagonal
+    // costs more than the tiny per-iteration work saves — the *schedule*
+    // is what the framework certifies; compiled kernels in `inl-bench`
+    // show the speedup.)
     let n: i128 = 300;
     let init = |_: &str, idx: &[usize]| {
         if idx[0] == 0 || idx[1] == 0 {
@@ -83,9 +83,10 @@ fn main() {
         println!("wavefront, {threads} threads: bitwise identical ✓");
     }
 
-    // For an end-to-end *speedup* inside the interpreter, a loop whose
+    // For an end-to-end *speedup* inside the framework, a loop whose
     // OUTER slot is dependence-free works: one thread team for the whole
-    // run. Row-wise prefix sums keep every dependence inside a row, so the
+    // run. The executor drives the bytecode VM, so the sequential time to
+    // beat is the VM's; the interpreter stays the correctness reference. Row-wise prefix sums keep every dependence inside a row, so the
     // nullspace of the dependence matrix contains the outer direction.
     let q = zoo::row_prefix_sums();
     let qlayout = InstanceLayout::new(&q);
@@ -103,10 +104,14 @@ fn main() {
     let n: i128 = 2500;
     let init2 = |_: &str, idx: &[usize]| (idx[0] + idx[1]) as f64 * 0.001;
     let mut seq = Machine::new(&q, &[n], &init2);
-    let t0 = Instant::now();
     Interpreter::new(&q).run(&mut seq);
+    let runner = VmRunner::new(&q);
+    let mut vm_seq = Machine::new(&q, &[n], &init2);
+    let t0 = Instant::now();
+    runner.run(&mut vm_seq);
     let t_seq = t0.elapsed();
-    println!("sequential: {t_seq:>8.1?}");
+    seq.same_state(&vm_seq).expect("bitwise identical");
+    println!("sequential (VM): {t_seq:>8.1?}");
     for threads in [1, 2, 4, 8] {
         let mut par = Machine::new(&qpar, &[n], &init2);
         let t0 = Instant::now();

@@ -13,7 +13,7 @@ use inl_core::complete::complete_transform;
 use inl_core::depend::analyze;
 use inl_core::instance::InstanceLayout;
 use inl_ir::{zoo, Program};
-use inl_linalg::{IMat, IVec};
+use inl_linalg::{permutations, IMat, IVec};
 use std::sync::Mutex;
 
 /// The cache toggle is process-global; tests flipping it must serialize.
@@ -46,22 +46,6 @@ fn cholesky_variants() -> (Program, Vec<(String, IMat)>) {
         }
     }
     (p, out)
-}
-
-fn permutations(v: &[usize]) -> Vec<Vec<usize>> {
-    if v.len() <= 1 {
-        return vec![v.to_vec()];
-    }
-    let mut out = Vec::new();
-    for i in 0..v.len() {
-        let mut rest = v.to_vec();
-        let x = rest.remove(i);
-        for mut tail in permutations(&rest) {
-            tail.insert(0, x);
-            out.push(tail);
-        }
-    }
-    out
 }
 
 /// Run the full pipeline over every variant and return the generated

@@ -15,14 +15,6 @@ fn looop(p: &Program, name: &str) -> LoopId {
     p.loops().find(|&l| p.loop_decl(l).name == name).unwrap()
 }
 
-fn spd(_: &str, idx: &[usize]) -> f64 {
-    if idx[0] == idx[1] {
-        (idx[0] + 10) as f64
-    } else {
-        1.0 / ((idx[0] + idx[1] + 2) as f64)
-    }
-}
-
 #[test]
 fn e6_completion_produces_left_looking_cholesky() {
     // one partial row ("updated column outermost") completes to the
@@ -36,14 +28,19 @@ fn e6_completion_produces_left_looking_cholesky() {
     let completion = complete_transform(&p, &layout, &deps, &partial).expect("completes");
     let result = generate(&p, &layout, &deps, &completion.matrix).expect("codegen");
     for n in [1, 2, 3, 6, 10] {
-        equivalent(&p, &result.program, &[n], &spd)
+        equivalent(&p, &result.program, &[n], &zoo::spd_init)
             .unwrap_or_else(|e| panic!("N={n}: {e}\n{}", result.program.to_pseudocode()));
     }
     // the generated program also matches the hand-written left-looking
     // form semantically
     for n in [2, 5, 8] {
-        equivalent(&zoo::cholesky_left_looking(), &result.program, &[n], &spd)
-            .unwrap_or_else(|e| panic!("vs hand-written, N={n}: {e}"));
+        equivalent(
+            &zoo::cholesky_left_looking(),
+            &result.program,
+            &[n],
+            &zoo::spd_init,
+        )
+        .unwrap_or_else(|e| panic!("vs hand-written, N={n}: {e}"));
     }
 }
 
@@ -118,7 +115,7 @@ fn e7_all_six_cholesky_forms_are_legal_and_correct() {
         let result = generate(&p, &layout, &deps, m)
             .unwrap_or_else(|e| panic!("codegen failed for {pm:?}: {e:?}"));
         for n in [1, 3, 6] {
-            equivalent(&p, &result.program, &[n], &spd).unwrap_or_else(|e| {
+            equivalent(&p, &result.program, &[n], &zoo::spd_init).unwrap_or_else(|e| {
                 panic!(
                     "variant {pm:?}, N={n}: {e}\n{}",
                     result.program.to_pseudocode()
@@ -144,8 +141,8 @@ fn e7_vm_backend_bitwise_identical_on_every_legal_variant() {
             .unwrap_or_else(|e| panic!("codegen failed for {pm:?}: {e:?}"));
         let runner = VmRunner::new(&result.program); // compile once per variant
         for n in [1, 3, 6, 10] {
-            let interp = run_fresh(&result.program, &[n], &spd);
-            let mut vm = Machine::new(&result.program, &[n], &spd);
+            let interp = run_fresh(&result.program, &[n], &zoo::spd_init);
+            let mut vm = Machine::new(&result.program, &[n], &zoo::spd_init);
             runner.run(&mut vm);
             interp.same_state(&vm).unwrap_or_else(|e| {
                 panic!(

@@ -25,27 +25,8 @@ use inl::exec::{run_fresh_with, Backend};
 use inl::ir::{zoo, Program};
 use proptest::prelude::*;
 
-fn zoo_programs() -> Vec<Program> {
-    vec![
-        zoo::simple_cholesky(),
-        zoo::running_example(),
-        zoo::perfect_nest(),
-        zoo::augmentation_example(),
-        zoo::cholesky_kij(),
-        zoo::cholesky_left_looking(),
-        zoo::lu_kij(),
-        zoo::matmul(),
-        zoo::wavefront(),
-        zoo::rect_wavefront(),
-        zoo::row_prefix_sums(),
-        zoo::distributed_simple_cholesky(),
-        zoo::independent_pair(),
-    ]
-}
-
 fn arb_zoo() -> impl Strategy<Value = Program> {
-    let n = zoo_programs().len();
-    (0..n).prop_map(|i| zoo_programs().swap_remove(i))
+    (0..zoo::ALL.len()).prop_map(|i| zoo::ALL[i].1())
 }
 
 /// A random transformation sequence over the program's loops/statements
