@@ -1,24 +1,24 @@
 //! Regenerates the paper-vs-measured tables recorded in `EXPERIMENTS.md`,
-//! and emits the pipeline telemetry report (`inl-obs`) as a table plus JSON.
+//! and emits the pipeline telemetry report (`inl-obs`) as a table plus the
+//! counter gate document.
 //!
 //! ```sh
 //! cargo run --release -p inl-bench --bin report -- \
-//!     [--obs-json <path>] [--bench-json <path>] [--explain-json <path>] \
-//!     [--sched-json <path>]
+//!     [--obs-json <path>] [--explain-json <path>] [--trace-json <path>]
 //! ```
 //!
-//! Every output lands under `target/` unless its flag overrides it (the
-//! committed copies live in `baselines/`; README's operations reference has
-//! the regeneration procedure). The telemetry JSON is
-//! `target/inl-obs.json`; the interpreter-vs-VM wall-time comparison is
-//! `target/BENCH_exec.json` (`--bench-json`), the batch compile sweep
-//! `target/BENCH_pipeline.json` (`--pipeline-json`). The report runs with
-//! the decision-provenance layer on: an `## explain` section summarizes
-//! why each of the 24 Cholesky loop orders was accepted or rejected, and
-//! the full record store lands at `target/inl-explain.json` (override with
-//! `--explain-json`) for the `inl-explain` query tool. The `## schedule`
-//! section sweeps the auto-scheduler over the zoo and writes its gated
-//! counters to `target/BENCH_sched.json` (override with `--sched-json`).
+//! Every output lands under `target/` unless its flag overrides it.
+//! `--obs-json` (default `target/inl-obs.json`) receives the run's
+//! deterministic counters ([`PipelineReport::gate_json`]); the committed
+//! copy is `baselines/inl-obs.json` and CI compares the two with
+//! `diff -u`. The report runs with the decision-provenance layer on: an
+//! `## explain` section summarizes why each of the 24 Cholesky loop orders
+//! was accepted or rejected, and the full record store lands at
+//! `target/inl-explain.json` for the `inl-explain` query tool. Times in
+//! the tables are for reading, not for gating — `benchmark/` is the one
+//! place a wall-clock time becomes a verdict. The exit status is non-zero
+//! when any variant, backend or kernel diverges bitwise from its
+//! reference (a `NO` or `MISMATCH` cell).
 
 use inl_bench::{
     cholesky_variants, explain_section, kernel_cholesky_kjli, kernel_cholesky_left,
@@ -29,15 +29,17 @@ use inl_codegen::{compile_batch, generate};
 use inl_core::depend::analyze;
 use inl_core::instance::InstanceLayout;
 use inl_core::transform::Transform;
-use inl_exec::{run_fresh, run_traced, Interpreter, Machine, ParallelExecutor, VmRunner};
+use inl_exec::{run_fresh, Interpreter, Machine, ParallelExecutor, VmRunner};
 use inl_ir::zoo::{self, spd_init};
-use inl_obs::{Json, PipelineReport};
+use inl_obs::PipelineReport;
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 /// Time `reps` runs of `f` under an `inl-obs` span and return the mean.
 ///
-/// This is the report's only timing primitive: every number in the tables
-/// below is also a span in the telemetry JSON, under the same name.
+/// This is the report's timing primitive: the numbers in the tables below
+/// are also spans in the telemetry table (and the Chrome trace), under the
+/// same name.
 fn timed<F: FnMut()>(name: &str, reps: usize, mut f: F) -> Duration {
     let name: &'static str = Box::leak(name.to_string().into_boxed_str());
     for _ in 0..reps {
@@ -61,13 +63,12 @@ fn flag_path(flag: &str, default: &str) -> std::path::PathBuf {
     default.into()
 }
 
-fn main() {
+fn main() -> ExitCode {
     let json_path = flag_path("--obs-json", "target/inl-obs.json");
-    let bench_path = flag_path("--bench-json", "target/BENCH_exec.json");
-    let pipeline_path = flag_path("--pipeline-json", "target/BENCH_pipeline.json");
     let trace_path = flag_path("--trace-json", "target/inl-trace.json");
     let explain_path = flag_path("--explain-json", "target/inl-explain.json");
-    let sched_path = flag_path("--sched-json", "target/BENCH_sched.json");
+    // Cleared by any bitwise divergence below; decides the exit status.
+    let mut all_bitwise = true;
     inl_obs::set_enabled(true);
     inl_obs::set_timeline_enabled(true);
     inl_obs::set_explain_enabled(true);
@@ -115,6 +116,7 @@ fn main() {
         // verified = interpreter matches the reference AND the VM matches
         // the interpreter, bitwise
         let ok = reference.same_state(&machine).is_ok() && machine.same_state(&vm_machine).is_ok();
+        all_bitwise &= ok;
         let dt = timed(&format!("report.e7.variant/{label}"), 3, || {
             let mut m2 = Machine::new(&result.program, &[n], &spd_init);
             Interpreter::new(&result.program).run(&mut m2);
@@ -136,8 +138,7 @@ fn main() {
     // enabled, and across a thread pool on the warm cache. The third run
     // issuing only cache hits keeps the telemetry counters deterministic
     // despite the parallelism. Generated code must be identical in all
-    // three, and the timings land in BENCH_pipeline.json for the CI diff
-    // gate.
+    // three.
     println!("\n## pipeline compile batch — 12 Cholesky variants\n");
     inl_obs::explain::begin_session("report/pipeline-batch");
     let batch_threads = std::thread::available_parallelism().map_or(2, |x| x.get());
@@ -162,6 +163,7 @@ fn main() {
         .zip(&warm)
         .zip(&par)
         .all(|((c, w), q)| c.pseudocode == w.pseudocode && c.pseudocode == q.pseudocode);
+    all_bitwise &= batch_bitwise;
     let warm_hit_rate = {
         let (h, m) = (
             post_warm.hits - pre_warm.hits,
@@ -178,7 +180,6 @@ fn main() {
     };
     println!("| variant | serial no-cache | serial cached | speedup |");
     println!("|---------|-----------------|---------------|---------|");
-    let mut pipeline_entries: Vec<Json> = Vec::new();
     for (c, w) in cold.iter().zip(&warm) {
         println!(
             "| {} | {:.2?} | {:.2?} | {:.2}x |",
@@ -187,11 +188,6 @@ fn main() {
             Duration::from_nanos(w.wall_ns),
             c.wall_ns as f64 / w.wall_ns.max(1) as f64
         );
-        let mut e = Json::object();
-        e.insert("name", Json::Str(c.label.clone()));
-        e.insert("serial_cold_ns", Json::Int(c.wall_ns));
-        e.insert("serial_warm_ns", Json::Int(w.wall_ns));
-        pipeline_entries.push(e);
     }
     let batch_speedup = serial_cold.as_secs_f64() / parallel.as_secs_f64().max(1e-9);
     println!(
@@ -206,34 +202,13 @@ fn main() {
             "MISMATCH"
         }
     );
-    let mut total = Json::object();
-    total.insert("name", Json::Str("total".to_string()));
-    total.insert("serial_cold_ns", Json::Int(serial_cold.as_nanos() as u64));
-    total.insert("serial_warm_ns", Json::Int(serial_warm.as_nanos() as u64));
-    total.insert("parallel_ns", Json::Int(parallel.as_nanos() as u64));
-    total.insert("speedup", Json::Float(batch_speedup));
-    total.insert("cache_hit_rate", Json::Float(par_hit_rate));
-    total.insert("bitwise_identical", Json::Bool(batch_bitwise));
-    pipeline_entries.push(total);
-    let mut pipeline_json = Json::object();
-    pipeline_json.insert("version", Json::Int(1));
-    pipeline_json.insert("sweep", Json::Str("cholesky12".to_string()));
-    pipeline_json.insert("threads", Json::Int(batch_threads as u64));
-    pipeline_json.insert("programs", Json::Array(pipeline_entries));
-    pipeline_json
-        .write_file(&pipeline_path)
-        .expect("write BENCH_pipeline.json");
-    println!("pipeline batch -> {}", pipeline_path.display());
 
     // --------------------------------- exec backends: interpreter vs VM
-    // Wall-clock comparison of the two backends per program, recorded in
-    // BENCH_exec.json so the executor's perf trajectory is tracked across
-    // PRs. cholesky_kij N=100 is the acceptance benchmark.
+    // Wall-clock comparison of the two backends per program.
     inl_obs::explain::begin_session("report/exec-backends");
     println!("\n## exec backends — interpreter vs bytecode VM\n");
     println!("| program | interp | vm compile | vm run | speedup | bitwise |");
     println!("|---------|--------|------------|--------|---------|---------|");
-    let mut bench_entries: Vec<Json> = Vec::new();
     for (name, prog, params) in [
         ("cholesky_kij", zoo::cholesky_kij(), vec![100i128]),
         ("matmul", zoo::matmul(), vec![100]),
@@ -247,6 +222,7 @@ fn main() {
         let mut vm_m = Machine::new(&prog, &params, &spd_init);
         runner.run(&mut vm_m);
         let bitwise = interp_m.same_state(&vm_m).is_ok();
+        all_bitwise &= bitwise;
         let dti = timed(&format!("report.backends.interp/{name}"), 3, || {
             let mut m2 = Machine::new(&prog, &params, &spd_init);
             Interpreter::new(&prog).run(&mut m2);
@@ -261,21 +237,7 @@ fn main() {
             params[0],
             if bitwise { "yes" } else { "NO" }
         );
-        let mut e = Json::object();
-        e.insert("name", Json::Str(name.to_string()));
-        e.insert(
-            "params",
-            Json::Array(params.iter().map(|&v| Json::Int(v as u64)).collect()),
-        );
-        e.insert("interp_ns", Json::Int(dti.as_nanos() as u64));
-        e.insert("vm_ns", Json::Int(dtv.as_nanos() as u64));
-        e.insert("vm_compile_ns", Json::Int(compile_ns.as_nanos() as u64));
-        e.insert("speedup", Json::Float(speedup));
-        e.insert("bitwise_identical", Json::Bool(bitwise));
-        bench_entries.push(e);
     }
-    // BENCH_exec.json is written after the tiling section below, which
-    // contributes the strip-mined-matmul entry to `bench_entries`.
 
     // --------------------------------- VM opcode profile (hot opcodes)
     // Re-run the acceptance benchmark under the VM's profiling mode and
@@ -294,7 +256,6 @@ fn main() {
         "{}",
         inl_vm::profile::render_tables(prof_runner.compiled(), Some(&prof_prog))
     );
-    let vm_profile_json = inl_vm::profile::to_json(prof_runner.compiled(), Some(&prof_prog));
 
     // ------------------------------------------------- E7: kernels
     println!("\n## E7 — compiled kernels (N = 768)\n");
@@ -349,6 +310,7 @@ fn main() {
     };
     let gen_bitwise =
         src.same_state(&tiled_interp).is_ok() && tiled_interp.same_state(&tiled_vm).is_ok();
+    all_bitwise &= gen_bitwise;
     println!(
         "generated split program (tile 16) at N = {nsmall}: interp and VM vs \
          untiled source — {}",
@@ -387,6 +349,7 @@ fn main() {
         .zip(&tiled32_c)
         .zip(&tiled64_c)
         .all(|((x, y), z)| x.to_bits() == y.to_bits() && x.to_bits() == z.to_bits());
+    all_bitwise &= kern_bitwise;
     let tile_speedup = untiled_dt.as_secs_f64() / tiled32_dt.as_secs_f64();
     println!("\n| kernel (N = {nt}) | time | speedup | bitwise |");
     println!("|--------|------|---------|---------|");
@@ -400,23 +363,6 @@ fn main() {
         untiled_dt.as_secs_f64() / tiled64_dt.as_secs_f64(),
         if kern_bitwise { "yes" } else { "NO" }
     );
-    let mut te = Json::object();
-    te.insert("name", Json::Str("matmul_tiled_native".to_string()));
-    te.insert("params", Json::Array(vec![Json::Int(nt as u64)]));
-    te.insert("untiled_ikj_ns", Json::Int(untiled_dt.as_nanos() as u64));
-    te.insert("tiled_t32_ns", Json::Int(tiled32_dt.as_nanos() as u64));
-    te.insert("tiled_t64_ns", Json::Int(tiled64_dt.as_nanos() as u64));
-    te.insert("speedup", Json::Float(tile_speedup));
-    te.insert("bitwise_identical", Json::Bool(gen_bitwise && kern_bitwise));
-    bench_entries.push(te);
-    let mut bench_json = Json::object();
-    bench_json.insert("version", Json::Int(1));
-    bench_json.insert("reps", Json::Int(3));
-    bench_json.insert("programs", Json::Array(bench_entries.clone()));
-    bench_json
-        .write_file(&bench_path)
-        .expect("write BENCH_exec.json");
-    println!("\nbackend comparison -> {}", bench_path.display());
 
     // ------------------------------------------------- E8: wavefront
     println!("\n## E8 — wavefront kernels (N = 4096)\n");
@@ -481,118 +427,17 @@ fn main() {
             ParallelExecutor::new(&skewed.program, threads).run(&mut par);
         });
         let ok = wseq.same_state(&par).is_ok();
+        all_bitwise &= ok;
         println!(
             "skewed + inner DOALL, {threads} threads: {dt:.2?}, {}",
             if ok { "bitwise identical" } else { "MISMATCH" }
         );
     }
 
-    // ------------------------------------------------- auto-scheduler
-    // Schedule every zoo program, measure every legal variant, and compare
-    // the cost model's choice against the measured best/worst. The search
-    // counters land in BENCH_sched.json for the CI diff gate; the sweep's
-    // explain sessions (sched/<program>) join the record store written at
-    // the end of the report. Single compile thread + fixed config so the
-    // counters match the committed baseline byte-for-byte.
-    println!("\n## schedule — cost-driven search over the zoo\n");
-    let sched_cfg = inl_sched::SchedConfig {
-        threads: 1,
-        ..inl_sched::SchedConfig::default()
-    };
-    let sweep = inl_sched::sweep::sweep_zoo(&sched_cfg).expect("schedule sweep");
-    print!("{}", inl_sched::sweep::render_table(&sweep));
-    let (mut in_tier, mut agree_sum) = (0usize, 0u64);
-    let (mut visited_sum, mut exhaustive_sum) = (0u64, 0u64);
-    let mut worst_spread = (0u64, "");
-    for e in &sweep {
-        in_tier += e.within_tier as usize;
-        agree_sum += e.rank_agreement_pct();
-        visited_sum += e.stats.nodes_visited;
-        exhaustive_sum += e.stats.nodes_exhaustive;
-        // chosen-vs-worst: how much the search saved over the worst legal
-        // order, tracked on the program with the widest spread
-        let spread = (e.worst_ns * 100).checked_div(e.chosen_ns).unwrap_or(0);
-        if spread > worst_spread.0 {
-            worst_spread = (spread, &e.name);
-        }
-    }
-    println!(
-        "\nvisited {visited_sum}/{exhaustive_sum} tree nodes over {} programs \
-         ({} within the measured-best tier), mean cost-vs-measured rank agreement \
-         {}%, widest chosen-vs-worst spread {}% ({})",
-        sweep.len(),
-        in_tier,
-        agree_sum / sweep.len() as u64,
-        worst_spread.0,
-        worst_spread.1
-    );
-    let sweep_json = inl_sched::sweep::bench_json(&sweep, &sched_cfg);
-    sweep_json
-        .write_file(&sched_path)
-        .expect("write BENCH_sched.json");
-    println!("schedule sweep -> {}", sched_path.display());
-
-    // ------------------------------------------------- trace summary
-    let (_, trace) = run_traced(&p, &[20], &spd_init);
-    let trace_summary = trace.summary(&p);
-
-    // ------------------------------------------------- overhead
-    // Enabled-vs-disabled instrumentation cost on the interpreted Cholesky
-    // run, with BOTH layers (aggregate telemetry + timeline) toggled
-    // together. Uses plain `Instant` because half the measurement runs
-    // with the telemetry layer off.
-    let reps = 7usize;
-    let one_run = |prog: &inl_ir::Program| {
-        let t0 = Instant::now();
-        let mut m2 = Machine::new(prog, &[n], &spd_init);
-        Interpreter::new(prog).run(&mut m2);
-        t0.elapsed()
-    };
-    one_run(&p); // warmup
-                 // Alternate modes per rep and keep the per-mode minimum: back-to-back
-                 // block timings confound instrumentation cost with drift (frequency
-                 // scaling, cache state); the min over interleaved reps does not.
-    let (mut on, mut off) = (Duration::MAX, Duration::MAX);
-    for _ in 0..reps {
-        inl_obs::set_enabled(true);
-        inl_obs::set_timeline_enabled(true);
-        inl_obs::set_explain_enabled(true);
-        on = on.min(one_run(&p));
-        inl_obs::set_enabled(false);
-        inl_obs::set_timeline_enabled(false);
-        inl_obs::set_explain_enabled(false);
-        off = off.min(one_run(&p));
-    }
-    inl_obs::set_enabled(true);
-    inl_obs::set_timeline_enabled(true);
-    inl_obs::set_explain_enabled(true);
-    let overhead_pct = (on.as_secs_f64() / off.as_secs_f64() - 1.0) * 100.0;
-    println!("\n## instrumentation overhead (interpreted Cholesky, N = {n}, {reps} reps)\n");
-    println!("enabled {on:.2?}, disabled {off:.2?}: {overhead_pct:+.2}%");
-
     // ------------------------------------------------- telemetry report
-    let mut report = PipelineReport::capture();
-    report.attach("trace", trace_summary.to_json());
-    let mut oh = Json::object();
-    oh.insert(
-        "benchmark",
-        Json::Str(format!("interpreted cholesky N={n}")),
-    );
-    oh.insert("reps", Json::Int(reps as u64));
-    oh.insert("enabled_ns", Json::Int(on.as_nanos() as u64));
-    oh.insert("disabled_ns", Json::Int(off.as_nanos() as u64));
-    oh.insert("overhead_pct", Json::Float(overhead_pct));
-    report.attach("overhead", oh);
-    let mut vmj = Json::object();
-    vmj.insert("programs", Json::Array(bench_entries));
-    report.attach("vm", vmj);
-    report.attach("vm_profile", vm_profile_json);
-    // Poly query-cache stats, cumulative over the whole report run. The
-    // keys render name-ordered (Json objects are BTreeMaps), matching the
-    // report's deterministic-output convention; evictions/entries let the
-    // diff gate watch for unbounded growth.
+    let report = PipelineReport::capture();
+    // Poly query-cache stats, cumulative over the whole report run.
     let cs = inl_poly::cache::stats();
-    let pc = inl_poly::cache::stats_json();
     println!("\n## poly query cache\n");
     println!(
         "hits {}, misses {}, insertions {}, evictions {}, resident entries {} (hit rate {:.1}%)",
@@ -603,13 +448,15 @@ fn main() {
         cs.entries,
         cs.hit_rate() * 100.0
     );
-    report.attach("poly_cache", pc);
 
     println!("\n## pipeline telemetry\n");
     println!("{}", report.to_table());
-    report.write_json(&json_path).expect("write telemetry JSON");
+    report
+        .gate_json()
+        .write_file(&json_path)
+        .expect("write counter gate JSON");
     println!(
-        "telemetry: {} counters, {} histograms, {} spans -> {}",
+        "telemetry: {} counters, {} histograms, {} spans; deterministic counters -> {}",
         report.counters.len(),
         report.histograms.len(),
         report.spans.len(),
@@ -633,4 +480,11 @@ fn main() {
         inl_obs::timeline::dropped_total(),
         trace_path.display()
     );
+
+    if all_bitwise {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("BITWISE FAILURE: see the NO / MISMATCH cells above");
+        ExitCode::FAILURE
+    }
 }

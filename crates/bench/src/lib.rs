@@ -13,11 +13,11 @@
 //! legality, completion, code generation) are layer rows of the system
 //! benchmark in `benchmark/`.
 
-use inl_core::complete::complete_transform;
+use inl_core::complete::{complete_transform, order_rows};
 use inl_core::depend::analyze;
 use inl_core::instance::InstanceLayout;
 use inl_ir::{zoo, Program};
-use inl_linalg::{permutations, IMat, IVec};
+use inl_linalg::{permutations, IMat};
 
 /// The legal Cholesky loop-order variants: `(label, matrix)` pairs
 /// discovered by enumerating slot assignments and completing each.
@@ -26,23 +26,13 @@ pub fn cholesky_variants() -> (Program, Vec<(String, IMat)>) {
     let layout = InstanceLayout::new(&p);
     let deps = analyze(&p, &layout).expect("analysis");
     let names = ["K", "J", "L", "I"];
-    let positions: Vec<usize> = names
-        .iter()
-        .map(|nm| {
-            let l = p.loops().find(|&l| p.loop_decl(l).name == *nm).unwrap();
-            layout.loop_position(l)
-        })
-        .collect();
     let mut out = Vec::new();
     for pm in permutations(&[0usize, 1, 2, 3]) {
-        let label: String = pm.iter().map(|&i| names[i]).collect::<Vec<_>>().join("");
+        let label: String = pm.iter().map(|&i| names[i]).collect();
         if inl_obs::explain_enabled() {
             inl_obs::explain::begin_session(&format!("cholesky/{label}"));
         }
-        let rows: Vec<IVec> = pm
-            .iter()
-            .map(|&i| IVec::unit(layout.len(), positions[i]))
-            .collect();
+        let rows = order_rows(&p, &layout, &label).expect("a permutation of the loop names");
         if let Ok(c) = complete_transform(&p, &layout, &deps, &rows) {
             out.push((label, c.matrix));
         }

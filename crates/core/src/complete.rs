@@ -26,7 +26,7 @@ use crate::instance::{InstanceLayout, Position};
 use crate::legal::{check_legal, LegalityReport};
 use crate::project::{build_states, commit_all, step_all, DepState};
 use inl_ir::{LoopId, Node, Program, StmtId};
-use inl_linalg::{IMat, IVec, InlError};
+use inl_linalg::{IMat, IVec, InlError, InlErrorKind};
 use std::collections::HashMap;
 
 /// Why completion failed.
@@ -145,6 +145,50 @@ pub fn check_prefix(
         }
     }
     Ok(PrefixCheck::Legal)
+}
+
+/// Resolve a loop order such as `"KJLI"` into unit partial rows for
+/// [`complete_transform`]: one character per loop of `p`, each naming a
+/// loop by its (single-character) index-variable name, outermost slot
+/// first. An order of the wrong length, naming an unknown loop, or naming
+/// a loop twice is an [`InlErrorKind::InvalidTarget`] error.
+pub fn order_rows(
+    p: &Program,
+    layout: &InstanceLayout,
+    order: &str,
+) -> Result<Vec<IVec>, InlError> {
+    let loops: Vec<_> = p.loops().collect();
+    let nloops = loops.len();
+    if order.chars().count() != nloops {
+        return Err(InlError::new(
+            InlErrorKind::InvalidTarget,
+            format!(
+                "order '{order}' names {} loop(s); program '{}' has {nloops}",
+                order.chars().count(),
+                p.name()
+            ),
+        ));
+    }
+    let mut used = vec![false; nloops];
+    let mut rows = Vec::with_capacity(nloops);
+    for ch in order.chars() {
+        let want = ch.to_string();
+        let Some(slot) = loops.iter().position(|&l| p.loop_decl(l).name == want) else {
+            return Err(InlError::new(
+                InlErrorKind::InvalidTarget,
+                format!("order '{order}': program '{}' has no loop '{ch}'", p.name()),
+            ));
+        };
+        if used[slot] {
+            return Err(InlError::new(
+                InlErrorKind::InvalidTarget,
+                format!("order '{order}' names loop '{ch}' twice"),
+            ));
+        }
+        used[slot] = true;
+        rows.push(IVec::unit(layout.len(), layout.loop_position(loops[slot])));
+    }
+    Ok(rows)
 }
 
 /// Complete a partial transformation into a full legal matrix.

@@ -27,15 +27,6 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Read the backend from the `INL_BACKEND` environment variable
-    /// (`"vm"` selects the VM; anything else, or unset, the interpreter).
-    pub fn from_env() -> Backend {
-        match std::env::var("INL_BACKEND") {
-            Ok(v) if v.eq_ignore_ascii_case("vm") => Backend::Vm,
-            _ => Backend::Interp,
-        }
-    }
-
     /// Execute `p` on `m` with this backend. The VM path compiles on every
     /// call — to amortize compilation over many runs, hold a [`VmRunner`].
     ///

@@ -37,8 +37,9 @@
 //! how often, semantic counter deltas) with machine- and state-dependent
 //! measurements (nanosecond durations, poly-cache hit/miss splits that
 //! depend on what earlier requests warmed). [`deterministic_projection`]
-//! extracts the former — it strips every `*_ns` value and every
-//! `poly.`-prefixed name — so two captures of the same request in
+//! extracts the former — [`Json::deterministic`] strips every `*_ns`
+//! value, and it drops every `poly.`-prefixed name — so two captures of
+//! the same request in
 //! different processes can be compared **bitwise** on their canonical
 //! JSON. `inl-load --telemetry` and the serve integration tests do
 //! exactly that.
@@ -295,19 +296,21 @@ fn path_is_deterministic(path: &str) -> bool {
 }
 
 /// The machine-independent projection of a `telemetry` JSON section
-/// (as produced by [`Capture::to_json`]): stage **counts** without any
-/// nanosecond field, counter deltas without the warmth-dependent
-/// `poly.*` family or `*_ns` accumulators, and the explain summary.
+/// (as produced by [`Capture::to_json`]): its [`Json::deterministic`]
+/// part — no nanosecond field, no `*_ns` accumulator — reduced to stage
+/// **counts**, and without the `poly.*` family, whose values depend on
+/// what earlier requests warmed in the query cache.
 /// Two captures of the same request — taken in different processes, at
 /// different cache temperatures — project to byte-identical canonical
 /// JSON; `inl-load --telemetry` compares exactly this.
 pub fn deterministic_projection(telemetry: &Json) -> Json {
+    let det = telemetry.deterministic();
     let mut root = Json::object();
-    if let Some(v) = telemetry.get("version") {
+    if let Some(v) = det.get("version") {
         root.insert("version", v.clone());
     }
     let mut stages = Json::object();
-    if let Some(Json::Object(map)) = telemetry.get("stages") {
+    if let Some(Json::Object(map)) = det.get("stages") {
         for (path, stat) in map {
             if !path_is_deterministic(path) {
                 continue;
@@ -319,16 +322,15 @@ pub fn deterministic_projection(telemetry: &Json) -> Json {
     }
     root.insert("stages", stages);
     let mut counters = Json::object();
-    if let Some(Json::Object(map)) = telemetry.get("counters") {
+    if let Some(Json::Object(map)) = det.get("counters") {
         for (name, v) in map {
-            if name.starts_with("poly.") || name.ends_with("_ns") {
-                continue;
+            if !name.starts_with("poly.") {
+                counters.insert(name.clone(), v.clone());
             }
-            counters.insert(name.clone(), v.clone());
         }
     }
     root.insert("counters", counters);
-    if let Some(e) = telemetry.get("explain") {
+    if let Some(e) = det.get("explain") {
         root.insert("explain", e.clone());
     }
     root

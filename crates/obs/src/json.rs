@@ -138,6 +138,34 @@ impl Json {
         }
     }
 
+    /// The part of this document that is a deterministic function of the
+    /// source: every object field whose key ends in `_ns` (a wall-clock
+    /// measurement) and every float (a ratio of measurements) is dropped,
+    /// at every depth. This is the workspace's one rule for "which field
+    /// may be compared exactly": the gate documents under `baselines/`
+    /// are fixed points of it, so two runs of a producer on any host write
+    /// the same bytes and the CI gate is plain `diff -u`;
+    /// [`crate::capture::deterministic_projection`] builds on it.
+    pub fn deterministic(&self) -> Json {
+        let measured = |v: &Json| matches!(v, Json::Float(_));
+        match self {
+            Json::Object(map) => Json::Object(
+                map.iter()
+                    .filter(|(key, value)| !key.ends_with("_ns") && !measured(value))
+                    .map(|(key, value)| (key.clone(), value.deterministic()))
+                    .collect(),
+            ),
+            Json::Array(items) => Json::Array(
+                items
+                    .iter()
+                    .filter(|value| !measured(value))
+                    .map(Json::deterministic)
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
+    }
+
     /// Write the pretty serialization to `path`, creating parent
     /// directories.
     pub fn write_file(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
@@ -549,6 +577,44 @@ mod tests {
             Json::parse_with_limits(&hostile, &limits),
             Err(JsonError::TooDeep { max: 16 })
         );
+    }
+
+    /// The CI gate is `diff -u` of two producer outputs, i.e. byte
+    /// equality of deterministic documents; each row edits a full
+    /// document (timings included) and says whether that gate still passes.
+    #[test]
+    fn deterministic_documents_gate_exactly_what_the_source_determines() {
+        const BASE: &str = r#"{"version": 1,
+            "counters": {"exec.instances": 385, "exec.par.thread_busy_ns": 9000000},
+            "programs": [{"name": "matmul", "nodes_visited": 58, "chosen": "IKJ",
+                          "bitwise_identical": true, "search_ns": 1000000, "speedup": 9.0}]}"#;
+        let gate = |text: &str| {
+            Json::parse(text)
+                .unwrap()
+                .deterministic()
+                .to_pretty_string()
+        };
+        #[rustfmt::skip]
+        let rows = [
+            ("changed counter", r#""exec.instances": 385"#, r#""exec.instances": 386"#, false),
+            ("changed search statistic", r#""nodes_visited": 58"#, r#""nodes_visited": 57"#, false),
+            ("changed chosen label", r#""chosen": "IKJ""#, r#""chosen": "IJK""#, false),
+            ("bitwise flip", r#""bitwise_identical": true"#, r#""bitwise_identical": false"#, false),
+            ("key only in the new file", r#""version": 1"#, r#""version": 1, "extra": 0"#, false),
+            ("key only in the old file", r#""nodes_visited": 58, "#, "", false),
+            ("changed *_ns field", r#""search_ns": 1000000"#, r#""search_ns": 7"#, true),
+            ("changed *_ns counter", "9000000", "45000000", true),
+            ("changed float", r#""speedup": 9.0"#, r#""speedup": 0.5"#, true),
+        ];
+        for (what, from, to, passes) in rows {
+            assert!(BASE.contains(from), "{what}: edit does not apply");
+            let edited = BASE.replacen(from, to, 1);
+            assert_eq!(gate(BASE) == gate(&edited), passes, "{what}");
+        }
+        let doc = Json::parse(BASE).unwrap().deterministic();
+        assert_eq!(doc.deterministic(), doc, "a gate document is a fixed point");
+        let text = doc.to_pretty_string();
+        assert!(!text.contains("_ns") && !text.contains("9.0"), "{text}");
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   per counter bump (handles are cached at the call site by the
 //!   [`counter_add!`]/[`hist_record!`] macros), and one short mutex
 //!   acquisition per span *exit* — cheap enough that hot interpreter
-//!   loops budget under 5 % overhead (measured by
-//!   `cargo run --release -p inl-bench --bin report`).
+//!   loops budget under 5 % overhead (measured by the system benchmark:
+//!   `obs.trace_overhead_pct.*` in `benchmark/`).
 //!
 //! Telemetry is switched on by calling [`set_enabled`]`(true)` or by
 //! setting the `INL_OBS` environment variable to `1`/`true`/`on` before
@@ -51,7 +51,6 @@
 #![warn(missing_docs)]
 
 pub mod capture;
-pub mod diff;
 pub mod explain;
 pub mod json;
 pub mod report;

@@ -191,17 +191,32 @@ impl PipelineReport {
         self.sections.insert(name.into(), value);
     }
 
+    fn counters_json(&self) -> Json {
+        let mut counters = Json::object();
+        for (name, v) in &self.counters {
+            counters.insert(name.clone(), Json::Int(*v));
+        }
+        counters
+    }
+
+    /// The gate document (`baselines/inl-obs.json`): the counters that
+    /// are a deterministic function of the source (see
+    /// [`Json::deterministic`]; `*_ns` accumulators are left out). Spans
+    /// and histograms are not in it: their values are timings, and their
+    /// keys and bucket shapes follow the host's thread count.
+    pub fn gate_json(&self) -> Json {
+        let mut root = Json::object();
+        root.insert("version", Json::Int(SCHEMA_VERSION));
+        root.insert("counters", self.counters_json());
+        root.deterministic()
+    }
+
     /// Convert to the JSON schema documented at module level.
     pub fn to_json(&self) -> Json {
         let mut root = Json::object();
         root.insert("version", Json::Int(SCHEMA_VERSION));
         root.insert("enabled", Json::Bool(self.enabled));
-
-        let mut counters = Json::object();
-        for (name, v) in &self.counters {
-            counters.insert(name.clone(), Json::Int(*v));
-        }
-        root.insert("counters", counters);
+        root.insert("counters", self.counters_json());
 
         let mut histograms = Json::object();
         for (name, h) in &self.histograms {
@@ -245,97 +260,6 @@ impl PipelineReport {
     /// Pretty-printed JSON document.
     pub fn to_json_string(&self) -> String {
         self.to_json().to_pretty_string()
-    }
-
-    /// Parse a report previously produced by [`to_json_string`]
-    /// (`attach`ed sections round-trip as raw [`Json`]).
-    ///
-    /// [`to_json_string`]: PipelineReport::to_json_string
-    pub fn from_json_str(text: &str) -> Result<Self, String> {
-        let root = Json::parse(text)?;
-        let version = root
-            .get("version")
-            .and_then(Json::as_u64)
-            .ok_or("missing 'version'")?;
-        if version != SCHEMA_VERSION {
-            return Err(format!("unsupported schema version {version}"));
-        }
-        let enabled = matches!(root.get("enabled"), Some(Json::Bool(true)));
-
-        let get_u64 = |obj: &Json, key: &str| -> Result<u64, String> {
-            obj.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing integer field '{key}'"))
-        };
-
-        let mut counters = BTreeMap::new();
-        if let Some(Json::Object(map)) = root.get("counters") {
-            for (name, v) in map {
-                counters.insert(
-                    name.clone(),
-                    v.as_u64()
-                        .ok_or_else(|| format!("counter '{name}' not an integer"))?,
-                );
-            }
-        }
-
-        let mut histograms = BTreeMap::new();
-        if let Some(Json::Object(map)) = root.get("histograms") {
-            for (name, obj) in map {
-                let mut buckets = Vec::new();
-                if let Some(Json::Array(items)) = obj.get("buckets") {
-                    for pair in items {
-                        match pair {
-                            Json::Array(p) if p.len() == 2 => buckets.push((
-                                p[0].as_u64().ok_or("bad bucket bound")?,
-                                p[1].as_u64().ok_or("bad bucket count")?,
-                            )),
-                            _ => return Err(format!("bad bucket entry in '{name}'")),
-                        }
-                    }
-                }
-                histograms.insert(
-                    name.clone(),
-                    HistogramSnapshot {
-                        count: get_u64(obj, "count")?,
-                        sum: get_u64(obj, "sum")?,
-                        min: get_u64(obj, "min")?,
-                        max: get_u64(obj, "max")?,
-                        buckets,
-                    },
-                );
-            }
-        }
-
-        let mut spans = BTreeMap::new();
-        if let Some(Json::Object(map)) = root.get("spans") {
-            for (path, obj) in map {
-                spans.insert(
-                    path.clone(),
-                    SpanSnapshot {
-                        count: get_u64(obj, "count")?,
-                        total_ns: get_u64(obj, "total_ns")?,
-                        min_ns: get_u64(obj, "min_ns")?,
-                        max_ns: get_u64(obj, "max_ns")?,
-                    },
-                );
-            }
-        }
-
-        let mut sections = BTreeMap::new();
-        if let Some(Json::Object(map)) = root.get("sections") {
-            for (name, value) in map {
-                sections.insert(name.clone(), value.clone());
-            }
-        }
-
-        Ok(PipelineReport {
-            enabled,
-            counters,
-            histograms,
-            spans,
-            sections,
-        })
     }
 
     /// Write the JSON document to `path`, creating parent directories.
@@ -451,22 +375,6 @@ mod tests {
         trace.insert("instances", Json::Int(385));
         report.attach("trace", trace);
         report
-    }
-
-    #[test]
-    fn json_round_trip_is_exact() {
-        let report = sample_report();
-        let text = report.to_json_string();
-        let back = PipelineReport::from_json_str(&text).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn rejects_unknown_schema_version() {
-        let text = sample_report()
-            .to_json_string()
-            .replace("\"version\": 1", "\"version\": 99");
-        assert!(PipelineReport::from_json_str(&text).is_err());
     }
 
     #[test]

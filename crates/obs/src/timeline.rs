@@ -191,6 +191,17 @@ thread_local! {
     static RING: RefCell<LocalRing> = const { RefCell::new(LocalRing(None)) };
 }
 
+/// Run `f` on the calling thread's live ring, if it has one. `try_with`,
+/// not `with`: the `atexit` dump runs after the main thread's TLS
+/// destructors, and by then its ring has retired into the global list.
+fn with_live_ring(f: impl FnOnce(&mut Ring)) {
+    let _ = RING.try_with(|cell| {
+        if let Some(ring) = cell.borrow_mut().0.as_mut() {
+            f(ring);
+        }
+    });
+}
+
 fn record(ev: Event) {
     RING.with(|cell| {
         let mut local = cell.borrow_mut();
@@ -325,11 +336,9 @@ pub fn reset() {
         r.held = 0;
         r.evicted = 0;
     }
-    RING.with(|cell| {
-        if let Some(ring) = cell.borrow_mut().0.as_mut() {
-            ring.events.clear();
-            ring.dropped = 0;
-        }
+    with_live_ring(|ring| {
+        ring.events.clear();
+        ring.dropped = 0;
     });
 }
 
@@ -340,11 +349,7 @@ pub fn dropped_total() -> u64 {
         let r = retired();
         r.evicted + r.rings.iter().map(|ring| ring.dropped).sum::<u64>()
     };
-    RING.with(|cell| {
-        if let Some(ring) = cell.borrow().0.as_ref() {
-            total += ring.dropped;
-        }
-    });
+    with_live_ring(|ring| total += ring.dropped);
     total
 }
 
@@ -355,11 +360,9 @@ fn snapshot() -> (Vec<Ring>, u64) {
         let r = retired();
         (r.rings.iter().cloned().collect::<Vec<_>>(), r.evicted)
     };
-    RING.with(|cell| {
-        if let Some(ring) = cell.borrow().0.as_ref() {
-            if !ring.events.is_empty() {
-                rings.push(ring.clone());
-            }
+    with_live_ring(|ring| {
+        if !ring.events.is_empty() {
+            rings.push(ring.clone());
         }
     });
     rings.sort_by_key(|r| r.tid);
@@ -513,14 +516,17 @@ mod tests {
         let _g = begin();
         let old_cap = capacity();
         set_capacity(8);
-        // Force a fresh ring at the new capacity on a scoped thread.
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for _ in 0..30 {
-                    instant("tl.test.flood");
-                }
-            });
-        });
+        // Force a fresh ring at the new capacity on another thread. A
+        // plain `spawn` + `join`, not `thread::scope`: the scope returns
+        // when the closure has, which is before the worker's TLS
+        // destructor retires its ring; `join` waits for the OS thread.
+        std::thread::spawn(|| {
+            for _ in 0..30 {
+                instant("tl.test.flood");
+            }
+        })
+        .join()
+        .expect("flood thread");
         set_capacity(old_cap);
         assert_eq!(dropped_total(), 30 - 8);
         let trace = export_chrome_trace();
@@ -546,43 +552,36 @@ mod tests {
     fn worker_rings_retire_with_distinct_tids() {
         let _g = begin();
         // Both workers record *before* either exits (tids are pooled on
-        // thread exit, so a fully-sequential pair could share one).
-        //
-        // Retried: ring retirement runs at *thread exit*, outside
-        // TEST_LOCK, so a harness thread from an already-finished test
-        // can retire a stale ring mid-attempt and evict one of ours
-        // from the bounded retired list.
-        let mut tids: Vec<u64> = Vec::new();
-        for _ in 0..3 {
-            reset();
-            instant("tl.test.main");
-            let barrier = std::sync::Barrier::new(2);
-            std::thread::scope(|s| {
-                for _ in 0..2 {
-                    s.spawn(|| {
-                        {
-                            let _sl = scope("tl.test.worker");
-                            std::hint::black_box(0);
-                        }
-                        barrier.wait();
-                    });
-                }
-            });
-            let trace = export_chrome_trace();
-            let Some(Json::Array(events)) = trace.get("traceEvents") else {
-                panic!("missing traceEvents")
-            };
-            tids = events
-                .iter()
-                .filter(|e| e.get("ph").and_then(Json::as_str) != Some("M"))
-                .filter_map(|e| e.get("tid").and_then(Json::as_u64))
-                .collect();
-            tids.sort_unstable();
-            tids.dedup();
-            if tids.len() >= 3 {
-                break;
-            }
+        // thread exit, so a fully-sequential pair could share one), and
+        // both are joined as plain threads so their rings have retired.
+        instant("tl.test.main");
+        let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let barrier = barrier.clone();
+                std::thread::spawn(move || {
+                    {
+                        let _sl = scope("tl.test.worker");
+                        std::hint::black_box(0);
+                    }
+                    barrier.wait();
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().expect("worker thread");
         }
+        let trace = export_chrome_trace();
+        let Some(Json::Array(events)) = trace.get("traceEvents") else {
+            panic!("missing traceEvents")
+        };
+        let mut tids: Vec<u64> = events
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) != Some("M"))
+            .filter_map(|e| e.get("tid").and_then(Json::as_u64))
+            .collect();
+        tids.sort_unstable();
+        tids.dedup();
         assert!(tids.len() >= 3, "main + 2 workers expected: {tids:?}");
         crate::set_timeline_enabled(false);
     }

@@ -6,8 +6,14 @@
 //! decision-provenance artifact) there at exit,
 //! with no code changes in the binary beyond touching any inl-obs entry
 //! point. Verifying an atexit hook requires a real process exit, so this
-//! test re-executes its own test binary as a child with the env vars set
-//! and parses what the child left behind.
+//! test re-executes its own binary as a child with the env vars set and
+//! parses what the child left behind.
+//!
+//! `harness = false`: the child must own `main`. The hook runs after the
+//! main thread's thread-locals are destroyed, so a binary that records on
+//! the main thread and returns from `main` (every example does) is a
+//! different case from one that records on a worker — and libtest never
+//! runs a test body on the main thread.
 
 use inl_obs::Json;
 use std::path::PathBuf;
@@ -23,7 +29,7 @@ fn target_tmp(name: &str) -> PathBuf {
 /// In the child: behave like an instrumented binary. `enabled()` is the
 /// first inl-obs call — it must be what initializes the flags from the
 /// environment and registers the exit dump.
-fn run_as_child() {
+fn instrumented_work() {
     assert!(
         inl_obs::enabled(),
         "INL_OBS_JSON implies telemetry is enabled"
@@ -50,16 +56,25 @@ fn run_as_child() {
     )
     .detail("dep_row", "[+ 0 *]")
     .feature("deps", 1);
-    // Return normally; the atexit hook does the dumping.
 }
 
-#[test]
-fn env_dump_paths_produce_reports_at_process_exit() {
-    if std::env::var_os(CHILD_MARKER).is_some() {
-        run_as_child();
-        return;
+fn main() {
+    match std::env::var(CHILD_MARKER).as_deref() {
+        // Return normally from `main`; the atexit hook does the dumping.
+        Ok("main") => instrumented_work(),
+        Ok(_) => std::thread::spawn(instrumented_work)
+            .join()
+            .expect("worker thread"),
+        Err(_) => {
+            for recording_thread in ["worker", "main"] {
+                env_dump_paths_produce_reports_at_process_exit(recording_thread);
+                println!("test exit dump, recording on the {recording_thread} thread ... ok");
+            }
+        }
     }
+}
 
+fn env_dump_paths_produce_reports_at_process_exit(recording_thread: &str) {
     let obs_path = target_tmp("report.json");
     let trace_path = target_tmp("trace.json");
     let explain_path = target_tmp("explain.json");
@@ -69,9 +84,7 @@ fn env_dump_paths_produce_reports_at_process_exit() {
 
     let exe = std::env::current_exe().expect("test binary path");
     let out = std::process::Command::new(&exe)
-        .arg("env_dump_paths_produce_reports_at_process_exit")
-        .arg("--exact")
-        .env(CHILD_MARKER, "1")
+        .env(CHILD_MARKER, recording_thread)
         .env("INL_OBS_JSON", &obs_path)
         .env("INL_TRACE_JSON", &trace_path)
         .env("INL_EXPLAIN_JSON", &explain_path)
@@ -80,11 +93,11 @@ fn env_dump_paths_produce_reports_at_process_exit() {
         .env_remove("INL_EXPLAIN")
         .output()
         .expect("spawn child test process");
+    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        out.status.success(),
-        "child failed:\nstdout: {}\nstderr: {}",
+        out.status.success() && !stderr.contains("panicked"),
+        "child failed:\nstdout: {}\nstderr: {stderr}",
         String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
     );
 
     // Telemetry report: valid JSON containing the child's counter.

@@ -19,15 +19,17 @@ fn explain_overflow_with_timeline_live_keeps_layers_independent() {
 
     explain::begin_session("overflow/interleaved");
     // Timeline rings are per-thread and sized at creation: flood from a
-    // fresh thread so the small capacity applies there too.
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            for i in 0..30i64 {
-                explain::accept("test", format!("subject {i}"), "flood").feature("i", i);
-                timeline::instant("explain_overflow.tick");
-            }
-        });
-    });
+    // fresh thread so the small capacity applies there too. Joined as a
+    // plain thread: `thread::scope` returns before the worker's TLS
+    // destructor has retired its ring.
+    std::thread::spawn(|| {
+        for i in 0..30i64 {
+            explain::accept("test", format!("subject {i}"), "flood").feature("i", i);
+            timeline::instant("explain_overflow.tick");
+        }
+    })
+    .join()
+    .expect("flood thread");
 
     // Explain: ring keeps the newest `capacity` records, counts the rest.
     assert_eq!(explain::len(), 8);

@@ -70,24 +70,10 @@ fn span_nesting_builds_slash_separated_paths() {
     set_enabled(false);
 }
 
-#[test]
-fn report_json_round_trips_through_text() {
-    let _g = begin();
-    inl_obs::counter_add!("test.rt.counter", 42);
-    inl_obs::hist_record!("test.rt.hist", 7);
-    {
-        let _s = inl_obs::span("test.rt.span");
-    }
-    let mut report = PipelineReport::capture();
-    report.attach("note", inl_obs::Json::Str("round trip".into()));
-    let text = report.to_json_string();
-    let back = PipelineReport::from_json_str(&text).expect("parse back");
-    assert_eq!(report, back);
-    set_enabled(false);
-}
-
-#[test]
-fn quickstart_pipeline_fires_every_stage_family() {
+/// The quickstart pipeline on a clean registry and a cold poly query
+/// cache (a warm one would answer everything without running FM, zeroing
+/// the counters the tests below pin).
+fn run_quickstart_pipeline() {
     use inl_codegen::generate;
     use inl_core::depend::analyze;
     use inl_core::instance::InstanceLayout;
@@ -96,9 +82,7 @@ fn quickstart_pipeline_fires_every_stage_family() {
     use inl_exec::{Interpreter, Machine};
     use inl_ir::zoo;
 
-    let _g = begin();
-    // A warm poly query cache would answer everything without running FM,
-    // zeroing the counters this test pins — start from a cold cache.
+    inl_obs::reset();
     inl_poly::cache::clear();
 
     let p = zoo::simple_cholesky();
@@ -123,6 +107,12 @@ fn quickstart_pipeline_fires_every_stage_family() {
     let result = generate(&p, &layout, &deps, &m).expect("codegen");
     let mut machine = Machine::new(&result.program, &[8], &|_, _| 4.0);
     Interpreter::new(&result.program).run(&mut machine);
+}
+
+#[test]
+fn quickstart_pipeline_fires_every_stage_family() {
+    let _g = begin();
+    run_quickstart_pipeline();
 
     let report = PipelineReport::capture();
     assert!(report.counters["depend.pairs_tested"] > 0);
@@ -141,6 +131,24 @@ fn quickstart_pipeline_fires_every_stage_family() {
         .spans
         .keys()
         .any(|k| k == "codegen.generate/legal.check"));
+    set_enabled(false);
+}
+
+#[test]
+fn gate_document_is_byte_identical_across_runs_and_holds_no_timing() {
+    let _g = begin();
+    let gate = || {
+        run_quickstart_pipeline();
+        inl_obs::counter_add!("test.gate.busy_ns", 12345);
+        PipelineReport::capture().gate_json().to_pretty_string()
+    };
+    let first = gate();
+    assert_eq!(first, gate());
+    assert!(first.contains("\"depend.pairs_tested\""), "{first}");
+    assert!(
+        !first.contains("_ns") && !first.contains("spans"),
+        "{first}"
+    );
     set_enabled(false);
 }
 

@@ -4,7 +4,7 @@
 //! ```text
 //! inl-sched                                # sweep the whole zoo, print the table
 //! inl-sched --program matmul --show       # one program, with chosen pseudocode
-//! inl-sched --json target/BENCH_sched.json # also write the CI baseline document
+//! inl-sched --json target/BENCH_sched.json # also write the CI gate document
 //! inl-sched --explain-json target/sched-explain.json  # decision provenance
 //! ```
 //!
@@ -17,7 +17,7 @@
 //! and the run exits 1 at the end, as it does when any chosen variant
 //! fails the bitwise-equivalence check against its source program.
 
-use inl_sched::sweep::{bench_json_with_errors, render_table, sweep_program, sweep_targets};
+use inl_sched::sweep::{bench_json, render_table, sweep_program, sweep_targets};
 use inl_sched::SchedConfig;
 use std::process::ExitCode;
 
@@ -118,8 +118,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &json_path {
-        let doc = bench_json_with_errors(&entries, &failures, &cfg);
-        if let Err(e) = std::fs::write(path, doc.to_pretty_string()) {
+        if let Err(e) = bench_json(&entries, &failures).write_file(path) {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }

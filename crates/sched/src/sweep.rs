@@ -2,10 +2,11 @@
 //! program, *measure* every legal variant on the VM backend, and compare
 //! the cost model's choice against reality.
 //!
-//! This is the machinery behind the `inl-sched` CLI, the report binary's
-//! `## schedule` section, and the committed `baselines/BENCH_sched.json`
-//! CI gate: the search counters in each [`SweepEntry`] are deterministic
-//! and diffed exactly, the `*_ns` timings are thresholded.
+//! This is the machinery behind the `inl-sched` CLI and the committed
+//! `baselines/BENCH_sched.json` CI gate: the search counters and the
+//! chosen label in each [`SweepEntry`] are deterministic and go into the
+//! gate document ([`bench_json`]); the measured times only feed the
+//! printed table.
 
 use crate::{schedule_with, Cost, SchedConfig, SchedError, SearchStats};
 use inl_exec::{run_fresh, Machine, VmRunner};
@@ -57,7 +58,7 @@ pub struct MeasuredVariant {
 pub struct SweepEntry {
     /// Program name (zoo wire name).
     pub name: String,
-    /// Search counters (deterministic, gated exactly).
+    /// Search counters (deterministic, in the gate document).
     pub stats: SearchStats,
     /// Label of the chosen (cost-minimal) variant.
     pub chosen: String,
@@ -71,12 +72,6 @@ pub struct SweepEntry {
     pub best_label: String,
     /// Slowest measured variant, nanoseconds.
     pub worst_ns: u64,
-    /// `true` when the chosen variant lands within the noise tier of the
-    /// measured best: `chosen_ns ≤ best_ns + max(best_ns/2, 250µs)`. The
-    /// absolute slack floor keeps the bit deterministic for zoo programs
-    /// whose whole run is a few microseconds, where any relative
-    /// comparison would gate on scheduler jitter.
-    pub within_tier: bool,
     /// `true` when the chosen variant's final machine state is bitwise
     /// identical to the source program's.
     pub bitwise_identical: bool,
@@ -163,7 +158,6 @@ pub fn sweep_program(
     let measure_ns = t1.elapsed().as_nanos() as u64;
 
     let (chosen_ns, best_ns, best_label, worst_ns) = measured_extremes(name, &measured)?;
-    let within_tier = chosen_ns <= best_ns.saturating_add((best_ns / 2).max(250_000));
 
     // cost order vs measured order: count concordant pairs, treating
     // equal-cost pairs as concordant (the tie-break label order carries
@@ -194,7 +188,6 @@ pub fn sweep_program(
         best_ns,
         best_label,
         worst_ns,
-        within_tier,
         bitwise_identical,
         search_ns,
         measure_ns,
@@ -225,16 +218,7 @@ pub fn measured_extremes(
     Ok((first.ns, best.ns, best.label.clone(), worst_ns))
 }
 
-/// Run [`sweep_program`] over all of [`sweep_targets`].
-pub fn sweep_zoo(cfg: &SchedConfig) -> Result<Vec<SweepEntry>, SchedError> {
-    sweep_targets()
-        .into_iter()
-        .map(|(name, ctor, params)| sweep_program(name, &ctor(), params, cfg))
-        .collect()
-}
-
-/// Render the sweep as the markdown table shared by the `inl-sched` CLI
-/// and the report binary's `## schedule` section.
+/// Render the sweep as the markdown table the `inl-sched` CLI prints.
 pub fn render_table(entries: &[SweepEntry]) -> String {
     let mut out = String::new();
     out.push_str(
@@ -260,25 +244,14 @@ pub fn render_table(entries: &[SweepEntry]) -> String {
     out
 }
 
-/// Serialize the sweep in the bench-baseline format
-/// (`{"version": 1, "programs": [...]}`) consumed by `inl-obs-diff`:
-/// integer counters are compared exactly, `*_ns` fields against the
-/// threshold, `bitwise_identical` must never flip to `false`. The
-/// nondeterministic rank-concordance pairs are deliberately *excluded* —
-/// they depend on measurement noise and belong in the printed table only.
-pub fn bench_json(entries: &[SweepEntry], cfg: &SchedConfig) -> Json {
-    bench_json_with_errors(entries, &[], cfg)
-}
-
-/// [`bench_json`] plus an `errors` array recording programs whose sweep
-/// failed (one `{name, error}` row each). A partial sweep still produces
-/// a document: CI gates on the successful rows and the caller signals the
-/// failures through its exit code.
-pub fn bench_json_with_errors(
-    entries: &[SweepEntry],
-    errors: &[(String, String)],
-    cfg: &SchedConfig,
-) -> Json {
+/// The gate document (`baselines/BENCH_sched.json`): per program the
+/// search counters, the chosen label and the bitwise bit, plus one
+/// `{name, error}` row per program whose sweep failed (a partial sweep
+/// still produces a document; the caller signals the failures through its
+/// exit code). Everything in it is a deterministic function of the source
+/// — no measured time, nothing derived from one — so two sweeps on any
+/// host write the same bytes and CI gates it with `diff -u`.
+pub fn bench_json(entries: &[SweepEntry], errors: &[(String, String)]) -> Json {
     let mut programs = Vec::with_capacity(entries.len());
     for e in entries {
         let mut o = Json::object();
@@ -293,19 +266,12 @@ pub fn bench_json_with_errors(
             "completion_failures",
             Json::Int(e.stats.completion_failures),
         );
-        o.insert("within_tier", Json::Int(e.within_tier as u64));
         o.insert("bitwise_identical", Json::Bool(e.bitwise_identical));
         o.insert("chosen", Json::Str(e.chosen.clone()));
-        o.insert("search_ns", Json::Int(e.search_ns));
-        o.insert("measure_ns", Json::Int(e.measure_ns));
-        o.insert("chosen_ns", Json::Int(e.chosen_ns));
-        o.insert("best_ns", Json::Int(e.best_ns));
-        o.insert("worst_ns", Json::Int(e.worst_ns));
         programs.push(o);
     }
     let mut doc = Json::object();
     doc.insert("version", Json::Int(1));
-    doc.insert("reps", Json::Int(cfg.measure_reps as u64));
     doc.insert("programs", Json::Array(programs));
     let rows = errors
         .iter()
@@ -333,7 +299,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_entry_is_bitwise_and_in_tier() {
+    fn sweep_entry_is_bitwise_and_ranked() {
         let e = sweep_program(
             "simple_cholesky",
             &zoo::simple_cholesky(),
@@ -360,14 +326,16 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_has_gated_counters() {
-        let e = sweep_program("matmul", &zoo::matmul(), &[6], &quiet_cfg()).expect("sweeps");
-        let doc = bench_json(&[e], &quiet_cfg());
-        let s = doc.to_pretty_string();
-        let parsed = Json::parse(&s).expect("round-trips");
-        let progs = match parsed.get("programs") {
-            Some(Json::Array(a)) => a,
-            _ => panic!("programs array"),
+    fn gate_document_is_deterministic_and_byte_identical_across_sweeps() {
+        let doc = || {
+            let e = sweep_program("matmul", &zoo::matmul(), &[6], &quiet_cfg()).expect("sweeps");
+            bench_json(&[e], &[])
+        };
+        let first = doc();
+        assert_eq!(first.to_pretty_string(), doc().to_pretty_string());
+        assert_eq!(first.deterministic(), first, "holds a measured field");
+        let Some(Json::Array(progs)) = first.get("programs") else {
+            panic!("programs array")
         };
         assert_eq!(progs.len(), 1);
         for key in [
@@ -375,13 +343,13 @@ mod tests {
             "nodes_exhaustive",
             "pruned_subtrees",
             "legal_variants",
-            "within_tier",
-            "chosen_ns",
+            "chosen",
+            "bitwise_identical",
         ] {
             assert!(progs[0].get(key).is_some(), "missing gated field {key}");
         }
         assert!(
-            matches!(parsed.get("errors"), Some(Json::Array(a)) if a.is_empty()),
+            matches!(first.get("errors"), Some(Json::Array(a)) if a.is_empty()),
             "clean sweep carries an empty errors array"
         );
     }
@@ -389,7 +357,7 @@ mod tests {
     #[test]
     fn failed_programs_become_error_rows() {
         let errs = vec![("ghost".to_string(), "no measured variants".to_string())];
-        let doc = bench_json_with_errors(&[], &errs, &quiet_cfg());
+        let doc = bench_json(&[], &errs);
         let parsed = Json::parse(&doc.to_pretty_string()).expect("round-trips");
         let rows = match parsed.get("errors") {
             Some(Json::Array(a)) => a,

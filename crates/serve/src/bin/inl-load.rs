@@ -1,9 +1,10 @@
 //! `inl-load` — replay a deterministic mixed workload against a running
-//! `inl-serve` and record throughput + latency percentiles.
+//! `inl-serve`, check every answer, and print throughput + latency
+//! percentiles.
 //!
 //! ```sh
 //! inl-load [--addr HOST:PORT] [--requests N] [--connections C]
-//!          [--telemetry] [--out target/BENCH_serve.json] [--shutdown]
+//!          [--telemetry] [--shutdown]
 //! ```
 //!
 //! The workload cycles a fixed schedule — identity compiles and runs for
@@ -22,14 +23,14 @@
 //! stripped — see [`inl_obs::capture::deterministic_projection`]) must
 //! be **byte-identical** to the projection of an in-process capture of
 //! the same request; the core response bytes are compared with the
-//! telemetry section stripped. The run also re-measures the
-//! instruments-off overhead of the request path (A/B with global obs
-//! toggled) and records it as `obs_overhead_pct`.
+//! telemetry section stripped.
 //!
 //! Latency is recorded per request into the `load.latency` histogram
-//! and reported as p50/p95/p99 in the output JSON, whose `programs`
-//! shape feeds the `inl-obs-diff` CI gate. Exit code 1 on any transport
-//! error, bitwise mismatch, or telemetry-projection disagreement.
+//! and printed as p50/p95/p99 with the throughput — for reading only:
+//! the figures that are judged are the system benchmark's `serve.rps` and
+//! `serve.rtt_p50_us` (`benchmark/`). Exit code 1 on any transport
+//! error, bitwise mismatch, telemetry-projection disagreement, or a
+//! `--telemetry` run that checked no section.
 
 use inl_serve::{handle_request, Client, Request, Response, ZOO};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,18 +100,6 @@ fn base_schedule(telemetry: bool) -> Vec<Request> {
     reqs
 }
 
-/// Time the in-process request path over a fixed compile sample; used
-/// for the instruments-off vs instruments-on A/B.
-fn time_sample_ns(sample: &[Request], rounds: usize) -> u64 {
-    let t0 = Instant::now();
-    for _ in 0..rounds {
-        for req in sample {
-            std::hint::black_box(handle_request(req));
-        }
-    }
-    t0.elapsed().as_nanos() as u64
-}
-
 fn main() {
     let addr = flag_value("--addr").unwrap_or_else(|| "127.0.0.1:7878".to_string());
     let total: usize = flag_value("--requests")
@@ -120,7 +109,6 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .filter(|&c| c > 0)
         .unwrap_or(4);
-    let out_path = flag_value("--out").unwrap_or_else(|| "target/BENCH_serve.json".to_string());
     let send_shutdown = std::env::args().any(|a| a == "--shutdown");
     let telemetry = std::env::args().any(|a| a == "--telemetry");
 
@@ -244,22 +232,6 @@ fn main() {
         .unwrap_or_default();
     let throughput = completed as f64 / wall.as_secs_f64().max(1e-9);
 
-    // Re-measure the instruments-off budget: the same in-process compile
-    // sample with every instrument off (one relaxed load per site)
-    // versus global obs on. The telemetry machinery rides the same flag
-    // byte, so this covers the new capture dispatch as well.
-    let sample: Vec<Request> = base_schedule(false)
-        .into_iter()
-        .filter(|r| matches!(r, Request::Compile { .. } | Request::Explain { .. }))
-        .collect();
-    let rounds = 20;
-    inl_obs::set_enabled(false);
-    time_sample_ns(&sample, 2); // warm the poly cache for both arms
-    let off_ns = time_sample_ns(&sample, rounds).max(1);
-    inl_obs::set_enabled(true);
-    let on_ns = time_sample_ns(&sample, rounds);
-    let obs_overhead_pct = (on_ns as f64 - off_ns as f64) / off_ns as f64 * 100.0;
-
     if send_shutdown {
         match Client::connect(addr.as_str()).and_then(|mut c| c.request(&Request::Shutdown)) {
             Ok(Response::Shutdown) => eprintln!("inl-load: server draining"),
@@ -268,35 +240,10 @@ fn main() {
         }
     }
 
-    let mut entry = inl_obs::Json::object();
-    entry.insert("name", inl_obs::Json::Str("mixed".to_string()));
-    entry.insert("p50_ns", inl_obs::Json::Int(latency.p50()));
-    entry.insert("p95_ns", inl_obs::Json::Int(latency.p95()));
-    entry.insert("p99_ns", inl_obs::Json::Int(latency.p99()));
-    entry.insert("throughput_rps", inl_obs::Json::Float(throughput));
-    entry.insert("errors", inl_obs::Json::Int(errors));
-    entry.insert("mismatches", inl_obs::Json::Int(mismatches));
-    entry.insert("bitwise_identical", inl_obs::Json::Bool(bitwise_identical));
-    entry.insert("telemetry_checked", inl_obs::Json::Int(telemetry_checked));
-    entry.insert(
-        "telemetry_identical",
-        inl_obs::Json::Bool(telemetry_identical),
-    );
-    entry.insert("obs_overhead_pct", inl_obs::Json::Float(obs_overhead_pct));
-    let mut doc = inl_obs::Json::object();
-    doc.insert("version", inl_obs::Json::Int(1));
-    doc.insert("requests", inl_obs::Json::Int(completed));
-    doc.insert("connections", inl_obs::Json::Int(connections as u64));
-    doc.insert("programs", inl_obs::Json::Array(vec![entry]));
-    if let Err(e) = doc.write_file(&out_path) {
-        eprintln!("inl-load: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-
     println!(
         "inl-load: {completed}/{total} request(s) over {connections} connection(s) in {wall:.2?} \
          — {throughput:.0} req/s, p50 {:?}, p95 {:?}, p99 {:?}, {errors} error(s), {}, \
-         telemetry {telemetry_checked} checked / {}, obs overhead {obs_overhead_pct:.1}%",
+         telemetry {telemetry_checked} checked / {}",
         std::time::Duration::from_nanos(latency.p50()),
         std::time::Duration::from_nanos(latency.p95()),
         std::time::Duration::from_nanos(latency.p99()),
@@ -311,8 +258,12 @@ fn main() {
             format!("{telemetry_mismatches} MISMATCH(ES)")
         }
     );
-    println!("inl-load: wrote {out_path}");
-    if errors > 0 || !bitwise_identical || !telemetry_identical || completed < total as u64 {
+    if errors > 0
+        || !bitwise_identical
+        || !telemetry_identical
+        || completed < total as u64
+        || (telemetry && telemetry_checked == 0)
+    {
         std::process::exit(1);
     }
 }

@@ -9,11 +9,11 @@
 //! all but a structured [`CompileOutcome::Rejected`].
 
 use inl_codegen::generate;
-use inl_core::complete::complete_transform;
+use inl_core::complete::{complete_transform, order_rows};
 use inl_core::depend::{analyze, DependenceMatrix};
 use inl_core::instance::InstanceLayout;
 use inl_ir::{zoo, Program};
-use inl_linalg::{IMat, IVec, InlError, InlErrorKind};
+use inl_linalg::{IMat, InlError, InlErrorKind};
 use inl_proto::{BackendChoice, CompileOutcome, Request, Response};
 
 /// Largest accepted value for a `run` parameter. Service-side cap: a
@@ -38,45 +38,6 @@ fn zoo_program(name: &str) -> Result<Program, InlError> {
                 format!("unknown program '{name}' (see the zoo listing)"),
             )
         })
-}
-
-/// Resolve an order string like `"KJLI"` into unit partial rows for
-/// [`complete_transform`]: one character per loop, each naming a loop of
-/// the program by its (single-character) index-variable name, outermost
-/// slot first.
-fn order_rows(p: &Program, layout: &InstanceLayout, order: &str) -> Result<Vec<IVec>, InlError> {
-    let loops: Vec<_> = p.loops().collect();
-    let nloops = loops.len();
-    if order.chars().count() != nloops {
-        return Err(InlError::new(
-            InlErrorKind::InvalidTarget,
-            format!(
-                "order '{order}' names {} loop(s); program '{}' has {nloops}",
-                order.chars().count(),
-                p.name()
-            ),
-        ));
-    }
-    let mut used = vec![false; nloops];
-    let mut rows = Vec::with_capacity(nloops);
-    for ch in order.chars() {
-        let want = ch.to_string();
-        let Some(slot) = loops.iter().position(|&l| p.loop_decl(l).name == want) else {
-            return Err(InlError::new(
-                InlErrorKind::InvalidTarget,
-                format!("order '{order}': program '{}' has no loop '{ch}'", p.name()),
-            ));
-        };
-        if used[slot] {
-            return Err(InlError::new(
-                InlErrorKind::InvalidTarget,
-                format!("order '{order}' names loop '{ch}' twice"),
-            ));
-        }
-        used[slot] = true;
-        rows.push(IVec::unit(layout.len(), layout.loop_position(loops[slot])));
-    }
-    Ok(rows)
 }
 
 fn analyzed(p: &Program) -> Result<(InstanceLayout, DependenceMatrix), InlError> {

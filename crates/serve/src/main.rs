@@ -8,7 +8,7 @@
 //! first stdout line (`listening on <addr>` — scripts wait for it), and
 //! serves until a `shutdown` request arrives. Telemetry and timeline
 //! layers are enabled so every request contributes `serve.*` spans and
-//! counters; `INL_SERVE_WORKERS` is an env alternative to `--workers`.
+//! counters. `--workers 0` (the default) means one per available core.
 
 fn flag_value(flag: &str) -> Option<String> {
     let mut args = std::env::args().skip(1);
@@ -24,7 +24,7 @@ fn main() {
     let addr = flag_value("--addr").unwrap_or_else(|| "127.0.0.1:7878".to_string());
     let workers = flag_value("--workers")
         .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(|| inl_obs::env_count("INL_SERVE_WORKERS", 0));
+        .unwrap_or(0);
     let quiet = std::env::args().any(|a| a == "--quiet");
 
     inl_obs::set_enabled(true);

@@ -194,17 +194,17 @@ mod tests {
 
     #[test]
     fn instance_counters_match_instance_count() {
-        inl_obs::reset();
-        inl_obs::set_enabled(true);
         let p = zoo::simple_cholesky();
         let cp = compile(&p);
         let bp = cp.bind(&[4]);
         let mut buf = init_buf(&bp, &|_, _| 9.0);
-        run(&bp, &mut buf);
+        // A thread-local capture, not the process-global registry: the
+        // other tests of this binary run the VM on their own threads at
+        // the same time and would bump a global `vm.instances` too.
+        let ((), seen) = inl_obs::capture::with(|| run(&bp, &mut buf));
         // N=4: S1 runs 4 times; S2 runs 3+2+1 = 6 times
-        assert_eq!(inl_obs::counter_value("vm.instances"), 10);
-        assert!(inl_obs::counter_value("vm.instrs") >= 10);
-        inl_obs::set_enabled(false);
+        assert_eq!(seen.counters.get("vm.instances"), Some(&10));
+        assert!(seen.counters["vm.instrs"] >= 10);
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //! ```
 
 use inl::codegen::generate;
-use inl::core::complete::complete_transform;
+use inl::core::complete::{complete_transform, order_rows};
 use inl::core::depend::analyze;
 use inl::core::instance::InstanceLayout;
 use inl::exec::{run_fresh, Interpreter, Machine};
 use inl::ir::zoo;
-use inl::linalg::{permutations, IVec};
+use inl::linalg::permutations;
 use std::time::Instant;
 
 fn main() {
@@ -25,13 +25,6 @@ fn main() {
     let layout = InstanceLayout::new(&p);
     let deps = analyze(&p, &layout).expect("analysis");
     let names = ["K", "J", "L", "I"];
-    let positions: Vec<usize> = names
-        .iter()
-        .map(|nm| {
-            let l = p.loops().find(|&l| p.loop_decl(l).name == *nm).unwrap();
-            layout.loop_position(l)
-        })
-        .collect();
 
     let spd = zoo::spd_init;
     let n: i128 = 120;
@@ -42,11 +35,8 @@ fn main() {
     println!("variant (slot order) | legal | verified | time at N={n}");
     println!("---------------------|-------|----------|-------------");
     for pm in permutations(&[0, 1, 2, 3]) {
-        let label: String = pm.iter().map(|&i| names[i]).collect::<Vec<_>>().join("");
-        let rows: Vec<IVec> = pm
-            .iter()
-            .map(|&i| IVec::unit(layout.len(), positions[i]))
-            .collect();
+        let label: String = pm.iter().map(|&i| names[i]).collect();
+        let rows = order_rows(&p, &layout, &label).expect("a permutation of the loop names");
         let Ok(completion) = complete_transform(&p, &layout, &deps, &rows) else {
             println!("{label:>20} |  no   |    —     |      —");
             continue;

@@ -3,9 +3,8 @@
 //! to the reference interpreter.
 //!
 //! ```sh
-//! cargo run --example vm_backend
-//! # backend selection from the environment (used by library callers):
-//! INL_BACKEND=vm cargo run --example vm_backend
+//! cargo run --example vm_backend          # one-shot run on the interpreter
+//! cargo run --example vm_backend -- vm    # the same run on the VM
 //! ```
 
 use inl::exec::{run_fresh, run_fresh_with, Backend, Machine, VmRunner};
@@ -14,10 +13,13 @@ use inl::ir::zoo;
 fn main() {
     let p = zoo::cholesky_kij();
 
-    // `Backend` is the one-shot entry point: `from_env` honours
-    // INL_BACKEND=vm|interp, defaulting to the interpreter.
-    let backend = Backend::from_env();
-    println!("backend from INL_BACKEND: {backend:?}");
+    // `Backend` is the one-shot entry point; the first argument picks it
+    // (`vm`, anything else or nothing: the reference interpreter).
+    let backend = match std::env::args().nth(1).as_deref() {
+        Some("vm") => Backend::Vm,
+        _ => Backend::Interp,
+    };
+    println!("backend: {backend:?}");
     let m = run_fresh_with(backend, &p, &[6], &zoo::spd_init);
     println!("A[0..4] = {:?}\n", &m.array_by_name("A").unwrap()[..4]);
 

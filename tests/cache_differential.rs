@@ -9,11 +9,11 @@
 //! bounds) through dependence analysis, legality, completion, and codegen.
 
 use inl_codegen::generate;
-use inl_core::complete::complete_transform;
+use inl_core::complete::{complete_transform, order_rows};
 use inl_core::depend::analyze;
 use inl_core::instance::InstanceLayout;
 use inl_ir::{zoo, Program};
-use inl_linalg::{permutations, IMat, IVec};
+use inl_linalg::{permutations, IMat};
 use std::sync::Mutex;
 
 /// The cache toggle is process-global; tests flipping it must serialize.
@@ -27,20 +27,10 @@ fn cholesky_variants() -> (Program, Vec<(String, IMat)>) {
     let layout = InstanceLayout::new(&p);
     let deps = analyze(&p, &layout).expect("analysis");
     let names = ["K", "J", "L", "I"];
-    let positions: Vec<usize> = names
-        .iter()
-        .map(|nm| {
-            let l = p.loops().find(|&l| p.loop_decl(l).name == *nm).unwrap();
-            layout.loop_position(l)
-        })
-        .collect();
     let mut out = Vec::new();
     for pm in permutations(&[0, 1, 2, 3]) {
-        let label: String = pm.iter().map(|&i| names[i]).collect::<Vec<_>>().join("");
-        let rows: Vec<IVec> = pm
-            .iter()
-            .map(|&i| IVec::unit(layout.len(), positions[i]))
-            .collect();
+        let label: String = pm.iter().map(|&i| names[i]).collect();
+        let rows = order_rows(&p, &layout, &label).expect("a permutation of the loop names");
         if let Ok(c) = complete_transform(&p, &layout, &deps, &rows) {
             out.push((label, c.matrix));
         }

@@ -4,7 +4,7 @@
 //! edge order automatically, generating code and executing it.
 
 use inl::codegen::generate;
-use inl::core::complete::complete_transform;
+use inl::core::complete::{complete_transform, order_rows};
 use inl::core::depend::analyze;
 use inl::core::instance::InstanceLayout;
 use inl::exec::{equivalent, run_fresh, Machine, VmRunner};
@@ -51,18 +51,15 @@ fn e6_completion_produces_left_looking_cholesky() {
 fn enumerate_permutations(p: &Program) -> Vec<(Vec<usize>, inl::linalg::IMat)> {
     let layout = InstanceLayout::new(p);
     let deps = analyze(p, &layout).expect("analysis");
-    let positions: Vec<usize> = [looop(p, "K"), looop(p, "J"), looop(p, "L"), looop(p, "I")]
-        .iter()
-        .map(|&l| layout.loop_position(l))
-        .collect();
-    let n = layout.len();
+    let names = ["K", "J", "L", "I"];
     let mut legal = Vec::new();
     // all 24 orderings of the four source positions across the four slots
     let mut perm = [0usize, 1, 2, 3];
     let mut perms = Vec::new();
     heap_permutations(&mut perm, 4, &mut perms);
     for pm in perms {
-        let rows: Vec<IVec> = pm.iter().map(|&pi| IVec::unit(n, positions[pi])).collect();
+        let order: String = pm.iter().map(|&pi| names[pi]).collect();
+        let rows = order_rows(p, &layout, &order).expect("a permutation of the loop names");
         if let Ok(c) = complete_transform(p, &layout, &deps, &rows) {
             legal.push((pm.to_vec(), c.matrix));
         }
