@@ -1,5 +1,5 @@
 //! End-to-end pin of the decision-provenance tentpole: sweeping all 24
-//! Cholesky loop orders under `INL_EXPLAIN` must leave an acceptance
+//! Cholesky loop orders with the explain layer on must leave an acceptance
 //! record with proving evidence for each of the 12 legal orders, and a
 //! record naming the violating dependence for each rejected order — and
 //! the `inl-explain` binary must render, query, and diff the artifact.

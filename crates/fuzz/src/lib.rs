@@ -37,12 +37,26 @@ use proptest::prelude::*;
 use proptest::test_runner::Config;
 
 /// Number of cases per property: `INL_FUZZ_CASES` when set (CI uses
-/// 2000), else `local_default`. Malformed values warn once to stderr
-/// and fall back to the default (via [`inl_obs::env_usize`]).
+/// 2000), else `local_default`. A value that is set but not a positive
+/// integer warns once per process to stderr and falls back to the default.
 pub fn fuzz_cases(local_default: u32) -> u32 {
-    inl_obs::env_usize("INL_FUZZ_CASES", local_default as usize)
-        .try_into()
-        .unwrap_or(u32::MAX)
+    const VAR: &str = "INL_FUZZ_CASES";
+    let Ok(raw) = std::env::var(VAR) else {
+        return local_default;
+    };
+    match raw.trim().parse::<std::num::NonZeroU32>() {
+        Ok(n) => n.get(),
+        Err(_) => {
+            static WARNED: std::sync::Once = std::sync::Once::new();
+            WARNED.call_once(|| {
+                eprintln!(
+                    "inl-fuzz: ignoring malformed {VAR}={raw:?} (expected a positive \
+                     integer); using default {local_default}"
+                )
+            });
+            local_default
+        }
+    }
 }
 
 /// A proptest config honoring [`fuzz_cases`].

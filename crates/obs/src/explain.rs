@@ -15,9 +15,9 @@
 //!   single relaxed atomic load, and every recording call site checks it
 //!   before building any strings.
 //! * **Bounded.** Records land in one global store capped at
-//!   [`DEFAULT_CAPACITY`] records (`INL_EXPLAIN_CAP` or [`set_capacity`]
-//!   override). On overflow the oldest record is dropped and counted —
-//!   recording never reallocates past the cap and never panics.
+//!   [`DEFAULT_CAPACITY`] records ([`set_capacity`] overrides). On
+//!   overflow the oldest record is dropped and counted — recording never
+//!   reallocates past the cap and never panics.
 //! * **Sessions group one compile.** [`begin_session`] stamps a fresh
 //!   compile-session id (and a human label such as `cholesky/KJLI`);
 //!   every subsequent record carries the current session id, so one
@@ -26,7 +26,7 @@
 //!
 //! Records serialize through the hand-rolled [`Json`] layer. Setting
 //! `INL_EXPLAIN_JSON=<path>` dumps the store at process exit from any
-//! binary (and implies `INL_EXPLAIN=1`), mirroring `INL_OBS_JSON` /
+//! binary (and enables the layer), mirroring `INL_OBS_JSON` /
 //! `INL_TRACE_JSON`; the `report` binary writes `target/inl-explain.json`.
 //!
 //! # Record schema (`version: 1`)
@@ -165,22 +165,17 @@ fn store() -> MutexGuard<'static, Store> {
         .unwrap_or_else(|e| e.into_inner())
 }
 
-fn capacity_cell() -> &'static AtomicUsize {
-    static CAP: OnceLock<AtomicUsize> = OnceLock::new();
-    CAP.get_or_init(|| {
-        AtomicUsize::new(crate::env_usize("INL_EXPLAIN_CAP", DEFAULT_CAPACITY).max(1))
-    })
-}
+static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
 
 /// Store capacity currently in force.
 pub fn capacity() -> usize {
-    capacity_cell().load(Ordering::Relaxed)
+    CAPACITY.load(Ordering::Relaxed)
 }
 
 /// Override the store capacity. Zero is clamped to 1. Shrinking below
 /// the current record count drops the oldest records at the next push.
 pub fn set_capacity(cap: usize) {
-    capacity_cell().store(cap.max(1), Ordering::Relaxed);
+    CAPACITY.store(cap.max(1), Ordering::Relaxed);
 }
 
 static CURRENT_SESSION: AtomicU64 = AtomicU64::new(0);

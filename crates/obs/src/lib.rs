@@ -16,23 +16,23 @@
 //!   loops budget under 5 % overhead (measured by the system benchmark:
 //!   `obs.trace_overhead_pct.*` in `benchmark/`).
 //!
-//! Telemetry is switched on by calling [`set_enabled`]`(true)` or by
-//! setting the `INL_OBS` environment variable to `1`/`true`/`on` before
-//! the first instrument fires. Setting `INL_OBS_JSON=<path>` additionally
-//! enables telemetry in *any* binary and dumps the [`PipelineReport`]
-//! JSON to `<path>` at process exit (no code changes required).
+//! Telemetry is switched on by calling [`set_enabled`]`(true)`. The
+//! environment only names where artifacts go: setting
+//! `INL_OBS_JSON=<path>` before the first instrument fires enables
+//! telemetry in *any* binary and dumps the [`PipelineReport`] JSON to
+//! `<path>` at process exit (no code changes required).
 //!
 //! A second, independent layer — the [`timeline`] — records timestamped
 //! events into bounded per-thread ring buffers and exports Chrome
 //! trace-event JSON (viewable in Perfetto / `chrome://tracing`). It is
-//! enabled by `INL_TRACE=1` / [`set_timeline_enabled`], and
-//! `INL_TRACE_JSON=<path>` dumps the trace at process exit.
+//! enabled by [`set_timeline_enabled`], and `INL_TRACE_JSON=<path>`
+//! enables it and dumps the trace at process exit.
 //!
 //! A third layer — [`explain`] — records *decision provenance*: why each
 //! candidate transformation was legal or rejected, with the dependence
 //! evidence and cost features behind every verdict. It is enabled by
-//! `INL_EXPLAIN=1` / [`set_explain_enabled`], and
-//! `INL_EXPLAIN_JSON=<path>` dumps the record store at process exit.
+//! [`set_explain_enabled`], and `INL_EXPLAIN_JSON=<path>` enables it and
+//! dumps the record store at process exit.
 //!
 //! A fourth concern — request-scoped [`capture`] — reuses the same
 //! instruments to attribute counters, span durations, and explain
@@ -85,78 +85,10 @@ static EXIT_OBS_JSON: OnceLock<Option<PathBuf>> = OnceLock::new();
 static EXIT_TRACE_JSON: OnceLock<Option<PathBuf>> = OnceLock::new();
 static EXIT_EXPLAIN_JSON: OnceLock<Option<PathBuf>> = OnceLock::new();
 
-/// Parse a boolean environment variable. One grammar for every `INL_*`
-/// switch: `1`, `true`, `on` turn it on; `0`, `false`, `off` turn it off;
-/// unset or empty keeps `default`; anything else warns once to stderr (see
-/// [`env_usize`]) and keeps `default`.
-pub fn env_flag(name: &str, default: bool) -> bool {
-    let Ok(raw) = std::env::var(name) else {
-        return default;
-    };
-    match raw.trim() {
-        "" => default,
-        "1" | "true" | "on" => true,
-        "0" | "false" | "off" => false,
-        _ => {
-            warn_once(name, &raw, "1|true|on or 0|false|off", &default);
-            default
-        }
-    }
-}
-
 fn env_path(name: &str) -> Option<PathBuf> {
     std::env::var_os(name)
         .filter(|v| !v.is_empty())
         .map(PathBuf::from)
-}
-
-/// Parse a numeric environment variable, warning **once per variable** to
-/// stderr when the value is set but malformed. Unset variables and valid
-/// values never warn; malformed or zero values fall back to `default`.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    env_number(name, default, 1)
-}
-
-/// [`env_usize`] for variables where zero is a meaningful value (a worker
-/// count of 0 = one per core): only malformed values warn and fall back.
-pub fn env_count(name: &str, default: usize) -> usize {
-    env_number(name, default, 0)
-}
-
-fn env_number(name: &str, default: usize, min: usize) -> usize {
-    let Ok(raw) = std::env::var(name) else {
-        return default;
-    };
-    match raw.trim().parse::<usize>() {
-        Ok(v) if v >= min => v,
-        _ => {
-            let expected = if min == 0 {
-                "a non-negative integer"
-            } else {
-                "a positive integer"
-            };
-            warn_once(name, &raw, expected, &default);
-            default
-        }
-    }
-}
-
-/// Emit the malformed-env warning at most once per variable name per
-/// process, even if the variable is parsed from several call sites.
-fn warn_once(name: &str, raw: &str, expected: &str, default: &dyn std::fmt::Display) {
-    static WARNED: OnceLock<Mutex<Vec<String>>> = OnceLock::new();
-    let mut warned = WARNED
-        .get_or_init(|| Mutex::new(Vec::new()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    if warned.iter().any(|n| n == name) {
-        return;
-    }
-    warned.push(name.to_string());
-    eprintln!(
-        "inl-obs: ignoring malformed {name}={raw:?} (expected {expected}); \
-         using default {default}"
-    );
 }
 
 /// Dump telemetry/trace JSON for `INL_OBS_JSON` / `INL_TRACE_JSON`.
@@ -196,21 +128,13 @@ fn flags_cell() -> &'static AtomicU8 {
     FLAGS.get_or_init(|| {
         // Anchor the timeline epoch before any event can be recorded.
         timeline::epoch();
-        let mut f = 0u8;
-        if env_flag("INL_OBS", false) {
-            f |= FLAG_OBS;
-        }
-        if env_flag("INL_TRACE", false) {
-            f |= FLAG_TIMELINE;
-        }
-        if env_flag("INL_EXPLAIN", false) {
-            f |= FLAG_EXPLAIN;
-        }
         let obs_json = env_path("INL_OBS_JSON");
         let trace_json = env_path("INL_TRACE_JSON");
         let explain_json = env_path("INL_EXPLAIN_JSON");
-        // A dump path implies the matching layer: collecting nothing and
-        // then writing an empty file would be useless.
+        // The only thing the environment says: where artifacts go. A dump
+        // path implies its layer — collecting nothing and then writing an
+        // empty file would be useless.
+        let mut f = 0u8;
         if obs_json.is_some() {
             f |= FLAG_OBS;
         }
@@ -258,8 +182,8 @@ pub fn explain_enabled() -> bool {
     flags() & FLAG_EXPLAIN != 0
 }
 
-/// Turn telemetry collection on or off at runtime (overrides `INL_OBS`).
-/// The timeline flag is unaffected.
+/// Turn telemetry collection on or off at runtime. The timeline flag is
+/// unaffected.
 pub fn set_enabled(on: bool) {
     if on {
         flags_cell().fetch_or(FLAG_OBS, Ordering::Relaxed);
@@ -268,8 +192,8 @@ pub fn set_enabled(on: bool) {
     }
 }
 
-/// Turn timeline recording on or off at runtime (overrides `INL_TRACE`).
-/// The aggregate-telemetry flag is unaffected.
+/// Turn timeline recording on or off at runtime. The aggregate-telemetry
+/// flag is unaffected.
 pub fn set_timeline_enabled(on: bool) {
     if on {
         flags_cell().fetch_or(FLAG_TIMELINE, Ordering::Relaxed);
@@ -278,8 +202,8 @@ pub fn set_timeline_enabled(on: bool) {
     }
 }
 
-/// Turn decision-provenance recording on or off at runtime (overrides
-/// `INL_EXPLAIN`). The other two layer flags are unaffected.
+/// Turn decision-provenance recording on or off at runtime. The other two
+/// layer flags are unaffected.
 pub fn set_explain_enabled(on: bool) {
     if on {
         flags_cell().fetch_or(FLAG_EXPLAIN, Ordering::Relaxed);

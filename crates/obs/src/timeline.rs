@@ -9,9 +9,9 @@
 //!   capacity. While the layer is disabled every probe is one relaxed
 //!   atomic load (the flag byte shared with the aggregate layer).
 //! * **Bounded.** A ring holds at most [`capacity`] events (default
-//!   16384, `INL_TRACE_CAP` or [`set_capacity`] override). On overflow
-//!   the *oldest* event is dropped and counted — recording never blocks,
-//!   never reallocates, never panics.
+//!   16384, [`set_capacity`] overrides). On overflow the *oldest* event
+//!   is dropped and counted — recording never blocks, never reallocates,
+//!   never panics.
 //! * **Rings retire on thread exit.** When a thread finishes (e.g. the
 //!   parallel executor's scoped workers), its ring moves into a global
 //!   retired list, and its timeline id returns to a pool so short-lived
@@ -133,20 +133,17 @@ fn retired() -> MutexGuard<'static, Retired> {
         .unwrap_or_else(|e| e.into_inner())
 }
 
-fn capacity_cell() -> &'static AtomicUsize {
-    static CAP: OnceLock<AtomicUsize> = OnceLock::new();
-    CAP.get_or_init(|| AtomicUsize::new(crate::env_usize("INL_TRACE_CAP", DEFAULT_CAPACITY)))
-}
+static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
 
 /// Per-thread ring capacity currently applied to *newly created* rings.
 pub fn capacity() -> usize {
-    capacity_cell().load(Ordering::Relaxed)
+    CAPACITY.load(Ordering::Relaxed)
 }
 
 /// Override the ring capacity for rings created after this call
 /// (existing rings keep their size). Zero is clamped to 1.
 pub fn set_capacity(cap: usize) {
-    capacity_cell().store(cap.max(1), Ordering::Relaxed);
+    CAPACITY.store(cap.max(1), Ordering::Relaxed);
 }
 
 fn next_tid() -> u32 {

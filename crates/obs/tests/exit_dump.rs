@@ -88,9 +88,6 @@ fn env_dump_paths_produce_reports_at_process_exit(recording_thread: &str) {
         .env("INL_OBS_JSON", &obs_path)
         .env("INL_TRACE_JSON", &trace_path)
         .env("INL_EXPLAIN_JSON", &explain_path)
-        .env_remove("INL_OBS")
-        .env_remove("INL_TRACE")
-        .env_remove("INL_EXPLAIN")
         .output()
         .expect("spawn child test process");
     let stderr = String::from_utf8_lossy(&out.stderr);

@@ -1,5 +1,5 @@
 //! Explain ring-buffer overflow while the timeline layer is live too
-//! (the `INL_EXPLAIN=1 INL_TRACE=1` configuration): the layers share one
+//! (both `set_*_enabled(true)`): the layers share one
 //! flag byte, so enabling both must keep their ring buffers and drop
 //! accounting fully independent.
 

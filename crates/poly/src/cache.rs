@@ -13,8 +13,8 @@
 //! Correctness by construction: canonicalization runs unconditionally
 //! inside the public `fm` entry points — with the cache on or off, every
 //! query is answered as a deterministic function of the canonical system,
-//! so disabling the cache (`INL_POLY_CACHE=0` or
-//! [`set_cache_enabled`]`(false)`) changes speed, never answers.
+//! so disabling the cache ([`set_cache_enabled`]`(false)`) changes speed,
+//! never answers.
 //!
 //! The cache is a bounded map: when it reaches [`CACHE_CAP`] entries it is
 //! cleared in one deterministic generation flush (no LRU order to depend
@@ -29,7 +29,7 @@ use crate::System;
 use inl_linalg::{InlError, Int};
 use inl_obs::counter_add;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Entry cap: one deterministic full flush ("generation" eviction) when
@@ -108,34 +108,23 @@ static MISSES: AtomicU64 = AtomicU64::new(0);
 static INSERTIONS: AtomicU64 = AtomicU64::new(0);
 static EVICTIONS: AtomicU64 = AtomicU64::new(0);
 
-/// 0 = uninitialized (read `INL_POLY_CACHE` on first use), 1 = on, 2 = off.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
+static ENABLED: AtomicBool = AtomicBool::new(true);
 
 fn map() -> &'static Mutex<HashMap<(System, Query), Answer>> {
     static MAP: OnceLock<Mutex<HashMap<(System, Query), Answer>>> = OnceLock::new();
     MAP.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// True iff memoization is active. Defaults to on; `INL_POLY_CACHE` set to
-/// `0`, `false`, or `off` disables it (canonicalization still runs, so
-/// answers are unaffected either way).
+/// True iff memoization is active (the default; canonicalization runs
+/// either way, so answers are unaffected).
 pub fn cache_enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = inl_obs::env_flag("INL_POLY_CACHE", true);
-            ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Programmatically enable or disable memoization, overriding
-/// `INL_POLY_CACHE`. Used by the benchmark driver and the differential
-/// tests to compare cached and uncached runs in one process.
+/// Enable or disable memoization. Used by the benchmark driver and the
+/// differential tests to compare cached and uncached runs in one process.
 pub fn set_cache_enabled(on: bool) {
-    ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Drop every cached entry (stats are kept; see [`reset_stats`]).

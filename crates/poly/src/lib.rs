@@ -22,8 +22,9 @@
 //! * [`bounds`] — extraction of loop bounds (`max`/`min` of affine forms
 //!   with ceiling/floor divisions) for code generation;
 //! * [`cache`] — process-wide memoization of projection, feasibility, and
-//!   bounds queries, keyed by [`System::canonicalized`] form (`INL_POLY_CACHE=0`
-//!   disables memoization; answers are identical either way).
+//!   bounds queries, keyed by [`System::canonicalized`] form
+//!   ([`cache::set_cache_enabled`]`(false)` disables memoization; answers are
+//!   identical either way).
 //!
 //! # Example: the paper's §3 dependence system
 //!

@@ -8,11 +8,10 @@
 //! inl-sched --explain-json target/sched-explain.json  # decision provenance
 //! ```
 //!
-//! Search knobs come from `SchedConfig::from_env` (`INL_SCHED_BUDGET`,
-//! `INL_SCHED_REVERSAL`, `INL_SCHED_ALIGN`, `INL_SCHED_SHAPES`,
-//! `INL_SCHED_THREADS`, `INL_SCHED_REPS`, `INL_SCHED_TILE`,
-//! `INL_SCHED_TILE_SIZES`) with `--budget`/`--reps` overriding the
-//! environment. A program whose sweep fails is skipped — the table and
+//! The search runs with `SchedConfig::default()`; `--budget` and `--reps`
+//! are the only way to move a default (no environment variable is read),
+//! and a flag whose value is missing or unparsable prints the usage line
+//! and exits 2. A program whose sweep fails is skipped — the table and
 //! JSON cover the rest, with the failure recorded as an `errors` row —
 //! and the run exits 1 at the end, as it does when any chosen variant
 //! fails the bitwise-equivalence check against its source program.
@@ -21,8 +20,27 @@ use inl_sched::sweep::{bench_json, render_table, sweep_program, sweep_targets};
 use inl_sched::SchedConfig;
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: inl-sched [--program NAME] [--json PATH] \
+                     [--explain-json PATH] [--budget N] [--reps N] [--show]";
+
+/// The value following `flag`; the next flag (or nothing) is not a value.
+fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
+    args.next()
+        .filter(|v| !v.starts_with("--"))
+        .ok_or_else(|| format!("{flag} needs a value"))
+}
+
+fn number<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    let v = value(args, flag)?;
+    v.parse()
+        .map_err(|_| format!("{flag}: '{v}' is not a non-negative integer"))
+}
+
 fn main() -> ExitCode {
-    let mut cfg = SchedConfig::from_env();
+    let mut cfg = SchedConfig::default();
     let mut json_path: Option<String> = None;
     let mut explain_path: Option<String> = None;
     let mut program: Option<String> = None;
@@ -30,34 +48,25 @@ fn main() -> ExitCode {
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => json_path = args.next(),
-            "--explain-json" => explain_path = args.next(),
-            "--program" => program = args.next(),
-            "--show" => show = true,
-            "--budget" => {
-                cfg.budget = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(cfg.budget)
-            }
-            "--reps" => {
-                cfg.measure_reps = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(cfg.measure_reps)
+        let parsed = match a.as_str() {
+            "--json" => value(&mut args, &a).map(|v| json_path = Some(v)),
+            "--explain-json" => value(&mut args, &a).map(|v| explain_path = Some(v)),
+            "--program" => value(&mut args, &a).map(|v| program = Some(v)),
+            "--budget" => number(&mut args, &a).map(|n| cfg.budget = n),
+            "--reps" => number(&mut args, &a).map(|n| cfg.measure_reps = n),
+            "--show" => {
+                show = true;
+                Ok(())
             }
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: inl-sched [--program NAME] [--json PATH] \
-                     [--explain-json PATH] [--budget N] [--reps N] [--show]"
-                );
+                eprintln!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
-            other => {
-                eprintln!("unknown flag {other} (try --help)");
-                return ExitCode::FAILURE;
-            }
+            other => Err(format!("unknown flag {other}")),
+        };
+        if let Err(msg) = parsed {
+            eprintln!("inl-sched: {msg}\n{USAGE}");
+            return ExitCode::from(2);
         }
     }
     if explain_path.is_some() {
@@ -94,22 +103,13 @@ fn main() -> ExitCode {
 
     print!("{}", render_table(&entries));
     if show {
-        for (name, ctor, params) in &targets {
+        for (name, _, params) in &targets {
             // pair by name, not by position: a failed target has no entry
             let Some(e) = entries.iter().find(|e| &e.name == name) else {
                 continue;
             };
-            match inl_sched::schedule_with(&ctor(), &cfg) {
-                Ok(r) => {
-                    println!("\n{name} (params {params:?}): chosen {}", e.chosen);
-                    println!("{}", r.chosen().pseudocode);
-                }
-                Err(err) => {
-                    eprintln!("{name}: re-schedule for --show failed: {err}");
-                    failures.push((name.to_string(), err.to_string()));
-                    continue;
-                }
-            }
+            println!("\n{name} (params {params:?}): chosen {}", e.chosen);
+            println!("{}", e.chosen_pseudocode);
             println!("variants by cost:");
             for m in &e.measured {
                 println!("  {:<28} {:>10} ns  [{}]", m.label, m.ns, m.cost);

@@ -9,10 +9,10 @@
 //!
 //! * **shape** — legal one-level loop distributions and fusions (§4.2),
 //!   each producing a structurally different program;
-//! * **tile** — strip-mined shapes: the innermost reuse-carrying loop
-//!   split by each candidate tile size (`inl_core::tiling`), proved
-//!   legal through the dependence projections of the split program and
-//!   then searched like any other shape;
+//! * **tile** — the strip-mined shape: the innermost reuse-carrying loop
+//!   split at one fixed tile size (`inl_core::tiling`), proved legal
+//!   through the dependence projections of the split program and then
+//!   searched like any other shape;
 //! * **permutation** — the order in which loop selector rows fill the
 //!   outer slots of the transformation matrix;
 //! * **reversal** — each selector row may enter negated (§4.1);
@@ -90,35 +90,32 @@ impl fmt::Display for SchedError {
 
 impl std::error::Error for SchedError {}
 
-/// Tuning knobs of the search, all overridable from the environment (see
-/// [`SchedConfig::from_env`] and the README operations reference).
+/// Tuning knobs of the search. The environment never enters: callers move
+/// a default by building the struct (`inl-sched` maps `--budget`/`--reps`
+/// onto it).
 #[derive(Clone, Debug)]
 pub struct SchedConfig {
-    /// Maximum search-tree nodes to visit across all shapes
-    /// (`INL_SCHED_BUDGET`, default 10 000). The search stops early —
-    /// keeping what it found — when the budget is exhausted.
+    /// Maximum search-tree nodes to visit across all shapes (default
+    /// 10 000). The search stops early — keeping what it found — when the
+    /// budget is exhausted.
     pub budget: u64,
-    /// Include reversed loop selectors (`INL_SCHED_REVERSAL`, default on;
-    /// `0|false|off` disables).
+    /// Include reversed loop selectors (default on).
     pub reversal: bool,
-    /// Refine the front-runner with statement-alignment offsets
-    /// (`INL_SCHED_ALIGN`, default on; `0|false|off` disables).
+    /// Refine the front-runner with statement-alignment offsets (default
+    /// on).
     pub align: bool,
-    /// Enumerate jam/distribute shapes (`INL_SCHED_SHAPES`, default on;
-    /// `0|false|off` disables).
+    /// Enumerate jam/distribute shapes (default on).
     pub shapes: bool,
-    /// Enumerate strip-mined (tiled) shapes on the innermost
-    /// reuse-carrying loop (`INL_SCHED_TILE`, default on; `0|false|off`
-    /// disables).
+    /// Enumerate the strip-mined (tiled) shape of the innermost
+    /// reuse-carrying loop (default on). The tile size is a constant:
+    /// no [`Cost`] field depends on it, so a second size could only add
+    /// label-twins that lose the tie-break.
     pub tile: bool,
-    /// Candidate tile sizes for the tile axis (`INL_SCHED_TILE_SIZES`,
-    /// comma-separated, default `16,32,64`; sizes below 2 are ignored).
-    pub tile_sizes: Vec<inl_ir::Int>,
-    /// Worker threads for the candidate compile sweep
-    /// (`INL_SCHED_THREADS`, default 0 = one per core).
+    /// Worker threads for the candidate compile sweep (default 0 = one
+    /// per core).
     pub threads: usize,
     /// Repetitions per variant when the sweep *measures* execution
-    /// (`INL_SCHED_REPS`, default 3; the minimum is kept).
+    /// (default 3; the minimum is kept).
     pub measure_reps: usize,
 }
 
@@ -130,36 +127,9 @@ impl Default for SchedConfig {
             align: true,
             shapes: true,
             tile: true,
-            tile_sizes: vec![16, 32, 64],
             threads: 0,
             measure_reps: 3,
         }
-    }
-}
-
-impl SchedConfig {
-    /// Read the configuration from `INL_SCHED_*` environment variables,
-    /// falling back to the defaults.
-    pub fn from_env() -> SchedConfig {
-        let mut cfg = SchedConfig::default();
-        cfg.budget = inl_obs::env_count("INL_SCHED_BUDGET", cfg.budget as usize) as u64;
-        cfg.reversal = inl_obs::env_flag("INL_SCHED_REVERSAL", cfg.reversal);
-        cfg.align = inl_obs::env_flag("INL_SCHED_ALIGN", cfg.align);
-        cfg.shapes = inl_obs::env_flag("INL_SCHED_SHAPES", cfg.shapes);
-        cfg.tile = inl_obs::env_flag("INL_SCHED_TILE", cfg.tile);
-        if let Ok(v) = std::env::var("INL_SCHED_TILE_SIZES") {
-            let sizes: Vec<inl_ir::Int> = v
-                .split(',')
-                .filter_map(|s| s.trim().parse::<inl_ir::Int>().ok())
-                .filter(|&t| t >= 2)
-                .collect();
-            if !sizes.is_empty() {
-                cfg.tile_sizes = sizes;
-            }
-        }
-        cfg.threads = inl_obs::env_count("INL_SCHED_THREADS", cfg.threads);
-        cfg.measure_reps = inl_obs::env_count("INL_SCHED_REPS", cfg.measure_reps).max(1);
-        cfg
     }
 }
 
@@ -204,11 +174,11 @@ impl ScheduleResult {
     }
 }
 
-/// Search the transformation space of `p` with the default
-/// (environment-supplied) configuration and return every legal variant,
-/// best first. See the crate docs for the search structure.
+/// Search the transformation space of `p` with the default configuration
+/// and return every legal variant, best first. See the crate docs for the
+/// search structure.
 pub fn schedule(p: &Program) -> Result<ScheduleResult, SchedError> {
-    schedule_with(p, &SchedConfig::from_env())
+    schedule_with(p, &SchedConfig::default())
 }
 
 /// [`schedule`] with an explicit configuration.
@@ -268,7 +238,7 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
             .find(|s| s.label == variants[0].shape)
             .map(|s| s.program.clone())
             .expect("chosen variant's shape");
-        refine_alignment(&shape_program, &mut variants[0], cfg, &mut stats)?;
+        refine_alignment(&shape_program, &mut variants[0], &mut stats)?;
     }
 
     if explain {
@@ -316,7 +286,6 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
 fn refine_alignment(
     shape_p: &Program,
     chosen: &mut ScheduledVariant,
-    _cfg: &SchedConfig,
     stats: &mut SearchStats,
 ) -> Result<(), SchedError> {
     let _span = inl_obs::span("sched.align");
@@ -382,59 +351,6 @@ mod tests {
         }
     }
 
-    /// `nodes_exhaustive` of `simple_cholesky` under `cfg`.
-    fn exhaustive(cfg: &SchedConfig) -> u64 {
-        let cfg = SchedConfig {
-            threads: 1,
-            ..cfg.clone()
-        };
-        schedule_with(&zoo::simple_cholesky(), &cfg)
-            .expect("schedules")
-            .stats
-            .nodes_exhaustive
-    }
-
-    #[test]
-    fn reversal_switch_accepts_every_documented_off_spelling() {
-        // README documents `0`, `false`, `off`; `from_env` used to honour
-        // only `0`. The environment is process-global, so each spelling is
-        // read in a child: this test binary re-executed with the variable
-        // set, printing what the search tree shrank to.
-        const CHILD: &str = "SCHED_TEST_FROM_ENV_CHILD";
-        if std::env::var_os(CHILD).is_some() {
-            println!("exhaustive={}", exhaustive(&SchedConfig::from_env()));
-            return;
-        }
-        let with_reversal = exhaustive(&SchedConfig::default());
-        let without = exhaustive(&SchedConfig {
-            reversal: false,
-            ..SchedConfig::default()
-        });
-        assert!(without < with_reversal, "reversal widens the tree");
-        let exe = std::env::current_exe().expect("test binary path");
-        for (spelling, want) in [
-            ("0", without),
-            ("false", without),
-            ("off", without),
-            ("on", with_reversal),
-        ] {
-            let out = std::process::Command::new(&exe)
-                .args([
-                    "reversal_switch_accepts_every_documented_off_spelling",
-                    "--nocapture",
-                ])
-                .env(CHILD, "1")
-                .env("INL_SCHED_REVERSAL", spelling)
-                .output()
-                .expect("spawn child test process");
-            let stdout = String::from_utf8_lossy(&out.stdout);
-            assert!(
-                out.status.success() && stdout.contains(&format!("exhaustive={want}\n")),
-                "INL_SCHED_REVERSAL={spelling}: want exhaustive={want}, child printed:\n{stdout}"
-            );
-        }
-    }
-
     #[test]
     fn cholesky_search_is_pinned_and_pruned() {
         // the end-to-end pin: full Cholesky with the default axes visits
@@ -442,10 +358,9 @@ mod tests {
         // exhaustive tree, and finds the 12 hand-enumerated legal orders
         // among its unreversed variants.
         let r = schedule_with(&zoo::cholesky_kij(), &quiet_cfg()).expect("schedules");
-        assert!(
-            r.stats.nodes_visited <= 3200,
-            "search widened: {} nodes (was pinned <= 3200 with the tile axis on)",
-            r.stats.nodes_visited
+        assert_eq!(
+            r.stats.nodes_visited, 1142,
+            "identity, jam(I+I2) and tile(L@16) trees"
         );
         assert!(r.stats.nodes_visited < r.stats.nodes_exhaustive);
         assert!(r.stats.pruned_subtrees > 0);
@@ -456,6 +371,41 @@ mod tests {
             .filter(|v| v.shape.is_empty() && !v.label.contains('\''))
             .count();
         assert_eq!(unreversed, 12, "the 12 legal Cholesky orders");
+    }
+
+    #[test]
+    fn tile_size_does_not_enter_the_ranking_key() {
+        // the recorded reason the tile axis enumerates one size: strip-mine
+        // the reuse loop at 16/32/64 and every unreversed legal order of
+        // the split program costs the same at all three, so a second size
+        // adds only label-twins that lose the tie-break. The day a
+        // size-aware `Cost` term lands this fails, and the axis reopens.
+        let cfg = SchedConfig {
+            reversal: false,
+            ..quiet_cfg()
+        };
+        let mut tiled = 0;
+        for &(name, ctor) in zoo::ALL {
+            let p = ctor();
+            let Some(l) = inl_core::tiling::innermost_reuse_loop(&p) else {
+                continue;
+            };
+            tiled += 1;
+            let costs = |t| -> Vec<(String, Cost)> {
+                let split = inl_core::tiling::split(&p, l, t).expect("splits").program;
+                let mut stats = SearchStats::default();
+                let found = search::search_shape("", &split, &cfg, &mut stats).expect("searches");
+                compile_batch(&split, &found, 1)
+                    .into_iter()
+                    .map(|cv| (cv.label, Cost::of(&cv.features)))
+                    .collect()
+            };
+            let at_16 = costs(search::TILE_SIZE);
+            assert!(!at_16.is_empty(), "{name}: no legal order of the split");
+            assert_eq!(at_16, costs(32), "{name}: T=32 moved a cost");
+            assert_eq!(at_16, costs(64), "{name}: T=64 moved a cost");
+        }
+        assert_eq!(tiled, 7, "zoo programs with a reuse-carrying loop");
     }
 
     #[test]

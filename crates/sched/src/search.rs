@@ -107,7 +107,7 @@ pub(crate) fn enumerate_shapes(p: &Program, cfg: &SchedConfig) -> Result<Vec<Sha
     }];
     let explain = inl_obs::explain_enabled();
     if cfg.tile {
-        enumerate_tiles(p, cfg, explain, &mut shapes)?;
+        enumerate_tiles(p, explain, &mut shapes)?;
     }
     if !cfg.shapes {
         return Ok(shapes);
@@ -180,18 +180,20 @@ pub(crate) fn enumerate_shapes(p: &Program, cfg: &SchedConfig) -> Result<Vec<Sha
     Ok(shapes)
 }
 
-/// The tile axis: strip-mine the innermost reuse-carrying loop by each
-/// candidate size. Each admitted split becomes a shape whose own
+/// The one tile size the tile axis strip-mines by. No field of
+/// [`crate::Cost`] depends on the size (pinned by
+/// `tile_size_does_not_enter_the_ranking_key`), so further sizes would
+/// only add label-twins of every variant that lose the tie-break to this
+/// one — at a full permutation×reversal tree and codegen sweep each.
+pub(crate) const TILE_SIZE: inl_ir::Int = 16;
+
+/// The tile axis: strip-mine the innermost reuse-carrying loop by
+/// [`TILE_SIZE`]. An admitted split becomes a shape whose own
 /// permutation×reversal tree is prefix-pruned like every other shape's.
-/// `inl_core::tiling::split_legal` records the per-split accept/reject
-/// explain evidence under the `tile` stage; the no-candidate case is
-/// rejected here.
-fn enumerate_tiles(
-    p: &Program,
-    cfg: &SchedConfig,
-    explain: bool,
-    shapes: &mut Vec<Shape>,
-) -> Result<(), SchedError> {
+/// `inl_core::tiling::split_legal` records the accept/reject explain
+/// evidence under the `tile` stage; the no-candidate case is rejected
+/// here.
+fn enumerate_tiles(p: &Program, explain: bool, shapes: &mut Vec<Shape>) -> Result<(), SchedError> {
     let Some(l) = inl_core::tiling::innermost_reuse_loop(p) else {
         if explain {
             inl_obs::explain::reject(
@@ -203,16 +205,13 @@ fn enumerate_tiles(
         }
         return Ok(());
     };
-    for &t in &cfg.tile_sizes {
-        let label = format!("tile({}@{t})", p.loop_decl(l).name);
-        let r = inl_core::tiling::split(p, l, t).map_err(SchedError::Analysis)?;
-        let report = inl_core::tiling::split_legal(&r).map_err(SchedError::Analysis)?;
-        if report.is_legal() {
-            shapes.push(Shape {
-                label,
-                program: r.program,
-            });
-        }
+    let r = inl_core::tiling::split(p, l, TILE_SIZE).map_err(SchedError::Analysis)?;
+    let report = inl_core::tiling::split_legal(&r).map_err(SchedError::Analysis)?;
+    if report.is_legal() {
+        shapes.push(Shape {
+            label: format!("tile({}@{TILE_SIZE})", p.loop_decl(l).name),
+            program: r.program,
+        });
     }
     Ok(())
 }

@@ -62,6 +62,8 @@ pub struct SweepEntry {
     pub stats: SearchStats,
     /// Label of the chosen (cost-minimal) variant.
     pub chosen: String,
+    /// Pseudocode of the chosen variant (what `inl-sched --show` prints).
+    pub chosen_pseudocode: String,
     /// Every legal variant in cost order, with its measured runtime.
     pub measured: Vec<MeasuredVariant>,
     /// Measured runtime of the chosen variant, nanoseconds.
@@ -179,10 +181,12 @@ pub fn sweep_program(
     let bitwise_identical = source.same_state(&transformed).is_ok();
 
     let chosen = result.chosen().label.clone();
+    let chosen_pseudocode = result.chosen().pseudocode.clone();
     Ok(SweepEntry {
         name: name.to_string(),
         stats: result.stats,
         chosen,
+        chosen_pseudocode,
         measured,
         chosen_ns,
         best_ns,

@@ -32,19 +32,13 @@
 //! error, bitwise mismatch, telemetry-projection disagreement, or a
 //! `--telemetry` run that checked no section.
 
-use inl_serve::{handle_request, Client, Request, Response, ZOO};
+use inl_serve::{flag_or_usage, handle_request, Client, Request, Response, ZOO};
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-fn flag_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
-}
+const USAGE: &str = "usage: inl-load [--addr HOST:PORT] [--requests N] [--connections C] \
+                     [--telemetry] [--shutdown]";
 
 /// One cycle of the schedule: every zoo program compiled (identity) and
 /// the single-parameter ones run on both backends, all 24 Cholesky
@@ -101,14 +95,10 @@ fn base_schedule(telemetry: bool) -> Vec<Request> {
 }
 
 fn main() {
-    let addr = flag_value("--addr").unwrap_or_else(|| "127.0.0.1:7878".to_string());
-    let total: usize = flag_value("--requests")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000);
-    let connections: usize = flag_value("--connections")
-        .and_then(|v| v.parse().ok())
-        .filter(|&c| c > 0)
-        .unwrap_or(4);
+    let addr = flag_or_usage("--addr", USAGE).unwrap_or_else(|| "127.0.0.1:7878".to_string());
+    let total: usize = flag_or_usage("--requests", USAGE).unwrap_or(1000);
+    // NonZero: `--connections 0` is a usage error, not "the default"
+    let connections = flag_or_usage::<NonZeroUsize>("--connections", USAGE).map_or(4, |c| c.get());
     let send_shutdown = std::env::args().any(|a| a == "--shutdown");
     let telemetry = std::env::args().any(|a| a == "--telemetry");
 

@@ -13,17 +13,11 @@
 //! clear-screen, suitable for any terminal or for piping a single
 //! `--once` frame into a log. Exit code 1 on transport failure.
 
-use inl_serve::{Client, Request, Response};
+use inl_serve::{flag_or_usage, Client, Request, Response};
+use std::num::NonZeroU64;
 
-fn flag_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
-}
+const USAGE: &str =
+    "usage: inl-top [--addr HOST:PORT] [--interval-ms N] [--count N] [--once] [--no-clear]";
 
 fn u(j: &inl_obs::Json, key: &str) -> u64 {
     j.get(key).and_then(inl_obs::Json::as_u64).unwrap_or(0)
@@ -108,17 +102,14 @@ fn render(metrics: &inl_obs::Json, stats: &inl_obs::Json) -> String {
 }
 
 fn main() {
-    let addr = flag_value("--addr").unwrap_or_else(|| "127.0.0.1:7878".to_string());
-    let interval_ms: u64 = flag_value("--interval-ms")
-        .and_then(|v| v.parse().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(1000);
+    let addr = flag_or_usage("--addr", USAGE).unwrap_or_else(|| "127.0.0.1:7878".to_string());
+    let interval_ms = flag_or_usage::<NonZeroU64>("--interval-ms", USAGE).map_or(1000, |v| v.get());
     let once = std::env::args().any(|a| a == "--once");
     let no_clear = std::env::args().any(|a| a == "--no-clear") || once;
     let count: Option<u64> = if once {
         Some(1)
     } else {
-        flag_value("--count").and_then(|v| v.parse().ok())
+        flag_or_usage("--count", USAGE)
     };
 
     let mut client = match Client::connect(&addr) {

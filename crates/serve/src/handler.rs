@@ -183,10 +183,10 @@ fn handle_explain(program: &str, order: Option<&str>) -> Result<Response, InlErr
 fn handle_schedule(program: &str) -> Result<Response, InlError> {
     let _span = inl_obs::span("serve.schedule");
     let p = zoo_program(program)?;
-    // fixed configuration, single-threaded compile sweep: the response
-    // must be byte-identical whether the search runs in the server or
-    // in-process in a client (inl-load bitwise-compares the two), so
-    // nothing environment- or thread-order-dependent may leak in
+    // the defaults with a single-threaded compile sweep: the worker pool
+    // is the service's parallelism, and the response is byte-identical
+    // whether the search runs here or in-process in a client (inl-load
+    // bitwise-compares the two)
     let cfg = inl_sched::SchedConfig {
         threads: 1,
         ..inl_sched::SchedConfig::default()

@@ -46,6 +46,31 @@ pub use server::{serve, ServeStats, ServerConfig, ServerHandle};
 pub use inl_obs::window::{SlidingWindow, WindowSnapshot};
 pub use inl_proto::{BackendChoice, CompileOutcome, FrameLimits, Request, Response};
 
+/// The value of command-line flag `flag`, parsed: `Ok(None)` when absent, an
+/// error naming the flag when its value is missing (the next flag is not a
+/// value) or is not a `T`. What `inl-serve`, `inl-load` and `inl-top` read.
+pub fn flag_value<T: std::str::FromStr>(flag: &str) -> Result<Option<T>, String> {
+    let mut args = std::env::args().skip(1).skip_while(|a| a != flag);
+    if args.next().is_none() {
+        return Ok(None);
+    }
+    let v = args.next().filter(|v| !v.starts_with("--"));
+    let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
+    match v.parse() {
+        Ok(t) => Ok(Some(t)),
+        Err(_) => Err(format!("{flag}: cannot use '{v}'")),
+    }
+}
+
+/// [`flag_value`] for a binary's `main`: an unusable value prints the error
+/// and `usage` and exits 2 instead of silently meaning the default.
+pub fn flag_or_usage<T: std::str::FromStr>(flag: &str, usage: &str) -> Option<T> {
+    flag_value(flag).unwrap_or_else(|e| {
+        eprintln!("{e}\n{usage}");
+        std::process::exit(2)
+    })
+}
+
 /// The process-wide sliding window of served-request latencies.
 ///
 /// Server sessions record every request they answer here (keyed by

@@ -8,23 +8,16 @@
 //! first stdout line (`listening on <addr>` — scripts wait for it), and
 //! serves until a `shutdown` request arrives. Telemetry and timeline
 //! layers are enabled so every request contributes `serve.*` spans and
-//! counters. `--workers 0` (the default) means one per available core.
+//! counters. `--workers 0` (the default) means one per available core; an
+//! unusable flag value prints the usage line and exits 2.
 
-fn flag_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
-}
+use inl_serve::flag_or_usage;
+
+const USAGE: &str = "usage: inl-serve [--addr 127.0.0.1:7878] [--workers N] [--quiet]";
 
 fn main() {
-    let addr = flag_value("--addr").unwrap_or_else(|| "127.0.0.1:7878".to_string());
-    let workers = flag_value("--workers")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(0);
+    let addr = flag_or_usage("--addr", USAGE).unwrap_or_else(|| "127.0.0.1:7878".to_string());
+    let workers: usize = flag_or_usage("--workers", USAGE).unwrap_or(0);
     let quiet = std::env::args().any(|a| a == "--quiet");
 
     inl_obs::set_enabled(true);

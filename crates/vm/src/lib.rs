@@ -68,7 +68,7 @@
 //! Compilation runs under an `inl-obs` `vm.compile` span; execution
 //! batches `vm.instrs` / `vm.instances` counters locally and flushes once
 //! per [`exec_range`] call. The optional [`profile`] mode
-//! (`INL_VM_PROFILE=1`) additionally counts executions per instruction
+//! ([`profile::set_enabled`]) additionally counts executions per instruction
 //! address with the same per-`exec_range` batching, from which hot
 //! opcode/statement/loop tables are derived.
 

@@ -1,10 +1,10 @@
 //! Optional VM opcode profiling: per-instruction-address execution
 //! counts, batched per [`crate::exec_range`] call.
 //!
-//! When enabled (`INL_VM_PROFILE=1` or [`set_enabled`]), the dispatch
-//! loop counts executions per program counter into a stack-local vector
-//! and [`flush`]es it into a global sink once per `exec_range` — the same
-//! batching discipline as the `vm.instrs` counter, so the per-instruction
+//! When enabled ([`set_enabled`]), the dispatch loop counts executions
+//! per program counter into a stack-local vector and [`flush`]es it into
+//! a global sink once per `exec_range` — the same batching discipline as
+//! the `vm.instrs` counter, so the per-instruction
 //! cost is one unconditional array increment in a monomorphised copy of
 //! the loop (the unprofiled copy is untouched; disabled cost is one
 //! relaxed atomic load per `exec_range`, not per instruction).
@@ -27,21 +27,18 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-fn enabled_cell() -> &'static AtomicBool {
-    static ENABLED: OnceLock<AtomicBool> = OnceLock::new();
-    ENABLED.get_or_init(|| AtomicBool::new(inl_obs::env_flag("INL_VM_PROFILE", false)))
-}
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// True iff opcode profiling is on (one relaxed atomic load; checked once
 /// per `exec_range`, not per instruction).
 #[inline]
 pub fn enabled() -> bool {
-    enabled_cell().load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turn profiling on or off at runtime (overrides `INL_VM_PROFILE`).
+/// Turn profiling on or off at runtime.
 pub fn set_enabled(on: bool) {
-    enabled_cell().store(on, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Per-pc execution counts accumulated per [`CompiledProgram::id`].

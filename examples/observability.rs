@@ -5,8 +5,8 @@
 //!
 //! ```sh
 //! cargo run --example observability
-//! # or leave the enable decision to the environment:
-//! INL_OBS=1 cargo run --example observability -- --json target/obs.json
+//! # the same report from any binary, no code changes: name the artifact
+//! INL_OBS_JSON=target/obs.json cargo run --example quickstart
 //! ```
 
 use inl::codegen::generate;
@@ -19,8 +19,8 @@ use inl::obs::{Json, PipelineReport};
 
 fn main() {
     // Telemetry is off by default (the disabled fast path is one atomic
-    // load). `INL_OBS=1` enables it from the environment; this example
-    // always turns it on explicitly so it has something to show.
+    // load); code turns it on. The environment only names where a dump
+    // goes (`INL_OBS_JSON=<path>`, which implies the layer).
     inl::obs::set_enabled(true);
 
     // The quickstart pipeline: analyze, transform, generate, execute.

@@ -11,8 +11,9 @@
 //! # then load target/inl-trace.json in Perfetto
 //! ```
 //!
-//! The same data is available with zero code changes via the environment:
-//! `INL_TRACE_JSON=trace.json INL_VM_PROFILE=1 ./your-binary`.
+//! The trace is available from any binary with zero code changes:
+//! `INL_TRACE_JSON=trace.json ./your-binary`. Opcode profiling is switched
+//! on in code (`inl::vm::profile::set_enabled(true)`).
 
 use inl::exec::{run_fresh, Machine, ParallelExecutor, VmRunner};
 use inl::ir::zoo;

@@ -1,7 +1,7 @@
 //! Differential test for the poly query cache: generated code must be
 //! bitwise identical with the cache disabled, cold, and fully warm.
 //!
-//! This is the end-to-end guarantee behind `INL_POLY_CACHE`: the cache
+//! This is the end-to-end guarantee behind the poly cache switch: the cache
 //! memoizes a deterministic function of the *canonicalized* constraint
 //! system, so it can never change what the pipeline produces — only how
 //! fast it produces it. The twelve legal Cholesky loop-order variants
