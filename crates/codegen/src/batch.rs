@@ -1,17 +1,22 @@
-//! Parallel compile-side batch driver: run the full analysis + codegen
-//! pipeline over many transformation variants across a thread pool.
+//! Batch driver: lower many transformation variants of one program, on
+//! the caller's thread or across a small pool.
 //!
-//! Each job is self-contained — layout, dependence analysis, legality,
-//! code generation — so the driver parallelizes trivially; the poly query
-//! cache (`inl_poly::cache`) is what makes the repeated sub-systems cheap
-//! across jobs. Workers pull jobs from a shared atomic index (the same
-//! work-stealing-free queue idiom as `inl_exec::ParallelExecutor`) and
-//! every job records a `batch.compile` timeline slice tagged with its
-//! variant index, so a Chrome trace shows the per-variant schedule across
-//! worker threads.
+//! What a batch shares is the one thing that does not depend on the
+//! variant: the program's `(InstanceLayout, DependenceMatrix)` pair is
+//! built once per batch and every job lowers its matrix against it (the
+//! poly query cache, `inl_poly::cache`, then makes the repeated
+//! sub-systems cheap across jobs). [`batch_map`] is the job loop itself:
+//! workers pull indices from a shared atomic counter (the same
+//! work-stealing-free queue idiom as `inl_exec::ParallelExecutor`), every
+//! job runs under a `batch.compile` span and a `batch.compile` timeline
+//! slice tagged with its index, so a Chrome trace shows the per-variant
+//! schedule across worker threads — and with one thread there is no pool
+//! at all: the jobs run on the calling thread, where a thread-local
+//! `inl_obs::capture` window sees them.
 //!
-//! This lives in `inl-codegen` so the auto-scheduler can drive its
-//! cache-warm candidate sweep without depending on the report harness.
+//! [`compile_batch`] runs [`generate`] as the job; the auto-scheduler
+//! runs [`crate::generate::build`] over every leaf and `generate` over
+//! the front-runners through the same loop.
 
 use crate::cost::CostFeatures;
 use crate::generate::generate;
@@ -36,59 +41,87 @@ pub struct CompiledVariant {
     /// Static cost features of the variant (the scheduler's ranking
     /// signal), as computed by [`crate::cost::cost_features`].
     pub features: CostFeatures,
-    /// Wall time of this job alone (analysis through codegen).
+    /// Wall time of this job's code generation alone (the batch's one
+    /// dependence analysis is not in it).
     pub wall_ns: u64,
 }
 
-/// Compile every `(label, matrix)` variant of `p` on `threads` worker
-/// threads (`0` = one per available core). Results come back in variant
-/// order regardless of which worker ran which job. Panics if any variant
-/// fails to generate — callers pass matrices already proven legal.
-pub fn compile_batch(
-    p: &Program,
-    variants: &[(String, IMat)],
-    threads: usize,
-) -> Vec<CompiledVariant> {
+/// Run `job(i)` for every `i < n` on `threads` workers (`0` = one per
+/// available core) and return the results in index order, whichever
+/// worker ran which job. Each job runs under a `batch.compile` span and
+/// timeline slice. With one worker (or at most one job) nothing is
+/// spawned: the jobs run on the calling thread.
+pub fn batch_map<T: Send>(n: usize, threads: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        std::thread::available_parallelism().map_or(1, |c| c.get())
     } else {
         threads
     };
+    let run = |i: usize| {
+        let _slice = inl_obs::timeline::scope_args("batch.compile", &[("variant", i as i64)]);
+        let _span = inl_obs::span("batch.compile");
+        job(i)
+    };
+    if threads.min(n) <= 1 {
+        return (0..n).map(run).collect();
+    }
     let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<CompiledVariant>>> =
-        variants.iter().map(|_| Mutex::new(None)).collect();
+    let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(variants.len().max(1)) {
+        for _ in 0..threads.min(n) {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= variants.len() {
+                if i >= n {
                     break;
                 }
-                let (label, m) = &variants[i];
-                let _slice =
-                    inl_obs::timeline::scope_args("batch.compile", &[("variant", i as i64)]);
-                let _span = inl_obs::span("batch.compile");
-                let t0 = Instant::now();
-                let layout = InstanceLayout::new(p);
-                let deps =
-                    analyze(p, &layout).unwrap_or_else(|e| panic!("batch analyze of {label}: {e}"));
-                let result = generate(p, &layout, &deps, m)
-                    .unwrap_or_else(|e| panic!("batch compile of {label}: {e:?}"));
-                let wall_ns = t0.elapsed().as_nanos() as u64;
-                *results[i].lock().unwrap() = Some(CompiledVariant {
-                    label: label.clone(),
-                    pseudocode: result.program.to_pseudocode(),
-                    program: result.program,
-                    features: result.features,
-                    wall_ns,
-                });
+                *results[i]
+                    .lock()
+                    .expect("slot is written once, by one worker") = Some(run(i));
             });
         }
     });
     results
         .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("batch job completed"))
+        .map(|m| {
+            m.into_inner()
+                .expect("a panicking job already unwound the scope")
+                .expect("batch job completed")
+        })
         .collect()
+}
+
+/// Compile every `(label, matrix)` variant of `p` on `threads` worker
+/// threads (`0` = one per available core; `1` = the calling thread).
+/// Results come back in variant order. The program is analysed once for
+/// the whole batch.
+///
+/// # Panics
+///
+/// If the program fails dependence analysis or any variant fails to
+/// generate: callers pass matrices already proven legal. A caller that
+/// cannot make that promise (the scheduler) drives [`batch_map`] itself
+/// and gets the `CodegenError` back.
+pub fn compile_batch(
+    p: &Program,
+    variants: &[(String, IMat)],
+    threads: usize,
+) -> Vec<CompiledVariant> {
+    let layout = InstanceLayout::new(p);
+    let deps = analyze(p, &layout).unwrap_or_else(|e| panic!("batch analyze of {}: {e}", p.name()));
+    batch_map(variants.len(), threads, |i| {
+        let (label, m) = &variants[i];
+        let t0 = Instant::now();
+        let result = generate(p, &layout, &deps, m)
+            .unwrap_or_else(|e| panic!("batch compile of {label}: {e:?}"));
+        let wall_ns = t0.elapsed().as_nanos() as u64;
+        CompiledVariant {
+            label: label.clone(),
+            pseudocode: result.program.to_pseudocode(),
+            program: result.program,
+            features: result.features,
+            wall_ns,
+        }
+    })
 }
 
 #[cfg(test)]

@@ -111,6 +111,15 @@ impl CostFeatures {
     pub fn parallel_slots(&self) -> i64 {
         self.doall.len() as i64
     }
+
+    /// The simplification-invariant part (see [`AccessFeatures`]).
+    pub fn access(&self) -> AccessFeatures {
+        AccessFeatures {
+            max_write_stride: self.max_write_stride,
+            reuse_penalty: self.reuse_penalty,
+            tile_reuse: self.tile_reuse,
+        }
+    }
 }
 
 /// Does loop `l` provably run at most one trip per surrounding
@@ -216,6 +225,67 @@ fn access_penalty(idxs: &[Aff], innermost: VarKey) -> i64 {
     penalty
 }
 
+/// The features that read only the generated program's loop bounds,
+/// subscripts and nesting. Guard simplification rewrites none of those
+/// (it only drops statement guards), so the values are the same on a
+/// variant lowered through `Builder::build()` and on the finished one —
+/// which is what lets the scheduler rank every leaf on them before
+/// simplifying any (see [`crate::generate::BuiltVariant`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AccessFeatures {
+    /// See [`CostFeatures::max_write_stride`].
+    pub max_write_stride: i64,
+    /// See [`CostFeatures::reuse_penalty`].
+    pub reuse_penalty: i64,
+    /// See [`CostFeatures::tile_reuse`].
+    pub tile_reuse: i64,
+}
+
+/// Compute the [`AccessFeatures`] of the generated program `out`.
+pub(crate) fn access_features(out: &Program) -> AccessFeatures {
+    let mut f = AccessFeatures::default();
+    for s in out.stmts() {
+        let sd = out.stmt_decl(s);
+        for a in &sd.write.idxs {
+            for &(v, c) in a.terms() {
+                if matches!(v, VarKey::Loop(_)) {
+                    let mag = c.unsigned_abs().min(i64::MAX as u128) as i64;
+                    f.max_write_stride = f.max_write_stride.max(mag);
+                }
+            }
+        }
+
+        let surrounding = out.loops_surrounding(s);
+        let depth = surrounding.len() as u32;
+        // locality is decided by the innermost loop that actually
+        // iterates; single-trip loops are transparent
+        let effective_inner = surrounding
+            .iter()
+            .rev()
+            .find(|&&m| !single_trip(out, m))
+            .copied();
+        if let Some(inner) = effective_inner {
+            let innermost = VarKey::Loop(inner);
+            let weight = DEPTH_WEIGHT.saturating_pow(depth);
+            let mut accesses: Vec<&[Aff]> = vec![&sd.write.idxs];
+            let mut reads = Vec::new();
+            sd.rhs.collect_reads(&mut reads);
+            for r in &reads {
+                accesses.push(&r.idxs);
+            }
+            for idxs in accesses {
+                f.reuse_penalty = f
+                    .reuse_penalty
+                    .saturating_add(access_penalty(idxs, innermost).saturating_mul(weight));
+                if access_tile_reuse(out, &surrounding, idxs) {
+                    f.tile_reuse += 1;
+                }
+            }
+        }
+    }
+    f
+}
+
 /// Compute the cost features of a generated variant.
 ///
 /// `out` is the *generated* program (after guard simplification); the
@@ -240,63 +310,22 @@ pub fn cost_features(
         (Some(&s), Some(f)) => s > f,
         _ => false,
     };
-
-    let mut max_write_stride = 0i64;
-    let mut guards = 0i64;
-    let mut reuse_penalty = 0i64;
-    let mut tile_reuse = 0i64;
-    for s in out.stmts() {
-        let sd = out.stmt_decl(s);
-        for a in &sd.write.idxs {
-            for &(v, c) in a.terms() {
-                if matches!(v, VarKey::Loop(_)) {
-                    let mag = c.unsigned_abs().min(i64::MAX as u128) as i64;
-                    max_write_stride = max_write_stride.max(mag);
-                }
-            }
-        }
-        guards += sd.guards.len() as i64;
-
-        let surrounding = out.loops_surrounding(s);
-        let depth = surrounding.len() as u32;
-        // locality is decided by the innermost loop that actually
-        // iterates; single-trip loops are transparent
-        let effective_inner = surrounding
-            .iter()
-            .rev()
-            .find(|&&m| !single_trip(out, m))
-            .copied();
-        if let Some(inner) = effective_inner {
-            let innermost = VarKey::Loop(inner);
-            let weight = DEPTH_WEIGHT.saturating_pow(depth);
-            let mut accesses: Vec<&[Aff]> = vec![&sd.write.idxs];
-            let mut reads = Vec::new();
-            sd.rhs.collect_reads(&mut reads);
-            for r in &reads {
-                accesses.push(&r.idxs);
-            }
-            for idxs in accesses {
-                reuse_penalty = reuse_penalty
-                    .saturating_add(access_penalty(idxs, innermost).saturating_mul(weight));
-                if access_tile_reuse(out, &surrounding, idxs) {
-                    tile_reuse += 1;
-                }
-            }
-        }
-    }
-
+    let access = access_features(out);
     CostFeatures {
         deps: deps.deps.len() as i64,
         deps_certain,
         stmts: out.stmts().count() as i64,
         bounds_scanned,
         loops_augmented,
-        guards,
+        guards: out
+            .stmts()
+            .map(|s| out.stmt_decl(s).guards.len() as i64)
+            .sum(),
         doall,
         wavefront,
-        max_write_stride,
-        reuse_penalty,
-        tile_reuse,
+        max_write_stride: access.max_write_stride,
+        reuse_penalty: access.reuse_penalty,
+        tile_reuse: access.tile_reuse,
     }
 }
 

@@ -61,7 +61,9 @@ struct StmtPlan {
     kold: usize,
 }
 
-/// Generate the transformed program for a legal matrix `m`.
+/// Generate the transformed program for a legal matrix `m`: [`build`],
+/// then `BuiltVariant::finish` — two halves in sequence, and the only
+/// way a variant is ever finished, whoever asks.
 pub fn generate(
     p: &Program,
     layout: &InstanceLayout,
@@ -70,6 +72,64 @@ pub fn generate(
 ) -> Result<CodegenResult, CodegenError> {
     let _span = inl_obs::span("codegen.generate");
     inl_obs::timeline::instant("stage.codegen");
+    Ok(build(p, layout, deps, m)?.finish(p, layout, deps, m))
+}
+
+/// A variant lowered as far as the target [`Program`] — legality,
+/// per-statement schedules, Fourier–Motzkin bounds, merge, emission — but
+/// with its guards not yet simplified and no cost features computed.
+///
+/// The program stays private: the only thing readable here is
+/// [`BuiltVariant::access_features`], which guard simplification provably
+/// leaves alone, so no caller can see an unsimplified guard count.
+pub struct BuiltVariant {
+    result: CodegenResult,
+    ast: NewAst,
+    bounds_scanned: i64,
+    loops_augmented: i64,
+}
+
+impl BuiltVariant {
+    /// The three features the scheduler ranks every leaf on. Equal to the
+    /// same fields of the finished variant's [`crate::cost::CostFeatures`].
+    pub fn access_features(&self) -> crate::cost::AccessFeatures {
+        crate::cost::access_features(&self.result.program)
+    }
+
+    /// The second half of [`generate`]: drop the guards the enclosing
+    /// bounds imply and compute the cost features. Takes the arguments
+    /// [`build`] was given.
+    pub(crate) fn finish(
+        self,
+        p: &Program,
+        layout: &InstanceLayout,
+        deps: &DependenceMatrix,
+        m: &IMat,
+    ) -> CodegenResult {
+        let mut result = simplify_guards(self.result);
+        result.features = crate::cost::cost_features(
+            layout,
+            deps,
+            m,
+            &self.ast,
+            &result.program,
+            self.bounds_scanned,
+            self.loops_augmented,
+        );
+        if inl_obs::explain_enabled() {
+            record_cost_features(p, layout, deps, m, &result);
+        }
+        result
+    }
+}
+
+/// The first half of [`generate`]: everything through `Builder::build()`.
+pub fn build(
+    p: &Program,
+    layout: &InstanceLayout,
+    deps: &DependenceMatrix,
+    m: &IMat,
+) -> Result<BuiltVariant, CodegenError> {
     let report = check_legal(p, layout, deps, m)?;
     let ast = match &report.new_ast {
         Ok(a) => a.clone(),
@@ -181,20 +241,12 @@ pub fn generate(
         np,
     };
     let result = builder.build()?;
-    let mut result = simplify_guards(result, p);
-    result.features = crate::cost::cost_features(
-        layout,
-        deps,
-        m,
-        &ast,
-        &result.program,
+    Ok(BuiltVariant {
+        result,
+        ast,
         bounds_scanned,
         loops_augmented,
-    );
-    if inl_obs::explain_enabled() {
-        record_cost_features(p, layout, deps, m, &result);
-    }
-    Ok(result)
+    })
 }
 
 /// Attach per-variant cost features to the explain stream (stage
@@ -873,7 +925,7 @@ impl Builder<'_> {
 
 /// Drop guards implied by the enclosing loops' bounds (and the program
 /// assumptions): the paper's "standard optimizations" step, §5.5.
-fn simplify_guards(result: CodegenResult, _src: &Program) -> CodegenResult {
+fn simplify_guards(result: CodegenResult) -> CodegenResult {
     let mut program = result.program;
     let stmts: Vec<StmtId> = program.stmts().collect();
     for s in stmts {

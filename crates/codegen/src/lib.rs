@@ -37,6 +37,6 @@ pub mod generate;
 #[cfg(test)]
 mod tests;
 
-pub use batch::{compile_batch, CompiledVariant};
-pub use cost::{cost_features, CostFeatures};
-pub use generate::{generate, generate_seq, CodegenError, CodegenResult};
+pub use batch::{batch_map, compile_batch, CompiledVariant};
+pub use cost::{cost_features, AccessFeatures, CostFeatures};
+pub use generate::{build, generate, generate_seq, BuiltVariant, CodegenError, CodegenResult};

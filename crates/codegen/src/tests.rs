@@ -343,3 +343,52 @@ fn infeasible_domain_degrades_to_typed_error() {
         other => panic!("expected typed Unbounded error, got {other:?}"),
     }
 }
+
+#[test]
+fn both_halves_of_generate_agree_on_the_access_features() {
+    // the scheduler ranks on what `build` reports and trusts it to be what
+    // `generate` would report: guard simplification must not move the
+    // access features, whether it drops every guard (identity), most of
+    // them (interchanges, skew) or has to keep some (scaling)
+    let mut checked = 0;
+    let mut check = |p: &Program, m: &IMat| {
+        let layout = InstanceLayout::new(p);
+        let deps = analyze(p, &layout).expect("analysis");
+        let built = crate::build(p, &layout, &deps, m).expect("builds");
+        let ranked_on = built.access_features();
+        let finished = built.finish(p, &layout, &deps, m);
+        assert_eq!(ranked_on, finished.features.access(), "{}", p.name());
+        let whole = generate(p, &layout, &deps, m).expect("generates");
+        assert_eq!(whole.features, finished.features, "{}", p.name());
+        assert_eq!(
+            whole.program.to_pseudocode(),
+            finished.program.to_pseudocode()
+        );
+        checked += 1;
+    };
+    for &(_, ctor) in zoo::ALL {
+        let p = ctor();
+        check(&p, &IMat::identity(InstanceLayout::new(&p).len()));
+    }
+    let p = zoo::wavefront();
+    let layout = InstanceLayout::new(&p);
+    let (i, j) = (looop(&p, "I"), looop(&p, "J"));
+    let skew = Transform::Skew {
+        target: i,
+        source: j,
+        factor: 1,
+    };
+    check(&p, &skew.matrix(&p, &layout));
+    let p = zoo::independent_pair();
+    let layout = InstanceLayout::new(&p);
+    let scale = Transform::Scale {
+        target: p.loops().next().unwrap(),
+        factor: 2,
+    };
+    check(&p, &scale.matrix(&p, &layout));
+    let p = zoo::lu_kij();
+    let layout = InstanceLayout::new(&p);
+    let swap = Transform::Interchange(looop(&p, "I2"), looop(&p, "J"));
+    check(&p, &swap.matrix(&p, &layout));
+    assert_eq!(checked, zoo::ALL.len() + 3);
+}

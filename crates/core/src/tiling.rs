@@ -24,7 +24,7 @@
 //! iteration — so confining it to a tile is what shrinks the reuse
 //! distance past the cache cliff.
 
-use crate::depend::analyze;
+use crate::depend::{analyze, DependenceMatrix};
 use crate::instance::InstanceLayout;
 use crate::legal::{check_legal, LegalityReport};
 use inl_ir::{Access, LoopId, Program, VarKey};
@@ -127,6 +127,15 @@ pub fn split(p: &Program, l: LoopId, tile: Int) -> Result<SplitResult, InlError>
 /// order is still the source order. Emits explain records under the
 /// `tile` stage.
 pub fn split_legal(r: &SplitResult) -> Result<LegalityReport, InlError> {
+    split_legal_with_deps(r).map(|(report, _)| report)
+}
+
+/// [`split_legal`], handing back the split program's dependence matrix the
+/// proof analysed, so a caller that goes on to transform the split program
+/// (the scheduler's tile shape) does not analyse it a second time.
+pub fn split_legal_with_deps(
+    r: &SplitResult,
+) -> Result<(LegalityReport, DependenceMatrix), InlError> {
     let deps = analyze(&r.program, &r.layout)?;
     let m = IMat::identity(r.layout.len());
     let report = check_legal(&r.program, &r.layout, &deps, &m)?;
@@ -169,7 +178,7 @@ pub fn split_legal(r: &SplitResult) -> Result<LegalityReport, InlError> {
             .feature("tile", r.tile as i64);
         }
     }
-    Ok(report)
+    Ok((report, deps))
 }
 
 #[cfg(test)]

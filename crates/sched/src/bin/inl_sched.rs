@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! inl-sched                                # sweep the whole zoo, print the table
-//! inl-sched --program matmul --show       # one program, with chosen pseudocode
+//! inl-sched --program matmul --show       # one program: chosen pseudocode, ranked/finished counts, every variant
 //! inl-sched --json target/BENCH_sched.json # also write the CI gate document
 //! inl-sched --explain-json target/sched-explain.json  # decision provenance
 //! ```
@@ -110,6 +110,11 @@ fn main() -> ExitCode {
             };
             println!("\n{name} (params {params:?}): chosen {}", e.chosen);
             println!("{}", e.chosen_pseudocode);
+            println!(
+                "ranked {} variants, finished {} to choose",
+                e.measured.len(),
+                e.finished
+            );
             println!("variants by cost:");
             for m in &e.measured {
                 println!("  {:<28} {:>10} ns  [{}]", m.label, m.ns, m.cost);

@@ -1,7 +1,8 @@
 //! The variant-ranking key.
 //!
 //! [`Cost`] projects [`inl_codegen::CostFeatures`] onto an ordered tuple;
-//! variants compare lexicographically, field by field, smaller is better:
+//! variants compare lexicographically, field by field, smaller is better.
+//! The first three fields form the [`Leading`] key:
 //!
 //! 1. `neg_tile_reuse` — blocked-reuse credit (stored negated so more
 //!    confined slabs sort first). This must lead: a split deepens the
@@ -15,26 +16,69 @@
 //!    row-jumping ones, the effect the paper's "performance can be quite
 //!    different" remark is about);
 //! 3. `max_write_stride` — prefer dense, unit-stride stores;
-//! 4. `guards` — each surviving guard is a per-instance branch;
+//!
+//! and the last two need the finished variant:
+//!
+//! 4. `guards` — each guard surviving simplification is a per-instance
+//!    branch;
 //! 5. `neg_parallel_slots` — with everything else equal, prefer the
 //!    variant certifying more DOALL loop slots.
 //!
-//! Ties after all five fields are broken on the variant label, making the
-//! chosen variant deterministic for a given program and configuration.
+//! The split is what the two-stage ranking rests on. The leading fields
+//! read only the generated program's loop bounds, subscripts and nesting
+//! ([`inl_codegen::AccessFeatures`]), which guard simplification does not
+//! touch, so they are known for a variant whose guards were never
+//! simplified; and because the order is lexicographic, fields 4–5 can
+//! only ever reorder variants *tied* on the leading key. The scheduler
+//! therefore ranks every leaf on [`Leading`] and computes a full [`Cost`]
+//! only inside the class tied at the minimum.
+//!
+//! Ties after all five fields are broken on reversal count, then on the
+//! variant label, making the chosen variant deterministic for a given
+//! program and configuration.
 
-use inl_codegen::CostFeatures;
+use inl_codegen::{AccessFeatures, CostFeatures};
 use std::fmt;
 
-/// Lexicographic ranking key of one variant (see the module docs; field
-/// order is the comparison order).
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Cost {
+/// The simplification-invariant head of the ranking key (see the module
+/// docs; field order is the comparison order).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Leading {
     /// Negated blocked-reuse credit ([`CostFeatures::tile_reuse`]).
     pub neg_tile_reuse: i64,
     /// Depth-weighted locality penalty ([`CostFeatures::reuse_penalty`]).
     pub reuse_penalty: i64,
     /// Largest write-subscript loop coefficient.
     pub max_write_stride: i64,
+}
+
+impl Leading {
+    /// Project a built variant's access features onto the leading key.
+    pub fn of(f: &AccessFeatures) -> Leading {
+        Leading {
+            neg_tile_reuse: -f.tile_reuse,
+            reuse_penalty: f.reuse_penalty,
+            max_write_stride: f.max_write_stride,
+        }
+    }
+}
+
+impl fmt::Display for Leading {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "tile={} reuse={} stride={}",
+            -self.neg_tile_reuse, self.reuse_penalty, self.max_write_stride
+        )
+    }
+}
+
+/// Lexicographic ranking key of one finished variant (see the module
+/// docs; field order is the comparison order).
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Cost {
+    /// The three fields every leaf is ranked on.
+    pub leading: Leading,
     /// Guards surviving simplification.
     pub guards: i64,
     /// Negated count of certified DOALL slots.
@@ -45,9 +89,7 @@ impl Cost {
     /// Project the features onto the ranking key.
     pub fn of(f: &CostFeatures) -> Cost {
         Cost {
-            neg_tile_reuse: -f.tile_reuse,
-            reuse_penalty: f.reuse_penalty,
-            max_write_stride: f.max_write_stride,
+            leading: Leading::of(&f.access()),
             guards: f.guards,
             neg_parallel_slots: -f.parallel_slots(),
         }
@@ -58,12 +100,8 @@ impl fmt::Display for Cost {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "tile={} reuse={} stride={} guards={} doall={}",
-            -self.neg_tile_reuse,
-            self.reuse_penalty,
-            self.max_write_stride,
-            self.guards,
-            -self.neg_parallel_slots
+            "{} guards={} doall={}",
+            self.leading, self.guards, -self.neg_parallel_slots
         )
     }
 }
@@ -75,16 +113,20 @@ mod tests {
     #[test]
     fn ordering_is_lexicographic() {
         let base = Cost {
-            neg_tile_reuse: 0,
-            reuse_penalty: 10,
-            max_write_stride: 1,
+            leading: Leading {
+                neg_tile_reuse: 0,
+                reuse_penalty: 10,
+                max_write_stride: 1,
+            },
             guards: 0,
             neg_parallel_slots: 0,
         };
         let worse_locality = Cost {
-            neg_tile_reuse: 0,
-            reuse_penalty: 11,
-            max_write_stride: 0,
+            leading: Leading {
+                reuse_penalty: 11,
+                max_write_stride: 0,
+                ..base.leading
+            },
             guards: 0,
             neg_parallel_slots: -3,
         };
@@ -97,10 +139,19 @@ mod tests {
         // blocked reuse outranks even a much smaller locality penalty:
         // the deeper tiled nest necessarily inflates reuse_penalty
         let tiled = Cost {
-            neg_tile_reuse: -1,
-            reuse_penalty: 1_000_000,
+            leading: Leading {
+                neg_tile_reuse: -1,
+                reuse_penalty: 1_000_000,
+                ..base.leading
+            },
             ..base.clone()
         };
         assert!(tiled < base, "tile reuse dominates the ranking");
+        // the tail can only reorder variants tied on the leading key
+        let fewer_guards = Cost {
+            guards: -5,
+            ..worse_locality.clone()
+        };
+        assert!(base < fewer_guards, "no tail outranks a leading field");
     }
 }

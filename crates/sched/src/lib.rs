@@ -26,14 +26,31 @@
 //! [`inl_core::complete::check_prefix`]: the first dependence whose
 //! projection goes lexicographically negative kills the entire subtree,
 //! which is what keeps the tree far below the `Σ_d P(L,d)·2^d` exhaustive
-//! node count (see [`SearchStats::prune_rate_pct`]). Surviving variants
-//! are compiled through [`inl_codegen::compile_batch`] — a cache-warm
-//! batched sweep, not N cold compiles — and ranked by the static
-//! [`Cost`] key computed from each variant's
-//! [`inl_codegen::CostFeatures`]. Every decision (pruned subtree,
-//! dominated variant, chosen variant) is recorded as `inl_obs::explain`
-//! evidence under a `sched/<program>` session, so `inl-explain query` can
-//! answer *why this order*.
+//! node count (see [`SearchStats::prune_rate_pct`]).
+//!
+//! What a schedule costs is **one dependence analysis per shape** and
+//! **one guard simplification per front-runner**:
+//!
+//! * the dependence matrix is a property of the shape's *program*, not of
+//!   a candidate, so each shape is analysed once when it is enumerated and
+//!   the search, the per-leaf lowering, alignment and [`ScheduleResult::materialise`]
+//!   all test their matrices against that one analysis;
+//! * the static [`Cost`] key is lexicographic and its three [`Leading`]
+//!   fields read only loop bounds, subscripts and nesting of the generated
+//!   program — nothing guard simplification rewrites. So every legal leaf
+//!   is lowered through the first half of code generation
+//!   ([`inl_codegen::build`]) and **ranked** on the leading fields, and
+//!   only the class tied at the minimum is **finished**
+//!   ([`inl_codegen::generate()`]: guard simplification, the remaining
+//!   features, pseudocode), where `guards`, `parallel_slots`, reversal
+//!   count and label break the tie. The chosen variant is the one a
+//!   finish-everything sort would pick (`tests/search_sound.rs` holds that
+//!   oracle over the whole zoo); the other variants keep what was computed
+//!   for them and are finished on demand.
+//!
+//! Every decision (pruned subtree, dominated variant, chosen variant) is
+//! recorded as `inl_obs::explain` evidence under a `sched/<program>`
+//! session, so `inl-explain query` can answer *why this order*.
 //!
 //! ```
 //! use inl_ir::zoo;
@@ -52,16 +69,15 @@ mod cost;
 mod search;
 pub mod sweep;
 
-pub use cost::Cost;
+pub use cost::{Cost, Leading};
 pub use search::SearchStats;
 
-use inl_codegen::{compile_batch, generate, CostFeatures};
+use inl_codegen::{batch_map, build, generate, CodegenError, CostFeatures};
 use inl_core::complete::CompletionError;
-use inl_core::depend::analyze;
-use inl_core::instance::InstanceLayout;
 use inl_core::transform::Transform;
 use inl_ir::Program;
 use inl_linalg::{IMat, InlError};
+use search::Shape;
 use std::fmt;
 
 /// Why scheduling failed.
@@ -72,6 +88,14 @@ pub enum SchedError {
     /// A prefix-legality probe failed (arithmetic overflow or a
     /// polyhedral budget, not an illegal prefix — those are pruned).
     Prefix(CompletionError),
+    /// A leaf the search proved legal failed to lower (bound merge,
+    /// overflow, a polyhedral budget).
+    Codegen {
+        /// Label of the variant that failed.
+        label: String,
+        /// What code generation reported.
+        error: CodegenError,
+    },
     /// The search found no legal variant (the identity shape's identity
     /// order is always legal for well-formed programs, so this signals a
     /// malformed input or an exhausted budget).
@@ -83,6 +107,9 @@ impl fmt::Display for SchedError {
         match self {
             SchedError::Analysis(e) => write!(f, "analysis failed: {e}"),
             SchedError::Prefix(e) => write!(f, "prefix check failed: {e:?}"),
+            SchedError::Codegen { label, error } => {
+                write!(f, "code generation of variant {label} failed: {error:?}")
+            }
             SchedError::NoLegalVariant => write!(f, "no legal variant found"),
         }
     }
@@ -111,8 +138,8 @@ pub struct SchedConfig {
     /// no [`Cost`] field depends on it, so a second size could only add
     /// label-twins that lose the tie-break.
     pub tile: bool,
-    /// Worker threads for the candidate compile sweep (default 0 = one
-    /// per core).
+    /// Worker threads for lowering the candidates (default 0 = one per
+    /// core; 1 = everything on the calling thread).
     pub threads: usize,
     /// Repetitions per variant when the sweep *measures* execution
     /// (default 3; the minimum is kept).
@@ -133,7 +160,7 @@ impl Default for SchedConfig {
     }
 }
 
-/// One legal variant the search produced, fully compiled.
+/// One legal variant, finished: generated, guards simplified, printed.
 #[derive(Clone, Debug)]
 pub struct ScheduledVariant {
     /// Display label: optional shape prefix, loop order with `'` marking
@@ -154,24 +181,103 @@ pub struct ScheduledVariant {
     pub cost: Cost,
 }
 
+/// One legal variant as the ranking left it: what was computed for it and
+/// nothing more. [`ScheduleResult::materialise`] finishes it.
+#[derive(Clone, Debug)]
+pub struct RankedVariant {
+    /// Display label (see [`ScheduledVariant::label`]).
+    pub label: String,
+    /// The shape this variant lives in (`""` = identity shape).
+    pub shape: String,
+    /// The completed transformation matrix over the shape's program.
+    pub matrix: IMat,
+    /// The three cost fields every leaf is ranked on.
+    pub leading: Leading,
+    /// The full key — `Some` exactly for the variants tied with the chosen
+    /// one on [`Leading`], the only ones that were finished. Its `guards`
+    /// is the simplified count; an unsimplified one is never stored.
+    pub cost: Option<Cost>,
+}
+
+impl RankedVariant {
+    /// Reversed loops in the label: between equal keys the variant with
+    /// fewer wins (a reversal buys nothing when the cost is identical).
+    fn reversals(&self) -> usize {
+        self.label.matches('\'').count()
+    }
+}
+
 /// The outcome of a [`schedule`] run.
 #[derive(Clone, Debug)]
 pub struct ScheduleResult {
-    /// Every legal variant, sorted by cost (best first — `variants[0]`
-    /// is the chosen one).
-    pub variants: Vec<ScheduledVariant>,
+    chosen: ScheduledVariant,
+    shapes: Vec<Shape>,
+    /// Every legal variant in rank order, best first (`variants[0]` is the
+    /// chosen one): by [`Leading`]; inside the front class by the rest of
+    /// [`Cost`]; then by reversal count and label.
+    pub variants: Vec<RankedVariant>,
     /// Search counters (deterministic; CI-gated).
     pub stats: SearchStats,
-    /// Labels of all legal variants in cost order (convenience mirror of
+    /// Labels of all legal variants in rank order (convenience mirror of
     /// `variants`).
     pub legal: Vec<String>,
 }
 
 impl ScheduleResult {
-    /// The chosen (cost-minimal) variant.
+    /// The chosen (cost-minimal) variant, fully materialised.
     pub fn chosen(&self) -> &ScheduledVariant {
-        &self.variants[0]
+        &self.chosen
     }
+
+    /// How many variants were finished to break the tie at the front
+    /// (`variants.len()` were ranked).
+    pub fn finished(&self) -> usize {
+        self.variants.iter().filter(|v| v.cost.is_some()).count()
+    }
+
+    /// Finish `variants[i]` — generate, simplify guards, print — against
+    /// its shape's stored analysis. For callers that execute or measure
+    /// every variant, not just the chosen one.
+    pub fn materialise(&self, i: usize) -> Result<ScheduledVariant, SchedError> {
+        finish(&self.shapes, &self.variants[i])
+    }
+
+    /// [`materialise`](Self::materialise) every variant, in rank order, on
+    /// `threads` workers (as [`SchedConfig::threads`]).
+    pub fn materialise_all(&self, threads: usize) -> Result<Vec<ScheduledVariant>, SchedError> {
+        batch_map(self.variants.len(), threads, |i| self.materialise(i))
+            .into_iter()
+            .collect()
+    }
+}
+
+/// The shape a variant's `shape` label names.
+fn shape_named<'a>(shapes: &'a [Shape], label: &str) -> &'a Shape {
+    shapes
+        .iter()
+        .find(|s| s.label == label)
+        .expect("every variant's shape is among the enumerated shapes")
+}
+
+/// The second stage for one variant: the whole of [`generate`] plus
+/// pseudocode, against the variant's shape.
+fn finish(shapes: &[Shape], v: &RankedVariant) -> Result<ScheduledVariant, SchedError> {
+    let shape = shape_named(shapes, &v.shape);
+    let r = generate(&shape.program, &shape.layout, &shape.deps, &v.matrix).map_err(|error| {
+        SchedError::Codegen {
+            label: v.label.clone(),
+            error,
+        }
+    })?;
+    Ok(ScheduledVariant {
+        label: v.label.clone(),
+        shape: v.shape.clone(),
+        matrix: v.matrix.clone(),
+        pseudocode: r.program.to_pseudocode(),
+        program: r.program,
+        cost: Cost::of(&r.features),
+        features: r.features,
+    })
 }
 
 /// Search the transformation space of `p` with the default configuration
@@ -194,55 +300,90 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
     let shapes = search::enumerate_shapes(p, cfg)?;
     stats.shapes = shapes.len() as u64;
 
-    let mut variants: Vec<ScheduledVariant> = Vec::new();
+    // the legal leaves of every shape's tree, each paired with its shape
+    let mut leaves: Vec<(&Shape, String, IMat)> = Vec::new();
     for shape in &shapes {
-        let found = search::search_shape(&shape.label, &shape.program, cfg, &mut stats)?;
-        if found.is_empty() {
-            continue;
-        }
-        let compiled = compile_batch(&shape.program, &found, cfg.threads);
-        for (cv, (_, matrix)) in compiled.into_iter().zip(found) {
-            let label = format!("{}{}", search::shape_prefix(&shape.label), cv.label);
-            let cost = Cost::of(&cv.features);
-            variants.push(ScheduledVariant {
-                label,
-                shape: shape.label.clone(),
-                matrix,
-                program: cv.program,
-                pseudocode: cv.pseudocode,
-                features: cv.features,
-                cost,
-            });
+        for (label, matrix) in search::search_shape(shape, cfg, &mut stats)? {
+            let label = format!("{}{label}", search::shape_prefix(&shape.label));
+            leaves.push((shape, label, matrix));
         }
     }
-    if variants.is_empty() {
+    if leaves.is_empty() {
         return Err(SchedError::NoLegalVariant);
     }
-    // ties: prefer fewer reversed loops (a reversal buys nothing when the
-    // cost is identical), then the lexicographically first label
+
+    // stage 1: lower every leaf as far as the target program and rank it
+    // on the fields guard simplification cannot change
+    let ranked = {
+        let _span = inl_obs::span("sched.rank");
+        inl_obs::counter_add!("sched.variants_ranked", leaves.len());
+        batch_map(leaves.len(), cfg.threads, |i| {
+            let (shape, _, matrix) = &leaves[i];
+            build(&shape.program, &shape.layout, &shape.deps, matrix)
+                .map(|b| Leading::of(&b.access_features()))
+        })
+    };
+    let mut variants = Vec::with_capacity(leaves.len());
+    for ((shape, label, matrix), leading) in leaves.into_iter().zip(ranked) {
+        let leading = match leading {
+            Ok(l) => l,
+            Err(error) => return Err(SchedError::Codegen { label, error }),
+        };
+        variants.push(RankedVariant {
+            label,
+            shape: shape.label.clone(),
+            matrix,
+            leading,
+            cost: None,
+        });
+    }
+
+    // stage 2: finish the class tied at the minimum — the lexicographic
+    // tail (guards, DOALL slots) can reorder nothing else
+    let best = variants.iter().map(|v| v.leading).min().expect("non-empty");
+    let front: Vec<usize> = (0..variants.len())
+        .filter(|&i| variants[i].leading == best)
+        .collect();
+    let mut finished = {
+        let _span = inl_obs::span("sched.finish");
+        inl_obs::counter_add!("sched.variants_finished", front.len());
+        batch_map(front.len(), cfg.threads, |k| {
+            finish(&shapes, &variants[front[k]])
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?
+    };
+    for (&i, f) in front.iter().zip(&finished) {
+        variants[i].cost = Some(f.cost.clone());
+    }
+    // `cost` is `Some` on the whole front class and `None` on every other,
+    // so inside a class it compares like with like
     variants.sort_by(|a, b| {
-        a.cost
-            .cmp(&b.cost)
-            .then_with(|| {
-                a.label
-                    .matches('\'')
-                    .count()
-                    .cmp(&b.label.matches('\'').count())
-            })
-            .then_with(|| a.label.cmp(&b.label))
+        (a.leading, &a.cost, a.reversals(), &a.label).cmp(&(
+            b.leading,
+            &b.cost,
+            b.reversals(),
+            &b.label,
+        ))
     });
+    let winner = finished
+        .iter()
+        .position(|f| f.label == variants[0].label)
+        .expect("the front class was finished");
+    let mut chosen = finished.swap_remove(winner);
 
     if cfg.align {
-        let shape_program = shapes
-            .iter()
-            .find(|s| s.label == variants[0].shape)
-            .map(|s| s.program.clone())
-            .expect("chosen variant's shape");
-        refine_alignment(&shape_program, &mut variants[0], &mut stats)?;
+        refine_alignment(shape_named(&shapes, &chosen.shape), &mut chosen, &mut stats);
+        variants[0] = RankedVariant {
+            label: chosen.label.clone(),
+            shape: chosen.shape.clone(),
+            matrix: chosen.matrix.clone(),
+            leading: chosen.cost.leading,
+            cost: Some(chosen.cost.clone()),
+        };
     }
 
     if explain {
-        let chosen = &variants[0];
         inl_obs::explain::accept(
             "sched",
             format!("variant {} of {}", chosen.label, p.name()),
@@ -259,21 +400,33 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
         .feature("nodes_pruned", stats.pruned_nodes as i64)
         .feature("reuse_penalty", chosen.features.reuse_penalty);
         for v in variants.iter().skip(1) {
-            inl_obs::explain::note(
+            let reason = match &v.cost {
+                Some(c) => format!(
+                    "legal but dominated: cost ({c}) vs chosen ({})",
+                    chosen.cost
+                ),
+                None => format!(
+                    "legal but dominated on the leading fields, never finished: ({}) vs \
+                     chosen ({})",
+                    v.leading, chosen.cost.leading
+                ),
+            };
+            let rec = inl_obs::explain::note(
                 "sched",
                 format!("variant {} of {}", v.label, p.name()),
-                format!(
-                    "legal but dominated: cost ({}) vs chosen ({})",
-                    v.cost, variants[0].cost
-                ),
+                reason,
             )
-            .feature("reuse_penalty", v.features.reuse_penalty)
-            .feature("guards", v.features.guards);
+            .feature("reuse_penalty", v.leading.reuse_penalty);
+            if let Some(c) = &v.cost {
+                rec.feature("guards", c.guards);
+            }
         }
     }
 
     let legal = variants.iter().map(|v| v.label.clone()).collect();
     Ok(ScheduleResult {
+        chosen,
+        shapes,
         variants,
         stats,
         legal,
@@ -283,14 +436,14 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
 /// Try statement-alignment offsets (§4.3) on the front-runner: compose
 /// `Align(stmt, loop, ±1)` with the chosen matrix and adopt the result
 /// only when it generates legally *and* strictly improves the cost.
-fn refine_alignment(
-    shape_p: &Program,
-    chosen: &mut ScheduledVariant,
-    stats: &mut SearchStats,
-) -> Result<(), SchedError> {
+fn refine_alignment(shape: &Shape, chosen: &mut ScheduledVariant, stats: &mut SearchStats) {
     let _span = inl_obs::span("sched.align");
-    let layout = InstanceLayout::new(shape_p);
-    let deps = analyze(shape_p, &layout).map_err(SchedError::Analysis)?;
+    let Shape {
+        program: shape_p,
+        layout,
+        deps,
+        ..
+    } = shape;
     let explain = inl_obs::explain_enabled();
     for s in shape_p.stmts() {
         for &l in &shape_p.loops_surrounding(s) {
@@ -301,14 +454,14 @@ fn refine_alignment(
                     offset,
                 };
                 // statements without a distinguishing edge can't be aligned
-                let Ok(am) = t.try_matrix(shape_p, &layout) else {
+                let Ok(am) = t.try_matrix(shape_p, layout) else {
                     continue;
                 };
                 let Ok(m2) = am.checked_mul(&chosen.matrix) else {
                     continue;
                 };
                 stats.align_tried += 1;
-                let Ok(r) = generate(shape_p, &layout, &deps, &m2) else {
+                let Ok(r) = generate(shape_p, layout, deps, &m2) else {
                     continue; // illegal alignment: not an improvement
                 };
                 let cost = Cost::of(&r.features);
@@ -336,7 +489,6 @@ fn refine_alignment(
             }
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -393,9 +545,10 @@ mod tests {
             tiled += 1;
             let costs = |t| -> Vec<(String, Cost)> {
                 let split = inl_core::tiling::split(&p, l, t).expect("splits").program;
+                let shape = Shape::analysed(String::new(), split).expect("analyses");
                 let mut stats = SearchStats::default();
-                let found = search::search_shape("", &split, &cfg, &mut stats).expect("searches");
-                compile_batch(&split, &found, 1)
+                let found = search::search_shape(&shape, &cfg, &mut stats).expect("searches");
+                inl_codegen::compile_batch(&shape.program, &found, 1)
                     .into_iter()
                     .map(|cv| (cv.label, Cost::of(&cv.features)))
                     .collect()
@@ -411,16 +564,57 @@ mod tests {
     #[test]
     fn every_variant_is_legal_and_equivalent() {
         // every returned variant must execute bitwise-identically to the
-        // source program — across shapes, reversals, and alignment.
+        // source program — across shapes, reversals, and alignment. Only
+        // the front class comes back finished; the rest are materialised
+        // here, and what the ranking stored must be what finishing finds.
         let p = zoo::simple_cholesky();
         let r = schedule_with(&p, &quiet_cfg()).expect("schedules");
         let init = zoo::spd_init;
-        for v in &r.variants {
-            let src = inl_exec::run_fresh(&p, &[8], &init);
+        let src = inl_exec::run_fresh(&p, &[8], &init);
+        assert!(r.finished() >= 1 && r.finished() < r.variants.len());
+        for (i, ranked) in r.variants.iter().enumerate() {
+            let v = r.materialise(i).expect("finishes");
+            assert_eq!(v.label, ranked.label);
+            assert_eq!(v.cost.leading, ranked.leading, "{}", v.label);
+            if let Some(c) = &ranked.cost {
+                assert_eq!(&v.cost, c, "{}: stored key is the finished one", v.label);
+            }
             let got = inl_exec::run_fresh(&v.program, &[8], &init);
             src.same_state(&got)
                 .unwrap_or_else(|e| panic!("variant {} diverged: {e}", v.label));
         }
+        assert_eq!(
+            r.materialise(0).expect("finishes").pseudocode,
+            r.chosen().pseudocode
+        );
+    }
+
+    #[test]
+    fn each_shape_is_analysed_once_and_only_the_front_is_finished() {
+        // one `depend.analyze` per distinct shape program — not one per
+        // stage, let alone one per variant — and guard simplification only
+        // on the class tied at the front. One thread, so the thread-local
+        // capture sees all of it.
+        let (r, cap) = inl_obs::capture::with(|| schedule_with(&zoo::cholesky_kij(), &quiet_cfg()));
+        let r = r.expect("schedules");
+        let closed = |leaf: &str| -> u64 {
+            cap.stages
+                .iter()
+                .filter(|(path, _)| path.rsplit('/').next() == Some(leaf))
+                .map(|(_, s)| s.count)
+                .sum()
+        };
+        assert_eq!(r.stats.shapes, 3, "identity, tile(L@16), jam(I+I2)");
+        assert_eq!(closed("depend.analyze"), r.stats.shapes);
+        assert_eq!(closed("sched.rank"), 1);
+        assert_eq!(closed("sched.finish"), 1);
+        let ranked = cap.counters["sched.variants_ranked"];
+        let finished = cap.counters["sched.variants_finished"];
+        assert_eq!(ranked, r.stats.legal_variants);
+        assert_eq!(ranked, r.variants.len() as u64);
+        assert_eq!(finished, r.finished() as u64);
+        assert_eq!(finished, 4, "the class tied on the leading fields");
+        assert_eq!(closed("batch.compile"), ranked + finished);
     }
 
     #[test]
@@ -483,7 +677,7 @@ mod tests {
             assert!(
                 r.chosen().shape.is_empty(),
                 "{}: chosen {}",
-                r.variants[0].program.name(),
+                r.chosen().program.name(),
                 r.chosen().label
             );
         }

@@ -70,13 +70,34 @@ impl SearchStats {
     }
 }
 
-/// One program shape: the structural-transformation axis of the space.
+/// One program shape: the structural-transformation axis of the space,
+/// with the one dependence analysis every candidate matrix of the shape
+/// is tested against (the search, the per-leaf lowering, alignment and
+/// on-demand materialisation all borrow this pair; nothing re-analyses).
 #[derive(Clone, Debug)]
 pub struct Shape {
     /// `""` for the identity shape, else e.g. `"dist(K@1)"` / `"jam(I+I2)"`.
     pub label: String,
     /// The shaped program (the identity shape is the source program).
     pub program: Program,
+    /// Instance layout of `program`.
+    pub layout: InstanceLayout,
+    /// Dependence matrix of `program` over `layout`.
+    pub deps: DependenceMatrix,
+}
+
+impl Shape {
+    /// Lay out and analyse `program` — once; the shape owns the result.
+    pub(crate) fn analysed(label: String, program: Program) -> Result<Shape, SchedError> {
+        let layout = InstanceLayout::new(&program);
+        let deps = analyze(&program, &layout).map_err(SchedError::Analysis)?;
+        Ok(Shape {
+            label,
+            program,
+            layout,
+            deps,
+        })
+    }
 }
 
 /// `n·(n-1)·…·(n-k+1)` — permutations of `k` out of `n`.
@@ -101,32 +122,42 @@ fn subtree_nodes(remaining: u64, r: u64) -> u64 {
 /// distribution and loop fusion. Illegal candidates are recorded as
 /// explain rejections (stage `sched`).
 pub(crate) fn enumerate_shapes(p: &Program, cfg: &SchedConfig) -> Result<Vec<Shape>, SchedError> {
-    let mut shapes = vec![Shape {
-        label: String::new(),
-        program: p.clone(),
-    }];
+    let identity = Shape::analysed(String::new(), p.clone())?;
+    let mut shapes = Vec::new();
     let explain = inl_obs::explain_enabled();
     if cfg.tile {
         enumerate_tiles(p, explain, &mut shapes)?;
     }
-    if !cfg.shapes {
-        return Ok(shapes);
+    if cfg.shapes {
+        enumerate_structural(&identity, explain, &mut shapes)?;
     }
-    let layout = InstanceLayout::new(p);
-    let deps = analyze(p, &layout).map_err(SchedError::Analysis)?;
+    shapes.insert(0, identity);
+    Ok(shapes)
+}
+
+/// The jam/distribute part of the shape axis, decided on the identity
+/// shape's dependence matrix.
+fn enumerate_structural(
+    identity: &Shape,
+    explain: bool,
+    shapes: &mut Vec<Shape>,
+) -> Result<(), SchedError> {
+    let Shape {
+        program: p,
+        layout,
+        deps,
+        ..
+    } = identity;
 
     // one-level distributions: split any loop with >= 2 children
     for l in p.loops() {
         let ld = p.loop_decl(l);
         for split in 1..ld.children.len() {
-            let legal = distribution_legal(p, &deps, l, split).map_err(SchedError::Analysis)?;
+            let legal = distribution_legal(p, deps, l, split).map_err(SchedError::Analysis)?;
             let label = format!("dist({}@{split})", ld.name);
             if legal {
-                let r = distribute(p, &layout, l, split).map_err(SchedError::Analysis)?;
-                shapes.push(Shape {
-                    label,
-                    program: r.target,
-                });
+                let r = distribute(p, layout, l, split).map_err(SchedError::Analysis)?;
+                shapes.push(Shape::analysed(label, r.target)?);
             } else if explain {
                 inl_obs::explain::reject(
                     "sched",
@@ -155,13 +186,10 @@ pub(crate) fn enumerate_shapes(p: &Program, cfg: &SchedConfig) -> Result<Vec<Sha
             let label = format!("jam({}+{})", p.loop_decl(a).name, p.loop_decl(b).name);
             // structurally un-jammable pairs (mismatched bounds/steps) are
             // not candidates at all; only a *dependence* veto is a decision
-            match jamming_legal(p, &deps, parent, idx) {
+            match jamming_legal(p, deps, parent, idx) {
                 Ok(true) => {
-                    let r = jam(p, &layout, parent, idx).map_err(SchedError::Analysis)?;
-                    shapes.push(Shape {
-                        label,
-                        program: r.target,
-                    });
+                    let r = jam(p, layout, parent, idx).map_err(SchedError::Analysis)?;
+                    shapes.push(Shape::analysed(label, r.target)?);
                 }
                 Ok(false) => {
                     if explain {
@@ -177,7 +205,7 @@ pub(crate) fn enumerate_shapes(p: &Program, cfg: &SchedConfig) -> Result<Vec<Sha
             }
         }
     }
-    Ok(shapes)
+    Ok(())
 }
 
 /// The one tile size the tile axis strip-mines by. No field of
@@ -190,9 +218,10 @@ pub(crate) const TILE_SIZE: inl_ir::Int = 16;
 /// The tile axis: strip-mine the innermost reuse-carrying loop by
 /// [`TILE_SIZE`]. An admitted split becomes a shape whose own
 /// permutation×reversal tree is prefix-pruned like every other shape's.
-/// `inl_core::tiling::split_legal` records the accept/reject explain
-/// evidence under the `tile` stage; the no-candidate case is rejected
-/// here.
+/// The legality proof (`inl_core::tiling::split_legal_with_deps`) records
+/// the accept/reject explain evidence under the `tile` stage and hands
+/// back the dependence matrix it analysed, which the shape keeps; the
+/// no-candidate case is rejected here.
 fn enumerate_tiles(p: &Program, explain: bool, shapes: &mut Vec<Shape>) -> Result<(), SchedError> {
     let Some(l) = inl_core::tiling::innermost_reuse_loop(p) else {
         if explain {
@@ -206,11 +235,14 @@ fn enumerate_tiles(p: &Program, explain: bool, shapes: &mut Vec<Shape>) -> Resul
         return Ok(());
     };
     let r = inl_core::tiling::split(p, l, TILE_SIZE).map_err(SchedError::Analysis)?;
-    let report = inl_core::tiling::split_legal(&r).map_err(SchedError::Analysis)?;
+    let (report, deps) =
+        inl_core::tiling::split_legal_with_deps(&r).map_err(SchedError::Analysis)?;
     if report.is_legal() {
         shapes.push(Shape {
             label: format!("tile({}@{TILE_SIZE})", p.loop_decl(l).name),
             program: r.program,
+            layout: r.layout,
+            deps,
         });
     }
     Ok(())
@@ -224,14 +256,17 @@ pub(crate) type ShapeVariant = (String, IMat);
 /// variants; updates `stats` (including `nodes_exhaustive` for this
 /// shape's tree).
 pub(crate) fn search_shape(
-    shape_label: &str,
-    p: &Program,
+    shape: &Shape,
     cfg: &SchedConfig,
     stats: &mut SearchStats,
 ) -> Result<Vec<ShapeVariant>, SchedError> {
     let _span = inl_obs::span("sched.search");
-    let layout = InstanceLayout::new(p);
-    let deps = analyze(p, &layout).map_err(SchedError::Analysis)?;
+    let Shape {
+        label: shape_label,
+        program: p,
+        layout,
+        deps,
+    } = shape;
     // `p.loops()` enumerates the decl table; a jammed shape keeps the
     // fused-away loop as an orphan decl with no layout position, so only
     // loops the layout actually embeds are searchable
@@ -245,8 +280,8 @@ pub(crate) fn search_shape(
     let mut ctx = Dfs {
         shape_label,
         p,
-        layout: &layout,
-        deps: &deps,
+        layout,
+        deps,
         cfg,
         stats,
         signs,

@@ -41,13 +41,14 @@ pub fn sweep_targets() -> Vec<SweepTarget> {
         .collect()
 }
 
-/// One measured variant: cost-rank order is the `Vec` order in
-/// [`SweepEntry::measured`].
+/// One measured variant: the scheduler's rank order is the `Vec` order
+/// in [`SweepEntry::measured`].
 #[derive(Clone, Debug)]
 pub struct MeasuredVariant {
     /// The variant's display label.
     pub label: String,
-    /// Its static ranking key.
+    /// Its full static key, from the variant as finished for measuring
+    /// (the scheduler itself computed it only for the front class).
     pub cost: Cost,
     /// Minimum wall time over the configured repetitions, nanoseconds.
     pub ns: u64,
@@ -64,8 +65,11 @@ pub struct SweepEntry {
     pub chosen: String,
     /// Pseudocode of the chosen variant (what `inl-sched --show` prints).
     pub chosen_pseudocode: String,
-    /// Every legal variant in cost order, with its measured runtime.
+    /// Every legal variant in rank order, with its measured runtime.
     pub measured: Vec<MeasuredVariant>,
+    /// How many of them the schedule itself finished (the class tied with
+    /// the chosen one on the leading cost fields); all were ranked.
+    pub finished: usize,
     /// Measured runtime of the chosen variant, nanoseconds.
     pub chosen_ns: u64,
     /// Fastest measured variant, nanoseconds.
@@ -108,7 +112,7 @@ impl SweepEntry {
     }
 }
 
-/// Schedule one program and measure every legal variant.
+/// Schedule one program, finish every legal variant and measure it.
 pub fn sweep_program(
     name: &str,
     p: &Program,
@@ -121,15 +125,15 @@ pub fn sweep_program(
     let search_ns = t0.elapsed().as_nanos() as u64;
 
     let t1 = Instant::now();
+    // the schedule finished only its front-runners; measuring needs every
+    // variant's program, so finish the rest now, against the analyses the
+    // result already holds
+    let variants = result.materialise_all(cfg.threads)?;
     // compile every variant once, then one untimed warmup run each: the
     // first execution pays cold caches and page faults that would
     // otherwise skew min-of-reps
-    let runners: Vec<VmRunner> = result
-        .variants
-        .iter()
-        .map(|v| VmRunner::new(&v.program))
-        .collect();
-    for (v, runner) in result.variants.iter().zip(&runners) {
+    let runners: Vec<VmRunner> = variants.iter().map(|v| VmRunner::new(&v.program)).collect();
+    for (v, runner) in variants.iter().zip(&runners) {
         let mut warm = Machine::new(&v.program, params, &spd_init);
         runner.run(&mut warm);
     }
@@ -137,18 +141,17 @@ pub fn sweep_program(
     // variant-major): back-to-back timing of one variant confounds its
     // runtime with drift — frequency ramp-up, cache state — and the
     // drift always lands on whichever variant runs first (the chosen
-    // one, since variants are measured in cost order)
-    let mut best_ns_per: Vec<u64> = vec![u64::MAX; result.variants.len()];
+    // one, since variants are measured in rank order)
+    let mut best_ns_per: Vec<u64> = vec![u64::MAX; variants.len()];
     for _ in 0..cfg.measure_reps.max(1) {
-        for ((v, runner), best) in result.variants.iter().zip(&runners).zip(&mut best_ns_per) {
+        for ((v, runner), best) in variants.iter().zip(&runners).zip(&mut best_ns_per) {
             let mut m = Machine::new(&v.program, params, &spd_init);
             let t = Instant::now();
             runner.run(&mut m);
             *best = (*best).min(t.elapsed().as_nanos() as u64);
         }
     }
-    let measured: Vec<MeasuredVariant> = result
-        .variants
+    let measured: Vec<MeasuredVariant> = variants
         .iter()
         .zip(best_ns_per)
         .map(|(v, ns)| MeasuredVariant {
@@ -161,14 +164,17 @@ pub fn sweep_program(
 
     let (chosen_ns, best_ns, best_label, worst_ns) = measured_extremes(name, &measured)?;
 
-    // cost order vs measured order: count concordant pairs, treating
-    // equal-cost pairs as concordant (the tie-break label order carries
-    // no performance claim)
+    // rank order vs measured order: count concordant pairs. A pair the
+    // ranking did not separate — equal on every key it computed for the
+    // two, so ordered by reversal count and label only — carries no
+    // performance claim and counts as concordant
+    let ranked = &result.variants;
     let mut concordant = 0u64;
     let mut discordant = 0u64;
     for i in 0..measured.len() {
         for j in (i + 1)..measured.len() {
-            if measured[i].cost == measured[j].cost || measured[i].ns <= measured[j].ns {
+            let tied = ranked[i].leading == ranked[j].leading && ranked[i].cost == ranked[j].cost;
+            if tied || measured[i].ns <= measured[j].ns {
                 concordant += 1;
             } else {
                 discordant += 1;
@@ -182,12 +188,14 @@ pub fn sweep_program(
 
     let chosen = result.chosen().label.clone();
     let chosen_pseudocode = result.chosen().pseudocode.clone();
+    let finished = result.finished();
     Ok(SweepEntry {
         name: name.to_string(),
         stats: result.stats,
         chosen,
         chosen_pseudocode,
         measured,
+        finished,
         chosen_ns,
         best_ns,
         best_label,

@@ -59,6 +59,10 @@ fn show_prints_the_chosen_pseudocode_and_schedules_once() {
         "{stdout}"
     );
     assert!(stdout.contains("do I = "), "chosen pseudocode:\n{stdout}");
+    assert!(
+        stdout.contains("ranked 2 variants, finished 1 to choose"),
+        "{stdout}"
+    );
     assert!(stdout.contains("variants by cost:"), "{stdout}");
 
     let text = std::fs::read_to_string(&dump).expect("exit dump written");

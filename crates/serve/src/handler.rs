@@ -183,10 +183,11 @@ fn handle_explain(program: &str, order: Option<&str>) -> Result<Response, InlErr
 fn handle_schedule(program: &str) -> Result<Response, InlError> {
     let _span = inl_obs::span("serve.schedule");
     let p = zoo_program(program)?;
-    // the defaults with a single-threaded compile sweep: the worker pool
-    // is the service's parallelism, and the response is byte-identical
-    // whether the search runs here or in-process in a client (inl-load
-    // bitwise-compares the two)
+    // the defaults with one thread: the worker pool is the service's
+    // parallelism, every leaf is lowered on this thread (so a telemetry
+    // capture of the request sees that work), and the response is
+    // byte-identical whether the search runs here or in-process in a
+    // client (inl-load bitwise-compares the two)
     let cfg = inl_sched::SchedConfig {
         threads: 1,
         ..inl_sched::SchedConfig::default()
@@ -507,6 +508,36 @@ mod tests {
         let err = handle_request(&bad);
         assert!(matches!(err, Response::Error { .. }), "{err:?}");
         assert!(err.telemetry().is_none());
+    }
+
+    #[test]
+    fn schedule_telemetry_covers_the_per_variant_work() {
+        // the capture is thread-local, so it sees the per-variant lowering
+        // — nearly all of a Schedule request — only because a one-thread
+        // schedule runs it on the handler's own thread
+        let resp = handle_request(&Request::Schedule {
+            program: "simple_cholesky".into(),
+            telemetry: true,
+        });
+        assert!(matches!(resp, Response::Schedule { .. }), "{resp:?}");
+        let section = resp.telemetry().expect("telemetry section");
+        let counter = |name: &str| {
+            section
+                .get("counters")
+                .and_then(|c| c.get(name))
+                .and_then(inl_obs::Json::as_u64)
+                .unwrap_or(0)
+        };
+        assert!(counter("codegen.bounds_scanned") > 0, "{section:?}");
+        assert!(counter("sched.variants_ranked") >= counter("sched.variants_finished"));
+        assert!(counter("sched.variants_finished") >= 1);
+        let stages = section.get("stages").expect("stages");
+        assert!(
+            stages
+                .get("serve.schedule/sched.schedule/sched.rank/batch.compile")
+                .is_some(),
+            "{stages:?}"
+        );
     }
 
     #[test]
