@@ -448,6 +448,11 @@ fn main() -> ExitCode {
         cs.entries,
         cs.hit_rate() * 100.0
     );
+    let ms = inl_core::depend::memo_stats();
+    println!(
+        "analysis memo: hits {}, misses {}, evictions {}, resident entries {}",
+        ms.hits, ms.misses, ms.evictions, ms.entries
+    );
 
     println!("\n## pipeline telemetry\n");
     println!("{}", report.to_table());

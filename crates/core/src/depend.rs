@@ -15,12 +15,46 @@
 //!   with Fourier–Motzkin (this is what the paper computes with the Omega
 //!   toolkit, e.g. `[0, 1, -1, +]'` for the flow dependence of §3);
 //! * the **polyhedron itself**, kept for the exact legality fallback.
+//!
+//! # The analysis memo
+//!
+//! The matrix is a function of the program and its layout alone, and the
+//! compile service, the batch compiler and the scheduler ask for the same
+//! few programs' matrices over and over, so [`analyze`] is memoised
+//! process-wide. The key is the *value* `(Program, layout.positions())`
+//! (`Program: Eq + Hash` is structural, name included): entries are found
+//! by hash and a hit is confirmed by `==` on the stored pair, so a program
+//! that differs in one bound, guard, subscript or assumption can never be
+//! answered with another's matrix. A hit returns a clone of the matrix the
+//! miss computed; only `Ok` results are stored; the analysis itself runs
+//! outside the lock (threads racing on a cold key all compute, last write
+//! wins). The memo is a tenant of the poly cache's lifecycle rather than a
+//! switch of its own: `inl_poly::cache::set_cache_enabled(false)` bypasses
+//! it, `inl_poly::cache::clear()` empties it (entries are stamped with
+//! [`inl_poly::cache::epoch`]), and it is bounded by [`MEMO_CAP`] with the
+//! same counted generation flush.
+//!
+//! Telemetry: the `depend.analyze` span and the `stage.dependence` instant
+//! fire on every call — requested analyses stay countable — while the work
+//! counters (`depend.pairs_tested`, `depend.levels_pruned`,
+//! `depend.base_infeasible`, `depend.polyhedra_retained`) fire only when
+//! the work is done, i.e. on a miss or a bypass; `depend.memo.hit` /
+//! `depend.memo.miss` / `depend.memo.evictions` say which it was, and the
+//! always-on [`memo_stats`] mirrors them. The `depend.` counter family is
+//! therefore warmth-dependent, and
+//! `inl_obs::capture::deterministic_projection` drops it as it drops
+//! `poly.`.
 
-use crate::instance::InstanceLayout;
+use crate::instance::{InstanceLayout, Position};
 use inl_ir::{Guard, LoopId, Program, StmtId};
 use inl_linalg::{InlError, InlErrorKind, Int};
 use inl_poly::{expr_bounds, is_empty, Feasibility, LinExpr, System};
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasher;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// One entry of a dependence vector: an integer interval containing every
 /// value the corresponding instance-vector difference takes.
@@ -114,7 +148,7 @@ pub enum DepKind {
 }
 
 /// One dependence: from an instance of `src` to a later instance of `dst`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Dependence {
     /// Source statement (earlier in execution).
     pub src: StmtId,
@@ -191,7 +225,7 @@ impl Dependence {
 }
 
 /// All dependences of a program.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DependenceMatrix {
     /// Instance-vector length.
     pub n: usize,
@@ -311,8 +345,102 @@ fn count_exists(p: &Program, s: StmtId, loops: &[LoopId]) -> usize {
             .count()
 }
 
+/// Entry cap of the analysis memo: one counted generation flush when
+/// reached, as in `inl_poly::cache`. A process that compiles the zoo holds
+/// a few dozen entries (13 programs and their scheduler shapes); the bound
+/// is for `inl-fuzz` and the property tests, which feed it programs
+/// without end.
+pub const MEMO_CAP: usize = 256;
+
+/// A memoised analysis. The map key is only the hash of the pair stored
+/// here; the pair itself is what a lookup is compared against.
+struct MemoEntry {
+    program: Program,
+    positions: Vec<Position>,
+    deps: Arc<DependenceMatrix>,
+}
+
+struct Memo {
+    /// [`inl_poly::cache::epoch`] under which `entries` were stored.
+    epoch: u64,
+    entries: HashMap<u64, MemoEntry>,
+}
+
+static MEMO_HITS: AtomicU64 = AtomicU64::new(0);
+static MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
+static MEMO_EVICTIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Lock the memo, first dropping entries from before the last
+/// `inl_poly::cache::clear()`.
+fn memo() -> MutexGuard<'static, Memo> {
+    static MEMO: OnceLock<Mutex<Memo>> = OnceLock::new();
+    let mut memo = MEMO
+        .get_or_init(|| {
+            Mutex::new(Memo {
+                epoch: inl_poly::cache::epoch(),
+                entries: HashMap::new(),
+            })
+        })
+        .lock()
+        .expect("the memo lock is held across map operations only, which do not panic");
+    let epoch = inl_poly::cache::epoch();
+    if memo.epoch != epoch {
+        memo.entries.clear();
+        memo.epoch = epoch;
+    }
+    memo
+}
+
+fn memo_key(p: &Program, positions: &[Position]) -> u64 {
+    static HASHER: OnceLock<RandomState> = OnceLock::new();
+    HASHER
+        .get_or_init(RandomState::new)
+        .hash_one((p, positions))
+}
+
+/// Counters of the analysis memo since process start, tracked whether or
+/// not `inl-obs` is enabled (the companion of `inl_poly::cache::CacheStats`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Analyses answered with a stored matrix.
+    pub hits: u64,
+    /// Analyses that ran because no equal program was stored.
+    pub misses: u64,
+    /// Matrices currently stored.
+    pub entries: u64,
+    /// Matrices dropped by generation flushes at [`MEMO_CAP`].
+    pub evictions: u64,
+}
+
+impl MemoStats {
+    /// Render as a JSON object: the `analysis_memo` section of the wire
+    /// `Stats` reply and of `report`'s poly-cache table.
+    pub fn to_json(&self) -> inl_obs::Json {
+        let mut o = inl_obs::Json::object();
+        o.insert("hits", inl_obs::Json::Int(self.hits));
+        o.insert("misses", inl_obs::Json::Int(self.misses));
+        o.insert("entries", inl_obs::Json::Int(self.entries));
+        o.insert("evictions", inl_obs::Json::Int(self.evictions));
+        o
+    }
+}
+
+/// Snapshot the analysis memo's counters.
+pub fn memo_stats() -> MemoStats {
+    MemoStats {
+        hits: MEMO_HITS.load(Ordering::Relaxed),
+        misses: MEMO_MISSES.load(Ordering::Relaxed),
+        entries: memo().entries.len() as u64,
+        evictions: MEMO_EVICTIONS.load(Ordering::Relaxed),
+    }
+}
+
 /// Compute the dependence matrix of a program (the general procedure of
 /// §3: "performs this analysis for all pairs of reads and writes").
+///
+/// Memoised process-wide on `(p, layout.positions())` — see the module
+/// docs: the first call for a program analyses it, every later call for an
+/// equal program and layout returns a clone of that matrix.
 ///
 /// Errors only when exact arithmetic on the program's constraints leaves
 /// the `i128` range (or a polyhedral budget is exhausted) — dependence
@@ -321,6 +449,38 @@ fn count_exists(p: &Program, s: StmtId, loops: &[LoopId]) -> usize {
 pub fn analyze(p: &Program, layout: &InstanceLayout) -> Result<DependenceMatrix, InlError> {
     let _span = inl_obs::span("depend.analyze");
     inl_obs::timeline::instant("stage.dependence");
+    if !inl_poly::cache::cache_enabled() {
+        return analyze_uncached(p, layout);
+    }
+    let key = memo_key(p, layout.positions());
+    let stored = memo()
+        .entries
+        .get(&key)
+        .filter(|e| e.positions == layout.positions() && e.program == *p)
+        .map(|e| Arc::clone(&e.deps));
+    if let Some(deps) = stored {
+        MEMO_HITS.fetch_add(1, Ordering::Relaxed);
+        inl_obs::counter_add!("depend.memo.hit", 1);
+        return Ok(DependenceMatrix::clone(&deps));
+    }
+    MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
+    inl_obs::counter_add!("depend.memo.miss", 1);
+    let deps = analyze_uncached(p, layout)?;
+    let entry = MemoEntry {
+        program: p.clone(),
+        positions: layout.positions().to_vec(),
+        deps: Arc::new(deps.clone()),
+    };
+    let evicted = inl_poly::cache::insert_bounded(&mut memo().entries, key, entry, MEMO_CAP);
+    if evicted > 0 {
+        MEMO_EVICTIONS.fetch_add(evicted as u64, Ordering::Relaxed);
+        inl_obs::counter_add!("depend.memo.evictions", evicted as u64);
+    }
+    Ok(deps)
+}
+
+/// The analysis itself: a pure function of `(p, layout)`.
+fn analyze_uncached(p: &Program, layout: &InstanceLayout) -> Result<DependenceMatrix, InlError> {
     let mut deps = Vec::new();
     let stmts: Vec<StmtId> = p.stmts().collect();
     for &src in &stmts {

@@ -2,9 +2,10 @@
 
 use crate::aff::Aff;
 use crate::program::ArrayId;
+use std::hash::{Hash, Hasher};
 
 /// A subscripted array reference `A[e₁, …, e_d]` with affine subscripts.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Access {
     /// The array.
     pub array: ArrayId,
@@ -17,7 +18,12 @@ pub struct Access {
 /// Expressions are real enough to execute (so transformed programs can be
 /// checked for bitwise-equal results) but deliberately minimal: affine index
 /// values, array reads, and the arithmetic that matrix factorizations need.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// Equality and hashing are structural, with `f64` literals compared by
+/// **bit pattern** (`0.0 ≠ -0.0`, a NaN equals itself): two expressions are
+/// equal exactly when they compute bitwise-identical values everywhere,
+/// which makes `Eq` lawful and lets a [`crate::Program`] key a memo.
+#[derive(Clone, Debug)]
 pub enum Expr {
     /// A floating-point literal.
     Const(f64),
@@ -39,6 +45,42 @@ pub enum Expr {
     Mul(Box<Expr>, Box<Expr>),
     /// Division.
     Div(Box<Expr>, Box<Expr>),
+}
+
+impl PartialEq for Expr {
+    fn eq(&self, other: &Expr) -> bool {
+        use Expr::*;
+        match (self, other) {
+            (Const(a), Const(b)) => a.to_bits() == b.to_bits(),
+            (Index(a), Index(b)) => a == b,
+            (Read(a), Read(b)) => a == b,
+            (Neg(a), Neg(b)) | (Sqrt(a), Sqrt(b)) => a == b,
+            (Add(a, b), Add(c, d))
+            | (Sub(a, b), Sub(c, d))
+            | (Mul(a, b), Mul(c, d))
+            | (Div(a, b), Div(c, d)) => a == c && b == d,
+            _ => false,
+        }
+    }
+}
+
+impl Eq for Expr {}
+
+impl Hash for Expr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        use Expr::*;
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Const(v) => v.to_bits().hash(state),
+            Index(a) => a.hash(state),
+            Read(acc) => acc.hash(state),
+            Neg(e) | Sqrt(e) => e.hash(state),
+            Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b) => {
+                a.hash(state);
+                b.hash(state);
+            }
+        }
+    }
 }
 
 #[allow(clippy::should_implement_trait)] // constructors build AST nodes, not arithmetic

@@ -34,7 +34,7 @@ pub enum Node {
 /// `max over terms of ceil(expr_num / div)`; for an upper bound
 /// `min over terms of floor(expr_num / div)`. Each term is an [`Aff`]
 /// whose own divisor provides `div`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Bound {
     /// The bound terms; must be non-empty.
     pub terms: Vec<Aff>,
@@ -68,7 +68,7 @@ impl Bound {
 /// A guard on a statement: the statement instance executes only when the
 /// guard holds. Produced by code generation (§5.5: singular-loop conditions
 /// and lattice-membership tests).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Guard {
     /// `expr ≥ 0` (the expression's divisor must be 1).
     Ge(Aff),
@@ -79,7 +79,7 @@ pub enum Guard {
 }
 
 /// A loop declaration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct LoopDecl {
     /// Source-level name of the index variable.
     pub name: String,
@@ -98,7 +98,7 @@ pub struct LoopDecl {
 }
 
 /// An atomic statement: `write ← rhs`, possibly guarded.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct StmtDecl {
     /// Source-level label (e.g. `"S1"`).
     pub name: String,
@@ -112,7 +112,7 @@ pub struct StmtDecl {
 
 /// An array declaration: name and per-dimension extents (affine in the
 /// parameters). Valid indices for dimension `d` are `0 .. extent_d`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ArrayDecl {
     /// Source-level name.
     pub name: String,
@@ -122,7 +122,12 @@ pub struct ArrayDecl {
 
 /// An imperfectly nested loop program (one AST, possibly with several
 /// top-level items under a virtual root).
-#[derive(Clone, Debug)]
+///
+/// `==` and `Hash` are structural over every field — name, declarations,
+/// tree shape, assumptions, `f64` literals by bit pattern — so equal
+/// programs are interchangeable inputs to any deterministic analysis
+/// (`inl_core::depend::analyze` memoises on this).
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Program {
     pub(crate) name: String,
     pub(crate) params: Vec<String>,

@@ -35,14 +35,20 @@
 //!
 //! A capture mixes deterministic evidence (which pipeline stages ran and
 //! how often, semantic counter deltas) with machine- and state-dependent
-//! measurements (nanosecond durations, poly-cache hit/miss splits that
-//! depend on what earlier requests warmed). [`deterministic_projection`]
-//! extracts the former — [`Json::deterministic`] strips every `*_ns`
-//! value, and it drops every `poly.`-prefixed name — so two captures of
-//! the same request in
-//! different processes can be compared **bitwise** on their canonical
-//! JSON. `inl-load --telemetry` and the serve integration tests do
-//! exactly that.
+//! measurements: nanosecond durations, and the work counters of every
+//! *memoised layer*, which say how much an earlier request left warm
+//! rather than what this one asked for. [`MEMOISED_LAYERS`] names those
+//! layers' counter families: `poly.` (the query cache: hit/miss splits,
+//! and the FM work a hit skips) and `depend.` (the analysis memo:
+//! `depend.memo.*`, and `depend.pairs_tested` & co., which fire only on a
+//! miss). [`deterministic_projection`] extracts the deterministic part —
+//! [`Json::deterministic`] strips every `*_ns` value, and it drops every
+//! counter of a memoised layer and every span nested in `poly.` — so two
+//! captures of the same request in different processes can be compared
+//! **bitwise** on their canonical JSON. A memoised layer's *entry* span
+//! (`depend.analyze`) wraps hits and misses alike and stays in the
+//! projection, so requested analyses remain countable. `inl-load
+//! --telemetry` and the serve integration tests compare exactly this.
 
 use crate::json::Json;
 use crate::{flags_cell, FLAG_CAPTURE};
@@ -289,8 +295,15 @@ pub(crate) fn record_explain(verdict: crate::explain::Verdict) {
     });
 }
 
+/// Counter families of the layers that memoise their work (the poly query
+/// cache, the dependence-analysis memo): what they count depends on what
+/// earlier requests warmed, so [`deterministic_projection`] drops them.
+pub const MEMOISED_LAYERS: [&str; 2] = ["poly.", "depend."];
+
 /// True iff every `/`-separated segment of a span path is outside the
-/// cache-dependent `poly.` namespace.
+/// `poly.` namespace: poly spans run inside the cached computation (and,
+/// under `depend.analyze`, inside the memoised one), so how many close
+/// depends on warmth. No other memoised layer has spans below its entry.
 fn path_is_deterministic(path: &str) -> bool {
     path.split('/').all(|seg| !seg.starts_with("poly."))
 }
@@ -298,8 +311,8 @@ fn path_is_deterministic(path: &str) -> bool {
 /// The machine-independent projection of a `telemetry` JSON section
 /// (as produced by [`Capture::to_json`]): its [`Json::deterministic`]
 /// part — no nanosecond field, no `*_ns` accumulator — reduced to stage
-/// **counts**, and without the `poly.*` family, whose values depend on
-/// what earlier requests warmed in the query cache.
+/// **counts**, and without the [`MEMOISED_LAYERS`] counter families, whose
+/// values depend on what earlier requests warmed.
 /// Two captures of the same request — taken in different processes, at
 /// different cache temperatures — project to byte-identical canonical
 /// JSON; `inl-load --telemetry` compares exactly this.
@@ -324,7 +337,7 @@ pub fn deterministic_projection(telemetry: &Json) -> Json {
     let mut counters = Json::object();
     if let Some(Json::Object(map)) = det.get("counters") {
         for (name, v) in map {
-            if !name.starts_with("poly.") {
+            if !MEMOISED_LAYERS.iter().any(|layer| name.starts_with(layer)) {
                 counters.insert(name.clone(), v.clone());
             }
         }
@@ -517,6 +530,61 @@ mod tests {
         assert_eq!(
             deterministic_projection(&warm.to_json()).to_pretty_string(),
             text
+        );
+    }
+
+    #[test]
+    fn projection_equates_an_analysis_memo_miss_with_a_hit() {
+        let stage = |count| StageStat {
+            count,
+            total_ns: 500,
+            min_ns: 500,
+            max_ns: 500,
+        };
+        // The same request twice: the first analysis misses the memo and
+        // does the work, the second is answered with the stored matrix.
+        let mut miss = Capture::default();
+        miss.counters.insert("depend.memo.miss", 1);
+        miss.counters.insert("depend.pairs_tested", 39);
+        miss.counters.insert("depend.polyhedra_retained", 14);
+        miss.counters.insert("poly.cache.miss", 210);
+        miss.counters.insert("legal.fast_path_hits", 20);
+        miss.stages.insert("serve.compile".into(), stage(1));
+        miss.stages
+            .insert("serve.compile/depend.analyze".into(), stage(1));
+        miss.stages.insert(
+            "serve.compile/depend.analyze/poly.feasibility".into(),
+            stage(67),
+        );
+        let mut hit = Capture::default();
+        hit.counters.insert("depend.memo.hit", 1);
+        hit.counters.insert("legal.fast_path_hits", 20);
+        hit.stages.insert("serve.compile".into(), stage(1));
+        hit.stages
+            .insert("serve.compile/depend.analyze".into(), stage(1));
+
+        let proj = deterministic_projection(&miss.to_json());
+        assert_eq!(
+            proj.to_pretty_string(),
+            deterministic_projection(&hit.to_json()).to_pretty_string()
+        );
+        let text = proj.to_pretty_string();
+        assert!(!text.contains("depend.memo"), "{text}");
+        assert!(!text.contains("depend.pairs_tested"), "{text}");
+        // The request for an analysis is evidence either way.
+        assert_eq!(
+            proj.get("stages")
+                .unwrap()
+                .get("serve.compile/depend.analyze")
+                .and_then(Json::as_u64),
+            Some(1)
+        );
+        assert_eq!(
+            proj.get("counters")
+                .unwrap()
+                .get("legal.fast_path_hits")
+                .and_then(Json::as_u64),
+            Some(20)
         );
     }
 }

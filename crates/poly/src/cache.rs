@@ -29,6 +29,7 @@ use crate::System;
 use inl_linalg::{InlError, Int};
 use inl_obs::counter_add;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -109,6 +110,7 @@ static INSERTIONS: AtomicU64 = AtomicU64::new(0);
 static EVICTIONS: AtomicU64 = AtomicU64::new(0);
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
+static EPOCH: AtomicU64 = AtomicU64::new(0);
 
 fn map() -> &'static Mutex<HashMap<(System, Query), Answer>> {
     static MAP: OnceLock<Mutex<HashMap<(System, Query), Answer>>> = OnceLock::new();
@@ -127,9 +129,20 @@ pub fn set_cache_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Drop every cached entry (stats are kept; see [`reset_stats`]).
+/// Drop every cached entry (stats are kept; see [`reset_stats`]), and
+/// start a new [`epoch`] so memos layered on this cache drop theirs.
 pub fn clear() {
     map().lock().unwrap().clear();
+    EPOCH.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Number of [`clear`] calls so far. A memo in a crate above this one (the
+/// dependence-analysis memo in `inl-core`) stamps its entries with the
+/// epoch it filled them in and discards them once the epoch has moved, so
+/// `clear()` makes the whole compile side cold without knowing who
+/// memoises on top of it.
+pub fn epoch() -> u64 {
+    EPOCH.load(Ordering::Relaxed)
 }
 
 /// Zero the [`CacheStats`] counters (the map itself is kept).
@@ -158,11 +171,13 @@ pub fn stats() -> CacheStats {
 
 /// Insert with the generation-flush bound: when the map is full, clear it
 /// wholesale (deterministic, no recency ordering) and count the dropped
-/// entries as evictions. Returns the number of evicted entries.
-fn insert_bounded(
-    map: &mut HashMap<(System, Query), Answer>,
-    key: (System, Query),
-    answer: Answer,
+/// entries as evictions. Returns the number of evicted entries. Public so
+/// the memos layered on this cache (see [`epoch`]) are bounded by the same
+/// rule, not a copy of it.
+pub fn insert_bounded<K: Eq + Hash, V>(
+    map: &mut HashMap<K, V>,
+    key: K,
+    value: V,
     cap: usize,
 ) -> usize {
     let mut evicted = 0;
@@ -170,7 +185,7 @@ fn insert_bounded(
         evicted = map.len();
         map.clear();
     }
-    map.insert(key, answer);
+    map.insert(key, value);
     evicted
 }
 

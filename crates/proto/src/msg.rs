@@ -95,7 +95,8 @@ pub enum Request {
         /// Ask for a per-request `telemetry` section (see module docs).
         telemetry: bool,
     },
-    /// Snapshot service counters and the process-wide poly-cache stats.
+    /// Snapshot service counters and the process-wide poly-cache and
+    /// analysis-memo stats.
     Stats,
     /// Snapshot the server's sliding-window live metrics (latency
     /// percentiles, request rate, error rate over the last N seconds).
@@ -202,7 +203,7 @@ pub enum Response {
         telemetry: Option<Json>,
     },
     /// Answer to [`Request::Stats`]: a free-form JSON object (poly-cache
-    /// counters, serve counters, uptime/session gauges).
+    /// and analysis-memo counters, serve counters, uptime/session gauges).
     Stats {
         /// The stats object.
         stats: Json,

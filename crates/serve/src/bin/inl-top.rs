@@ -7,11 +7,12 @@
 //! Polls the `metrics` and `stats` requests on one connection and
 //! redraws a terminal summary each tick: throughput and error rate over
 //! the sliding window, latency percentiles, the per-request-type
-//! breakdown, poly-cache hit rate, and the server's lifetime transport
-//! gauges (uptime, sessions, in-flight high-water mark). Standard
-//! library only — the "dashboard" is aligned text plus an ANSI
-//! clear-screen, suitable for any terminal or for piping a single
-//! `--once` frame into a log. Exit code 1 on transport failure.
+//! breakdown, poly-cache hit rate, analysis-memo hits and misses, and the
+//! server's lifetime transport gauges (uptime, sessions, in-flight
+//! high-water mark). Standard library only — the "dashboard" is aligned
+//! text plus an ANSI clear-screen, suitable for any terminal or for
+//! piping a single `--once` frame into a log. Exit code 1 on transport
+//! failure.
 
 use inl_serve::{flag_or_usage, Client, Request, Response};
 use std::num::NonZeroU64;
@@ -87,6 +88,15 @@ fn render(metrics: &inl_obs::Json, stats: &inl_obs::Json) -> String {
             u(cache, "hits"),
             u(cache, "misses"),
             rate
+        ));
+    }
+    if let Some(memo) = stats.get("analysis_memo") {
+        out.push_str(&format!(
+            "analyses   {} hit(s) / {} miss(es) — {} stored, {} evicted\n",
+            u(memo, "hits"),
+            u(memo, "misses"),
+            u(memo, "entries"),
+            u(memo, "evictions"),
         ));
     }
     if let Some(inl_obs::Json::Object(by_kind)) = metrics.get("by_kind") {

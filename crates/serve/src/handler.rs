@@ -10,7 +10,7 @@
 
 use inl_codegen::generate;
 use inl_core::complete::{complete_transform, order_rows};
-use inl_core::depend::{analyze, DependenceMatrix};
+use inl_core::depend::{analyze, memo_stats, DependenceMatrix};
 use inl_core::instance::InstanceLayout;
 use inl_ir::{zoo, Program};
 use inl_linalg::{IMat, InlError, InlErrorKind};
@@ -49,20 +49,19 @@ fn analyzed(p: &Program) -> Result<(InstanceLayout, DependenceMatrix), InlError>
 /// Run compile-with-order and classify: `Ok(Ok(program))` compiled,
 /// `Ok(Err(reason))` legality rejected the order (a structured outcome),
 /// `Err(e)` the request itself was bad.
-fn compile_inner(program: &str, order: Option<&str>) -> Result<Result<Program, String>, InlError> {
+fn compile_inner(p: &Program, order: Option<&str>) -> Result<Result<Program, String>, InlError> {
     let _span = inl_obs::span("serve.compile");
-    let p = zoo_program(program)?;
-    let (layout, deps) = analyzed(&p)?;
+    let (layout, deps) = analyzed(p)?;
     let matrix: IMat = match order {
         None => IMat::identity(layout.len()),
-        Some(ord) => match complete_transform(&p, &layout, &deps, &order_rows(&p, &layout, ord)?) {
+        Some(ord) => match complete_transform(p, &layout, &deps, &order_rows(p, &layout, ord)?) {
             Ok(c) => c.matrix,
             // Deterministic per input: derive formatting of the typed
             // completion error, same text for the same rejection.
             Err(e) => return Ok(Err(format!("completion rejected the order: {e:?}"))),
         },
     };
-    match generate(&p, &layout, &deps, &matrix) {
+    match generate(p, &layout, &deps, &matrix) {
         Ok(r) => Ok(Ok(r.program)),
         Err(e) => Ok(Err(format!("codegen rejected the schedule: {e:?}"))),
     }
@@ -95,7 +94,7 @@ fn digest_machine(m: &inl_exec::Machine) -> (String, u64, u64) {
 }
 
 fn handle_compile(program: &str, order: Option<&str>) -> Result<Response, InlError> {
-    let outcome = match compile_inner(program, order)? {
+    let outcome = match compile_inner(&zoo_program(program)?, order)? {
         Ok(generated) => CompileOutcome::Legal {
             pseudocode: generated.to_pseudocode(),
         },
@@ -113,7 +112,7 @@ fn handle_run(
     order: Option<&str>,
     backend: BackendChoice,
 ) -> Result<Response, InlError> {
-    let p = zoo_program(program)?; // cheap; re-validates nparams first
+    let p = zoo_program(program)?;
     if params.len() != p.nparams() {
         return Err(InlError::new(
             InlErrorKind::InvalidTarget,
@@ -132,7 +131,7 @@ fn handle_run(
             ));
         }
     }
-    let generated = match compile_inner(program, order)? {
+    let generated = match compile_inner(&p, order)? {
         Ok(g) => g,
         Err(reason) => {
             return Err(InlError::new(
@@ -160,7 +159,7 @@ fn handle_run(
 }
 
 fn handle_explain(program: &str, order: Option<&str>) -> Result<Response, InlError> {
-    Ok(match compile_inner(program, order)? {
+    Ok(match compile_inner(&zoo_program(program)?, order)? {
         Ok(_) => Response::Explain {
             verdict: "legal".to_string(),
             reason: match order {
@@ -221,6 +220,7 @@ fn handle_core(req: &Request) -> Response {
         Request::Stats => {
             let mut stats = inl_obs::Json::object();
             stats.insert("poly_cache", inl_poly::cache::stats_json());
+            stats.insert("analysis_memo", memo_stats().to_json());
             Ok(Response::Stats { stats })
         }
         Request::Metrics => Ok(Response::Metrics {
@@ -233,11 +233,12 @@ fn handle_core(req: &Request) -> Response {
 
 /// Handle one request. Infallible by design: anything that can go wrong
 /// becomes a [`Response::Error`]. [`Request::Stats`] answers with the
-/// process-wide poly-cache snapshot (the server layer adds its own
-/// transport counters on top); [`Request::Metrics`] snapshots the
-/// process-wide [sliding window](crate::request_window) (empty unless a
-/// server in this process has been feeding it); [`Request::Shutdown`] is
-/// acknowledged here and *acted on* by the server layer.
+/// process-wide poly-cache and analysis-memo snapshots (the server layer
+/// adds its own transport counters on top); [`Request::Metrics`]
+/// snapshots the process-wide [sliding window](crate::request_window)
+/// (empty unless a server in this process has been feeding it);
+/// [`Request::Shutdown`] is acknowledged here and *acted on* by the
+/// server layer.
 ///
 /// A request with `telemetry: true` is handled inside an
 /// `inl_obs::capture` window and its response carries the capture as a
@@ -468,6 +469,10 @@ mod tests {
                 let pc = stats.get("poly_cache").expect("poly_cache section");
                 assert!(pc.get("hits").is_some());
                 assert!(pc.get("hit_rate").is_some());
+                let memo = stats.get("analysis_memo").expect("analysis_memo section");
+                for key in ["hits", "misses", "entries", "evictions"] {
+                    assert!(memo.get(key).is_some(), "missing {key}: {memo:?}");
+                }
             }
             other => panic!("expected Stats, got {other:?}"),
         }
@@ -508,6 +513,37 @@ mod tests {
         let err = handle_request(&bad);
         assert!(matches!(err, Response::Error { .. }), "{err:?}");
         assert!(err.telemetry().is_none());
+    }
+
+    #[test]
+    fn a_memo_hit_claims_no_analysis_work_in_its_telemetry() {
+        let req = Request::Explain {
+            program: "lu_kij".into(),
+            order: None,
+            telemetry: true,
+        };
+        // whoever analysed lu_kij first, by the second request it is stored
+        // (nothing in this test binary clears the poly cache)
+        handle_request(&req);
+        let resp = handle_request(&req);
+        let section = resp.telemetry().expect("telemetry section");
+        let counters = section.get("counters").expect("counters");
+        assert_eq!(
+            counters
+                .get("depend.memo.hit")
+                .and_then(inl_obs::Json::as_u64),
+            Some(1),
+            "{counters:?}"
+        );
+        for work in ["depend.memo.miss", "depend.pairs_tested"] {
+            assert!(counters.get(work).is_none(), "{work} in {counters:?}");
+        }
+        // the request for an analysis is still on record
+        let stages = section.get("stages").expect("stages");
+        assert!(
+            stages.get("serve.compile/depend.analyze").is_some(),
+            "{stages:?}"
+        );
     }
 
     #[test]

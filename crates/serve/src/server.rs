@@ -322,15 +322,16 @@ fn session(shared: &Shared, stream: TcpStream, addr: SocketAddr) {
         };
         let (response, stop_after) = match decoded {
             Ok(Request::Shutdown) => (Response::Shutdown, true),
-            Ok(Request::Stats) => {
-                // The handler contributes the poly-cache section; the
-                // server layer owns the transport counters.
-                let mut stats = inl_obs::Json::object();
-                stats.insert("poly_cache", inl_poly::cache::stats_json());
-                stats.insert("serve", shared.stats.to_json());
-                (Response::Stats { stats }, false)
+            Ok(req) => {
+                // The handler contributes the compile-side sections of a
+                // `Stats` reply; the server layer owns the transport
+                // counters.
+                let mut response = handle_request(&req);
+                if let Response::Stats { stats } = &mut response {
+                    stats.insert("serve", shared.stats.to_json());
+                }
+                (response, false)
             }
-            Ok(req) => (handle_request(&req), false),
             Err(e) => (Response::from_error(&e), false),
         };
         let is_error = matches!(response, Response::Error { .. });

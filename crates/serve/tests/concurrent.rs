@@ -136,6 +136,7 @@ fn stats_request_reports_transport_and_cache_counters() {
                 .unwrap();
             assert!(requests >= 2, "{serve:?}");
             assert!(stats.get("poly_cache").is_some());
+            assert!(stats.get("analysis_memo").is_some());
         }
         other => panic!("expected Stats, got {other:?}"),
     }

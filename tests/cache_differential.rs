@@ -1,16 +1,19 @@
-//! Differential test for the poly query cache: generated code must be
-//! bitwise identical with the cache disabled, cold, and fully warm.
+//! Differential test for the poly query cache and the analysis memo that
+//! shares its switch: generated code must be bitwise identical with both
+//! disabled, cold, and fully warm.
 //!
 //! This is the end-to-end guarantee behind the poly cache switch: the cache
 //! memoizes a deterministic function of the *canonicalized* constraint
-//! system, so it can never change what the pipeline produces — only how
-//! fast it produces it. The twelve legal Cholesky loop-order variants
-//! exercise every cached query kind (projection, feasibility, variable
-//! bounds) through dependence analysis, legality, completion, and codegen.
+//! system, and `analyze` one of the program and its layout, so neither can
+//! change what the pipeline produces — only how fast it produces it. The
+//! twelve legal Cholesky loop-order variants exercise every cached query
+//! kind (projection, feasibility, variable bounds) through dependence
+//! analysis, legality, completion, and codegen; each sweep asks for one
+//! dependence analysis.
 
 use inl_codegen::generate;
 use inl_core::complete::{complete_transform, order_rows};
-use inl_core::depend::analyze;
+use inl_core::depend::{analyze, memo_stats};
 use inl_core::instance::InstanceLayout;
 use inl_ir::{zoo, Program};
 use inl_linalg::{permutations, IMat};
@@ -62,7 +65,13 @@ fn all_cholesky_variants_identical_with_cache_on_and_off() {
     // Ground truth: cache disabled entirely.
     inl_poly::set_cache_enabled(false);
     inl_poly::cache::clear();
+    let before_off = memo_stats();
     let uncached = compile_all(&p, &variants);
+    assert_eq!(
+        memo_stats(),
+        before_off,
+        "with the switch off the analysis memo is bypassed"
+    );
 
     // Cold cache: every query misses then populates.
     inl_poly::set_cache_enabled(true);
@@ -70,6 +79,12 @@ fn all_cholesky_variants_identical_with_cache_on_and_off() {
     inl_poly::cache::reset_stats();
     let cold = compile_all(&p, &variants);
     let after_cold = inl_poly::cache::stats();
+    let memo_cold = memo_stats();
+    assert_eq!(
+        (memo_cold.hits, memo_cold.misses),
+        (before_off.hits, before_off.misses + 1),
+        "after clear() the sweep's analysis must miss the memo"
+    );
     assert!(
         after_cold.insertions > 0,
         "the sweep must actually exercise the cache"
@@ -81,6 +96,12 @@ fn all_cholesky_variants_identical_with_cache_on_and_off() {
     assert!(
         after_warm.hits > after_cold.hits,
         "a second sweep over a warm cache must hit"
+    );
+    let memo_warm = memo_stats();
+    assert_eq!(
+        (memo_warm.hits, memo_warm.misses),
+        (memo_cold.hits + 1, memo_cold.misses),
+        "the second sweep's analysis must hit the memo"
     );
 
     inl_poly::set_cache_enabled(true);
