@@ -136,33 +136,32 @@ fn vm_loop(
     if lo > hi {
         return;
     }
-    let iters: Vec<i64> = {
-        let mut v = Vec::new();
-        let mut i = lo;
-        while i <= hi {
-            v.push(i);
-            i += meta.step;
-        }
-        v
-    };
-    if ld.parallel && iters.len() > 1 {
+    // The range is walked arithmetically, never materialised: the skewed
+    // wavefront enters here 2N times with up to N iterations each.
+    let iters = ((hi - lo) / meta.step) as usize + 1;
+    if ld.parallel && iters > 1 {
         inl_obs::counter_add!("exec.par.wavefronts", 1);
         let _wf = inl_obs::timeline::scope_args(
             "exec.par.wavefront",
-            &[("iters", iters.len() as i64), ("threads", nthreads as i64)],
+            &[("iters", iters as i64), ("threads", nthreads as i64)],
         );
-        let chunk = iters.len().div_ceil(nthreads);
-        record_wavefront(&ld.name, iters.len(), nthreads, chunk);
+        let chunk = iters.div_ceil(nthreads);
+        record_wavefront(&ld.name, iters, nthreads, chunk);
         std::thread::scope(|scope| {
-            for ch in iters.chunks(chunk) {
+            for first in (0..iters).step_by(chunk) {
+                let count = chunk.min(iters - first);
+                let ch_lo = lo + first as i64 * meta.step;
+                let ch_hi = ch_lo + (count - 1) as i64 * meta.step;
+                // A clone copies the registers only (the VM's column
+                // scratch is per state and allocated on first use).
                 let mut thread_st = st.clone();
                 scope.spawn(move || {
                     let _slice = inl_obs::timeline::scope_args(
                         "exec.par.chunk",
-                        &[("lo", ch[0]), ("hi", *ch.last().unwrap())],
+                        &[("lo", ch_lo), ("hi", ch_hi)],
                     );
                     let busy = std::time::Instant::now();
-                    for &i in ch {
+                    for i in (ch_lo..=ch_hi).step_by(meta.step as usize) {
                         thread_st.iregs[meta.var as usize] = i;
                         // inner parallel loops run sequentially inside a
                         // worker, i.e. as plain bytecode
@@ -176,7 +175,7 @@ fn vm_loop(
             }
         });
     } else {
-        for &i in &iters {
+        for i in (lo..=hi).step_by(meta.step as usize) {
             st.iregs[meta.var as usize] = i;
             vm_nodes(p, bp, &ld.children, st, buf, nthreads);
         }

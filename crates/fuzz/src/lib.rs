@@ -30,7 +30,7 @@ use inl_codegen::{generate, CodegenError, CodegenResult};
 use inl_core::depend::{analyze, DependenceMatrix};
 use inl_core::instance::InstanceLayout;
 use inl_core::legal::check_legal;
-use inl_ir::{Aff, Expr, Program, ProgramBuilder};
+use inl_ir::{Aff, Bound, Expr, Program, ProgramBuilder};
 use inl_linalg::{IMat, Int};
 use inl_poly::{LinExpr, System};
 use proptest::prelude::*;
@@ -247,6 +247,94 @@ pub fn arb_program() -> impl Strategy<Value = Program> {
                 guard,
                 sibling,
             })
+        })
+}
+
+/// One subscript `a·J + b·I + c` of a generated inner loop, as `(a, b, c)`.
+pub type Subscript = (Int, Int, Int);
+
+/// Parameters of a generated two-deep nest whose inner loop is guard-free —
+/// the loops the VM runs as trip kernels, in columns or trip by trip
+/// according to their address spans; kept as a value so failures print a
+/// reproducible recipe.
+#[derive(Clone, Debug)]
+pub struct InnerLoopRecipe {
+    /// One to three statements `W[w] = R1[r1] + 0.5·R2[r2]`: the subscripts
+    /// `[w, r1, r2]` and, bit `k` of the selector, whether the `k`-th of
+    /// them indexes `Y` rather than `X`.
+    pub stmts: Vec<(usize, [Subscript; 3])>,
+    /// Inner lower bound is the outer variable (triangular).
+    pub triangular: bool,
+    /// Inner step.
+    pub step: Int,
+}
+
+/// Build `do I = 1..3 { do J = (1 | I)..N step s { stmts } }` over two
+/// arrays of `4N+16` cells, every subscript shifted by `2N+8` so that
+/// `|a| ≤ 2`, `|b| ≤ 1`, `|c| ≤ 3` stay in range.
+pub fn build_inner_loop(r: &InnerLoopRecipe) -> Program {
+    let mut b = ProgramBuilder::new(format!("fuzz_inner_{r:?}"));
+    let n = b.param("N");
+    let ext = [Aff::param(n) * 4 + Aff::konst(16)];
+    let arrays = [b.array("X", &ext), b.array("Y", &ext)];
+    b.hloop("I", Aff::konst(1), Aff::konst(3), |b| {
+        let i = b.loop_var("I");
+        let lo = if r.triangular {
+            Aff::var(i)
+        } else {
+            Aff::konst(1)
+        };
+        let (lo, hi) = (Bound::single(lo), Bound::single(Aff::param(n)));
+        b.loop_full("J", lo, hi, r.step, false, |b| {
+            let j = b.loop_var("J");
+            for (k, &(sel, subs)) in r.stmts.iter().enumerate() {
+                let at = |which: usize| {
+                    let (a, bi, c) = subs[which];
+                    let sub = Aff::var(j) * a + Aff::var(i) * bi + Aff::param(n) * 2;
+                    (arrays[sel >> which & 1], vec![sub + Aff::konst(8 + c)])
+                };
+                let ((w, widx), (r1, r1idx), (r2, r2idx)) = (at(0), at(1), at(2));
+                b.stmt(
+                    format!("S{}", k + 1),
+                    w,
+                    widx,
+                    Expr::add(
+                        Expr::read(r1, r1idx),
+                        Expr::mul(Expr::konst(0.5), Expr::read(r2, r2idx)),
+                    ),
+                );
+            }
+        });
+    });
+    b.finish()
+}
+
+/// Random guard-free inner loops, each with the `N` to run it at: strided
+/// and triangular `J` ranges whose trip counts straddle the VM's column
+/// width (1–6, 125–130, 254–259), subscripts that carry dependences at
+/// small distances in both directions, reduce into one cell (`a = 0`), run
+/// backwards, or never meet.
+pub fn arb_inner_loop() -> impl Strategy<Value = (Program, Int)> {
+    let sub =
+        (-2..=2i64, -1..=1i64, -3..=3i64).prop_map(|(a, b, c)| (a as Int, b as Int, c as Int));
+    let stmt = (0..8usize, (sub.clone(), sub.clone(), sub))
+        .prop_map(|(sel, (w, r1, r2))| (sel, [w, r1, r2]));
+    (
+        prop::collection::vec(stmt, 1..=3),
+        prop::bool::ANY,
+        1..=3i64,
+        (0..3usize, 0..6i64, 0..3i64),
+    )
+        .prop_map(|(stmts, triangular, step, (band, trips, short))| {
+            let trips = [1, 125, 254][band] + trips;
+            // the bound falls on, or up to `step − 1` short of, an iteration
+            let n = (trips * step - short % step).max(1);
+            let recipe = InnerLoopRecipe {
+                stmts,
+                triangular,
+                step: step as Int,
+            };
+            (build_inner_loop(&recipe), n as Int)
         })
 }
 

@@ -10,7 +10,9 @@ use inl_core::complete::complete_transform;
 use inl_core::sink::sink_statements;
 use inl_core::structural::{distribute, distribution_legal, jam, jamming_legal};
 use inl_exec::{equivalent, run_fresh, VmRunner};
-use inl_fuzz::{analyzed, arb_matrix, arb_program, compile, fuzz_config, fuzz_init, Compiled};
+use inl_fuzz::{
+    analyzed, arb_inner_loop, arb_matrix, arb_program, compile, fuzz_config, fuzz_init, Compiled,
+};
 use inl_linalg::IVec;
 use proptest::prelude::*;
 
@@ -57,6 +59,20 @@ proptest! {
                 Ok(())
             );
         }
+    }
+
+    /// Guard-free inner loops — what the VM runs as trip kernels, a column
+    /// of trips at a time when their address spans allow it — leave the
+    /// interpreter's memory image, bit for bit.
+    #[test]
+    fn inner_loops_agree_on_both_backends((p, n) in arb_inner_loop()) {
+        let mi = run_fresh(&p, &[n], &fuzz_init);
+        let mut mv = inl_exec::Machine::new(&p, &[n], &fuzz_init);
+        VmRunner::new(&p).run(&mut mv);
+        prop_assert_eq!(
+            mi.same_state(&mv).map_err(|e| format!("{} at N = {n}: {e}", p.name())),
+            Ok(())
+        );
     }
 
     /// Completion: random partial rows either complete to a matrix the

@@ -29,6 +29,11 @@ impl Rational {
     /// If `den == 0`.
     pub fn new(num: Int, den: Int) -> Self {
         assert!(den != 0, "rational with zero denominator");
+        // Already reduced, and what the interpreter's `Aff::eval` passes
+        // for every subscript of every instance.
+        if den == 1 {
+            return Rational { num, den };
+        }
         let g = gcd(num, den);
         if g == 0 {
             return Rational { num: 0, den: 1 };
@@ -322,6 +327,24 @@ mod tests {
         assert_eq!(r.num(), -3);
         assert_eq!(r.den(), 2);
         assert_eq!(Rational::new(0, -7), Rational::ZERO);
+    }
+
+    #[test]
+    fn unit_denominator_shortcut_is_the_reduced_form() {
+        use std::hash::{BuildHasher, RandomState};
+        let hasher = RandomState::new();
+        for n in [0, 1, -1, 42, -42, Int::MIN + 1, Int::MAX] {
+            let fast = Rational::new(n, 1);
+            assert_eq!((fast.num(), fast.den()), (n, 1));
+            // -n / -1 and, where it fits, 2n / 2 take the gcd path.
+            let mut reduced = vec![Rational::new(-n, -1)];
+            reduced.extend(n.checked_mul(2).map(|d| Rational::new(d, 2)));
+            for slow in reduced {
+                assert_eq!(fast, slow);
+                assert_eq!(fast.cmp(&slow), Ordering::Equal);
+                assert_eq!(hasher.hash_one(fast), hasher.hash_one(slow));
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,14 @@
 //! buffer offset directly (strides and the array base folded into the
 //! coefficients); accesses with divisor subscripts (non-unimodular code
 //! generation) keep per-dimension rows with exact-divisibility checks.
+//!
+//! # Trip kernels
+//!
+//! Binding also lowers every innermost loop with a straight-line body to a
+//! [`TripKernel`]: the body's ops over *slots*, each slot one access whose
+//! flat offset advances by a fixed delta per trip. The loop's header then
+//! runs all its trips itself (see [`mod@crate::run`]); every other loop stays on
+//! the dispatcher.
 
 use inl_ir::{LoopId, Program, StmtId};
 use inl_linalg::Int;
@@ -294,7 +302,7 @@ impl Instr {
 }
 
 /// A symbolic (pre-binding) array access: per-dimension subscript rows.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AccessDesc {
     /// The array (by `ArrayId.0`).
     pub array: u32,
@@ -411,6 +419,93 @@ pub enum FlatAcc {
     },
 }
 
+/// Value registers a [`TripKernel`] body may use.
+pub const KERNEL_REGS: usize = 8;
+/// Distinct accesses a [`TripKernel`] body may make.
+pub const KERNEL_SLOTS: usize = 8;
+
+/// One op of a [`TripKernel`]: a body instruction with its access replaced
+/// by a slot index, in the two-address form [`crate::compile()`] emits
+/// (`dst = dst ∘ rhs`), so a whole column of trips updates in place.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum KernelOp {
+    /// `dst = val`.
+    Const { dst: u8, val: f64 },
+    /// `dst = row as f64` for a divisor-1 row; `delta` is the row's change
+    /// per trip.
+    Idx { dst: u8, row: RowId, delta: i64 },
+    /// `dst = buffer[slot]`.
+    Load { dst: u8, slot: u8 },
+    /// `dst = -dst`.
+    Neg { dst: u8 },
+    /// `dst = sqrt(dst)`.
+    Sqrt { dst: u8 },
+    /// `dst = dst + rhs`.
+    Add { dst: u8, rhs: u8 },
+    /// `dst = dst - rhs`.
+    Sub { dst: u8, rhs: u8 },
+    /// `dst = dst * rhs`.
+    Mul { dst: u8, rhs: u8 },
+    /// `dst = dst / rhs`.
+    Div { dst: u8, rhs: u8 },
+    /// `buffer[slot] = src`; ends a statement instance.
+    Store { src: u8, slot: u8 },
+}
+
+/// One distinct access of a kernel body.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Slot {
+    /// Index into [`BoundProgram::accs`] (always a [`FlatAcc::Flat`]).
+    pub acc: u32,
+    /// The array accessed (index into [`BoundProgram::arrays`]).
+    pub array: u32,
+    /// Change of the flat offset per trip: the loop register's coefficient
+    /// times the loop's step.
+    pub delta: i64,
+    /// Some op of the body stores through this slot.
+    pub stored: bool,
+}
+
+/// An innermost loop lowered for the trip executors: straight-line ops over
+/// at most [`KERNEL_REGS`] value registers and [`KERNEL_SLOTS`] slots.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TripKernel {
+    /// The loop's register.
+    pub var: IReg,
+    /// The loop's step (≥ 1).
+    pub step: i64,
+    /// The body, in instruction order (one op per body instruction).
+    pub ops: Vec<KernelOp>,
+    /// The body's distinct accesses.
+    pub slots: Vec<Slot>,
+    /// `Store` ops per trip (what one trip adds to `vm.instances`).
+    pub stores: u32,
+}
+
+/// Which of the kernel's value registers the body has written so far.
+#[derive(Default)]
+struct WrittenRegs([bool; KERNEL_REGS]);
+
+impl WrittenRegs {
+    /// `r` as a kernel register about to be written; `None` past the file.
+    fn write(&mut self, r: Reg) -> Option<u8> {
+        *self.0.get_mut(r as usize)? = true;
+        Some(r as u8)
+    }
+
+    /// `r` as a kernel register about to be read; `None` unless written.
+    fn read(&self, r: Reg) -> Option<u8> {
+        self.0.get(r as usize)?.then_some(r as u8)
+    }
+
+    /// The operands of `dst = a ∘ b` as the in-place `dst ∘= rhs`; `None`
+    /// unless `dst` is `a` and `b` another register.
+    fn in_place(&self, dst: Reg, a: Reg, b: Reg) -> Option<(u8, u8)> {
+        (dst == a && a != b).then_some(())?;
+        Some((self.read(dst)?, self.read(b)?))
+    }
+}
+
 /// A [`CompiledProgram`] with parameters bound: array layout computed,
 /// accesses lowered, ready to execute on a flat `f64` buffer.
 #[derive(Clone, Debug)]
@@ -423,6 +518,10 @@ pub struct BoundProgram<'c> {
     pub arrays: Vec<ArrayLayout>,
     /// Lowered accesses, parallel to `cp.accesses`.
     pub accs: Vec<FlatAcc>,
+    /// Trip kernels, parallel to `cp.loops`: `Some` for every innermost
+    /// loop whose body qualifies. Which executor runs a loop is fixed here,
+    /// by its body alone.
+    pub kernels: Vec<Option<TripKernel>>,
     /// Total flat buffer length (`Σ arrays[i].len`).
     pub total_len: usize,
 }
@@ -476,16 +575,22 @@ impl CompiledProgram {
             });
             base += len;
         }
-        let accs = self
+        let accs: Vec<FlatAcc> = self
             .accesses
             .iter()
             .map(|acc| self.lower_access(acc, &arrays))
+            .collect();
+        let kernels = self
+            .loops
+            .iter()
+            .map(|meta| self.lower_kernel(meta.as_ref()?, &accs))
             .collect();
         BoundProgram {
             cp: self,
             params,
             arrays,
             accs,
+            kernels,
             total_len: base,
         }
     }
@@ -535,6 +640,107 @@ impl CompiledProgram {
                 base: layout.base,
             }
         }
+    }
+
+    /// Lower a loop's body to a [`TripKernel`], or `None` when it has to
+    /// stay on the dispatcher: an inner loop or a `Guard` in the body (a
+    /// skipped access must not be range-checked), a [`FlatAcc::Dims`]
+    /// access or a divisor `Idx` row (neither is affine in the trip), more
+    /// registers or accesses than the executors' fixed files hold, or an
+    /// instruction outside the shapes [`crate::compile()`] emits — an
+    /// operator that does not overwrite its left operand, or a register
+    /// read before the body wrote it (the executors keep a register file
+    /// of their own, so a body may only read what it wrote).
+    fn lower_kernel(&self, meta: &LoopMeta, accs: &[FlatAcc]) -> Option<TripKernel> {
+        let per_trip = |terms: &[(IReg, i64)]| {
+            let c = terms.iter().find(|t| t.0 == meta.var).map_or(0, |t| t.1);
+            c.checked_mul(meta.step)
+        };
+        let mut k = TripKernel {
+            var: meta.var,
+            step: meta.step,
+            ops: Vec::new(),
+            slots: Vec::new(),
+            stores: 0,
+        };
+        let mut regs = WrittenRegs::default();
+        for instr in &self.code[meta.body.0 as usize..meta.body.1 as usize] {
+            let mut slot = |acc: u32, stored: bool| {
+                let FlatAcc::Flat { terms, .. } = &accs[acc as usize] else {
+                    return None;
+                };
+                let desc = &self.accesses[acc as usize];
+                let known = |s: &Slot| self.accesses[s.acc as usize] == *desc;
+                let i = match k.slots.iter().position(known) {
+                    Some(i) => i,
+                    None if k.slots.len() == KERNEL_SLOTS => return None,
+                    None => {
+                        k.slots.push(Slot {
+                            acc,
+                            array: desc.array,
+                            delta: per_trip(terms)?,
+                            stored: false,
+                        });
+                        k.slots.len() - 1
+                    }
+                };
+                k.slots[i].stored |= stored;
+                Some(i as u8)
+            };
+            k.ops.push(match *instr {
+                Instr::Const { dst, bits } => KernelOp::Const {
+                    dst: regs.write(dst)?,
+                    val: f64::from_bits(bits),
+                },
+                Instr::Idx { dst, row } => {
+                    let r = &self.rows[row as usize];
+                    if r.div != 1 {
+                        return None;
+                    }
+                    KernelOp::Idx {
+                        dst: regs.write(dst)?,
+                        row,
+                        delta: per_trip(&r.terms)?,
+                    }
+                }
+                Instr::Load { dst, acc } => KernelOp::Load {
+                    dst: regs.write(dst)?,
+                    slot: slot(acc, false)?,
+                },
+                Instr::Neg { dst, src } if dst == src => KernelOp::Neg {
+                    dst: regs.read(dst)?,
+                },
+                Instr::Sqrt { dst, src } if dst == src => KernelOp::Sqrt {
+                    dst: regs.read(dst)?,
+                },
+                Instr::Add { dst, a, b } => {
+                    let (dst, rhs) = regs.in_place(dst, a, b)?;
+                    KernelOp::Add { dst, rhs }
+                }
+                Instr::Sub { dst, a, b } => {
+                    let (dst, rhs) = regs.in_place(dst, a, b)?;
+                    KernelOp::Sub { dst, rhs }
+                }
+                Instr::Mul { dst, a, b } => {
+                    let (dst, rhs) = regs.in_place(dst, a, b)?;
+                    KernelOp::Mul { dst, rhs }
+                }
+                Instr::Div { dst, a, b } => {
+                    let (dst, rhs) = regs.in_place(dst, a, b)?;
+                    KernelOp::Div { dst, rhs }
+                }
+                Instr::Store { src, acc } => {
+                    k.stores += 1;
+                    KernelOp::Store {
+                        src: regs.read(src)?,
+                        slot: slot(acc, true)?,
+                    }
+                }
+                // an inner loop, a guard, a unary operator out of place
+                _ => return None,
+            });
+        }
+        Some(k)
     }
 
     /// Metadata for a loop, if it is attached to the program tree.

@@ -18,10 +18,16 @@
 //! * expressions → stack-free **three-address code** over `f64` value
 //!   registers;
 //! * loops → `Loop`/`Next` header/latch instructions with explicit jump
-//!   targets.
+//!   targets;
+//! * innermost loops with a straight-line body → **trip kernels**
+//!   ([`bytecode::TripKernel`]): the header runs all the loop's trips
+//!   itself, each access's flat offset stepped by a fixed delta instead of
+//!   re-derived, and a whole column of trips per dispatch when no trip
+//!   touches a cell another trip stores.
 //!
 //! The per-instance hot path is integer multiply-adds and indexed loads —
-//! zero allocation, zero hashing.
+//! zero allocation, zero hashing — and, inside a kernel, not even a
+//! dispatch per instruction.
 //!
 //! ## Two-stage lowering
 //!
@@ -54,6 +60,28 @@
 //! differential tests in the workspace root assert this over every zoo
 //! program and randomly transformed variants.
 //!
+//! ## Innermost-loop kernels
+//!
+//! Where most of the time goes is the innermost loop, and there the
+//! dispatcher pays one dispatch per instruction per trip and a from-scratch
+//! address per access. [`CompiledProgram::bind`] therefore lowers every
+//! innermost loop whose body is straight-line — no guard, flat accesses and
+//! divisor-1 index rows only, at most [`bytecode::KERNEL_REGS`] value
+//! registers and [`bytecode::KERNEL_SLOTS`] distinct accesses — to a
+//! [`bytecode::TripKernel`], and the loop's header runs it ([`mod@run`]):
+//! it proves the first and the last trip's offsets inside their array
+//! segments (affine in between), then runs the trips in *columns* of up to
+//! [`run::COLUMN`] when the address spans show that no trip touches a cell
+//! another trip stores ([`run::trips_are_independent`]), and one by one in
+//! order otherwise. Counters and profile are credited the dispatcher's
+//! closed form, so they do not depend on the executor; every other loop,
+//! and every statement outside an innermost loop, stays on the dispatcher.
+//! There is nothing to configure: a loop's executor is fixed by its body,
+//! and the interpreter is the oracle for all of them
+//! (`tests/trip_kernels.rs`). The kernel — slots with base and stride,
+//! straight-line ops — is also the lowered form a native-code printer would
+//! print.
+//!
 //! ## Parallel execution
 //!
 //! [`exec_range`] runs any `[start, end)` slice of the instruction
@@ -66,11 +94,13 @@
 //! ## Telemetry
 //!
 //! Compilation runs under an `inl-obs` `vm.compile` span; execution
-//! batches `vm.instrs` / `vm.instances` counters locally and flushes once
-//! per [`exec_range`] call. The optional [`profile`] mode
+//! batches the `vm.instrs` / `vm.instances` counters, and the trips each
+//! kernel executor ran (`vm.trips.columns` / `vm.trips.scalar`), locally and
+//! flushes once per [`exec_range`] call. The optional [`profile`] mode
 //! ([`profile::set_enabled`]) additionally counts executions per instruction
 //! address with the same per-`exec_range` batching, from which hot
-//! opcode/statement/loop tables are derived.
+//! opcode/statement/loop tables are derived — the loop table says which
+//! executor ran each loop.
 
 pub mod bytecode;
 pub mod compile;

@@ -24,6 +24,7 @@
 use crate::bytecode::{CompiledProgram, Opcode};
 use inl_ir::{Program, StmtId};
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -41,27 +42,59 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Per-pc execution counts accumulated per [`CompiledProgram::id`].
-fn sink() -> MutexGuard<'static, HashMap<u64, Vec<u64>>> {
-    static SINK: OnceLock<Mutex<HashMap<u64, Vec<u64>>>> = OnceLock::new();
+/// What profiling samples per instruction address. Dereferences to the
+/// execution counts, the input of every derived view.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Samples {
+    /// Times each instruction executed.
+    pub pcs: Vec<u64>,
+    /// At a kernel loop's header: trips run `[in columns, scalar]`.
+    pub trips: Vec<[u64; 2]>,
+}
+
+impl Samples {
+    /// All-zero samples for a program of `ninstrs` instructions.
+    pub fn zeroed(ninstrs: usize) -> Self {
+        Samples {
+            pcs: vec![0; ninstrs],
+            trips: vec![[0; 2]; ninstrs],
+        }
+    }
+}
+
+impl Deref for Samples {
+    type Target = [u64];
+    fn deref(&self) -> &[u64] {
+        &self.pcs
+    }
+}
+
+/// Samples accumulated per [`CompiledProgram::id`].
+fn sink() -> MutexGuard<'static, HashMap<u64, Samples>> {
+    static SINK: OnceLock<Mutex<HashMap<u64, Samples>>> = OnceLock::new();
     SINK.get_or_init(|| Mutex::new(HashMap::new()))
         .lock()
         .unwrap_or_else(|e| e.into_inner())
 }
 
-/// Merge one `exec_range`'s per-pc counts into the program's profile.
+/// Merge one `exec_range`'s samples into the program's profile.
 /// Called by the dispatch loop; also usable directly by custom drivers.
-pub fn flush(id: u64, counts: &[u64]) {
+pub fn flush(id: u64, counts: &Samples) {
     if counts.iter().all(|&c| c == 0) {
         return;
     }
     let mut map = sink();
     let acc = map.entry(id).or_default();
-    if acc.len() < counts.len() {
-        acc.resize(counts.len(), 0);
+    if acc.pcs.len() < counts.pcs.len() {
+        acc.pcs.resize(counts.pcs.len(), 0);
+        acc.trips.resize(counts.trips.len(), [0; 2]);
     }
-    for (a, &c) in acc.iter_mut().zip(counts) {
+    for (a, &c) in acc.pcs.iter_mut().zip(&counts.pcs) {
         *a += c;
+    }
+    for (a, c) in acc.trips.iter_mut().zip(&counts.trips) {
+        a[0] += c[0];
+        a[1] += c[1];
     }
 }
 
@@ -85,10 +118,10 @@ pub fn reset() {
     sink().clear();
 }
 
-/// The accumulated per-pc counts for a program, if it was ever executed
-/// under profiling. The vector is indexed by instruction address and has
-/// at most `cp.code.len()` entries.
-pub fn pc_counts(cp: &CompiledProgram) -> Option<Vec<u64>> {
+/// The accumulated samples for a program, if it was ever executed under
+/// profiling, indexed by instruction address (at most `cp.code.len()`
+/// entries).
+pub fn pc_counts(cp: &CompiledProgram) -> Option<Samples> {
     sink().get(&cp.id).cloned()
 }
 
@@ -182,6 +215,24 @@ pub struct LoopProfile {
     pub iterations: u64,
     /// Instructions executed inside the body range.
     pub body_instrs: u64,
+    /// Iterations the column executor ran (see [`mod@crate::run`]).
+    pub trips_columns: u64,
+    /// Iterations the scalar trip executor ran.
+    pub trips_scalar: u64,
+}
+
+impl LoopProfile {
+    /// Which executor ran the loop's iterations: `dispatch` (the
+    /// dispatcher, one instruction at a time), `columns`, `scalar`, or
+    /// `mixed` when entries of a kernel loop went both ways.
+    pub fn mode(&self) -> &'static str {
+        match (self.trips_columns > 0, self.trips_scalar > 0) {
+            (false, false) => "dispatch",
+            (true, false) => "columns",
+            (false, true) => "scalar",
+            (true, true) => "mixed",
+        }
+    }
 }
 
 /// Per-loop execution counts, hottest body first. Loops whose body never
@@ -189,7 +240,7 @@ pub struct LoopProfile {
 pub fn loop_profiles(
     cp: &CompiledProgram,
     p: Option<&Program>,
-    counts: &[u64],
+    counts: &Samples,
 ) -> Vec<LoopProfile> {
     let mut out = Vec::new();
     for (idx, meta) in cp.loops.iter().enumerate() {
@@ -204,11 +255,18 @@ pub fn loop_profiles(
             Some(p) => p.loop_decl(inl_ir::LoopId(idx)).name.clone(),
             None => format!("L{idx}"),
         };
+        let trips = counts
+            .trips
+            .get(meta.header as usize)
+            .copied()
+            .unwrap_or_default();
         out.push(LoopProfile {
             name,
             header_execs: counts.get(meta.header as usize).copied().unwrap_or(0),
             iterations: body.first().copied().unwrap_or(0),
             body_instrs,
+            trips_columns: trips[0],
+            trips_scalar: trips[1],
         });
     }
     out.sort_by(|a, b| b.body_instrs.cmp(&a.body_instrs).then(a.name.cmp(&b.name)));
@@ -255,11 +313,15 @@ pub fn render_tables(cp: &CompiledProgram, p: Option<&Program>) -> String {
     let loops = loop_profiles(cp, p, &counts);
     if !loops.is_empty() {
         out.push_str("hot loops\n");
-        out.push_str("  loop   headers  iterations   body instrs\n");
+        out.push_str("  loop   headers  iterations   body instrs  mode\n");
         for l in &loops {
             out.push_str(&format!(
-                "  {:<5}  {:>7}  {:>10}  {:>12}\n",
-                l.name, l.header_execs, l.iterations, l.body_instrs
+                "  {:<5}  {:>7}  {:>10}  {:>12}  {}\n",
+                l.name,
+                l.header_execs,
+                l.iterations,
+                l.body_instrs,
+                l.mode()
             ));
         }
     }
@@ -291,6 +353,9 @@ pub fn to_json(cp: &CompiledProgram, p: Option<&Program>) -> inl_obs::Json {
         obj.insert("headers", Json::Int(l.header_execs));
         obj.insert("iterations", Json::Int(l.iterations));
         obj.insert("body_instrs", Json::Int(l.body_instrs));
+        obj.insert("trips_columns", Json::Int(l.trips_columns));
+        obj.insert("trips_scalar", Json::Int(l.trips_scalar));
+        obj.insert("mode", Json::Str(l.mode().into()));
         loops.insert(l.name, obj);
     }
     root.insert("loops", loops);

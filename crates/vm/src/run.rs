@@ -1,10 +1,34 @@
-//! The virtual machine: a flat dispatch loop over bound bytecode.
+//! The virtual machine: a flat dispatch loop over bound bytecode, and two
+//! trip executors for the innermost loops binding lowered to a
+//! [`TripKernel`].
 //!
-//! The per-instance hot path is integer dot products (tiny sparse rows),
-//! indexed `f64` loads/stores into one flat buffer, and three-address
-//! arithmetic — no allocation, no hashing, no rationals (except the exact
-//! [`Instr::Idx`] slow path, which replicates the interpreter's rational
-//! semantics bit-for-bit).
+//! On the dispatcher the per-instance path is integer dot products (tiny
+//! sparse rows), indexed `f64` loads/stores into one flat buffer, and
+//! three-address arithmetic — no allocation, no hashing, no rationals
+//! (except the exact [`Instr::Idx`] slow path, which replicates the
+//! interpreter's rational semantics bit-for-bit).
+//!
+//! # Trip kernels
+//!
+//! The `Loop` header of a kernel loop runs all the loop's trips itself and
+//! jumps to its exit. At entry it resolves every slot's first offset with
+//! the dispatcher's own address computation (segment assert included) and
+//! asserts the *last* trip's offset against the same segment: an offset is
+//! affine in the trip, so every trip between lies between, and a guard-free
+//! body performs every access on every trip, so nothing is checked that
+//! would not have run. It then picks an executor from the address spans
+//! alone ([`trips_are_independent`]):
+//!
+//! * **columns** — each op applied to up to [`COLUMN`] trips at once over
+//!   register columns, when no cell a trip stores is touched by any other
+//!   trip. A cell that is stored then sees the accesses of one trip only,
+//!   in that trip's op order, and every other cell is only read, so the
+//!   result is the dispatcher's bit for bit;
+//! * **scalar** — the same ops once per trip, in trip order, each slot's
+//!   offset advanced by its delta instead of recomputed.
+//!
+//! Which loops are kernels is fixed by their bodies at bind time and there
+//! is nothing to switch: the interpreter is the oracle for both executors.
 //!
 //! [`exec_range`] executes an arbitrary `[start, end)` slice of the
 //! instruction stream, which is what lets the parallel executor drive
@@ -12,9 +36,32 @@
 //! sets the loop-variable register, and runs the body range per
 //! iteration on a [`SharedBuf`] visible to all workers.
 
-use crate::bytecode::{eval_hi, eval_lo, BoundProgram, FlatAcc, GuardKind, Instr, Pc};
+use crate::bytecode::{
+    eval_hi, eval_lo, BoundProgram, FlatAcc, GuardKind, Instr, KernelOp, Pc, Row, Slot, TripKernel,
+    KERNEL_REGS, KERNEL_SLOTS,
+};
+use crate::profile::Samples;
 use inl_linalg::{Int, Rational};
 use std::marker::PhantomData;
+
+/// Trips one dispatch of the column executor covers.
+pub const COLUMN: usize = 128;
+
+/// The column executor's register file: one column of trips per register.
+type Columns = [[f64; COLUMN]; KERNEL_REGS];
+
+/// A state's [`Columns`], allocated by the first kernel that runs in
+/// columns. Cloning yields an empty scratch: it holds no value that
+/// outlives a loop entry, and the parallel executor clones a state per
+/// chunk per wavefront.
+#[derive(Debug, Default)]
+struct ColumnScratch(Option<Box<Columns>>);
+
+impl Clone for ColumnScratch {
+    fn clone(&self) -> Self {
+        ColumnScratch(None)
+    }
+}
 
 /// The mutable execution state of one VM activation: integer registers
 /// (parameters then loop variables), per-loop upper-bound slots, and the
@@ -32,6 +79,8 @@ pub struct VmState {
     fregs: Vec<f64>,
     /// Number of parameter registers (offset of the loop-var file).
     nparams: usize,
+    /// The column executor's registers (not copied by `clone`).
+    cols: ColumnScratch,
 }
 
 impl BoundProgram<'_> {
@@ -44,6 +93,7 @@ impl BoundProgram<'_> {
             his: vec![0; self.cp.nloops],
             fregs: vec![0.0; self.cp.nfregs],
             nparams: self.cp.nparams,
+            cols: ColumnScratch::default(),
         }
     }
 }
@@ -91,6 +141,68 @@ impl<'a> SharedBuf<'a> {
         );
         unsafe { *self.ptr.add(i) = v }
     }
+
+    /// The lowest of the `n ≥ 1` cells `first, first + stride, …`, after
+    /// asserting the first and the last of them inside the buffer (an
+    /// affine index stays between its two ends).
+    #[inline]
+    fn lowest(&self, n: usize, first: i64, stride: i64) -> usize {
+        let ends = i64::try_from(n - 1)
+            .ok()
+            .and_then(|reach| reach.checked_mul(stride))
+            .and_then(|d| first.checked_add(d))
+            .map(|last| (first.min(last), first.max(last)));
+        match ends {
+            Some((lo, hi)) if lo >= 0 && (hi as usize) < self.len => lo as usize,
+            _ => panic!(
+                "flat access out of bounds: {n} cells from {first} by {stride} >= {}",
+                self.len
+            ),
+        }
+    }
+
+    /// Read one cell per element of `out`, `stride` cells apart from `first`.
+    #[inline]
+    fn gather(&self, out: &mut [f64], first: i64, stride: i64) {
+        if out.is_empty() {
+            return;
+        }
+        let lo = self.lowest(out.len(), first, stride);
+        // SAFETY: `lowest` asserted every cell read inside the buffer;
+        // `out` is a register column, never part of the buffer.
+        unsafe {
+            match stride {
+                0 => out.fill(*self.ptr.add(lo)),
+                1 => std::ptr::copy_nonoverlapping(self.ptr.add(lo), out.as_mut_ptr(), out.len()),
+                _ => {
+                    for (t, o) in out.iter_mut().enumerate() {
+                        *o = *self.ptr.offset((first + t as i64 * stride) as isize);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Write one cell per element of `src`, `stride` cells apart from `first`.
+    #[inline]
+    fn scatter(&self, src: &[f64], first: i64, stride: i64) {
+        if src.is_empty() {
+            return;
+        }
+        let lo = self.lowest(src.len(), first, stride);
+        // SAFETY: `lowest` asserted every cell written inside the buffer;
+        // `src` is a register column, never part of the buffer.
+        unsafe {
+            match stride {
+                1 => std::ptr::copy_nonoverlapping(src.as_ptr(), self.ptr.add(lo), src.len()),
+                _ => {
+                    for (t, &v) in src.iter().enumerate() {
+                        *self.ptr.offset((first + t as i64 * stride) as isize) = v;
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Resolve a bound access to a flat buffer offset at the current register
@@ -134,6 +246,175 @@ fn addr(bp: &BoundProgram, acc: u32, iregs: &[i64]) -> usize {
     }
 }
 
+/// Decide from the address spans alone whether the trips of one loop entry
+/// may run in columns: slot `i` is at offset `first[i]` on the first trip
+/// and `last[i]` on the last, `slots[i].delta` apart from trip to trip.
+///
+/// True iff every *stored* slot `w` moves (`delta ≠ 0`) and every other slot
+/// on `w`'s array either has the identical `(first, delta)` — it touches,
+/// on each trip, exactly the cell `w` stores on that trip — or covers a span
+/// disjoint from `w`'s. Then the cell a trip stores is touched by no other
+/// trip, so running op by op over many trips performs, on every cell, the
+/// same accesses in the same order as running trip by trip.
+pub fn trips_are_independent(slots: &[Slot], first: &[i64], last: &[i64]) -> bool {
+    let span = |i: usize| (first[i].min(last[i]), first[i].max(last[i]));
+    (0..slots.len()).all(|w| {
+        !slots[w].stored
+            || slots[w].delta != 0
+                && (0..slots.len()).all(|s| {
+                    let ((wlo, whi), (slo, shi)) = (span(w), span(s));
+                    s == w
+                        || slots[s].array != slots[w].array
+                        || (first[s], slots[s].delta) == (first[w], slots[w].delta)
+                        || shi < wlo
+                        || whi < slo
+                })
+    })
+}
+
+/// Index a kernel register or slot file. The lowering admits nothing past
+/// the files ([`KERNEL_REGS`] = [`KERNEL_SLOTS`] = 8); the mask lets the
+/// compiler drop the bounds check from the per-trip path.
+#[inline(always)]
+fn ix(i: u8) -> usize {
+    const { assert!(KERNEL_REGS == 8 && KERNEL_SLOTS == 8) };
+    (i & 7) as usize
+}
+
+/// Run all `trips` of a kernel loop whose register holds the first trip's
+/// value, leaving in it the last trip's — what the dispatcher's latch
+/// leaves. Returns whether the trips ran in columns.
+fn run_trips(
+    bp: &BoundProgram,
+    k: &TripKernel,
+    st: &mut VmState,
+    buf: &SharedBuf<'_>,
+    trips: u64,
+) -> bool {
+    let reach = (trips - 1) as i64;
+    let mut first = [0i64; KERNEL_SLOTS];
+    let mut last = [0i64; KERNEL_SLOTS];
+    for (i, s) in k.slots.iter().enumerate() {
+        first[i] = addr(bp, s.acc, &st.iregs) as i64;
+        let seg = &bp.arrays[s.array as usize];
+        last[i] = reach
+            .checked_mul(s.delta)
+            .and_then(|d| first[i].checked_add(d))
+            .filter(|l| (seg.base as i64..(seg.base + seg.len) as i64).contains(l))
+            .expect("flat access outside its array segment");
+    }
+    let columns = trips_are_independent(&k.slots, &first, &last);
+    if columns {
+        let cols = st
+            .cols
+            .0
+            .get_or_insert_with(|| Box::new([[0.0; COLUMN]; KERNEL_REGS]));
+        let lo = st.iregs[k.var as usize];
+        for done in (0..trips).step_by(COLUMN) {
+            let n = (trips - done).min(COLUMN as u64) as usize;
+            st.iregs[k.var as usize] = lo + done as i64 * k.step;
+            let mut base = first;
+            for (b, s) in base.iter_mut().zip(&k.slots) {
+                *b += done as i64 * s.delta;
+            }
+            column_trips(k, &bp.cp.rows, &st.iregs, buf, cols, &base, n);
+        }
+        st.iregs[k.var as usize] = lo + reach * k.step;
+    } else {
+        scalar_trips(k, &bp.cp.rows, &mut st.iregs, buf, first, trips);
+    }
+    columns
+}
+
+/// `dst ∘= rhs` over the first `n` trips of two distinct register columns.
+#[inline(always)]
+fn zip_columns(cols: &mut Columns, n: usize, dst: u8, rhs: u8, f: impl Fn(f64, f64) -> f64) {
+    let [d, r] = cols
+        .get_disjoint_mut([ix(dst), ix(rhs)])
+        .expect("a kernel operator has distinct operands");
+    for (x, y) in d[..n].iter_mut().zip(&r[..n]) {
+        *x = f(*x, *y);
+    }
+}
+
+/// `n ≤ COLUMN` consecutive trips of a kernel, op by op over register
+/// columns. `base` holds the slots' offsets, and the loop register its
+/// value, on the first of them.
+fn column_trips(
+    k: &TripKernel,
+    rows: &[Row],
+    iregs: &[i64],
+    buf: &SharedBuf<'_>,
+    cols: &mut Columns,
+    base: &[i64; KERNEL_SLOTS],
+    n: usize,
+) {
+    for op in &k.ops {
+        match *op {
+            KernelOp::Const { dst, val } => cols[ix(dst)][..n].fill(val),
+            KernelOp::Idx { dst, row, delta } => {
+                let num = rows[row as usize].num(iregs);
+                for (t, x) in cols[ix(dst)][..n].iter_mut().enumerate() {
+                    *x = (num + t as i64 * delta) as f64;
+                }
+            }
+            KernelOp::Load { dst, slot } => buf.gather(
+                &mut cols[ix(dst)][..n],
+                base[ix(slot)],
+                k.slots[ix(slot)].delta,
+            ),
+            KernelOp::Neg { dst } => cols[ix(dst)][..n].iter_mut().for_each(|x| *x = -*x),
+            KernelOp::Sqrt { dst } => cols[ix(dst)][..n].iter_mut().for_each(|x| *x = x.sqrt()),
+            KernelOp::Add { dst, rhs } => zip_columns(cols, n, dst, rhs, |x, y| x + y),
+            KernelOp::Sub { dst, rhs } => zip_columns(cols, n, dst, rhs, |x, y| x - y),
+            KernelOp::Mul { dst, rhs } => zip_columns(cols, n, dst, rhs, |x, y| x * y),
+            KernelOp::Div { dst, rhs } => zip_columns(cols, n, dst, rhs, |x, y| x / y),
+            KernelOp::Store { src, slot } => {
+                buf.scatter(&cols[ix(src)][..n], base[ix(slot)], k.slots[ix(slot)].delta)
+            }
+        }
+    }
+}
+
+/// All trips of a kernel, trip by trip in order, over a stack register
+/// file; `off` enters as the slots' first offsets and is stepped per trip.
+fn scalar_trips(
+    k: &TripKernel,
+    rows: &[Row],
+    iregs: &mut [i64],
+    buf: &SharedBuf<'_>,
+    mut off: [i64; KERNEL_SLOTS],
+    trips: u64,
+) {
+    let mut delta = [0i64; KERNEL_SLOTS];
+    for (d, s) in delta.iter_mut().zip(&k.slots) {
+        *d = s.delta;
+    }
+    let mut r = [0.0f64; KERNEL_REGS];
+    for trip in 0..trips {
+        if trip > 0 {
+            iregs[k.var as usize] += k.step;
+            for (o, d) in off.iter_mut().zip(&delta) {
+                *o += d;
+            }
+        }
+        for op in &k.ops {
+            match *op {
+                KernelOp::Const { dst, val } => r[ix(dst)] = val,
+                KernelOp::Idx { dst, row, .. } => r[ix(dst)] = rows[row as usize].num(iregs) as f64,
+                KernelOp::Load { dst, slot } => r[ix(dst)] = buf.read(off[ix(slot)] as usize),
+                KernelOp::Neg { dst } => r[ix(dst)] = -r[ix(dst)],
+                KernelOp::Sqrt { dst } => r[ix(dst)] = r[ix(dst)].sqrt(),
+                KernelOp::Add { dst, rhs } => r[ix(dst)] += r[ix(rhs)],
+                KernelOp::Sub { dst, rhs } => r[ix(dst)] -= r[ix(rhs)],
+                KernelOp::Mul { dst, rhs } => r[ix(dst)] *= r[ix(rhs)],
+                KernelOp::Div { dst, rhs } => r[ix(dst)] /= r[ix(rhs)],
+                KernelOp::Store { src, slot } => buf.write(off[ix(slot)] as usize, r[ix(src)]),
+            }
+        }
+    }
+}
+
 /// Execute instructions `[start, end)` against a state and buffer.
 ///
 /// The `vm.instrs` / `vm.instances` counters are accumulated locally and
@@ -145,12 +426,12 @@ fn addr(bp: &BoundProgram, acc: u32, iregs: &[i64]) -> usize {
 /// batching discipline.
 pub fn exec_range(bp: &BoundProgram, st: &mut VmState, buf: &SharedBuf<'_>, start: Pc, end: Pc) {
     if crate::profile::enabled() {
-        let mut counts = vec![0u64; bp.cp.code.len()];
+        let mut counts = Samples::zeroed(bp.cp.code.len());
         exec_range_impl::<true>(bp, st, buf, start, end, &mut counts);
         crate::profile::record_loop_bodies(bp.cp, &counts);
         crate::profile::flush(bp.cp.id, &counts);
     } else {
-        exec_range_impl::<false>(bp, st, buf, start, end, &mut []);
+        exec_range_impl::<false>(bp, st, buf, start, end, &mut Samples::default());
     }
 }
 
@@ -162,34 +443,56 @@ fn exec_range_impl<const PROFILE: bool>(
     buf: &SharedBuf<'_>,
     start: Pc,
     end: Pc,
-    counts: &mut [u64],
+    counts: &mut Samples,
 ) {
     let code = &bp.cp.code;
     let rows = &bp.cp.rows;
     let mut instrs: u64 = 0;
     let mut instances: u64 = 0;
+    // trips run by the column and the scalar executor
+    let mut kernel_trips = [0u64; 2];
     let mut pc = start;
     while pc < end {
         instrs += 1;
         if PROFILE {
-            counts[pc as usize] += 1;
+            counts.pcs[pc as usize] += 1;
         }
         match code[pc as usize] {
             Instr::Loop {
                 var,
                 lo,
                 hi,
-                step: _,
+                step,
                 exit,
             } => {
                 let lo_v = eval_lo(rows, lo, &st.iregs);
                 let hi_v = eval_hi(rows, hi, &st.iregs);
+                let l = var as usize - st.nparams;
                 if lo_v > hi_v {
                     pc = exit;
                 } else {
                     st.iregs[var as usize] = lo_v;
-                    st.his[var as usize - st.nparams] = hi_v;
-                    pc += 1;
+                    st.his[l] = hi_v;
+                    match &bp.kernels[l] {
+                        None => pc += 1,
+                        // The header runs every trip and accounts for
+                        // what the dispatcher would have executed: body
+                        // and latch once per trip.
+                        Some(k) => {
+                            let trips = ((hi_v - lo_v) / step) as u64 + 1;
+                            let mode = !run_trips(bp, k, st, buf, trips) as usize;
+                            kernel_trips[mode] += trips;
+                            instrs += trips * (exit - pc - 1) as u64;
+                            instances += trips * k.stores as u64;
+                            if PROFILE {
+                                counts.trips[pc as usize][mode] += trips;
+                                for c in &mut counts.pcs[pc as usize + 1..exit as usize] {
+                                    *c += trips;
+                                }
+                            }
+                            pc = exit;
+                        }
+                    }
                 }
             }
             Instr::Next { var, step, back } => {
@@ -268,6 +571,12 @@ fn exec_range_impl<const PROFILE: bool>(
     }
     if instances > 0 {
         inl_obs::counter_add!("vm.instances", instances);
+    }
+    if kernel_trips[0] > 0 {
+        inl_obs::counter_add!("vm.trips.columns", kernel_trips[0]);
+    }
+    if kernel_trips[1] > 0 {
+        inl_obs::counter_add!("vm.trips.scalar", kernel_trips[1]);
     }
 }
 

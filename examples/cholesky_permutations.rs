@@ -5,7 +5,11 @@
 //! This example enumerates every assignment of Cholesky's loop positions
 //! to loop slots, lets the completion procedure find a legal statement
 //! order for each, generates code, validates it by execution, and times
-//! the variants.
+//! the variants on both backends: on the interpreter, whose per-instance
+//! overhead hides the difference, and on the VM at N=300, where the
+//! variants whose innermost loop runs down a row in columns of trips pull
+//! away from those that reduce into one cell or walk a column of the matrix
+//! (`examples/profile_run.rs` prints which executor ran each loop).
 //!
 //! ```sh
 //! cargo run --release --example cholesky_permutations
@@ -15,7 +19,7 @@ use inl::codegen::generate;
 use inl::core::complete::{complete_transform, order_rows};
 use inl::core::depend::analyze;
 use inl::core::instance::InstanceLayout;
-use inl::exec::{run_fresh, Interpreter, Machine};
+use inl::exec::{run_fresh, Interpreter, Machine, VmRunner};
 use inl::ir::zoo;
 use inl::linalg::permutations;
 use std::time::Instant;
@@ -28,12 +32,15 @@ fn main() {
 
     let spd = zoo::spd_init;
     let n: i128 = 120;
+    let vm_n: i128 = 300;
 
-    // reference result
+    // reference results: the source program on the interpreter
     let reference = run_fresh(&p, &[n], &spd);
+    let vm_reference = run_fresh(&p, &[vm_n], &spd);
 
-    println!("variant (slot order) | legal | verified | time at N={n}");
-    println!("---------------------|-------|----------|-------------");
+    println!("variant (slot order) | legal | verified | interp N={n} | VM N={vm_n}");
+    println!("---------------------|-------|----------|--------------|----------");
+    let mut vm_times = Vec::new();
     for pm in permutations(&[0, 1, 2, 3]) {
         let label: String = pm.iter().map(|&i| names[i]).collect();
         let rows = order_rows(&p, &layout, &label).expect("a permutation of the loop names");
@@ -51,15 +58,36 @@ fn main() {
         // verify
         let mut m = Machine::new(&result.program, &[n], &spd);
         Interpreter::new(&result.program).run(&mut m);
-        let ok = reference.same_state(&m).is_ok();
+        let mut ok = reference.same_state(&m).is_ok();
         // time
         let mut m2 = Machine::new(&result.program, &[n], &spd);
         let t0 = Instant::now();
         Interpreter::new(&result.program).run(&mut m2);
         let dt = t0.elapsed();
+        // the same code on the VM, verified against the interpreter's
+        // image of the source program; quietest of five runs
+        let runner = VmRunner::new(&result.program);
+        let template = Machine::new(&result.program, &[vm_n], &spd);
+        let mut vm_dt = std::time::Duration::MAX;
+        for _ in 0..5 {
+            let mut m3 = template.clone();
+            let t0 = Instant::now();
+            runner.run(&mut m3);
+            vm_dt = vm_dt.min(t0.elapsed());
+            ok &= vm_reference.same_state(&m3).is_ok();
+        }
+        vm_times.push(vm_dt);
         println!(
-            "{label:>20} |  yes  |   {}    | {dt:>9.2?}",
+            "{label:>20} |  yes  |   {}    | {dt:>12.2?} | {vm_dt:>9.2?}",
             if ok { "✓" } else { "✗" }
+        );
+    }
+    let (fastest, slowest) = (vm_times.iter().min(), vm_times.iter().max());
+    if let Some((fastest, slowest)) = fastest.zip(slowest) {
+        println!(
+            "VM, N={vm_n}: {fastest:.2?} to {slowest:.2?}, {:.1}x between the fastest and the \
+             slowest legal variant",
+            slowest.as_secs_f64() / fastest.as_secs_f64()
         );
     }
 }
