@@ -91,11 +91,6 @@ impl DepEntry {
         }
     }
 
-    /// The `*` direction (unknown).
-    pub fn star() -> Self {
-        DepEntry { lo: None, hi: None }
-    }
-
     /// Exact distance, if the interval is a single point.
     pub fn as_dist(&self) -> Option<Int> {
         match (self.lo, self.hi) {
@@ -234,11 +229,6 @@ pub struct DependenceMatrix {
 }
 
 impl DependenceMatrix {
-    /// Self-dependences of a statement.
-    pub fn self_deps(&self, s: StmtId) -> impl Iterator<Item = &Dependence> {
-        self.deps.iter().filter(move |d| d.src == s && d.dst == s)
-    }
-
     /// True iff some column has the given entries (used to compare against
     /// the paper's published matrices, which may order columns differently).
     pub fn has_column(&self, entries: &[DepEntry]) -> bool {

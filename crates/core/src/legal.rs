@@ -387,18 +387,6 @@ fn zero_case(ast: &NewAst, d: &Dependence) -> DepStatus {
     }
 }
 
-/// Convenience: check legality of a transformation sequence. An invalid
-/// transform in the sequence reports [`inl_linalg::InlErrorKind::InvalidTarget`].
-pub fn check_legal_seq(
-    p: &Program,
-    layout: &InstanceLayout,
-    deps: &DependenceMatrix,
-    seq: &[crate::transform::Transform],
-) -> Result<LegalityReport, InlError> {
-    let m = crate::transform::Transform::compose(p, layout, seq)?;
-    check_legal(p, layout, deps, &m)
-}
-
 /// Group a report's unsatisfied self-dependences by statement (input to the
 /// augmentation procedure).
 pub fn unsatisfied_by_stmt(

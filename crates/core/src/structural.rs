@@ -135,12 +135,6 @@ pub struct StructuralResult {
     pub target_layout: InstanceLayout,
 }
 
-/// Apply a child reordering structurally (used by
-/// [`crate::transform::Transform::ReorderChildren`]).
-pub fn apply_reorder(p: &Program, parent: Option<LoopId>, perm: &[usize]) -> Program {
-    p.reorder_children(parent, perm)
-}
-
 /// Distribute loop `l` at `split` and build the distribution matrix.
 ///
 /// Fails with [`InlErrorKind::InvalidTarget`](inl_linalg::InlErrorKind) when

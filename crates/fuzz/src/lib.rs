@@ -26,7 +26,7 @@
 //! Crashes found by the harness are minimized into committed regression
 //! tests in `tests/regressions.rs`.
 
-use inl_codegen::{generate, CodegenError, CodegenResult};
+use inl_codegen::{generate, CodegenResult};
 use inl_core::depend::{analyze, DependenceMatrix};
 use inl_core::instance::InstanceLayout;
 use inl_core::legal::check_legal;
@@ -104,19 +104,6 @@ pub fn analyzed(p: &Program) -> Result<(InstanceLayout, DependenceMatrix), Strin
     let layout = InstanceLayout::new(p);
     let deps = analyze(p, &layout).map_err(|e| e.to_string())?;
     Ok((layout, deps))
-}
-
-/// True when the codegen error is one of the typed, expected rejections —
-/// as opposed to something that suggests an internal inconsistency.
-pub fn is_typed_rejection(e: &CodegenError) -> bool {
-    matches!(
-        e,
-        CodegenError::Illegal(_)
-            | CodegenError::Schedule(_)
-            | CodegenError::BoundMerge(_)
-            | CodegenError::Unbounded(_)
-            | CodegenError::Inl(_)
-    )
 }
 
 // ---------------------------------------------------------------------

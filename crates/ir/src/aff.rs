@@ -234,12 +234,6 @@ impl Aff {
             div: 1,
         }
     }
-
-    /// Scale so the divisor becomes 1: returns `self * divisor()` as a
-    /// divisor-free expression (identical to [`Aff::numerator`]).
-    pub fn clear_divisor(&self) -> Aff {
-        self.numerator()
-    }
 }
 
 impl Add for Aff {

@@ -228,11 +228,6 @@ impl Program {
         self.stmts.len()
     }
 
-    /// Number of array declarations.
-    pub fn narrays(&self) -> usize {
-        self.arrays.len()
-    }
-
     /// The loops surrounding a statement, outside-in.
     pub fn loops_surrounding(&self, s: StmtId) -> Vec<LoopId> {
         let mut path = Vec::new();

@@ -6,10 +6,9 @@
 //! Loop transformations are represented by integer matrices acting on integer
 //! instance vectors (Kodukula & Pingali, SC 1996). Everything the framework
 //! does with those matrices — legality tests, rank computations for the
-//! augmentation procedure, non-singular per-statement transforms, Hermite
-//! normal forms for non-unimodular loop bounds — must be *exact*: a rounding
-//! error of 1 changes which iterations a loop executes. This crate therefore
-//! provides:
+//! augmentation procedure, non-singular per-statement transforms — must be
+//! *exact*: a rounding error of 1 changes which iterations a loop executes.
+//! This crate therefore provides:
 //!
 //! * [`InlError`] — the structured, recoverable error type shared by the
 //!   whole pipeline; fallible operations report it rather than panicking;
@@ -19,8 +18,6 @@
 //! * [`IMat`] / [`IVec`] — dense integer matrices/vectors with exact
 //!   elimination: rank, determinant, rational inverse, solving, integer
 //!   nullspace bases;
-//! * [`hnf`] — column-style Hermite normal form and unimodular completion,
-//!   used for non-unimodular code generation and the completion procedure;
 //! * [`lex`] — lexicographic order utilities on integer vectors.
 //!
 //! # Example
@@ -42,7 +39,6 @@
 
 pub mod error;
 pub mod gauss;
-pub mod hnf;
 pub mod lex;
 pub mod matrix;
 pub mod rational;
@@ -50,7 +46,6 @@ pub mod vector;
 
 pub use error::{InlError, InlErrorKind};
 pub use gauss::{inverse_rational, nullspace_int, rank, solve_rational};
-pub use hnf::{column_hnf, complete_unimodular, HnfResult};
 pub use lex::{lex_cmp, LexSign};
 pub use matrix::IMat;
 pub use rational::Rational;

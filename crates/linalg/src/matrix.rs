@@ -112,11 +112,6 @@ impl IMat {
         (0..self.rows).map(|i| self[(i, j)]).collect()
     }
 
-    /// Iterate over rows as `IVec`s.
-    pub fn rows_iter(&self) -> impl Iterator<Item = IVec> + '_ {
-        (0..self.rows).map(move |i| self.row(i))
-    }
-
     /// Append a row.
     ///
     /// # Panics

@@ -38,11 +38,6 @@ impl IVec {
         &self.0
     }
 
-    /// View as a mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [Int] {
-        &mut self.0
-    }
-
     /// Consume into the underlying `Vec`.
     pub fn into_vec(self) -> Vec<Int> {
         self.0

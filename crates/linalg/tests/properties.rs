@@ -3,9 +3,7 @@
 //! hammer them with random small matrices (the size regime loop
 //! transformations live in).
 
-use inl_linalg::{
-    column_hnf, complete_unimodular, ext_gcd, gauss, gcd, lcm, IMat, IVec, Int, Rational,
-};
+use inl_linalg::{ext_gcd, gauss, gcd, lcm, IMat, IVec, Int, Rational};
 use proptest::prelude::*;
 
 fn small_matrix(n: usize) -> impl Strategy<Value = IMat> {
@@ -86,35 +84,6 @@ proptest! {
         let r = gauss::rank(&a);
         prop_assert!(r <= 4);
         prop_assert_eq!(r == 4, a.det() != 0);
-    }
-
-    #[test]
-    fn hnf_invariants(a in small_matrix(3)) {
-        let r = column_hnf(&a).expect("small entries cannot overflow");
-        prop_assert!(r.u.is_unimodular());
-        prop_assert_eq!(a.mul(&r.u), r.h.clone());
-        for (row, piv) in r.pivots.iter().enumerate() {
-            if let Some(c) = piv {
-                prop_assert!(r.h[(row, *c)] > 0);
-                for j in c + 1..3 {
-                    prop_assert_eq!(r.h[(row, j)], 0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn completion_preserves_rows(v in small_vec(4)) {
-        prop_assume!(!v.is_zero());
-        let m = complete_unimodular(std::slice::from_ref(&v), 4).expect("independent");
-        prop_assert_eq!(m.row(0), v.clone());
-        prop_assert_ne!(m.det(), 0);
-        // primitive row ⇒ unimodular completion
-        if v.content() == 1 {
-            prop_assert!(m.is_unimodular());
-        } else {
-            prop_assert_eq!(m.det().abs(), v.content());
-        }
     }
 
     #[test]

@@ -51,6 +51,7 @@
 //! --telemetry` and the serve integration tests compare exactly this.
 
 use crate::json::Json;
+use crate::report::SpanSnapshot;
 use crate::{flags_cell, FLAG_CAPTURE};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -59,19 +60,6 @@ use std::sync::Mutex;
 
 /// Schema version of [`Capture::to_json`] (the wire `telemetry` section).
 pub const SCHEMA_VERSION: u64 = 1;
-
-/// Aggregate for one span path inside a capture window.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StageStat {
-    /// Number of times the span closed during the capture.
-    pub count: u64,
-    /// Total wall time across those closes, in nanoseconds.
-    pub total_ns: u64,
-    /// Shortest single duration in nanoseconds.
-    pub min_ns: u64,
-    /// Longest single duration in nanoseconds.
-    pub max_ns: u64,
-}
 
 /// Explain-record tallies inside a capture window (populated only while
 /// the explain layer is enabled — see [`crate::explain_enabled`]).
@@ -98,7 +86,7 @@ pub struct Capture {
     /// server's `serve.request` envelope) do not prefix them, so the
     /// same request captured under different envelopes yields the same
     /// stage paths.
-    pub stages: BTreeMap<String, StageStat>,
+    pub stages: BTreeMap<String, SpanSnapshot>,
     /// Explain verdict tallies (all zero while the explain layer is off).
     pub explain: ExplainSummary,
     /// Span-stack depth on this thread when the capture began; enclosing
@@ -266,16 +254,7 @@ pub(crate) fn record_span(path: &str, ns: u64) {
                     None => return, // opened before the capture began
                 }
             }
-            let s = cap.stages.entry(rel.to_string()).or_insert(StageStat {
-                count: 0,
-                total_ns: 0,
-                min_ns: u64::MAX,
-                max_ns: 0,
-            });
-            s.count += 1;
-            s.total_ns += ns;
-            s.min_ns = s.min_ns.min(ns);
-            s.max_ns = s.max_ns.max(ns);
+            cap.stages.entry(rel.to_string()).or_default().record(ns);
         }
     });
 }
@@ -463,7 +442,7 @@ mod tests {
         cap.counters.insert("exec.instances", 99);
         cap.stages.insert(
             "serve.compile".into(),
-            StageStat {
+            SpanSnapshot {
                 count: 1,
                 total_ns: 1000,
                 min_ns: 1000,
@@ -488,7 +467,7 @@ mod tests {
         cap.counters.insert("exec.par.thread_busy_ns", 123_456);
         cap.stages.insert(
             "serve.compile".into(),
-            StageStat {
+            SpanSnapshot {
                 count: 1,
                 total_ns: 7777,
                 min_ns: 7777,
@@ -497,7 +476,7 @@ mod tests {
         );
         cap.stages.insert(
             "serve.compile/poly.feasibility".into(),
-            StageStat {
+            SpanSnapshot {
                 count: 3,
                 total_ns: 10,
                 min_ns: 1,
@@ -535,7 +514,7 @@ mod tests {
 
     #[test]
     fn projection_equates_an_analysis_memo_miss_with_a_hit() {
-        let stage = |count| StageStat {
+        let stage = |count| SpanSnapshot {
             count,
             total_ns: 500,
             min_ns: 500,

@@ -15,9 +15,8 @@
 //!   single relaxed atomic load, and every recording call site checks it
 //!   before building any strings.
 //! * **Bounded.** Records land in one global store capped at
-//!   [`DEFAULT_CAPACITY`] records ([`set_capacity`] overrides). On
-//!   overflow the oldest record is dropped and counted — recording never
-//!   reallocates past the cap and never panics.
+//!   [`CAPACITY`] records. On overflow the oldest record is dropped and
+//!   counted — recording never reallocates past the cap and never panics.
 //! * **Sessions group one compile.** [`begin_session`] stamps a fresh
 //!   compile-session id (and a human label such as `cholesky/KJLI`);
 //!   every subsequent record carries the current session id, so one
@@ -60,11 +59,11 @@ use crate::json::Json;
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Default store capacity (records) before the oldest are dropped.
-pub const DEFAULT_CAPACITY: usize = 65_536;
+/// Store capacity (records) before the oldest are dropped.
+pub const CAPACITY: usize = 65_536;
 
 /// Explain artifact schema version.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -165,19 +164,6 @@ fn store() -> MutexGuard<'static, Store> {
         .unwrap_or_else(|e| e.into_inner())
 }
 
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
-
-/// Store capacity currently in force.
-pub fn capacity() -> usize {
-    CAPACITY.load(Ordering::Relaxed)
-}
-
-/// Override the store capacity. Zero is clamped to 1. Shrinking below
-/// the current record count drops the oldest records at the next push.
-pub fn set_capacity(cap: usize) {
-    CAPACITY.store(cap.max(1), Ordering::Relaxed);
-}
-
 static CURRENT_SESSION: AtomicU64 = AtomicU64::new(0);
 
 /// Begin a new compile session with a human label (e.g. the variant name
@@ -253,11 +239,10 @@ impl Drop for RecordBuilder {
         // exist only while the explain layer is on, so a capture's
         // explain summary is empty unless both are enabled.
         crate::capture::record_explain(rec.verdict);
-        let cap = capacity();
         let mut s = store();
         rec.seq = s.next_seq;
         s.next_seq += 1;
-        while s.records.len() >= cap {
+        if s.records.len() == CAPACITY {
             s.records.pop_front();
             s.dropped += 1;
         }
@@ -415,16 +400,15 @@ mod tests {
     #[test]
     fn overflow_drops_oldest_and_counts() {
         let _g = begin();
-        let old_cap = capacity();
-        set_capacity(4);
-        for i in 0..10 {
+        for i in 0..CAPACITY + 6 {
             note("legal", format!("r{i}"), "flood");
         }
-        assert_eq!(len(), 4);
+        assert_eq!(len(), CAPACITY);
         assert_eq!(dropped_total(), 6);
-        let subjects: Vec<String> = snapshot().into_iter().map(|r| r.subject).collect();
-        assert_eq!(subjects, ["r6", "r7", "r8", "r9"]);
-        set_capacity(old_cap);
+        let kept = snapshot();
+        assert_eq!(kept[0].subject, "r6", "oldest dropped first");
+        assert_eq!(kept[CAPACITY - 1].subject, format!("r{}", CAPACITY + 5));
+        assert_eq!(to_json().get("dropped").and_then(Json::as_u64), Some(6));
         crate::set_explain_enabled(false);
     }
 

@@ -214,23 +214,13 @@ pub fn set_explain_enabled(on: bool) {
 
 // ---------------------------------------------------------------- registry
 
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct SpanStats {
-    pub count: u64,
-    pub total_ns: u64,
-    pub min_ns: u64,
-    pub max_ns: u64,
-}
-
 pub(crate) struct HistogramInner {
     count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
-    /// `buckets[i]` counts values whose bit length is `i`, i.e. value 0
-    /// lands in bucket 0 and value `v > 0` in bucket `64 - v.leading_zeros()`
-    /// (upper bound `2^i - 1`).
-    buckets: [AtomicU64; 65],
+    /// `buckets[i]` counts the values of [`HistogramSnapshot::slot_of`] `i`.
+    buckets: [AtomicU64; HistogramSnapshot::SLOTS],
 }
 
 impl HistogramInner {
@@ -240,7 +230,7 @@ impl HistogramInner {
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
-            buckets: [0u64; 65].map(AtomicU64::new),
+            buckets: [0u64; HistogramSnapshot::SLOTS].map(AtomicU64::new),
         }
     }
 
@@ -249,8 +239,7 @@ impl HistogramInner {
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
-        let b = (64 - v.leading_zeros()) as usize;
-        self.buckets[b].fetch_add(1, Ordering::Relaxed);
+        self.buckets[HistogramSnapshot::slot_of(v)].fetch_add(1, Ordering::Relaxed);
     }
 
     fn reset(&self) {
@@ -264,33 +253,20 @@ impl HistogramInner {
     }
 
     pub(crate) fn snapshot(&self) -> HistogramSnapshot {
-        let count = self.count.load(Ordering::Relaxed);
-        HistogramSnapshot {
-            count,
-            sum: self.sum.load(Ordering::Relaxed),
-            min: if count == 0 {
-                0
-            } else {
-                self.min.load(Ordering::Relaxed)
-            },
-            max: self.max.load(Ordering::Relaxed),
-            buckets: self
-                .buckets
-                .iter()
-                .enumerate()
-                .filter_map(|(i, b)| {
-                    let c = b.load(Ordering::Relaxed);
-                    (c > 0).then(|| (if i == 0 { 0 } else { (1u128 << i) as u64 - 1 }, c))
-                })
-                .collect(),
-        }
+        HistogramSnapshot::from_slots(
+            self.count.load(Ordering::Relaxed),
+            self.sum.load(Ordering::Relaxed),
+            self.min.load(Ordering::Relaxed),
+            self.max.load(Ordering::Relaxed),
+            self.buckets.iter().map(|b| b.load(Ordering::Relaxed)),
+        )
     }
 }
 
 pub(crate) struct Registry {
     pub(crate) counters: Mutex<HashMap<&'static str, Arc<AtomicU64>>>,
     pub(crate) histograms: Mutex<HashMap<&'static str, Arc<HistogramInner>>>,
-    pub(crate) spans: Mutex<HashMap<String, SpanStats>>,
+    pub(crate) spans: Mutex<HashMap<String, SpanSnapshot>>,
 }
 
 pub(crate) fn registry() -> &'static Registry {
@@ -514,16 +490,7 @@ impl Drop for SpanGuard {
             return;
         }
         let mut spans = registry().spans.lock().unwrap();
-        let st = spans.entry(path).or_insert(SpanStats {
-            count: 0,
-            total_ns: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
-        });
-        st.count += 1;
-        st.total_ns += ns;
-        st.min_ns = st.min_ns.min(ns);
-        st.max_ns = st.max_ns.max(ns);
+        spans.entry(path).or_default().record(ns);
     }
 }
 

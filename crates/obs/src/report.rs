@@ -49,6 +49,42 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Number of log₂ slots: one per bit length of a `u64`, 0 to 64.
+    pub(crate) const SLOTS: usize = 65;
+
+    /// The slot a value is counted in: its bit length, so 0 lands in slot
+    /// 0 and `v > 0` in the slot whose upper bound is the smallest
+    /// `2^k - 1 >= v`. The registry histograms and the sliding window's
+    /// buckets both count by this rule.
+    #[inline]
+    pub(crate) fn slot_of(v: u64) -> usize {
+        (64 - v.leading_zeros()) as usize
+    }
+
+    /// Assemble a snapshot from running tallies and [`Self::SLOTS`] slot
+    /// counts: empty slots are left out, each kept one is labelled with
+    /// its upper bound, and `min` (a running minimum that starts at
+    /// `u64::MAX`) reads 0 while nothing was recorded.
+    pub(crate) fn from_slots(
+        count: u64,
+        sum: u64,
+        min: u64,
+        max: u64,
+        slots: impl Iterator<Item = u64>,
+    ) -> Self {
+        HistogramSnapshot {
+            count,
+            sum,
+            min: if count == 0 { 0 } else { min },
+            max,
+            buckets: slots
+                .enumerate()
+                .filter(|&(_, c)| c > 0)
+                .map(|(i, c)| (if i == 0 { 0 } else { (1u128 << i) as u64 - 1 }, c))
+                .collect(),
+        }
+    }
+
     /// Mean observation, or 0.0 when empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -107,6 +143,19 @@ pub struct SpanSnapshot {
 }
 
 impl SpanSnapshot {
+    /// Fold in one close of `ns` nanoseconds (the first sets `min_ns`).
+    #[inline]
+    pub(crate) fn record(&mut self, ns: u64) {
+        self.min_ns = if self.count == 0 {
+            ns
+        } else {
+            self.min_ns.min(ns)
+        };
+        self.count += 1;
+        self.total_ns += ns;
+        self.max_ns = self.max_ns.max(ns);
+    }
+
     /// Mean duration in nanoseconds, or 0 when empty.
     pub fn mean_ns(&self) -> u64 {
         self.total_ns.checked_div(self.count).unwrap_or(0)
@@ -165,17 +214,7 @@ impl PipelineReport {
             .lock()
             .unwrap()
             .iter()
-            .map(|(path, st)| {
-                (
-                    path.clone(),
-                    SpanSnapshot {
-                        count: st.count,
-                        total_ns: st.total_ns,
-                        min_ns: st.min_ns,
-                        max_ns: st.max_ns,
-                    },
-                )
-            })
+            .map(|(path, st)| (path.clone(), *st))
             .collect();
         PipelineReport {
             enabled: crate::enabled(),
@@ -424,6 +463,24 @@ mod tests {
         };
         assert_eq!(one.p50(), 5);
         assert_eq!(one.p99(), 5);
+    }
+
+    #[test]
+    fn span_snapshot_record_tracks_count_total_min_max() {
+        let mut s = SpanSnapshot::default();
+        assert_eq!(s.mean_ns(), 0, "empty snapshot");
+        s.record(700);
+        assert_eq!(
+            (s.count, s.total_ns, s.min_ns, s.max_ns),
+            (1, 700, 700, 700)
+        );
+        s.record(100);
+        s.record(400);
+        assert_eq!(
+            (s.count, s.total_ns, s.min_ns, s.max_ns),
+            (3, 1200, 100, 700)
+        );
+        assert_eq!(s.mean_ns(), 400);
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //!   a thread-local — no atomics, no locks, no allocation past the ring's
 //!   capacity. While the layer is disabled every probe is one relaxed
 //!   atomic load (the flag byte shared with the aggregate layer).
-//! * **Bounded.** A ring holds at most [`capacity`] events (default
-//!   16384, [`set_capacity`] overrides). On overflow the *oldest* event
-//!   is dropped and counted — recording never blocks, never reallocates,
-//!   never panics.
+//! * **Bounded.** A ring holds at most [`CAPACITY`] events. On overflow
+//!   the *oldest* event is dropped and counted — recording never blocks,
+//!   never reallocates, never panics.
 //! * **Rings retire on thread exit.** When a thread finishes (e.g. the
 //!   parallel executor's scoped workers), its ring moves into a global
 //!   retired list, and its timeline id returns to a pool so short-lived
@@ -36,12 +35,12 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-/// Default per-thread ring capacity (events).
-pub const DEFAULT_CAPACITY: usize = 16_384;
+/// Per-thread ring capacity (events).
+pub const CAPACITY: usize = 16_384;
 
 /// Total events kept across retired rings before whole oldest rings are
 /// dropped (bounds memory across many short-lived worker threads).
@@ -99,13 +98,12 @@ struct Ring {
     tid: u32,
     thread_name: String,
     events: VecDeque<Event>,
-    cap: usize,
     dropped: u64,
 }
 
 impl Ring {
     fn push(&mut self, ev: Event) {
-        if self.events.len() == self.cap {
+        if self.events.len() == CAPACITY {
             self.events.pop_front();
             self.dropped += 1;
         }
@@ -131,19 +129,6 @@ fn retired() -> MutexGuard<'static, Retired> {
         .get_or_init(|| Mutex::new(Retired::default()))
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-}
-
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
-
-/// Per-thread ring capacity currently applied to *newly created* rings.
-pub fn capacity() -> usize {
-    CAPACITY.load(Ordering::Relaxed)
-}
-
-/// Override the ring capacity for rings created after this call
-/// (existing rings keep their size). Zero is clamped to 1.
-pub fn set_capacity(cap: usize) {
-    CAPACITY.store(cap.max(1), Ordering::Relaxed);
 }
 
 fn next_tid() -> u32 {
@@ -208,12 +193,10 @@ fn record(ev: Event) {
                 .name()
                 .map(str::to_owned)
                 .unwrap_or_else(|| format!("worker-{tid}"));
-            let cap = capacity();
             Ring {
                 tid,
                 thread_name,
-                events: VecDeque::with_capacity(cap.min(1024)),
-                cap,
+                events: VecDeque::with_capacity(1024),
                 dropped: 0,
             }
         });
@@ -244,21 +227,6 @@ pub fn instant(name: &'static str) {
             ts_ns: now_ns(),
             dur_ns: 0,
             args: NO_ARGS,
-        });
-    }
-}
-
-/// [`instant`] with up to [`MAX_ARGS`] integer arguments (extra args are
-/// silently ignored).
-#[inline]
-pub fn instant_args(name: &'static str, args: &[(&'static str, i64)]) {
-    if crate::timeline_enabled() {
-        record(Event {
-            name,
-            phase: Phase::Instant,
-            ts_ns: now_ns(),
-            dur_ns: 0,
-            args: pack_args(args),
         });
     }
 }
@@ -511,28 +479,26 @@ mod tests {
     #[test]
     fn overflow_drops_oldest_and_counts() {
         let _g = begin();
-        let old_cap = capacity();
-        set_capacity(8);
-        // Force a fresh ring at the new capacity on another thread. A
-        // plain `spawn` + `join`, not `thread::scope`: the scope returns
-        // when the closure has, which is before the worker's TLS
-        // destructor retires its ring; `join` waits for the OS thread.
+        const EXTRA: usize = 22;
+        // Flood a fresh ring on another thread. A plain `spawn` + `join`,
+        // not `thread::scope`: the scope returns when the closure has,
+        // which is before the worker's TLS destructor retires its ring;
+        // `join` waits for the OS thread.
         std::thread::spawn(|| {
-            for _ in 0..30 {
+            for _ in 0..CAPACITY + EXTRA {
                 instant("tl.test.flood");
             }
         })
         .join()
         .expect("flood thread");
-        set_capacity(old_cap);
-        assert_eq!(dropped_total(), 30 - 8);
+        assert_eq!(dropped_total(), EXTRA as u64);
         let trace = export_chrome_trace();
         assert_eq!(
             trace
                 .get("otherData")
                 .and_then(|o| o.get("dropped_events"))
                 .and_then(Json::as_u64),
-            Some(30 - 8)
+            Some(EXTRA as u64)
         );
         let Some(Json::Array(events)) = trace.get("traceEvents") else {
             panic!("missing traceEvents")
@@ -541,7 +507,7 @@ mod tests {
             .iter()
             .filter(|e| e.get("name").and_then(Json::as_str) == Some("tl.test.flood"))
             .count();
-        assert_eq!(flood, 8, "ring must retain exactly its capacity");
+        assert_eq!(flood, CAPACITY, "ring must retain exactly its capacity");
         crate::set_timeline_enabled(false);
     }
 

@@ -54,9 +54,9 @@ struct Bucket {
     min_ns: u64,
     max_ns: u64,
     by_kind: BTreeMap<&'static str, u64>,
-    /// Log₂ latency histogram, same bucketing as the registry histograms:
-    /// value 0 → slot 0, `v > 0` → slot `64 - v.leading_zeros()`.
-    hist: [u32; 65],
+    /// Log₂ latency histogram, one count per
+    /// [`HistogramSnapshot::slot_of`] as in the registry histograms.
+    hist: [u32; HistogramSnapshot::SLOTS],
 }
 
 impl Bucket {
@@ -69,7 +69,7 @@ impl Bucket {
             min_ns: u64::MAX,
             max_ns: 0,
             by_kind: BTreeMap::new(),
-            hist: [0u32; 65],
+            hist: [0u32; HistogramSnapshot::SLOTS],
         }
     }
 
@@ -81,7 +81,7 @@ impl Bucket {
         self.min_ns = u64::MAX;
         self.max_ns = 0;
         self.by_kind.clear();
-        self.hist = [0u32; 65];
+        self.hist = [0u32; HistogramSnapshot::SLOTS];
     }
 
     fn record(&mut self, kind: &'static str, latency_ns: u64, error: bool, n: u64) {
@@ -93,7 +93,7 @@ impl Bucket {
         self.min_ns = self.min_ns.min(latency_ns);
         self.max_ns = self.max_ns.max(latency_ns);
         *self.by_kind.entry(kind).or_insert(0) += n;
-        let slot = (64 - latency_ns.leading_zeros()) as usize;
+        let slot = HistogramSnapshot::slot_of(latency_ns);
         let clamped = u32::try_from(n).unwrap_or(u32::MAX);
         self.hist[slot] = self.hist[slot].saturating_add(clamped);
     }
@@ -268,7 +268,7 @@ impl SlidingWindow {
         let mut min_ns = u64::MAX;
         let mut max_ns = 0u64;
         let mut by_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
-        let mut hist = [0u64; 65];
+        let mut hist = [0u64; HistogramSnapshot::SLOTS];
         for bucket in ring.iter() {
             if bucket.epoch == u64::MAX || bucket.epoch > epoch || epoch - bucket.epoch >= len {
                 continue;
@@ -285,18 +285,8 @@ impl SlidingWindow {
                 hist[slot] += c as u64;
             }
         }
-        let latency = HistogramSnapshot {
-            count,
-            sum: sum_ns,
-            min: if count == 0 { 0 } else { min_ns },
-            max: max_ns,
-            buckets: hist
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(i, &c)| (if i == 0 { 0 } else { (1u128 << i) as u64 - 1 }, c))
-                .collect(),
-        };
+        let latency =
+            HistogramSnapshot::from_slots(count, sum_ns, min_ns, max_ns, hist.into_iter());
         WindowSnapshot {
             window_ms,
             covered_ms: window_ms.min(now_ms.saturating_add(1)),
@@ -400,6 +390,27 @@ mod tests {
         assert_eq!(w.snapshot_at(100).covered_ms, 101);
         // Deep into life: denominator is the full 4 s window.
         assert_eq!(w.snapshot_at(100_000).covered_ms, 4_000);
+    }
+
+    #[test]
+    fn merged_snapshot_equals_a_registry_histogram_of_the_same_values() {
+        // other tests `reset()` the registry; hold their lock
+        let _l = crate::tests::TEST_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let registry = crate::histogram("obs.test.window.same_values");
+        let w = small();
+        // the zero slot and both ends of a slot, spread over all four time
+        // buckets so the snapshot has something to merge
+        let values = [0u64, 1, 2, 3, 1_000, 1_023, 1_024, 60_000, 1 << 40];
+        for (i, &v) in values.iter().enumerate() {
+            registry.record(v);
+            w.record_at(i as u64 * 400, "run", v, false);
+        }
+        let expected =
+            crate::registry().histograms.lock().unwrap()["obs.test.window.same_values"].snapshot();
+        assert_eq!(expected.count, values.len() as u64);
+        assert_eq!(w.snapshot_at(3_999).latency, expected);
     }
 
     #[test]

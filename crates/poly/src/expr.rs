@@ -1,6 +1,6 @@
 //! Linear expressions over indexed variables.
 
-use inl_linalg::{gcd, IVec, InlError, Int};
+use inl_linalg::{gcd, InlError, Int};
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
@@ -266,11 +266,6 @@ impl LinExpr {
             coeffs: keep.iter().map(|&i| self.coeffs[i]).collect(),
             constant: self.constant,
         }
-    }
-
-    /// The coefficients as an [`IVec`] (without the constant).
-    pub fn coeff_vec(&self) -> IVec {
-        IVec::from(self.coeffs.as_slice())
     }
 
     /// Render with variable names supplied by `name`.

@@ -223,15 +223,6 @@ impl System {
         Ok(out)
     }
 
-    /// Rebuild from inequalities only.
-    pub fn from_ineqs(nvars: usize, ineqs: Vec<LinExpr>) -> System {
-        let mut s = System::new(nvars);
-        for e in ineqs {
-            s.add_ge(e);
-        }
-        s
-    }
-
     /// Remove inequalities implied by another single inequality
     /// (same coefficients, weaker constant). Cheap syntactic pruning that
     /// keeps Fourier–Motzkin from exploding.
