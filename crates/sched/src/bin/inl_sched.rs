@@ -8,13 +8,14 @@
 //! inl-sched --explain-json target/sched-explain.json  # decision provenance
 //! ```
 //!
-//! The search runs with `SchedConfig::default()`; `--budget` and `--reps`
-//! are the only way to move a default (no environment variable is read),
-//! and a flag whose value is missing or unparsable prints the usage line
-//! and exits 2. A program whose sweep fails is skipped — the table and
-//! JSON cover the rest, with the failure recorded as an `errors` row —
-//! and the run exits 1 at the end, as it does when any chosen variant
-//! fails the bitwise-equivalence check against its source program.
+//! The search runs with `SchedConfig::default()`; `--budget` is the only
+//! way to move a default, `--reps` (default 3) is the sweep's timed runs
+//! per variant (no environment variable is read), and a flag whose value
+//! is missing or unparsable prints the usage line and exits 2. A program
+//! whose sweep fails is skipped — the table and JSON cover the rest, with
+//! the failure recorded as an `errors` row — and the run exits 1 at the
+//! end, as it does when any chosen variant fails the bitwise-equivalence
+//! check against its source program.
 
 use inl_sched::sweep::{bench_json, render_table, sweep_program, sweep_targets};
 use inl_sched::SchedConfig;
@@ -41,6 +42,7 @@ fn number<T: std::str::FromStr>(
 
 fn main() -> ExitCode {
     let mut cfg = SchedConfig::default();
+    let mut reps: usize = 3;
     let mut json_path: Option<String> = None;
     let mut explain_path: Option<String> = None;
     let mut program: Option<String> = None;
@@ -53,7 +55,7 @@ fn main() -> ExitCode {
             "--explain-json" => value(&mut args, &a).map(|v| explain_path = Some(v)),
             "--program" => value(&mut args, &a).map(|v| program = Some(v)),
             "--budget" => number(&mut args, &a).map(|n| cfg.budget = n),
-            "--reps" => number(&mut args, &a).map(|n| cfg.measure_reps = n),
+            "--reps" => number(&mut args, &a).map(|n| reps = n),
             "--show" => {
                 show = true;
                 Ok(())
@@ -92,7 +94,7 @@ fn main() -> ExitCode {
     let mut entries = Vec::with_capacity(targets.len());
     let mut failures: Vec<(String, String)> = Vec::new();
     for (name, ctor, params) in &targets {
-        match sweep_program(name, &ctor(), params, &cfg) {
+        match sweep_program(name, &ctor(), params, &cfg, reps) {
             Ok(e) => entries.push(e),
             Err(err) => {
                 eprintln!("{name}: scheduling failed: {err}");

@@ -5,7 +5,8 @@
 //! short of. Where `inl-core` can prove that a transformation is legal,
 //! this crate decides which legal transformation to use.
 //!
-//! The search space is the product of five axes (ROADMAP items 1 and 4):
+//! The search space is the product of four axes, none of them a switch
+//! (ROADMAP items 1 and 4):
 //!
 //! * **shape** — legal one-level loop distributions and fusions (§4.2),
 //!   each producing a structurally different program;
@@ -15,18 +16,25 @@
 //!   searched like any other shape;
 //! * **permutation** — the order in which loop selector rows fill the
 //!   outer slots of the transformation matrix;
-//! * **reversal** — each selector row may enter negated (§4.1);
 //! * **alignment** — statement-alignment offsets (§4.3) refined onto the
 //!   front-running variant;
 //!
-//! with statement reordering (the edge rows) supplied by the completion
-//! procedure's topological sort, so it never has to be searched.
+//! with two things worked out instead of enumerated: statement reordering
+//! (the edge rows), supplied by the completion procedure's topological
+//! sort, and **reversal** (§4.1, a selector row entering negated), tried
+//! for a loop only at a node where its forward selector is illegal. Where
+//! both signs are prefix-legal every still-active dependence is zero on
+//! that loop and the two subtrees are sign-twins — same orders, same
+//! completions, same [`Leading`] key — of which the tie-break prefers the
+//! unreversed; orders legal *only* reversed (`dist(J@1)/J'.J_2.I` of the
+//! running example) are still found.
 //!
 //! Illegal *prefixes* are pruned with
 //! [`inl_core::complete::check_prefix`]: the first dependence whose
-//! projection goes lexicographically negative kills the entire subtree,
-//! which is what keeps the tree far below the `Σ_d P(L,d)·2^d` exhaustive
-//! node count (see [`SearchStats::prune_rate_pct`]).
+//! projection goes lexicographically negative kills the entire subtree.
+//! The two rules account for all of the `Σ_d P(L,d)·2^d` exhaustive tree:
+//! `nodes_visited + pruned_nodes + twin_nodes == nodes_exhaustive`
+//! ([`SearchStats`]).
 //!
 //! What a schedule costs is **one dependence analysis per shape** and
 //! **one guard simplification per front-runner**:
@@ -44,9 +52,10 @@
 //!   ([`inl_codegen::generate()`]: guard simplification, the remaining
 //!   features, pseudocode), where `guards`, `parallel_slots`, reversal
 //!   count and label break the tie. The chosen variant is the one a
-//!   finish-everything sort would pick (`tests/search_sound.rs` holds that
-//!   oracle over the whole zoo); the other variants keep what was computed
-//!   for them and are finished on demand.
+//!   finish-everything sort would pick, skipped twins included (the tail
+//!   of [`Cost`] is not provably sign-blind: `tests/search_sound.rs` holds
+//!   that oracle over the whole zoo); the other variants keep what was
+//!   computed for them and are finished on demand.
 //!
 //! Every decision (pruned subtree, dominated variant, chosen variant) is
 //! recorded as `inl_obs::explain` evidence under a `sched/<program>`
@@ -117,45 +126,25 @@ impl fmt::Display for SchedError {
 
 impl std::error::Error for SchedError {}
 
-/// Tuning knobs of the search. The environment never enters: callers move
-/// a default by building the struct (`inl-sched` maps `--budget`/`--reps`
-/// onto it).
+/// How much a schedule may spend — what it searches is not configurable.
+/// The environment never enters: callers move a default by building the
+/// struct (`inl-sched` maps `--budget` onto it).
 #[derive(Clone, Debug)]
 pub struct SchedConfig {
     /// Maximum search-tree nodes to visit across all shapes (default
     /// 10 000). The search stops early — keeping what it found — when the
     /// budget is exhausted.
     pub budget: u64,
-    /// Include reversed loop selectors (default on).
-    pub reversal: bool,
-    /// Refine the front-runner with statement-alignment offsets (default
-    /// on).
-    pub align: bool,
-    /// Enumerate jam/distribute shapes (default on).
-    pub shapes: bool,
-    /// Enumerate the strip-mined (tiled) shape of the innermost
-    /// reuse-carrying loop (default on). The tile size is a constant:
-    /// no [`Cost`] field depends on it, so a second size could only add
-    /// label-twins that lose the tie-break.
-    pub tile: bool,
     /// Worker threads for lowering the candidates (default 0 = one per
     /// core; 1 = everything on the calling thread).
     pub threads: usize,
-    /// Repetitions per variant when the sweep *measures* execution
-    /// (default 3; the minimum is kept).
-    pub measure_reps: usize,
 }
 
 impl Default for SchedConfig {
     fn default() -> Self {
         SchedConfig {
             budget: 10_000,
-            reversal: true,
-            align: true,
-            shapes: true,
-            tile: true,
             threads: 0,
-            measure_reps: 3,
         }
     }
 }
@@ -297,14 +286,13 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
     }
 
     let mut stats = SearchStats::default();
-    let shapes = search::enumerate_shapes(p, cfg)?;
+    let shapes = search::enumerate_shapes(p)?;
     stats.shapes = shapes.len() as u64;
 
     // the legal leaves of every shape's tree, each paired with its shape
     let mut leaves: Vec<(&Shape, String, IMat)> = Vec::new();
     for shape in &shapes {
-        for (label, matrix) in search::search_shape(shape, cfg, &mut stats)? {
-            let label = format!("{}{label}", search::shape_prefix(&shape.label));
+        for (label, matrix) in search::search_shape(shape, cfg.budget, &mut stats)? {
             leaves.push((shape, label, matrix));
         }
     }
@@ -372,16 +360,14 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
         .expect("the front class was finished");
     let mut chosen = finished.swap_remove(winner);
 
-    if cfg.align {
-        refine_alignment(shape_named(&shapes, &chosen.shape), &mut chosen, &mut stats);
-        variants[0] = RankedVariant {
-            label: chosen.label.clone(),
-            shape: chosen.shape.clone(),
-            matrix: chosen.matrix.clone(),
-            leading: chosen.cost.leading,
-            cost: Some(chosen.cost.clone()),
-        };
-    }
+    refine_alignment(shape_named(&shapes, &chosen.shape), &mut chosen, &mut stats);
+    variants[0] = RankedVariant {
+        label: chosen.label.clone(),
+        shape: chosen.shape.clone(),
+        matrix: chosen.matrix.clone(),
+        leading: chosen.cost.leading,
+        cost: Some(chosen.cost.clone()),
+    };
 
     if explain {
         inl_obs::explain::accept(
@@ -505,18 +491,19 @@ mod tests {
 
     #[test]
     fn cholesky_search_is_pinned_and_pruned() {
-        // the end-to-end pin: full Cholesky with the default axes visits
-        // exactly this many nodes (deterministic DFS), prunes most of the
-        // exhaustive tree, and finds the 12 hand-enumerated legal orders
-        // among its unreversed variants.
+        // the end-to-end pin: full Cholesky visits exactly this many nodes
+        // (deterministic DFS), leaves most of the exhaustive ± tree to the
+        // two closed-form counters, and finds the 12 hand-enumerated legal
+        // orders among its unreversed variants.
         let r = schedule_with(&zoo::cholesky_kij(), &quiet_cfg()).expect("schedules");
         assert_eq!(
-            r.stats.nodes_visited, 1142,
+            r.stats.nodes_visited, 185,
             "identity, jam(I+I2) and tile(L@16) trees"
         );
-        assert!(r.stats.nodes_visited < r.stats.nodes_exhaustive);
-        assert!(r.stats.pruned_subtrees > 0);
-        assert!(r.stats.pruned_nodes > 0);
+        assert_eq!(r.stats.nodes_exhaustive, 7040, "the full ± trees");
+        assert_eq!(r.stats.pruned_subtrees, 15);
+        assert_eq!(r.stats.pruned_nodes, 4134);
+        assert_eq!(r.stats.twin_nodes, 2721);
         let unreversed = r
             .variants
             .iter()
@@ -526,16 +513,96 @@ mod tests {
     }
 
     #[test]
+    fn every_tree_node_is_visited_pruned_or_a_twin() {
+        // the accounting identity: the three counters partition the full ±
+        // tree of every shape, on every zoo program — nothing is skipped
+        // without a stated reason
+        for &(name, ctor) in zoo::ALL {
+            let s = schedule_with(&ctor(), &quiet_cfg()).expect(name).stats;
+            assert!(!s.budget_exhausted, "{name}");
+            assert_eq!(
+                s.nodes_visited + s.pruned_nodes + s.twin_nodes,
+                s.nodes_exhaustive,
+                "{name}: {s:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn wavefront_tree_is_the_worked_example() {
+        // GUIDE.md's walk-through. Two loops, 12 nodes in the ± tree. `I`
+        // is legal at the root, so `I'` and its two children are twins (3);
+        // below `I`, `J` is legal and `J'` a twin (1); the same from `J`.
+        // Four nodes visited, eight twins, nothing pruned, nothing
+        // reversed — and `I'`, which is in fact illegal, was never asked.
+        let r = schedule_with(&zoo::wavefront(), &quiet_cfg()).expect("schedules");
+        let s = &r.stats;
+        assert_eq!(s.shapes, 1);
+        assert_eq!(
+            (s.nodes_visited, s.pruned_nodes, s.twin_nodes),
+            (4, 0, 8),
+            "{s:?}"
+        );
+        assert_eq!(s.nodes_exhaustive, 12);
+        assert_eq!(r.legal, ["IJ", "JI"]);
+    }
+
+    #[test]
+    fn orders_legal_only_reversed_are_still_found() {
+        // what reversal on demand reaches: the three zoo orders whose
+        // forward selector is pruned and whose reversed one is not — and
+        // no other reversed label anywhere in the zoo
+        let reversed = |p: &Program| -> Vec<String> {
+            let r = schedule_with(p, &quiet_cfg()).expect("schedules");
+            let mut found: Vec<String> = r
+                .variants
+                .iter()
+                .filter(|v| v.reversals() > 0)
+                .map(|v| v.label.clone())
+                .collect();
+            found.sort();
+            found
+        };
+        assert_eq!(
+            reversed(&zoo::running_example()),
+            ["dist(J@1)/J'.I.J_2", "dist(J@1)/J'.J_2.I"]
+        );
+        assert_eq!(reversed(&zoo::cholesky_kij()), ["jam(I+J)/KL'I"]);
+        for &(name, ctor) in zoo::ALL {
+            if !["running_example", "cholesky_kij"].contains(&name) {
+                assert!(reversed(&ctor()).is_empty(), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn reversals_that_decide_nothing_are_never_walked() {
+        // reversing matmul's `I` or `J` is always legal and reversing `K`
+        // never is (`tests/matmul_permutations.rs`), so a reversed selector
+        // is a twin or a violation, and no forward one is ever pruned: the
+        // identity shape returns the six loop orders and no reversed label,
+        // from an eighth of its tree
+        let r = schedule_with(&zoo::matmul(), &quiet_cfg()).expect("schedules");
+        let mut identity: Vec<&str> = r
+            .variants
+            .iter()
+            .filter(|v| v.shape.is_empty())
+            .map(|v| v.label.as_str())
+            .collect();
+        identity.sort_unstable();
+        assert_eq!(identity, ["IJK", "IKJ", "JIK", "JKI", "KIJ", "KJI"]);
+        assert!(r.variants.iter().all(|v| v.reversals() == 0));
+        assert!(r.stats.twin_nodes > 0);
+        assert!(r.stats.nodes_visited * 8 < r.stats.nodes_exhaustive);
+    }
+
+    #[test]
     fn tile_size_does_not_enter_the_ranking_key() {
         // the recorded reason the tile axis enumerates one size: strip-mine
-        // the reuse loop at 16/32/64 and every unreversed legal order of
+        // the reuse loop at 16/32/64 and every order the search returns for
         // the split program costs the same at all three, so a second size
         // adds only label-twins that lose the tie-break. The day a
         // size-aware `Cost` term lands this fails, and the axis reopens.
-        let cfg = SchedConfig {
-            reversal: false,
-            ..quiet_cfg()
-        };
         let mut tiled = 0;
         for &(name, ctor) in zoo::ALL {
             let p = ctor();
@@ -547,7 +614,7 @@ mod tests {
                 let split = inl_core::tiling::split(&p, l, t).expect("splits").program;
                 let shape = Shape::analysed(String::new(), split).expect("analyses");
                 let mut stats = SearchStats::default();
-                let found = search::search_shape(&shape, &cfg, &mut stats).expect("searches");
+                let found = search::search_shape(&shape, u64::MAX, &mut stats).expect("searches");
                 inl_codegen::compile_batch(&shape.program, &found, 1)
                     .into_iter()
                     .map(|cv| (cv.label, Cost::of(&cv.features)))
@@ -613,18 +680,8 @@ mod tests {
         assert_eq!(ranked, r.stats.legal_variants);
         assert_eq!(ranked, r.variants.len() as u64);
         assert_eq!(finished, r.finished() as u64);
-        assert_eq!(finished, 4, "the class tied on the leading fields");
+        assert_eq!(finished, 1, "the class tied on the leading fields");
         assert_eq!(closed("batch.compile"), ranked + finished);
-    }
-
-    #[test]
-    fn reversal_axis_off_shrinks_tree() {
-        let mut cfg = quiet_cfg();
-        cfg.reversal = false;
-        let with = schedule_with(&zoo::matmul(), &quiet_cfg()).expect("schedules");
-        let without = schedule_with(&zoo::matmul(), &cfg).expect("schedules");
-        assert!(without.stats.nodes_exhaustive < with.stats.nodes_exhaustive);
-        assert!(without.variants.len() <= with.variants.len());
     }
 
     #[test]
@@ -646,9 +703,10 @@ mod tests {
 
     #[test]
     fn matmul_tile_axis_confines_the_reuse_slab() {
-        // with the tile axis on, matmul's winner strip-mines K so B's
-        // row-jumped slab is confined and re-swept by the invariant I
-        // loop; with it off the classic untiled ikj-family order returns
+        // matmul's winner strip-mines K so B's row-jumped slab is confined
+        // and re-swept by the invariant I loop; the credit exists in the
+        // tile shape only, and the best variant outside it is the classic
+        // untiled ikj-family order
         let r = schedule_with(&zoo::matmul(), &quiet_cfg()).expect("schedules");
         assert!(
             r.chosen().label.starts_with("tile(K@"),
@@ -656,15 +714,15 @@ mod tests {
             r.chosen().label
         );
         assert_eq!(r.chosen().features.tile_reuse, 1);
-        let mut cfg = quiet_cfg();
-        cfg.tile = false;
-        let untiled = schedule_with(&zoo::matmul(), &cfg).expect("schedules");
+        let untiled: Vec<&RankedVariant> =
+            r.variants.iter().filter(|v| v.shape.is_empty()).collect();
+        assert_eq!(untiled.len(), 6);
+        assert!(untiled.iter().all(|v| v.leading.neg_tile_reuse == 0));
         assert!(
-            !untiled.chosen().label.contains("tile("),
-            "chosen {}",
-            untiled.chosen().label
+            untiled[0].label.ends_with('J'),
+            "best untiled {}",
+            untiled[0].label
         );
-        assert_eq!(untiled.chosen().features.tile_reuse, 0);
     }
 
     #[test]
@@ -687,7 +745,6 @@ mod tests {
     fn budget_stops_search_gracefully() {
         let mut cfg = quiet_cfg();
         cfg.budget = 3;
-        cfg.align = false;
         match schedule_with(&zoo::cholesky_kij(), &cfg) {
             Ok(r) => {
                 assert!(r.stats.budget_exhausted);
@@ -697,37 +754,4 @@ mod tests {
             Err(e) => panic!("unexpected error: {e}"),
         }
     }
-
-    #[test]
-    fn explain_records_pruned_subtrees() {
-        // serialize against other explain-sweeping tests via the store
-        // itself: reset, run, inspect
-        let _guard = EXPLAIN_LOCK.lock().unwrap();
-        inl_obs::set_explain_enabled(true);
-        inl_obs::explain::reset();
-        let r = schedule_with(&zoo::simple_cholesky(), &quiet_cfg()).expect("schedules");
-        let records = inl_obs::explain::snapshot();
-        inl_obs::set_explain_enabled(false);
-        inl_obs::explain::reset();
-        let rejects: Vec<_> = records
-            .iter()
-            .filter(|rec| rec.stage == "sched" && rec.verdict == inl_obs::explain::Verdict::Reject)
-            .collect();
-        assert_eq!(
-            rejects.len() as u64,
-            r.stats.pruned_subtrees + r.stats.completion_failures + 1,
-            "one reject per pruned subtree / failed completion, plus the illegal distribution"
-        );
-        assert!(
-            rejects
-                .iter()
-                .any(|rec| rec.reason.contains("dep ") && rec.details.contains_key("dep_row")),
-            "at least one pruning decision names the killing dependence"
-        );
-        assert!(records.iter().any(|rec| rec.stage == "sched"
-            && rec.verdict == inl_obs::explain::Verdict::Accept
-            && rec.subject.contains(&r.chosen().label)));
-    }
-
-    pub(crate) static EXPLAIN_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 }

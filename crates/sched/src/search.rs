@@ -2,24 +2,30 @@
 //!
 //! The search tree over one program shape assigns one *signed loop
 //! selector row* per level: a node at depth `d` is a prefix of `d` rows,
-//! each `±e_pos(ℓ)` for a distinct loop `ℓ` (reversal contributes the
-//! sign). Every node is tested with [`inl_core::complete::check_prefix`];
-//! a [`PrefixCheck::Violation`] proves that *no* extension of the prefix
-//! is legal (the violated dependence projection is already
-//! lexicographically negative), so the entire subtree dies on the spot —
-//! the dimension-matching pruning of Acharya–Bondhugula, driven by the
-//! paper's dependence projections. Full-depth legal prefixes are handed
-//! to [`inl_core::complete::complete_transform`], whose syntactic-ordering
+//! each `±e_pos(ℓ)` for a distinct loop `ℓ` (the sign is reversal, §4.1).
+//! Every visited node is tested with [`inl_core::complete::check_prefix`]:
+//!
+//! * a [`PrefixCheck::Violation`] proves that *no* extension of the prefix
+//!   is legal (the violated dependence projection is already
+//!   lexicographically negative), so the entire subtree dies on the spot —
+//!   the dimension-matching pruning of Acharya–Bondhugula, driven by the
+//!   paper's dependence projections;
+//! * a legal forward selector `+e_ℓ` means `−e_ℓ` is not tried at that
+//!   node: it is illegal or, every active dependence being zero on `ℓ`,
+//!   the root of a sign-twin subtree that ties on every [`crate::Leading`]
+//!   field and loses the tie-break on reversal count (crate docs).
+//!
+//! Full-depth legal prefixes are handed to
+//! [`inl_core::complete::complete_transform`], whose syntactic-ordering
 //! topological sort supplies the statement-order (edge-row) part of the
 //! matrix — the statement-permutation axis of the space comes for free.
 //!
-//! On top of the per-shape permutation×reversal tree, the *shape* axis
-//! (jam/distribute, §4.2 of the paper) is enumerated first:
-//! [`enumerate_shapes`] yields the identity shape plus every legal
-//! one-level loop distribution and loop fusion, each a distinct program
-//! whose own tree is searched; costs compare globally across shapes.
+//! The *shape* axis is enumerated first: [`enumerate_shapes`] yields the
+//! identity shape, the strip-mined one, and every legal one-level loop
+//! distribution and fusion (§4.2), each a distinct program whose own tree
+//! is searched; costs compare globally across shapes.
 
-use crate::{SchedConfig, SchedError};
+use crate::SchedError;
 use inl_core::complete::{check_prefix, complete_transform, PrefixCheck};
 use inl_core::depend::{analyze, DependenceMatrix};
 use inl_core::instance::{InstanceLayout, Position};
@@ -37,12 +43,16 @@ pub struct SearchStats {
     /// shapes.
     pub nodes_visited: u64,
     /// Nodes a brute-force enumeration of the same trees would test
-    /// (`Σ_d P(L,d)·r^d` per shape, `r` = 2 with reversal, 1 without).
+    /// (`Σ_d P(L,d)·2^d` per shape: every loop order, both signs).
     pub nodes_exhaustive: u64,
     /// Prefixes whose violation killed a whole subtree.
     pub pruned_subtrees: u64,
     /// Strict descendants of pruned prefixes — nodes never visited.
     pub pruned_nodes: u64,
+    /// Reversed selectors not tried because the forward one was legal,
+    /// with their subtrees: `nodes_visited + pruned_nodes + twin_nodes ==
+    /// nodes_exhaustive` unless the budget stopped the search.
+    pub twin_nodes: u64,
     /// Full-depth prefixes that completed into legal variants.
     pub legal_variants: u64,
     /// Full-depth legal prefixes whose completion still failed (e.g. a
@@ -59,9 +69,9 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
-    /// Fraction of the exhaustive tree never visited, in percent
-    /// (`0` when nothing was pruned).
-    pub fn prune_rate_pct(&self) -> u64 {
+    /// Fraction of the exhaustive tree never visited — pruned or skipped
+    /// as a twin — in percent (`0` when every node was visited).
+    pub fn unvisited_pct(&self) -> u64 {
         if self.nodes_exhaustive == 0 {
             return 0;
         }
@@ -105,32 +115,24 @@ fn falling(n: u64, k: u64) -> u64 {
     (0..k).map(|i| n - i).product()
 }
 
-/// Nodes of the full tree over `nloops` loops with `r` signs per loop
-/// (every non-empty prefix counts as one node).
-pub(crate) fn exhaustive_nodes(nloops: u64, r: u64) -> u64 {
+/// Nodes of the full ± tree over `nloops` loops (every non-empty prefix
+/// counts as one) — also the strict descendants of a node with `nloops`
+/// unused loops.
+pub(crate) fn exhaustive_nodes(nloops: u64) -> u64 {
     (1..=nloops)
-        .map(|d| falling(nloops, d).saturating_mul(r.saturating_pow(d as u32)))
+        .map(|d| falling(nloops, d).saturating_mul(2u64.saturating_pow(d as u32)))
         .sum()
 }
 
-/// Strict descendants of a node that still has `remaining` unused loops.
-fn subtree_nodes(remaining: u64, r: u64) -> u64 {
-    exhaustive_nodes(remaining, r)
-}
-
-/// Enumerate the shape axis: identity, plus every legal one-level loop
-/// distribution and loop fusion. Illegal candidates are recorded as
-/// explain rejections (stage `sched`).
-pub(crate) fn enumerate_shapes(p: &Program, cfg: &SchedConfig) -> Result<Vec<Shape>, SchedError> {
+/// Enumerate the shape axis: identity, the strip-mined shape, then every
+/// legal one-level loop distribution and loop fusion. Illegal candidates
+/// are recorded as explain rejections (stages `tile` and `sched`).
+pub(crate) fn enumerate_shapes(p: &Program) -> Result<Vec<Shape>, SchedError> {
     let identity = Shape::analysed(String::new(), p.clone())?;
     let mut shapes = Vec::new();
     let explain = inl_obs::explain_enabled();
-    if cfg.tile {
-        enumerate_tiles(p, explain, &mut shapes)?;
-    }
-    if cfg.shapes {
-        enumerate_structural(&identity, explain, &mut shapes)?;
-    }
+    enumerate_tiles(p, explain, &mut shapes)?;
+    enumerate_structural(&identity, explain, &mut shapes)?;
     shapes.insert(0, identity);
     Ok(shapes)
 }
@@ -212,12 +214,12 @@ fn enumerate_structural(
 /// [`crate::Cost`] depends on the size (pinned by
 /// `tile_size_does_not_enter_the_ranking_key`), so further sizes would
 /// only add label-twins of every variant that lose the tie-break to this
-/// one — at a full permutation×reversal tree and codegen sweep each.
+/// one — at a full tree of loop orders and a codegen sweep each.
 pub(crate) const TILE_SIZE: inl_ir::Int = 16;
 
 /// The tile axis: strip-mine the innermost reuse-carrying loop by
 /// [`TILE_SIZE`]. An admitted split becomes a shape whose own
-/// permutation×reversal tree is prefix-pruned like every other shape's.
+/// tree of loop orders is prefix-pruned like every other shape's.
 /// The legality proof (`inl_core::tiling::split_legal_with_deps`) records
 /// the accept/reject explain evidence under the `tile` stage and hands
 /// back the dependence matrix it analysed, which the shape keeps; the
@@ -248,43 +250,33 @@ fn enumerate_tiles(p: &Program, explain: bool, shapes: &mut Vec<Shape>) -> Resul
     Ok(())
 }
 
-/// A legal full-depth variant of one shape: display label (loop order,
-/// `'` marking reversed loops) and its completed transformation matrix.
+/// A legal full-depth variant of one shape: display label (shape prefix,
+/// loop order, `'` marking reversed loops) and its completed matrix.
 pub(crate) type ShapeVariant = (String, IMat);
 
-/// Search one shape's permutation×reversal tree. Returns the legal
+/// Search one shape's tree of signed loop orders. Returns the legal
 /// variants; updates `stats` (including `nodes_exhaustive` for this
-/// shape's tree).
+/// shape's tree) and stops once they count `budget` visited nodes.
 pub(crate) fn search_shape(
     shape: &Shape,
-    cfg: &SchedConfig,
+    budget: u64,
     stats: &mut SearchStats,
 ) -> Result<Vec<ShapeVariant>, SchedError> {
     let _span = inl_obs::span("sched.search");
-    let Shape {
-        label: shape_label,
-        program: p,
-        layout,
-        deps,
-    } = shape;
-    // `p.loops()` enumerates the decl table; a jammed shape keeps the
+    // `loops()` enumerates the decl table; a jammed shape keeps the
     // fused-away loop as an orphan decl with no layout position, so only
     // loops the layout actually embeds are searchable
-    let loops: Vec<LoopId> = p
+    let loops: Vec<LoopId> = shape
+        .program
         .loops()
-        .filter(|&l| layout.positions().contains(&Position::Loop(l)))
+        .filter(|&l| shape.layout.positions().contains(&Position::Loop(l)))
         .collect();
-    let signs: &[i64] = if cfg.reversal { &[1, -1] } else { &[1] };
-    stats.nodes_exhaustive += exhaustive_nodes(loops.len() as u64, signs.len() as u64);
+    stats.nodes_exhaustive += exhaustive_nodes(loops.len() as u64);
 
     let mut ctx = Dfs {
-        shape_label,
-        p,
-        layout,
-        deps,
-        cfg,
+        shape,
+        budget,
         stats,
-        signs,
         explain: inl_obs::explain_enabled(),
         legal: Vec::new(),
     };
@@ -297,25 +289,26 @@ pub(crate) fn search_shape(
 
 /// DFS state for one shape's tree.
 struct Dfs<'a> {
-    shape_label: &'a str,
-    p: &'a Program,
-    layout: &'a InstanceLayout,
-    deps: &'a DependenceMatrix,
-    cfg: &'a SchedConfig,
+    shape: &'a Shape,
+    budget: u64,
     stats: &'a mut SearchStats,
-    signs: &'a [i64],
     explain: bool,
     legal: Vec<ShapeVariant>,
 }
 
 impl Dfs<'_> {
-    /// Human label of a prefix: loop names in order, `'` after reversed
-    /// ones, separated only when a loop name has several characters.
+    /// Human label of a prefix, shape included: loop names in order, `'`
+    /// after reversed ones, separated only when a loop name has several
+    /// characters.
     fn prefix_label(&self, labels: &[String]) -> String {
-        if labels.iter().all(|s| s.trim_end_matches('\'').len() == 1) {
+        let order = if labels.iter().all(|s| s.trim_end_matches('\'').len() == 1) {
             labels.concat()
         } else {
             labels.join(".")
+        };
+        match self.shape.label.as_str() {
+            "" => order,
+            shape => format!("{shape}/{order}"),
         }
     }
 
@@ -326,73 +319,70 @@ impl Dfs<'_> {
         labels: &mut Vec<String>,
         used: &mut [bool],
     ) -> Result<(), SchedError> {
+        let Shape {
+            program: p,
+            layout,
+            deps,
+            ..
+        } = self.shape;
         for i in 0..loops.len() {
             if used[i] {
                 continue;
             }
-            for &sign in self.signs {
+            // the reversed selector only where the forward one is pruned
+            for reversed in [false, true] {
+                self.stats.budget_exhausted |= self.stats.nodes_visited >= self.budget;
                 if self.stats.budget_exhausted {
-                    return Ok(());
-                }
-                if self.stats.nodes_visited >= self.cfg.budget {
-                    self.stats.budget_exhausted = true;
                     return Ok(());
                 }
                 self.stats.nodes_visited += 1;
                 let l = loops[i];
-                let pos = self.layout.loop_position(l);
-                let row = if sign >= 0 {
-                    IVec::unit(self.layout.len(), pos)
-                } else {
-                    -&IVec::unit(self.layout.len(), pos)
-                };
-                rows.push(row);
-                labels.push(format!(
-                    "{}{}",
-                    self.p.loop_decl(l).name,
-                    if sign < 0 { "'" } else { "" }
-                ));
+                let unit = IVec::unit(layout.len(), layout.loop_position(l));
+                rows.push(if reversed { -&unit } else { unit });
+                let mark = if reversed { "'" } else { "" };
+                labels.push(format!("{}{mark}", p.loop_decl(l).name));
                 used[i] = true;
-                match check_prefix(self.p, self.layout, self.deps, rows)
-                    .map_err(SchedError::Prefix)?
-                {
+                // strict descendants of this node in the full ± tree
+                let below = exhaustive_nodes((loops.len() - rows.len()) as u64);
+                let legal = match check_prefix(p, layout, deps, rows).map_err(SchedError::Prefix)? {
                     PrefixCheck::Violation { row: vr, dep } => {
-                        let remaining = (loops.len() - rows.len()) as u64;
-                        let killed = subtree_nodes(remaining, self.signs.len() as u64);
                         self.stats.pruned_subtrees += 1;
-                        self.stats.pruned_nodes += killed;
+                        self.stats.pruned_nodes += below;
                         if self.explain {
-                            let d = &self.deps.deps[dep];
-                            let prefix = self.prefix_label(labels);
+                            let d = &deps.deps[dep];
                             inl_obs::explain::reject(
                                 "sched",
-                                format!(
-                                    "prefix {}{prefix} of {}",
-                                    shape_prefix(self.shape_label),
-                                    self.p.name()
-                                ),
+                                format!("prefix {} of {}", self.prefix_label(labels), p.name()),
                                 format!(
                                     "{}: row {vr} drives the projection negative — pruned the \
-                                     {killed}-node subtree",
-                                    provenance::dep_label(self.p, dep, d)
+                                     {below}-node subtree",
+                                    provenance::dep_label(p, dep, d)
                                 ),
                             )
                             .detail("dep_row", provenance::dep_row(d))
                             .feature("depth", rows.len() as i64)
-                            .feature("nodes_pruned", killed as i64);
+                            .feature("nodes_pruned", below as i64);
                         }
+                        false
                     }
                     PrefixCheck::Legal => {
+                        if !reversed {
+                            self.stats.twin_nodes += 1 + below;
+                        }
                         if rows.len() == loops.len() {
-                            self.complete_leaf(rows, labels)?;
+                            self.complete_leaf(rows, labels);
                         } else {
                             self.descend(loops, rows, labels, used)?;
                         }
+                        true
                     }
-                }
+                };
                 rows.pop();
                 labels.pop();
                 used[i] = false;
+                if legal {
+                    break;
+                }
             }
         }
         Ok(())
@@ -400,9 +390,15 @@ impl Dfs<'_> {
 
     /// A full-depth legal prefix: complete it (statement order falls out
     /// of the completion's topological sort) into a full matrix.
-    fn complete_leaf(&mut self, rows: &[IVec], labels: &[String]) -> Result<(), SchedError> {
+    fn complete_leaf(&mut self, rows: &[IVec], labels: &[String]) {
+        let Shape {
+            program: p,
+            layout,
+            deps,
+            ..
+        } = self.shape;
         let label = self.prefix_label(labels);
-        match complete_transform(self.p, self.layout, self.deps, rows) {
+        match complete_transform(p, layout, deps, rows) {
             Ok(c) => {
                 self.stats.legal_variants += 1;
                 self.legal.push((label, c.matrix));
@@ -412,25 +408,11 @@ impl Dfs<'_> {
                 if self.explain {
                     inl_obs::explain::reject(
                         "sched",
-                        format!(
-                            "variant {}{label} of {}",
-                            shape_prefix(self.shape_label),
-                            self.p.name()
-                        ),
+                        format!("variant {label} of {}", p.name()),
                         format!("legal prefix failed to complete: {e:?}"),
                     );
                 }
             }
         }
-        Ok(())
-    }
-}
-
-/// `"dist(K@1)/"` for a named shape, `""` for the identity shape.
-pub(crate) fn shape_prefix(shape_label: &str) -> String {
-    if shape_label.is_empty() {
-        String::new()
-    } else {
-        format!("{shape_label}/")
     }
 }

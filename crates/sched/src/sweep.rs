@@ -1,6 +1,6 @@
 //! Zoo-wide scheduling sweep: run [`crate::schedule`] over every zoo
-//! program, *measure* every legal variant on the VM backend, and compare
-//! the cost model's choice against reality.
+//! program, *measure* every returned variant on the VM backend, and
+//! compare the cost model's choice against reality.
 //!
 //! This is the machinery behind the `inl-sched` CLI and the committed
 //! `baselines/BENCH_sched.json` CI gate: the search counters and the
@@ -17,8 +17,8 @@ use inl_obs::Json;
 use std::time::Instant;
 
 /// Problem size used by the sweep: large enough that loop-order locality
-/// effects are visible on the VM, small enough that measuring every legal
-/// variant of every zoo program stays in CI budget.
+/// effects are visible on the VM, small enough that measuring every
+/// returned variant of every zoo program stays in CI budget.
 pub const SWEEP_N: Int = 56;
 
 /// One sweep target: wire name, constructor, measurement parameters.
@@ -50,7 +50,7 @@ pub struct MeasuredVariant {
     /// Its full static key, from the variant as finished for measuring
     /// (the scheduler itself computed it only for the front class).
     pub cost: Cost,
-    /// Minimum wall time over the configured repetitions, nanoseconds.
+    /// Minimum wall time over the sweep's repetitions, nanoseconds.
     pub ns: u64,
 }
 
@@ -112,12 +112,14 @@ impl SweepEntry {
     }
 }
 
-/// Schedule one program, finish every legal variant and measure it.
+/// Schedule one program, finish every variant and keep each one's best
+/// of `reps` (at least one) timed runs.
 pub fn sweep_program(
     name: &str,
     p: &Program,
     params: &[Int],
     cfg: &SchedConfig,
+    reps: usize,
 ) -> Result<SweepEntry, SchedError> {
     let _span = inl_obs::span("sched.sweep");
     let t0 = Instant::now();
@@ -143,7 +145,7 @@ pub fn sweep_program(
     // drift always lands on whichever variant runs first (the chosen
     // one, since variants are measured in rank order)
     let mut best_ns_per: Vec<u64> = vec![u64::MAX; variants.len()];
-    for _ in 0..cfg.measure_reps.max(1) {
+    for _ in 0..reps.max(1) {
         for ((v, runner), best) in variants.iter().zip(&runners).zip(&mut best_ns_per) {
             let mut m = Machine::new(&v.program, params, &spd_init);
             let t = Instant::now();
@@ -234,10 +236,10 @@ pub fn measured_extremes(
 pub fn render_table(entries: &[SweepEntry]) -> String {
     let mut out = String::new();
     out.push_str(
-        "| program | visited | exhaustive | prune% | legal | chosen | vs best | rank agree | bitwise |\n",
+        "| program | visited | exhaustive | unvisited | legal | chosen | vs best | rank agree | bitwise |\n",
     );
     out.push_str(
-        "|---------|---------|------------|--------|-------|--------|---------|------------|--------|\n",
+        "|---------|---------|------------|-----------|-------|--------|---------|------------|--------|\n",
     );
     for e in entries {
         out.push_str(&format!(
@@ -245,7 +247,7 @@ pub fn render_table(entries: &[SweepEntry]) -> String {
             e.name,
             e.stats.nodes_visited,
             e.stats.nodes_exhaustive,
-            e.stats.prune_rate_pct(),
+            e.stats.unvisited_pct(),
             e.measured.len(),
             e.chosen,
             e.chosen_vs_best_pct(),
@@ -272,6 +274,7 @@ pub fn bench_json(entries: &[SweepEntry], errors: &[(String, String)]) -> Json {
         o.insert("nodes_exhaustive", Json::Int(e.stats.nodes_exhaustive));
         o.insert("pruned_subtrees", Json::Int(e.stats.pruned_subtrees));
         o.insert("pruned_nodes", Json::Int(e.stats.pruned_nodes));
+        o.insert("twin_nodes", Json::Int(e.stats.twin_nodes));
         o.insert("legal_variants", Json::Int(e.stats.legal_variants));
         o.insert("shapes", Json::Int(e.stats.shapes));
         o.insert(
@@ -305,7 +308,6 @@ mod tests {
     fn quiet_cfg() -> SchedConfig {
         SchedConfig {
             threads: 1,
-            measure_reps: 1,
             ..SchedConfig::default()
         }
     }
@@ -317,6 +319,7 @@ mod tests {
             &zoo::simple_cholesky(),
             &[12],
             &quiet_cfg(),
+            1,
         )
         .expect("sweeps");
         assert!(e.bitwise_identical, "chosen variant diverged");
@@ -340,7 +343,7 @@ mod tests {
     #[test]
     fn gate_document_is_deterministic_and_byte_identical_across_sweeps() {
         let doc = || {
-            let e = sweep_program("matmul", &zoo::matmul(), &[6], &quiet_cfg()).expect("sweeps");
+            let e = sweep_program("matmul", &zoo::matmul(), &[6], &quiet_cfg(), 1).expect("sweeps");
             bench_json(&[e], &[])
         };
         let first = doc();
@@ -354,6 +357,7 @@ mod tests {
             "nodes_visited",
             "nodes_exhaustive",
             "pruned_subtrees",
+            "twin_nodes",
             "legal_variants",
             "chosen",
             "bitwise_identical",
@@ -384,7 +388,8 @@ mod tests {
 
     #[test]
     fn table_renders_every_program() {
-        let e = sweep_program("wavefront", &zoo::wavefront(), &[10], &quiet_cfg()).expect("sweeps");
+        let e =
+            sweep_program("wavefront", &zoo::wavefront(), &[10], &quiet_cfg(), 1).expect("sweeps");
         let table = render_table(&[e]);
         assert!(table.contains("| wavefront |"));
         assert!(table.contains("rank agree"));

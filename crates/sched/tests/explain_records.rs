@@ -1,0 +1,44 @@
+//! The scheduler's decision provenance, counted exactly — in a test binary
+//! of its own, because the explain store is process-global: a sibling test
+//! that schedules while this one has the layer on would add its records to
+//! the count.
+
+use inl_ir::zoo;
+use inl_obs::explain::Verdict;
+use inl_sched::{schedule_with, SchedConfig};
+
+#[test]
+fn explain_records_pruned_subtrees() {
+    let cfg = SchedConfig {
+        threads: 1,
+        ..SchedConfig::default()
+    };
+    inl_obs::set_explain_enabled(true);
+    inl_obs::explain::reset();
+    let r = schedule_with(&zoo::simple_cholesky(), &cfg).expect("schedules");
+    let records = inl_obs::explain::snapshot();
+    inl_obs::set_explain_enabled(false);
+    inl_obs::explain::reset();
+    let rejects: Vec<_> = records
+        .iter()
+        .filter(|rec| rec.stage == "sched" && rec.verdict == Verdict::Reject)
+        .collect();
+    assert_eq!(
+        rejects.len() as u64,
+        r.stats.pruned_subtrees + r.stats.completion_failures + 1,
+        "one reject per pruned subtree / failed completion, plus the illegal distribution"
+    );
+    // a skipped twin is no verdict on legality and leaves no record:
+    // 2 prunings here, 50 twin nodes
+    assert_eq!(rejects.len(), 3);
+    assert_eq!(r.stats.twin_nodes, 50);
+    assert!(
+        rejects
+            .iter()
+            .any(|rec| rec.reason.contains("dep ") && rec.details.contains_key("dep_row")),
+        "at least one pruning decision names the killing dependence"
+    );
+    assert!(records.iter().any(|rec| rec.stage == "sched"
+        && rec.verdict == Verdict::Accept
+        && rec.subject.contains(&r.chosen().label)));
+}

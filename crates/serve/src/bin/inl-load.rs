@@ -32,7 +32,9 @@
 //! error, bitwise mismatch, telemetry-projection disagreement, or a
 //! `--telemetry` run that checked no section.
 
-use inl_serve::{flag_or_usage, handle_request, Client, Request, Response, ZOO};
+use inl_serve::{
+    flag_or_usage, handle_request, known_flags_or_usage, Client, Request, Response, ZOO,
+};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -95,6 +97,11 @@ fn base_schedule(telemetry: bool) -> Vec<Request> {
 }
 
 fn main() {
+    known_flags_or_usage(
+        &["--addr", "--requests", "--connections"],
+        &["--shutdown", "--telemetry"],
+        USAGE,
+    );
     let addr = flag_or_usage("--addr", USAGE).unwrap_or_else(|| "127.0.0.1:7878".to_string());
     let total: usize = flag_or_usage("--requests", USAGE).unwrap_or(1000);
     // NonZero: `--connections 0` is a usage error, not "the default"

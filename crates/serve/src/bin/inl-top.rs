@@ -14,7 +14,7 @@
 //! piping a single `--once` frame into a log. Exit code 1 on transport
 //! failure.
 
-use inl_serve::{flag_or_usage, Client, Request, Response};
+use inl_serve::{flag_or_usage, known_flags_or_usage, Client, Request, Response};
 use std::num::NonZeroU64;
 
 const USAGE: &str =
@@ -112,6 +112,11 @@ fn render(metrics: &inl_obs::Json, stats: &inl_obs::Json) -> String {
 }
 
 fn main() {
+    known_flags_or_usage(
+        &["--addr", "--interval-ms", "--count"],
+        &["--once", "--no-clear"],
+        USAGE,
+    );
     let addr = flag_or_usage("--addr", USAGE).unwrap_or_else(|| "127.0.0.1:7878".to_string());
     let interval_ms = flag_or_usage::<NonZeroU64>("--interval-ms", USAGE).map_or(1000, |v| v.get());
     let once = std::env::args().any(|a| a == "--once");

@@ -291,6 +291,35 @@ mod tests {
     }
 
     #[test]
+    fn dotted_orders_reach_programs_with_long_loop_names() {
+        // `lu_kij` has a loop called `I2`: no one-character-per-loop order
+        // can name it, the dotted spelling the scheduler prints can
+        let source = handle_request(&compile_req("lu_kij", Some("K.I2.J.I")));
+        assert_eq!(
+            source,
+            handle_request(&compile_req("lu_kij", None)),
+            "the source order, spelt out"
+        );
+        let jik = handle_request(&compile_req("distributed_simple_cholesky", Some("J.I2.I")));
+        assert!(
+            matches!(
+                jik,
+                Response::Compile {
+                    outcome: CompileOutcome::Legal { .. },
+                    ..
+                }
+            ),
+            "{jik:?}"
+        );
+        let short = handle_request(&compile_req("lu_kij", Some("KIJ")));
+        assert!(
+            matches!(short, Response::Error { ref kind, ref message }
+                if kind.contains("target") && message.contains("order 'KIJ'")),
+            "{short:?}"
+        );
+    }
+
+    #[test]
     fn identity_compile_works_for_every_zoo_program() {
         for (name, _) in ZOO {
             let resp = handle_request(&compile_req(name, None));
@@ -391,6 +420,36 @@ mod tests {
             telemetry: false,
         });
         assert!(matches!(unknown, Response::Error { .. }), "{unknown:?}");
+    }
+
+    #[test]
+    fn scheduled_labels_compile_to_the_scheduled_code() {
+        // one spelling of an order on both sides of the wire: every
+        // unreversed identity-shape label the scheduler returns is an
+        // `order` a client can send back, and `Compile` answers with the
+        // code the scheduler would materialise for that variant
+        let mut sent = 0;
+        for (name, make) in ZOO {
+            let r = inl_sched::schedule(&make()).expect("schedules");
+            for (i, v) in r.variants.iter().enumerate() {
+                if !v.shape.is_empty() || v.label.contains(['\'', '+']) {
+                    continue;
+                }
+                sent += 1;
+                let want = r.materialise(i).expect("finishes").pseudocode;
+                match handle_request(&compile_req(name, Some(&v.label))) {
+                    Response::Compile {
+                        outcome: CompileOutcome::Legal { pseudocode },
+                        ..
+                    } => assert_eq!(pseudocode, want, "{name} order {}", v.label),
+                    other => panic!("{name} order {}: {other:?}", v.label),
+                }
+            }
+        }
+        assert!(
+            sent >= 13 + 12,
+            "every program's source order and more: {sent}"
+        );
     }
 
     #[test]

@@ -71,6 +71,23 @@ pub fn flag_or_usage<T: std::str::FromStr>(flag: &str, usage: &str) -> Option<T>
     })
 }
 
+/// The other half of reading flags by name: exit 2 with `usage` unless every
+/// argument is one of `valued` (which takes the argument after it as its
+/// value, unless that is a flag itself — [`flag_value`] reports that one) or
+/// one of `switches`. A misspelt flag must not silently mean the default, so
+/// each binary calls this before anything binds or connects.
+pub fn known_flags_or_usage(valued: &[&str], switches: &[&str], usage: &str) {
+    let mut args = std::env::args().skip(1).peekable();
+    while let Some(a) = args.next() {
+        if valued.contains(&a.as_str()) {
+            args.next_if(|v| !v.starts_with("--"));
+        } else if !switches.contains(&a.as_str()) {
+            eprintln!("unknown argument '{a}'\n{usage}");
+            std::process::exit(2)
+        }
+    }
+}
+
 /// The process-wide sliding window of served-request latencies.
 ///
 /// Server sessions record every request they answer here (keyed by

@@ -9,13 +9,15 @@
 //! serves until a `shutdown` request arrives. Telemetry and timeline
 //! layers are enabled so every request contributes `serve.*` spans and
 //! counters. `--workers 0` (the default) means one per available core; an
-//! unusable flag value prints the usage line and exits 2.
+//! unknown argument or an unusable flag value prints the usage line and
+//! exits 2 before anything binds.
 
-use inl_serve::flag_or_usage;
+use inl_serve::{flag_or_usage, known_flags_or_usage};
 
 const USAGE: &str = "usage: inl-serve [--addr 127.0.0.1:7878] [--workers N] [--quiet]";
 
 fn main() {
+    known_flags_or_usage(&["--addr", "--workers"], &["--quiet"], USAGE);
     let addr = flag_or_usage("--addr", USAGE).unwrap_or_else(|| "127.0.0.1:7878".to_string());
     let workers: usize = flag_or_usage("--workers", USAGE).unwrap_or(0);
     let quiet = std::env::args().any(|a| a == "--quiet");

@@ -1,5 +1,7 @@
-//! The service binaries read their flags through `inl_serve::flag_value`:
-//! a value that is missing or does not parse prints the usage line and
+//! The service binaries read their flags by name (`inl_serve::flag_value`)
+//! after checking every argument against the names they know
+//! (`inl_serve::known_flags_or_usage`): a misspelt flag, a stray argument,
+//! or a value that is missing or does not parse prints the usage line and
 //! exits 2 before anything is bound or connected, instead of silently
 //! meaning the default. One child process per case.
 
@@ -29,6 +31,16 @@ fn unusable_flag_values_print_usage_and_exit_2() {
             "--interval-ms needs a value",
         ),
         (top, &["--count", "many"], "--count: cannot use 'many'"),
+        // a misspelt flag is not "the default": one per binary
+        (serve, &["--worker", "4"], "unknown argument '--worker'"),
+        (load, &["--request", "10"], "unknown argument '--request'"),
+        (
+            top,
+            &["--once", "--interval", "5"],
+            "unknown argument '--interval'",
+        ),
+        // nor is a value nobody asked for
+        (load, &["--shutdown", "now"], "unknown argument 'now'"),
     ] {
         let out = Command::new(exe).args(args).output().expect("spawn");
         let stderr = String::from_utf8_lossy(&out.stderr);
