@@ -240,15 +240,33 @@ pub fn arb_program() -> impl Strategy<Value = Program> {
 /// One subscript `a·J + b·I + c` of a generated inner loop, as `(a, b, c)`.
 pub type Subscript = (Int, Int, Int);
 
+/// How a generated statement combines its two reads: the first on either
+/// side of each operator, under one operator or two — a lone statement whose
+/// first read is the cell the trip before stored runs with that cell in a
+/// register, and a swapped or reassociated operand shows in the bits.
+const INNER_SHAPES: [fn(Expr, Expr) -> Expr; 10] = [
+    |r1, r2| Expr::add(r1, Expr::mul(Expr::konst(0.5), r2)),
+    |r1, r2| Expr::add(Expr::mul(Expr::konst(0.5), r2), r1),
+    |r1, r2| Expr::sub(r1, r2),
+    |r1, r2| Expr::sub(r2, r1),
+    |r1, r2| Expr::mul(r1, r2),
+    |r1, r2| Expr::mul(r2, r1),
+    |r1, r2| Expr::div(r1, r2),
+    |r1, r2| Expr::div(r2, r1),
+    |r1, r2| Expr::mul(Expr::add(r1, r2), Expr::konst(0.5)),
+    |r1, r2| Expr::sub(r2, Expr::mul(Expr::konst(0.5), r1)),
+];
+
 /// Parameters of a generated two-deep nest whose inner loop is guard-free —
-/// the loops the VM runs as trip kernels, in columns or trip by trip
-/// according to their address spans; kept as a value so failures print a
-/// reproducible recipe.
+/// the loops the VM runs as trip kernels, in columns, around one carried
+/// cell or trip by trip according to their address spans; kept as a value so
+/// failures print a reproducible recipe.
 #[derive(Clone, Debug)]
 pub struct InnerLoopRecipe {
-    /// One to three statements `W[w] = R1[r1] + 0.5·R2[r2]`: the subscripts
-    /// `[w, r1, r2]` and, bit `k` of the selector, whether the `k`-th of
-    /// them indexes `Y` rather than `X`.
+    /// One to three statements `W[w] = shape(R1[r1], R2[r2])`: the
+    /// subscripts `[w, r1, r2]` and a selector — bit `k < 3`, whether the
+    /// `k`-th of them indexes `Y` rather than `X`; the bits above, which of
+    /// the ten shapes (`R1[r1] + 0.5·R2[r2]` is shape 0).
     pub stmts: Vec<(usize, [Subscript; 3])>,
     /// Inner lower bound is the outer variable (triangular).
     pub triangular: bool,
@@ -281,14 +299,12 @@ pub fn build_inner_loop(r: &InnerLoopRecipe) -> Program {
                     (arrays[sel >> which & 1], vec![sub + Aff::konst(8 + c)])
                 };
                 let ((w, widx), (r1, r1idx), (r2, r2idx)) = (at(0), at(1), at(2));
+                let shape = INNER_SHAPES[(sel >> 3) % INNER_SHAPES.len()];
                 b.stmt(
                     format!("S{}", k + 1),
                     w,
                     widx,
-                    Expr::add(
-                        Expr::read(r1, r1idx),
-                        Expr::mul(Expr::konst(0.5), Expr::read(r2, r2idx)),
-                    ),
+                    shape(Expr::read(r1, r1idx), Expr::read(r2, r2idx)),
                 );
             }
         });
@@ -300,12 +316,17 @@ pub fn build_inner_loop(r: &InnerLoopRecipe) -> Program {
 /// and triangular `J` ranges whose trip counts straddle the VM's column
 /// width (1–6, 125–130, 254–259), subscripts that carry dependences at
 /// small distances in both directions, reduce into one cell (`a = 0`), run
-/// backwards, or never meet.
+/// backwards, or never meet, under every operator with the reads on either
+/// side; a third of the statements read the cell their store wrote a trip
+/// earlier.
 pub fn arb_inner_loop() -> impl Strategy<Value = (Program, Int)> {
     let sub =
         (-2..=2i64, -1..=1i64, -3..=3i64).prop_map(|(a, b, c)| (a as Int, b as Int, c as Int));
-    let stmt = (0..8usize, (sub.clone(), sub.clone(), sub))
-        .prop_map(|(sel, (w, r1, r2))| (sel, [w, r1, r2]));
+    let stmt = (
+        0..8 * INNER_SHAPES.len(),
+        0..3usize,
+        (sub.clone(), sub.clone(), sub),
+    );
     (
         prop::collection::vec(stmt, 1..=3),
         prop::bool::ANY,
@@ -313,6 +334,20 @@ pub fn arb_inner_loop() -> impl Strategy<Value = (Program, Int)> {
         (0..3usize, 0..6i64, 0..3i64),
     )
         .prop_map(|(stmts, triangular, step, (band, trips, short))| {
+            // One statement in three reads, as its first operand, what its
+            // store wrote a trip earlier — the cell it reduces into when the
+            // store stands still — where that subscript stays in range.
+            let link =
+                |(sel, link, (w, r1, r2)): (usize, usize, (Subscript, Subscript, Subscript))| {
+                    let behind = (w.0, w.1, w.2 - w.0 * step as Int);
+                    if link == 0 && behind.2.abs() <= 3 {
+                        // R1's array bit takes W's
+                        (sel & !2 | (sel & 1) << 1, [w, behind, r2])
+                    } else {
+                        (sel, [w, r1, r2])
+                    }
+                };
+            let stmts = stmts.into_iter().map(link).collect();
             let trips = [1, 125, 254][band] + trips;
             // the bound falls on, or up to `step − 1` short of, an iteration
             let n = (trips * step - short % step).max(1);

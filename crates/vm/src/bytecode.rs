@@ -35,7 +35,9 @@
 //! [`TripKernel`]: the body's ops over *slots*, each slot one access whose
 //! flat offset advances by a fixed delta per trip. The loop's header then
 //! runs all its trips itself (see [`mod@crate::run`]); every other loop stays on
-//! the dispatcher.
+//! the dispatcher. A body with one `Store` is also kept split around each
+//! load that may be of the cell one trip hands to the next
+//! ([`CarriedKernel`]).
 
 use inl_ir::{LoopId, Program, StmtId};
 use inl_linalg::Int;
@@ -452,6 +454,182 @@ pub enum KernelOp {
     Store { src: u8, slot: u8 },
 }
 
+impl KernelOp {
+    /// The op with its destination register replaced (a `Store` has none).
+    fn with_dst(mut self, to: u8) -> KernelOp {
+        match &mut self {
+            KernelOp::Const { dst, .. }
+            | KernelOp::Idx { dst, .. }
+            | KernelOp::Load { dst, .. }
+            | KernelOp::Neg { dst }
+            | KernelOp::Sqrt { dst }
+            | KernelOp::Add { dst, .. }
+            | KernelOp::Sub { dst, .. }
+            | KernelOp::Mul { dst, .. }
+            | KernelOp::Div { dst, .. } => *dst = to,
+            KernelOp::Store { .. } => {}
+        }
+        self
+    }
+
+    /// A binary operator `dst ∘= rhs` as `(∘, dst, rhs)`.
+    fn binary(self) -> Option<(Arith, u8, u8)> {
+        match self {
+            KernelOp::Add { dst, rhs } => Some((Arith::Add, dst, rhs)),
+            KernelOp::Sub { dst, rhs } => Some((Arith::Sub, dst, rhs)),
+            KernelOp::Mul { dst, rhs } => Some((Arith::Mul, dst, rhs)),
+            KernelOp::Div { dst, rhs } => Some((Arith::Div, dst, rhs)),
+            _ => None,
+        }
+    }
+}
+
+/// A binary operator of a kernel body.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Arith {
+    Add,
+    Sub,
+    Mul,
+    Div,
+}
+
+impl Arith {
+    /// `dst ∘= rhs` as a [`KernelOp`].
+    fn op(self, dst: u8, rhs: u8) -> KernelOp {
+        match self {
+            Arith::Add => KernelOp::Add { dst, rhs },
+            Arith::Sub => KernelOp::Sub { dst, rhs },
+            Arith::Mul => KernelOp::Mul { dst, rhs },
+            Arith::Div => KernelOp::Div { dst, rhs },
+        }
+    }
+
+    /// `a ∘ b`.
+    #[inline(always)]
+    pub fn apply(self, a: f64, b: f64) -> f64 {
+        match self {
+            Arith::Add => a + b,
+            Arith::Sub => a - b,
+            Arith::Mul => a * b,
+            Arith::Div => a / b,
+        }
+    }
+}
+
+/// One step of a [`CarriedKernel`]'s chain: what a body op does to the value
+/// handed from trip to trip, its other operand a finished register column.
+/// The operand order is the body's own.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ChainOp {
+    /// `carry = -carry`.
+    Neg,
+    /// `carry = sqrt(carry)`.
+    Sqrt,
+    /// `carry = carry ∘ col[t]`.
+    CarryCol { op: Arith, col: u8 },
+    /// `carry = col[t] ∘ carry`.
+    ColCarry { op: Arith, col: u8 },
+}
+
+/// A kernel body split around one load — the *carried* load, of the cell
+/// trip `t` hands to trip `t + 1`: the cell every trip stores (a reduction)
+/// or the cell the previous trip stored (a distance-1 recurrence). Whether a
+/// loop entry's addresses make `slot` that cell is decided per entry
+/// ([`crate::run::carried_slot`]); this is the half fixed by the body.
+#[derive(Clone, Debug, PartialEq)]
+pub struct CarriedKernel {
+    /// The slot of the carried load, loaded once in the body.
+    pub slot: u8,
+    /// The slot of the body's one `Store`.
+    pub store: u8,
+    /// The ops no value of the carried load reaches, in body order, each
+    /// value they define in a register column of its own: the chain finds
+    /// every operand where its op left it.
+    pub ops: Vec<KernelOp>,
+    /// The ops from the carried load to the `Store`, in body order.
+    pub chain: Vec<ChainOp>,
+    /// The column that receives each trip's stored value.
+    pub out: u8,
+}
+
+impl CarriedKernel {
+    /// Split `ops` around the load of slot `carried`; `None` unless the body
+    /// loads it once, ends in its only `Store`, stores the value the chain
+    /// ends in, reads no register again after an operator took it as its
+    /// right operand (where [`crate::compile()`] frees it), and defines no
+    /// more values outside the chain than there are columns.
+    fn split(ops: &[KernelOp], carried: u8) -> Option<CarriedKernel> {
+        #[derive(Clone, Copy, PartialEq)]
+        enum Holds {
+            Nothing,
+            Column(u8),
+            Carry,
+        }
+        let mut holds = [Holds::Nothing; KERNEL_REGS];
+        let (mut loaded, mut store) = (false, None);
+        let (mut ops_out, mut chain) = (Vec::new(), Vec::new());
+        let mut columns = 0..KERNEL_REGS as u8;
+        for &op in ops {
+            if store.is_some() {
+                return None;
+            }
+            match op {
+                KernelOp::Load { dst, slot } if slot == carried => {
+                    if std::mem::replace(&mut loaded, true) {
+                        return None;
+                    }
+                    holds[dst as usize] = Holds::Carry;
+                }
+                KernelOp::Const { dst, .. }
+                | KernelOp::Idx { dst, .. }
+                | KernelOp::Load { dst, .. } => {
+                    let col = columns
+                        .next()
+                        .filter(|_| holds[dst as usize] != Holds::Carry)?;
+                    holds[dst as usize] = Holds::Column(col);
+                    ops_out.push(op.with_dst(col));
+                }
+                KernelOp::Neg { dst } | KernelOp::Sqrt { dst } => match holds[dst as usize] {
+                    Holds::Carry if matches!(op, KernelOp::Neg { .. }) => chain.push(ChainOp::Neg),
+                    Holds::Carry => chain.push(ChainOp::Sqrt),
+                    Holds::Column(col) => ops_out.push(op.with_dst(col)),
+                    Holds::Nothing => return None,
+                },
+                KernelOp::Store { src, slot } if holds[src as usize] == Holds::Carry => {
+                    store = Some(slot)
+                }
+                _ => {
+                    let (arith, dst, rhs) = op.binary()?;
+                    match (holds[dst as usize], holds[rhs as usize]) {
+                        (Holds::Column(d), Holds::Column(r)) => ops_out.push(arith.op(d, r)),
+                        (Holds::Carry, Holds::Column(col)) => {
+                            chain.push(ChainOp::CarryCol { op: arith, col })
+                        }
+                        (Holds::Column(col), Holds::Carry) => {
+                            chain.push(ChainOp::ColCarry { op: arith, col });
+                            holds[dst as usize] = Holds::Carry;
+                        }
+                        _ => return None,
+                    }
+                    holds[rhs as usize] = Holds::Nothing;
+                }
+            }
+        }
+        // A column the chain reads is free from the trip that read it on.
+        let out = chain.iter().rev().find_map(|c| match *c {
+            ChainOp::CarryCol { col, .. } | ChainOp::ColCarry { col, .. } => Some(col),
+            _ => None,
+        });
+        Some(CarriedKernel {
+            slot: carried,
+            store: store.filter(|_| loaded)?,
+            ops: ops_out,
+            chain,
+            out: out.unwrap_or(0),
+        })
+    }
+}
+
 /// One distinct access of a kernel body.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Slot {
@@ -480,6 +658,11 @@ pub struct TripKernel {
     pub slots: Vec<Slot>,
     /// `Store` ops per trip (what one trip adds to `vm.instances`).
     pub stores: u32,
+    /// The body split around each load that may turn out, at a loop entry,
+    /// to be of the one cell the trips hand on: empty unless the body has
+    /// one `Store`; then the stored slot's own load when it stands still (a
+    /// reduction), else every read of its array that moves with it.
+    pub carried: Vec<CarriedKernel>,
 }
 
 /// Which of the kernel's value registers the body has written so far.
@@ -662,6 +845,7 @@ impl CompiledProgram {
             ops: Vec::new(),
             slots: Vec::new(),
             stores: 0,
+            carried: Vec::new(),
         };
         let mut regs = WrittenRegs::default();
         for instr in &self.code[meta.body.0 as usize..meta.body.1 as usize] {
@@ -739,6 +923,16 @@ impl CompiledProgram {
                 // an inner loop, a guard, a unary operator out of place
                 _ => return None,
             });
+        }
+        if let (1, Some(w)) = (k.stores, k.slots.iter().find(|s| s.stored)) {
+            let hands_on = |s: &Slot| match w.delta {
+                0 => s == w,
+                _ => s != w && (s.array, s.delta) == (w.array, w.delta),
+            };
+            k.carried = (0..k.slots.len())
+                .filter(|&i| hands_on(&k.slots[i]))
+                .filter_map(|i| CarriedKernel::split(&k.ops, i as u8))
+                .collect();
         }
         Some(k)
     }

@@ -23,7 +23,8 @@
 //!   ([`bytecode::TripKernel`]): the header runs all the loop's trips
 //!   itself, each access's flat offset stepped by a fixed delta instead of
 //!   re-derived, and a whole column of trips per dispatch when no trip
-//!   touches a cell another trip stores.
+//!   touches a cell another trip stores — or only the one cell each trip
+//!   hands to the next, which then rides in a register.
 //!
 //! The per-instance hot path is integer multiply-adds and indexed loads —
 //! zero allocation, zero hashing — and, inside a kernel, not even a
@@ -72,8 +73,12 @@
 //! it proves the first and the last trip's offsets inside their array
 //! segments (affine in between), then runs the trips in *columns* of up to
 //! [`run::COLUMN`] when the address spans show that no trip touches a cell
-//! another trip stores ([`run::trips_are_independent`]), and one by one in
-//! order otherwise. Counters and profile are credited the dispatcher's
+//! another trip stores ([`run::trips_are_independent`]); *carried* when the
+//! only such cell is one that each trip hands to the next — a reduction's
+//! accumulator, a distance-1 recurrence ([`run::carried_slot`], and
+//! [`bytecode::CarriedKernel`] for the half the body fixes): columns for
+//! the ops that never see it, then one pass over them with the cell in a
+//! register; and one by one in order otherwise. Counters and profile are credited the dispatcher's
 //! closed form, so they do not depend on the executor; every other loop,
 //! and every statement outside an innermost loop, stays on the dispatcher.
 //! There is nothing to configure: a loop's executor is fixed by its body,
@@ -95,7 +100,8 @@
 //!
 //! Compilation runs under an `inl-obs` `vm.compile` span; execution
 //! batches the `vm.instrs` / `vm.instances` counters, and the trips each
-//! kernel executor ran (`vm.trips.columns` / `vm.trips.scalar`), locally and
+//! kernel executor ran (`vm.trips.columns` / `vm.trips.carried` /
+//! `vm.trips.scalar`), locally and
 //! flushes once per [`exec_range`] call. The optional [`profile`] mode
 //! ([`profile::set_enabled`]) additionally counts executions per instruction
 //! address with the same per-`exec_range` batching, from which hot

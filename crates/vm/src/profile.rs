@@ -22,6 +22,7 @@
 //! programs can be profiled in one process without interference.
 
 use crate::bytecode::{CompiledProgram, Opcode};
+use crate::run::Executor;
 use inl_ir::{Program, StmtId};
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -48,8 +49,9 @@ pub fn set_enabled(on: bool) {
 pub struct Samples {
     /// Times each instruction executed.
     pub pcs: Vec<u64>,
-    /// At a kernel loop's header: trips run `[in columns, scalar]`.
-    pub trips: Vec<[u64; 2]>,
+    /// At a kernel loop's header: trips each trip executor ran, indexed by
+    /// [`Executor`].
+    pub trips: Vec<[u64; 3]>,
 }
 
 impl Samples {
@@ -57,7 +59,7 @@ impl Samples {
     pub fn zeroed(ninstrs: usize) -> Self {
         Samples {
             pcs: vec![0; ninstrs],
-            trips: vec![[0; 2]; ninstrs],
+            trips: vec![[0; 3]; ninstrs],
         }
     }
 }
@@ -87,14 +89,15 @@ pub fn flush(id: u64, counts: &Samples) {
     let acc = map.entry(id).or_default();
     if acc.pcs.len() < counts.pcs.len() {
         acc.pcs.resize(counts.pcs.len(), 0);
-        acc.trips.resize(counts.trips.len(), [0; 2]);
+        acc.trips.resize(counts.trips.len(), [0; 3]);
     }
     for (a, &c) in acc.pcs.iter_mut().zip(&counts.pcs) {
         *a += c;
     }
     for (a, c) in acc.trips.iter_mut().zip(&counts.trips) {
-        a[0] += c[0];
-        a[1] += c[1];
+        for (lane, n) in a.iter_mut().zip(c) {
+            *lane += n;
+        }
     }
 }
 
@@ -217,20 +220,24 @@ pub struct LoopProfile {
     pub body_instrs: u64,
     /// Iterations the column executor ran (see [`mod@crate::run`]).
     pub trips_columns: u64,
+    /// Iterations the carried executor ran.
+    pub trips_carried: u64,
     /// Iterations the scalar trip executor ran.
     pub trips_scalar: u64,
 }
 
 impl LoopProfile {
     /// Which executor ran the loop's iterations: `dispatch` (the
-    /// dispatcher, one instruction at a time), `columns`, `scalar`, or
-    /// `mixed` when entries of a kernel loop went both ways.
+    /// dispatcher, one instruction at a time), `columns`, `carried`,
+    /// `scalar`, or `mixed` when entries of a kernel loop went different
+    /// ways.
     pub fn mode(&self) -> &'static str {
-        match (self.trips_columns > 0, self.trips_scalar > 0) {
-            (false, false) => "dispatch",
-            (true, false) => "columns",
-            (false, true) => "scalar",
-            (true, true) => "mixed",
+        let lanes = [self.trips_columns, self.trips_carried, self.trips_scalar];
+        let mut ran = Executor::ALL.iter().zip(lanes).filter(|(_, n)| *n > 0);
+        match (ran.next(), ran.next()) {
+            (None, _) => "dispatch",
+            (Some((e, _)), None) => e.name(),
+            _ => "mixed",
         }
     }
 }
@@ -265,8 +272,9 @@ pub fn loop_profiles(
             header_execs: counts.get(meta.header as usize).copied().unwrap_or(0),
             iterations: body.first().copied().unwrap_or(0),
             body_instrs,
-            trips_columns: trips[0],
-            trips_scalar: trips[1],
+            trips_columns: trips[Executor::Columns as usize],
+            trips_carried: trips[Executor::Carried as usize],
+            trips_scalar: trips[Executor::Scalar as usize],
         });
     }
     out.sort_by(|a, b| b.body_instrs.cmp(&a.body_instrs).then(a.name.cmp(&b.name)));
@@ -354,6 +362,7 @@ pub fn to_json(cp: &CompiledProgram, p: Option<&Program>) -> inl_obs::Json {
         obj.insert("iterations", Json::Int(l.iterations));
         obj.insert("body_instrs", Json::Int(l.body_instrs));
         obj.insert("trips_columns", Json::Int(l.trips_columns));
+        obj.insert("trips_carried", Json::Int(l.trips_carried));
         obj.insert("trips_scalar", Json::Int(l.trips_scalar));
         obj.insert("mode", Json::Str(l.mode().into()));
         loops.insert(l.name, obj);

@@ -1,4 +1,4 @@
-//! The virtual machine: a flat dispatch loop over bound bytecode, and two
+//! The virtual machine: a flat dispatch loop over bound bytecode, and three
 //! trip executors for the innermost loops binding lowered to a
 //! [`TripKernel`].
 //!
@@ -16,19 +16,27 @@
 //! asserts the *last* trip's offset against the same segment: an offset is
 //! affine in the trip, so every trip between lies between, and a guard-free
 //! body performs every access on every trip, so nothing is checked that
-//! would not have run. It then picks an executor from the address spans
-//! alone ([`trips_are_independent`]):
+//! would not have run. It then picks an [`Executor`] from the address spans
+//! alone ([`trips_are_independent`], [`carried_slot`]):
 //!
 //! * **columns** — each op applied to up to [`COLUMN`] trips at once over
 //!   register columns, when no cell a trip stores is touched by any other
 //!   trip. A cell that is stored then sees the accesses of one trip only,
 //!   in that trip's op order, and every other cell is only read, so the
 //!   result is the dispatcher's bit for bit;
+//! * **carried** — when the one cell a trip reads that another trip stores
+//!   is handed from each trip to the next (`C[I,J] += …` under `K`;
+//!   `A[I,J−1]` under `J`): the ops that never see that cell's load run in
+//!   columns as above, then the chain from the load to the store runs trip
+//!   by trip over the finished columns with the cell in a register, each op
+//!   in the body's own operand order — the values every operation sees,
+//!   and so the bits, are the dispatcher's. A recurrence scatters the
+//!   column of results; a reduction writes its cell once, at exit;
 //! * **scalar** — the same ops once per trip, in trip order, each slot's
 //!   offset advanced by its delta instead of recomputed.
 //!
 //! Which loops are kernels is fixed by their bodies at bind time and there
-//! is nothing to switch: the interpreter is the oracle for both executors.
+//! is nothing to switch: the interpreter is the oracle for every executor.
 //!
 //! [`exec_range`] executes an arbitrary `[start, end)` slice of the
 //! instruction stream, which is what lets the parallel executor drive
@@ -37,8 +45,8 @@
 //! iteration on a [`SharedBuf`] visible to all workers.
 
 use crate::bytecode::{
-    eval_hi, eval_lo, BoundProgram, FlatAcc, GuardKind, Instr, KernelOp, Pc, Row, Slot, TripKernel,
-    KERNEL_REGS, KERNEL_SLOTS,
+    eval_hi, eval_lo, Arith, BoundProgram, ChainOp, FlatAcc, GuardKind, Instr, KernelOp, Pc, Row,
+    Slot, TripKernel, KERNEL_REGS, KERNEL_SLOTS,
 };
 use crate::profile::Samples;
 use inl_linalg::{Int, Rational};
@@ -246,30 +254,89 @@ fn addr(bp: &BoundProgram, acc: u32, iregs: &[i64]) -> usize {
     }
 }
 
+/// Which trip executor ran the trips of one kernel loop entry. The
+/// discriminant indexes the trip lanes of [`Samples::trips`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Executor {
+    /// Each op over a column of trips: no trip touches another's cells.
+    Columns,
+    /// Columns around one cell carried from trip to trip in a register.
+    Carried,
+    /// Trip by trip, in order.
+    Scalar,
+}
+
+impl Executor {
+    /// Every executor, in lane order.
+    pub const ALL: [Executor; 3] = [Executor::Columns, Executor::Carried, Executor::Scalar];
+
+    /// The executor's name in counters (`vm.trips.<name>`) and profiles.
+    pub fn name(self) -> &'static str {
+        ["columns", "carried", "scalar"][self as usize]
+    }
+}
+
+/// Whether slot `s` *keeps off* the cells the stored slot `w` writes on other
+/// trips — the four ways [`trips_are_independent`] lists.
+fn keeps_off(slots: &[Slot], first: &[i64], last: &[i64], w: usize, s: usize) -> bool {
+    let span = |i: usize| (first[i].min(last[i]), first[i].max(last[i]));
+    let ((wlo, whi), (slo, shi)) = (span(w), span(s));
+    let (dw, apart) = (slots[w].delta, first[s] - first[w]);
+    slots[s].array != slots[w].array
+        || shi < wlo
+        || whi < slo
+        || slots[s].delta == dw && dw != 0 && (apart == 0 || apart % dw != 0)
+}
+
 /// Decide from the address spans alone whether the trips of one loop entry
 /// may run in columns: slot `i` is at offset `first[i]` on the first trip
 /// and `last[i]` on the last, `slots[i].delta` apart from trip to trip.
 ///
 /// True iff every *stored* slot `w` moves (`delta ≠ 0`) and every other slot
-/// on `w`'s array either has the identical `(first, delta)` — it touches,
-/// on each trip, exactly the cell `w` stores on that trip — or covers a span
-/// disjoint from `w`'s. Then the cell a trip stores is touched by no other
-/// trip, so running op by op over many trips performs, on every cell, the
-/// same accesses in the same order as running trip by trip.
+/// *keeps off* the cells `w` stores on other trips: it is on another array;
+/// or covers a span disjoint from `w`'s; or moves by `w`'s delta from the
+/// same first cell — it touches, on each trip, exactly the cell `w` stores
+/// on that trip — or from one that is not a multiple of the delta away, so
+/// that the two walks interleave and never meet. Then the cell a trip
+/// stores is touched by no other trip, so running op by op over many trips
+/// performs, on every cell, the same accesses in the same order as running
+/// trip by trip.
 pub fn trips_are_independent(slots: &[Slot], first: &[i64], last: &[i64]) -> bool {
-    let span = |i: usize| (first[i].min(last[i]), first[i].max(last[i]));
     (0..slots.len()).all(|w| {
         !slots[w].stored
             || slots[w].delta != 0
-                && (0..slots.len()).all(|s| {
-                    let ((wlo, whi), (slo, shi)) = (span(w), span(s));
-                    s == w
-                        || slots[s].array != slots[w].array
-                        || (first[s], slots[s].delta) == (first[w], slots[w].delta)
-                        || shi < wlo
-                        || whi < slo
-                })
+                && (0..slots.len()).all(|s| s == w || keeps_off(slots, first, last, w, s))
     })
+}
+
+/// Decide from the address spans alone whether the trips of one loop entry
+/// are independent but for *one* cell handed from each trip to the next,
+/// and return the slot whose load reads it.
+///
+/// `Some` iff exactly one slot `w` is stored and the slots that do not keep
+/// off `w`'s cells (as [`trips_are_independent`] has it) are: none, and `w`
+/// stands still — every trip stores the cell the one before stored (a
+/// reduction; the slot is `w` itself) — or, `w` moving, one read slot `c`
+/// with `w`'s delta that is on each trip where `w` was on the trip before,
+/// `first_w − first_c = delta` (a distance-1 recurrence; the slot is `c`;
+/// the other way round, `c` reads what is yet to be stored and nothing is
+/// handed on). Then a trip reads no cell another trip stores except through
+/// that slot, where it reads what the trip before stored. Whether the body
+/// loads the slot once and stores what it computes from it is for
+/// [`TripKernel::carried`] to say.
+pub fn carried_slot(slots: &[Slot], first: &[i64], last: &[i64]) -> Option<usize> {
+    let mut stored = (0..slots.len()).filter(|&w| slots[w].stored);
+    let (w, None) = (stored.next()?, stored.next()) else {
+        return None;
+    };
+    let mut meets = (0..slots.len()).filter(|&s| s != w && !keeps_off(slots, first, last, w, s));
+    match (slots[w].delta, meets.next(), meets.next()) {
+        (0, None, _) => Some(w),
+        (dw, Some(c), None) if dw != 0 => {
+            (slots[c].delta == dw && first[w] - first[c] == dw).then_some(c)
+        }
+        _ => None,
+    }
 }
 
 /// Index a kernel register or slot file. The lowering admits nothing past
@@ -283,14 +350,14 @@ fn ix(i: u8) -> usize {
 
 /// Run all `trips` of a kernel loop whose register holds the first trip's
 /// value, leaving in it the last trip's — what the dispatcher's latch
-/// leaves. Returns whether the trips ran in columns.
+/// leaves. Returns the executor that ran them.
 fn run_trips(
     bp: &BoundProgram,
     k: &TripKernel,
     st: &mut VmState,
     buf: &SharedBuf<'_>,
     trips: u64,
-) -> bool {
+) -> Executor {
     let reach = (trips - 1) as i64;
     let mut first = [0i64; KERNEL_SLOTS];
     let mut last = [0i64; KERNEL_SLOTS];
@@ -303,27 +370,58 @@ fn run_trips(
             .filter(|l| (seg.base as i64..(seg.base + seg.len) as i64).contains(l))
             .expect("flat access outside its array segment");
     }
-    let columns = trips_are_independent(&k.slots, &first, &last);
-    if columns {
-        let cols = st
-            .cols
-            .0
-            .get_or_insert_with(|| Box::new([[0.0; COLUMN]; KERNEL_REGS]));
-        let lo = st.iregs[k.var as usize];
-        for done in (0..trips).step_by(COLUMN) {
-            let n = (trips - done).min(COLUMN as u64) as usize;
-            st.iregs[k.var as usize] = lo + done as i64 * k.step;
-            let mut base = first;
-            for (b, s) in base.iter_mut().zip(&k.slots) {
-                *b += done as i64 * s.delta;
-            }
-            column_trips(k, &bp.cp.rows, &st.iregs, buf, cols, &base, n);
-        }
-        st.iregs[k.var as usize] = lo + reach * k.step;
+    let (first_n, last_n) = (&first[..k.slots.len()], &last[..k.slots.len()]);
+    let independent = trips_are_independent(&k.slots, first_n, last_n);
+    let carried = if independent {
+        None
     } else {
+        carried_slot(&k.slots, first_n, last_n)
+            .and_then(|c| k.carried.iter().find(|split| ix(split.slot) == c))
+    };
+    if !independent && carried.is_none() {
         scalar_trips(k, &bp.cp.rows, &mut st.iregs, buf, first, trips);
+        return Executor::Scalar;
     }
-    columns
+    // In columns: the whole body, or the ops around the carried load and
+    // then, trip by trip, the chain from it to the store.
+    let ops = carried.map_or(&k.ops, |c| &c.ops);
+    let mut carry = carried.map_or(0.0, |c| buf.read(first[ix(c.slot)] as usize));
+    let cols = st
+        .cols
+        .0
+        .get_or_insert_with(|| Box::new([[0.0; COLUMN]; KERNEL_REGS]));
+    let lo = st.iregs[k.var as usize];
+    // each slot's offset on the first trip of a block, and its delta
+    let mut at = [(0i64, 0i64); KERNEL_SLOTS];
+    for (a, s) in at.iter_mut().zip(&k.slots) {
+        a.1 = s.delta;
+    }
+    for done in (0..trips).step_by(COLUMN) {
+        let n = (trips - done).min(COLUMN as u64) as usize;
+        st.iregs[k.var as usize] = lo + done as i64 * k.step;
+        for (a, f) in at.iter_mut().zip(&first) {
+            a.0 = f + done as i64 * a.1;
+        }
+        column_trips(ops, &bp.cp.rows, &st.iregs, buf, cols, &at, n);
+        if let Some(c) = carried {
+            carry = chain_trips(&c.chain, cols, c.out, n, carry);
+            let (to, delta) = at[ix(c.store)];
+            if delta != 0 {
+                buf.scatter(&cols[ix(c.out)][..n], to, delta);
+            }
+        }
+    }
+    st.iregs[k.var as usize] = lo + reach * k.step;
+    match carried {
+        None => Executor::Columns,
+        Some(c) => {
+            // A reduction's cell takes the last trip's value, once.
+            if k.slots[ix(c.store)].delta == 0 {
+                buf.write(first[ix(c.store)] as usize, carry);
+            }
+            Executor::Carried
+        }
+    }
 }
 
 /// `dst ∘= rhs` over the first `n` trips of two distinct register columns.
@@ -337,19 +435,19 @@ fn zip_columns(cols: &mut Columns, n: usize, dst: u8, rhs: u8, f: impl Fn(f64, f
     }
 }
 
-/// `n ≤ COLUMN` consecutive trips of a kernel, op by op over register
-/// columns. `base` holds the slots' offsets, and the loop register its
-/// value, on the first of them.
+/// `n ≤ COLUMN` consecutive trips of a kernel's `ops`, op by op over
+/// register columns. `at` holds each slot's offset on the first of them and
+/// its delta, the loop register its value on the first of them.
 fn column_trips(
-    k: &TripKernel,
+    ops: &[KernelOp],
     rows: &[Row],
     iregs: &[i64],
     buf: &SharedBuf<'_>,
     cols: &mut Columns,
-    base: &[i64; KERNEL_SLOTS],
+    at: &[(i64, i64); KERNEL_SLOTS],
     n: usize,
 ) {
-    for op in &k.ops {
+    for op in ops {
         match *op {
             KernelOp::Const { dst, val } => cols[ix(dst)][..n].fill(val),
             KernelOp::Idx { dst, row, delta } => {
@@ -358,11 +456,10 @@ fn column_trips(
                     *x = (num + t as i64 * delta) as f64;
                 }
             }
-            KernelOp::Load { dst, slot } => buf.gather(
-                &mut cols[ix(dst)][..n],
-                base[ix(slot)],
-                k.slots[ix(slot)].delta,
-            ),
+            KernelOp::Load { dst, slot } => {
+                let (from, delta) = at[ix(slot)];
+                buf.gather(&mut cols[ix(dst)][..n], from, delta)
+            }
             KernelOp::Neg { dst } => cols[ix(dst)][..n].iter_mut().for_each(|x| *x = -*x),
             KernelOp::Sqrt { dst } => cols[ix(dst)][..n].iter_mut().for_each(|x| *x = x.sqrt()),
             KernelOp::Add { dst, rhs } => zip_columns(cols, n, dst, rhs, |x, y| x + y),
@@ -370,8 +467,62 @@ fn column_trips(
             KernelOp::Mul { dst, rhs } => zip_columns(cols, n, dst, rhs, |x, y| x * y),
             KernelOp::Div { dst, rhs } => zip_columns(cols, n, dst, rhs, |x, y| x / y),
             KernelOp::Store { src, slot } => {
-                buf.scatter(&cols[ix(src)][..n], base[ix(slot)], k.slots[ix(slot)].delta)
+                let (to, delta) = at[ix(slot)];
+                buf.scatter(&cols[ix(src)][..n], to, delta)
             }
+        }
+    }
+}
+
+/// The chain of a carried kernel over `n ≤ COLUMN` consecutive trips, trip
+/// by trip: `carry` enters as the value the trip before the first of them
+/// handed on and returns as what the last hands on; column `out` receives
+/// what each trip stores. A chain of one operator — the usual body, `cell ∘=
+/// expression` — runs as a loop of its own over the operand column, the
+/// carry in a machine register.
+fn chain_trips(chain: &[ChainOp], cols: &mut Columns, out: u8, n: usize, mut carry: f64) -> f64 {
+    #[inline(always)]
+    fn fold(col: &mut [f64], mut carry: f64, f: impl Fn(f64, f64) -> f64) -> f64 {
+        for x in col {
+            carry = f(carry, *x);
+            *x = carry;
+        }
+        carry
+    }
+    match *chain {
+        [ChainOp::CarryCol { op, col }] => {
+            let col = &mut cols[ix(col)][..n];
+            match op {
+                Arith::Add => fold(col, carry, |c, x| c + x),
+                Arith::Sub => fold(col, carry, |c, x| c - x),
+                Arith::Mul => fold(col, carry, |c, x| c * x),
+                Arith::Div => fold(col, carry, |c, x| c / x),
+            }
+        }
+        [ChainOp::ColCarry { op, col }] => {
+            let col = &mut cols[ix(col)][..n];
+            match op {
+                Arith::Add => fold(col, carry, |c, x| x + c),
+                Arith::Sub => fold(col, carry, |c, x| x - c),
+                Arith::Mul => fold(col, carry, |c, x| x * c),
+                Arith::Div => fold(col, carry, |c, x| x / c),
+            }
+        }
+        _ => {
+            // `t` is a trip: one entry of each column a chain op reads
+            #[allow(clippy::needless_range_loop)]
+            for t in 0..n {
+                for op in chain {
+                    carry = match *op {
+                        ChainOp::Neg => -carry,
+                        ChainOp::Sqrt => carry.sqrt(),
+                        ChainOp::CarryCol { op, col } => op.apply(carry, cols[ix(col)][t]),
+                        ChainOp::ColCarry { op, col } => op.apply(cols[ix(col)][t], carry),
+                    };
+                }
+                cols[ix(out)][t] = carry;
+            }
+            carry
         }
     }
 }
@@ -449,8 +600,8 @@ fn exec_range_impl<const PROFILE: bool>(
     let rows = &bp.cp.rows;
     let mut instrs: u64 = 0;
     let mut instances: u64 = 0;
-    // trips run by the column and the scalar executor
-    let mut kernel_trips = [0u64; 2];
+    // trips each executor ran, indexed by `Executor`
+    let mut kernel_trips = [0u64; Executor::ALL.len()];
     let mut pc = start;
     while pc < end {
         instrs += 1;
@@ -480,7 +631,7 @@ fn exec_range_impl<const PROFILE: bool>(
                         // and latch once per trip.
                         Some(k) => {
                             let trips = ((hi_v - lo_v) / step) as u64 + 1;
-                            let mode = !run_trips(bp, k, st, buf, trips) as usize;
+                            let mode = run_trips(bp, k, st, buf, trips) as usize;
                             kernel_trips[mode] += trips;
                             instrs += trips * (exit - pc - 1) as u64;
                             instances += trips * k.stores as u64;
@@ -572,11 +723,15 @@ fn exec_range_impl<const PROFILE: bool>(
     if instances > 0 {
         inl_obs::counter_add!("vm.instances", instances);
     }
-    if kernel_trips[0] > 0 {
-        inl_obs::counter_add!("vm.trips.columns", kernel_trips[0]);
+    let [columns, carried, scalar] = kernel_trips;
+    if columns > 0 {
+        inl_obs::counter_add!("vm.trips.columns", columns);
     }
-    if kernel_trips[1] > 0 {
-        inl_obs::counter_add!("vm.trips.scalar", kernel_trips[1]);
+    if carried > 0 {
+        inl_obs::counter_add!("vm.trips.carried", carried);
+    }
+    if scalar > 0 {
+        inl_obs::counter_add!("vm.trips.scalar", scalar);
     }
 }
 

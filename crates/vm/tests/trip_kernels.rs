@@ -1,15 +1,15 @@
 //! Trip kernels against the interpreter: an innermost loop the VM runs as
-//! a kernel — in columns or scalar — must leave the memory image, the
-//! counters, the profile and the loop's registers exactly as the
+//! a kernel — in columns, carried or scalar — must leave the memory image,
+//! the counters, the profile and the loop's registers exactly as the
 //! dispatcher would. Nothing switches kernels off, so the oracle is the
 //! interpreter (bitwise, `Machine::same_state`) and, for counts, the
 //! dispatcher's closed form.
 
 use inl_exec::{Interpreter, Machine, VmRunner};
-use inl_ir::{Aff, Bound, Expr, Guard, LoopId, Program, ProgramBuilder};
+use inl_ir::{Aff, ArrayId, Bound, Expr, Guard, LoopId, Program, ProgramBuilder};
 use inl_linalg::Int;
 use inl_vm::bytecode::{Slot, KERNEL_SLOTS};
-use inl_vm::run::{trips_are_independent, COLUMN};
+use inl_vm::run::{carried_slot, trips_are_independent, Executor, COLUMN};
 use inl_vm::{exec_range, profile, SharedBuf};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -34,6 +34,14 @@ fn agree_from(p: &Program, runner: &VmRunner, start: &Machine) -> Result<(), Str
 
 fn agree(p: &Program, runner: &VmRunner, n: Int) -> Result<(), String> {
     agree_from(p, runner, &Machine::new(p, &[n], &init))
+}
+
+/// The trips a capture saw each executor run, in [`Executor::ALL`] order.
+fn lanes(seen: &inl_obs::capture::Capture) -> [u64; 3] {
+    Executor::ALL.map(|e| {
+        let lane = format!("vm.trips.{}", e.name());
+        seen.counters.get(lane.as_str()).copied().unwrap_or(0)
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -144,24 +152,212 @@ fn adversarial_bodies_match_the_interpreter_at_every_trip_count() {
         mismatches.len(),
         mismatches[0]
     );
-    // Every trip ran in a kernel, and the table reaches both executors.
-    let (columns, scalar) = (
-        seen.counters["vm.trips.columns"],
-        seen.counters["vm.trips.scalar"],
-    );
-    assert_eq!(columns + scalar, trips);
+    // Every trip ran in a kernel, and the table reaches every executor.
+    let lanes = lanes(&seen);
+    assert_eq!(lanes.iter().sum::<u64>(), trips);
+    assert!(lanes.iter().all(|&lane| lane > trips / 100), "{lanes:?}");
+}
+
+/// A subscript `coef·J + ncoef·N + off` of the carried table, before the
+/// `2N+8` shift.
+type Sub = (Int, Int, Int);
+
+/// How a body of the carried table combines `l`, the read of `A` that may
+/// be of the cell handed on, with `x` = `B[J]`: on either side of each
+/// operator (the two that do not commute give a swapped operand away),
+/// under one operator, two, a unary one, none, and with `x` read twice so
+/// that the columns around the chain need more registers than the body.
+const SHAPES: [fn(Expr, Expr) -> Expr; 14] = [
+    |l, x| Expr::add(l, x),
+    |l, x| Expr::add(x, l),
+    |l, x| Expr::sub(l, x),
+    |l, x| Expr::sub(x, l),
+    |l, x| Expr::mul(l, x),
+    |l, x| Expr::mul(x, l),
+    |l, x| Expr::div(l, x),
+    |l, x| Expr::div(x, l),
+    |l, x| Expr::mul(Expr::add(l, x), Expr::konst(0.5)),
+    |l, x| Expr::sub(x, Expr::mul(Expr::konst(0.5), l)),
+    |l, x| Expr::add(Expr::neg(l), x),
+    |l, x| Expr::mul(Expr::sqrt(l), x),
+    |l, _| l,
+    |l, x| Expr::div(Expr::mul(x.clone(), Expr::konst(0.5)), Expr::add(l, x)),
+];
+
+/// `do J = 1..N step s: A[w] = shape(A[l], B[J]) (+ Y[y])` over the
+/// adversarial table's two arrays; array 0 is `A`.
+fn carried_body(step: Int, shape: usize, w: Sub, l: Sub, y: Option<(usize, Sub)>) -> Program {
+    let mut b = ProgramBuilder::new("carried");
+    let n = b.param("N");
+    let ext = [Aff::param(n) * 4 + Aff::konst(16)];
+    let arrays = [b.array("A", &ext), b.array("B", &ext)];
+    let (lo, hi) = (Bound::single(Aff::konst(1)), Bound::single(Aff::param(n)));
+    b.loop_full("J", lo, hi, step, false, |b| {
+        let j = b.loop_var("J");
+        let at = |(coef, ncoef, off): Sub| {
+            vec![Aff::var(j) * coef + Aff::param(n) * (2 + ncoef) + Aff::konst(8 + off)]
+        };
+        let rhs = SHAPES[shape](
+            Expr::read(arrays[0], at(l)),
+            Expr::read(arrays[1], at((1, 0, 0))),
+        );
+        let rhs = match y {
+            Some((array, sub)) => Expr::add(rhs, Expr::read(arrays[array], at(sub))),
+            None => rhs,
+        };
+        b.stmt("S", arrays[0], at(w), rhs);
+    });
+    b.finish()
+}
+
+/// Bodies built around one cell handed from trip to trip — every shape of
+/// [`SHAPES`] over a store that moves forwards, by two, backwards or not at
+/// all, the read one trip behind it, two behind, one ahead or on it, alone
+/// or beside a second read that is elsewhere, interleaved, or in the way —
+/// at trip counts that end a block of columns one short, exactly, one over
+/// and twice over, from seeds a register must hand on bit for bit. Each case
+/// must leave the interpreter's image *and* run on the executor a
+/// cell-by-cell walk of its addresses allows: no near miss carried, no
+/// handed-on cell left to the scalar executor.
+#[test]
+fn carried_bodies_match_the_interpreter_on_the_executor_their_cells_allow() {
+    const TRIPS: [Int; 5] = [
+        1,
+        COLUMN as Int - 1,
+        COLUMN as Int,
+        COLUMN as Int + 1,
+        2 * COLUMN as Int + 1,
+    ];
+    const SEEDS: [Option<f64>; 5] = [
+        None,
+        Some(f64::NAN),
+        Some(f64::INFINITY),
+        Some(f64::NEG_INFINITY),
+        Some(-0.0),
+    ];
+    let (mut bodies, mut cases) = (0u64, 0u64);
+    let mut ran = [0u64; 3];
+    let mut wrong = Vec::new();
+    for (step, wa, behind, shape, second) in (1..=2)
+        .flat_map(|step| [1, 2, -1, 0].map(|wa| (step, wa)))
+        .flat_map(|(s, wa)| [1, 2, -1, 0].map(|behind| (s, wa, behind)))
+        .flat_map(|(s, wa, b)| (0..SHAPES.len()).map(move |shape| (s, wa, b, shape)))
+        .flat_map(|(s, wa, b, sh)| (0..5).map(move |second| (s, wa, b, sh, second)))
+    {
+        bodies += 1;
+        if cfg!(debug_assertions) && bodies % 7 != 0 {
+            continue;
+        }
+        let delta = wa * step;
+        // the read `behind` trips behind the store; beside a store that
+        // stands still, the cell itself (0) or another one
+        let l = (wa, 0, if wa == 0 { behind } else { -behind * delta });
+        let y = match second {
+            0 => None,
+            1 => Some((1, (1, 0, -1))),
+            // past the end of the store's walk
+            2 => Some((0, (wa, -wa, if wa > 0 { -3 } else { 3 }))),
+            // two trips behind the store; over the cell that stands still
+            3 if wa == 0 => Some((0, (1, 0, -1))),
+            3 => Some((0, (wa, 0, -2 * delta))),
+            // a cell on: between the store's cells when it strides
+            _ => Some((0, (wa, 0, 1))),
+        };
+        let w = (wa, 0, 0);
+        let p = carried_body(step, shape, w, l, y);
+        let runner = VmRunner::new(&p);
+
+        // The body's distinct accesses as the classifiers will meet them.
+        let x_loads = if shape == 13 { 2 } else { 1 };
+        let mut reads = vec![((0, l), 1), ((1, (1, 0, 0)), x_loads)];
+        reads.extend(y.map(|y| (y, 1)));
+        let mut slots = vec![(0usize, w)];
+        for (access, _) in &reads {
+            if !slots.contains(access) {
+                slots.push(*access);
+            }
+        }
+        let loads = |slot: usize| -> u32 {
+            let of = |r: &&(_, u32)| r.0 == slots[slot];
+            reads.iter().filter(of).map(|r| r.1).sum()
+        };
+        for trips in TRIPS {
+            let n = (trips - 1) * step + 1;
+            let spec = |&(array, sub): &(usize, Sub)| {
+                let first = sub.0 + sub.1 * n + sub.2;
+                let delta = sub.0 * step;
+                (
+                    array as u32,
+                    first as i64,
+                    delta as i64,
+                    (array, sub) == (0, w),
+                )
+            };
+            let specs: Vec<SlotSpec> = slots.iter().map(spec).collect();
+            let expected = match simulate(&specs, trips as i64) {
+                Trips::Independent => Executor::Columns,
+                Trips::HandedOn(c) if loads(c) == 1 => Executor::Carried,
+                _ => Executor::Scalar,
+            };
+            let start = Machine::new(&p, &[n], &init);
+            // Where the first trip's `l` reads. A NaN that also arrives
+            // through `y` meets its own negation in shape 10, and which
+            // sign such a sum keeps is the compiler's choice per call site.
+            let seeded = specs[slots.iter().position(|&s| s == (0, l)).unwrap()].1;
+            let twice = y.is_some_and(|y| spec(&y).0 == 0 && spec(&y).1 == seeded);
+            for seed in SEEDS {
+                cases += 1;
+                let mut start = start.clone();
+                if let Some(seed) = seed.filter(|s| !(s.is_nan() && twice)) {
+                    let cell = (seeded + 2 * n as i64 + 8) as usize;
+                    start.array_mut(ArrayId(0)).set(&[cell], seed);
+                }
+                let (agreed, seen) = inl_obs::capture::with(|| agree_from(&p, &runner, &start));
+                let lanes = lanes(&seen);
+                let mut on = [0u64; 3];
+                on[expected as usize] = trips as u64;
+                ran[expected as usize] += 1;
+                let what = format!(
+                    "step {step} shape {shape} w {w:?} l {l:?} y {y:?} trips {trips} seed {seed:?}"
+                );
+                if let Err(e) = agreed {
+                    wrong.push(format!("{what}: {e}"));
+                } else if lanes != on {
+                    wrong.push(format!("{what}: ran {lanes:?}, not on {expected:?}"));
+                }
+            }
+        }
+    }
+    assert_eq!(bodies, 2 * 4 * 4 * 14 * 5);
+    assert!(cfg!(debug_assertions) || cases == bodies * 25);
     assert!(
-        columns > trips / 10 && scalar > trips / 10,
-        "{columns} columns, {scalar} scalar"
+        wrong.is_empty(),
+        "{} of {cases} cases are wrong, first: {}",
+        wrong.len(),
+        wrong[0]
     );
+    assert!(ran.iter().all(|&r| r > cases / 10), "{ran:?} of {cases}");
 }
 
 // ---------------------------------------------------------------------
 // (b) the classifier on hand-built slots
 // ---------------------------------------------------------------------
 
-/// Classify `(array, first offset, delta, stored)` slots over `trips` trips.
-fn independent(slots: &[(u32, i64, i64, bool)], trips: i64) -> bool {
+/// A slot on hand-built addresses: `(array, first offset, delta, stored)`.
+type SlotSpec = (u32, i64, i64, bool);
+
+/// What a loop entry's trips are to one another.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Trips {
+    /// No trip touches a cell another trip stores.
+    Independent,
+    /// … except through this slot, which reads what the trip before stored.
+    HandedOn(usize),
+    Entangled,
+}
+
+/// What the two classifiers make of `slots` over `trips` trips.
+fn classify(slots: &[SlotSpec], trips: i64) -> Trips {
     let built: Vec<Slot> = slots
         .iter()
         .map(|&(array, _, delta, stored)| Slot {
@@ -173,7 +369,61 @@ fn independent(slots: &[(u32, i64, i64, bool)], trips: i64) -> bool {
         .collect();
     let first: Vec<i64> = slots.iter().map(|s| s.1).collect();
     let last: Vec<i64> = slots.iter().map(|s| s.1 + (trips - 1) * s.2).collect();
-    trips_are_independent(&built, &first, &last)
+    let carried = carried_slot(&built, &first, &last);
+    if trips_are_independent(&built, &first, &last) {
+        Trips::Independent
+    } else {
+        carried.map_or(Trips::Entangled, Trips::HandedOn)
+    }
+}
+
+fn independent(slots: &[SlotSpec], trips: i64) -> bool {
+    classify(slots, trips) == Trips::Independent
+}
+
+/// The same question answered with no reasoning about spans or residues:
+/// walk every slot over every trip and see which cells meet.
+fn simulate(slots: &[SlotSpec], trips: i64) -> Trips {
+    let cell = |s: usize, t: i64| (slots[s].0, slots[s].1 + t * slots[s].2);
+    let stored: Vec<usize> = (0..slots.len()).filter(|&s| slots[s].3).collect();
+    // (s, u, t): on trip u slot s is at the cell a stored slot writes on trip t ≠ u
+    let mut meets = Vec::new();
+    for &w in &stored {
+        for s in 0..slots.len() {
+            for (u, t) in (0..trips).flat_map(|u| (0..trips).map(move |t| (u, t))) {
+                if u != t && cell(s, u) == cell(w, t) {
+                    meets.push((s, u, t));
+                }
+            }
+        }
+    }
+    // A stored slot that stands still hands its cell on however few the
+    // trips: columns would store it once a trip, all at once.
+    let still = stored.iter().any(|&w| slots[w].2 == 0);
+    if meets.is_empty() && !still {
+        return Trips::Independent;
+    }
+    let [w] = stored[..] else {
+        return Trips::Entangled;
+    };
+    let (c, handed_on) = if still {
+        // one cell, stored by every trip: no other slot may ever be there
+        let elsewhere = |s| s == w || (0..trips).all(|u| cell(s, u) != cell(w, 0));
+        (w, (0..slots.len()).all(elsewhere))
+    } else {
+        // every meeting is slot c finding what the trip before stored
+        let c = meets[0].0;
+        let behind = (slots[c].2, slots[w].1 - slots[c].1) == (slots[w].2, slots[w].2);
+        (
+            c,
+            behind && meets.iter().all(|&(s, u, t)| s == c && u == t + 1),
+        )
+    };
+    if handed_on {
+        Trips::HandedOn(c)
+    } else {
+        Trips::Entangled
+    }
 }
 
 #[test]
@@ -193,15 +443,141 @@ fn classifier_picks_columns_only_when_no_trip_touches_anothers_cells() {
     assert!(!independent(&[(0, 109, -1, true), (0, 10, 1, false)], 100));
     // Same first cell, another stride: the spans overlap, not identical.
     assert!(!independent(&[(0, 10, 1, true), (0, 10, 2, false)], 100));
-    // A[2J] against A[2J+1] never alias, but their spans interleave: the
-    // rule looks at spans only and stays scalar.
-    assert!(!independent(&[(0, 10, 2, true), (0, 11, 2, false)], 100));
     // Two stored slots are each checked against the other.
     assert!(independent(&[(0, 10, 1, true), (0, 200, 1, true)], 100));
     assert!(!independent(&[(0, 10, 1, true), (0, 12, 1, true)], 100));
     // Loads alone are independent whatever they overlap.
     assert!(independent(&[(0, 5, 0, false), (0, 5, 1, false)], 100));
     assert!(independent(&[], 100));
+}
+
+#[test]
+fn equal_strides_meet_only_a_multiple_of_the_stride_apart() {
+    // A[2J] against A[2J+1]: the spans interleave, the cells never meet.
+    assert!(independent(&[(0, 10, 2, true), (0, 11, 2, false)], 100));
+    assert!(independent(&[(0, 10, 2, true), (0, 9, 2, false)], 100));
+    // Two columns of one matrix, 40 cells a row, walked down together.
+    assert!(independent(&[(0, 7, 40, true), (0, 3, 40, false)], 30));
+    // A multiple of the stride apart, one walk reaches the other's cells …
+    assert!(!independent(&[(0, 10, 2, true), (0, 12, 2, false)], 100));
+    assert!(!independent(&[(0, 10, 2, true), (0, 6, 2, false)], 100));
+    // … unless it starts past where the other ends.
+    assert!(independent(&[(0, 10, 2, true), (0, 210, 2, false)], 100));
+    // Walking backwards changes neither answer.
+    assert!(independent(&[(0, 300, -3, true), (0, 299, -3, false)], 100));
+    assert!(independent(&[(0, 300, -3, true), (0, 301, -3, false)], 100));
+    assert!(!independent(
+        &[(0, 300, -3, true), (0, 303, -3, false)],
+        100
+    ));
+    assert!(!independent(
+        &[(0, 300, -3, true), (0, 294, -3, false)],
+        100
+    ));
+    // Unequal strides have no common residue to tell them apart: spans.
+    assert!(!independent(&[(0, 10, 2, true), (0, 11, 4, false)], 100));
+    assert!(!independent(&[(0, 10, 2, true), (0, 11, -2, false)], 100));
+    assert!(independent(&[(0, 10, 2, true), (0, 209, 4, false)], 100));
+}
+
+#[test]
+fn classifier_hands_one_cell_on_or_stays_scalar() {
+    use Trips::{Entangled, HandedOn};
+    // C[I,J] += A[I,K]·B[K,J] under K: one cell, its own load, two walks.
+    let matmul = [(0, 5, 0, true), (1, 0, 1, false), (2, 5, 40, false)];
+    assert_eq!(classify(&matmul, 40), HandedOn(0));
+    assert_eq!(classify(&matmul, 1), HandedOn(0));
+    // … and a second reader of that cell, here on trip 3 of a walk over it.
+    assert_eq!(
+        classify(&[(0, 5, 0, true), (0, 3, 1, false)], 40),
+        Entangled
+    );
+    assert_eq!(
+        classify(&[(0, 5, 0, true), (0, 5, 0, false)], 40),
+        Entangled
+    );
+    assert_eq!(
+        classify(&[(0, 5, 0, true), (0, 6, 1, false)], 40),
+        HandedOn(0)
+    );
+    // A[I,J] = A[I−1,J] + A[I,J−1] under J: the row above never meets.
+    let wavefront = [(0, 41, 1, true), (0, 1, 1, false), (0, 40, 1, false)];
+    assert_eq!(classify(&wavefront, 39), HandedOn(2));
+    // … under I, down a column, it is the row above that is handed on.
+    let down = [(0, 41, 40, true), (0, 1, 40, false), (0, 40, 40, false)];
+    assert_eq!(classify(&down, 39), HandedOn(1));
+    // Backwards, the cell handed on is the one above.
+    assert_eq!(
+        classify(&[(0, 50, -1, true), (0, 51, -1, false)], 40),
+        HandedOn(1)
+    );
+    // Distance 2, and the cell the *next* trip stores, are not handed on.
+    assert_eq!(
+        classify(&[(0, 10, 1, true), (0, 8, 1, false)], 40),
+        Entangled
+    );
+    assert_eq!(
+        classify(&[(0, 10, 1, true), (0, 11, 1, false)], 40),
+        Entangled
+    );
+    assert_eq!(
+        classify(&[(0, 10, 2, true), (0, 9, 2, false)], 40),
+        Trips::Independent
+    );
+    // Two readers of what the trip before stored; a second stored slot.
+    let twice = [(0, 10, 1, true), (0, 9, 1, false), (0, 9, 1, false)];
+    assert_eq!(classify(&twice, 40), Entangled);
+    let two_stores = [(0, 10, 1, true), (0, 9, 1, false), (1, 0, 1, true)];
+    assert_eq!(classify(&two_stores, 40), Entangled);
+    // The stored cell's own load rides along.
+    let with_own = [(0, 10, 1, true), (0, 10, 1, false), (0, 9, 1, false)];
+    assert_eq!(classify(&with_own, 40), HandedOn(2));
+}
+
+/// Every stored slot against up to two others over all small firsts, deltas
+/// and trip counts: what the classifiers say is what the cell-by-cell walk
+/// says — exactly where every slot of an array moves alike, the one case the
+/// rules decide from more than spans, and never more than the walk allows
+/// elsewhere.
+#[test]
+fn classifiers_agree_with_a_cell_by_cell_walk_of_every_small_case() {
+    let others: Vec<SlotSpec> = (0..2u32)
+        .flat_map(|array| (0..6).map(move |first| (array, first)))
+        .flat_map(|(array, first)| (-2..=2).map(move |delta| (array, first, delta, false)))
+        .collect();
+    let (mut cases, mut handed_on, mut exact) = (0u64, 0u64, 0u64);
+    for (first, delta) in (0..6).flat_map(|f| (-2..=2).map(move |d| (f, d))) {
+        let w = (0, first, delta, true);
+        let mut check = |slots: &[SlotSpec]| {
+            for trips in 1..=5 {
+                let (says, walk) = (classify(slots, trips), simulate(slots, trips));
+                let alike = |s: &SlotSpec| slots.iter().all(|o| o.0 != s.0 || o.2 == s.2);
+                cases += 1;
+                handed_on += matches!(says, Trips::HandedOn(_)) as u64;
+                if slots.iter().all(alike) {
+                    exact += 1;
+                    assert_eq!(says, walk, "{slots:?} over {trips} trips");
+                } else {
+                    assert!(
+                        says == walk || says == Trips::Entangled,
+                        "{slots:?} over {trips} trips: {says:?}, the walk says {walk:?}"
+                    );
+                }
+            }
+        };
+        check(&[w]);
+        for &a in &others {
+            check(&[w, a]);
+            for &b in &others {
+                check(&[w, a, b]);
+                check(&[w, a, (b.0, b.1, b.2, true)]);
+            }
+        }
+    }
+    assert!(
+        handed_on > cases / 100 && exact > cases / 10,
+        "{handed_on} {exact} of {cases}"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -276,8 +652,9 @@ fn empty_range_runs_nothing_and_asserts_nothing() {
 
 /// `do I = 1..4 { do J = 2..N step 2 { S1: X[I,J] = X[I,J] + Y[I,J]·2;
 /// S2: Y[I,J] = X[I,J] + carry } }` where `carry` is `Y[I,J−2]` (what the
-/// previous trip of the step-2 loop stored: scalar) or `Y[I,J]` (columns).
-fn two_statement_nest(recurrence: bool) -> Program {
+/// previous trip of the step-2 loop stored: scalar, or carried when S2 is
+/// the `only` statement) or `Y[I,J]` (columns).
+fn nest(only: bool, recurrence: bool) -> Program {
     let mut b = ProgramBuilder::new("nest");
     let n = b.param("N");
     let ext = Aff::param(n) + Aff::konst(3);
@@ -289,15 +666,17 @@ fn two_statement_nest(recurrence: bool) -> Program {
         b.loop_full("J", lo, hi, 2, false, |b| {
             let j = b.loop_var("J");
             let at = |off: Int| vec![Aff::var(i), Aff::var(j) + Aff::konst(off)];
-            b.stmt(
-                "S1",
-                x,
-                at(0),
-                Expr::add(
-                    Expr::read(x, at(0)),
-                    Expr::mul(Expr::read(y, at(0)), Expr::konst(2.0)),
-                ),
-            );
+            if !only {
+                b.stmt(
+                    "S1",
+                    x,
+                    at(0),
+                    Expr::add(
+                        Expr::read(x, at(0)),
+                        Expr::mul(Expr::read(y, at(0)), Expr::konst(2.0)),
+                    ),
+                );
+            }
             let carry = if recurrence { at(-2) } else { at(0) };
             b.stmt(
                 "S2",
@@ -312,8 +691,12 @@ fn two_statement_nest(recurrence: bool) -> Program {
 
 #[test]
 fn counters_and_profile_equal_the_dispatchers_closed_form() {
-    for (recurrence, mode) in [(true, "scalar"), (false, "columns")] {
-        let p = two_statement_nest(recurrence);
+    for (only, recurrence, mode) in [
+        (false, true, "scalar"),
+        (true, true, "carried"),
+        (false, false, "columns"),
+    ] {
+        let p = nest(only, recurrence);
         let n = 2 * COLUMN as Int + 77; // J = 2, 4, …: more than one column
         let trips = ((n - 2) / 2 + 1) as u64;
         let cp = inl_vm::compile(&p);
@@ -334,15 +717,10 @@ fn counters_and_profile_equal_the_dispatchers_closed_form() {
         // I's header, then per I trip: J's header, J's trips, I's latch.
         let instrs = 1 + 4 * (1 + trips * (body_len + 1) + 1);
         assert_eq!(seen.counters["vm.instrs"], instrs);
-        assert_eq!(seen.counters["vm.instances"], 4 * trips * 2);
-        let other = if recurrence { "columns" } else { "scalar" };
-        assert_eq!(
-            seen.counters[format!("vm.trips.{mode}").as_str()],
-            4 * trips
-        );
-        assert!(!seen
-            .counters
-            .contains_key(format!("vm.trips.{other}").as_str()));
+        let stores = if only { 1 } else { 2 };
+        assert_eq!(seen.counters["vm.instances"], 4 * trips * stores);
+        let ran = Executor::ALL.map(|e| if e.name() == mode { 4 * trips } else { 0 });
+        assert_eq!(lanes(&seen), ran, "{mode}");
 
         let counts = profile::pc_counts(&cp).expect("profiled");
         assert_eq!(counts.iter().sum::<u64>(), instrs);
@@ -362,7 +740,10 @@ fn counters_and_profile_equal_the_dispatchers_closed_form() {
             (j.mode(), j.header_execs, j.iterations),
             (mode, 4, 4 * trips)
         );
-        assert_eq!(j.trips_columns + j.trips_scalar, 4 * trips);
+        assert_eq!(
+            j.trips_columns + j.trips_carried + j.trips_scalar,
+            4 * trips
+        );
         let tables = profile::render_tables(&cp, Some(&p));
         assert!(tables.contains("mode") && tables.contains(mode), "{tables}");
     }
@@ -370,8 +751,8 @@ fn counters_and_profile_equal_the_dispatchers_closed_form() {
 
 #[test]
 fn loop_registers_hold_the_last_trip_after_a_kernel() {
-    for recurrence in [true, false] {
-        let p = two_statement_nest(recurrence);
+    for (only, recurrence) in [(false, true), (true, true), (false, false)] {
+        let p = nest(only, recurrence);
         let cp = inl_vm::compile(&p);
         // odd N: the bound is not itself an iteration of the step-2 loop
         for n in [2, 3, 9, 2 * COLUMN as Int + 77] {
@@ -485,4 +866,54 @@ fn only_straight_line_affine_bodies_become_kernels() {
             agree(p, &runner, n).unwrap_or_else(|e| panic!("{what}, N {n}: {e}"));
         }
     }
+}
+
+#[test]
+fn bodies_split_around_each_load_that_may_be_handed_on() {
+    use inl_vm::bytecode::{Arith, ChainOp, KernelOp};
+    let innermost = |p: &Program, n: Int| {
+        let bound = inl_vm::compile(p).bind(&[n]).kernels;
+        bound.into_iter().flatten().next().expect("a kernel")
+    };
+    // C[I,J] = C[I,J] + A[I,K]·B[K,J] under K: the product in columns, then
+    // one addition a trip into the cell's register.
+    let k = innermost(&inl_ir::zoo::matmul(), 9);
+    let [split] = &k.carried[..] else {
+        panic!("{:?}", k.carried)
+    };
+    assert!(k.slots[split.slot as usize].stored && split.slot == split.store);
+    assert_eq!(split.ops.len(), 3, "two loads and a product");
+    assert!(matches!(split.ops[2], KernelOp::Mul { .. }));
+    let sum = ChainOp::CarryCol {
+        op: Arith::Add,
+        col: split.out,
+    };
+    assert_eq!(split.chain, [sum]);
+    // A[I,J] = A[I−1,J] + A[I,J−1]: either read may be the one behind the
+    // store, as the left operand or the right.
+    let k = innermost(&inl_ir::zoo::wavefront(), 9);
+    let sides: Vec<_> = k.carried.iter().map(|s| s.chain.clone()).collect();
+    let (carry_col, col_carry) = (
+        ChainOp::CarryCol {
+            op: Arith::Add,
+            col: 0,
+        },
+        ChainOp::ColCarry {
+            op: Arith::Add,
+            col: 0,
+        },
+    );
+    assert_eq!(sides, [vec![carry_col], vec![col_carry]]);
+    // Nothing to hand on: a second load of the cell, a store beside it, a
+    // store that moves with no read moving along.
+    let twice = |x, j: Aff| {
+        let behind = || Expr::read(x, vec![j.clone() - Aff::konst(1)]);
+        Expr::mul(behind(), behind())
+    };
+    assert!(innermost(&one_statement(1, twice, vec![]), 9)
+        .carried
+        .is_empty());
+    assert!(innermost(&nest(false, true), 9).carried.is_empty());
+    let fill = one_statement(1, |_, j| Expr::index(j), vec![]);
+    assert!(innermost(&fill, 9).carried.is_empty());
 }

@@ -6,10 +6,11 @@
 //! to loop slots, lets the completion procedure find a legal statement
 //! order for each, generates code, validates it by execution, and times
 //! the variants on both backends: on the interpreter, whose per-instance
-//! overhead hides the difference, and on the VM at N=300, where the
-//! variants whose innermost loop runs down a row in columns of trips pull
-//! away from those that reduce into one cell or walk a column of the matrix
-//! (`examples/profile_run.rs` prints which executor ran each loop).
+//! overhead hides the difference, and on the VM at N=300, where what is
+//! left between them is the memory walk — the last column names each
+//! variant's hottest innermost loop and the trip executor that ran it: in
+//! columns down a row or a column of the matrix, or carried, reducing into
+//! one cell held in a register.
 //!
 //! ```sh
 //! cargo run --release --example cholesky_permutations
@@ -20,9 +21,33 @@ use inl::core::complete::{complete_transform, order_rows};
 use inl::core::depend::analyze;
 use inl::core::instance::InstanceLayout;
 use inl::exec::{run_fresh, Interpreter, Machine, VmRunner};
-use inl::ir::zoo;
+use inl::ir::{zoo, Program};
 use inl::linalg::permutations;
+use inl::vm::profile;
 use std::time::Instant;
+
+/// One more run, profiled: the kernel loop with the most body instructions
+/// and which trip executor ran it (`mixed`: with the share of its trips that
+/// stayed on the scalar executor).
+fn hottest_kernel(runner: &VmRunner, p: &Program, template: &Machine) -> String {
+    profile::reset();
+    profile::set_enabled(true);
+    runner.run(&mut template.clone());
+    profile::set_enabled(false);
+    let counts = profile::pc_counts(runner.compiled()).expect("a profiled run");
+    let loops = profile::loop_profiles(runner.compiled(), Some(p), &counts);
+    let Some(hot) = loops.iter().find(|l| l.mode() != "dispatch") else {
+        return "dispatch".into();
+    };
+    match hot.mode() {
+        "mixed" => format!(
+            "{} mixed, {:.1}% scalar",
+            hot.name,
+            hot.trips_scalar as f64 / hot.iterations as f64 * 100.0
+        ),
+        mode => format!("{} {mode}", hot.name),
+    }
+}
 
 fn main() {
     let p = zoo::cholesky_kij();
@@ -38,8 +63,8 @@ fn main() {
     let reference = run_fresh(&p, &[n], &spd);
     let vm_reference = run_fresh(&p, &[vm_n], &spd);
 
-    println!("variant (slot order) | legal | verified | interp N={n} | VM N={vm_n}");
-    println!("---------------------|-------|----------|--------------|----------");
+    println!("variant (slot order) | legal | verified | interp N={n} | VM N={vm_n} | hottest loop");
+    println!("---------------------|-------|----------|--------------|----------|-------------");
     let mut vm_times = Vec::new();
     for pm in permutations(&[0, 1, 2, 3]) {
         let label: String = pm.iter().map(|&i| names[i]).collect();
@@ -78,8 +103,9 @@ fn main() {
         }
         vm_times.push(vm_dt);
         println!(
-            "{label:>20} |  yes  |   {}    | {dt:>12.2?} | {vm_dt:>9.2?}",
-            if ok { "✓" } else { "✗" }
+            "{label:>20} |  yes  |   {}    | {dt:>12.2?} | {vm_dt:>9.2?} | {}",
+            if ok { "✓" } else { "✗" },
+            hottest_kernel(&runner, &result.program, &template)
         );
     }
     let (fastest, slowest) = (vm_times.iter().min(), vm_times.iter().max());

@@ -145,3 +145,42 @@ proptest! {
         )?;
     }
 }
+
+/// A DOALL outer loop whose workers run *carried* kernels over one shared
+/// buffer: `row_prefix_sums` hands `B[I,J−1]` on along each row, `matmul`
+/// keeps `C[I,J]` in a register under `K` and stores it once at loop exit
+/// instead of once a trip — which the disjoint-cells contract of
+/// `SharedBuf` allows. Two threads, the interpreter's image bit for bit.
+#[test]
+fn parallel_workers_run_carried_kernels_bitwise() {
+    use inl::exec::{Machine, ParallelExecutor, VmRunner};
+    for (make, n) in [
+        (zoo::row_prefix_sums as fn() -> Program, 150),
+        (zoo::matmul, 40),
+    ] {
+        let mut p = make();
+        let outer = p.loops().next().expect("an outer loop");
+        assert_eq!(p.loop_decl(outer).name, "I");
+        p.set_loop_parallel(outer, true);
+        let reference = run_fresh_with(Backend::Interp, &p, &[n], &frac_init);
+
+        // The executor of a loop entry is a function of its addresses, not
+        // of the thread that runs it: every innermost trip is carried.
+        let mut m = Machine::new(&p, &[n], &frac_init);
+        let ((), seen) = inl::obs::capture::with(|| VmRunner::new(&p).run(&mut m));
+        let carried = seen.counters.get("vm.trips.carried").copied();
+        let innermost = if p.name() == "matmul" {
+            n * n * n
+        } else {
+            n * n
+        };
+        assert_eq!(carried, Some(innermost as u64), "{}", p.name());
+        assert!(!seen.counters.contains_key("vm.trips.scalar"));
+
+        let mut m = Machine::new(&p, &[n], &frac_init);
+        ParallelExecutor::new(&p, 2).run(&mut m);
+        reference
+            .same_state(&m)
+            .unwrap_or_else(|e| panic!("{} on 2 threads: {e}", p.name()));
+    }
+}
