@@ -5,104 +5,350 @@
 //! statement instance, subscripts must evaluate to integers (divisor
 //! expressions from non-unimodular code generation are guarded by `Div`
 //! guards so inexact divisions never reach an access).
+//!
+//! [`Interpreter::new`] resolves the program text once — every variable to
+//! a slot of one value vector, every affine expression to a row over those
+//! slots, every access to its array's position — and [`Interpreter::run`]
+//! walks that form. It stays a walker of its own over `inl-ir`: it is what
+//! the VM is tested against, so it shares none of the VM's lowering.
 
 use crate::machine::Machine;
-use inl_ir::{Aff, Expr, Guard, LoopId, Node, Program, StmtId, VarKey};
-use inl_linalg::Int;
+use inl_ir::{self as ir, Aff, LoopId, Program, StmtId, VarKey};
+use inl_linalg::{Int, Rational};
 
-/// Interpreter over one program.
 /// Per-instance observation hook: `(statement, loop environment)`.
 pub type InstanceHook<'p> = Box<dyn FnMut(StmtId, &[Option<Int>]) + 'p>;
 
+/// Interpreter over one program.
 pub struct Interpreter<'p> {
     program: &'p Program,
     /// Optional hook invoked before each executed statement instance with
-    /// the current loop environment.
+    /// the current loop environment (indexed by `LoopId`, `None` outside
+    /// the loop). The environment is kept only during a run that starts
+    /// with a hook set.
     pub on_instance: Option<InstanceHook<'p>>,
-    /// Scratch subscript buffer, reused across every array access (the hot
-    /// path allocates nothing).
-    scratch: Vec<usize>,
-    /// Executed instances not yet flushed to the `exec.instances` counter;
-    /// flushed per loop completion rather than per instance.
-    pending: u64,
+    root: Vec<Node<'p>>,
+}
+
+/// An [`Aff`] over value slots (`params ++ loop variables`).
+struct Row<'p> {
+    /// The expression this row stands for; [`Aff::eval`] on it is the one
+    /// definition of the wide arithmetic.
+    src: &'p Aff,
+    /// The numerator in 64 bits, when every coefficient and the constant fit.
+    narrow: Option<Narrow>,
+    div: Int,
+}
+
+struct Narrow {
+    /// `(slot, coefficient)`.
+    terms: Box<[(usize, i64)]>,
+    constant: i64,
+}
+
+struct Access<'p> {
+    array: usize,
+    idxs: Box<[Row<'p>]>,
+}
+
+enum Expr<'p> {
+    Const(f64),
+    Index(Row<'p>),
+    Read(Access<'p>),
+    Neg(Box<Expr<'p>>),
+    Sqrt(Box<Expr<'p>>),
+    Add(Box<Expr<'p>>, Box<Expr<'p>>),
+    Sub(Box<Expr<'p>>, Box<Expr<'p>>),
+    Mul(Box<Expr<'p>>, Box<Expr<'p>>),
+    Div(Box<Expr<'p>>, Box<Expr<'p>>),
+}
+
+enum Guard<'p> {
+    Ge(Row<'p>),
+    Eq(Row<'p>),
+    Div(Row<'p>, Int),
+}
+
+struct Stmt<'p> {
+    id: StmtId,
+    guards: Box<[Guard<'p>]>,
+    rhs: Expr<'p>,
+    write: Access<'p>,
+}
+
+struct Loop<'p> {
+    id: LoopId,
+    lower: Box<[Row<'p>]>,
+    upper: Box<[Row<'p>]>,
+    step: Int,
+    children: Vec<Node<'p>>,
+}
+
+enum Node<'p> {
+    Loop(Loop<'p>),
+    Stmt(Stmt<'p>),
+}
+
+/// Resolves the tree; `in_scope[l]` while the walk is inside loop `l`.
+struct Resolver<'p> {
+    program: &'p Program,
+    in_scope: Vec<bool>,
+}
+
+impl<'p> Resolver<'p> {
+    fn nodes(&mut self, nodes: &[ir::Node]) -> Vec<Node<'p>> {
+        nodes
+            .iter()
+            .map(|&n| match n {
+                ir::Node::Loop(l) => Node::Loop(self.looop(l)),
+                ir::Node::Stmt(s) => Node::Stmt(self.stmt(s)),
+            })
+            .collect()
+    }
+
+    fn looop(&mut self, l: LoopId) -> Loop<'p> {
+        let ld = self.program.loop_decl(l);
+        let lower = ld.lower.terms.iter().map(|a| self.row(a)).collect();
+        let upper = ld.upper.terms.iter().map(|a| self.row(a)).collect();
+        self.in_scope[l.0] = true;
+        let children = self.nodes(&ld.children);
+        self.in_scope[l.0] = false;
+        Loop {
+            id: l,
+            lower,
+            upper,
+            step: ld.step,
+            children,
+        }
+    }
+
+    fn stmt(&self, s: StmtId) -> Stmt<'p> {
+        let sd = self.program.stmt_decl(s);
+        let guards = sd.guards.iter().map(|g| match g {
+            ir::Guard::Ge(a) => Guard::Ge(self.row(a)),
+            ir::Guard::Eq(a) => Guard::Eq(self.row(a)),
+            ir::Guard::Div(a, k) => Guard::Div(self.row(a), *k),
+        });
+        Stmt {
+            id: s,
+            guards: guards.collect(),
+            rhs: self.expr(&sd.rhs),
+            write: self.access(&sd.write),
+        }
+    }
+
+    fn expr(&self, e: &'p ir::Expr) -> Expr<'p> {
+        let sub = |x: &'p ir::Expr| Box::new(self.expr(x));
+        match e {
+            ir::Expr::Const(v) => Expr::Const(*v),
+            ir::Expr::Index(a) => Expr::Index(self.row(a)),
+            ir::Expr::Read(acc) => Expr::Read(self.access(acc)),
+            ir::Expr::Neg(x) => Expr::Neg(sub(x)),
+            ir::Expr::Sqrt(x) => Expr::Sqrt(sub(x)),
+            ir::Expr::Add(a, b) => Expr::Add(sub(a), sub(b)),
+            ir::Expr::Sub(a, b) => Expr::Sub(sub(a), sub(b)),
+            ir::Expr::Mul(a, b) => Expr::Mul(sub(a), sub(b)),
+            ir::Expr::Div(a, b) => Expr::Div(sub(a), sub(b)),
+        }
+    }
+
+    fn access(&self, acc: &'p ir::Access) -> Access<'p> {
+        let decl = self.program.array_decl(acc.array);
+        assert_eq!(
+            acc.idxs.len(),
+            decl.dims.len(),
+            "array {}: arity mismatch",
+            decl.name
+        );
+        Access {
+            array: acc.array.0,
+            idxs: acc.idxs.iter().map(|a| self.row(a)).collect(),
+        }
+    }
+
+    fn row(&self, a: &'p Aff) -> Row<'p> {
+        let slot = |v: VarKey| match v {
+            VarKey::Param(p) => {
+                assert!(p.0 < self.program.nparams(), "undeclared parameter");
+                self.program.param_var(p)
+            }
+            VarKey::Loop(l) => {
+                assert!(self.in_scope[l.0], "loop variable read outside its loop");
+                self.program.loop_var_index(l)
+            }
+        };
+        let mut terms = Vec::with_capacity(a.terms().len());
+        let mut fits = true;
+        for &(v, c) in a.terms() {
+            let slot = slot(v);
+            match i64::try_from(c) {
+                Ok(c) => terms.push((slot, c)),
+                Err(_) => fits = false,
+            }
+        }
+        let constant = i64::try_from(a.constant()).ok().filter(|_| fits);
+        Row {
+            src: a,
+            narrow: constant.map(|constant| Narrow {
+                terms: terms.into(),
+                constant,
+            }),
+            div: a.divisor(),
+        }
+    }
 }
 
 impl<'p> Interpreter<'p> {
     /// Create an interpreter for `program`.
+    ///
+    /// # Panics
+    /// On what the text alone shows to be wrong: an access whose subscript
+    /// count is not its array's arity, or a loop variable read outside its
+    /// loop.
     pub fn new(program: &'p Program) -> Self {
+        let mut resolver = Resolver {
+            program,
+            in_scope: vec![false; program.nloops()],
+        };
         Interpreter {
             program,
             on_instance: None,
-            scratch: Vec::new(),
-            pending: 0,
+            root: resolver.nodes(program.root()),
         }
     }
 
     /// Execute the program on the machine.
     pub fn run(&mut self, m: &mut Machine) {
         let _span = inl_obs::span("exec.interpret");
-        let mut env: Vec<Option<Int>> = vec![None; self.program.loops().count()];
-        let root: Vec<Node> = self.program.root().to_vec();
-        self.run_nodes(&root, &mut env, m);
-        self.flush();
+        let p = self.program;
+        assert_eq!(m.params().len(), p.nparams(), "parameter arity mismatch");
+        for a in p.arrays() {
+            let (decl, arr) = (p.array_decl(a), m.array(a));
+            assert_eq!(
+                arr.dims.len(),
+                decl.dims.len(),
+                "array {}: arity mismatch",
+                decl.name
+            );
+        }
+        let mut vals = vec![0; p.space()];
+        vals[..p.nparams()].copy_from_slice(m.params());
+        let hook = self.on_instance.as_mut();
+        let mut walk = Walk {
+            program: p,
+            wide: vals.iter().filter(|&&v| i64::try_from(v).is_err()).count(),
+            vals,
+            env: vec![None; if hook.is_some() { p.nloops() } else { 0 }],
+            hook,
+            m,
+            instances: 0,
+        };
+        walk.nodes(&self.root);
+        if walk.instances > 0 {
+            inl_obs::counter_add!("exec.instances", walk.instances);
+        }
     }
+}
 
+/// The state of one run.
+struct Walk<'a, 'p> {
+    program: &'p Program,
+    m: &'a mut Machine,
+    /// `params ++ loop variables`, indexed by slot.
+    vals: Vec<Int>,
+    /// How many bound values have no 64-bit image; the narrow rows read the
+    /// low halves of `vals` only while this is zero.
+    wide: usize,
+    hook: Option<&'a mut InstanceHook<'p>>,
+    /// The hook's loop environment; empty without a hook.
+    env: Vec<Option<Int>>,
+    /// Executed statement instances, credited to `exec.instances` once.
+    instances: u64,
+}
+
+impl Row<'_> {
     #[inline]
-    fn flush(&mut self) {
-        if self.pending > 0 {
-            inl_obs::counter_add!("exec.instances", self.pending);
-        }
-        self.pending = 0;
-    }
-
-    fn lookup<'e>(env: &'e [Option<Int>], params: &'e [Int]) -> impl Fn(VarKey) -> Int + 'e {
-        move |v: VarKey| match v {
-            VarKey::Param(p) => params[p.0],
-            VarKey::Loop(l) => env[l.0].expect("loop variable read outside its loop"),
+    fn eval(&self, w: &Walk<'_, '_>) -> Rational {
+        match self.eval64(w) {
+            Some(num) if self.div == 1 => Rational::int(num as Int),
+            Some(num) => Rational::new(num as Int, self.div),
+            None => w.eval_wide(self.src),
         }
     }
 
-    fn run_nodes(&mut self, nodes: &[Node], env: &mut Vec<Option<Int>>, m: &mut Machine) {
-        for &n in nodes {
-            match n {
-                Node::Loop(l) => self.run_loop(l, env, m),
-                Node::Stmt(s) => self.run_stmt(s, env, m),
+    /// The value as a subscript; `None` when inexact, negative or past `usize`.
+    #[inline]
+    fn subscript(&self, w: &Walk<'_, '_>) -> Option<usize> {
+        match self.eval64(w) {
+            Some(num) if self.div == 1 => usize::try_from(num).ok(),
+            _ => {
+                let v = self.eval(w);
+                usize::try_from(v.num()).ok().filter(|_| v.is_integer())
             }
         }
     }
 
-    fn run_loop(&mut self, l: LoopId, env: &mut Vec<Option<Int>>, m: &mut Machine) {
-        // `self.program` is a plain `&'p Program`, so declarations borrow
-        // for 'p — no cloning in the hot loop.
-        let ld = Program::loop_decl(self.program, l);
-        let (lo, hi) = {
-            let look = Self::lookup(env, m.params());
-            (ld.lower.eval_lower(&look), ld.upper.eval_upper(&look))
-        };
-        let mut i = lo;
-        while i <= hi {
-            env[l.0] = Some(i);
-            self.run_nodes(&ld.children, env, m);
-            i += ld.step;
-        }
-        env[l.0] = None;
-        // Batch the instance counter: one flush per completed loop (for an
-        // innermost loop, that covers its whole trip) instead of one atomic
-        // add per instance.
-        self.flush();
+    /// The numerator in 64-bit arithmetic; `None` where that cannot hold it.
+    #[inline]
+    fn eval64(&self, w: &Walk<'_, '_>) -> Option<i64> {
+        let narrow = self.narrow.as_ref().filter(|_| w.wide == 0)?;
+        narrow
+            .terms
+            .iter()
+            .try_fold(narrow.constant, |acc, &(slot, c)| {
+                acc.checked_add(c.checked_mul(w.vals[slot] as i64)?)
+            })
+    }
+}
+
+impl<'p> Walk<'_, 'p> {
+    #[cold]
+    fn eval_wide(&self, a: &Aff) -> Rational {
+        a.eval(&|v| match v {
+            VarKey::Param(p) => self.vals[self.program.param_var(p)],
+            VarKey::Loop(l) => self.vals[self.program.loop_var_index(l)],
+        })
     }
 
-    fn run_stmt(&mut self, s: StmtId, env: &mut [Option<Int>], m: &mut Machine) {
-        let sd = Program::stmt_decl(self.program, s);
-        // One lookup closure per statement instance, shared by guards, the
-        // rhs, and the write subscripts (it used to be rebuilt per access).
-        let look = Self::lookup(env, m.params());
-        for g in &sd.guards {
+    fn nodes(&mut self, nodes: &[Node<'p>]) {
+        for n in nodes {
+            match n {
+                Node::Loop(l) => self.looop(l),
+                Node::Stmt(s) => self.stmt(s),
+            }
+        }
+    }
+
+    fn looop(&mut self, l: &Loop<'p>) {
+        let lo = l.lower.iter().map(|r| r.eval(self).ceil()).max();
+        let hi = l.upper.iter().map(|r| r.eval(self).floor()).min();
+        let (lo, hi) = (lo.expect("empty bound"), hi.expect("empty bound"));
+        // Every value in between has a 64-bit image iff both ends have one.
+        let wide = usize::from(i64::try_from(lo).is_err() || i64::try_from(hi).is_err());
+        self.wide += wide;
+        let slot = self.program.loop_var_index(l.id);
+        let mut i = lo;
+        while i <= hi {
+            self.vals[slot] = i;
+            if let Some(e) = self.env.get_mut(l.id.0) {
+                *e = Some(i);
+            }
+            self.nodes(&l.children);
+            i += l.step;
+        }
+        if let Some(e) = self.env.get_mut(l.id.0) {
+            *e = None;
+        }
+        self.wide -= wide;
+    }
+
+    fn stmt(&mut self, s: &Stmt<'p>) {
+        for g in s.guards.iter() {
             let pass = match g {
-                Guard::Ge(a) => a.eval(&look).signum() >= 0,
-                Guard::Eq(a) => a.eval(&look).is_zero(),
+                Guard::Ge(a) => a.eval(self).signum() >= 0,
+                Guard::Eq(a) => a.eval(self).is_zero(),
                 Guard::Div(a, k) => {
-                    let v = a.eval(&look);
+                    let v = a.eval(self);
                     debug_assert!(v.is_integer());
                     v.num() % *k == 0
                 }
@@ -111,45 +357,65 @@ impl<'p> Interpreter<'p> {
                 return;
             }
         }
-        self.pending += 1;
-        if let Some(hook) = &mut self.on_instance {
-            hook(s, env);
+        self.instances += 1;
+        if let Some(hook) = &mut self.hook {
+            hook(s.id, &self.env);
         }
-        let value = self.eval(&sd.rhs, &look, m);
-        self.eval_subscripts_into(&sd.write.idxs, &look);
-        drop(look);
-        m.array_mut(sd.write.array).set(&self.scratch, value);
+        let value = self.expr(&s.rhs);
+        let cell = self.cell(&s.write);
+        self.m.arrays_mut()[s.write.array].data[cell] = value;
     }
 
-    /// Evaluate subscripts into the reused scratch buffer (no allocation).
-    fn eval_subscripts_into(&mut self, idxs: &[Aff], look: &dyn Fn(VarKey) -> Int) {
-        self.scratch.clear();
-        for a in idxs {
-            let v = a
-                .eval_int(look)
-                .unwrap_or_else(|| panic!("subscript {a:?} not integral"));
-            assert!(v >= 0, "negative subscript {v}");
-            self.scratch.push(v as usize);
+    /// The row-major position of an access in its array.
+    #[inline]
+    fn cell(&self, acc: &Access<'p>) -> usize {
+        let arr = &self.m.arrays()[acc.array];
+        let mut flat = 0;
+        for (row, &ext) in acc.idxs.iter().zip(&arr.dims) {
+            match row.subscript(self) {
+                Some(i) if i < ext => flat = flat * ext + i,
+                _ => self.bad_subscript(acc),
+            }
         }
+        flat
     }
 
-    fn eval(&mut self, e: &Expr, look: &dyn Fn(VarKey) -> Int, m: &Machine) -> f64 {
+    /// Names the first fault of an access: an inexact or negative subscript
+    /// in any dimension before an out-of-bounds one.
+    #[cold]
+    fn bad_subscript(&self, acc: &Access<'p>) -> ! {
+        let arr = &self.m.arrays()[acc.array];
+        let subscript = |row: &Row<'p>| {
+            let v = row.eval(self);
+            assert!(v.is_integer(), "subscript {:?} not integral", row.src);
+            assert!(v.num() >= 0, "negative subscript {}", v.num());
+            v.num()
+        };
+        let idx: Vec<Int> = acc.idxs.iter().map(subscript).collect();
+        for (d, (&i, &ext)) in idx.iter().zip(&arr.dims).enumerate() {
+            assert!(
+                i < ext as Int,
+                "array {}: index {i} out of bounds {ext} in dimension {d}",
+                arr.name
+            );
+        }
+        unreachable!("a subscript of array {} was refused", arr.name)
+    }
+
+    fn expr(&self, e: &Expr<'p>) -> f64 {
         match e {
             Expr::Const(v) => *v,
             Expr::Index(a) => {
-                let r = a.eval(look);
+                let r = a.eval(self);
                 r.num() as f64 / r.den() as f64
             }
-            Expr::Read(acc) => {
-                self.eval_subscripts_into(&acc.idxs, look);
-                m.array(acc.array).get(&self.scratch)
-            }
-            Expr::Neg(x) => -self.eval(x, look, m),
-            Expr::Sqrt(x) => self.eval(x, look, m).sqrt(),
-            Expr::Add(a, b) => self.eval(a, look, m) + self.eval(b, look, m),
-            Expr::Sub(a, b) => self.eval(a, look, m) - self.eval(b, look, m),
-            Expr::Mul(a, b) => self.eval(a, look, m) * self.eval(b, look, m),
-            Expr::Div(a, b) => self.eval(a, look, m) / self.eval(b, look, m),
+            Expr::Read(acc) => self.m.arrays()[acc.array].data[self.cell(acc)],
+            Expr::Neg(x) => -self.expr(x),
+            Expr::Sqrt(x) => self.expr(x).sqrt(),
+            Expr::Add(a, b) => self.expr(a) + self.expr(b),
+            Expr::Sub(a, b) => self.expr(a) - self.expr(b),
+            Expr::Mul(a, b) => self.expr(a) * self.expr(b),
+            Expr::Div(a, b) => self.expr(a) / self.expr(b),
         }
     }
 }
@@ -196,7 +462,7 @@ mod tests {
 
     #[test]
     fn guards_filter_instances() {
-        use inl_ir::{Aff, Expr, ProgramBuilder};
+        use inl_ir::{Aff, Expr, Guard, ProgramBuilder};
         // do I = 1..N: if (I mod 2 == 0) X(I) = 1
         let mut b = ProgramBuilder::new("guarded");
         let n = b.param("N");

@@ -22,7 +22,7 @@ impl ArrayData {
     /// If out of bounds or of wrong arity.
     #[inline]
     pub fn flat(&self, idx: &[usize]) -> usize {
-        debug_assert_eq!(
+        assert_eq!(
             idx.len(),
             self.dims.len(),
             "array {}: arity mismatch",
@@ -67,7 +67,8 @@ impl Machine {
     /// `init(array_name, multi_index)`.
     ///
     /// # Panics
-    /// If a parameter is missing or an extent is non-positive.
+    /// If a parameter is missing, an extent is non-positive or does not fit
+    /// `usize`, or an array's cell count overflows it.
     pub fn new(p: &Program, params: &[Int], init: &dyn Fn(&str, &[usize]) -> f64) -> Self {
         assert_eq!(params.len(), p.nparams(), "parameter arity mismatch");
         let lookup = |v: VarKey| -> Int {
@@ -86,10 +87,17 @@ impl Machine {
                     .map(|e| {
                         let ext = e.eval_int(&lookup).expect("array extent not integral");
                         assert!(ext > 0, "array {} has non-positive extent {ext}", decl.name);
-                        ext as usize
+                        usize::try_from(ext).unwrap_or_else(|_| {
+                            panic!("array {}: extent {ext} does not fit usize", decl.name)
+                        })
                     })
                     .collect();
-                let total: usize = dims.iter().product();
+                let total = dims
+                    .iter()
+                    .try_fold(1usize, |n, &ext| n.checked_mul(ext))
+                    .unwrap_or_else(|| {
+                        panic!("array {}: extents {dims:?} overflow usize", decl.name)
+                    });
                 let mut data = vec![0.0; total];
                 // initialize cell by cell (row-major enumeration)
                 let mut idx = vec![0usize; dims.len()];
@@ -176,7 +184,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use inl_ir::zoo;
+    use inl_ir::{zoo, Aff};
 
     #[test]
     fn allocation_and_init() {
@@ -204,6 +212,36 @@ mod tests {
         let m = Machine::new(&p, &[3], &|_, _| 0.0);
         let a = m.arrays().first().unwrap();
         let _ = a.get(&[4, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "arity mismatch")]
+    fn arity_checked() {
+        let p = zoo::wavefront();
+        let m = Machine::new(&p, &[3], &|_, _| 0.0);
+        let _ = m.arrays()[0].flat(&[1]);
+    }
+
+    /// `X[e]`, extent affine in `N`, never run.
+    fn one_array(dims: &[Aff]) -> Program {
+        let mut b = inl_ir::ProgramBuilder::new("extent");
+        b.param("N");
+        b.array("X", dims);
+        b.finish()
+    }
+
+    #[test]
+    #[should_panic(expected = "array X: extent 18446744073709551617 does not fit usize")]
+    fn extent_beyond_usize_is_refused() {
+        let n = Aff::param(inl_ir::ParamId(0));
+        Machine::new(&one_array(&[n]), &[(1 << 64) + 1], &|_, _| 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "array X: extents [4294967296, 4294967296] overflow usize")]
+    fn cell_count_beyond_usize_is_refused() {
+        let n = Aff::param(inl_ir::ParamId(0));
+        Machine::new(&one_array(&[n.clone(), n]), &[1 << 32], &|_, _| 0.0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::interp::Interpreter;
 use crate::machine::Machine;
-use inl_ir::{Program, StmtId};
+use inl_ir::{LoopId, Program, StmtId};
 use inl_linalg::Int;
 
 /// One executed statement instance.
@@ -126,11 +126,11 @@ pub fn run_traced(
 ) -> (Machine, Trace) {
     let mut machine = Machine::new(p, params, init);
     let trace = std::cell::RefCell::new(Trace::default());
+    let surrounding: Vec<Vec<LoopId>> = p.stmts().map(|s| p.loops_surrounding(s)).collect();
     {
         let mut interp = Interpreter::new(p);
         interp.on_instance = Some(Box::new(|s, env| {
-            let iter: Vec<Int> = p
-                .loops_surrounding(s)
+            let iter: Vec<Int> = surrounding[s.0]
                 .iter()
                 .map(|l| env[l.0].expect("surrounding loop bound"))
                 .collect();
