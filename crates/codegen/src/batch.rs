@@ -6,9 +6,9 @@
 //! built once per batch and every job lowers its matrix against it (the
 //! poly query cache, `inl_poly::cache`, then makes the repeated
 //! sub-systems cheap across jobs). [`batch_map`] is the job loop itself:
-//! workers pull indices from a shared atomic counter (the same
-//! work-stealing-free queue idiom as `inl_exec::ParallelExecutor`), every
-//! job runs under a `batch.compile` span and a `batch.compile` timeline
+//! workers pull indices from a shared atomic counter (jobs differ in cost;
+//! `inl_exec::ParallelExecutor`, whose iterations do not, splits each
+//! wavefront into static chunks instead), every job runs under a `batch.compile` span and a `batch.compile` timeline
 //! slice tagged with its index, so a Chrome trace shows the per-variant
 //! schedule across worker threads — and with one thread there is no pool
 //! at all: the jobs run on the calling thread, where a thread-local

@@ -83,14 +83,6 @@ impl DepEntry {
         }
     }
 
-    /// The `-` direction (`≤ -1`).
-    pub fn minus() -> Self {
-        DepEntry {
-            lo: None,
-            hi: Some(-1),
-        }
-    }
-
     /// Exact distance, if the interval is a single point.
     pub fn as_dist(&self) -> Option<Int> {
         match (self.lo, self.hi) {
@@ -182,17 +174,8 @@ impl Dependence {
     }
 
     /// The instance-vector difference at position `i` as a [`LinExpr`] over
-    /// the dependence polyhedron's variable space.
-    ///
-    /// # Panics
-    /// On coefficient overflow; fallible paths use
-    /// [`Dependence::checked_delta_expr`].
-    pub fn delta_expr(&self, layout: &InstanceLayout, nparams: usize, i: usize) -> LinExpr {
-        self.checked_delta_expr(layout, nparams, i)
-            .expect("delta overflow: fallible paths use checked_delta_expr")
-    }
-
-    /// Overflow-checked [`Dependence::delta_expr`].
+    /// the dependence polyhedron's variable space; an error on coefficient
+    /// overflow.
     pub fn checked_delta_expr(
         &self,
         layout: &InstanceLayout,

@@ -15,6 +15,7 @@ use inl_fuzz::{
 };
 use inl_linalg::IVec;
 use proptest::prelude::*;
+use proptest::test_runner::TestRunner;
 
 proptest! {
     #![proptest_config(fuzz_config(64))]
@@ -61,20 +62,6 @@ proptest! {
         }
     }
 
-    /// Guard-free inner loops — what the VM runs as trip kernels, a column
-    /// of trips at a time when their address spans allow it — leave the
-    /// interpreter's memory image, bit for bit.
-    #[test]
-    fn inner_loops_agree_on_both_backends((p, n) in arb_inner_loop()) {
-        let mi = run_fresh(&p, &[n], &fuzz_init);
-        let mut mv = inl_exec::Machine::new(&p, &[n], &fuzz_init);
-        VmRunner::new(&p).run(&mut mv);
-        prop_assert_eq!(
-            mi.same_state(&mv).map_err(|e| format!("{} at N = {n}: {e}", p.name())),
-            Ok(())
-        );
-    }
-
     /// Completion: random partial rows either complete to a matrix the
     /// checker accepts, or fail with a typed `CompletionError`.
     #[test]
@@ -114,4 +101,30 @@ proptest! {
         let _ = jamming_legal(&p, &deps, parent, idx);
         let _ = sink_statements(&p);
     }
+}
+
+/// Guard-free inner loops — what the VM enters as trip kernels: a column of
+/// trips at a time, around one carried cell, or handed back to the
+/// dispatcher, as their address spans allow — leave the interpreter's memory
+/// image, bit for bit, and between them take all three ways.
+#[test]
+fn inner_loops_agree_on_both_backends() {
+    const LANES: [&str; 3] = ["vm.trips.columns", "vm.trips.carried", "vm.trips.dispatch"];
+    let mut trips = [0u64; 3];
+    TestRunner::new(fuzz_config(64)).run_cases(|rng| {
+        let (p, n) = arb_inner_loop().generate(rng);
+        let mi = run_fresh(&p, &[n], &fuzz_init);
+        let mut mv = inl_exec::Machine::new(&p, &[n], &fuzz_init);
+        let ((), seen) = inl_obs::capture::with(|| VmRunner::new(&p).run(&mut mv));
+        for (sum, lane) in trips.iter_mut().zip(LANES) {
+            *sum += seen.counters.get(lane).copied().unwrap_or(0);
+        }
+        prop_assert_eq!(
+            mi.same_state(&mv)
+                .map_err(|e| format!("{} at N = {n}: {e}", p.name())),
+            Ok(())
+        );
+        Ok(())
+    });
+    assert!(trips.iter().all(|&lane| lane > 0), "{LANES:?}: {trips:?}");
 }

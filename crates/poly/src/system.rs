@@ -95,36 +95,6 @@ impl System {
         }
     }
 
-    /// Add `a ≤ b`, i.e. `b - a ≥ 0`.
-    ///
-    /// # Panics
-    /// On overflow; fallible paths use [`System::checked_add_le`].
-    pub fn add_le(&mut self, a: LinExpr, b: LinExpr) {
-        self.add_ge(b - a);
-    }
-
-    /// Overflow-checked [`System::add_le`].
-    pub fn checked_add_le(&mut self, a: &LinExpr, b: &LinExpr) -> Result<(), InlError> {
-        self.add_ge(b.checked_sub(a)?);
-        Ok(())
-    }
-
-    /// Add `a < b` over the integers, i.e. `b - a - 1 ≥ 0`.
-    ///
-    /// # Panics
-    /// On overflow; fallible paths use [`System::checked_add_lt`].
-    pub fn add_lt(&mut self, a: LinExpr, b: LinExpr) {
-        let n = self.nvars;
-        self.add_ge(b - a - LinExpr::constant(n, 1));
-    }
-
-    /// Overflow-checked [`System::add_lt`].
-    pub fn checked_add_lt(&mut self, a: &LinExpr, b: &LinExpr) -> Result<(), InlError> {
-        let n = self.nvars;
-        self.add_ge(b.checked_sub(a)?.checked_sub(&LinExpr::constant(n, 1))?);
-        Ok(())
-    }
-
     /// Conjoin all constraints of `other` (same variable space).
     pub fn conjoin(&mut self, other: &System) {
         assert_eq!(self.nvars, other.nvars, "conjoin: arity mismatch");
@@ -431,18 +401,6 @@ mod tests {
         s.prune_dominated();
         assert_eq!(s.ineqs().len(), 1);
         assert_eq!(s.ineqs()[0].constant_term(), -3);
-    }
-
-    #[test]
-    fn lt_le_helpers() {
-        let n = 2;
-        let mut s = System::new(n);
-        s.add_lt(v(n, 0), v(n, 1)); // x < y
-        assert!(s.contains(&[1, 2]));
-        assert!(!s.contains(&[2, 2]));
-        let mut t = System::new(n);
-        t.add_le(v(n, 0), v(n, 1));
-        assert!(t.contains(&[2, 2]));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! short of. Where `inl-core` can prove that a transformation is legal,
 //! this crate decides which legal transformation to use.
 //!
-//! The search space is the product of four axes, none of them a switch
-//! (ROADMAP items 1 and 4):
+//! The search space is the product of three axes, none of them a switch
+//! (ROADMAP item 5):
 //!
 //! * **shape** — legal one-level loop distributions and fusions (§4.2),
 //!   each producing a structurally different program;
@@ -16,8 +16,6 @@
 //!   searched like any other shape;
 //! * **permutation** — the order in which loop selector rows fill the
 //!   outer slots of the transformation matrix;
-//! * **alignment** — statement-alignment offsets (§4.3) refined onto the
-//!   front-running variant;
 //!
 //! with two things worked out instead of enumerated: statement reordering
 //! (the edge rows), supplied by the completion procedure's topological
@@ -41,7 +39,7 @@
 //!
 //! * the dependence matrix is a property of the shape's *program*, not of
 //!   a candidate, so each shape is analysed once when it is enumerated and
-//!   the search, the per-leaf lowering, alignment and [`ScheduleResult::materialise`]
+//!   the search, the per-leaf lowering and [`ScheduleResult::materialise`]
 //!   all test their matrices against that one analysis;
 //! * the static [`Cost`] key is lexicographic and its three [`Leading`]
 //!   fields read only loop bounds, subscripts and nesting of the generated
@@ -83,7 +81,6 @@ pub use search::SearchStats;
 
 use inl_codegen::{batch_map, build, generate, CodegenError, CostFeatures};
 use inl_core::complete::CompletionError;
-use inl_core::transform::Transform;
 use inl_ir::Program;
 use inl_linalg::{IMat, InlError};
 use search::Shape;
@@ -153,8 +150,7 @@ impl Default for SchedConfig {
 #[derive(Clone, Debug)]
 pub struct ScheduledVariant {
     /// Display label: optional shape prefix, loop order with `'` marking
-    /// reversed loops, optional `+align(..)` suffix — e.g.
-    /// `"dist(K@1)/KJ'LI"`.
+    /// reversed loops — e.g. `"dist(K@1)/KJ'LI"`.
     pub label: String,
     /// The shape this variant lives in (`""` = identity shape).
     pub shape: String,
@@ -358,16 +354,7 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
         .iter()
         .position(|f| f.label == variants[0].label)
         .expect("the front class was finished");
-    let mut chosen = finished.swap_remove(winner);
-
-    refine_alignment(shape_named(&shapes, &chosen.shape), &mut chosen, &mut stats);
-    variants[0] = RankedVariant {
-        label: chosen.label.clone(),
-        shape: chosen.shape.clone(),
-        matrix: chosen.matrix.clone(),
-        leading: chosen.cost.leading,
-        cost: Some(chosen.cost.clone()),
-    };
+    let chosen = finished.swap_remove(winner);
 
     if explain {
         inl_obs::explain::accept(
@@ -417,64 +404,6 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
         stats,
         legal,
     })
-}
-
-/// Try statement-alignment offsets (§4.3) on the front-runner: compose
-/// `Align(stmt, loop, ±1)` with the chosen matrix and adopt the result
-/// only when it generates legally *and* strictly improves the cost.
-fn refine_alignment(shape: &Shape, chosen: &mut ScheduledVariant, stats: &mut SearchStats) {
-    let _span = inl_obs::span("sched.align");
-    let Shape {
-        program: shape_p,
-        layout,
-        deps,
-        ..
-    } = shape;
-    let explain = inl_obs::explain_enabled();
-    for s in shape_p.stmts() {
-        for &l in &shape_p.loops_surrounding(s) {
-            for offset in [1i128, -1] {
-                let t = Transform::Align {
-                    stmt: s,
-                    looop: l,
-                    offset,
-                };
-                // statements without a distinguishing edge can't be aligned
-                let Ok(am) = t.try_matrix(shape_p, layout) else {
-                    continue;
-                };
-                let Ok(m2) = am.checked_mul(&chosen.matrix) else {
-                    continue;
-                };
-                stats.align_tried += 1;
-                let Ok(r) = generate(shape_p, layout, deps, &m2) else {
-                    continue; // illegal alignment: not an improvement
-                };
-                let cost = Cost::of(&r.features);
-                if cost < chosen.cost {
-                    stats.align_adopted += 1;
-                    let suffix = format!(
-                        "+align({},{},{offset:+})",
-                        shape_p.stmt_decl(s).name,
-                        shape_p.loop_decl(l).name
-                    );
-                    if explain {
-                        inl_obs::explain::note(
-                            "sched",
-                            format!("alignment {} of {}", suffix, shape_p.name()),
-                            format!("adopted: improves cost ({}) -> ({})", chosen.cost, cost),
-                        );
-                    }
-                    chosen.label.push_str(&suffix);
-                    chosen.pseudocode = r.program.to_pseudocode();
-                    chosen.program = r.program;
-                    chosen.features = r.features;
-                    chosen.matrix = m2;
-                    chosen.cost = cost;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -631,7 +560,7 @@ mod tests {
     #[test]
     fn every_variant_is_legal_and_equivalent() {
         // every returned variant must execute bitwise-identically to the
-        // source program — across shapes, reversals, and alignment. Only
+        // source program — across shapes and reversals. Only
         // the front class comes back finished; the rest are materialised
         // here, and what the ranking stored must be what finishing finds.
         let p = zoo::simple_cholesky();

@@ -58,11 +58,14 @@ pub struct SearchStats {
     /// Full-depth legal prefixes whose completion still failed (e.g. a
     /// cyclic statement order).
     pub completion_failures: u64,
-    /// Program shapes searched (identity + legal jams/distributions).
+    /// Program shapes searched (identity, the tile shape, and each legal
+    /// jam or distribution).
     pub shapes: u64,
-    /// Alignment refinements attempted on the front-runner.
+    /// Always 0: alignment refinement is gone (it adopted 0 of 36 tries over
+    /// the zoo); the field stays until `benchmark/`, which reads it, is
+    /// re-anchored.
     pub align_tried: u64,
-    /// Alignment refinements that strictly improved the cost.
+    /// Always 0, as [`align_tried`](Self::align_tried).
     pub align_adopted: u64,
     /// `true` when the node budget stopped the search early.
     pub budget_exhausted: bool,
@@ -82,8 +85,8 @@ impl SearchStats {
 
 /// One program shape: the structural-transformation axis of the space,
 /// with the one dependence analysis every candidate matrix of the shape
-/// is tested against (the search, the per-leaf lowering, alignment and
-/// on-demand materialisation all borrow this pair; nothing re-analyses).
+/// is tested against (the search, the per-leaf lowering and on-demand
+/// materialisation all borrow this pair; nothing re-analyses).
 #[derive(Clone, Debug)]
 pub struct Shape {
     /// `""` for the identity shape, else e.g. `"dist(K@1)"` / `"jam(I+I2)"`.

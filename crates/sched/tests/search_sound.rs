@@ -259,8 +259,7 @@ const SMALL_ZOO: &[SmallTarget] = &[
 ];
 
 /// Every variant the search returns — every shape, the three reversed
-/// ones, alignment on — is observationally equivalent to the source
-/// program.
+/// ones — is observationally equivalent to the source program.
 #[test]
 fn search_never_returns_illegal() {
     for &(ctor, params) in SMALL_ZOO {
@@ -288,9 +287,6 @@ fn search_never_returns_illegal() {
 /// label, the chosen pseudocode, the order over the front class, and the
 /// leading key at every rank (the ranked value, read before guard
 /// simplification, is the finished value).
-///
-/// No zoo program adopts an alignment; where one did, `variants[0]` would
-/// be the aligned variant, whose strictly improved cost still sorts first.
 #[test]
 fn lazy_ranking_matches_the_finish_everything_oracle() {
     let mut finished_everything = 0;

@@ -32,12 +32,13 @@
 //! # Trip kernels
 //!
 //! Binding also lowers every innermost loop with a straight-line body to a
-//! [`TripKernel`]: the body's ops over *slots*, each slot one access whose
-//! flat offset advances by a fixed delta per trip. The loop's header then
-//! runs all its trips itself (see [`mod@crate::run`]); every other loop stays on
-//! the dispatcher. A body with one `Store` is also kept split around each
-//! load that may be of the cell one trip hands to the next
-//! ([`CarriedKernel`]).
+//! [`TripKernel`]: the loop's own body range over *slots*, each slot one
+//! access whose flat offset advances by a fixed delta per trip. The body
+//! ops are two-address as [`crate::compile()`] emits them, so there is one
+//! instruction set: the header runs the body as it stands over a column of
+//! trips (see [`mod@crate::run`]); every other loop stays on the
+//! dispatcher. A body with one `Store` is also kept split around each load
+//! that may be of the cell one trip hands to the next ([`CarriedKernel`]).
 
 use inl_ir::{LoopId, Program, StmtId};
 use inl_linalg::Int;
@@ -104,7 +105,10 @@ pub enum GuardKind {
 }
 
 /// One VM instruction. The stream is flat; control flow is explicit
-/// through the `exit`/`back`/`skip` addresses.
+/// through the `exit`/`back`/`skip` addresses. The ten body operations
+/// (`Const` … `Store`) are two-address — an operator overwrites its left
+/// operand — so a trip executor can apply each to a whole column of trips
+/// in place.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Instr {
     /// Loop header: evaluate the lower bound (max of ceilings over `lo`)
@@ -165,55 +169,43 @@ pub enum Instr {
         /// Index into the bound access table.
         acc: u32,
     },
-    /// Negation.
+    /// `dst = -dst`.
     Neg {
-        /// Destination (also source) value register.
+        /// Operand and destination value register.
         dst: Reg,
-        /// Source value register.
-        src: Reg,
     },
-    /// Square root.
+    /// `dst = sqrt(dst)`.
     Sqrt {
-        /// Destination (also source) value register.
+        /// Operand and destination value register.
         dst: Reg,
-        /// Source value register.
-        src: Reg,
     },
-    /// Addition.
+    /// `dst = dst + rhs`.
     Add {
-        /// Destination value register.
+        /// Left operand and destination.
         dst: Reg,
-        /// Left operand.
-        a: Reg,
         /// Right operand.
-        b: Reg,
+        rhs: Reg,
     },
-    /// Subtraction.
+    /// `dst = dst - rhs`.
     Sub {
-        /// Destination value register.
+        /// Left operand and destination.
         dst: Reg,
-        /// Left operand.
-        a: Reg,
         /// Right operand.
-        b: Reg,
+        rhs: Reg,
     },
-    /// Multiplication.
+    /// `dst = dst * rhs`.
     Mul {
-        /// Destination value register.
+        /// Left operand and destination.
         dst: Reg,
-        /// Left operand.
-        a: Reg,
         /// Right operand.
-        b: Reg,
+        rhs: Reg,
     },
-    /// Division.
+    /// `dst = dst / rhs`.
     Div {
-        /// Destination value register.
+        /// Left operand and destination.
         dst: Reg,
-        /// Left operand.
-        a: Reg,
         /// Right operand.
-        b: Reg,
+        rhs: Reg,
     },
     /// Array write; ends a statement instance (this is where
     /// `vm.instances` counts).
@@ -426,109 +418,28 @@ pub const KERNEL_REGS: usize = 8;
 /// Distinct accesses a [`TripKernel`] body may make.
 pub const KERNEL_SLOTS: usize = 8;
 
-/// One op of a [`TripKernel`]: a body instruction with its access replaced
-/// by a slot index, in the two-address form [`crate::compile()`] emits
-/// (`dst = dst ∘ rhs`), so a whole column of trips updates in place.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum KernelOp {
-    /// `dst = val`.
-    Const { dst: u8, val: f64 },
-    /// `dst = row as f64` for a divisor-1 row; `delta` is the row's change
-    /// per trip.
-    Idx { dst: u8, row: RowId, delta: i64 },
-    /// `dst = buffer[slot]`.
-    Load { dst: u8, slot: u8 },
-    /// `dst = -dst`.
-    Neg { dst: u8 },
-    /// `dst = sqrt(dst)`.
-    Sqrt { dst: u8 },
-    /// `dst = dst + rhs`.
-    Add { dst: u8, rhs: u8 },
-    /// `dst = dst - rhs`.
-    Sub { dst: u8, rhs: u8 },
-    /// `dst = dst * rhs`.
-    Mul { dst: u8, rhs: u8 },
-    /// `dst = dst / rhs`.
-    Div { dst: u8, rhs: u8 },
-    /// `buffer[slot] = src`; ends a statement instance.
-    Store { src: u8, slot: u8 },
-}
+/// The register that stands for the value handed from trip to trip in a
+/// [`CarriedKernel`]'s chain: one past the kernel file.
+pub const CARRY: Reg = KERNEL_REGS as Reg;
 
-impl KernelOp {
-    /// The op with its destination register replaced (a `Store` has none).
-    fn with_dst(mut self, to: u8) -> KernelOp {
-        match &mut self {
-            KernelOp::Const { dst, .. }
-            | KernelOp::Idx { dst, .. }
-            | KernelOp::Load { dst, .. }
-            | KernelOp::Neg { dst }
-            | KernelOp::Sqrt { dst }
-            | KernelOp::Add { dst, .. }
-            | KernelOp::Sub { dst, .. }
-            | KernelOp::Mul { dst, .. }
-            | KernelOp::Div { dst, .. } => *dst = to,
-            KernelOp::Store { .. } => {}
-        }
-        self
-    }
-
-    /// A binary operator `dst ∘= rhs` as `(∘, dst, rhs)`.
-    fn binary(self) -> Option<(Arith, u8, u8)> {
+impl Instr {
+    /// The value registers a body operation names, a binary operator's
+    /// left operand first (control flow names none).
+    fn regs_mut(&mut self) -> [Option<&mut Reg>; 2] {
         match self {
-            KernelOp::Add { dst, rhs } => Some((Arith::Add, dst, rhs)),
-            KernelOp::Sub { dst, rhs } => Some((Arith::Sub, dst, rhs)),
-            KernelOp::Mul { dst, rhs } => Some((Arith::Mul, dst, rhs)),
-            KernelOp::Div { dst, rhs } => Some((Arith::Div, dst, rhs)),
-            _ => None,
+            Instr::Const { dst, .. }
+            | Instr::Idx { dst, .. }
+            | Instr::Load { dst, .. }
+            | Instr::Neg { dst }
+            | Instr::Sqrt { dst }
+            | Instr::Store { src: dst, .. } => [Some(dst), None],
+            Instr::Add { dst, rhs }
+            | Instr::Sub { dst, rhs }
+            | Instr::Mul { dst, rhs }
+            | Instr::Div { dst, rhs } => [Some(dst), Some(rhs)],
+            Instr::Loop { .. } | Instr::Next { .. } | Instr::Guard { .. } => [None, None],
         }
     }
-}
-
-/// A binary operator of a kernel body.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Arith {
-    Add,
-    Sub,
-    Mul,
-    Div,
-}
-
-impl Arith {
-    /// `dst ∘= rhs` as a [`KernelOp`].
-    fn op(self, dst: u8, rhs: u8) -> KernelOp {
-        match self {
-            Arith::Add => KernelOp::Add { dst, rhs },
-            Arith::Sub => KernelOp::Sub { dst, rhs },
-            Arith::Mul => KernelOp::Mul { dst, rhs },
-            Arith::Div => KernelOp::Div { dst, rhs },
-        }
-    }
-
-    /// `a ∘ b`.
-    #[inline(always)]
-    pub fn apply(self, a: f64, b: f64) -> f64 {
-        match self {
-            Arith::Add => a + b,
-            Arith::Sub => a - b,
-            Arith::Mul => a * b,
-            Arith::Div => a / b,
-        }
-    }
-}
-
-/// One step of a [`CarriedKernel`]'s chain: what a body op does to the value
-/// handed from trip to trip, its other operand a finished register column.
-/// The operand order is the body's own.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChainOp {
-    /// `carry = -carry`.
-    Neg,
-    /// `carry = sqrt(carry)`.
-    Sqrt,
-    /// `carry = carry ∘ col[t]`.
-    CarryCol { op: Arith, col: u8 },
-    /// `carry = col[t] ∘ carry`.
-    ColCarry { op: Arith, col: u8 },
 }
 
 /// A kernel body split around one load — the *carried* load, of the cell
@@ -545,88 +456,77 @@ pub struct CarriedKernel {
     /// The ops no value of the carried load reaches, in body order, each
     /// value they define in a register column of its own: the chain finds
     /// every operand where its op left it.
-    pub ops: Vec<KernelOp>,
-    /// The ops from the carried load to the `Store`, in body order.
-    pub chain: Vec<ChainOp>,
+    pub ops: Vec<Instr>,
+    /// The operators from the carried load to the `Store`, in body order and
+    /// with the body's operand order: each names [`CARRY`] — the value so
+    /// far, and where its result goes, whichever side it is on — and, when
+    /// binary, a finished column.
+    pub chain: Vec<Instr>,
     /// The column that receives each trip's stored value.
-    pub out: u8,
+    pub out: Reg,
 }
 
 impl CarriedKernel {
-    /// Split `ops` around the load of slot `carried`; `None` unless the body
-    /// loads it once, ends in its only `Store`, stores the value the chain
-    /// ends in, reads no register again after an operator took it as its
-    /// right operand (where [`crate::compile()`] frees it), and defines no
-    /// more values outside the chain than there are columns.
-    fn split(ops: &[KernelOp], carried: u8) -> Option<CarriedKernel> {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Holds {
-            Nothing,
-            Column(u8),
-            Carry,
-        }
-        let mut holds = [Holds::Nothing; KERNEL_REGS];
-        let (mut loaded, mut store) = (false, None);
-        let (mut ops_out, mut chain) = (Vec::new(), Vec::new());
-        let mut columns = 0..KERNEL_REGS as u8;
-        for &op in ops {
-            if store.is_some() {
-                return None;
-            }
+    /// Split `body`, which has one `Store` and so ends in it, around the
+    /// load of slot `carried` (`slot_of` as in [`TripKernel::slot_of`]);
+    /// `None` unless the body loads it once, stores the value the chain ends
+    /// in, and defines no more values outside the chain than there are
+    /// columns. Relies on the register discipline of [`crate::compile()`]: a
+    /// register is written before it is read, and neither overwritten while
+    /// its value is due nor read again after an operator took it as its
+    /// right operand.
+    fn split(slot_of: &[u8], body: &[Instr], carried: u8) -> Option<CarriedKernel> {
+        // where the value of each body register is: a column, or `CARRY`
+        let mut names = [0; KERNEL_REGS];
+        let (mut ops, mut chain, mut out) = (Vec::new(), Vec::new(), 0);
+        let (mut loaded, mut columns) = (false, 0..KERNEL_REGS as Reg);
+        for &(mut op) in body {
             match op {
-                KernelOp::Load { dst, slot } if slot == carried => {
+                Instr::Load { dst, acc } if slot_of[acc as usize] == carried => {
                     if std::mem::replace(&mut loaded, true) {
                         return None;
                     }
-                    holds[dst as usize] = Holds::Carry;
+                    names[dst as usize] = CARRY;
+                    continue;
                 }
-                KernelOp::Const { dst, .. }
-                | KernelOp::Idx { dst, .. }
-                | KernelOp::Load { dst, .. } => {
-                    let col = columns
-                        .next()
-                        .filter(|_| holds[dst as usize] != Holds::Carry)?;
-                    holds[dst as usize] = Holds::Column(col);
-                    ops_out.push(op.with_dst(col));
+                Instr::Store { src, acc } => {
+                    let of_chain = names[src as usize] == CARRY;
+                    return of_chain.then_some(CarriedKernel {
+                        slot: carried,
+                        store: slot_of[acc as usize],
+                        ops,
+                        chain,
+                        out,
+                    });
                 }
-                KernelOp::Neg { dst } | KernelOp::Sqrt { dst } => match holds[dst as usize] {
-                    Holds::Carry if matches!(op, KernelOp::Neg { .. }) => chain.push(ChainOp::Neg),
-                    Holds::Carry => chain.push(ChainOp::Sqrt),
-                    Holds::Column(col) => ops_out.push(op.with_dst(col)),
-                    Holds::Nothing => return None,
-                },
-                KernelOp::Store { src, slot } if holds[src as usize] == Holds::Carry => {
-                    store = Some(slot)
+                Instr::Const { dst, .. } | Instr::Idx { dst, .. } | Instr::Load { dst, .. } => {
+                    names[dst as usize] = columns.next()?
                 }
-                _ => {
-                    let (arith, dst, rhs) = op.binary()?;
-                    match (holds[dst as usize], holds[rhs as usize]) {
-                        (Holds::Column(d), Holds::Column(r)) => ops_out.push(arith.op(d, r)),
-                        (Holds::Carry, Holds::Column(col)) => {
-                            chain.push(ChainOp::CarryCol { op: arith, col })
-                        }
-                        (Holds::Column(col), Holds::Carry) => {
-                            chain.push(ChainOp::ColCarry { op: arith, col });
-                            holds[dst as usize] = Holds::Carry;
-                        }
-                        _ => return None,
-                    }
-                    holds[rhs as usize] = Holds::Nothing;
+                _ => {}
+            }
+            // The op over where its operands are (the first it names is its
+            // destination); it belongs to the chain when one of them is the
+            // carry, which its result then is.
+            let (mut dst, mut in_chain, mut column) = (None, false, out);
+            for r in op.regs_mut().into_iter().flatten() {
+                dst = dst.or(Some(*r as usize));
+                *r = names[*r as usize];
+                match *r {
+                    CARRY => in_chain = true,
+                    col => column = col,
                 }
             }
+            if in_chain {
+                names[dst?] = CARRY;
+                // A column the chain reads is free from the trip that read
+                // it on.
+                out = column;
+                chain.push(op);
+            } else {
+                ops.push(op);
+            }
         }
-        // A column the chain reads is free from the trip that read it on.
-        let out = chain.iter().rev().find_map(|c| match *c {
-            ChainOp::CarryCol { col, .. } | ChainOp::ColCarry { col, .. } => Some(col),
-            _ => None,
-        });
-        Some(CarriedKernel {
-            slot: carried,
-            store: store.filter(|_| loaded)?,
-            ops: ops_out,
-            chain,
-            out: out.unwrap_or(0),
-        })
+        None
     }
 }
 
@@ -644,18 +544,21 @@ pub struct Slot {
     pub stored: bool,
 }
 
-/// An innermost loop lowered for the trip executors: straight-line ops over
-/// at most [`KERNEL_REGS`] value registers and [`KERNEL_SLOTS`] slots.
+/// An innermost loop lowered for the trip executors: its own straight-line
+/// body over at most [`KERNEL_REGS`] value registers, and the table that
+/// turns the body's accesses into at most [`KERNEL_SLOTS`] slots.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TripKernel {
-    /// The loop's register.
-    pub var: IReg,
-    /// The loop's step (≥ 1).
-    pub step: i64,
-    /// The body, in instruction order (one op per body instruction).
-    pub ops: Vec<KernelOp>,
+    /// The loop's body `[start, end)` in [`CompiledProgram::code`]: the ops
+    /// the executors run, as they stand.
+    pub body: (Pc, Pc),
     /// The body's distinct accesses.
     pub slots: Vec<Slot>,
+    /// The slot of each access of the body, parallel to
+    /// [`BoundProgram::accs`] (0 for the accesses of other loops).
+    pub slot_of: Vec<u8>,
+    /// The change per trip of each `Idx` row of the body.
+    pub idx_deltas: Vec<(RowId, i64)>,
     /// `Store` ops per trip (what one trip adds to `vm.instances`).
     pub stores: u32,
     /// The body split around each load that may turn out, at a loop entry,
@@ -665,27 +568,11 @@ pub struct TripKernel {
     pub carried: Vec<CarriedKernel>,
 }
 
-/// Which of the kernel's value registers the body has written so far.
-#[derive(Default)]
-struct WrittenRegs([bool; KERNEL_REGS]);
-
-impl WrittenRegs {
-    /// `r` as a kernel register about to be written; `None` past the file.
-    fn write(&mut self, r: Reg) -> Option<u8> {
-        *self.0.get_mut(r as usize)? = true;
-        Some(r as u8)
-    }
-
-    /// `r` as a kernel register about to be read; `None` unless written.
-    fn read(&self, r: Reg) -> Option<u8> {
-        self.0.get(r as usize)?.then_some(r as u8)
-    }
-
-    /// The operands of `dst = a ∘ b` as the in-place `dst ∘= rhs`; `None`
-    /// unless `dst` is `a` and `b` another register.
-    fn in_place(&self, dst: Reg, a: Reg, b: Reg) -> Option<(u8, u8)> {
-        (dst == a && a != b).then_some(())?;
-        Some((self.read(dst)?, self.read(b)?))
+impl TripKernel {
+    /// The change per trip of `row`, the row of an `Idx` op of the body.
+    pub fn idx_delta(&self, row: RowId) -> i64 {
+        let of_row = self.idx_deltas.iter().find(|d| d.0 == row);
+        of_row.expect("an Idx row of the kernel's body").1
     }
 }
 
@@ -702,8 +589,8 @@ pub struct BoundProgram<'c> {
     /// Lowered accesses, parallel to `cp.accesses`.
     pub accs: Vec<FlatAcc>,
     /// Trip kernels, parallel to `cp.loops`: `Some` for every innermost
-    /// loop whose body qualifies. Which executor runs a loop is fixed here,
-    /// by its body alone.
+    /// loop whose body qualifies — fixed here, by the body alone; which
+    /// executor runs a loop entry is decided from that entry's addresses.
     pub kernels: Vec<Option<TripKernel>>,
     /// Total flat buffer length (`Σ arrays[i].len`).
     pub total_len: usize,
@@ -723,8 +610,9 @@ impl CompiledProgram {
     /// ```
     ///
     /// # Panics
-    /// On parameter arity mismatch, non-positive extents, or values that
-    /// do not fit the VM's `i64` registers.
+    /// On parameter arity mismatch, non-positive extents, values that do
+    /// not fit the VM's `i64` registers, or a cell count that overflows
+    /// `usize`.
     pub fn bind(&self, params: &[Int]) -> BoundProgram<'_> {
         assert_eq!(params.len(), self.nparams, "parameter arity mismatch");
         let params: Vec<i64> = params
@@ -749,14 +637,20 @@ impl CompiledProgram {
                     ext as usize
                 })
                 .collect();
-            let len = dims.iter().product();
+            let end = dims
+                .iter()
+                .try_fold(1usize, |n, &ext| n.checked_mul(ext))
+                .and_then(|len| Some((len, base.checked_add(len)?)));
+            let Some((len, end)) = end else {
+                panic!("array {}: extents {dims:?} overflow usize", a.name)
+            };
             arrays.push(ArrayLayout {
                 name: a.name.clone(),
                 dims,
                 base,
                 len,
             });
-            base += len;
+            base = end;
         }
         let accs: Vec<FlatAcc> = self
             .accesses
@@ -828,102 +722,72 @@ impl CompiledProgram {
     /// Lower a loop's body to a [`TripKernel`], or `None` when it has to
     /// stay on the dispatcher: an inner loop or a `Guard` in the body (a
     /// skipped access must not be range-checked), a [`FlatAcc::Dims`]
-    /// access or a divisor `Idx` row (neither is affine in the trip), more
-    /// registers or accesses than the executors' fixed files hold, or an
-    /// instruction outside the shapes [`crate::compile()`] emits — an
-    /// operator that does not overwrite its left operand, or a register
-    /// read before the body wrote it (the executors keep a register file
-    /// of their own, so a body may only read what it wrote).
+    /// access or a divisor `Idx` row (neither is affine in the trip), a
+    /// per-trip delta that overflows, or more registers or accesses than
+    /// the executors' fixed files hold. What [`crate::compile()`] makes
+    /// true of every body is not checked again: an operator's operands are
+    /// distinct registers, and a register is written before it is read.
     fn lower_kernel(&self, meta: &LoopMeta, accs: &[FlatAcc]) -> Option<TripKernel> {
         let per_trip = |terms: &[(IReg, i64)]| {
             let c = terms.iter().find(|t| t.0 == meta.var).map_or(0, |t| t.1);
             c.checked_mul(meta.step)
         };
-        let mut k = TripKernel {
-            var: meta.var,
-            step: meta.step,
-            ops: Vec::new(),
-            slots: Vec::new(),
-            stores: 0,
-            carried: Vec::new(),
-        };
-        let mut regs = WrittenRegs::default();
-        for instr in &self.code[meta.body.0 as usize..meta.body.1 as usize] {
-            let mut slot = |acc: u32, stored: bool| {
-                let FlatAcc::Flat { terms, .. } = &accs[acc as usize] else {
-                    return None;
-                };
-                let desc = &self.accesses[acc as usize];
-                let known = |s: &Slot| self.accesses[s.acc as usize] == *desc;
-                let i = match k.slots.iter().position(known) {
-                    Some(i) => i,
-                    None if k.slots.len() == KERNEL_SLOTS => return None,
-                    None => {
-                        k.slots.push(Slot {
-                            acc,
-                            array: desc.array,
-                            delta: per_trip(terms)?,
-                            stored: false,
-                        });
-                        k.slots.len() - 1
-                    }
-                };
-                k.slots[i].stored |= stored;
-                Some(i as u8)
+        let mut slots: Vec<Slot> = Vec::new();
+        let mut slot = |acc: u32, stored: bool| {
+            let FlatAcc::Flat { terms, .. } = &accs[acc as usize] else {
+                return None;
             };
-            k.ops.push(match *instr {
-                Instr::Const { dst, bits } => KernelOp::Const {
-                    dst: regs.write(dst)?,
-                    val: f64::from_bits(bits),
-                },
-                Instr::Idx { dst, row } => {
+            let desc = &self.accesses[acc as usize];
+            let known = |s: &Slot| self.accesses[s.acc as usize] == *desc;
+            let i = match slots.iter().position(known) {
+                Some(i) => i,
+                None if slots.len() == KERNEL_SLOTS => return None,
+                None => {
+                    slots.push(Slot {
+                        acc,
+                        array: desc.array,
+                        delta: per_trip(terms)?,
+                        stored: false,
+                    });
+                    slots.len() - 1
+                }
+            };
+            slots[i].stored |= stored;
+            Some(i as u8)
+        };
+        let body = &self.code[meta.body.0 as usize..meta.body.1 as usize];
+        let mut slot_of = vec![0u8; accs.len()];
+        let (mut idx_deltas, mut stores) = (Vec::new(), 0);
+        for &(mut instr) in body {
+            let past_file = |r: &mut Reg| *r as usize >= KERNEL_REGS;
+            if instr.regs_mut().into_iter().flatten().any(past_file) {
+                return None;
+            }
+            match instr {
+                Instr::Loop { .. } | Instr::Next { .. } | Instr::Guard { .. } => return None,
+                Instr::Idx { row, .. } => {
                     let r = &self.rows[row as usize];
                     if r.div != 1 {
                         return None;
                     }
-                    KernelOp::Idx {
-                        dst: regs.write(dst)?,
-                        row,
-                        delta: per_trip(&r.terms)?,
-                    }
+                    idx_deltas.push((row, per_trip(&r.terms)?));
                 }
-                Instr::Load { dst, acc } => KernelOp::Load {
-                    dst: regs.write(dst)?,
-                    slot: slot(acc, false)?,
-                },
-                Instr::Neg { dst, src } if dst == src => KernelOp::Neg {
-                    dst: regs.read(dst)?,
-                },
-                Instr::Sqrt { dst, src } if dst == src => KernelOp::Sqrt {
-                    dst: regs.read(dst)?,
-                },
-                Instr::Add { dst, a, b } => {
-                    let (dst, rhs) = regs.in_place(dst, a, b)?;
-                    KernelOp::Add { dst, rhs }
+                Instr::Load { acc, .. } => slot_of[acc as usize] = slot(acc, false)?,
+                Instr::Store { acc, .. } => {
+                    stores += 1;
+                    slot_of[acc as usize] = slot(acc, true)?;
                 }
-                Instr::Sub { dst, a, b } => {
-                    let (dst, rhs) = regs.in_place(dst, a, b)?;
-                    KernelOp::Sub { dst, rhs }
-                }
-                Instr::Mul { dst, a, b } => {
-                    let (dst, rhs) = regs.in_place(dst, a, b)?;
-                    KernelOp::Mul { dst, rhs }
-                }
-                Instr::Div { dst, a, b } => {
-                    let (dst, rhs) = regs.in_place(dst, a, b)?;
-                    KernelOp::Div { dst, rhs }
-                }
-                Instr::Store { src, acc } => {
-                    k.stores += 1;
-                    KernelOp::Store {
-                        src: regs.read(src)?,
-                        slot: slot(acc, true)?,
-                    }
-                }
-                // an inner loop, a guard, a unary operator out of place
-                _ => return None,
-            });
+                _ => {}
+            }
         }
+        let mut k = TripKernel {
+            body: meta.body,
+            slots,
+            slot_of,
+            idx_deltas,
+            stores,
+            carried: Vec::new(),
+        };
         if let (1, Some(w)) = (k.stores, k.slots.iter().find(|s| s.stored)) {
             let hands_on = |s: &Slot| match w.delta {
                 0 => s == w,
@@ -931,7 +795,7 @@ impl CompiledProgram {
             };
             k.carried = (0..k.slots.len())
                 .filter(|&i| hands_on(&k.slots[i]))
-                .filter_map(|i| CarriedKernel::split(&k.ops, i as u8))
+                .filter_map(|i| CarriedKernel::split(&k.slot_of, body, i as u8))
                 .collect();
         }
         Some(k)
@@ -1051,12 +915,12 @@ impl CompiledProgram {
                 Instr::Const { dst, bits } => format!("r{dst} = {}", f64::from_bits(bits)),
                 Instr::Idx { dst, row } => format!("r{dst} = idx({})", row_str(row)),
                 Instr::Load { dst, acc } => format!("r{dst} = load {}", acc_str(acc)),
-                Instr::Neg { dst, src } => format!("r{dst} = -r{src}"),
-                Instr::Sqrt { dst, src } => format!("r{dst} = sqrt(r{src})"),
-                Instr::Add { dst, a, b } => format!("r{dst} = r{a} + r{b}"),
-                Instr::Sub { dst, a, b } => format!("r{dst} = r{a} - r{b}"),
-                Instr::Mul { dst, a, b } => format!("r{dst} = r{a} * r{b}"),
-                Instr::Div { dst, a, b } => format!("r{dst} = r{a} / r{b}"),
+                Instr::Neg { dst } => format!("r{dst} = -r{dst}"),
+                Instr::Sqrt { dst } => format!("r{dst} = sqrt(r{dst})"),
+                Instr::Add { dst, rhs } => format!("r{dst} = r{dst} + r{rhs}"),
+                Instr::Sub { dst, rhs } => format!("r{dst} = r{dst} - r{rhs}"),
+                Instr::Mul { dst, rhs } => format!("r{dst} = r{dst} * r{rhs}"),
+                Instr::Div { dst, rhs } => format!("r{dst} = r{dst} / r{rhs}"),
                 Instr::Store { src, acc } => format!("store r{src} -> {}", acc_str(acc)),
             };
             out.push_str(&format!("{pc:4}: {line}\n"));

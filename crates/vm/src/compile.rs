@@ -6,7 +6,7 @@
 //! * affine expressions become [`Row`]s over the integer register file;
 //! * loop bounds become row ranges evaluated by a single [`Instr::Loop`]
 //!   header;
-//! * expressions become three-address code over `f64` value registers,
+//! * expressions become two-address code over `f64` value registers,
 //!   allocated stack-wise (an operator overwrites its left operand's
 //!   register and frees its right's, so the file stays as deep as the
 //!   expression tree);
@@ -251,7 +251,7 @@ impl Compiler<'_> {
         Reg::try_from(r).expect("value register file overflow")
     }
 
-    /// Emit three-address code for an expression; returns the register
+    /// Emit two-address code for an expression; returns the register
     /// holding the result. Binary operators write into the left operand's
     /// register and free the right's.
     fn emit_expr(&mut self, e: &Expr) -> Reg {
@@ -277,27 +277,27 @@ impl Compiler<'_> {
                 dst
             }
             Expr::Neg(x) => {
-                let r = self.emit_expr(x);
-                self.code.push(Instr::Neg { dst: r, src: r });
-                r
+                let dst = self.emit_expr(x);
+                self.code.push(Instr::Neg { dst });
+                dst
             }
             Expr::Sqrt(x) => {
-                let r = self.emit_expr(x);
-                self.code.push(Instr::Sqrt { dst: r, src: r });
-                r
+                let dst = self.emit_expr(x);
+                self.code.push(Instr::Sqrt { dst });
+                dst
             }
-            Expr::Add(a, b) => self.emit_binop(a, b, |dst, a, b| Instr::Add { dst, a, b }),
-            Expr::Sub(a, b) => self.emit_binop(a, b, |dst, a, b| Instr::Sub { dst, a, b }),
-            Expr::Mul(a, b) => self.emit_binop(a, b, |dst, a, b| Instr::Mul { dst, a, b }),
-            Expr::Div(a, b) => self.emit_binop(a, b, |dst, a, b| Instr::Div { dst, a, b }),
+            Expr::Add(a, b) => self.emit_binop(a, b, |dst, rhs| Instr::Add { dst, rhs }),
+            Expr::Sub(a, b) => self.emit_binop(a, b, |dst, rhs| Instr::Sub { dst, rhs }),
+            Expr::Mul(a, b) => self.emit_binop(a, b, |dst, rhs| Instr::Mul { dst, rhs }),
+            Expr::Div(a, b) => self.emit_binop(a, b, |dst, rhs| Instr::Div { dst, rhs }),
         }
     }
 
-    fn emit_binop(&mut self, a: &Expr, b: &Expr, mk: fn(Reg, Reg, Reg) -> Instr) -> Reg {
-        let ra = self.emit_expr(a);
-        let rb = self.emit_expr(b);
-        self.code.push(mk(ra, ra, rb));
-        self.next_reg -= 1; // free rb
-        ra
+    fn emit_binop(&mut self, a: &Expr, b: &Expr, mk: fn(Reg, Reg) -> Instr) -> Reg {
+        let dst = self.emit_expr(a);
+        let rhs = self.emit_expr(b);
+        self.code.push(mk(dst, rhs));
+        self.next_reg -= 1; // free rhs
+        dst
     }
 }

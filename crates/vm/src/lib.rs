@@ -15,16 +15,17 @@
 //! * multi-dimensional array accesses → a precomputed **flat-offset row**
 //!   (base + strides folded into the coefficients) into a single flat
 //!   `f64` buffer;
-//! * expressions → stack-free **three-address code** over `f64` value
-//!   registers;
+//! * expressions → stack-free **two-address code** over `f64` value
+//!   registers (an operator overwrites its left operand);
 //! * loops → `Loop`/`Next` header/latch instructions with explicit jump
 //!   targets;
 //! * innermost loops with a straight-line body → **trip kernels**
 //!   ([`bytecode::TripKernel`]): the header runs all the loop's trips
-//!   itself, each access's flat offset stepped by a fixed delta instead of
-//!   re-derived, and a whole column of trips per dispatch when no trip
-//!   touches a cell another trip stores — or only the one cell each trip
-//!   hands to the next, which then rides in a register.
+//!   itself over the same body ops, each access's flat offset stepped by a
+//!   fixed delta instead of re-derived, a whole column of trips per
+//!   dispatch, when no trip touches a cell another trip stores — or only
+//!   the one cell each trip hands to the next, which then rides in a
+//!   register.
 //!
 //! The per-instance hot path is integer multiply-adds and indexed loads —
 //! zero allocation, zero hashing — and, inside a kernel, not even a
@@ -69,23 +70,24 @@
 //! innermost loop whose body is straight-line — no guard, flat accesses and
 //! divisor-1 index rows only, at most [`bytecode::KERNEL_REGS`] value
 //! registers and [`bytecode::KERNEL_SLOTS`] distinct accesses — to a
-//! [`bytecode::TripKernel`], and the loop's header runs it ([`mod@run`]):
-//! it proves the first and the last trip's offsets inside their array
-//! segments (affine in between), then runs the trips in *columns* of up to
+//! [`bytecode::TripKernel`]: the loop's own body range and a slot table,
+//! no second encoding of the ops. The loop's header ([`mod@run`]) proves
+//! the first and the last trip's offsets inside their array segments
+//! (affine in between), then runs the trips in *columns* of up to
 //! [`run::COLUMN`] when the address spans show that no trip touches a cell
-//! another trip stores ([`run::trips_are_independent`]); *carried* when the
-//! only such cell is one that each trip hands to the next — a reduction's
-//! accumulator, a distance-1 recurrence ([`run::carried_slot`], and
-//! [`bytecode::CarriedKernel`] for the half the body fixes): columns for
-//! the ops that never see it, then one pass over them with the cell in a
-//! register; and one by one in order otherwise. Counters and profile are credited the dispatcher's
-//! closed form, so they do not depend on the executor; every other loop,
-//! and every statement outside an innermost loop, stays on the dispatcher.
-//! There is nothing to configure: a loop's executor is fixed by its body,
-//! and the interpreter is the oracle for all of them
+//! another trip stores ([`run::trips_are_independent`]), or *carried* when
+//! the only such cell is one that each trip hands to the next — a
+//! reduction's accumulator, a distance-1 recurrence ([`run::carried_slot`],
+//! and [`bytecode::CarriedKernel`] for the half the body fixes): columns
+//! for the ops that never see it, then one pass over them with the cell in
+//! a register. An entry that allows neither is handed back to the
+//! dispatcher. Counters and profile are credited the dispatcher's closed
+//! form, so they do not depend on the executor; every other loop, and every
+//! statement outside an innermost loop, stays on the dispatcher. There is
+//! nothing to configure, and the interpreter is the oracle for all of it
 //! (`tests/trip_kernels.rs`). The kernel — slots with base and stride,
-//! straight-line ops — is also the lowered form a native-code printer would
-//! print.
+//! straight-line two-address ops — is also the lowered form a native-code
+//! printer would print.
 //!
 //! ## Parallel execution
 //!
@@ -100,9 +102,9 @@
 //!
 //! Compilation runs under an `inl-obs` `vm.compile` span; execution
 //! batches the `vm.instrs` / `vm.instances` counters, and the trips each
-//! kernel executor ran (`vm.trips.columns` / `vm.trips.carried` /
-//! `vm.trips.scalar`), locally and
-//! flushes once per [`exec_range`] call. The optional [`profile`] mode
+//! kernel executor ran (`vm.trips.columns` / `vm.trips.carried`; a kernel
+//! header's trips handed back to the dispatcher count under
+//! `vm.trips.dispatch`), locally and flushes once per [`exec_range`] call. The optional [`profile`] mode
 //! ([`profile::set_enabled`]) additionally counts executions per instruction
 //! address with the same per-`exec_range` batching, from which hot
 //! opcode/statement/loop tables are derived — the loop table says which
@@ -252,6 +254,15 @@ mod tests {
         assert!(d.contains("loop J"));
         assert!(d.contains("store"));
         assert!(d.contains("sqrt"));
+    }
+
+    #[test]
+    #[should_panic(expected = "array X: extents [4294967296, 4294967296] overflow usize")]
+    fn bind_names_the_array_whose_cell_count_overflows() {
+        let mut b = ProgramBuilder::new("huge");
+        let n = b.param("N");
+        b.array("X", &[Aff::param(n), Aff::param(n)]);
+        compile(&b.finish()).bind(&[1 << 32]);
     }
 
     #[test]

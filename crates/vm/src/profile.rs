@@ -51,7 +51,7 @@ pub struct Samples {
     pub pcs: Vec<u64>,
     /// At a kernel loop's header: trips each trip executor ran, indexed by
     /// [`Executor`].
-    pub trips: Vec<[u64; 3]>,
+    pub trips: Vec<[u64; 2]>,
 }
 
 impl Samples {
@@ -59,7 +59,7 @@ impl Samples {
     pub fn zeroed(ninstrs: usize) -> Self {
         Samples {
             pcs: vec![0; ninstrs],
-            trips: vec![[0; 3]; ninstrs],
+            trips: vec![[0; 2]; ninstrs],
         }
     }
 }
@@ -89,7 +89,7 @@ pub fn flush(id: u64, counts: &Samples) {
     let acc = map.entry(id).or_default();
     if acc.pcs.len() < counts.pcs.len() {
         acc.pcs.resize(counts.pcs.len(), 0);
-        acc.trips.resize(counts.trips.len(), [0; 3]);
+        acc.trips.resize(counts.trips.len(), [0; 2]);
     }
     for (a, &c) in acc.pcs.iter_mut().zip(&counts.pcs) {
         *a += c;
@@ -222,21 +222,27 @@ pub struct LoopProfile {
     pub trips_columns: u64,
     /// Iterations the carried executor ran.
     pub trips_carried: u64,
-    /// Iterations the scalar trip executor ran.
-    pub trips_scalar: u64,
 }
 
 impl LoopProfile {
-    /// Which executor ran the loop's iterations: `dispatch` (the
-    /// dispatcher, one instruction at a time), `columns`, `carried`,
-    /// `scalar`, or `mixed` when entries of a kernel loop went different
+    /// Iterations the dispatcher ran, one instruction at a time: all of
+    /// them unless the loop is a kernel.
+    pub fn trips_dispatch(&self) -> u64 {
+        self.iterations - self.trips_columns - self.trips_carried
+    }
+
+    /// Which executor ran the loop's iterations: `dispatch`, `columns`,
+    /// `carried`, or `mixed` when entries of a kernel loop went different
     /// ways.
     pub fn mode(&self) -> &'static str {
-        let lanes = [self.trips_columns, self.trips_carried, self.trips_scalar];
-        let mut ran = Executor::ALL.iter().zip(lanes).filter(|(_, n)| *n > 0);
-        match (ran.next(), ran.next()) {
-            (None, _) => "dispatch",
-            (Some((e, _)), None) => e.name(),
+        match (
+            self.trips_columns,
+            self.trips_carried,
+            self.trips_dispatch(),
+        ) {
+            (0, 0, _) => "dispatch",
+            (_, 0, 0) => "columns",
+            (0, _, 0) => "carried",
             _ => "mixed",
         }
     }
@@ -274,7 +280,6 @@ pub fn loop_profiles(
             body_instrs,
             trips_columns: trips[Executor::Columns as usize],
             trips_carried: trips[Executor::Carried as usize],
-            trips_scalar: trips[Executor::Scalar as usize],
         });
     }
     out.sort_by(|a, b| b.body_instrs.cmp(&a.body_instrs).then(a.name.cmp(&b.name)));
@@ -363,7 +368,6 @@ pub fn to_json(cp: &CompiledProgram, p: Option<&Program>) -> inl_obs::Json {
         obj.insert("body_instrs", Json::Int(l.body_instrs));
         obj.insert("trips_columns", Json::Int(l.trips_columns));
         obj.insert("trips_carried", Json::Int(l.trips_carried));
-        obj.insert("trips_scalar", Json::Int(l.trips_scalar));
         obj.insert("mode", Json::Str(l.mode().into()));
         loops.insert(l.name, obj);
     }

@@ -1,17 +1,17 @@
-//! The virtual machine: a flat dispatch loop over bound bytecode, and three
-//! trip executors for the innermost loops binding lowered to a
-//! [`TripKernel`].
+//! The virtual machine: a flat dispatch loop over bound bytecode, and two
+//! trip executors that run the same body ops for the innermost loops
+//! binding lowered to a [`TripKernel`].
 //!
 //! On the dispatcher the per-instance path is integer dot products (tiny
 //! sparse rows), indexed `f64` loads/stores into one flat buffer, and
-//! three-address arithmetic — no allocation, no hashing, no rationals
+//! two-address arithmetic — no allocation, no hashing, no rationals
 //! (except the exact [`Instr::Idx`] slow path, which replicates the
 //! interpreter's rational semantics bit-for-bit).
 //!
 //! # Trip kernels
 //!
-//! The `Loop` header of a kernel loop runs all the loop's trips itself and
-//! jumps to its exit. At entry it resolves every slot's first offset with
+//! The `Loop` header of a kernel loop can run all the loop's trips itself
+//! and jump to its exit. At entry it resolves every slot's first offset with
 //! the dispatcher's own address computation (segment assert included) and
 //! asserts the *last* trip's offset against the same segment: an offset is
 //! affine in the trip, so every trip between lies between, and a guard-free
@@ -31,12 +31,14 @@
 //!   by trip over the finished columns with the cell in a register, each op
 //!   in the body's own operand order — the values every operation sees,
 //!   and so the bits, are the dispatcher's. A recurrence scatters the
-//!   column of results; a reduction writes its cell once, at exit;
-//! * **scalar** — the same ops once per trip, in trip order, each slot's
-//!   offset advanced by its delta instead of recomputed.
+//!   column of results; a reduction writes its cell once, at exit.
 //!
-//! Which loops are kernels is fixed by their bodies at bind time and there
-//! is nothing to switch: the interpreter is the oracle for every executor.
+//! An entry whose spans allow neither falls through to the dispatcher, which
+//! runs the body and the latch trip by trip; its trips are counted under
+//! `vm.trips.dispatch`, a lane no zoo program or benchmark kernel has ever
+//! filled. Which loops are kernels is fixed by their bodies at bind time and
+//! there is nothing to switch: the interpreter is the oracle for every
+//! executor.
 //!
 //! [`exec_range`] executes an arbitrary `[start, end)` slice of the
 //! instruction stream, which is what lets the parallel executor drive
@@ -45,8 +47,8 @@
 //! iteration on a [`SharedBuf`] visible to all workers.
 
 use crate::bytecode::{
-    eval_hi, eval_lo, Arith, BoundProgram, ChainOp, FlatAcc, GuardKind, Instr, KernelOp, Pc, Row,
-    Slot, TripKernel, KERNEL_REGS, KERNEL_SLOTS,
+    eval_hi, eval_lo, BoundProgram, FlatAcc, GuardKind, Instr, Pc, Reg, Row, Slot, TripKernel,
+    CARRY, KERNEL_REGS, KERNEL_SLOTS,
 };
 use crate::profile::Samples;
 use inl_linalg::{Int, Rational};
@@ -262,18 +264,6 @@ pub enum Executor {
     Columns,
     /// Columns around one cell carried from trip to trip in a register.
     Carried,
-    /// Trip by trip, in order.
-    Scalar,
-}
-
-impl Executor {
-    /// Every executor, in lane order.
-    pub const ALL: [Executor; 3] = [Executor::Columns, Executor::Carried, Executor::Scalar];
-
-    /// The executor's name in counters (`vm.trips.<name>`) and profiles.
-    pub fn name(self) -> &'static str {
-        ["columns", "carried", "scalar"][self as usize]
-    }
 }
 
 /// Whether slot `s` *keeps off* the cells the stored slot `w` writes on other
@@ -343,21 +333,23 @@ pub fn carried_slot(slots: &[Slot], first: &[i64], last: &[i64]) -> Option<usize
 /// the files ([`KERNEL_REGS`] = [`KERNEL_SLOTS`] = 8); the mask lets the
 /// compiler drop the bounds check from the per-trip path.
 #[inline(always)]
-fn ix(i: u8) -> usize {
+fn ix(i: impl Into<usize>) -> usize {
     const { assert!(KERNEL_REGS == 8 && KERNEL_SLOTS == 8) };
-    (i & 7) as usize
+    i.into() & 7
 }
 
-/// Run all `trips` of a kernel loop whose register holds the first trip's
-/// value, leaving in it the last trip's — what the dispatcher's latch
-/// leaves. Returns the executor that ran them.
+/// Run all `trips` of a kernel loop whose register `var` holds the first
+/// trip's value, leaving in it the last trip's — what the dispatcher's latch
+/// leaves — and return the executor that ran them; `None`, with no trip run,
+/// when the address spans allow neither and the trips are the dispatcher's.
 fn run_trips(
     bp: &BoundProgram,
     k: &TripKernel,
+    (var, step): (usize, i64),
     st: &mut VmState,
     buf: &SharedBuf<'_>,
     trips: u64,
-) -> Executor {
+) -> Option<Executor> {
     let reach = (trips - 1) as i64;
     let mut first = [0i64; KERNEL_SLOTS];
     let mut last = [0i64; KERNEL_SLOTS];
@@ -371,48 +363,41 @@ fn run_trips(
             .expect("flat access outside its array segment");
     }
     let (first_n, last_n) = (&first[..k.slots.len()], &last[..k.slots.len()]);
-    let independent = trips_are_independent(&k.slots, first_n, last_n);
-    let carried = if independent {
+    let carried = if trips_are_independent(&k.slots, first_n, last_n) {
         None
     } else {
-        carried_slot(&k.slots, first_n, last_n)
-            .and_then(|c| k.carried.iter().find(|split| ix(split.slot) == c))
+        let c = carried_slot(&k.slots, first_n, last_n)?;
+        Some(k.carried.iter().find(|split| ix(split.slot) == c)?)
     };
-    if !independent && carried.is_none() {
-        scalar_trips(k, &bp.cp.rows, &mut st.iregs, buf, first, trips);
-        return Executor::Scalar;
-    }
     // In columns: the whole body, or the ops around the carried load and
     // then, trip by trip, the chain from it to the store.
-    let ops = carried.map_or(&k.ops, |c| &c.ops);
+    let body = &bp.cp.code[k.body.0 as usize..k.body.1 as usize];
+    let ops = carried.map_or(body, |c| &c.ops);
     let mut carry = carried.map_or(0.0, |c| buf.read(first[ix(c.slot)] as usize));
     let cols = st
         .cols
         .0
         .get_or_insert_with(|| Box::new([[0.0; COLUMN]; KERNEL_REGS]));
-    let lo = st.iregs[k.var as usize];
-    // each slot's offset on the first trip of a block, and its delta
-    let mut at = [(0i64, 0i64); KERNEL_SLOTS];
-    for (a, s) in at.iter_mut().zip(&k.slots) {
-        a.1 = s.delta;
-    }
+    let lo = st.iregs[var];
+    // each slot's offset on the first trip of a block
+    let mut at = first;
     for done in (0..trips).step_by(COLUMN) {
         let n = (trips - done).min(COLUMN as u64) as usize;
-        st.iregs[k.var as usize] = lo + done as i64 * k.step;
-        for (a, f) in at.iter_mut().zip(&first) {
-            a.0 = f + done as i64 * a.1;
+        st.iregs[var] = lo + done as i64 * step;
+        for ((a, f), s) in at.iter_mut().zip(&first).zip(&k.slots) {
+            *a = f + done as i64 * s.delta;
         }
-        column_trips(ops, &bp.cp.rows, &st.iregs, buf, cols, &at, n);
+        column_trips(k, ops, &bp.cp.rows, &st.iregs, buf, cols, &at, n);
         if let Some(c) = carried {
             carry = chain_trips(&c.chain, cols, c.out, n, carry);
-            let (to, delta) = at[ix(c.store)];
+            let delta = k.slots[ix(c.store)].delta;
             if delta != 0 {
-                buf.scatter(&cols[ix(c.out)][..n], to, delta);
+                buf.scatter(&cols[ix(c.out)][..n], at[ix(c.store)], delta);
             }
         }
     }
-    st.iregs[k.var as usize] = lo + reach * k.step;
-    match carried {
+    st.iregs[var] = lo + reach * step;
+    Some(match carried {
         None => Executor::Columns,
         Some(c) => {
             // A reduction's cell takes the last trip's value, once.
@@ -421,12 +406,12 @@ fn run_trips(
             }
             Executor::Carried
         }
-    }
+    })
 }
 
 /// `dst ∘= rhs` over the first `n` trips of two distinct register columns.
 #[inline(always)]
-fn zip_columns(cols: &mut Columns, n: usize, dst: u8, rhs: u8, f: impl Fn(f64, f64) -> f64) {
+fn zip_columns(cols: &mut Columns, n: usize, dst: Reg, rhs: Reg, f: impl Fn(f64, f64) -> f64) {
     let [d, r] = cols
         .get_disjoint_mut([ix(dst), ix(rhs)])
         .expect("a kernel operator has distinct operands");
@@ -435,40 +420,46 @@ fn zip_columns(cols: &mut Columns, n: usize, dst: u8, rhs: u8, f: impl Fn(f64, f
     }
 }
 
-/// `n ≤ COLUMN` consecutive trips of a kernel's `ops`, op by op over
-/// register columns. `at` holds each slot's offset on the first of them and
-/// its delta, the loop register its value on the first of them.
+/// `n ≤ COLUMN` consecutive trips of `ops` — kernel `k`'s body, or the part
+/// of it around a carried load — op by op over register columns. `at` holds
+/// each slot's offset on the first of them, the loop register its value on
+/// the first of them.
+#[allow(clippy::too_many_arguments)]
 fn column_trips(
-    ops: &[KernelOp],
+    k: &TripKernel,
+    ops: &[Instr],
     rows: &[Row],
     iregs: &[i64],
     buf: &SharedBuf<'_>,
     cols: &mut Columns,
-    at: &[(i64, i64); KERNEL_SLOTS],
+    at: &[i64; KERNEL_SLOTS],
     n: usize,
 ) {
     for op in ops {
         match *op {
-            KernelOp::Const { dst, val } => cols[ix(dst)][..n].fill(val),
-            KernelOp::Idx { dst, row, delta } => {
-                let num = rows[row as usize].num(iregs);
+            Instr::Const { dst, bits } => cols[ix(dst)][..n].fill(f64::from_bits(bits)),
+            Instr::Idx { dst, row } => {
+                let (num, delta) = (rows[row as usize].num(iregs), k.idx_delta(row));
                 for (t, x) in cols[ix(dst)][..n].iter_mut().enumerate() {
                     *x = (num + t as i64 * delta) as f64;
                 }
             }
-            KernelOp::Load { dst, slot } => {
-                let (from, delta) = at[ix(slot)];
-                buf.gather(&mut cols[ix(dst)][..n], from, delta)
+            Instr::Load { dst, acc } => {
+                let slot = ix(k.slot_of[acc as usize]);
+                buf.gather(&mut cols[ix(dst)][..n], at[slot], k.slots[slot].delta)
             }
-            KernelOp::Neg { dst } => cols[ix(dst)][..n].iter_mut().for_each(|x| *x = -*x),
-            KernelOp::Sqrt { dst } => cols[ix(dst)][..n].iter_mut().for_each(|x| *x = x.sqrt()),
-            KernelOp::Add { dst, rhs } => zip_columns(cols, n, dst, rhs, |x, y| x + y),
-            KernelOp::Sub { dst, rhs } => zip_columns(cols, n, dst, rhs, |x, y| x - y),
-            KernelOp::Mul { dst, rhs } => zip_columns(cols, n, dst, rhs, |x, y| x * y),
-            KernelOp::Div { dst, rhs } => zip_columns(cols, n, dst, rhs, |x, y| x / y),
-            KernelOp::Store { src, slot } => {
-                let (to, delta) = at[ix(slot)];
-                buf.scatter(&cols[ix(src)][..n], to, delta)
+            Instr::Neg { dst } => cols[ix(dst)][..n].iter_mut().for_each(|x| *x = -*x),
+            Instr::Sqrt { dst } => cols[ix(dst)][..n].iter_mut().for_each(|x| *x = x.sqrt()),
+            Instr::Add { dst, rhs } => zip_columns(cols, n, dst, rhs, |x, y| x + y),
+            Instr::Sub { dst, rhs } => zip_columns(cols, n, dst, rhs, |x, y| x - y),
+            Instr::Mul { dst, rhs } => zip_columns(cols, n, dst, rhs, |x, y| x * y),
+            Instr::Div { dst, rhs } => zip_columns(cols, n, dst, rhs, |x, y| x / y),
+            Instr::Store { src, acc } => {
+                let slot = ix(k.slot_of[acc as usize]);
+                buf.scatter(&cols[ix(src)][..n], at[slot], k.slots[slot].delta)
+            }
+            Instr::Loop { .. } | Instr::Next { .. } | Instr::Guard { .. } => {
+                unreachable!("a kernel body is straight-line")
             }
         }
     }
@@ -480,7 +471,7 @@ fn column_trips(
 /// what each trip stores. A chain of one operator — the usual body, `cell ∘=
 /// expression` — runs as a loop of its own over the operand column, the
 /// carry in a machine register.
-fn chain_trips(chain: &[ChainOp], cols: &mut Columns, out: u8, n: usize, mut carry: f64) -> f64 {
+fn chain_trips(chain: &[Instr], cols: &mut Columns, out: Reg, n: usize, mut carry: f64) -> f64 {
     #[inline(always)]
     fn fold(col: &mut [f64], mut carry: f64, f: impl Fn(f64, f64) -> f64) -> f64 {
         for x in col {
@@ -490,78 +481,34 @@ fn chain_trips(chain: &[ChainOp], cols: &mut Columns, out: u8, n: usize, mut car
         carry
     }
     match *chain {
-        [ChainOp::CarryCol { op, col }] => {
-            let col = &mut cols[ix(col)][..n];
-            match op {
-                Arith::Add => fold(col, carry, |c, x| c + x),
-                Arith::Sub => fold(col, carry, |c, x| c - x),
-                Arith::Mul => fold(col, carry, |c, x| c * x),
-                Arith::Div => fold(col, carry, |c, x| c / x),
-            }
-        }
-        [ChainOp::ColCarry { op, col }] => {
-            let col = &mut cols[ix(col)][..n];
-            match op {
-                Arith::Add => fold(col, carry, |c, x| x + c),
-                Arith::Sub => fold(col, carry, |c, x| x - c),
-                Arith::Mul => fold(col, carry, |c, x| x * c),
-                Arith::Div => fold(col, carry, |c, x| x / c),
-            }
-        }
+        [Instr::Add { dst: CARRY, rhs }] => fold(&mut cols[ix(rhs)][..n], carry, |c, x| c + x),
+        [Instr::Sub { dst: CARRY, rhs }] => fold(&mut cols[ix(rhs)][..n], carry, |c, x| c - x),
+        [Instr::Mul { dst: CARRY, rhs }] => fold(&mut cols[ix(rhs)][..n], carry, |c, x| c * x),
+        [Instr::Div { dst: CARRY, rhs }] => fold(&mut cols[ix(rhs)][..n], carry, |c, x| c / x),
+        [Instr::Add { dst, rhs: CARRY }] => fold(&mut cols[ix(dst)][..n], carry, |c, x| x + c),
+        [Instr::Sub { dst, rhs: CARRY }] => fold(&mut cols[ix(dst)][..n], carry, |c, x| x - c),
+        [Instr::Mul { dst, rhs: CARRY }] => fold(&mut cols[ix(dst)][..n], carry, |c, x| x * c),
+        [Instr::Div { dst, rhs: CARRY }] => fold(&mut cols[ix(dst)][..n], carry, |c, x| x / c),
         _ => {
             // `t` is a trip: one entry of each column a chain op reads
             #[allow(clippy::needless_range_loop)]
             for t in 0..n {
                 for op in chain {
+                    // an operand: the carry so far, or a finished column's entry
+                    let v = |r: Reg| if r == CARRY { carry } else { cols[ix(r)][t] };
                     carry = match *op {
-                        ChainOp::Neg => -carry,
-                        ChainOp::Sqrt => carry.sqrt(),
-                        ChainOp::CarryCol { op, col } => op.apply(carry, cols[ix(col)][t]),
-                        ChainOp::ColCarry { op, col } => op.apply(cols[ix(col)][t], carry),
+                        Instr::Neg { .. } => -carry,
+                        Instr::Sqrt { .. } => carry.sqrt(),
+                        Instr::Add { dst, rhs } => v(dst) + v(rhs),
+                        Instr::Sub { dst, rhs } => v(dst) - v(rhs),
+                        Instr::Mul { dst, rhs } => v(dst) * v(rhs),
+                        Instr::Div { dst, rhs } => v(dst) / v(rhs),
+                        _ => unreachable!("a chain op is an operator"),
                     };
                 }
                 cols[ix(out)][t] = carry;
             }
             carry
-        }
-    }
-}
-
-/// All trips of a kernel, trip by trip in order, over a stack register
-/// file; `off` enters as the slots' first offsets and is stepped per trip.
-fn scalar_trips(
-    k: &TripKernel,
-    rows: &[Row],
-    iregs: &mut [i64],
-    buf: &SharedBuf<'_>,
-    mut off: [i64; KERNEL_SLOTS],
-    trips: u64,
-) {
-    let mut delta = [0i64; KERNEL_SLOTS];
-    for (d, s) in delta.iter_mut().zip(&k.slots) {
-        *d = s.delta;
-    }
-    let mut r = [0.0f64; KERNEL_REGS];
-    for trip in 0..trips {
-        if trip > 0 {
-            iregs[k.var as usize] += k.step;
-            for (o, d) in off.iter_mut().zip(&delta) {
-                *o += d;
-            }
-        }
-        for op in &k.ops {
-            match *op {
-                KernelOp::Const { dst, val } => r[ix(dst)] = val,
-                KernelOp::Idx { dst, row, .. } => r[ix(dst)] = rows[row as usize].num(iregs) as f64,
-                KernelOp::Load { dst, slot } => r[ix(dst)] = buf.read(off[ix(slot)] as usize),
-                KernelOp::Neg { dst } => r[ix(dst)] = -r[ix(dst)],
-                KernelOp::Sqrt { dst } => r[ix(dst)] = r[ix(dst)].sqrt(),
-                KernelOp::Add { dst, rhs } => r[ix(dst)] += r[ix(rhs)],
-                KernelOp::Sub { dst, rhs } => r[ix(dst)] -= r[ix(rhs)],
-                KernelOp::Mul { dst, rhs } => r[ix(dst)] *= r[ix(rhs)],
-                KernelOp::Div { dst, rhs } => r[ix(dst)] /= r[ix(rhs)],
-                KernelOp::Store { src, slot } => buf.write(off[ix(slot)] as usize, r[ix(src)]),
-            }
         }
     }
 }
@@ -600,8 +547,9 @@ fn exec_range_impl<const PROFILE: bool>(
     let rows = &bp.cp.rows;
     let mut instrs: u64 = 0;
     let mut instances: u64 = 0;
-    // trips each executor ran, indexed by `Executor`
-    let mut kernel_trips = [0u64; Executor::ALL.len()];
+    // trips each executor ran, indexed by `Executor`, and trips of kernel
+    // loops handed back to the dispatcher
+    let (mut kernel_trips, mut handed_back) = ([0u64; 2], 0u64);
     let mut pc = start;
     while pc < end {
         instrs += 1;
@@ -626,22 +574,31 @@ fn exec_range_impl<const PROFILE: bool>(
                     st.his[l] = hi_v;
                     match &bp.kernels[l] {
                         None => pc += 1,
-                        // The header runs every trip and accounts for
-                        // what the dispatcher would have executed: body
-                        // and latch once per trip.
                         Some(k) => {
                             let trips = ((hi_v - lo_v) / step) as u64 + 1;
-                            let mode = run_trips(bp, k, st, buf, trips) as usize;
-                            kernel_trips[mode] += trips;
-                            instrs += trips * (exit - pc - 1) as u64;
-                            instances += trips * k.stores as u64;
-                            if PROFILE {
-                                counts.trips[pc as usize][mode] += trips;
-                                for c in &mut counts.pcs[pc as usize + 1..exit as usize] {
-                                    *c += trips;
+                            match run_trips(bp, k, (var as usize, step), st, buf, trips) {
+                                // neither executor may run this entry: the
+                                // body below does, trip by trip
+                                None => {
+                                    handed_back += trips;
+                                    pc += 1;
+                                }
+                                // The header ran every trip and accounts
+                                // for what the dispatcher would have
+                                // executed: body and latch once per trip.
+                                Some(mode) => {
+                                    kernel_trips[mode as usize] += trips;
+                                    instrs += trips * (exit - pc - 1) as u64;
+                                    instances += trips * k.stores as u64;
+                                    if PROFILE {
+                                        counts.trips[pc as usize][mode as usize] += trips;
+                                        for c in &mut counts.pcs[pc as usize + 1..exit as usize] {
+                                            *c += trips;
+                                        }
+                                    }
+                                    pc = exit;
                                 }
                             }
-                            pc = exit;
                         }
                     }
                 }
@@ -685,28 +642,28 @@ fn exec_range_impl<const PROFILE: bool>(
                 st.fregs[dst as usize] = buf.read(addr(bp, acc, &st.iregs));
                 pc += 1;
             }
-            Instr::Neg { dst, src } => {
-                st.fregs[dst as usize] = -st.fregs[src as usize];
+            Instr::Neg { dst } => {
+                st.fregs[dst as usize] = -st.fregs[dst as usize];
                 pc += 1;
             }
-            Instr::Sqrt { dst, src } => {
-                st.fregs[dst as usize] = st.fregs[src as usize].sqrt();
+            Instr::Sqrt { dst } => {
+                st.fregs[dst as usize] = st.fregs[dst as usize].sqrt();
                 pc += 1;
             }
-            Instr::Add { dst, a, b } => {
-                st.fregs[dst as usize] = st.fregs[a as usize] + st.fregs[b as usize];
+            Instr::Add { dst, rhs } => {
+                st.fregs[dst as usize] += st.fregs[rhs as usize];
                 pc += 1;
             }
-            Instr::Sub { dst, a, b } => {
-                st.fregs[dst as usize] = st.fregs[a as usize] - st.fregs[b as usize];
+            Instr::Sub { dst, rhs } => {
+                st.fregs[dst as usize] -= st.fregs[rhs as usize];
                 pc += 1;
             }
-            Instr::Mul { dst, a, b } => {
-                st.fregs[dst as usize] = st.fregs[a as usize] * st.fregs[b as usize];
+            Instr::Mul { dst, rhs } => {
+                st.fregs[dst as usize] *= st.fregs[rhs as usize];
                 pc += 1;
             }
-            Instr::Div { dst, a, b } => {
-                st.fregs[dst as usize] = st.fregs[a as usize] / st.fregs[b as usize];
+            Instr::Div { dst, rhs } => {
+                st.fregs[dst as usize] /= st.fregs[rhs as usize];
                 pc += 1;
             }
             Instr::Store { src, acc } => {
@@ -723,15 +680,15 @@ fn exec_range_impl<const PROFILE: bool>(
     if instances > 0 {
         inl_obs::counter_add!("vm.instances", instances);
     }
-    let [columns, carried, scalar] = kernel_trips;
+    let [columns, carried] = kernel_trips;
     if columns > 0 {
         inl_obs::counter_add!("vm.trips.columns", columns);
     }
     if carried > 0 {
         inl_obs::counter_add!("vm.trips.carried", carried);
     }
-    if scalar > 0 {
-        inl_obs::counter_add!("vm.trips.scalar", scalar);
+    if handed_back > 0 {
+        inl_obs::counter_add!("vm.trips.dispatch", handed_back);
     }
 }
 

@@ -1,15 +1,15 @@
 //! Trip kernels against the interpreter: an innermost loop the VM runs as
-//! a kernel — in columns, carried or scalar — must leave the memory image,
-//! the counters, the profile and the loop's registers exactly as the
-//! dispatcher would. Nothing switches kernels off, so the oracle is the
-//! interpreter (bitwise, `Machine::same_state`) and, for counts, the
-//! dispatcher's closed form.
+//! a kernel — in columns or carried — or hands back to the dispatcher must
+//! leave the memory image, the counters, the profile and the loop's
+//! registers exactly as the dispatcher would. Nothing switches kernels off,
+//! so the oracle is the interpreter (bitwise, `Machine::same_state`) and,
+//! for counts, the dispatcher's closed form.
 
 use inl_exec::{Interpreter, Machine, VmRunner};
 use inl_ir::{Aff, ArrayId, Bound, Expr, Guard, LoopId, Program, ProgramBuilder};
 use inl_linalg::Int;
 use inl_vm::bytecode::{Slot, KERNEL_SLOTS};
-use inl_vm::run::{carried_slot, trips_are_independent, Executor, COLUMN};
+use inl_vm::run::{carried_slot, trips_are_independent, COLUMN};
 use inl_vm::{exec_range, profile, SharedBuf};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -36,10 +36,14 @@ fn agree(p: &Program, runner: &VmRunner, n: Int) -> Result<(), String> {
     agree_from(p, runner, &Machine::new(p, &[n], &init))
 }
 
-/// The trips a capture saw each executor run, in [`Executor::ALL`] order.
+/// Who may run the trips of a kernel loop entry: the two trip executors, or
+/// the dispatcher the header hands them back to.
+const LANES: [&str; 3] = ["columns", "carried", "dispatch"];
+
+/// The trips of kernel loops a capture saw run on each of [`LANES`].
 fn lanes(seen: &inl_obs::capture::Capture) -> [u64; 3] {
-    Executor::ALL.map(|e| {
-        let lane = format!("vm.trips.{}", e.name());
+    LANES.map(|lane| {
+        let lane = format!("vm.trips.{lane}");
         seen.counters.get(lane.as_str()).copied().unwrap_or(0)
     })
 }
@@ -97,8 +101,8 @@ fn adversarial_body(
 /// 1 to 3, reductions (`wa = 0`), reversed strides, interleaved spans that
 /// never alias, dependences between the two statements in both directions
 /// — at six trip counts around the column width: every one must leave the
-/// interpreter's memory image, whichever executor its spans select. (With
-/// the classifier forced to "columns", 26 932 of the 90 000 cases differ.)
+/// interpreter's memory image, whichever lane its spans select. (With the
+/// classifier forced to "columns", 26 932 of the 90 000 cases differ.)
 /// An unoptimised build walks every seventh body.
 #[test]
 fn adversarial_bodies_match_the_interpreter_at_every_trip_count() {
@@ -152,7 +156,8 @@ fn adversarial_bodies_match_the_interpreter_at_every_trip_count() {
         mismatches.len(),
         mismatches[0]
     );
-    // Every trip ran in a kernel, and the table reaches every executor.
+    // Every trip entered through a kernel header, and the table reaches
+    // every lane.
     let lanes = lanes(&seen);
     assert_eq!(lanes.iter().sum::<u64>(), trips);
     assert!(lanes.iter().all(|&lane| lane > trips / 100), "{lanes:?}");
@@ -216,9 +221,9 @@ fn carried_body(step: Int, shape: usize, w: Sub, l: Sub, y: Option<(usize, Sub)>
 /// or beside a second read that is elsewhere, interleaved, or in the way —
 /// at trip counts that end a block of columns one short, exactly, one over
 /// and twice over, from seeds a register must hand on bit for bit. Each case
-/// must leave the interpreter's image *and* run on the executor a
-/// cell-by-cell walk of its addresses allows: no near miss carried, no
-/// handed-on cell left to the scalar executor.
+/// must leave the interpreter's image *and* run on the lane a cell-by-cell
+/// walk of its addresses allows: no near miss carried, no handed-on cell
+/// left to the dispatcher.
 #[test]
 fn carried_bodies_match_the_interpreter_on_the_executor_their_cells_allow() {
     const TRIPS: [Int; 5] = [
@@ -295,10 +300,11 @@ fn carried_bodies_match_the_interpreter_on_the_executor_their_cells_allow() {
             };
             let specs: Vec<SlotSpec> = slots.iter().map(spec).collect();
             let expected = match simulate(&specs, trips as i64) {
-                Trips::Independent => Executor::Columns,
-                Trips::HandedOn(c) if loads(c) == 1 => Executor::Carried,
-                _ => Executor::Scalar,
+                Trips::Independent => "columns",
+                Trips::HandedOn(c) if loads(c) == 1 => "carried",
+                _ => "dispatch",
             };
+            let expected = LANES.iter().position(|&lane| lane == expected).unwrap();
             let start = Machine::new(&p, &[n], &init);
             // Where the first trip's `l` reads. A NaN that also arrives
             // through `y` meets its own negation in shape 10, and which
@@ -315,15 +321,15 @@ fn carried_bodies_match_the_interpreter_on_the_executor_their_cells_allow() {
                 let (agreed, seen) = inl_obs::capture::with(|| agree_from(&p, &runner, &start));
                 let lanes = lanes(&seen);
                 let mut on = [0u64; 3];
-                on[expected as usize] = trips as u64;
-                ran[expected as usize] += 1;
+                on[expected] = trips as u64;
+                ran[expected] += 1;
                 let what = format!(
                     "step {step} shape {shape} w {w:?} l {l:?} y {y:?} trips {trips} seed {seed:?}"
                 );
                 if let Err(e) = agreed {
                     wrong.push(format!("{what}: {e}"));
                 } else if lanes != on {
-                    wrong.push(format!("{what}: ran {lanes:?}, not on {expected:?}"));
+                    wrong.push(format!("{what}: ran {lanes:?}, not {}", LANES[expected]));
                 }
             }
         }
@@ -481,7 +487,7 @@ fn equal_strides_meet_only_a_multiple_of_the_stride_apart() {
 }
 
 #[test]
-fn classifier_hands_one_cell_on_or_stays_scalar() {
+fn classifier_hands_one_cell_on_or_leaves_the_dispatcher_its_trips() {
     use Trips::{Entangled, HandedOn};
     // C[I,J] += A[I,K]·B[K,J] under K: one cell, its own load, two walks.
     let matmul = [(0, 5, 0, true), (1, 0, 1, false), (2, 5, 40, false)];
@@ -652,8 +658,8 @@ fn empty_range_runs_nothing_and_asserts_nothing() {
 
 /// `do I = 1..4 { do J = 2..N step 2 { S1: X[I,J] = X[I,J] + Y[I,J]·2;
 /// S2: Y[I,J] = X[I,J] + carry } }` where `carry` is `Y[I,J−2]` (what the
-/// previous trip of the step-2 loop stored: scalar, or carried when S2 is
-/// the `only` statement) or `Y[I,J]` (columns).
+/// previous trip of the step-2 loop stored: handed back to the dispatcher,
+/// or carried when S2 is the `only` statement) or `Y[I,J]` (columns).
 fn nest(only: bool, recurrence: bool) -> Program {
     let mut b = ProgramBuilder::new("nest");
     let n = b.param("N");
@@ -692,7 +698,7 @@ fn nest(only: bool, recurrence: bool) -> Program {
 #[test]
 fn counters_and_profile_equal_the_dispatchers_closed_form() {
     for (only, recurrence, mode) in [
-        (false, true, "scalar"),
+        (false, true, "dispatch"),
         (true, true, "carried"),
         (false, false, "columns"),
     ] {
@@ -719,7 +725,7 @@ fn counters_and_profile_equal_the_dispatchers_closed_form() {
         assert_eq!(seen.counters["vm.instrs"], instrs);
         let stores = if only { 1 } else { 2 };
         assert_eq!(seen.counters["vm.instances"], 4 * trips * stores);
-        let ran = Executor::ALL.map(|e| if e.name() == mode { 4 * trips } else { 0 });
+        let ran = LANES.map(|lane| if lane == mode { 4 * trips } else { 0 });
         assert_eq!(lanes(&seen), ran, "{mode}");
 
         let counts = profile::pc_counts(&cp).expect("profiled");
@@ -741,7 +747,7 @@ fn counters_and_profile_equal_the_dispatchers_closed_form() {
             (mode, 4, 4 * trips)
         );
         assert_eq!(
-            j.trips_columns + j.trips_carried + j.trips_scalar,
+            j.trips_columns + j.trips_carried + j.trips_dispatch(),
             4 * trips
         );
         let tables = profile::render_tables(&cp, Some(&p));
@@ -812,7 +818,7 @@ fn only_straight_line_affine_bodies_become_kernels() {
 
     // X[J] = X[J] + X[J+1]: three accesses, two distinct.
     let k = kernel_of(&one_statement(2, reads(2), vec![])).expect("straight-line body");
-    assert_eq!((k.slots.len(), k.stores, k.ops.len()), (2, 1, 4));
+    assert_eq!((k.slots.len(), k.stores, k.body.1 - k.body.0), (2, 1, 4));
     assert!(k.slots[0].stored && !k.slots[1].stored);
     assert!(
         k.slots.iter().all(|s| s.delta == 2),
@@ -860,7 +866,7 @@ fn only_straight_line_affine_bodies_become_kernels() {
     ];
     for (what, kernel, p) in &cases {
         assert_eq!(kernel_of(p).is_some(), *kernel, "{what}");
-        // Whichever executor runs it, the image is the interpreter's.
+        // Kernel or not, the image is the interpreter's.
         let runner = VmRunner::new(p);
         for n in [1, 6, COLUMN as Int + 3] {
             agree(p, &runner, n).unwrap_or_else(|e| panic!("{what}, N {n}: {e}"));
@@ -870,7 +876,7 @@ fn only_straight_line_affine_bodies_become_kernels() {
 
 #[test]
 fn bodies_split_around_each_load_that_may_be_handed_on() {
-    use inl_vm::bytecode::{Arith, ChainOp, KernelOp};
+    use inl_vm::bytecode::{Instr, CARRY};
     let innermost = |p: &Program, n: Int| {
         let bound = inl_vm::compile(p).bind(&[n]).kernels;
         bound.into_iter().flatten().next().expect("a kernel")
@@ -883,10 +889,10 @@ fn bodies_split_around_each_load_that_may_be_handed_on() {
     };
     assert!(k.slots[split.slot as usize].stored && split.slot == split.store);
     assert_eq!(split.ops.len(), 3, "two loads and a product");
-    assert!(matches!(split.ops[2], KernelOp::Mul { .. }));
-    let sum = ChainOp::CarryCol {
-        op: Arith::Add,
-        col: split.out,
+    assert!(matches!(split.ops[2], Instr::Mul { .. }));
+    let sum = Instr::Add {
+        dst: CARRY,
+        rhs: split.out,
     };
     assert_eq!(split.chain, [sum]);
     // A[I,J] = A[I−1,J] + A[I,J−1]: either read may be the one behind the
@@ -894,14 +900,8 @@ fn bodies_split_around_each_load_that_may_be_handed_on() {
     let k = innermost(&inl_ir::zoo::wavefront(), 9);
     let sides: Vec<_> = k.carried.iter().map(|s| s.chain.clone()).collect();
     let (carry_col, col_carry) = (
-        ChainOp::CarryCol {
-            op: Arith::Add,
-            col: 0,
-        },
-        ChainOp::ColCarry {
-            op: Arith::Add,
-            col: 0,
-        },
+        Instr::Add { dst: CARRY, rhs: 0 },
+        Instr::Add { dst: 0, rhs: CARRY },
     );
     assert_eq!(sides, [vec![carry_col], vec![col_carry]]);
     // Nothing to hand on: a second load of the cell, a store beside it, a
@@ -916,4 +916,40 @@ fn bodies_split_around_each_load_that_may_be_handed_on() {
     assert!(innermost(&nest(false, true), 9).carried.is_empty());
     let fill = one_statement(1, |_, j| Expr::index(j), vec![]);
     assert!(innermost(&fill, 9).carried.is_empty());
+}
+
+/// Per zoo program: attached loops, loops that lower to kernels, and bodies
+/// split around a load that may be handed on — as recorded at the commit
+/// before `lower_kernel` stopped re-checking the shapes `compile` emits (an
+/// operator overwrites its left operand, a register is written before it is
+/// read). Trusting the compiler dropped no kernel.
+#[test]
+fn every_zoo_loop_that_was_a_kernel_still_is() {
+    const RECORDED: [(&str, usize, usize, usize); 13] = [
+        ("simple_cholesky", 2, 1, 0),
+        ("running_example", 2, 1, 0),
+        ("perfect_nest", 2, 1, 0),
+        ("augmentation_example", 2, 1, 0),
+        ("cholesky_kij", 4, 2, 0),
+        ("cholesky_left_looking", 4, 2, 1),
+        ("lu_kij", 4, 2, 1),
+        ("wavefront", 2, 1, 2),
+        ("matmul", 3, 1, 1),
+        ("rect_wavefront", 2, 1, 2),
+        ("row_prefix_sums", 2, 1, 1),
+        ("distributed_simple_cholesky", 3, 2, 0),
+        ("independent_pair", 1, 1, 0),
+    ];
+    let lowered: Vec<_> = inl_ir::zoo::ALL
+        .iter()
+        .map(|&(name, ctor)| {
+            let p = ctor();
+            let cp = inl_vm::compile(&p);
+            let kernels = cp.bind(&vec![9; p.nparams()]).kernels;
+            let splits = kernels.iter().flatten().map(|k| k.carried.len()).sum();
+            let loops = cp.loops.iter().flatten().count();
+            (name, loops, kernels.iter().flatten().count(), splits)
+        })
+        .collect();
+    assert_eq!(lowered, RECORDED);
 }

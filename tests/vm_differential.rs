@@ -175,7 +175,7 @@ fn parallel_workers_run_carried_kernels_bitwise() {
             n * n
         };
         assert_eq!(carried, Some(innermost as u64), "{}", p.name());
-        assert!(!seen.counters.contains_key("vm.trips.scalar"));
+        assert!(!seen.counters.contains_key("vm.trips.dispatch"));
 
         let mut m = Machine::new(&p, &[n], &frac_init);
         ParallelExecutor::new(&p, 2).run(&mut m);
