@@ -6,14 +6,16 @@
 //! speed/debuggability grounds: the interpreter is the readable ground
 //! truth, the VM is the fast path for benchmarking real problem sizes.
 //!
-//! The glue lives here rather than in `inl-vm` because the VM executes a
-//! *flat* `f64` buffer and knows nothing of [`Machine`]; [`VmRunner`]
-//! copies the machine's arrays into a flat buffer (same `ArrayId` order
-//! both sides use), runs the bytecode, and copies the results back.
+//! The glue lives here rather than in `inl-vm` because the VM executes on
+//! one `f64` slice per array and knows nothing of [`Machine`]; [`VmRunner`]
+//! checks that the machine's arrays are the program's (count, names and
+//! extents, in the `ArrayId` order both sides use) and hands their storage
+//! to the bytecode, which runs in it in place — nothing is copied.
 
 use crate::interp::Interpreter;
-use crate::machine::Machine;
+use crate::machine::{ArrayData, Machine};
 use inl_ir::Program;
+use inl_vm::bytecode::ArrayLayout;
 use inl_vm::{BoundProgram, CompiledProgram};
 
 /// Which execution engine to run a program on.
@@ -68,35 +70,35 @@ impl VmRunner {
         &self.compiled
     }
 
-    /// Execute on a machine: bind the machine's parameters, copy arrays
-    /// into the VM's flat buffer, run, copy back.
+    /// Execute on a machine: bind the machine's parameters and run the
+    /// bytecode in the machine's own arrays.
+    ///
+    /// As with the interpreter, a run that panics midway — an access out
+    /// of bounds, a subscript that is not integral — leaves the writes made
+    /// before the panic in the machine.
+    ///
+    /// # Panics
+    /// Unless the machine holds exactly the program's arrays, in order, with
+    /// the program's names and extents at its parameters.
     pub fn run(&self, m: &mut Machine) {
         let _span = inl_obs::span("exec.vm");
         let bp = self.compiled.bind(m.params());
-        let mut buf = copy_in(&bp, m);
-        inl_vm::run(&bp, &mut buf);
-        copy_out(&bp, &buf, m);
+        inl_vm::run(&bp, &mut arrays_of(&bp, m));
     }
 }
 
-/// Flatten the machine's arrays into one VM buffer (both sides lay arrays
-/// out row-major in `ArrayId` order, so this is a straight concatenation).
-pub(crate) fn copy_in(bp: &BoundProgram<'_>, m: &Machine) -> Vec<f64> {
-    let mut buf = vec![0.0; bp.total_len];
-    for (layout, arr) in bp.arrays.iter().zip(m.arrays()) {
+/// The machine's array storage, in `ArrayId` order, after asserting that
+/// the machine holds exactly `bp`'s arrays: as many, with the same names
+/// and extents.
+pub(crate) fn arrays_of<'m>(bp: &BoundProgram<'_>, m: &'m mut Machine) -> Vec<&'m mut [f64]> {
+    let arrays = m.arrays_mut();
+    assert_eq!(arrays.len(), bp.arrays.len(), "array count mismatch");
+    let of_layout = |(arr, layout): (&'m mut ArrayData, &ArrayLayout)| {
         assert_eq!(layout.name, arr.name, "array order mismatch");
         assert_eq!(layout.dims, arr.dims, "array shape mismatch");
-        buf[layout.base..layout.base + layout.len].copy_from_slice(&arr.data);
-    }
-    buf
-}
-
-/// Copy the VM buffer back into the machine's arrays.
-pub(crate) fn copy_out(bp: &BoundProgram<'_>, buf: &[f64], m: &mut Machine) {
-    for (layout, arr) in bp.arrays.iter().zip(m.arrays_mut()) {
-        arr.data
-            .copy_from_slice(&buf[layout.base..layout.base + layout.len]);
-    }
+        arr.data.as_mut_slice()
+    };
+    arrays.iter_mut().zip(&bp.arrays).map(of_layout).collect()
 }
 
 /// Run a program to completion on a fresh machine with the chosen backend.
@@ -114,7 +116,7 @@ pub fn run_fresh_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use inl_ir::zoo;
+    use inl_ir::{zoo, Aff, Expr};
 
     fn spdish(_: &str, idx: &[usize]) -> f64 {
         if idx.len() == 2 && idx[0] == idx[1] {
@@ -153,5 +155,119 @@ mod tests {
     #[test]
     fn backend_default_is_interpreter() {
         assert_eq!(Backend::default(), Backend::Interp);
+    }
+
+    /// Each array's storage: where its cells are, and how many fit.
+    fn storage(m: &Machine) -> Vec<(*const f64, usize)> {
+        let of = |a: &ArrayData| (a.data.as_ptr(), a.data.capacity());
+        m.arrays().iter().map(of).collect()
+    }
+
+    #[test]
+    fn both_vm_drivers_run_in_the_machines_own_arrays() {
+        let mut p = zoo::matmul();
+        let outer = p.loops().next().unwrap();
+        p.set_loop_parallel(outer, true);
+        let reference = run_fresh_with(Backend::Interp, &p, &[9], &spdish);
+        for threads in [0, 2] {
+            let mut m = Machine::new(&p, &[9], &spdish);
+            let before = storage(&m);
+            match threads {
+                0 => VmRunner::new(&p).run(&mut m),
+                _ => crate::ParallelExecutor::new(&p, threads).run(&mut m),
+            }
+            assert_eq!(storage(&m), before, "{threads} threads");
+            reference.same_state(&m).expect("bitwise identical");
+        }
+    }
+
+    #[test]
+    fn a_run_that_panics_midway_keeps_its_earlier_writes() {
+        // X[0] = 5; do I = 1..N+1: X[I] = 1 over X of N+1 cells: the
+        // loop's last trip is out of bounds, and its header says so first.
+        let mut b = inl_ir::ProgramBuilder::new("midway");
+        let n = b.param("N");
+        let x = b.array("X", &[Aff::param(n) + Aff::konst(1)]);
+        b.stmt("S1", x, vec![Aff::konst(0)], Expr::konst(5.0));
+        b.hloop("I", Aff::konst(1), Aff::param(n) + Aff::konst(1), |b| {
+            let i = b.loop_var("I");
+            b.stmt("S2", x, vec![Aff::var(i)], Expr::konst(1.0));
+        });
+        let p = b.finish();
+        let mut m = Machine::new(&p, &[4], &|_, _| 0.0);
+        let runner = VmRunner::new(&p);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runner.run(&mut m)));
+        assert!(run.is_err(), "X[N+1] is out of bounds");
+        assert_eq!(m.arrays()[0].data, [5.0, 0.0, 0.0, 0.0, 0.0]);
+    }
+
+    /// `do I = 1..N: A[I] = B[I] + 1`, `B` called `name` and `extra` cells
+    /// longer than `A`.
+    fn plus_one(name: &str, extra: inl_linalg::Int) -> Program {
+        let mut b = inl_ir::ProgramBuilder::new("plus_one");
+        let n = b.param("N");
+        let a = b.array("A", &[Aff::param(n) + Aff::konst(1)]);
+        let bb = b.array(name, &[Aff::param(n) + Aff::konst(1 + extra)]);
+        b.hloop("I", Aff::konst(1), Aff::param(n), |b| {
+            let i = b.loop_var("I");
+            let rhs = Expr::add(Expr::read(bb, vec![Aff::var(i)]), Expr::konst(1.0));
+            b.stmt("S", a, vec![Aff::var(i)], rhs);
+        });
+        b.finish()
+    }
+
+    /// Run `plus_one("B", 0)` on a machine built for `other`, through the
+    /// `VmRunner` or, with `threads`, the parallel executor.
+    fn run_on_machine_of(other: &Program, threads: usize) {
+        let p = plus_one("B", 0);
+        let mut m = Machine::new(other, &[4], &spdish);
+        match threads {
+            0 => VmRunner::new(&p).run(&mut m),
+            _ => crate::ParallelExecutor::new(&p, threads).run(&mut m),
+        }
+    }
+
+    /// `plus_one` without its `B`.
+    fn only_a() -> Program {
+        let mut b = inl_ir::ProgramBuilder::new("only_a");
+        let n = b.param("N");
+        b.array("A", &[Aff::param(n) + Aff::konst(1)]);
+        b.finish()
+    }
+
+    #[test]
+    #[should_panic(expected = "array count mismatch")]
+    fn vm_refuses_a_machine_missing_an_array() {
+        run_on_machine_of(&only_a(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "array order mismatch")]
+    fn vm_refuses_a_machine_with_a_renamed_array() {
+        run_on_machine_of(&plus_one("C", 0), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "array shape mismatch")]
+    fn vm_refuses_a_machine_with_a_reshaped_array() {
+        run_on_machine_of(&plus_one("B", 1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "array count mismatch")]
+    fn parallel_executor_refuses_a_machine_missing_an_array() {
+        run_on_machine_of(&only_a(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "array order mismatch")]
+    fn parallel_executor_refuses_a_machine_with_a_renamed_array() {
+        run_on_machine_of(&plus_one("C", 0), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "array shape mismatch")]
+    fn parallel_executor_refuses_a_machine_with_a_reshaped_array() {
+        run_on_machine_of(&plus_one("B", 1), 2);
     }
 }

@@ -18,10 +18,10 @@
 //! read a cell another writes. That is precisely what the dependence
 //! framework certifies (a loop slot with no carried dependence —
 //! [`inl_core`-level `parallel_slots`]); executing a loop wrongly marked
-//! parallel is a data race. Array storage is shared across threads through
-//! [`inl_vm::SharedBuf`] for exactly this reason.
+//! parallel is a data race. The machine's arrays are shared across threads,
+//! in place, through [`inl_vm::SharedBuf`] for exactly this reason.
 
-use crate::backend::{copy_in, copy_out};
+use crate::backend::arrays_of;
 use crate::machine::Machine;
 use inl_ir::{LoopId, Node, Program};
 use inl_vm::bytecode::BoundProgram;
@@ -45,16 +45,20 @@ impl<'p> ParallelExecutor<'p> {
         ParallelExecutor { program, nthreads }
     }
 
-    /// Execute on the machine: compile once, copy the arrays into the
-    /// VM's flat buffer, then run wavefronts by dispatching parallel-loop
-    /// *body* ranges across workers over shared storage. Sequential
-    /// subtrees with no parallel loop below them run as straight bytecode.
+    /// Execute on the machine: compile once, then run wavefronts by
+    /// dispatching parallel-loop *body* ranges across workers, all in the
+    /// machine's own arrays. Sequential subtrees with no parallel loop below
+    /// them run as straight bytecode.
+    ///
+    /// # Panics
+    /// As [`crate::VmRunner::run`]: unless the machine holds exactly the
+    /// program's arrays; a panic midway leaves earlier writes in place.
     pub fn run(&self, m: &mut Machine) {
         let _span = inl_obs::span("exec.parallel");
         let compiled = inl_vm::compile(self.program);
         let bp = compiled.bind(m.params());
-        let mut flat = copy_in(&bp, m);
-        let buf = SharedBuf::new(&mut flat);
+        let mut arrays = arrays_of(&bp, m);
+        let buf = SharedBuf::new(&mut arrays);
         let mut st = bp.new_state();
         vm_nodes(
             self.program,
@@ -64,7 +68,6 @@ impl<'p> ParallelExecutor<'p> {
             &buf,
             self.nthreads,
         );
-        copy_out(&bp, &flat, m);
     }
 }
 

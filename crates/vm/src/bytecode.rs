@@ -22,23 +22,27 @@
 //!
 //! # Array storage
 //!
-//! All arrays live in **one flat `f64` buffer**; binding assigns each
-//! array a base offset and row-major strides. An access whose subscripts
-//! all have divisor 1 collapses into a *single* row computing the flat
-//! buffer offset directly (strides and the array base folded into the
-//! coefficients); accesses with divisor subscripts (non-unimodular code
-//! generation) keep per-dimension rows with exact-divisibility checks.
+//! Each array stays in **its own row-major `f64` slice** — the caller's
+//! storage, in `ArrayId` order; binding computes each array's extents and
+//! strides. An access whose subscripts all have divisor 1 collapses into a
+//! *single* row computing the offset within its array directly (strides
+//! folded into the coefficients); accesses with divisor subscripts
+//! (non-unimodular code generation) keep per-dimension rows with
+//! exact-divisibility checks. Either way an access names its array and
+//! carries no base.
 //!
 //! # Trip kernels
 //!
 //! Binding also lowers every innermost loop with a straight-line body to a
 //! [`TripKernel`]: the loop's own body range over *slots*, each slot one
-//! access whose flat offset advances by a fixed delta per trip. The body
-//! ops are two-address as [`crate::compile()`] emits them, so there is one
+//! access whose offset advances by a fixed delta per trip. The body ops
+//! are two-address as [`crate::compile()`] emits them, so there is one
 //! instruction set: the header runs the body as it stands over a column of
 //! trips (see [`mod@crate::run`]); every other loop stays on the
 //! dispatcher. A body with one `Store` is also kept split around each load
 //! that may be of the cell one trip hands to the next ([`CarriedKernel`]).
+//! A loop whose body is exactly one kernel loop is a [`TwoLevel`] loop: its
+//! header runs every outer trip itself, stepping the slots' first offsets.
 
 use inl_ir::{LoopId, Program, StmtId};
 use inl_linalg::Int;
@@ -363,15 +367,14 @@ pub struct CompiledProgram {
     pub stmts: Vec<Option<(Pc, Pc)>>,
 }
 
-/// One array's slice of the flat execution buffer.
+/// One array's shape: the slice the VM runs on for it must have `len`
+/// cells.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ArrayLayout {
     /// Source-level name.
     pub name: String,
     /// Concrete extents.
     pub dims: Vec<usize>,
-    /// Offset of the array's first cell in the flat buffer.
-    pub base: usize,
     /// Total cell count (`Π dims`).
     pub len: usize,
 }
@@ -387,29 +390,27 @@ pub struct DimAcc {
     pub extent: usize,
 }
 
-/// A parameter-bound array access.
+/// A parameter-bound array access: an offset within the array it names.
 #[derive(Clone, Debug)]
 pub enum FlatAcc {
-    /// Fast path: all subscripts had divisor 1, so strides and the array
-    /// base fold into one row computing the flat offset directly. The
-    /// offset is checked against the array's buffer segment.
+    /// Fast path: all subscripts had divisor 1, so the strides fold into
+    /// one row computing the offset directly. The offset is checked against
+    /// the array's length.
     Flat {
         /// Merged `(integer register, coefficient)` terms.
         terms: Vec<(IReg, i64)>,
-        /// Constant term (includes the array base).
+        /// Constant term.
         konst: i64,
-        /// Segment start (the array base).
-        start: usize,
-        /// Segment end (exclusive).
-        end: usize,
+        /// The array accessed (index into [`BoundProgram::arrays`]).
+        array: u32,
     },
     /// Slow path: per-dimension rows with exact-divisibility and
     /// per-dimension bounds checks (mirrors the interpreter).
     Dims {
         /// Per-dimension accesses.
         dims: Vec<DimAcc>,
-        /// Array base offset.
-        base: usize,
+        /// The array accessed (index into [`BoundProgram::arrays`]).
+        array: u32,
     },
 }
 
@@ -576,15 +577,29 @@ impl TripKernel {
     }
 }
 
+/// A loop whose body is exactly one kernel loop. Its header runs every
+/// outer trip itself: it evaluates the inner bounds, steps each slot's
+/// first offset instead of re-deriving it, and enters the kernel.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TwoLevel {
+    /// The kernel loop that is the body (index into
+    /// [`BoundProgram::kernels`] and [`CompiledProgram::loops`]).
+    pub inner: usize,
+    /// Per slot of the inner kernel: the coefficient of the inner loop
+    /// register in its offset, and the change of its offset per outer trip
+    /// (the outer register's coefficient times the outer step).
+    pub steps: Vec<(i64, i64)>,
+}
+
 /// A [`CompiledProgram`] with parameters bound: array layout computed,
-/// accesses lowered, ready to execute on a flat `f64` buffer.
+/// accesses lowered, ready to execute on one `f64` slice per array.
 #[derive(Clone, Debug)]
 pub struct BoundProgram<'c> {
     /// The underlying bytecode.
     pub cp: &'c CompiledProgram,
     /// Bound parameter values.
     pub params: Vec<i64>,
-    /// Per-array buffer layout, in `ArrayId` order.
+    /// Per-array layout, in `ArrayId` order.
     pub arrays: Vec<ArrayLayout>,
     /// Lowered accesses, parallel to `cp.accesses`.
     pub accs: Vec<FlatAcc>,
@@ -592,8 +607,9 @@ pub struct BoundProgram<'c> {
     /// loop whose body qualifies — fixed here, by the body alone; which
     /// executor runs a loop entry is decided from that entry's addresses.
     pub kernels: Vec<Option<TripKernel>>,
-    /// Total flat buffer length (`Σ arrays[i].len`).
-    pub total_len: usize,
+    /// Two-level loops, parallel to `cp.loops`: `Some` for every loop whose
+    /// body is exactly one kernel loop.
+    pub two_level: Vec<Option<TwoLevel>>,
 }
 
 impl CompiledProgram {
@@ -604,9 +620,9 @@ impl CompiledProgram {
     /// let p = inl_ir::zoo::simple_cholesky();
     /// let cp = inl_vm::compile(&p);
     /// let bp = cp.bind(&[3]); // N = 3
-    /// let mut buf = vec![9.0; bp.total_len];
-    /// inl_vm::run(&bp, &mut buf);
-    /// assert_eq!(buf[bp.arrays[0].base + 1], 3.0); // A[1] = sqrt(9)
+    /// let mut a = vec![9.0; bp.arrays[0].len];
+    /// inl_vm::run(&bp, &mut [&mut a[..]]);
+    /// assert_eq!(a[1], 3.0); // A[1] = sqrt(9)
     /// ```
     ///
     /// # Panics
@@ -623,44 +639,46 @@ impl CompiledProgram {
         // compile time), so a params-prefixed scratch file suffices.
         let mut scratch = params.clone();
         scratch.resize(self.nparams + self.nloops, 0);
-        let mut arrays = Vec::with_capacity(self.arrays.len());
-        let mut base = 0usize;
-        for a in &self.arrays {
-            let dims: Vec<usize> = a
-                .dims
-                .iter()
-                .map(|&r| {
-                    let row = &self.rows[r as usize];
-                    debug_assert_eq!(row.div, 1, "array extent with divisor");
-                    let ext = row.num(&scratch);
-                    assert!(ext > 0, "array {} has non-positive extent {ext}", a.name);
-                    ext as usize
-                })
-                .collect();
-            let end = dims
-                .iter()
-                .try_fold(1usize, |n, &ext| n.checked_mul(ext))
-                .and_then(|len| Some((len, base.checked_add(len)?)));
-            let Some((len, end)) = end else {
-                panic!("array {}: extents {dims:?} overflow usize", a.name)
-            };
-            arrays.push(ArrayLayout {
-                name: a.name.clone(),
-                dims,
-                base,
-                len,
-            });
-            base = end;
-        }
+        let arrays: Vec<ArrayLayout> = self
+            .arrays
+            .iter()
+            .map(|a| {
+                let dims: Vec<usize> = a
+                    .dims
+                    .iter()
+                    .map(|&r| {
+                        let row = &self.rows[r as usize];
+                        debug_assert_eq!(row.div, 1, "array extent with divisor");
+                        let ext = row.num(&scratch);
+                        assert!(ext > 0, "array {} has non-positive extent {ext}", a.name);
+                        ext as usize
+                    })
+                    .collect();
+                let len = dims
+                    .iter()
+                    .try_fold(1usize, |n, &ext| n.checked_mul(ext))
+                    .unwrap_or_else(|| panic!("array {}: extents {dims:?} overflow usize", a.name));
+                ArrayLayout {
+                    name: a.name.clone(),
+                    dims,
+                    len,
+                }
+            })
+            .collect();
         let accs: Vec<FlatAcc> = self
             .accesses
             .iter()
             .map(|acc| self.lower_access(acc, &arrays))
             .collect();
-        let kernels = self
+        let kernels: Vec<_> = self
             .loops
             .iter()
             .map(|meta| self.lower_kernel(meta.as_ref()?, &accs))
+            .collect();
+        let two_level = self
+            .loops
+            .iter()
+            .map(|meta| self.lower_two_level(meta.as_ref()?, &accs, &kernels))
             .collect();
         BoundProgram {
             cp: self,
@@ -668,7 +686,7 @@ impl CompiledProgram {
             arrays,
             accs,
             kernels,
-            total_len: base,
+            two_level,
         }
     }
 
@@ -681,9 +699,9 @@ impl CompiledProgram {
         }
         let fast = acc.dims.iter().all(|&r| self.rows[r as usize].div == 1);
         if fast {
-            // merge stride_d · row_d into one flat-offset row
+            // merge stride_d · row_d into one offset row
             let mut terms: Vec<(IReg, i64)> = Vec::new();
-            let mut konst = layout.base as i64;
+            let mut konst = 0;
             for (&r, &stride) in acc.dims.iter().zip(&strides) {
                 let row = &self.rows[r as usize];
                 konst += row.konst * stride as i64;
@@ -698,8 +716,7 @@ impl CompiledProgram {
             FlatAcc::Flat {
                 terms,
                 konst,
-                start: layout.base,
-                end: layout.base + layout.len,
+                array: acc.array,
             }
         } else {
             FlatAcc::Dims {
@@ -714,7 +731,7 @@ impl CompiledProgram {
                         extent,
                     })
                     .collect(),
-                base: layout.base,
+                array: acc.array,
             }
         }
     }
@@ -728,10 +745,7 @@ impl CompiledProgram {
     /// true of every body is not checked again: an operator's operands are
     /// distinct registers, and a register is written before it is read.
     fn lower_kernel(&self, meta: &LoopMeta, accs: &[FlatAcc]) -> Option<TripKernel> {
-        let per_trip = |terms: &[(IReg, i64)]| {
-            let c = terms.iter().find(|t| t.0 == meta.var).map_or(0, |t| t.1);
-            c.checked_mul(meta.step)
-        };
+        let per_trip = |terms: &[(IReg, i64)]| coefficient(terms, meta.var).checked_mul(meta.step);
         let mut slots: Vec<Slot> = Vec::new();
         let mut slot = |acc: u32, stored: bool| {
             let FlatAcc::Flat { terms, .. } = &accs[acc as usize] else {
@@ -799,6 +813,31 @@ impl CompiledProgram {
                 .collect();
         }
         Some(k)
+    }
+
+    /// Lower a loop to a [`TwoLevel`] one, or `None` unless its body is
+    /// exactly one kernel loop — that loop's header first, its latch last,
+    /// nothing around them — and every slot's change per outer trip fits.
+    fn lower_two_level(
+        &self,
+        meta: &LoopMeta,
+        accs: &[FlatAcc],
+        kernels: &[Option<TripKernel>],
+    ) -> Option<TwoLevel> {
+        let is_body = |m: &Option<LoopMeta>| m.is_some_and(|m| (m.header, m.exit) == meta.body);
+        let inner = self.loops.iter().position(is_body)?;
+        let (k, var) = (kernels[inner].as_ref()?, self.loops[inner]?.var);
+        let steps = k.slots.iter().map(|s| {
+            let FlatAcc::Flat { terms, .. } = &accs[s.acc as usize] else {
+                unreachable!("a kernel's accesses are flat")
+            };
+            let outer = coefficient(terms, meta.var).checked_mul(meta.step)?;
+            Some((coefficient(terms, var), outer))
+        });
+        Some(TwoLevel {
+            inner,
+            steps: steps.collect::<Option<_>>()?,
+        })
     }
 
     /// Metadata for a loop, if it is attached to the program tree.
@@ -941,24 +980,39 @@ impl BoundProgram<'_> {
     }
 }
 
-/// Lower bound of a row range: max of ceilings.
+/// The coefficient of integer register `var` in a row's terms.
+fn coefficient(terms: &[(IReg, i64)], var: IReg) -> i64 {
+    terms.iter().find(|t| t.0 == var).map_or(0, |t| t.1)
+}
+
+/// Lower bound of a row range: max of ceilings (a divisor-1 row is not
+/// divided).
 #[inline]
 pub(crate) fn eval_lo(rows: &[Row], (start, len): RowRange, iregs: &[i64]) -> i64 {
     let mut best = i64::MIN;
     for row in &rows[start as usize..start as usize + len as usize] {
-        let v = ceil_div(row.num(iregs), row.div);
-        best = best.max(v);
+        let num = row.num(iregs);
+        best = best.max(if row.div == 1 {
+            num
+        } else {
+            ceil_div(num, row.div)
+        });
     }
     best
 }
 
-/// Upper bound of a row range: min of floors.
+/// Upper bound of a row range: min of floors (a divisor-1 row is not
+/// divided).
 #[inline]
 pub(crate) fn eval_hi(rows: &[Row], (start, len): RowRange, iregs: &[i64]) -> i64 {
     let mut best = i64::MAX;
     for row in &rows[start as usize..start as usize + len as usize] {
-        let v = floor_div(row.num(iregs), row.div);
-        best = best.min(v);
+        let num = row.num(iregs);
+        best = best.min(if row.div == 1 {
+            num
+        } else {
+            floor_div(num, row.div)
+        });
     }
     best
 }

@@ -10,8 +10,8 @@
 //!   allocated stack-wise (an operator overwrites its left operand's
 //!   register and frees its right's, so the file stays as deep as the
 //!   expression tree);
-//! * array accesses become entries in the access table, lowered to flat
-//!   buffer offsets when parameters are bound.
+//! * array accesses become entries in the access table, lowered to
+//!   offsets within their arrays when parameters are bound.
 
 use crate::bytecode::{
     AccessDesc, ArrayDesc, CompiledProgram, GuardKind, IReg, Instr, LoopMeta, Pc, Reg, Row, RowId,
@@ -36,7 +36,7 @@ fn c64(v: Int) -> i64 {
 /// let cp = inl_vm::compile(&p);
 /// // Compiled once, bindable for any parameter value.
 /// assert_eq!(cp.nparams, 1);
-/// assert!(cp.bind(&[4]).total_len > cp.bind(&[2]).total_len);
+/// assert!(cp.bind(&[4]).arrays[0].len > cp.bind(&[2]).arrays[0].len);
 /// ```
 ///
 /// # Panics

@@ -12,9 +12,9 @@
 //!
 //! * affine bounds, guards, and subscripts → integer **coefficient rows**
 //!   over a flat register file (parameters + loop variables);
-//! * multi-dimensional array accesses → a precomputed **flat-offset row**
-//!   (base + strides folded into the coefficients) into a single flat
-//!   `f64` buffer;
+//! * multi-dimensional array accesses → a precomputed **offset row**
+//!   (strides folded into the coefficients) into the array's own row-major
+//!   `f64` slice — the caller's storage, run in place;
 //! * expressions → stack-free **two-address code** over `f64` value
 //!   registers (an operator overwrites its left operand);
 //! * loops → `Loop`/`Next` header/latch instructions with explicit jump
@@ -25,7 +25,10 @@
 //!   fixed delta instead of re-derived, a whole column of trips per
 //!   dispatch, when no trip touches a cell another trip stores — or only
 //!   the one cell each trip hands to the next, which then rides in a
-//!   register.
+//!   register;
+//! * a loop whose body is exactly one such loop → a **two-level** loop
+//!   ([`bytecode::TwoLevel`]): its header runs every outer trip, stepping
+//!   the slots' offsets instead of re-entering through the dispatcher.
 //!
 //! The per-instance hot path is integer multiply-adds and indexed loads —
 //! zero allocation, zero hashing — and, inside a kernel, not even a
@@ -35,22 +38,22 @@
 //!
 //! [`compile()`](compile()) produces a [`CompiledProgram`] that is still *symbolic* in
 //! the program parameters (array extents are affine in `N`).
-//! [`CompiledProgram::bind`] fixes parameter values: it lays the arrays
-//! out in one flat buffer (row-major, `ArrayId` order — the same order
-//! the `inl-exec` `Machine` allocates them) and lowers every access to a
-//! [`bytecode::FlatAcc`]. [`run()`](run()) then executes against a `&mut [f64]`.
+//! [`CompiledProgram::bind`] fixes parameter values: it computes each
+//! array's extents and length (row-major, `ArrayId` order — the order the
+//! `inl-exec` `Machine` allocates them) and lowers every access to a
+//! [`bytecode::FlatAcc`], an offset within the array it names.
+//! [`run()`](run()) then executes in place on one `&mut [f64]` per array.
 //!
 //! ```
 //! use inl_ir::zoo;
 //!
 //! let p = zoo::simple_cholesky();
 //! let cp = inl_vm::compile(&p);
-//! let bp = cp.bind(&[2]);           // N = 2
-//! let mut buf = vec![16.0; bp.total_len];
-//! inl_vm::run(&bp, &mut buf);
-//! let a = &bp.arrays[0];            // A, extent N+1
-//! assert_eq!(buf[a.base + 1], 4.0); // sqrt(16)
-//! assert_eq!(buf[a.base + 2], 2.0); // sqrt(16/4)
+//! let bp = cp.bind(&[2]);                 // N = 2
+//! let mut a = vec![16.0; bp.arrays[0].len]; // A, extent N+1
+//! inl_vm::run(&bp, &mut [&mut a[..]]);
+//! assert_eq!(a[1], 4.0); // sqrt(16)
+//! assert_eq!(a[2], 2.0); // sqrt(16/4)
 //! ```
 //!
 //! ## Equivalence discipline
@@ -81,13 +84,17 @@
 //! and [`bytecode::CarriedKernel`] for the half the body fixes): columns
 //! for the ops that never see it, then one pass over them with the cell in
 //! a register. An entry that allows neither is handed back to the
-//! dispatcher. Counters and profile are credited the dispatcher's closed
-//! form, so they do not depend on the executor; every other loop, and every
-//! statement outside an innermost loop, stays on the dispatcher. There is
-//! nothing to configure, and the interpreter is the oracle for all of it
-//! (`tests/trip_kernels.rs`). The kernel — slots with base and stride,
-//! straight-line two-address ops — is also the lowered form a native-code
-//! printer would print.
+//! dispatcher. The loop around a kernel loop, when that is its whole body,
+//! is a [`bytecode::TwoLevel`] loop whose header makes every entry itself:
+//! inner bounds per outer trip, first offsets stepped by each slot's outer
+//! coefficient, the same range proof and choice of executor per entry.
+//! Counters and profile are credited the dispatcher's closed form, so they
+//! do not depend on the executor; every other loop, and every statement
+//! outside an innermost loop, stays on the dispatcher. There is nothing to
+//! configure, and the interpreter is the oracle for all of it
+//! (`tests/trip_kernels.rs`). The kernel — slots with first offset and
+//! stride, straight-line two-address ops — is also the lowered form a
+//! native-code printer would print.
 //!
 //! ## Parallel execution
 //!
@@ -95,8 +102,9 @@
 //! stream, so a driver can evaluate a parallel loop's bounds via
 //! [`bytecode::BoundProgram::loop_bounds`], set the loop-variable
 //! register in a cloned [`VmState`], and execute the loop *body* range
-//! per iteration against a [`SharedBuf`] shared across workers. The
-//! `inl-exec` parallel wavefront executor does exactly this.
+//! per iteration against a [`SharedBuf`] — one pointer and length per
+//! array — shared across workers. The `inl-exec` parallel wavefront
+//! executor does exactly this.
 //!
 //! ## Telemetry
 //!
@@ -124,34 +132,42 @@ mod tests {
     use super::*;
     use inl_ir::{zoo, Aff, Expr, Guard, ProgramBuilder};
 
-    /// Fill a fresh flat buffer with `init(array_name, multi_index)`,
-    /// mirroring `Machine::new`'s initialisation contract.
-    fn init_buf(bp: &BoundProgram, init: &dyn Fn(&str, &[usize]) -> f64) -> Vec<f64> {
-        let mut buf = vec![0.0; bp.total_len];
-        for a in &bp.arrays {
+    /// Fresh arrays filled with `init(array_name, multi_index)`, mirroring
+    /// `Machine::new`'s initialisation contract.
+    fn init_buf(bp: &BoundProgram, init: &dyn Fn(&str, &[usize]) -> f64) -> Vec<Vec<f64>> {
+        let fill = |a: &bytecode::ArrayLayout| {
             let mut idx = vec![0usize; a.dims.len()];
-            for i in 0..a.len {
-                let mut rem = i;
-                for (d, &ext) in a.dims.iter().enumerate().rev() {
-                    idx[d] = rem % ext;
-                    rem /= ext;
-                }
-                buf[a.base + i] = init(&a.name, &idx);
-            }
-        }
-        buf
+            (0..a.len)
+                .map(|i| {
+                    let mut rem = i;
+                    for (d, &ext) in a.dims.iter().enumerate().rev() {
+                        idx[d] = rem % ext;
+                        rem /= ext;
+                    }
+                    init(&a.name, &idx)
+                })
+                .collect()
+        };
+        bp.arrays.iter().map(fill).collect()
+    }
+
+    /// Run the whole program in place on `arrays`.
+    fn run_on(bp: &BoundProgram, arrays: &mut [Vec<f64>]) {
+        let mut slices: Vec<&mut [f64]> = arrays.iter_mut().map(Vec::as_mut_slice).collect();
+        run(bp, &mut slices);
     }
 
     /// Read one cell of `name` at a multi-index.
-    fn cell(bp: &BoundProgram, buf: &[f64], name: &str, idx: &[usize]) -> f64 {
-        let a = bp.arrays.iter().find(|a| a.name == name).unwrap();
+    fn cell(bp: &BoundProgram, buf: &[Vec<f64>], name: &str, idx: &[usize]) -> f64 {
+        let i = bp.arrays.iter().position(|a| a.name == name).unwrap();
+        let a = &bp.arrays[i];
         assert_eq!(idx.len(), a.dims.len());
         let mut off = 0;
         for (d, &i) in idx.iter().enumerate() {
             assert!(i < a.dims[d]);
             off = off * a.dims[d] + i;
         }
-        buf[a.base + off]
+        buf[i][off]
     }
 
     #[test]
@@ -161,12 +177,12 @@ mod tests {
         // N = 1: A(1) = sqrt(A(1)); no inner iterations
         let bp = cp.bind(&[1]);
         let mut buf = init_buf(&bp, &|_, _| 16.0);
-        run(&bp, &mut buf);
+        run_on(&bp, &mut buf);
         assert_eq!(cell(&bp, &buf, "A", &[1]), 4.0);
         // N = 2: A(1)=sqrt(A(1)); A(2)=A(2)/A(1); A(2)=sqrt(A(2))
         let bp = cp.bind(&[2]);
         let mut buf = init_buf(&bp, &|_, _| 16.0);
-        run(&bp, &mut buf);
+        run_on(&bp, &mut buf);
         assert_eq!(cell(&bp, &buf, "A", &[1]), 4.0);
         assert_eq!(cell(&bp, &buf, "A", &[2]), 2.0); // sqrt(16/4)
     }
@@ -183,7 +199,7 @@ mod tests {
                 0.0
             }
         });
-        run(&bp, &mut buf);
+        run_on(&bp, &mut buf);
         assert_eq!(cell(&bp, &buf, "A", &[1, 1]), 2.0);
         assert_eq!(cell(&bp, &buf, "A", &[2, 1]), 3.0);
         assert_eq!(cell(&bp, &buf, "A", &[2, 2]), 6.0);
@@ -210,12 +226,8 @@ mod tests {
         let cp = compile(&p);
         let bp = cp.bind(&[5]);
         let mut buf = init_buf(&bp, &|_, _| 0.0);
-        run(&bp, &mut buf);
-        let x = &bp.arrays[0];
-        assert_eq!(
-            &buf[x.base..x.base + x.len],
-            &[0.0, 0.0, 1.0, 0.0, 1.0, 0.0]
-        );
+        run_on(&bp, &mut buf);
+        assert_eq!(buf[0], [0.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
     }
 
     #[test]
@@ -225,9 +237,8 @@ mod tests {
         // N = 1: inner loop J = 2..1 is empty
         let bp = cp.bind(&[1]);
         let mut buf = init_buf(&bp, &|_, _| 7.0);
-        run(&bp, &mut buf);
-        let a = &bp.arrays[0];
-        assert_eq!(&buf[a.base..a.base + a.len], &[7.0, 7.0]);
+        run_on(&bp, &mut buf);
+        assert_eq!(buf[0], [7.0, 7.0]);
     }
 
     #[test]
@@ -239,7 +250,7 @@ mod tests {
         // A thread-local capture, not the process-global registry: the
         // other tests of this binary run the VM on their own threads at
         // the same time and would bump a global `vm.instances` too.
-        let ((), seen) = inl_obs::capture::with(|| run(&bp, &mut buf));
+        let ((), seen) = inl_obs::capture::with(|| run_on(&bp, &mut buf));
         // N=4: S1 runs 4 times; S2 runs 3+2+1 = 6 times
         assert_eq!(seen.counters.get("vm.instances"), Some(&10));
         assert!(seen.counters["vm.instrs"] >= 10);

@@ -385,6 +385,13 @@ mod tests {
     // toggle them.
     static LOCK: Mutex<()> = Mutex::new(());
 
+    /// Run the whole program on arrays whose every cell is `v`.
+    fn run_filled(bp: &crate::BoundProgram, v: f64) {
+        let mut arrays: Vec<Vec<f64>> = bp.arrays.iter().map(|a| vec![v; a.len]).collect();
+        let mut slices: Vec<&mut [f64]> = arrays.iter_mut().map(Vec::as_mut_slice).collect();
+        run(bp, &mut slices);
+    }
+
     #[test]
     fn disabled_profiling_collects_nothing() {
         let _l = LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -393,8 +400,7 @@ mod tests {
         let p = zoo::simple_cholesky();
         let cp = compile(&p);
         let bp = cp.bind(&[4]);
-        let mut buf = vec![9.0; bp.total_len];
-        run(&bp, &mut buf);
+        run_filled(&bp, 9.0);
         assert!(pc_counts(&cp).is_none());
     }
 
@@ -406,8 +412,7 @@ mod tests {
         let p = zoo::simple_cholesky();
         let cp = compile(&p);
         let bp = cp.bind(&[4]);
-        let mut buf = vec![9.0; bp.total_len];
-        run(&bp, &mut buf);
+        run_filled(&bp, 9.0);
         set_enabled(false);
 
         let counts = pc_counts(&cp).expect("profiled run recorded");
@@ -450,8 +455,7 @@ mod tests {
         let cp2 = compile(&p2);
         assert_ne!(cp1.id, cp2.id);
         let bp = cp1.bind(&[3]);
-        let mut buf = vec![4.0; bp.total_len];
-        run(&bp, &mut buf);
+        run_filled(&bp, 4.0);
         set_enabled(false);
         assert!(pc_counts(&cp1).is_some());
         assert!(pc_counts(&cp2).is_none());

@@ -2,21 +2,23 @@
 //! trip executors that run the same body ops for the innermost loops
 //! binding lowered to a [`TripKernel`].
 //!
-//! On the dispatcher the per-instance path is integer dot products (tiny
-//! sparse rows), indexed `f64` loads/stores into one flat buffer, and
-//! two-address arithmetic — no allocation, no hashing, no rationals
-//! (except the exact [`Instr::Idx`] slow path, which replicates the
-//! interpreter's rational semantics bit-for-bit).
+//! The VM runs in the caller's own arrays, one slice each ([`SharedBuf`]):
+//! an access is an offset within the array it names, checked against that
+//! array's real length, and nothing is copied in or out. On the dispatcher
+//! the per-instance path is integer dot products (tiny sparse rows),
+//! indexed `f64` loads/stores, and two-address arithmetic — no allocation,
+//! no hashing, no rationals (except the exact [`Instr::Idx`] slow path,
+//! which replicates the interpreter's rational semantics bit-for-bit).
 //!
 //! # Trip kernels
 //!
 //! The `Loop` header of a kernel loop can run all the loop's trips itself
-//! and jump to its exit. At entry it resolves every slot's first offset with
-//! the dispatcher's own address computation (segment assert included) and
-//! asserts the *last* trip's offset against the same segment: an offset is
-//! affine in the trip, so every trip between lies between, and a guard-free
-//! body performs every access on every trip, so nothing is checked that
-//! would not have run. It then picks an [`Executor`] from the address spans
+//! and jump to its exit. At entry it resolves every slot's first offset and
+//! asserts it and the *last* trip's offset inside the slot's array: an
+//! offset is affine in the trip, so every trip between lies between, and a
+//! guard-free body performs every access on every trip, so nothing is
+//! checked that would not have run — and nothing is checked again, op by op,
+//! while the trips run. It then picks an [`Executor`] from the address spans
 //! alone ([`trips_are_independent`], [`carried_slot`]):
 //!
 //! * **columns** — each op applied to up to [`COLUMN`] trips at once over
@@ -40,6 +42,17 @@
 //! there is nothing to switch: the interpreter is the oracle for every
 //! executor.
 //!
+//! # Two-level loops
+//!
+//! The header of a [`TwoLevel`] loop — one whose body is exactly one kernel
+//! loop — runs every outer trip itself: it evaluates the inner bounds, steps
+//! each slot's offset by the slot's outer coefficient instead of re-deriving
+//! it, and enters the kernel as the inner header would, range proof and
+//! choice of executor included; only an entry neither executor may run goes
+//! back to the dispatcher, for that outer trip alone. It leaves both loops'
+//! registers and bound slots as the dispatcher would, and credits the
+//! counters and the profile with the dispatcher's closed form.
+//!
 //! [`exec_range`] executes an arbitrary `[start, end)` slice of the
 //! instruction stream, which is what lets the parallel executor drive
 //! loop *bodies* directly: it evaluates a parallel loop's bounds itself,
@@ -47,8 +60,8 @@
 //! iteration on a [`SharedBuf`] visible to all workers.
 
 use crate::bytecode::{
-    eval_hi, eval_lo, BoundProgram, FlatAcc, GuardKind, Instr, Pc, Reg, Row, Slot, TripKernel,
-    CARRY, KERNEL_REGS, KERNEL_SLOTS,
+    eval_hi, eval_lo, BoundProgram, FlatAcc, GuardKind, IReg, Instr, LoopMeta, Pc, Reg, Row, Slot,
+    TripKernel, TwoLevel, CARRY, KERNEL_REGS, KERNEL_SLOTS,
 };
 use crate::profile::Samples;
 use inl_linalg::{Int, Rational};
@@ -108,139 +121,142 @@ impl BoundProgram<'_> {
     }
 }
 
-/// A shared view of the flat array buffer that many VM activations may
-/// read and write concurrently.
+/// A shared view of a program's arrays — the caller's storage, one slice
+/// per array — that many VM activations may read and write concurrently.
 ///
 /// # Safety
-/// Bounds are checked on every access, but *aliasing* is the caller's
-/// contract: concurrent writers must target disjoint cells (the parallel
-/// executor only runs loops proven dependence-free, which is exactly that
-/// guarantee).
-#[derive(Clone, Copy)]
+/// Bounds are checked against each array's length, but *aliasing* is the
+/// caller's contract: concurrent writers must target disjoint cells (the
+/// parallel executor only runs loops proven dependence-free, which is
+/// exactly that guarantee).
 pub struct SharedBuf<'a> {
-    ptr: *mut f64,
-    len: usize,
+    /// Each array's first cell and length, in `ArrayId` order.
+    arrays: Box<[(*mut f64, usize)]>,
     _marker: PhantomData<&'a mut [f64]>,
 }
 
+// SAFETY: `arrays` points into slices borrowed exclusively for `'a`, and
+// every access is checked against its array's length (or, in a kernel entry,
+// proved inside before it runs); which thread touches which cell is the
+// aliasing contract above.
 unsafe impl Send for SharedBuf<'_> {}
+// SAFETY: as for `Send`: `&SharedBuf` only reads and writes `f64` cells.
 unsafe impl Sync for SharedBuf<'_> {}
 
 impl<'a> SharedBuf<'a> {
-    /// Wrap a mutable buffer for the duration of its borrow.
-    pub fn new(data: &'a mut [f64]) -> Self {
+    /// Share `arrays`, one slice per array in `ArrayId` order, for the
+    /// duration of their borrow.
+    pub fn new(arrays: &'a mut [&mut [f64]]) -> Self {
         SharedBuf {
-            ptr: data.as_mut_ptr(),
-            len: data.len(),
+            arrays: arrays
+                .iter_mut()
+                .map(|a| (a.as_mut_ptr(), a.len()))
+                .collect(),
             _marker: PhantomData,
         }
     }
 
-    #[inline]
-    fn read(&self, i: usize) -> f64 {
-        assert!(i < self.len, "flat read out of bounds: {i} >= {}", self.len);
-        unsafe { *self.ptr.add(i) }
-    }
-
-    #[inline]
-    fn write(&self, i: usize, v: f64) {
+    /// Assert one slice per array of `bp`, each of its layout's length.
+    fn check(&self, bp: &BoundProgram) {
+        let lens = self.arrays.iter().map(|a| a.1);
         assert!(
-            i < self.len,
-            "flat write out of bounds: {i} >= {}",
-            self.len
+            lens.eq(bp.arrays.iter().map(|a| a.len)),
+            "buffer/layout length mismatch"
         );
-        unsafe { *self.ptr.add(i) = v }
     }
 
-    /// The lowest of the `n ≥ 1` cells `first, first + stride, …`, after
-    /// asserting the first and the last of them inside the buffer (an
-    /// affine index stays between its two ends).
+    /// Cells in `array`.
     #[inline]
-    fn lowest(&self, n: usize, first: i64, stride: i64) -> usize {
-        let ends = i64::try_from(n - 1)
-            .ok()
-            .and_then(|reach| reach.checked_mul(stride))
-            .and_then(|d| first.checked_add(d))
-            .map(|last| (first.min(last), first.max(last)));
-        match ends {
-            Some((lo, hi)) if lo >= 0 && (hi as usize) < self.len => lo as usize,
-            _ => panic!(
-                "flat access out of bounds: {n} cells from {first} by {stride} >= {}",
-                self.len
-            ),
-        }
+    fn len(&self, array: u32) -> usize {
+        self.arrays[array as usize].1
     }
 
-    /// Read one cell per element of `out`, `stride` cells apart from `first`.
+    /// The cell at `offset` in `array`, after asserting it inside.
     #[inline]
-    fn gather(&self, out: &mut [f64], first: i64, stride: i64) {
-        if out.is_empty() {
-            return;
-        }
-        let lo = self.lowest(out.len(), first, stride);
-        // SAFETY: `lowest` asserted every cell read inside the buffer;
-        // `out` is a register column, never part of the buffer.
-        unsafe {
-            match stride {
-                0 => out.fill(*self.ptr.add(lo)),
-                1 => std::ptr::copy_nonoverlapping(self.ptr.add(lo), out.as_mut_ptr(), out.len()),
-                _ => {
-                    for (t, o) in out.iter_mut().enumerate() {
-                        *o = *self.ptr.offset((first + t as i64 * stride) as isize);
-                    }
+    fn cell(&self, array: u32, offset: usize) -> *mut f64 {
+        let (first, len) = self.arrays[array as usize];
+        assert!(offset < len, "flat access outside its array segment");
+        // SAFETY: inside the array, which `'a` borrows.
+        unsafe { first.add(offset) }
+    }
+
+    #[inline]
+    fn read(&self, array: u32, offset: usize) -> f64 {
+        // SAFETY: `cell` asserted the cell inside its array.
+        unsafe { *self.cell(array, offset) }
+    }
+
+    #[inline]
+    fn write(&self, array: u32, offset: usize, v: f64) {
+        // SAFETY: `cell` asserted the cell inside its array.
+        unsafe { *self.cell(array, offset) = v }
+    }
+
+    /// Read one cell of `array` per element of `out`, `stride` cells apart
+    /// from `first`.
+    ///
+    /// # Safety
+    /// Those cells are inside the array: the entry's header proved its first
+    /// and last trip's offsets, and an affine offset stays between them.
+    #[inline]
+    unsafe fn gather(&self, array: u32, out: &mut [f64], first: i64, stride: i64) {
+        let at = self.arrays[array as usize].0.offset(first as isize);
+        // `out` is a register column, never part of an array.
+        match stride {
+            0 => out.fill(*at),
+            1 => std::ptr::copy_nonoverlapping(at, out.as_mut_ptr(), out.len()),
+            _ => {
+                for (t, o) in out.iter_mut().enumerate() {
+                    *o = *at.offset(t as isize * stride as isize);
                 }
             }
         }
     }
 
-    /// Write one cell per element of `src`, `stride` cells apart from `first`.
+    /// Write one cell of `array` per element of `src`, `stride` cells apart
+    /// from `first`.
+    ///
+    /// # Safety
+    /// As for [`SharedBuf::gather`].
     #[inline]
-    fn scatter(&self, src: &[f64], first: i64, stride: i64) {
-        if src.is_empty() {
-            return;
-        }
-        let lo = self.lowest(src.len(), first, stride);
-        // SAFETY: `lowest` asserted every cell written inside the buffer;
-        // `src` is a register column, never part of the buffer.
-        unsafe {
-            match stride {
-                1 => std::ptr::copy_nonoverlapping(src.as_ptr(), self.ptr.add(lo), src.len()),
-                _ => {
-                    for (t, &v) in src.iter().enumerate() {
-                        *self.ptr.offset((first + t as i64 * stride) as isize) = v;
-                    }
+    unsafe fn scatter(&self, array: u32, src: &[f64], first: i64, stride: i64) {
+        let at = self.arrays[array as usize].0.offset(first as isize);
+        match stride {
+            1 => std::ptr::copy_nonoverlapping(src.as_ptr(), at, src.len()),
+            _ => {
+                for (t, &v) in src.iter().enumerate() {
+                    *at.offset(t as isize * stride as isize) = v;
                 }
             }
         }
     }
 }
 
-/// Resolve a bound access to a flat buffer offset at the current register
-/// file. Fast path: one merged row plus a segment check. Slow path
-/// (divisor subscripts): per-dimension exact-divisibility and bounds
-/// checks, mirroring the interpreter.
+/// The value of an offset row at the current register file.
 #[inline]
-fn addr(bp: &BoundProgram, acc: u32, iregs: &[i64]) -> usize {
+fn offset(terms: &[(IReg, i64)], konst: i64, iregs: &[i64]) -> i64 {
+    let mut off = konst;
+    for &(r, c) in terms {
+        off += c * iregs[r as usize];
+    }
+    off
+}
+
+/// Resolve a bound access to its array and the offset within it at the
+/// current register file. Fast path: one merged row, checked against the
+/// array's length where the cell is read or written (a negative offset
+/// wraps past any length). Slow path (divisor subscripts): per-dimension
+/// exact-divisibility and bounds checks, mirroring the interpreter.
+#[inline]
+fn addr(bp: &BoundProgram, acc: u32, iregs: &[i64]) -> (u32, usize) {
     match &bp.accs[acc as usize] {
         FlatAcc::Flat {
             terms,
             konst,
-            start,
-            end,
-        } => {
-            let mut off = *konst;
-            for &(r, c) in terms {
-                off += c * iregs[r as usize];
-            }
-            let off = off as usize;
-            assert!(
-                (*start..*end).contains(&off),
-                "flat access outside its array segment"
-            );
-            off
-        }
-        FlatAcc::Dims { dims, base } => {
-            let mut off = *base;
+            array,
+        } => (*array, offset(terms, *konst, iregs) as usize),
+        FlatAcc::Dims { dims, array } => {
+            let mut off = 0;
             for d in dims {
                 let row = &bp.cp.rows[d.row as usize];
                 let num = row.num(iregs);
@@ -251,8 +267,17 @@ fn addr(bp: &BoundProgram, acc: u32, iregs: &[i64]) -> usize {
                 assert!(v < d.extent, "subscript {v} out of bounds {}", d.extent);
                 off += v * d.stride;
             }
-            off
+            (*array, off)
         }
+    }
+}
+
+/// A kernel slot's offset at the current register file.
+#[inline]
+fn slot_offset(bp: &BoundProgram, s: &Slot, iregs: &[i64]) -> i64 {
+    match &bp.accs[s.acc as usize] {
+        FlatAcc::Flat { terms, konst, .. } => offset(terms, *konst, iregs),
+        FlatAcc::Dims { .. } => unreachable!("a kernel's accesses are flat"),
     }
 }
 
@@ -338,46 +363,99 @@ fn ix(i: impl Into<usize>) -> usize {
     i.into() & 7
 }
 
-/// Run all `trips` of a kernel loop whose register `var` holds the first
-/// trip's value, leaving in it the last trip's — what the dispatcher's latch
-/// leaves — and return the executor that ran them; `None`, with no trip run,
-/// when the address spans allow neither and the trips are the dispatcher's.
-fn run_trips(
+/// What a dispatch has run, flushed to the counters and the profile once
+/// per [`exec_range`].
+#[derive(Default)]
+struct Tally {
+    instrs: u64,
+    instances: u64,
+    /// Trips each executor ran, indexed by [`Executor`].
+    kernel_trips: [u64; 2],
+    /// Trips of kernel loops handed back to the dispatcher.
+    handed_back: u64,
+    /// Executions per instruction address, when profiling.
+    samples: Samples,
+}
+
+impl Tally {
+    fn flush(&self) {
+        if self.instrs > 0 {
+            inl_obs::counter_add!("vm.instrs", self.instrs);
+            inl_obs::hist_record!("vm.exec_range.instrs", self.instrs);
+        }
+        if self.instances > 0 {
+            inl_obs::counter_add!("vm.instances", self.instances);
+        }
+        let [columns, carried] = self.kernel_trips;
+        if columns > 0 {
+            inl_obs::counter_add!("vm.trips.columns", columns);
+        }
+        if carried > 0 {
+            inl_obs::counter_add!("vm.trips.carried", carried);
+        }
+        if self.handed_back > 0 {
+            inl_obs::counter_add!("vm.trips.dispatch", self.handed_back);
+        }
+    }
+}
+
+/// Enter kernel loop `meta` for `trips` trips, its register holding the
+/// first trip's value and slot `i` at `first[i]`. Asserts every slot's first
+/// and last offset inside its array before any trip runs — the proof every
+/// gather and scatter of the entry relies on — then picks the executor from
+/// the address spans. True when it ran the trips, leaving in the register
+/// the last trip's value — what the dispatcher's latch leaves — and
+/// crediting what the dispatcher would have executed, body and latch once
+/// per trip; false, with no trip run, when the spans allow neither executor
+/// and the trips are the dispatcher's.
+#[allow(clippy::too_many_arguments)]
+fn enter<const PROFILE: bool>(
     bp: &BoundProgram,
     k: &TripKernel,
-    (var, step): (usize, i64),
+    meta: &LoopMeta,
+    first: [i64; KERNEL_SLOTS],
+    trips: u64,
     st: &mut VmState,
     buf: &SharedBuf<'_>,
-    trips: u64,
-) -> Option<Executor> {
+    tally: &mut Tally,
+) -> bool {
     let reach = (trips - 1) as i64;
-    let mut first = [0i64; KERNEL_SLOTS];
     let mut last = [0i64; KERNEL_SLOTS];
     for (i, s) in k.slots.iter().enumerate() {
-        first[i] = addr(bp, s.acc, &st.iregs) as i64;
-        let seg = &bp.arrays[s.array as usize];
+        let inside = 0..buf.len(s.array) as i64;
         last[i] = reach
             .checked_mul(s.delta)
             .and_then(|d| first[i].checked_add(d))
-            .filter(|l| (seg.base as i64..(seg.base + seg.len) as i64).contains(l))
+            .filter(|l| inside.contains(l) && inside.contains(&first[i]))
             .expect("flat access outside its array segment");
     }
     let (first_n, last_n) = (&first[..k.slots.len()], &last[..k.slots.len()]);
     let carried = if trips_are_independent(&k.slots, first_n, last_n) {
         None
     } else {
-        let c = carried_slot(&k.slots, first_n, last_n)?;
-        Some(k.carried.iter().find(|split| ix(split.slot) == c)?)
+        let c = carried_slot(&k.slots, first_n, last_n);
+        match c.and_then(|c| k.carried.iter().find(|split| ix(split.slot) == c)) {
+            Some(split) => Some(split),
+            None => {
+                tally.handed_back += trips;
+                return false;
+            }
+        }
     };
     // In columns: the whole body, or the ops around the carried load and
     // then, trip by trip, the chain from it to the store.
     let body = &bp.cp.code[k.body.0 as usize..k.body.1 as usize];
     let ops = carried.map_or(body, |c| &c.ops);
-    let mut carry = carried.map_or(0.0, |c| buf.read(first[ix(c.slot)] as usize));
+    let carry_at = |slot: u8| (k.slots[ix(slot)].array, first[ix(slot)] as usize);
+    let mut carry = carried.map_or(0.0, |c| {
+        let (array, offset) = carry_at(c.slot);
+        buf.read(array, offset)
+    });
     let cols = st
         .cols
         .0
         .get_or_insert_with(|| Box::new([[0.0; COLUMN]; KERNEL_REGS]));
+    let (var, step) = (meta.var as usize, meta.step);
     let lo = st.iregs[var];
     // each slot's offset on the first trip of a block
     let mut at = first;
@@ -387,26 +465,42 @@ fn run_trips(
         for ((a, f), s) in at.iter_mut().zip(&first).zip(&k.slots) {
             *a = f + done as i64 * s.delta;
         }
-        column_trips(k, ops, &bp.cp.rows, &st.iregs, buf, cols, &at, n);
-        if let Some(c) = carried {
-            carry = chain_trips(&c.chain, cols, c.out, n, carry);
-            let delta = k.slots[ix(c.store)].delta;
-            if delta != 0 {
-                buf.scatter(&cols[ix(c.out)][..n], at[ix(c.store)], delta);
+        // SAFETY: the `n` trips from `at` lie between `first` and `last`,
+        // asserted inside their arrays above.
+        unsafe {
+            column_trips(k, ops, &bp.cp.rows, &st.iregs, buf, cols, &at, n);
+            if let Some(c) = carried {
+                carry = chain_trips(&c.chain, cols, c.out, n, carry);
+                let s = &k.slots[ix(c.store)];
+                if s.delta != 0 {
+                    buf.scatter(s.array, &cols[ix(c.out)][..n], at[ix(c.store)], s.delta);
+                }
             }
         }
     }
     st.iregs[var] = lo + reach * step;
-    Some(match carried {
+    let mode = match carried {
         None => Executor::Columns,
         Some(c) => {
             // A reduction's cell takes the last trip's value, once.
             if k.slots[ix(c.store)].delta == 0 {
-                buf.write(first[ix(c.store)] as usize, carry);
+                let (array, offset) = carry_at(c.store);
+                buf.write(array, offset, carry);
             }
             Executor::Carried
         }
-    })
+    };
+    let (header, exit) = (meta.header as usize, meta.exit as usize);
+    tally.kernel_trips[mode as usize] += trips;
+    tally.instrs += trips * (exit - header - 1) as u64;
+    tally.instances += trips * k.stores as u64;
+    if PROFILE {
+        tally.samples.trips[header][mode as usize] += trips;
+        for c in &mut tally.samples.pcs[header + 1..exit] {
+            *c += trips;
+        }
+    }
+    true
 }
 
 /// `dst ∘= rhs` over the first `n` trips of two distinct register columns.
@@ -420,12 +514,15 @@ fn zip_columns(cols: &mut Columns, n: usize, dst: Reg, rhs: Reg, f: impl Fn(f64,
     }
 }
 
-/// `n ≤ COLUMN` consecutive trips of `ops` — kernel `k`'s body, or the part
-/// of it around a carried load — op by op over register columns. `at` holds
-/// each slot's offset on the first of them, the loop register its value on
-/// the first of them.
+/// `1 ≤ n ≤ COLUMN` consecutive trips of `ops` — kernel `k`'s body, or the
+/// part of it around a carried load — op by op over register columns. `at`
+/// holds each slot's offset on the first of them, the loop register its
+/// value on the first of them.
+///
+/// # Safety
+/// Every slot's `n` cells from `at` are inside its array.
 #[allow(clippy::too_many_arguments)]
-fn column_trips(
+unsafe fn column_trips(
     k: &TripKernel,
     ops: &[Instr],
     rows: &[Row],
@@ -446,7 +543,8 @@ fn column_trips(
             }
             Instr::Load { dst, acc } => {
                 let slot = ix(k.slot_of[acc as usize]);
-                buf.gather(&mut cols[ix(dst)][..n], at[slot], k.slots[slot].delta)
+                let s = &k.slots[slot];
+                buf.gather(s.array, &mut cols[ix(dst)][..n], at[slot], s.delta)
             }
             Instr::Neg { dst } => cols[ix(dst)][..n].iter_mut().for_each(|x| *x = -*x),
             Instr::Sqrt { dst } => cols[ix(dst)][..n].iter_mut().for_each(|x| *x = x.sqrt()),
@@ -456,7 +554,8 @@ fn column_trips(
             Instr::Div { dst, rhs } => zip_columns(cols, n, dst, rhs, |x, y| x / y),
             Instr::Store { src, acc } => {
                 let slot = ix(k.slot_of[acc as usize]);
-                buf.scatter(&cols[ix(src)][..n], at[slot], k.slots[slot].delta)
+                let s = &k.slots[slot];
+                buf.scatter(s.array, &cols[ix(src)][..n], at[slot], s.delta)
             }
             Instr::Loop { .. } | Instr::Next { .. } | Instr::Guard { .. } => {
                 unreachable!("a kernel body is straight-line")
@@ -513,7 +612,70 @@ fn chain_trips(chain: &[Instr], cols: &mut Columns, out: Reg, n: usize, mut carr
     }
 }
 
-/// Execute instructions `[start, end)` against a state and buffer.
+/// Run every trip of two-level loop `two`, whose header is at `meta` and
+/// whose register holds its first trip's value: per outer trip, the inner
+/// bounds, each slot's first offset stepped from the outer trip before, and
+/// one kernel entry — handed back to the dispatcher, for that outer trip
+/// alone, when neither executor may run it. Leaves in both loops' registers
+/// and bound slots what the dispatcher leaves, and credits the inner header
+/// and the outer latch once per outer trip.
+#[allow(clippy::too_many_arguments)]
+fn outer_trips<const PROFILE: bool>(
+    bp: &BoundProgram,
+    two: &TwoLevel,
+    meta: &LoopMeta,
+    trips: u64,
+    st: &mut VmState,
+    buf: &SharedBuf<'_>,
+    tally: &mut Tally,
+) {
+    let inner = bp.cp.loops[two.inner]
+        .as_ref()
+        .expect("a two-level loop's body is a loop");
+    let k = bp.kernels[two.inner].as_ref().expect("… and a kernel");
+    let (rows, var) = (&bp.cp.rows, inner.var as usize);
+    // each slot's offset with the inner register at 0, this outer trip
+    let mut base = [0i64; KERNEL_SLOTS];
+    for ((b, s), &(coef, _)) in base.iter_mut().zip(&k.slots).zip(&two.steps) {
+        *b = slot_offset(bp, s, &st.iregs) - coef * st.iregs[var];
+    }
+    let lo = st.iregs[meta.var as usize];
+    for t in 0..trips {
+        if t > 0 {
+            st.iregs[meta.var as usize] = lo + t as i64 * meta.step;
+            for (b, &(_, outer)) in base.iter_mut().zip(&two.steps) {
+                *b += outer;
+            }
+        }
+        // the inner header and the outer latch
+        tally.instrs += 2;
+        if PROFILE {
+            tally.samples.pcs[inner.header as usize] += 1;
+            tally.samples.pcs[inner.exit as usize] += 1;
+        }
+        let (ilo, ihi) = (
+            eval_lo(rows, inner.lo, &st.iregs),
+            eval_hi(rows, inner.hi, &st.iregs),
+        );
+        if ilo > ihi {
+            continue;
+        }
+        st.iregs[var] = ilo;
+        st.his[two.inner] = ihi;
+        let mut first = [0i64; KERNEL_SLOTS];
+        for ((f, b), &(coef, _)) in first.iter_mut().zip(&base).zip(&two.steps) {
+            *f = b + coef * ilo;
+        }
+        let itrips = ((ihi - ilo) / inner.step) as u64 + 1;
+        if !enter::<PROFILE>(bp, k, inner, first, itrips, st, buf, tally) {
+            dispatch::<PROFILE>(bp, st, buf, inner.header + 1, inner.exit, tally);
+        }
+    }
+}
+
+/// Execute instructions `[start, end)` against a state and one slice per
+/// array (asserted once per call: one per array, each of its layout's
+/// length).
 ///
 /// The `vm.instrs` / `vm.instances` counters are accumulated locally and
 /// flushed **once** on return (batched far coarser than per innermost
@@ -523,38 +685,36 @@ fn chain_trips(chain: &[Instr], cols: &mut Columns, out: Reg, n: usize, mut carr
 /// local vector and flushes it to the profile sink on return — the same
 /// batching discipline.
 pub fn exec_range(bp: &BoundProgram, st: &mut VmState, buf: &SharedBuf<'_>, start: Pc, end: Pc) {
+    buf.check(bp);
+    let mut tally = Tally::default();
     if crate::profile::enabled() {
-        let mut counts = Samples::zeroed(bp.cp.code.len());
-        exec_range_impl::<true>(bp, st, buf, start, end, &mut counts);
-        crate::profile::record_loop_bodies(bp.cp, &counts);
-        crate::profile::flush(bp.cp.id, &counts);
+        tally.samples = Samples::zeroed(bp.cp.code.len());
+        dispatch::<true>(bp, st, buf, start, end, &mut tally);
+        crate::profile::record_loop_bodies(bp.cp, &tally.samples);
+        crate::profile::flush(bp.cp.id, &tally.samples);
     } else {
-        exec_range_impl::<false>(bp, st, buf, start, end, &mut Samples::default());
+        dispatch::<false>(bp, st, buf, start, end, &mut tally);
     }
+    tally.flush();
 }
 
 /// The dispatch loop, monomorphised over profiling so the per-pc counting
 /// costs nothing when off.
-fn exec_range_impl<const PROFILE: bool>(
+fn dispatch<const PROFILE: bool>(
     bp: &BoundProgram,
     st: &mut VmState,
     buf: &SharedBuf<'_>,
     start: Pc,
     end: Pc,
-    counts: &mut Samples,
+    tally: &mut Tally,
 ) {
     let code = &bp.cp.code;
     let rows = &bp.cp.rows;
-    let mut instrs: u64 = 0;
-    let mut instances: u64 = 0;
-    // trips each executor ran, indexed by `Executor`, and trips of kernel
-    // loops handed back to the dispatcher
-    let (mut kernel_trips, mut handed_back) = ([0u64; 2], 0u64);
     let mut pc = start;
     while pc < end {
-        instrs += 1;
+        tally.instrs += 1;
         if PROFILE {
-            counts.pcs[pc as usize] += 1;
+            tally.samples.pcs[pc as usize] += 1;
         }
         match code[pc as usize] {
             Instr::Loop {
@@ -572,35 +732,25 @@ fn exec_range_impl<const PROFILE: bool>(
                 } else {
                     st.iregs[var as usize] = lo_v;
                     st.his[l] = hi_v;
-                    match &bp.kernels[l] {
-                        None => pc += 1,
-                        Some(k) => {
-                            let trips = ((hi_v - lo_v) / step) as u64 + 1;
-                            match run_trips(bp, k, (var as usize, step), st, buf, trips) {
-                                // neither executor may run this entry: the
-                                // body below does, trip by trip
-                                None => {
-                                    handed_back += trips;
-                                    pc += 1;
-                                }
-                                // The header ran every trip and accounts
-                                // for what the dispatcher would have
-                                // executed: body and latch once per trip.
-                                Some(mode) => {
-                                    kernel_trips[mode as usize] += trips;
-                                    instrs += trips * (exit - pc - 1) as u64;
-                                    instances += trips * k.stores as u64;
-                                    if PROFILE {
-                                        counts.trips[pc as usize][mode as usize] += trips;
-                                        for c in &mut counts.pcs[pc as usize + 1..exit as usize] {
-                                            *c += trips;
-                                        }
-                                    }
-                                    pc = exit;
-                                }
-                            }
+                    let trips = ((hi_v - lo_v) / step) as u64 + 1;
+                    let meta = || bp.cp.loops[l].as_ref().expect("an attached loop");
+                    pc = if let Some(two) = &bp.two_level[l] {
+                        outer_trips::<PROFILE>(bp, two, meta(), trips, st, buf, tally);
+                        exit
+                    } else if let Some(k) = &bp.kernels[l] {
+                        let mut first = [0i64; KERNEL_SLOTS];
+                        for (f, s) in first.iter_mut().zip(&k.slots) {
+                            *f = slot_offset(bp, s, &st.iregs);
                         }
-                    }
+                        match enter::<PROFILE>(bp, k, meta(), first, trips, st, buf, tally) {
+                            true => exit,
+                            // neither executor may run this entry: the body
+                            // below does, trip by trip
+                            false => pc + 1,
+                        }
+                    } else {
+                        pc + 1
+                    };
                 }
             }
             Instr::Next { var, step, back } => {
@@ -639,7 +789,8 @@ fn exec_range_impl<const PROFILE: bool>(
                 pc += 1;
             }
             Instr::Load { dst, acc } => {
-                st.fregs[dst as usize] = buf.read(addr(bp, acc, &st.iregs));
+                let (array, offset) = addr(bp, acc, &st.iregs);
+                st.fregs[dst as usize] = buf.read(array, offset);
                 pc += 1;
             }
             Instr::Neg { dst } => {
@@ -667,36 +818,24 @@ fn exec_range_impl<const PROFILE: bool>(
                 pc += 1;
             }
             Instr::Store { src, acc } => {
-                instances += 1;
-                buf.write(addr(bp, acc, &st.iregs), st.fregs[src as usize]);
+                tally.instances += 1;
+                let (array, offset) = addr(bp, acc, &st.iregs);
+                buf.write(array, offset, st.fregs[src as usize]);
                 pc += 1;
             }
         }
     }
-    if instrs > 0 {
-        inl_obs::counter_add!("vm.instrs", instrs);
-        inl_obs::hist_record!("vm.exec_range.instrs", instrs);
-    }
-    if instances > 0 {
-        inl_obs::counter_add!("vm.instances", instances);
-    }
-    let [columns, carried] = kernel_trips;
-    if columns > 0 {
-        inl_obs::counter_add!("vm.trips.columns", columns);
-    }
-    if carried > 0 {
-        inl_obs::counter_add!("vm.trips.carried", carried);
-    }
-    if handed_back > 0 {
-        inl_obs::counter_add!("vm.trips.dispatch", handed_back);
-    }
 }
 
-/// Execute the whole program against a flat buffer of exactly
-/// [`BoundProgram::total_len`] cells.
-pub fn run(bp: &BoundProgram, data: &mut [f64]) {
-    assert_eq!(data.len(), bp.total_len, "buffer/layout length mismatch");
+/// Execute the whole program in place on `arrays`: one slice per array, in
+/// `ArrayId` order, each of its layout's length (asserted).
+pub fn run(bp: &BoundProgram, arrays: &mut [&mut [f64]]) {
     let mut st = bp.new_state();
-    let buf = SharedBuf::new(data);
-    exec_range(bp, &mut st, &buf, 0, bp.cp.code.len() as Pc);
+    exec_range(
+        bp,
+        &mut st,
+        &SharedBuf::new(arrays),
+        0,
+        bp.cp.code.len() as Pc,
+    );
 }

@@ -6,7 +6,7 @@
 //! for counts, the dispatcher's closed form.
 
 use inl_exec::{Interpreter, Machine, VmRunner};
-use inl_ir::{Aff, ArrayId, Bound, Expr, Guard, LoopId, Program, ProgramBuilder};
+use inl_ir::{Aff, ArrayId, Bound, Expr, Guard, LoopId, Program, ProgramBuilder, VarKey};
 use inl_linalg::Int;
 use inl_vm::bytecode::{Slot, KERNEL_SLOTS};
 use inl_vm::run::{carried_slot, trips_are_independent, COLUMN};
@@ -49,29 +49,122 @@ fn lanes(seen: &inl_obs::capture::Capture) -> [u64; 3] {
 }
 
 // ---------------------------------------------------------------------
+// the nests the tables' bodies run in
+// ---------------------------------------------------------------------
+
+/// The outer loops of the two-level table ([`inner_range`] says what each
+/// does to the entries of `J`).
+const OUTERS: [&str; 5] = ["constant", "triangular", "tiled", "empty", "meets"];
+
+/// `O`'s bounds for `OUTERS[kind]`.
+fn outer_range(kind: usize, n: Aff) -> (Bound, Bound) {
+    let (lo, hi) = match OUTERS[kind] {
+        "constant" => (Aff::konst(1), Aff::konst(3)),
+        "triangular" => (Aff::konst(0), Aff::konst(3)),
+        "tiled" => (Aff::konst(0), n.exact_div(16)),
+        _ => (Aff::konst(1), Aff::konst(7)),
+    };
+    (Bound::single(lo), Bound::single(hi))
+}
+
+/// `J`'s bounds at `O = o` for `OUTERS[kind]`, `J` of step `s`, always
+/// inside `1..N`: all of it; from `O + 1`, a trip shorter each outer trip;
+/// a tile, `max(1, 16·O)..min(16·O + 15, N)`; a few trips, none on the first
+/// outer trip and the last, `max(1, 3·O − 9)..min(N, 2·O − 3)`; and `O`, then
+/// `8 − O`, trips — 1, 2, 3, 4, 3, 2, 1 — so that spans a short entry keeps
+/// apart meet on a longer one, and one header sends entries through columns,
+/// then to the dispatcher, then through columns again.
+fn inner_range(kind: usize, o: Aff, n: Aff, s: Int) -> (Bound, Bound) {
+    let k = Aff::konst;
+    let (lo, hi) = match OUTERS[kind] {
+        "constant" => (vec![k(1)], vec![n]),
+        "triangular" => (vec![o + k(1)], vec![n]),
+        "tiled" => (vec![k(1), o.clone() * 16], vec![o * 16 + k(15), n]),
+        "empty" => (vec![k(1), o.clone() * 3 - k(9)], vec![n, o * 2 - k(3)]),
+        _ => (vec![k(1)], vec![o.clone() * s, (k(8) - o) * s]),
+    };
+    (Bound { terms: lo }, Bound { terms: hi })
+}
+
+/// A program of the tables: `do J = 1..N step s { body }` over two arrays
+/// `A`, `B` of `4N+16` cells — or, for `outer = Some(kind)`, that loop under
+/// the `O` of `OUTERS[kind]`, with [`inner_range`]'s bounds, over arrays of
+/// `4N+32`. `body` gets the arrays, `J`, `N`, and what every subscript adds
+/// besides: nothing, or `O` — one cell further each outer trip.
+fn table_program(
+    name: &str,
+    step: Int,
+    outer: Option<usize>,
+    body: impl FnOnce(&mut ProgramBuilder, [ArrayId; 2], Aff, Aff, Aff),
+) -> Program {
+    let mut b = ProgramBuilder::new(name);
+    let n = Aff::param(b.param("N"));
+    let ext = [n.clone() * 4 + Aff::konst(if outer.is_some() { 32 } else { 16 })];
+    let arrays = [b.array("A", &ext), b.array("B", &ext)];
+    let inner = |b: &mut ProgramBuilder, (lo, hi): (Bound, Bound), shift: Aff| {
+        b.loop_full("J", lo, hi, step, false, |b| {
+            let j = Aff::var(b.loop_var("J"));
+            body(b, arrays, j, n.clone(), shift)
+        });
+    };
+    match outer {
+        None => {
+            let range = (Bound::single(Aff::konst(1)), Bound::single(n.clone()));
+            inner(&mut b, range, Aff::konst(0))
+        }
+        Some(kind) => {
+            let (lo, hi) = outer_range(kind, n.clone());
+            b.loop_full("O", lo, hi, 1, false, |b| {
+                let o = Aff::var(b.loop_var("O"));
+                inner(b, inner_range(kind, o.clone(), n.clone(), step), o)
+            });
+        }
+    }
+    b.finish()
+}
+
+/// The entries of `J` in a two-level program of the tables at `N = n`: on
+/// each trip of `O`, `(O, J's first value, trips)` — no trip when the entry
+/// is empty.
+fn entries(p: &Program, n: Int) -> Vec<(Int, Int, Int)> {
+    let (o, j) = (p.loop_decl(LoopId(0)), p.loop_decl(LoopId(1)));
+    let param = |_: VarKey| n;
+    let outer = o.lower.eval_lower(&param)..=o.upper.eval_upper(&param);
+    outer
+        .map(|ov| {
+            let at = |v: VarKey| if matches!(v, VarKey::Param(_)) { n } else { ov };
+            let (lo, hi) = (j.lower.eval_lower(&at), j.upper.eval_upper(&at));
+            (ov, lo, if lo > hi { 0 } else { (hi - lo) / j.step + 1 })
+        })
+        .collect()
+}
+
+/// A subscript `coef·J + ncoef·N + off` of the tables, before the `2N+8`
+/// shift.
+type Sub = (Int, Int, Int);
+
+/// Where subscript `sub` is at `J = j`, before the `2N+8` shift.
+fn at(sub: Sub, n: Int, j: Int) -> Int {
+    sub.0 * j + sub.1 * n + sub.2
+}
+
+// ---------------------------------------------------------------------
 // (a) the adversarial table
 // ---------------------------------------------------------------------
 
-/// `do J = 1..N step s`
-/// `  S1: A[wa·J+wc] = A[ra·J+rc] + 0.5·B[sa·J+sc]`
-/// `  S2: B[J] = 0.25·A[sa·J+sc] + B[J−1]` (when `second`)
-/// over two arrays of `4N+16` cells, every subscript shifted by `2N+8` so
-/// that coefficients down to −2 stay in range.
+/// `S1: A[wa·J+wc] = A[ra·J+rc] + 0.5·B[sa·J+sc]`
+/// `S2: B[J] = 0.25·A[sa·J+sc] + B[J−1]` (when `second`)
+/// as a [`table_program`], every subscript shifted by `2N+8` so that
+/// coefficients down to −2 stay in range.
 fn adversarial_body(
     step: Int,
     [(wa, wc), (ra, rc), (sa, sc)]: [(Int, Int); 3],
     second: bool,
+    outer: Option<usize>,
 ) -> Program {
-    let mut b = ProgramBuilder::new("adversarial");
-    let n = b.param("N");
-    let ext = [Aff::param(n) * 4 + Aff::konst(16)];
-    let a = b.array("A", &ext);
-    let bb = b.array("B", &ext);
-    let (lo, hi) = (Bound::single(Aff::konst(1)), Bound::single(Aff::param(n)));
-    b.loop_full("J", lo, hi, step, false, |b| {
-        let j = b.loop_var("J");
+    table_program("adversarial", step, outer, |b, [a, bb], j, n, shift| {
         let at = |coef: Int, off: Int| {
-            vec![Aff::var(j) * coef + Aff::param(n) * 2 + Aff::konst(8 + off)]
+            vec![j.clone() * coef + shift.clone() + n.clone() * 2 + Aff::konst(8 + off)]
         };
         b.stmt(
             "S1",
@@ -93,17 +186,36 @@ fn adversarial_body(
                 ),
             );
         }
-    });
-    b.finish()
+    })
 }
 
-/// 15 000 bodies — carried flow, anti and output dependences at distances
-/// 1 to 3, reductions (`wa = 0`), reversed strides, interleaved spans that
-/// never alias, dependences between the two statements in both directions
-/// — at six trip counts around the column width: every one must leave the
-/// interpreter's memory image, whichever lane its spans select. (With the
-/// classifier forced to "columns", 26 932 of the 90 000 cases differ.)
-/// An unoptimised build walks every seventh body.
+/// The adversarial table's 15 000 bodies, as `(step, [(wa, wc), (ra, rc),
+/// (sa, sc)], second)`: carried flow, anti and output dependences at
+/// distances 1 to 3, reductions (`wa = 0`), reversed strides, interleaved
+/// spans that never alias, dependences between the two statements in both
+/// directions.
+fn adversarial_bodies() -> impl Iterator<Item = (Int, [(Int, Int); 3], bool)> {
+    let shapes = (0..125).flat_map(|coefs| {
+        let (wa, ra, sa) = (coefs / 25 - 2, coefs / 5 % 5 - 2, coefs % 5 - 2);
+        (0..30).map(move |offs| {
+            let wc = offs / 15;
+            let rc = [-2, -1, 0, 1, 3][(offs / 3 % 5) as usize];
+            let sc = [-1, 0, 2][(offs % 3) as usize];
+            [(wa, wc), (ra, rc), (sa, sc)]
+        })
+    });
+    [1, 2].into_iter().flat_map(move |step| {
+        let bodies = shapes
+            .clone()
+            .flat_map(|shape| [false, true].map(|second| (shape, second)));
+        bodies.map(move |(shape, second)| (step, shape, second))
+    })
+}
+
+/// The 15 000 bodies at six trip counts around the column width: every one
+/// must leave the interpreter's memory image, whichever lane its spans
+/// select. (With the classifier forced to "columns", 26 932 of the 90 000
+/// cases differ.) An unoptimised build walks every seventh body.
 #[test]
 fn adversarial_bodies_match_the_interpreter_at_every_trip_count() {
     const SIZES: [Int; 6] = [
@@ -115,35 +227,23 @@ fn adversarial_bodies_match_the_interpreter_at_every_trip_count() {
         300,
     ];
     // Every body declares the same two arrays: one initial image per size.
-    let first_body = adversarial_body(1, [(0, 0); 3], false);
+    let first_body = adversarial_body(1, [(0, 0); 3], false, None);
     let starts = SIZES.map(|n| Machine::new(&first_body, &[n], &init));
     let (mut bodies, mut cases, mut trips) = (0u64, 0u64, 0u64);
     let mut mismatches = Vec::new();
     let ((), seen) = inl_obs::capture::with(|| {
-        for step in [1, 2] {
-            for coefs in 0..125 {
-                let (wa, ra, sa) = (coefs / 25 - 2, coefs / 5 % 5 - 2, coefs % 5 - 2);
-                for offs in 0..30 {
-                    let wc = offs / 15;
-                    let rc = [-2, -1, 0, 1, 3][(offs / 3 % 5) as usize];
-                    let sc = [-1, 0, 2][(offs % 3) as usize];
-                    for second in [false, true] {
-                        bodies += 1;
-                        if cfg!(debug_assertions) && bodies % 7 != 0 {
-                            continue;
-                        }
-                        let shape = [(wa, wc), (ra, rc), (sa, sc)];
-                        let p = adversarial_body(step, shape, second);
-                        let runner = VmRunner::new(&p);
-                        for (n, start) in SIZES.iter().zip(&starts) {
-                            cases += 1;
-                            trips += ((n - 1) / step + 1) as u64;
-                            if let Err(e) = agree_from(&p, &runner, start) {
-                                mismatches
-                                    .push(format!("step {step} {shape:?} S2 {second} N {n}: {e}"));
-                            }
-                        }
-                    }
+        for (step, shape, second) in adversarial_bodies() {
+            bodies += 1;
+            if cfg!(debug_assertions) && bodies % 7 != 0 {
+                continue;
+            }
+            let p = adversarial_body(step, shape, second, None);
+            let runner = VmRunner::new(&p);
+            for (n, start) in SIZES.iter().zip(&starts) {
+                cases += 1;
+                trips += ((n - 1) / step + 1) as u64;
+                if let Err(e) = agree_from(&p, &runner, start) {
+                    mismatches.push(format!("step {step} {shape:?} S2 {second} N {n}: {e}"));
                 }
             }
         }
@@ -162,10 +262,6 @@ fn adversarial_bodies_match_the_interpreter_at_every_trip_count() {
     assert_eq!(lanes.iter().sum::<u64>(), trips);
     assert!(lanes.iter().all(|&lane| lane > trips / 100), "{lanes:?}");
 }
-
-/// A subscript `coef·J + ncoef·N + off` of the carried table, before the
-/// `2N+8` shift.
-type Sub = (Int, Int, Int);
 
 /// How a body of the carried table combines `l`, the read of `A` that may
 /// be of the cell handed on, with `x` = `B[J]`: on either side of each
@@ -189,94 +285,84 @@ const SHAPES: [fn(Expr, Expr) -> Expr; 14] = [
     |l, x| Expr::div(Expr::mul(x.clone(), Expr::konst(0.5)), Expr::add(l, x)),
 ];
 
-/// `do J = 1..N step s: A[w] = shape(A[l], B[J]) (+ Y[y])` over the
-/// adversarial table's two arrays; array 0 is `A`.
-fn carried_body(step: Int, shape: usize, w: Sub, l: Sub, y: Option<(usize, Sub)>) -> Program {
-    let mut b = ProgramBuilder::new("carried");
-    let n = b.param("N");
-    let ext = [Aff::param(n) * 4 + Aff::konst(16)];
-    let arrays = [b.array("A", &ext), b.array("B", &ext)];
-    let (lo, hi) = (Bound::single(Aff::konst(1)), Bound::single(Aff::param(n)));
-    b.loop_full("J", lo, hi, step, false, |b| {
-        let j = b.loop_var("J");
-        let at = |(coef, ncoef, off): Sub| {
-            vec![Aff::var(j) * coef + Aff::param(n) * (2 + ncoef) + Aff::konst(8 + off)]
-        };
-        let rhs = SHAPES[shape](
-            Expr::read(arrays[0], at(l)),
-            Expr::read(arrays[1], at((1, 0, 0))),
-        );
-        let rhs = match y {
-            Some((array, sub)) => Expr::add(rhs, Expr::read(arrays[array], at(sub))),
-            None => rhs,
-        };
-        b.stmt("S", arrays[0], at(w), rhs);
-    });
-    b.finish()
+/// A body of the carried table, `A[w] = SHAPES[shape](A[l], B[J]) (+ Y[y])`
+/// under `J` of step `step`, where `Y` is array `y.0` (0 is `A`).
+#[derive(Clone, Copy, Debug)]
+struct Carried {
+    step: Int,
+    shape: usize,
+    w: Sub,
+    l: Sub,
+    y: Option<(usize, Sub)>,
 }
 
-/// Bodies built around one cell handed from trip to trip — every shape of
-/// [`SHAPES`] over a store that moves forwards, by two, backwards or not at
-/// all, the read one trip behind it, two behind, one ahead or on it, alone
-/// or beside a second read that is elsewhere, interleaved, or in the way —
-/// at trip counts that end a block of columns one short, exactly, one over
-/// and twice over, from seeds a register must hand on bit for bit. Each case
-/// must leave the interpreter's image *and* run on the lane a cell-by-cell
-/// walk of its addresses allows: no near miss carried, no handed-on cell
-/// left to the dispatcher.
-#[test]
-fn carried_bodies_match_the_interpreter_on_the_executor_their_cells_allow() {
-    const TRIPS: [Int; 5] = [
-        1,
-        COLUMN as Int - 1,
-        COLUMN as Int,
-        COLUMN as Int + 1,
-        2 * COLUMN as Int + 1,
-    ];
-    const SEEDS: [Option<f64>; 5] = [
-        None,
-        Some(f64::NAN),
-        Some(f64::INFINITY),
-        Some(f64::NEG_INFINITY),
-        Some(-0.0),
-    ];
-    let (mut bodies, mut cases) = (0u64, 0u64);
-    let mut ran = [0u64; 3];
-    let mut wrong = Vec::new();
-    for (step, wa, behind, shape, second) in (1..=2)
-        .flat_map(|step| [1, 2, -1, 0].map(|wa| (step, wa)))
-        .flat_map(|(s, wa)| [1, 2, -1, 0].map(|behind| (s, wa, behind)))
-        .flat_map(|(s, wa, b)| (0..SHAPES.len()).map(move |shape| (s, wa, b, shape)))
-        .flat_map(|(s, wa, b, sh)| (0..5).map(move |second| (s, wa, b, sh, second)))
-    {
-        bodies += 1;
-        if cfg!(debug_assertions) && bodies % 7 != 0 {
-            continue;
-        }
-        let delta = wa * step;
-        // the read `behind` trips behind the store; beside a store that
-        // stands still, the cell itself (0) or another one
-        let l = (wa, 0, if wa == 0 { behind } else { -behind * delta });
-        let y = match second {
-            0 => None,
-            1 => Some((1, (1, 0, -1))),
-            // past the end of the store's walk
-            2 => Some((0, (wa, -wa, if wa > 0 { -3 } else { 3 }))),
-            // two trips behind the store; over the cell that stands still
-            3 if wa == 0 => Some((0, (1, 0, -1))),
-            3 => Some((0, (wa, 0, -2 * delta))),
-            // a cell on: between the store's cells when it strides
-            _ => Some((0, (wa, 0, 1))),
-        };
-        let w = (wa, 0, 0);
-        let p = carried_body(step, shape, w, l, y);
-        let runner = VmRunner::new(&p);
+impl Carried {
+    /// The table's 2 240 bodies: every shape of [`SHAPES`] over a store that
+    /// moves forwards, by two, backwards or not at all, the read one trip
+    /// behind it, two behind, one ahead or on it, alone or beside a second
+    /// read that is elsewhere, interleaved, or in the way.
+    fn all() -> impl Iterator<Item = Carried> {
+        (1..=2)
+            .flat_map(|step| [1, 2, -1, 0].map(|wa| (step, wa)))
+            .flat_map(|(s, wa)| [1, 2, -1, 0].map(|behind| (s, wa, behind)))
+            .flat_map(|(s, wa, b)| (0..SHAPES.len()).map(move |shape| (s, wa, b, shape)))
+            .flat_map(|(s, wa, b, sh)| (0..5).map(move |second| (s, wa, b, sh, second)))
+            .map(|(step, wa, behind, shape, second)| {
+                let delta = wa * step;
+                // the read `behind` trips behind the store; beside a store
+                // that stands still, the cell itself (0) or another one
+                let l = (wa, 0, if wa == 0 { behind } else { -behind * delta });
+                let y = match second {
+                    0 => None,
+                    1 => Some((1, (1, 0, -1))),
+                    // past the end of the store's walk
+                    2 => Some((0, (wa, -wa, if wa > 0 { -3 } else { 3 }))),
+                    // two trips behind the store; over the cell that stands still
+                    3 if wa == 0 => Some((0, (1, 0, -1))),
+                    3 => Some((0, (wa, 0, -2 * delta))),
+                    // a cell on: between the store's cells when it strides
+                    _ => Some((0, (wa, 0, 1))),
+                };
+                Carried {
+                    step,
+                    shape,
+                    w: (wa, 0, 0),
+                    l,
+                    y,
+                }
+            })
+    }
 
-        // The body's distinct accesses as the classifiers will meet them.
-        let x_loads = if shape == 13 { 2 } else { 1 };
-        let mut reads = vec![((0, l), 1), ((1, (1, 0, 0)), x_loads)];
-        reads.extend(y.map(|y| (y, 1)));
-        let mut slots = vec![(0usize, w)];
+    /// The body as a [`table_program`].
+    fn program(&self, outer: Option<usize>) -> Program {
+        table_program("carried", self.step, outer, |b, arrays, j, n, shift| {
+            let at = |(coef, ncoef, off): Sub| {
+                vec![
+                    j.clone() * coef
+                        + shift.clone()
+                        + n.clone() * (2 + ncoef)
+                        + Aff::konst(8 + off),
+                ]
+            };
+            let rhs = SHAPES[self.shape](
+                Expr::read(arrays[0], at(self.l)),
+                Expr::read(arrays[1], at((1, 0, 0))),
+            );
+            let rhs = match self.y {
+                Some((array, sub)) => Expr::add(rhs, Expr::read(arrays[array], at(sub))),
+                None => rhs,
+            };
+            b.stmt("S", arrays[0], at(self.w), rhs);
+        })
+    }
+
+    /// The lane (an index into [`LANES`]) a cell-by-cell walk of the body's
+    /// distinct accesses allows an entry of `trips` trips from `J = lo`.
+    fn lane(&self, n: Int, lo: Int, trips: Int) -> usize {
+        let x_loads = if self.shape == 13 { 2 } else { 1 };
+        let mut reads = vec![((0, self.l), 1), ((1, (1, 0, 0)), x_loads)];
+        reads.extend(self.y.map(|y| (y, 1)));
+        let mut slots = vec![(0usize, self.w)];
         for (access, _) in &reads {
             if !slots.contains(access) {
                 slots.push(*access);
@@ -286,36 +372,79 @@ fn carried_bodies_match_the_interpreter_on_the_executor_their_cells_allow() {
             let of = |r: &&(_, u32)| r.0 == slots[slot];
             reads.iter().filter(of).map(|r| r.1).sum()
         };
+        let spec = |&(array, sub): &(usize, Sub)| {
+            let (first, delta) = (at(sub, n, lo), sub.0 * self.step);
+            (
+                array as u32,
+                first as i64,
+                delta as i64,
+                (array, sub) == (0, self.w),
+            )
+        };
+        let specs: Vec<SlotSpec> = slots.iter().map(spec).collect();
+        let lane = match simulate(&specs, trips as i64) {
+            Trips::Independent => "columns",
+            Trips::HandedOn(c) if loads(c) == 1 => "carried",
+            _ => "dispatch",
+        };
+        LANES.iter().position(|&l| l == lane).unwrap()
+    }
+
+    /// Whether `y` reads `A` where `l` does at `J = lo`.
+    fn reads_l_twice(&self, n: Int, lo: Int) -> bool {
+        let l = at(self.l, n, lo);
+        self.y
+            .is_some_and(|(array, y)| array == 0 && at(y, n, lo) == l)
+    }
+}
+
+/// Seeds for the cell `l` first reads: none, NaN, both infinities, −0.0.
+const SEEDS: [Option<f64>; 5] = [
+    None,
+    Some(f64::NAN),
+    Some(f64::INFINITY),
+    Some(f64::NEG_INFINITY),
+    Some(-0.0),
+];
+
+/// The carried table's bodies at trip counts that end a block of columns one
+/// short, exactly, one over and twice over, from seeds a register must hand
+/// on bit for bit. Each case must leave the interpreter's image *and* run on
+/// the lane a cell-by-cell walk of its addresses allows: no near miss
+/// carried, no handed-on cell left to the dispatcher.
+#[test]
+fn carried_bodies_match_the_interpreter_on_the_executor_their_cells_allow() {
+    const TRIPS: [Int; 5] = [
+        1,
+        COLUMN as Int - 1,
+        COLUMN as Int,
+        COLUMN as Int + 1,
+        2 * COLUMN as Int + 1,
+    ];
+    let (mut bodies, mut cases) = (0u64, 0u64);
+    let mut ran = [0u64; 3];
+    let mut wrong = Vec::new();
+    for c in Carried::all() {
+        bodies += 1;
+        if cfg!(debug_assertions) && bodies % 7 != 0 {
+            continue;
+        }
+        let p = c.program(None);
+        let runner = VmRunner::new(&p);
         for trips in TRIPS {
-            let n = (trips - 1) * step + 1;
-            let spec = |&(array, sub): &(usize, Sub)| {
-                let first = sub.0 + sub.1 * n + sub.2;
-                let delta = sub.0 * step;
-                (
-                    array as u32,
-                    first as i64,
-                    delta as i64,
-                    (array, sub) == (0, w),
-                )
-            };
-            let specs: Vec<SlotSpec> = slots.iter().map(spec).collect();
-            let expected = match simulate(&specs, trips as i64) {
-                Trips::Independent => "columns",
-                Trips::HandedOn(c) if loads(c) == 1 => "carried",
-                _ => "dispatch",
-            };
-            let expected = LANES.iter().position(|&lane| lane == expected).unwrap();
+            let n = (trips - 1) * c.step + 1;
+            let expected = c.lane(n, 1, trips);
             let start = Machine::new(&p, &[n], &init);
             // Where the first trip's `l` reads. A NaN that also arrives
             // through `y` meets its own negation in shape 10, and which
             // sign such a sum keeps is the compiler's choice per call site.
-            let seeded = specs[slots.iter().position(|&s| s == (0, l)).unwrap()].1;
-            let twice = y.is_some_and(|y| spec(&y).0 == 0 && spec(&y).1 == seeded);
+            let seeded = at(c.l, n, 1);
+            let twice = c.reads_l_twice(n, 1);
             for seed in SEEDS {
                 cases += 1;
                 let mut start = start.clone();
                 if let Some(seed) = seed.filter(|s| !(s.is_nan() && twice)) {
-                    let cell = (seeded + 2 * n as i64 + 8) as usize;
+                    let cell = (seeded + 2 * n + 8) as usize;
                     start.array_mut(ArrayId(0)).set(&[cell], seed);
                 }
                 let (agreed, seen) = inl_obs::capture::with(|| agree_from(&p, &runner, &start));
@@ -323,9 +452,7 @@ fn carried_bodies_match_the_interpreter_on_the_executor_their_cells_allow() {
                 let mut on = [0u64; 3];
                 on[expected] = trips as u64;
                 ran[expected] += 1;
-                let what = format!(
-                    "step {step} shape {shape} w {w:?} l {l:?} y {y:?} trips {trips} seed {seed:?}"
-                );
+                let what = format!("{c:?} trips {trips} seed {seed:?}");
                 if let Err(e) = agreed {
                     wrong.push(format!("{what}: {e}"));
                 } else if lanes != on {
@@ -343,6 +470,119 @@ fn carried_bodies_match_the_interpreter_on_the_executor_their_cells_allow() {
         wrong[0]
     );
     assert!(ran.iter().all(|&r| r > cases / 10), "{ran:?} of {cases}");
+}
+
+// ---------------------------------------------------------------------
+// (f) two levels: both tables under an outer loop
+// ---------------------------------------------------------------------
+
+/// Every body of both tables under each of [`OUTERS`] at `N = COLUMN + 2`
+/// (the triangular entries run 130, 129, 128 and 127 trips), each with one
+/// of [`SEEDS`] in the cell its first load of `A` reads first: the outer
+/// loop must be two-level, the image the interpreter's, and every trip
+/// counted on one lane — for the carried table, on the lane a cell-by-cell
+/// walk allows *that entry*, so that one header's entries go different ways
+/// exactly when their addresses do. An unoptimised build walks every
+/// seventh body.
+#[test]
+fn two_level_headers_match_the_interpreter_on_every_body_of_both_tables() {
+    const N: Int = COLUMN as Int + 2;
+    let (mut bodies, mut cases, mut mixed) = (0usize, 0u64, 0u64);
+    // trips each lane ran, per outer loop
+    let mut ran = [[0u64; 3]; OUTERS.len()];
+    let mut wrong = Vec::new();
+    // Run `p` from `seed` at `first`, a cell of `A` (a subscript of its first
+    // read); `expected` is each entry's lane, when the table knows it.
+    let mut case = |p: &Program,
+                    kind: usize,
+                    first: Sub,
+                    seed: Option<f64>,
+                    expected: &dyn Fn(Int, Int) -> Option<usize>,
+                    what: String| {
+        let runner = VmRunner::new(p);
+        assert!(
+            runner.compiled().bind(&[N]).two_level[0].is_some(),
+            "{what}: O's body is only J"
+        );
+        let entries = entries(p, N);
+        let mut start = Machine::new(p, &[N], &init);
+        if let Some(seed) = seed {
+            let &(o, lo, _) = entries
+                .iter()
+                .find(|e| e.2 > 0)
+                .expect("an entry that runs");
+            let cell = at(first, N, lo) + 2 * N + 8 + o;
+            start.array_mut(ArrayId(0)).set(&[cell as usize], seed);
+        }
+        let (agreed, seen) = inl_obs::capture::with(|| agree_from(p, &runner, &start));
+        let lanes = lanes(&seen);
+        let mut on = [0u64; 3];
+        let mut known = true;
+        for &(_, lo, trips) in entries.iter().filter(|e| e.2 > 0) {
+            match expected(lo, trips) {
+                Some(lane) => on[lane] += trips as u64,
+                None => known = false,
+            }
+        }
+        let all: u64 = entries.iter().map(|e| e.2 as u64).sum();
+        cases += 1;
+        for (r, l) in ran[kind].iter_mut().zip(lanes) {
+            *r += l;
+        }
+        mixed += (OUTERS[kind] == "meets" && lanes[0] > 0 && lanes[2] > 0) as u64;
+        let what = format!("{what} under {}", OUTERS[kind]);
+        if let Err(e) = agreed {
+            wrong.push(format!("{what}: {e}"));
+        } else if lanes.iter().sum::<u64>() != all || known && lanes != on {
+            wrong.push(format!("{what}: ran {lanes:?}, not {on:?}"));
+        }
+    };
+    for (step, shape, second) in adversarial_bodies() {
+        bodies += 1;
+        if cfg!(debug_assertions) && bodies % 7 != 0 {
+            continue;
+        }
+        for kind in 0..OUTERS.len() {
+            let p = adversarial_body(step, shape, second, Some(kind));
+            let read = (shape[1].0, 0, shape[1].1);
+            let seed = SEEDS[(bodies + kind) % SEEDS.len()];
+            let what = format!("step {step} {shape:?} S2 {second} seed {seed:?}");
+            case(&p, kind, read, seed, &|_, _| None, what);
+        }
+    }
+    for c in Carried::all() {
+        bodies += 1;
+        if cfg!(debug_assertions) && bodies % 7 != 0 {
+            continue;
+        }
+        for kind in 0..OUTERS.len() {
+            let p = c.program(Some(kind));
+            // Two reads of `A` may meet NaNs of opposite signs (see the
+            // carried table): only the seeds that make no NaN then.
+            let seed = SEEDS[(bodies + kind) % SEEDS.len()]
+                .filter(|s| *s == 0.0 || c.y.is_none_or(|y| y.0 != 0));
+            let what = format!("{c:?} seed {seed:?}");
+            case(
+                &p,
+                kind,
+                c.l,
+                seed,
+                &|lo, trips| Some(c.lane(N, lo, trips)),
+                what,
+            );
+        }
+    }
+    assert_eq!(bodies, 15_000 + 2_240);
+    assert!(
+        wrong.is_empty(),
+        "{} of {cases} cases are wrong, first: {}",
+        wrong.len(),
+        wrong[0]
+    );
+    for (kind, ran) in OUTERS.iter().zip(ran) {
+        assert!(ran.iter().all(|&trips| trips > 0), "{kind}: {ran:?}");
+    }
+    assert!(mixed > cases / 100, "{mixed} of {cases}");
 }
 
 // ---------------------------------------------------------------------
@@ -590,9 +830,18 @@ fn classifiers_agree_with_a_cell_by_cell_walk_of_every_small_case() {
 // (c) the hoisted segment check
 // ---------------------------------------------------------------------
 
-/// `do J = lo..hi: A[J + off] = 1` with `A` of `N+1` cells followed by `B`,
-/// so that an offset past `A` is still inside the buffer: only the segment
-/// assert can catch it.
+/// One vector per array of `bp`, every cell `v`.
+fn filled(bp: &inl_vm::BoundProgram, v: f64) -> Vec<Vec<f64>> {
+    bp.arrays.iter().map(|a| vec![v; a.len]).collect()
+}
+
+/// The slices the VM runs on, one per array.
+fn slices(arrays: &mut [Vec<f64>]) -> Vec<&mut [f64]> {
+    arrays.iter_mut().map(Vec::as_mut_slice).collect()
+}
+
+/// `do J = lo..hi: A[J + off] = 1` with `A` of `N+1` cells beside a larger
+/// `B`: an offset past `A`'s end must be caught by `A`'s own length.
 fn fill_loop(lo: Int, hi_past_n: Int, off: Int) -> Program {
     let mut b = ProgramBuilder::new("fill");
     let n = b.param("N");
@@ -622,9 +871,11 @@ fn out_of_segment_last_trip_panics_before_any_trip_runs() {
     let cp = inl_vm::compile(&p);
     let bp = cp.bind(&[10]);
     assert!(bp.kernels[0].is_some());
-    let mut buf = vec![7.0; bp.total_len];
-    let err = catch_unwind(AssertUnwindSafe(|| inl_vm::run(&bp, &mut buf)))
-        .expect_err("the last trip is outside A");
+    let mut arrays = filled(&bp, 7.0);
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        inl_vm::run(&bp, &mut slices(&mut arrays))
+    }))
+    .expect_err("the last trip is outside A");
     let msg = err
         .downcast_ref::<String>()
         .map(String::as_str)
@@ -634,7 +885,10 @@ fn out_of_segment_last_trip_panics_before_any_trip_runs() {
         msg.contains("flat access outside its array segment"),
         "{msg}"
     );
-    assert!(buf.iter().all(|&v| v == 7.0), "a trip ran before the check");
+    assert!(
+        arrays.iter().flatten().all(|&v| v == 7.0),
+        "a trip ran before the check"
+    );
 }
 
 #[test]
@@ -644,9 +898,9 @@ fn empty_range_runs_nothing_and_asserts_nothing() {
     let cp = inl_vm::compile(&p);
     let bp = cp.bind(&[4]);
     assert!(bp.kernels[0].is_some());
-    let mut buf = vec![7.0; bp.total_len];
-    let ((), seen) = inl_obs::capture::with(|| inl_vm::run(&bp, &mut buf));
-    assert!(buf.iter().all(|&v| v == 7.0));
+    let mut arrays = filled(&bp, 7.0);
+    let ((), seen) = inl_obs::capture::with(|| inl_vm::run(&bp, &mut slices(&mut arrays)));
+    assert!(arrays.iter().flatten().all(|&v| v == 7.0));
     assert_eq!(seen.counters.get("vm.instrs"), Some(&1)); // the header
     assert_eq!(seen.counters.get("vm.instances"), None);
 }
@@ -656,11 +910,14 @@ fn empty_range_runs_nothing_and_asserts_nothing() {
 // (e) the loop's registers after the last trip
 // ---------------------------------------------------------------------
 
-/// `do I = 1..4 { do J = 2..N step 2 { S1: X[I,J] = X[I,J] + Y[I,J]·2;
+/// `do I = 1..4 { do J = lo..N step 2 { S1: X[I,J] = X[I,J] + Y[I,J]·2;
 /// S2: Y[I,J] = X[I,J] + carry } }` where `carry` is `Y[I,J−2]` (what the
 /// previous trip of the step-2 loop stored: handed back to the dispatcher,
-/// or carried when S2 is the `only` statement) or `Y[I,J]` (columns).
-fn nest(only: bool, recurrence: bool) -> Program {
+/// or carried when S2 is the `only` statement) or `Y[I,J]` (columns), and
+/// `lo` is 2, or `4I − 2` when `triangular` — J's entries then shorten by
+/// two trips an `I` and run out at `N < 14`. `I`'s body is only `J`: it is a
+/// two-level loop.
+fn nest(only: bool, recurrence: bool, triangular: bool) -> Program {
     let mut b = ProgramBuilder::new("nest");
     let n = b.param("N");
     let ext = Aff::param(n) + Aff::konst(3);
@@ -668,7 +925,11 @@ fn nest(only: bool, recurrence: bool) -> Program {
     let y = b.array("Y", &[Aff::konst(5), ext]);
     b.hloop("I", Aff::konst(1), Aff::konst(4), |b| {
         let i = b.loop_var("I");
-        let (lo, hi) = (Bound::single(Aff::konst(2)), Bound::single(Aff::param(n)));
+        let lo = match triangular {
+            true => Aff::var(i) * 4 - Aff::konst(2),
+            false => Aff::konst(2),
+        };
+        let (lo, hi) = (Bound::single(lo), Bound::single(Aff::param(n)));
         b.loop_full("J", lo, hi, 2, false, |b| {
             let j = b.loop_var("J");
             let at = |off: Int| vec![Aff::var(i), Aff::var(j) + Aff::konst(off)];
@@ -695,6 +956,25 @@ fn nest(only: bool, recurrence: bool) -> Program {
     b.finish()
 }
 
+/// J's first value and trip count on each trip of `I` in [`nest`] (no trip:
+/// the entry is empty).
+fn nest_entries(triangular: bool, n: Int) -> [(Int, u64); 4] {
+    [1, 2, 3, 4].map(|i| {
+        let lo = if triangular { 4 * i - 2 } else { 2 };
+        (lo, if lo > n { 0 } else { ((n - lo) / 2 + 1) as u64 })
+    })
+}
+
+/// The nests the closed form is checked on: more than one column an entry,
+/// entries that shorten, and (at `N = 12`) an outer trip whose entry is
+/// empty — every entry still at least two trips, so that the recurrence of
+/// the `dispatch` nest is never a single trip the columns may take.
+const NESTS: [(bool, Int); 3] = [
+    (false, 2 * COLUMN as Int + 77),
+    (true, 2 * COLUMN as Int + 77),
+    (true, 12),
+];
+
 #[test]
 fn counters_and_profile_equal_the_dispatchers_closed_form() {
     for (only, recurrence, mode) in [
@@ -702,81 +982,117 @@ fn counters_and_profile_equal_the_dispatchers_closed_form() {
         (true, true, "carried"),
         (false, false, "columns"),
     ] {
-        let p = nest(only, recurrence);
-        let n = 2 * COLUMN as Int + 77; // J = 2, 4, …: more than one column
-        let trips = ((n - 2) / 2 + 1) as u64;
-        let cp = inl_vm::compile(&p);
-        let bp = cp.bind(&[n]);
-        let (outer, inner) = (
-            *cp.loop_meta(LoopId(0)).unwrap(),
-            *cp.loop_meta(LoopId(1)).unwrap(),
-        );
-        assert!(bp.kernels[0].is_none(), "I holds a loop");
-        assert!(bp.kernels[1].is_some());
-        let body_len = (inner.body.1 - inner.body.0) as u64;
+        for (triangular, n) in NESTS {
+            let p = nest(only, recurrence, triangular);
+            let trips = nest_entries(triangular, n).map(|e| e.1);
+            let all: u64 = trips.iter().sum();
+            let cp = inl_vm::compile(&p);
+            let bp = cp.bind(&[n]);
+            let (outer, inner) = (
+                *cp.loop_meta(LoopId(0)).unwrap(),
+                *cp.loop_meta(LoopId(1)).unwrap(),
+            );
+            assert!(bp.kernels[0].is_none(), "I holds a loop");
+            assert!(bp.kernels[1].is_some());
+            assert_eq!(bp.two_level[0].as_ref().map(|t| t.inner), Some(1));
+            assert!(bp.two_level[1].is_none());
+            let body_len = (inner.body.1 - inner.body.0) as u64;
 
-        let mut buf = vec![1.5; bp.total_len];
-        profile::set_enabled(true);
-        let ((), seen) = inl_obs::capture::with(|| inl_vm::run(&bp, &mut buf));
-        profile::set_enabled(false);
+            let mut arrays = filled(&bp, 1.5);
+            profile::set_enabled(true);
+            let ((), seen) = inl_obs::capture::with(|| inl_vm::run(&bp, &mut slices(&mut arrays)));
+            profile::set_enabled(false);
+            let what = format!("{mode}, triangular {triangular}, N {n}");
 
-        // I's header, then per I trip: J's header, J's trips, I's latch.
-        let instrs = 1 + 4 * (1 + trips * (body_len + 1) + 1);
-        assert_eq!(seen.counters["vm.instrs"], instrs);
-        let stores = if only { 1 } else { 2 };
-        assert_eq!(seen.counters["vm.instances"], 4 * trips * stores);
-        let ran = LANES.map(|lane| if lane == mode { 4 * trips } else { 0 });
-        assert_eq!(lanes(&seen), ran, "{mode}");
+            // I's header, then per I trip: J's header, J's trips, I's latch.
+            let instrs = 1 + 4 * 2 + all * (body_len + 1);
+            assert_eq!(seen.counters["vm.instrs"], instrs, "{what}");
+            let stores = if only { 1 } else { 2 };
+            assert_eq!(seen.counters["vm.instances"], all * stores, "{what}");
+            let ran = LANES.map(|lane| if lane == mode { all } else { 0 });
+            assert_eq!(lanes(&seen), ran, "{what}");
 
-        let counts = profile::pc_counts(&cp).expect("profiled");
-        assert_eq!(counts.iter().sum::<u64>(), instrs);
-        for pc in 0..cp.ninstrs() as u32 {
-            let expected = match pc {
-                _ if pc == outer.header => 1,
-                _ if pc == inner.header || pc == inner.exit => 4, // J's header, I's latch
-                _ => 4 * trips,                                   // J's body and latch
-            };
-            assert_eq!(counts[pc as usize], expected, "{mode}: pc {pc}");
+            let counts = profile::pc_counts(&cp).expect("profiled");
+            assert_eq!(counts.iter().sum::<u64>(), instrs, "{what}");
+            for pc in 0..cp.ninstrs() as u32 {
+                let expected = match pc {
+                    _ if pc == outer.header => 1,
+                    _ if pc == inner.header || pc == inner.exit => 4, // J's header, I's latch
+                    _ => all,                                         // J's body and latch
+                };
+                assert_eq!(counts[pc as usize], expected, "{what}: pc {pc}");
+            }
+            let loops = profile::loop_profiles(&cp, Some(&p), &counts);
+            let by_name = |name: &str| loops.iter().find(|l| l.name == name).unwrap();
+            assert_eq!(by_name("I").mode(), "dispatch");
+            let j = by_name("J");
+            assert_eq!(
+                (j.mode(), j.header_execs, j.iterations),
+                (mode, 4, all),
+                "{what}"
+            );
+            assert_eq!(j.trips_columns + j.trips_carried + j.trips_dispatch(), all);
+            let tables = profile::render_tables(&cp, Some(&p));
+            assert!(tables.contains("mode") && tables.contains(mode), "{tables}");
         }
-        let loops = profile::loop_profiles(&cp, Some(&p), &counts);
-        let by_name = |name: &str| loops.iter().find(|l| l.name == name).unwrap();
-        assert_eq!(by_name("I").mode(), "dispatch");
-        let j = by_name("J");
-        assert_eq!(
-            (j.mode(), j.header_execs, j.iterations),
-            (mode, 4, 4 * trips)
-        );
-        assert_eq!(
-            j.trips_columns + j.trips_carried + j.trips_dispatch(),
-            4 * trips
-        );
-        let tables = profile::render_tables(&cp, Some(&p));
-        assert!(tables.contains("mode") && tables.contains(mode), "{tables}");
     }
 }
 
 #[test]
 fn loop_registers_hold_the_last_trip_after_a_kernel() {
+    // what the run leaves in a register nothing set
+    const UNSET: i64 = -77;
     for (only, recurrence) in [(false, true), (true, true), (false, false)] {
-        let p = nest(only, recurrence);
-        let cp = inl_vm::compile(&p);
-        // odd N: the bound is not itself an iteration of the step-2 loop
-        for n in [2, 3, 9, 2 * COLUMN as Int + 77] {
-            let bp = cp.bind(&[n]);
-            let inner = *cp.loop_meta(LoopId(1)).unwrap();
-            let mut buf = vec![1.5; bp.total_len];
-            let mut st = bp.new_state();
-            st.iregs[cp.loop_meta(LoopId(0)).unwrap().var as usize] = 3; // I
-            exec_range(
-                &bp,
-                &mut st,
-                &SharedBuf::new(&mut buf),
-                inner.header,
-                inner.exit,
+        for triangular in [false, true] {
+            let p = nest(only, recurrence, triangular);
+            let cp = inl_vm::compile(&p);
+            let (outer, inner) = (
+                *cp.loop_meta(LoopId(0)).unwrap(),
+                *cp.loop_meta(LoopId(1)).unwrap(),
             );
-            let last = if n % 2 == 0 { n } else { n - 1 };
-            assert_eq!(st.iregs[inner.var as usize], last as i64);
-            assert_eq!(st.his[1], n as i64);
+            // odd N: the bound is not itself an iteration of the step-2
+            // loop; N < 14: the triangular nest's last entries are empty,
+            // at N = 1 all of them
+            for n in [1, 2, 3, 9, 12, 2 * COLUMN as Int + 77] {
+                let bp = cp.bind(&[n]);
+                let mut arrays = filled(&bp, 1.5);
+                let mut arrays = slices(&mut arrays);
+                let buf = SharedBuf::new(&mut arrays);
+                let last = |lo: Int| (lo + (n - lo) / 2 * 2) as i64;
+                let what = format!("only {only}, triangular {triangular}, N {n}");
+
+                // J alone, entered by the dispatcher at I = 3
+                let mut st = bp.new_state();
+                st.iregs[outer.var as usize] = 3;
+                let (lo, trips) = nest_entries(triangular, n)[2];
+                (st.iregs[inner.var as usize], st.his[1]) = (UNSET, UNSET);
+                exec_range(&bp, &mut st, &buf, inner.header, inner.exit);
+                let expected = match trips {
+                    0 => (UNSET, UNSET),
+                    _ => (last(lo), n as i64),
+                };
+                assert_eq!(
+                    (st.iregs[inner.var as usize], st.his[1]),
+                    expected,
+                    "{what}"
+                );
+
+                // the two-level header: I at its last trip and bound, J and
+                // its bound as the last entry that was not empty left them
+                let mut st = bp.new_state();
+                (st.iregs[inner.var as usize], st.his[1]) = (UNSET, UNSET);
+                exec_range(&bp, &mut st, &buf, outer.header, outer.exit);
+                let entered = nest_entries(triangular, n).into_iter().rfind(|e| e.1 > 0);
+                let expected = [
+                    (4, 4),
+                    entered.map_or((UNSET, UNSET), |(lo, _)| (last(lo), n as i64)),
+                ];
+                let left = [0, 1].map(|l| {
+                    let var = [outer.var, inner.var][l] as usize;
+                    (st.iregs[var], st.his[l])
+                });
+                assert_eq!(left, expected, "{what}");
+            }
         }
     }
 }
@@ -913,7 +1229,7 @@ fn bodies_split_around_each_load_that_may_be_handed_on() {
     assert!(innermost(&one_statement(1, twice, vec![]), 9)
         .carried
         .is_empty());
-    assert!(innermost(&nest(false, true), 9).carried.is_empty());
+    assert!(innermost(&nest(false, true, false), 9).carried.is_empty());
     let fill = one_statement(1, |_, j| Expr::index(j), vec![]);
     assert!(innermost(&fill, 9).carried.is_empty());
 }
@@ -952,4 +1268,41 @@ fn every_zoo_loop_that_was_a_kernel_still_is() {
         })
         .collect();
     assert_eq!(lowered, RECORDED);
+}
+
+/// Per zoo program, the loops whose body is exactly one kernel loop: the
+/// two-level loops, whose header makes every entry of that kernel itself.
+/// In the Cholesky and LU forms that is the loop around the update's
+/// innermost loop; in the single nests, the outer loop.
+#[test]
+fn zoo_two_level_loops_are_the_loops_around_one_kernel() {
+    const RECORDED: [(&str, &[&str]); 13] = [
+        ("simple_cholesky", &[]),
+        ("running_example", &[]),
+        ("perfect_nest", &["I"]),
+        ("augmentation_example", &[]),
+        ("cholesky_kij", &["J"]),
+        ("cholesky_left_looking", &["J"]),
+        ("lu_kij", &["I2"]),
+        ("wavefront", &["I"]),
+        ("matmul", &["J"]),
+        ("rect_wavefront", &["I"]),
+        ("row_prefix_sums", &["I"]),
+        ("distributed_simple_cholesky", &["I2"]),
+        ("independent_pair", &[]),
+    ];
+    for ((name, ctor), (recorded, loops)) in inl_ir::zoo::ALL.iter().zip(RECORDED) {
+        let p = ctor();
+        let cp = inl_vm::compile(&p);
+        let bp = cp.bind(&vec![9; p.nparams()]);
+        let two_level: Vec<_> = (0..cp.loops.len())
+            .filter(|&l| bp.two_level[l].is_some())
+            .map(|l| p.loop_decl(LoopId(l)).name.as_str())
+            .collect();
+        assert_eq!((*name, &two_level[..]), (recorded, loops));
+        // … each around a kernel loop that is its whole body
+        for two in bp.two_level.iter().flatten() {
+            assert!(bp.kernels[two.inner].is_some(), "{name}");
+        }
+    }
 }
