@@ -39,7 +39,7 @@ pub struct CompiledVariant {
     /// The generated program itself (runnable through `inl-exec`).
     pub program: Program,
     /// Static cost features of the variant (the scheduler's ranking
-    /// signal), as computed by [`crate::cost::cost_features`].
+    /// signal), as [`crate::generate()`] computes them.
     pub features: CostFeatures,
     /// Wall time of this job's code generation alone (the batch's one
     /// dependence analysis is not in it).

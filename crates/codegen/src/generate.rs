@@ -1,13 +1,15 @@
 //! The code generator. See the crate docs for the pipeline overview.
 
+use crate::cost::LoopOrigin;
 use inl_core::depend::{analyze, DependenceMatrix};
 use inl_core::instance::{InstanceLayout, Position};
 use inl_core::legal::{check_legal, NewAst};
 use inl_core::perstmt::{schedule_all, ScheduleError, StmtSchedule};
 use inl_core::transform::Transform;
 use inl_ir::{Aff, Bound, Guard, LoopId, Node, Program, ProgramBuilder, StmtId, VarKey};
-use inl_linalg::{gauss, lcm, IMat, InlError, InlErrorKind, Int};
+use inl_linalg::{gauss, lcm, IMat, IVec, InlError, InlErrorKind, Int};
 use inl_poly::{fm, is_empty, scan_bounds, Feasibility, LinExpr, System, VarBounds};
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Lower/upper bound term lists for one loop slot, in the shared space.
@@ -80,20 +82,35 @@ pub fn generate(
 /// with its guards not yet simplified and no cost features computed.
 ///
 /// The program stays private: the only thing readable here is
-/// [`BuiltVariant::access_features`], which guard simplification provably
-/// leaves alone, so no caller can see an unsimplified guard count.
+/// [`BuiltVariant::predicted`], which guard simplification provably leaves
+/// alone, so no caller can see an unsimplified guard count.
 pub struct BuiltVariant {
     result: CodegenResult,
     ast: NewAst,
+    /// Where each loop of the target program comes from, by `LoopId`.
+    origins: Vec<Option<LoopOrigin>>,
     bounds_scanned: i64,
     loops_augmented: i64,
 }
 
 impl BuiltVariant {
-    /// The three features the scheduler ranks every leaf on. Equal to the
-    /// same fields of the finished variant's [`crate::cost::CostFeatures`].
-    pub fn access_features(&self) -> crate::cost::AccessFeatures {
-        crate::cost::access_features(&self.result.program)
+    /// The cost the scheduler ranks every leaf on. Equal to the finished
+    /// variant's [`crate::cost::CostFeatures::predicted`]. Takes the
+    /// arguments [`build`] was given.
+    pub fn predicted(
+        &self,
+        layout: &InstanceLayout,
+        deps: &DependenceMatrix,
+        m: &IMat,
+    ) -> crate::cost::PredictedCost {
+        crate::cost::predict(
+            &self.result.program,
+            &self.origins,
+            layout,
+            deps,
+            &self.ast,
+            m,
+        )
     }
 
     /// The second half of [`generate`]: drop the guards the enclosing
@@ -106,6 +123,7 @@ impl BuiltVariant {
         deps: &DependenceMatrix,
         m: &IMat,
     ) -> CodegenResult {
+        let predicted = self.predicted(layout, deps, m);
         let mut result = simplify_guards(self.result);
         result.features = crate::cost::cost_features(
             layout,
@@ -113,6 +131,7 @@ impl BuiltVariant {
             m,
             &self.ast,
             &result.program,
+            predicted,
             self.bounds_scanned,
             self.loops_augmented,
         );
@@ -239,11 +258,17 @@ pub fn build(
         plans: &plans,
         slot_bounds: &slot_bounds,
         np,
+        origins: RefCell::new(Vec::new()),
     };
     let result = builder.build()?;
+    let mut origins = vec![None; result.program.nloops()];
+    for (l, origin) in builder.origins.into_inner() {
+        origins[l.0] = Some(origin);
+    }
     Ok(BuiltVariant {
         result,
         ast,
+        origins,
         bounds_scanned,
         loops_augmented,
     })
@@ -291,8 +316,10 @@ fn record_cost_features(
     .feature("guards_emitted", f.guards)
     .feature("parallel_slots", f.parallel_slots())
     .feature("wavefront", f.wavefront as i64)
-    .feature("max_write_stride", f.max_write_stride)
-    .feature("reuse_penalty", f.reuse_penalty);
+    .feature("predicted_cost", f.predicted.total())
+    .feature("trip_cost", f.predicted.trip_cost)
+    .feature("entry_cost", f.predicted.entry_cost)
+    .feature("nest_cost", f.predicted.nest_cost);
     if !f.doall.is_empty() {
         let listed: Vec<String> = f.doall.iter().map(|q| q.to_string()).collect();
         rec.detail("doall_slots", listed.join(" "));
@@ -522,6 +549,8 @@ struct Builder<'x> {
     plans: &'x [StmtPlan],
     slot_bounds: &'x HashMap<usize, SlotBounds>,
     np: usize,
+    /// Every loop opened so far, with where it comes from.
+    origins: RefCell<Vec<(LoopId, LoopOrigin)>>,
 }
 
 impl Builder<'_> {
@@ -590,6 +619,7 @@ impl Builder<'_> {
                     b.loop_full(name, lower, upper, 1, false, |b| {
                         let id = b.current_loop().expect("inside loop");
                         slot_loop.insert(qpos, id);
+                        self.origins.borrow_mut().push((id, LoopOrigin::Slot(qpos)));
                         res = self.emit_nodes(b, &children, slot_loop, stmt_map);
                     });
                     res?;
@@ -771,6 +801,17 @@ impl Builder<'_> {
             self.src.stmt_decl(s).name.to_lowercase(),
             r - plan.sched.slot_positions.len()
         );
+        // the augmented rows so far, over the instance vector
+        let k = plan.sched.slot_positions.len();
+        let aug_rows: Vec<IVec> = (k..=r)
+            .map(|a| {
+                let mut row = IVec::zeros(self.layout.len());
+                for (i, &old) in self.layout.stmt_loops(s).iter().enumerate() {
+                    row[self.layout.loop_position(old)] = plan.sched.rows[(a, i)];
+                }
+                row
+            })
+            .collect();
         let mut res: Result<(), CodegenError> = Ok(());
         b.loop_full(
             name,
@@ -781,6 +822,13 @@ impl Builder<'_> {
             |b| {
                 let id = b.current_loop().expect("inside loop");
                 aug_ctx.insert(r, id);
+                self.origins.borrow_mut().push((
+                    id,
+                    LoopOrigin::Aug {
+                        stmt: s,
+                        rows: aug_rows.clone(),
+                    },
+                ));
                 res = self.emit_aug_loops(b, plan, r + 1, aug_ctx, slot_loop, s, stmt_map);
             },
         );

@@ -38,5 +38,5 @@ pub mod generate;
 mod tests;
 
 pub use batch::{batch_map, compile_batch, CompiledVariant};
-pub use cost::{cost_features, AccessFeatures, CostFeatures};
+pub use cost::{CostFeatures, Executor, InnerLoop, PredictedCost, NOMINAL_EXTENT};
 pub use generate::{build, generate, generate_seq, BuiltVariant, CodegenError, CodegenResult};

@@ -345,19 +345,19 @@ fn infeasible_domain_degrades_to_typed_error() {
 }
 
 #[test]
-fn both_halves_of_generate_agree_on_the_access_features() {
+fn both_halves_of_generate_agree_on_the_predicted_cost() {
     // the scheduler ranks on what `build` reports and trusts it to be what
     // `generate` would report: guard simplification must not move the
-    // access features, whether it drops every guard (identity), most of
+    // predicted cost, whether it drops every guard (identity), most of
     // them (interchanges, skew) or has to keep some (scaling)
     let mut checked = 0;
     let mut check = |p: &Program, m: &IMat| {
         let layout = InstanceLayout::new(p);
         let deps = analyze(p, &layout).expect("analysis");
         let built = crate::build(p, &layout, &deps, m).expect("builds");
-        let ranked_on = built.access_features();
+        let ranked_on = built.predicted(&layout, &deps, m);
         let finished = built.finish(p, &layout, &deps, m);
-        assert_eq!(ranked_on, finished.features.access(), "{}", p.name());
+        assert_eq!(ranked_on, finished.features.predicted, "{}", p.name());
         let whole = generate(p, &layout, &deps, m).expect("generates");
         assert_eq!(whole.features, finished.features, "{}", p.name());
         assert_eq!(

@@ -17,11 +17,12 @@
 //!   nullspace, so *no* outer loop can be parallel — gets an inner parallel
 //!   loop after skewing the outer loop by the inner.
 
-use crate::depend::DependenceMatrix;
+use crate::depend::{DepEntry, Dependence, DependenceMatrix};
 use crate::instance::{InstanceLayout, Position};
 use crate::legal::{common_new_positions, NewAst};
 use crate::project::row_dot;
-use inl_linalg::{gauss, IMat, IVec, InlError};
+use inl_ir::StmtId;
+use inl_linalg::{gauss, IMat, IVec, InlError, Int};
 
 /// Integer basis of rows `r` with `r · d = 0` for every dependence `d`
 /// (outer-parallel candidate directions).
@@ -133,10 +134,98 @@ pub fn is_parallel_row(deps: &DependenceMatrix, row: &IVec) -> bool {
     })
 }
 
+/// Where one dependence stands at a loop, given the loop's row and the rows
+/// of the loops around it, outside-in.
+enum AtLoop {
+    /// Carried strictly positive by the `k`-th outer row.
+    Carried(usize),
+    /// Exactly zero at the loop.
+    Zero,
+    /// Maybe nonzero at the loop, and no outer row provably carries it.
+    Blocks(DepEntry),
+}
+
+/// Walk `d` through the `outer` rows until one carries it strictly
+/// positive, then read its entry at `row`. A row on which `d` is
+/// non-negative lets the walk go on: the instances it is positive on are
+/// carried there, the others are zero and meet the next row. An entry that
+/// may be negative ends the walk: it cannot prove carrying.
+fn at_loop<'r>(outer: impl IntoIterator<Item = &'r [Int]>, row: &[Int], d: &Dependence) -> AtLoop {
+    for (k, r) in outer.into_iter().enumerate() {
+        let e = row_dot(r, &d.entries);
+        if e.is_positive() {
+            return AtLoop::Carried(k);
+        }
+        if e.lo.is_none_or(|lo| lo < 0) {
+            break;
+        }
+    }
+    match row_dot(row, &d.entries) {
+        e if e.is_zero() => AtLoop::Zero,
+        e => AtLoop::Blocks(e),
+    }
+}
+
+/// Is loop slot `q` DOALL under the legal transformation `m`? The verdict of
+/// [`parallel_slots`] for one slot, without its explain records.
+pub fn slot_is_parallel(
+    layout: &InstanceLayout,
+    deps: &DependenceMatrix,
+    ast: &NewAst,
+    m: &IMat,
+    q: usize,
+) -> bool {
+    deps.deps.iter().all(|d| {
+        let common = common_new_positions(layout, ast, d);
+        !common.contains(&q) || !matches!(slot_verdict(&common, m, q, d), AtLoop::Blocks(_))
+    })
+}
+
+/// [`at_loop`] for slot `q`, the earlier common slots as the outer rows.
+fn slot_verdict(common: &[usize], m: &IMat, q: usize, d: &Dependence) -> AtLoop {
+    let outer = common
+        .iter()
+        .take_while(|&&r| r < q)
+        .map(|&r| m.row_slice(r));
+    at_loop(outer, m.row_slice(q), d)
+}
+
+/// Is an *augmented* loop of `stmt` (§5.4: an innermost loop code generation
+/// adds around one statement whose schedule under `m` is singular) DOALL?
+/// `rows` are the statement's augmented rows over the instance vector, the
+/// outermost first and the loop's own last. Only `stmt`'s self-dependences
+/// reach across the loop's trips; each must be carried strictly positive by
+/// one of the statement's slots or an outer augmented row, or be exactly
+/// zero on the loop's row.
+pub fn augmented_loop_is_parallel(
+    layout: &InstanceLayout,
+    deps: &DependenceMatrix,
+    ast: &NewAst,
+    m: &IMat,
+    stmt: StmtId,
+    rows: &[IVec],
+) -> bool {
+    let Some((row, outer_aug)) = rows.split_last() else {
+        return false;
+    };
+    deps.deps
+        .iter()
+        .filter(|d| d.src == stmt && d.dst == stmt)
+        .all(|d| {
+            let common = common_new_positions(layout, ast, d);
+            let outer = common
+                .iter()
+                .map(|&r| m.row_slice(r))
+                .chain(outer_aug.iter().map(|r| r.as_slice()));
+            !matches!(at_loop(outer, row.as_slice(), d), AtLoop::Blocks(_))
+        })
+}
+
 /// The loop slots (vector positions) that can run in parallel under the
 /// legal transformation `m`: slot `q` is parallel iff every dependence
-/// whose source/target share `q` is either carried strictly positive by an
-/// earlier common slot or exactly zero at `q`.
+/// whose source/target share `q` is either carried strictly positive by the
+/// earlier common slots (non-negative on each until one is strictly
+/// positive) or exactly zero at `q`.
 ///
 /// Conservative: inconclusive intervals disqualify the slot.
 pub fn parallel_slots(
@@ -157,50 +246,41 @@ pub fn parallel_slots(
             if !common.contains(&q) {
                 continue;
             }
-            let mut carried_at = None;
-            for &row in common.iter().take_while(|&&r| r < q) {
-                let e = row_dot(m.row_slice(row), &d.entries);
-                if e.is_positive() {
-                    carried_at = Some(row);
-                    break;
-                }
-                if !e.is_zero() {
-                    // inconclusive earlier entry: cannot prove carrying
-                    break;
-                }
-            }
-            if let Some(r) = carried_at {
-                if explain {
-                    evidence.push(format!(
-                        "{} carried strictly positive at earlier slot {r}",
-                        crate::provenance::dep_label_short(di, d)
-                    ));
-                }
-                continue;
-            }
-            if !row_dot(m.row_slice(q), &d.entries).is_zero() {
-                if explain {
-                    inl_obs::explain::reject(
-                        "parallel",
-                        format!("new loop slot {q}"),
-                        format!(
-                            "{} has nonzero entry {} at this slot and no earlier slot \
-                             provably carries it",
+            match slot_verdict(&common, m, q, d) {
+                AtLoop::Carried(k) => {
+                    if explain {
+                        evidence.push(format!(
+                            "{} carried strictly positive at earlier slot {}",
                             crate::provenance::dep_label_short(di, d),
-                            row_dot(m.row_slice(q), &d.entries)
-                        ),
-                    )
-                    .detail("dep_row", crate::provenance::dep_row(d))
-                    .feature("slot", q as i64)
-                    .feature("deps", deps.deps.len() as i64);
+                            common[k]
+                        ));
+                    }
                 }
-                continue 'slots;
-            }
-            if explain {
-                evidence.push(format!(
-                    "{} is exactly zero at this slot",
-                    crate::provenance::dep_label_short(di, d)
-                ));
+                AtLoop::Blocks(e) => {
+                    if explain {
+                        inl_obs::explain::reject(
+                            "parallel",
+                            format!("new loop slot {q}"),
+                            format!(
+                                "{} has nonzero entry {e} at this slot and no earlier slot \
+                                 provably carries it",
+                                crate::provenance::dep_label_short(di, d),
+                            ),
+                        )
+                        .detail("dep_row", crate::provenance::dep_row(d))
+                        .feature("slot", q as i64)
+                        .feature("deps", deps.deps.len() as i64);
+                    }
+                    continue 'slots;
+                }
+                AtLoop::Zero => {
+                    if explain {
+                        evidence.push(format!(
+                            "{} is exactly zero at this slot",
+                            crate::provenance::dep_label_short(di, d)
+                        ));
+                    }
+                }
             }
         }
         if explain {
@@ -300,6 +380,36 @@ mod tests {
         let jpos = 3;
         assert!(slots.contains(&jpos), "inner J loop parallel: {slots:?}");
         assert!(!slots.contains(&0), "outer I loop sequential");
+    }
+
+    #[test]
+    fn carrying_walks_on_through_non_negative_outer_entries() {
+        // rows 0 and 1 outside slot 2, where the dependence may take any
+        // value (so only carrying can certify the slot). `[0,+∞)` then
+        // `[1,+∞)`: the pairs positive on row 0 are carried there and the
+        // rest, zero on row 0, on row 1 — the slot is DOALL (the walk used
+        // to stop at row 0's non-zero entry). `[-1,+∞)` on row 0 proves
+        // nothing: the slot stays blocked.
+        let p = zoo::simple_cholesky();
+        let layout = InstanceLayout::new(&p);
+        let deps = analyze(&p, &layout).expect("analysis");
+        let n = layout.len();
+        let (m, common): (IMat, Vec<usize>) = (IMat::identity(n), (0..n).collect());
+        let any = DepEntry { lo: None, hi: None };
+        let verdict = |row0: DepEntry| {
+            let mut d = deps.deps[0].clone();
+            d.entries = vec![DepEntry::dist(0); n];
+            d.entries[..3].copy_from_slice(&[row0, DepEntry::plus(), any]);
+            slot_verdict(&common, &m, 2, &d)
+        };
+        let from = |lo| DepEntry {
+            lo: Some(lo),
+            hi: None,
+        };
+        assert!(matches!(verdict(from(0)), AtLoop::Carried(1)));
+        assert!(matches!(verdict(from(1)), AtLoop::Carried(0)));
+        assert!(matches!(verdict(from(-1)), AtLoop::Blocks(e) if e == any));
+        assert!(matches!(verdict(any), AtLoop::Blocks(_)));
     }
 
     #[test]

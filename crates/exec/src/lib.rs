@@ -29,6 +29,9 @@ pub mod par;
 pub mod trace;
 
 pub use backend::{run_fresh_with, Backend, VmRunner};
+/// The VM's execution profile, for callers that run a [`VmRunner`] and ask
+/// which executor ran its loops.
+pub use inl_vm::profile;
 pub use interp::Interpreter;
 pub use machine::{ArrayData, Machine};
 pub use par::ParallelExecutor;

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! inl-sched                                # sweep the whole zoo, print the table
-//! inl-sched --program matmul --show       # one program: chosen pseudocode, ranked/finished counts, every variant
+//! inl-sched --program matmul --show       # one program: chosen pseudocode, ranked/finished counts, the regret report
 //! inl-sched --json target/BENCH_sched.json # also write the CI gate document
 //! inl-sched --explain-json target/sched-explain.json  # decision provenance
 //! ```
@@ -17,7 +17,7 @@
 //! end, as it does when any chosen variant fails the bitwise-equivalence
 //! check against its source program.
 
-use inl_sched::sweep::{bench_json, render_table, sweep_program, sweep_targets};
+use inl_sched::sweep::{bench_json, render_regret, render_table, sweep_program, sweep_targets};
 use inl_sched::SchedConfig;
 use std::process::ExitCode;
 
@@ -118,9 +118,7 @@ fn main() -> ExitCode {
                 e.finished
             );
             println!("variants by cost:");
-            for m in &e.measured {
-                println!("  {:<28} {:>10} ns  [{}]", m.label, m.ns, m.cost);
-            }
+            print!("{}", render_regret(e));
         }
     }
 

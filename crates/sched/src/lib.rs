@@ -23,8 +23,8 @@
 //! for a loop only at a node where its forward selector is illegal. Where
 //! both signs are prefix-legal every still-active dependence is zero on
 //! that loop and the two subtrees are sign-twins — same orders, same
-//! completions, same [`Leading`] key — of which the tie-break prefers the
-//! unreversed; orders legal *only* reversed (`dist(J@1)/J'.J_2.I` of the
+//! completions, the same predicted cost — of which the tie-break prefers
+//! the unreversed; orders legal *only* reversed (`dist(J@1)/J'.J_2.I` of the
 //! running example) are still found.
 //!
 //! Illegal *prefixes* are pruned with
@@ -41,11 +41,12 @@
 //!   a candidate, so each shape is analysed once when it is enumerated and
 //!   the search, the per-leaf lowering and [`ScheduleResult::materialise`]
 //!   all test their matrices against that one analysis;
-//! * the static [`Cost`] key is lexicographic and its three [`Leading`]
-//!   fields read only loop bounds, subscripts and nesting of the generated
-//!   program — nothing guard simplification rewrites. So every legal leaf
-//!   is lowered through the first half of code generation
-//!   ([`inl_codegen::build`]) and **ranked** on the leading fields, and
+//! * the static [`Cost`] key leads with the predicted cost
+//!   ([`inl_codegen::PredictedCost`]), which reads only loop bounds,
+//!   subscripts and nesting of the generated program, the matrix and the
+//!   shape's dependences — nothing guard simplification rewrites. So every
+//!   legal leaf is lowered through the first half of code generation
+//!   ([`inl_codegen::build`]) and **ranked** on its predicted cost, and
 //!   only the class tied at the minimum is **finished**
 //!   ([`inl_codegen::generate()`]: guard simplification, the remaining
 //!   features, pseudocode), where `guards`, `parallel_slots`, reversal
@@ -76,10 +77,10 @@ mod cost;
 mod search;
 pub mod sweep;
 
-pub use cost::{Cost, Leading};
+pub use cost::Cost;
 pub use search::SearchStats;
 
-use inl_codegen::{batch_map, build, generate, CodegenError, CostFeatures};
+use inl_codegen::{batch_map, build, generate, CodegenError, CostFeatures, PredictedCost};
 use inl_core::complete::CompletionError;
 use inl_ir::Program;
 use inl_linalg::{IMat, InlError};
@@ -176,11 +177,12 @@ pub struct RankedVariant {
     pub shape: String,
     /// The completed transformation matrix over the shape's program.
     pub matrix: IMat,
-    /// The three cost fields every leaf is ranked on.
-    pub leading: Leading,
+    /// The predicted cost every leaf is ranked on, with its terms.
+    pub predicted: PredictedCost,
     /// The full key — `Some` exactly for the variants tied with the chosen
-    /// one on [`Leading`], the only ones that were finished. Its `guards`
-    /// is the simplified count; an unsimplified one is never stored.
+    /// one on the predicted cost, the only ones that were finished. Its
+    /// `guards` is the simplified count; an unsimplified one is never
+    /// stored.
     pub cost: Option<Cost>,
 }
 
@@ -188,8 +190,13 @@ impl RankedVariant {
     /// Reversed loops in the label: between equal keys the variant with
     /// fewer wins (a reversal buys nothing when the cost is identical).
     fn reversals(&self) -> usize {
-        self.label.matches('\'').count()
+        reversals(&self.label)
     }
+}
+
+/// Reversed loops in a variant label (`'` marks each).
+fn reversals(label: &str) -> usize {
+    label.matches('\'').count()
 }
 
 /// The outcome of a [`schedule`] run.
@@ -198,8 +205,8 @@ pub struct ScheduleResult {
     chosen: ScheduledVariant,
     shapes: Vec<Shape>,
     /// Every legal variant in rank order, best first (`variants[0]` is the
-    /// chosen one): by [`Leading`]; inside the front class by the rest of
-    /// [`Cost`]; then by reversal count and label.
+    /// chosen one): by predicted cost; inside the front class by the rest
+    /// of [`Cost`]; then by reversal count and label.
     pub variants: Vec<RankedVariant>,
     /// Search counters (deterministic; CI-gated).
     pub stats: SearchStats,
@@ -265,6 +272,21 @@ fn finish(shapes: &[Shape], v: &RankedVariant) -> Result<ScheduledVariant, Sched
     })
 }
 
+/// The predicted cost's terms and its hottest innermost loop, for explain
+/// records: `cost=… trips=… entries=… nest=…; hottest loop: columns, 64
+/// trips x 4096 entries`.
+fn predicted_detail(p: &PredictedCost) -> String {
+    match p.hottest() {
+        Some(h) => format!(
+            "{p}; hottest loop: {}, {} trips x {} entries",
+            h.executor.name(),
+            h.trips,
+            h.entries
+        ),
+        None => p.to_string(),
+    }
+}
+
 /// Search the transformation space of `p` with the default configuration
 /// and return every legal variant, best first. See the crate docs for the
 /// search structure.
@@ -297,36 +319,40 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
     }
 
     // stage 1: lower every leaf as far as the target program and rank it
-    // on the fields guard simplification cannot change
+    // on the predicted cost, which guard simplification cannot change
     let ranked = {
         let _span = inl_obs::span("sched.rank");
         inl_obs::counter_add!("sched.variants_ranked", leaves.len());
         batch_map(leaves.len(), cfg.threads, |i| {
             let (shape, _, matrix) = &leaves[i];
             build(&shape.program, &shape.layout, &shape.deps, matrix)
-                .map(|b| Leading::of(&b.access_features()))
+                .map(|b| b.predicted(&shape.layout, &shape.deps, matrix))
         })
     };
     let mut variants = Vec::with_capacity(leaves.len());
-    for ((shape, label, matrix), leading) in leaves.into_iter().zip(ranked) {
-        let leading = match leading {
-            Ok(l) => l,
+    for ((shape, label, matrix), predicted) in leaves.into_iter().zip(ranked) {
+        let predicted = match predicted {
+            Ok(p) => p,
             Err(error) => return Err(SchedError::Codegen { label, error }),
         };
         variants.push(RankedVariant {
             label,
             shape: shape.label.clone(),
             matrix,
-            leading,
+            predicted,
             cost: None,
         });
     }
 
-    // stage 2: finish the class tied at the minimum — the lexicographic
-    // tail (guards, DOALL slots) can reorder nothing else
-    let best = variants.iter().map(|v| v.leading).min().expect("non-empty");
+    // stage 2: finish the class tied at the minimum — the tail of the key
+    // (guards, DOALL slots) can reorder nothing else
+    let best = variants
+        .iter()
+        .map(|v| v.predicted.total())
+        .min()
+        .expect("non-empty");
     let front: Vec<usize> = (0..variants.len())
-        .filter(|&i| variants[i].leading == best)
+        .filter(|&i| variants[i].predicted.total() == best)
         .collect();
     let mut finished = {
         let _span = inl_obs::span("sched.finish");
@@ -343,8 +369,8 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
     // `cost` is `Some` on the whole front class and `None` on every other,
     // so inside a class it compares like with like
     variants.sort_by(|a, b| {
-        (a.leading, &a.cost, a.reversals(), &a.label).cmp(&(
-            b.leading,
+        (a.predicted.total(), &a.cost, a.reversals(), &a.label).cmp(&(
+            b.predicted.total(),
             &b.cost,
             b.reversals(),
             &b.label,
@@ -368,10 +394,14 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
                 stats.nodes_exhaustive
             ),
         )
+        .detail("predicted", predicted_detail(&chosen.features.predicted))
         .feature("legal_variants", variants.len() as i64)
         .feature("nodes_visited", stats.nodes_visited as i64)
         .feature("nodes_pruned", stats.pruned_nodes as i64)
-        .feature("reuse_penalty", chosen.features.reuse_penalty);
+        .feature("predicted_cost", chosen.features.predicted.total())
+        .feature("trip_cost", chosen.features.predicted.trip_cost)
+        .feature("entry_cost", chosen.features.predicted.entry_cost)
+        .feature("nest_cost", chosen.features.predicted.nest_cost);
         for v in variants.iter().skip(1) {
             let reason = match &v.cost {
                 Some(c) => format!(
@@ -379,9 +409,9 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
                     chosen.cost
                 ),
                 None => format!(
-                    "legal but dominated on the leading fields, never finished: ({}) vs \
+                    "legal but dominated on the predicted cost, never finished: ({}) vs \
                      chosen ({})",
-                    v.leading, chosen.cost.leading
+                    v.predicted, chosen.features.predicted
                 ),
             };
             let rec = inl_obs::explain::note(
@@ -389,7 +419,11 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
                 format!("variant {} of {}", v.label, p.name()),
                 reason,
             )
-            .feature("reuse_penalty", v.leading.reuse_penalty);
+            .detail("predicted", predicted_detail(&v.predicted))
+            .feature("predicted_cost", v.predicted.total())
+            .feature("trip_cost", v.predicted.trip_cost)
+            .feature("entry_cost", v.predicted.entry_cost)
+            .feature("nest_cost", v.predicted.nest_cost);
             if let Some(c) = &v.cost {
                 rec.feature("guards", c.guards);
             }
@@ -526,35 +560,62 @@ mod tests {
     }
 
     #[test]
-    fn tile_size_does_not_enter_the_ranking_key() {
-        // the recorded reason the tile axis enumerates one size: strip-mine
-        // the reuse loop at 16/32/64 and every order the search returns for
-        // the split program costs the same at all three, so a second size
-        // adds only label-twins that lose the tie-break. The day a
-        // size-aware `Cost` term lands this fails, and the axis reopens.
-        let mut tiled = 0;
+    fn raising_the_tile_size_lowers_only_tile_innermost_costs() {
+        // `T` reaches the innermost loops' terms of the predicted cost
+        // (trips and entries) as the trip length of the loop a split
+        // confines, and nowhere else: strip-mine the reuse loop at 16, 32
+        // and 64, and every order whose hottest innermost loop is the tile
+        // loop costs strictly less there at each step up, while no other
+        // order costs less (a sunk tile-number loop costs more). The nest
+        // term is left out: every order with the tile-number loop outside
+        // the tile loop enters the loops between them fewer times.
+        let (mut tiled, mut tile_innermost, mut others) = (0, 0, 0);
         for &(name, ctor) in zoo::ALL {
             let p = ctor();
             let Some(l) = inl_core::tiling::innermost_reuse_loop(&p) else {
                 continue;
             };
             tiled += 1;
-            let costs = |t| -> Vec<(String, Cost)> {
+            let costs = |t| -> Vec<(String, PredictedCost)> {
                 let split = inl_core::tiling::split(&p, l, t).expect("splits").program;
                 let shape = Shape::analysed(String::new(), split).expect("analyses");
                 let mut stats = SearchStats::default();
                 let found = search::search_shape(&shape, u64::MAX, &mut stats).expect("searches");
-                inl_codegen::compile_batch(&shape.program, &found, 1)
+                let (layout, deps) = (&shape.layout, &shape.deps);
+                found
                     .into_iter()
-                    .map(|cv| (cv.label, Cost::of(&cv.features)))
+                    .map(|(label, m)| {
+                        let built = build(&shape.program, layout, deps, &m).expect("builds");
+                        (label, built.predicted(layout, deps, &m))
+                    })
                     .collect()
             };
-            let at_16 = costs(search::TILE_SIZE);
-            assert!(!at_16.is_empty(), "{name}: no legal order of the split");
-            assert_eq!(at_16, costs(32), "{name}: T=32 moved a cost");
-            assert_eq!(at_16, costs(64), "{name}: T=64 moved a cost");
+            let by_t = [16, 32, 64].map(costs);
+            assert!(!by_t[0].is_empty(), "{name}: no legal order of the split");
+            for (i, (label, at_16)) in by_t[0].iter().enumerate() {
+                let (at_32, at_64) = (&by_t[1][i], &by_t[2][i]);
+                assert_eq!((label, label), (&at_32.0, &at_64.0), "{name}");
+                let steps = [(at_16, &at_32.1, 16), (&at_32.1, &at_64.1, 32)];
+                let inner = |c: &PredictedCost| c.trip_cost + c.entry_cost;
+                for (before, after, t) in steps {
+                    let confined = before.hottest().is_some_and(|h| h.trips == t);
+                    if confined {
+                        assert!(inner(after) < inner(before), "{name} {label} at {t}");
+                    } else {
+                        assert!(inner(after) >= inner(before), "{name} {label} at {t}");
+                    }
+                }
+                match at_16.hottest().is_some_and(|h| h.trips == 16) {
+                    true => tile_innermost += 1,
+                    false => others += 1,
+                }
+            }
         }
         assert_eq!(tiled, 7, "zoo programs with a reuse-carrying loop");
+        assert!(
+            tile_innermost > 0 && others > 0,
+            "{tile_innermost} / {others}"
+        );
     }
 
     #[test]
@@ -571,7 +632,7 @@ mod tests {
         for (i, ranked) in r.variants.iter().enumerate() {
             let v = r.materialise(i).expect("finishes");
             assert_eq!(v.label, ranked.label);
-            assert_eq!(v.cost.leading, ranked.leading, "{}", v.label);
+            assert_eq!(v.features.predicted, ranked.predicted, "{}", v.label);
             if let Some(c) = &ranked.cost {
                 assert_eq!(&v.cost, c, "{}: stored key is the finished one", v.label);
             }
@@ -609,7 +670,7 @@ mod tests {
         assert_eq!(ranked, r.stats.legal_variants);
         assert_eq!(ranked, r.variants.len() as u64);
         assert_eq!(finished, r.finished() as u64);
-        assert_eq!(finished, 1, "the class tied on the leading fields");
+        assert_eq!(finished, 1, "the class tied on the predicted cost");
         assert_eq!(closed("batch.compile"), ranked + finished);
     }
 
@@ -631,38 +692,49 @@ mod tests {
     }
 
     #[test]
-    fn matmul_tile_axis_confines_the_reuse_slab() {
-        // matmul's winner strip-mines K so B's row-jumped slab is confined
-        // and re-swept by the invariant I loop; the credit exists in the
-        // tile shape only, and the best variant outside it is the classic
-        // untiled ikj-family order
-        let r = schedule_with(&zoo::matmul(), &quiet_cfg()).expect("schedules");
-        assert!(
-            r.chosen().label.starts_with("tile(K@"),
-            "chosen {}",
+    fn the_pick_never_costs_more_than_the_source_order() {
+        // the identity order of the identity shape is always a leaf, so
+        // the minimum is at most its cost — on every zoo program
+        for &(name, ctor) in zoo::ALL {
+            let r = schedule_with(&ctor(), &quiet_cfg()).expect(name);
+            let source = r
+                .variants
+                .iter()
+                .find(|v| v.shape.is_empty() && v.matrix == IMat::identity(v.matrix.nrows()))
+                .unwrap_or_else(|| panic!("{name}: the identity order is a leaf"));
+            let chosen = r.chosen().features.predicted.total();
+            assert!(
+                chosen <= source.predicted.total(),
+                "{name}: {}",
+                source.label
+            );
+        }
+    }
+
+    #[test]
+    fn cholesky_kij_keeps_its_innermost_loop_long() {
+        // the tile loop runs 16 trips per entry; the pick's hottest loop is
+        // a parametric one
+        let r = schedule_with(&zoo::cholesky_kij(), &quiet_cfg()).expect("schedules");
+        let hot = r.chosen().features.predicted.hottest().expect("a loop");
+        assert_eq!(
+            hot.trips,
+            inl_codegen::NOMINAL_EXTENT,
+            "{}",
             r.chosen().label
-        );
-        assert_eq!(r.chosen().features.tile_reuse, 1);
-        let untiled: Vec<&RankedVariant> =
-            r.variants.iter().filter(|v| v.shape.is_empty()).collect();
-        assert_eq!(untiled.len(), 6);
-        assert!(untiled.iter().all(|v| v.leading.neg_tile_reuse == 0));
-        assert!(
-            untiled[0].label.ends_with('J'),
-            "best untiled {}",
-            untiled[0].label
         );
     }
 
     #[test]
-    fn degenerate_tile_orders_never_win() {
-        // orders that sink the tile-number loop inside its tile loop run
-        // the split as a no-op with pure overhead; the single-trip skip
-        // in reuse_penalty keeps them behind the untiled winner
+    fn cholesky_divisions_run_in_columns() {
+        // `JI` would chain the divisions through A[J]; the pick runs them
+        // across J in columns
         for ctor in [zoo::simple_cholesky, zoo::perfect_nest] {
             let r = schedule_with(&ctor(), &quiet_cfg()).expect("schedules");
-            assert!(
-                r.chosen().shape.is_empty(),
+            let hot = r.chosen().features.predicted.hottest().expect("a loop");
+            assert_eq!(
+                hot.executor,
+                inl_codegen::Executor::Columns,
                 "{}: chosen {}",
                 r.chosen().program.name(),
                 r.chosen().label

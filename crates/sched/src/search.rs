@@ -12,8 +12,8 @@
 //!   paper's dependence projections;
 //! * a legal forward selector `+e_ℓ` means `−e_ℓ` is not tried at that
 //!   node: it is illegal or, every active dependence being zero on `ℓ`,
-//!   the root of a sign-twin subtree that ties on every [`crate::Leading`]
-//!   field and loses the tie-break on reversal count (crate docs).
+//!   the root of a sign-twin subtree that ties on the predicted cost and
+//!   loses the tie-break on reversal count (crate docs).
 //!
 //! Full-depth legal prefixes are handed to
 //! [`inl_core::complete::complete_transform`], whose syntactic-ordering
@@ -213,11 +213,12 @@ fn enumerate_structural(
     Ok(())
 }
 
-/// The one tile size the tile axis strip-mines by. No field of
-/// [`crate::Cost`] depends on the size (pinned by
-/// `tile_size_does_not_enter_the_ranking_key`), so further sizes would
-/// only add label-twins of every variant that lose the tie-break to this
-/// one — at a full tree of loop orders and a codegen sweep each.
+/// The one tile size the tile axis strip-mines by. The predicted cost sees
+/// `T` only as the trip length of a tile-innermost loop
+/// (`raising_the_tile_size_lowers_only_tile_innermost_costs`); a second size
+/// would roughly double the ranked leaves of every deep program, most of
+/// them tiled, for variants the model does not pick. Choosing `T` waits for
+/// a key that reads footprints off the matrix (ROADMAP items 1 and 13).
 pub(crate) const TILE_SIZE: inl_ir::Int = 16;
 
 /// The tile axis: strip-mine the innermost reuse-carrying loop by

@@ -5,15 +5,20 @@
 //! This is the machinery behind the `inl-sched` CLI and the committed
 //! `baselines/BENCH_sched.json` CI gate: the search counters and the
 //! chosen label in each [`SweepEntry`] are deterministic and go into the
-//! gate document ([`bench_json`]); the measured times only feed the
-//! printed table.
+//! gate document ([`bench_json`]); the measured times and the profiled
+//! executors only feed the printed tables — the regret report
+//! ([`render_regret`]) sets each variant's predicted cost beside what the
+//! VM did with it.
 
 use crate::{schedule_with, Cost, SchedConfig, SchedError, SearchStats};
+use inl_codegen::PredictedCost;
+use inl_exec::profile::{self, LoopProfile};
 use inl_exec::{run_fresh, Machine, VmRunner};
 use inl_ir::zoo::{self, spd_init};
-use inl_ir::Program;
+use inl_ir::{LoopId, Node, Program};
 use inl_linalg::{InlError, Int};
 use inl_obs::Json;
+use std::cmp::Reverse;
 use std::time::Instant;
 
 /// Problem size used by the sweep: large enough that loop-order locality
@@ -50,8 +55,29 @@ pub struct MeasuredVariant {
     /// Its full static key, from the variant as finished for measuring
     /// (the scheduler itself computed it only for the front class).
     pub cost: Cost,
+    /// The predicted cost's terms and innermost loops.
+    pub predicted: PredictedCost,
+    /// Name of the predicted hottest innermost loop.
+    pub predicted_loop: String,
+    /// What one profiled VM run showed of the hottest innermost loop.
+    pub observed: Option<LoopProfile>,
     /// Minimum wall time over the sweep's repetitions, nanoseconds.
     pub ns: u64,
+}
+
+/// The profile of `p`'s hottest innermost loop — the one whose body ran
+/// the most iterations, the first in program order among equals — in the
+/// profiled runs of `runner`.
+fn hottest_observed(runner: &VmRunner, p: &Program) -> Option<LoopProfile> {
+    let cp = runner.compiled();
+    let counts = profile::pc_counts(cp)?;
+    let innermost = p.loops().filter(|&l| {
+        let children = &p.loop_decl(l).children;
+        !children.iter().any(|c| matches!(c, Node::Loop(_)))
+    });
+    innermost
+        .filter_map(|l: LoopId| profile::loop_profile(cp, Some(p), &counts, l))
+        .min_by_key(|l| Reverse(l.iterations))
 }
 
 /// The sweep's verdict on one program.
@@ -68,7 +94,7 @@ pub struct SweepEntry {
     /// Every legal variant in rank order, with its measured runtime.
     pub measured: Vec<MeasuredVariant>,
     /// How many of them the schedule itself finished (the class tied with
-    /// the chosen one on the leading cost fields); all were ranked.
+    /// the chosen one on the predicted cost); all were ranked.
     pub finished: usize,
     /// Measured runtime of the chosen variant, nanoseconds.
     pub chosen_ns: u64,
@@ -153,13 +179,30 @@ pub fn sweep_program(
             *best = (*best).min(t.elapsed().as_nanos() as u64);
         }
     }
+    // one more, untimed and profiled: which executor ran each variant
+    let was_profiling = profile::enabled();
+    profile::set_enabled(true);
+    for (v, runner) in variants.iter().zip(&runners) {
+        runner.run(&mut Machine::new(&v.program, params, &spd_init));
+    }
+    profile::set_enabled(was_profiling);
     let measured: Vec<MeasuredVariant> = variants
         .iter()
+        .zip(&runners)
         .zip(best_ns_per)
-        .map(|(v, ns)| MeasuredVariant {
-            label: v.label.clone(),
-            cost: v.cost.clone(),
-            ns,
+        .map(|((v, runner), ns)| {
+            let predicted = v.features.predicted.clone();
+            let predicted_loop = predicted
+                .hottest()
+                .map_or_else(String::new, |h| v.program.loop_decl(h.id).name.clone());
+            MeasuredVariant {
+                label: v.label.clone(),
+                cost: v.cost.clone(),
+                predicted,
+                predicted_loop,
+                observed: hottest_observed(runner, &v.program),
+                ns,
+            }
         })
         .collect();
     let measure_ns = t1.elapsed().as_nanos() as u64;
@@ -175,7 +218,8 @@ pub fn sweep_program(
     let mut discordant = 0u64;
     for i in 0..measured.len() {
         for j in (i + 1)..measured.len() {
-            let tied = ranked[i].leading == ranked[j].leading && ranked[i].cost == ranked[j].cost;
+            let tied = ranked[i].predicted.total() == ranked[j].predicted.total()
+                && ranked[i].cost == ranked[j].cost;
             if tied || measured[i].ns <= measured[j].ns {
                 concordant += 1;
             } else {
@@ -254,6 +298,105 @@ pub fn render_table(entries: &[SweepEntry]) -> String {
             e.rank_agreement_pct(),
             if e.bitwise_identical { "yes" } else { "NO" },
         ));
+    }
+    out
+}
+
+/// The first field of the ranking key that separates `a` from `b`, in the
+/// order the sort compares them — predicted cost, guards, DOALL slots,
+/// reversals, label — with both values. The predicted cost's three terms
+/// follow it as context only (the key compares their sum):
+/// `"predicted_cost 130170 vs 296378 (trips 86656 vs 250496, …)"`.
+pub fn separating_term(a: &MeasuredVariant, b: &MeasuredVariant) -> String {
+    let (pa, pb) = (&a.predicted, &b.predicted);
+    if pa.total() != pb.total() {
+        return format!(
+            "predicted_cost {} vs {} (trips {} vs {}, entries {} vs {}, nest {} vs {})",
+            pa.total(),
+            pb.total(),
+            pa.trip_cost,
+            pb.trip_cost,
+            pa.entry_cost,
+            pb.entry_cost,
+            pa.nest_cost,
+            pb.nest_cost
+        );
+    }
+    let terms = [
+        ("guards", a.cost.guards, b.cost.guards),
+        (
+            "doall",
+            -a.cost.neg_parallel_slots,
+            -b.cost.neg_parallel_slots,
+        ),
+        (
+            "reversals",
+            crate::reversals(&a.label) as i64,
+            crate::reversals(&b.label) as i64,
+        ),
+    ];
+    match terms.iter().find(|(_, x, y)| x != y) {
+        Some((name, x, y)) => format!("{name} {x} vs {y}"),
+        None => format!("label {} vs {}", a.label, b.label),
+    }
+}
+
+/// One variant as the regret report shows it: label, measured time, the
+/// predicted cost's terms, the predicted executor and trips per entry of
+/// the hottest innermost loop, and what the profiled VM run did with its
+/// hottest innermost loop (executor, iterations per header execution).
+pub fn regret_row(m: &MeasuredVariant) -> String {
+    let predicted = match m.predicted.hottest() {
+        Some(h) => format!("{} {} x{}", m.predicted_loop, h.executor.name(), h.trips),
+        None => "-".to_string(),
+    };
+    let observed = match &m.observed {
+        Some(o) => format!(
+            "{} {} x{:.1}",
+            o.name,
+            o.mode(),
+            o.iterations as f64 / o.header_execs.max(1) as f64
+        ),
+        None => "-".to_string(),
+    };
+    format!(
+        "{:<28} {:>10} ns  {:>36}  {:<22} {:<22} [{}]",
+        m.label,
+        m.ns,
+        m.predicted.to_string(),
+        predicted,
+        observed,
+        m.cost
+    )
+}
+
+/// The regret report of one program: every variant in rank order
+/// ([`regret_row`]), then the chosen row beside the measured-best row and
+/// the first term that separated them ([`separating_term`]).
+pub fn render_regret(e: &SweepEntry) -> String {
+    let mut out = format!(
+        "  {:<28} {:>13}  {:>36}  {:<22} {:<22} [key]\n",
+        "variant", "measured", "predicted cost", "predicted hottest", "vm hottest (trips/entry)"
+    );
+    for m in &e.measured {
+        out.push_str(&format!("  {}\n", regret_row(m)));
+    }
+    let best = e.measured.iter().find(|m| m.label == e.best_label);
+    if let (Some(chosen), Some(best)) = (e.measured.first(), best) {
+        out.push_str(&format!(
+            "  chosen {}\n  best   {}\n",
+            regret_row(chosen),
+            regret_row(best)
+        ));
+        if chosen.label == best.label {
+            out.push_str("  the chosen variant is the measured best\n");
+        } else {
+            out.push_str(&format!(
+                "  +{}% off the best; ranked ahead on {}\n",
+                e.chosen_vs_best_pct(),
+                separating_term(chosen, best)
+            ));
+        }
     }
     out
 }

@@ -64,6 +64,16 @@ fn show_prints_the_chosen_pseudocode_and_schedules_once() {
         "{stdout}"
     );
     assert!(stdout.contains("variants by cost:"), "{stdout}");
+    // the regret report: predicted terms, predicted and profiled executor,
+    // the chosen row against the measured best
+    assert!(
+        stdout.contains("cost=") && stdout.contains("nest="),
+        "{stdout}"
+    );
+    assert!(stdout.contains("J carried x64"), "predicted:\n{stdout}");
+    assert!(stdout.contains("J carried x56.0"), "profiled:\n{stdout}");
+    assert!(stdout.contains("  chosen IJ"), "{stdout}");
+    assert!(stdout.contains("  best   "), "{stdout}");
 
     let text = std::fs::read_to_string(&dump).expect("exit dump written");
     let _ = std::fs::remove_file(&dump);

@@ -23,7 +23,7 @@
 
 use crate::bytecode::{CompiledProgram, Opcode};
 use crate::run::Executor;
-use inl_ir::{Program, StmtId};
+use inl_ir::{LoopId, Program, StmtId};
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -248,6 +248,40 @@ impl LoopProfile {
     }
 }
 
+/// Execution counts of loop `l` (of the program `cp` was compiled from),
+/// or `None` when its body never executed.
+pub fn loop_profile(
+    cp: &CompiledProgram,
+    p: Option<&Program>,
+    counts: &Samples,
+    l: LoopId,
+) -> Option<LoopProfile> {
+    let meta = cp.loop_meta(l)?;
+    let (s, e) = meta.body;
+    let body = counts.get(s as usize..e as usize).unwrap_or(&[]);
+    let body_instrs: u64 = body.iter().sum();
+    if body_instrs == 0 {
+        return None;
+    }
+    let name = match p {
+        Some(p) => p.loop_decl(l).name.clone(),
+        None => format!("L{}", l.0),
+    };
+    let trips = counts
+        .trips
+        .get(meta.header as usize)
+        .copied()
+        .unwrap_or_default();
+    Some(LoopProfile {
+        name,
+        header_execs: counts.get(meta.header as usize).copied().unwrap_or(0),
+        iterations: body.first().copied().unwrap_or(0),
+        body_instrs,
+        trips_columns: trips[Executor::Columns as usize],
+        trips_carried: trips[Executor::Carried as usize],
+    })
+}
+
 /// Per-loop execution counts, hottest body first. Loops whose body never
 /// executed are omitted.
 pub fn loop_profiles(
@@ -255,33 +289,9 @@ pub fn loop_profiles(
     p: Option<&Program>,
     counts: &Samples,
 ) -> Vec<LoopProfile> {
-    let mut out = Vec::new();
-    for (idx, meta) in cp.loops.iter().enumerate() {
-        let Some(meta) = meta else { continue };
-        let (s, e) = meta.body;
-        let body = counts.get(s as usize..e as usize).unwrap_or(&[]);
-        let body_instrs: u64 = body.iter().sum();
-        if body_instrs == 0 {
-            continue;
-        }
-        let name = match p {
-            Some(p) => p.loop_decl(inl_ir::LoopId(idx)).name.clone(),
-            None => format!("L{idx}"),
-        };
-        let trips = counts
-            .trips
-            .get(meta.header as usize)
-            .copied()
-            .unwrap_or_default();
-        out.push(LoopProfile {
-            name,
-            header_execs: counts.get(meta.header as usize).copied().unwrap_or(0),
-            iterations: body.first().copied().unwrap_or(0),
-            body_instrs,
-            trips_columns: trips[Executor::Columns as usize],
-            trips_carried: trips[Executor::Carried as usize],
-        });
-    }
+    let mut out: Vec<LoopProfile> = (0..cp.loops.len())
+        .filter_map(|idx| loop_profile(cp, p, counts, LoopId(idx)))
+        .collect();
     out.sort_by(|a, b| b.body_instrs.cmp(&a.body_instrs).then(a.name.cmp(&b.name)));
     out
 }
