@@ -15,8 +15,8 @@
 //! `inl_obs::capture` window sees them.
 //!
 //! [`compile_batch`] runs [`generate`] as the job; the auto-scheduler
-//! runs [`crate::generate::build`] over every leaf and `generate` over
-//! the front-runners through the same loop.
+//! runs [`crate::generate::build`] over every leaf through the same loop,
+//! and `generate` once, on its pick, outside it.
 
 use crate::cost::CostFeatures;
 use crate::generate::generate;
@@ -38,8 +38,8 @@ pub struct CompiledVariant {
     pub pseudocode: String,
     /// The generated program itself (runnable through `inl-exec`).
     pub program: Program,
-    /// Static cost features of the variant (the scheduler's ranking
-    /// signal), as [`crate::generate()`] computes them.
+    /// Static cost features of the variant, as [`crate::generate()`]
+    /// computes them.
     pub features: CostFeatures,
     /// Wall time of this job's code generation alone (the batch's one
     /// dependence analysis is not in it).
@@ -135,7 +135,7 @@ mod tests {
     fn batch_returns_program_and_features() {
         // two legal variants of simple Cholesky: identity completion and
         // the J-outer interchange; the batch result must carry a runnable
-        // program whose pseudocode matches, and non-default features.
+        // program whose pseudocode matches, and its predicted cost.
         let p = zoo::simple_cholesky();
         let layout = InstanceLayout::new(&p);
         let deps = analyze(&p, &layout).expect("analysis");
@@ -157,7 +157,11 @@ mod tests {
         assert_eq!(out.len(), 2);
         for v in &out {
             assert_eq!(v.pseudocode, v.program.to_pseudocode());
-            assert!(v.features.deps > 0, "{}: features populated", v.label);
+            assert!(
+                v.features.predicted.total() > 0,
+                "{}: features populated",
+                v.label
+            );
         }
     }
 }

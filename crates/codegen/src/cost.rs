@@ -50,19 +50,17 @@
 //! tile-innermost variant's entries fewer, and no capacity term credits a
 //! slab (at the nominal extent every zoo working set fits in L2).
 //!
-//! # The other features
+//! # Guards
 //!
-//! * **`parallel_slots` / `wavefront`** — how many loop slots the
-//!   dependence projections certify as DOALL under this transformation,
-//!   and whether the outermost parallelism sits strictly inside the nest
-//!   (a wavefront schedule: synchronization per outer iteration).
-//! * **`guards`** — guards surviving guard simplification; each is a
-//!   per-instance branch in the inner loops.
-//! * **`bounds_scanned` / `loops_augmented`** — generation work counts,
-//!   kept for explain parity (they describe compile cost, not run cost).
+//! [`CostFeatures::guards`] counts the guards surviving guard
+//! simplification; each is a per-instance branch in the inner loops. It is
+//! not part of the ranking: no zoo variant keeps one
+//! (`tests/search_sound.rs` checks all of them), and a kernel body with a
+//! guard would run on the dispatcher, which the predicted cost would then
+//! have to charge.
 
-use inl_core::depend::{DepKind, DependenceMatrix};
-use inl_core::instance::{InstanceLayout, Position};
+use inl_core::depend::DependenceMatrix;
+use inl_core::instance::InstanceLayout;
 use inl_core::legal::NewAst;
 use inl_ir::{Access, Aff, Expr, LoopId, Node, Program, StmtDecl, StmtId, VarKey};
 use inl_linalg::{IMat, IVec};
@@ -112,37 +110,13 @@ const BOUND: i64 = 37;
 /// `KERNEL_SLOTS` and `KERNEL_REGS`).
 const KERNEL_FILE: usize = 8;
 
-/// Integer cost features of one generated variant (see the module docs
-/// for definitions). Lower is better for every field except
-/// `parallel_slots`.
+/// Integer cost features of one generated variant (module docs).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CostFeatures {
-    /// Number of dependences in the source program's dependence matrix.
-    pub deps: i64,
-    /// How many of those are certain (distance known exactly).
-    pub deps_certain: i64,
-    /// Statements in the generated program.
-    pub stmts: i64,
-    /// Scan bounds computed during generation (compile cost).
-    pub bounds_scanned: i64,
-    /// Loops added by augmentation (§5.4) during generation.
-    pub loops_augmented: i64,
     /// Guards surviving simplification, summed over statements.
     pub guards: i64,
-    /// Loop slots certified DOALL under this transformation.
-    pub doall: Vec<usize>,
-    /// `true` when the outermost DOALL slot is strictly inside the nest
-    /// (inner parallelism only — a wavefront schedule).
-    pub wavefront: bool,
-    /// The predicted cost and its terms (module docs).
+    /// The predicted cost and its terms.
     pub predicted: PredictedCost,
-}
-
-impl CostFeatures {
-    /// Number of certified DOALL slots (`doall.len()` as a feature value).
-    pub fn parallel_slots(&self) -> i64 {
-        self.doall.len() as i64
-    }
 }
 
 /// The trip executor the VM is predicted to run an innermost loop on (the
@@ -555,62 +529,6 @@ pub(crate) fn predict(
     };
     p.walk(out.root(), &mut Vec::new(), None);
     p.cost
-}
-
-/// Compute the cost features of a generated variant.
-///
-/// `out` is the *generated* program (after guard simplification) and
-/// `predicted` its [`PredictedCost`]; the remaining arguments describe the
-/// source program's dependence structure and the transformation, exactly as
-/// they reached code generation.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn cost_features(
-    layout: &InstanceLayout,
-    deps: &DependenceMatrix,
-    m: &IMat,
-    ast: &NewAst,
-    out: &Program,
-    predicted: PredictedCost,
-    bounds_scanned: i64,
-    loops_augmented: i64,
-) -> CostFeatures {
-    let deps_certain = deps.deps.iter().filter(|d| d.certain).count() as i64;
-    let doall = inl_core::parallel::parallel_slots(layout, deps, ast, m);
-    let first_loop_slot = layout
-        .positions()
-        .iter()
-        .position(|pos| matches!(pos, Position::Loop(_)));
-    let wavefront = match (doall.first(), first_loop_slot) {
-        (Some(&s), Some(f)) => s > f,
-        _ => false,
-    };
-    CostFeatures {
-        deps: deps.deps.len() as i64,
-        deps_certain,
-        stmts: out.stmts().count() as i64,
-        bounds_scanned,
-        loops_augmented,
-        guards: out
-            .stmts()
-            .map(|s| out.stmt_decl(s).guards.len() as i64)
-            .sum(),
-        doall,
-        wavefront,
-        predicted,
-    }
-}
-
-/// Kind counts of a dependence matrix, for explain details.
-pub(crate) fn dep_kind_counts(deps: &DependenceMatrix) -> (i64, i64, i64) {
-    let (mut flow, mut anti, mut output) = (0i64, 0i64, 0i64);
-    for d in &deps.deps {
-        match d.kind {
-            DepKind::Flow => flow += 1,
-            DepKind::Anti => anti += 1,
-            DepKind::Output => output += 1,
-        }
-    }
-    (flow, anti, output)
 }
 
 #[cfg(test)]

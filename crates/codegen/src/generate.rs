@@ -46,9 +46,9 @@ pub struct CodegenResult {
     pub program: Program,
     /// `stmt_map[source.0]` = target statement id.
     pub stmt_map: Vec<StmtId>,
-    /// Static cost features of the variant (see [`crate::cost`]) — the
-    /// ranking signal of the auto-scheduler, computed on every
-    /// generation so callers never re-derive them.
+    /// Static cost features of the variant (see [`crate::cost`]): the
+    /// guards left after simplification and the predicted cost the
+    /// auto-scheduler ranks on.
     pub features: crate::cost::CostFeatures,
 }
 
@@ -117,28 +117,89 @@ impl BuiltVariant {
     /// bounds imply and compute the cost features. Takes the arguments
     /// [`build`] was given.
     pub(crate) fn finish(
-        self,
+        mut self,
         p: &Program,
         layout: &InstanceLayout,
         deps: &DependenceMatrix,
         m: &IMat,
     ) -> CodegenResult {
         let predicted = self.predicted(layout, deps, m);
-        let mut result = simplify_guards(self.result);
-        result.features = crate::cost::cost_features(
-            layout,
-            deps,
-            m,
-            &self.ast,
-            &result.program,
-            predicted,
-            self.bounds_scanned,
-            self.loops_augmented,
-        );
+        let out = &mut self.result.program;
+        simplify_guards(out);
+        let guards = out
+            .stmts()
+            .map(|s| out.stmt_decl(s).guards.len() as i64)
+            .sum();
+        self.result.features = crate::cost::CostFeatures { guards, predicted };
         if inl_obs::explain_enabled() {
-            record_cost_features(p, layout, deps, m, &result);
+            self.record_cost_features(p, layout, deps, m);
         }
-        result
+        self.result
+    }
+
+    /// Attach the finished variant's features to the explain stream (stage
+    /// `codegen`): dependence-matrix summary, parallel/wavefront shape under
+    /// this transformation, generation work counts and the predicted cost.
+    /// Everything here but the features is computed for this record alone.
+    fn record_cost_features(
+        &self,
+        p: &Program,
+        layout: &InstanceLayout,
+        deps: &DependenceMatrix,
+        m: &IMat,
+    ) {
+        use inl_core::depend::DepKind;
+        use inl_core::provenance;
+        let (out, f) = (&self.result, &self.result.features);
+        let count = |kind: DepKind| deps.deps.iter().filter(|d| d.kind == kind).count();
+        let (flow, anti, output) = (
+            count(DepKind::Flow),
+            count(DepKind::Anti),
+            count(DepKind::Output),
+        );
+        let ndeps = deps.deps.len() as i64;
+        let deps_certain = deps.deps.iter().filter(|d| d.certain).count() as i64;
+        let doall = inl_core::parallel::parallel_slots(layout, deps, &self.ast, m);
+        let loop_slots: Vec<usize> = layout
+            .positions()
+            .iter()
+            .enumerate()
+            .filter_map(|(q, pos)| matches!(pos, Position::Loop(_)).then_some(q))
+            .collect();
+        // inner parallelism only: a wavefront schedule
+        let wavefront = matches!((doall.first(), loop_slots.first()), (Some(s), Some(f)) if s > f);
+        let rec = inl_obs::explain::note(
+            "codegen",
+            format!("program {} under {}", p.name(), provenance::matrix_text(m)),
+            format!(
+                "generated {} statements over {} loop slot(s); {} DOALL slot(s)",
+                out.stmt_map.len(),
+                loop_slots.len(),
+                doall.len()
+            ),
+        )
+        .detail(
+            "dep_summary",
+            format!(
+                "{ndeps} deps ({flow} flow, {anti} anti, {output} output; {deps_certain} certain)"
+            ),
+        )
+        .feature("deps", ndeps)
+        .feature("deps_certain", deps_certain)
+        .feature("stmts", out.stmt_map.len() as i64)
+        .feature("bounds_scanned", self.bounds_scanned)
+        .feature("loops_augmented", self.loops_augmented)
+        .feature("guards_emitted", f.guards)
+        .feature("parallel_slots", doall.len() as i64)
+        .feature("wavefront", wavefront as i64)
+        .feature("predicted_cost", f.predicted.total())
+        .feature("trip_cost", f.predicted.trip_cost)
+        .feature("entry_cost", f.predicted.entry_cost)
+        .feature("nest_cost", f.predicted.nest_cost);
+        if !doall.is_empty() {
+            let listed: Vec<String> = doall.iter().map(|q| q.to_string()).collect();
+            rec.detail("doall_slots", listed.join(" "));
+        }
     }
 }
 
@@ -272,58 +333,6 @@ pub fn build(
         bounds_scanned,
         loops_augmented,
     })
-}
-
-/// Attach per-variant cost features to the explain stream (stage
-/// `codegen`): dependence-matrix summary, parallel/wavefront shape under
-/// this transformation, write-access strides, and generation work counts.
-fn record_cost_features(
-    p: &Program,
-    layout: &InstanceLayout,
-    deps: &DependenceMatrix,
-    m: &IMat,
-    out: &CodegenResult,
-) {
-    use inl_core::provenance;
-    let f = &out.features;
-    let (flow, anti, output) = crate::cost::dep_kind_counts(deps);
-    let rec = inl_obs::explain::note(
-        "codegen",
-        format!("program {} under {}", p.name(), provenance::matrix_text(m)),
-        format!(
-            "generated {} statements over {} loop slot(s); {} DOALL slot(s)",
-            out.stmt_map.len(),
-            layout
-                .positions()
-                .iter()
-                .filter(|pos| matches!(pos, Position::Loop(_)))
-                .count(),
-            f.doall.len()
-        ),
-    )
-    .detail(
-        "dep_summary",
-        format!(
-            "{} deps ({flow} flow, {anti} anti, {output} output; {} certain)",
-            f.deps, f.deps_certain
-        ),
-    )
-    .feature("deps", f.deps)
-    .feature("deps_certain", f.deps_certain)
-    .feature("stmts", out.stmt_map.len() as i64)
-    .feature("bounds_scanned", f.bounds_scanned)
-    .feature("loops_augmented", f.loops_augmented)
-    .feature("guards_emitted", f.guards)
-    .feature("parallel_slots", f.parallel_slots())
-    .feature("wavefront", f.wavefront as i64)
-    .feature("predicted_cost", f.predicted.total())
-    .feature("trip_cost", f.predicted.trip_cost)
-    .feature("entry_cost", f.predicted.entry_cost)
-    .feature("nest_cost", f.predicted.nest_cost);
-    if !f.doall.is_empty() {
-        let listed: Vec<String> = f.doall.iter().map(|q| q.to_string()).collect();
-        rec.detail("doall_slots", listed.join(" "));
-    }
 }
 
 /// Convenience: compose a transformation sequence, analyze, and generate.
@@ -973,11 +982,10 @@ impl Builder<'_> {
 
 /// Drop guards implied by the enclosing loops' bounds (and the program
 /// assumptions): the paper's "standard optimizations" step, §5.5.
-fn simplify_guards(result: CodegenResult) -> CodegenResult {
-    let mut program = result.program;
+fn simplify_guards(program: &mut Program) {
     let stmts: Vec<StmtId> = program.stmts().collect();
     for s in stmts {
-        let sys = context_without_guards(&program, s);
+        let sys = context_without_guards(program, s);
         let space = sys.nvars();
         let to_expr = |a: &Aff| -> LinExpr { program.to_linexpr(a, space) };
         let decl = program.stmt_decl(s).clone();
@@ -1017,12 +1025,7 @@ fn simplify_guards(result: CodegenResult) -> CodegenResult {
             .cloned()
             .collect();
         inl_obs::counter_add!("codegen.guards_simplified", decl.guards.len() - kept.len());
-        set_guards(&mut program, s, kept);
-    }
-    CodegenResult {
-        program,
-        stmt_map: result.stmt_map,
-        features: result.features,
+        set_guards(program, s, kept);
     }
 }
 

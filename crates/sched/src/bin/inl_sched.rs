@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! inl-sched                                # sweep the whole zoo, print the table
-//! inl-sched --program matmul --show       # one program: chosen pseudocode, ranked/finished counts, the regret report
+//! inl-sched --program matmul --show       # one program: chosen pseudocode, the regret report
 //! inl-sched --json target/BENCH_sched.json # also write the CI gate document
 //! inl-sched --explain-json target/sched-explain.json  # decision provenance
 //! ```
@@ -112,11 +112,6 @@ fn main() -> ExitCode {
             };
             println!("\n{name} (params {params:?}): chosen {}", e.chosen);
             println!("{}", e.chosen_pseudocode);
-            println!(
-                "ranked {} variants, finished {} to choose",
-                e.measured.len(),
-                e.finished
-            );
             println!("variants by cost:");
             print!("{}", render_regret(e));
         }

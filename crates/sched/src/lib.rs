@@ -6,7 +6,8 @@
 //! this crate decides which legal transformation to use.
 //!
 //! The search space is the product of three axes, none of them a switch
-//! (ROADMAP item 5):
+//! ([`SchedConfig`] says how much a schedule may spend, not what it
+//! searches):
 //!
 //! * **shape** — legal one-level loop distributions and fusions (§4.2),
 //!   each producing a structurally different program;
@@ -35,28 +36,26 @@
 //! ([`SearchStats`]).
 //!
 //! What a schedule costs is **one dependence analysis per shape** and
-//! **one guard simplification per front-runner**:
+//! **one guard simplification**:
 //!
 //! * the dependence matrix is a property of the shape's *program*, not of
 //!   a candidate, so each shape is analysed once when it is enumerated and
 //!   the search, the per-leaf lowering and [`ScheduleResult::materialise`]
 //!   all test their matrices against that one analysis;
-//! * the static [`Cost`] key leads with the predicted cost
-//!   ([`inl_codegen::PredictedCost`]), which reads only loop bounds,
-//!   subscripts and nesting of the generated program, the matrix and the
-//!   shape's dependences — nothing guard simplification rewrites. So every
-//!   legal leaf is lowered through the first half of code generation
-//!   ([`inl_codegen::build`]) and **ranked** on its predicted cost, and
-//!   only the class tied at the minimum is **finished**
-//!   ([`inl_codegen::generate()`]: guard simplification, the remaining
-//!   features, pseudocode), where `guards`, `parallel_slots`, reversal
-//!   count and label break the tie. The chosen variant is the one a
-//!   finish-everything sort would pick, skipped twins included (the tail
-//!   of [`Cost`] is not provably sign-blind: `tests/search_sound.rs` holds
-//!   that oracle over the whole zoo); the other variants keep what was
-//!   computed for them and are finished on demand.
+//! * the one ranking key is `(predicted cost, reversals, label)`. The
+//!   predicted cost ([`inl_codegen::PredictedCost`]) reads only loop
+//!   bounds, subscripts and nesting of the generated program, the matrix
+//!   and the shape's dependences — nothing guard simplification rewrites.
+//!   So every legal leaf is lowered through the first half of code
+//!   generation ([`inl_codegen::build`]) and **ranked**, and only the
+//!   first is **finished** ([`inl_codegen::generate()`]: guard
+//!   simplification, pseudocode). The chosen variant is the one a
+//!   finish-everything sort would pick, skipped twins included (the
+//!   predicted cost is not provably sign-blind: `tests/search_sound.rs`
+//!   holds that oracle over the whole zoo); the other variants keep what
+//!   was computed for them and are finished on demand.
 //!
-//! Every decision (pruned subtree, dominated variant, chosen variant) is
+//! Every decision (pruned subtree, variant ranked behind, chosen variant) is
 //! recorded as `inl_obs::explain` evidence under a `sched/<program>`
 //! session, so `inl-explain query` can answer *why this order*.
 //!
@@ -73,11 +72,9 @@
 
 #![warn(missing_docs)]
 
-mod cost;
 mod search;
 pub mod sweep;
 
-pub use cost::Cost;
 pub use search::SearchStats;
 
 use inl_codegen::{batch_map, build, generate, CodegenError, CostFeatures, PredictedCost};
@@ -163,8 +160,6 @@ pub struct ScheduledVariant {
     pub pseudocode: String,
     /// The variant's static cost features.
     pub features: CostFeatures,
-    /// Its ranking key.
-    pub cost: Cost,
 }
 
 /// One legal variant as the ranking left it: what was computed for it and
@@ -179,15 +174,10 @@ pub struct RankedVariant {
     pub matrix: IMat,
     /// The predicted cost every leaf is ranked on, with its terms.
     pub predicted: PredictedCost,
-    /// The full key — `Some` exactly for the variants tied with the chosen
-    /// one on the predicted cost, the only ones that were finished. Its
-    /// `guards` is the simplified count; an unsimplified one is never
-    /// stored.
-    pub cost: Option<Cost>,
 }
 
 impl RankedVariant {
-    /// Reversed loops in the label: between equal keys the variant with
+    /// Reversed loops in the label: between equal costs the variant with
     /// fewer wins (a reversal buys nothing when the cost is identical).
     fn reversals(&self) -> usize {
         reversals(&self.label)
@@ -205,8 +195,7 @@ pub struct ScheduleResult {
     chosen: ScheduledVariant,
     shapes: Vec<Shape>,
     /// Every legal variant in rank order, best first (`variants[0]` is the
-    /// chosen one): by predicted cost; inside the front class by the rest
-    /// of [`Cost`]; then by reversal count and label.
+    /// chosen one): by predicted cost, then reversal count, then label.
     pub variants: Vec<RankedVariant>,
     /// Search counters (deterministic; CI-gated).
     pub stats: SearchStats,
@@ -219,12 +208,6 @@ impl ScheduleResult {
     /// The chosen (cost-minimal) variant, fully materialised.
     pub fn chosen(&self) -> &ScheduledVariant {
         &self.chosen
-    }
-
-    /// How many variants were finished to break the tie at the front
-    /// (`variants.len()` were ranked).
-    pub fn finished(&self) -> usize {
-        self.variants.iter().filter(|v| v.cost.is_some()).count()
     }
 
     /// Finish `variants[i]` — generate, simplify guards, print — against
@@ -267,7 +250,6 @@ fn finish(shapes: &[Shape], v: &RankedVariant) -> Result<ScheduledVariant, Sched
         matrix: v.matrix.clone(),
         pseudocode: r.program.to_pseudocode(),
         program: r.program,
-        cost: Cost::of(&r.features),
         features: r.features,
     })
 }
@@ -340,55 +322,30 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
             shape: shape.label.clone(),
             matrix,
             predicted,
-            cost: None,
         });
     }
-
-    // stage 2: finish the class tied at the minimum — the tail of the key
-    // (guards, DOALL slots) can reorder nothing else
-    let best = variants
-        .iter()
-        .map(|v| v.predicted.total())
-        .min()
-        .expect("non-empty");
-    let front: Vec<usize> = (0..variants.len())
-        .filter(|&i| variants[i].predicted.total() == best)
-        .collect();
-    let mut finished = {
-        let _span = inl_obs::span("sched.finish");
-        inl_obs::counter_add!("sched.variants_finished", front.len());
-        batch_map(front.len(), cfg.threads, |k| {
-            finish(&shapes, &variants[front[k]])
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?
-    };
-    for (&i, f) in front.iter().zip(&finished) {
-        variants[i].cost = Some(f.cost.clone());
-    }
-    // `cost` is `Some` on the whole front class and `None` on every other,
-    // so inside a class it compares like with like
     variants.sort_by(|a, b| {
-        (a.predicted.total(), &a.cost, a.reversals(), &a.label).cmp(&(
+        (a.predicted.total(), a.reversals(), &a.label).cmp(&(
             b.predicted.total(),
-            &b.cost,
             b.reversals(),
             &b.label,
         ))
     });
-    let winner = finished
-        .iter()
-        .position(|f| f.label == variants[0].label)
-        .expect("the front class was finished");
-    let chosen = finished.swap_remove(winner);
+
+    // stage 2: finish the pick alone; the rest are finished on demand
+    let chosen = {
+        let _span = inl_obs::span("sched.finish");
+        finish(&shapes, &variants[0])?
+    };
 
     if explain {
         inl_obs::explain::accept(
             "sched",
             format!("variant {} of {}", chosen.label, p.name()),
             format!(
-                "chosen: minimal cost ({}) among {} legal variants, {} of {} tree nodes visited",
-                chosen.cost,
+                "chosen: minimal predicted cost ({}) among {} legal variants, {} of {} tree \
+                 nodes visited",
+                chosen.features.predicted,
                 variants.len(),
                 stats.nodes_visited,
                 stats.nodes_exhaustive
@@ -403,30 +360,19 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
         .feature("entry_cost", chosen.features.predicted.entry_cost)
         .feature("nest_cost", chosen.features.predicted.nest_cost);
         for v in variants.iter().skip(1) {
-            let reason = match &v.cost {
-                Some(c) => format!(
-                    "legal but dominated: cost ({c}) vs chosen ({})",
-                    chosen.cost
-                ),
-                None => format!(
-                    "legal but dominated on the predicted cost, never finished: ({}) vs \
-                     chosen ({})",
-                    v.predicted, chosen.features.predicted
-                ),
-            };
-            let rec = inl_obs::explain::note(
+            inl_obs::explain::note(
                 "sched",
                 format!("variant {} of {}", v.label, p.name()),
-                reason,
+                format!(
+                    "legal but ranked behind: ({}) vs chosen ({})",
+                    v.predicted, chosen.features.predicted
+                ),
             )
             .detail("predicted", predicted_detail(&v.predicted))
             .feature("predicted_cost", v.predicted.total())
             .feature("trip_cost", v.predicted.trip_cost)
             .feature("entry_cost", v.predicted.entry_cost)
             .feature("nest_cost", v.predicted.nest_cost);
-            if let Some(c) = &v.cost {
-                rec.feature("guards", c.guards);
-            }
         }
     }
 
@@ -622,20 +568,16 @@ mod tests {
     fn every_variant_is_legal_and_equivalent() {
         // every returned variant must execute bitwise-identically to the
         // source program — across shapes and reversals. Only
-        // the front class comes back finished; the rest are materialised
+        // the chosen one comes back finished; the rest are materialised
         // here, and what the ranking stored must be what finishing finds.
         let p = zoo::simple_cholesky();
         let r = schedule_with(&p, &quiet_cfg()).expect("schedules");
         let init = zoo::spd_init;
         let src = inl_exec::run_fresh(&p, &[8], &init);
-        assert!(r.finished() >= 1 && r.finished() < r.variants.len());
         for (i, ranked) in r.variants.iter().enumerate() {
             let v = r.materialise(i).expect("finishes");
             assert_eq!(v.label, ranked.label);
             assert_eq!(v.features.predicted, ranked.predicted, "{}", v.label);
-            if let Some(c) = &ranked.cost {
-                assert_eq!(&v.cost, c, "{}: stored key is the finished one", v.label);
-            }
             let got = inl_exec::run_fresh(&v.program, &[8], &init);
             src.same_state(&got)
                 .unwrap_or_else(|e| panic!("variant {} diverged: {e}", v.label));
@@ -647,11 +589,11 @@ mod tests {
     }
 
     #[test]
-    fn each_shape_is_analysed_once_and_only_the_front_is_finished() {
+    fn each_shape_is_analysed_once_and_only_the_pick_is_finished() {
         // one `depend.analyze` per distinct shape program — not one per
-        // stage, let alone one per variant — and guard simplification only
-        // on the class tied at the front. One thread, so the thread-local
-        // capture sees all of it.
+        // stage, let alone one per variant — and one `generate`, of the
+        // chosen variant, outside the ranking's batch. One thread, so the
+        // thread-local capture sees all of it.
         let (r, cap) = inl_obs::capture::with(|| schedule_with(&zoo::cholesky_kij(), &quiet_cfg()));
         let r = r.expect("schedules");
         let closed = |leaf: &str| -> u64 {
@@ -665,13 +607,11 @@ mod tests {
         assert_eq!(closed("depend.analyze"), r.stats.shapes);
         assert_eq!(closed("sched.rank"), 1);
         assert_eq!(closed("sched.finish"), 1);
+        assert_eq!(closed("codegen.generate"), 1);
         let ranked = cap.counters["sched.variants_ranked"];
-        let finished = cap.counters["sched.variants_finished"];
         assert_eq!(ranked, r.stats.legal_variants);
         assert_eq!(ranked, r.variants.len() as u64);
-        assert_eq!(finished, r.finished() as u64);
-        assert_eq!(finished, 1, "the class tied on the predicted cost");
-        assert_eq!(closed("batch.compile"), ranked + finished);
+        assert_eq!(closed("batch.compile"), ranked);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! ([`render_regret`]) sets each variant's predicted cost beside what the
 //! VM did with it.
 
-use crate::{schedule_with, Cost, SchedConfig, SchedError, SearchStats};
+use crate::{schedule_with, SchedConfig, SchedError, SearchStats};
 use inl_codegen::PredictedCost;
 use inl_exec::profile::{self, LoopProfile};
 use inl_exec::{run_fresh, Machine, VmRunner};
@@ -52,9 +52,6 @@ pub fn sweep_targets() -> Vec<SweepTarget> {
 pub struct MeasuredVariant {
     /// The variant's display label.
     pub label: String,
-    /// Its full static key, from the variant as finished for measuring
-    /// (the scheduler itself computed it only for the front class).
-    pub cost: Cost,
     /// The predicted cost's terms and innermost loops.
     pub predicted: PredictedCost,
     /// Name of the predicted hottest innermost loop.
@@ -93,9 +90,6 @@ pub struct SweepEntry {
     pub chosen_pseudocode: String,
     /// Every legal variant in rank order, with its measured runtime.
     pub measured: Vec<MeasuredVariant>,
-    /// How many of them the schedule itself finished (the class tied with
-    /// the chosen one on the predicted cost); all were ranked.
-    pub finished: usize,
     /// Measured runtime of the chosen variant, nanoseconds.
     pub chosen_ns: u64,
     /// Fastest measured variant, nanoseconds.
@@ -153,9 +147,9 @@ pub fn sweep_program(
     let search_ns = t0.elapsed().as_nanos() as u64;
 
     let t1 = Instant::now();
-    // the schedule finished only its front-runners; measuring needs every
-    // variant's program, so finish the rest now, against the analyses the
-    // result already holds
+    // the schedule finished only its pick; measuring needs every variant's
+    // program, so finish them all now, against the analyses the result
+    // already holds
     let variants = result.materialise_all(cfg.threads)?;
     // compile every variant once, then one untimed warmup run each: the
     // first execution pays cold caches and page faults that would
@@ -197,7 +191,6 @@ pub fn sweep_program(
                 .map_or_else(String::new, |h| v.program.loop_decl(h.id).name.clone());
             MeasuredVariant {
                 label: v.label.clone(),
-                cost: v.cost.clone(),
                 predicted,
                 predicted_loop,
                 observed: hottest_observed(runner, &v.program),
@@ -209,17 +202,14 @@ pub fn sweep_program(
 
     let (chosen_ns, best_ns, best_label, worst_ns) = measured_extremes(name, &measured)?;
 
-    // rank order vs measured order: count concordant pairs. A pair the
-    // ranking did not separate — equal on every key it computed for the
-    // two, so ordered by reversal count and label only — carries no
-    // performance claim and counts as concordant
-    let ranked = &result.variants;
+    // rank order vs measured order: count concordant pairs. A pair tied on
+    // the predicted cost — ordered by reversal count and label only —
+    // carries no performance claim and counts as concordant
     let mut concordant = 0u64;
     let mut discordant = 0u64;
     for i in 0..measured.len() {
         for j in (i + 1)..measured.len() {
-            let tied = ranked[i].predicted.total() == ranked[j].predicted.total()
-                && ranked[i].cost == ranked[j].cost;
+            let tied = measured[i].predicted.total() == measured[j].predicted.total();
             if tied || measured[i].ns <= measured[j].ns {
                 concordant += 1;
             } else {
@@ -234,14 +224,12 @@ pub fn sweep_program(
 
     let chosen = result.chosen().label.clone();
     let chosen_pseudocode = result.chosen().pseudocode.clone();
-    let finished = result.finished();
     Ok(SweepEntry {
         name: name.to_string(),
         stats: result.stats,
         chosen,
         chosen_pseudocode,
         measured,
-        finished,
         chosen_ns,
         best_ns,
         best_label,
@@ -303,9 +291,9 @@ pub fn render_table(entries: &[SweepEntry]) -> String {
 }
 
 /// The first field of the ranking key that separates `a` from `b`, in the
-/// order the sort compares them — predicted cost, guards, DOALL slots,
-/// reversals, label — with both values. The predicted cost's three terms
-/// follow it as context only (the key compares their sum):
+/// order the sort compares them — predicted cost, reversals, label — with
+/// both values. The predicted cost's three terms follow it as context only
+/// (the key compares their sum):
 /// `"predicted_cost 130170 vs 296378 (trips 86656 vs 250496, …)"`.
 pub fn separating_term(a: &MeasuredVariant, b: &MeasuredVariant) -> String {
     let (pa, pb) = (&a.predicted, &b.predicted);
@@ -322,23 +310,11 @@ pub fn separating_term(a: &MeasuredVariant, b: &MeasuredVariant) -> String {
             pb.nest_cost
         );
     }
-    let terms = [
-        ("guards", a.cost.guards, b.cost.guards),
-        (
-            "doall",
-            -a.cost.neg_parallel_slots,
-            -b.cost.neg_parallel_slots,
-        ),
-        (
-            "reversals",
-            crate::reversals(&a.label) as i64,
-            crate::reversals(&b.label) as i64,
-        ),
-    ];
-    match terms.iter().find(|(_, x, y)| x != y) {
-        Some((name, x, y)) => format!("{name} {x} vs {y}"),
-        None => format!("label {} vs {}", a.label, b.label),
+    let (ra, rb) = (crate::reversals(&a.label), crate::reversals(&b.label));
+    if ra != rb {
+        return format!("reversals {ra} vs {rb}");
     }
+    format!("label {} vs {}", a.label, b.label)
 }
 
 /// One variant as the regret report shows it: label, measured time, the
@@ -360,13 +336,11 @@ pub fn regret_row(m: &MeasuredVariant) -> String {
         None => "-".to_string(),
     };
     format!(
-        "{:<28} {:>10} ns  {:>36}  {:<22} {:<22} [{}]",
+        "{:<28} {:>10} ns  {:>36}  {:<22} {observed}",
         m.label,
         m.ns,
         m.predicted.to_string(),
         predicted,
-        observed,
-        m.cost
     )
 }
 
@@ -375,7 +349,7 @@ pub fn regret_row(m: &MeasuredVariant) -> String {
 /// the first term that separated them ([`separating_term`]).
 pub fn render_regret(e: &SweepEntry) -> String {
     let mut out = format!(
-        "  {:<28} {:>13}  {:>36}  {:<22} {:<22} [key]\n",
+        "  {:<28} {:>13}  {:>36}  {:<22} {}\n",
         "variant", "measured", "predicted cost", "predicted hottest", "vm hottest (trips/entry)"
     );
     for m in &e.measured {

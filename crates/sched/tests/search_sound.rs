@@ -15,21 +15,20 @@
 //!    loop order up to `'` and no more reversals (pruning lost no order,
 //!    and a skipped twin always has its less-reversed sibling in the
 //!    result);
-//! 3. finishing *every* brute-force leaf and sorting on the full key puts
-//!    first, with the same code, the label the scheduler ranks first in
-//!    that shape when that class is the finished front class; in a class
-//!    the scheduler never finished (ordered on reversals and label only), a
-//!    label it returned, in the class it ranks first in that shape. Nothing
-//!    proves the predicted cost or the guard and DOALL tail of [`Cost`]
-//!    sign-blind — this oracle is what says a skipped twin never wins.
+//! 3. finishing *every* brute-force leaf and sorting on the scheduler's
+//!    key — predicted cost, reversals, label — puts first the label the
+//!    scheduler ranks first in that shape, with the same code. Nothing
+//!    proves the predicted cost sign-blind — this oracle is what says a
+//!    skipped twin never wins.
 //!
-//! A second oracle guards the two-stage ranking: the scheduler finishes
-//! (simplifies guards of, prints) only the variants tied at the front on
-//! the predicted cost, and
+//! A second oracle guards the lazy ranking: the scheduler finishes
+//! (simplifies guards of, prints) only the variant it ranks first, and
 //! [`lazy_ranking_matches_the_finish_everything_oracle`] checks over the
-//! whole zoo that finishing every returned variant and sorting on the full
-//! key would have chosen the same code. And every returned variant, in
-//! every shape, must run bitwise identically to the source program.
+//! whole zoo that finishing every returned variant and sorting on the same
+//! key gives the same order and the same chosen code — and that no finished
+//! variant keeps a guard, the premise of a key without one. And every
+//! returned variant, in every shape, must run bitwise identically to the
+//! source program.
 
 use inl_codegen::{batch_map, generate};
 use inl_core::complete::{check_prefix, complete_transform, PrefixCheck};
@@ -38,7 +37,7 @@ use inl_core::instance::{InstanceLayout, Position};
 use inl_exec::run_fresh;
 use inl_ir::{zoo, LoopId, Program};
 use inl_linalg::{IMat, IVec};
-use inl_sched::{schedule, Cost};
+use inl_sched::{schedule, ScheduledVariant};
 
 /// One shape's tree, rebuilt from outside the scheduler.
 struct Tree {
@@ -174,7 +173,6 @@ fn order(label: &str) -> String {
 #[test]
 fn search_agrees_with_the_full_sign_brute_force() {
     let (mut trees_checked, mut leaves_finished, mut twins_skipped) = (0, 0, 0);
-    let mut front_shapes = 0;
     for &(name, ctor) in zoo::ALL {
         let p = ctor();
         let result = schedule(&p).expect("search");
@@ -214,12 +212,12 @@ fn search_agrees_with_the_full_sign_brute_force() {
                 );
             }
 
-            // finish every ± leaf; full key, then reversal count, then label
-            let mut finished: Vec<(Cost, usize, &str, String)> = batch_map(brute.len(), 0, |i| {
+            // finish every ± leaf; predicted cost, reversal count, label
+            let mut finished: Vec<(i64, usize, &str, String)> = batch_map(brute.len(), 0, |i| {
                 let (label, matrix) = &brute[i];
                 let r = generate(&t.program, &t.layout, &t.deps, matrix).expect("generates");
                 (
-                    Cost::of(&r.features),
+                    r.features.predicted.total(),
                     reversals(label),
                     label.as_str(),
                     r.program.to_pseudocode(),
@@ -229,37 +227,18 @@ fn search_agrees_with_the_full_sign_brute_force() {
             finished.sort();
             let (best, _, best_label, best_code) = &finished[0];
             let (first, first_label) = found[0];
-            let shape_first = &result.variants[first];
-            assert_eq!(best.predicted, shape_first.predicted.total(), "{at}");
-            let i = if shape_first.cost.is_some() {
-                // the shape's cheapest class is the finished front class,
-                // ranked on the full key: the same first leaf
-                assert_eq!(*best_label, first_label, "{at}: a skipped leaf ranks first");
-                front_shapes += 1;
-                first
-            } else {
-                // a class the scheduler never finished is ordered on
-                // reversals and label alone, so its first need not be the
-                // full key's; the full key's first must still be returned
-                let found_best = found.iter().find(|(_, f)| f == best_label);
-                let Some(&(i, _)) = found_best else {
-                    panic!("{at}: a skipped leaf ranks first: {best_label}");
-                };
-                i
-            };
+            assert_eq!(*best, result.variants[first].predicted.total(), "{at}");
+            assert_eq!(*best_label, first_label, "{at}: a skipped leaf ranks first");
             assert_eq!(
                 *best_code,
-                result.materialise(i).expect("finishes").pseudocode,
+                result.materialise(first).expect("finishes").pseudocode,
                 "{at}: first-ranked code"
             );
         }
     }
-    // 13 identity shapes + the 7 tiled ones; and the reference really is
-    // the tree the scheduler no longer walks
+    // 13 identity shapes + the 7 tiled ones, each held to its exact first;
+    // and the reference really is the tree the scheduler no longer walks
     assert_eq!(trees_checked, 20);
-    // the chosen variant's shape is held to the exact first in every
-    // program but running_example, whose pick is a distributed shape
-    assert_eq!(front_shapes, 12, "front-class shapes");
     assert!(leaves_finished > 2000, "{leaves_finished} leaves");
     assert!(twins_skipped > 1800, "{twins_skipped} twins");
 }
@@ -287,7 +266,7 @@ fn search_never_returns_illegal() {
         let p = ctor();
         let result = schedule(&p).expect("search");
         let reference = run_fresh(&p, params, &zoo::spd_init);
-        // all of them, not just the finished front class
+        // all of them, not just the finished pick
         for v in result.materialise_all(0).expect("finishes") {
             let m = run_fresh(&v.program, params, &zoo::spd_init);
             assert!(
@@ -301,13 +280,13 @@ fn search_never_returns_illegal() {
 }
 
 /// The compile-everything order, kept only as this oracle: finish every
-/// variant the scheduler returned for every zoo program, sort on the full
-/// `Cost`, then reversal count, then label — what `schedule_with` would do
-/// if it did not rank on the predicted cost first. The lazy ranking must
-/// agree on everything a caller can observe: the chosen label, the chosen
-/// pseudocode, the order over the front class, and the predicted cost at
-/// every rank (the ranked value, read before guard simplification, is the
-/// finished value).
+/// variant the scheduler returned for every zoo program and sort on the
+/// finished predicted cost, then reversal count, then label. The lazy
+/// ranking must agree on everything a caller can observe: the chosen label,
+/// the chosen pseudocode, the whole `legal` order, and each ranked
+/// predicted cost (read before guard simplification) equal to the finished
+/// one. The key has no guard term because no finished variant keeps a
+/// guard; that is checked here too.
 #[test]
 fn lazy_ranking_matches_the_finish_everything_oracle() {
     let mut finished_everything = 0;
@@ -317,8 +296,17 @@ fn lazy_ranking_matches_the_finish_everything_oracle() {
             .materialise_all(0)
             .expect("every legal variant finishes");
         finished_everything += oracle.len();
+        for v in &oracle {
+            assert_eq!(
+                v.features.guards, 0,
+                "{name} {}: a guard survives simplification, so the predicted cost would \
+                 need a guard term (a guarded kernel body runs on the dispatcher)",
+                v.label
+            );
+        }
         oracle.sort_by(|a, b| {
-            (&a.cost, reversals(&a.label), &a.label).cmp(&(&b.cost, reversals(&b.label), &b.label))
+            let key = |v: &ScheduledVariant| (v.features.predicted.total(), reversals(&v.label));
+            (key(a), &a.label).cmp(&(key(b), &b.label))
         });
 
         let chosen = result.chosen();
@@ -327,26 +315,11 @@ fn lazy_ranking_matches_the_finish_everything_oracle() {
             oracle[0].pseudocode, chosen.pseudocode,
             "{name}: chosen code"
         );
-        let front = result.finished();
-        assert!(front >= 1, "{name}: the chosen variant is finished");
-        let oracle_front: Vec<&str> = oracle[..front].iter().map(|v| v.label.as_str()).collect();
-        assert_eq!(oracle_front, result.legal[..front], "{name}: front class");
-        let oracle_key: Vec<_> = oracle.iter().map(|v| v.cost.predicted).collect();
-        let lazy_key: Vec<_> = result
-            .variants
-            .iter()
-            .map(|v| v.predicted.total())
-            .collect();
-        assert_eq!(oracle_key, lazy_key, "{name}: predicted cost by rank");
-        for v in &oracle {
-            let ranked = result.variants.iter().find(|r| r.label == v.label);
-            let ranked = ranked.expect("the oracle finishes the ranked variants");
+        let order: Vec<&str> = oracle.iter().map(|v| v.label.as_str()).collect();
+        assert_eq!(order, result.legal, "{name}: rank order");
+        for (ranked, v) in result.variants.iter().zip(&oracle) {
             assert_eq!(ranked.predicted, v.features.predicted, "{name} {}", v.label);
         }
-        assert!(
-            result.variants[front..].iter().all(|v| v.cost.is_none()),
-            "{name}: a variant behind the front class exposes a full key"
-        );
     }
     assert_eq!(finished_everything, 283, "one variant per sign class");
 }

@@ -624,15 +624,14 @@ mod tests {
                 .unwrap_or(0)
         };
         assert!(counter("codegen.bounds_scanned") > 0, "{section:?}");
-        assert!(counter("sched.variants_ranked") >= counter("sched.variants_finished"));
-        assert!(counter("sched.variants_finished") >= 1);
+        assert!(counter("sched.variants_ranked") > 1, "{section:?}");
         let stages = section.get("stages").expect("stages");
-        assert!(
-            stages
-                .get("serve.schedule/sched.schedule/sched.rank/batch.compile")
-                .is_some(),
-            "{stages:?}"
-        );
+        for stage in [
+            "serve.schedule/sched.schedule/sched.rank/batch.compile",
+            "serve.schedule/sched.schedule/sched.finish/codegen.generate",
+        ] {
+            assert!(stages.get(stage).is_some(), "{stage}: {stages:?}");
+        }
     }
 
     #[test]
