@@ -506,6 +506,23 @@ fn analyze_uncached(p: &Program, layout: &InstanceLayout) -> Result<DependenceMa
     })
 }
 
+/// The entry of a Δ expression that needs no projection: a constant `c`
+/// over a polyhedron with a proven integer point is exactly `c`.
+///
+/// This is the answer [`expr_bounds`] gives: a `NonEmpty` verdict means the
+/// real-shadow chain eliminated every variable without error, the chain
+/// that projects onto `t = c` eliminates the same variables in the same
+/// order (the row `t - c = 0` mentions none of them), and what is left is
+/// that one row, read off as `[c, c]`. `c = Int::MIN` is left to the
+/// projection, which reports the overflow of `t - c`. Edge positions and
+/// positions padded from a loop the pair does not share are constants; an
+/// `Unknown` polyhedron keeps the projection (its chain may have failed).
+pub fn constant_entry(expr: &LinExpr, feas: Feasibility) -> Option<DepEntry> {
+    let c = expr.constant_term();
+    (feas == Feasibility::NonEmpty && expr.is_constant() && c != Int::MIN)
+        .then(|| DepEntry::dist(c))
+}
+
 fn analyze_pair(
     p: &Program,
     layout: &InstanceLayout,
@@ -606,8 +623,14 @@ fn analyze_pair(
         };
         for i in 0..layout.len() {
             let expr = dep.checked_delta_expr(layout, nparams, i)?;
-            let (lo, hi) = expr_bounds(&dep.system, &expr)?;
-            dep.entries.push(DepEntry { lo, hi });
+            let entry = match constant_entry(&expr, feas) {
+                Some(e) => e,
+                None => {
+                    let (lo, hi) = expr_bounds(&dep.system, &expr)?;
+                    DepEntry { lo, hi }
+                }
+            };
+            dep.entries.push(entry);
         }
         out.push(dep);
     }

@@ -68,9 +68,21 @@ pub type Int = i128;
 /// not). Downstream products involving such magnitudes then hit checked
 /// arithmetic and report [`InlErrorKind::Overflow`] rather than silently
 /// mis-normalizing.
+///
+/// When both magnitudes fit in `u64` (every coefficient a loop nest
+/// produces) the loop runs on `u64`: Euclid's remainders never exceed
+/// their inputs, so it computes the same value with a 64-bit divide.
 #[inline]
 pub fn gcd(a: Int, b: Int) -> Int {
     let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
+    if let (Ok(mut x), Ok(mut y)) = (u64::try_from(a), u64::try_from(b)) {
+        while y != 0 {
+            let t = x % y;
+            x = y;
+            y = t;
+        }
+        return Int::from(x);
+    }
     while b != 0 {
         let t = a % b;
         a = b;
@@ -210,6 +222,57 @@ mod tests {
         assert_eq!(gcd(Int::MIN, 3), 1);
         assert_eq!(gcd(Int::MIN, Int::MAX), 1);
         assert_eq!(gcd(Int::MIN, 1 << 20), 1 << 20);
+    }
+
+    /// The plain `u128` Euclid the 64-bit path must agree with.
+    fn gcd_u128(a: Int, b: Int) -> Int {
+        let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
+        while b != 0 {
+            let t = a % b;
+            a = b;
+            b = t;
+        }
+        Int::try_from(a).unwrap_or(1)
+    }
+
+    #[test]
+    fn gcd_64_bit_path_agrees_at_its_boundary() {
+        let max64 = Int::from(u64::MAX);
+        let edges = [
+            0,
+            1,
+            -1,
+            2,
+            3,
+            12,
+            -18,
+            Int::from(i64::MAX),
+            Int::from(i64::MIN),
+            max64 - 1,
+            max64,
+            -max64,
+            max64 + 1,
+            -(max64 + 1),
+            max64 + 2,
+            (max64 + 1) * 6,
+            1 << 100,
+            Int::MAX,
+            Int::MIN + 1,
+            Int::MIN,
+        ];
+        for &a in &edges {
+            for &b in &edges {
+                assert_eq!(gcd(a, b), gcd_u128(a, b), "gcd({a}, {b})");
+            }
+        }
+        assert_eq!(gcd(max64, max64 + 1), 1);
+        assert_eq!(gcd(Int::from(i64::MIN), 6), 2);
+        assert_eq!(gcd((max64 + 1) * 6, (max64 + 1) * 4), (max64 + 1) * 2);
+        // The documented unrepresentable case: a gcd of 2^127 degrades to 1.
+        assert_eq!(gcd(Int::MIN, 0), 1);
+        assert_eq!(gcd(0, Int::MIN), 1);
+        assert_eq!(gcd(Int::MIN, Int::MIN), 1);
+        assert_eq!(gcd(Int::MAX, 0), Int::MAX);
     }
 
     #[test]

@@ -4,6 +4,17 @@ use inl_linalg::{gcd, InlError, Int};
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
+/// `a · b`, or `None` when the product leaves `Int`. Two factors that fit
+/// in `i64` multiply as one 64 × 64 → 128-bit product, which cannot
+/// overflow; wider factors take `i128::checked_mul`.
+#[inline]
+fn mul(a: Int, b: Int) -> Option<Int> {
+    match (i64::try_from(a), i64::try_from(b)) {
+        (Ok(x), Ok(y)) => Some(Int::from(x) * Int::from(y)),
+        _ => a.checked_mul(b),
+    }
+}
+
 /// A linear expression `Σ coeffs[i]·xᵢ + constant` over a fixed number of
 /// variables. The variable space is positional; callers decide what each
 /// index means (loop variables, symbolic parameters, Δ variables, …).
@@ -120,8 +131,7 @@ impl LinExpr {
         assert_eq!(point.len(), self.coeffs.len(), "eval: wrong arity");
         let mut acc = self.constant;
         for (&c, &x) in self.coeffs.iter().zip(point) {
-            acc = c
-                .checked_mul(x)
+            acc = mul(c, x)
                 .and_then(|t| acc.checked_add(t))
                 .ok_or_else(|| InlError::overflow("linear expression evaluation"))?;
         }
@@ -160,13 +170,11 @@ impl LinExpr {
         let mut out = self.clone();
         out.coeffs[i] = 0;
         for j in 0..out.coeffs.len() {
-            out.coeffs[j] = c
-                .checked_mul(e.coeffs[j])
+            out.coeffs[j] = mul(c, e.coeffs[j])
                 .and_then(|t| out.coeffs[j].checked_add(t))
                 .ok_or_else(err)?;
         }
-        out.constant = c
-            .checked_mul(e.constant)
+        out.constant = mul(c, e.constant)
             .and_then(|t| out.constant.checked_add(t))
             .ok_or_else(err)?;
         Ok(out)
@@ -222,10 +230,31 @@ impl LinExpr {
             coeffs: self
                 .coeffs
                 .iter()
-                .map(|&a| a.checked_mul(k).ok_or_else(err))
+                .map(|&a| mul(a, k).ok_or_else(err))
                 .collect::<Result<_, _>>()?,
-            constant: self.constant.checked_mul(k).ok_or_else(err)?,
+            constant: mul(self.constant, k).ok_or_else(err)?,
         })
+    }
+
+    /// Overflow-checked `p·self + q·other`, built in one pass with one
+    /// allocation (the Fourier–Motzkin combination of a lower and an upper
+    /// bound row). Fails exactly when `self.checked_scale(p)`,
+    /// `other.checked_scale(q)` or their `checked_add` would, and with the
+    /// same error: on a failure the composition is replayed to report it.
+    pub fn checked_combine(&self, p: Int, other: &LinExpr, q: Int) -> Result<LinExpr, InlError> {
+        assert_eq!(self.nvars(), other.nvars(), "combine: arity mismatch");
+        let term = |a: Int, b: Int| mul(a, p)?.checked_add(mul(b, q)?);
+        let fused = self
+            .coeffs
+            .iter()
+            .zip(&other.coeffs)
+            .map(|(&a, &b)| term(a, b))
+            .collect::<Option<Vec<Int>>>()
+            .zip(term(self.constant, other.constant));
+        match fused {
+            Some((coeffs, constant)) => Ok(LinExpr { coeffs, constant }),
+            None => self.checked_scale(p)?.checked_add(&other.checked_scale(q)?),
+        }
     }
 
     /// Extend the variable space to `n` variables (new variables have
@@ -418,6 +447,75 @@ mod tests {
         assert_eq!(format!("{}", LinExpr::zero(n).display_with(&name)), "0");
         let f = -LinExpr::var(n, 0) + LinExpr::constant(n, 1);
         assert_eq!(format!("{}", f.display_with(&name)), "-N + 1");
+    }
+
+    /// Magnitudes around the 64-bit fast path's edge and the `i128` edge.
+    const EDGES: [Int; 16] = [
+        0,
+        1,
+        -1,
+        3,
+        -7,
+        1 << 31,
+        i64::MAX as Int,
+        i64::MIN as Int,
+        i64::MAX as Int + 1,
+        i64::MIN as Int - 1,
+        u64::MAX as Int,
+        1 << 64,
+        -(1 << 100),
+        Int::MAX,
+        Int::MIN,
+        Int::MIN + 1,
+    ];
+
+    #[test]
+    fn fast_multiply_agrees_with_checked_mul() {
+        for &a in &EDGES {
+            for &b in &EDGES {
+                assert_eq!(mul(a, b), a.checked_mul(b), "{a} * {b}");
+            }
+        }
+        assert_eq!(
+            mul(i64::MIN as Int, i64::MIN as Int),
+            Some(1 << 126),
+            "the largest 64 × 64 product fits"
+        );
+        assert_eq!(mul(Int::MAX, 2), None);
+    }
+
+    #[test]
+    fn fused_combination_agrees_with_scale_then_add() {
+        let reference = |l: &LinExpr, p: Int, u: &LinExpr, q: Int| {
+            l.checked_scale(p)
+                .and_then(|a| u.checked_scale(q).and_then(|b| a.checked_add(&b)))
+        };
+        let mut oks = 0;
+        let mut errs = 0;
+        for &x in &EDGES {
+            for &y in &EDGES {
+                let l = LinExpr::from_parts(vec![x, 1, -2], y);
+                let u = LinExpr::from_parts(vec![y, -3, x], 5);
+                for (p, q) in [(1, 1), (2, 3), (1 << 40, 7), (Int::MAX, 1), (1, Int::MIN)] {
+                    let fused = l.checked_combine(p, &u, q);
+                    assert_eq!(fused, reference(&l, p, &u, q), "{l:?}·{p} + {u:?}·{q}");
+                    if fused.is_ok() {
+                        oks += 1;
+                    } else {
+                        errs += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            oks > 0 && errs > 0,
+            "both outcomes covered: {oks} ok, {errs} err"
+        );
+        // A sum that overflows although both products fit.
+        let big = LinExpr::from_parts(vec![Int::MAX], 0);
+        let err = big.checked_combine(1, &big, 1).unwrap_err();
+        assert_eq!(err.kind(), inl_linalg::InlErrorKind::Overflow);
+        assert_eq!(err, big.checked_add(&big).unwrap_err());
     }
 
     #[test]

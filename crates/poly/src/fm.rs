@@ -11,9 +11,30 @@
 //! * Each elimination step records whether it was *exact* (Pugh's condition:
 //!   one of the combined coefficients is 1). An all-exact elimination chain
 //!   computes the integer projection exactly.
-//! * [`is_empty`] additionally tracks the *dark shadow* (a subset of the
+//! * [`is_empty`] additionally consults the *dark shadow* (a subset of the
 //!   projection): a feasible dark shadow proves non-emptiness even when some
 //!   step was inexact.
+//!
+//! One step is kept cheap without changing any answer, error or verdict:
+//!
+//! * *64-bit arithmetic where it cannot overflow.* [`inl_linalg::gcd`] runs
+//!   on `u64` when both magnitudes fit, and [`LinExpr`]'s checked multiply
+//!   forms an `i64 × i64` product directly (it fits `i128`), falling back
+//!   to `i128::checked_mul`; [`System::add_ge`]/[`System::add_eq`] skip the
+//!   divide when a row's content is 1.
+//! * *Borrowed rows.* `eliminate_one` classifies borrowed `(±1, &row)`
+//!   pairs, so an equality's two halves are one row and nothing is cloned
+//!   or negated; each combination is one [`LinExpr::checked_combine`] pass
+//!   (the same products up to sign, so the same overflows), and a split
+//!   equality is recognised entry by entry. An equality with an `Int::MIN`
+//!   entry, whose negation does not exist, fails with the negation's
+//!   overflow error.
+//! * *The dark shadow only when it can decide.* The real chain runs alone;
+//!   only a chain that ends inexact and not empty needs the dark shadow,
+//!   which then eliminates the variables in the order the real chain chose,
+//!   so its result does not depend on when it runs.
+//! * The fourth, a constant dependence entry read without a projection,
+//!   lives in `inl_core::depend::constant_entry`.
 //!
 //! The three public queries — [`project`], [`is_empty`], [`var_bounds`] —
 //! first rewrite the input into its canonical form
@@ -79,9 +100,17 @@ fn eliminate_one(sys: &System, var: usize, dark: bool) -> Result<(System, bool),
         }
     }
 
-    let mut exact = true;
-    let ineqs = sys.checked_to_ineqs()?; // remaining (non-unit) equalities become two ineqs
-    if !ineqs.iter().any(|e| e.coeff(var) != 0) {
+    // Every remaining equality stands for `e ≥ 0` and `-e ≥ 0`; a row with
+    // an `Int::MIN` entry has no negation, whether or not it mentions var.
+    if sys
+        .eqs()
+        .iter()
+        .any(|e| e.constant_term() == Int::MIN || e.coeffs().contains(&Int::MIN))
+    {
+        return Err(InlError::overflow("linear expression negation"));
+    }
+    let on_var = |e: &LinExpr| e.coeff(var) != 0;
+    if !sys.eqs().iter().any(on_var) && !sys.ineqs().iter().any(on_var) {
         // var unconstrained: drop nothing
         for eq in sys.eqs() {
             out.add_eq(eq.clone());
@@ -93,49 +122,65 @@ fn eliminate_one(sys: &System, var: usize, dark: bool) -> Result<(System, bool),
     }
     // Non-unit equalities being split means exactness is lost unless their
     // coefficient on var is 0 (handled above) — track it.
-    if sys.eqs().iter().any(|e| e.coeff(var) != 0) {
-        exact = false;
-    }
+    let mut exact = !sys.eqs().iter().any(on_var);
     for eq in sys.eqs() {
         if eq.coeff(var) == 0 {
             out.add_eq(eq.clone());
         }
     }
 
-    let mut lowers = Vec::new(); // a·var + e ≥ 0, a > 0
-    let mut uppers = Vec::new(); // a·var + e ≥ 0, a < 0
-    for e in &ineqs {
+    // Bound rows are borrowed, never cloned: `(s, row)` stands for
+    // `s·row ≥ 0` with `s = ±1`, so an equality's two halves are the same
+    // row under both signs. Lowers have a positive coefficient on var,
+    // uppers a negative one. Both lists run over the inequalities, then
+    // each equality's `e` and `-e`; the output rows come out in the order
+    // of their pairs, which later steps see (the first unit equality is
+    // the one substituted).
+    let mut lowers: Vec<(Int, &LinExpr)> = Vec::new();
+    let mut uppers: Vec<(Int, &LinExpr)> = Vec::new();
+    for e in sys.ineqs() {
         match e.coeff(var).signum() {
             0 => {
-                let is_split_eq = sys.eqs().contains(e)
-                    || sys
-                        .eqs()
-                        .iter()
-                        .any(|q| q.checked_neg().is_ok_and(|nq| &nq == e));
-                if !is_split_eq {
+                if !is_split_eq(sys.eqs(), e) {
                     out.add_ge(e.clone());
                 }
             }
-            1.. => lowers.push(e.clone()),
-            _ => uppers.push(e.clone()),
+            1.. => lowers.push((1, e)),
+            _ => uppers.push((1, e)),
         }
     }
-
-    for l in &lowers {
-        let a = l.coeff(var);
-        for u in &uppers {
-            let b = u
-                .coeff(var)
+    for q in sys.eqs() {
+        // A half with coefficient 0 is the equality itself, kept above.
+        match q.coeff(var).signum() {
+            0 => {}
+            1.. => {
+                lowers.push((1, q));
+                uppers.push((-1, q));
+            }
+            _ => {
+                uppers.push((1, q));
+                lowers.push((-1, q));
+            }
+        }
+    }
+    // `s · coefficient` cannot overflow: `s = -1` only pairs with an
+    // equality, whose entries were checked negatable above.
+    for &(sl, l) in &lowers {
+        let a = sl * l.coeff(var);
+        for &(su, u) in &uppers {
+            let b = (su * u.coeff(var))
                 .checked_neg()
                 .ok_or_else(|| InlError::overflow("fm upper coefficient"))?; // b > 0
             if a != 1 && b != 1 {
                 exact = false;
             }
+            // `p·(sl·l) + q·(su·u)` is `l.checked_combine(sl·p, u, su·q)`:
+            // the same products up to sign, so the same overflows.
             let comb = if dark {
                 // Dark shadow keeps the *original* multipliers — the
                 // strengthened row (b·l + a·u) - (a-1)(b-1) is not
                 // gcd-reducible without changing its meaning.
-                let mut c = l.checked_scale(b)?.checked_add(&u.checked_scale(a)?)?;
+                let mut c = l.checked_combine(sl * b, u, su * a)?;
                 let slack = (a - 1)
                     .checked_mul(b - 1)
                     .and_then(|s| c.constant_term().checked_sub(s))
@@ -149,8 +194,7 @@ fn eliminate_one(sys: &System, var: usize, dark: bool) -> Result<(System, bool),
                 // exactly — same row after `add_ge` content-normalization,
                 // with g² less intermediate coefficient growth.
                 let g = gcd(a, b); // a, b > 0 ⇒ g ≥ 1
-                l.checked_scale(b / g)?
-                    .checked_add(&u.checked_scale(a / g)?)?
+                l.checked_combine(sl * (b / g), u, su * (a / g))?
             };
             debug_assert_eq!(comb.coeff(var), 0);
             out.add_ge(comb);
@@ -164,6 +208,17 @@ fn eliminate_one(sys: &System, var: usize, dark: bool) -> Result<(System, bool),
     }
     out.prune_dominated();
     Ok((out, exact))
+}
+
+/// True iff the inequality `e ≥ 0` is one half of an equality of `eqs`:
+/// `e` is an equality row or its negation, compared entry by entry rather
+/// than by building the negated row (`eqs` holds no `Int::MIN` entry).
+fn is_split_eq(eqs: &[LinExpr], e: &LinExpr) -> bool {
+    eqs.iter().any(|q| {
+        q == e
+            || (e.constant_term() == -q.constant_term()
+                && e.coeffs().iter().zip(q.coeffs()).all(|(&x, &y)| x == -y))
+    })
 }
 
 /// Pick the next variable to eliminate from `vars`: fewest lower×upper
@@ -260,17 +315,20 @@ pub fn is_empty(sys: &System) -> Feasibility {
 
 /// Shadow-chasing feasibility on an already-canonicalized system.
 ///
+/// The real shadow runs first. Only a chain that ends inexact and not
+/// empty needs the dark shadow, and only then is it computed, by replaying
+/// the real chain's elimination order ([`dark_shadow_nonempty`]): the dark
+/// shadow of a given order is the same whenever it is computed.
+///
 /// An overflow or budget failure in either shadow degrades the verdict
 /// instead of failing the query: a dead dark shadow merely loses the
 /// non-emptiness witness, a dead real shadow yields `Unknown` ("may be
 /// non-empty"), which is the conservative answer for dependence analysis.
 fn is_empty_core(sys: &System) -> Feasibility {
     let mut real = sys.clone();
-    // `None` once the dark-shadow chain failed (overflow/budget): the
-    // witness is abandoned, never the verdict.
-    let mut dark = Some(sys.clone());
     let mut exact = true;
     let mut vars: Vec<usize> = (0..sys.nvars()).collect();
+    let mut order = Vec::with_capacity(vars.len());
     while !vars.is_empty() {
         if real.is_trivially_empty() {
             return Feasibility::Empty;
@@ -284,7 +342,7 @@ fn is_empty_core(sys: &System) -> Feasibility {
                 return Feasibility::Unknown;
             }
         };
-        dark = dark.and_then(|d| eliminate_one(&d, v, true).map(|(d2, _)| d2).ok());
+        order.push(v);
         exact &= ex;
         real = r;
     }
@@ -293,13 +351,31 @@ fn is_empty_core(sys: &System) -> Feasibility {
     } else if exact {
         inl_obs::counter_add!("poly.feasibility.exact_hits", 1);
         Feasibility::NonEmpty
-    } else if dark.as_ref().is_some_and(|d| !d.is_trivially_empty()) {
+    } else if dark_shadow_nonempty(sys, &order) {
         inl_obs::counter_add!("poly.fm.dark_shadow_fallbacks", 1);
         Feasibility::NonEmpty
     } else {
         inl_obs::counter_add!("poly.feasibility.unknown", 1);
         Feasibility::Unknown
     }
+}
+
+/// The dark shadow of `sys` after eliminating `order`, one variable at a
+/// time: true iff it is not empty, which proves an integer point. A chain
+/// that fails (overflow, budget) or empties abandons the witness, never the
+/// verdict.
+fn dark_shadow_nonempty(sys: &System, order: &[usize]) -> bool {
+    let mut dark = sys.clone();
+    for &v in order {
+        if dark.is_trivially_empty() {
+            return false;
+        }
+        match eliminate_one(&dark, v, true) {
+            Ok((d, _)) => dark = d,
+            Err(_) => return false,
+        }
+    }
+    !dark.is_trivially_empty()
 }
 
 /// Integer bounds of variable `var` over the system: eliminate every other
@@ -539,6 +615,99 @@ mod tests {
         s.add_ge(v(n, 0) - k(n, 1));
         s.add_ge(k(n, 9) - v(n, 0));
         assert_eq!(is_empty(&s), Feasibility::NonEmpty);
+    }
+
+    /// `2y ≥ x` and `3y ≤ x + c` with `lo ≤ x ≤ 20`: eliminating `y` first
+    /// (one lower × one upper, the cheapest) combines coefficients 2 and 3,
+    /// so the real chain is inexact and the verdict rests on the dark
+    /// shadow `x ≤ c - 2`.
+    fn two_three(c: Int, lo: Int) -> System {
+        let n = 2;
+        let mut s = System::new(n);
+        s.add_ge(v(n, 0) - k(n, lo));
+        s.add_ge(k(n, 20) - v(n, 0));
+        s.add_ge(v(n, 1) * 2 - v(n, 0));
+        s.add_ge(v(n, 0) + k(n, c) - v(n, 1) * 3);
+        s.canonicalized()
+    }
+
+    /// The real chain's verdict inputs: whether it ended empty and whether
+    /// it was exact (`project_core` onto nothing follows `is_empty_core`'s
+    /// elimination order).
+    fn real_chain(s: &System) -> (bool, bool) {
+        let (end, exact) = project_core(s, &[]).unwrap();
+        (end.is_trivially_empty(), exact)
+    }
+
+    #[test]
+    fn dark_replay_decides_nonempty() {
+        let s = two_three(10, 0);
+        assert_eq!(real_chain(&s), (false, false), "inexact, not empty");
+        assert!(dark_shadow_nonempty(&s, &[1, 0]));
+        assert_eq!(is_empty_core(&s), Feasibility::NonEmpty);
+    }
+
+    #[test]
+    fn dark_replay_that_ends_empty_is_unknown() {
+        // Real shadow 1 ≤ x ≤ 2, dark shadow 1 ≤ x ≤ 0. (x, y) = (2, 1) is
+        // a point, so `Unknown` is the conservative answer, not a wrong one.
+        let s = two_three(1, 1);
+        assert!(s.contains(&[2, 1]));
+        assert_eq!(real_chain(&s), (false, false));
+        assert!(!dark_shadow_nonempty(&s, &[1, 0]));
+        assert_eq!(is_empty_core(&s), Feasibility::Unknown);
+    }
+
+    #[test]
+    fn dark_replay_that_overflows_is_unknown() {
+        // `A·y ≥ x` and `A·y ≤ x + 1` with A = 2^64: the real step divides
+        // both multipliers by gcd(A, A) = A; the dark step scales by A
+        // itself, and A² leaves i128.
+        let n = 2;
+        let a: Int = 1 << 64;
+        let mut s = System::new(n);
+        s.add_ge(v(n, 0));
+        s.add_ge(k(n, 10) - v(n, 0));
+        s.add_ge(v(n, 1) * a - v(n, 0));
+        s.add_ge(v(n, 0) + k(n, 1) - v(n, 1) * a);
+        let s = s.canonicalized();
+        assert!(s.contains(&[0, 0]));
+        assert_eq!(real_chain(&s), (false, false));
+        let err = eliminate_one(&s, 1, true).unwrap_err();
+        assert_eq!(err.kind(), InlErrorKind::Overflow);
+        assert!(!dark_shadow_nonempty(&s, &[1, 0]));
+        assert_eq!(is_empty_core(&s), Feasibility::Unknown);
+    }
+
+    #[test]
+    fn split_equalities_are_recognised_without_negating() {
+        let n = 2;
+        let q = v(n, 0) * 2 - v(n, 1) * 3 + k(n, 4);
+        let eqs = [q.clone()];
+        assert!(is_split_eq(&eqs, &q));
+        assert!(is_split_eq(&eqs, &-q.clone()));
+        assert!(!is_split_eq(&eqs, &(-q.clone() + k(n, 1))));
+        assert!(!is_split_eq(&eqs, &(q + v(n, 0))));
+        assert!(!is_split_eq(&[], &v(n, 0)));
+    }
+
+    #[test]
+    fn an_unnegatable_equality_still_overflows() {
+        // x + MIN·y = 0 has no ±1 coefficient on y, so eliminating y splits
+        // it, and its negation leaves i128 — as it did when the split rows
+        // were built.
+        let n = 2;
+        let mut s = System::new(n);
+        s.add_eq(LinExpr::from_parts(vec![3, Int::MIN], 0));
+        s.add_ge(v(n, 1));
+        let err = eliminate(&s, 1).unwrap_err();
+        assert_eq!(err.kind(), InlErrorKind::Overflow);
+        assert_eq!(
+            err,
+            LinExpr::from_parts(vec![3, Int::MIN], 0)
+                .checked_neg()
+                .unwrap_err()
+        );
     }
 
     #[test]

@@ -66,10 +66,14 @@ impl System {
             self.trivially_empty = true;
             return;
         }
-        let norm = LinExpr::from_parts(
-            e.coeffs().iter().map(|&c| c / g).collect(),
-            e.constant_term() / g,
-        );
+        let norm = if g == 1 {
+            e
+        } else {
+            LinExpr::from_parts(
+                e.coeffs().iter().map(|&c| c / g).collect(),
+                e.constant_term() / g,
+            )
+        };
         if !self.eqs.contains(&norm) {
             self.eqs.push(norm);
         }
@@ -85,11 +89,16 @@ impl System {
             }
             return;
         }
-        // Σ(aᵢ/g)xᵢ ≥ ceil(-c/g)  ⇔  Σ(aᵢ/g)xᵢ + floor(c/g) ≥ 0
-        let norm = LinExpr::from_parts(
-            e.coeffs().iter().map(|&c| c / g).collect(),
-            floor_div(e.constant_term(), g),
-        );
+        // Σ(aᵢ/g)xᵢ ≥ ceil(-c/g)  ⇔  Σ(aᵢ/g)xᵢ + floor(c/g) ≥ 0; content 1
+        // leaves the row as it is.
+        let norm = if g == 1 {
+            e
+        } else {
+            LinExpr::from_parts(
+                e.coeffs().iter().map(|&c| c / g).collect(),
+                floor_div(e.constant_term(), g),
+            )
+        };
         if !self.ineqs.contains(&norm) {
             self.ineqs.push(norm);
         }
@@ -375,6 +384,38 @@ mod tests {
         assert!(!t.is_trivially_empty());
         t.add_eq(k(1, 2)); // 2 = 0: false
         assert!(t.is_trivially_empty());
+    }
+
+    #[test]
+    fn content_one_rows_are_kept_as_given() {
+        // Content 1 skips the divide; content > 1 divides. Either way the
+        // stored row is the one the divide-always rule gives.
+        let n = 2;
+        let divided = |e: &LinExpr, g: Int, floor: bool| {
+            let c = e.constant_term();
+            LinExpr::from_parts(
+                e.coeffs().iter().map(|&a| a / g).collect(),
+                if floor { floor_div(c, g) } else { c / g },
+            )
+        };
+        for (e, g) in [
+            (v(n, 0) * 3 - v(n, 1) * 2 - k(n, 7), 1),
+            (v(n, 0) - k(n, 5), 1),
+            (v(n, 0) * 4 - v(n, 1) * 6 - k(n, 7), 2),
+            (v(n, 0) * -9 + v(n, 1) * 3 + k(n, 6), 3),
+        ] {
+            assert_eq!(e.coeff_content(), g);
+            let mut s = System::new(n);
+            s.add_ge(e.clone());
+            assert_eq!(s.ineqs(), &[divided(&e, g, true)][..], "add_ge {e:?}");
+            let mut t = System::new(n);
+            t.add_eq(e.clone());
+            if e.constant_term() % g == 0 {
+                assert_eq!(t.eqs(), &[divided(&e, g, false)][..], "add_eq {e:?}");
+            } else {
+                assert!(t.is_trivially_empty(), "add_eq {e:?}");
+            }
+        }
     }
 
     #[test]

@@ -29,20 +29,58 @@ fn small_system() -> impl Strategy<Value = System> {
         prop::collection::vec(small_constraint(), 0..2),
         1i64..=6,
     )
-        .prop_map(|(ges, eqs, box_)| {
-            let mut s = System::new(NVARS);
-            for v in 0..NVARS {
-                s.add_ge(LinExpr::var(NVARS, v) + LinExpr::constant(NVARS, box_ as Int));
-                s.add_ge(LinExpr::constant(NVARS, box_ as Int) - LinExpr::var(NVARS, v));
-            }
-            for c in ges {
-                s.add_ge(c);
-            }
-            for e in eqs {
-                s.add_eq(e);
-            }
-            s
-        })
+        .prop_map(|(ges, eqs, box_)| boxed(ges, eqs, box_))
+}
+
+/// `-box ≤ x_v ≤ box` for every variable, then `ges ≥ 0` and `eqs = 0`.
+fn boxed(ges: Vec<LinExpr>, eqs: Vec<LinExpr>, box_: i64) -> System {
+    let mut s = System::new(NVARS);
+    for v in 0..NVARS {
+        s.add_ge(LinExpr::var(NVARS, v) + LinExpr::constant(NVARS, box_ as Int));
+        s.add_ge(LinExpr::constant(NVARS, box_ as Int) - LinExpr::var(NVARS, v));
+    }
+    for c in ges {
+        s.add_ge(c);
+    }
+    for e in eqs {
+        s.add_eq(e);
+    }
+    s
+}
+
+/// Coefficients around the 64-bit fast paths' edge (and 0, for sparse
+/// rows): products leave `i64`, chains leave `i128`, so the comparison
+/// below also covers the `i128` fallback and cached `Overflow` errors.
+const WIDE: [Int; 13] = [
+    0,
+    1,
+    -1,
+    2,
+    -2,
+    3,
+    -3,
+    1 << 31,
+    -(1 << 31),
+    1 << 62,
+    -(1 << 62),
+    i64::MAX as Int,
+    -(i64::MAX as Int),
+];
+
+fn wide_constraint() -> impl Strategy<Value = LinExpr> {
+    (prop::collection::vec(0..WIDE.len(), NVARS), -8i64..=8).prop_map(|(idx, c)| {
+        LinExpr::from_parts(idx.into_iter().map(|i| WIDE[i]).collect(), c as Int)
+    })
+}
+
+/// [`small_system`] with [`wide_constraint`] rows.
+fn wide_system() -> impl Strategy<Value = System> {
+    (
+        prop::collection::vec(wide_constraint(), 1..5),
+        prop::collection::vec(wide_constraint(), 0..2),
+        1i64..=6,
+    )
+        .prop_map(|(ges, eqs, box_)| boxed(ges, eqs, box_))
 }
 
 /// All three public queries against `s`, in one bundle for comparison.
@@ -77,6 +115,25 @@ proptest! {
         let warm = query_all(&s, &keep); // hits: answered from the map
 
         cache::set_cache_enabled(true);
+        prop_assert_eq!(&cold, &uncached, "cold cache pass diverged");
+        prop_assert_eq!(&warm, &uncached, "warm cache pass diverged");
+    }
+
+    /// The same, over wide coefficients: answers that take the `i128`
+    /// fallback and errors that leave `i128` are cached exactly.
+    #[test]
+    fn wide_cached_queries_equal_uncached(s in wide_system(), keep_mask in 0usize..(1 << NVARS)) {
+        let keep: Vec<usize> = (0..NVARS).filter(|v| keep_mask & (1 << v) != 0).collect();
+        let _g = CACHE_TOGGLE.lock().unwrap();
+
+        cache::set_cache_enabled(false);
+        let uncached = query_all(&s, &keep);
+
+        cache::set_cache_enabled(true);
+        cache::clear();
+        let cold = query_all(&s, &keep);
+        let warm = query_all(&s, &keep);
+
         prop_assert_eq!(&cold, &uncached, "cold cache pass diverged");
         prop_assert_eq!(&warm, &uncached, "warm cache pass diverged");
     }
