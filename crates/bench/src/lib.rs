@@ -12,7 +12,7 @@
 //! behaviour makes the paper's "performance can be quite different"
 //! visible, are the `kernels` binary of this crate.
 
-use inl_core::complete::{complete_transform, order_rows};
+use inl_core::complete::complete_transform;
 use inl_core::depend::analyze;
 use inl_core::instance::InstanceLayout;
 use inl_ir::{zoo, Program};
@@ -31,7 +31,8 @@ pub fn cholesky_variants() -> (Program, Vec<(String, IMat)>) {
         if inl_obs::explain_enabled() {
             inl_obs::explain::begin_session(&format!("cholesky/{label}"));
         }
-        let rows = order_rows(&p, &layout, &label).expect("a permutation of the loop names");
+        let recipe: inl_core::recipe::Recipe = label.parse().expect("an order");
+        let rows = recipe.rows(&p, &layout).expect("the four loops");
         if let Ok(c) = complete_transform(&p, &layout, &deps, &rows) {
             out.push((label, c.matrix));
         }

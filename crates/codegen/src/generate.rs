@@ -160,12 +160,7 @@ impl BuiltVariant {
         let ndeps = deps.deps.len() as i64;
         let deps_certain = deps.deps.iter().filter(|d| d.certain).count() as i64;
         let doall = inl_core::parallel::parallel_slots(layout, deps, &self.ast, m);
-        let loop_slots: Vec<usize> = layout
-            .positions()
-            .iter()
-            .enumerate()
-            .filter_map(|(q, pos)| matches!(pos, Position::Loop(_)).then_some(q))
-            .collect();
+        let loop_slots: Vec<usize> = layout.loops().map(|(q, _)| q).collect();
         // inner parallelism only: a wavefront schedule
         let wavefront = matches!((doall.first(), loop_slots.first()), (Some(s), Some(f)) if s > f);
         let rec = inl_obs::explain::note(

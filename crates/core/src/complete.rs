@@ -25,6 +25,7 @@ use crate::depend::DependenceMatrix;
 use crate::instance::{InstanceLayout, Position};
 use crate::legal::{check_legal, LegalityReport};
 use crate::project::{build_states, commit_all, step_all, DepState};
+use crate::structural::parent_path;
 use inl_ir::{LoopId, Node, Program, StmtId};
 use inl_linalg::{IMat, IVec, InlError};
 use std::collections::HashMap;
@@ -76,13 +77,7 @@ pub struct Completion {
 
 /// Loop-slot positions of the layout, outside-in.
 fn loop_slot_positions(layout: &InstanceLayout) -> Vec<usize> {
-    layout
-        .positions()
-        .iter()
-        .enumerate()
-        .filter(|(_, pos)| matches!(pos, Position::Loop(_)))
-        .map(|(i, _)| i)
-        .collect()
+    layout.loops().map(|(pos, _)| pos).collect()
 }
 
 /// Outcome of [`check_prefix`]: either every supplied row keeps every
@@ -145,71 +140,6 @@ pub fn check_prefix(
         }
     }
     Ok(PrefixCheck::Legal)
-}
-
-/// Resolve a loop order into unit partial rows for [`complete_transform`],
-/// outermost slot first. Two spellings, the two the scheduler prints:
-/// `"KJLI"`, one character per loop, when every loop name is a single
-/// character, and `"K.I2.J.I"`, names separated by dots, for any program.
-/// The order must name every loop the layout embeds exactly once
-/// (declarations that structural surgery detached are not loops of the
-/// layout); one of the wrong length, naming an unknown loop, or naming a
-/// loop twice is an [`inl_linalg::InlErrorKind::InvalidTarget`] error naming
-/// the order.
-pub fn order_rows(
-    p: &Program,
-    layout: &InstanceLayout,
-    order: &str,
-) -> Result<Vec<IVec>, InlError> {
-    // (position, name) of every loop the layout embeds
-    let loops: Vec<(usize, &str)> = layout
-        .positions()
-        .iter()
-        .enumerate()
-        .filter_map(|(pos, what)| match what {
-            Position::Loop(l) => Some((pos, p.loop_decl(*l).name.as_str())),
-            _ => None,
-        })
-        .collect();
-    let names: Vec<&str> = if order.contains('.') {
-        order.split('.').collect()
-    } else {
-        order
-            .char_indices()
-            .map(|(i, ch)| &order[i..i + ch.len_utf8()])
-            .collect()
-    };
-    let target = format!("order '{order}'");
-    if names.len() != loops.len() {
-        return Err(InlError::invalid_target(
-            target,
-            format!(
-                "names {} loop(s); program '{}' has {}",
-                names.len(),
-                p.name(),
-                loops.len()
-            ),
-        ));
-    }
-    let mut used = vec![false; loops.len()];
-    let mut rows = Vec::with_capacity(loops.len());
-    for name in names {
-        let Some(slot) = loops.iter().position(|&(_, n)| n == name) else {
-            return Err(InlError::invalid_target(
-                target,
-                format!("program '{}' has no loop '{name}'", p.name()),
-            ));
-        };
-        if used[slot] {
-            return Err(InlError::invalid_target(
-                target,
-                format!("names loop '{name}' twice"),
-            ));
-        }
-        used[slot] = true;
-        rows.push(IVec::unit(layout.len(), loops[slot].0));
-    }
-    Ok(rows)
 }
 
 /// Complete a partial transformation into a full legal matrix.
@@ -391,14 +321,7 @@ pub fn complete_transform(
     // topological sort of each constrained node's children
     let mut perms: HashMap<Option<LoopId>, Vec<usize>> = HashMap::new();
     for (node, edges) in &constraints {
-        let c = match node {
-            None => p.root().len(),
-            Some(l) => p.loop_decl(*l).children.len(),
-        };
-        let node_name = || match node {
-            None => "<root>".to_string(),
-            Some(l) => format!("loop {}", p.loop_decl(*l).name),
-        };
+        let c = p.children(*node).len();
         let Some(order) = topo_order(c, edges) else {
             if inl_obs::explain_enabled() {
                 let evidence: Vec<String> = constraint_deps[node]
@@ -414,7 +337,7 @@ pub fn complete_transform(
                     .collect();
                 inl_obs::explain::reject(
                     "complete",
-                    format!("child ordering at {}", node_name()),
+                    format!("child ordering at {}", parent_path(p, *node)),
                     "all-zero cross-statement dependences impose a cyclic child order",
                 )
                 .detail("constraints", evidence.join("; "))
@@ -493,10 +416,7 @@ fn divergence(p: &Program, a: StmtId, b: StmtId) -> (Option<LoopId>, usize, usiz
     } else {
         Some(la[ncommon - 1])
     };
-    let children: &[Node] = match node {
-        None => p.root(),
-        Some(l) => &p.loop_decl(l).children,
-    };
+    let children = p.children(node);
     let towards = |s: StmtId, next: Option<LoopId>| -> usize {
         let target = match next {
             Some(l) => Node::Loop(l),
@@ -546,7 +466,6 @@ mod tests {
     use crate::depend::analyze;
     use crate::perstmt::schedule_all;
     use inl_ir::zoo;
-    use inl_linalg::InlErrorKind;
 
     fn looop(p: &Program, name: &str) -> LoopId {
         p.loops().find(|&l| p.loop_decl(l).name == name).unwrap()
@@ -564,71 +483,6 @@ mod tests {
             let c = complete_transform(&p, &layout, &deps, &[]).expect("completes");
             assert!(c.report.is_legal(), "{}", p.name());
         }
-    }
-
-    #[test]
-    fn order_rows_reads_both_spellings() {
-        let p = zoo::cholesky_kij();
-        let layout = InstanceLayout::new(&p);
-        let units = |p: &Program, layout: &InstanceLayout, names: &[&str]| -> Vec<IVec> {
-            names
-                .iter()
-                .map(|n| IVec::unit(layout.len(), layout.loop_position(looop(p, n))))
-                .collect()
-        };
-        let want = units(&p, &layout, &["K", "J", "L", "I"]);
-        assert_eq!(order_rows(&p, &layout, "KJLI").expect("undotted"), want);
-        assert_eq!(order_rows(&p, &layout, "K.J.L.I").expect("dotted"), want);
-
-        // a loop name of two characters can only be spelt dotted
-        let p = zoo::lu_kij();
-        let layout = InstanceLayout::new(&p);
-        assert_eq!(
-            order_rows(&p, &layout, "K.I2.J.I").expect("dotted"),
-            units(&p, &layout, &["K", "I2", "J", "I"])
-        );
-    }
-
-    #[test]
-    fn order_rows_rejections_name_the_order() {
-        let p = zoo::lu_kij();
-        let layout = InstanceLayout::new(&p);
-        for (order, complaint) in [
-            ("K.I2.J", "names 3 loop(s); program 'lu_kij' has 4"),
-            ("KIJ", "names 3 loop(s)"),
-            ("KI2J", "has no loop '2'"),
-            ("K.I2.J.J", "names loop 'J' twice"),
-            ("K.I2.J.Q", "has no loop 'Q'"),
-            ("K.I2.J.", "has no loop ''"),
-            ("", "names 0 loop(s)"),
-        ] {
-            let e = order_rows(&p, &layout, order).expect_err(order);
-            assert_eq!(e.kind(), InlErrorKind::InvalidTarget, "{order}");
-            assert!(
-                e.message().starts_with(&format!("order '{order}': ")),
-                "{e}"
-            );
-            assert!(e.message().contains(complaint), "{order}: {e}");
-        }
-    }
-
-    #[test]
-    fn order_rows_counts_only_loops_the_layout_embeds() {
-        // jamming leaves the fused-away loop in the declaration table; it
-        // is not a loop of the jammed program's layout, so an order names
-        // two loops, not three
-        let p = zoo::distributed_simple_cholesky();
-        let layout = InstanceLayout::new(&p);
-        let jammed = crate::structural::jam(&p, &layout, None, 0)
-            .expect("jams")
-            .target;
-        assert_eq!(jammed.loops().count(), 3, "a detached declaration remains");
-        let jl = InstanceLayout::new(&jammed);
-        let rows = order_rows(&jammed, &jl, "IJ").expect("the two embedded loops");
-        let deps = analyze(&jammed, &jl).expect("analysis");
-        assert!(complete_transform(&jammed, &jl, &deps, &rows).is_ok());
-        let e = order_rows(&jammed, &jl, "I.I2.J").expect_err("I2 was fused away");
-        assert!(e.message().contains("names 3 loop(s)"), "{e}");
     }
 
     #[test]

@@ -117,6 +117,15 @@ impl InstanceLayout {
         &self.positions
     }
 
+    /// `(position, loop)` of every loop the layout embeds, outside-in.
+    pub fn loops(&self) -> impl Iterator<Item = (usize, LoopId)> + '_ {
+        let positions = self.positions.iter().enumerate();
+        positions.filter_map(|(pos, what)| match *what {
+            Position::Loop(l) => Some((pos, l)),
+            Position::Edge { .. } => None,
+        })
+    }
+
     /// The position holding a loop's index value.
     pub fn loop_position(&self, l: LoopId) -> usize {
         let p = self.loop_pos[l.0];

@@ -20,7 +20,7 @@
 //! retained dependence polyhedra when the intervals are inconclusive.
 
 use crate::depend::{Dependence, DependenceMatrix};
-use crate::instance::InstanceLayout;
+use crate::instance::{InstanceLayout, Position};
 use crate::project::{row_dot, DepState, RowEffect};
 use inl_ir::{LoopId, Program, StmtId};
 use inl_linalg::{IMat, InlError};
@@ -99,20 +99,12 @@ pub fn recover_ast(p: &Program, layout: &InstanceLayout, m: &IMat) -> Result<New
     }
     let mut perms: HashMap<Option<LoopId>, Vec<usize>> = HashMap::new();
     // visit the virtual root and every loop
-    let mut nodes: Vec<(Option<LoopId>, usize)> = vec![(None, p.root().len())];
-    for l in p.loops() {
-        nodes.push((Some(l), p.loop_decl(l).children.len()));
-    }
-    for (node, c) in nodes {
+    for node in std::iter::once(None).chain(p.loops().map(Some)) {
+        let c = p.children(node).len();
         // loops detached by surgery (e.g. after jamming) have no layout
         // slots and no children in the tree — skip them
-        if let Some(l) = node {
-            let present = layout
-                .positions()
-                .contains(&crate::instance::Position::Loop(l));
-            if !present {
-                continue;
-            }
+        if node.is_some_and(|l| !layout.positions().contains(&Position::Loop(l))) {
+            continue;
         }
         let name = match node {
             None => "<root>".to_string(),

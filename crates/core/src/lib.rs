@@ -32,6 +32,8 @@
 //!   transforms `N_S` (§5.5);
 //! * [`complete`] (§6) — the completion procedure: extend a partial
 //!   transformation (a few desired rows) to a complete legal matrix;
+//! * [`recipe`] — variant recipes: a structural step and a signed loop
+//!   order, the label the scheduler prints and the service reads;
 //! * [`parallel`] (§7) — parallel loop discovery via the nullspace of the
 //!   dependence matrix;
 //! * [`sink`] — the classical statement-sinking baseline the paper's §4.1
@@ -69,6 +71,7 @@ pub mod parallel;
 pub mod perstmt;
 mod project;
 pub mod provenance;
+pub mod recipe;
 pub mod sink;
 pub mod structural;
 pub mod tiling;

@@ -54,26 +54,14 @@ pub fn parallel_rows(
     }
     if constraint.nrows() == 0 {
         // no dependences at all: every loop position row qualifies
-        let rows: Vec<IVec> = layout
-            .positions()
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| matches!(p, Position::Loop(_)))
-            .map(|(i, _)| IVec::unit(n, i))
-            .collect();
+        let rows: Vec<IVec> = layout.loops().map(|(i, _)| IVec::unit(n, i)).collect();
         record_outer_rows(&rows, 0);
         return Ok(rows);
     }
     let rows: Vec<IVec> = gauss::nullspace_int(&constraint)?
         .into_iter()
         // a useful parallel row must touch at least one loop position
-        .filter(|v| {
-            layout
-                .positions()
-                .iter()
-                .enumerate()
-                .any(|(i, p)| matches!(p, Position::Loop(_)) && v[i] != 0)
-        })
+        .filter(|v| layout.loops().any(|(i, _)| v[i] != 0))
         .collect();
     record_outer_rows(&rows, deps.deps.len());
     Ok(rows)

@@ -1,0 +1,444 @@
+//! Variant recipes: the one owner of a transformation's name.
+//!
+//! A [`Recipe`] is what the scheduler (`inl-sched`) emits for a variant and
+//! what the service (`inl-serve`) accepts as an `order`: an optional
+//! structural [`Step`] that makes a *shape* of the source program, then a
+//! signed loop order completed by [`crate::complete::complete_transform`].
+//! Its `Display` and `FromStr` are the variant-label grammar:
+//!
+//! ```text
+//! label := [step "/"] order
+//! step  := "dist(" LOOP "@" CHILD ")" | "jam(" LOOP "+" LOOP ")" | "tile(" LOOP "@" SIZE ")"
+//! order := one character per loop, or loop names joined by "."
+//! ```
+//!
+//! each loop name in the order followed by `'` when its selector enters
+//! reversed (§4.1). The order is dotted iff some name is longer than one
+//! character: `KJ'LI`, `dist(J@1)/J'.J_2.I`, `tile(L@16)/K.Lo.J.L.I`.
+//!
+//! [`Shape::apply`] is the one place a step becomes a legal, analysed
+//! shape, and [`Recipe::rows`] the one place an order becomes the partial
+//! rows of a transformation.
+//!
+//! ```
+//! use inl_core::recipe::{Recipe, Shape};
+//!
+//! let recipe: Recipe = "dist(J@1)/J'.J_2.I".parse()?;
+//! assert_eq!(recipe.to_string(), "dist(J@1)/J'.J_2.I");
+//! assert_eq!(recipe.reversals(), 1);
+//! let source = Shape::source(inl_ir::zoo::running_example())?;
+//! let step = recipe.shape.as_ref().expect("a shaped recipe");
+//! let shape = source.apply(step)?.expect("the distribution is legal");
+//! assert_eq!(recipe.rows(&shape.program, &shape.layout)?.len(), 3);
+//! # Ok::<(), inl_linalg::InlError>(())
+//! ```
+
+use crate::depend::{analyze, DependenceMatrix};
+use crate::instance::InstanceLayout;
+use crate::structural::{distribute, distribution_legal, jam, jamming_legal};
+use crate::tiling;
+use inl_ir::{LoopId, Node, Program};
+use inl_linalg::{IVec, InlError, Int};
+use std::fmt;
+use std::str::FromStr;
+
+/// One structural step, named by loop names: a label's `dist(…)`, `jam(…)`
+/// or `tile(…)` prefix.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Step {
+    /// Distribute `loop` before its child `at` (§4.2).
+    Distribute {
+        /// Name of the distributed loop.
+        r#loop: String,
+        /// Index of the first child of the second part.
+        at: usize,
+    },
+    /// Jam the adjacent sibling loops `first` and `second` (§4.2).
+    Jam {
+        /// Name of the first loop, which keeps its name.
+        first: String,
+        /// Name of the loop right after it.
+        second: String,
+    },
+    /// Strip-mine `loop` by `tile` ([`crate::tiling`]).
+    Split {
+        /// Name of the split loop.
+        r#loop: String,
+        /// The tile size.
+        tile: Int,
+    },
+}
+
+impl fmt::Display for Step {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Step::Distribute { r#loop, at } => write!(f, "dist({}@{at})", r#loop),
+            Step::Jam { first, second } => write!(f, "jam({first}+{second})"),
+            Step::Split { r#loop, tile } => write!(f, "tile({}@{tile})", r#loop),
+        }
+    }
+}
+
+/// A variant: an optional shape step, then a loop order whose names each
+/// carry a reversal flag, outermost first.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Recipe {
+    /// The structural step (`None`: the source program itself).
+    pub shape: Option<Step>,
+    /// `(loop name, reversed)` per loop slot, outermost first; a prefix
+    /// while a search walks it.
+    pub order: Vec<(String, bool)>,
+}
+
+impl Recipe {
+    /// Reversed loops in the order.
+    pub fn reversals(&self) -> usize {
+        self.order.iter().filter(|&&(_, reversed)| reversed).count()
+    }
+
+    /// Bind the order to the (shaped) program `p`: one signed unit row per
+    /// named loop, outermost slot first, the partial rows
+    /// [`crate::complete::complete_transform`] completes. The order must name
+    /// every loop the layout embeds exactly once (declarations that
+    /// structural surgery detached are not loops of the layout); one of the
+    /// wrong length, naming an unknown loop, or naming a loop twice is an
+    /// [`inl_linalg::InlErrorKind::InvalidTarget`] error naming the recipe.
+    pub fn rows(&self, p: &Program, layout: &InstanceLayout) -> Result<Vec<IVec>, InlError> {
+        let err = |why: String| InlError::invalid_target(format!("order '{self}'"), why);
+        let (named, has) = (self.order.len(), layout.loops().count());
+        if named != has {
+            let why = format!("names {named} loop(s); program '{}' has {has}", p.name());
+            return Err(err(why));
+        }
+        let mut used = vec![false; layout.len()];
+        let rows = self.order.iter().map(|(name, reversed)| {
+            let pos = layout.loop_position(loop_named(p, layout, name).map_err(err)?);
+            if std::mem::replace(&mut used[pos], true) {
+                return Err(err(format!("names loop '{name}' twice")));
+            }
+            let unit = IVec::unit(layout.len(), pos);
+            Ok(if *reversed { -&unit } else { unit })
+        });
+        rows.collect()
+    }
+}
+
+impl fmt::Display for Recipe {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if let Some(step) = &self.shape {
+            write!(f, "{step}/")?;
+        }
+        let dotted = self.order.iter().any(|(name, _)| name.len() != 1);
+        for (i, (name, reversed)) in self.order.iter().enumerate() {
+            let dot = if dotted && i > 0 { "." } else { "" };
+            let mark = if *reversed { "'" } else { "" };
+            write!(f, "{dot}{name}{mark}")?;
+        }
+        Ok(())
+    }
+}
+
+impl FromStr for Recipe {
+    type Err = InlError;
+
+    /// Read a label. Only its syntax is checked here — the shape step and
+    /// the reversal marks; whether the names are loops of a program is
+    /// [`Shape::apply`]'s and [`Recipe::rows`]' question.
+    fn from_str(s: &str) -> Result<Recipe, InlError> {
+        let bad = |why: &str| InlError::invalid_target(format!("order '{s}'"), why);
+        let (shape, order) = match s.split_once('/') {
+            Some((step, order)) => (Some(parse_step(step).ok_or_else(|| bad(SHAPES))?), order),
+            None => (None, s),
+        };
+        // undotted: one character per loop, with the marks that follow it
+        let names: Vec<&str> = if order.contains('.') {
+            order.split('.').collect()
+        } else {
+            let starts: Vec<usize> = order
+                .char_indices()
+                .filter(|&(i, ch)| i == 0 || ch != '\'')
+                .map(|(i, _)| i)
+                .chain([order.len()])
+                .collect();
+            starts.windows(2).map(|w| &order[w[0]..w[1]]).collect()
+        };
+        let order = names
+            .into_iter()
+            .map(|name| match name.strip_suffix('\'') {
+                Some(bare) if bare.is_empty() || bare.ends_with('\'') => Err(bad(MARKS)),
+                Some(bare) => Ok((bare.to_string(), true)),
+                None => Ok((name.to_string(), false)),
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Recipe { shape, order })
+    }
+}
+
+const SHAPES: &str = "the shape is not dist(LOOP@CHILD), jam(LOOP+LOOP) or tile(LOOP@SIZE)";
+const MARKS: &str = "a reversal mark ' follows a loop name, once";
+
+/// `dist(L@k)`, `jam(L+M)` or `tile(L@T)`.
+fn parse_step(s: &str) -> Option<Step> {
+    let (kind, args) = s.strip_suffix(')')?.split_once('(')?;
+    let (a, b) = args.split_once(if kind == "jam" { '+' } else { '@' })?;
+    let (r#loop, first, second) = (a.to_string(), a.to_string(), b.to_string());
+    match kind {
+        "dist" => b.parse().ok().map(|at| Step::Distribute { r#loop, at }),
+        "jam" => Some(Step::Jam { first, second }),
+        "tile" => b.parse().ok().map(|tile| Step::Split { r#loop, tile }),
+        _ => None,
+    }
+}
+
+/// The loop named `name` among those the layout embeds (declarations that
+/// structural surgery detached are not loops of the layout).
+fn loop_named(p: &Program, layout: &InstanceLayout, name: &str) -> Result<LoopId, String> {
+    let mut loops = layout.loops().map(|(_, l)| l);
+    let found = loops.find(|&l| p.loop_decl(l).name == name);
+    found.ok_or_else(|| format!("program '{}' has no loop '{name}'", p.name()))
+}
+
+/// One program shape with the one dependence analysis every candidate
+/// matrix of the shape is tested against.
+#[derive(Clone, Debug)]
+pub struct Shape {
+    /// The shaped program.
+    pub program: Program,
+    /// Instance layout of `program`.
+    pub layout: InstanceLayout,
+    /// Dependence matrix of `program` over `layout`.
+    pub deps: DependenceMatrix,
+}
+
+impl Shape {
+    /// The source program as a shape: laid out and analysed.
+    pub fn source(program: Program) -> Result<Shape, InlError> {
+        let layout = InstanceLayout::new(&program);
+        let deps = analyze(&program, &layout)?;
+        Ok(Shape {
+            program,
+            layout,
+            deps,
+        })
+    }
+
+    /// The shape `step` makes of this shape, laid out and analysed:
+    /// distribution and jamming are decided on this shape's dependences
+    /// ([`distribution_legal`], [`jamming_legal`]), a split on the split
+    /// program's ([`tiling::split_legal_with_deps`], whose analysis the
+    /// shape keeps). `Ok(None)` when the dependence test vetoes the step;
+    /// an [`inl_linalg::InlErrorKind::InvalidTarget`] error when it names
+    /// no loop of the program, or loops it cannot apply to (a child index
+    /// out of range, loops that are not adjacent siblings or have different
+    /// bounds, a tile size below 2).
+    pub fn apply(&self, step: &Step) -> Result<Option<Shape>, InlError> {
+        let (p, layout, deps) = (&self.program, &self.layout, &self.deps);
+        let err = |why: String| InlError::invalid_target(format!("shape '{step}'"), why);
+        let named = |name: &str| loop_named(p, layout, name).map_err(err);
+        let r = match step {
+            Step::Distribute { r#loop, at } => {
+                let l = named(r#loop)?;
+                if !distribution_legal(p, deps, l, *at)? {
+                    return Ok(None);
+                }
+                distribute(p, layout, l, *at)?
+            }
+            Step::Jam { first, second } => {
+                let (a, b) = (named(first)?, named(second)?);
+                let parent = p.loops_surrounding_loop(a).last().copied();
+                let pair = [Node::Loop(a), Node::Loop(b)];
+                let Some(idx) = p.children(parent).windows(2).position(|w| w == pair) else {
+                    return Err(err("the loops are not adjacent siblings".into()));
+                };
+                if !jamming_legal(p, deps, parent, idx)? {
+                    return Ok(None);
+                }
+                jam(p, layout, parent, idx)?
+            }
+            Step::Split { r#loop, tile } => {
+                let r = tiling::split(p, named(r#loop)?, *tile)?;
+                let (report, deps) = tiling::split_legal_with_deps(&r)?;
+                return Ok(report.is_legal().then_some(Shape {
+                    program: r.program,
+                    layout: r.layout,
+                    deps,
+                }));
+            }
+        };
+        Ok(Some(Shape {
+            deps: analyze(&r.target, &r.target_layout)?,
+            program: r.target,
+            layout: r.target_layout,
+        }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::complete::complete_transform;
+    use inl_ir::zoo;
+    use inl_linalg::InlErrorKind;
+
+    fn looop(p: &Program, name: &str) -> LoopId {
+        p.loops().find(|&l| p.loop_decl(l).name == name).unwrap()
+    }
+
+    fn order_rows(
+        p: &Program,
+        layout: &InstanceLayout,
+        order: &str,
+    ) -> Result<Vec<IVec>, InlError> {
+        order.parse::<Recipe>()?.rows(p, layout)
+    }
+
+    #[test]
+    fn rows_read_both_spellings() {
+        let p = zoo::cholesky_kij();
+        let layout = InstanceLayout::new(&p);
+        let units = |p: &Program, layout: &InstanceLayout, names: &[&str]| -> Vec<IVec> {
+            names
+                .iter()
+                .map(|n| IVec::unit(layout.len(), layout.loop_position(looop(p, n))))
+                .collect()
+        };
+        let want = units(&p, &layout, &["K", "J", "L", "I"]);
+        assert_eq!(order_rows(&p, &layout, "KJLI").expect("undotted"), want);
+        assert_eq!(order_rows(&p, &layout, "K.J.L.I").expect("dotted"), want);
+
+        // a loop name of two characters can only be spelt dotted
+        let p = zoo::lu_kij();
+        let layout = InstanceLayout::new(&p);
+        assert_eq!(
+            order_rows(&p, &layout, "K.I2.J.I").expect("dotted"),
+            units(&p, &layout, &["K", "I2", "J", "I"])
+        );
+    }
+
+    #[test]
+    fn rows_rejections_name_the_order() {
+        let p = zoo::lu_kij();
+        let layout = InstanceLayout::new(&p);
+        for (order, complaint) in [
+            ("K.I2.J", "names 3 loop(s); program 'lu_kij' has 4"),
+            ("KIJ", "names 3 loop(s)"),
+            ("KI2J", "has no loop '2'"),
+            ("K.I2.J.J", "names loop 'J' twice"),
+            ("K.I2.J.Q", "has no loop 'Q'"),
+            ("K.I2.J.", "has no loop ''"),
+            ("", "names 0 loop(s)"),
+        ] {
+            let e = order_rows(&p, &layout, order).expect_err(order);
+            assert_eq!(e.kind(), InlErrorKind::InvalidTarget, "{order}");
+            assert!(
+                e.message().starts_with(&format!("order '{order}': ")),
+                "{e}"
+            );
+            assert!(e.message().contains(complaint), "{order}: {e}");
+        }
+    }
+
+    #[test]
+    fn rows_count_only_loops_the_layout_embeds() {
+        // jamming leaves the fused-away loop in the declaration table; it
+        // is not a loop of the jammed program's layout, so an order names
+        // two loops, not three
+        let p = zoo::distributed_simple_cholesky();
+        let layout = InstanceLayout::new(&p);
+        let jammed = crate::structural::jam(&p, &layout, None, 0)
+            .expect("jams")
+            .target;
+        assert_eq!(jammed.loops().count(), 3, "a detached declaration remains");
+        let jl = InstanceLayout::new(&jammed);
+        let rows = order_rows(&jammed, &jl, "IJ").expect("the two embedded loops");
+        let deps = analyze(&jammed, &jl).expect("analysis");
+        assert!(complete_transform(&jammed, &jl, &deps, &rows).is_ok());
+        let e = order_rows(&jammed, &jl, "I.I2.J").expect_err("I2 was fused away");
+        assert!(e.message().contains("names 3 loop(s)"), "{e}");
+    }
+
+    #[test]
+    fn labels_round_trip_and_reversed_rows_are_negated() {
+        for label in [
+            "KJLI",
+            "KL'I",
+            "jam(I+J)/KL'I",
+            "dist(J@1)/J'.J_2.I",
+            "tile(L@16)/K.Lo.J.L.I",
+            "K.I2.J.I",
+            "",
+        ] {
+            let r: Recipe = label.parse().expect(label);
+            assert_eq!(r.to_string(), label);
+        }
+        let r: Recipe = "jam(I+J)/KL'I".parse().expect("parses");
+        assert_eq!(
+            r.shape,
+            Some(Step::Jam {
+                first: "I".into(),
+                second: "J".into()
+            })
+        );
+        assert_eq!(r.reversals(), 1);
+        let p = zoo::cholesky_kij();
+        let layout = InstanceLayout::new(&p);
+        let rows = order_rows(&p, &layout, "KJL'I").expect("binds");
+        let l = IVec::unit(layout.len(), layout.loop_position(looop(&p, "L")));
+        assert_eq!(rows[2], -&l);
+    }
+
+    #[test]
+    fn malformed_labels_are_typed_errors() {
+        for label in [
+            "KJ''LI",
+            "'KJLI",
+            "K.'.J.L",
+            "/KJLI",
+            "dist(K@x)/KJLI",
+            "dist(K@1/KJLI",
+            "jam(I)/KJLI",
+            "skew(K@1)/KJLI",
+            "tile(L@999999999999999999999999999999999999999999)/KJLI",
+        ] {
+            let e = label.parse::<Recipe>().expect_err(label);
+            assert_eq!(e.kind(), InlErrorKind::InvalidTarget, "{label}");
+            assert!(
+                e.message().starts_with(&format!("order '{label}': ")),
+                "{e}"
+            );
+        }
+        // well-formed, but no loops of the program
+        let p = zoo::cholesky_kij();
+        let layout = InstanceLayout::new(&p);
+        for (label, complaint) in [
+            ("K.J.L.", "has no loop ''"),
+            ("tile(L@16)", "names 10 loop(s)"),
+        ] {
+            let e = order_rows(&p, &layout, label).expect_err(label);
+            assert_eq!(e.kind(), InlErrorKind::InvalidTarget, "{label}");
+            assert!(e.message().contains(complaint), "{label}: {e}");
+        }
+    }
+
+    #[test]
+    fn steps_that_do_not_apply_are_typed_errors_and_vetoes_are_none() {
+        let source = Shape::source(zoo::cholesky_kij()).expect("analyses");
+        for (step, complaint) in [
+            ("tile(L@0)", "tile size 0"),
+            ("tile(Q@16)", "has no loop 'Q'"),
+            ("dist(K@9)", "out of range"),
+            ("jam(I+I)", "not adjacent"),
+            ("jam(K+L)", "not adjacent"),
+        ] {
+            let step = parse_step(step).expect(step);
+            let e = source.apply(&step).expect_err(complaint);
+            assert_eq!(e.kind(), InlErrorKind::InvalidTarget, "{step}");
+            assert!(e.to_string().contains(complaint), "{step}: {e}");
+        }
+        // simple Cholesky's I loop cannot be distributed: S2 writes the
+        // cells S1 reads on later trips of I
+        let source = Shape::source(zoo::simple_cholesky()).expect("analyses");
+        let veto = parse_step("dist(I@1)").expect("parses");
+        assert!(source.apply(&veto).expect("applies").is_none());
+    }
+}

@@ -27,7 +27,7 @@ use inl_linalg::{IMat, InlError, Int};
 use inl_poly::{is_empty, Feasibility, LinExpr};
 
 /// Human-readable path of a parent node, for [`InlError::invalid_target`].
-fn parent_path(p: &Program, parent: Option<LoopId>) -> String {
+pub(crate) fn parent_path(p: &Program, parent: Option<LoopId>) -> String {
     match parent {
         None => "<root>".to_string(),
         Some(q) => format!("loop {}", p.loop_decl(q).name),
@@ -42,10 +42,7 @@ fn jam_targets(
     parent: Option<LoopId>,
     idx: usize,
 ) -> Result<(LoopId, LoopId), InlError> {
-    let siblings: &[Node] = match parent {
-        None => p.root(),
-        Some(q) => &p.loop_decl(q).children,
-    };
+    let siblings = p.children(parent);
     if idx + 1 >= siblings.len() {
         return Err(InlError::invalid_target(
             parent_path(p, parent),
@@ -107,10 +104,7 @@ fn distribute_target(
         ));
     }
     let parent = p.loops_surrounding_loop(l).last().copied();
-    let old_siblings: &[Node] = match parent {
-        None => p.root(),
-        Some(q) => &p.loop_decl(q).children,
-    };
+    let old_siblings = p.children(parent);
     let t = old_siblings
         .iter()
         .position(|&x| x == Node::Loop(l))

@@ -36,8 +36,9 @@ pub struct SplitResult {
     /// The split program (statement ids preserved; the original loop id
     /// survives as the tile-confined inner loop).
     pub program: Program,
-    /// The fresh outer (tile-number) loop.
-    pub outer: LoopId,
+    /// The split loop: same id and name, now confined to one tile inside
+    /// a fresh tile-number loop.
+    pub split: LoopId,
     /// The tile size.
     pub tile: Int,
     /// Layout of the split program.
@@ -101,21 +102,17 @@ pub fn split(p: &Program, l: LoopId, tile: Int) -> Result<SplitResult, InlError>
         ));
     }
     let parent = p.loops_surrounding_loop(l).last().copied();
-    let siblings = match parent {
-        None => p.root(),
-        Some(q) => &p.loop_decl(q).children,
-    };
-    if !siblings.contains(&inl_ir::Node::Loop(l)) {
+    if !p.children(parent).contains(&inl_ir::Node::Loop(l)) {
         return Err(InlError::invalid_target(
             format!("loop {name}"),
             "loop is not attached to the program",
         ));
     }
-    let (program, outer) = p.split_loop(l, tile);
+    let (program, _) = p.split_loop(l, tile);
     let layout = InstanceLayout::new(&program);
     Ok(SplitResult {
         program,
-        outer,
+        split: l,
         tile,
         layout,
     })
@@ -140,16 +137,7 @@ pub fn split_legal_with_deps(
     let m = IMat::identity(r.layout.len());
     let report = check_legal(&r.program, &r.layout, &deps, &m)?;
     if inl_obs::explain_enabled() {
-        let inner = r
-            .program
-            .loop_decl(r.outer)
-            .children
-            .first()
-            .and_then(|&n| match n {
-                inl_ir::Node::Loop(x) => Some(r.program.loop_decl(x).name.clone()),
-                _ => None,
-            })
-            .unwrap_or_default();
+        let inner = &r.program.loop_decl(r.split).name;
         let subject = format!("split loop {inner} by {}", r.tile);
         if report.is_legal() {
             inl_obs::explain::accept(

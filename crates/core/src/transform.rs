@@ -223,10 +223,7 @@ fn reorder_matrix(
     parent: Option<LoopId>,
     perm: &[usize],
 ) -> Result<IMat, TransformError> {
-    let nchildren = match parent {
-        None => p.root().len(),
-        Some(l) => p.loop_decl(l).children.len(),
-    };
+    let nchildren = p.children(parent).len();
     if perm.len() != nchildren {
         return Err(TransformError::BadPermutation);
     }

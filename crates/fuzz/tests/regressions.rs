@@ -260,3 +260,62 @@ fn sched_seed_empty_variant_list_is_typed_error() {
     assert_eq!(inner.kind(), inl_linalg::InlErrorKind::InvalidTarget);
     assert!(err.to_string().contains("no measured variants"), "{err}");
 }
+
+// ---------------------------------------------------------------------
+// Variant-label seeds (inl-serve's `order`, read as an `inl_core::recipe`).
+// Each is a label the scheduler never prints; Compile, Run and Explain
+// must all answer it with a typed `invalid target` error.
+// ---------------------------------------------------------------------
+
+/// Seeds 8–16 — shapes that do not apply (a tile of 0, a tile size past
+/// `i128`, a child index past the loop's children, a loop jammed with
+/// itself or with a loop that is not its next sibling), a mark after a
+/// mark, a shape with nothing before its `/`, a shape with no order, and a
+/// trailing dot.
+#[test]
+fn label_seeds_are_typed_errors() {
+    use inl_proto::{BackendChoice, Request, Response};
+    for (order, complaint) in [
+        ("tile(L@0)/K.Lo.J.L.I", "tile size 0 must be at least 2"),
+        (
+            "tile(L@170141183460469231731687303715884105728)/K.Lo.J.L.I",
+            "the shape is not",
+        ),
+        ("dist(K@9)/KJLI", "split 9 out of range"),
+        ("jam(I+I)/KJLI", "not adjacent siblings"),
+        ("jam(K+L)/KJLI", "not adjacent siblings"),
+        ("KJ''LI", "a reversal mark ' follows a loop name, once"),
+        ("/KJLI", "the shape is not"),
+        ("tile(L@16)", "names 10 loop(s)"),
+        ("K.J.L.", "has no loop ''"),
+    ] {
+        let (program, order) = ("cholesky_kij".to_string(), Some(order.to_string()));
+        for req in [
+            Request::Compile {
+                program: program.clone(),
+                order: order.clone(),
+                telemetry: false,
+            },
+            Request::Run {
+                program: program.clone(),
+                params: vec![6],
+                order: order.clone(),
+                backend: BackendChoice::Vm,
+                telemetry: false,
+            },
+            Request::Explain {
+                program: program.clone(),
+                order: order.clone(),
+                telemetry: true,
+            },
+        ] {
+            match inl_serve::handle_request(&req) {
+                Response::Error { kind, message } => {
+                    assert_eq!(kind, "invalid target", "{order:?}");
+                    assert!(message.contains(complaint), "{order:?}: {message}");
+                }
+                other => panic!("{order:?}: expected a typed error, got {other:?}"),
+            }
+        }
+    }
+}

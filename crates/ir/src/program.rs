@@ -187,6 +187,14 @@ impl Program {
         &self.root
     }
 
+    /// The children of `parent`; the top-level nodes for `None`.
+    pub fn children(&self, parent: Option<LoopId>) -> &[Node] {
+        match parent {
+            None => &self.root,
+            Some(l) => &self.loop_decl(l).children,
+        }
+    }
+
     /// Parameter assumptions (`aff ≥ 0` each).
     pub fn assumes(&self) -> &[Aff] {
         &self.assumes

@@ -50,14 +50,17 @@ impl BackendChoice {
 /// A client request.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
-    /// Push a program through analyze → (complete) → codegen and return
-    /// the generated pseudocode. `order` names a loop order (e.g.
-    /// `"KJLI"`): a permutation of the program's loop names, completed
-    /// to a full transformation; `None` compiles the identity schedule.
+    /// Push a program through analyze → (shape) → complete → codegen and
+    /// return the generated pseudocode. `order` is a variant label in the
+    /// grammar of `inl_core::recipe` — an optional shape step, then every
+    /// loop of the (shaped) program once, `'` after a reversed one:
+    /// `"KJLI"`, `"K.I2.J.I"`, `"dist(J@1)/J'.J_2.I"`, or any label a
+    /// [`Response::Schedule`] returns. The order is completed to a full
+    /// transformation; `None` compiles the identity schedule.
     Compile {
         /// Zoo program name (e.g. `"cholesky_kij"`).
         program: String,
-        /// Optional loop-order permutation, one character per loop.
+        /// Optional variant label (see above).
         order: Option<String>,
         /// Ask the server to attach a per-request `telemetry` section to
         /// the response (encoded on the wire only when `true`).
@@ -70,18 +73,18 @@ pub enum Request {
         program: String,
         /// Symbolic parameter values (e.g. the problem size `N`).
         params: Vec<u32>,
-        /// Optional loop-order permutation.
+        /// Optional variant label, as for [`Request::Compile`].
         order: Option<String>,
         /// Which backend executes the program.
         backend: BackendChoice,
         /// Ask for a per-request `telemetry` section (see module docs).
         telemetry: bool,
     },
-    /// Ask *why* a loop order is legal or rejected for a program.
+    /// Ask *why* a variant label is legal or rejected for a program.
     Explain {
         /// Zoo program name.
         program: String,
-        /// Optional loop-order permutation.
+        /// Optional variant label, as for [`Request::Compile`].
         order: Option<String>,
         /// Ask for a per-request `telemetry` section (see module docs).
         telemetry: bool,
@@ -187,7 +190,9 @@ pub enum Response {
     /// must stay byte-stable so `inl-load` can bitwise-compare them
     /// against in-process scheduling.
     Schedule {
-        /// Label of the chosen variant (e.g. `"IKJ"`, `"dist(I@1)/I_2.I"`).
+        /// Label of the chosen variant (e.g. `"IKJ"`, `"dist(I@1)/I_2.I"`);
+        /// a client can send it back as the `order` of a Compile, Run or
+        /// Explain request.
         chosen: String,
         /// Pseudocode of the chosen variant's generated program.
         pseudocode: String,

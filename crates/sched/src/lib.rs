@@ -79,9 +79,10 @@ pub use search::SearchStats;
 
 use inl_codegen::{batch_map, build, generate, CodegenError, CostFeatures, PredictedCost};
 use inl_core::complete::CompletionError;
+use inl_core::recipe::Recipe;
 use inl_ir::Program;
 use inl_linalg::{IMat, InlError};
-use search::Shape;
+use inl_obs::explain::RecordBuilder;
 use std::fmt;
 
 /// Why scheduling failed.
@@ -147,11 +148,11 @@ impl Default for SchedConfig {
 /// One legal variant, finished: generated, guards simplified, printed.
 #[derive(Clone, Debug)]
 pub struct ScheduledVariant {
-    /// Display label: optional shape prefix, loop order with `'` marking
-    /// reversed loops — e.g. `"dist(K@1)/KJ'LI"`.
+    /// The rendered recipe: optional shape prefix, loop order with `'`
+    /// marking reversed loops — e.g. `"dist(K@1)/KJ'LI"`.
     pub label: String,
-    /// The shape this variant lives in (`""` = identity shape).
-    pub shape: String,
+    /// The variant's shape step and signed loop order.
+    pub recipe: Recipe,
     /// The completed transformation matrix over the shape's program.
     pub matrix: IMat,
     /// The generated program (runnable through `inl-exec`).
@@ -166,10 +167,12 @@ pub struct ScheduledVariant {
 /// nothing more. [`ScheduleResult::materialise`] finishes it.
 #[derive(Clone, Debug)]
 pub struct RankedVariant {
-    /// Display label (see [`ScheduledVariant::label`]).
+    /// The rendered recipe (see [`ScheduledVariant::label`]).
     pub label: String,
-    /// The shape this variant lives in (`""` = identity shape).
-    pub shape: String,
+    /// The variant's shape step and signed loop order.
+    pub recipe: Recipe,
+    /// Index of the variant's shape in the result's shapes.
+    shape: usize,
     /// The completed transformation matrix over the shape's program.
     pub matrix: IMat,
     /// The predicted cost every leaf is ranked on, with its terms.
@@ -177,23 +180,18 @@ pub struct RankedVariant {
 }
 
 impl RankedVariant {
-    /// Reversed loops in the label: between equal costs the variant with
-    /// fewer wins (a reversal buys nothing when the cost is identical).
-    fn reversals(&self) -> usize {
-        reversals(&self.label)
+    /// The ranking key: predicted cost, then reversed loops (a reversal
+    /// buys nothing when the cost is identical), then label.
+    fn key(&self) -> (i64, usize, &str) {
+        (self.predicted.total(), self.recipe.reversals(), &self.label)
     }
-}
-
-/// Reversed loops in a variant label (`'` marks each).
-fn reversals(label: &str) -> usize {
-    label.matches('\'').count()
 }
 
 /// The outcome of a [`schedule`] run.
 #[derive(Clone, Debug)]
 pub struct ScheduleResult {
     chosen: ScheduledVariant,
-    shapes: Vec<Shape>,
+    shapes: Vec<search::StepShape>,
     /// Every legal variant in rank order, best first (`variants[0]` is the
     /// chosen one): by predicted cost, then reversal count, then label.
     pub variants: Vec<RankedVariant>,
@@ -226,18 +224,10 @@ impl ScheduleResult {
     }
 }
 
-/// The shape a variant's `shape` label names.
-fn shape_named<'a>(shapes: &'a [Shape], label: &str) -> &'a Shape {
-    shapes
-        .iter()
-        .find(|s| s.label == label)
-        .expect("every variant's shape is among the enumerated shapes")
-}
-
 /// The second stage for one variant: the whole of [`generate`] plus
 /// pseudocode, against the variant's shape.
-fn finish(shapes: &[Shape], v: &RankedVariant) -> Result<ScheduledVariant, SchedError> {
-    let shape = shape_named(shapes, &v.shape);
+fn finish(shapes: &[search::StepShape], v: &RankedVariant) -> Result<ScheduledVariant, SchedError> {
+    let (_, shape) = &shapes[v.shape];
     let r = generate(&shape.program, &shape.layout, &shape.deps, &v.matrix).map_err(|error| {
         SchedError::Codegen {
             label: v.label.clone(),
@@ -246,7 +236,7 @@ fn finish(shapes: &[Shape], v: &RankedVariant) -> Result<ScheduledVariant, Sched
     })?;
     Ok(ScheduledVariant {
         label: v.label.clone(),
-        shape: v.shape.clone(),
+        recipe: v.recipe.clone(),
         matrix: v.matrix.clone(),
         pseudocode: r.program.to_pseudocode(),
         program: r.program,
@@ -254,11 +244,12 @@ fn finish(shapes: &[Shape], v: &RankedVariant) -> Result<ScheduledVariant, Sched
     })
 }
 
-/// The predicted cost's terms and its hottest innermost loop, for explain
-/// records: `cost=… trips=… entries=… nest=…; hottest loop: columns, 64
-/// trips x 4096 entries`.
-fn predicted_detail(p: &PredictedCost) -> String {
-    match p.hottest() {
+/// An explain record with the predicted cost's terms as features and, as
+/// its `predicted` detail, the terms and the hottest innermost loop:
+/// `cost=… trips=… entries=… nest=…; hottest loop: columns, 64 trips x
+/// 4096 entries`.
+fn with_cost(record: RecordBuilder, p: &PredictedCost) -> RecordBuilder {
+    let detail = match p.hottest() {
         Some(h) => format!(
             "{p}; hottest loop: {}, {} trips x {} entries",
             h.executor.name(),
@@ -266,7 +257,13 @@ fn predicted_detail(p: &PredictedCost) -> String {
             h.entries
         ),
         None => p.to_string(),
-    }
+    };
+    record
+        .detail("predicted", detail)
+        .feature("predicted_cost", p.total())
+        .feature("trip_cost", p.trip_cost)
+        .feature("entry_cost", p.entry_cost)
+        .feature("nest_cost", p.nest_cost)
 }
 
 /// Search the transformation space of `p` with the default configuration
@@ -289,11 +286,11 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
     let shapes = search::enumerate_shapes(p)?;
     stats.shapes = shapes.len() as u64;
 
-    // the legal leaves of every shape's tree, each paired with its shape
-    let mut leaves: Vec<(&Shape, String, IMat)> = Vec::new();
-    for shape in &shapes {
-        for (label, matrix) in search::search_shape(shape, cfg.budget, &mut stats)? {
-            leaves.push((shape, label, matrix));
+    // the legal leaves of every shape's tree, each with its shape's index
+    let mut leaves: Vec<(usize, Recipe, IMat)> = Vec::new();
+    for (s, shape) in shapes.iter().enumerate() {
+        for (recipe, matrix) in search::search_shape(shape, cfg.budget, &mut stats)? {
+            leaves.push((s, recipe, matrix));
         }
     }
     if leaves.is_empty() {
@@ -306,31 +303,28 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
         let _span = inl_obs::span("sched.rank");
         inl_obs::counter_add!("sched.variants_ranked", leaves.len());
         batch_map(leaves.len(), cfg.threads, |i| {
-            let (shape, _, matrix) = &leaves[i];
+            let (s, _, matrix) = &leaves[i];
+            let (_, shape) = &shapes[*s];
             build(&shape.program, &shape.layout, &shape.deps, matrix)
                 .map(|b| b.predicted(&shape.layout, &shape.deps, matrix))
         })
     };
     let mut variants = Vec::with_capacity(leaves.len());
-    for ((shape, label, matrix), predicted) in leaves.into_iter().zip(ranked) {
+    for ((shape, recipe, matrix), predicted) in leaves.into_iter().zip(ranked) {
+        let label = recipe.to_string();
         let predicted = match predicted {
             Ok(p) => p,
             Err(error) => return Err(SchedError::Codegen { label, error }),
         };
         variants.push(RankedVariant {
             label,
-            shape: shape.label.clone(),
+            recipe,
+            shape,
             matrix,
             predicted,
         });
     }
-    variants.sort_by(|a, b| {
-        (a.predicted.total(), a.reversals(), &a.label).cmp(&(
-            b.predicted.total(),
-            b.reversals(),
-            &b.label,
-        ))
-    });
+    variants.sort_by(|a, b| a.key().cmp(&b.key()));
 
     // stage 2: finish the pick alone; the rest are finished on demand
     let chosen = {
@@ -339,40 +333,29 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
     };
 
     if explain {
-        inl_obs::explain::accept(
+        let cost = &chosen.features.predicted;
+        let record = inl_obs::explain::accept(
             "sched",
             format!("variant {} of {}", chosen.label, p.name()),
             format!(
-                "chosen: minimal predicted cost ({}) among {} legal variants, {} of {} tree \
+                "chosen: minimal predicted cost ({cost}) among {} legal variants, {} of {} tree \
                  nodes visited",
-                chosen.features.predicted,
                 variants.len(),
                 stats.nodes_visited,
                 stats.nodes_exhaustive
             ),
-        )
-        .detail("predicted", predicted_detail(&chosen.features.predicted))
-        .feature("legal_variants", variants.len() as i64)
-        .feature("nodes_visited", stats.nodes_visited as i64)
-        .feature("nodes_pruned", stats.pruned_nodes as i64)
-        .feature("predicted_cost", chosen.features.predicted.total())
-        .feature("trip_cost", chosen.features.predicted.trip_cost)
-        .feature("entry_cost", chosen.features.predicted.entry_cost)
-        .feature("nest_cost", chosen.features.predicted.nest_cost);
+        );
+        with_cost(record, cost)
+            .feature("legal_variants", variants.len() as i64)
+            .feature("nodes_visited", stats.nodes_visited as i64)
+            .feature("nodes_pruned", stats.pruned_nodes as i64);
         for v in variants.iter().skip(1) {
-            inl_obs::explain::note(
-                "sched",
-                format!("variant {} of {}", v.label, p.name()),
-                format!(
-                    "legal but ranked behind: ({}) vs chosen ({})",
-                    v.predicted, chosen.features.predicted
-                ),
-            )
-            .detail("predicted", predicted_detail(&v.predicted))
-            .feature("predicted_cost", v.predicted.total())
-            .feature("trip_cost", v.predicted.trip_cost)
-            .feature("entry_cost", v.predicted.entry_cost)
-            .feature("nest_cost", v.predicted.nest_cost);
+            let subject = format!("variant {} of {}", v.label, p.name());
+            let why = format!(
+                "legal but ranked behind: ({}) vs chosen ({cost})",
+                v.predicted
+            );
+            with_cost(inl_obs::explain::note("sched", subject, why), &v.predicted);
         }
     }
 
@@ -416,7 +399,7 @@ mod tests {
         let unreversed = r
             .variants
             .iter()
-            .filter(|v| v.shape.is_empty() && !v.label.contains('\''))
+            .filter(|v| v.recipe.shape.is_none() && v.recipe.reversals() == 0)
             .count();
         assert_eq!(unreversed, 12, "the 12 legal Cholesky orders");
     }
@@ -466,7 +449,7 @@ mod tests {
             let mut found: Vec<String> = r
                 .variants
                 .iter()
-                .filter(|v| v.reversals() > 0)
+                .filter(|v| v.recipe.reversals() > 0)
                 .map(|v| v.label.clone())
                 .collect();
             found.sort();
@@ -495,12 +478,12 @@ mod tests {
         let mut identity: Vec<&str> = r
             .variants
             .iter()
-            .filter(|v| v.shape.is_empty())
+            .filter(|v| v.recipe.shape.is_none())
             .map(|v| v.label.as_str())
             .collect();
         identity.sort_unstable();
         assert_eq!(identity, ["IJK", "IKJ", "JIK", "JKI", "KIJ", "KJI"]);
-        assert!(r.variants.iter().all(|v| v.reversals() == 0));
+        assert!(r.variants.iter().all(|v| v.recipe.reversals() == 0));
         assert!(r.stats.twin_nodes > 0);
         assert!(r.stats.nodes_visited * 8 < r.stats.nodes_exhaustive);
     }
@@ -522,17 +505,23 @@ mod tests {
                 continue;
             };
             tiled += 1;
-            let costs = |t| -> Vec<(String, PredictedCost)> {
-                let split = inl_core::tiling::split(&p, l, t).expect("splits").program;
-                let shape = Shape::analysed(String::new(), split).expect("analyses");
+            let source = inl_core::recipe::Shape::source(p.clone()).expect("analyses");
+            let costs = |tile| -> Vec<(Recipe, PredictedCost)> {
+                let step = inl_core::recipe::Step::Split {
+                    r#loop: p.loop_decl(l).name.clone(),
+                    tile,
+                };
+                let shape = source.apply(&step).expect("splits").expect("legal");
                 let mut stats = SearchStats::default();
-                let found = search::search_shape(&shape, u64::MAX, &mut stats).expect("searches");
+                let tree = (Some(step), shape);
+                let found = search::search_shape(&tree, u64::MAX, &mut stats).expect("searches");
+                let (_, shape) = tree;
                 let (layout, deps) = (&shape.layout, &shape.deps);
                 found
                     .into_iter()
-                    .map(|(label, m)| {
+                    .map(|(recipe, m)| {
                         let built = build(&shape.program, layout, deps, &m).expect("builds");
-                        (label, built.predicted(layout, deps, &m))
+                        (recipe, built.predicted(layout, deps, &m))
                     })
                     .collect()
             };
@@ -540,7 +529,11 @@ mod tests {
             assert!(!by_t[0].is_empty(), "{name}: no legal order of the split");
             for (i, (label, at_16)) in by_t[0].iter().enumerate() {
                 let (at_32, at_64) = (&by_t[1][i], &by_t[2][i]);
-                assert_eq!((label, label), (&at_32.0, &at_64.0), "{name}");
+                let same_order = |other: &Recipe| other.order == label.order;
+                assert!(
+                    same_order(&at_32.0) && same_order(&at_64.0),
+                    "{name} {label}"
+                );
                 let steps = [(at_16, &at_32.1, 16), (&at_32.1, &at_64.1, 32)];
                 let inner = |c: &PredictedCost| c.trip_cost + c.entry_cost;
                 for (before, after, t) in steps {
@@ -621,14 +614,8 @@ mod tests {
         // innermost loop (J innermost, K middle or outer — the `ikj`
         // family), not the row-jumping `ijk`/`jik` family.
         let r = schedule_with(&zoo::matmul(), &quiet_cfg()).expect("schedules");
-        let inner = r
-            .chosen()
-            .label
-            .trim_end_matches('\'')
-            .chars()
-            .last()
-            .unwrap();
-        assert_eq!(inner, 'J', "chosen {}", r.chosen().label);
+        let (inner, _) = r.chosen().recipe.order.last().expect("a loop");
+        assert_eq!(inner, "J", "chosen {}", r.chosen().label);
     }
 
     #[test]
@@ -640,7 +627,7 @@ mod tests {
             let source = r
                 .variants
                 .iter()
-                .find(|v| v.shape.is_empty() && v.matrix == IMat::identity(v.matrix.nrows()))
+                .find(|v| v.recipe.shape.is_none() && v.matrix == IMat::identity(v.matrix.nrows()))
                 .unwrap_or_else(|| panic!("{name}: the identity order is a leaf"));
             let chosen = r.chosen().features.predicted.total();
             assert!(

@@ -23,16 +23,16 @@
 //! The *shape* axis is enumerated first: [`enumerate_shapes`] yields the
 //! identity shape, the strip-mined one, and every legal one-level loop
 //! distribution and fusion (§4.2), each a distinct program whose own tree
-//! is searched; costs compare globally across shapes.
+//! is searched; costs compare globally across shapes. A leaf is named by
+//! its [`Recipe`]: the shape's step and the signed loop order walked.
 
 use crate::SchedError;
 use inl_core::complete::{check_prefix, complete_transform, PrefixCheck};
-use inl_core::depend::{analyze, DependenceMatrix};
-use inl_core::instance::{InstanceLayout, Position};
+use inl_core::instance::Position;
 use inl_core::provenance;
-use inl_core::structural::{distribute, distribution_legal, jam, jamming_legal};
+use inl_core::recipe::{Recipe, Shape, Step};
 use inl_ir::{LoopId, Node, Program};
-use inl_linalg::{IMat, IVec};
+use inl_linalg::{IMat, IVec, InlErrorKind};
 
 /// Counters describing one [`crate::schedule`] run. All integers are
 /// deterministic for a given program and configuration — they are gated
@@ -83,36 +83,6 @@ impl SearchStats {
     }
 }
 
-/// One program shape: the structural-transformation axis of the space,
-/// with the one dependence analysis every candidate matrix of the shape
-/// is tested against (the search, the per-leaf lowering and on-demand
-/// materialisation all borrow this pair; nothing re-analyses).
-#[derive(Clone, Debug)]
-pub struct Shape {
-    /// `""` for the identity shape, else e.g. `"dist(K@1)"` / `"jam(I+I2)"`.
-    pub label: String,
-    /// The shaped program (the identity shape is the source program).
-    pub program: Program,
-    /// Instance layout of `program`.
-    pub layout: InstanceLayout,
-    /// Dependence matrix of `program` over `layout`.
-    pub deps: DependenceMatrix,
-}
-
-impl Shape {
-    /// Lay out and analyse `program` — once; the shape owns the result.
-    pub(crate) fn analysed(label: String, program: Program) -> Result<Shape, SchedError> {
-        let layout = InstanceLayout::new(&program);
-        let deps = analyze(&program, &layout).map_err(SchedError::Analysis)?;
-        Ok(Shape {
-            label,
-            program,
-            layout,
-            deps,
-        })
-    }
-}
-
 /// `n·(n-1)·…·(n-k+1)` — permutations of `k` out of `n`.
 fn falling(n: u64, k: u64) -> u64 {
     (0..k).map(|i| n - i).product()
@@ -127,92 +97,6 @@ pub(crate) fn exhaustive_nodes(nloops: u64) -> u64 {
         .sum()
 }
 
-/// Enumerate the shape axis: identity, the strip-mined shape, then every
-/// legal one-level loop distribution and loop fusion. Illegal candidates
-/// are recorded as explain rejections (stages `tile` and `sched`).
-pub(crate) fn enumerate_shapes(p: &Program) -> Result<Vec<Shape>, SchedError> {
-    let identity = Shape::analysed(String::new(), p.clone())?;
-    let mut shapes = Vec::new();
-    let explain = inl_obs::explain_enabled();
-    enumerate_tiles(p, explain, &mut shapes)?;
-    enumerate_structural(&identity, explain, &mut shapes)?;
-    shapes.insert(0, identity);
-    Ok(shapes)
-}
-
-/// The jam/distribute part of the shape axis, decided on the identity
-/// shape's dependence matrix.
-fn enumerate_structural(
-    identity: &Shape,
-    explain: bool,
-    shapes: &mut Vec<Shape>,
-) -> Result<(), SchedError> {
-    let Shape {
-        program: p,
-        layout,
-        deps,
-        ..
-    } = identity;
-
-    // one-level distributions: split any loop with >= 2 children
-    for l in p.loops() {
-        let ld = p.loop_decl(l);
-        for split in 1..ld.children.len() {
-            let legal = distribution_legal(p, deps, l, split).map_err(SchedError::Analysis)?;
-            let label = format!("dist({}@{split})", ld.name);
-            if legal {
-                let r = distribute(p, layout, l, split).map_err(SchedError::Analysis)?;
-                shapes.push(Shape::analysed(label, r.target)?);
-            } else if explain {
-                inl_obs::explain::reject(
-                    "sched",
-                    format!("shape {label} of {}", p.name()),
-                    format!(
-                        "distribution of loop {} at child {split} is illegal: a dependence \
-                         carried by the loop crosses the split backwards",
-                        ld.name
-                    ),
-                );
-            }
-        }
-    }
-
-    // one-level fusions: jam adjacent sibling loops anywhere in the tree
-    let parents: Vec<Option<LoopId>> = std::iter::once(None).chain(p.loops().map(Some)).collect();
-    for parent in parents {
-        let siblings: &[Node] = match parent {
-            None => p.root(),
-            Some(q) => &p.loop_decl(q).children,
-        };
-        for idx in 0..siblings.len().saturating_sub(1) {
-            let (Node::Loop(a), Node::Loop(b)) = (siblings[idx], siblings[idx + 1]) else {
-                continue;
-            };
-            let label = format!("jam({}+{})", p.loop_decl(a).name, p.loop_decl(b).name);
-            // structurally un-jammable pairs (mismatched bounds/steps) are
-            // not candidates at all; only a *dependence* veto is a decision
-            match jamming_legal(p, deps, parent, idx) {
-                Ok(true) => {
-                    let r = jam(p, layout, parent, idx).map_err(SchedError::Analysis)?;
-                    shapes.push(Shape::analysed(label, r.target)?);
-                }
-                Ok(false) => {
-                    if explain {
-                        inl_obs::explain::reject(
-                            "sched",
-                            format!("shape {label} of {}", p.name()),
-                            "jamming is illegal: fusing would reverse a dependence between \
-                             the two loops",
-                        );
-                    }
-                }
-                Err(_) => {}
-            }
-        }
-    }
-    Ok(())
-}
-
 /// The one tile size the tile axis strip-mines by. The predicted cost sees
 /// `T` only as the trip length of a tile-innermost loop
 /// (`raising_the_tile_size_lowers_only_tile_innermost_costs`); a second size
@@ -221,16 +105,61 @@ fn enumerate_structural(
 /// a key that reads footprints off the matrix (ROADMAP items 1 and 13).
 pub(crate) const TILE_SIZE: inl_ir::Int = 16;
 
-/// The tile axis: strip-mine the innermost reuse-carrying loop by
-/// [`TILE_SIZE`]. An admitted split becomes a shape whose own
-/// tree of loop orders is prefix-pruned like every other shape's.
-/// The legality proof (`inl_core::tiling::split_legal_with_deps`) records
-/// the accept/reject explain evidence under the `tile` stage and hands
-/// back the dependence matrix it analysed, which the shape keeps; the
-/// no-candidate case is rejected here.
-fn enumerate_tiles(p: &Program, explain: bool, shapes: &mut Vec<Shape>) -> Result<(), SchedError> {
-    let Some(l) = inl_core::tiling::innermost_reuse_loop(p) else {
-        if explain {
+/// A shape of the search, with the step that made it of the source
+/// program (`None`: the source itself).
+pub(crate) type StepShape = (Option<Step>, Shape);
+
+/// Enumerate the shape axis: identity, the strip-mined shape, then every
+/// legal one-level loop distribution and loop fusion, each made by
+/// [`Shape::apply`]. Vetoed candidates are recorded as explain rejections
+/// (stages `tile` and `sched`).
+pub(crate) fn enumerate_shapes(p: &Program) -> Result<Vec<StepShape>, SchedError> {
+    let source = Shape::source(p.clone()).map_err(SchedError::Analysis)?;
+    let explain = inl_obs::explain_enabled();
+    let mut shapes = Vec::new();
+    for step in candidate_steps(p, explain) {
+        match source.apply(&step) {
+            Ok(Some(shape)) => shapes.push((Some(step), shape)),
+            Ok(None) if explain => {
+                let why = match &step {
+                    Step::Distribute { r#loop, at } => format!(
+                        "distribution of loop {} at child {at} is illegal: a dependence \
+                         carried by the loop crosses the split backwards",
+                        r#loop
+                    ),
+                    Step::Jam { .. } => "jamming is illegal: fusing would reverse a dependence \
+                                         between the two loops"
+                        .to_string(),
+                    // the split's legality proof records its own verdict
+                    Step::Split { .. } => continue,
+                };
+                inl_obs::explain::reject("sched", format!("shape {step} of {}", p.name()), why);
+            }
+            Ok(None) => {}
+            // structurally un-jammable pairs (mismatched bounds/steps) are
+            // not candidates at all; only a *dependence* veto is a decision
+            Err(e) if e.kind() == InlErrorKind::InvalidTarget => {}
+            Err(e) => return Err(SchedError::Analysis(e)),
+        }
+    }
+    shapes.insert(0, (None, source));
+    Ok(shapes)
+}
+
+/// The one-step candidates, in the order they are tried: the innermost
+/// reuse-carrying loop strip-mined by [`TILE_SIZE`], every loop with two or
+/// more children split before each child, every pair of adjacent sibling
+/// loops jammed. A program with no reuse-carrying loop is recorded as a
+/// `tile` rejection.
+fn candidate_steps(p: &Program, explain: bool) -> Vec<Step> {
+    let name = |l: LoopId| p.loop_decl(l).name.clone();
+    let mut steps = Vec::new();
+    match inl_core::tiling::innermost_reuse_loop(p) {
+        Some(l) => {
+            let (r#loop, tile) = (name(l), TILE_SIZE);
+            steps.push(Step::Split { r#loop, tile });
+        }
+        None if explain => {
             inl_obs::explain::reject(
                 "tile",
                 format!("tiling of {}", p.name()),
@@ -238,34 +167,34 @@ fn enumerate_tiles(p: &Program, explain: bool, shapes: &mut Vec<Shape>) -> Resul
                  surrounding loop, so strip-mining cannot shrink any reuse distance",
             );
         }
-        return Ok(());
-    };
-    let r = inl_core::tiling::split(p, l, TILE_SIZE).map_err(SchedError::Analysis)?;
-    let (report, deps) =
-        inl_core::tiling::split_legal_with_deps(&r).map_err(SchedError::Analysis)?;
-    if report.is_legal() {
-        shapes.push(Shape {
-            label: format!("tile({}@{TILE_SIZE})", p.loop_decl(l).name),
-            program: r.program,
-            layout: r.layout,
-            deps,
-        });
+        None => {}
     }
-    Ok(())
+    for l in p.loops() {
+        for at in 1..p.loop_decl(l).children.len() {
+            let r#loop = name(l);
+            steps.push(Step::Distribute { r#loop, at });
+        }
+    }
+    for parent in std::iter::once(None).chain(p.loops().map(Some)) {
+        for pair in p.children(parent).windows(2) {
+            if let [Node::Loop(a), Node::Loop(b)] = *pair {
+                let (first, second) = (name(a), name(b));
+                steps.push(Step::Jam { first, second });
+            }
+        }
+    }
+    steps
 }
 
-/// A legal full-depth variant of one shape: display label (shape prefix,
-/// loop order, `'` marking reversed loops) and its completed matrix.
-pub(crate) type ShapeVariant = (String, IMat);
-
 /// Search one shape's tree of signed loop orders. Returns the legal
-/// variants; updates `stats` (including `nodes_exhaustive` for this
-/// shape's tree) and stops once they count `budget` visited nodes.
+/// variants, each with its completed matrix; updates `stats` (including
+/// `nodes_exhaustive` for this shape's tree) and stops once they count
+/// `budget` visited nodes.
 pub(crate) fn search_shape(
-    shape: &Shape,
+    (step, shape): &StepShape,
     budget: u64,
     stats: &mut SearchStats,
-) -> Result<Vec<ShapeVariant>, SchedError> {
+) -> Result<Vec<(Recipe, IMat)>, SchedError> {
     let _span = inl_obs::span("sched.search");
     // `loops()` enumerates the decl table; a jammed shape keeps the
     // fused-away loop as an orphan decl with no layout position, so only
@@ -282,12 +211,15 @@ pub(crate) fn search_shape(
         budget,
         stats,
         explain: inl_obs::explain_enabled(),
+        prefix: Recipe {
+            shape: step.clone(),
+            order: Vec::new(),
+        },
         legal: Vec::new(),
     };
     let mut rows: Vec<IVec> = Vec::new();
-    let mut labels: Vec<String> = Vec::new();
     let mut used = vec![false; loops.len()];
-    ctx.descend(&loops, &mut rows, &mut labels, &mut used)?;
+    ctx.descend(&loops, &mut rows, &mut used)?;
     Ok(ctx.legal)
 }
 
@@ -297,38 +229,19 @@ struct Dfs<'a> {
     budget: u64,
     stats: &'a mut SearchStats,
     explain: bool,
-    legal: Vec<ShapeVariant>,
+    /// The node being visited: the shape's step and the order so far.
+    prefix: Recipe,
+    legal: Vec<(Recipe, IMat)>,
 }
 
 impl Dfs<'_> {
-    /// Human label of a prefix, shape included: loop names in order, `'`
-    /// after reversed ones, separated only when a loop name has several
-    /// characters.
-    fn prefix_label(&self, labels: &[String]) -> String {
-        let order = if labels.iter().all(|s| s.trim_end_matches('\'').len() == 1) {
-            labels.concat()
-        } else {
-            labels.join(".")
-        };
-        match self.shape.label.as_str() {
-            "" => order,
-            shape => format!("{shape}/{order}"),
-        }
-    }
-
     fn descend(
         &mut self,
         loops: &[LoopId],
         rows: &mut Vec<IVec>,
-        labels: &mut Vec<String>,
         used: &mut [bool],
     ) -> Result<(), SchedError> {
-        let Shape {
-            program: p,
-            layout,
-            deps,
-            ..
-        } = self.shape;
+        let (p, layout, deps) = (&self.shape.program, &self.shape.layout, &self.shape.deps);
         for i in 0..loops.len() {
             if used[i] {
                 continue;
@@ -343,8 +256,9 @@ impl Dfs<'_> {
                 let l = loops[i];
                 let unit = IVec::unit(layout.len(), layout.loop_position(l));
                 rows.push(if reversed { -&unit } else { unit });
-                let mark = if reversed { "'" } else { "" };
-                labels.push(format!("{}{mark}", p.loop_decl(l).name));
+                self.prefix
+                    .order
+                    .push((p.loop_decl(l).name.clone(), reversed));
                 used[i] = true;
                 // strict descendants of this node in the full ± tree
                 let below = exhaustive_nodes((loops.len() - rows.len()) as u64);
@@ -356,7 +270,7 @@ impl Dfs<'_> {
                             let d = &deps.deps[dep];
                             inl_obs::explain::reject(
                                 "sched",
-                                format!("prefix {} of {}", self.prefix_label(labels), p.name()),
+                                format!("prefix {} of {}", self.prefix, p.name()),
                                 format!(
                                     "{}: row {vr} drives the projection negative — pruned the \
                                      {below}-node subtree",
@@ -374,15 +288,15 @@ impl Dfs<'_> {
                             self.stats.twin_nodes += 1 + below;
                         }
                         if rows.len() == loops.len() {
-                            self.complete_leaf(rows, labels);
+                            self.complete_leaf(rows);
                         } else {
-                            self.descend(loops, rows, labels, used)?;
+                            self.descend(loops, rows, used)?;
                         }
                         true
                     }
                 };
                 rows.pop();
-                labels.pop();
+                self.prefix.order.pop();
                 used[i] = false;
                 if legal {
                     break;
@@ -394,25 +308,19 @@ impl Dfs<'_> {
 
     /// A full-depth legal prefix: complete it (statement order falls out
     /// of the completion's topological sort) into a full matrix.
-    fn complete_leaf(&mut self, rows: &[IVec], labels: &[String]) {
-        let Shape {
-            program: p,
-            layout,
-            deps,
-            ..
-        } = self.shape;
-        let label = self.prefix_label(labels);
+    fn complete_leaf(&mut self, rows: &[IVec]) {
+        let (p, layout, deps) = (&self.shape.program, &self.shape.layout, &self.shape.deps);
         match complete_transform(p, layout, deps, rows) {
             Ok(c) => {
                 self.stats.legal_variants += 1;
-                self.legal.push((label, c.matrix));
+                self.legal.push((self.prefix.clone(), c.matrix));
             }
             Err(e) => {
                 self.stats.completion_failures += 1;
                 if self.explain {
                     inl_obs::explain::reject(
                         "sched",
-                        format!("variant {label} of {}", p.name()),
+                        format!("variant {} of {}", self.prefix, p.name()),
                         format!("legal prefix failed to complete: {e:?}"),
                     );
                 }

@@ -12,6 +12,7 @@
 
 use crate::{schedule_with, SchedConfig, SchedError, SearchStats};
 use inl_codegen::PredictedCost;
+use inl_core::recipe::Recipe;
 use inl_exec::profile::{self, LoopProfile};
 use inl_exec::{run_fresh, Machine, VmRunner};
 use inl_ir::zoo::{self, spd_init};
@@ -52,6 +53,8 @@ pub fn sweep_targets() -> Vec<SweepTarget> {
 pub struct MeasuredVariant {
     /// The variant's display label.
     pub label: String,
+    /// The variant's recipe.
+    pub recipe: Recipe,
     /// The predicted cost's terms and innermost loops.
     pub predicted: PredictedCost,
     /// Name of the predicted hottest innermost loop.
@@ -191,6 +194,7 @@ pub fn sweep_program(
                 .map_or_else(String::new, |h| v.program.loop_decl(h.id).name.clone());
             MeasuredVariant {
                 label: v.label.clone(),
+                recipe: v.recipe.clone(),
                 predicted,
                 predicted_loop,
                 observed: hottest_observed(runner, &v.program),
@@ -310,7 +314,7 @@ pub fn separating_term(a: &MeasuredVariant, b: &MeasuredVariant) -> String {
             pb.nest_cost
         );
     }
-    let (ra, rb) = (crate::reversals(&a.label), crate::reversals(&b.label));
+    let (ra, rb) = (a.recipe.reversals(), b.recipe.reversals());
     if ra != rb {
         return format!("reversals {ra} vs {rb}");
     }

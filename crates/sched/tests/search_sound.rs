@@ -32,69 +32,48 @@
 
 use inl_codegen::{batch_map, generate};
 use inl_core::complete::{check_prefix, complete_transform, PrefixCheck};
-use inl_core::depend::{analyze, DependenceMatrix};
-use inl_core::instance::{InstanceLayout, Position};
+use inl_core::instance::Position;
+use inl_core::recipe::{Recipe, Shape, Step};
 use inl_exec::run_fresh;
 use inl_ir::{zoo, LoopId, Program};
 use inl_linalg::{IMat, IVec};
 use inl_sched::{schedule, ScheduledVariant};
 
-/// One shape's tree, rebuilt from outside the scheduler.
-struct Tree {
-    /// The scheduler's shape label: `""` or `"tile(L@16)"`.
-    shape: String,
-    program: Program,
-    layout: InstanceLayout,
-    deps: DependenceMatrix,
-}
-
-impl Tree {
-    fn of(shape: String, program: Program) -> Tree {
-        let layout = InstanceLayout::new(&program);
-        let deps = analyze(&program, &layout).expect("analysis");
-        Tree {
-            shape,
-            program,
-            layout,
-            deps,
-        }
-    }
-}
+/// One shape's tree: the step that made the shape, and the shape.
+type Tree = (Option<Step>, Shape);
 
 /// The identity shape of `p` and, where the scheduler admits one, the
 /// shape strip-mined at the scheduler's tile size.
 fn trees(p: &Program) -> Vec<Tree> {
-    let mut out = vec![Tree::of(String::new(), p.clone())];
+    let source = Shape::source(p.clone()).expect("analysis");
+    let mut out = Vec::new();
     if let Some(l) = inl_core::tiling::innermost_reuse_loop(p) {
-        let r = inl_core::tiling::split(p, l, 16).expect("split");
-        if inl_core::tiling::split_legal(&r)
-            .expect("legality")
-            .is_legal()
-        {
-            out.push(Tree::of(
-                format!("tile({}@16)", p.loop_decl(l).name),
-                r.program,
-            ));
+        let step = Step::Split {
+            r#loop: p.loop_decl(l).name.clone(),
+            tile: 16,
+        };
+        if let Some(tiled) = source.apply(&step).expect("split") {
+            out.push((Some(step), tiled));
         }
     }
+    out.insert(0, (None, source));
     out
 }
 
 /// Every legal full-depth leaf of `t`'s tree, found by brute force:
 /// enumerate all loop permutations × all sign patterns, check the
 /// *complete* row set once, and attempt completion. No prefix pruning, no
-/// skipped sign. Returns `(label, completed matrix)` sorted by label.
-fn brute_force_legal(t: &Tree) -> Vec<(String, IMat)> {
-    let loops: Vec<LoopId> = t
-        .program
-        .loops()
-        .filter(|&l| t.layout.positions().contains(&Position::Loop(l)))
-        .collect();
+/// skipped sign. Returns `(recipe, completed matrix)` pairs.
+fn brute_force_legal(t: &Tree) -> Vec<(Recipe, IMat)> {
+    let loops: Vec<LoopId> =
+        t.1.program
+            .loops()
+            .filter(|&l| t.1.layout.positions().contains(&Position::Loop(l)))
+            .collect();
     let mut legal = Vec::new();
     let mut perm: Vec<(usize, bool)> = Vec::new();
     let mut used = vec![false; loops.len()];
     enumerate(t, &loops, &mut perm, &mut used, &mut legal);
-    legal.sort_by(|a, b| a.0.cmp(&b.0));
     legal
 }
 
@@ -103,9 +82,16 @@ fn enumerate(
     loops: &[LoopId],
     perm: &mut Vec<(usize, bool)>,
     used: &mut [bool],
-    legal: &mut Vec<(String, IMat)>,
+    legal: &mut Vec<(Recipe, IMat)>,
 ) {
-    let (p, layout, deps) = (&t.program, &t.layout, &t.deps);
+    let (
+        step,
+        Shape {
+            program: p,
+            layout,
+            deps,
+        },
+    ) = t;
     if perm.len() == loops.len() {
         let rows: Vec<IVec> = perm
             .iter()
@@ -126,22 +112,15 @@ fn enumerate(
         let Ok(c) = complete_transform(p, layout, deps, &rows) else {
             return;
         };
-        let names: Vec<String> = perm
+        let order = perm
             .iter()
-            .map(|&(i, reversed)| {
-                format!(
-                    "{}{}",
-                    p.loop_decl(loops[i]).name,
-                    if reversed { "'" } else { "" }
-                )
-            })
+            .map(|&(i, reversed)| (p.loop_decl(loops[i]).name.clone(), reversed))
             .collect();
-        let label = if names.iter().all(|s| s.trim_end_matches('\'').len() == 1) {
-            names.concat()
-        } else {
-            names.join(".")
+        let recipe = Recipe {
+            shape: step.clone(),
+            order,
         };
-        legal.push((label, c.matrix));
+        legal.push((recipe, c.matrix));
         return;
     }
     for i in 0..loops.len() {
@@ -158,14 +137,9 @@ fn enumerate(
     }
 }
 
-/// Reversed loops in a label.
-fn reversals(label: &str) -> usize {
-    label.matches('\'').count()
-}
-
-/// The loop order a label names, signs dropped.
-fn order(label: &str) -> String {
-    label.replace('\'', "")
+/// The loop order a recipe names, signs dropped.
+fn names(r: &Recipe) -> Vec<&str> {
+    r.order.iter().map(|(name, _)| name.as_str()).collect()
 }
 
 /// Properties 1–3 of the module docs, over the identity and tiled shape
@@ -177,19 +151,14 @@ fn search_agrees_with_the_full_sign_brute_force() {
         let p = ctor();
         let result = schedule(&p).expect("search");
         for t in trees(&p) {
-            let at = format!("{name} shape '{}'", t.shape);
-            let prefix = if t.shape.is_empty() {
-                String::new()
-            } else {
-                format!("{}/", t.shape)
-            };
+            let at = format!("{name} shape {:?}", t.0);
             // the scheduler's variants of this shape, rank order kept
-            let found: Vec<(usize, &str)> = result
+            let found: Vec<(usize, &Recipe)> = result
                 .variants
                 .iter()
                 .enumerate()
-                .filter(|(_, v)| v.shape == t.shape)
-                .map(|(i, v)| (i, v.label.strip_prefix(&prefix).expect("shape prefix")))
+                .filter(|(_, v)| v.recipe.shape == t.0)
+                .map(|(i, v)| (i, &v.recipe))
                 .collect();
             assert!(!found.is_empty(), "{at}: shape not searched");
             let brute = brute_force_legal(&t);
@@ -198,7 +167,7 @@ fn search_agrees_with_the_full_sign_brute_force() {
 
             for (_, f) in &found {
                 assert!(
-                    brute.iter().any(|(b, _)| b == f),
+                    brute.iter().any(|(b, _)| b == *f),
                     "{at}: returned {f}, which the full-row check rejects"
                 );
             }
@@ -206,29 +175,33 @@ fn search_agrees_with_the_full_sign_brute_force() {
                 assert!(
                     found
                         .iter()
-                        .any(|(_, f)| order(f) == order(b) && reversals(f) <= reversals(b)),
+                        .any(|(_, f)| names(f) == names(b) && f.reversals() <= b.reversals()),
                     "{at}: legal {b} has no sibling of at most {} reversal(s) in {found:?}",
-                    reversals(b)
+                    b.reversals()
                 );
             }
 
             // finish every ± leaf; predicted cost, reversal count, label
-            let mut finished: Vec<(i64, usize, &str, String)> = batch_map(brute.len(), 0, |i| {
-                let (label, matrix) = &brute[i];
-                let r = generate(&t.program, &t.layout, &t.deps, matrix).expect("generates");
+            let mut finished: Vec<(i64, usize, String, String)> = batch_map(brute.len(), 0, |i| {
+                let (recipe, matrix) = &brute[i];
+                let r = generate(&t.1.program, &t.1.layout, &t.1.deps, matrix).expect("generates");
                 (
                     r.features.predicted.total(),
-                    reversals(label),
-                    label.as_str(),
+                    recipe.reversals(),
+                    recipe.to_string(),
                     r.program.to_pseudocode(),
                 )
             });
             leaves_finished += finished.len();
             finished.sort();
             let (best, _, best_label, best_code) = &finished[0];
-            let (first, first_label) = found[0];
+            let (first, first_recipe) = found[0];
             assert_eq!(*best, result.variants[first].predicted.total(), "{at}");
-            assert_eq!(*best_label, first_label, "{at}: a skipped leaf ranks first");
+            assert_eq!(
+                *best_label,
+                first_recipe.to_string(),
+                "{at}: a skipped leaf ranks first"
+            );
             assert_eq!(
                 *best_code,
                 result.materialise(first).expect("finishes").pseudocode,
@@ -305,7 +278,7 @@ fn lazy_ranking_matches_the_finish_everything_oracle() {
             );
         }
         oracle.sort_by(|a, b| {
-            let key = |v: &ScheduledVariant| (v.features.predicted.total(), reversals(&v.label));
+            let key = |v: &ScheduledVariant| (v.features.predicted.total(), v.recipe.reversals());
             (key(a), &a.label).cmp(&(key(b), &b.label))
         });
 

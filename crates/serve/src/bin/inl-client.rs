@@ -3,15 +3,17 @@
 //! ```sh
 //! inl-client [--addr HOST:PORT] [--json] [--telemetry] <command> [args]
 //!
-//! inl-client compile <program> [order]      # pseudocode or rejection
-//! inl-client run <prog> <N> [M ...] [--order ORD] [--backend vm|interp]
-//! inl-client explain <program> <order>      # why legal / why rejected
+//! inl-client compile <program> [label]      # pseudocode or rejection
+//! inl-client run <prog> <N> [M ...] [--order LABEL] [--backend vm|interp]
+//! inl-client explain <program> <label>      # why legal / why rejected
 //! inl-client schedule <program>             # auto-schedule: chosen variant
 //! inl-client stats                          # cache + transport counters
 //! inl-client metrics                        # sliding-window latency/rates
 //! inl-client shutdown                       # graceful stop
 //! ```
 //!
+//! A label is a variant label as the scheduler prints it (`KJLI`,
+//! `K.I2.J.I`, `tile(L@16)/K.Lo.J.L.I`; see `inl_core::recipe`).
 //! Default output is human-readable; `--json` prints the raw response
 //! JSON exactly as it came off the wire. `--telemetry` asks the server
 //! for the per-request capture section on compile/run/explain and
@@ -24,8 +26,8 @@ use inl_serve::{BackendChoice, Client, CompileOutcome, Request, Response};
 fn usage() -> ! {
     eprintln!(
         "usage: inl-client [--addr HOST:PORT] [--json] [--telemetry] \
-         (compile <prog> [order] | run <prog> <N>.. [--order ORD] [--backend vm|interp] | \
-         explain <prog> <order> | schedule <prog> | stats | metrics | shutdown)"
+         (compile <prog> [label] | run <prog> <N>.. [--order LABEL] [--backend vm|interp] | \
+         explain <prog> <label> | schedule <prog> | stats | metrics | shutdown)"
     );
     std::process::exit(1);
 }

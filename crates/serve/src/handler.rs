@@ -9,9 +9,9 @@
 //! all but a structured [`CompileOutcome::Rejected`].
 
 use inl_codegen::generate;
-use inl_core::complete::{complete_transform, order_rows};
-use inl_core::depend::{analyze, memo_stats, DependenceMatrix};
-use inl_core::instance::InstanceLayout;
+use inl_core::complete::complete_transform;
+use inl_core::depend::memo_stats;
+use inl_core::recipe::{Recipe, Shape};
 use inl_ir::{zoo, Program};
 use inl_linalg::{IMat, InlError, InlErrorKind};
 use inl_proto::{BackendChoice, CompileOutcome, Request, Response};
@@ -40,28 +40,33 @@ fn zoo_program(name: &str) -> Result<Program, InlError> {
         })
 }
 
-fn analyzed(p: &Program) -> Result<(InstanceLayout, DependenceMatrix), InlError> {
-    let layout = InstanceLayout::new(p);
-    let deps = analyze(p, &layout)?;
-    Ok((layout, deps))
-}
-
 /// Run compile-with-order and classify: `Ok(Ok(program))` compiled,
 /// `Ok(Err(reason))` legality rejected the order (a structured outcome),
-/// `Err(e)` the request itself was bad.
-fn compile_inner(p: &Program, order: Option<&str>) -> Result<Result<Program, String>, InlError> {
+/// `Err(e)` the request itself was bad. The order is any variant label
+/// (`inl_core::recipe`), replayed as the scheduler built it: its shape
+/// step, then its signed loop order completed.
+fn compile_inner(p: Program, order: Option<&str>) -> Result<Result<Program, String>, InlError> {
     let _span = inl_obs::span("serve.compile");
-    let (layout, deps) = analyzed(p)?;
-    let matrix: IMat = match order {
-        None => IMat::identity(layout.len()),
-        Some(ord) => match complete_transform(p, &layout, &deps, &order_rows(p, &layout, ord)?) {
-            Ok(c) => c.matrix,
-            // Deterministic per input: derive formatting of the typed
-            // completion error, same text for the same rejection.
-            Err(e) => return Ok(Err(format!("completion rejected the order: {e:?}"))),
-        },
+    let mut shape = Shape::source(p)?;
+    let matrix = match order.map(str::parse::<Recipe>).transpose()? {
+        None => IMat::identity(shape.layout.len()),
+        Some(recipe) => {
+            if let Some(step) = &recipe.shape {
+                match shape.apply(step)? {
+                    Some(shaped) => shape = shaped,
+                    None => return Ok(Err(format!("the dependence test vetoes shape {step}"))),
+                }
+            }
+            let rows = recipe.rows(&shape.program, &shape.layout)?;
+            match complete_transform(&shape.program, &shape.layout, &shape.deps, &rows) {
+                Ok(c) => c.matrix,
+                // Deterministic per input: derive formatting of the typed
+                // completion error, same text for the same rejection.
+                Err(e) => return Ok(Err(format!("completion rejected the order: {e:?}"))),
+            }
+        }
     };
-    match generate(p, &layout, &deps, &matrix) {
+    match generate(&shape.program, &shape.layout, &shape.deps, &matrix) {
         Ok(r) => Ok(Ok(r.program)),
         Err(e) => Ok(Err(format!("codegen rejected the schedule: {e:?}"))),
     }
@@ -94,7 +99,7 @@ fn digest_machine(m: &inl_exec::Machine) -> (String, u64, u64) {
 }
 
 fn handle_compile(program: &str, order: Option<&str>) -> Result<Response, InlError> {
-    let outcome = match compile_inner(&zoo_program(program)?, order)? {
+    let outcome = match compile_inner(zoo_program(program)?, order)? {
         Ok(generated) => CompileOutcome::Legal {
             pseudocode: generated.to_pseudocode(),
         },
@@ -131,7 +136,7 @@ fn handle_run(
             ));
         }
     }
-    let generated = match compile_inner(&p, order)? {
+    let generated = match compile_inner(p, order)? {
         Ok(g) => g,
         Err(reason) => {
             return Err(InlError::new(
@@ -159,7 +164,7 @@ fn handle_run(
 }
 
 fn handle_explain(program: &str, order: Option<&str>) -> Result<Response, InlError> {
-    Ok(match compile_inner(&zoo_program(program)?, order)? {
+    Ok(match compile_inner(zoo_program(program)?, order)? {
         Ok(_) => Response::Explain {
             verdict: "legal".to_string(),
             reason: match order {
@@ -424,17 +429,18 @@ mod tests {
 
     #[test]
     fn scheduled_labels_compile_to_the_scheduled_code() {
-        // one spelling of an order on both sides of the wire: every
-        // unreversed identity-shape label the scheduler returns is an
-        // `order` a client can send back, and `Compile` answers with the
-        // code the scheduler would materialise for that variant
+        // one spelling of a variant on both sides of the wire: every label
+        // the scheduler returns — shaped, reversed, jammed or tiled — reads
+        // back as its recipe, is an `order` a client can send back, and
+        // `Compile` answers with the code the scheduler would materialise
+        // for that variant
         let mut sent = 0;
         for (name, make) in ZOO {
             let r = inl_sched::schedule(&make()).expect("schedules");
             for (i, v) in r.variants.iter().enumerate() {
-                if !v.shape.is_empty() || v.label.contains(['\'', '+']) {
-                    continue;
-                }
+                let recipe: Recipe = v.label.parse().expect("a scheduler label parses");
+                assert_eq!(recipe.to_string(), v.label, "{name}");
+                assert_eq!(recipe, v.recipe, "{name} {}", v.label);
                 sent += 1;
                 let want = r.materialise(i).expect("finishes").pseudocode;
                 match handle_request(&compile_req(name, Some(&v.label))) {
@@ -446,10 +452,23 @@ mod tests {
                 }
             }
         }
-        assert!(
-            sent >= 13 + 12,
-            "every program's source order and more: {sent}"
-        );
+        assert_eq!(sent, 283, "every variant of every zoo program");
+    }
+
+    #[test]
+    fn a_shaped_reversed_label_runs_to_the_source_digest() {
+        let run = |order: Option<&str>| {
+            handle_request(&Request::Run {
+                program: "running_example".into(),
+                params: vec![12],
+                order: order.map(str::to_string),
+                backend: BackendChoice::Vm,
+                telemetry: false,
+            })
+        };
+        let shaped = run(Some("dist(J@1)/J'.J_2.I"));
+        assert!(matches!(shaped, Response::Run { .. }), "{shaped:?}");
+        assert_eq!(shaped, run(None));
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //! ```
 
 use inl::codegen::generate;
-use inl::core::complete::{complete_transform, order_rows};
+use inl::core::complete::complete_transform;
 use inl::core::depend::analyze;
 use inl::core::instance::InstanceLayout;
+use inl::core::recipe::Recipe;
 use inl::exec::{run_fresh, Interpreter, Machine, VmRunner};
 use inl::ir::{zoo, Program};
 use inl::linalg::permutations;
@@ -68,7 +69,8 @@ fn main() {
     let (mut vm_times, mut all_verified) = (Vec::new(), true);
     for pm in permutations(&[0, 1, 2, 3]) {
         let label: String = pm.iter().map(|&i| names[i]).collect();
-        let rows = order_rows(&p, &layout, &label).expect("a permutation of the loop names");
+        let recipe: Recipe = label.parse().expect("an order");
+        let rows = recipe.rows(&p, &layout).expect("the four loops");
         let Ok(completion) = complete_transform(&p, &layout, &deps, &rows) else {
             println!("{label:>20} |  no   |    —     |      —");
             continue;

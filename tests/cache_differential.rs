@@ -12,9 +12,10 @@
 //! dependence analysis.
 
 use inl_codegen::generate;
-use inl_core::complete::{complete_transform, order_rows};
+use inl_core::complete::complete_transform;
 use inl_core::depend::{analyze, memo_stats};
 use inl_core::instance::InstanceLayout;
+use inl_core::recipe::Recipe;
 use inl_ir::{zoo, Program};
 use inl_linalg::{permutations, IMat};
 use std::sync::Mutex;
@@ -33,7 +34,8 @@ fn cholesky_variants() -> (Program, Vec<(String, IMat)>) {
     let mut out = Vec::new();
     for pm in permutations(&[0, 1, 2, 3]) {
         let label: String = pm.iter().map(|&i| names[i]).collect();
-        let rows = order_rows(&p, &layout, &label).expect("a permutation of the loop names");
+        let recipe: Recipe = label.parse().expect("an order");
+        let rows = recipe.rows(&p, &layout).expect("the four loops");
         if let Ok(c) = complete_transform(&p, &layout, &deps, &rows) {
             out.push((label, c.matrix));
         }

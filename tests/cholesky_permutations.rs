@@ -4,9 +4,10 @@
 //! edge order automatically, generating code and executing it.
 
 use inl::codegen::generate;
-use inl::core::complete::{complete_transform, order_rows};
+use inl::core::complete::complete_transform;
 use inl::core::depend::analyze;
 use inl::core::instance::InstanceLayout;
+use inl::core::recipe::Recipe;
 use inl::exec::{equivalent, run_fresh, Machine, VmRunner};
 use inl::ir::{zoo, LoopId, Program};
 use inl::linalg::IVec;
@@ -59,7 +60,8 @@ fn enumerate_permutations(p: &Program) -> Vec<(Vec<usize>, inl::linalg::IMat)> {
     heap_permutations(&mut perm, 4, &mut perms);
     for pm in perms {
         let order: String = pm.iter().map(|&pi| names[pi]).collect();
-        let rows = order_rows(p, &layout, &order).expect("a permutation of the loop names");
+        let recipe: Recipe = order.parse().expect("an order");
+        let rows = recipe.rows(p, &layout).expect("the four loops");
         if let Ok(c) = complete_transform(p, &layout, &deps, &rows) {
             legal.push((pm.to_vec(), c.matrix));
         }
