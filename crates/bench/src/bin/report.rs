@@ -199,21 +199,15 @@ fn main() -> ExitCode {
     }
 
     // --------------------------------- VM opcode profile (hot opcodes)
-    // Re-run the acceptance benchmark under the VM's profiling mode and
-    // print where the instruction budget actually goes.
+    // One profiled run of the acceptance benchmark: where the instruction
+    // budget actually goes.
     println!("\n## VM opcode profile (cholesky_kij, N = 100)\n");
     let prof_prog = zoo::cholesky_kij();
     let prof_runner = VmRunner::new(&prof_prog);
-    inl_vm::profile::reset();
-    inl_vm::profile::set_enabled(true);
-    {
-        let mut m2 = Machine::new(&prof_prog, &[n], &spd_init);
-        prof_runner.run(&mut m2);
-    }
-    inl_vm::profile::set_enabled(false);
+    let samples = prof_runner.run_profiled(&mut Machine::new(&prof_prog, &[n], &spd_init));
     print!(
         "{}",
-        inl_vm::profile::render_tables(prof_runner.compiled(), Some(&prof_prog))
+        inl_vm::profile::render_tables(prof_runner.compiled(), Some(&prof_prog), &samples)
     );
 
     // ------------------------------------------------- tiling

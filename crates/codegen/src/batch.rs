@@ -8,11 +8,11 @@
 //! sub-systems cheap across jobs). [`batch_map`] is the job loop itself:
 //! workers pull indices from a shared atomic counter (jobs differ in cost;
 //! `inl_exec::ParallelExecutor`, whose iterations do not, splits each
-//! wavefront into static chunks instead), every job runs under a `batch.compile` span and a `batch.compile` timeline
-//! slice tagged with its index, so a Chrome trace shows the per-variant
-//! schedule across worker threads — and with one thread there is no pool
-//! at all: the jobs run on the calling thread, where a thread-local
-//! `inl_obs::capture` window sees them.
+//! wavefront into static chunks instead), and every job runs under one
+//! `batch.compile` span whose timeline slice carries the job's index, so a
+//! Chrome trace shows the per-variant schedule across worker threads — and
+//! with one thread there is no pool at all: the jobs run on the calling
+//! thread, where a thread-local `inl_obs::capture` window sees them.
 //!
 //! [`compile_batch`] runs [`generate`] as the job; the auto-scheduler
 //! runs [`crate::generate::build`] over every leaf through the same loop,
@@ -48,9 +48,10 @@ pub struct CompiledVariant {
 
 /// Run `job(i)` for every `i < n` on `threads` workers (`0` = one per
 /// available core) and return the results in index order, whichever
-/// worker ran which job. Each job runs under a `batch.compile` span and
-/// timeline slice. With one worker (or at most one job) nothing is
-/// spawned: the jobs run on the calling thread.
+/// worker ran which job. Each job runs under a `batch.compile` span, its
+/// index the `variant` argument of the span's timeline slice. With one
+/// worker (or at most one job) nothing is spawned: the jobs run on the
+/// calling thread.
 pub fn batch_map<T: Send>(n: usize, threads: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let threads = if threads == 0 {
         std::thread::available_parallelism().map_or(1, |c| c.get())
@@ -58,8 +59,7 @@ pub fn batch_map<T: Send>(n: usize, threads: usize, job: impl Fn(usize) -> T + S
         threads
     };
     let run = |i: usize| {
-        let _slice = inl_obs::timeline::scope_args("batch.compile", &[("variant", i as i64)]);
-        let _span = inl_obs::span("batch.compile");
+        let _span = inl_obs::span_args("batch.compile", &[("variant", i as i64)]);
         job(i)
     };
     if threads.min(n) <= 1 {

@@ -73,7 +73,6 @@ pub fn generate(
     m: &IMat,
 ) -> Result<CodegenResult, CodegenError> {
     let _span = inl_obs::span("codegen.generate");
-    inl_obs::timeline::instant("stage.codegen");
     Ok(build(p, layout, deps, m)?.finish(p, layout, deps, m))
 }
 

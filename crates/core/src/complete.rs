@@ -153,7 +153,6 @@ pub fn complete_transform(
     partial: &[IVec],
 ) -> Result<Completion, CompletionError> {
     let _span = inl_obs::span("complete.transform");
-    inl_obs::timeline::instant("stage.completion");
     let n = layout.len();
     let nparams = p.nparams();
     let loop_slots = loop_slot_positions(layout);

@@ -34,8 +34,8 @@
 //! [`inl_poly::cache::epoch`]), and it is bounded by [`MEMO_CAP`] with the
 //! same counted generation flush.
 //!
-//! Telemetry: the `depend.analyze` span and the `stage.dependence` instant
-//! fire on every call — requested analyses stay countable — while the work
+//! Telemetry: the `depend.analyze` span (and so its timeline slice) fires
+//! on every call — requested analyses stay countable — while the work
 //! counters (`depend.pairs_tested`, `depend.levels_pruned`,
 //! `depend.base_infeasible`, `depend.polyhedra_retained`) fire only when
 //! the work is done, i.e. on a miss or a bypass; `depend.memo.hit` /
@@ -421,7 +421,6 @@ pub fn memo_stats() -> MemoStats {
 /// reported rather than degraded.
 pub fn analyze(p: &Program, layout: &InstanceLayout) -> Result<DependenceMatrix, InlError> {
     let _span = inl_obs::span("depend.analyze");
-    inl_obs::timeline::instant("stage.dependence");
     if !inl_poly::cache::cache_enabled() {
         return analyze_uncached(p, layout);
     }

@@ -194,7 +194,6 @@ pub fn check_legal(
     m: &IMat,
 ) -> Result<LegalityReport, InlError> {
     let _span = inl_obs::span("legal.check");
-    inl_obs::timeline::instant("stage.legality");
     let new_ast = recover_ast(p, layout, m);
     let mut violations = Vec::new();
     let mut unsatisfied_self = Vec::new();

@@ -16,6 +16,7 @@ use crate::interp::Interpreter;
 use crate::machine::{ArrayData, Machine};
 use inl_ir::Program;
 use inl_vm::bytecode::ArrayLayout;
+use inl_vm::profile::Samples;
 use inl_vm::{BoundProgram, CompiledProgram};
 
 /// Which execution engine to run a program on.
@@ -84,6 +85,17 @@ impl VmRunner {
         let _span = inl_obs::span("exec.vm");
         let bp = self.compiled.bind(m.params());
         inl_vm::run(&bp, &mut arrays_of(&bp, m));
+    }
+
+    /// [`VmRunner::run`], returning how often each instruction executed
+    /// (see [`inl_vm::run_profiled`] and the [`crate::profile`] views).
+    ///
+    /// # Panics
+    /// As [`VmRunner::run`].
+    pub fn run_profiled(&self, m: &mut Machine) -> Samples {
+        let _span = inl_obs::span("exec.vm");
+        let bp = self.compiled.bind(m.params());
+        inl_vm::run_profiled(&bp, &mut arrays_of(&bp, m))
     }
 }
 

@@ -29,8 +29,8 @@ pub mod par;
 pub mod trace;
 
 pub use backend::{run_fresh_with, Backend, VmRunner};
-/// The VM's execution profile, for callers that run a [`VmRunner`] and ask
-/// which executor ran its loops.
+/// Views of the samples [`VmRunner::run_profiled`] returns, for callers
+/// that ask which executor ran a program's loops.
 pub use inl_vm::profile;
 pub use interp::Interpreter;
 pub use machine::{ArrayData, Machine};

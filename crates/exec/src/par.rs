@@ -144,7 +144,7 @@ fn vm_loop(
     let iters = ((hi - lo) / meta.step) as usize + 1;
     if ld.parallel && iters > 1 {
         inl_obs::counter_add!("exec.par.wavefronts", 1);
-        let _wf = inl_obs::timeline::scope_args(
+        let _wf = inl_obs::span_args(
             "exec.par.wavefront",
             &[("iters", iters as i64), ("threads", nthreads as i64)],
         );
@@ -159,10 +159,8 @@ fn vm_loop(
                 // scratch is per state and allocated on first use).
                 let mut thread_st = st.clone();
                 scope.spawn(move || {
-                    let _slice = inl_obs::timeline::scope_args(
-                        "exec.par.chunk",
-                        &[("lo", ch_lo), ("hi", ch_hi)],
-                    );
+                    let _chunk =
+                        inl_obs::span_args("exec.par.chunk", &[("lo", ch_lo), ("hi", ch_hi)]);
                     let busy = std::time::Instant::now();
                     for i in (ch_lo..=ch_hi).step_by(meta.step as usize) {
                         thread_st.iregs[meta.var as usize] = i;

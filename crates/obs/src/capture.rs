@@ -116,12 +116,7 @@ impl Capture {
 
         let mut stages = Json::object();
         for (path, s) in &self.stages {
-            let mut obj = Json::object();
-            obj.insert("count", Json::Int(s.count));
-            obj.insert("total_ns", Json::Int(s.total_ns));
-            obj.insert("min_ns", Json::Int(s.min_ns));
-            obj.insert("max_ns", Json::Int(s.max_ns));
-            stages.insert(path.clone(), obj);
+            stages.insert(path.clone(), s.to_json());
         }
         root.insert("stages", stages);
 

@@ -114,6 +114,25 @@ impl Json {
         }
     }
 
+    /// A signed integer: `Int` when non-negative, else a `Float` (the
+    /// integer variant holds a `u64`). [`Json::as_i64`] reads it back.
+    pub fn signed(v: i64) -> Json {
+        if v >= 0 {
+            Json::Int(v as u64)
+        } else {
+            Json::Float(v as f64)
+        }
+    }
+
+    /// The integer [`Json::signed`] wrote, if this is a number.
+    pub fn as_i64(&self) -> Option<i64> {
+        match *self {
+            Json::Int(n) => Some(n as i64),
+            Json::Float(f) => Some(f as i64),
+            _ => None,
+        }
+    }
+
     /// Look up a key in an object, `None` for other variants.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {

@@ -22,9 +22,9 @@
 //! telemetry in *any* binary and dumps the [`PipelineReport`] JSON to
 //! `<path>` at process exit (no code changes required).
 //!
-//! A second, independent layer — the [`timeline`] — records timestamped
-//! events into bounded per-thread ring buffers and exports Chrome
-//! trace-event JSON (viewable in Perfetto / `chrome://tracing`). It is
+//! A second, independent layer — the [`timeline`] — records every span as
+//! a timestamped slice into bounded per-thread ring buffers and exports
+//! Chrome trace-event JSON (viewable in Perfetto / `chrome://tracing`). It is
 //! enabled by [`set_timeline_enabled`], and `INL_TRACE_JSON=<path>`
 //! enables it and dumps the trace at process exit.
 //!
@@ -155,7 +155,7 @@ fn flags_cell() -> &'static AtomicU8 {
     })
 }
 
-/// Both layer flags in one relaxed load.
+/// All four layer flags in one relaxed load.
 #[inline]
 pub(crate) fn flags() -> u8 {
     flags_cell().load(Ordering::Relaxed)
@@ -202,7 +202,7 @@ pub fn set_timeline_enabled(on: bool) {
     }
 }
 
-/// Turn decision-provenance recording on or off at runtime. The other two
+/// Turn decision-provenance recording on or off at runtime. The other
 /// layer flags are unaffected.
 pub fn set_explain_enabled(on: bool) {
     if on {
@@ -462,12 +462,51 @@ pub fn span(name: &'static str) -> SpanGuard {
     }
 }
 
+/// A [`span`] whose timeline slice carries integer arguments; created by
+/// [`span_args`]. The arguments live here, not in [`SpanGuard`], so a
+/// span without them pays nothing for them.
+#[must_use = "a span measures the scope it is bound to; bind it to a variable"]
+pub struct SpanArgsGuard {
+    span: SpanGuard,
+    args: timeline::Args,
+}
+
+/// [`span`] whose timeline slice carries up to [`timeline::MAX_ARGS`]
+/// integer arguments (a job's index, a chunk's bounds); extra ones are
+/// ignored. The registry and a [`capture`] see the span as [`span`]
+/// records it: by name and path, without the arguments.
+#[inline]
+pub fn span_args(name: &'static str, args: &[(&'static str, i64)]) -> SpanArgsGuard {
+    SpanArgsGuard {
+        span: span(name),
+        args: timeline::pack_args(args),
+    }
+}
+
+impl Drop for SpanArgsGuard {
+    fn drop(&mut self) {
+        // taken, so that the inner guard's own drop finds nothing to close
+        if let Some(start) = self.span.start.take() {
+            self.span.close(start, self.args);
+        }
+    }
+}
+
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(start) = self.start else { return };
+        if let Some(start) = self.start {
+            self.close(start, timeline::NO_ARGS);
+        }
+    }
+}
+
+impl SpanGuard {
+    /// Record the span opened at `start`, its timeline slice carrying
+    /// `args`.
+    fn close(&mut self, start: Instant, args: timeline::Args) {
         let ns = start.elapsed().as_nanos() as u64;
         if self.record & FLAG_TIMELINE != 0 {
-            timeline::complete_from(self.name, start, ns);
+            timeline::complete_from(self.name, start, ns, args);
         }
         if self.record & (FLAG_OBS | FLAG_CAPTURE) == 0 {
             return;

@@ -160,6 +160,17 @@ impl SpanSnapshot {
     pub fn mean_ns(&self) -> u64 {
         self.total_ns.checked_div(self.count).unwrap_or(0)
     }
+
+    /// `{"count", "total_ns", "min_ns", "max_ns"}`: a span's entry in a
+    /// [`PipelineReport`]'s `spans` and a capture's `stages` alike.
+    pub fn to_json(&self) -> Json {
+        let mut obj = Json::object();
+        obj.insert("count", Json::Int(self.count));
+        obj.insert("total_ns", Json::Int(self.total_ns));
+        obj.insert("min_ns", Json::Int(self.min_ns));
+        obj.insert("max_ns", Json::Int(self.max_ns));
+        obj
+    }
 }
 
 /// A point-in-time snapshot of all telemetry, plus caller-attached
@@ -279,12 +290,7 @@ impl PipelineReport {
 
         let mut spans = Json::object();
         for (path, s) in &self.spans {
-            let mut obj = Json::object();
-            obj.insert("count", Json::Int(s.count));
-            obj.insert("total_ns", Json::Int(s.total_ns));
-            obj.insert("min_ns", Json::Int(s.min_ns));
-            obj.insert("max_ns", Json::Int(s.max_ns));
-            spans.insert(path.clone(), obj);
+            spans.insert(path.clone(), s.to_json());
         }
         root.insert("spans", spans);
 

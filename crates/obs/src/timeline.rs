@@ -1,13 +1,22 @@
-//! Timeline tracing: timestamped events in bounded per-thread ring
-//! buffers, exported as Chrome trace-event JSON (open the file in
-//! Perfetto or `chrome://tracing`).
+//! Timeline tracing: every span as a timestamped slice in bounded
+//! per-thread ring buffers, exported as Chrome trace-event JSON (open the
+//! file in Perfetto or `chrome://tracing`).
 //!
 //! # Design
 //!
+//! * **Spans are the only source.** A [`crate::span`] that closes while
+//!   the layer is on becomes one Chrome "complete" event (`ph: "X"`, one
+//!   ring slot per slice, immune to begin/end unpairing under overflow)
+//!   under its bare name; [`crate::span_args`] attaches up to
+//!   [`MAX_ARGS`] integer arguments to it. There are no point-in-time
+//!   events: a pipeline stage is the slice of its span (`depend.analyze`,
+//!   `legal.check`, `complete.transform`, `codegen.generate`,
+//!   `vm.compile`), and the parallel executor's `exec.par.wavefront` and
+//!   `exec.par.chunk` spans carry their iteration counts and bounds.
 //! * **Hot path is lock-free.** Each thread records into its own ring via
 //!   a thread-local — no atomics, no locks, no allocation past the ring's
-//!   capacity. While the layer is disabled every probe is one relaxed
-//!   atomic load (the flag byte shared with the aggregate layer).
+//!   capacity. While the layer is disabled a span pays nothing here (the
+//!   flag byte shared with the other layers is read once, at open).
 //! * **Bounded.** A ring holds at most [`CAPACITY`] events. On overflow
 //!   the *oldest* event is dropped and counted — recording never blocks,
 //!   never reallocates, never panics.
@@ -20,15 +29,6 @@
 //!   until those threads exit. The retired list itself is bounded
 //!   ([`RETAIN_EVENT_BUDGET`]); beyond it whole oldest rings are dropped
 //!   and counted.
-//!
-//! Durations are recorded as Chrome "complete" events (`ph: "X"` — one
-//! ring slot per slice, immune to begin/end unpairing under overflow);
-//! point-in-time marks are "instant" events (`ph: "i"`). Pipeline stages
-//! record instants (`stage.dependence`, `stage.legality`,
-//! `stage.completion`, `stage.codegen`, `stage.vm-compile`), spans record
-//! slices automatically, and the parallel executor records one
-//! `exec.par.wavefront` slice per wavefront plus an `exec.par.chunk`
-//! slice per worker chunk.
 
 use crate::json::Json;
 use std::cell::RefCell;
@@ -46,32 +46,24 @@ pub const CAPACITY: usize = 16_384;
 /// dropped (bounds memory across many short-lived worker threads).
 pub const RETAIN_EVENT_BUDGET: usize = 1 << 20;
 
-/// Maximum args attached to one event.
+/// Maximum args attached to one slice.
 pub const MAX_ARGS: usize = 2;
 
-/// Chrome trace-event phase of a recorded event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Phase {
-    /// A duration slice (`ph: "X"`, start timestamp + duration).
-    Complete,
-    /// A point-in-time mark (`ph: "i"`, thread scope).
-    Instant,
-}
+/// A slice's integer arguments, unused slots `None`.
+pub(crate) type Args = [Option<(&'static str, i64)>; MAX_ARGS];
 
-/// One recorded timeline event. Names and arg keys are `&'static str` so
-/// the recording hot path never allocates.
+/// One recorded slice. Names and arg keys are `&'static str` so the
+/// recording hot path never allocates.
 #[derive(Clone, Copy, Debug)]
-pub struct Event {
-    /// Event name (shown as the slice label in trace viewers).
-    pub name: &'static str,
-    /// Chrome trace-event phase of this record.
-    pub phase: Phase,
+struct Event {
+    /// The span's name (shown as the slice label in trace viewers).
+    name: &'static str,
     /// Nanoseconds since the process epoch (first timeline use).
-    pub ts_ns: u64,
-    /// Duration in nanoseconds (0 for instants).
-    pub dur_ns: u64,
+    ts_ns: u64,
+    /// Duration in nanoseconds.
+    dur_ns: u64,
     /// Up to [`MAX_ARGS`] integer arguments (e.g. a chunk's bounds).
-    pub args: [Option<(&'static str, i64)>; MAX_ARGS],
+    args: Args,
 }
 
 /// The monotonic zero point all event timestamps are relative to
@@ -79,10 +71,6 @@ pub struct Event {
 pub(crate) fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
-}
-
-fn now_ns() -> u64 {
-    epoch().elapsed().as_nanos() as u64
 }
 
 fn instant_ns(at: Instant) -> u64 {
@@ -206,9 +194,11 @@ fn record(ev: Event) {
 
 // ------------------------------------------------------------- public API
 
-const NO_ARGS: [Option<(&'static str, i64)>; MAX_ARGS] = [None, None];
+pub(crate) const NO_ARGS: Args = [None, None];
 
-fn pack_args(args: &[(&'static str, i64)]) -> [Option<(&'static str, i64)>; MAX_ARGS] {
+/// The first [`MAX_ARGS`] of `args`, in order.
+#[inline]
+pub(crate) fn pack_args(args: &[(&'static str, i64)]) -> Args {
     let mut packed = NO_ARGS;
     for (slot, &arg) in packed.iter_mut().zip(args) {
         *slot = Some(arg);
@@ -216,84 +206,20 @@ fn pack_args(args: &[(&'static str, i64)]) -> [Option<(&'static str, i64)>; MAX_
     packed
 }
 
-/// Record an instant event (a point-in-time mark on the current thread's
-/// track). No-op while the timeline is disabled.
-#[inline]
-pub fn instant(name: &'static str) {
-    if crate::timeline_enabled() {
-        record(Event {
-            name,
-            phase: Phase::Instant,
-            ts_ns: now_ns(),
-            dur_ns: 0,
-            args: NO_ARGS,
-        });
-    }
-}
-
-/// RAII guard recording a complete (duration) event for its scope.
-#[must_use = "a timeline scope measures the region it is bound to"]
-pub struct ScopeGuard {
-    start: Option<Instant>,
-    name: &'static str,
-    args: [Option<(&'static str, i64)>; MAX_ARGS],
-}
-
-/// Open a timeline slice covering the guard's lifetime. No-op (no
-/// timestamp taken) while the timeline is disabled.
-#[inline]
-pub fn scope(name: &'static str) -> ScopeGuard {
-    scope_args(name, &[])
-}
-
-/// [`scope`] with up to [`MAX_ARGS`] integer arguments.
-#[inline]
-pub fn scope_args(name: &'static str, args: &[(&'static str, i64)]) -> ScopeGuard {
-    if !crate::timeline_enabled() {
-        return ScopeGuard {
-            start: None,
-            name,
-            args: NO_ARGS,
-        };
-    }
-    ScopeGuard {
-        start: Some(Instant::now()),
-        name,
-        args: pack_args(args),
-    }
-}
-
-impl Drop for ScopeGuard {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let dur_ns = start.elapsed().as_nanos() as u64;
-            record(Event {
-                name: self.name,
-                phase: Phase::Complete,
-                ts_ns: instant_ns(start),
-                dur_ns,
-                args: self.args,
-            });
-        }
-    }
-}
-
-/// Record a complete event from an already-measured interval (used by
-/// [`crate::SpanGuard`] so spans double as timeline slices).
-pub(crate) fn complete_from(name: &'static str, start: Instant, dur_ns: u64) {
+/// Record the slice of a span that opened at `start` and ran `dur_ns`.
+pub(crate) fn complete_from(name: &'static str, start: Instant, dur_ns: u64, args: Args) {
     record(Event {
         name,
-        phase: Phase::Complete,
         ts_ns: instant_ns(start),
         dur_ns,
-        args: NO_ARGS,
+        args,
     });
 }
 
 /// Drop every recorded event: retired rings, the calling thread's live
-/// ring, and the eviction tally. Rings on other live threads are cleared
-/// when those threads exit their next event is recorded into a fresh ring
-/// — for deterministic tests, reset from the only recording thread.
+/// ring, and the eviction tally. The live rings of other threads are not
+/// touched: they retire, events and all, when their threads exit — for
+/// deterministic tests, reset from the only recording thread.
 pub fn reset() {
     {
         let mut r = retired();
@@ -342,25 +268,12 @@ fn event_json(ev: &Event, tid: u32) -> Json {
     obj.insert("tid", Json::Int(tid as u64));
     // Chrome trace timestamps are microseconds; keep sub-µs precision.
     obj.insert("ts", Json::Float(ev.ts_ns as f64 / 1000.0));
-    match ev.phase {
-        Phase::Complete => {
-            obj.insert("ph", Json::Str("X".into()));
-            obj.insert("dur", Json::Float(ev.dur_ns as f64 / 1000.0));
-        }
-        Phase::Instant => {
-            obj.insert("ph", Json::Str("i".into()));
-            obj.insert("s", Json::Str("t".into()));
-        }
-    }
+    obj.insert("ph", Json::Str("X".into()));
+    obj.insert("dur", Json::Float(ev.dur_ns as f64 / 1000.0));
     if ev.args.iter().any(Option::is_some) {
         let mut args = Json::object();
-        for (key, value) in ev.args.iter().flatten() {
-            let v = *value;
-            if v >= 0 {
-                args.insert(*key, Json::Int(v as u64));
-            } else {
-                args.insert(*key, Json::Float(v as f64));
-            }
+        for &(key, value) in ev.args.iter().flatten() {
+            args.insert(key, Json::signed(value));
         }
         obj.insert("args", args);
     }
@@ -368,9 +281,10 @@ fn event_json(ev: &Event, tid: u32) -> Json {
 }
 
 /// Export everything visible from the calling thread as a Chrome
-/// trace-event JSON object (`traceEvents` array plus thread-name metadata
-/// and drop statistics in `otherData`). Non-destructive: successive
-/// exports see accumulated events; use [`reset`] to start over.
+/// trace-event JSON object (`traceEvents`: a `thread_name` metadata event
+/// per timeline row, then its slices; drop statistics in `otherData`).
+/// Non-destructive: successive exports see accumulated events; use
+/// [`reset`] to start over.
 pub fn export_chrome_trace() -> Json {
     let (rings, evicted) = snapshot();
     let mut events = Vec::new();
@@ -432,9 +346,8 @@ mod tests {
             .unwrap_or_else(|e| e.into_inner());
         crate::set_timeline_enabled(false);
         reset();
-        instant("tl.test.off");
-        let _s = scope("tl.test.off.scope");
-        drop(_s);
+        drop(crate::span("tl.test.off"));
+        drop(crate::span_args("tl.test.off.args", &[("lo", 1)]));
         let trace = export_chrome_trace();
         let Some(Json::Array(events)) = trace.get("traceEvents") else {
             panic!("missing traceEvents")
@@ -443,11 +356,12 @@ mod tests {
     }
 
     #[test]
-    fn scopes_and_instants_export_as_chrome_events() {
+    fn spans_export_as_chrome_slices() {
         let _g = begin();
         {
-            let _s = scope_args("tl.test.slice", &[("lo", 3), ("hi", 9)]);
-            instant("tl.test.mark");
+            // a third argument is past `MAX_ARGS` and dropped
+            let _s = crate::span_args("tl.test.slice", &[("lo", 3), ("hi", -9), ("x", 1)]);
+            drop(crate::span("tl.test.bare"));
         }
         let trace = export_chrome_trace();
         let Some(Json::Array(events)) = trace.get("traceEvents") else {
@@ -458,21 +372,24 @@ mod tests {
             .filter_map(|e| e.get("ph").and_then(Json::as_str))
             .collect();
         assert!(phs.contains(&"M"), "thread metadata missing: {phs:?}");
-        assert!(phs.contains(&"X"), "complete event missing: {phs:?}");
-        assert!(phs.contains(&"i"), "instant event missing: {phs:?}");
-        let slice = events
-            .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some("tl.test.slice"))
-            .expect("slice exported");
-        assert!(matches!(slice.get("ts"), Some(Json::Float(_))));
-        assert!(matches!(slice.get("dur"), Some(Json::Float(_))));
-        assert_eq!(
-            slice
-                .get("args")
-                .and_then(|a| a.get("lo"))
-                .and_then(Json::as_u64),
-            Some(3)
+        assert!(
+            phs.iter().all(|&ph| ph == "M" || ph == "X"),
+            "only slices and metadata: {phs:?}"
         );
+        let slice = |name: &str| {
+            events
+                .iter()
+                .find(|e| e.get("name").and_then(Json::as_str) == Some(name))
+                .unwrap_or_else(|| panic!("{name} exported"))
+        };
+        let with_args = slice("tl.test.slice");
+        assert!(matches!(with_args.get("ts"), Some(Json::Float(_))));
+        assert!(matches!(with_args.get("dur"), Some(Json::Float(_))));
+        let mut expected = Json::object();
+        expected.insert("lo", Json::Int(3));
+        expected.insert("hi", Json::Float(-9.0));
+        assert_eq!(with_args.get("args"), Some(&expected));
+        assert_eq!(slice("tl.test.bare").get("args"), None);
         crate::set_timeline_enabled(false);
     }
 
@@ -486,7 +403,7 @@ mod tests {
         // `join` waits for the OS thread.
         std::thread::spawn(|| {
             for _ in 0..CAPACITY + EXTRA {
-                instant("tl.test.flood");
+                drop(crate::span("tl.test.flood"));
             }
         })
         .join()
@@ -517,14 +434,14 @@ mod tests {
         // Both workers record *before* either exits (tids are pooled on
         // thread exit, so a fully-sequential pair could share one), and
         // both are joined as plain threads so their rings have retired.
-        instant("tl.test.main");
+        drop(crate::span("tl.test.main"));
         let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
         let workers: Vec<_> = (0..2)
             .map(|_| {
                 let barrier = barrier.clone();
                 std::thread::spawn(move || {
                     {
-                        let _sl = scope("tl.test.worker");
+                        let _sl = crate::span("tl.test.worker");
                         std::hint::black_box(0);
                     }
                     barrier.wait();

@@ -43,7 +43,6 @@ fn instrumented_work() {
         "INL_EXPLAIN_JSON implies the explain layer is enabled"
     );
     inl_obs::counter("exit_dump.child.events").add(7);
-    inl_obs::timeline::instant("exit_dump.child.marker");
     {
         let _s = inl_obs::span("exit_dump.child.work");
         std::hint::black_box(0u64);
@@ -116,7 +115,7 @@ fn env_dump_paths_produce_reports_at_process_exit(recording_thread: &str) {
         "child span present in dump"
     );
 
-    // Chrome trace: valid JSON whose events include the child's instant.
+    // Chrome trace: valid JSON whose events include the child's span slice.
     let trace_text = std::fs::read_to_string(&trace_path).expect("child dumped trace JSON");
     let trace = Json::parse(&trace_text).expect("trace dump is well-formed JSON");
     let events = match trace.get("traceEvents") {
@@ -125,10 +124,10 @@ fn env_dump_paths_produce_reports_at_process_exit(recording_thread: &str) {
     };
     assert!(
         events.iter().any(|e| {
-            e.get("name").and_then(Json::as_str) == Some("exit_dump.child.marker")
-                && e.get("ph").and_then(Json::as_str) == Some("i")
+            e.get("name").and_then(Json::as_str) == Some("exit_dump.child.work")
+                && e.get("ph").and_then(Json::as_str) == Some("X")
         }),
-        "child instant present in trace dump"
+        "child span slice present in trace dump"
     );
 
     // Explain artifact: versioned JSON whose records include the child's

@@ -24,7 +24,7 @@ fn explain_overflow_with_timeline_live_keeps_layers_independent() {
     std::thread::spawn(move || {
         for i in 0..total as i64 {
             explain::accept("test", format!("subject {i}"), "flood").feature("i", i);
-            timeline::instant("explain_overflow.tick");
+            drop(inl_obs::span("explain_overflow.tick"));
         }
     })
     .join()

@@ -13,7 +13,7 @@
 use crate::{schedule_with, SchedConfig, SchedError, SearchStats};
 use inl_codegen::PredictedCost;
 use inl_core::recipe::Recipe;
-use inl_exec::profile::{self, LoopProfile};
+use inl_exec::profile::{self, LoopProfile, Samples};
 use inl_exec::{run_fresh, Machine, VmRunner};
 use inl_ir::zoo::{self, spd_init};
 use inl_ir::{LoopId, Node, Program};
@@ -66,17 +66,16 @@ pub struct MeasuredVariant {
 }
 
 /// The profile of `p`'s hottest innermost loop — the one whose body ran
-/// the most iterations, the first in program order among equals — in the
-/// profiled runs of `runner`.
-fn hottest_observed(runner: &VmRunner, p: &Program) -> Option<LoopProfile> {
+/// the most iterations, the first in program order among equals — in a
+/// profiled run of `runner`.
+fn hottest_observed(runner: &VmRunner, p: &Program, counts: &Samples) -> Option<LoopProfile> {
     let cp = runner.compiled();
-    let counts = profile::pc_counts(cp)?;
     let innermost = p.loops().filter(|&l| {
         let children = &p.loop_decl(l).children;
         !children.iter().any(|c| matches!(c, Node::Loop(_)))
     });
     innermost
-        .filter_map(|l: LoopId| profile::loop_profile(cp, Some(p), &counts, l))
+        .filter_map(|l: LoopId| profile::loop_profile(cp, Some(p), counts, l))
         .min_by_key(|l| Reverse(l.iterations))
 }
 
@@ -176,18 +175,13 @@ pub fn sweep_program(
             *best = (*best).min(t.elapsed().as_nanos() as u64);
         }
     }
-    // one more, untimed and profiled: which executor ran each variant
-    let was_profiling = profile::enabled();
-    profile::set_enabled(true);
-    for (v, runner) in variants.iter().zip(&runners) {
-        runner.run(&mut Machine::new(&v.program, params, &spd_init));
-    }
-    profile::set_enabled(was_profiling);
     let measured: Vec<MeasuredVariant> = variants
         .iter()
         .zip(&runners)
         .zip(best_ns_per)
         .map(|((v, runner), ns)| {
+            // one more, untimed and profiled: which executor ran each variant
+            let counts = runner.run_profiled(&mut Machine::new(&v.program, params, &spd_init));
             let predicted = v.features.predicted.clone();
             let predicted_loop = predicted
                 .hottest()
@@ -197,7 +191,7 @@ pub fn sweep_program(
                 recipe: v.recipe.clone(),
                 predicted,
                 predicted_loop,
-                observed: hottest_observed(runner, &v.program),
+                observed: hottest_observed(runner, &v.program, &counts),
                 ns,
             }
         })

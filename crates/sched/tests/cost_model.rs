@@ -12,8 +12,6 @@
 //!   were fitted on — says, so the table's terms are the ones the model
 //!   computes today (the codegen test
 //!   `the_constants_are_the_fit_of_the_committed_sweep` reruns the fit).
-//!
-//! The VM profile is process-global, so this is a test binary of its own.
 
 use inl_exec::profile;
 use inl_exec::{Machine, VmRunner};
@@ -22,7 +20,6 @@ use inl_sched::schedule;
 
 #[test]
 fn predicted_executors_are_the_ones_the_vm_runs() {
-    profile::set_enabled(true);
     let (mut loops, mut variants) = (0, 0);
     let mut by_executor = std::collections::BTreeMap::new();
     for &(name, ctor) in zoo::ALL {
@@ -32,9 +29,9 @@ fn predicted_executors_are_the_ones_the_vm_runs() {
         for v in result.materialise_all(0).expect("finishes") {
             variants += 1;
             let runner = VmRunner::new(&v.program);
-            runner.run(&mut Machine::new(&v.program, &params, &zoo::spd_init));
+            let counts =
+                runner.run_profiled(&mut Machine::new(&v.program, &params, &zoo::spd_init));
             let cp = runner.compiled();
-            let counts = profile::pc_counts(cp).expect("profiled");
             for inner in &v.features.predicted.inner {
                 let Some(seen) = profile::loop_profile(cp, Some(&v.program), &counts, inner.id)
                 else {
@@ -53,7 +50,6 @@ fn predicted_executors_are_the_ones_the_vm_runs() {
             }
         }
     }
-    profile::set_enabled(false);
     assert_eq!(variants, 283, "every ranked leaf");
     assert!(loops > variants, "{loops} innermost loops");
     // both trip executors occur, so the oracle tells them apart; no zoo

@@ -300,9 +300,7 @@ fn session(shared: &Shared, stream: TcpStream, addr: SocketAddr) {
         };
         let request_id = shared.next_request_id.fetch_add(1, Ordering::Relaxed);
         let req_start = Instant::now();
-        let _req_span = inl_obs::span("serve.request");
-        let _scope =
-            inl_obs::timeline::scope_args("serve.request", &[("request_id", request_id as i64)]);
+        let _req_span = inl_obs::span_args("serve.request", &[("request_id", request_id as i64)]);
         shared.stats.requests.fetch_add(1, Ordering::Relaxed);
         shared.stats.enter_request();
         shared

@@ -342,9 +342,6 @@ pub struct LoopMeta {
 /// Bind parameters with [`CompiledProgram::bind`] to make it runnable.
 #[derive(Clone, Debug)]
 pub struct CompiledProgram {
-    /// Process-unique compilation id (assigned by [`crate::compile()`]),
-    /// keying this program's profile samples in [`crate::profile`].
-    pub id: u64,
     /// Source program name.
     pub name: String,
     /// Number of parameters (integer registers `0 .. nparams`).

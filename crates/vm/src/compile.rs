@@ -44,7 +44,6 @@ fn c64(v: Int) -> i64 {
 /// with divisors, …) — compile only validated programs.
 pub fn compile(p: &Program) -> CompiledProgram {
     let _span = inl_obs::span("vm.compile");
-    inl_obs::timeline::instant("stage.vm-compile");
     let mut c = Compiler {
         p,
         nparams: p.nparams(),
@@ -77,9 +76,7 @@ pub fn compile(p: &Program) -> CompiledProgram {
         });
     }
     c.emit_nodes(p.root());
-    static NEXT_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     CompiledProgram {
-        id: NEXT_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         name: p.name().to_string(),
         nparams: c.nparams,
         nloops: p.nloops(),

@@ -112,11 +112,12 @@
 //! batches the `vm.instrs` / `vm.instances` counters, and the trips each
 //! kernel executor ran (`vm.trips.columns` / `vm.trips.carried`; a kernel
 //! header's trips handed back to the dispatcher count under
-//! `vm.trips.dispatch`), locally and flushes once per [`exec_range`] call. The optional [`profile`] mode
-//! ([`profile::set_enabled`]) additionally counts executions per instruction
-//! address with the same per-`exec_range` batching, from which hot
-//! opcode/statement/loop tables are derived — the loop table says which
-//! executor ran each loop.
+//! `vm.trips.dispatch`), locally and flushes once per [`exec_range`] call.
+//! [`run_profiled`] is [`run()`] that also counts executions per instruction
+//! address and returns the counts, [`profile::Samples`], from which the
+//! [`profile`] module derives hot opcode/statement/loop tables — the loop
+//! table says which executor ran each loop. A profile is a value of the run
+//! that made it: nothing is switched on, and nothing is kept.
 
 pub mod bytecode;
 pub mod compile;
@@ -125,7 +126,7 @@ pub mod run;
 
 pub use bytecode::{BoundProgram, CompiledProgram, GuardKind, Instr, Opcode, Row};
 pub use compile::compile;
-pub use run::{exec_range, run, SharedBuf, VmState};
+pub use run::{exec_range, run, run_profiled, SharedBuf, VmState};
 
 #[cfg(test)]
 mod tests {

@@ -1,47 +1,24 @@
-//! Optional VM opcode profiling: per-instruction-address execution
-//! counts, batched per [`crate::exec_range`] call.
+//! VM opcode profiles: per-instruction-address execution counts of one
+//! run, and the tables derived from them.
 //!
-//! When enabled ([`set_enabled`]), the dispatch loop counts executions
-//! per program counter into a stack-local vector and [`flush`]es it into
-//! a global sink once per `exec_range` — the same batching discipline as
-//! the `vm.instrs` counter, so the per-instruction
-//! cost is one unconditional array increment in a monomorphised copy of
-//! the loop (the unprofiled copy is untouched; disabled cost is one
-//! relaxed atomic load per `exec_range`, not per instruction).
+//! [`crate::run_profiled`] runs a program like [`crate::run()`] and returns
+//! its [`Samples`]: a monomorphised copy of the dispatch loop adds one
+//! unconditional array increment per instruction, the plain copy that
+//! [`crate::run()`] and [`crate::exec_range`] use is untouched, and there is
+//! no mode to switch and no store to read back — a profile is a value of
+//! the run that made it, so two runs of one program on two threads get one
+//! each.
 //!
 //! Because bytecode is static, per-pc counts are a complete profile:
 //! opcode totals ([`opcode_totals`]), per-statement instance/instruction
 //! counts ([`hot_statements`] — a statement's `Store` count *is* its
 //! instance count), and per-loop-body iteration/instruction counts
-//! ([`loop_profiles`]) are all derived views. Each flush additionally
-//! records every loop's body-instruction total into the
-//! `vm.loop_body.instrs` obs histogram, giving a distribution of
-//! per-`exec_range` loop work alongside the exact tables.
-//!
-//! Profiles are keyed by [`CompiledProgram::id`], so many compiled
-//! programs can be profiled in one process without interference.
+//! ([`loop_profiles`]) are all derived views.
 
 use crate::bytecode::{CompiledProgram, Opcode};
 use crate::run::Executor;
 use inl_ir::{LoopId, Program, StmtId};
-use std::collections::HashMap;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// True iff opcode profiling is on (one relaxed atomic load; checked once
-/// per `exec_range`, not per instruction).
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turn profiling on or off at runtime.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
 
 /// What profiling samples per instruction address. Dereferences to the
 /// execution counts, the input of every derived view.
@@ -69,63 +46,6 @@ impl Deref for Samples {
     fn deref(&self) -> &[u64] {
         &self.pcs
     }
-}
-
-/// Samples accumulated per [`CompiledProgram::id`].
-fn sink() -> MutexGuard<'static, HashMap<u64, Samples>> {
-    static SINK: OnceLock<Mutex<HashMap<u64, Samples>>> = OnceLock::new();
-    SINK.get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Merge one `exec_range`'s samples into the program's profile.
-/// Called by the dispatch loop; also usable directly by custom drivers.
-pub fn flush(id: u64, counts: &Samples) {
-    if counts.iter().all(|&c| c == 0) {
-        return;
-    }
-    let mut map = sink();
-    let acc = map.entry(id).or_default();
-    if acc.pcs.len() < counts.pcs.len() {
-        acc.pcs.resize(counts.pcs.len(), 0);
-        acc.trips.resize(counts.trips.len(), [0; 2]);
-    }
-    for (a, &c) in acc.pcs.iter_mut().zip(&counts.pcs) {
-        *a += c;
-    }
-    for (a, c) in acc.trips.iter_mut().zip(&counts.trips) {
-        for (lane, n) in a.iter_mut().zip(c) {
-            *lane += n;
-        }
-    }
-}
-
-/// Record per-loop body-instruction totals for one flush into the
-/// `vm.loop_body.instrs` histogram (requires the compiled program, so the
-/// dispatch loop calls it next to [`flush`]).
-pub fn record_loop_bodies(cp: &CompiledProgram, counts: &[u64]) {
-    for meta in cp.loops.iter().flatten() {
-        let (s, e) = meta.body;
-        let body: u64 = counts
-            .get(s as usize..e as usize)
-            .map_or(0, |c| c.iter().sum());
-        if body > 0 {
-            inl_obs::hist_record!("vm.loop_body.instrs", body);
-        }
-    }
-}
-
-/// Drop every accumulated profile.
-pub fn reset() {
-    sink().clear();
-}
-
-/// The accumulated samples for a program, if it was ever executed under
-/// profiling, indexed by instruction address (at most `cp.code.len()`
-/// entries).
-pub fn pc_counts(cp: &CompiledProgram) -> Option<Samples> {
-    sink().get(&cp.id).cloned()
 }
 
 /// Total executions of one opcode.
@@ -296,14 +216,11 @@ pub fn loop_profiles(
     out
 }
 
-/// Render the "hot opcodes / hot statements / hot loops" tables for a
-/// profiled program (empty string when it has no samples).
-pub fn render_tables(cp: &CompiledProgram, p: Option<&Program>) -> String {
-    let Some(counts) = pc_counts(cp) else {
-        return String::new();
-    };
+/// Render the "hot opcodes / hot statements / hot loops" tables of one
+/// profiled run of `cp`.
+pub fn render_tables(cp: &CompiledProgram, p: Option<&Program>, counts: &Samples) -> String {
     let mut out = String::new();
-    let ops = opcode_totals(cp, &counts);
+    let ops = opcode_totals(cp, counts);
     let total: u64 = ops.iter().map(|o| o.executed).sum();
     out.push_str(&format!(
         "hot opcodes ({}, {} instructions executed)\n",
@@ -319,7 +236,7 @@ pub fn render_tables(cp: &CompiledProgram, p: Option<&Program>) -> String {
             o.executed as f64 / total.max(1) as f64 * 100.0
         ));
     }
-    let stmts = hot_statements(cp, p, &counts);
+    let stmts = hot_statements(cp, p, counts);
     if !stmts.is_empty() {
         out.push_str("hot statements\n");
         out.push_str("  stmt      instances        instrs  instrs/instance\n");
@@ -333,7 +250,7 @@ pub fn render_tables(cp: &CompiledProgram, p: Option<&Program>) -> String {
             ));
         }
     }
-    let loops = loop_profiles(cp, p, &counts);
+    let loops = loop_profiles(cp, p, counts);
     if !loops.is_empty() {
         out.push_str("hot loops\n");
         out.push_str("  loop   headers  iterations   body instrs  mode\n");
@@ -351,19 +268,18 @@ pub fn render_tables(cp: &CompiledProgram, p: Option<&Program>) -> String {
     out
 }
 
-/// The profile as a JSON section for telemetry reports.
-pub fn to_json(cp: &CompiledProgram, p: Option<&Program>) -> inl_obs::Json {
+/// One profiled run of `cp` as a JSON section for telemetry reports.
+pub fn to_json(cp: &CompiledProgram, p: Option<&Program>, counts: &Samples) -> inl_obs::Json {
     use inl_obs::Json;
     let mut root = Json::object();
     root.insert("program", Json::Str(cp.name.clone()));
-    let counts = pc_counts(cp).unwrap_or_default();
     let mut ops = Json::object();
-    for o in opcode_totals(cp, &counts) {
+    for o in opcode_totals(cp, counts) {
         ops.insert(o.opcode.name(), Json::Int(o.executed));
     }
     root.insert("opcodes", ops);
     let mut stmts = Json::object();
-    for s in hot_statements(cp, p, &counts) {
+    for s in hot_statements(cp, p, counts) {
         let mut obj = Json::object();
         obj.insert("instances", Json::Int(s.instances));
         obj.insert("instrs", Json::Int(s.instrs));
@@ -371,7 +287,7 @@ pub fn to_json(cp: &CompiledProgram, p: Option<&Program>) -> inl_obs::Json {
     }
     root.insert("statements", stmts);
     let mut loops = Json::object();
-    for l in loop_profiles(cp, p, &counts) {
+    for l in loop_profiles(cp, p, counts) {
         let mut obj = Json::object();
         obj.insert("headers", Json::Int(l.header_execs));
         obj.insert("iterations", Json::Int(l.iterations));
@@ -388,44 +304,40 @@ pub fn to_json(cp: &CompiledProgram, p: Option<&Program>) -> inl_obs::Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compile, run};
+    use crate::{compile, run, run_profiled, BoundProgram};
     use inl_ir::zoo;
 
-    // The profile flag and sink are process-global; serialize tests that
-    // toggle them.
-    static LOCK: Mutex<()> = Mutex::new(());
+    /// Arrays for `bp` whose every cell is `v`.
+    fn filled(bp: &BoundProgram, v: f64) -> Vec<Vec<f64>> {
+        bp.arrays.iter().map(|a| vec![v; a.len]).collect()
+    }
 
-    /// Run the whole program on arrays whose every cell is `v`.
-    fn run_filled(bp: &crate::BoundProgram, v: f64) {
-        let mut arrays: Vec<Vec<f64>> = bp.arrays.iter().map(|a| vec![v; a.len]).collect();
-        let mut slices: Vec<&mut [f64]> = arrays.iter_mut().map(Vec::as_mut_slice).collect();
-        run(bp, &mut slices);
+    fn slices(arrays: &mut [Vec<f64>]) -> Vec<&mut [f64]> {
+        arrays.iter_mut().map(Vec::as_mut_slice).collect()
     }
 
     #[test]
-    fn disabled_profiling_collects_nothing() {
-        let _l = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_enabled(false);
-        reset();
-        let p = zoo::simple_cholesky();
+    fn a_profiled_run_computes_and_counts_what_a_plain_run_does() {
+        let p = zoo::cholesky_kij();
         let cp = compile(&p);
-        let bp = cp.bind(&[4]);
-        run_filled(&bp, 9.0);
-        assert!(pc_counts(&cp).is_none());
+        let bp = cp.bind(&[9]);
+        let (mut plain, mut profiled) = (filled(&bp, 9.0), filled(&bp, 9.0));
+        let ((), plain_seen) = inl_obs::capture::with(|| run(&bp, &mut slices(&mut plain)));
+        let (counts, seen) =
+            inl_obs::capture::with(|| run_profiled(&bp, &mut slices(&mut profiled)));
+        let bits = |a: &[Vec<f64>]| a.concat().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&plain), bits(&profiled));
+        assert_eq!(plain_seen.counters, seen.counters);
+        assert_eq!(counts.iter().sum::<u64>(), seen.counters["vm.instrs"]);
     }
 
     #[test]
     fn profile_counts_match_known_cholesky_shape() {
-        let _l = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_enabled(true);
-        reset();
         let p = zoo::simple_cholesky();
         let cp = compile(&p);
         let bp = cp.bind(&[4]);
-        run_filled(&bp, 9.0);
-        set_enabled(false);
+        let counts = run_profiled(&bp, &mut slices(&mut filled(&bp, 9.0)));
 
-        let counts = pc_counts(&cp).expect("profiled run recorded");
         // N=4: S1 (sqrt) runs 4 times; S2 (divide) runs 3+2+1 = 6 times.
         let stmts = hot_statements(&cp, Some(&p), &counts);
         let by_name = |n: &str| stmts.iter().find(|s| s.name == n).unwrap();
@@ -448,26 +360,39 @@ mod tests {
         assert_eq!(j.iterations, 6);
         assert!(j.header_execs > 0);
 
-        let tables = render_tables(&cp, Some(&p));
+        let tables = render_tables(&cp, Some(&p), &counts);
         assert!(tables.contains("hot opcodes"));
         assert!(tables.contains("store"));
         assert!(tables.contains("S2"));
     }
 
     #[test]
-    fn profiles_are_keyed_per_program() {
-        let _l = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_enabled(true);
-        reset();
-        let p1 = zoo::simple_cholesky();
-        let p2 = zoo::matmul();
-        let cp1 = compile(&p1);
-        let cp2 = compile(&p2);
-        assert_ne!(cp1.id, cp2.id);
-        let bp = cp1.bind(&[3]);
-        run_filled(&bp, 4.0);
-        set_enabled(false);
-        assert!(pc_counts(&cp1).is_some());
-        assert!(pc_counts(&cp2).is_none());
+    fn a_profile_belongs_to_its_run() {
+        // One compiled program, two runs on two threads at once, each on
+        // its own size: each run's samples are what a lone run of the same
+        // input returns, nothing of the other's merged in.
+        let p = zoo::cholesky_kij();
+        let cp = compile(&p);
+        let lone = |n| {
+            let bp = cp.bind(&[n]);
+            run_profiled(&bp, &mut slices(&mut filled(&bp, 7.0)))
+        };
+        let sizes = [6, 11];
+        let expected = sizes.map(lone);
+        let start = std::sync::Barrier::new(sizes.len());
+        let together = std::thread::scope(|scope| {
+            let runs = sizes.map(|n| {
+                let (cp, start) = (&cp, &start);
+                scope.spawn(move || {
+                    let bp = cp.bind(&[n]);
+                    let mut arrays = filled(&bp, 7.0);
+                    start.wait();
+                    run_profiled(&bp, &mut slices(&mut arrays))
+                })
+            });
+            runs.map(|r| r.join().expect("profiled run"))
+        });
+        assert_eq!(together, expected);
+        assert_ne!(expected[0], expected[1]);
     }
 }

@@ -363,8 +363,8 @@ fn ix(i: impl Into<usize>) -> usize {
     i.into() & 7
 }
 
-/// What a dispatch has run, flushed to the counters and the profile once
-/// per [`exec_range`].
+/// What a dispatch has run, flushed to the counters once per
+/// [`exec_range`] or [`run_profiled`].
 #[derive(Default)]
 struct Tally {
     instrs: u64,
@@ -373,7 +373,8 @@ struct Tally {
     kernel_trips: [u64; 2],
     /// Trips of kernel loops handed back to the dispatcher.
     handed_back: u64,
-    /// Executions per instruction address, when profiling.
+    /// Executions per instruction address, when profiling (empty
+    /// otherwise).
     samples: Samples,
 }
 
@@ -679,22 +680,11 @@ fn outer_trips<const PROFILE: bool>(
 ///
 /// The `vm.instrs` / `vm.instances` counters are accumulated locally and
 /// flushed **once** on return (batched far coarser than per innermost
-/// trip), so telemetry costs nothing on the per-instance path. When
-/// [`crate::profile`] is enabled (checked once per call), the dispatch
-/// loop additionally counts executions per instruction address into a
-/// local vector and flushes it to the profile sink on return — the same
-/// batching discipline.
+/// trip), so telemetry costs nothing on the per-instance path.
 pub fn exec_range(bp: &BoundProgram, st: &mut VmState, buf: &SharedBuf<'_>, start: Pc, end: Pc) {
     buf.check(bp);
     let mut tally = Tally::default();
-    if crate::profile::enabled() {
-        tally.samples = Samples::zeroed(bp.cp.code.len());
-        dispatch::<true>(bp, st, buf, start, end, &mut tally);
-        crate::profile::record_loop_bodies(bp.cp, &tally.samples);
-        crate::profile::flush(bp.cp.id, &tally.samples);
-    } else {
-        dispatch::<false>(bp, st, buf, start, end, &mut tally);
-    }
+    dispatch::<false>(bp, st, buf, start, end, &mut tally);
     tally.flush();
 }
 
@@ -838,4 +828,21 @@ pub fn run(bp: &BoundProgram, arrays: &mut [&mut [f64]]) {
         0,
         bp.cp.code.len() as Pc,
     );
+}
+
+/// [`run`], counting as it goes how often each instruction executed and
+/// how many trips each trip executor ran, and return those counts: the
+/// input of every [`crate::profile`] view. The counters are flushed as
+/// [`run`] flushes them; the samples belong to this run alone.
+pub fn run_profiled(bp: &BoundProgram, arrays: &mut [&mut [f64]]) -> Samples {
+    let buf = SharedBuf::new(arrays);
+    buf.check(bp);
+    let mut tally = Tally {
+        samples: Samples::zeroed(bp.cp.code.len()),
+        ..Tally::default()
+    };
+    let end = bp.cp.code.len() as Pc;
+    dispatch::<true>(bp, &mut bp.new_state(), &buf, 0, end, &mut tally);
+    tally.flush();
+    tally.samples
 }

@@ -999,9 +999,8 @@ fn counters_and_profile_equal_the_dispatchers_closed_form() {
             let body_len = (inner.body.1 - inner.body.0) as u64;
 
             let mut arrays = filled(&bp, 1.5);
-            profile::set_enabled(true);
-            let ((), seen) = inl_obs::capture::with(|| inl_vm::run(&bp, &mut slices(&mut arrays)));
-            profile::set_enabled(false);
+            let (counts, seen) =
+                inl_obs::capture::with(|| inl_vm::run_profiled(&bp, &mut slices(&mut arrays)));
             let what = format!("{mode}, triangular {triangular}, N {n}");
 
             // I's header, then per I trip: J's header, J's trips, I's latch.
@@ -1012,7 +1011,6 @@ fn counters_and_profile_equal_the_dispatchers_closed_form() {
             let ran = LANES.map(|lane| if lane == mode { all } else { 0 });
             assert_eq!(lanes(&seen), ran, "{what}");
 
-            let counts = profile::pc_counts(&cp).expect("profiled");
             assert_eq!(counts.iter().sum::<u64>(), instrs, "{what}");
             for pc in 0..cp.ninstrs() as u32 {
                 let expected = match pc {
@@ -1032,7 +1030,7 @@ fn counters_and_profile_equal_the_dispatchers_closed_form() {
                 "{what}"
             );
             assert_eq!(j.trips_columns + j.trips_carried + j.trips_dispatch(), all);
-            let tables = profile::render_tables(&cp, Some(&p));
+            let tables = profile::render_tables(&cp, Some(&p), &counts);
             assert!(tables.contains("mode") && tables.contains(mode), "{tables}");
         }
     }

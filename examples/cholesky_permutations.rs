@@ -31,11 +31,7 @@ use std::time::Instant;
 /// and which trip executor ran it (`mixed`: with the share of its trips that
 /// the header handed back to the dispatcher).
 fn hottest_kernel(runner: &VmRunner, p: &Program, template: &Machine) -> String {
-    profile::reset();
-    profile::set_enabled(true);
-    runner.run(&mut template.clone());
-    profile::set_enabled(false);
-    let counts = profile::pc_counts(runner.compiled()).expect("a profiled run");
+    let counts = runner.run_profiled(&mut template.clone());
     let loops = profile::loop_profiles(runner.compiled(), Some(p), &counts);
     let Some(hot) = loops.iter().find(|l| l.mode() != "dispatch") else {
         return "dispatch".into();

@@ -12,8 +12,8 @@
 //! ```
 //!
 //! The trace is available from any binary with zero code changes:
-//! `INL_TRACE_JSON=trace.json ./your-binary`. Opcode profiling is switched
-//! on in code (`inl::vm::profile::set_enabled(true)`).
+//! `INL_TRACE_JSON=trace.json ./your-binary`. An opcode profile is what a
+//! profiled run returns (`VmRunner::run_profiled`).
 
 use inl::exec::{run_fresh, Machine, ParallelExecutor, VmRunner};
 use inl::ir::zoo;
@@ -31,7 +31,6 @@ fn main() {
     // atomic load. Turn everything on explicitly for the demo.
     inl::obs::set_enabled(true);
     inl::obs::set_timeline_enabled(true);
-    inl::vm::profile::set_enabled(true);
 
     let n: i128 = 96;
 
@@ -39,12 +38,11 @@ fn main() {
     //    dominate the instruction stream?
     let p = zoo::cholesky_kij();
     let runner = VmRunner::new(&p);
-    let mut m = Machine::new(&p, &[n], &spd);
-    runner.run(&mut m);
+    let samples = runner.run_profiled(&mut Machine::new(&p, &[n], &spd));
     println!("== VM opcode profile (cholesky_kij, N = {n}) ==\n");
     print!(
         "{}",
-        inl::vm::profile::render_tables(runner.compiled(), Some(&p))
+        inl::vm::profile::render_tables(runner.compiled(), Some(&p), &samples)
     );
 
     // 2. Parallel run: the trace gets one `exec.par.wavefront` slice per
@@ -73,7 +71,7 @@ fn main() {
     let mut report = inl::obs::PipelineReport::capture();
     report.attach(
         "vm_profile",
-        inl::vm::profile::to_json(runner.compiled(), Some(&p)),
+        inl::vm::profile::to_json(runner.compiled(), Some(&p), &samples),
     );
     print!("{}", report.to_table());
 }

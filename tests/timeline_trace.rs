@@ -85,9 +85,6 @@ fn parallel_cholesky_trace_loads_as_chrome_json_with_worker_tids() {
                 assert!(matches!(e.get("ts"), Some(Json::Float(_))), "ts µs");
                 assert!(matches!(e.get("dur"), Some(Json::Float(_))), "dur µs");
             }
-            "i" => {
-                assert_eq!(e.get("s").and_then(Json::as_str), Some("t"));
-            }
             other => panic!("unexpected phase {other:?}"),
         }
         if !tids.contains(&tid) {
