@@ -15,7 +15,7 @@
 //! one place a wall-clock time becomes a verdict. The exit status is
 //! non-zero when a tiled kernel diverges bitwise from the untiled one (a
 //! `NO` cell). The kernels, `SpinBarrier` and their agreement tests live
-//! in this file so that ROADMAP items 3 (native code generation) and 5
+//! in this file so that ROADMAP items 4 (native code generation) and 6
 //! (scheduler-chosen parallel wavefronts) delete it whole.
 
 use inl_ir::zoo::spd_init;

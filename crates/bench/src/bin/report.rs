@@ -301,9 +301,8 @@ fn main() -> ExitCode {
         .write_file(&json_path)
         .expect("write counter gate JSON");
     println!(
-        "telemetry: {} counters, {} histograms, {} spans; deterministic counters -> {}",
+        "telemetry: {} counters, {} spans; deterministic counters -> {}",
         report.counters.len(),
-        report.histograms.len(),
         report.spans.len(),
         json_path.display()
     );

@@ -44,8 +44,8 @@ impl Trace {
     }
 
     /// Aggregate the trace: per-statement instance counts plus a loop-depth
-    /// histogram. This is what the pipeline report surfaces as its `trace`
-    /// section.
+    /// histogram. The `observability` example prints it beside the
+    /// pipeline report.
     pub fn summary(&self, p: &Program) -> TraceSummary {
         let mut per_stmt: Vec<(String, usize)> = Vec::new();
         let mut depth_histogram: Vec<usize> = Vec::new();
@@ -95,7 +95,7 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
-    /// Convert to a JSON section for [`inl_obs::PipelineReport::attach`].
+    /// Convert to JSON.
     pub fn to_json(&self) -> inl_obs::Json {
         use inl_obs::Json;
         let mut obj = Json::object();

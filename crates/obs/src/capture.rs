@@ -218,11 +218,6 @@ pub fn with<T>(f: impl FnOnce() -> T) -> (T, Capture) {
     (out, capture)
 }
 
-/// True iff a capture is active **on this thread**.
-pub fn active() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
-}
-
 /// Record a counter bump into this thread's capture, if one is active.
 /// Called from [`crate::counter_add!`]; harmless to call directly.
 #[inline]
@@ -342,7 +337,7 @@ mod tests {
         assert_eq!(stage.count, 1);
         assert!(stage.max_ns >= stage.min_ns);
         // Global layer stayed off: nothing leaked into the registry.
-        assert_eq!(crate::counter_value("obs.test.capture.counter"), 0);
+        assert_eq!(crate::counter("obs.test.capture.counter").get(), 0);
         assert!(!crate::registry()
             .spans
             .lock()
@@ -360,7 +355,7 @@ mod tests {
         });
         crate::counter_add!("obs.test.capture.both", 5); // outside the window
         assert_eq!(cap.counters.get("obs.test.capture.both"), Some(&2));
-        assert_eq!(crate::counter_value("obs.test.capture.both"), 7);
+        assert_eq!(crate::counter("obs.test.capture.both").get(), 7);
         crate::set_enabled(false);
     }
 
@@ -378,7 +373,7 @@ mod tests {
         });
         assert_eq!(outer.counters.get("obs.test.capture.outer"), Some(&1));
         assert!(!outer.counters.contains_key("obs.test.capture.inner"));
-        assert!(!active());
+        assert!(CURRENT.with(|c| c.borrow().is_none()));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! # inl-obs
 //!
 //! Observability for the `inl` transformation pipeline: scoped wall-time
-//! **spans**, monotonic **counters**, and log₂-bucketed **histograms**,
-//! aggregated in a process-wide registry and rendered as a
-//! [`PipelineReport`] (human-readable table or JSON).
+//! **spans** and monotonic **counters**, aggregated in a process-wide
+//! registry and rendered as a [`PipelineReport`] (human-readable table or
+//! JSON).
 //!
 //! The layer is built to be *always on*:
 //!
@@ -11,9 +11,9 @@
 //!   telemetry is disabled (the default);
 //! * enabling costs one `Instant::now()` pair per span, one `fetch_add`
 //!   per counter bump (handles are cached at the call site by the
-//!   [`counter_add!`]/[`hist_record!`] macros), and one short mutex
-//!   acquisition per span *exit* — cheap enough that hot interpreter
-//!   loops budget under 5 % overhead (measured by the system benchmark:
+//!   [`counter_add!`] macro), and one short mutex acquisition per span
+//!   *exit* — cheap enough that hot interpreter loops budget under 5 %
+//!   overhead (measured by the system benchmark:
 //!   `obs.trace_overhead_pct.*` in `benchmark/`).
 //!
 //! Telemetry is switched on by calling [`set_enabled`]`(true)`. The
@@ -37,10 +37,8 @@
 //! A fourth concern — request-scoped [`capture`] — reuses the same
 //! instruments to attribute counters, span durations, and explain
 //! verdicts to *one request* (the compile service streams the result
-//! back to clients), and the [`window`] module aggregates per-request
-//! latencies into a sliding window of live percentiles. All layers share
-//! one flag byte, so "everything disabled" still costs exactly one
-//! relaxed atomic load per instrument.
+//! back to clients). All layers share one flag byte, so "everything
+//! disabled" still costs exactly one relaxed atomic load per instrument.
 //!
 //! Spans nest: a span opened while another span is open on the same
 //! thread is recorded under the path `outer/inner`, so solver time inside
@@ -55,10 +53,9 @@ pub mod explain;
 pub mod json;
 pub mod report;
 pub mod timeline;
-pub mod window;
 
 pub use json::{Json, JsonError, ParseLimits};
-pub use report::{HistogramSnapshot, PipelineReport, SpanSnapshot};
+pub use report::{PipelineReport, SpanSnapshot};
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -69,7 +66,7 @@ use std::time::Instant;
 
 // ---------------------------------------------------------------- enabling
 
-/// Flag bit: aggregate telemetry (spans/counters/histograms).
+/// Flag bit: aggregate telemetry (spans/counters).
 pub(crate) const FLAG_OBS: u8 = 1;
 /// Flag bit: timeline event recording.
 pub(crate) const FLAG_TIMELINE: u8 = 2;
@@ -214,58 +211,8 @@ pub fn set_explain_enabled(on: bool) {
 
 // ---------------------------------------------------------------- registry
 
-pub(crate) struct HistogramInner {
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-    /// `buckets[i]` counts the values of [`HistogramSnapshot::slot_of`] `i`.
-    buckets: [AtomicU64; HistogramSnapshot::SLOTS],
-}
-
-impl HistogramInner {
-    fn new() -> Self {
-        HistogramInner {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-            buckets: [0u64; HistogramSnapshot::SLOTS].map(AtomicU64::new),
-        }
-    }
-
-    fn record(&self, v: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-        self.buckets[HistogramSnapshot::slot_of(v)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot::from_slots(
-            self.count.load(Ordering::Relaxed),
-            self.sum.load(Ordering::Relaxed),
-            self.min.load(Ordering::Relaxed),
-            self.max.load(Ordering::Relaxed),
-            self.buckets.iter().map(|b| b.load(Ordering::Relaxed)),
-        )
-    }
-}
-
 pub(crate) struct Registry {
     pub(crate) counters: Mutex<HashMap<&'static str, Arc<AtomicU64>>>,
-    pub(crate) histograms: Mutex<HashMap<&'static str, Arc<HistogramInner>>>,
     pub(crate) spans: Mutex<HashMap<String, SpanSnapshot>>,
 }
 
@@ -273,21 +220,16 @@ pub(crate) fn registry() -> &'static Registry {
     static REG: OnceLock<Registry> = OnceLock::new();
     REG.get_or_init(|| Registry {
         counters: Mutex::new(HashMap::new()),
-        histograms: Mutex::new(HashMap::new()),
         spans: Mutex::new(HashMap::new()),
     })
 }
 
-/// Zero every counter and histogram and drop all span statistics.
-/// Counter/histogram *handles* cached at call sites stay valid — their
-/// values restart from zero.
+/// Zero every counter and drop all span statistics. Counter *handles*
+/// cached at call sites stay valid — their values restart from zero.
 pub fn reset() {
     let reg = registry();
     for c in reg.counters.lock().unwrap().values() {
         c.store(0, Ordering::Relaxed);
-    }
-    for h in reg.histograms.lock().unwrap().values() {
-        h.reset();
     }
     reg.spans.lock().unwrap().clear();
 }
@@ -345,16 +287,6 @@ pub fn counter(name: &'static str) -> Counter {
     )
 }
 
-/// Convenience: the counter's current value (0 if it never fired).
-pub fn counter_value(name: &'static str) -> u64 {
-    registry()
-        .counters
-        .lock()
-        .unwrap()
-        .get(name)
-        .map_or(0, |c| c.load(Ordering::Relaxed))
-}
-
 /// Bump counter `$name` by `$n` iff aggregate telemetry is enabled or a
 /// request-scoped [`capture`] is active (one relaxed load when both are
 /// off). The registry handle is resolved once per call site and cached
@@ -370,46 +302,6 @@ macro_rules! counter_add {
             $crate::dispatch_counter(__obs_flags, &__OBS_COUNTER, $name, $n as u64);
         }
     }};
-}
-
-// -------------------------------------------------------------- histograms
-
-/// Handle to a named log₂ histogram. Cheap to clone; `record` is four
-/// relaxed atomic ops plus one bucket increment.
-#[derive(Clone)]
-pub struct Histogram(Arc<HistogramInner>);
-
-impl Histogram {
-    /// Record one observation.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.0.record(v);
-    }
-}
-
-/// Look up (or create) the histogram `name`.
-pub fn histogram(name: &'static str) -> Histogram {
-    let mut map = registry().histograms.lock().unwrap();
-    Histogram(
-        map.entry(name)
-            .or_insert_with(|| Arc::new(HistogramInner::new()))
-            .clone(),
-    )
-}
-
-/// Record `$v` into histogram `$name` iff telemetry is enabled, caching
-/// the handle like [`counter_add!`].
-#[macro_export]
-macro_rules! hist_record {
-    ($name:literal, $v:expr) => {
-        if $crate::enabled() {
-            static __OBS_HIST: ::std::sync::OnceLock<$crate::Histogram> =
-                ::std::sync::OnceLock::new();
-            __OBS_HIST
-                .get_or_init(|| $crate::histogram($name))
-                .record($v as u64);
-        }
-    };
 }
 
 // ------------------------------------------------------------------- spans
@@ -548,8 +440,7 @@ mod tests {
         let _g = span("obs.test.noop");
         drop(_g);
         counter_add!("obs.test.noop.counter", 5);
-        hist_record!("obs.test.noop.hist", 5);
-        assert_eq!(counter_value("obs.test.noop.counter"), 0);
+        assert_eq!(counter("obs.test.noop.counter").get(), 0);
         assert!(!registry()
             .spans
             .lock()
@@ -558,24 +449,13 @@ mod tests {
     }
 
     #[test]
-    fn counter_and_histogram_basics() {
+    fn counter_basics() {
         let _l = TEST_LOCK.lock().unwrap();
         set_enabled(true);
         let c = counter("obs.test.basic.counter");
         c.add(3);
         c.add(4);
-        assert_eq!(counter_value("obs.test.basic.counter"), 7);
-        let h = histogram("obs.test.basic.hist");
-        h.record(0);
-        h.record(1);
-        h.record(100);
-        let snap = registry().histograms.lock().unwrap()["obs.test.basic.hist"].snapshot();
-        assert_eq!(snap.count, 3);
-        assert_eq!(snap.sum, 101);
-        assert_eq!(snap.min, 0);
-        assert_eq!(snap.max, 100);
-        // 0 → bucket ub 0, 1 → ub 1, 100 → ub 127
-        assert_eq!(snap.buckets, vec![(0, 1), (1, 1), (127, 1)]);
+        assert_eq!(counter("obs.test.basic.counter").get(), 7);
     }
 
     #[test]
@@ -585,8 +465,8 @@ mod tests {
         let c = counter("obs.test.reset.counter");
         c.add(10);
         reset();
-        assert_eq!(counter_value("obs.test.reset.counter"), 0);
+        assert_eq!(counter("obs.test.reset.counter").get(), 0);
         c.add(2);
-        assert_eq!(counter_value("obs.test.reset.counter"), 2);
+        assert_eq!(counter("obs.test.reset.counter").get(), 2);
     }
 }

@@ -6,22 +6,11 @@
 //! ```json
 //! {
 //!   "version": 1,
-//!   "enabled": true,
-//!   "counters":   { "depend.pairs_tested": 9, ... },
-//!   "histograms": { "poly.fm.constraints": {
-//!       "count": 4, "sum": 31, "min": 2, "max": 17,
-//!       "buckets": [[3, 1], [7, 2], [31, 1]] }, ... },
+//!   "counters": { "depend.pairs_tested": 9, ... },
 //!   "spans": { "codegen.generate/poly.feasibility": {
-//!       "count": 12, "total_ns": 83120, "min_ns": 401, "max_ns": 22010 }, ... },
-//!   "sections": { "trace": { ... } }
+//!       "count": 12, "total_ns": 83120, "min_ns": 401, "max_ns": 22010 }, ... }
 //! }
 //! ```
-//!
-//! Histogram `buckets` are `[upper_bound, count]` pairs over log₂ buckets;
-//! a value `v` lands in the bucket whose upper bound is the smallest
-//! `2^k - 1 >= v`. `sections` holds free-form JSON attached by callers
-//! (e.g. the executor's trace summary) so domain crates can surface
-//! structured data without this crate depending on them.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -32,102 +21,6 @@ use crate::registry;
 
 /// Schema version written into every JSON report.
 pub const SCHEMA_VERSION: u64 = 1;
-
-/// Aggregate statistics for one histogram.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Number of recorded observations.
-    pub count: u64,
-    /// Sum of all observations.
-    pub sum: u64,
-    /// Smallest observation; 0 when `count == 0`.
-    pub min: u64,
-    /// Largest observation.
-    pub max: u64,
-    /// `(upper_bound, count)` per non-empty log₂ bucket, ascending.
-    pub buckets: Vec<(u64, u64)>,
-}
-
-impl HistogramSnapshot {
-    /// Number of log₂ slots: one per bit length of a `u64`, 0 to 64.
-    pub(crate) const SLOTS: usize = 65;
-
-    /// The slot a value is counted in: its bit length, so 0 lands in slot
-    /// 0 and `v > 0` in the slot whose upper bound is the smallest
-    /// `2^k - 1 >= v`. The registry histograms and the sliding window's
-    /// buckets both count by this rule.
-    #[inline]
-    pub(crate) fn slot_of(v: u64) -> usize {
-        (64 - v.leading_zeros()) as usize
-    }
-
-    /// Assemble a snapshot from running tallies and [`Self::SLOTS`] slot
-    /// counts: empty slots are left out, each kept one is labelled with
-    /// its upper bound, and `min` (a running minimum that starts at
-    /// `u64::MAX`) reads 0 while nothing was recorded.
-    pub(crate) fn from_slots(
-        count: u64,
-        sum: u64,
-        min: u64,
-        max: u64,
-        slots: impl Iterator<Item = u64>,
-    ) -> Self {
-        HistogramSnapshot {
-            count,
-            sum,
-            min: if count == 0 { 0 } else { min },
-            max,
-            buckets: slots
-                .enumerate()
-                .filter(|&(_, c)| c > 0)
-                .map(|(i, c)| (if i == 0 { 0 } else { (1u128 << i) as u64 - 1 }, c))
-                .collect(),
-        }
-    }
-
-    /// Mean observation, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Upper bound on the `q`-th percentile (0 < `q` <= 100), or 0 when
-    /// empty. Resolution is the log₂ bucket width: the returned value is
-    /// the bucket upper bound containing the rank-`ceil(q/100·count)`
-    /// observation, clamped to the exact recorded `max`.
-    pub fn percentile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for &(ub, c) in &self.buckets {
-            seen += c;
-            if seen >= rank {
-                return ub.min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Median upper bound (see [`percentile`](Self::percentile)).
-    pub fn p50(&self) -> u64 {
-        self.percentile(50.0)
-    }
-
-    /// 95th-percentile upper bound.
-    pub fn p95(&self) -> u64 {
-        self.percentile(95.0)
-    }
-
-    /// 99th-percentile upper bound.
-    pub fn p99(&self) -> u64 {
-        self.percentile(99.0)
-    }
-}
 
 /// Aggregate statistics for one span path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -173,20 +66,14 @@ impl SpanSnapshot {
     }
 }
 
-/// A point-in-time snapshot of all telemetry, plus caller-attached
-/// sections. Counters and histograms that never fired are omitted.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// A point-in-time snapshot of all telemetry. Counters that never fired
+/// are omitted.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PipelineReport {
-    /// Whether telemetry was enabled when the snapshot was taken.
-    pub enabled: bool,
     /// Counter values by name (zero-valued counters omitted).
     pub counters: BTreeMap<String, u64>,
-    /// Histogram snapshots by name (empty histograms omitted).
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Span statistics by nesting path (`outer/inner`).
     pub spans: BTreeMap<String, SpanSnapshot>,
-    /// Free-form JSON sections attached via [`PipelineReport::attach`].
-    pub sections: BTreeMap<String, Json>,
 }
 
 impl PipelineReport {
@@ -210,16 +97,6 @@ impl PipelineReport {
                 (v > 0).then(|| (name.to_string(), v))
             })
             .collect();
-        let histograms = reg
-            .histograms
-            .lock()
-            .unwrap()
-            .iter()
-            .filter_map(|(name, h)| {
-                let snap = h.snapshot();
-                (snap.count > 0).then(|| (name.to_string(), snap))
-            })
-            .collect();
         let spans = reg
             .spans
             .lock()
@@ -227,18 +104,7 @@ impl PipelineReport {
             .iter()
             .map(|(path, st)| (path.clone(), *st))
             .collect();
-        PipelineReport {
-            enabled: crate::enabled(),
-            counters,
-            histograms,
-            spans,
-            sections: BTreeMap::new(),
-        }
-    }
-
-    /// Attach a free-form JSON section (overwrites an existing one).
-    pub fn attach(&mut self, name: impl Into<String>, value: Json) {
-        self.sections.insert(name.into(), value);
+        PipelineReport { counters, spans }
     }
 
     fn counters_json(&self) -> Json {
@@ -252,8 +118,8 @@ impl PipelineReport {
     /// The gate document (`baselines/inl-obs.json`): the counters that
     /// are a deterministic function of the source (see
     /// [`Json::deterministic`]; `*_ns` accumulators are left out). Spans
-    /// and histograms are not in it: their values are timings, and their
-    /// keys and bucket shapes follow the host's thread count.
+    /// are not in it: their values are timings, and their keys follow the
+    /// host's thread count.
     pub fn gate_json(&self) -> Json {
         let mut root = Json::object();
         root.insert("version", Json::Int(SCHEMA_VERSION));
@@ -265,40 +131,12 @@ impl PipelineReport {
     pub fn to_json(&self) -> Json {
         let mut root = Json::object();
         root.insert("version", Json::Int(SCHEMA_VERSION));
-        root.insert("enabled", Json::Bool(self.enabled));
         root.insert("counters", self.counters_json());
-
-        let mut histograms = Json::object();
-        for (name, h) in &self.histograms {
-            let mut obj = Json::object();
-            obj.insert("count", Json::Int(h.count));
-            obj.insert("sum", Json::Int(h.sum));
-            obj.insert("min", Json::Int(h.min));
-            obj.insert("max", Json::Int(h.max));
-            obj.insert(
-                "buckets",
-                Json::Array(
-                    h.buckets
-                        .iter()
-                        .map(|&(ub, c)| Json::Array(vec![Json::Int(ub), Json::Int(c)]))
-                        .collect(),
-                ),
-            );
-            histograms.insert(name.clone(), obj);
-        }
-        root.insert("histograms", histograms);
-
         let mut spans = Json::object();
         for (path, s) in &self.spans {
             spans.insert(path.clone(), s.to_json());
         }
         root.insert("spans", spans);
-
-        let mut sections = Json::object();
-        for (name, value) in &self.sections {
-            sections.insert(name.clone(), value.clone());
-        }
-        root.insert("sections", sections);
         root
     }
 
@@ -312,39 +150,17 @@ impl PipelineReport {
         self.to_json().write_file(path)
     }
 
-    /// Render a human-readable table (counters, then histograms with
-    /// percentile summaries, then spans — every section in name order, so
-    /// output is byte-stable across runs with identical metrics).
+    /// Render a human-readable table (counters, then spans — each section
+    /// in name order, so output is byte-stable across runs with identical
+    /// metrics).
     pub fn to_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "inl-obs pipeline report (telemetry {})\n",
-            if self.enabled { "enabled" } else { "disabled" }
-        ));
+        let mut out = String::from("inl-obs pipeline report\n");
 
         if !self.counters.is_empty() {
             out.push_str("\ncounters\n");
             let width = self.counters.keys().map(|k| k.len()).max().unwrap_or(0);
             for (name, v) in &self.counters {
                 out.push_str(&format!("  {name:<width$}  {v}\n"));
-            }
-        }
-
-        if !self.histograms.is_empty() {
-            out.push_str("\nhistograms\n");
-            let width = self.histograms.keys().map(|k| k.len()).max().unwrap_or(0);
-            for (name, h) in &self.histograms {
-                out.push_str(&format!(
-                    "  {name:<width$}  count={} sum={} min={} mean={:.1} p50≤{} p95≤{} p99≤{} max={}\n",
-                    h.count,
-                    h.sum,
-                    h.min,
-                    h.mean(),
-                    h.p50(),
-                    h.p95(),
-                    h.p99(),
-                    h.max
-                ));
             }
         }
 
@@ -363,10 +179,6 @@ impl PipelineReport {
                     fmt_ns(s.max_ns)
                 ));
             }
-        }
-
-        for name in self.sections.keys() {
-            out.push_str(&format!("\nsection '{name}' attached (see JSON output)\n"));
         }
         out
     }
@@ -391,22 +203,9 @@ mod tests {
     use super::*;
 
     fn sample_report() -> PipelineReport {
-        let mut report = PipelineReport {
-            enabled: true,
-            ..Default::default()
-        };
+        let mut report = PipelineReport::default();
         report.counters.insert("depend.pairs_tested".into(), 9);
         report.counters.insert("legal.fast_path_hits".into(), 4);
-        report.histograms.insert(
-            "poly.fm.constraints".into(),
-            HistogramSnapshot {
-                count: 4,
-                sum: 31,
-                min: 2,
-                max: 17,
-                buckets: vec![(3, 1), (7, 2), (31, 1)],
-            },
-        );
         report.spans.insert(
             "codegen.generate/poly.feasibility".into(),
             SpanSnapshot {
@@ -416,9 +215,6 @@ mod tests {
                 max_ns: 22_010,
             },
         );
-        let mut trace = Json::object();
-        trace.insert("instances", Json::Int(385));
-        report.attach("trace", trace);
         report
     }
 
@@ -426,9 +222,17 @@ mod tests {
     fn table_lists_every_metric() {
         let table = sample_report().to_table();
         assert!(table.contains("depend.pairs_tested"));
-        assert!(table.contains("poly.fm.constraints"));
+        assert!(table.contains("legal.fast_path_hits"));
         assert!(table.contains("codegen.generate/poly.feasibility"));
-        assert!(table.contains("section 'trace'"));
+    }
+
+    #[test]
+    fn json_holds_version_counters_and_spans_only() {
+        let Json::Object(root) = sample_report().to_json() else {
+            panic!("the report is an object");
+        };
+        let keys: Vec<&str> = root.keys().map(String::as_str).collect();
+        assert_eq!(keys, ["counters", "spans", "version"]);
     }
 
     #[test]
@@ -442,33 +246,6 @@ mod tests {
         let report = PipelineReport::capture();
         assert_eq!(report.counters.get("obs.test.capture.fired"), Some(&2));
         assert!(!report.counters.contains_key("obs.test.capture.zero"));
-    }
-
-    #[test]
-    fn percentiles_walk_buckets() {
-        let h = HistogramSnapshot {
-            count: 100,
-            sum: 0,
-            min: 1,
-            max: 1000,
-            // 60 observations ≤ 7, 35 in (7, 127], 5 in (127, 1023]
-            buckets: vec![(7, 60), (127, 35), (1023, 5)],
-        };
-        assert_eq!(h.p50(), 7);
-        assert_eq!(h.p95(), 127);
-        assert_eq!(h.p99(), 1000); // clamped from bucket ub 1023 to max
-        assert_eq!(h.percentile(100.0), 1000);
-        assert_eq!(HistogramSnapshot::default().p50(), 0);
-        // Single observation: every percentile is that value.
-        let one = HistogramSnapshot {
-            count: 1,
-            sum: 5,
-            min: 5,
-            max: 5,
-            buckets: vec![(7, 1)],
-        };
-        assert_eq!(one.p50(), 5);
-        assert_eq!(one.p99(), 5);
     }
 
     #[test]

@@ -18,7 +18,7 @@ fn begin() -> std::sync::MutexGuard<'static, ()> {
 }
 
 #[test]
-fn counters_and_histograms_aggregate_across_threads() {
+fn counters_aggregate_across_threads() {
     let _g = begin();
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 1000;
@@ -27,21 +27,16 @@ fn counters_and_histograms_aggregate_across_threads() {
             scope.spawn(move || {
                 for i in 0..PER_THREAD {
                     inl_obs::counter_add!("test.cross.count", 1);
-                    inl_obs::hist_record!("test.cross.hist", t * PER_THREAD + i);
+                    inl_obs::counter_add!("test.cross.sum", t * PER_THREAD + i);
                 }
             });
         }
     });
     let report = PipelineReport::capture();
-    assert_eq!(report.counters["test.cross.count"], THREADS * PER_THREAD);
-    let h = &report.histograms["test.cross.hist"];
-    assert_eq!(h.count, THREADS * PER_THREAD);
-    // sum of 0..8000
     let n = THREADS * PER_THREAD;
-    assert_eq!(h.sum, n * (n - 1) / 2);
-    assert_eq!(h.min, 0);
-    assert_eq!(h.max, n - 1);
-    assert_eq!(h.buckets.iter().map(|&(_, c)| c).sum::<u64>(), n);
+    assert_eq!(report.counters["test.cross.count"], n);
+    // sum of 0..8000
+    assert_eq!(report.counters["test.cross.sum"], n * (n - 1) / 2);
     set_enabled(false);
 }
 
@@ -125,7 +120,13 @@ fn quickstart_pipeline_fires_every_stage_family() {
     assert!(report.counters["poly.fm.eliminations"] > 0);
     assert!(report.counters["codegen.bounds_scanned"] > 0);
     assert!(report.counters["exec.instances"] > 0);
-    assert!(report.histograms["poly.fm.constraints"].count > 0);
+    let feasibility_tests: u64 = report
+        .spans
+        .iter()
+        .filter(|(path, _)| path.ends_with("poly.feasibility"))
+        .map(|(_, s)| s.count)
+        .sum();
+    assert!(feasibility_tests > 0);
     assert!(report.spans["depend.analyze"].count == 1);
     assert!(report
         .spans
@@ -162,7 +163,6 @@ fn disabled_pipeline_records_nothing() {
         let _s = inl_obs::span("test.off.span");
     }
     let report = PipelineReport::capture();
-    assert!(!report.enabled);
     assert!(report.counters.is_empty());
     assert!(report.spans.is_empty());
 }

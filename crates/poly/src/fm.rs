@@ -292,15 +292,10 @@ fn project_core(sys: &System, keep: &[usize]) -> Result<(System, bool), InlError
 /// Integer feasibility of the system.
 ///
 /// The input is canonicalized first and the verdict memoized (see
-/// [`crate::cache`]). The `poly.feasibility` span and constraint-count
-/// histogram fire on every call, hit or miss, so telemetry counts queries,
-/// not cache state.
+/// [`crate::cache`]). The `poly.feasibility` span fires on every call, hit
+/// or miss, so telemetry counts queries, not cache state.
 pub fn is_empty(sys: &System) -> Feasibility {
     let _span = inl_obs::span("poly.feasibility");
-    inl_obs::hist_record!(
-        "poly.fm.constraints",
-        sys.ineqs().len() + 2 * sys.eqs().len()
-    );
     if sys.is_trivially_empty() {
         return Feasibility::Empty;
     }

@@ -17,7 +17,7 @@
 //! section are **encoded only when present**, so a telemetry-off
 //! exchange is byte-identical to the pre-telemetry protocol; `metrics`
 //! returns the server's sliding-window percentiles (schema owned by
-//! `inl_obs::window`). Everything stays canonical JSON, so bitwise
+//! `inl_serve::window`). Everything stays canonical JSON, so bitwise
 //! response comparison still holds once the telemetry section is
 //! stripped ([`Response::strip_telemetry`]).
 
@@ -214,7 +214,7 @@ pub enum Response {
         stats: Json,
     },
     /// Answer to [`Request::Metrics`]: the sliding-window snapshot
-    /// (schema owned by `inl_obs::window`).
+    /// (schema owned by `inl_serve::window`).
     Metrics {
         /// The windowed-metrics object.
         metrics: Json,

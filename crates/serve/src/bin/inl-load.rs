@@ -25,22 +25,30 @@
 //! the same request; the core response bytes are compared with the
 //! telemetry section stripped.
 //!
-//! Latency is recorded per request into the `load.latency` histogram
-//! and printed as p50/p95/p99 with the throughput — for reading only:
-//! the figures that are judged are the system benchmark's `serve.rps` and
-//! `serve.rtt_p50_us` (`benchmark/`). Exit code 1 on any transport
-//! error, bitwise mismatch, telemetry-projection disagreement, or a
-//! `--telemetry` run that checked no section.
+//! Each connection keeps the round-trip time of every request it sent;
+//! the merged list gives exact nearest-rank p50/p95/p99, printed with the
+//! throughput — for reading only: the figures that are judged are the
+//! system benchmark's `serve.rps` and `serve.rtt_p50_us` (`benchmark/`).
+//! Exit code 1 on any transport error, bitwise mismatch,
+//! telemetry-projection disagreement, or a `--telemetry` run that checked
+//! no section.
 
 use inl_serve::{
     flag_or_usage, handle_request, known_flags_or_usage, Client, Request, Response, ZOO,
 };
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: inl-load [--addr HOST:PORT] [--requests N] [--connections C] \
                      [--telemetry] [--shutdown]";
+
+/// The `q`-th percentile of ascending `sorted` by nearest rank: the value
+/// at 1-based rank `⌈q/100 · n⌉`, or 0 when there is none.
+fn nearest_rank(sorted: &[u64], q: usize) -> u64 {
+    let rank = (q * sorted.len()).div_ceil(100).max(1);
+    sorted.get(rank - 1).copied().unwrap_or(0)
+}
 
 /// One cycle of the schedule: every zoo program compiled (identity) and
 /// the single-parameter ones run on both backends, all 24 Cholesky
@@ -109,8 +117,6 @@ fn main() {
     let send_shutdown = std::env::args().any(|a| a == "--shutdown");
     let telemetry = std::env::args().any(|a| a == "--telemetry");
 
-    inl_obs::set_enabled(true); // load.latency histogram
-
     // Deterministic workload: cycle the base schedule, with a stats or
     // metrics probe alternating in every 50th slot.
     let base = base_schedule(telemetry);
@@ -130,24 +136,26 @@ fn main() {
     let mismatches = AtomicU64::new(0);
     let telemetry_checked = AtomicU64::new(0);
     let telemetry_mismatches = AtomicU64::new(0);
-    let completed = AtomicU64::new(0);
     let t0 = Instant::now();
-    std::thread::scope(|scope| {
+    // Round-trip nanoseconds of every answered request, one list per
+    // connection, merged once all are done.
+    let mut latencies: Vec<u64> = std::thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(connections);
         for t in 0..connections {
             let schedule = &schedule;
             let errors = &errors;
             let mismatches = &mismatches;
             let telemetry_checked = &telemetry_checked;
             let telemetry_mismatches = &telemetry_mismatches;
-            let completed = &completed;
             let addr = &addr;
-            scope.spawn(move || {
+            workers.push(scope.spawn(move || {
+                let mut latencies = Vec::new();
                 let mut client = match Client::connect(addr.as_str()) {
                     Ok(c) => c,
                     Err(e) => {
                         eprintln!("inl-load[{t}]: connect: {e}");
                         errors.fetch_add(1, Ordering::Relaxed);
-                        return;
+                        return latencies;
                     }
                 };
                 for req in schedule.iter().skip(t).step_by(connections) {
@@ -157,11 +165,10 @@ fn main() {
                         Err(e) => {
                             eprintln!("inl-load[{t}]: {e}");
                             errors.fetch_add(1, Ordering::Relaxed);
-                            return;
+                            return latencies;
                         }
                     };
-                    inl_obs::hist_record!("load.latency", start.elapsed().as_nanos() as u64);
-                    completed.fetch_add(1, Ordering::Relaxed);
+                    latencies.push(start.elapsed().as_nanos() as u64);
                     if matches!(resp, Response::Error { .. }) {
                         eprintln!(
                             "inl-load[{t}]: error response to {}: {}",
@@ -209,11 +216,17 @@ fn main() {
                         }
                     }
                 }
-            });
+                latencies
+            }));
         }
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("load connection panicked"))
+            .collect()
     });
     let wall = t0.elapsed();
-    let completed = completed.load(Ordering::Relaxed);
+    latencies.sort_unstable();
+    let completed = latencies.len() as u64;
     let errors = errors.load(Ordering::Relaxed);
     let mismatches = mismatches.load(Ordering::Relaxed);
     let telemetry_checked = telemetry_checked.load(Ordering::Relaxed);
@@ -221,12 +234,6 @@ fn main() {
     let bitwise_identical = mismatches == 0;
     let telemetry_identical = telemetry_mismatches == 0;
 
-    let snap = inl_obs::PipelineReport::capture();
-    let latency = snap
-        .histograms
-        .get("load.latency")
-        .cloned()
-        .unwrap_or_default();
     let throughput = completed as f64 / wall.as_secs_f64().max(1e-9);
 
     if send_shutdown {
@@ -241,9 +248,9 @@ fn main() {
         "inl-load: {completed}/{total} request(s) over {connections} connection(s) in {wall:.2?} \
          — {throughput:.0} req/s, p50 {:?}, p95 {:?}, p99 {:?}, {errors} error(s), {}, \
          telemetry {telemetry_checked} checked / {}",
-        std::time::Duration::from_nanos(latency.p50()),
-        std::time::Duration::from_nanos(latency.p95()),
-        std::time::Duration::from_nanos(latency.p99()),
+        Duration::from_nanos(nearest_rank(&latencies, 50)),
+        Duration::from_nanos(nearest_rank(&latencies, 95)),
+        Duration::from_nanos(nearest_rank(&latencies, 99)),
         if bitwise_identical {
             "bitwise identical".to_string()
         } else {
@@ -262,5 +269,22 @@ fn main() {
         || (telemetry && telemetry_checked == 0)
     {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::nearest_rank;
+
+    #[test]
+    fn nearest_rank_reads_the_exact_value_at_each_rank() {
+        // log₂ buckets answered 63 / 127 / 127 here
+        let values: Vec<u64> = (1..=100).collect();
+        assert_eq!(nearest_rank(&values, 50), 50);
+        assert_eq!(nearest_rank(&values, 95), 95);
+        assert_eq!(nearest_rank(&values, 99), 99);
+        assert_eq!(nearest_rank(&values, 100), 100);
+        assert_eq!(nearest_rank(&[7], 50), 7);
+        assert_eq!(nearest_rank(&[], 50), 0);
     }
 }

@@ -14,6 +14,7 @@
 //! piping a single `--once` frame into a log. Exit code 1 on transport
 //! failure.
 
+use inl_obs::report::fmt_ns;
 use inl_serve::{flag_or_usage, known_flags_or_usage, Client, Request, Response};
 use std::num::NonZeroU64;
 
@@ -22,18 +23,6 @@ const USAGE: &str =
 
 fn u(j: &inl_obs::Json, key: &str) -> u64 {
     j.get(key).and_then(inl_obs::Json::as_u64).unwrap_or(0)
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.1}us", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
 }
 
 fn fmt_uptime(ms: u64) -> String {

@@ -1,7 +1,7 @@
 //! # inl-serve
 //!
-//! The compile pipeline as a long-lived concurrent TCP service. Three
-//! layers, each independently testable:
+//! The compile pipeline as a long-lived concurrent TCP service, in
+//! independently testable parts:
 //!
 //! * [`handler`] — the pure request handler: [`Request`] in,
 //!   [`Response`] out, no I/O. The integration tests and the `inl-load`
@@ -10,15 +10,17 @@
 //!   deterministically, so equality is byte equality on the wire).
 //! * [`server`] — listener thread + worker pool over a shared connection
 //!   queue (the same atomic-queue idiom as `inl_codegen::compile_batch`),
-//!   per-request `serve.*` spans/counters, typed error responses for
-//!   malformed input, and graceful drain on `shutdown`.
+//!   per-request `serve.*` spans, typed error responses for malformed
+//!   input, and graceful drain on `shutdown`.
 //! * [`client`] — a minimal blocking client used by the `inl-client`
 //!   CLI, the `inl-load` generator, and the tests.
+//! * [`window`] — the sliding window of live request latencies behind
+//!   the `metrics` request.
 //!
 //! All sessions share the process-wide `inl_poly` query cache: a warm
 //! server answers repeated completions mostly from memo, which the
-//! `stats` request exposes (hits/misses/hit-rate) alongside transport
-//! counters.
+//! `stats` request exposes (hits/misses/hit-rate) alongside the transport
+//! counters of [`ServeStats`].
 //!
 //! ## Telemetry
 //!
@@ -37,13 +39,14 @@
 pub mod client;
 pub mod handler;
 pub mod server;
+pub mod window;
 
 pub use client::{Client, ClientError};
 pub use handler::{handle_request, MAX_PARAM, ZOO};
 pub use server::{serve, ServeStats, ServerConfig, ServerHandle};
+pub use window::{SlidingWindow, WindowSnapshot};
 
 // Re-exported so binaries and tests need only this crate.
-pub use inl_obs::window::{SlidingWindow, WindowSnapshot};
 pub use inl_proto::{BackendChoice, CompileOutcome, FrameLimits, Request, Response};
 
 /// The value of command-line flag `flag`, parsed: `Ok(None)` when absent, an

@@ -32,10 +32,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Transport counters, updated unconditionally (independent of `inl-obs`
-/// enablement) so the `stats` response is always truthful. The same
-/// values are mirrored into `inl-obs` counters (`serve.requests`,
-/// `serve.errors`, `serve.bytes_in`, `serve.bytes_out`) when telemetry
-/// is on.
+/// enablement) so the `stats` response is always truthful. They are the
+/// one record of these numbers: no `inl-obs` counter mirrors them.
 #[derive(Debug)]
 pub struct ServeStats {
     /// Requests decoded and dispatched (including ones answered with a
@@ -47,7 +45,7 @@ pub struct ServeStats {
     pub bytes_in: AtomicU64,
     /// Payload bytes sent (frame headers excluded).
     pub bytes_out: AtomicU64,
-    /// Connections accepted (each is one session).
+    /// Connections accepted (each is one session; `sessions` in the JSON).
     pub connections: AtomicU64,
     /// Requests currently being handled.
     pub in_flight: AtomicU64,
@@ -81,7 +79,6 @@ impl ServeStats {
         o.insert("errors", get(&self.errors));
         o.insert("bytes_in", get(&self.bytes_in));
         o.insert("bytes_out", get(&self.bytes_out));
-        o.insert("connections", get(&self.connections));
         o.insert("sessions", get(&self.connections));
         o.insert("in_flight", get(&self.in_flight));
         o.insert("in_flight_hwm", get(&self.in_flight_hwm));
@@ -292,7 +289,6 @@ fn session(shared: &Shared, stream: TcpStream, addr: SocketAddr) {
                 // Protocol violation: answer with a typed error, then
                 // close (framing is no longer trustworthy).
                 shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                inl_obs::counter_add!("serve.errors", 1);
                 let _ = respond(shared, &mut writer, &Response::from_error(&e));
                 return;
             }
@@ -307,8 +303,6 @@ fn session(shared: &Shared, stream: TcpStream, addr: SocketAddr) {
             .stats
             .bytes_in
             .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        inl_obs::counter_add!("serve.requests", 1);
-        inl_obs::counter_add!("serve.bytes_in", payload.len());
 
         let decoded = {
             let _span = inl_obs::span("serve.decode");
@@ -335,7 +329,6 @@ fn session(shared: &Shared, stream: TcpStream, addr: SocketAddr) {
         let is_error = matches!(response, Response::Error { .. });
         if is_error {
             shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-            inl_obs::counter_add!("serve.errors", 1);
         }
         // Feed the live metrics window before writing the reply so a
         // `metrics` probe on another connection never misses a finished
@@ -359,7 +352,6 @@ fn respond(shared: &Shared, w: &mut impl std::io::Write, resp: &Response) -> std
         .stats
         .bytes_out
         .fetch_add(text.len() as u64, Ordering::Relaxed);
-    inl_obs::counter_add!("serve.bytes_out", text.len());
     write_frame(w, text.as_bytes())
 }
 

@@ -1,27 +1,22 @@
-//! Sliding-window live metrics: a ring of time buckets over the last N
-//! seconds, answering "what are the p50/p95/p99 latency, request rate,
-//! and error rate *right now*" — the server-side source for the wire
-//! `metrics` request and the `inl-top` dashboard.
+//! Sliding-window live metrics: a ring of sixty one-second buckets,
+//! answering "what are the p50/p95/p99 latency, request rate, and error
+//! rate *right now*" — the server-side source for the wire `metrics`
+//! request and the `inl-top` dashboard.
 //!
 //! # Window math
 //!
-//! The window is a ring of `buckets` slots, each covering `bucket_ms`
-//! milliseconds of wall time. An observation at time `t` (ms) belongs to
-//! **epoch** `t / bucket_ms` and lands in slot `epoch % buckets`; a slot
-//! holding an older epoch is zeroed on first touch (lazy rotation —
-//! there is no background thread). A snapshot at time `t` merges every
-//! slot whose epoch lies in `(epoch(t) - buckets, epoch(t)]`, i.e. the
-//! current bucket plus the `buckets - 1` before it, so the window spans
-//! at most `buckets × bucket_ms` milliseconds and stale buckets age out
-//! purely by being skipped.
+//! An observation at time `t` (ms) belongs to **epoch** `t / 1000` and
+//! lands in slot `epoch % 60`; a slot holding an older epoch is zeroed on
+//! first touch (lazy rotation — there is no background thread). A
+//! snapshot at time `t` merges every slot whose epoch lies in
+//! `(epoch(t) - 60, epoch(t)]`, i.e. the current bucket plus the 59
+//! before it, so the window spans at most one minute and stale buckets
+//! age out purely by being skipped.
 //!
-//! Per-bucket state is bounded and fixed-size: scalar tallies, a
-//! per-request-kind count map, and a 65-slot log₂ latency histogram
-//! whose `u32` slots **saturate** rather than wrap, so a bucket absorbing
-//! more than `u32::MAX` same-magnitude observations degrades percentile
-//! resolution instead of corrupting it (`count`/`sum` stay exact in
-//! `u64`). Merged percentiles reuse [`HistogramSnapshot`]'s rank walk,
-//! so window percentiles and report percentiles share one definition.
+//! Per-bucket state is fixed-size: scalar tallies, a per-request-kind
+//! count map, and a 65-slot log₂ latency histogram (a value's slot is its
+//! bit length, `HistogramSnapshot::slot_of`). Merged percentiles are
+//! [`HistogramSnapshot`]'s rank walk.
 //!
 //! The rate denominator is `min(window span, elapsed + 1ms)`: a server
 //! 3 s into its life reports requests-per-second over those 3 s, not
@@ -32,18 +27,105 @@
 //! construction, while the `*_at` variants take explicit milliseconds —
 //! tests drive rotation and expiry with a simulated clock, no sleeping.
 
-use crate::json::Json;
-use crate::report::HistogramSnapshot;
+use inl_obs::Json;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Default number of ring buckets (`60 × 1 s` = one minute of history).
-pub const DEFAULT_BUCKETS: usize = 60;
-/// Default width of one bucket in milliseconds.
-pub const DEFAULT_BUCKET_MS: u64 = 1000;
+/// Ring slots: one minute of history.
+const BUCKETS: u64 = 60;
+/// Width of one ring slot in milliseconds.
+const BUCKET_MS: u64 = 1000;
+/// Log₂ slots: one per bit length of a `u64`, 0 to 64.
+const SLOTS: usize = 65;
 
-/// One ring slot: tallies for a single `bucket_ms`-wide time epoch.
+/// A latency distribution summarised over log₂ buckets.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct HistogramSnapshot {
+    /// Number of recorded observations.
+    pub count: u64,
+    /// Sum of all observations.
+    pub sum: u64,
+    /// Smallest observation; 0 when `count == 0`.
+    pub min: u64,
+    /// Largest observation.
+    pub max: u64,
+    /// `(upper_bound, count)` per non-empty log₂ bucket, ascending.
+    pub buckets: Vec<(u64, u64)>,
+}
+
+impl HistogramSnapshot {
+    /// The slot a value is counted in: its bit length, so 0 lands in slot
+    /// 0 and `v > 0` in the slot whose upper bound is the smallest
+    /// `2^k - 1 >= v`.
+    fn slot_of(v: u64) -> usize {
+        (64 - v.leading_zeros()) as usize
+    }
+
+    /// Assemble a snapshot from running tallies and [`SLOTS`] slot counts:
+    /// empty slots are left out, each kept one is labelled with its upper
+    /// bound, and `min` (a running minimum that starts at `u64::MAX`)
+    /// reads 0 while nothing was recorded.
+    fn from_slots(count: u64, sum: u64, min: u64, max: u64, slots: &[u64; SLOTS]) -> Self {
+        HistogramSnapshot {
+            count,
+            sum,
+            min: if count == 0 { 0 } else { min },
+            max,
+            buckets: slots
+                .iter()
+                .enumerate()
+                .filter(|&(_, &c)| c > 0)
+                .map(|(i, &c)| (if i == 0 { 0 } else { (1u128 << i) as u64 - 1 }, c))
+                .collect(),
+        }
+    }
+
+    /// Mean observation, or 0.0 when empty.
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
+    }
+
+    /// Upper bound on the `q`-th percentile (0 < `q` <= 100), or 0 when
+    /// empty. Resolution is the log₂ bucket width: the returned value is
+    /// the bucket upper bound containing the rank-`ceil(q/100·count)`
+    /// observation, clamped to the exact recorded `max`.
+    pub fn percentile(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let rank = ((q / 100.0) * self.count as f64).ceil().max(1.0) as u64;
+        let mut seen = 0u64;
+        for &(ub, c) in &self.buckets {
+            seen += c;
+            if seen >= rank {
+                return ub.min(self.max);
+            }
+        }
+        self.max
+    }
+
+    /// Median upper bound (see [`percentile`](Self::percentile)).
+    pub fn p50(&self) -> u64 {
+        self.percentile(50.0)
+    }
+
+    /// 95th-percentile upper bound.
+    pub fn p95(&self) -> u64 {
+        self.percentile(95.0)
+    }
+
+    /// 99th-percentile upper bound.
+    pub fn p99(&self) -> u64 {
+        self.percentile(99.0)
+    }
+}
+
+/// One ring slot: tallies for a single one-second epoch.
 #[derive(Clone, Debug)]
 struct Bucket {
     /// Which epoch this slot currently holds; `u64::MAX` = never used.
@@ -54,48 +136,32 @@ struct Bucket {
     min_ns: u64,
     max_ns: u64,
     by_kind: BTreeMap<&'static str, u64>,
-    /// Log₂ latency histogram, one count per
-    /// [`HistogramSnapshot::slot_of`] as in the registry histograms.
-    hist: [u32; HistogramSnapshot::SLOTS],
+    /// Log₂ latency histogram, one count per [`HistogramSnapshot::slot_of`].
+    hist: [u64; SLOTS],
 }
 
 impl Bucket {
-    const fn empty() -> Self {
+    const fn empty(epoch: u64) -> Self {
         Bucket {
-            epoch: u64::MAX,
+            epoch,
             count: 0,
             errors: 0,
             sum_ns: 0,
             min_ns: u64::MAX,
             max_ns: 0,
             by_kind: BTreeMap::new(),
-            hist: [0u32; HistogramSnapshot::SLOTS],
+            hist: [0; SLOTS],
         }
     }
 
-    fn reset_for(&mut self, epoch: u64) {
-        self.epoch = epoch;
-        self.count = 0;
-        self.errors = 0;
-        self.sum_ns = 0;
-        self.min_ns = u64::MAX;
-        self.max_ns = 0;
-        self.by_kind.clear();
-        self.hist = [0u32; HistogramSnapshot::SLOTS];
-    }
-
-    fn record(&mut self, kind: &'static str, latency_ns: u64, error: bool, n: u64) {
-        self.count += n;
-        if error {
-            self.errors += n;
-        }
-        self.sum_ns = self.sum_ns.saturating_add(latency_ns.saturating_mul(n));
+    fn record(&mut self, kind: &'static str, latency_ns: u64, error: bool) {
+        self.count += 1;
+        self.errors += u64::from(error);
+        self.sum_ns = self.sum_ns.saturating_add(latency_ns);
         self.min_ns = self.min_ns.min(latency_ns);
         self.max_ns = self.max_ns.max(latency_ns);
-        *self.by_kind.entry(kind).or_insert(0) += n;
-        let slot = HistogramSnapshot::slot_of(latency_ns);
-        let clamped = u32::try_from(n).unwrap_or(u32::MAX);
-        self.hist[slot] = self.hist[slot].saturating_add(clamped);
+        *self.by_kind.entry(kind).or_insert(0) += 1;
+        self.hist[HistogramSnapshot::slot_of(latency_ns)] += 1;
     }
 }
 
@@ -103,7 +169,6 @@ impl Bucket {
 /// All methods take `&self` — interior mutability via one mutex, so one
 /// instance can be shared by every server worker thread.
 pub struct SlidingWindow {
-    bucket_ms: u64,
     start: Instant,
     ring: Mutex<Vec<Bucket>>,
 }
@@ -192,22 +257,16 @@ impl WindowSnapshot {
 }
 
 impl Default for SlidingWindow {
+    /// An empty window whose wall clock is anchored now.
     fn default() -> Self {
-        SlidingWindow::new(DEFAULT_BUCKETS, DEFAULT_BUCKET_MS)
+        SlidingWindow {
+            start: Instant::now(),
+            ring: Mutex::new(vec![Bucket::empty(u64::MAX); BUCKETS as usize]),
+        }
     }
 }
 
 impl SlidingWindow {
-    /// A window of `buckets` ring slots, each `bucket_ms` wide (both
-    /// clamped to ≥ 1). The wall clock is anchored now.
-    pub fn new(buckets: usize, bucket_ms: u64) -> Self {
-        SlidingWindow {
-            bucket_ms: bucket_ms.max(1),
-            start: Instant::now(),
-            ring: Mutex::new(vec![Bucket::empty(); buckets.max(1)]),
-        }
-    }
-
     fn now_ms(&self) -> u64 {
         self.start.elapsed().as_millis() as u64
     }
@@ -219,31 +278,13 @@ impl SlidingWindow {
 
     /// Record one observation at an explicit time (test clock).
     pub fn record_at(&self, now_ms: u64, kind: &'static str, latency_ns: u64, error: bool) {
-        self.record_n_at(now_ms, kind, latency_ns, error, 1);
-    }
-
-    /// Record `n` identical observations at an explicit time in one lock
-    /// acquisition. `count`/`sum` stay exact in `u64`; the corresponding
-    /// log₂ histogram slot saturates at `u32::MAX`.
-    pub fn record_n_at(
-        &self,
-        now_ms: u64,
-        kind: &'static str,
-        latency_ns: u64,
-        error: bool,
-        n: u64,
-    ) {
-        if n == 0 {
-            return;
-        }
-        let epoch = now_ms / self.bucket_ms;
+        let epoch = now_ms / BUCKET_MS;
         let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
-        let len = ring.len() as u64;
-        let bucket = &mut ring[(epoch % len) as usize];
+        let bucket = &mut ring[(epoch % BUCKETS) as usize];
         if bucket.epoch != epoch {
-            bucket.reset_for(epoch);
+            *bucket = Bucket::empty(epoch);
         }
-        bucket.record(kind, latency_ns, error, n);
+        bucket.record(kind, latency_ns, error);
     }
 
     /// Merge the live buckets at the internal clock's current time.
@@ -252,15 +293,14 @@ impl SlidingWindow {
     }
 
     /// Merge the live buckets at an explicit time (test clock). Buckets
-    /// whose epoch fell out of `(epoch(now) - buckets, epoch(now)]` are
+    /// whose epoch fell out of `(epoch(now) - 60, epoch(now)]` are
     /// excluded — and an observation "from the future" of `now_ms` is
     /// excluded the same way, so a snapshot never reads ahead of its
     /// clock.
     pub fn snapshot_at(&self, now_ms: u64) -> WindowSnapshot {
-        let epoch = now_ms / self.bucket_ms;
+        let epoch = now_ms / BUCKET_MS;
         let ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
-        let len = ring.len() as u64;
-        let window_ms = len * self.bucket_ms;
+        let window_ms = BUCKETS * BUCKET_MS;
 
         let mut count = 0u64;
         let mut errors = 0u64;
@@ -268,9 +308,10 @@ impl SlidingWindow {
         let mut min_ns = u64::MAX;
         let mut max_ns = 0u64;
         let mut by_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
-        let mut hist = [0u64; HistogramSnapshot::SLOTS];
+        let mut hist = [0u64; SLOTS];
         for bucket in ring.iter() {
-            if bucket.epoch == u64::MAX || bucket.epoch > epoch || epoch - bucket.epoch >= len {
+            // a never-used slot's epoch, `u64::MAX`, is ahead of every clock
+            if bucket.epoch > epoch || epoch - bucket.epoch >= BUCKETS {
                 continue;
             }
             count += bucket.count;
@@ -282,17 +323,15 @@ impl SlidingWindow {
                 *by_kind.entry(kind).or_insert(0) += n;
             }
             for (slot, &c) in bucket.hist.iter().enumerate() {
-                hist[slot] += c as u64;
+                hist[slot] += c;
             }
         }
-        let latency =
-            HistogramSnapshot::from_slots(count, sum_ns, min_ns, max_ns, hist.into_iter());
         WindowSnapshot {
             window_ms,
             covered_ms: window_ms.min(now_ms.saturating_add(1)),
             count,
             errors,
-            latency,
+            latency: HistogramSnapshot::from_slots(count, sum_ns, min_ns, max_ns, &hist),
             by_kind,
         }
     }
@@ -302,13 +341,9 @@ impl SlidingWindow {
 mod tests {
     use super::*;
 
-    fn small() -> SlidingWindow {
-        SlidingWindow::new(4, 1000) // 4-second window, 1 s buckets
-    }
-
     #[test]
     fn empty_window_has_zero_percentiles_and_rates() {
-        let snap = small().snapshot_at(10_000);
+        let snap = SlidingWindow::default().snapshot_at(10_000);
         assert_eq!(snap.count, 0);
         assert_eq!(snap.latency.p50(), 0);
         assert_eq!(snap.latency.p99(), 0);
@@ -328,7 +363,7 @@ mod tests {
 
     #[test]
     fn buckets_expire_as_the_clock_advances() {
-        let w = small();
+        let w = SlidingWindow::default();
         w.record_at(500, "compile", 1_000, false); // epoch 0
         w.record_at(1_500, "run", 2_000, false); // epoch 1
         let snap = w.snapshot_at(1_900);
@@ -336,26 +371,27 @@ mod tests {
         assert_eq!(snap.by_kind["compile"], 1);
         assert_eq!(snap.by_kind["run"], 1);
 
-        // Window is 4 buckets: at epoch 4 the epoch-0 bucket ages out...
-        let snap = w.snapshot_at(4_200);
+        // The window is 60 buckets: at epoch 60 the epoch-0 bucket ages
+        // out...
+        let snap = w.snapshot_at(60_200);
         assert_eq!(snap.count, 1);
         assert!(!snap.by_kind.contains_key("compile"));
         assert_eq!(snap.by_kind["run"], 1);
-        // ...and at epoch 5 the epoch-1 bucket does too.
-        let snap = w.snapshot_at(5_000);
+        // ...and at epoch 61 the epoch-1 bucket does too.
+        let snap = w.snapshot_at(61_000);
         assert_eq!(snap.count, 0);
 
-        // New traffic reclaims the stale ring slot (epoch 4 reuses slot 0).
-        w.record_at(4_300, "explain", 3_000, true);
-        let snap = w.snapshot_at(4_400);
-        assert_eq!(snap.count, 2); // epoch-1 run + epoch-4 explain
+        // New traffic reclaims the stale ring slot (epoch 60 reuses slot 0).
+        w.record_at(60_300, "explain", 3_000, true);
+        let snap = w.snapshot_at(60_400);
+        assert_eq!(snap.count, 2); // epoch-1 run + epoch-60 explain
         assert_eq!(snap.errors, 1);
         assert_eq!(snap.by_kind["explain"], 1);
     }
 
     #[test]
     fn snapshot_excludes_observations_ahead_of_its_clock() {
-        let w = small();
+        let w = SlidingWindow::default();
         w.record_at(3_500, "compile", 1_000, false);
         let snap = w.snapshot_at(1_000); // clock behind the observation
         assert_eq!(snap.count, 0);
@@ -363,7 +399,7 @@ mod tests {
 
     #[test]
     fn percentiles_and_rates_over_live_buckets() {
-        let w = small();
+        let w = SlidingWindow::default();
         // 90 fast (≤1023ns) + 10 slow (≤65535ns) in one second.
         for i in 0..90 {
             w.record_at(i, "run", 1_000, false);
@@ -384,81 +420,80 @@ mod tests {
 
     #[test]
     fn covered_span_is_clamped_to_window_and_elapsed() {
-        let w = small();
+        let w = SlidingWindow::default();
         w.record_at(100, "run", 1_000, false);
         // 101 ms into life: rate denominator is the elapsed time.
         assert_eq!(w.snapshot_at(100).covered_ms, 101);
-        // Deep into life: denominator is the full 4 s window.
-        assert_eq!(w.snapshot_at(100_000).covered_ms, 4_000);
+        // Deep into life: denominator is the full one-minute window.
+        assert_eq!(w.snapshot_at(100_000).covered_ms, 60_000);
     }
 
     #[test]
-    fn merged_snapshot_equals_a_registry_histogram_of_the_same_values() {
-        // other tests `reset()` the registry; hold their lock
-        let _l = crate::tests::TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let registry = crate::histogram("obs.test.window.same_values");
-        let w = small();
-        // the zero slot and both ends of a slot, spread over all four time
-        // buckets so the snapshot has something to merge
+    fn values_spread_over_time_buckets_merge_to_the_snapshot_of_one() {
+        let (spread, one) = (SlidingWindow::default(), SlidingWindow::default());
+        // the zero slot and both ends of a slot, each in its own time
+        // bucket on one side and all in the same bucket on the other
         let values = [0u64, 1, 2, 3, 1_000, 1_023, 1_024, 60_000, 1 << 40];
         for (i, &v) in values.iter().enumerate() {
-            registry.record(v);
-            w.record_at(i as u64 * 400, "run", v, false);
+            spread.record_at(i as u64 * 7_000, "run", v, false);
+            one.record_at(500, "run", v, false);
         }
-        let expected =
-            crate::registry().histograms.lock().unwrap()["obs.test.window.same_values"].snapshot();
-        assert_eq!(expected.count, values.len() as u64);
-        assert_eq!(w.snapshot_at(3_999).latency, expected);
-    }
-
-    #[test]
-    fn per_bucket_histogram_saturates_without_corrupting_totals() {
-        let w = SlidingWindow::new(2, 1000);
-        let n = u32::MAX as u64 + 10_000;
-        w.record_n_at(10, "run", 1_000, false, n);
-        let snap = w.snapshot_at(20);
-        // Exact tallies survive in u64...
-        assert_eq!(snap.count, n);
-        assert_eq!(snap.by_kind["run"], n);
-        // ...while the histogram slot pinned at u32::MAX still yields
-        // sane (resolution-degraded, not wrapped) percentiles.
-        assert_eq!(snap.latency.buckets, vec![(1_023, u32::MAX as u64)]);
-        assert_eq!(snap.latency.p50(), 1_000); // ub 1023 clamped to max
-        assert!(snap.latency.p99() <= 1_023);
-    }
-
-    #[test]
-    fn bulk_record_matches_repeated_singles() {
-        let bulk = SlidingWindow::new(4, 1000);
-        let singles = SlidingWindow::new(4, 1000);
-        bulk.record_n_at(100, "run", 5_000, true, 7);
-        for _ in 0..7 {
-            singles.record_at(100, "run", 5_000, true);
-        }
-        let (a, b) = (bulk.snapshot_at(200), singles.snapshot_at(200));
-        assert_eq!(a, b);
+        let merged = spread.snapshot_at(59_999);
+        assert_eq!(merged, one.snapshot_at(59_999));
+        assert_eq!(merged.latency.count, values.len() as u64);
+        assert_eq!(merged.latency.sum, values.iter().sum::<u64>());
+        assert_eq!((merged.latency.min, merged.latency.max), (0, 1 << 40));
         assert_eq!(
-            a.to_json().to_pretty_string(),
-            b.to_json().to_pretty_string()
+            merged.latency.buckets,
+            [
+                (0, 1),
+                (1, 1),
+                (3, 2),
+                (1_023, 2),
+                (2_047, 1),
+                (65_535, 1),
+                ((1 << 41) - 1, 1)
+            ]
         );
     }
 
     #[test]
+    fn percentiles_walk_buckets() {
+        let h = HistogramSnapshot {
+            count: 100,
+            sum: 0,
+            min: 1,
+            max: 1000,
+            // 60 observations ≤ 7, 35 in (7, 127], 5 in (127, 1023]
+            buckets: vec![(7, 60), (127, 35), (1023, 5)],
+        };
+        assert_eq!(h.p50(), 7);
+        assert_eq!(h.p95(), 127);
+        assert_eq!(h.p99(), 1000); // clamped from bucket ub 1023 to max
+        assert_eq!(h.percentile(100.0), 1000);
+        assert_eq!(HistogramSnapshot::default().p50(), 0);
+        // Single observation: every percentile is that value.
+        let one = HistogramSnapshot {
+            count: 1,
+            sum: 5,
+            min: 5,
+            max: 5,
+            buckets: vec![(7, 1)],
+        };
+        assert_eq!(one.p50(), 5);
+        assert_eq!(one.p99(), 5);
+    }
+
+    #[test]
     fn shared_across_threads() {
-        let w = std::sync::Arc::new(SlidingWindow::new(8, 1000));
+        let w = SlidingWindow::default();
         std::thread::scope(|s| {
             for t in 0..4 {
-                let w = std::sync::Arc::clone(&w);
+                let w = &w;
                 s.spawn(move || {
                     for i in 0..100 {
-                        w.record_at(
-                            i * 10,
-                            if t % 2 == 0 { "compile" } else { "run" },
-                            100,
-                            false,
-                        );
+                        let kind = if t % 2 == 0 { "compile" } else { "run" };
+                        w.record_at(i * 10, kind, 100, false);
                     }
                 });
             }

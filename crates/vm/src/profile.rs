@@ -268,39 +268,6 @@ pub fn render_tables(cp: &CompiledProgram, p: Option<&Program>, counts: &Samples
     out
 }
 
-/// One profiled run of `cp` as a JSON section for telemetry reports.
-pub fn to_json(cp: &CompiledProgram, p: Option<&Program>, counts: &Samples) -> inl_obs::Json {
-    use inl_obs::Json;
-    let mut root = Json::object();
-    root.insert("program", Json::Str(cp.name.clone()));
-    let mut ops = Json::object();
-    for o in opcode_totals(cp, counts) {
-        ops.insert(o.opcode.name(), Json::Int(o.executed));
-    }
-    root.insert("opcodes", ops);
-    let mut stmts = Json::object();
-    for s in hot_statements(cp, p, counts) {
-        let mut obj = Json::object();
-        obj.insert("instances", Json::Int(s.instances));
-        obj.insert("instrs", Json::Int(s.instrs));
-        stmts.insert(s.name, obj);
-    }
-    root.insert("statements", stmts);
-    let mut loops = Json::object();
-    for l in loop_profiles(cp, p, counts) {
-        let mut obj = Json::object();
-        obj.insert("headers", Json::Int(l.header_execs));
-        obj.insert("iterations", Json::Int(l.iterations));
-        obj.insert("body_instrs", Json::Int(l.body_instrs));
-        obj.insert("trips_columns", Json::Int(l.trips_columns));
-        obj.insert("trips_carried", Json::Int(l.trips_carried));
-        obj.insert("mode", Json::Str(l.mode().into()));
-        loops.insert(l.name, obj);
-    }
-    root.insert("loops", loops);
-    root
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

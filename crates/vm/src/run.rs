@@ -382,7 +382,6 @@ impl Tally {
     fn flush(&self) {
         if self.instrs > 0 {
             inl_obs::counter_add!("vm.instrs", self.instrs);
-            inl_obs::hist_record!("vm.exec_range.instrs", self.instrs);
         }
         if self.instances > 0 {
             inl_obs::counter_add!("vm.instances", self.instances);

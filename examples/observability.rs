@@ -48,12 +48,14 @@ fn main() {
     let mut machine = Machine::new(&result.program, &[64], &|_, idx| 2.0 + idx[0] as f64);
     Interpreter::new(&result.program).run(&mut machine);
 
-    // Trace the source program too, and attach the aggregate as a report
-    // section.
+    // Trace the source program too, and print its aggregate.
     let (_, trace) = run_traced(&p, &[64], &|_, idx| 2.0 + idx[0] as f64);
+    print!(
+        "\nsource trace summary\n{}",
+        trace.summary(&p).to_json().to_pretty_string()
+    );
 
-    let mut report = PipelineReport::capture();
-    report.attach("trace", trace.summary(&p).to_json());
+    let report = PipelineReport::capture();
     println!("\n{}", report.to_table());
 
     // `--json <path>` writes the machine-readable form.

@@ -68,10 +68,5 @@ fn main() {
     );
 
     println!("\n== pipeline telemetry ==\n");
-    let mut report = inl::obs::PipelineReport::capture();
-    report.attach(
-        "vm_profile",
-        inl::vm::profile::to_json(runner.compiled(), Some(&p), &samples),
-    );
-    print!("{}", report.to_table());
+    print!("{}", inl::obs::PipelineReport::capture().to_table());
 }

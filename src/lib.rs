@@ -12,7 +12,7 @@
 //! * [`codegen`] — code generation from transformation matrices
 //! * [`exec`] — interpreter, traces, equivalence checks, parallel executor
 //! * [`vm`] — compiling bytecode VM, the fast second execution backend
-//! * [`obs`] — pipeline observability: spans, counters, histograms, reports
+//! * [`obs`] — pipeline observability: spans, counters, reports
 
 pub use inl_codegen as codegen;
 pub use inl_core as core;
