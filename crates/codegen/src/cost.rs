@@ -61,7 +61,6 @@
 
 use inl_core::depend::DependenceMatrix;
 use inl_core::instance::InstanceLayout;
-use inl_core::legal::NewAst;
 use inl_ir::{Access, Aff, Expr, LoopId, Node, Program, StmtDecl, StmtId, VarKey};
 use inl_linalg::{IMat, IVec};
 use std::cmp::Reverse;
@@ -314,20 +313,17 @@ fn chain_latency(e: &Expr, carried: &Access) -> Option<i64> {
 struct Certify<'a> {
     layout: &'a InstanceLayout,
     deps: &'a DependenceMatrix,
-    ast: &'a NewAst,
     m: &'a IMat,
     origins: &'a [Option<LoopOrigin>],
 }
 
 impl Certify<'_> {
     fn doall(&self, l: LoopId) -> bool {
-        let (layout, deps, ast, m) = (self.layout, self.deps, self.ast, self.m);
+        let (layout, deps, m) = (self.layout, self.deps, self.m);
         match &self.origins[l.0] {
-            Some(LoopOrigin::Slot(q)) => {
-                inl_core::parallel::slot_is_parallel(layout, deps, ast, m, *q)
-            }
+            Some(LoopOrigin::Slot(q)) => inl_core::parallel::slot_is_parallel(layout, deps, m, *q),
             Some(LoopOrigin::Aug { stmt, rows }) => {
-                inl_core::parallel::augmented_loop_is_parallel(layout, deps, ast, m, *stmt, rows)
+                inl_core::parallel::augmented_loop_is_parallel(layout, deps, m, *stmt, rows)
             }
             None => false,
         }
@@ -513,7 +509,6 @@ pub(crate) fn predict(
     origins: &[Option<LoopOrigin>],
     layout: &InstanceLayout,
     deps: &DependenceMatrix,
-    ast: &NewAst,
     m: &IMat,
 ) -> PredictedCost {
     let mut p = Predict {
@@ -521,7 +516,6 @@ pub(crate) fn predict(
         cert: Certify {
             layout,
             deps,
-            ast,
             m,
             origins,
         },

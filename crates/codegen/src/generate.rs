@@ -3,7 +3,7 @@
 use crate::cost::LoopOrigin;
 use inl_core::depend::{analyze, DependenceMatrix};
 use inl_core::instance::{InstanceLayout, Position};
-use inl_core::legal::{check_legal, NewAst};
+use inl_core::legal::{check_legal, LegalityReport, NewAst};
 use inl_core::perstmt::{schedule_all, ScheduleError, StmtSchedule};
 use inl_core::transform::Transform;
 use inl_ir::{Aff, Bound, Guard, LoopId, Node, Program, ProgramBuilder, StmtId, VarKey};
@@ -63,9 +63,10 @@ struct StmtPlan {
     kold: usize,
 }
 
-/// Generate the transformed program for a legal matrix `m`: [`build`],
-/// then `BuiltVariant::finish` — two halves in sequence, and the only
-/// way a variant is ever finished, whoever asks.
+/// Generate the transformed program for a legal matrix `m`: check it
+/// ([`check_legal`], the one check), [`build`], then
+/// `BuiltVariant::finish` — two halves in sequence, and the only way a
+/// variant is ever finished, whoever asks.
 pub fn generate(
     p: &Program,
     layout: &InstanceLayout,
@@ -73,11 +74,12 @@ pub fn generate(
     m: &IMat,
 ) -> Result<CodegenResult, CodegenError> {
     let _span = inl_obs::span("codegen.generate");
-    Ok(build(p, layout, deps, m)?.finish(p, layout, deps, m))
+    let report = check_legal(p, layout, deps, m)?;
+    Ok(build(p, layout, deps, m, &report)?.finish(p, layout, deps, m))
 }
 
-/// A variant lowered as far as the target [`Program`] — legality,
-/// per-statement schedules, Fourier–Motzkin bounds, merge, emission — but
+/// A variant lowered as far as the target [`Program`] — per-statement
+/// schedules, Fourier–Motzkin bounds, merge, emission — but
 /// with its guards not yet simplified and no cost features computed.
 ///
 /// The program stays private: the only thing readable here is
@@ -85,7 +87,6 @@ pub fn generate(
 /// alone, so no caller can see an unsimplified guard count.
 pub struct BuiltVariant {
     result: CodegenResult,
-    ast: NewAst,
     /// Where each loop of the target program comes from, by `LoopId`.
     origins: Vec<Option<LoopOrigin>>,
     bounds_scanned: i64,
@@ -102,14 +103,7 @@ impl BuiltVariant {
         deps: &DependenceMatrix,
         m: &IMat,
     ) -> crate::cost::PredictedCost {
-        crate::cost::predict(
-            &self.result.program,
-            &self.origins,
-            layout,
-            deps,
-            &self.ast,
-            m,
-        )
+        crate::cost::predict(&self.result.program, &self.origins, layout, deps, m)
     }
 
     /// The second half of [`generate`]: drop the guards the enclosing
@@ -158,7 +152,7 @@ impl BuiltVariant {
         );
         let ndeps = deps.deps.len() as i64;
         let deps_certain = deps.deps.iter().filter(|d| d.certain).count() as i64;
-        let doall = inl_core::parallel::parallel_slots(layout, deps, &self.ast, m);
+        let doall = inl_core::parallel::parallel_slots(layout, deps, m);
         let loop_slots: Vec<usize> = layout.loops().map(|(q, _)| q).collect();
         // inner parallelism only: a wavefront schedule
         let wavefront = matches!((doall.first(), loop_slots.first()), (Some(s), Some(f)) if s > f);
@@ -197,23 +191,26 @@ impl BuiltVariant {
     }
 }
 
-/// The first half of [`generate`]: everything through `Builder::build()`.
+/// The first half of [`generate`]: everything through `Builder::build()`,
+/// for `m` and the [`LegalityReport`] that proved it ([`check_legal`]'s, or
+/// the one [`inl_core::complete::Completion`] carries) — `m` is not checked
+/// again. A report of an illegal matrix is a [`CodegenError::Illegal`].
 pub fn build(
     p: &Program,
     layout: &InstanceLayout,
     deps: &DependenceMatrix,
     m: &IMat,
+    report: &LegalityReport,
 ) -> Result<BuiltVariant, CodegenError> {
-    let report = check_legal(p, layout, deps, m)?;
-    let ast = match &report.new_ast {
-        Ok(a) => a.clone(),
-        Err(e) => return Err(CodegenError::Illegal(e.clone())),
-    };
+    let ast = report
+        .new_ast
+        .as_ref()
+        .map_err(|e| CodegenError::Illegal(e.clone()))?;
     if !report.violations.is_empty() {
         return Err(CodegenError::Illegal(format!("{:?}", report.violations)));
     }
     let schedules =
-        schedule_all(p, layout, &ast, m, deps, &report).map_err(CodegenError::Schedule)?;
+        schedule_all(p, layout, ast, m, deps, report).map_err(CodegenError::Schedule)?;
 
     // --- per-statement polyhedra and scan bounds ---
     let np = p.nparams();
@@ -309,7 +306,7 @@ pub fn build(
     let builder = Builder {
         src: p,
         layout,
-        ast: &ast,
+        ast,
         plans: &plans,
         slot_bounds: &slot_bounds,
         np,
@@ -322,7 +319,6 @@ pub fn build(
     }
     Ok(BuiltVariant {
         result,
-        ast,
         origins,
         bounds_scanned,
         loops_augmented,

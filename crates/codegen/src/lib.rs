@@ -8,7 +8,8 @@
 //!
 //! 1. **Legality & AST** — [`inl_core::legal::check_legal`] recovers the
 //!    transformed AST (child reorderings) and the self-dependences left
-//!    unsatisfied.
+//!    unsatisfied; [`generate()`] runs it, [`build`] takes its report (or
+//!    the one a completion carries) and does not check again.
 //! 2. **Per-statement schedules** — [`inl_core::perstmt`] builds each
 //!    statement's (possibly augmented) transformation `T'_S`, its
 //!    non-singular core `N_S`, and the singular-row combinations.

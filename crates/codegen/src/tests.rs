@@ -354,7 +354,8 @@ fn both_halves_of_generate_agree_on_the_predicted_cost() {
     let mut check = |p: &Program, m: &IMat| {
         let layout = InstanceLayout::new(p);
         let deps = analyze(p, &layout).expect("analysis");
-        let built = crate::build(p, &layout, &deps, m).expect("builds");
+        let report = inl_core::legal::check_legal(p, &layout, &deps, m).expect("legality");
+        let built = crate::build(p, &layout, &deps, m, &report).expect("builds");
         let ranked_on = built.predicted(&layout, &deps, m);
         let finished = built.finish(p, &layout, &deps, m);
         assert_eq!(ranked_on, finished.features.predicted, "{}", p.name());

@@ -144,7 +144,8 @@ pub struct Dependence {
     /// Kind.
     pub kind: DepKind,
     /// Precedence level: the dependence is carried by the `level`-th common
-    /// loop (0-based, outside-in); `level == common_loops` means the
+    /// loop (0-based, outside-in); a level equal to the number of common
+    /// loops means the
     /// instances share all common loop values and the dependence is
     /// loop-independent (satisfied by syntactic order).
     pub level: usize,
@@ -164,15 +165,6 @@ pub struct Dependence {
 }
 
 impl Dependence {
-    /// Number of common loops of `src` and `dst`.
-    pub fn common_loops(&self) -> usize {
-        self.src_loops
-            .iter()
-            .zip(&self.dst_loops)
-            .take_while(|(a, b)| a == b)
-            .count()
-    }
-
     /// The instance-vector difference at position `i` as a [`LinExpr`] over
     /// the dependence polyhedron's variable space; an error on coefficient
     /// overflow.

@@ -18,17 +18,23 @@
 //! also uses: interval arithmetic over the distance/direction entries
 //! (fast, conservative), falling back to exact feasibility queries on the
 //! retained dependence polyhedra when the intervals are inconclusive.
+//!
+//! Distribution and jamming (§4.2) are decided by the same walk
+//! ([`check_structural`]). Their matrices are non-square and there is no
+//! AST to recover: the step's surgery built the target program, and
+//! condition 2 reads the common loops and the order `⪯ₛ` in that target.
 
 use crate::depend::{Dependence, DependenceMatrix};
 use crate::instance::{InstanceLayout, Position};
-use crate::project::{row_dot, DepState, RowEffect};
+use crate::project::{common_positions, row_dot, DepState, RowEffect};
+use crate::structural::StructuralResult;
 use inl_ir::{LoopId, Program, StmtId};
 use inl_linalg::{IMat, InlError};
 use std::collections::HashMap;
 
 /// The recovered transformed AST (Fig. 6): the source program with each
-/// node's children permuted, plus the mapping from old vector positions to
-/// new ones.
+/// node's children permuted. Every slot keeps its position, so a loop sits
+/// at the same vector position in both programs.
 #[derive(Clone, Debug)]
 pub struct NewAst {
     /// Structurally transformed program (bounds/bodies still the source
@@ -37,8 +43,6 @@ pub struct NewAst {
     pub program: Program,
     /// Its layout.
     pub layout: InstanceLayout,
-    /// `pos_map[old] = new` for every slot (loop or edge).
-    pub pos_map: Vec<usize>,
     /// Child permutation per node (`None` key = virtual root): old child
     /// index → new child index. Identity permutations included.
     pub child_perms: HashMap<Option<LoopId>, Vec<usize>>,
@@ -171,7 +175,6 @@ pub fn recover_ast(p: &Program, layout: &InstanceLayout, m: &IMat) -> Result<New
     Ok(NewAst {
         program,
         layout: new_layout,
-        pos_map: (0..n).collect(),
         child_perms: perms,
     })
 }
@@ -195,19 +198,23 @@ pub fn check_legal(
 ) -> Result<LegalityReport, InlError> {
     let _span = inl_obs::span("legal.check");
     let new_ast = recover_ast(p, layout, m);
-    let mut violations = Vec::new();
-    let mut unsatisfied_self = Vec::new();
-    if let Ok(ast) = &new_ast {
-        for (idx, d) in deps.deps.iter().enumerate() {
-            match check_dep(p, layout, ast, m, idx, d)? {
-                DepStatus::Satisfied => {}
-                DepStatus::UnsatisfiedSelf => unsatisfied_self.push(idx),
-                DepStatus::Violated(reason) => violations.push(Violation { dep: idx, reason }),
+    let (violations, unsatisfied_self) = match &new_ast {
+        Ok(ast) => walk(p, layout, deps, m, &ast.program, &ast.layout)?,
+        Err(_) => Default::default(),
+    };
+    if inl_obs::explain_enabled() {
+        let subject = format!("transformation {}", crate::provenance::matrix_text(m));
+        match &new_ast {
+            Err(e) => {
+                let why = format!("no Fig. 5 block structure: {e}");
+                inl_obs::explain::reject("legal", subject, why)
+                    .feature("deps", deps.deps.len() as i64);
+            }
+            Ok(ast) => {
+                let verdicts = (&violations[..], &unsatisfied_self[..]);
+                record_verdict("legal", subject, p, deps, m, &ast.layout, verdicts);
             }
         }
-    }
-    if inl_obs::explain_enabled() {
-        record_verdict(p, layout, deps, m, &new_ast, &violations, &unsatisfied_self);
     }
     Ok(LegalityReport {
         new_ast,
@@ -216,31 +223,45 @@ pub fn check_legal(
     })
 }
 
-/// Feed the decision-provenance layer: one record per [`check_legal`]
-/// call, carrying the violating dependence row (Def. 6 failure) or the
-/// proving projections `M·d` on success. Only called with the explain
-/// layer enabled.
-fn record_verdict(
+/// Definition 6 for the structural step (§4.2) that made `r` of `p`: the
+/// walk of [`check_legal`] over the rows of the step's non-square matrix,
+/// at the loops each dependence's statements share in the target program,
+/// with the target's syntactic order deciding where every such row can be
+/// zero. The verdict is recorded under the `structural` stage, naming the
+/// step `step` (a label prefix such as `dist(I@1)`).
+pub fn check_structural(
     p: &Program,
     layout: &InstanceLayout,
     deps: &DependenceMatrix,
+    r: &StructuralResult,
+    step: &str,
+) -> Result<bool, InlError> {
+    let (m, target) = (&r.matrix, &r.target_layout);
+    let (violations, unsatisfied_self) = walk(p, layout, deps, m, &r.target, target)?;
+    if inl_obs::explain_enabled() {
+        let subject = format!("shape {step} of {}", p.name());
+        let verdicts = (&violations[..], &unsatisfied_self[..]);
+        record_verdict("structural", subject, p, deps, m, target, verdicts);
+    }
+    Ok(violations.is_empty())
+}
+
+/// Feed the decision-provenance layer: one record per verdict, under
+/// `stage`, carrying the violating dependence row (Def. 6 failure) or the
+/// proving projections `M·d` on success. `target` lays out the program `m`
+/// maps `p` onto. Only called with the explain layer enabled.
+fn record_verdict(
+    stage: &'static str,
+    subject: String,
+    p: &Program,
+    deps: &DependenceMatrix,
     m: &IMat,
-    new_ast: &Result<NewAst, String>,
-    violations: &[Violation],
-    unsatisfied_self: &[usize],
+    target: &InstanceLayout,
+    (violations, unsatisfied_self): (&[Violation], &[usize]),
 ) {
-    use crate::provenance::{dep_label, dep_row, matrix_text};
-    let subject = format!("transformation {}", matrix_text(m));
-    let ast = match new_ast {
-        Err(e) => {
-            inl_obs::explain::reject("legal", subject, format!("no Fig. 5 block structure: {e}"))
-                .feature("deps", deps.deps.len() as i64);
-            return;
-        }
-        Ok(ast) => ast,
-    };
+    use crate::provenance::{dep_label, dep_row};
     let projected = |d: &Dependence| -> String {
-        let proj: Vec<String> = common_new_positions(layout, ast, d)
+        let proj: Vec<String> = common_positions(target, d)
             .iter()
             .map(|&row| row_dot(m.row_slice(row), &d.entries).to_string())
             .collect();
@@ -249,7 +270,7 @@ fn record_verdict(
     if let Some(v) = violations.first() {
         let d = &deps.deps[v.dep];
         let mut rec = inl_obs::explain::reject(
-            "legal",
+            stage,
             subject,
             format!("{}: {}", dep_label(p, v.dep, d), v.reason),
         )
@@ -294,7 +315,7 @@ fn record_verdict(
         })
         .collect();
     inl_obs::explain::accept(
-        "legal",
+        stage,
         subject,
         format!(
             "all {} dependences lexicographically satisfied, {} self-dependences to augmentation",
@@ -307,39 +328,46 @@ fn record_verdict(
     .feature("unsatisfied_self", unsatisfied_self.len() as i64);
 }
 
-/// Positions (new-space, ascending = outside-in) of the loops common to the
-/// dependence's source and target.
-pub(crate) fn common_new_positions(
-    layout: &InstanceLayout,
-    ast: &NewAst,
-    d: &Dependence,
-) -> Vec<usize> {
-    let ncommon = d.common_loops();
-    let mut pos: Vec<usize> = d.src_loops[..ncommon]
-        .iter()
-        .map(|&l| ast.pos_map[layout.loop_position(l)])
-        .collect();
-    pos.sort_unstable();
-    pos
-}
-
-/// Walk one dependence through the rows of `m` at its common loops,
-/// outside-in, on the shared projection stepper.
-fn check_dep(
+/// Definition 6's dependence test, the one walk behind [`check_legal`] and
+/// [`check_structural`]: every dependence of `p` through the rows of `m` at
+/// the loops its source and target share in `target` (laid out by
+/// `target_layout`), outside-in, on the shared projection stepper. Returns
+/// the violations and the self-dependences left to augmentation.
+fn walk(
     p: &Program,
     layout: &InstanceLayout,
-    ast: &NewAst,
+    deps: &DependenceMatrix,
     m: &IMat,
-    idx: usize,
-    d: &Dependence,
+    target: &Program,
+    target_layout: &InstanceLayout,
+) -> Result<(Vec<Violation>, Vec<usize>), InlError> {
+    let mut violations = Vec::new();
+    let mut unsatisfied_self = Vec::new();
+    for (idx, d) in deps.deps.iter().enumerate() {
+        let st = DepState::new(idx, d, common_positions(target_layout, d));
+        match check_dep(layout, p.nparams(), m, st, target)? {
+            DepStatus::Satisfied => {}
+            DepStatus::UnsatisfiedSelf => unsatisfied_self.push(idx),
+            DepStatus::Violated(reason) => violations.push(Violation { dep: idx, reason }),
+        }
+    }
+    Ok((violations, unsatisfied_self))
+}
+
+/// Walk one dependence through the rows of `m` at its common loops.
+fn check_dep(
+    layout: &InstanceLayout,
+    nparams: usize,
+    m: &IMat,
+    mut st: DepState<'_>,
+    target: &Program,
 ) -> Result<DepStatus, InlError> {
-    let mut st = DepState::new(idx, d, common_new_positions(layout, ast, d));
     // once a row has needed the polyhedron, a violation is reported as an
     // instance of it rather than as an interval
     let mut exact = false;
     let mut status = None;
     for k in 0..st.common.len() {
-        let step = st.step(layout, p.nparams(), m.row_slice(st.common[k]))?;
+        let step = st.step(layout, nparams, m.row_slice(st.common[k]))?;
         exact |= step.exact;
         status = match step.effect {
             RowEffect::Satisfies => Some(DepStatus::Satisfied),
@@ -362,14 +390,15 @@ fn check_dep(
     } else {
         inl_obs::counter_add!("legal.fast_path_hits", 1);
     }
-    // every common row can be zero at once: syntactic order decides
-    Ok(status.unwrap_or_else(|| zero_case(ast, d)))
+    // every common row can be zero at once: the target's syntactic order
+    // decides
+    Ok(status.unwrap_or_else(|| zero_case(target, st.dep)))
 }
 
-fn zero_case(ast: &NewAst, d: &Dependence) -> DepStatus {
+fn zero_case(target: &Program, d: &Dependence) -> DepStatus {
     if d.src == d.dst {
         DepStatus::UnsatisfiedSelf
-    } else if ast.program.syntactically_before(d.src, d.dst) {
+    } else if target.syntactically_before(d.src, d.dst) {
         DepStatus::Satisfied
     } else {
         DepStatus::Violated(

@@ -26,7 +26,7 @@
 //! * [`legal`] (§5.1–5.3) — block-structure validation, recovery of the
 //!   transformed AST (Fig. 6), and the legality test of Definition 6 (fast
 //!   interval arithmetic over direction entries, with an exact polyhedral
-//!   fallback);
+//!   fallback) for square and structural matrices alike;
 //! * [`perstmt`] (§5.4) — per-statement transformations, the `Complete`
 //!   augmentation procedure (Fig. 7), and non-singular per-statement
 //!   transforms `N_S` (§5.5);

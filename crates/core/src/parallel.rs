@@ -19,8 +19,7 @@
 
 use crate::depend::{DepEntry, Dependence, DependenceMatrix};
 use crate::instance::{InstanceLayout, Position};
-use crate::legal::{common_new_positions, NewAst};
-use crate::project::row_dot;
+use crate::project::{common_positions, row_dot};
 use inl_ir::StmtId;
 use inl_linalg::{gauss, IMat, IVec, InlError, Int};
 
@@ -159,12 +158,11 @@ fn at_loop<'r>(outer: impl IntoIterator<Item = &'r [Int]>, row: &[Int], d: &Depe
 pub fn slot_is_parallel(
     layout: &InstanceLayout,
     deps: &DependenceMatrix,
-    ast: &NewAst,
     m: &IMat,
     q: usize,
 ) -> bool {
     deps.deps.iter().all(|d| {
-        let common = common_new_positions(layout, ast, d);
+        let common = common_positions(layout, d);
         !common.contains(&q) || !matches!(slot_verdict(&common, m, q, d), AtLoop::Blocks(_))
     })
 }
@@ -188,7 +186,6 @@ fn slot_verdict(common: &[usize], m: &IMat, q: usize, d: &Dependence) -> AtLoop 
 pub fn augmented_loop_is_parallel(
     layout: &InstanceLayout,
     deps: &DependenceMatrix,
-    ast: &NewAst,
     m: &IMat,
     stmt: StmtId,
     rows: &[IVec],
@@ -200,7 +197,7 @@ pub fn augmented_loop_is_parallel(
         .iter()
         .filter(|d| d.src == stmt && d.dst == stmt)
         .all(|d| {
-            let common = common_new_positions(layout, ast, d);
+            let common = common_positions(layout, d);
             let outer = common
                 .iter()
                 .map(|&r| m.row_slice(r))
@@ -216,12 +213,7 @@ pub fn augmented_loop_is_parallel(
 /// positive) or exactly zero at `q`.
 ///
 /// Conservative: inconclusive intervals disqualify the slot.
-pub fn parallel_slots(
-    layout: &InstanceLayout,
-    deps: &DependenceMatrix,
-    ast: &NewAst,
-    m: &IMat,
-) -> Vec<usize> {
+pub fn parallel_slots(layout: &InstanceLayout, deps: &DependenceMatrix, m: &IMat) -> Vec<usize> {
     let explain = inl_obs::explain_enabled();
     let mut out = Vec::new();
     'slots: for (q, pos) in layout.positions().iter().enumerate() {
@@ -230,7 +222,7 @@ pub fn parallel_slots(
         }
         let mut evidence: Vec<String> = Vec::new();
         for (di, d) in deps.deps.iter().enumerate() {
-            let common = common_new_positions(layout, ast, d);
+            let common = common_positions(layout, d);
             if !common.contains(&q) {
                 continue;
             }
@@ -327,14 +319,14 @@ mod tests {
         .matrix(&p, &layout);
         let report = check_legal(&p, &layout, &deps, &m).expect("legality");
         assert!(report.is_legal());
-        let ast = report.new_ast.as_ref().unwrap();
-        let slots = parallel_slots(&layout, &deps, ast, &m);
+        let slots = parallel_slots(&layout, &deps, &m);
         assert_eq!(slots, vec![1], "inner slot parallel, outer not");
         // without the skew, nothing is parallel
         let id = IMat::identity(2);
-        let rid = check_legal(&p, &layout, &deps, &id).expect("legality");
-        let ast_id = rid.new_ast.as_ref().unwrap();
-        assert!(parallel_slots(&layout, &deps, ast_id, &id).is_empty());
+        assert!(check_legal(&p, &layout, &deps, &id)
+            .expect("legality")
+            .is_legal());
+        assert!(parallel_slots(&layout, &deps, &id).is_empty());
     }
 
     #[test]
@@ -346,9 +338,10 @@ mod tests {
         let rows = parallel_rows(&layout, &deps).expect("rows");
         assert!(!rows.is_empty(), "dependence-free loop has parallel rows");
         let id = IMat::identity(layout.len());
-        let report = check_legal(&p, &layout, &deps, &id).expect("legality");
-        let ast = report.new_ast.as_ref().unwrap();
-        let slots = parallel_slots(&layout, &deps, ast, &id);
+        assert!(check_legal(&p, &layout, &deps, &id)
+            .expect("legality")
+            .is_legal());
+        let slots = parallel_slots(&layout, &deps, &id);
         assert_eq!(slots.len(), 1, "the single loop slot is parallel");
     }
 
@@ -362,9 +355,10 @@ mod tests {
         // under the identity schedule, the inner J loop IS parallel (the
         // divisions of one pivot step are independent)
         let id = IMat::identity(layout.len());
-        let report = check_legal(&p, &layout, &deps, &id).expect("legality");
-        let ast = report.new_ast.as_ref().unwrap();
-        let slots = parallel_slots(&layout, &deps, ast, &id);
+        assert!(check_legal(&p, &layout, &deps, &id)
+            .expect("legality")
+            .is_legal());
+        let slots = parallel_slots(&layout, &deps, &id);
         let jpos = 3;
         assert!(slots.contains(&jpos), "inner J loop parallel: {slots:?}");
         assert!(!slots.contains(&0), "outer I loop sequential");

@@ -12,8 +12,9 @@
 //! conservative), then exact feasibility queries on the retained dependence
 //! polyhedron under the *zero context* — the earlier rows pinned to zero.
 //!
-//! [`crate::legal::check_legal`] walks a finished matrix through it one
-//! dependence at a time; [`crate::complete::check_prefix`] and
+//! [`crate::legal::check_legal`] and [`crate::legal::check_structural`] walk
+//! a finished matrix through it one dependence at a time;
+//! [`crate::complete::check_prefix`] and
 //! [`crate::complete::complete_transform`] walk candidate rows through it
 //! one slot at a time ([`step_all`], [`commit_all`]). There is no other
 //! copy of the interval arithmetic or of the `row·Δ` construction.
@@ -62,10 +63,14 @@ fn row_expr(
     Ok(acc)
 }
 
-/// Positions (ascending = outside-in) of the loops common to the
-/// dependence's source and target.
-fn common_positions(layout: &InstanceLayout, d: &Dependence) -> Vec<usize> {
-    let mut pos: Vec<usize> = d.src_loops[..d.common_loops()]
+/// Positions (ascending = outside-in) of the loops that surround both the
+/// dependence's source and its target in the program `layout` lays out —
+/// the source program, or the target of a transformation (statement ids
+/// survive every one).
+pub(crate) fn common_positions(layout: &InstanceLayout, d: &Dependence) -> Vec<usize> {
+    let (src, dst) = (layout.stmt_loops(d.src), layout.stmt_loops(d.dst));
+    let common = src.iter().zip(dst).take_while(|(a, b)| a == b).count();
+    let mut pos: Vec<usize> = src[..common]
         .iter()
         .map(|&l| layout.loop_position(l))
         .collect();

@@ -35,7 +35,8 @@
 
 use crate::depend::{analyze, DependenceMatrix};
 use crate::instance::InstanceLayout;
-use crate::structural::{distribute, distribution_legal, jam, jamming_legal};
+use crate::legal::check_structural;
+use crate::structural::{distribute, jam};
 use crate::tiling;
 use inl_ir::{LoopId, Node, Program};
 use inl_linalg::{IVec, InlError, Int};
@@ -223,26 +224,20 @@ impl Shape {
     }
 
     /// The shape `step` makes of this shape, laid out and analysed:
-    /// distribution and jamming are decided on this shape's dependences
-    /// ([`distribution_legal`], [`jamming_legal`]), a split on the split
-    /// program's ([`tiling::split_legal_with_deps`], whose analysis the
-    /// shape keeps). `Ok(None)` when the dependence test vetoes the step;
-    /// an [`inl_linalg::InlErrorKind::InvalidTarget`] error when it names
-    /// no loop of the program, or loops it cannot apply to (a child index
-    /// out of range, loops that are not adjacent siblings or have different
-    /// bounds, a tile size below 2).
+    /// distribution and jamming are decided by Definition 6 on the step's
+    /// matrix over this shape's dependences ([`check_structural`]), a split
+    /// on the split program's ([`tiling::split_legal_with_deps`], whose
+    /// analysis the shape keeps). `Ok(None)` when the dependence test vetoes
+    /// the step; an [`inl_linalg::InlErrorKind::InvalidTarget`] error when
+    /// it names no loop of the program, or loops it cannot apply to (a child
+    /// index out of range, loops that are not adjacent siblings or have
+    /// different bounds, a tile size below 2).
     pub fn apply(&self, step: &Step) -> Result<Option<Shape>, InlError> {
         let (p, layout, deps) = (&self.program, &self.layout, &self.deps);
         let err = |why: String| InlError::invalid_target(format!("shape '{step}'"), why);
         let named = |name: &str| loop_named(p, layout, name).map_err(err);
         let r = match step {
-            Step::Distribute { r#loop, at } => {
-                let l = named(r#loop)?;
-                if !distribution_legal(p, deps, l, *at)? {
-                    return Ok(None);
-                }
-                distribute(p, layout, l, *at)?
-            }
+            Step::Distribute { r#loop, at } => distribute(p, layout, named(r#loop)?, *at)?,
             Step::Jam { first, second } => {
                 let (a, b) = (named(first)?, named(second)?);
                 let parent = p.loops_surrounding_loop(a).last().copied();
@@ -250,9 +245,6 @@ impl Shape {
                 let Some(idx) = p.children(parent).windows(2).position(|w| w == pair) else {
                     return Err(err("the loops are not adjacent siblings".into()));
                 };
-                if !jamming_legal(p, deps, parent, idx)? {
-                    return Ok(None);
-                }
                 jam(p, layout, parent, idx)?
             }
             Step::Split { r#loop, tile } => {
@@ -265,6 +257,9 @@ impl Shape {
                 }));
             }
         };
+        if !check_structural(p, layout, deps, &r, &step.to_string())? {
+            return Ok(None);
+        }
         Ok(Some(Shape {
             deps: analyze(&r.target, &r.target_layout)?,
             program: r.target,
@@ -440,5 +435,41 @@ mod tests {
         let source = Shape::source(zoo::simple_cholesky()).expect("analyses");
         let veto = parse_step("dist(I@1)").expect("parses");
         assert!(source.apply(&veto).expect("applies").is_none());
+    }
+
+    #[test]
+    fn a_jam_whose_crossing_dependence_an_outer_loop_carries_is_legal() {
+        // do P { do I: A[P][I] = I+P ; do J: B[P][J] = A[P-1][N+1-J] }:
+        // the flow from I into J runs backwards across the fused index
+        // (J < N+1-J on half the pairs), but P carries all of it, so the
+        // jam keeps every dependence's order
+        use inl_ir::{Aff, Expr, ProgramBuilder};
+        let mut b = ProgramBuilder::new("outer_carried_jam");
+        let n = b.param("N");
+        let ext = [Aff::param(n) + Aff::konst(2), Aff::param(n) + Aff::konst(2)];
+        let (x, y) = (b.array("A", &ext), b.array("B", &ext));
+        b.hloop("P", Aff::konst(1), Aff::param(n), |b| {
+            let q = b.loop_var("P");
+            b.hloop("I", Aff::konst(1), Aff::param(n), |b| {
+                let i = b.loop_var("I");
+                let at = vec![Aff::var(q), Aff::var(i)];
+                b.stmt("S1", x, at, Expr::index(Aff::var(i) + Aff::var(q)));
+            });
+            b.hloop("J", Aff::konst(1), Aff::param(n), |b| {
+                let j = b.loop_var("J");
+                let back = Aff::param(n) + Aff::konst(1) - Aff::var(j);
+                let read = Expr::read(x, vec![Aff::var(q) - Aff::konst(1), back]);
+                b.stmt("S2", y, vec![Aff::var(q), Aff::var(j)], read);
+            });
+        });
+        let p = b.finish();
+        let jam = Step::Jam {
+            first: "I".into(),
+            second: "J".into(),
+        };
+        let source = Shape::source(p.clone()).expect("analyses");
+        let shape = source.apply(&jam).expect("applies").expect("legal");
+        let init = |_: &str, idx: &[usize]| idx.iter().fold(0.5, |h, &i| h * 3.0 + i as f64);
+        inl_exec::equivalent(&p, &shape.program, &[7], &init).expect("same memory image");
     }
 }

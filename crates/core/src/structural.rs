@@ -7,24 +7,13 @@
 //! merges two loop positions into one.
 //!
 //! Each operation returns the matrix *and* the structurally transformed
-//! target program (built by `inl-ir`'s surgery), plus a legality test based
-//! on the dependence matrix:
-//!
-//! * distribution of loop `l` is legal iff no dependence from a statement
-//!   of the second part to a statement of the first part is carried by `l`
-//!   itself (dependences carried by outer loops stay satisfied; a
-//!   loop-independent dependence in that direction cannot exist);
-//! * jamming is legal iff no dependence from the first loop's statements to
-//!   the second loop's statements would be reversed — i.e. the dependence
-//!   polyhedron admits no point with `i_dst < i_src` for the fused loop
-//!   variables.
+//! target program (built by `inl-ir`'s surgery). Legality is Definition 6
+//! on that matrix, decided by the walk every transformation goes through
+//! ([`crate::legal::check_structural`]).
 
-use crate::depend::DependenceMatrix;
 use crate::instance::{InstanceLayout, Position};
-use crate::transform::node_contains;
-use inl_ir::{Aff, Bound, LoopId, Node, Program, StmtId, VarKey};
+use inl_ir::{Aff, Bound, LoopId, Node, Program, VarKey};
 use inl_linalg::{IMat, InlError, Int};
-use inl_poly::{is_empty, Feasibility, LinExpr};
 
 /// Human-readable path of a parent node, for [`InlError::invalid_target`].
 pub(crate) fn parent_path(p: &Program, parent: Option<LoopId>) -> String {
@@ -200,59 +189,6 @@ pub fn distribute(
     })
 }
 
-/// Is distributing loop `l` at `split` legal under `deps`?
-pub fn distribution_legal(
-    p: &Program,
-    deps: &DependenceMatrix,
-    l: LoopId,
-    split: usize,
-) -> Result<bool, InlError> {
-    distribute_target(p, l, split)?;
-    let depth = p.loops_surrounding_loop(l).len();
-    let children = &p.loop_decl(l).children;
-    let subject = || format!("distribute loop {} at split {split}", p.loop_decl(l).name);
-    let in_part = |s: StmtId, range: std::ops::Range<usize>| -> bool {
-        children[range.clone()]
-            .iter()
-            .any(|&c| node_contains(p, c, Node::Stmt(s)))
-    };
-    for (di, d) in deps.deps.iter().enumerate() {
-        let src_second = in_part(d.src, split..children.len());
-        let dst_first = in_part(d.dst, 0..split);
-        if src_second && dst_first && d.level == depth {
-            if inl_obs::explain_enabled() {
-                inl_obs::explain::reject(
-                    "structural",
-                    subject(),
-                    format!(
-                        "{} runs from the second part back to the first and is carried \
-                         by the distributed loop itself (level {depth})",
-                        crate::provenance::dep_label(p, di, d)
-                    ),
-                )
-                .detail("dep_row", crate::provenance::dep_row(d))
-                .feature("deps", deps.deps.len() as i64)
-                .feature("split", split as i64);
-            }
-            return Ok(false);
-        }
-    }
-    if inl_obs::explain_enabled() {
-        inl_obs::explain::accept(
-            "structural",
-            subject(),
-            format!(
-                "none of the {} dependences runs from the second part to the first \
-                 at the distributed level {depth}",
-                deps.deps.len()
-            ),
-        )
-        .feature("deps", deps.deps.len() as i64)
-        .feature("split", split as i64);
-    }
-    Ok(true)
-}
-
 /// Jam (fuse) adjacent sibling loops — children `idx` and `idx + 1` of
 /// `parent` — and build the jamming matrix.
 ///
@@ -342,95 +278,22 @@ pub fn jam(
     })
 }
 
-/// Is jamming children `idx`, `idx+1` of `parent` legal under `deps`?
-///
-/// Checks every dependence from a statement of the first loop to a
-/// statement of the second: the fused order reverses it iff the dependence
-/// polyhedron contains a point where the target's fused-loop value is
-/// *smaller* than the source's. (Equal values are fine: the first loop's
-/// body precedes the second's in the fused body.)
-pub fn jamming_legal(
-    p: &Program,
-    deps: &DependenceMatrix,
-    parent: Option<LoopId>,
-    idx: usize,
-) -> Result<bool, InlError> {
-    let (a, b) = jam_targets(p, parent, idx)?;
-    let nparams = p.nparams();
-    let subject = || {
-        format!(
-            "jam loops {} and {}",
-            p.loop_decl(a).name,
-            p.loop_decl(b).name
-        )
-    };
-    let mut crossing = 0i64;
-    for (di, d) in deps.deps.iter().enumerate() {
-        let src_in_a = node_contains(p, Node::Loop(a), Node::Stmt(d.src));
-        let dst_in_b = node_contains(p, Node::Loop(b), Node::Stmt(d.dst));
-        if !(src_in_a && dst_in_b) {
-            continue;
-        }
-        crossing += 1;
-        // slots of a (in src loops) and b (in dst loops)
-        let sa = d
-            .src_loops
-            .iter()
-            .position(|&x| x == a)
-            .expect("a surrounds src");
-        let sb = d
-            .dst_loops
-            .iter()
-            .position(|&x| x == b)
-            .expect("b surrounds dst");
-        let space = d.system.nvars();
-        let ia = LinExpr::var(space, nparams + sa);
-        let ib = LinExpr::var(space, nparams + d.src_loops.len() + sb);
-        let mut sys = d.system.clone();
-        // violation: i_b < i_a, i.e. i_a - i_b - 1 >= 0
-        sys.add_ge(ia - ib - LinExpr::constant(space, 1));
-        if is_empty(&sys) != Feasibility::Empty {
-            if inl_obs::explain_enabled() {
-                inl_obs::explain::reject(
-                    "structural",
-                    subject(),
-                    format!(
-                        "{} admits an instance with target iteration below the source: \
-                         the fused order would reverse it",
-                        crate::provenance::dep_label(p, di, d)
-                    ),
-                )
-                .detail("dep_row", crate::provenance::dep_row(d))
-                .feature("deps", deps.deps.len() as i64)
-                .feature("crossing_deps", crossing);
-            }
-            return Ok(false);
-        }
-    }
-    if inl_obs::explain_enabled() {
-        inl_obs::explain::accept(
-            "structural",
-            subject(),
-            format!(
-                "{crossing} dependences cross from the first loop into the second; \
-                 none admits a fused-iteration reversal"
-            ),
-        )
-        .feature("deps", deps.deps.len() as i64)
-        .feature("crossing_deps", crossing);
-    }
-    Ok(true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::depend::analyze;
-    use inl_ir::zoo;
+    use crate::legal::check_structural;
+    use inl_ir::{zoo, StmtId};
     use inl_linalg::IVec;
 
     fn stmt(p: &Program, name: &str) -> StmtId {
         p.stmts().find(|&s| p.stmt_decl(s).name == name).unwrap()
+    }
+
+    /// Definition 6's verdict on the step that made `r` of `p`.
+    fn legal(p: &Program, layout: &InstanceLayout, r: &StructuralResult) -> bool {
+        let deps = analyze(p, layout).expect("analysis");
+        check_structural(p, layout, &deps, r, "step").expect("walks")
     }
 
     #[test]
@@ -470,19 +333,18 @@ mod tests {
         // factorization codes"
         let p = zoo::simple_cholesky();
         let layout = InstanceLayout::new(&p);
-        let deps = analyze(&p, &layout).expect("analysis");
         let i = p.loops().next().unwrap();
-        assert!(!distribution_legal(&p, &deps, i, 1).expect("valid target"));
+        let r = distribute(&p, &layout, i, 1).expect("distributes");
+        assert!(!legal(&p, &layout, &r));
     }
 
     #[test]
     fn distribution_legal_for_independent_statements() {
         let p = zoo::independent_pair();
         let layout = InstanceLayout::new(&p);
-        let deps = analyze(&p, &layout).expect("analysis");
         let i = p.loops().next().unwrap();
-        assert!(distribution_legal(&p, &deps, i, 1).expect("valid target"));
         let r = distribute(&p, &layout, i, 1).expect("distributes");
+        assert!(legal(&p, &layout, &r));
         assert!(r.target.validate().is_ok());
         assert_eq!(r.target.root().len(), 2);
     }
@@ -522,8 +384,8 @@ mod tests {
         // would change the distributed program's (different!) semantics.
         let p = zoo::distributed_simple_cholesky();
         let layout = InstanceLayout::new(&p);
-        let deps = analyze(&p, &layout).expect("analysis");
-        assert!(!jamming_legal(&p, &deps, None, 0).expect("valid target"));
+        let r = jam(&p, &layout, None, 0).expect("jams");
+        assert!(!legal(&p, &layout, &r));
     }
 
     #[test]
@@ -551,8 +413,8 @@ mod tests {
         });
         let p = b.finish();
         let layout = InstanceLayout::new(&p);
-        let deps = analyze(&p, &layout).expect("analysis");
-        assert!(!jamming_legal(&p, &deps, None, 0).expect("valid target"));
+        let r = jam(&p, &layout, None, 0).expect("jams");
+        assert!(!legal(&p, &layout, &r));
         // while the same shape reading X(I-1) is legal to fuse
         let mut b = ProgramBuilder::new("forward");
         let n = b.param("N");
@@ -573,8 +435,8 @@ mod tests {
         });
         let q = b.finish();
         let qlayout = InstanceLayout::new(&q);
-        let qdeps = analyze(&q, &qlayout).expect("analysis");
-        assert!(jamming_legal(&q, &qdeps, None, 0).expect("valid target"));
+        let r = jam(&q, &qlayout, None, 0).expect("jams");
+        assert!(legal(&q, &qlayout, &r));
     }
 
     #[test]
@@ -589,10 +451,6 @@ mod tests {
         assert!(e.to_string().contains("loop I"), "{e}");
         // the root has a single child: no adjacent sibling to jam
         let e = jam(&p, &layout, None, 0).unwrap_err();
-        assert_eq!(e.kind(), InlErrorKind::InvalidTarget);
-        // the legality query validates identically instead of panicking
-        let deps = analyze(&p, &layout).expect("analysis");
-        let e = jamming_legal(&p, &deps, Some(i), 0).unwrap_err();
         assert_eq!(e.kind(), InlErrorKind::InvalidTarget);
     }
 
@@ -623,13 +481,10 @@ mod tests {
         use inl_linalg::InlErrorKind;
         let p = zoo::simple_cholesky();
         let layout = InstanceLayout::new(&p);
-        let deps = analyze(&p, &layout).expect("analysis");
         let i = p.loops().next().unwrap();
         // the I loop has exactly 2 children: only split = 1 is in range
         for split in [0, 2, 99] {
             let e = distribute(&p, &layout, i, split).unwrap_err();
-            assert_eq!(e.kind(), InlErrorKind::InvalidTarget, "split {split}");
-            let e = distribution_legal(&p, &deps, i, split).unwrap_err();
             assert_eq!(e.kind(), InlErrorKind::InvalidTarget, "split {split}");
         }
     }

@@ -8,7 +8,8 @@
 
 use inl_core::depend::{analyze, memo_stats, DependenceMatrix, MemoStats, MEMO_CAP};
 use inl_core::instance::{InstanceLayout, Position};
-use inl_core::structural::{distribute, distribution_legal, jam, jamming_legal};
+use inl_core::legal::check_structural;
+use inl_core::structural::{distribute, jam};
 use inl_core::tiling;
 use inl_ir::{zoo, Aff, Expr, Guard, LoopId, Node, Program, ProgramBuilder};
 use inl_linalg::Int;
@@ -61,9 +62,9 @@ fn scheduler_shapes(p: &Program) -> Vec<(String, Program, InstanceLayout)> {
     }
     for l in p.loops() {
         for split in 1..p.loop_decl(l).children.len() {
-            if distribution_legal(p, &deps, l, split).expect("distribution test") {
-                let r = distribute(p, &layout, l, split).expect("distribute");
-                let label = format!("dist({}@{split})", p.loop_decl(l).name);
+            let r = distribute(p, &layout, l, split).expect("distribute");
+            let label = format!("dist({}@{split})", p.loop_decl(l).name);
+            if check_structural(p, &layout, &deps, &r, &label).expect("distribution test") {
                 shapes.push((label, r.target, r.target_layout));
             }
         }
@@ -76,9 +77,12 @@ fn scheduler_shapes(p: &Program) -> Vec<(String, Program, InstanceLayout)> {
         };
         for idx in 0..siblings.len().saturating_sub(1) {
             if let (Node::Loop(_), Node::Loop(_)) = (siblings[idx], siblings[idx + 1]) {
-                if let Ok(true) = jamming_legal(p, &deps, parent, idx) {
-                    let r = jam(p, &layout, parent, idx).expect("jam");
-                    shapes.push((format!("jam({idx})"), r.target, r.target_layout));
+                let Ok(r) = jam(p, &layout, parent, idx) else {
+                    continue;
+                };
+                let label = format!("jam({idx})");
+                if check_structural(p, &layout, &deps, &r, &label).expect("jamming test") {
+                    shapes.push((label, r.target, r.target_layout));
                 }
             }
         }

@@ -29,7 +29,6 @@
 use inl_codegen::{generate, CodegenResult};
 use inl_core::depend::{analyze, DependenceMatrix};
 use inl_core::instance::InstanceLayout;
-use inl_core::legal::check_legal;
 use inl_ir::{Aff, Bound, Expr, Program, ProgramBuilder};
 use inl_linalg::{IMat, Int};
 use inl_poly::{LinExpr, System};
@@ -85,13 +84,8 @@ pub fn compile(p: &Program, m: &IMat) -> Compiled {
         Ok(d) => d,
         Err(e) => return Compiled::Rejected(format!("analyze: {e}")),
     };
-    match check_legal(p, &layout, &deps, m) {
-        Ok(report) if !report.is_legal() => {
-            return Compiled::Rejected(format!("illegal: {:?}", report.violations));
-        }
-        Ok(_) => {}
-        Err(e) => return Compiled::Rejected(format!("legality: {e}")),
-    }
+    // `generate` checks legality once and reports an illegal matrix as
+    // `CodegenError::Illegal`
     match generate(p, &layout, &deps, m) {
         Ok(r) => Compiled::Ok(Box::new(r)),
         Err(e) => Compiled::Rejected(format!("codegen: {e:?}")),

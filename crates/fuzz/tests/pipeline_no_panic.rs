@@ -7,12 +7,15 @@
 //! default to a fast smoke count.
 
 use inl_core::complete::complete_transform;
+use inl_core::legal::check_structural;
+use inl_core::recipe::{Shape, Step};
 use inl_core::sink::sink_statements;
-use inl_core::structural::{distribute, distribution_legal, jam, jamming_legal};
+use inl_core::structural::{distribute, jam};
 use inl_exec::{equivalent, run_fresh, VmRunner};
 use inl_fuzz::{
     analyzed, arb_inner_loop, arb_matrix, arb_program, compile, fuzz_config, fuzz_init, Compiled,
 };
+use inl_ir::{Node, Program};
 use inl_linalg::IVec;
 use proptest::prelude::*;
 use proptest::test_runner::TestRunner;
@@ -82,8 +85,9 @@ proptest! {
     }
 
     /// Structural operations: arbitrary (mostly invalid) distribute/jam
-    /// targets report typed `InlError`s, and sinking returns a typed
-    /// `SinkError` or a program — no panics, no asserts.
+    /// targets report typed `InlError`s, the legality walk decides every
+    /// valid one, and sinking returns a typed `SinkError` or a program — no
+    /// panics, no asserts.
     #[test]
     fn structural_ops_never_panic(
         (p, li, split, idx) in arb_program().prop_flat_map(|p| {
@@ -95,12 +99,67 @@ proptest! {
         let loops: Vec<_> = p.loops().collect();
         let l = loops[li.min(loops.len() - 1)];
         let parent = p.loops_surrounding_loop(l).first().copied();
-        let _ = distribute(&p, &layout, l, split);
-        let _ = distribution_legal(&p, &deps, l, split);
-        let _ = jam(&p, &layout, parent, idx);
-        let _ = jamming_legal(&p, &deps, parent, idx);
+        let steps = [distribute(&p, &layout, l, split), jam(&p, &layout, parent, idx)];
+        for r in steps.iter().flatten() {
+            let _ = check_structural(&p, &layout, &deps, r, "step");
+        }
         let _ = sink_statements(&p);
     }
+}
+
+/// Every distribution before each child of a loop, and every jam of two
+/// adjacent sibling loops, of `p`.
+fn structural_steps(p: &Program) -> Vec<Step> {
+    let name = |l| p.loop_decl(l).name.clone();
+    let mut steps = Vec::new();
+    for l in p.loops() {
+        for at in 1..p.loop_decl(l).children.len() {
+            steps.push(Step::Distribute {
+                r#loop: name(l),
+                at,
+            });
+        }
+    }
+    for parent in std::iter::once(None).chain(p.loops().map(Some)) {
+        for pair in p.children(parent).windows(2) {
+            if let [Node::Loop(a), Node::Loop(b)] = *pair {
+                let (first, second) = (name(a), name(b));
+                steps.push(Step::Jam { first, second });
+            }
+        }
+    }
+    steps
+}
+
+/// Every distribution and jam of a generated program that Definition 6
+/// accepts leaves the source's memory image, bit for bit, on the
+/// interpreter; both kinds are accepted somewhere, and jams are vetoed too.
+#[test]
+fn structural_steps_the_walk_accepts_are_equivalent() {
+    let mut seen = [[0u64; 2]; 2]; // [distribution, jam] × [vetoed, accepted]
+    TestRunner::new(fuzz_config(64)).run_cases(|rng| {
+        let p = arb_program().generate(rng);
+        let n = 1 + rng.below(5) as i128;
+        let Ok(source) = Shape::source(p.clone()) else {
+            return Ok(());
+        };
+        for step in structural_steps(&p) {
+            let shape = source
+                .apply(&step)
+                .map_err(|e| TestCaseError::fail(format!("{}: {step}: {e}", p.name())))?;
+            seen[matches!(step, Step::Jam { .. }) as usize][shape.is_some() as usize] += 1;
+            if let Some(shape) = shape {
+                prop_assert_eq!(
+                    equivalent(&p, &shape.program, &[n], &fuzz_init)
+                        .map_err(|e| format!("{} {step} at N = {n}: {e}", p.name())),
+                    Ok(())
+                );
+            }
+        }
+        Ok(())
+    });
+    let [dist, jams] = seen;
+    assert!(dist[1] > 0 && jams[0] > 0 && jams[1] > 0, "{seen:?}");
 }
 
 /// Guard-free inner loops — what the VM enters as trip kernels: a column of

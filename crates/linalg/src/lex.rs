@@ -5,33 +5,8 @@
 //! (Definition 6) requires projected transformed dependence vectors to be
 //! lexicographically positive or zero.
 
-use crate::{IVec, Int};
+use crate::IVec;
 use std::cmp::Ordering;
-
-/// The lexicographic sign of a vector.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LexSign {
-    /// First nonzero entry is positive.
-    Positive,
-    /// All entries are zero.
-    Zero,
-    /// First nonzero entry is negative.
-    Negative,
-}
-
-impl LexSign {
-    /// Classify a slice.
-    pub fn of(v: &[Int]) -> LexSign {
-        for &x in v {
-            match x.cmp(&0) {
-                Ordering::Greater => return LexSign::Positive,
-                Ordering::Less => return LexSign::Negative,
-                Ordering::Equal => {}
-            }
-        }
-        LexSign::Zero
-    }
-}
 
 /// Lexicographic comparison of two equal-length vectors.
 ///
@@ -49,22 +24,9 @@ pub fn lex_cmp(a: &IVec, b: &IVec) -> Ordering {
     Ordering::Equal
 }
 
-/// The lexicographic sign of a vector.
-pub fn lex_sign(v: &IVec) -> LexSign {
-    LexSign::of(v.as_slice())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn signs() {
-        assert_eq!(LexSign::of(&[0, 0, 1, -5]), LexSign::Positive);
-        assert_eq!(LexSign::of(&[0, -1, 9]), LexSign::Negative);
-        assert_eq!(LexSign::of(&[0, 0, 0]), LexSign::Zero);
-        assert_eq!(LexSign::of(&[]), LexSign::Zero);
-    }
 
     #[test]
     fn cmp_order() {
@@ -76,11 +38,9 @@ mod tests {
     }
 
     #[test]
-    fn execution_order_matches_difference_sign() {
-        // b - a lexicographically positive iff a < b
+    fn execution_order_is_lexicographic() {
         let a = IVec::from(vec![2, 0, 1, 2]);
         let b = IVec::from(vec![2, 1, 0, 3]);
         assert_eq!(lex_cmp(&a, &b), Ordering::Less);
-        assert_eq!(lex_sign(&(&b - &a)), LexSign::Positive);
     }
 }

@@ -46,7 +46,7 @@ pub mod vector;
 
 pub use error::{InlError, InlErrorKind};
 pub use gauss::{inverse_rational, nullspace_int, rank, solve_rational};
-pub use lex::{lex_cmp, LexSign};
+pub use lex::lex_cmp;
 pub use matrix::IMat;
 pub use rational::Rational;
 pub use vector::IVec;

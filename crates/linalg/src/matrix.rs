@@ -185,11 +185,6 @@ impl IMat {
         IMat::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
     }
 
-    /// The submatrix with the given rows and columns (in the given orders).
-    pub fn submatrix(&self, rows: &[usize], cols: &[usize]) -> IMat {
-        IMat::from_fn(rows.len(), cols.len(), |i, j| self[(rows[i], cols[j])])
-    }
-
     /// Determinant via fraction-free (Bareiss) elimination; convenience
     /// wrapper over [`IMat::checked_det`] for trusted (small-entry) inputs.
     ///
@@ -260,39 +255,6 @@ impl IMat {
         }
         true
     }
-
-    /// If this is a permutation matrix, return `perm` with
-    /// `self * e_j = e_{perm[j]}`.
-    pub fn as_permutation(&self) -> Option<Vec<usize>> {
-        if !self.is_permutation() {
-            return None;
-        }
-        let n = self.rows;
-        let mut perm = vec![0; n];
-        for j in 0..n {
-            for i in 0..n {
-                if self[(i, j)] == 1 {
-                    perm[j] = i;
-                }
-            }
-        }
-        Some(perm)
-    }
-
-    /// Vertically stack `self` on top of `other`.
-    ///
-    /// # Panics
-    /// If column counts differ.
-    pub fn vstack(&self, other: &IMat) -> IMat {
-        assert_eq!(self.cols, other.cols, "vstack: column mismatch");
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        IMat {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        }
-    }
 }
 
 impl Index<(usize, usize)> for IMat {
@@ -354,7 +316,6 @@ mod tests {
         let perm = vec![2, 0, 1];
         let p = IMat::permutation(&perm);
         assert!(p.is_permutation());
-        assert_eq!(p.as_permutation().unwrap(), perm);
         // applying p moves entry j to position perm[j]
         let v = IVec::from(vec![10, 20, 30]);
         let pv = p.mul_vec(&v);
@@ -371,15 +332,11 @@ mod tests {
     }
 
     #[test]
-    fn transpose_submatrix() {
+    fn transpose() {
         let m = IMat::from_rows(&[&[1, 2][..], &[3, 4], &[5, 6]]);
         assert_eq!(
             m.transpose(),
             IMat::from_rows(&[&[1, 3, 5][..], &[2, 4, 6]])
-        );
-        assert_eq!(
-            m.submatrix(&[2, 0], &[1]),
-            IMat::from_rows(&[&[6][..], &[2]])
         );
     }
 
@@ -391,13 +348,10 @@ mod tests {
     }
 
     #[test]
-    fn push_row_and_vstack() {
+    fn push_row() {
         let mut m = IMat::zeros(0, 0);
         m.push_row(&IVec::from(vec![1, 2]));
         m.push_row(&IVec::from(vec![3, 4]));
         assert_eq!(m, IMat::from_rows(&[&[1, 2][..], &[3, 4]]));
-        let s = m.vstack(&IMat::from_rows(&[&[5, 6][..]]));
-        assert_eq!(s.nrows(), 3);
-        assert_eq!(s.row(2).as_slice(), &[5, 6]);
     }
 }

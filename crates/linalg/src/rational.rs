@@ -116,19 +116,6 @@ impl Rational {
         }
     }
 
-    /// Construct `num / den` like [`Rational::new`], but report a typed
-    /// [`InlErrorKind::IllFormed`] error on a zero denominator instead of
-    /// panicking.
-    pub fn checked_new(num: Int, den: Int) -> Result<Self, InlError> {
-        if den == 0 {
-            return Err(InlError::new(
-                InlErrorKind::IllFormed,
-                "rational with zero denominator",
-            ));
-        }
-        Ok(Rational::new(num, den))
-    }
-
     /// Overflow-checked addition; the fallible counterpart of `+`.
     pub fn checked_add(self, rhs: Rational) -> Result<Rational, InlError> {
         let num = self
@@ -441,11 +428,6 @@ mod tests {
                 .kind(),
             crate::InlErrorKind::IllFormed
         );
-        assert_eq!(
-            Rational::checked_new(1, 0).unwrap_err().kind(),
-            crate::InlErrorKind::IllFormed
-        );
-        assert_eq!(Rational::checked_new(6, -4), Ok(Rational::new(-3, 2)));
         assert_eq!(
             Rational::new(1, 2).checked_sub(Rational::new(1, 3)),
             Ok(Rational::new(1, 6))

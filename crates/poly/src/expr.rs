@@ -269,34 +269,6 @@ impl LinExpr {
         }
     }
 
-    /// Remove variable `i` from the space (its coefficient must be zero),
-    /// shifting later variables down.
-    pub fn drop_var(&self, i: usize) -> LinExpr {
-        assert_eq!(self.coeffs[i], 0, "drop_var: coefficient not zero");
-        let mut coeffs = self.coeffs.clone();
-        coeffs.remove(i);
-        LinExpr {
-            coeffs,
-            constant: self.constant,
-        }
-    }
-
-    /// Re-index into a smaller space: keep only variables in `keep` (in that
-    /// order). All other variables must have zero coefficients.
-    pub fn project_onto(&self, keep: &[usize]) -> LinExpr {
-        let keep_set: std::collections::HashSet<usize> = keep.iter().copied().collect();
-        for (i, &c) in self.coeffs.iter().enumerate() {
-            assert!(
-                c == 0 || keep_set.contains(&i),
-                "project_onto: dropping variable {i} with nonzero coefficient"
-            );
-        }
-        LinExpr {
-            coeffs: keep.iter().map(|&i| self.coeffs[i]).collect(),
-            constant: self.constant,
-        }
-    }
-
     /// Render with variable names supplied by `name`.
     pub fn display_with<'a>(&'a self, name: &'a dyn Fn(usize) -> String) -> LinExprDisplay<'a> {
         LinExprDisplay { expr: self, name }
@@ -419,23 +391,11 @@ mod tests {
     }
 
     #[test]
-    fn project_and_extend() {
-        let n = 4;
-        let e = LinExpr::var(n, 1) + LinExpr::var(n, 3) * 3;
-        let p = e.project_onto(&[1, 3]);
-        assert_eq!(p.nvars(), 2);
-        assert_eq!(p.coeff(0), 1);
-        assert_eq!(p.coeff(1), 3);
-        let x = p.extend(5);
+    fn extend() {
+        let e = LinExpr::var(2, 0) + LinExpr::var(2, 1) * 3;
+        let x = e.extend(5);
         assert_eq!(x.nvars(), 5);
-        assert_eq!(x.coeff(1), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "nonzero coefficient")]
-    fn project_drops_used_var() {
-        let e = LinExpr::var(3, 2);
-        let _ = e.project_onto(&[0, 1]);
+        assert_eq!((x.coeff(0), x.coeff(1), x.coeff(4)), (1, 3, 0));
     }
 
     #[test]

@@ -104,18 +104,6 @@ impl System {
         }
     }
 
-    /// Conjoin all constraints of `other` (same variable space).
-    pub fn conjoin(&mut self, other: &System) {
-        assert_eq!(self.nvars, other.nvars, "conjoin: arity mismatch");
-        self.trivially_empty |= other.trivially_empty;
-        for e in &other.eqs {
-            self.add_eq(e.clone());
-        }
-        for e in &other.ineqs {
-            self.add_ge(e.clone());
-        }
-    }
-
     /// Extend the variable space to `n ≥ nvars` variables.
     pub fn extend(&self, n: usize) -> System {
         System {
@@ -179,20 +167,9 @@ impl System {
         Ok(true)
     }
 
-    /// All constraints as inequalities (each equality contributing two),
-    /// for use by elimination; convenience wrapper over
-    /// [`System::checked_to_ineqs`] for trusted inputs.
-    ///
-    /// # Panics
-    /// On negation overflow; fallible paths use
-    /// [`System::checked_to_ineqs`].
-    pub fn to_ineqs(&self) -> Vec<LinExpr> {
-        self.checked_to_ineqs()
-            .expect("to_ineqs overflow: fallible paths use checked_to_ineqs")
-    }
-
-    /// Overflow-checked conversion to an all-inequality representation
-    /// (negating each equality can overflow on an `Int::MIN` coefficient).
+    /// All constraints as inequalities (each equality contributing two), for
+    /// use by elimination; negating an equality can overflow on an
+    /// `Int::MIN` coefficient.
     pub fn checked_to_ineqs(&self) -> Result<Vec<LinExpr>, InlError> {
         let mut out = self.ineqs.clone();
         for e in &self.eqs {

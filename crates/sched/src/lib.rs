@@ -78,7 +78,7 @@ pub mod sweep;
 pub use search::SearchStats;
 
 use inl_codegen::{batch_map, build, generate, CodegenError, CostFeatures, PredictedCost};
-use inl_core::complete::CompletionError;
+use inl_core::complete::{Completion, CompletionError};
 use inl_core::recipe::Recipe;
 use inl_ir::Program;
 use inl_linalg::{IMat, InlError};
@@ -287,10 +287,10 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
     stats.shapes = shapes.len() as u64;
 
     // the legal leaves of every shape's tree, each with its shape's index
-    let mut leaves: Vec<(usize, Recipe, IMat)> = Vec::new();
+    let mut leaves: Vec<(usize, Recipe, Completion)> = Vec::new();
     for (s, shape) in shapes.iter().enumerate() {
-        for (recipe, matrix) in search::search_shape(shape, cfg.budget, &mut stats)? {
-            leaves.push((s, recipe, matrix));
+        for (recipe, completion) in search::search_shape(shape, cfg.budget, &mut stats)? {
+            leaves.push((s, recipe, completion));
         }
     }
     if leaves.is_empty() {
@@ -298,19 +298,21 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
     }
 
     // stage 1: lower every leaf as far as the target program and rank it
-    // on the predicted cost, which guard simplification cannot change
+    // on the predicted cost, which guard simplification cannot change; the
+    // completion already proved the matrix legal
     let ranked = {
         let _span = inl_obs::span("sched.rank");
         inl_obs::counter_add!("sched.variants_ranked", leaves.len());
         batch_map(leaves.len(), cfg.threads, |i| {
-            let (s, _, matrix) = &leaves[i];
+            let (s, _, c) = &leaves[i];
             let (_, shape) = &shapes[*s];
-            build(&shape.program, &shape.layout, &shape.deps, matrix)
-                .map(|b| b.predicted(&shape.layout, &shape.deps, matrix))
+            let (layout, deps) = (&shape.layout, &shape.deps);
+            build(&shape.program, layout, deps, &c.matrix, &c.report)
+                .map(|b| b.predicted(layout, deps, &c.matrix))
         })
     };
     let mut variants = Vec::with_capacity(leaves.len());
-    for ((shape, recipe, matrix), predicted) in leaves.into_iter().zip(ranked) {
+    for ((shape, recipe, Completion { matrix, .. }), predicted) in leaves.into_iter().zip(ranked) {
         let label = recipe.to_string();
         let predicted = match predicted {
             Ok(p) => p,
@@ -519,9 +521,10 @@ mod tests {
                 let (layout, deps) = (&shape.layout, &shape.deps);
                 found
                     .into_iter()
-                    .map(|(recipe, m)| {
-                        let built = build(&shape.program, layout, deps, &m).expect("builds");
-                        (recipe, built.predicted(layout, deps, &m))
+                    .map(|(recipe, c)| {
+                        let built = build(&shape.program, layout, deps, &c.matrix, &c.report)
+                            .expect("builds");
+                        (recipe, built.predicted(layout, deps, &c.matrix))
                     })
                     .collect()
             };

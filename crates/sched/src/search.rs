@@ -27,12 +27,12 @@
 //! its [`Recipe`]: the shape's step and the signed loop order walked.
 
 use crate::SchedError;
-use inl_core::complete::{check_prefix, complete_transform, PrefixCheck};
+use inl_core::complete::{check_prefix, complete_transform, Completion, PrefixCheck};
 use inl_core::instance::Position;
 use inl_core::provenance;
 use inl_core::recipe::{Recipe, Shape, Step};
 use inl_ir::{LoopId, Node, Program};
-use inl_linalg::{IMat, IVec, InlErrorKind};
+use inl_linalg::{IVec, InlErrorKind};
 
 /// Counters describing one [`crate::schedule`] run. All integers are
 /// deterministic for a given program and configuration — they are gated
@@ -102,7 +102,7 @@ pub(crate) fn exhaustive_nodes(nloops: u64) -> u64 {
 /// (`raising_the_tile_size_lowers_only_tile_innermost_costs`); a second size
 /// would roughly double the ranked leaves of every deep program, most of
 /// them tiled, for variants the model does not pick. Choosing `T` waits for
-/// a key that reads footprints off the matrix (ROADMAP items 1 and 13).
+/// a key that reads footprints off the matrix (ROADMAP item 14).
 pub(crate) const TILE_SIZE: inl_ir::Int = 16;
 
 /// A shape of the search, with the step that made it of the source
@@ -111,30 +111,14 @@ pub(crate) type StepShape = (Option<Step>, Shape);
 
 /// Enumerate the shape axis: identity, the strip-mined shape, then every
 /// legal one-level loop distribution and loop fusion, each made by
-/// [`Shape::apply`]. Vetoed candidates are recorded as explain rejections
-/// (stages `tile` and `sched`).
+/// [`Shape::apply`], whose legality proof records every candidate's verdict
+/// (stages `structural` and `tile`).
 pub(crate) fn enumerate_shapes(p: &Program) -> Result<Vec<StepShape>, SchedError> {
     let source = Shape::source(p.clone()).map_err(SchedError::Analysis)?;
-    let explain = inl_obs::explain_enabled();
     let mut shapes = Vec::new();
-    for step in candidate_steps(p, explain) {
+    for step in candidate_steps(p, inl_obs::explain_enabled()) {
         match source.apply(&step) {
             Ok(Some(shape)) => shapes.push((Some(step), shape)),
-            Ok(None) if explain => {
-                let why = match &step {
-                    Step::Distribute { r#loop, at } => format!(
-                        "distribution of loop {} at child {at} is illegal: a dependence \
-                         carried by the loop crosses the split backwards",
-                        r#loop
-                    ),
-                    Step::Jam { .. } => "jamming is illegal: fusing would reverse a dependence \
-                                         between the two loops"
-                        .to_string(),
-                    // the split's legality proof records its own verdict
-                    Step::Split { .. } => continue,
-                };
-                inl_obs::explain::reject("sched", format!("shape {step} of {}", p.name()), why);
-            }
             Ok(None) => {}
             // structurally un-jammable pairs (mismatched bounds/steps) are
             // not candidates at all; only a *dependence* veto is a decision
@@ -187,14 +171,15 @@ fn candidate_steps(p: &Program, explain: bool) -> Vec<Step> {
 }
 
 /// Search one shape's tree of signed loop orders. Returns the legal
-/// variants, each with its completed matrix; updates `stats` (including
+/// variants, each with its completion (the matrix and the report that
+/// proved it, which lowering reads instead of checking again); updates `stats` (including
 /// `nodes_exhaustive` for this shape's tree) and stops once they count
 /// `budget` visited nodes.
 pub(crate) fn search_shape(
     (step, shape): &StepShape,
     budget: u64,
     stats: &mut SearchStats,
-) -> Result<Vec<(Recipe, IMat)>, SchedError> {
+) -> Result<Vec<(Recipe, Completion)>, SchedError> {
     let _span = inl_obs::span("sched.search");
     // `loops()` enumerates the decl table; a jammed shape keeps the
     // fused-away loop as an orphan decl with no layout position, so only
@@ -231,7 +216,7 @@ struct Dfs<'a> {
     explain: bool,
     /// The node being visited: the shape's step and the order so far.
     prefix: Recipe,
-    legal: Vec<(Recipe, IMat)>,
+    legal: Vec<(Recipe, Completion)>,
 }
 
 impl Dfs<'_> {
@@ -313,7 +298,7 @@ impl Dfs<'_> {
         match complete_transform(p, layout, deps, rows) {
             Ok(c) => {
                 self.stats.legal_variants += 1;
-                self.legal.push((self.prefix.clone(), c.matrix));
+                self.legal.push((self.prefix.clone(), c));
             }
             Err(e) => {
                 self.stats.completion_failures += 1;

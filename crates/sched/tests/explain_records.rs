@@ -19,19 +19,32 @@ fn explain_records_pruned_subtrees() {
     let records = inl_obs::explain::snapshot();
     inl_obs::set_explain_enabled(false);
     inl_obs::explain::reset();
-    let rejects: Vec<_> = records
-        .iter()
-        .filter(|rec| rec.stage == "sched" && rec.verdict == Verdict::Reject)
-        .collect();
+    let rejects = |stage: &str| -> Vec<_> {
+        let at = |rec: &&inl_obs::explain::Record| rec.stage == stage;
+        let rejected = records.iter().filter(at);
+        rejected
+            .filter(|rec| rec.verdict == Verdict::Reject)
+            .collect()
+    };
+    let (rejects, structural) = (rejects("sched"), rejects("structural"));
     assert_eq!(
         rejects.len() as u64,
-        r.stats.pruned_subtrees + r.stats.completion_failures + 1,
-        "one reject per pruned subtree / failed completion, plus the illegal distribution"
+        r.stats.pruned_subtrees + r.stats.completion_failures,
+        "one reject per pruned subtree / failed completion"
     );
     // a skipped twin is no verdict on legality and leaves no record:
     // 2 prunings here, 50 twin nodes
-    assert_eq!(rejects.len(), 3);
+    assert_eq!(rejects.len(), 2);
     assert_eq!(r.stats.twin_nodes, 50);
+    // the illegal distribution is the legality walk's verdict, naming the
+    // dependence it reverses
+    assert_eq!(structural.len(), 1);
+    assert_eq!(structural[0].subject, "shape dist(I@1) of simple_cholesky");
+    assert!(
+        structural[0].reason.contains("dep "),
+        "{}",
+        structural[0].reason
+    );
     assert!(
         rejects
             .iter()

@@ -44,8 +44,7 @@ fn main() {
     .matrix(&p, &layout);
     let report = check_legal(&p, &layout, &deps, &m).expect("legality");
     assert!(report.is_legal());
-    let ast = report.new_ast.as_ref().unwrap();
-    let par = parallel_slots(&layout, &deps, ast, &m);
+    let par = parallel_slots(&layout, &deps, &m);
     println!("parallel loop slots after skewing: {par:?} (inner loop is DOALL)");
 
     let mut result = generate(&p, &layout, &deps, &m).expect("codegen");

@@ -66,8 +66,7 @@ fn matmul_parallel_dimensions() {
     let id = IMat::identity(3);
     let report = check_legal(&p, &layout, &deps, &id).expect("legality");
     assert!(report.is_legal());
-    let ast = report.new_ast.as_ref().unwrap();
-    let slots = parallel_slots(&layout, &deps, ast, &id);
+    let slots = parallel_slots(&layout, &deps, &id);
     assert_eq!(slots, vec![0, 1], "I and J parallel, K sequential");
 }
 

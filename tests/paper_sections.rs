@@ -155,10 +155,11 @@ fn e4_distribution_and_jamming_matrices() {
     assert_eq!((d.matrix.nrows(), d.matrix.ncols()), (5, 4));
     let j = inl::core::structural::jam(&d.target, &d.target_layout, None, 0).expect("jam");
     assert_eq!((j.matrix.nrows(), j.matrix.ncols()), (4, 5));
-    // and the legality verdicts match the paper: distribution illegal for
-    // Cholesky
+    // and Definition 6 on the distribution matrix agrees with the paper:
+    // distribution is illegal for Cholesky
     let deps = analyze(&p, &layout).expect("analysis");
-    assert!(!inl::core::structural::distribution_legal(&p, &deps, i, 1).expect("legality"));
+    let legal = inl::core::legal::check_structural(&p, &layout, &deps, &d, "dist(I@1)");
+    assert!(!legal.expect("legality"));
 }
 
 // ---------------------------------------------------------------- E5 (§5)

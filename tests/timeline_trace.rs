@@ -38,8 +38,8 @@ fn parallel_cholesky_trace_loads_as_chrome_json_with_worker_tids() {
     let deps = analyze(&p, &layout).expect("analysis");
     let id = IMat::identity(layout.len());
     let report = check_legal(&p, &layout, &deps, &id).expect("legality");
-    let ast = report.new_ast.as_ref().expect("identity schedule is legal");
-    let slots = parallel_slots(&layout, &deps, ast, &id);
+    assert!(report.is_legal(), "identity schedule is legal");
+    let slots = parallel_slots(&layout, &deps, &id);
     let j = p.loops().find(|&l| p.loop_decl(l).name == "J").unwrap();
     let jslot = layout
         .positions()
