@@ -17,8 +17,9 @@
 //! character: `KJ'LI`, `dist(J@1)/J'.J_2.I`, `tile(L@16)/K.Lo.J.L.I`.
 //!
 //! [`Shape::apply`] is the one place a step becomes a legal, analysed
-//! shape, and [`Recipe::rows`] the one place an order becomes the partial
-//! rows of a transformation.
+//! shape, [`Recipe::rows`] the one place an order becomes the partial rows
+//! of a transformation, and [`Recipe::replay`] the one sequence that turns
+//! a label into a variant: step, rows, completion.
 //!
 //! ```
 //! use inl_core::recipe::{Recipe, Shape};
@@ -27,12 +28,12 @@
 //! assert_eq!(recipe.to_string(), "dist(J@1)/J'.J_2.I");
 //! assert_eq!(recipe.reversals(), 1);
 //! let source = Shape::source(inl_ir::zoo::running_example())?;
-//! let step = recipe.shape.as_ref().expect("a shaped recipe");
-//! let shape = source.apply(step)?.expect("the distribution is legal");
-//! assert_eq!(recipe.rows(&shape.program, &shape.layout)?.len(), 3);
+//! let (shape, completion) = recipe.replay(source)?.expect("a legal variant");
+//! assert_eq!(completion.matrix.nrows(), shape.layout.len());
 //! # Ok::<(), inl_linalg::InlError>(())
 //! ```
 
+use crate::complete::{complete_transform, Completion, CompletionError};
 use crate::depend::{analyze, DependenceMatrix};
 use crate::instance::InstanceLayout;
 use crate::legal::check_structural;
@@ -121,6 +122,44 @@ impl Recipe {
             Ok(if *reversed { -&unit } else { unit })
         });
         rows.collect()
+    }
+
+    /// Replay the recipe on `source` as the scheduler builds a variant:
+    /// [`Shape::apply`], [`rows`](Self::rows), completion. `Ok(Err(_))` when
+    /// the dependences rule it out; `Err(_)` when it names no loops of the
+    /// program or its step does not apply.
+    pub fn replay(
+        &self,
+        source: Shape,
+    ) -> Result<Result<(Shape, Completion), Rejection>, InlError> {
+        let shape = match &self.shape {
+            None => source,
+            Some(step) => match source.apply(step)? {
+                Some(shape) => shape,
+                None => return Ok(Err(Rejection::Vetoed(step.clone()))),
+            },
+        };
+        let rows = self.rows(&shape.program, &shape.layout)?;
+        let completed = complete_transform(&shape.program, &shape.layout, &shape.deps, &rows);
+        Ok(completed.map(|c| (shape, c)).map_err(Rejection::Incomplete))
+    }
+}
+
+/// Why [`Recipe::replay`] found no legal variant.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Rejection {
+    /// The dependence test vetoes the shape step.
+    Vetoed(Step),
+    /// The order's rows do not complete into a legal transformation.
+    Incomplete(CompletionError),
+}
+
+impl fmt::Display for Rejection {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Rejection::Vetoed(step) => write!(f, "the dependence test vetoes shape {step}"),
+            Rejection::Incomplete(e) => write!(f, "completion rejected the order: {e:?}"),
+        }
     }
 }
 
@@ -435,6 +474,31 @@ mod tests {
         let source = Shape::source(zoo::simple_cholesky()).expect("analyses");
         let veto = parse_step("dist(I@1)").expect("parses");
         assert!(source.apply(&veto).expect("applies").is_none());
+    }
+
+    #[test]
+    fn replay_tells_a_veto_from_an_order_that_does_not_complete() {
+        let replay = |p: Program, label: &str| {
+            let source = Shape::source(p).expect("analyses");
+            label.parse::<Recipe>().expect(label).replay(source)
+        };
+        let (shape, c) = replay(zoo::cholesky_kij(), "KJLI")
+            .expect("binds")
+            .expect("legal");
+        assert!(c.report.is_legal());
+        assert_eq!(c.matrix.nrows(), shape.layout.len());
+        // the step is vetoed before the order is read
+        let veto = replay(zoo::simple_cholesky(), "dist(I@1)/Q").expect("applies");
+        let step = parse_step("dist(I@1)").expect("parses");
+        assert_eq!(veto.expect_err("vetoed"), Rejection::Vetoed(step));
+        let why = replay(zoo::cholesky_kij(), "IKJL").expect("binds");
+        let why = why.expect_err("does not complete");
+        assert!(matches!(why, Rejection::Incomplete(_)), "{why:?}");
+        assert!(why
+            .to_string()
+            .starts_with("completion rejected the order: "));
+        let e = replay(zoo::lu_kij(), "KIJ").expect_err("names 3 of 4 loops");
+        assert_eq!(e.kind(), InlErrorKind::InvalidTarget);
     }
 
     #[test]

@@ -17,12 +17,11 @@
 //! under the `tile` stage carry the projection counts) and guards
 //! against surgery bugs.
 //!
-//! The scheduler (`inl-sched`) picks *where* to split with
-//! [`innermost_reuse_loop`]: the deepest loop in which some access of a
-//! statement it surrounds is invariant. Such a loop carries temporal
-//! reuse — the invariant access's working set is re-touched every
-//! iteration — so confining it to a tile is what shrinks the reuse
-//! distance past the cache cliff.
+//! [`innermost_reuse_loop`] names *where* a split can pay: the deepest
+//! loop in which some access of a statement it surrounds is invariant, so
+//! every iteration re-touches that access's working set and confining the
+//! loop to a tile shrinks the reuse distance past the cache cliff. Only a
+//! `tile(…)` label ([`crate::recipe`]) splits; the scheduler searches none.
 
 use crate::depend::{analyze, DependenceMatrix};
 use crate::instance::InstanceLayout;
@@ -30,7 +29,7 @@ use crate::legal::{check_legal, LegalityReport};
 use inl_ir::{Access, LoopId, Program, VarKey};
 use inl_linalg::{IMat, InlError, Int};
 
-/// A split program with the bookkeeping the scheduler needs.
+/// A split program with the bookkeeping its legality proof needs.
 #[derive(Clone, Debug)]
 pub struct SplitResult {
     /// The split program (statement ids preserved; the original loop id
@@ -129,7 +128,7 @@ pub fn split_legal(r: &SplitResult) -> Result<LegalityReport, InlError> {
 
 /// [`split_legal`], handing back the split program's dependence matrix the
 /// proof analysed, so a caller that goes on to transform the split program
-/// (the scheduler's tile shape) does not analyse it a second time.
+/// (`Shape::apply` for a `tile(…)` label) does not analyse it again.
 pub fn split_legal_with_deps(
     r: &SplitResult,
 ) -> Result<(LegalityReport, DependenceMatrix), InlError> {
@@ -152,18 +151,18 @@ pub fn split_legal_with_deps(
             .feature("deps", deps.deps.len() as i64)
             .feature("tile", r.tile as i64);
         } else {
-            inl_obs::explain::reject(
-                "tile",
-                subject,
-                format!(
+            let why = match &report.new_ast {
+                Err(e) => format!("the split layout has no Fig. 5 block structure: {e}"),
+                Ok(_) => format!(
                     "{} reconstructed dependence projections go lexicographically \
                      negative under the outer×tile order",
                     report.violations.len()
                 ),
-            )
-            .feature("deps", deps.deps.len() as i64)
-            .feature("violations", report.violations.len() as i64)
-            .feature("tile", r.tile as i64);
+            };
+            inl_obs::explain::reject("tile", subject, why)
+                .feature("deps", deps.deps.len() as i64)
+                .feature("violations", report.violations.len() as i64)
+                .feature("tile", r.tile as i64);
         }
     }
     Ok((report, deps))

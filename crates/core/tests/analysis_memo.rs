@@ -45,9 +45,9 @@ fn gained(before: MemoStats) -> (u64, u64) {
     (now.hits - before.hits, now.misses - before.misses)
 }
 
-/// The shape axis as `inl_sched::search::enumerate_shapes` walks it: the
-/// program itself, its strip-mined reuse loop, every legal one-level
-/// distribution, every legal jam of adjacent sibling loops.
+/// The shapes a label can name: the program itself, its strip-mined reuse
+/// loop (a `tile(…)` label; the search builds no tile shape), every legal
+/// one-level distribution, every legal jam of adjacent sibling loops.
 fn scheduler_shapes(p: &Program) -> Vec<(String, Program, InstanceLayout)> {
     let layout = InstanceLayout::new(p);
     let deps = analysed(p, &layout);

@@ -25,15 +25,23 @@ const ALPHABET: &[char] = &[
 ];
 
 /// `(program, label)` for every variant `schedule()` returns for
-/// [`PROGRAMS`].
+/// [`PROGRAMS`], and every `tile(…)` label of the cost model's fit table
+/// for them (the search builds no tile shape; the service replays one).
 fn labels() -> &'static [(&'static str, String)] {
     static LABELS: OnceLock<Vec<(&'static str, String)>> = OnceLock::new();
     LABELS.get_or_init(|| {
+        let fit_table = include_str!("../../codegen/fit/cost_n128.csv");
         let mut out = Vec::new();
         for name in PROGRAMS {
             let (_, make) = inl_serve::ZOO.iter().find(|(n, _)| *n == name).unwrap();
             let r = inl_sched::schedule(&make()).expect("schedules");
             out.extend(r.legal.into_iter().map(|label| (name, label)));
+            let rows = fit_table
+                .lines()
+                .filter_map(|row| row.strip_prefix(name)?.strip_prefix(','));
+            let labels = rows.filter_map(|row| row.split(',').next());
+            let tiled = labels.filter(|label| label.starts_with("tile("));
+            out.extend(tiled.map(|label| (name, label.to_string())));
         }
         out
     })

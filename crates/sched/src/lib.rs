@@ -5,16 +5,12 @@
 //! short of. Where `inl-core` can prove that a transformation is legal,
 //! this crate decides which legal transformation to use.
 //!
-//! The search space is the product of three axes, none of them a switch
+//! The search space is the product of two axes, neither of them a switch
 //! ([`SchedConfig`] says how much a schedule may spend, not what it
 //! searches):
 //!
 //! * **shape** — legal one-level loop distributions and fusions (§4.2),
 //!   each producing a structurally different program;
-//! * **tile** — the strip-mined shape: the innermost reuse-carrying loop
-//!   split at one fixed tile size (`inl_core::tiling`), proved legal
-//!   through the dependence projections of the split program and then
-//!   searched like any other shape;
 //! * **permutation** — the order in which loop selector rows fill the
 //!   outer slots of the transformation matrix;
 //!
@@ -27,6 +23,9 @@
 //! completions, the same predicted cost — of which the tie-break prefers
 //! the unreversed; orders legal *only* reversed (`dist(J@1)/J'.J_2.I` of the
 //! running example) are still found.
+//!
+//! Tiling is outside the search: at the one nominal extent no tiled leaf
+//! can win, so a split is reached only through a `tile(…)` label.
 //!
 //! Illegal *prefixes* are pruned with
 //! [`inl_core::complete::check_prefix`]: the first dependence whose
@@ -62,7 +61,7 @@
 //! ```
 //! use inl_ir::zoo;
 //!
-//! let result = inl_sched::schedule(&zoo::simple_cholesky()).expect("schedules");
+//! let result = inl_sched::schedule(&zoo::cholesky_kij()).expect("schedules");
 //! // pruning beat brute force, and something legal was chosen
 //! assert!(result.stats.nodes_visited < result.stats.nodes_exhaustive);
 //! assert!(result.stats.pruned_subtrees > 0);
@@ -93,8 +92,8 @@ pub enum SchedError {
     /// A prefix-legality probe failed (arithmetic overflow or a
     /// polyhedral budget, not an illegal prefix — those are pruned).
     Prefix(CompletionError),
-    /// A leaf the search proved legal failed to lower (bound merge,
-    /// overflow, a polyhedral budget).
+    /// A variant failed to finish (bound merge, overflow, a polyhedral
+    /// budget); a leaf that fails to lower while ranked is dropped.
     Codegen {
         /// Label of the variant that failed.
         label: String,
@@ -293,9 +292,6 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
             leaves.push((s, recipe, completion));
         }
     }
-    if leaves.is_empty() {
-        return Err(SchedError::NoLegalVariant);
-    }
 
     // stage 1: lower every leaf as far as the target program and rank it
     // on the predicted cost, which guard simplification cannot change; the
@@ -311,20 +307,21 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
                 .map(|b| b.predicted(layout, deps, &c.matrix))
         })
     };
-    let mut variants = Vec::with_capacity(leaves.len());
-    for ((shape, recipe, Completion { matrix, .. }), predicted) in leaves.into_iter().zip(ranked) {
-        let label = recipe.to_string();
-        let predicted = match predicted {
-            Ok(p) => p,
-            Err(error) => return Err(SchedError::Codegen { label, error }),
-        };
-        variants.push(RankedVariant {
-            label,
-            recipe,
-            shape,
-            matrix,
-            predicted,
-        });
+    // a legal leaf that fails to lower is no variant (a jam of
+    // `cholesky_kij`'s split program has two: incomparable merged bounds)
+    let mut variants: Vec<RankedVariant> = (leaves.into_iter().zip(ranked))
+        .filter_map(|((shape, recipe, c), predicted)| {
+            Some(RankedVariant {
+                label: recipe.to_string(),
+                recipe,
+                shape,
+                matrix: c.matrix,
+                predicted: predicted.ok()?,
+            })
+        })
+        .collect();
+    if variants.is_empty() {
+        return Err(SchedError::NoLegalVariant);
     }
     variants.sort_by(|a, b| a.key().cmp(&b.key()));
 
@@ -390,14 +387,11 @@ mod tests {
         // two closed-form counters, and finds the 12 hand-enumerated legal
         // orders among its unreversed variants.
         let r = schedule_with(&zoo::cholesky_kij(), &quiet_cfg()).expect("schedules");
-        assert_eq!(
-            r.stats.nodes_visited, 185,
-            "identity, jam(I+I2) and tile(L@16) trees"
-        );
-        assert_eq!(r.stats.nodes_exhaustive, 7040, "the full ± trees");
-        assert_eq!(r.stats.pruned_subtrees, 15);
-        assert_eq!(r.stats.pruned_nodes, 4134);
-        assert_eq!(r.stats.twin_nodes, 2721);
+        assert_eq!(r.stats.nodes_visited, 49, "identity and jam(I+J) trees");
+        assert_eq!(r.stats.nodes_exhaustive, 710, "the full ± trees");
+        assert_eq!(r.stats.pruned_subtrees, 9);
+        assert_eq!(r.stats.pruned_nodes, 342);
+        assert_eq!(r.stats.twin_nodes, 319);
         let unreversed = r
             .variants
             .iter()
@@ -474,20 +468,23 @@ mod tests {
         // reversing matmul's `I` or `J` is always legal and reversing `K`
         // never is (`tests/matmul_permutations.rs`), so a reversed selector
         // is a twin or a violation, and no forward one is ever pruned: the
-        // identity shape returns the six loop orders and no reversed label,
-        // from an eighth of its tree
+        // one shape returns the six loop orders and no reversed label, from
+        // the 15 forward nodes of its 78-node tree
         let r = schedule_with(&zoo::matmul(), &quiet_cfg()).expect("schedules");
-        let mut identity: Vec<&str> = r
-            .variants
-            .iter()
-            .filter(|v| v.recipe.shape.is_none())
-            .map(|v| v.label.as_str())
-            .collect();
-        identity.sort_unstable();
-        assert_eq!(identity, ["IJK", "IKJ", "JIK", "JKI", "KIJ", "KJI"]);
-        assert!(r.variants.iter().all(|v| v.recipe.reversals() == 0));
-        assert!(r.stats.twin_nodes > 0);
-        assert!(r.stats.nodes_visited * 8 < r.stats.nodes_exhaustive);
+        let mut labels: Vec<&str> = r.legal.iter().map(String::as_str).collect();
+        labels.sort_unstable();
+        assert_eq!(labels, ["IJK", "IKJ", "JIK", "JKI", "KIJ", "KJI"]);
+        let s = &r.stats;
+        assert_eq!(
+            (
+                s.nodes_visited,
+                s.pruned_nodes,
+                s.twin_nodes,
+                s.nodes_exhaustive
+            ),
+            (15, 0, 63, 78),
+            "{s:?}"
+        );
     }
 
     #[test]
@@ -599,7 +596,7 @@ mod tests {
                 .map(|(_, s)| s.count)
                 .sum()
         };
-        assert_eq!(r.stats.shapes, 3, "identity, tile(L@16), jam(I+I2)");
+        assert_eq!(r.stats.shapes, 2, "identity, jam(I+J)");
         assert_eq!(closed("depend.analyze"), r.stats.shapes);
         assert_eq!(closed("sched.rank"), 1);
         assert_eq!(closed("sched.finish"), 1);
@@ -643,8 +640,8 @@ mod tests {
 
     #[test]
     fn cholesky_kij_keeps_its_innermost_loop_long() {
-        // the tile loop runs 16 trips per entry; the pick's hottest loop is
-        // a parametric one
+        // the pick's hottest loop is a parametric one: it runs the nominal
+        // extent per entry
         let r = schedule_with(&zoo::cholesky_kij(), &quiet_cfg()).expect("schedules");
         let hot = r.chosen().features.predicted.hottest().expect("a loop");
         assert_eq!(
@@ -670,6 +667,19 @@ mod tests {
                 r.chosen().label
             );
         }
+    }
+
+    #[test]
+    fn a_leaf_that_fails_to_lower_is_dropped() {
+        // a jam of cholesky_kij's split program has two legal leaves whose
+        // merged bounds are incomparable: they are no variants, and the
+        // schedule stands
+        let p = zoo::cholesky_kij();
+        let l = inl_core::tiling::innermost_reuse_loop(&p).expect("L carries reuse");
+        let split = inl_core::tiling::split(&p, l, 16).expect("splits").program;
+        let r = schedule_with(&split, &quiet_cfg()).expect("schedules");
+        assert!(!r.legal.iter().any(|label| label == "jam(I+J)/K.Lo'.I.L"));
+        assert_eq!(r.stats.legal_variants, r.variants.len() as u64 + 2);
     }
 
     #[test]

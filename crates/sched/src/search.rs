@@ -21,10 +21,10 @@
 //! matrix — the statement-permutation axis of the space comes for free.
 //!
 //! The *shape* axis is enumerated first: [`enumerate_shapes`] yields the
-//! identity shape, the strip-mined one, and every legal one-level loop
-//! distribution and fusion (§4.2), each a distinct program whose own tree
-//! is searched; costs compare globally across shapes. A leaf is named by
-//! its [`Recipe`]: the shape's step and the signed loop order walked.
+//! identity shape and every legal one-level loop distribution and fusion
+//! (§4.2), each a distinct program whose own tree is searched; costs
+//! compare globally across shapes. A leaf is named by its [`Recipe`]: the
+//! shape's step and the signed loop order walked.
 
 use crate::SchedError;
 use inl_core::complete::{check_prefix, complete_transform, Completion, PrefixCheck};
@@ -58,8 +58,8 @@ pub struct SearchStats {
     /// Full-depth legal prefixes whose completion still failed (e.g. a
     /// cyclic statement order).
     pub completion_failures: u64,
-    /// Program shapes searched (identity, the tile shape, and each legal
-    /// jam or distribution).
+    /// Program shapes searched (identity and each legal jam or
+    /// distribution).
     pub shapes: u64,
     /// Always 0: alignment refinement is gone (it adopted 0 of 36 tries over
     /// the zoo); the field stays until `benchmark/`, which reads it, is
@@ -97,26 +97,17 @@ pub(crate) fn exhaustive_nodes(nloops: u64) -> u64 {
         .sum()
 }
 
-/// The one tile size the tile axis strip-mines by. The predicted cost sees
-/// `T` only as the trip length of a tile-innermost loop
-/// (`raising_the_tile_size_lowers_only_tile_innermost_costs`); a second size
-/// would roughly double the ranked leaves of every deep program, most of
-/// them tiled, for variants the model does not pick. Choosing `T` waits for
-/// a key that reads footprints off the matrix (ROADMAP item 14).
-pub(crate) const TILE_SIZE: inl_ir::Int = 16;
-
 /// A shape of the search, with the step that made it of the source
 /// program (`None`: the source itself).
 pub(crate) type StepShape = (Option<Step>, Shape);
 
-/// Enumerate the shape axis: identity, the strip-mined shape, then every
-/// legal one-level loop distribution and loop fusion, each made by
-/// [`Shape::apply`], whose legality proof records every candidate's verdict
-/// (stages `structural` and `tile`).
+/// Enumerate the shape axis: identity, then every legal one-level loop
+/// distribution and loop fusion, each made by [`Shape::apply`], whose
+/// legality proof records every candidate's verdict (stage `structural`).
 pub(crate) fn enumerate_shapes(p: &Program) -> Result<Vec<StepShape>, SchedError> {
     let source = Shape::source(p.clone()).map_err(SchedError::Analysis)?;
     let mut shapes = Vec::new();
-    for step in candidate_steps(p, inl_obs::explain_enabled()) {
+    for step in candidate_steps(p) {
         match source.apply(&step) {
             Ok(Some(shape)) => shapes.push((Some(step), shape)),
             Ok(None) => {}
@@ -130,29 +121,12 @@ pub(crate) fn enumerate_shapes(p: &Program) -> Result<Vec<StepShape>, SchedError
     Ok(shapes)
 }
 
-/// The one-step candidates, in the order they are tried: the innermost
-/// reuse-carrying loop strip-mined by [`TILE_SIZE`], every loop with two or
-/// more children split before each child, every pair of adjacent sibling
-/// loops jammed. A program with no reuse-carrying loop is recorded as a
-/// `tile` rejection.
-fn candidate_steps(p: &Program, explain: bool) -> Vec<Step> {
+/// The one-step candidates, in the order they are tried: every loop with
+/// two or more children split before each child, every pair of adjacent
+/// sibling loops jammed. No `Step::Split`: no tiled leaf can win.
+fn candidate_steps(p: &Program) -> Vec<Step> {
     let name = |l: LoopId| p.loop_decl(l).name.clone();
     let mut steps = Vec::new();
-    match inl_core::tiling::innermost_reuse_loop(p) {
-        Some(l) => {
-            let (r#loop, tile) = (name(l), TILE_SIZE);
-            steps.push(Step::Split { r#loop, tile });
-        }
-        None if explain => {
-            inl_obs::explain::reject(
-                "tile",
-                format!("tiling of {}", p.name()),
-                "no loop carries temporal reuse: every access varies with every \
-                 surrounding loop, so strip-mining cannot shrink any reuse distance",
-            );
-        }
-        None => {}
-    }
     for l in p.loops() {
         for at in 1..p.loop_decl(l).children.len() {
             let r#loop = name(l);

@@ -430,8 +430,8 @@ mod tests {
     #[test]
     fn sweep_entry_is_bitwise_and_ranked() {
         let e = sweep_program(
-            "simple_cholesky",
-            &zoo::simple_cholesky(),
+            "running_example",
+            &zoo::running_example(),
             &[12],
             &quiet_cfg(),
             1,

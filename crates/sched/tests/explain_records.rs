@@ -15,7 +15,7 @@ fn explain_records_pruned_subtrees() {
     };
     inl_obs::set_explain_enabled(true);
     inl_obs::explain::reset();
-    let r = schedule_with(&zoo::simple_cholesky(), &cfg).expect("schedules");
+    let r = schedule_with(&zoo::augmentation_example(), &cfg).expect("schedules");
     let records = inl_obs::explain::snapshot();
     inl_obs::set_explain_enabled(false);
     inl_obs::explain::reset();
@@ -33,13 +33,16 @@ fn explain_records_pruned_subtrees() {
         "one reject per pruned subtree / failed completion"
     );
     // a skipped twin is no verdict on legality and leaves no record:
-    // 2 prunings here, 50 twin nodes
+    // 2 prunings here, 4 twin nodes
     assert_eq!(rejects.len(), 2);
-    assert_eq!(r.stats.twin_nodes, 50);
+    assert_eq!(r.stats.twin_nodes, 4);
     // the illegal distribution is the legality walk's verdict, naming the
     // dependence it reverses
     assert_eq!(structural.len(), 1);
-    assert_eq!(structural[0].subject, "shape dist(I@1) of simple_cholesky");
+    assert_eq!(
+        structural[0].subject,
+        "shape dist(I@1) of augmentation_example"
+    );
     assert!(
         structural[0].reason.contains("dep "),
         "{}",

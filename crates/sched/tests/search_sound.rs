@@ -7,7 +7,8 @@
 //! rows, then `complete_transform`). It is the only place left that walks
 //! both signs of every selector; the scheduler tries a reversed selector
 //! only where the forward one is a violation. Against that reference, over
-//! the identity and the tiled shape of every zoo program:
+//! the source tree of every zoo program and of every program its
+//! `tile(…@16)` label splits (the search itself builds no tile shape):
 //!
 //! 1. every label the scheduler returns is brute-force legal (no prefix
 //!    check fabricated a variant);
@@ -33,30 +34,23 @@
 use inl_codegen::{batch_map, generate};
 use inl_core::complete::{check_prefix, complete_transform, PrefixCheck};
 use inl_core::instance::Position;
-use inl_core::recipe::{Recipe, Shape, Step};
+use inl_core::recipe::{Recipe, Shape};
+use inl_core::tiling;
 use inl_exec::run_fresh;
 use inl_ir::{zoo, LoopId, Program};
 use inl_linalg::{IMat, IVec};
 use inl_sched::{schedule, ScheduledVariant};
 
-/// One shape's tree: the step that made the shape, and the shape.
-type Tree = (Option<Step>, Shape);
-
-/// The identity shape of `p` and, where the scheduler admits one, the
-/// shape strip-mined at the scheduler's tile size.
-fn trees(p: &Program) -> Vec<Tree> {
-    let source = Shape::source(p.clone()).expect("analysis");
-    let mut out = Vec::new();
-    if let Some(l) = inl_core::tiling::innermost_reuse_loop(p) {
-        let step = Step::Split {
-            r#loop: p.loop_decl(l).name.clone(),
-            tile: 16,
-        };
-        if let Some(tiled) = source.apply(&step).expect("split") {
-            out.push((Some(step), tiled));
-        }
+/// The programs whose source trees are checked: `p` itself and, where it
+/// has a reuse-carrying loop, that loop strip-mined at 16 — the program,
+/// layout and analysis of the shape a `tile(…@16)` label names, scheduled
+/// as a program of its own, since the search builds no tile shape.
+fn trees(p: &Program) -> Vec<Shape> {
+    let mut out = vec![Shape::source(p.clone()).expect("analysis")];
+    if let Some(l) = tiling::innermost_reuse_loop(p) {
+        let split = tiling::split(p, l, 16).expect("split");
+        out.push(Shape::source(split.program).expect("analysis"));
     }
-    out.insert(0, (None, source));
     out
 }
 
@@ -64,12 +58,12 @@ fn trees(p: &Program) -> Vec<Tree> {
 /// enumerate all loop permutations × all sign patterns, check the
 /// *complete* row set once, and attempt completion. No prefix pruning, no
 /// skipped sign. Returns `(recipe, completed matrix)` pairs.
-fn brute_force_legal(t: &Tree) -> Vec<(Recipe, IMat)> {
-    let loops: Vec<LoopId> =
-        t.1.program
-            .loops()
-            .filter(|&l| t.1.layout.positions().contains(&Position::Loop(l)))
-            .collect();
+fn brute_force_legal(t: &Shape) -> Vec<(Recipe, IMat)> {
+    let loops: Vec<LoopId> = t
+        .program
+        .loops()
+        .filter(|&l| t.layout.positions().contains(&Position::Loop(l)))
+        .collect();
     let mut legal = Vec::new();
     let mut perm: Vec<(usize, bool)> = Vec::new();
     let mut used = vec![false; loops.len()];
@@ -78,20 +72,17 @@ fn brute_force_legal(t: &Tree) -> Vec<(Recipe, IMat)> {
 }
 
 fn enumerate(
-    t: &Tree,
+    t: &Shape,
     loops: &[LoopId],
     perm: &mut Vec<(usize, bool)>,
     used: &mut [bool],
     legal: &mut Vec<(Recipe, IMat)>,
 ) {
-    let (
-        step,
-        Shape {
-            program: p,
-            layout,
-            deps,
-        },
-    ) = t;
+    let Shape {
+        program: p,
+        layout,
+        deps,
+    } = t;
     if perm.len() == loops.len() {
         let rows: Vec<IVec> = perm
             .iter()
@@ -116,10 +107,7 @@ fn enumerate(
             .iter()
             .map(|&(i, reversed)| (p.loop_decl(loops[i]).name.clone(), reversed))
             .collect();
-        let recipe = Recipe {
-            shape: step.clone(),
-            order,
-        };
+        let recipe = Recipe { shape: None, order };
         legal.push((recipe, c.matrix));
         return;
     }
@@ -142,22 +130,21 @@ fn names(r: &Recipe) -> Vec<&str> {
     r.order.iter().map(|(name, _)| name.as_str()).collect()
 }
 
-/// Properties 1–3 of the module docs, over the identity and tiled shape
-/// of all 13 zoo programs.
+/// Properties 1–3 of the module docs, over the source tree of all 13 zoo
+/// programs and of their 7 split programs.
 #[test]
 fn search_agrees_with_the_full_sign_brute_force() {
     let (mut trees_checked, mut leaves_finished, mut twins_skipped) = (0, 0, 0);
     for &(name, ctor) in zoo::ALL {
-        let p = ctor();
-        let result = schedule(&p).expect("search");
-        for t in trees(&p) {
-            let at = format!("{name} shape {:?}", t.0);
-            // the scheduler's variants of this shape, rank order kept
+        for (tiled, t) in trees(&ctor()).into_iter().enumerate() {
+            let at = format!("{name}{}", if tiled == 1 { " split" } else { "" });
+            let result = schedule(&t.program).expect("search");
+            // the scheduler's variants of the source shape, rank order kept
             let found: Vec<(usize, &Recipe)> = result
                 .variants
                 .iter()
                 .enumerate()
-                .filter(|(_, v)| v.recipe.shape == t.0)
+                .filter(|(_, v)| v.recipe.shape.is_none())
                 .map(|(i, v)| (i, &v.recipe))
                 .collect();
             assert!(!found.is_empty(), "{at}: shape not searched");
@@ -184,7 +171,7 @@ fn search_agrees_with_the_full_sign_brute_force() {
             // finish every ± leaf; predicted cost, reversal count, label
             let mut finished: Vec<(i64, usize, String, String)> = batch_map(brute.len(), 0, |i| {
                 let (recipe, matrix) = &brute[i];
-                let r = generate(&t.1.program, &t.1.layout, &t.1.deps, matrix).expect("generates");
+                let r = generate(&t.program, &t.layout, &t.deps, matrix).expect("generates");
                 (
                     r.features.predicted.total(),
                     recipe.reversals(),
@@ -209,7 +196,7 @@ fn search_agrees_with_the_full_sign_brute_force() {
             );
         }
     }
-    // 13 identity shapes + the 7 tiled ones, each held to its exact first;
+    // 13 source trees + the 7 split ones, each held to its exact first;
     // and the reference really is the tree the scheduler no longer walks
     assert_eq!(trees_checked, 20);
     assert!(leaves_finished > 2000, "{leaves_finished} leaves");
@@ -294,5 +281,5 @@ fn lazy_ranking_matches_the_finish_everything_oracle() {
             assert_eq!(ranked.predicted, v.features.predicted, "{name} {}", v.label);
         }
     }
-    assert_eq!(finished_everything, 283, "one variant per sign class");
+    assert_eq!(finished_everything, 81, "one variant per sign class");
 }

@@ -9,7 +9,6 @@
 //! all but a structured [`CompileOutcome::Rejected`].
 
 use inl_codegen::generate;
-use inl_core::complete::complete_transform;
 use inl_core::depend::memo_stats;
 use inl_core::recipe::{Recipe, Shape};
 use inl_ir::{zoo, Program};
@@ -43,28 +42,18 @@ fn zoo_program(name: &str) -> Result<Program, InlError> {
 /// Run compile-with-order and classify: `Ok(Ok(program))` compiled,
 /// `Ok(Err(reason))` legality rejected the order (a structured outcome),
 /// `Err(e)` the request itself was bad. The order is any variant label
-/// (`inl_core::recipe`), replayed as the scheduler built it: its shape
-/// step, then its signed loop order completed.
+/// (`inl_core::recipe`), replayed as the scheduler built it
+/// ([`Recipe::replay`]).
 fn compile_inner(p: Program, order: Option<&str>) -> Result<Result<Program, String>, InlError> {
     let _span = inl_obs::span("serve.compile");
-    let mut shape = Shape::source(p)?;
-    let matrix = match order.map(str::parse::<Recipe>).transpose()? {
-        None => IMat::identity(shape.layout.len()),
-        Some(recipe) => {
-            if let Some(step) = &recipe.shape {
-                match shape.apply(step)? {
-                    Some(shaped) => shape = shaped,
-                    None => return Ok(Err(format!("the dependence test vetoes shape {step}"))),
-                }
-            }
-            let rows = recipe.rows(&shape.program, &shape.layout)?;
-            match complete_transform(&shape.program, &shape.layout, &shape.deps, &rows) {
-                Ok(c) => c.matrix,
-                // Deterministic per input: derive formatting of the typed
-                // completion error, same text for the same rejection.
-                Err(e) => return Ok(Err(format!("completion rejected the order: {e:?}"))),
-            }
-        }
+    let source = Shape::source(p)?;
+    let (matrix, shape) = match order.map(str::parse::<Recipe>).transpose()? {
+        None => (IMat::identity(source.layout.len()), source),
+        Some(recipe) => match recipe.replay(source)? {
+            Ok((shape, c)) => (c.matrix, shape),
+            // deterministic per input: the same text for the same rejection
+            Err(why) => return Ok(Err(why.to_string())),
+        },
     };
     match generate(&shape.program, &shape.layout, &shape.deps, &matrix) {
         Ok(r) => Ok(Ok(r.program)),
@@ -261,6 +250,7 @@ pub fn handle_request(req: &Request) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inl_core::recipe::Step;
 
     fn compile_req(program: &str, order: Option<&str>) -> Request {
         Request::Compile {
@@ -430,29 +420,62 @@ mod tests {
     #[test]
     fn scheduled_labels_compile_to_the_scheduled_code() {
         // one spelling of a variant on both sides of the wire: every label
-        // the scheduler returns — shaped, reversed, jammed or tiled — reads
-        // back as its recipe, is an `order` a client can send back, and
-        // `Compile` answers with the code the scheduler would materialise
-        // for that variant
+        // the scheduler returns — shaped, reversed or jammed — reads back as
+        // its recipe, is an `order` a client can send back, and `Compile`
+        // answers with the code the scheduler would materialise for that
+        // variant. The search builds no tile shape, so the fit table's
+        // `tile(…)` labels are held to the code the scheduler gives the
+        // same order of the split program, scheduled as a program of its own
+        let fit_table = include_str!("../../codegen/fit/cost_n128.csv");
         let mut sent = 0;
+        let mut compiles_to = |name: &str, label: &str, want: String| {
+            sent += 1;
+            match handle_request(&compile_req(name, Some(label))) {
+                Response::Compile {
+                    outcome: CompileOutcome::Legal { pseudocode },
+                    ..
+                } => assert_eq!(pseudocode, want, "{name} order {label}"),
+                other => panic!("{name} order {label}: {other:?}"),
+            }
+        };
         for (name, make) in ZOO {
-            let r = inl_sched::schedule(&make()).expect("schedules");
+            let p = make();
+            let r = inl_sched::schedule(&p).expect("schedules");
             for (i, v) in r.variants.iter().enumerate() {
                 let recipe: Recipe = v.label.parse().expect("a scheduler label parses");
                 assert_eq!(recipe.to_string(), v.label, "{name}");
                 assert_eq!(recipe, v.recipe, "{name} {}", v.label);
-                sent += 1;
-                let want = r.materialise(i).expect("finishes").pseudocode;
-                match handle_request(&compile_req(name, Some(&v.label))) {
-                    Response::Compile {
-                        outcome: CompileOutcome::Legal { pseudocode },
-                        ..
-                    } => assert_eq!(pseudocode, want, "{name} order {}", v.label),
-                    other => panic!("{name} order {}: {other:?}", v.label),
-                }
+                compiles_to(
+                    name,
+                    &v.label,
+                    r.materialise(i).expect("finishes").pseudocode,
+                );
+            }
+            let tiled: Vec<Recipe> = fit_table
+                .lines()
+                .filter_map(|row| row.strip_prefix(name)?.strip_prefix(',')?.split(',').next())
+                .map(|label| label.parse::<Recipe>().expect(label))
+                .filter(|recipe| matches!(recipe.shape, Some(Step::Split { .. })))
+                .collect();
+            let Some(step) = tiled.first().and_then(|recipe| recipe.shape.clone()) else {
+                continue;
+            };
+            let source = Shape::source(p).expect("analyses");
+            let split = source.apply(&step).expect("splits").expect("legal");
+            let r = inl_sched::schedule(&split.program).expect("schedules");
+            for recipe in &tiled {
+                assert_eq!(recipe.shape.as_ref(), Some(&step), "{name}: one tile shape");
+                let leaf = (r.variants.iter())
+                    .position(|v| v.recipe.shape.is_none() && v.recipe.order == recipe.order);
+                let i = leaf.unwrap_or_else(|| panic!("{name} {recipe}: not a leaf of the split"));
+                compiles_to(
+                    name,
+                    &recipe.to_string(),
+                    r.materialise(i).expect("finishes").pseudocode,
+                );
             }
         }
-        assert_eq!(sent, 283, "every variant of every zoo program");
+        assert_eq!(sent, 283, "every row of the fit table");
     }
 
     #[test]
