@@ -31,7 +31,7 @@ use inl_codegen::{compile_batch, generate};
 use inl_core::depend::analyze;
 use inl_core::instance::InstanceLayout;
 use inl_core::transform::Transform;
-use inl_exec::{run_fresh, Interpreter, Machine, ParallelExecutor, VmRunner};
+use inl_exec::{run_fresh, Interpreter, Machine, VmRunner};
 use inl_ir::zoo::{self, spd_init};
 use inl_obs::PipelineReport;
 use std::path::PathBuf;
@@ -238,10 +238,10 @@ fn main() -> ExitCode {
         identical(gen_bitwise)
     );
 
-    // --------------------------------- E8: framework parallel executor
-    // Run the framework's own skewed wavefront through ParallelExecutor so
-    // the exec.par.* telemetry reflects a real generated schedule.
-    println!("\n## E8 — generated wavefront through ParallelExecutor (N = 200)\n");
+    // ------------------------------------ E8: parallel loops on threads
+    // Run the framework's own skewed wavefront on threads so the exec.par.*
+    // telemetry reflects a real generated schedule.
+    println!("\n## E8 — generated wavefront through VmRunner::run_threads (N = 200)\n");
     inl_obs::explain::begin_session("report/e8-wavefront");
     let wp = zoo::wavefront();
     let wlayout = InstanceLayout::new(&wp);
@@ -266,9 +266,10 @@ fn main() -> ExitCode {
     let winit = |_: &str, idx: &[usize]| if idx[0] == 0 || idx[1] == 0 { 1.0 } else { 0.0 };
     let nwf: i128 = 200;
     let wseq = run_fresh(&wp, &[nwf], &winit);
+    let runner = VmRunner::new(&skewed.program);
     for threads in [2usize, host_threads.max(2)] {
         let mut par = Machine::new(&skewed.program, &[nwf], &winit);
-        ParallelExecutor::new(&skewed.program, threads).run(&mut par);
+        runner.run_threads(&mut par, threads);
         let ok = wseq.same_state(&par).is_ok();
         all_bitwise &= ok;
         println!("skewed + inner DOALL, {threads} threads: {}", identical(ok));

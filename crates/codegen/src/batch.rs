@@ -7,8 +7,8 @@
 //! poly query cache, `inl_poly::cache`, then makes the repeated
 //! sub-systems cheap across jobs). [`batch_map`] is the job loop itself:
 //! workers pull indices from a shared atomic counter (jobs differ in cost;
-//! `inl_exec::ParallelExecutor`, whose iterations do not, splits each
-//! wavefront into static chunks instead), and every job runs under one
+//! `inl_exec::VmRunner::run_threads`, whose loop trips do not, splits each
+//! entry of a `parallel` loop into static chunks instead), and every job runs under one
 //! `batch.compile` span whose timeline slice carries the job's index, so a
 //! Chrome trace shows the per-variant schedule across worker threads — and
 //! with one thread there is no pool at all: the jobs run on the calling

@@ -66,13 +66,13 @@ impl VmRunner {
         }
     }
 
-    /// The underlying bytecode (for disassembly or direct driving).
+    /// The underlying bytecode (for disassembly and the profile views).
     pub fn compiled(&self) -> &CompiledProgram {
         &self.compiled
     }
 
-    /// Execute on a machine: bind the machine's parameters and run the
-    /// bytecode in the machine's own arrays.
+    /// Execute on a machine, on one thread: [`VmRunner::run_threads`] with
+    /// `1`.
     ///
     /// As with the interpreter, a run that panics midway — an access out
     /// of bounds, a subscript that is not integral — leaves the writes made
@@ -82,9 +82,25 @@ impl VmRunner {
     /// Unless the machine holds exactly the program's arrays, in order, with
     /// the program's names and extents at its parameters.
     pub fn run(&self, m: &mut Machine) {
+        self.run_threads(m, 1);
+    }
+
+    /// Execute on a machine: bind the machine's parameters and run the
+    /// bytecode in the machine's own arrays, the trips of every loop marked
+    /// `parallel` across up to `threads` workers (`0`: one per core; see
+    /// [`inl_vm::run_threads`]).
+    ///
+    /// Trusts the marks: distinct trips of a marked loop must not write a
+    /// cell another trip reads or writes. That is what the dependence
+    /// framework certifies (`inl_core::parallel::parallel_slots`); running a
+    /// loop wrongly marked is a data race.
+    ///
+    /// # Panics
+    /// As [`VmRunner::run`].
+    pub fn run_threads(&self, m: &mut Machine, threads: usize) {
         let _span = inl_obs::span("exec.vm");
         let bp = self.compiled.bind(m.params());
-        inl_vm::run(&bp, &mut arrays_of(&bp, m));
+        inl_vm::run_threads(&bp, &mut arrays_of(&bp, m), threads);
     }
 
     /// [`VmRunner::run`], returning how often each instruction executed
@@ -102,7 +118,7 @@ impl VmRunner {
 /// The machine's array storage, in `ArrayId` order, after asserting that
 /// the machine holds exactly `bp`'s arrays: as many, with the same names
 /// and extents.
-pub(crate) fn arrays_of<'m>(bp: &BoundProgram<'_>, m: &'m mut Machine) -> Vec<&'m mut [f64]> {
+fn arrays_of<'m>(bp: &BoundProgram<'_>, m: &'m mut Machine) -> Vec<&'m mut [f64]> {
     let arrays = m.arrays_mut();
     assert_eq!(arrays.len(), bp.arrays.len(), "array count mismatch");
     let of_layout = |(arr, layout): (&'m mut ArrayData, &ArrayLayout)| {
@@ -113,22 +129,11 @@ pub(crate) fn arrays_of<'m>(bp: &BoundProgram<'_>, m: &'m mut Machine) -> Vec<&'
     arrays.iter_mut().zip(&bp.arrays).map(of_layout).collect()
 }
 
-/// Run a program to completion on a fresh machine with the chosen backend.
-pub fn run_fresh_with(
-    backend: Backend,
-    p: &Program,
-    params: &[inl_linalg::Int],
-    init: &dyn Fn(&str, &[usize]) -> f64,
-) -> Machine {
-    let mut m = Machine::new(p, params, init);
-    backend.run(p, &mut m);
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use inl_ir::{zoo, Aff, Expr};
+    use crate::run_fresh;
+    use inl_ir::{zoo, Aff, Bound, Expr, Guard, ProgramBuilder};
 
     fn spdish(_: &str, idx: &[usize]) -> f64 {
         if idx.len() == 2 && idx[0] == idx[1] {
@@ -145,8 +150,9 @@ mod tests {
             // distinct sizes per parameter (rect_wavefront takes two)
             let params: Vec<inl_linalg::Int> =
                 (0..p.nparams()).map(|k| 7 + 2 * k as i128).collect();
-            let a = run_fresh_with(Backend::Interp, &p, &params, &spdish);
-            let b = run_fresh_with(Backend::Vm, &p, &params, &spdish);
+            let a = run_fresh(&p, &params, &spdish);
+            let mut b = Machine::new(&p, &params, &spdish);
+            Backend::Vm.run(&p, &mut b);
             a.same_state(&b)
                 .unwrap_or_else(|e| panic!("{name}: VM differs: {e}"));
         }
@@ -159,7 +165,7 @@ mod tests {
         for n in [2, 5, 9] {
             let mut vm = Machine::new(&p, &[n], &spdish);
             runner.run(&mut vm);
-            let interp = run_fresh_with(Backend::Interp, &p, &[n], &spdish);
+            let interp = run_fresh(&p, &[n], &spdish);
             interp.same_state(&vm).expect("bitwise identical");
         }
     }
@@ -176,21 +182,119 @@ mod tests {
     }
 
     #[test]
-    fn both_vm_drivers_run_in_the_machines_own_arrays() {
+    fn the_vm_runs_in_the_machines_own_arrays_at_any_thread_count() {
         let mut p = zoo::matmul();
         let outer = p.loops().next().unwrap();
         p.set_loop_parallel(outer, true);
-        let reference = run_fresh_with(Backend::Interp, &p, &[9], &spdish);
-        for threads in [0, 2] {
+        let reference = run_fresh(&p, &[9], &spdish);
+        for threads in [1, 2] {
             let mut m = Machine::new(&p, &[9], &spdish);
             let before = storage(&m);
-            match threads {
-                0 => VmRunner::new(&p).run(&mut m),
-                _ => crate::ParallelExecutor::new(&p, threads).run(&mut m),
-            }
+            VmRunner::new(&p).run_threads(&mut m, threads);
             assert_eq!(storage(&m), before, "{threads} threads");
             reference.same_state(&m).expect("bitwise identical");
         }
+    }
+
+    /// A dependence-free doubly nested initialization, marked parallel.
+    fn parallel_init_program() -> Program {
+        let mut b = ProgramBuilder::new("parinit");
+        let n = b.param("N");
+        let ext = Aff::param(n) + Aff::konst(1);
+        let a = b.array("A", &[ext.clone(), ext.clone()]);
+        b.loop_full(
+            "I",
+            Bound::single(Aff::konst(1)),
+            Bound::single(Aff::param(n)),
+            1,
+            true, // parallel
+            |b| {
+                let i = b.loop_var("I");
+                b.hloop("J", Aff::konst(1), Aff::param(n), |b| {
+                    let j = b.loop_var("J");
+                    b.stmt(
+                        "S",
+                        a,
+                        vec![Aff::var(i), Aff::var(j)],
+                        Expr::index(Aff::var(i) * 100 + Aff::var(j)),
+                    );
+                });
+            },
+        );
+        b.finish()
+    }
+
+    #[test]
+    fn parallel_matches_sequential() {
+        let p = parallel_init_program();
+        let seq = run_fresh(&p, &[17], &|_, _| -1.0);
+        for threads in [1, 2, 4, 8] {
+            let mut par = Machine::new(&p, &[17], &|_, _| -1.0);
+            VmRunner::new(&p).run_threads(&mut par, threads);
+            seq.same_state(&par)
+                .unwrap_or_else(|e| panic!("{threads} threads: {e}"));
+        }
+    }
+
+    #[test]
+    fn sequential_fallback_when_not_marked() {
+        // wavefront is NOT parallel; the VM must run it sequentially at any
+        // thread count and agree with the interpreter
+        let p = zoo::wavefront();
+        let init = |_: &str, idx: &[usize]| {
+            if idx[0] == 0 || idx[1] == 0 {
+                1.0
+            } else {
+                0.0
+            }
+        };
+        let seq = run_fresh(&p, &[8], &init);
+        let mut par = Machine::new(&p, &[8], &init);
+        VmRunner::new(&p).run_threads(&mut par, 4);
+        seq.same_state(&par).expect("identical");
+    }
+
+    #[test]
+    fn guarded_statement_in_parallel_loop_matches_interpreter() {
+        // do I = 1..N parallel: if (2 | I) X(I) = I — a `Div` guard under
+        // a wavefront, the guard a tree-walking copy once evaluated
+        // differently from the interpreter
+        let mut b = ProgramBuilder::new("parguard");
+        let n = b.param("N");
+        let x = b.array("X", &[Aff::param(n) + Aff::konst(1)]);
+        b.loop_full(
+            "I",
+            Bound::single(Aff::konst(1)),
+            Bound::single(Aff::param(n)),
+            1,
+            true, // parallel
+            |b| {
+                let i = b.loop_var("I");
+                b.stmt_guarded(
+                    "S",
+                    x,
+                    vec![Aff::var(i)],
+                    Expr::index(Aff::var(i)),
+                    vec![Guard::Div(Aff::var(i), 2)],
+                );
+            },
+        );
+        let p = b.finish();
+        let seq = run_fresh(&p, &[9], &|_, _| -1.0);
+        let mut par = Machine::new(&p, &[9], &|_, _| -1.0);
+        VmRunner::new(&p).run_threads(&mut par, 2);
+        seq.same_state(&par).expect("bitwise identical");
+        let x = seq.array_by_name("X").unwrap();
+        assert_eq!(&x[..5], &[-1.0, -1.0, 2.0, -1.0, 4.0]);
+    }
+
+    #[test]
+    fn zero_threads_means_auto() {
+        let p = parallel_init_program();
+        let mut m = Machine::new(&p, &[5], &|_, _| 0.0);
+        VmRunner::new(&p).run_threads(&mut m, 0);
+        let a = m.arrays().iter().find(|a| a.name == "A").unwrap();
+        assert_eq!(a.get(&[3, 4]), 304.0);
     }
 
     #[test]
@@ -228,15 +332,12 @@ mod tests {
         b.finish()
     }
 
-    /// Run `plus_one("B", 0)` on a machine built for `other`, through the
-    /// `VmRunner` or, with `threads`, the parallel executor.
+    /// Run `plus_one("B", 0)` on a machine built for `other`, on `threads`
+    /// threads.
     fn run_on_machine_of(other: &Program, threads: usize) {
         let p = plus_one("B", 0);
         let mut m = Machine::new(other, &[4], &spdish);
-        match threads {
-            0 => VmRunner::new(&p).run(&mut m),
-            _ => crate::ParallelExecutor::new(&p, threads).run(&mut m),
-        }
+        VmRunner::new(&p).run_threads(&mut m, threads);
     }
 
     /// `plus_one` without its `B`.
@@ -250,36 +351,36 @@ mod tests {
     #[test]
     #[should_panic(expected = "array count mismatch")]
     fn vm_refuses_a_machine_missing_an_array() {
-        run_on_machine_of(&only_a(), 0);
+        run_on_machine_of(&only_a(), 1);
     }
 
     #[test]
     #[should_panic(expected = "array order mismatch")]
     fn vm_refuses_a_machine_with_a_renamed_array() {
-        run_on_machine_of(&plus_one("C", 0), 0);
+        run_on_machine_of(&plus_one("C", 0), 1);
     }
 
     #[test]
     #[should_panic(expected = "array shape mismatch")]
     fn vm_refuses_a_machine_with_a_reshaped_array() {
-        run_on_machine_of(&plus_one("B", 1), 0);
+        run_on_machine_of(&plus_one("B", 1), 1);
     }
 
     #[test]
     #[should_panic(expected = "array count mismatch")]
-    fn parallel_executor_refuses_a_machine_missing_an_array() {
+    fn a_threaded_run_refuses_a_machine_missing_an_array() {
         run_on_machine_of(&only_a(), 2);
     }
 
     #[test]
     #[should_panic(expected = "array order mismatch")]
-    fn parallel_executor_refuses_a_machine_with_a_renamed_array() {
+    fn a_threaded_run_refuses_a_machine_with_a_renamed_array() {
         run_on_machine_of(&plus_one("C", 0), 2);
     }
 
     #[test]
     #[should_panic(expected = "array shape mismatch")]
-    fn parallel_executor_refuses_a_machine_with_a_reshaped_array() {
+    fn a_threaded_run_refuses_a_machine_with_a_reshaped_array() {
         run_on_machine_of(&plus_one("B", 1), 2);
     }
 }

@@ -1,8 +1,9 @@
 //! # inl-exec
 //!
 //! Execution of `inl-ir` programs: a reference interpreter, execution
-//! traces, equivalence checking, and a parallel executor for loops the
-//! framework has proven dependence-free.
+//! traces, equivalence checking, and the bytecode VM on a [`Machine`]
+//! ([`VmRunner`]), which runs loops the framework has proven
+//! dependence-free across threads.
 //!
 //! The interpreter is the framework's ground truth: a *legal* loop
 //! transformation preserves, per memory location, the order of every write
@@ -25,16 +26,14 @@
 pub mod backend;
 pub mod interp;
 pub mod machine;
-pub mod par;
 pub mod trace;
 
-pub use backend::{run_fresh_with, Backend, VmRunner};
+pub use backend::{Backend, VmRunner};
 /// Views of the samples [`VmRunner::run_profiled`] returns, for callers
 /// that ask which executor ran a program's loops.
 pub use inl_vm::profile;
 pub use interp::Interpreter;
 pub use machine::{ArrayData, Machine};
-pub use par::ParallelExecutor;
 pub use trace::{run_traced, InstanceRecord, Trace, TraceSummary};
 
 /// Run a program to completion on a fresh machine and return the machine.

@@ -1,7 +1,7 @@
 //! Robustness tests for the execution layer: non-unit steps, guard
 //! combinations, deep nests, empty programs, and executor agreement.
 
-use inl_exec::{run_fresh, run_traced, Interpreter, Machine, ParallelExecutor};
+use inl_exec::{run_fresh, run_traced, Interpreter, Machine, VmRunner};
 use inl_ir::{zoo, Aff, Bound, Expr, Guard, ProgramBuilder};
 
 #[test]
@@ -85,8 +85,8 @@ fn three_dimensional_arrays() {
 
 #[test]
 fn executors_agree_on_every_zoo_program() {
-    // sequential interpreter vs. the (unmarked, hence sequential-order)
-    // parallel executor: bitwise identical across the zoo
+    // sequential interpreter vs. the VM at two threads (no loop is marked,
+    // so every loop runs in order): bitwise identical across the zoo
     for (_, make) in zoo::ALL {
         let p = make();
         let params: Vec<i128> = vec![5; p.nparams()];
@@ -94,7 +94,7 @@ fn executors_agree_on_every_zoo_program() {
         let mut a = Machine::new(&p, &params, &init);
         Interpreter::new(&p).run(&mut a);
         let mut b = Machine::new(&p, &params, &init);
-        ParallelExecutor::new(&p, 2).run(&mut b);
+        VmRunner::new(&p).run_threads(&mut b, 2);
         a.same_state(&b)
             .unwrap_or_else(|e| panic!("{}: {e}", p.name()));
     }

@@ -55,10 +55,10 @@
 //! ```
 //!
 //! `stage` is the verdict point (`legal`, `complete`, `sink`,
-//! `structural`, `parallel`, `codegen`, `exec`); `verdict` is `accept`,
+//! `structural`, `parallel`, `codegen`, `sched`); `verdict` is `accept`,
 //! `reject`, or `info`; `details` carries string evidence (dependence
 //! rows rendered in the paper's interval notation) and `features`
-//! integer cost features (dependence counts, strides, wavefront widths,
+//! integer cost features (dependence counts, strides, wavefront flags,
 //! instance counts).
 
 use crate::json::Json;
@@ -125,7 +125,7 @@ pub struct Record {
     /// Process-wide record sequence number (stable sort key).
     pub seq: u64,
     /// Verdict point: `legal`, `complete`, `sink`, `structural`,
-    /// `parallel`, `codegen`, `exec`.
+    /// `parallel`, `codegen`, `sched`.
     pub stage: Cow<'static, str>,
     /// What was judged (a candidate transformation, a dependence, a
     /// loop, a completion slot, ...).

@@ -11,7 +11,7 @@
 //!   [`MAX_ARGS`] integer arguments to it. There are no point-in-time
 //!   events: a pipeline stage is the slice of its span (`depend.analyze`,
 //!   `legal.check`, `complete.transform`, `codegen.generate`,
-//!   `vm.compile`), and the parallel executor's `exec.par.wavefront` and
+//!   `vm.compile`), and a parallel loop's `exec.par.wavefront` and
 //!   `exec.par.chunk` spans carry their iteration counts and bounds.
 //! * **Hot path is lock-free.** Each thread records into its own ring via
 //!   a thread-local — no atomics, no locks, no allocation past the ring's
@@ -21,7 +21,7 @@
 //!   the *oldest* event is dropped and counted — recording never blocks,
 //!   never reallocates, never panics.
 //! * **Rings retire on thread exit.** When a thread finishes (e.g. the
-//!   parallel executor's scoped workers), its ring moves into a global
+//!   scoped workers of a parallel loop), its ring moves into a global
 //!   retired list, and its timeline id returns to a pool so short-lived
 //!   workers reuse display rows instead of growing the trace unboundedly.
 //!   [`export_chrome_trace`] sees every retired ring plus the calling thread's live

@@ -103,10 +103,6 @@ pub struct SweepEntry {
     /// `true` when the chosen variant's final machine state is bitwise
     /// identical to the source program's.
     pub bitwise_identical: bool,
-    /// Wall time of the search itself (schedule call), nanoseconds.
-    pub search_ns: u64,
-    /// Wall time of measuring all variants, nanoseconds.
-    pub measure_ns: u64,
     /// Variant pairs where cost order and measured order agree.
     pub concordant: u64,
     /// Variant pairs where they disagree.
@@ -144,11 +140,8 @@ pub fn sweep_program(
     reps: usize,
 ) -> Result<SweepEntry, SchedError> {
     let _span = inl_obs::span("sched.sweep");
-    let t0 = Instant::now();
     let result = schedule_with(p, cfg)?;
-    let search_ns = t0.elapsed().as_nanos() as u64;
 
-    let t1 = Instant::now();
     // the schedule finished only its pick; measuring needs every variant's
     // program, so finish them all now, against the analyses the result
     // already holds
@@ -196,7 +189,6 @@ pub fn sweep_program(
             }
         })
         .collect();
-    let measure_ns = t1.elapsed().as_nanos() as u64;
 
     let (chosen_ns, best_ns, best_label, worst_ns) = measured_extremes(name, &measured)?;
 
@@ -233,8 +225,6 @@ pub fn sweep_program(
         best_label,
         worst_ns,
         bitwise_identical,
-        search_ns,
-        measure_ns,
         concordant,
         discordant,
     })

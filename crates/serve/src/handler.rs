@@ -141,7 +141,9 @@ fn handle_run(
     };
     let machine = {
         let _span = inl_obs::span("serve.exec");
-        inl_exec::run_fresh_with(be, &generated, &ints, &zoo::spd_init)
+        let mut m = inl_exec::Machine::new(&generated, &ints, &zoo::spd_init);
+        be.run(&generated, &mut m);
+        m
     };
     let (digest, arrays, cells) = digest_machine(&machine);
     Ok(Response::Run {

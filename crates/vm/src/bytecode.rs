@@ -41,10 +41,11 @@
 //! trips (see [`mod@crate::run`]); every other loop stays on the
 //! dispatcher. A body with one `Store` is also kept split around each load
 //! that may be of the cell one trip hands to the next ([`CarriedKernel`]).
-//! A loop whose body is exactly one kernel loop is a [`TwoLevel`] loop: its
-//! header runs every outer trip itself, stepping the slots' first offsets.
+//! A loop whose body is exactly one kernel loop, not marked `parallel`, is a
+//! [`TwoLevel`] loop: its header runs every outer trip itself, stepping the
+//! slots' first offsets.
 
-use inl_ir::{LoopId, Program, StmtId};
+use inl_ir::{LoopId, Program};
 use inl_linalg::Int;
 
 /// Index of an `f64` value register.
@@ -318,14 +319,18 @@ pub struct ArrayDesc {
     pub dims: Vec<RowId>,
 }
 
-/// Compile-time metadata for one loop: where its instructions live, so
-/// drivers (the parallel executor) can run bodies directly.
+/// Compile-time metadata for one loop: where its instructions live, and
+/// whether its header may run its trips across threads.
 #[derive(Clone, Copy, Debug)]
 pub struct LoopMeta {
     /// The loop-variable integer register.
     pub var: IReg,
     /// Step (≥ 1).
     pub step: i64,
+    /// The IR's `parallel` flag: no trip touches a cell another trip
+    /// stores, so above one thread the header runs the body's trips in
+    /// chunks on workers (the fan-out of [`mod@crate::run`]).
+    pub parallel: bool,
     /// Address of the [`Instr::Loop`] header.
     pub header: Pc,
     /// Body instruction range `[start, end)` (excludes header and latch).
@@ -814,7 +819,9 @@ impl CompiledProgram {
 
     /// Lower a loop to a [`TwoLevel`] one, or `None` unless its body is
     /// exactly one kernel loop — that loop's header first, its latch last,
-    /// nothing around them — and every slot's change per outer trip fits.
+    /// nothing around them — that is not marked `parallel` (its own header
+    /// decides how its trips run), and every slot's change per outer trip
+    /// fits.
     fn lower_two_level(
         &self,
         meta: &LoopMeta,
@@ -823,7 +830,11 @@ impl CompiledProgram {
     ) -> Option<TwoLevel> {
         let is_body = |m: &Option<LoopMeta>| m.is_some_and(|m| (m.header, m.exit) == meta.body);
         let inner = self.loops.iter().position(is_body)?;
-        let (k, var) = (kernels[inner].as_ref()?, self.loops[inner]?.var);
+        let (k, inner_meta) = (kernels[inner].as_ref()?, self.loops[inner]?);
+        if inner_meta.parallel {
+            return None;
+        }
+        let var = inner_meta.var;
         let steps = k.slots.iter().map(|s| {
             let FlatAcc::Flat { terms, .. } = &accs[s.acc as usize] else {
                 unreachable!("a kernel's accesses are flat")
@@ -840,11 +851,6 @@ impl CompiledProgram {
     /// Metadata for a loop, if it is attached to the program tree.
     pub fn loop_meta(&self, l: LoopId) -> Option<&LoopMeta> {
         self.loops[l.0].as_ref()
-    }
-
-    /// Instruction range of a statement.
-    pub fn stmt_range(&self, s: StmtId) -> Option<(Pc, Pc)> {
-        self.stmts[s.0]
     }
 
     /// Total instruction count.
@@ -962,18 +968,6 @@ impl CompiledProgram {
             out.push_str(&format!("{pc:4}: {line}\n"));
         }
         out
-    }
-}
-
-impl BoundProgram<'_> {
-    /// Evaluate a loop's bounds at the current register file:
-    /// `(max of ceilings, min of floors)`.
-    pub fn loop_bounds(&self, l: LoopId, iregs: &[i64]) -> (i64, i64) {
-        let meta = self.cp.loop_meta(l).expect("detached loop");
-        (
-            eval_lo(&self.cp.rows, meta.lo, iregs),
-            eval_hi(&self.cp.rows, meta.hi, iregs),
-        )
     }
 }
 

@@ -201,6 +201,7 @@ impl Compiler<'_> {
         self.loops[l.0] = Some(LoopMeta {
             var,
             step,
+            parallel: ld.parallel,
             header,
             body: (body_start, body_end),
             exit,

@@ -98,13 +98,19 @@
 //!
 //! ## Parallel execution
 //!
-//! [`exec_range`] runs any `[start, end)` slice of the instruction
-//! stream, so a driver can evaluate a parallel loop's bounds via
-//! [`bytecode::BoundProgram::loop_bounds`], set the loop-variable
-//! register in a cloned [`VmState`], and execute the loop *body* range
-//! per iteration against a [`SharedBuf`] — one pointer and length per
-//! array — shared across workers. The `inl-exec` parallel wavefront
-//! executor does exactly this.
+//! A loop the IR marks `parallel` — §7's DOALL, certified by the dependence
+//! framework — keeps the mark in its [`bytecode::LoopMeta`].
+//! [`run_threads`] runs the program as [`run()`] does, except that above one
+//! thread such a loop's header fans its trips out itself: two or more trips
+//! go in chunks of `ceil(trips / threads)` to scoped workers, each a cloned
+//! [`VmState`] that dispatches the body range once per trip, on one thread,
+//! against the [`SharedBuf`] — one pointer and length per array — that all
+//! of them share; a single trip runs inline. The fan-out is counted as a
+//! one-thread run counts it (the header once, the body and the latch once
+//! per trip), under an `exec.par.wavefront` span per entry and an
+//! `exec.par.chunk` span per worker; `exec.par.wavefronts` counts the
+//! entries. Above one thread a marked loop's trips never run in a trip
+//! kernel, and no [`bytecode::TwoLevel`] loop has a marked inner loop.
 //!
 //! ## Telemetry
 //!
@@ -112,7 +118,8 @@
 //! batches the `vm.instrs` / `vm.instances` counters, and the trips each
 //! kernel executor ran (`vm.trips.columns` / `vm.trips.carried`; a kernel
 //! header's trips handed back to the dispatcher count under
-//! `vm.trips.dispatch`), locally and flushes once per [`exec_range`] call.
+//! `vm.trips.dispatch`), locally and flushes once per [`exec_range`] or
+//! [`run_threads`] call — a fan-out's workers add theirs to it when joined.
 //! [`run_profiled`] is [`run()`] that also counts executions per instruction
 //! address and returns the counts, [`profile::Samples`], from which the
 //! [`profile`] module derives hot opcode/statement/loop tables — the loop
@@ -126,7 +133,7 @@ pub mod run;
 
 pub use bytecode::{BoundProgram, CompiledProgram, GuardKind, Instr, Opcode, Row};
 pub use compile::compile;
-pub use run::{exec_range, run, run_profiled, SharedBuf, VmState};
+pub use run::{exec_range, run, run_profiled, run_threads, SharedBuf, VmState};
 
 #[cfg(test)]
 mod tests {

@@ -4,8 +4,8 @@
 //! [`crate::run_profiled`] runs a program like [`crate::run()`] and returns
 //! its [`Samples`]: a monomorphised copy of the dispatch loop adds one
 //! unconditional array increment per instruction, the plain copy that
-//! [`crate::run()`] and [`crate::exec_range`] use is untouched, and there is
-//! no mode to switch and no store to read back — a profile is a value of
+//! [`crate::run()`] and [`crate::exec_range`] use is untouched (a profiled
+//! run is a one-thread run), and there is no mode to switch and no store to read back — a profile is a value of
 //! the run that made it, so two runs of one program on two threads get one
 //! each.
 //!
@@ -131,8 +131,8 @@ pub fn hot_statements(
 pub struct LoopProfile {
     /// Loop-variable name (from the source program when given, else `L<id>`).
     pub name: String,
-    /// Times the header ([`crate::bytecode::Instr::Loop`]) executed. Zero
-    /// when a driver ran the body directly (the parallel executor does).
+    /// Times the header ([`crate::bytecode::Instr::Loop`]) executed: once
+    /// per entry of the loop, whoever ran its trips.
     pub header_execs: u64,
     /// Body iterations (executions of the first body instruction).
     pub iterations: u64,

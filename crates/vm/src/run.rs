@@ -53,11 +53,17 @@
 //! registers and bound slots as the dispatcher would, and credits the
 //! counters and the profile with the dispatcher's closed form.
 //!
-//! [`exec_range`] executes an arbitrary `[start, end)` slice of the
-//! instruction stream, which is what lets the parallel executor drive
-//! loop *bodies* directly: it evaluates a parallel loop's bounds itself,
-//! sets the loop-variable register, and runs the body range per
-//! iteration on a [`SharedBuf`] visible to all workers.
+//! # Parallel loops
+//!
+//! Above one thread ([`run_threads`]), the header of a loop marked
+//! `parallel` — one whose trips the dependence framework certified
+//! independent — comes before both of the above. Two or more trips it splits
+//! into chunks of `ceil(trips / threads)` on scoped workers, each a clone of
+//! the state that dispatches the body range once per trip on one thread over
+//! the same [`SharedBuf`]; a single trip it runs inline. It credits what a
+//! one-thread run counts and leaves the register and bound slot as the
+//! latch leaves them. Such a loop's trips never enter a trip kernel, and
+//! binding builds no [`TwoLevel`] loop around one.
 
 use crate::bytecode::{
     eval_hi, eval_lo, BoundProgram, FlatAcc, GuardKind, IReg, Instr, LoopMeta, Pc, Reg, Row, Slot,
@@ -75,8 +81,8 @@ type Columns = [[f64; COLUMN]; KERNEL_REGS];
 
 /// A state's [`Columns`], allocated by the first kernel that runs in
 /// columns. Cloning yields an empty scratch: it holds no value that
-/// outlives a loop entry, and the parallel executor clones a state per
-/// chunk per wavefront.
+/// outlives a loop entry, and a parallel loop's header clones a state per
+/// chunk per entry.
 #[derive(Debug, Default)]
 struct ColumnScratch(Option<Box<Columns>>);
 
@@ -91,7 +97,7 @@ impl Clone for ColumnScratch {
 /// `f64` value register file.
 ///
 /// Cloning a state gives an independent activation over the same bound
-/// program — the parallel executor clones one per worker.
+/// program — a parallel loop's header clones one per worker.
 #[derive(Clone, Debug)]
 pub struct VmState {
     /// Integer registers: `params ++ loop vars`.
@@ -126,9 +132,9 @@ impl BoundProgram<'_> {
 ///
 /// # Safety
 /// Bounds are checked against each array's length, but *aliasing* is the
-/// caller's contract: concurrent writers must target disjoint cells (the
-/// parallel executor only runs loops proven dependence-free, which is
-/// exactly that guarantee).
+/// caller's contract: concurrent writers must target disjoint cells. The
+/// only concurrent writers are the workers of a `parallel`-marked loop, and
+/// the mark is the dependence framework's certificate of exactly that.
 pub struct SharedBuf<'a> {
     /// Each array's first cell and length, in `ArrayId` order.
     arrays: Box<[(*mut f64, usize)]>,
@@ -364,7 +370,7 @@ fn ix(i: impl Into<usize>) -> usize {
 }
 
 /// What a dispatch has run, flushed to the counters once per
-/// [`exec_range`] or [`run_profiled`].
+/// [`exec_range`], [`run_threads`] or [`run_profiled`].
 #[derive(Default)]
 struct Tally {
     instrs: u64,
@@ -379,6 +385,15 @@ struct Tally {
 }
 
 impl Tally {
+    /// Add what a worker's unprofiled dispatch ran.
+    fn absorb(&mut self, w: &Tally) {
+        self.instrs += w.instrs;
+        self.instances += w.instances;
+        self.kernel_trips[0] += w.kernel_trips[0];
+        self.kernel_trips[1] += w.kernel_trips[1];
+        self.handed_back += w.handed_back;
+    }
+
     fn flush(&self) {
         if self.instrs > 0 {
             inl_obs::counter_add!("vm.instrs", self.instrs);
@@ -668,14 +683,68 @@ fn outer_trips<const PROFILE: bool>(
         }
         let itrips = ((ihi - ilo) / inner.step) as u64 + 1;
         if !enter::<PROFILE>(bp, k, inner, first, itrips, st, buf, tally) {
-            dispatch::<PROFILE>(bp, st, buf, inner.header + 1, inner.exit, tally);
+            dispatch::<PROFILE>(bp, st, buf, inner.header + 1, inner.exit, tally, 1);
         }
     }
 }
 
-/// Execute instructions `[start, end)` against a state and one slice per
-/// array (asserted once per call: one per array, each of its layout's
-/// length).
+/// Run the `trips ≥ 2` trips of `parallel`-marked loop `meta`, whose
+/// register holds the first trip's value, in chunks of `ceil(trips /
+/// threads)` on scoped workers: each a clone of `st` that dispatches the
+/// body range once per trip, on one thread, into a tally of its own, added
+/// to `tally` when it is joined. Credits the latch once per trip — the
+/// header is already counted — and leaves in the register the last trip's
+/// value, as the latch does.
+fn fan_out(
+    bp: &BoundProgram,
+    meta: &LoopMeta,
+    trips: u64,
+    threads: usize,
+    st: &mut VmState,
+    buf: &SharedBuf<'_>,
+    tally: &mut Tally,
+) {
+    inl_obs::counter_add!("exec.par.wavefronts", 1);
+    let _wavefront = inl_obs::span_args(
+        "exec.par.wavefront",
+        &[("iters", trips as i64), ("threads", threads as i64)],
+    );
+    let (var, step, (start, end)) = (meta.var as usize, meta.step, meta.body);
+    let lo = st.iregs[var];
+    let chunk = trips.div_ceil(threads as u64);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..trips)
+            .step_by(chunk as usize)
+            .map(|first| {
+                let (ch_lo, count) = (lo + first as i64 * step, chunk.min(trips - first));
+                let ch_hi = ch_lo + (count - 1) as i64 * step;
+                // A clone copies the registers only (the column scratch is
+                // per state and allocated on first use).
+                let mut wst = st.clone();
+                scope.spawn(move || {
+                    let _chunk =
+                        inl_obs::span_args("exec.par.chunk", &[("lo", ch_lo), ("hi", ch_hi)]);
+                    let mut own = Tally::default();
+                    for t in 0..count as i64 {
+                        wst.iregs[var] = ch_lo + t * step;
+                        dispatch::<false>(bp, &mut wst, buf, start, end, &mut own, 1);
+                    }
+                    own
+                })
+            })
+            .collect();
+        for w in workers {
+            let own = w.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+            tally.absorb(&own);
+        }
+    });
+    st.iregs[var] = lo + (trips - 1) as i64 * step;
+    tally.instrs += trips;
+}
+
+/// Execute instructions `[start, end)` on one thread against a state and
+/// one slice per array (asserted once per call: one per array, each of its
+/// layout's length).
 ///
 /// The `vm.instrs` / `vm.instances` counters are accumulated locally and
 /// flushed **once** on return (batched far coarser than per innermost
@@ -683,12 +752,13 @@ fn outer_trips<const PROFILE: bool>(
 pub fn exec_range(bp: &BoundProgram, st: &mut VmState, buf: &SharedBuf<'_>, start: Pc, end: Pc) {
     buf.check(bp);
     let mut tally = Tally::default();
-    dispatch::<false>(bp, st, buf, start, end, &mut tally);
+    dispatch::<false>(bp, st, buf, start, end, &mut tally, 1);
     tally.flush();
 }
 
 /// The dispatch loop, monomorphised over profiling so the per-pc counting
-/// costs nothing when off.
+/// costs nothing when off. Above one `threads`, an unprofiled dispatch runs
+/// the trips of `parallel`-marked loops across workers ([`fan_out`]).
 fn dispatch<const PROFILE: bool>(
     bp: &BoundProgram,
     st: &mut VmState,
@@ -696,6 +766,7 @@ fn dispatch<const PROFILE: bool>(
     start: Pc,
     end: Pc,
     tally: &mut Tally,
+    threads: usize,
 ) {
     let code = &bp.cp.code;
     let rows = &bp.cp.rows;
@@ -723,7 +794,15 @@ fn dispatch<const PROFILE: bool>(
                     st.his[l] = hi_v;
                     let trips = ((hi_v - lo_v) / step) as u64 + 1;
                     let meta = || bp.cp.loops[l].as_ref().expect("an attached loop");
-                    pc = if let Some(two) = &bp.two_level[l] {
+                    pc = if !PROFILE && threads > 1 && meta().parallel {
+                        if trips > 1 {
+                            fan_out(bp, meta(), trips, threads, st, buf, tally);
+                            exit
+                        } else {
+                            // one trip: the body below, inline
+                            pc + 1
+                        }
+                    } else if let Some(two) = &bp.two_level[l] {
                         outer_trips::<PROFILE>(bp, two, meta(), trips, st, buf, tally);
                         exit
                     } else if let Some(k) = &bp.kernels[l] {
@@ -817,16 +896,30 @@ fn dispatch<const PROFILE: bool>(
 }
 
 /// Execute the whole program in place on `arrays`: one slice per array, in
-/// `ArrayId` order, each of its layout's length (asserted).
+/// `ArrayId` order, each of its layout's length (asserted). One thread:
+/// [`run_threads`] with `1`.
 pub fn run(bp: &BoundProgram, arrays: &mut [&mut [f64]]) {
-    let mut st = bp.new_state();
-    exec_range(
-        bp,
-        &mut st,
-        &SharedBuf::new(arrays),
-        0,
-        bp.cp.code.len() as Pc,
-    );
+    run_threads(bp, arrays, 1);
+}
+
+/// [`run`] with up to `threads` workers per entry of a `parallel`-marked
+/// loop (`0`: one per core). Every other loop, and a marked loop at one
+/// thread, runs as [`run`] runs it; the counters are credited the same.
+///
+/// Trusts the marks: distinct trips of a marked loop must not write a cell
+/// another trip reads or writes — what the dependence framework certifies.
+/// Running a loop wrongly marked is a data race.
+pub fn run_threads(bp: &BoundProgram, arrays: &mut [&mut [f64]], threads: usize) {
+    let threads = match threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    };
+    let buf = SharedBuf::new(arrays);
+    buf.check(bp);
+    let mut tally = Tally::default();
+    let end = bp.cp.code.len() as Pc;
+    dispatch::<false>(bp, &mut bp.new_state(), &buf, 0, end, &mut tally, threads);
+    tally.flush();
 }
 
 /// [`run`], counting as it goes how often each instruction executed and
@@ -841,7 +934,7 @@ pub fn run_profiled(bp: &BoundProgram, arrays: &mut [&mut [f64]]) -> Samples {
         ..Tally::default()
     };
     let end = bp.cp.code.len() as Pc;
-    dispatch::<true>(bp, &mut bp.new_state(), &buf, 0, end, &mut tally);
+    dispatch::<true>(bp, &mut bp.new_state(), &buf, 0, end, &mut tally, 1);
     tally.flush();
     tally.samples
 }

@@ -1,8 +1,8 @@
 //! Profiling a run: timeline tracing + VM opcode profiling in one place.
 //!
 //! Turns on both observability layers, runs Cholesky twice — once through
-//! the bytecode VM with opcode profiling, once through the parallel
-//! executor so the trace shows per-thread wavefront slices — then prints
+//! the bytecode VM with opcode profiling, once on four threads
+//! (`VmRunner::run_threads`) so the trace shows per-thread wavefront slices — then prints
 //! the hot-opcode/statement/loop tables and writes a Chrome trace-event
 //! file you can open at <https://ui.perfetto.dev> or `chrome://tracing`.
 //!
@@ -15,7 +15,7 @@
 //! `INL_TRACE_JSON=trace.json ./your-binary`. An opcode profile is what a
 //! profiled run returns (`VmRunner::run_profiled`).
 
-use inl::exec::{run_fresh, Machine, ParallelExecutor, VmRunner};
+use inl::exec::{run_fresh, Machine, VmRunner};
 use inl::ir::zoo;
 
 fn spd(_: &str, idx: &[usize]) -> f64 {
@@ -53,7 +53,7 @@ fn main() {
     par.set_loop_parallel(j, true);
     let reference = run_fresh(&par, &[n], &spd);
     let mut machine = Machine::new(&par, &[n], &spd);
-    ParallelExecutor::new(&par, 4).run(&mut machine);
+    VmRunner::new(&par).run_threads(&mut machine, 4);
     reference
         .same_state(&machine)
         .expect("parallel run bitwise identical");

@@ -7,7 +7,7 @@
 //! cargo run --example vm_backend -- vm    # the same run on the VM
 //! ```
 
-use inl::exec::{run_fresh, run_fresh_with, Backend, Machine, VmRunner};
+use inl::exec::{run_fresh, Backend, Machine, VmRunner};
 use inl::ir::zoo;
 
 fn main() {
@@ -20,7 +20,8 @@ fn main() {
         _ => Backend::Interp,
     };
     println!("backend: {backend:?}");
-    let m = run_fresh_with(backend, &p, &[6], &zoo::spd_init);
+    let mut m = Machine::new(&p, &[6], &zoo::spd_init);
+    backend.run(&p, &mut m);
     println!("A[0..4] = {:?}\n", &m.array_by_name("A").unwrap()[..4]);
 
     // The two-stage lowering, spelled out. `compile` is parameter-

@@ -14,7 +14,7 @@ use inl::core::instance::InstanceLayout;
 use inl::core::legal::check_legal;
 use inl::core::parallel::{parallel_rows, parallel_slots};
 use inl::core::transform::Transform;
-use inl::exec::{Interpreter, Machine, ParallelExecutor, VmRunner};
+use inl::exec::{Interpreter, Machine, VmRunner};
 use inl::ir::zoo;
 use std::time::Instant;
 
@@ -75,17 +75,19 @@ fn main() {
     };
     let mut seq = Machine::new(&p, &[n], &init);
     Interpreter::new(&p).run(&mut seq);
+    let runner = VmRunner::new(&result.program);
     for threads in [2, 4] {
         let mut par = Machine::new(&result.program, &[n], &init);
-        ParallelExecutor::new(&result.program, threads).run(&mut par);
+        runner.run_threads(&mut par, threads);
         seq.same_state(&par).expect("bitwise identical");
         println!("wavefront, {threads} threads: bitwise identical ✓");
     }
 
     // For an end-to-end *speedup* inside the framework, a loop whose
     // OUTER slot is dependence-free works: one thread team for the whole
-    // run. The executor drives the bytecode VM, so the sequential time to
-    // beat is the VM's; the interpreter stays the correctness reference. Row-wise prefix sums keep every dependence inside a row, so the
+    // run. The threads run the bytecode VM, so the sequential time to beat
+    // is the VM's; the interpreter stays the correctness reference.
+    // Row-wise prefix sums keep every dependence inside a row, so the
     // nullspace of the dependence matrix contains the outer direction.
     let q = zoo::row_prefix_sums();
     let qlayout = InstanceLayout::new(&q);
@@ -105,6 +107,7 @@ fn main() {
     let mut seq = Machine::new(&q, &[n], &init2);
     Interpreter::new(&q).run(&mut seq);
     let runner = VmRunner::new(&q);
+    let par_runner = VmRunner::new(&qpar);
     let mut vm_seq = Machine::new(&q, &[n], &init2);
     let t0 = Instant::now();
     runner.run(&mut vm_seq);
@@ -114,7 +117,7 @@ fn main() {
     for threads in [1, 2, 4, 8] {
         let mut par = Machine::new(&qpar, &[n], &init2);
         let t0 = Instant::now();
-        ParallelExecutor::new(&qpar, threads).run(&mut par);
+        par_runner.run_threads(&mut par, threads);
         let t_par = t0.elapsed();
         seq.same_state(&par).expect("bitwise identical");
         println!(

@@ -9,7 +9,7 @@
 //! regimes the VM differential uses.
 
 use inl::core::tiling::{split, split_legal};
-use inl::exec::{run_fresh_with, Backend};
+use inl::exec::{run_fresh, Machine, VmRunner};
 use inl::ir::{zoo, LoopId, Program};
 use proptest::prelude::*;
 
@@ -69,14 +69,15 @@ proptest! {
             ("frac", &frac_init as &dyn Fn(&str, &[usize]) -> f64),
             ("i64-wrap", &int_init),
         ] {
-            let src = run_fresh_with(Backend::Interp, &p, &params, init);
-            let tiled = run_fresh_with(Backend::Interp, &r.program, &params, init);
+            let src = run_fresh(&p, &params, init);
+            let tiled = run_fresh(&r.program, &params, init);
             prop_assert!(
                 src.same_state(&tiled).is_ok(),
                 "split of {} diverged from source ({regime} init, tile {tile}, params {params:?}): {}",
                 p.name(), src.same_state(&tiled).unwrap_err()
             );
-            let vm = run_fresh_with(Backend::Vm, &r.program, &params, init);
+            let mut vm = Machine::new(&r.program, &params, init);
+            VmRunner::new(&r.program).run(&mut vm);
             prop_assert!(
                 tiled.same_state(&vm).is_ok(),
                 "split of {} differs across backends ({regime} init, tile {tile}): {}",

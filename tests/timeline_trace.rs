@@ -8,7 +8,7 @@ use inl::core::depend::analyze;
 use inl::core::instance::{InstanceLayout, Position};
 use inl::core::legal::check_legal;
 use inl::core::parallel::parallel_slots;
-use inl::exec::{run_fresh, Machine, ParallelExecutor};
+use inl::exec::{run_fresh, Machine, VmRunner};
 use inl::ir::zoo;
 use inl::linalg::IMat;
 use inl::obs::Json;
@@ -54,7 +54,7 @@ fn parallel_cholesky_trace_loads_as_chrome_json_with_worker_tids() {
     let n: i128 = 64;
     let reference = run_fresh(&p, &[n], &spdish);
     let mut par = Machine::new(&p, &[n], &spdish);
-    ParallelExecutor::new(&p, 4).run(&mut par);
+    VmRunner::new(&p).run_threads(&mut par, 4);
     reference
         .same_state(&par)
         .expect("parallel run bitwise identical");

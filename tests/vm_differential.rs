@@ -9,7 +9,8 @@
 //!   divisor subscripts, which exercise the VM's slow access path),
 //! * random parameter bindings,
 //!
-//! under two initial-state regimes:
+//! under two initial-state regimes (and, for loops marked `parallel`, at 1,
+//! 2, 4 and 8 threads):
 //!
 //! * **fractional f64** — cells start at non-integer values, so rounding
 //!   of every arithmetic op matters;
@@ -20,8 +21,9 @@
 use inl::codegen::generate;
 use inl::core::depend::analyze;
 use inl::core::instance::InstanceLayout;
+use inl::core::parallel::parallel_slots;
 use inl::core::transform::Transform;
-use inl::exec::{run_fresh_with, Backend};
+use inl::exec::{run_fresh, Machine, VmRunner};
 use inl::ir::{zoo, Program};
 use proptest::prelude::*;
 
@@ -92,8 +94,9 @@ fn assert_vm_identical(p: &Program, params: &[i128], ctx: &str) -> Result<(), Te
         ("frac", &frac_init as &dyn Fn(&str, &[usize]) -> f64),
         ("i64-wrap", &int_init),
     ] {
-        let a = run_fresh_with(Backend::Interp, p, params, init);
-        let b = run_fresh_with(Backend::Vm, p, params, init);
+        let a = run_fresh(p, params, init);
+        let mut b = Machine::new(p, params, init);
+        VmRunner::new(p).run(&mut b);
         prop_assert!(
             a.same_state(&b).is_ok(),
             "{ctx}: VM differs from interpreter ({regime} init, params {params:?}): {}",
@@ -146,14 +149,49 @@ proptest! {
     }
 }
 
-/// A DOALL outer loop whose workers run *carried* kernels over one shared
-/// buffer: `row_prefix_sums` hands `B[I,J−1]` on along each row, `matmul`
-/// keeps `C[I,J]` in a register under `K` and stores it once at loop exit
-/// instead of once a trip — which the disjoint-cells contract of
-/// `SharedBuf` allows. Two threads, the interpreter's image bit for bit.
+/// The skewed wavefront with its inner loop marked DOALL, as the framework
+/// certifies it (§7): every dependence is carried by the outer loop.
+fn skewed_wavefront() -> Program {
+    let p = zoo::wavefront();
+    let layout = InstanceLayout::new(&p);
+    let deps = analyze(&p, &layout).expect("analysis");
+    let loops: Vec<_> = p.loops().collect();
+    let skew = Transform::Skew {
+        target: loops[0],
+        source: loops[1],
+        factor: 1,
+    }
+    .matrix(&p, &layout);
+    assert_eq!(parallel_slots(&layout, &deps, &skew), [1], "inner DOALL");
+    let mut q = generate(&p, &layout, &deps, &skew)
+        .expect("codegen")
+        .program;
+    let inner = q.loops().nth(1).expect("an inner loop");
+    assert_eq!(q.loops_surrounding_loop(inner).len(), 1);
+    q.set_loop_parallel(inner, true);
+    q
+}
+
+/// Threads sharing one machine's arrays, bit for bit the interpreter's image
+/// at 1, 2, 4 and 8 threads: the skewed wavefront fans out its inner loop
+/// once per anti-diagonal; `row_prefix_sums` and `matmul` fan out their
+/// outer loop, whose workers run *carried* kernels — `row_prefix_sums` hands
+/// `B[I,J−1]` on along each row, `matmul` keeps `C[I,J]` in a register
+/// under `K` and stores it once at loop exit instead of once a trip, which
+/// the disjoint-cells contract of `SharedBuf` allows.
 #[test]
 fn parallel_workers_run_carried_kernels_bitwise() {
-    use inl::exec::{Machine, ParallelExecutor, VmRunner};
+    let (wavefront, n) = (skewed_wavefront(), 60);
+    let reference = run_fresh(&wavefront, &[n], &frac_init);
+    let runner = VmRunner::new(&wavefront);
+    for threads in [1, 2, 4, 8] {
+        let mut m = Machine::new(&wavefront, &[n], &frac_init);
+        runner.run_threads(&mut m, threads);
+        reference
+            .same_state(&m)
+            .unwrap_or_else(|e| panic!("skewed wavefront on {threads} threads: {e}"));
+    }
+
     for (make, n) in [
         (zoo::row_prefix_sums as fn() -> Program, 150),
         (zoo::matmul, 40),
@@ -162,7 +200,7 @@ fn parallel_workers_run_carried_kernels_bitwise() {
         let outer = p.loops().next().expect("an outer loop");
         assert_eq!(p.loop_decl(outer).name, "I");
         p.set_loop_parallel(outer, true);
-        let reference = run_fresh_with(Backend::Interp, &p, &[n], &frac_init);
+        let reference = run_fresh(&p, &[n], &frac_init);
 
         // The executor of a loop entry is a function of its addresses, not
         // of the thread that runs it: every innermost trip is carried.
@@ -177,10 +215,13 @@ fn parallel_workers_run_carried_kernels_bitwise() {
         assert_eq!(carried, Some(innermost as u64), "{}", p.name());
         assert!(!seen.counters.contains_key("vm.trips.dispatch"));
 
-        let mut m = Machine::new(&p, &[n], &frac_init);
-        ParallelExecutor::new(&p, 2).run(&mut m);
-        reference
-            .same_state(&m)
-            .unwrap_or_else(|e| panic!("{} on 2 threads: {e}", p.name()));
+        let runner = VmRunner::new(&p);
+        for threads in [1, 2, 4, 8] {
+            let mut m = Machine::new(&p, &[n], &frac_init);
+            runner.run_threads(&mut m, threads);
+            reference
+                .same_state(&m)
+                .unwrap_or_else(|e| panic!("{} on {threads} threads: {e}", p.name()));
+        }
     }
 }
