@@ -16,34 +16,60 @@
 //!   toolkit, e.g. `[0, 1, -1, +]'` for the flow dependence of §3);
 //! * the **polyhedron itself**, kept for the exact legality fallback.
 //!
+//! # Work done once
+//!
+//! Every answer below is the one the full procedure gives; only the work
+//! that would repeat a known answer is skipped:
+//!
+//! * an access pair whose subscripts equal an earlier pair's of the same
+//!   statement pair has that pair's polyhedra, so its columns are the ones
+//!   the dedup would drop: it is not built;
+//! * a level whose precedence contradicts a common loop's Δ that an
+//!   equality of the base system fixes (`A[K]` on both sides fixes K's Δ at
+//!   0, so K carries nothing) is pruned without a feasibility query;
+//! * over a polyhedron with a proven integer point, an entry whose Δ is a
+//!   constant ([`constant_entry`]), or differs from an equality row by one,
+//!   is read off as that distance instead of projected;
+//! * a distribution or jam keeps its parent's columns for every statement
+//!   pair it leaves as it was (`map`, called by
+//!   [`crate::recipe::Shape::apply`]); only the pairs it joins or separates
+//!   are analysed. A split is analysed afresh: its bounds are not a
+//!   renaming.
+//!
 //! # The analysis memo
 //!
 //! The matrix is a function of the program and its layout alone, and the
 //! compile service, the batch compiler and the scheduler ask for the same
 //! few programs' matrices over and over, so [`analyze`] is memoised
-//! process-wide. The key is the *value* `(Program, layout.positions())`
-//! (`Program: Eq + Hash` is structural, name included): entries are found
-//! by hash and a hit is confirmed by `==` on the stored pair, so a program
-//! that differs in one bound, guard, subscript or assumption can never be
-//! answered with another's matrix. A hit returns a clone of the matrix the
-//! miss computed; only `Ok` results are stored; the analysis itself runs
-//! outside the lock (threads racing on a cold key all compute, last write
-//! wins). The memo is a tenant of the poly cache's lifecycle rather than a
-//! switch of its own: `inl_poly::cache::set_cache_enabled(false)` bypasses
-//! it, `inl_poly::cache::clear()` empties it (entries are stamped with
+//! process-wide, and `map` consults and fills the same memo. The key is the
+//! *value* `(Program, layout.positions())` (`Program: Eq + Hash` is
+//! structural, name included): entries are found by hash and a hit is
+//! confirmed by `==` on the stored pair, so a program that differs in one
+//! bound, guard, subscript or assumption can never be answered with
+//! another's matrix. A mapped matrix is the one [`analyze`] would store. A
+//! hit returns a clone of the matrix the miss computed; only `Ok` results
+//! are stored; the analysis itself runs outside the lock (threads racing on
+//! a cold key all compute, last write wins). The memo is a tenant of the
+//! poly cache's lifecycle rather than a switch of its own:
+//! `inl_poly::cache::set_cache_enabled(false)` bypasses it,
+//! `inl_poly::cache::clear()` empties it (entries are stamped with
 //! [`inl_poly::cache::epoch`]), and it is bounded by [`MEMO_CAP`] with the
 //! same counted generation flush.
 //!
-//! Telemetry: the `depend.analyze` span (and so its timeline slice) fires
-//! on every call — requested analyses stay countable — while the work
-//! counters (`depend.pairs_tested`, `depend.levels_pruned`,
-//! `depend.base_infeasible`, `depend.polyhedra_retained`) fire only when
-//! the work is done, i.e. on a miss or a bypass; `depend.memo.hit` /
-//! `depend.memo.miss` / `depend.memo.evictions` say which it was, and the
-//! always-on [`memo_stats`] mirrors them. The `depend.` counter family is
-//! therefore warmth-dependent, and
-//! `inl_obs::capture::deterministic_projection` drops it as it drops
-//! `poly.`.
+//! Telemetry: the `depend.analyze` span and the `depend.map` span (and so
+//! their timeline slices) fire on every call, hit or miss — requested
+//! analyses stay countable — while the work counters fire only when the
+//! work is done, i.e. on a miss or a bypass. `depend.pairs_tested` counts
+//! the access pairs whose polyhedra are built: not those skipped for
+//! repeating an earlier pair's subscripts, nor those of statement pairs a
+//! map carries over. `depend.levels_pruned` counts levels ruled out by a
+//! fixed Δ or an empty polyhedron, `depend.base_infeasible` access pairs
+//! with an empty base system, `depend.polyhedra_retained` the columns
+//! built before the dedup. `depend.memo.hit` / `depend.memo.miss` /
+//! `depend.memo.evictions` say which it was, and the always-on
+//! [`memo_stats`] mirrors them. The `depend.` counter family is therefore
+//! warmth-dependent, and `inl_obs::capture::deterministic_projection` drops
+//! it as it drops `poly.`.
 
 use crate::instance::{InstanceLayout, Position};
 use inl_ir::{Guard, LoopId, Program, StmtId};
@@ -311,10 +337,10 @@ fn count_exists(p: &Program, s: StmtId, loops: &[LoopId]) -> usize {
 }
 
 /// Entry cap of the analysis memo: one counted generation flush when
-/// reached, as in `inl_poly::cache`. A process that compiles the zoo holds
-/// a few dozen entries (13 programs and their scheduler shapes); the bound
-/// is for `inl-fuzz` and the property tests, which feed it programs
-/// without end.
+/// reached, as in `inl_poly::cache`. A process that schedules the zoo holds
+/// 18 entries (its 13 programs, and the 5 shapes the scheduler maps of
+/// them); the bound is for `inl-fuzz` and the property tests, which feed it
+/// programs without end.
 pub const MEMO_CAP: usize = 256;
 
 /// A memoised analysis. The map key is only the hash of the pair stored
@@ -413,8 +439,110 @@ pub fn memo_stats() -> MemoStats {
 /// reported rather than degraded.
 pub fn analyze(p: &Program, layout: &InstanceLayout) -> Result<DependenceMatrix, InlError> {
     let _span = inl_obs::span("depend.analyze");
+    memoised(p, layout, || analyze_uncached(p, layout))
+}
+
+/// The dependence matrix of `p`, which a distribution or jam made of
+/// `parent` (laid out as `parent_layout`, with dependences `parent_deps`):
+/// equal to [`analyze`]`(p, layout)`, and stored in the same memo.
+///
+/// These steps only rename loops — same bounds, same variable slots — so a
+/// statement pair that keeps both statements' depths, its number of common
+/// loops and its syntactic order has the parent's polyhedra constraint for
+/// constraint, and keeps the parent's columns with `src_loops`/`dst_loops`
+/// from `layout`. Each entry is [`constant_entry`], or else the parent's
+/// entry at a position with an equal Δ. Every pair the step joins or
+/// separates is analysed afresh, and so is a pair with an entry neither
+/// gives: the parent's matrix has lost the columns its dedup dropped, and
+/// they stay dropped only while every entry is a function of the parent's.
+pub(crate) fn map(
+    parent: &Program,
+    parent_layout: &InstanceLayout,
+    parent_deps: &DependenceMatrix,
+    p: &Program,
+    layout: &InstanceLayout,
+) -> Result<DependenceMatrix, InlError> {
+    let _span = inl_obs::span("depend.map");
+    let from = (parent, parent_layout, parent_deps);
+    memoised(p, layout, || {
+        let mut deps = Vec::new();
+        for src in p.stmts() {
+            for dst in p.stmts() {
+                match carried(from, p, layout, src, dst)? {
+                    Some(columns) => deps.extend(columns),
+                    None => deps.extend(analyze_stmt_pair(p, layout, src, dst)?),
+                }
+            }
+        }
+        Ok(dedup(layout.len(), deps))
+    })
+}
+
+/// The parent's columns of the statement pair `(src, dst)` with entries
+/// over `layout`, or `None` when the pair must be analysed afresh.
+fn carried(
+    (parent, parent_layout, parent_deps): (&Program, &InstanceLayout, &DependenceMatrix),
+    p: &Program,
+    layout: &InstanceLayout,
+    src: StmtId,
+    dst: StmtId,
+) -> Result<Option<Vec<Dependence>>, InlError> {
+    let depth = |l: &InstanceLayout, s: StmtId| l.stmt_loops(s).len();
+    let same_pair = depth(parent_layout, src) == depth(layout, src)
+        && depth(parent_layout, dst) == depth(layout, dst)
+        && common_loops(parent_layout, src, dst) == common_loops(layout, src, dst)
+        && parent.syntactically_before(src, dst) == p.syntactically_before(src, dst);
+    if !same_pair {
+        return Ok(None);
+    }
+    let nparams = p.nparams();
+    let deltas = |d: &Dependence, l: &InstanceLayout| -> Result<Vec<LinExpr>, InlError> {
+        (0..l.len())
+            .map(|i| d.checked_delta_expr(l, nparams, i))
+            .collect()
+    };
+    let mut columns = Vec::new();
+    for d in parent_deps
+        .deps
+        .iter()
+        .filter(|d| d.src == src && d.dst == dst)
+    {
+        let mut column = Dependence {
+            entries: Vec::with_capacity(layout.len()),
+            src_loops: layout.stmt_loops(src).to_vec(),
+            dst_loops: layout.stmt_loops(dst).to_vec(),
+            ..d.clone()
+        };
+        let parent_deltas = deltas(d, parent_layout)?;
+        for delta in deltas(&column, layout)? {
+            let constant = constant_entry(&delta, Feasibility::NonEmpty).filter(|_| d.certain);
+            let same = parent_deltas.iter().position(|e| *e == delta);
+            column.entries.push(match (constant, same) {
+                (Some(e), _) => e,
+                (None, Some(j)) => d.entries[j],
+                (None, None) => return Ok(None),
+            });
+        }
+        columns.push(column);
+    }
+    Ok(Some(columns))
+}
+
+/// How many loops `src` and `dst` share, outside-in.
+fn common_loops(layout: &InstanceLayout, src: StmtId, dst: StmtId) -> usize {
+    let (a, b) = (layout.stmt_loops(src), layout.stmt_loops(dst));
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
+/// Answer from the memo when it holds an equal `(p, layout.positions())`,
+/// else run `compute` and store its matrix.
+fn memoised(
+    p: &Program,
+    layout: &InstanceLayout,
+    compute: impl FnOnce() -> Result<DependenceMatrix, InlError>,
+) -> Result<DependenceMatrix, InlError> {
     if !inl_poly::cache::cache_enabled() {
-        return analyze_uncached(p, layout);
+        return compute();
     }
     let key = memo_key(p, layout.positions());
     let stored = memo()
@@ -429,7 +557,7 @@ pub fn analyze(p: &Program, layout: &InstanceLayout) -> Result<DependenceMatrix,
     }
     MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
     inl_obs::counter_add!("depend.memo.miss", 1);
-    let deps = analyze_uncached(p, layout)?;
+    let deps = compute()?;
     let entry = MemoEntry {
         program: p.clone(),
         positions: layout.positions().to_vec(),
@@ -446,43 +574,65 @@ pub fn analyze(p: &Program, layout: &InstanceLayout) -> Result<DependenceMatrix,
 /// The analysis itself: a pure function of `(p, layout)`.
 fn analyze_uncached(p: &Program, layout: &InstanceLayout) -> Result<DependenceMatrix, InlError> {
     let mut deps = Vec::new();
-    let stmts: Vec<StmtId> = p.stmts().collect();
-    for &src in &stmts {
-        for &dst in &stmts {
-            // access pairs: (kind, src subscripts, dst subscripts, array)
-            let sd = p.stmt_decl(src);
-            let dd = p.stmt_decl(dst);
-            let mut src_reads = Vec::new();
-            sd.rhs.collect_reads(&mut src_reads);
-            let mut dst_reads = Vec::new();
-            dd.rhs.collect_reads(&mut dst_reads);
-
-            let mut pairs: Vec<(DepKind, &inl_ir::Access, &inl_ir::Access)> = Vec::new();
-            // write -> read: flow
-            for r in &dst_reads {
-                if r.array == sd.write.array {
-                    pairs.push((DepKind::Flow, &sd.write, r));
-                }
-            }
-            // read -> write: anti
-            for r in &src_reads {
-                if r.array == dd.write.array {
-                    pairs.push((DepKind::Anti, r, &dd.write));
-                }
-            }
-            // write -> write: output
-            if sd.write.array == dd.write.array {
-                pairs.push((DepKind::Output, &sd.write, &dd.write));
-            }
-
-            for (kind, asrc, adst) in pairs {
-                deps.extend(analyze_pair(p, layout, src, dst, kind, asrc, adst)?);
-            }
+    for src in p.stmts() {
+        for dst in p.stmts() {
+            deps.extend(analyze_stmt_pair(p, layout, src, dst)?);
         }
     }
-    // Dedup: different access pairs (and kinds) often induce identical
-    // columns; legality only cares about src/dst/level/entries, so collapse
-    // those and keep the first kind observed.
+    Ok(dedup(layout.len(), deps))
+}
+
+/// The columns of every access pair of `(src, dst)`, before the dedup. An
+/// access pair with an earlier pair's subscripts has that pair's polyhedra
+/// and entries, so the dedup would drop all of its columns: it is skipped.
+fn analyze_stmt_pair(
+    p: &Program,
+    layout: &InstanceLayout,
+    src: StmtId,
+    dst: StmtId,
+) -> Result<Vec<Dependence>, InlError> {
+    // access pairs: (kind, src subscripts, dst subscripts, array)
+    let sd = p.stmt_decl(src);
+    let dd = p.stmt_decl(dst);
+    let mut src_reads = Vec::new();
+    sd.rhs.collect_reads(&mut src_reads);
+    let mut dst_reads = Vec::new();
+    dd.rhs.collect_reads(&mut dst_reads);
+
+    let mut pairs: Vec<(DepKind, &inl_ir::Access, &inl_ir::Access)> = Vec::new();
+    // write -> read: flow
+    for r in &dst_reads {
+        if r.array == sd.write.array {
+            pairs.push((DepKind::Flow, &sd.write, r));
+        }
+    }
+    // read -> write: anti
+    for r in &src_reads {
+        if r.array == dd.write.array {
+            pairs.push((DepKind::Anti, r, &dd.write));
+        }
+    }
+    // write -> write: output
+    if sd.write.array == dd.write.array {
+        pairs.push((DepKind::Output, &sd.write, &dd.write));
+    }
+
+    let mut out = Vec::new();
+    for (k, &(kind, asrc, adst)) in pairs.iter().enumerate() {
+        let repeated = pairs[..k]
+            .iter()
+            .any(|&(_, s, d)| s.idxs == asrc.idxs && d.idxs == adst.idxs);
+        if !repeated {
+            out.extend(analyze_pair(p, layout, src, dst, kind, asrc, adst)?);
+        }
+    }
+    Ok(out)
+}
+
+/// Different access pairs (and kinds) often induce identical columns;
+/// legality only cares about src/dst/level/entries, so collapse those and
+/// keep the first kind observed.
+fn dedup(n: usize, deps: Vec<Dependence>) -> DependenceMatrix {
     let mut uniq: Vec<Dependence> = Vec::new();
     for d in deps {
         if !uniq.iter().any(|u| {
@@ -491,10 +641,7 @@ fn analyze_uncached(p: &Program, layout: &InstanceLayout) -> Result<DependenceMa
             uniq.push(d);
         }
     }
-    Ok(DependenceMatrix {
-        n: layout.len(),
-        deps: uniq,
-    })
+    DependenceMatrix { n, deps: uniq }
 }
 
 /// The entry of a Δ expression that needs no projection: a constant `c`
@@ -571,11 +718,15 @@ fn analyze_pair(
     }
 
     // precedence levels over common loops
-    let ncommon = src_loops
+    let ncommon = common_loops(layout, src, dst);
+    let delta = |l: LoopId| LinExpr::var(space, dst_slot(l)) - LinExpr::var(space, src_slot(l));
+    // A common loop's Δ that an equality of the base system fixes (equal
+    // subscripts `A[K]` on both sides fix K's at 0) rules out, with no
+    // feasibility query, every level whose precedence contradicts it.
+    let fixed: Vec<Option<Int>> = src_loops[..ncommon]
         .iter()
-        .zip(&dst_loops)
-        .take_while(|(a, b)| a == b)
-        .count();
+        .map(|&l| fixed_value(&base_sys, &delta(l)))
+        .collect();
     let mut out = Vec::new();
     for level in 0..=ncommon {
         if level == ncommon {
@@ -584,15 +735,18 @@ fn analyze_pair(
                 continue;
             }
         }
+        let outer_equal = fixed[..level].iter().all(|&c| c.is_none_or(|c| c == 0));
+        let may_carry = fixed.get(level).is_none_or(|&c| c.is_none_or(|c| c >= 1));
+        if !(outer_equal && may_carry) {
+            inl_obs::counter_add!("depend.levels_pruned", 1);
+            continue;
+        }
         let mut sys = base_sys.clone();
-        for &l in &src_loops[..level.min(ncommon)] {
-            let e = LinExpr::var(space, dst_slot(l)) - LinExpr::var(space, src_slot(l));
-            sys.add_eq(e);
+        for &l in &src_loops[..level] {
+            sys.add_eq(delta(l));
         }
         if level < ncommon {
-            let l = src_loops[level];
-            let e = LinExpr::var(space, dst_slot(l)) - LinExpr::var(space, src_slot(l));
-            sys.add_ge(e - LinExpr::constant(space, 1));
+            sys.add_ge(delta(src_loops[level]) - LinExpr::constant(space, 1));
         }
         let feas = is_empty(&sys);
         if feas == Feasibility::Empty {
@@ -614,7 +768,11 @@ fn analyze_pair(
         };
         for i in 0..layout.len() {
             let expr = dep.checked_delta_expr(layout, nparams, i)?;
-            let entry = match constant_entry(&expr, feas) {
+            let read_off = constant_entry(&expr, feas).or_else(|| {
+                let v = fixed_value(&dep.system, &expr).filter(|_| dep.certain)?;
+                Some(DepEntry::dist(v))
+            });
+            let entry = match read_off {
                 Some(e) => e,
                 None => {
                     let (lo, hi) = expr_bounds(&dep.system, &expr)?;
@@ -626,6 +784,28 @@ fn analyze_pair(
         out.push(dep);
     }
     Ok(out)
+}
+
+/// The value an equality of `sys` fixes `expr` to: `expr` (or `−expr`)
+/// minus an equality row `r = 0` is a constant. Over a polyhedron with a
+/// proven integer point that value is the entry [`expr_bounds`] projects,
+/// read off as [`constant_entry`] reads a constant Δ; `None` when no row
+/// qualifies or the value leaves `Int`.
+fn fixed_value(sys: &System, expr: &LinExpr) -> Option<Int> {
+    let c = expr.constant_term();
+    sys.eqs().iter().find_map(|r| {
+        let negated = || {
+            let mut pairs = r.coeffs().iter().zip(expr.coeffs());
+            pairs.all(|(&a, &b)| b.checked_neg() == Some(a))
+        };
+        if r.coeffs() == expr.coeffs() {
+            c.checked_sub(r.constant_term())
+        } else if negated() {
+            c.checked_add(r.constant_term())
+        } else {
+            None
+        }
+    })
 }
 
 #[cfg(test)]
@@ -758,6 +938,35 @@ mod tests {
             .deps
             .iter()
             .any(|d| d.src == s1 && d.dst == s2 && d.kind == DepKind::Flow));
+    }
+
+    #[test]
+    fn a_jam_analyses_only_the_statement_pairs_it_joins() {
+        // jam(I+J) of cholesky_kij gives S2 and S3 a second common loop,
+        // jam(I+I2) of lu_kij its two inner statements: those two pairs are
+        // analysed, every other pair keeps its parent's columns
+        use crate::recipe::{Shape, Step};
+        for (p, first, second, kept) in [
+            (zoo::cholesky_kij(), "I", "J", 7),
+            (zoo::lu_kij(), "I", "I2", 2),
+        ] {
+            let source = Shape::source(p).expect("analysis");
+            let (first, second) = (first.into(), second.into());
+            let jam = Step::Jam { first, second };
+            let shape = source.apply(&jam).expect("applies").expect("legal");
+            let parent = (&source.program, &source.layout, &source.deps);
+            let (mut carried_pairs, mut analysed) = (0, 0);
+            for src in shape.program.stmts() {
+                for dst in shape.program.stmts() {
+                    match carried(parent, &shape.program, &shape.layout, src, dst) {
+                        Ok(Some(_)) => carried_pairs += 1,
+                        Ok(None) => analysed += 1,
+                        Err(e) => panic!("{jam}: {e}"),
+                    }
+                }
+            }
+            assert_eq!((carried_pairs, analysed), (kept, 2), "{jam}");
+        }
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //! reversed (§4.1). The order is dotted iff some name is longer than one
 //! character: `KJ'LI`, `dist(J@1)/J'.J_2.I`, `tile(L@16)/K.Lo.J.L.I`.
 //!
-//! [`Shape::apply`] is the one place a step becomes a legal, analysed
-//! shape, [`Recipe::rows`] the one place an order becomes the partial rows
-//! of a transformation, and [`Recipe::replay`] the one sequence that turns
-//! a label into a variant: step, rows, completion.
+//! [`Shape::apply`] is the one place a step becomes a legal shape with its
+//! dependences, [`Recipe::rows`] the one place an order becomes the partial
+//! rows of a transformation, and [`Recipe::replay`] the one sequence that
+//! turns a label into a variant: step, rows, completion.
 //!
 //! ```
 //! use inl_core::recipe::{Recipe, Shape};
@@ -34,7 +34,7 @@
 //! ```
 
 use crate::complete::{complete_transform, Completion, CompletionError};
-use crate::depend::{analyze, DependenceMatrix};
+use crate::depend::{analyze, map, DependenceMatrix};
 use crate::instance::InstanceLayout;
 use crate::legal::check_structural;
 use crate::structural::{distribute, jam};
@@ -69,6 +69,32 @@ pub enum Step {
         /// The tile size.
         tile: Int,
     },
+}
+
+impl Step {
+    /// The one-level steps of `p`, in the order a search tries them: every
+    /// loop with two or more children distributed before each child, every
+    /// pair of adjacent sibling loops jammed. No `Split`: a tile is reached
+    /// only through a label.
+    pub fn candidates(p: &Program) -> Vec<Step> {
+        let name = |l: LoopId| p.loop_decl(l).name.clone();
+        let mut steps = Vec::new();
+        for l in p.loops() {
+            for at in 1..p.loop_decl(l).children.len() {
+                let r#loop = name(l);
+                steps.push(Step::Distribute { r#loop, at });
+            }
+        }
+        for parent in std::iter::once(None).chain(p.loops().map(Some)) {
+            for pair in p.children(parent).windows(2) {
+                if let [Node::Loop(a), Node::Loop(b)] = *pair {
+                    let (first, second) = (name(a), name(b));
+                    steps.push(Step::Jam { first, second });
+                }
+            }
+        }
+        steps
+    }
 }
 
 impl fmt::Display for Step {
@@ -238,8 +264,9 @@ fn loop_named(p: &Program, layout: &InstanceLayout, name: &str) -> Result<LoopId
     found.ok_or_else(|| format!("program '{}' has no loop '{name}'", p.name()))
 }
 
-/// One program shape with the one dependence analysis every candidate
-/// matrix of the shape is tested against.
+/// One program shape with the one dependence matrix every candidate matrix
+/// of the shape is tested against: analysed for the source and a split,
+/// carried over from the parent's for a distribution or jam.
 #[derive(Clone, Debug)]
 pub struct Shape {
     /// The shaped program.
@@ -262,15 +289,22 @@ impl Shape {
         })
     }
 
-    /// The shape `step` makes of this shape, laid out and analysed:
-    /// distribution and jamming are decided by Definition 6 on the step's
-    /// matrix over this shape's dependences ([`check_structural`]), a split
-    /// on the split program's ([`tiling::split_legal_with_deps`], whose
-    /// analysis the shape keeps). `Ok(None)` when the dependence test vetoes
-    /// the step; an [`inl_linalg::InlErrorKind::InvalidTarget`] error when
-    /// it names no loop of the program, or loops it cannot apply to (a child
-    /// index out of range, loops that are not adjacent siblings or have
-    /// different bounds, a tile size below 2).
+    /// The shape `step` makes of this shape, laid out, with its
+    /// dependences. Distribution and jamming are decided by Definition 6 on
+    /// the step's matrix over this shape's dependences
+    /// ([`check_structural`]), and the new shape's matrix is built from this
+    /// shape's: the statement pairs the step leaves as they were keep their
+    /// columns, the pairs it joins or separates are analysed, and the result
+    /// equals [`analyze`] of the new program (the `depend.map` span; the
+    /// analysis memo answers it when it holds the program). A split is
+    /// decided on the split program's analysis
+    /// ([`tiling::split_legal_with_deps`], which the shape keeps).
+    ///
+    /// `Ok(None)` when the dependence test vetoes the step; an
+    /// [`inl_linalg::InlErrorKind::InvalidTarget`] error when it names no
+    /// loop of the program, or loops it cannot apply to (a child index out
+    /// of range, loops that are not adjacent siblings or have different
+    /// bounds, a tile size below 2).
     pub fn apply(&self, step: &Step) -> Result<Option<Shape>, InlError> {
         let (p, layout, deps) = (&self.program, &self.layout, &self.deps);
         let err = |why: String| InlError::invalid_target(format!("shape '{step}'"), why);
@@ -300,7 +334,7 @@ impl Shape {
             return Ok(None);
         }
         Ok(Some(Shape {
-            deps: analyze(&r.target, &r.target_layout)?,
+            deps: map(p, layout, deps, &r.target, &r.target_layout)?,
             program: r.target,
             layout: r.target_layout,
         }))

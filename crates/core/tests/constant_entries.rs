@@ -1,21 +1,24 @@
 //! Dependence entries read off without a projection: a constant Δ over a
 //! polyhedron with a proven integer point (`Dependence::certain`) is taken
-//! as that constant by `depend::constant_entry`. Every such entry of every
-//! zoo program, and of the split of its innermost reuse loop, must be what
-//! `expr_bounds` computes on the dependence's system; so must every other
-//! entry, which the analysis still projects.
+//! as that constant by `depend::constant_entry`, a Δ that an equality of
+//! such a polyhedron fixes as the value it is fixed to, and the columns a
+//! distribution or jam keeps take their parent's entries. Every entry of
+//! every zoo program, of every distribution and jam the legality walk
+//! accepts of it, and of three splits of its innermost reuse loop must be
+//! what `expr_bounds` computes on the dependence's own system, and
+//! `constant_entry`'s answer wherever it has one.
 
-use inl_core::depend::{analyze, constant_entry, DepEntry};
-use inl_core::instance::InstanceLayout;
+use inl_core::depend::{constant_entry, DepEntry};
+use inl_core::recipe::{Shape, Step};
 use inl_core::tiling;
-use inl_ir::{zoo, Program};
+use inl_ir::zoo;
 use inl_poly::{expr_bounds, Feasibility};
 
-/// `(entries read off, entries projected)` of one analysed program.
-fn check(what: &str, p: &Program, layout: &InstanceLayout) -> (usize, usize) {
-    let deps = analyze(p, layout).expect("analysis");
+/// `(entries read off, entries projected)` of one shape.
+fn check(what: &str, shape: &Shape) -> (usize, usize) {
+    let (p, layout) = (&shape.program, &shape.layout);
     let (mut read_off, mut projected) = (0, 0);
-    for (k, d) in deps.deps.iter().enumerate() {
+    for (k, d) in shape.deps.deps.iter().enumerate() {
         let feas = if d.certain {
             Feasibility::NonEmpty
         } else {
@@ -45,22 +48,38 @@ fn check(what: &str, p: &Program, layout: &InstanceLayout) -> (usize, usize) {
 
 #[test]
 fn every_entry_read_off_equals_its_projection() {
-    let (mut read_off, mut projected, mut splits) = (0, 0, 0);
+    let (mut read_off, mut projected, mut shapes, mut splits) = (0, 0, 0, 0);
     for (name, build) in zoo::ALL {
         let p = build();
-        let (r, q) = check(name, &p, &InstanceLayout::new(&p));
-        read_off += r;
-        projected += q;
+        let source = Shape::source(p.clone()).expect("analysis");
+        let mut steps = Step::candidates(&p);
         if let Some(l) = tiling::innermost_reuse_loop(&p) {
-            let s = tiling::split(&p, l, 16).expect("split");
-            let what = format!("{name} tile({})", p.loop_decl(l).name);
-            let (r, q) = check(&what, &s.program, &s.layout);
+            let r#loop = p.loop_decl(l).name.clone();
+            let split = |tile| Step::Split {
+                r#loop: r#loop.clone(),
+                tile,
+            };
+            steps.extend([2, 8, 32].map(split));
+        }
+        let mut made = vec![(name.to_string(), source.clone())];
+        for step in steps {
+            if let Some(shape) = source.apply(&step).expect("applies") {
+                made.push((format!("{name} {step}"), shape));
+            }
+        }
+        for (what, shape) in made {
+            let (r, q) = check(&what, &shape);
             read_off += r;
             projected += q;
-            splits += 1;
+            shapes += 1;
+            splits += what.contains("tile(") as usize;
         }
     }
-    assert!(splits > 0, "some zoo program has a reuse loop to split");
+    assert_eq!(splits, 21, "three splits of each of seven reuse loops");
+    assert!(
+        shapes > zoo::ALL.len() + splits,
+        "no distribution or jam was accepted"
+    );
     // The shortcut must keep firing: a change that sends every constant
     // entry back to Fourier–Motzkin would leave this at 0.
     assert!(

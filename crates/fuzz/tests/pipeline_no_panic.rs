@@ -7,6 +7,7 @@
 //! default to a fast smoke count.
 
 use inl_core::complete::complete_transform;
+use inl_core::depend::{analyze, constant_entry, DepEntry};
 use inl_core::legal::check_structural;
 use inl_core::recipe::{Shape, Step};
 use inl_core::sink::sink_statements;
@@ -15,8 +16,8 @@ use inl_exec::{equivalent, run_fresh, VmRunner};
 use inl_fuzz::{
     analyzed, arb_inner_loop, arb_matrix, arb_program, compile, fuzz_config, fuzz_init, Compiled,
 };
-use inl_ir::{Node, Program};
 use inl_linalg::IVec;
+use inl_poly::{expr_bounds, Feasibility};
 use proptest::prelude::*;
 use proptest::test_runner::TestRunner;
 
@@ -107,30 +108,6 @@ proptest! {
     }
 }
 
-/// Every distribution before each child of a loop, and every jam of two
-/// adjacent sibling loops, of `p`.
-fn structural_steps(p: &Program) -> Vec<Step> {
-    let name = |l| p.loop_decl(l).name.clone();
-    let mut steps = Vec::new();
-    for l in p.loops() {
-        for at in 1..p.loop_decl(l).children.len() {
-            steps.push(Step::Distribute {
-                r#loop: name(l),
-                at,
-            });
-        }
-    }
-    for parent in std::iter::once(None).chain(p.loops().map(Some)) {
-        for pair in p.children(parent).windows(2) {
-            if let [Node::Loop(a), Node::Loop(b)] = *pair {
-                let (first, second) = (name(a), name(b));
-                steps.push(Step::Jam { first, second });
-            }
-        }
-    }
-    steps
-}
-
 /// Every distribution and jam of a generated program that Definition 6
 /// accepts leaves the source's memory image, bit for bit, on the
 /// interpreter; both kinds are accepted somewhere, and jams are vetoed too.
@@ -143,7 +120,7 @@ fn structural_steps_the_walk_accepts_are_equivalent() {
         let Ok(source) = Shape::source(p.clone()) else {
             return Ok(());
         };
-        for step in structural_steps(&p) {
+        for step in Step::candidates(&p) {
             let shape = source
                 .apply(&step)
                 .map_err(|e| TestCaseError::fail(format!("{}: {step}: {e}", p.name())))?;
@@ -160,6 +137,64 @@ fn structural_steps_the_walk_accepts_are_equivalent() {
     });
     let [dist, jams] = seen;
     assert!(dist[1] > 0 && jams[0] > 0 && jams[1] > 0, "{seen:?}");
+}
+
+/// Every distribution and jam of a generated program that Definition 6
+/// accepts carries its parent's dependences over (`Shape::apply`): the
+/// matrix equals a fresh analysis of the shape's program, columns, order
+/// and systems included. Every entry of it, and of the source's, is
+/// `constant_entry`'s answer, or else the projection of its Δ over its own
+/// system.
+#[test]
+fn shape_dependences_are_a_fresh_analysis_and_their_projections() {
+    let mut mapped = 0u64;
+    TestRunner::new(fuzz_config(64)).run_cases(|rng| {
+        let p = arb_program().generate(rng);
+        let Ok(source) = Shape::source(p.clone()) else {
+            return Ok(());
+        };
+        entries_are_projections(&source, p.name())?;
+        for step in Step::candidates(&p) {
+            let Ok(Some(shape)) = source.apply(&step) else {
+                continue;
+            };
+            let what = format!("{} {step}", p.name());
+            inl_poly::cache::clear();
+            let fresh = analyze(&shape.program, &shape.layout)
+                .map_err(|e| TestCaseError::fail(format!("{what}: {e}")))?;
+            prop_assert_eq!(&shape.deps, &fresh, "{}", what);
+            entries_are_projections(&shape, &what)?;
+            mapped += 1;
+        }
+        Ok(())
+    });
+    assert!(mapped > 0, "no distribution or jam was accepted");
+}
+
+/// The oracle of every entry: `constant_entry`, else `expr_bounds`.
+fn entries_are_projections(shape: &Shape, what: &str) -> Result<(), TestCaseError> {
+    let nparams = shape.program.nparams();
+    for (k, d) in shape.deps.deps.iter().enumerate() {
+        let feas = match d.certain {
+            true => Feasibility::NonEmpty,
+            false => Feasibility::Unknown,
+        };
+        for (i, &entry) in d.entries.iter().enumerate() {
+            let fail = |e| TestCaseError::fail(format!("{what}: dep {k} entry {i}: {e}"));
+            let expr = d
+                .checked_delta_expr(&shape.layout, nparams, i)
+                .map_err(fail)?;
+            let want = match constant_entry(&expr, feas) {
+                Some(e) => e,
+                None => {
+                    let (lo, hi) = expr_bounds(&d.system, &expr).map_err(fail)?;
+                    DepEntry { lo, hi }
+                }
+            };
+            prop_assert_eq!(entry, want, "{}: dep {} entry {}", what, k, i);
+        }
+    }
+    Ok(())
 }
 
 /// Guard-free inner loops — what the VM enters as trip kernels: a column of

@@ -45,9 +45,9 @@
 //! [`Json::deterministic`] strips every `*_ns` value, and it drops every
 //! counter of a memoised layer and every span nested in `poly.` — so two
 //! captures of the same request in different processes can be compared
-//! **bitwise** on their canonical JSON. A memoised layer's *entry* span
-//! (`depend.analyze`) wraps hits and misses alike and stays in the
-//! projection, so requested analyses remain countable. `inl-load
+//! **bitwise** on their canonical JSON. A memoised layer's *entry* spans
+//! (`depend.analyze`, `depend.map`) wrap hits and misses alike and stay in
+//! the projection, so requested analyses remain countable. `inl-load
 //! --telemetry` and the serve integration tests compare exactly this.
 
 use crate::json::Json;
@@ -271,8 +271,9 @@ pub const MEMOISED_LAYERS: [&str; 2] = ["poly.", "depend."];
 
 /// True iff every `/`-separated segment of a span path is outside the
 /// `poly.` namespace: poly spans run inside the cached computation (and,
-/// under `depend.analyze`, inside the memoised one), so how many close
-/// depends on warmth. No other memoised layer has spans below its entry.
+/// under `depend.analyze` or `depend.map`, inside the memoised one), so
+/// how many close depends on warmth. No other memoised layer has spans
+/// below its entry.
 fn path_is_deterministic(path: &str) -> bool {
     path.split('/').all(|seg| !seg.starts_with("poly."))
 }

@@ -34,13 +34,16 @@
 //! `nodes_visited + pruned_nodes + twin_nodes == nodes_exhaustive`
 //! ([`SearchStats`]).
 //!
-//! What a schedule costs is **one dependence analysis per shape** and
-//! **one guard simplification**:
+//! What a schedule costs is **one dependence analysis**, of the source,
+//! and **one guard simplification**:
 //!
 //! * the dependence matrix is a property of the shape's *program*, not of
-//!   a candidate, so each shape is analysed once when it is enumerated and
-//!   the search, the per-leaf lowering and [`ScheduleResult::materialise`]
-//!   all test their matrices against that one analysis;
+//!   a candidate. The source is analysed once; each other shape's matrix
+//!   is built from the source's when the shape is enumerated
+//!   ([`inl_core::recipe::Shape::apply`]: only the statement pairs its step
+//!   joins or separates are analysed). The search, the per-leaf lowering
+//!   and [`ScheduleResult::materialise`] all test their matrices against
+//!   that one matrix per shape;
 //! * the one ranking key is `(predicted cost, reversals, label)`. The
 //!   predicted cost ([`inl_codegen::PredictedCost`]) reads only loop
 //!   bounds, subscripts and nesting of the generated program, the matrix
@@ -582,11 +585,11 @@ mod tests {
     }
 
     #[test]
-    fn each_shape_is_analysed_once_and_only_the_pick_is_finished() {
-        // one `depend.analyze` per distinct shape program — not one per
-        // stage, let alone one per variant — and one `generate`, of the
-        // chosen variant, outside the ranking's batch. One thread, so the
-        // thread-local capture sees all of it.
+    fn the_source_is_analysed_once_each_shape_mapped_and_only_the_pick_finished() {
+        // one `depend.analyze`, of the source, and one `depend.map` per
+        // other shape — not one per stage, let alone one per variant — and
+        // one `generate`, of the chosen variant, outside the ranking's
+        // batch. One thread, so the thread-local capture sees all of it.
         let (r, cap) = inl_obs::capture::with(|| schedule_with(&zoo::cholesky_kij(), &quiet_cfg()));
         let r = r.expect("schedules");
         let closed = |leaf: &str| -> u64 {
@@ -597,7 +600,8 @@ mod tests {
                 .sum()
         };
         assert_eq!(r.stats.shapes, 2, "identity, jam(I+J)");
-        assert_eq!(closed("depend.analyze"), r.stats.shapes);
+        assert_eq!(closed("depend.analyze"), 1);
+        assert_eq!(closed("depend.map"), r.stats.shapes - 1);
         assert_eq!(closed("sched.rank"), 1);
         assert_eq!(closed("sched.finish"), 1);
         assert_eq!(closed("codegen.generate"), 1);

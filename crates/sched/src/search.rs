@@ -31,7 +31,7 @@ use inl_core::complete::{check_prefix, complete_transform, Completion, PrefixChe
 use inl_core::instance::Position;
 use inl_core::provenance;
 use inl_core::recipe::{Recipe, Shape, Step};
-use inl_ir::{LoopId, Node, Program};
+use inl_ir::{LoopId, Program};
 use inl_linalg::{IVec, InlErrorKind};
 
 /// Counters describing one [`crate::schedule`] run. All integers are
@@ -107,7 +107,7 @@ pub(crate) type StepShape = (Option<Step>, Shape);
 pub(crate) fn enumerate_shapes(p: &Program) -> Result<Vec<StepShape>, SchedError> {
     let source = Shape::source(p.clone()).map_err(SchedError::Analysis)?;
     let mut shapes = Vec::new();
-    for step in candidate_steps(p) {
+    for step in Step::candidates(p) {
         match source.apply(&step) {
             Ok(Some(shape)) => shapes.push((Some(step), shape)),
             Ok(None) => {}
@@ -119,29 +119,6 @@ pub(crate) fn enumerate_shapes(p: &Program) -> Result<Vec<StepShape>, SchedError
     }
     shapes.insert(0, (None, source));
     Ok(shapes)
-}
-
-/// The one-step candidates, in the order they are tried: every loop with
-/// two or more children split before each child, every pair of adjacent
-/// sibling loops jammed. No `Step::Split`: no tiled leaf can win.
-fn candidate_steps(p: &Program) -> Vec<Step> {
-    let name = |l: LoopId| p.loop_decl(l).name.clone();
-    let mut steps = Vec::new();
-    for l in p.loops() {
-        for at in 1..p.loop_decl(l).children.len() {
-            let r#loop = name(l);
-            steps.push(Step::Distribute { r#loop, at });
-        }
-    }
-    for parent in std::iter::once(None).chain(p.loops().map(Some)) {
-        for pair in p.children(parent).windows(2) {
-            if let [Node::Loop(a), Node::Loop(b)] = *pair {
-                let (first, second) = (name(a), name(b));
-                steps.push(Step::Jam { first, second });
-            }
-        }
-    }
-    steps
 }
 
 /// Search one shape's tree of signed loop orders. Returns the legal
