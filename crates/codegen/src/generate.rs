@@ -223,8 +223,22 @@ pub fn build(
         let kold = old_loops.len();
         let knew = sched.rows.nrows();
         let space = np + kold + knew;
-        let mut sys = p.assumption_system(space);
-        add_domain(p, s, &old_loops, np, space, &mut sys)?;
+        let mut sys = p.assumption_system(space)?;
+        if let Some(&l) = old_loops.iter().find(|&&l| p.loop_decl(l).step != 1) {
+            let name = &p.loop_decl(l).name;
+            let why = format!("loop {name}: non-unit steps unsupported by codegen");
+            return Err(InlError::new(InlErrorKind::Unsupported, why).into());
+        }
+        // A `Div` guard is left out: that only widens the bounds, and the
+        // rewritten guard is emitted on the target statement.
+        let guards = p.stmt_decl(s).guards.iter();
+        let slot = |l: LoopId| Some(np + old_loops.iter().position(|&x| x == l)?);
+        p.append_domain(
+            s,
+            guards.filter(|g| !matches!(g, Guard::Div(..))),
+            &mut sys,
+            &slot,
+        )?;
         // v_r = rows_r · i + off_r
         for r in 0..knew {
             let mut e = LinExpr::var(space, np + kold + r);
@@ -253,7 +267,7 @@ pub fn build(
 
     // --- merge bounds for shared loop slots ---
     // Which statements sit under each loop slot (position) in the new AST?
-    let assumptions = p.assumption_system(np);
+    let assumptions = p.assumption_system(np)?;
     let mut slot_bounds: HashMap<usize, SlotBounds> = HashMap::new();
     for (qi, pos) in layout.positions().iter().enumerate() {
         if !matches!(pos, Position::Loop(_)) {
@@ -332,74 +346,6 @@ pub fn generate_seq(p: &Program, seq: &[Transform]) -> Result<CodegenResult, Cod
     let m =
         Transform::compose(p, &layout, seq).map_err(|e| CodegenError::Illegal(format!("{e:?}")))?;
     generate(p, &layout, &deps, &m)
-}
-
-/// Add statement `s`'s iteration-domain constraints over old-iteration
-/// slots `np..np+k`.
-fn add_domain(
-    p: &Program,
-    s: StmtId,
-    old_loops: &[LoopId],
-    np: usize,
-    space: usize,
-    sys: &mut System,
-) -> Result<(), InlError> {
-    let slot_of = |l: LoopId| -> Result<usize, InlError> {
-        old_loops
-            .iter()
-            .position(|&x| x == l)
-            .map(|i| np + i)
-            .ok_or_else(|| {
-                InlError::new(
-                    InlErrorKind::MalformedProgram,
-                    "bound or guard references a non-surrounding loop",
-                )
-            })
-    };
-    let to_expr = |a: &Aff| -> Result<LinExpr, InlError> {
-        let mut coeffs: Vec<Int> = vec![0; space];
-        for &(v, c) in a.terms() {
-            let slot = match v {
-                VarKey::Param(pr) => pr.0,
-                VarKey::Loop(l) => slot_of(l)?,
-            };
-            coeffs[slot] = coeffs[slot]
-                .checked_add(c)
-                .ok_or_else(|| InlError::overflow("domain coefficient"))?;
-        }
-        Ok(LinExpr::from_parts(coeffs, a.constant()))
-    };
-    for (idx, &l) in old_loops.iter().enumerate() {
-        let ld = p.loop_decl(l);
-        let iv = LinExpr::var(space, np + idx);
-        for t in &ld.lower.terms {
-            sys.add_ge(
-                iv.checked_scale(t.divisor())?
-                    .checked_sub(&to_expr(&t.numerator())?)?,
-            );
-        }
-        for t in &ld.upper.terms {
-            sys.add_ge(to_expr(&t.numerator())?.checked_sub(&iv.checked_scale(t.divisor())?)?);
-        }
-        if ld.step != 1 {
-            return Err(InlError::new(
-                InlErrorKind::Unsupported,
-                format!("loop {}: non-unit steps unsupported by codegen", ld.name),
-            ));
-        }
-    }
-    for g in &p.stmt_decl(s).guards {
-        match g {
-            Guard::Ge(a) => sys.add_ge(to_expr(a)?),
-            Guard::Eq(a) => sys.add_eq(to_expr(a)?),
-            Guard::Div(_, _) => {
-                // conservative: the guard shrinks the domain; omitting it
-                // from the polyhedron only widens loop bounds, and the
-                // rewritten guard is re-emitted on the target statement.
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Translate a bound LinExpr from a plan's local space into the shared
@@ -975,61 +921,59 @@ impl Builder<'_> {
 fn simplify_guards(program: &mut Program) {
     let stmts: Vec<StmtId> = program.stmts().collect();
     for s in stmts {
-        let sys = context_without_guards(program, s);
-        let space = sys.nvars();
-        let to_expr = |a: &Aff| -> LinExpr { program.to_linexpr(a, space) };
-        let decl = program.stmt_decl(s).clone();
-        let kept: Vec<Guard> = decl
-            .guards
-            .iter()
-            .filter(|g| match g {
-                Guard::Ge(a) => {
-                    // keep unless ¬(a ≥ 0) is infeasible in context;
-                    // overflow while forming the query keeps the guard
-                    let Ok(e) = to_expr(a)
-                        .checked_neg()
-                        .and_then(|x| x.checked_sub(&LinExpr::constant(space, 1)))
-                    else {
-                        return true;
-                    };
-                    let mut neg = sys.clone();
-                    neg.add_ge(e);
-                    is_empty(&neg) != Feasibility::Empty
-                }
-                Guard::Eq(a) => {
-                    let above = to_expr(a).checked_sub(&LinExpr::constant(space, 1));
-                    let below = to_expr(a)
-                        .checked_neg()
-                        .and_then(|x| x.checked_sub(&LinExpr::constant(space, 1)));
-                    let (Ok(above), Ok(below)) = (above, below) else {
-                        return true;
-                    };
-                    let mut pos = sys.clone();
-                    pos.add_ge(above);
-                    let mut negs = sys.clone();
-                    negs.add_ge(below);
-                    is_empty(&pos) != Feasibility::Empty || is_empty(&negs) != Feasibility::Empty
-                }
-                Guard::Div(_, _) => true,
-            })
-            .cloned()
-            .collect();
-        inl_obs::counter_add!("codegen.guards_simplified", decl.guards.len() - kept.len());
-        set_guards(program, s, kept);
+        if let Some(kept) = unimplied_guards(program, s) {
+            let dropped = program.stmt_decl(s).guards.len() - kept.len();
+            inl_obs::counter_add!("codegen.guards_simplified", dropped);
+            program.set_stmt_guards(s, kept);
+        }
     }
 }
 
-/// The iteration context of a statement ignoring its own guards.
-fn context_without_guards(p: &Program, s: StmtId) -> System {
-    // temporarily strip guards, reuse iteration_system
-    let mut q = p.clone();
-    set_guards(&mut q, s, Vec::new());
-    q.iteration_system(s)
-}
-
-fn set_guards(p: &mut Program, s: StmtId, guards: Vec<Guard>) {
-    // Program fields are private to inl-ir; use the surgery-style accessor
-    p.set_stmt_guards(s, guards);
+/// The guards of `s` that its domain without them does not imply; `None`
+/// when that domain cannot be built, so every guard stays.
+fn unimplied_guards(program: &Program, s: StmtId) -> Option<Vec<Guard>> {
+    let slot = |l: LoopId| Some(program.loop_var_index(l));
+    let mut sys = program.assumption_system(program.space()).ok()?;
+    program.append_domain(s, [], &mut sys, &slot).ok()?;
+    let space = sys.nvars();
+    let to_expr = |a: &Aff| program.aff_expr(a, space, &slot);
+    let kept = program
+        .stmt_decl(s)
+        .guards
+        .iter()
+        .filter(|g| match g {
+            Guard::Ge(a) => {
+                // keep unless ¬(a ≥ 0) is infeasible in context;
+                // overflow while forming the query keeps the guard
+                let Ok(e) = to_expr(a)
+                    .and_then(|x| x.checked_neg())
+                    .and_then(|x| x.checked_sub(&LinExpr::constant(space, 1)))
+                else {
+                    return true;
+                };
+                let mut neg = sys.clone();
+                neg.add_ge(e);
+                is_empty(&neg) != Feasibility::Empty
+            }
+            Guard::Eq(a) => {
+                let above = to_expr(a).and_then(|x| x.checked_sub(&LinExpr::constant(space, 1)));
+                let below = to_expr(a)
+                    .and_then(|x| x.checked_neg())
+                    .and_then(|x| x.checked_sub(&LinExpr::constant(space, 1)));
+                let (Ok(above), Ok(below)) = (above, below) else {
+                    return true;
+                };
+                let mut pos = sys.clone();
+                pos.add_ge(above);
+                let mut negs = sys.clone();
+                negs.add_ge(below);
+                is_empty(&pos) != Feasibility::Empty || is_empty(&negs) != Feasibility::Empty
+            }
+            Guard::Div(_, _) => true,
+        })
+        .cloned()
+        .collect();
+    Some(kept)
 }
 
 #[cfg(test)]

@@ -345,6 +345,30 @@ fn infeasible_domain_degrades_to_typed_error() {
 }
 
 #[test]
+fn a_stepped_source_loop_is_unsupported() {
+    use inl_ir::{Aff, Bound, Expr, ProgramBuilder};
+    use inl_linalg::InlErrorKind;
+    let mut b = ProgramBuilder::new("stepped");
+    let n = b.param("N");
+    let x = b.array("X", &[Aff::param(n) + Aff::konst(1)]);
+    let (lo, hi) = (Bound::single(Aff::konst(1)), Bound::single(Aff::param(n)));
+    b.loop_full("I", lo, hi, 2, false, |b| {
+        let i = b.loop_var("I");
+        b.stmt("S1", x, vec![Aff::var(i)], Expr::konst(1.0));
+    });
+    let p = b.finish();
+    let layout = InstanceLayout::new(&p);
+    let deps = analyze(&p, &layout).expect("analysis");
+    match generate(&p, &layout, &deps, &IMat::identity(layout.len())) {
+        Err(CodegenError::Inl(e)) => {
+            assert_eq!(e.kind(), InlErrorKind::Unsupported);
+            assert_eq!(e.message(), "loop I: non-unit steps unsupported by codegen");
+        }
+        other => panic!("expected a typed Unsupported error, got {other:?}"),
+    }
+}
+
+#[test]
 fn both_halves_of_generate_agree_on_the_predicted_cost() {
     // the scheduler ranks on what `build` reports and trusts it to be what
     // `generate` would report: guard simplification must not move the

@@ -2,8 +2,9 @@
 //!
 //! For every pair of accesses to the same array (at least one a write), a
 //! conflict polyhedron is built over `[parameters | source iteration |
-//! target iteration]`: loop bounds for both statements, subscript equality,
-//! and precedence. Precedence ("read after write" etc.) is a disjunction
+//! target iteration]`: both statements' domains
+//! ([`inl_ir::Program::append_domain`]), subscript equality, and
+//! precedence. Precedence ("read after write" etc.) is a disjunction
 //! over *levels* — either the instances differ at the q-th common loop, or
 //! they agree on all common loops and the source statement is syntactically
 //! earlier — so each feasible level yields one dependence column.
@@ -72,8 +73,8 @@
 //! it as it drops `poly.`.
 
 use crate::instance::{InstanceLayout, Position};
-use inl_ir::{Guard, LoopId, Program, StmtId};
-use inl_linalg::{InlError, InlErrorKind, Int};
+use inl_ir::{LoopId, Program, StmtId};
+use inl_linalg::{InlError, Int};
 use inl_poly::{expr_bounds, is_empty, Feasibility, LinExpr, System};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -251,89 +252,6 @@ impl DependenceMatrix {
         }
         out
     }
-}
-
-/// Append `stmt`'s iteration-space constraints to `sys`, with the
-/// statement's surrounding loop variables mapped to the contiguous slot
-/// range starting at `base`. Returns the next free existential slot.
-fn add_stmt_constraints(
-    p: &Program,
-    s: StmtId,
-    loops: &[LoopId],
-    sys: &mut System,
-    base: usize,
-    mut next_exist: usize,
-) -> Result<usize, InlError> {
-    let space = sys.nvars();
-    let slot_of = |l: LoopId| -> usize {
-        base + loops
-            .iter()
-            .position(|&x| x == l)
-            .expect("loop not surrounding stmt")
-    };
-    let to_expr = |a: &inl_ir::Aff| -> Result<LinExpr, InlError> {
-        // numerator form; divisor handled by the caller via scaling
-        let mut coeffs: Vec<Int> = vec![0; space];
-        for &(v, c) in a.terms() {
-            let slot = match v {
-                inl_ir::VarKey::Param(pr) => pr.0,
-                inl_ir::VarKey::Loop(l) => slot_of(l),
-            };
-            coeffs[slot] = coeffs[slot]
-                .checked_add(c)
-                .ok_or_else(|| InlError::overflow("bound coefficient"))?;
-        }
-        Ok(LinExpr::from_parts(coeffs, a.constant()))
-    };
-    for (idx, &l) in loops.iter().enumerate() {
-        let ld = p.loop_decl(l);
-        let iv = LinExpr::var(space, base + idx);
-        for t in &ld.lower.terms {
-            sys.add_ge(iv.checked_scale(t.divisor())?.checked_sub(&to_expr(t)?)?);
-        }
-        for t in &ld.upper.terms {
-            sys.add_ge(to_expr(t)?.checked_sub(&iv.checked_scale(t.divisor())?)?);
-        }
-        if ld.step != 1 {
-            if ld.lower.terms.len() != 1 || ld.lower.terms[0].divisor() != 1 {
-                return Err(InlError::new(
-                    InlErrorKind::Unsupported,
-                    format!(
-                        "loop {}: non-unit step with a max/divided lower bound",
-                        ld.name
-                    ),
-                ));
-            }
-            let lo = &ld.lower.terms[0];
-            let q = LinExpr::var(space, next_exist);
-            next_exist += 1;
-            sys.add_eq(
-                iv.checked_sub(&to_expr(lo)?)?
-                    .checked_sub(&q.checked_scale(ld.step)?)?,
-            );
-        }
-    }
-    for g in &p.stmt_decl(s).guards {
-        match g {
-            Guard::Ge(a) => sys.add_ge(to_expr(a)?),
-            Guard::Eq(a) => sys.add_eq(to_expr(a)?),
-            Guard::Div(a, m) => {
-                let q = LinExpr::var(space, next_exist);
-                next_exist += 1;
-                sys.add_eq(to_expr(a)?.checked_sub(&q.checked_scale(*m)?)?);
-            }
-        }
-    }
-    Ok(next_exist)
-}
-
-fn count_exists(p: &Program, s: StmtId, loops: &[LoopId]) -> usize {
-    loops.iter().filter(|&&l| p.loop_decl(l).step != 1).count()
-        + p.stmt_decl(s)
-            .guards
-            .iter()
-            .filter(|g| matches!(g, Guard::Div(_, _)))
-            .count()
 }
 
 /// Entry cap of the analysis memo: one counted generation flush when
@@ -675,33 +593,18 @@ fn analyze_pair(
     let src_loops = layout.stmt_loops(src).to_vec();
     let dst_loops = layout.stmt_loops(dst).to_vec();
     let (ks, kd) = (src_loops.len(), dst_loops.len());
-    let nexist = count_exists(p, src, &src_loops) + count_exists(p, dst, &dst_loops);
-    let space = nparams + ks + kd + nexist;
-
-    let mut base_sys = p.assumption_system(space);
-    let mut next_exist = nparams + ks + kd;
-    next_exist = add_stmt_constraints(p, src, &src_loops, &mut base_sys, nparams, next_exist)?;
-    let _ = add_stmt_constraints(p, dst, &dst_loops, &mut base_sys, nparams + ks, next_exist)?;
+    // [params | src iteration | dst iteration | src, then dst, existentials]
+    let src_slot = |l: LoopId| Some(nparams + src_loops.iter().position(|&x| x == l)?);
+    let dst_slot = |l: LoopId| Some(nparams + ks + dst_loops.iter().position(|&x| x == l)?);
+    let mut base_sys = p.assumption_system(nparams + ks + kd)?;
+    p.append_domain(src, &p.stmt_decl(src).guards, &mut base_sys, &src_slot)?;
+    p.append_domain(dst, &p.stmt_decl(dst).guards, &mut base_sys, &dst_slot)?;
+    let space = base_sys.nvars();
 
     // subscript equality, cross-multiplying divisors
-    let src_slot = |l: LoopId| nparams + src_loops.iter().position(|&x| x == l).unwrap();
-    let dst_slot = |l: LoopId| nparams + ks + dst_loops.iter().position(|&x| x == l).unwrap();
-    let to_expr = |a: &inl_ir::Aff, slot: &dyn Fn(LoopId) -> usize| -> Result<LinExpr, InlError> {
-        let mut coeffs: Vec<Int> = vec![0; space];
-        for &(v, c) in a.terms() {
-            let s = match v {
-                inl_ir::VarKey::Param(pr) => pr.0,
-                inl_ir::VarKey::Loop(l) => slot(l),
-            };
-            coeffs[s] = coeffs[s]
-                .checked_add(c)
-                .ok_or_else(|| InlError::overflow("subscript coefficient"))?;
-        }
-        Ok(LinExpr::from_parts(coeffs, a.constant()))
-    };
     for (is_, id_) in asrc.idxs.iter().zip(&adst.idxs) {
-        let es = to_expr(is_, &|l| src_slot(l))?;
-        let ed = to_expr(id_, &|l| dst_slot(l))?;
+        let es = p.aff_expr(is_, space, &src_slot)?;
+        let ed = p.aff_expr(id_, space, &dst_slot)?;
         base_sys.add_eq(
             es.checked_scale(id_.divisor())?
                 .checked_sub(&ed.checked_scale(is_.divisor())?)?,
@@ -719,13 +622,13 @@ fn analyze_pair(
 
     // precedence levels over common loops
     let ncommon = common_loops(layout, src, dst);
-    let delta = |l: LoopId| LinExpr::var(space, dst_slot(l)) - LinExpr::var(space, src_slot(l));
+    // the Δ of the q-th common loop, which both statements place at q
+    let delta = |q: usize| LinExpr::var(space, nparams + ks + q) - LinExpr::var(space, nparams + q);
     // A common loop's Δ that an equality of the base system fixes (equal
     // subscripts `A[K]` on both sides fix K's at 0) rules out, with no
     // feasibility query, every level whose precedence contradicts it.
-    let fixed: Vec<Option<Int>> = src_loops[..ncommon]
-        .iter()
-        .map(|&l| fixed_value(&base_sys, &delta(l)))
+    let fixed: Vec<Option<Int>> = (0..ncommon)
+        .map(|q| fixed_value(&base_sys, &delta(q)))
         .collect();
     let mut out = Vec::new();
     for level in 0..=ncommon {
@@ -742,11 +645,11 @@ fn analyze_pair(
             continue;
         }
         let mut sys = base_sys.clone();
-        for &l in &src_loops[..level] {
-            sys.add_eq(delta(l));
+        for q in 0..level {
+            sys.add_eq(delta(q));
         }
         if level < ncommon {
-            sys.add_ge(delta(src_loops[level]) - LinExpr::constant(space, 1));
+            sys.add_ge(delta(level) - LinExpr::constant(space, 1));
         }
         let feas = is_empty(&sys);
         if feas == Feasibility::Empty {

@@ -15,7 +15,7 @@
 
 use inl_ir::{Aff, Guard, LoopId, Node, Program, VarKey};
 use inl_linalg::InlError;
-use inl_poly::{is_empty, Feasibility, LinExpr, System};
+use inl_poly::{is_empty, Feasibility, LinExpr};
 
 /// Why sinking is impossible or unsafe.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -206,38 +206,20 @@ fn sink_one(p: &Program, outer: LoopId) -> Result<Program, SinkError> {
 /// Can the loop's range be empty for some feasible outer iteration?
 fn range_may_be_empty(p: &Program, l: LoopId) -> Result<bool, InlError> {
     let space = p.space();
-    let mut sys = p.assumption_system(space);
-    // outer loops' bounds
-    for &o in p.loops_surrounding_loop(l).iter() {
-        add_loop_bounds(p, o, space, &mut sys)?;
+    let slot = |o: LoopId| Some(p.loop_var_index(o));
+    let mut sys = p.assumption_system(space)?;
+    for o in p.loops_surrounding_loop(l) {
+        p.append_bounds(o, &mut sys, &slot)?;
     }
     // emptiness: upper <= lower - 1 (single-term bounds checked by caller)
     let ld = p.loop_decl(l);
-    let lo = p.to_linexpr(&ld.lower.terms[0], space);
-    let hi = p.to_linexpr(&ld.upper.terms[0], space);
+    let lo = p.aff_expr(&ld.lower.terms[0], space, &slot)?;
+    let hi = p.aff_expr(&ld.upper.terms[0], space, &slot)?;
     sys.add_ge(
         lo.checked_sub(&hi)?
             .checked_sub(&LinExpr::constant(space, 1))?,
     );
     Ok(is_empty(&sys) != Feasibility::Empty)
-}
-
-fn add_loop_bounds(p: &Program, l: LoopId, space: usize, sys: &mut System) -> Result<(), InlError> {
-    let ld = p.loop_decl(l);
-    let iv = LinExpr::var(space, p.loop_var_index(l));
-    for t in &ld.lower.terms {
-        sys.add_ge(
-            iv.checked_scale(t.divisor())?
-                .checked_sub(&p.to_linexpr(&t.numerator(), space))?,
-        );
-    }
-    for t in &ld.upper.terms {
-        sys.add_ge(
-            p.to_linexpr(&t.numerator(), space)
-                .checked_sub(&iv.checked_scale(t.divisor())?)?,
-        );
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -319,3 +319,38 @@ fn label_seeds_are_typed_errors() {
         }
     }
 }
+
+/// An assumption that names a loop variable, or one with a divisor, used
+/// to pass `validate()` and then panic the dependence analysis. `validate`
+/// rejects both, and `analyze` of the unvalidated program is a typed
+/// `MalformedProgram` error.
+#[test]
+fn assumption_on_a_loop_variable_is_malformed() {
+    use inl_ir::{Aff, Expr, ProgramBuilder};
+    use inl_linalg::InlErrorKind;
+    for divided in [false, true] {
+        let mut b = ProgramBuilder::new("regress_assume");
+        let n = b.param("N");
+        let x = b.array("X", &[Aff::param(n) + Aff::konst(1)]);
+        b.hloop("I", Aff::konst(1), Aff::param(n), |b| {
+            let i = b.loop_var("I");
+            b.assume(if divided {
+                Aff::param(n).exact_div(2)
+            } else {
+                Aff::var(i)
+            });
+            b.stmt("S1", x, vec![Aff::var(i)], Expr::konst(1.0));
+        });
+        let p = b.finish_unchecked();
+        let why = p.validate().expect_err("an invalid assumption");
+        let complaint = if divided {
+            "divisor"
+        } else {
+            "I has no variable"
+        };
+        assert!(why.contains(complaint), "{why}");
+        let layout = inl_core::instance::InstanceLayout::new(&p);
+        let err = inl_core::depend::analyze(&p, &layout).expect_err("a typed error");
+        assert_eq!(err.kind(), InlErrorKind::MalformedProgram, "{err}");
+    }
+}

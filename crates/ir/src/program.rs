@@ -2,8 +2,16 @@
 
 use crate::aff::{Aff, VarKey};
 use crate::expr::{Access, Expr};
-use inl_linalg::Int;
+use inl_linalg::{InlError, InlErrorKind, Int};
 use inl_poly::{LinExpr, System};
+
+/// Where a constraint system keeps each loop variable: its index, or
+/// `None` for a loop the system has no variable for.
+pub type Slot<'a> = &'a dyn Fn(LoopId) -> Option<usize>;
+
+fn malformed(message: impl Into<String>) -> InlError {
+    InlError::new(InlErrorKind::MalformedProgram, message)
+}
 
 /// Identifies a symbolic parameter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -201,23 +209,20 @@ impl Program {
     }
 
     /// The assumptions as a constraint system over any space whose first
-    /// `nparams()` variables are the parameters (assumptions may only
-    /// mention parameters).
-    pub fn assumption_system(&self, space: usize) -> System {
-        assert!(space >= self.nparams());
+    /// `nparams()` variables are the parameters.
+    ///
+    /// # Errors
+    /// `MalformedProgram` for an assumption with a divisor or one that
+    /// names a loop variable, both of which [`Program::validate`] rejects.
+    pub fn assumption_system(&self, space: usize) -> Result<System, InlError> {
         let mut sys = System::new(space);
         for a in &self.assumes {
-            assert_eq!(a.divisor(), 1, "assumption with divisor");
-            let mut coeffs = vec![0; space];
-            for &(v, c) in a.terms() {
-                match v {
-                    VarKey::Param(pr) => coeffs[pr.0] = c,
-                    VarKey::Loop(_) => panic!("assumption mentions a loop variable"),
-                }
+            if a.divisor() != 1 {
+                return Err(malformed("an assumption has a divisor"));
             }
-            sys.add_ge(LinExpr::from_parts(coeffs, a.constant()));
+            sys.add_ge(self.aff_expr(a, space, &|_| None)?);
         }
-        sys
+        Ok(sys)
     }
 
     /// Number of parameters.
@@ -315,102 +320,137 @@ impl Program {
         self.params.len() + l.0
     }
 
-    /// Convert an [`Aff`] with divisor 1 into a [`LinExpr`] over the
-    /// program space (optionally widened to `space ≥ self.space()`).
+    /// The numerator of `a` as a [`LinExpr`] over `nvars` variables:
+    /// parameter `p` at index `p.0`, loop `l` at `slot(l)`. The divisor is
+    /// the caller's to apply.
     ///
-    /// # Panics
-    /// If the divisor is not 1.
-    pub fn to_linexpr(&self, a: &Aff, space: usize) -> LinExpr {
-        assert_eq!(a.divisor(), 1, "to_linexpr: expression has a divisor");
-        assert!(space >= self.space());
-        let mut coeffs = vec![0; space];
+    /// This, [`Program::assumption_system`] and the two appenders below are
+    /// the one place where bounds, steps, guards and assumptions become
+    /// constraints.
+    ///
+    /// # Errors
+    /// `MalformedProgram` for a variable with no index below `nvars`;
+    /// overflow when two terms share an index and their sum leaves `Int`.
+    pub fn aff_expr(&self, a: &Aff, nvars: usize, slot: Slot<'_>) -> Result<LinExpr, InlError> {
+        let mut coeffs: Vec<Int> = vec![0; nvars];
         for &(v, c) in a.terms() {
-            let idx = match v {
-                VarKey::Param(p) => self.param_var(p),
-                VarKey::Loop(l) => self.loop_var_index(l),
-            };
-            coeffs[idx] = c;
+            let i = self.var_index(v, nvars, slot)?;
+            coeffs[i] = coeffs[i]
+                .checked_add(c)
+                .ok_or_else(|| InlError::overflow("affine coefficient"))?;
         }
-        LinExpr::from_parts(coeffs, a.constant())
+        Ok(LinExpr::from_parts(coeffs, a.constant()))
     }
 
-    /// The iteration space of a statement as a constraint system over the
-    /// program space (§3: "loop bounds"): for every surrounding loop,
-    /// `lower ≤ i ≤ upper`, plus the statement's guards. Parameters are
-    /// unconstrained. `Div` guards and non-unit steps are modelled with
-    /// existential variables appended after the program space; the returned
-    /// system's arity is therefore `≥ space()`.
-    pub fn iteration_system(&self, s: StmtId) -> System {
-        // Count existential variables needed.
-        let surrounding = self.loops_surrounding(s);
-        let mut nexist = 0;
-        for &l in &surrounding {
-            if self.loops[l.0].step != 1 {
-                nexist += 1;
-            }
-        }
-        for g in &self.stmts[s.0].guards {
-            if matches!(g, Guard::Div(_, _)) {
-                nexist += 1;
-            }
-        }
-        let space = self.space() + nexist;
-        let mut sys = self.assumption_system(space);
-        let mut next_exist = self.space();
+    /// Where `slot` puts `v` in a system of `nvars` variables.
+    fn var_index(&self, v: VarKey, nvars: usize, slot: Slot<'_>) -> Result<usize, InlError> {
+        let i = match v {
+            VarKey::Param(p) => Some(self.param_var(p)),
+            VarKey::Loop(l) => slot(l),
+        };
+        i.filter(|&i| i < nvars).ok_or_else(|| {
+            let name = match v {
+                VarKey::Param(p) => self.params.get(p.0),
+                VarKey::Loop(l) => self.loops.get(l.0).map(|d| &d.name),
+            };
+            malformed(format!(
+                "{} has no variable in this constraint system",
+                name.map_or("an undeclared variable", |n| n.as_str())
+            ))
+        })
+    }
 
-        for &l in &surrounding {
+    /// Append loop `l`'s bounds to `sys`: `d·i - e ≥ 0` for each lower term
+    /// `⌈e/d⌉` and `e - d·i ≥ 0` for each upper term `⌊e/d⌋`, with `i` and
+    /// the loops the bounds name placed by `slot`.
+    pub fn append_bounds(
+        &self,
+        l: LoopId,
+        sys: &mut System,
+        slot: Slot<'_>,
+    ) -> Result<(), InlError> {
+        let n = sys.nvars();
+        let ld = &self.loops[l.0];
+        let iv = LinExpr::var(n, self.var_index(VarKey::Loop(l), n, slot)?);
+        for t in &ld.lower.terms {
+            sys.add_ge(
+                iv.checked_scale(t.divisor())?
+                    .checked_sub(&self.aff_expr(t, n, slot)?)?,
+            );
+        }
+        for t in &ld.upper.terms {
+            sys.add_ge(
+                self.aff_expr(t, n, slot)?
+                    .checked_sub(&iv.checked_scale(t.divisor())?)?,
+            );
+        }
+        Ok(())
+    }
+
+    /// Append statement `s`'s iteration domain to `sys` (§3: "loop
+    /// bounds"): each surrounding loop's bounds outside-in, with
+    /// `i = lo + step·q` after those of a stepped loop, then `guards` —
+    /// `a ≥ 0`, `a = 0`, and `Div(a, m)` as `a = m·q`. Each `q` is a new
+    /// variable appended to `sys`, in that order; `slot` places the loops.
+    ///
+    /// # Errors
+    /// `Unsupported` for a stepped loop whose lower bound is a max or has
+    /// a divisor; `MalformedProgram` for a guard with a divisor; those of
+    /// [`Program::aff_expr`].
+    pub fn append_domain<'g>(
+        &self,
+        s: StmtId,
+        guards: impl IntoIterator<Item = &'g Guard>,
+        sys: &mut System,
+        slot: Slot<'_>,
+    ) -> Result<(), InlError> {
+        // a new last variable of `sys`
+        let fresh = |sys: &mut System| {
+            let n = sys.nvars() + 1;
+            *sys = sys.extend(n);
+            LinExpr::var(n, n - 1)
+        };
+        for l in self.loops_surrounding(s) {
+            self.append_bounds(l, sys, slot)?;
             let ld = &self.loops[l.0];
-            let iv = LinExpr::var(space, self.loop_var_index(l));
-            for t in &ld.lower.terms {
-                // i ≥ ceil(e/d)  ⇔  d·i - e ≥ 0
-                let d = t.divisor();
-                let mut num = t.clone();
-                // numerator form: divisor 1 version scaled by d
-                num = Aff::from_terms(num.terms().to_vec(), num.constant());
-                let e = self.to_linexpr(&num, space);
-                sys.add_ge(iv.clone() * d - e);
-            }
-            for t in &ld.upper.terms {
-                let d = t.divisor();
-                let num = Aff::from_terms(t.terms().to_vec(), t.constant());
-                let e = self.to_linexpr(&num, space);
-                sys.add_ge(e - iv.clone() * d);
-            }
             if ld.step != 1 {
-                // i = lower + step·q. Only single-term lower bounds with
-                // divisor 1 are supported with non-unit steps.
-                assert_eq!(
-                    ld.lower.terms.len(),
-                    1,
-                    "non-unit step with multi-term lower bound unsupported"
+                let lo = match ld.lower.terms.as_slice() {
+                    [lo] if lo.divisor() == 1 => lo,
+                    _ => {
+                        return Err(InlError::new(
+                            InlErrorKind::Unsupported,
+                            format!(
+                                "loop {}: non-unit step with a max/divided lower bound",
+                                ld.name
+                            ),
+                        ))
+                    }
+                };
+                let q = fresh(sys);
+                let n = sys.nvars();
+                let i = LinExpr::var(n, self.var_index(VarKey::Loop(l), n, slot)?);
+                sys.add_eq(
+                    i.checked_sub(&self.aff_expr(lo, n, slot)?)?
+                        .checked_sub(&q.checked_scale(ld.step)?)?,
                 );
-                let lo = &ld.lower.terms[0];
-                assert_eq!(lo.divisor(), 1, "non-unit step with divided lower bound");
-                let q = LinExpr::var(space, next_exist);
-                next_exist += 1;
-                let e = self.to_linexpr(lo, space);
-                sys.add_eq(iv.clone() - e - q * ld.step);
             }
         }
-        for g in &self.stmts[s.0].guards {
+        for g in guards {
+            let (Guard::Ge(a) | Guard::Eq(a) | Guard::Div(a, _)) = g;
+            if a.divisor() != 1 {
+                return Err(malformed("a guard has a divisor"));
+            }
             match g {
-                Guard::Ge(a) => {
-                    let e = self.to_linexpr(a, space);
-                    sys.add_ge(e);
-                }
-                Guard::Eq(a) => {
-                    let e = self.to_linexpr(a, space);
-                    sys.add_eq(e);
-                }
+                Guard::Ge(a) => sys.add_ge(self.aff_expr(a, sys.nvars(), slot)?),
+                Guard::Eq(a) => sys.add_eq(self.aff_expr(a, sys.nvars(), slot)?),
                 Guard::Div(a, m) => {
-                    let e = self.to_linexpr(a, space);
-                    let q = LinExpr::var(space, next_exist);
-                    next_exist += 1;
-                    sys.add_eq(e - q * *m);
+                    let q = fresh(sys);
+                    let e = self.aff_expr(a, sys.nvars(), slot)?;
+                    sys.add_eq(e.checked_sub(&q.checked_scale(*m)?)?);
                 }
             }
         }
-        sys
+        Ok(())
     }
 
     /// Replace a statement's guards (used by code generation's guard
@@ -442,6 +482,9 @@ impl Program {
     /// first violation. Called by the builder; also useful after manual
     /// surgery on a program.
     pub fn validate(&self) -> Result<(), String> {
+        // Assumptions are affine in the parameters alone.
+        self.assumption_system(self.nparams())
+            .map_err(|e| e.message().to_string())?;
         // Every loop and statement appears exactly once in the tree.
         let mut loop_seen = vec![0usize; self.loops.len()];
         let mut stmt_seen = vec![0usize; self.stmts.len()];
@@ -599,10 +642,13 @@ mod tests {
     }
 
     #[test]
-    fn iteration_system_triangular() {
+    fn domain_triangular() {
         let p = zoo::simple_cholesky();
         let s2 = p.stmts_in_syntactic_order()[1];
-        let sys = p.iteration_system(s2);
+        let mut sys = p.assumption_system(p.space()).unwrap();
+        let slot = |l: LoopId| Some(p.loop_var_index(l));
+        p.append_domain(s2, &p.stmt_decl(s2).guards, &mut sys, &slot)
+            .unwrap();
         // space: 1 param (N) + 2 loops
         assert_eq!(sys.nvars(), 3);
         // point (N=4, I=2, J=3) is in S2's iteration space
