@@ -100,7 +100,7 @@ pub fn batch_map<T: Send>(n: usize, threads: usize, job: impl Fn(usize) -> T + S
 /// If the program fails dependence analysis or any variant fails to
 /// generate: callers pass matrices already proven legal. A caller that
 /// cannot make that promise (the scheduler) drives [`batch_map`] itself
-/// and gets the `CodegenError` back.
+/// and gets the error back.
 pub fn compile_batch(
     p: &Program,
     variants: &[(String, IMat)],

@@ -4,7 +4,7 @@ use crate::cost::LoopOrigin;
 use inl_core::depend::{analyze, DependenceMatrix};
 use inl_core::instance::{InstanceLayout, Position};
 use inl_core::legal::{check_legal, LegalityReport, NewAst};
-use inl_core::perstmt::{schedule_all, ScheduleError, StmtSchedule};
+use inl_core::perstmt::{schedule_all, StmtSchedule};
 use inl_core::transform::Transform;
 use inl_ir::{Aff, Bound, Guard, LoopId, Node, Program, ProgramBuilder, StmtId, VarKey};
 use inl_linalg::{gauss, lcm, IMat, IVec, InlError, InlErrorKind, Int};
@@ -14,29 +14,6 @@ use std::collections::HashMap;
 
 /// Lower/upper bound term lists for one loop slot, in the shared space.
 type SlotBounds = (Vec<(LinExpr, Int)>, Vec<(LinExpr, Int)>);
-
-/// Why code generation failed.
-#[derive(Clone, Debug)]
-pub enum CodegenError {
-    /// The matrix is not a legal transformation.
-    Illegal(String),
-    /// Per-statement scheduling failed.
-    Schedule(ScheduleError),
-    /// Two statements sharing a loop have bounds that could not be merged
-    /// (neither could be proven to dominate the other).
-    BoundMerge(String),
-    /// A loop slot ended up with no bound on one side.
-    Unbounded(String),
-    /// Exact arithmetic overflowed, a polyhedral budget was exhausted, or
-    /// the request was structurally malformed. Carries source context.
-    Inl(InlError),
-}
-
-impl From<InlError> for CodegenError {
-    fn from(e: InlError) -> Self {
-        CodegenError::Inl(e)
-    }
-}
 
 /// The generated program, with the mapping from source to target
 /// statements and the variant's static cost features.
@@ -72,7 +49,7 @@ pub fn generate(
     layout: &InstanceLayout,
     deps: &DependenceMatrix,
     m: &IMat,
-) -> Result<CodegenResult, CodegenError> {
+) -> Result<CodegenResult, InlError> {
     let _span = inl_obs::span("codegen.generate");
     let report = check_legal(p, layout, deps, m)?;
     Ok(build(p, layout, deps, m, &report)?.finish(p, layout, deps, m))
@@ -194,23 +171,21 @@ impl BuiltVariant {
 /// The first half of [`generate`]: everything through `Builder::build()`,
 /// for `m` and the [`LegalityReport`] that proved it ([`check_legal`]'s, or
 /// the one [`inl_core::complete::Completion`] carries) — `m` is not checked
-/// again. A report of an illegal matrix is a [`CodegenError::Illegal`].
+/// again. A report of an illegal matrix is an `Infeasible` error; bounds
+/// two statements sharing a loop cannot merge are `Unsupported`.
 pub fn build(
     p: &Program,
     layout: &InstanceLayout,
     deps: &DependenceMatrix,
     m: &IMat,
     report: &LegalityReport,
-) -> Result<BuiltVariant, CodegenError> {
-    let ast = report
-        .new_ast
-        .as_ref()
-        .map_err(|e| CodegenError::Illegal(e.clone()))?;
+) -> Result<BuiltVariant, InlError> {
+    let illegal = |why: String| InlError::new(InlErrorKind::Infeasible, why);
+    let ast = report.new_ast.as_ref().map_err(|e| illegal(e.clone()))?;
     if !report.violations.is_empty() {
-        return Err(CodegenError::Illegal(format!("{:?}", report.violations)));
+        return Err(illegal(format!("{:?}", report.violations)));
     }
-    let schedules =
-        schedule_all(p, layout, ast, m, deps, report).map_err(CodegenError::Schedule)?;
+    let schedules = schedule_all(p, layout, ast, m, deps, report)?;
 
     // --- per-statement polyhedra and scan bounds ---
     let np = p.nparams();
@@ -227,7 +202,7 @@ pub fn build(
         if let Some(&l) = old_loops.iter().find(|&&l| p.loop_decl(l).step != 1) {
             let name = &p.loop_decl(l).name;
             let why = format!("loop {name}: non-unit steps unsupported by codegen");
-            return Err(InlError::new(InlErrorKind::Unsupported, why).into());
+            return Err(InlError::new(InlErrorKind::Unsupported, why));
         }
         // A `Div` guard is left out: that only widens the bounds, and the
         // rewritten guard is emitted on the target statement.
@@ -304,14 +279,18 @@ pub fn build(
         };
         let mut lo = canon(members[0].0, members[0].1, true)?;
         let mut hi = canon(members[0].0, members[0].1, false)?;
+        let incomparable = |side: &str| {
+            let why = format!("slot {qi} {side}: incomparable bound sets");
+            InlError::new(InlErrorKind::Unsupported, why)
+        };
         for &(pi, r) in &members[1..] {
             lo = merge_side(lo, canon(pi, r, true)?, true, &assumptions)
-                .map_err(|e| CodegenError::BoundMerge(format!("slot {qi} lower: {e}")))?;
+                .ok_or_else(|| incomparable("lower"))?;
             hi = merge_side(hi, canon(pi, r, false)?, false, &assumptions)
-                .map_err(|e| CodegenError::BoundMerge(format!("slot {qi} upper: {e}")))?;
+                .ok_or_else(|| incomparable("upper"))?;
         }
         if lo.is_empty() || hi.is_empty() {
-            return Err(CodegenError::Unbounded(format!("loop slot {qi}")));
+            return Err(unbounded(format!("loop slot {qi}")));
         }
         slot_bounds.insert(qi, (lo, hi));
     }
@@ -339,12 +318,20 @@ pub fn build(
     })
 }
 
+/// A loop left with no bound on one side: `IllFormed`.
+#[track_caller]
+fn unbounded(what: String) -> InlError {
+    InlError::new(
+        InlErrorKind::IllFormed,
+        format!("{what} has no bound on one side"),
+    )
+}
+
 /// Convenience: compose a transformation sequence, analyze, and generate.
-pub fn generate_seq(p: &Program, seq: &[Transform]) -> Result<CodegenResult, CodegenError> {
+pub fn generate_seq(p: &Program, seq: &[Transform]) -> Result<CodegenResult, InlError> {
     let layout = InstanceLayout::new(p);
     let deps = analyze(p, &layout)?;
-    let m =
-        Transform::compose(p, &layout, seq).map_err(|e| CodegenError::Illegal(format!("{e:?}")))?;
+    let m = Transform::compose(p, &layout, seq)?;
     generate(p, &layout, &deps, &m)
 }
 
@@ -420,9 +407,9 @@ fn merge_side(
     b: Vec<(LinExpr, Int)>,
     lower: bool,
     assumptions: &System,
-) -> Result<Vec<(LinExpr, Int)>, String> {
+) -> Option<Vec<(LinExpr, Int)>> {
     if a.iter().all(|t| b.contains(t)) && b.iter().all(|t| a.contains(t)) {
-        return Ok(a);
+        return Some(a);
     }
     // All globalized terms share one space; extend the assumptions into it
     // once rather than per prove_le query.
@@ -435,12 +422,12 @@ fn merge_side(
     // keeping `a` is sound for the union; and vice versa.
     let a_covers_b = side_dominates(&a, &b, lower, &assumptions);
     if a_covers_b {
-        return Ok(a);
+        return Some(a);
     }
     if side_dominates(&b, &a, lower, &assumptions) {
-        return Ok(b);
+        return Some(b);
     }
-    Err("incomparable bound sets".to_string())
+    None
 }
 
 /// For lower bounds: does `max(keep) ≤ max(other)` always hold? (Then
@@ -499,7 +486,7 @@ struct Builder<'x> {
 }
 
 impl Builder<'_> {
-    fn build(&self) -> Result<CodegenResult, CodegenError> {
+    fn build(&self) -> Result<CodegenResult, InlError> {
         let mut b = ProgramBuilder::new(format!("{}_transformed", self.src.name()));
         for name in self.src.params() {
             b.param(name.clone());
@@ -519,9 +506,8 @@ impl Builder<'_> {
         self.emit_nodes(&mut b, &root, &mut slot_loop, &mut stmt_map)?;
         let program = b.finish_unchecked();
         if let Err(e) = program.validate() {
-            return Err(CodegenError::Illegal(format!(
-                "generated program invalid: {e}"
-            )));
+            let why = format!("generated program invalid: {e}");
+            return Err(InlError::new(InlErrorKind::Infeasible, why));
         }
         Ok(CodegenResult {
             program,
@@ -536,7 +522,7 @@ impl Builder<'_> {
         nodes: &[Node],
         slot_loop: &mut HashMap<usize, LoopId>,
         stmt_map: &mut [StmtId],
-    ) -> Result<(), CodegenError> {
+    ) -> Result<(), InlError> {
         for &n in nodes {
             match n {
                 Node::Loop(l) => {
@@ -545,7 +531,7 @@ impl Builder<'_> {
                     let (lo, hi) = self
                         .slot_bounds
                         .get(&qpos)
-                        .ok_or_else(|| CodegenError::Unbounded(format!("slot {qpos}")))?;
+                        .ok_or_else(|| unbounded(format!("slot {qpos}")))?;
                     let name = self.slot_name(qpos);
                     let lower = Bound {
                         terms: lo
@@ -560,7 +546,7 @@ impl Builder<'_> {
                             .collect::<Result<_, _>>()?,
                     };
                     let children = self.ast.program.loop_decl(l).children.clone();
-                    let mut res: Result<(), CodegenError> = Ok(());
+                    let mut res: Result<(), InlError> = Ok(());
                     b.loop_full(name, lower, upper, 1, false, |b| {
                         let id = b.current_loop().expect("inside loop");
                         slot_loop.insert(qpos, id);
@@ -674,7 +660,7 @@ impl Builder<'_> {
         s: StmtId,
         slot_loop: &mut HashMap<usize, LoopId>,
         stmt_map: &mut [StmtId],
-    ) -> Result<(), CodegenError> {
+    ) -> Result<(), InlError> {
         let plan = self
             .plans
             .iter()
@@ -704,7 +690,7 @@ impl Builder<'_> {
         slot_loop: &mut HashMap<usize, LoopId>,
         s: StmtId,
         stmt_map: &mut [StmtId],
-    ) -> Result<(), CodegenError> {
+    ) -> Result<(), InlError> {
         let knew = plan.sched.rows.nrows();
         if r >= knew {
             if plan.sched.n_aug > 0 {
@@ -736,7 +722,7 @@ impl Builder<'_> {
             })
             .collect::<Result<_, _>>()?;
         if lo.is_empty() || hi.is_empty() {
-            return Err(CodegenError::Unbounded(format!(
+            return Err(unbounded(format!(
                 "augmented loop {r} of {}",
                 self.src.stmt_decl(s).name
             )));
@@ -757,7 +743,7 @@ impl Builder<'_> {
                 row
             })
             .collect();
-        let mut res: Result<(), CodegenError> = Ok(());
+        let mut res: Result<(), InlError> = Ok(());
         b.loop_full(
             name,
             Bound { terms: lo },
@@ -788,7 +774,7 @@ impl Builder<'_> {
         slot_loop: &HashMap<usize, LoopId>,
         aug_ctx: &HashMap<usize, LoopId>,
         stmt_map: &mut [StmtId],
-    ) -> Result<(), CodegenError> {
+    ) -> Result<(), InlError> {
         let sched = &plan.sched;
         let k = sched.slot_positions.len();
         let old_loops = self.layout.stmt_loops(s);

@@ -40,4 +40,4 @@ mod tests;
 
 pub use batch::{batch_map, compile_batch, CompiledVariant};
 pub use cost::{CostFeatures, Executor, InnerLoop, PredictedCost, NOMINAL_EXTENT};
-pub use generate::{build, generate, generate_seq, BuiltVariant, CodegenError, CodegenResult};
+pub use generate::{build, generate, generate_seq, BuiltVariant, CodegenResult};

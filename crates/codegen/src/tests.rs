@@ -2,7 +2,7 @@
 //! final state compared bitwise against the source program's — the
 //! strongest check a legal transformation admits.
 
-use crate::generate::{generate, generate_seq, CodegenError};
+use crate::generate::{generate, generate_seq};
 use inl_core::depend::analyze;
 use inl_core::instance::InstanceLayout;
 use inl_core::transform::Transform;
@@ -203,10 +203,9 @@ fn illegal_matrix_rejected() {
     let layout = InstanceLayout::new(&p);
     let deps = analyze(&p, &layout).expect("analysis");
     let rev = Transform::Reverse(looop(&p, "I")).matrix(&p, &layout);
-    assert!(matches!(
-        generate(&p, &layout, &deps, &rev),
-        Err(crate::generate::CodegenError::Illegal(_))
-    ));
+    let e = generate(&p, &layout, &deps, &rev).expect_err("illegal");
+    assert_eq!(e.kind(), inl_linalg::InlErrorKind::Infeasible);
+    assert!(e.message().contains("projected entry 0 is negative"), "{e}");
 }
 
 #[test]
@@ -336,12 +335,10 @@ fn infeasible_domain_degrades_to_typed_error() {
     let mut m = IMat::identity(layout.len());
     m[(0, 0)] = 2;
     m[(1, 1)] = 2;
-    match generate(&p, &layout, &deps, &m) {
-        Err(CodegenError::Unbounded(slot)) => {
-            assert!(slot.contains("loop slot"), "unexpected slot label: {slot}")
-        }
-        other => panic!("expected typed Unbounded error, got {other:?}"),
-    }
+    let e = generate(&p, &layout, &deps, &m).expect_err("unbounded");
+    assert_eq!(e.kind(), inl_linalg::InlErrorKind::IllFormed);
+    assert!(e.message().starts_with("loop slot "), "{e}");
+    assert!(e.message().ends_with(" has no bound on one side"), "{e}");
 }
 
 #[test]
@@ -359,13 +356,9 @@ fn a_stepped_source_loop_is_unsupported() {
     let p = b.finish();
     let layout = InstanceLayout::new(&p);
     let deps = analyze(&p, &layout).expect("analysis");
-    match generate(&p, &layout, &deps, &IMat::identity(layout.len())) {
-        Err(CodegenError::Inl(e)) => {
-            assert_eq!(e.kind(), InlErrorKind::Unsupported);
-            assert_eq!(e.message(), "loop I: non-unit steps unsupported by codegen");
-        }
-        other => panic!("expected a typed Unsupported error, got {other:?}"),
-    }
+    let e = generate(&p, &layout, &deps, &IMat::identity(layout.len())).expect_err("stepped");
+    assert_eq!(e.kind(), InlErrorKind::Unsupported);
+    assert_eq!(e.message(), "loop I: non-unit steps unsupported by codegen");
 }
 
 #[test]

@@ -27,43 +27,8 @@ use crate::legal::{check_legal, LegalityReport};
 use crate::project::{build_states, commit_all, step_all, DepState};
 use crate::structural::parent_path;
 use inl_ir::{LoopId, Node, Program, StmtId};
-use inl_linalg::{IMat, IVec, InlError};
+use inl_linalg::{IMat, IVec, InlError, InlErrorKind};
 use std::collections::HashMap;
-
-/// Why completion failed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CompletionError {
-    /// A user-supplied row would make some dependence's projection
-    /// negative.
-    PartialRowIllegal(usize),
-    /// A user-supplied row's length does not match the instance-vector
-    /// length.
-    PartialRowBadLength {
-        /// Index of the offending row in `partial`.
-        row: usize,
-        /// Its actual length.
-        got: usize,
-        /// The instance-vector length it must have.
-        want: usize,
-    },
-    /// More partial rows than loop slots.
-    TooManyRows,
-    /// No candidate row was valid for the given slot.
-    NoCandidate(usize),
-    /// The syntactic ordering constraints are cyclic.
-    OrderingCycle,
-    /// The assembled matrix failed the final legality check.
-    FinalCheckFailed(String),
-    /// Exact arithmetic overflowed (or a polyhedral budget was exhausted)
-    /// while evaluating candidate rows.
-    Arithmetic(InlError),
-}
-
-impl From<InlError> for CompletionError {
-    fn from(e: InlError) -> Self {
-        CompletionError::Arithmetic(e)
-    }
-}
 
 /// A successful completion.
 #[derive(Clone, Debug)]
@@ -78,6 +43,24 @@ pub struct Completion {
 /// Loop-slot positions of the layout, outside-in.
 fn loop_slot_positions(layout: &InstanceLayout) -> Vec<usize> {
     layout.loops().map(|(pos, _)| pos).collect()
+}
+
+/// [`loop_slot_positions`], once `partial` fits them: no more rows than
+/// slots, each as long as an instance vector. `InvalidTarget` otherwise.
+fn slots_for(layout: &InstanceLayout, partial: &[IVec]) -> Result<Vec<usize>, InlError> {
+    let slots = loop_slot_positions(layout);
+    let invalid = |why: String| Err(InlError::new(InlErrorKind::InvalidTarget, why));
+    if partial.len() > slots.len() {
+        return invalid("more partial rows than loop slots".to_string());
+    }
+    match partial.iter().position(|row| row.len() != layout.len()) {
+        Some(i) => invalid(format!(
+            "row {i} has length {}, not {}",
+            partial[i].len(),
+            layout.len()
+        )),
+        None => Ok(slots),
+    }
 }
 
 /// Outcome of [`check_prefix`]: either every supplied row keeps every
@@ -115,25 +98,13 @@ pub fn check_prefix(
     layout: &InstanceLayout,
     deps: &DependenceMatrix,
     partial: &[IVec],
-) -> Result<PrefixCheck, CompletionError> {
+) -> Result<PrefixCheck, InlError> {
     let _span = inl_obs::span("complete.prefix");
     inl_obs::counter_add!("complete.prefix_checks", 1);
-    let n = layout.len();
     let nparams = p.nparams();
-    let loop_slots = loop_slot_positions(layout);
-    if partial.len() > loop_slots.len() {
-        return Err(CompletionError::TooManyRows);
-    }
+    let loop_slots = slots_for(layout, partial)?;
     let mut states = build_states(layout, deps);
-    for (slot_idx, &slot) in loop_slots.iter().take(partial.len()).enumerate() {
-        let row = &partial[slot_idx];
-        if row.len() != n {
-            return Err(CompletionError::PartialRowBadLength {
-                row: slot_idx,
-                got: row.len(),
-                want: n,
-            });
-        }
+    for (slot_idx, (&slot, row)) in loop_slots.iter().zip(partial).enumerate() {
         match step_all(layout, nparams, slot, row.as_slice(), &states)? {
             Err(dep) => return Ok(PrefixCheck::Violation { row: slot_idx, dep }),
             Ok(effects) => commit_all(&mut states, effects),
@@ -151,14 +122,11 @@ pub fn complete_transform(
     layout: &InstanceLayout,
     deps: &DependenceMatrix,
     partial: &[IVec],
-) -> Result<Completion, CompletionError> {
+) -> Result<Completion, InlError> {
     let _span = inl_obs::span("complete.transform");
     let n = layout.len();
     let nparams = p.nparams();
-    let loop_slots = loop_slot_positions(layout);
-    if partial.len() > loop_slots.len() {
-        return Err(CompletionError::TooManyRows);
-    }
+    let loop_slots = slots_for(layout, partial)?;
 
     // dependency state
     let mut states = build_states(layout, deps);
@@ -185,13 +153,6 @@ pub fn complete_transform(
 
         if slot_idx < partial.len() {
             let row = partial[slot_idx].clone();
-            if row.len() != n {
-                return Err(CompletionError::PartialRowBadLength {
-                    row: slot_idx,
-                    got: row.len(),
-                    want: n,
-                });
-            }
             let effects = step(&row, &states)?.map_err(|dep_idx| {
                 if inl_obs::explain_enabled() {
                     let d = &deps.deps[dep_idx];
@@ -210,7 +171,10 @@ pub fn complete_transform(
                     .feature("slot", slot as i64)
                     .feature("deps", deps.deps.len() as i64);
                 }
-                CompletionError::PartialRowIllegal(slot_idx)
+                InlError::new(
+                    InlErrorKind::Infeasible,
+                    format!("row {slot_idx} is illegal"),
+                )
             })?;
             if inl_obs::explain_enabled() {
                 inl_obs::explain::accept(
@@ -280,7 +244,10 @@ pub fn complete_transform(
                 .feature("slot", slot as i64)
                 .feature("candidates_tried", tried);
             }
-            return Err(CompletionError::NoCandidate(slot_idx));
+            return Err(InlError::new(
+                InlErrorKind::Infeasible,
+                format!("no legal row for slot {slot_idx}"),
+            ));
         };
         if inl_obs::explain_enabled() {
             inl_obs::explain::note(
@@ -342,7 +309,10 @@ pub fn complete_transform(
                 .detail("constraints", evidence.join("; "))
                 .feature("constraints", edges.len() as i64);
             }
-            return Err(CompletionError::OrderingCycle);
+            return Err(InlError::new(
+                InlErrorKind::Infeasible,
+                "cyclic child order",
+            ));
         };
         // order[i] = old child at new index i  =>  perm[old] = new
         let mut perm = vec![0usize; c];
@@ -385,7 +355,10 @@ pub fn complete_transform(
             )
             .feature("partial_rows", partial.len() as i64);
         }
-        return Err(CompletionError::FinalCheckFailed(why));
+        return Err(InlError::new(
+            InlErrorKind::Infeasible,
+            format!("final legality check failed: {why}"),
+        ));
     }
     if inl_obs::explain_enabled() {
         inl_obs::explain::accept(
@@ -552,10 +525,9 @@ mod tests {
         let deps = analyze(&p, &layout).expect("analysis");
         let i = looop(&p, "I");
         let partial = vec![-&IVec::unit(layout.len(), layout.loop_position(i))];
-        assert!(matches!(
-            complete_transform(&p, &layout, &deps, &partial),
-            Err(CompletionError::PartialRowIllegal(0))
-        ));
+        let e = complete_transform(&p, &layout, &deps, &partial).expect_err("illegal");
+        assert_eq!(e.kind(), InlErrorKind::Infeasible);
+        assert_eq!(e.message(), "row 0 is illegal");
     }
 
     #[test]
@@ -564,17 +536,16 @@ mod tests {
         let layout = InstanceLayout::new(&p);
         let deps = analyze(&p, &layout).expect("analysis");
         let rows = vec![IVec::unit(2, 0), IVec::unit(2, 1), IVec::unit(2, 0)];
-        assert!(matches!(
-            complete_transform(&p, &layout, &deps, &rows),
-            Err(CompletionError::TooManyRows)
-        ));
+        let e = complete_transform(&p, &layout, &deps, &rows).expect_err("too many");
+        assert_eq!(e.kind(), InlErrorKind::InvalidTarget);
+        assert_eq!(e.message(), "more partial rows than loop slots");
     }
 
     #[test]
     fn prefix_check_agrees_with_completion() {
         // check_prefix is exactly the validation pass complete_transform
-        // runs over partial rows: a Violation must imply
-        // PartialRowIllegal, and Legal prefixes of unit rows must complete.
+        // runs over partial rows: a Violation must imply an illegal row,
+        // and Legal prefixes of unit rows must complete.
         let p = zoo::simple_cholesky();
         let layout = InstanceLayout::new(&p);
         let deps = analyze(&p, &layout).expect("analysis");
@@ -594,10 +565,9 @@ mod tests {
         };
         assert_eq!(row, 0);
         assert!(dep < deps.deps.len());
-        assert!(matches!(
-            complete_transform(&p, &layout, &deps, &bad),
-            Err(CompletionError::PartialRowIllegal(0))
-        ));
+        let e = complete_transform(&p, &layout, &deps, &bad).expect_err("illegal");
+        assert_eq!(e.kind(), InlErrorKind::Infeasible);
+        assert_eq!(e.message(), "row 0 is illegal");
     }
 
     #[test]
@@ -668,15 +638,13 @@ mod tests {
         let p = zoo::perfect_nest();
         let layout = InstanceLayout::new(&p);
         let deps = analyze(&p, &layout).expect("analysis");
-        assert!(matches!(
-            check_prefix(&p, &layout, &deps, &[IVec::unit(3, 0)]),
-            Err(CompletionError::PartialRowBadLength { .. })
-        ));
+        let e = check_prefix(&p, &layout, &deps, &[IVec::unit(3, 0)]).expect_err("length");
+        assert_eq!(e.kind(), InlErrorKind::InvalidTarget);
+        assert_eq!(e.message(), "row 0 has length 3, not 2");
         let rows = vec![IVec::unit(2, 0), IVec::unit(2, 1), IVec::unit(2, 0)];
-        assert!(matches!(
-            check_prefix(&p, &layout, &deps, &rows),
-            Err(CompletionError::TooManyRows)
-        ));
+        let e = check_prefix(&p, &layout, &deps, &rows).expect_err("too many");
+        assert_eq!(e.kind(), InlErrorKind::InvalidTarget);
+        assert_eq!(e.message(), "more partial rows than loop slots");
     }
 
     #[test]

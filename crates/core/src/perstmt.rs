@@ -20,7 +20,7 @@ use crate::depend::{DepEntry, DependenceMatrix};
 use crate::instance::InstanceLayout;
 use crate::legal::{LegalityReport, NewAst};
 use inl_ir::{Program, StmtId};
-use inl_linalg::{gauss, IMat, IVec, InlError, Rational};
+use inl_linalg::{gauss, IMat, IVec, InlError, InlErrorKind, Rational};
 
 /// The complete scheduling recipe for one statement under a legal matrix.
 #[derive(Clone, Debug)]
@@ -49,25 +49,6 @@ pub struct StmtSchedule {
     pub n_s_rows: Vec<usize>,
     /// `N_S`: the `k × k` non-singular per-statement transformation.
     pub n_s: IMat,
-}
-
-/// Errors from schedule construction.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ScheduleError {
-    /// An unsatisfied self-dependence has an ambiguous leading entry, so
-    /// the `Complete` procedure's unit rows cannot be proven to carry it.
-    AmbiguousSelfDependence(usize),
-    /// Augmentation failed to reach rank `k` (should be impossible for
-    /// non-singular `M`; reported rather than asserted).
-    RankDeficient,
-    /// Exact arithmetic overflowed while ranking or expressing rows.
-    Arithmetic(InlError),
-}
-
-impl From<InlError> for ScheduleError {
-    fn from(e: InlError) -> Self {
-        ScheduleError::Arithmetic(e)
-    }
 }
 
 /// Compute `M_S` and `g_S` (the projection of `M·E_S` / `M·f_S` onto the
@@ -111,6 +92,16 @@ fn project_self_dep(
         .collect()
 }
 
+/// An unsatisfied self-dependence whose leading entry is ambiguous: the
+/// `Complete` procedure's unit rows cannot be proven to carry it.
+#[track_caller]
+fn ambiguous(dep: usize) -> InlError {
+    InlError::new(
+        InlErrorKind::Unsupported,
+        format!("self-dependence {dep} has an ambiguous leading entry"),
+    )
+}
+
 /// Build the full schedule for a statement: per-statement transform,
 /// `Complete` augmentation (Fig. 7), and `N_S` extraction.
 pub fn schedule_stmt(
@@ -121,7 +112,7 @@ pub fn schedule_stmt(
     deps: &DependenceMatrix,
     report: &LegalityReport,
     s: StmtId,
-) -> Result<StmtSchedule, ScheduleError> {
+) -> Result<StmtSchedule, InlError> {
     let _ = p;
     let (slots, ms, gs) = raw_per_stmt(layout, ast, m, s);
     let k = slots.len();
@@ -145,14 +136,14 @@ pub fn schedule_stmt(
         // All-zero pending vectors cannot be carried by any unit row; the
         // ambiguity error (rather than a panic) lets callers recover.
         let Some(h) = (0..k).find(|&dim| pending.iter().any(|(_, v)| !v[dim].is_zero())) else {
-            return Err(ScheduleError::AmbiguousSelfDependence(pending[0].0));
+            return Err(ambiguous(pending[0].0));
         };
         // Every pending vector with height h must have a provably positive
         // entry there (self-dependences are lexicographically positive).
         for (idx, v) in &pending {
             let height = (0..k).find(|&dim| !v[dim].is_zero());
             if height == Some(h) && !v[h].is_positive() {
-                return Err(ScheduleError::AmbiguousSelfDependence(*idx));
+                return Err(ambiguous(*idx));
             }
         }
         rows.push_row(&IVec::unit(k, h));
@@ -174,7 +165,10 @@ pub fn schedule_stmt(
         rank = gauss::checked_rank(&rows)?;
     }
     if rank != k {
-        return Err(ScheduleError::RankDeficient);
+        return Err(InlError::new(
+            InlErrorKind::RankDeficient,
+            format!("augmentation did not reach rank {k}"),
+        ));
     }
 
     // --- N_S extraction (Definition 8) ---
@@ -221,7 +215,7 @@ pub fn schedule_all(
     m: &IMat,
     deps: &DependenceMatrix,
     report: &LegalityReport,
-) -> Result<Vec<StmtSchedule>, ScheduleError> {
+) -> Result<Vec<StmtSchedule>, InlError> {
     p.stmts()
         .map(|s| schedule_stmt(p, layout, ast, m, deps, report, s))
         .collect()

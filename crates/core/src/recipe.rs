@@ -33,14 +33,14 @@
 //! # Ok::<(), inl_linalg::InlError>(())
 //! ```
 
-use crate::complete::{complete_transform, Completion, CompletionError};
+use crate::complete::{complete_transform, Completion};
 use crate::depend::{analyze, map, DependenceMatrix};
 use crate::instance::InstanceLayout;
 use crate::legal::check_structural;
 use crate::structural::{distribute, jam};
 use crate::tiling;
 use inl_ir::{LoopId, Node, Program};
-use inl_linalg::{IVec, InlError, Int};
+use inl_linalg::{IVec, InlError, InlErrorKind, Int};
 use std::fmt;
 use std::str::FromStr;
 
@@ -152,8 +152,9 @@ impl Recipe {
 
     /// Replay the recipe on `source` as the scheduler builds a variant:
     /// [`Shape::apply`], [`rows`](Self::rows), completion. `Ok(Err(_))` when
-    /// the dependences rule it out; `Err(_)` when it names no loops of the
-    /// program or its step does not apply.
+    /// the dependences rule it out (an `Infeasible` completion); `Err(_)`
+    /// when it names no loops of the program, its step does not apply, or
+    /// the completion fails any other way (overflow, budget).
     pub fn replay(
         &self,
         source: Shape,
@@ -166,8 +167,11 @@ impl Recipe {
             },
         };
         let rows = self.rows(&shape.program, &shape.layout)?;
-        let completed = complete_transform(&shape.program, &shape.layout, &shape.deps, &rows);
-        Ok(completed.map(|c| (shape, c)).map_err(Rejection::Incomplete))
+        match complete_transform(&shape.program, &shape.layout, &shape.deps, &rows) {
+            Ok(c) => Ok(Ok((shape, c))),
+            Err(e) if e.kind() == InlErrorKind::Infeasible => Ok(Err(Rejection::Incomplete(e))),
+            Err(e) => Err(e),
+        }
     }
 }
 
@@ -176,15 +180,16 @@ impl Recipe {
 pub enum Rejection {
     /// The dependence test vetoes the shape step.
     Vetoed(Step),
-    /// The order's rows do not complete into a legal transformation.
-    Incomplete(CompletionError),
+    /// The order's rows do not complete into a legal transformation: an
+    /// `Infeasible` completion error.
+    Incomplete(InlError),
 }
 
 impl fmt::Display for Rejection {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Rejection::Vetoed(step) => write!(f, "the dependence test vetoes shape {step}"),
-            Rejection::Incomplete(e) => write!(f, "completion rejected the order: {e:?}"),
+            Rejection::Incomplete(e) => write!(f, "completion rejected the order: {}", e.message()),
         }
     }
 }
@@ -346,7 +351,6 @@ mod tests {
     use super::*;
     use crate::complete::complete_transform;
     use inl_ir::zoo;
-    use inl_linalg::InlErrorKind;
 
     fn looop(p: &Program, name: &str) -> LoopId {
         p.loops().find(|&l| p.loop_decl(l).name == name).unwrap()
@@ -528,11 +532,41 @@ mod tests {
         let why = replay(zoo::cholesky_kij(), "IKJL").expect("binds");
         let why = why.expect_err("does not complete");
         assert!(matches!(why, Rejection::Incomplete(_)), "{why:?}");
-        assert!(why
-            .to_string()
-            .starts_with("completion rejected the order: "));
+        assert_eq!(
+            why.to_string(),
+            "completion rejected the order: row 0 is illegal"
+        );
         let e = replay(zoo::lu_kij(), "KIJ").expect_err("names 3 of 4 loops");
         assert_eq!(e.kind(), InlErrorKind::InvalidTarget);
+    }
+
+    #[test]
+    fn every_rejected_cholesky_order_is_infeasible_and_says_so_without_a_location() {
+        // the service answers these 12 orders "rejected": each must be the
+        // dependences ruling the order out, and its text kind-free and
+        // location-free
+        let p = zoo::cholesky_kij();
+        let names: Vec<String> = p.loops().map(|l| p.loop_decl(l).name.clone()).collect();
+        let mut rejected = 0;
+        for order in inl_linalg::permutations(&names) {
+            let source = Shape::source(p.clone()).expect("analyses");
+            let recipe: Recipe = order.concat().parse().expect("parses");
+            let Err(why) = recipe.replay(source).expect("binds") else {
+                continue;
+            };
+            rejected += 1;
+            let Rejection::Incomplete(e) = &why else {
+                panic!("{recipe}: no step to veto, got {why:?}");
+            };
+            assert_eq!(e.kind(), InlErrorKind::Infeasible, "{recipe}: {e}");
+            let text = why.to_string();
+            assert!(
+                text.starts_with("completion rejected the order: "),
+                "{text}"
+            );
+            assert!(!text.contains(".rs:"), "{recipe}: {text}");
+        }
+        assert_eq!(rejected, 12);
     }
 
     #[test]

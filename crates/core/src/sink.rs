@@ -14,55 +14,22 @@
 //!   motivation for transforming imperfect nests directly.
 
 use inl_ir::{Aff, Guard, LoopId, Node, Program, VarKey};
-use inl_linalg::InlError;
+use inl_linalg::{InlError, InlErrorKind};
 use inl_poly::{is_empty, Feasibility, LinExpr};
 
-/// Why sinking is impossible or unsafe.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SinkError {
-    /// A loop has two or more loop children: no single perfect nest exists
-    /// without loop distribution.
-    Branching(String),
-    /// The inner loop's range may be empty for some legal parameter/outer
-    /// values, so a sunk statement could be skipped entirely.
-    PossiblyEmptyRange(String),
-    /// Bounds with multiple max/min terms cannot express the "first/last
-    /// iteration" guard as a single affine equality.
-    ComplexBounds(String),
-    /// Non-unit steps are not supported by this baseline.
-    NonUnitStep(String),
-    /// The sink target was structurally malformed, or exact arithmetic
-    /// overflowed while reasoning about the inner range.
-    Invalid(InlError),
-}
-
-impl From<InlError> for SinkError {
-    fn from(e: InlError) -> Self {
-        SinkError::Invalid(e)
-    }
-}
-
-/// Human-readable reason for a [`SinkError`], fed to explain records.
-fn sink_reason(e: &SinkError) -> String {
-    match e {
-        SinkError::Branching(l) => {
-            format!("loop {l} has two or more loop children: no perfect nest without distribution")
-        }
-        SinkError::PossiblyEmptyRange(l) => {
-            format!("inner loop {l} may have an empty range: a sunk statement could be skipped")
-        }
-        SinkError::ComplexBounds(l) => {
-            format!("loop {l} has multi-term bounds: no single affine first/last-iteration guard")
-        }
-        SinkError::NonUnitStep(l) => format!("loop {l} has a non-unit step"),
-        SinkError::Invalid(err) => format!("invalid sink target: {err}"),
-    }
+/// A loop this baseline cannot sink through: [`InlErrorKind::Unsupported`]
+/// with the reason, which is also the explain record's.
+#[track_caller]
+fn unsupported(reason: String) -> InlError {
+    InlError::new(InlErrorKind::Unsupported, reason)
 }
 
 /// Sink every statement into the innermost loop, producing a perfect nest.
 ///
-/// Returns the transformed program or the reason the strategy breaks down.
-pub fn sink_statements(p: &Program) -> Result<Program, SinkError> {
+/// Returns the transformed program or the reason the strategy breaks down:
+/// `Unsupported` when a loop branches, may have an empty range, has
+/// multi-term bounds or a non-unit step.
+pub fn sink_statements(p: &Program) -> Result<Program, InlError> {
     let mut cur = p.clone();
     let mut sunk = 0i64;
     loop {
@@ -81,12 +48,8 @@ pub fn sink_statements(p: &Program) -> Result<Program, SinkError> {
             }
             Err(e) => {
                 if inl_obs::explain_enabled() {
-                    inl_obs::explain::reject(
-                        "sink",
-                        format!("program {}", p.name()),
-                        sink_reason(&e),
-                    )
-                    .feature("sink_steps", sunk);
+                    inl_obs::explain::reject("sink", format!("program {}", p.name()), e.message())
+                        .feature("sink_steps", sunk);
                 }
                 return Err(e);
             }
@@ -106,7 +69,7 @@ pub fn sink_statements(p: &Program) -> Result<Program, SinkError> {
             }
             Err(e) => {
                 if inl_obs::explain_enabled() {
-                    inl_obs::explain::reject("sink", format!("loop {outer_name}"), sink_reason(&e))
+                    inl_obs::explain::reject("sink", format!("loop {outer_name}"), e.message())
                         .feature("sink_steps", sunk);
                 }
                 return Err(e);
@@ -117,7 +80,7 @@ pub fn sink_statements(p: &Program) -> Result<Program, SinkError> {
 
 /// Find a loop whose children mix statements with exactly one loop.
 /// `Ok(None)` when the program is already perfectly nested.
-fn find_sinkable(p: &Program) -> Result<Option<LoopId>, SinkError> {
+fn find_sinkable(p: &Program) -> Result<Option<LoopId>, InlError> {
     for l in p.loops() {
         // skip detached loops
         if p.loops_surrounding_loop(l).is_empty() && !p.root().contains(&Node::Loop(l)) {
@@ -130,7 +93,10 @@ fn find_sinkable(p: &Program) -> Result<Option<LoopId>, SinkError> {
             .count();
         let nstmts = children.len() - nloops;
         if nloops >= 2 {
-            return Err(SinkError::Branching(p.loop_decl(l).name.clone()));
+            return Err(unsupported(format!(
+                "loop {} has two or more loop children: no perfect nest without distribution",
+                p.loop_decl(l).name
+            )));
         }
         if nloops == 1 && nstmts > 0 {
             return Ok(Some(l));
@@ -142,42 +108,49 @@ fn find_sinkable(p: &Program) -> Result<Option<LoopId>, SinkError> {
 }
 
 /// Sink the statement children of `outer` into its single loop child.
-fn sink_one(p: &Program, outer: LoopId) -> Result<Program, SinkError> {
+fn sink_one(p: &Program, outer: LoopId) -> Result<Program, InlError> {
     let mut out = p.clone();
     let children = p.loop_decl(outer).children.clone();
     let Some((loop_pos, inner)) = children.iter().enumerate().find_map(|(i, &c)| match c {
         Node::Loop(l) => Some((i, l)),
         _ => None,
     }) else {
-        return Err(SinkError::Invalid(InlError::invalid_target(
+        return Err(InlError::invalid_target(
             format!("loop {}", p.loop_decl(outer).name),
             "sink target has no loop child",
-        )));
+        ));
     };
     let inner_decl = p.loop_decl(inner).clone();
-    let iname = inner_decl.name.clone();
+    let iname = &inner_decl.name;
     if inner_decl.step != 1 {
-        return Err(SinkError::NonUnitStep(iname));
+        return Err(unsupported(format!("loop {iname} has a non-unit step")));
     }
+    let complex = || {
+        unsupported(format!(
+            "loop {iname} has multi-term bounds: no single affine first/last-iteration guard"
+        ))
+    };
     if inner_decl.lower.terms.len() != 1 || inner_decl.upper.terms.len() != 1 {
-        return Err(SinkError::ComplexBounds(iname));
+        return Err(complex());
     }
     let lo = inner_decl.lower.terms[0].clone();
     let hi = inner_decl.upper.terms[0].clone();
     if lo.divisor() != 1 || hi.divisor() != 1 {
-        return Err(SinkError::ComplexBounds(iname));
+        return Err(complex());
     }
 
     // The range must be provably non-empty in the outer context.
     if range_may_be_empty(p, inner)? {
-        return Err(SinkError::PossiblyEmptyRange(iname));
+        return Err(unsupported(format!(
+            "inner loop {iname} may have an empty range: a sunk statement could be skipped"
+        )));
     }
 
     let second_loop = || {
-        SinkError::Invalid(InlError::invalid_target(
+        InlError::invalid_target(
             format!("loop {}", p.loop_decl(outer).name),
             "sink target has more than one loop child",
-        ))
+        )
     };
     let ivar = Aff::var(VarKey::Loop(inner));
     let mut new_inner_children = Vec::new();
@@ -251,10 +224,12 @@ mod tests {
         // the paper's motivation: J = I+1..N is empty at I = N, so the
         // pivot sqrt would be lost — sinking must refuse
         let p = zoo::simple_cholesky();
-        assert!(matches!(
-            sink_statements(&p),
-            Err(SinkError::PossiblyEmptyRange(name)) if name == "J"
-        ));
+        let e = sink_statements(&p).expect_err("refuses");
+        assert_eq!(e.kind(), InlErrorKind::Unsupported);
+        assert_eq!(
+            e.message(),
+            "inner loop J may have an empty range: a sunk statement could be skipped"
+        );
     }
 
     #[test]
@@ -262,7 +237,13 @@ mod tests {
         // K has two loop children (I and J nests): no perfect nest without
         // distribution — which §1 notes is illegal here anyway
         let p = zoo::cholesky_kij();
-        assert!(matches!(sink_statements(&p), Err(SinkError::Branching(_))));
+        let e = sink_statements(&p).expect_err("refuses");
+        assert_eq!(e.kind(), InlErrorKind::Unsupported);
+        assert!(
+            e.message()
+                .starts_with("loop K has two or more loop children"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -61,38 +61,10 @@ pub enum Transform {
     },
 }
 
-/// Errors in constructing a transformation matrix.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TransformError {
-    /// `ReorderChildren`'s permutation has the wrong length or is not a
-    /// permutation.
-    BadPermutation,
-    /// `Align` requires an edge that distinguishes the statement's subtree
-    /// below the loop; with a single-child chain there is none (the shift
-    /// would apply to every statement, which is loop bumping, not
-    /// alignment).
-    NoDistinguishingEdge,
-    /// The alignment loop does not surround the statement.
-    LoopNotSurrounding,
-    /// Scale factors must be ≥ 1.
-    BadScaleFactor,
-}
-
-impl From<TransformError> for InlError {
-    #[track_caller]
-    fn from(e: TransformError) -> Self {
-        let reason = match e {
-            TransformError::BadPermutation => "permutation is not a bijection of the children",
-            TransformError::NoDistinguishingEdge => {
-                "no edge distinguishes the statement's subtree below the loop"
-            }
-            TransformError::LoopNotSurrounding => {
-                "the alignment loop does not surround the statement"
-            }
-            TransformError::BadScaleFactor => "scale factors must be >= 1",
-        };
-        InlError::invalid_target("transform", reason)
-    }
+/// A transformation its target cannot take: `InvalidTarget` with the reason.
+#[track_caller]
+fn invalid(reason: &str) -> InlError {
+    InlError::invalid_target("transform", reason)
 }
 
 impl Transform {
@@ -103,7 +75,7 @@ impl Transform {
 
     /// Build the `n × n` matrix representing this transformation for the
     /// given program layout.
-    pub fn try_matrix(&self, p: &Program, layout: &InstanceLayout) -> Result<IMat, TransformError> {
+    pub fn try_matrix(&self, p: &Program, layout: &InstanceLayout) -> Result<IMat, InlError> {
         let n = layout.len();
         match self {
             Transform::Interchange(a, b) => {
@@ -132,7 +104,7 @@ impl Transform {
             }
             Transform::Scale { target, factor } => {
                 if *factor < 1 {
-                    return Err(TransformError::BadScaleFactor);
+                    return Err(invalid("scale factors must be >= 1"));
                 }
                 let mut m = IMat::identity(n);
                 let pl = layout.loop_position(*target);
@@ -147,7 +119,9 @@ impl Transform {
             } => {
                 let path = p.loops_surrounding(*stmt);
                 let Some(depth) = path.iter().position(|l| l == looop) else {
-                    return Err(TransformError::LoopNotSurrounding);
+                    return Err(invalid(
+                        "the alignment loop does not surround the statement",
+                    ));
                 };
                 // Find the deepest edge position on the path from `looop`
                 // down to the statement whose parent has ≥ 2 children.
@@ -169,7 +143,9 @@ impl Transform {
                     }
                 }
                 let Some(e) = edge else {
-                    return Err(TransformError::NoDistinguishingEdge);
+                    return Err(invalid(
+                        "no edge distinguishes the statement's subtree below the loop",
+                    ));
                 };
                 let mut m = IMat::identity(n);
                 m[(layout.loop_position(*looop), e)] = *offset;
@@ -184,7 +160,7 @@ impl Transform {
         p: &Program,
         layout: &InstanceLayout,
         seq: &[Transform],
-    ) -> Result<IMat, TransformError> {
+    ) -> Result<IMat, InlError> {
         let mut m = IMat::identity(layout.len());
         for t in seq {
             // matrices stack on the left as transformations compose
@@ -222,17 +198,15 @@ fn reorder_matrix(
     layout: &InstanceLayout,
     parent: Option<LoopId>,
     perm: &[usize],
-) -> Result<IMat, TransformError> {
+) -> Result<IMat, InlError> {
     let nchildren = p.children(parent).len();
-    if perm.len() != nchildren {
-        return Err(TransformError::BadPermutation);
-    }
     let mut seen = vec![false; nchildren];
-    for &i in perm {
-        if i >= nchildren || seen[i] {
-            return Err(TransformError::BadPermutation);
-        }
-        seen[i] = true;
+    let bijection = perm.len() == nchildren
+        && perm
+            .iter()
+            .all(|&i| i < nchildren && !std::mem::replace(&mut seen[i], true));
+    if !bijection {
+        return Err(invalid("permutation is not a bijection of the children"));
     }
     let n = layout.len();
     let mut m = IMat::identity(n);
@@ -387,14 +361,17 @@ mod tests {
         let layout = InstanceLayout::new(&p);
         let s = p.stmts().next().unwrap();
         let l = p.loops().next().unwrap();
+        let e = Transform::Align {
+            stmt: s,
+            looop: l,
+            offset: 1,
+        }
+        .try_matrix(&p, &layout)
+        .expect_err("no edge");
+        assert_eq!(e.kind(), inl_linalg::InlErrorKind::InvalidTarget);
         assert_eq!(
-            Transform::Align {
-                stmt: s,
-                looop: l,
-                offset: 1
-            }
-            .try_matrix(&p, &layout),
-            Err(TransformError::NoDistinguishingEdge)
+            e.message(),
+            "transform: no edge distinguishes the statement's subtree below the loop"
         );
     }
 
@@ -418,13 +395,16 @@ mod tests {
         let layout = InstanceLayout::new(&p);
         let i = looop(&p, "I");
         for perm in [vec![0], vec![0, 0], vec![0, 2]] {
+            let e = Transform::ReorderChildren {
+                parent: Some(i),
+                perm,
+            }
+            .try_matrix(&p, &layout)
+            .expect_err("not a bijection");
+            assert_eq!(e.kind(), inl_linalg::InlErrorKind::InvalidTarget);
             assert_eq!(
-                Transform::ReorderChildren {
-                    parent: Some(i),
-                    perm
-                }
-                .try_matrix(&p, &layout),
-                Err(TransformError::BadPermutation)
+                e.message(),
+                "transform: permutation is not a bijection of the children"
             );
         }
     }

@@ -85,10 +85,10 @@ pub fn compile(p: &Program, m: &IMat) -> Compiled {
         Err(e) => return Compiled::Rejected(format!("analyze: {e}")),
     };
     // `generate` checks legality once and reports an illegal matrix as
-    // `CodegenError::Illegal`
+    // `Infeasible`
     match generate(p, &layout, &deps, m) {
         Ok(r) => Compiled::Ok(Box::new(r)),
-        Err(e) => Compiled::Rejected(format!("codegen: {e:?}")),
+        Err(e) => Compiled::Rejected(format!("codegen: {e}")),
     }
 }
 

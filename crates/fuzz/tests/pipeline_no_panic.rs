@@ -67,7 +67,7 @@ proptest! {
     }
 
     /// Completion: random partial rows either complete to a matrix the
-    /// checker accepts, or fail with a typed `CompletionError`.
+    /// checker accepts, or fail with a typed error.
     #[test]
     fn completion_never_panics(
         (p, rows) in arb_program().prop_flat_map(|p| {
@@ -87,7 +87,7 @@ proptest! {
 
     /// Structural operations: arbitrary (mostly invalid) distribute/jam
     /// targets report typed `InlError`s, the legality walk decides every
-    /// valid one, and sinking returns a typed `SinkError` or a program — no
+    /// valid one, and sinking returns a typed error or a program — no
     /// panics, no asserts.
     #[test]
     fn structural_ops_never_panic(

@@ -102,6 +102,12 @@ impl InlError {
         &self.message
     }
 
+    /// `kind: message`, without the source location: the form an error
+    /// takes when it leaves the process (a reply, a gate document).
+    pub fn summary(&self) -> String {
+        format!("{}: {}", self.kind, self.message)
+    }
+
     /// Source file/line that constructed the error.
     pub fn location(&self) -> &'static Location<'static> {
         self.location
@@ -143,6 +149,7 @@ mod tests {
         assert!(s.contains("overflow"), "{s}");
         assert!(s.contains("lcm exceeds i128 range"), "{s}");
         assert!(s.contains("error.rs"), "location missing: {s}");
+        assert_eq!(e.summary(), "overflow: lcm exceeds i128 range");
     }
 
     #[test]

@@ -819,7 +819,7 @@ mod tests {
             },
             Response::Compile {
                 outcome: CompileOutcome::Rejected {
-                    reason: "PartialRowIllegal(2)".into(),
+                    reason: "completion rejected the order: row 2 is illegal".into(),
                 },
                 telemetry: None,
             },

@@ -17,6 +17,7 @@
 //! end, as it does when any chosen variant fails the bitwise-equivalence
 //! check against its source program.
 
+use inl_linalg::InlError;
 use inl_sched::sweep::{bench_json, render_regret, render_table, sweep_program, sweep_targets};
 use inl_sched::SchedConfig;
 use std::process::ExitCode;
@@ -92,13 +93,13 @@ fn main() -> ExitCode {
     // whatever succeeded, and the failures surface as error rows plus a
     // non-zero exit at the end.
     let mut entries = Vec::with_capacity(targets.len());
-    let mut failures: Vec<(String, String)> = Vec::new();
+    let mut failures: Vec<(String, InlError)> = Vec::new();
     for (name, ctor, params) in &targets {
         match sweep_program(name, &ctor(), params, &cfg, reps) {
             Ok(e) => entries.push(e),
             Err(err) => {
                 eprintln!("{name}: scheduling failed: {err}");
-                failures.push((name.to_string(), err.to_string()));
+                failures.push((name.to_string(), err));
             }
         }
     }

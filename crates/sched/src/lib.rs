@@ -79,50 +79,12 @@ pub mod sweep;
 
 pub use search::SearchStats;
 
-use inl_codegen::{batch_map, build, generate, CodegenError, CostFeatures, PredictedCost};
-use inl_core::complete::{Completion, CompletionError};
+use inl_codegen::{batch_map, build, generate, CostFeatures, PredictedCost};
+use inl_core::complete::Completion;
 use inl_core::recipe::Recipe;
 use inl_ir::Program;
-use inl_linalg::{IMat, InlError};
+use inl_linalg::{IMat, InlError, InlErrorKind};
 use inl_obs::explain::RecordBuilder;
-use std::fmt;
-
-/// Why scheduling failed.
-#[derive(Clone, Debug)]
-pub enum SchedError {
-    /// Dependence analysis or a structural transformation failed.
-    Analysis(InlError),
-    /// A prefix-legality probe failed (arithmetic overflow or a
-    /// polyhedral budget, not an illegal prefix — those are pruned).
-    Prefix(CompletionError),
-    /// A variant failed to finish (bound merge, overflow, a polyhedral
-    /// budget); a leaf that fails to lower while ranked is dropped.
-    Codegen {
-        /// Label of the variant that failed.
-        label: String,
-        /// What code generation reported.
-        error: CodegenError,
-    },
-    /// The search found no legal variant (the identity shape's identity
-    /// order is always legal for well-formed programs, so this signals a
-    /// malformed input or an exhausted budget).
-    NoLegalVariant,
-}
-
-impl fmt::Display for SchedError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SchedError::Analysis(e) => write!(f, "analysis failed: {e}"),
-            SchedError::Prefix(e) => write!(f, "prefix check failed: {e:?}"),
-            SchedError::Codegen { label, error } => {
-                write!(f, "code generation of variant {label} failed: {error:?}")
-            }
-            SchedError::NoLegalVariant => write!(f, "no legal variant found"),
-        }
-    }
-}
-
-impl std::error::Error for SchedError {}
 
 /// How much a schedule may spend — what it searches is not configurable.
 /// The environment never enters: callers move a default by building the
@@ -213,13 +175,13 @@ impl ScheduleResult {
     /// Finish `variants[i]` — generate, simplify guards, print — against
     /// its shape's stored analysis. For callers that execute or measure
     /// every variant, not just the chosen one.
-    pub fn materialise(&self, i: usize) -> Result<ScheduledVariant, SchedError> {
+    pub fn materialise(&self, i: usize) -> Result<ScheduledVariant, InlError> {
         finish(&self.shapes, &self.variants[i])
     }
 
     /// [`materialise`](Self::materialise) every variant, in rank order, on
     /// `threads` workers (as [`SchedConfig::threads`]).
-    pub fn materialise_all(&self, threads: usize) -> Result<Vec<ScheduledVariant>, SchedError> {
+    pub fn materialise_all(&self, threads: usize) -> Result<Vec<ScheduledVariant>, InlError> {
         batch_map(self.variants.len(), threads, |i| self.materialise(i))
             .into_iter()
             .collect()
@@ -228,14 +190,10 @@ impl ScheduleResult {
 
 /// The second stage for one variant: the whole of [`generate`] plus
 /// pseudocode, against the variant's shape.
-fn finish(shapes: &[search::StepShape], v: &RankedVariant) -> Result<ScheduledVariant, SchedError> {
+fn finish(shapes: &[search::StepShape], v: &RankedVariant) -> Result<ScheduledVariant, InlError> {
     let (_, shape) = &shapes[v.shape];
-    let r = generate(&shape.program, &shape.layout, &shape.deps, &v.matrix).map_err(|error| {
-        SchedError::Codegen {
-            label: v.label.clone(),
-            error,
-        }
-    })?;
+    let r = generate(&shape.program, &shape.layout, &shape.deps, &v.matrix)
+        .map_err(|e| in_variant(&v.label, e))?;
     Ok(ScheduledVariant {
         label: v.label.clone(),
         recipe: v.recipe.clone(),
@@ -244,6 +202,11 @@ fn finish(shapes: &[search::StepShape], v: &RankedVariant) -> Result<ScheduledVa
         program: r.program,
         features: r.features,
     })
+}
+
+/// `e`, of its own kind, with `variant {label}: ` before its message.
+fn in_variant(label: &str, e: InlError) -> InlError {
+    InlError::new(e.kind(), format!("variant {label}: {}", e.message()))
 }
 
 /// An explain record with the predicted cost's terms as features and, as
@@ -271,12 +234,14 @@ fn with_cost(record: RecordBuilder, p: &PredictedCost) -> RecordBuilder {
 /// Search the transformation space of `p` with the default configuration
 /// and return every legal variant, best first. See the crate docs for the
 /// search structure.
-pub fn schedule(p: &Program) -> Result<ScheduleResult, SchedError> {
+pub fn schedule(p: &Program) -> Result<ScheduleResult, InlError> {
     schedule_with(p, &SchedConfig::default())
 }
 
-/// [`schedule`] with an explicit configuration.
-pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, SchedError> {
+/// [`schedule`] with an explicit configuration. A leaf that fails to lower
+/// as `Unsupported` is dropped; any other failure fails the schedule,
+/// naming the leaf's label, and no leaf left is `Infeasible`.
+pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, InlError> {
     let _span = inl_obs::span("sched.schedule");
     inl_obs::counter_add!("sched.programs", 1);
     let explain = inl_obs::explain_enabled();
@@ -310,21 +275,30 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
                 .map(|b| b.predicted(layout, deps, &c.matrix))
         })
     };
-    // a legal leaf that fails to lower is no variant (a jam of
-    // `cholesky_kij`'s split program has two: incomparable merged bounds)
-    let mut variants: Vec<RankedVariant> = (leaves.into_iter().zip(ranked))
-        .filter_map(|((shape, recipe, c), predicted)| {
-            Some(RankedVariant {
-                label: recipe.to_string(),
-                recipe,
-                shape,
-                matrix: c.matrix,
-                predicted: predicted.ok()?,
-            })
-        })
-        .collect();
+    // a legal leaf whose merged bounds are incomparable (`Unsupported`)
+    // is no variant — a jam of `cholesky_kij`'s split program has two; any
+    // other failure fails the schedule
+    let mut variants: Vec<RankedVariant> = Vec::with_capacity(leaves.len());
+    for ((shape, recipe, c), predicted) in leaves.into_iter().zip(ranked) {
+        let label = recipe.to_string();
+        let predicted = match predicted {
+            Ok(predicted) => predicted,
+            Err(e) if e.kind() == InlErrorKind::Unsupported => continue,
+            Err(e) => return Err(in_variant(&label, e)),
+        };
+        variants.push(RankedVariant {
+            label,
+            recipe,
+            shape,
+            matrix: c.matrix,
+            predicted,
+        });
+    }
     if variants.is_empty() {
-        return Err(SchedError::NoLegalVariant);
+        return Err(InlError::new(
+            InlErrorKind::Infeasible,
+            "no legal variant found",
+        ));
     }
     variants.sort_by(|a, b| a.key().cmp(&b.key()));
 
@@ -684,6 +658,23 @@ mod tests {
         let r = schedule_with(&split, &quiet_cfg()).expect("schedules");
         assert!(!r.legal.iter().any(|label| label == "jam(I+J)/K.Lo'.I.L"));
         assert_eq!(r.stats.legal_variants, r.variants.len() as u64 + 2);
+        // the two are the leaves `build` refuses, and it refuses them as
+        // `Unsupported`: the one failure ranking drops
+        let mut stats = SearchStats::default();
+        let mut refused = Vec::new();
+        for shape in search::enumerate_shapes(&split).expect("shapes") {
+            let (_, s) = &shape;
+            for (recipe, c) in search::search_shape(&shape, u64::MAX, &mut stats).expect("search") {
+                if let Err(e) = build(&s.program, &s.layout, &s.deps, &c.matrix, &c.report) {
+                    refused.push((recipe.to_string(), e));
+                }
+            }
+        }
+        assert_eq!(refused.len(), 2, "{refused:?}");
+        for (label, e) in &refused {
+            assert_eq!(e.kind(), InlErrorKind::Unsupported, "{label}: {e}");
+            assert!(!r.legal.contains(label), "{label}");
+        }
     }
 
     #[test]
@@ -695,8 +686,11 @@ mod tests {
                 assert!(r.stats.budget_exhausted);
                 assert!(r.stats.nodes_visited <= 3 + 1);
             }
-            Err(SchedError::NoLegalVariant) => {} // budget too small to reach a leaf
-            Err(e) => panic!("unexpected error: {e}"),
+            // budget too small to reach a leaf
+            Err(e) => {
+                assert_eq!(e.kind(), InlErrorKind::Infeasible, "{e}");
+                assert_eq!(e.message(), "no legal variant found");
+            }
         }
     }
 }

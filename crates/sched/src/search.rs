@@ -26,13 +26,12 @@
 //! compare globally across shapes. A leaf is named by its [`Recipe`]: the
 //! shape's step and the signed loop order walked.
 
-use crate::SchedError;
 use inl_core::complete::{check_prefix, complete_transform, Completion, PrefixCheck};
 use inl_core::instance::Position;
 use inl_core::provenance;
 use inl_core::recipe::{Recipe, Shape, Step};
 use inl_ir::{LoopId, Program};
-use inl_linalg::{IVec, InlErrorKind};
+use inl_linalg::{IVec, InlError, InlErrorKind};
 
 /// Counters describing one [`crate::schedule`] run. All integers are
 /// deterministic for a given program and configuration — they are gated
@@ -104,8 +103,8 @@ pub(crate) type StepShape = (Option<Step>, Shape);
 /// Enumerate the shape axis: identity, then every legal one-level loop
 /// distribution and loop fusion, each made by [`Shape::apply`], whose
 /// legality proof records every candidate's verdict (stage `structural`).
-pub(crate) fn enumerate_shapes(p: &Program) -> Result<Vec<StepShape>, SchedError> {
-    let source = Shape::source(p.clone()).map_err(SchedError::Analysis)?;
+pub(crate) fn enumerate_shapes(p: &Program) -> Result<Vec<StepShape>, InlError> {
+    let source = Shape::source(p.clone())?;
     let mut shapes = Vec::new();
     for step in Step::candidates(p) {
         match source.apply(&step) {
@@ -114,7 +113,7 @@ pub(crate) fn enumerate_shapes(p: &Program) -> Result<Vec<StepShape>, SchedError
             // structurally un-jammable pairs (mismatched bounds/steps) are
             // not candidates at all; only a *dependence* veto is a decision
             Err(e) if e.kind() == InlErrorKind::InvalidTarget => {}
-            Err(e) => return Err(SchedError::Analysis(e)),
+            Err(e) => return Err(e),
         }
     }
     shapes.insert(0, (None, source));
@@ -130,7 +129,7 @@ pub(crate) fn search_shape(
     (step, shape): &StepShape,
     budget: u64,
     stats: &mut SearchStats,
-) -> Result<Vec<(Recipe, Completion)>, SchedError> {
+) -> Result<Vec<(Recipe, Completion)>, InlError> {
     let _span = inl_obs::span("sched.search");
     // `loops()` enumerates the decl table; a jammed shape keeps the
     // fused-away loop as an orphan decl with no layout position, so only
@@ -176,7 +175,7 @@ impl Dfs<'_> {
         loops: &[LoopId],
         rows: &mut Vec<IVec>,
         used: &mut [bool],
-    ) -> Result<(), SchedError> {
+    ) -> Result<(), InlError> {
         let (p, layout, deps) = (&self.shape.program, &self.shape.layout, &self.shape.deps);
         for i in 0..loops.len() {
             if used[i] {
@@ -198,7 +197,7 @@ impl Dfs<'_> {
                 used[i] = true;
                 // strict descendants of this node in the full ± tree
                 let below = exhaustive_nodes((loops.len() - rows.len()) as u64);
-                let legal = match check_prefix(p, layout, deps, rows).map_err(SchedError::Prefix)? {
+                let legal = match check_prefix(p, layout, deps, rows)? {
                     PrefixCheck::Violation { row: vr, dep } => {
                         self.stats.pruned_subtrees += 1;
                         self.stats.pruned_nodes += below;
@@ -257,7 +256,7 @@ impl Dfs<'_> {
                     inl_obs::explain::reject(
                         "sched",
                         format!("variant {} of {}", self.prefix, p.name()),
-                        format!("legal prefix failed to complete: {e:?}"),
+                        format!("legal prefix failed to complete: {}", e.summary()),
                     );
                 }
             }

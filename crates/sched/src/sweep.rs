@@ -10,7 +10,7 @@
 //! ([`render_regret`]) sets each variant's predicted cost beside what the
 //! VM did with it.
 
-use crate::{schedule_with, SchedConfig, SchedError, SearchStats};
+use crate::{schedule_with, SchedConfig, SearchStats};
 use inl_codegen::PredictedCost;
 use inl_core::recipe::Recipe;
 use inl_exec::profile::{self, LoopProfile, Samples};
@@ -138,7 +138,7 @@ pub fn sweep_program(
     params: &[Int],
     cfg: &SchedConfig,
     reps: usize,
-) -> Result<SweepEntry, SchedError> {
+) -> Result<SweepEntry, InlError> {
     let _span = inl_obs::span("sched.sweep");
     let result = schedule_with(p, cfg)?;
 
@@ -241,12 +241,12 @@ pub fn sweep_program(
 pub fn measured_extremes(
     name: &str,
     measured: &[MeasuredVariant],
-) -> Result<(u64, u64, String, u64), SchedError> {
+) -> Result<(u64, u64, String, u64), InlError> {
     let (Some(first), Some(best)) = (measured.first(), measured.iter().min_by_key(|m| m.ns)) else {
-        return Err(SchedError::Analysis(InlError::invalid_target(
+        return Err(InlError::invalid_target(
             format!("sweep of {name}"),
             "no measured variants: the schedule produced an empty variant list",
-        )));
+        ));
     };
     let worst_ns = measured.iter().map(|m| m.ns).max().unwrap_or(best.ns);
     Ok((first.ns, best.ns, best.label.clone(), worst_ns))
@@ -365,12 +365,13 @@ pub fn render_regret(e: &SweepEntry) -> String {
 
 /// The gate document (`baselines/BENCH_sched.json`): per program the
 /// search counters, the chosen label and the bitwise bit, plus one
-/// `{name, error}` row per program whose sweep failed (a partial sweep
-/// still produces a document; the caller signals the failures through its
-/// exit code). Everything in it is a deterministic function of the source
-/// — no measured time, nothing derived from one — so two sweeps on any
-/// host write the same bytes and CI gates it with `diff -u`.
-pub fn bench_json(entries: &[SweepEntry], errors: &[(String, String)]) -> Json {
+/// `{name, error}` row per program whose sweep failed, the error as its
+/// kind and message (a partial sweep still produces a document; the caller
+/// signals the failures through its exit code). Everything in it is a
+/// deterministic function of the source — no measured time, no source
+/// location — so two sweeps on any host write the same bytes and CI gates
+/// it with `diff -u`.
+pub fn bench_json(entries: &[SweepEntry], errors: &[(String, InlError)]) -> Json {
     let mut programs = Vec::with_capacity(entries.len());
     for e in entries {
         let mut o = Json::object();
@@ -398,7 +399,7 @@ pub fn bench_json(entries: &[SweepEntry], errors: &[(String, String)]) -> Json {
         .map(|(name, error)| {
             let mut o = Json::object();
             o.insert("name", Json::Str(name.clone()));
-            o.insert("error", Json::Str(error.clone()));
+            o.insert("error", Json::Str(error.summary()));
             o
         })
         .collect();
@@ -477,8 +478,8 @@ mod tests {
 
     #[test]
     fn failed_programs_become_error_rows() {
-        let errs = vec![("ghost".to_string(), "no measured variants".to_string())];
-        let doc = bench_json(&[], &errs);
+        let err = measured_extremes("ghost", &[]).expect_err("empty list must not rank");
+        let doc = bench_json(&[], &[("ghost".to_string(), err)]);
         let parsed = Json::parse(&doc.to_pretty_string()).expect("round-trips");
         let rows = match parsed.get("errors") {
             Some(Json::Array(a)) => a,
@@ -486,8 +487,17 @@ mod tests {
         };
         assert_eq!(rows.len(), 1);
         assert!(matches!(rows[0].get("name"), Some(Json::Str(s)) if s == "ghost"));
+        let Some(Json::Str(error)) = rows[0].get("error") else {
+            panic!("error string")
+        };
+        assert_eq!(
+            error,
+            "invalid target: sweep of ghost: no measured variants: the schedule produced an \
+             empty variant list"
+        );
         assert!(
-            matches!(rows[0].get("error"), Some(Json::Str(s)) if s.contains("no measured variants"))
+            !error.contains(".rs:"),
+            "a source location in the gate document: {error}"
         );
     }
 

@@ -57,7 +57,10 @@ fn compile_inner(p: Program, order: Option<&str>) -> Result<Result<Program, Stri
     };
     match generate(&shape.program, &shape.layout, &shape.deps, &matrix) {
         Ok(r) => Ok(Ok(r.program)),
-        Err(e) => Ok(Err(format!("codegen rejected the schedule: {e:?}"))),
+        Err(e) => Ok(Err(format!(
+            "codegen rejected the schedule: {}",
+            e.summary()
+        ))),
     }
 }
 
@@ -188,7 +191,7 @@ fn handle_schedule(program: &str) -> Result<Response, InlError> {
         ..inl_sched::SchedConfig::default()
     };
     let r = inl_sched::schedule_with(&p, &cfg)
-        .map_err(|e| InlError::new(InlErrorKind::Infeasible, format!("scheduling failed: {e}")))?;
+        .map_err(|e| InlError::new(e.kind(), format!("scheduling failed: {}", e.message())))?;
     Ok(Response::Schedule {
         chosen: r.chosen().label.clone(),
         pseudocode: r.chosen().pseudocode.clone(),
@@ -279,9 +282,9 @@ mod tests {
             matches!(
                 rejected,
                 Response::Compile {
-                    outcome: CompileOutcome::Rejected { .. },
+                    outcome: CompileOutcome::Rejected { ref reason },
                     ..
-                }
+                } if reason == "completion rejected the order: row 0 is illegal"
             ),
             "IKJL should reject, got {rejected:?}"
         );

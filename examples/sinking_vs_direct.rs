@@ -10,7 +10,7 @@
 use inl::core::complete::complete_transform;
 use inl::core::depend::analyze;
 use inl::core::instance::InstanceLayout;
-use inl::core::sink::{sink_statements, SinkError};
+use inl::core::sink::sink_statements;
 use inl::exec::equivalent;
 use inl::ir::zoo;
 use inl::linalg::IVec;
@@ -26,7 +26,7 @@ fn main() {
             equivalent(&p, &q, &[6], &|_, _| 0.0).expect("identical");
             println!("verified identical ✓\n");
         }
-        Err(e) => println!("unexpected: {e:?}\n"),
+        Err(e) => println!("unexpected: {e}\n"),
     }
 
     // Case 2: simplified Cholesky — the inner loop J = I+1..N is EMPTY at
@@ -35,11 +35,11 @@ fn main() {
     let p = zoo::simple_cholesky();
     println!("== {} ==\n{}", p.name(), p.to_pseudocode());
     match sink_statements(&p) {
-        Err(SinkError::PossiblyEmptyRange(l)) => {
-            println!("sinking REFUSED: loop {l} may have an empty range");
+        Err(e) => {
+            println!("sinking REFUSED: {}", e.message());
             println!("(at I = N the inner loop runs zero times — the sunk sqrt would be lost)\n");
         }
-        other => println!("unexpected: {other:?}\n"),
+        Ok(q) => println!("unexpected: sank to\n{}", q.to_pseudocode()),
     }
 
     // Case 3: full Cholesky — the outer loop has TWO loop children; no
@@ -49,10 +49,8 @@ fn main() {
     let p = zoo::cholesky_kij();
     println!("== {} ==\n{}", p.name(), p.to_pseudocode());
     match sink_statements(&p) {
-        Err(SinkError::Branching(l)) => {
-            println!("sinking IMPOSSIBLE: loop {l} has two loop children (needs distribution)");
-        }
-        other => println!("unexpected: {other:?}"),
+        Err(e) => println!("sinking IMPOSSIBLE: {}", e.message()),
+        Ok(q) => println!("unexpected: sank to\n{}", q.to_pseudocode()),
     }
     let layout = InstanceLayout::new(&p);
     let deps = analyze(&p, &layout).expect("analysis");

@@ -183,10 +183,9 @@ fn e7_exactly_two_families_are_expressible() {
         IVec::unit(n, pos("L")),
         IVec::unit(n, pos("J")),
     ];
-    assert!(matches!(
-        complete_transform(&p, &layout, &deps, &partial),
-        Err(inl::core::complete::CompletionError::OrderingCycle)
-    ));
+    let e = complete_transform(&p, &layout, &deps, &partial).expect_err("bordered");
+    assert_eq!(e.kind(), inl::linalg::InlErrorKind::Infeasible);
+    assert_eq!(e.message(), "cyclic child order");
 }
 
 #[test]
