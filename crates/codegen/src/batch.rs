@@ -15,8 +15,10 @@
 //! thread, where a thread-local `inl_obs::capture` window sees them.
 //!
 //! [`compile_batch`] runs [`generate`] as the job; the auto-scheduler
-//! runs [`crate::generate::build`] over every leaf through the same loop,
-//! and `generate` once, on its pick, outside it.
+//! ranks every leaf through the same loop — its predicted cost, read off
+//! the statement plans a [`crate::PlanTable`] shares across the leaves of a
+//! shape, with no program built — and runs `generate` once, on its pick,
+//! outside it.
 
 use crate::cost::CostFeatures;
 use crate::generate::generate;

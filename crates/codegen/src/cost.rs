@@ -3,7 +3,9 @@
 //!
 //! The auto-scheduler (`inl-sched`) ranks legal variants *without running
 //! them*, using integer features computed from the dependence matrix, the
-//! transformation, and the generated program. Everything here is exact
+//! transformation, and the generated loop nest — a `Nest` read off the
+//! statement plans before anything is built, or off a built program: one
+//! walk, `predict`, over either, so the two agree. Everything here is exact
 //! integer arithmetic over structures the pipeline already built — no
 //! timing, no floating point — so ranking is deterministic and
 //! reproducible across machines, and the same numbers double as explain
@@ -59,10 +61,11 @@
 //! guard would run on the dispatcher, which the predicted cost would then
 //! have to charge.
 
+use crate::plan::StmtPlan;
 use inl_core::depend::DependenceMatrix;
 use inl_core::instance::InstanceLayout;
-use inl_ir::{Access, Aff, Expr, LoopId, Node, Program, StmtDecl, StmtId, VarKey};
-use inl_linalg::{IMat, IVec};
+use inl_ir::{Access, Aff, Expr, LoopId, Node, Program, StmtId, VarKey};
+use inl_linalg::IMat;
 use std::cmp::Reverse;
 use std::fmt;
 
@@ -155,9 +158,10 @@ pub struct InnerLoop {
 }
 
 /// The figure the scheduler ranks every leaf on, with its three terms
-/// (module docs). Read off loop bounds, subscripts, nesting, the matrix and the
-/// dependences — nothing guard simplification touches — so a variant
-/// lowered through [`crate::build`] predicts what its finished form does.
+/// (module docs). Read off loop bounds, subscripts, nesting, the matrix and
+/// the dependences — nothing guard simplification touches, and nothing the
+/// statement plans do not already hold — so a leaf ranked from its plans
+/// ([`crate::PlanTable::predict`]) predicts what its finished form does.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PredictedCost {
     /// Σ over statements of instances × per-trip cost.
@@ -203,22 +207,80 @@ impl fmt::Display for PredictedCost {
 
 /// Where a loop of the generated program comes from: what its DOALL
 /// certificate is computed over.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum LoopOrigin {
     /// Loop slot `q` of the transformation (row `q` of the matrix).
     Slot(usize),
-    /// An augmented loop (§5.4) of one source statement: its augmented
-    /// rows over the instance vector, outermost first, the loop's own last.
-    Aug { stmt: StmtId, rows: Vec<IVec> },
+    /// Augmented loop `level` (§5.4) of one source statement, outermost
+    /// 0: its rows are the statement plan's.
+    Aug { stmt: StmtId, level: usize },
 }
 
-/// At most how many trips loop `l` runs per entry when two of its bound
-/// terms are a variable-free constant apart: `⌊ut − lt⌋ + 1`, between 1 and
-/// the nominal extent.
-fn bounded_trips(out: &Program, l: LoopId) -> Option<i64> {
-    let ld = out.loop_decl(l);
-    let pairs = ld.lower.terms.iter().flat_map(|lt| {
-        ld.upper.terms.iter().filter_map(move |ut| {
+/// A generated loop nest as the model reads it: off the statement plans
+/// before anything is built (`crate::plan::plan_nest`, also what the
+/// `Builder` emits), or off a built program ([`program_nest`]).
+pub(crate) enum Nest<'a> {
+    Loop(NestLoop<'a>),
+    /// A source statement: its write and right-hand side.
+    Stmt {
+        stmt: StmtId,
+        write: &'a Access,
+        rhs: &'a Expr,
+    },
+}
+
+/// One loop of a [`Nest`].
+pub(crate) struct NestLoop<'a> {
+    /// The loop's id in the generated program.
+    pub(crate) id: LoopId,
+    /// The loop variable the bounds and subscripts inside name it by.
+    pub(crate) var: LoopId,
+    /// The terms of its `max` and `min` bounds.
+    pub(crate) lower: &'a [Aff],
+    pub(crate) upper: &'a [Aff],
+    pub(crate) origin: LoopOrigin,
+    pub(crate) children: Vec<Nest<'a>>,
+}
+
+/// The nest of the built program `out` from `nodes` down; `origins[l]` says
+/// where loop `l` comes from, `sources[t]` which source statement target
+/// statement `t` is.
+pub(crate) fn program_nest<'a>(
+    out: &'a Program,
+    origins: &[LoopOrigin],
+    sources: &[StmtId],
+    nodes: &[Node],
+) -> Vec<Nest<'a>> {
+    let node = |&n: &Node| match n {
+        Node::Loop(l) => {
+            let ld = out.loop_decl(l);
+            Nest::Loop(NestLoop {
+                id: l,
+                var: l,
+                lower: &ld.lower.terms,
+                upper: &ld.upper.terms,
+                origin: origins[l.0],
+                children: program_nest(out, origins, sources, &ld.children),
+            })
+        }
+        Node::Stmt(s) => {
+            let sd = out.stmt_decl(s);
+            Nest::Stmt {
+                stmt: sources[s.0],
+                write: &sd.write,
+                rhs: &sd.rhs,
+            }
+        }
+    };
+    nodes.iter().map(node).collect()
+}
+
+/// At most how many trips a loop runs per entry when two of its bound terms
+/// are a variable-free constant apart: `⌊ut − lt⌋ + 1`, between 1 and the
+/// nominal extent.
+fn bounded_trips(lower: &[Aff], upper: &[Aff]) -> Option<i64> {
+    let pairs = lower.iter().flat_map(|lt| {
+        upper.iter().filter_map(move |ut| {
             let diff = ut.clone() - lt.clone();
             diff.terms()
                 .is_empty()
@@ -230,11 +292,10 @@ fn bounded_trips(out: &Program, l: LoopId) -> Option<i64> {
         .map(|t| t.clamp(1, NOMINAL_EXTENT as i128) as i64)
 }
 
-/// Nominal trips of loop `l` per entry (module docs).
-fn nominal_trips(out: &Program, l: LoopId) -> i64 {
-    bounded_trips(out, l).unwrap_or_else(|| {
-        let ld = out.loop_decl(l);
-        let terms = ld.lower.terms.iter().chain(&ld.upper.terms);
+/// Nominal trips per entry of a loop with these bound terms (module docs).
+fn nominal_trips(lower: &[Aff], upper: &[Aff]) -> i64 {
+    bounded_trips(lower, upper).unwrap_or_else(|| {
+        let terms = lower.iter().chain(upper);
         let tile = terms.map(Aff::divisor).max().unwrap_or(1);
         (NOMINAL_EXTENT / tile.clamp(1, NOMINAL_EXTENT as i128) as i64).max(1)
     })
@@ -310,28 +371,29 @@ fn chain_latency(e: &Expr, carried: &Access) -> Option<i64> {
 }
 
 /// What the model needs to certify an innermost loop DOALL.
-struct Certify<'a> {
-    layout: &'a InstanceLayout,
-    deps: &'a DependenceMatrix,
-    m: &'a IMat,
-    origins: &'a [Option<LoopOrigin>],
+pub(crate) struct Certify<'a> {
+    pub(crate) layout: &'a InstanceLayout,
+    pub(crate) deps: &'a DependenceMatrix,
+    pub(crate) m: &'a IMat,
+    /// The statements' plans, by statement: an augmented loop's rows.
+    pub(crate) plans: &'a [&'a StmtPlan],
 }
 
 impl Certify<'_> {
-    fn doall(&self, l: LoopId) -> bool {
+    fn doall(&self, origin: LoopOrigin) -> bool {
         let (layout, deps, m) = (self.layout, self.deps, self.m);
-        match &self.origins[l.0] {
-            Some(LoopOrigin::Slot(q)) => inl_core::parallel::slot_is_parallel(layout, deps, m, *q),
-            Some(LoopOrigin::Aug { stmt, rows }) => {
-                inl_core::parallel::augmented_loop_is_parallel(layout, deps, m, *stmt, rows)
+        match origin {
+            LoopOrigin::Slot(q) => inl_core::parallel::slot_is_parallel(layout, deps, m, q),
+            LoopOrigin::Aug { stmt, level } => {
+                let rows = &self.plans[stmt.0].augs[level].rows;
+                inl_core::parallel::augmented_loop_is_parallel(layout, deps, m, stmt, rows)
             }
-            None => false,
         }
     }
 }
 
 /// How the trips of an innermost loop's body run.
-struct Plan {
+struct Kernel {
     executor: Executor,
     /// Latency per trip of a carried chain.
     latency: i64,
@@ -340,22 +402,21 @@ struct Plan {
     held: Option<Access>,
 }
 
-impl Plan {
-    const DISPATCH: Plan = Plan {
+impl Kernel {
+    const DISPATCH: Kernel = Kernel {
         executor: Executor::Dispatch,
         latency: 0,
         held: None,
     };
 }
 
-/// How the trips of innermost loop `l`, whose body is `body`, run (module
-/// docs).
-fn plan(out: &Program, l: LoopId, body: &[StmtId], cert: &Certify) -> Plan {
-    let decls: Vec<&StmtDecl> = body.iter().map(|&s| out.stmt_decl(s)).collect();
+/// How the trips of innermost loop `l`, whose body is the statements
+/// `body` (write, right-hand side), run (module docs).
+fn kernel(l: &NestLoop, body: &[(&Access, &Expr)], cert: &Certify) -> Kernel {
     let mut accesses: Vec<Access> = Vec::new();
-    for sd in &decls {
-        accesses.push(sd.write.clone());
-        sd.rhs.collect_reads(&mut accesses);
+    for &(write, rhs) in body {
+        accesses.push(write.clone());
+        rhs.collect_reads(&mut accesses);
     }
     let mut distinct: Vec<&Access> = Vec::new();
     for a in &accesses {
@@ -367,27 +428,26 @@ fn plan(out: &Program, l: LoopId, body: &[StmtId], cert: &Certify) -> Plan {
         .iter()
         .flat_map(|a| &a.idxs)
         .all(|ix| ix.divisor() == 1)
-        && decls.iter().all(|sd| index_values_integral(&sd.rhs));
-    let kernel = integral
+        && body.iter().all(|(_, rhs)| index_values_integral(rhs));
+    let fits = integral
         && distinct.len() <= KERNEL_FILE
-        && decls.iter().all(|sd| registers(&sd.rhs) <= KERNEL_FILE);
-    if !kernel {
-        return Plan::DISPATCH;
+        && body.iter().all(|(_, rhs)| registers(rhs) <= KERNEL_FILE);
+    if !fits {
+        return Kernel::DISPATCH;
     }
-    let v = VarKey::Loop(l);
+    let v = VarKey::Loop(l.var);
     let moves = |a: &Access| a.idxs.iter().any(|ix| ix.coeff(v) != 0);
-    if decls.iter().all(|sd| moves(&sd.write)) && cert.doall(l) {
-        return Plan {
+    if body.iter().all(|(w, _)| moves(w)) && cert.doall(l.origin) {
+        return Kernel {
             executor: Executor::Columns,
-            ..Plan::DISPATCH
+            ..Kernel::DISPATCH
         };
     }
-    let [sd] = decls[..] else {
-        return Plan::DISPATCH;
+    let [(w, rhs)] = body[..] else {
+        return Kernel::DISPATCH;
     };
     // the cell handed on: the stored one when it stands still, else the one
     // the trip before stored
-    let w = &sd.write;
     let carried = Access {
         array: w.array,
         idxs: w
@@ -396,13 +456,13 @@ fn plan(out: &Program, l: LoopId, body: &[StmtId], cert: &Certify) -> Plan {
             .map(|ix| ix.clone() - Aff::konst(ix.coeff(v)))
             .collect(),
     };
-    match chain_latency(&sd.rhs, &carried) {
-        Some(latency) => Plan {
+    match chain_latency(rhs, &carried) {
+        Some(latency) => Kernel {
             executor: Executor::Carried,
             latency,
             held: (!moves(w)).then(|| w.clone()),
         },
-        None => Plan::DISPATCH,
+        None => Kernel::DISPATCH,
     }
 }
 
@@ -419,78 +479,77 @@ fn index_values_integral(e: &Expr) -> bool {
     }
 }
 
-/// Per-trip cost of statement `sd` run as `plan` says, its accesses classed
-/// by `inner`, the innermost loop around it that iterates more than once.
-fn per_trip(sd: &StmtDecl, inner: Option<LoopId>, plan: &Plan) -> i64 {
+/// Per-trip cost of the statement `write = rhs` run as `kernel` says, its
+/// accesses classed by `inner`, the variable of the innermost loop around
+/// it that iterates more than once.
+fn per_trip(write: &Access, rhs: &Expr, inner: Option<VarKey>, kernel: &Kernel) -> i64 {
     let mut reads = Vec::new();
-    sd.rhs.collect_reads(&mut reads);
-    let accesses = std::iter::once(&sd.write).chain(&reads);
+    rhs.collect_reads(&mut reads);
+    let accesses = std::iter::once(write).chain(&reads);
     let access: i64 = accesses
-        .filter(|&a| plan.held.as_ref() != Some(a))
-        .map(|a| ACCESS[inner.map_or(0, |l| access_class(&a.idxs, VarKey::Loop(l)))])
+        .filter(|&a| kernel.held.as_ref() != Some(a))
+        .map(|a| ACCESS[inner.map_or(0, |v| access_class(&a.idxs, v))])
         .sum();
-    let (op_cost, instrs) = ops(&sd.rhs);
+    let (op_cost, instrs) = ops(rhs);
     access
-        + match plan.executor {
+        + match kernel.executor {
             Executor::Columns => op_cost,
-            Executor::Carried => op_cost + plan.latency,
+            Executor::Carried => op_cost + kernel.latency,
             // the ops, the store and the latch, one dispatch each
             Executor::Dispatch => (instrs + 2) * DISPATCH,
         }
 }
 
-/// The walk that sums [`PredictedCost`] over the generated program.
+/// The walk that sums [`PredictedCost`] over a nest.
 struct Predict<'a> {
-    out: &'a Program,
-    cert: Certify<'a>,
+    cert: &'a Certify<'a>,
     cost: PredictedCost,
 }
 
 impl Predict<'_> {
-    /// `nodes` sit inside `path` (loop, nominal trips); `kernel` is how
-    /// their loop runs when it is innermost.
-    fn walk(&mut self, nodes: &[Node], path: &mut Vec<(LoopId, i64)>, kernel: Option<&Plan>) {
+    /// `nodes` sit inside `path` (loop variable, nominal trips); `kernel`
+    /// is how their loop runs when it is innermost.
+    fn walk(&mut self, nodes: &[Nest], path: &mut Vec<(VarKey, i64)>, kernel: Option<&Kernel>) {
         // how often each of `nodes` runs: a loop's entries, a statement's
         // instances
         let runs: i64 = path.iter().fold(1i64, |n, &(_, t)| n.saturating_mul(t));
-        for &n in nodes {
+        for n in nodes {
             match n {
-                Node::Loop(l) => {
-                    let ld = self.out.loop_decl(l);
-                    let trips = nominal_trips(self.out, l);
-                    let bounds = BOUND * (ld.lower.terms.len() + ld.upper.terms.len()) as i64;
-                    let body: Vec<StmtId> = ld
+                Nest::Loop(l) => {
+                    let trips = nominal_trips(l.lower, l.upper);
+                    let bounds = BOUND * (l.lower.len() + l.upper.len()) as i64;
+                    let body: Vec<(&Access, &Expr)> = l
                         .children
                         .iter()
                         .filter_map(|c| match c {
-                            Node::Stmt(s) => Some(*s),
-                            Node::Loop(_) => None,
+                            Nest::Stmt { write, rhs, .. } => Some((*write, *rhs)),
+                            Nest::Loop(_) => None,
                         })
                         .collect();
-                    let inner = if body.len() < ld.children.len() {
+                    let inner = if body.len() < l.children.len() {
                         let nest = runs.saturating_mul(NEST + bounds);
                         self.cost.nest_cost = self.cost.nest_cost.saturating_add(nest);
                         None
                     } else {
-                        let plan = plan(self.out, l, &body, &self.cert);
+                        let k = self::kernel(l, &body, self.cert);
                         self.cost.inner.push(InnerLoop {
-                            id: l,
-                            executor: plan.executor,
+                            id: l.id,
+                            executor: k.executor,
                             trips,
                             entries: runs,
                         });
                         let entry = runs.saturating_mul(ENTRY + bounds);
                         self.cost.entry_cost = self.cost.entry_cost.saturating_add(entry);
-                        Some(plan)
+                        Some(k)
                     };
-                    path.push((l, trips));
-                    self.walk(&ld.children, path, inner.as_ref());
+                    path.push((VarKey::Loop(l.var), trips));
+                    self.walk(&l.children, path, inner.as_ref());
                     path.pop();
                 }
-                Node::Stmt(s) => {
-                    let plan = kernel.unwrap_or(&Plan::DISPATCH);
-                    let iterating = path.iter().rev().find(|&&(_, t)| t > 1).map(|&(l, _)| l);
-                    let trip = per_trip(self.out.stmt_decl(s), iterating, plan);
+                Nest::Stmt { write, rhs, .. } => {
+                    let k = kernel.unwrap_or(&Kernel::DISPATCH);
+                    let iterating = path.iter().rev().find(|&&(_, t)| t > 1).map(|&(v, _)| v);
+                    let trip = per_trip(write, rhs, iterating, k);
                     self.cost.trip_cost = self
                         .cost
                         .trip_cost
@@ -501,27 +560,14 @@ impl Predict<'_> {
     }
 }
 
-/// The [`PredictedCost`] of the generated program `out`, lowered from the
-/// source program of `layout`/`deps` under `m`; `origins[l]` says where
-/// loop `l` of `out` comes from.
-pub(crate) fn predict(
-    out: &Program,
-    origins: &[Option<LoopOrigin>],
-    layout: &InstanceLayout,
-    deps: &DependenceMatrix,
-    m: &IMat,
-) -> PredictedCost {
+/// The [`PredictedCost`] of a generated nest, lowered from the source
+/// program of `cert`'s layout and dependences under its matrix.
+pub(crate) fn predict(nest: &[Nest], cert: &Certify) -> PredictedCost {
     let mut p = Predict {
-        out,
-        cert: Certify {
-            layout,
-            deps,
-            m,
-            origins,
-        },
+        cert,
         cost: PredictedCost::default(),
     };
-    p.walk(out.root(), &mut Vec::new(), None);
+    p.walk(nest, &mut Vec::new(), None);
     p.cost
 }
 
@@ -680,7 +726,8 @@ mod tests {
         let split = inl_core::tiling::split(&p, k, 16).expect("splits").program;
         let trips = |name: &str| {
             let l = split.loops().find(|&l| split.loop_decl(l).name == name);
-            nominal_trips(&split, l.expect(name))
+            let ld = split.loop_decl(l.expect(name));
+            nominal_trips(&ld.lower.terms, &ld.upper.terms)
         };
         assert_eq!(trips("K"), 16);
         assert_eq!(trips("Ko"), NOMINAL_EXTENT / 16);

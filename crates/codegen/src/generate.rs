@@ -1,19 +1,24 @@
 //! The code generator. See the crate docs for the pipeline overview.
+//!
+//! Three stages after the legality check: each statement's plan
+//! (`crate::plan`), the merge of the bounds of the loops statements share
+//! (`merge_slots`), then either the predicted cost read off the plans
+//! (`plan::predict_from_plans`, what the scheduler ranks on) or the target
+//! program emitted (`Builder`, what [`build`] returns).
 
-use crate::cost::LoopOrigin;
+use crate::cost::{Certify, LoopOrigin, Nest};
+use crate::plan::{legal_ast, make_plan, placeholder_aff, plan_nest, row_loop, through, StmtPlan};
 use inl_core::depend::{analyze, DependenceMatrix};
 use inl_core::instance::{InstanceLayout, Position};
-use inl_core::legal::{check_legal, LegalityReport, NewAst};
-use inl_core::perstmt::{schedule_all, StmtSchedule};
+use inl_core::legal::{check_legal, LegalityReport};
 use inl_core::transform::Transform;
-use inl_ir::{Aff, Bound, Guard, LoopId, Node, Program, ProgramBuilder, StmtId, VarKey};
-use inl_linalg::{gauss, lcm, IMat, IVec, InlError, InlErrorKind, Int};
-use inl_poly::{fm, is_empty, scan_bounds, Feasibility, LinExpr, System, VarBounds};
-use std::cell::RefCell;
-use std::collections::HashMap;
+use inl_ir::{Access, Aff, Bound, Expr, Guard, LoopId, Program, ProgramBuilder, StmtId, VarKey};
+use inl_linalg::{lcm, IMat, InlError, InlErrorKind, Int};
+use inl_poly::{is_empty, Feasibility, LinExpr, System};
 
-/// Lower/upper bound term lists for one loop slot, in the shared space.
-type SlotBounds = (Vec<(LinExpr, Int)>, Vec<(LinExpr, Int)>);
+/// Merged lower/upper bound terms of one shared loop slot, over
+/// placeholders (`crate::plan`).
+pub(crate) type SlotAffs = (Vec<Aff>, Vec<Aff>);
 
 /// The generated program, with the mapping from source to target
 /// statements and the variant's static cost features.
@@ -27,17 +32,6 @@ pub struct CodegenResult {
     /// guards left after simplification and the predicted cost the
     /// auto-scheduler ranks on.
     pub features: crate::cost::CostFeatures,
-}
-
-/// Everything known about one statement during generation.
-struct StmtPlan {
-    sched: StmtSchedule,
-    /// Scan bounds for each of the statement's new loops (slots then
-    /// augmented), over the local space `[params | old iters | new vars]`.
-    bounds: Vec<VarBounds>,
-    /// Local-space size and offsets.
-    np: usize,
-    kold: usize,
 }
 
 /// Generate the transformed program for a legal matrix `m`: check it
@@ -56,8 +50,8 @@ pub fn generate(
 }
 
 /// A variant lowered as far as the target [`Program`] — per-statement
-/// schedules, Fourier–Motzkin bounds, merge, emission — but
-/// with its guards not yet simplified and no cost features computed.
+/// plans, merge, emission — but with its guards not yet simplified and no
+/// cost features computed.
 ///
 /// The program stays private: the only thing readable here is
 /// [`BuiltVariant::predicted`], which guard simplification provably leaves
@@ -65,22 +59,37 @@ pub fn generate(
 pub struct BuiltVariant {
     result: CodegenResult,
     /// Where each loop of the target program comes from, by `LoopId`.
-    origins: Vec<Option<LoopOrigin>>,
-    bounds_scanned: i64,
-    loops_augmented: i64,
+    origins: Vec<LoopOrigin>,
+    /// The statements' plans, by statement.
+    plans: Vec<StmtPlan>,
 }
 
 impl BuiltVariant {
-    /// The cost the scheduler ranks every leaf on. Equal to the finished
-    /// variant's [`crate::cost::CostFeatures::predicted`]. Takes the
-    /// arguments [`build`] was given.
+    /// The cost of the variant, walked over the built program. Equal to
+    /// the finished variant's [`crate::cost::CostFeatures::predicted`] and
+    /// to the key the scheduler ranks on, which is read off the plans
+    /// alone ([`crate::PlanTable::predict`]). Takes the arguments [`build`]
+    /// was given.
     pub fn predicted(
         &self,
         layout: &InstanceLayout,
         deps: &DependenceMatrix,
         m: &IMat,
     ) -> crate::cost::PredictedCost {
-        crate::cost::predict(&self.result.program, &self.origins, layout, deps, m)
+        let out = &self.result.program;
+        let mut sources = vec![StmtId(0); self.result.stmt_map.len()];
+        for (s, t) in self.result.stmt_map.iter().enumerate() {
+            sources[t.0] = StmtId(s);
+        }
+        let nest = crate::cost::program_nest(out, &self.origins, &sources, out.root());
+        let plans: Vec<&StmtPlan> = self.plans.iter().collect();
+        let cert = Certify {
+            layout,
+            deps,
+            m,
+            plans: &plans,
+        };
+        crate::cost::predict(&nest, &cert)
     }
 
     /// The second half of [`generate`]: drop the guards the enclosing
@@ -133,6 +142,9 @@ impl BuiltVariant {
         let loop_slots: Vec<usize> = layout.loops().map(|(q, _)| q).collect();
         // inner parallelism only: a wavefront schedule
         let wavefront = matches!((doall.first(), loop_slots.first()), (Some(s), Some(f)) if s > f);
+        // one scanned bound per new loop of a statement
+        let bounds_scanned: usize = self.plans.iter().map(|pl| pl.sched.rows.nrows()).sum();
+        let loops_augmented: usize = self.plans.iter().map(|pl| pl.sched.n_aug).sum();
         let rec = inl_obs::explain::note(
             "codegen",
             format!("program {} under {}", p.name(), provenance::matrix_text(m)),
@@ -152,8 +164,8 @@ impl BuiltVariant {
         .feature("deps", ndeps)
         .feature("deps_certain", deps_certain)
         .feature("stmts", out.stmt_map.len() as i64)
-        .feature("bounds_scanned", self.bounds_scanned)
-        .feature("loops_augmented", self.loops_augmented)
+        .feature("bounds_scanned", bounds_scanned as i64)
+        .feature("loops_augmented", loops_augmented as i64)
         .feature("guards_emitted", f.guards)
         .feature("parallel_slots", doall.len() as i64)
         .feature("wavefront", wavefront as i64)
@@ -168,11 +180,12 @@ impl BuiltVariant {
     }
 }
 
-/// The first half of [`generate`]: everything through `Builder::build()`,
-/// for `m` and the [`LegalityReport`] that proved it ([`check_legal`]'s, or
-/// the one [`inl_core::complete::Completion`] carries) — `m` is not checked
-/// again. A report of an illegal matrix is an `Infeasible` error; bounds
-/// two statements sharing a loop cannot merge are `Unsupported`.
+/// The first half of [`generate`]: everything through the emitted target
+/// program, for `m` and the [`LegalityReport`] that proved it
+/// ([`check_legal`]'s, or the one [`inl_core::complete::Completion`]
+/// carries) — `m` is not checked again. A report of an illegal matrix is an
+/// `Infeasible` error; bounds two statements sharing a loop cannot merge
+/// are `Unsupported`.
 pub fn build(
     p: &Program,
     layout: &InstanceLayout,
@@ -180,147 +193,31 @@ pub fn build(
     m: &IMat,
     report: &LegalityReport,
 ) -> Result<BuiltVariant, InlError> {
-    let illegal = |why: String| InlError::new(InlErrorKind::Infeasible, why);
-    let ast = report.new_ast.as_ref().map_err(|e| illegal(e.clone()))?;
-    if !report.violations.is_empty() {
-        return Err(illegal(format!("{:?}", report.violations)));
-    }
-    let schedules = schedule_all(p, layout, ast, m, deps, report)?;
-
-    // --- per-statement polyhedra and scan bounds ---
-    let np = p.nparams();
-    let mut plans: Vec<StmtPlan> = Vec::with_capacity(schedules.len());
-    let mut bounds_scanned = 0i64;
-    let mut loops_augmented = 0i64;
-    for sched in schedules {
-        let s = sched.stmt;
-        let old_loops = layout.stmt_loops(s).to_vec();
-        let kold = old_loops.len();
-        let knew = sched.rows.nrows();
-        let space = np + kold + knew;
-        let mut sys = p.assumption_system(space)?;
-        if let Some(&l) = old_loops.iter().find(|&&l| p.loop_decl(l).step != 1) {
-            let name = &p.loop_decl(l).name;
-            let why = format!("loop {name}: non-unit steps unsupported by codegen");
-            return Err(InlError::new(InlErrorKind::Unsupported, why));
-        }
-        // A `Div` guard is left out: that only widens the bounds, and the
-        // rewritten guard is emitted on the target statement.
-        let guards = p.stmt_decl(s).guards.iter();
-        let slot = |l: LoopId| Some(np + old_loops.iter().position(|&x| x == l)?);
-        p.append_domain(
-            s,
-            guards.filter(|g| !matches!(g, Guard::Div(..))),
-            &mut sys,
-            &slot,
-        )?;
-        // v_r = rows_r · i + off_r
-        for r in 0..knew {
-            let mut e = LinExpr::var(space, np + kold + r);
-            for (q, &c) in sched.rows.row_slice(r).iter().enumerate() {
-                e = e.checked_sub(&LinExpr::var(space, np + q).checked_scale(c)?)?;
-            }
-            e = e.checked_sub(&LinExpr::constant(space, sched.offsets[r]))?;
-            sys.add_eq(e);
-        }
-        // eliminate old iteration variables
-        let keep: Vec<usize> = (0..np).chain(np + kold..space).collect();
-        let (projected, _exact) = fm::project(&sys, &keep)?;
-        let order: Vec<usize> = (np + kold..space).collect();
-        let bounds = scan_bounds(&projected, &order)?;
-        inl_obs::counter_add!("codegen.bounds_scanned", bounds.len());
-        inl_obs::counter_add!("codegen.loops_augmented", sched.n_aug);
-        bounds_scanned += bounds.len() as i64;
-        loops_augmented += sched.n_aug as i64;
-        plans.push(StmtPlan {
-            sched,
-            bounds,
-            np,
-            kold,
-        });
-    }
-
-    // --- merge bounds for shared loop slots ---
-    // Which statements sit under each loop slot (position) in the new AST?
-    let assumptions = p.assumption_system(np)?;
-    let mut slot_bounds: HashMap<usize, SlotBounds> = HashMap::new();
-    for (qi, pos) in layout.positions().iter().enumerate() {
-        if !matches!(pos, Position::Loop(_)) {
-            continue;
-        }
-        // statements under this slot, with the index of the slot in their
-        // schedule
-        let members: Vec<(usize, usize)> = plans
-            .iter()
-            .enumerate()
-            .filter_map(|(pi, plan)| {
-                plan.sched
-                    .slot_positions
-                    .iter()
-                    .position(|&sp| sp == qi)
-                    .map(|r| (pi, r))
-            })
-            .collect();
-        if members.is_empty() {
-            continue;
-        }
-        // canonicalize each member's bound terms into the shared space
-        // [params | slot positions...]: we translate LinExprs over local
-        // spaces into (coeff per global slot, const, div) keyed by slot
-        // position.
-        let canon = |pi: usize, r: usize, lower: bool| -> Result<Vec<(LinExpr, Int)>, InlError> {
-            let plan = &plans[pi];
-            let vb = &plan.bounds[r];
-            let terms = if lower { &vb.lowers } else { &vb.uppers };
-            terms
-                .iter()
-                .map(|t| Ok((globalize(&t.expr, plan, layout, np)?, t.div)))
-                .collect()
-        };
-        let mut lo = canon(members[0].0, members[0].1, true)?;
-        let mut hi = canon(members[0].0, members[0].1, false)?;
-        let incomparable = |side: &str| {
-            let why = format!("slot {qi} {side}: incomparable bound sets");
-            InlError::new(InlErrorKind::Unsupported, why)
-        };
-        for &(pi, r) in &members[1..] {
-            lo = merge_side(lo, canon(pi, r, true)?, true, &assumptions)
-                .ok_or_else(|| incomparable("lower"))?;
-            hi = merge_side(hi, canon(pi, r, false)?, false, &assumptions)
-                .ok_or_else(|| incomparable("upper"))?;
-        }
-        if lo.is_empty() || hi.is_empty() {
-            return Err(unbounded(format!("loop slot {qi}")));
-        }
-        slot_bounds.insert(qi, (lo, hi));
-    }
-
-    // --- build the target program ---
+    let ast = legal_ast(report)?;
+    let plans: Vec<StmtPlan> = p
+        .stmts()
+        .map(|s| make_plan(p, layout, deps, m, report, s))
+        .collect::<Result<_, _>>()?;
+    let refs: Vec<&StmtPlan> = plans.iter().collect();
+    let slot_bounds = merge_slots(p, layout, &refs)?;
+    let _span = inl_obs::span("codegen.ast");
+    let nest = plan_nest(ast, &refs, &slot_bounds, ast.program.root(), &mut 0)?;
     let builder = Builder {
         src: p,
         layout,
-        ast,
-        plans: &plans,
-        slot_bounds: &slot_bounds,
-        np,
-        origins: RefCell::new(Vec::new()),
+        plans: &refs,
     };
-    let result = builder.build()?;
-    let mut origins = vec![None; result.program.nloops()];
-    for (l, origin) in builder.origins.into_inner() {
-        origins[l.0] = Some(origin);
-    }
+    let (result, origins) = builder.build(&nest)?;
     Ok(BuiltVariant {
         result,
         origins,
-        bounds_scanned,
-        loops_augmented,
+        plans,
     })
 }
 
 /// A loop left with no bound on one side: `IllFormed`.
 #[track_caller]
-fn unbounded(what: String) -> InlError {
+pub(crate) fn unbounded(what: String) -> InlError {
     InlError::new(
         InlErrorKind::IllFormed,
         format!("{what} has no bound on one side"),
@@ -335,79 +232,58 @@ pub fn generate_seq(p: &Program, seq: &[Transform]) -> Result<CodegenResult, Inl
     generate(p, &layout, &deps, &m)
 }
 
-/// Translate a bound LinExpr from a plan's local space into the shared
-/// space `[params | layout positions]`: coefficients keyed by parameter or
-/// by *slot position*. Fails when an augmented variable appears (augmented
-/// loops are innermost and never feed shared-slot bounds); use
-/// [`globalize_tail`] for per-statement augmented-loop bounds.
-fn globalize(
-    e: &LinExpr,
-    plan: &StmtPlan,
+/// The bounds of every loop slot of the leaf whose statements' plans are
+/// `plans` (by statement), by slot position: each member statement's
+/// scanned bounds for the slot, merged by proving pairwise `≤` under the
+/// program's assumptions, over placeholders. `None` at a position no
+/// statement's loop holds.
+pub(crate) fn merge_slots(
+    p: &Program,
     layout: &InstanceLayout,
-    np: usize,
-) -> Result<LinExpr, InlError> {
-    let n = layout.len();
-    let out = globalize_tail(e, plan, layout, np)?;
-    for i in np + n..out.nvars() {
-        if out.coeff(i) != 0 {
-            return Err(InlError::new(
-                InlErrorKind::IllFormed,
-                "shared-slot bound references an augmented variable",
-            ));
-        }
-    }
-    Ok(LinExpr::from_parts(
-        out.coeffs()[..np + n].to_vec(),
-        out.constant_term(),
-    ))
-}
-
-/// Like [`globalize`], but keeps a per-statement tail for augmented
-/// variables: space `[params | layout positions | this statement's rows]`.
-fn globalize_tail(
-    e: &LinExpr,
-    plan: &StmtPlan,
-    layout: &InstanceLayout,
-    np: usize,
-) -> Result<LinExpr, InlError> {
-    let n = layout.len();
-    let shared = np + n + plan.sched.rows.nrows();
-    let mut coeffs: Vec<Int> = vec![0; shared];
-    let oops = || InlError::overflow("globalized bound coefficient");
-    for (i, &c) in e.coeffs().iter().enumerate() {
-        if c == 0 {
+    plans: &[&StmtPlan],
+) -> Result<Vec<Option<SlotAffs>>, InlError> {
+    let _span = inl_obs::span("codegen.merge");
+    let np = p.nparams();
+    let assumptions = p.assumption_system(np)?;
+    let mut slot_bounds = vec![None; layout.len()];
+    for (qi, pos) in layout.positions().iter().enumerate() {
+        if !matches!(pos, Position::Loop(_)) {
             continue;
         }
-        if i < np {
-            coeffs[i] = coeffs[i].checked_add(c).ok_or_else(oops)?;
-        } else if i < plan.np + plan.kold {
-            return Err(InlError::new(
-                InlErrorKind::IllFormed,
-                "bound references an eliminated old iteration variable",
-            ));
-        } else {
-            let r = i - plan.np - plan.kold;
-            if r < plan.sched.slot_positions.len() {
-                let slot = np + plan.sched.slot_positions[r];
-                coeffs[slot] = coeffs[slot].checked_add(c).ok_or_else(oops)?;
-            } else {
-                // augmented variable: keep in the per-statement tail
-                coeffs[np + n + r] = coeffs[np + n + r].checked_add(c).ok_or_else(oops)?;
-            }
+        // the statements under this slot, each with its bounds for it
+        let mut members = plans.iter().filter_map(|plan| {
+            let r = plan.sched.slot_positions.iter().position(|&sp| sp == qi)?;
+            Some(&plan.slots[r])
+        });
+        let Some((mut lo, mut hi)) = members.next().map(|(l, h)| (&l[..], &h[..])) else {
+            continue;
+        };
+        let incomparable = |side: &str| {
+            let why = format!("slot {qi} {side}: incomparable bound sets");
+            InlError::new(InlErrorKind::Unsupported, why)
+        };
+        for (l, h) in members {
+            lo = merge_side(lo, l, true, &assumptions).ok_or_else(|| incomparable("lower"))?;
+            hi = merge_side(hi, h, false, &assumptions).ok_or_else(|| incomparable("upper"))?;
         }
+        if lo.is_empty() || hi.is_empty() {
+            return Err(unbounded(format!("loop slot {qi}")));
+        }
+        let affs = |side: &[(LinExpr, Int)]| side.iter().map(|t| placeholder_aff(t, np)).collect();
+        slot_bounds[qi] = Some((affs(lo), affs(hi)));
     }
-    Ok(LinExpr::from_parts(coeffs, e.constant_term()))
+    Ok(slot_bounds)
 }
 
 /// Merge bound-term lists from two statements on one side.
 /// `lower = true`: result must be `≤` both maxima; prefer the provably
 /// smaller side. `lower = false`: result must be `≥` both minima.
-fn merge_side(
-    a: Vec<(LinExpr, Int)>,
-    b: Vec<(LinExpr, Int)>,
+fn merge_side<'x>(
+    a: &'x [(LinExpr, Int)],
+    b: &'x [(LinExpr, Int)],
     lower: bool,
     assumptions: &System,
-) -> Option<Vec<(LinExpr, Int)>> {
+) -> Option<&'x [(LinExpr, Int)]> {
     if a.iter().all(|t| b.contains(t)) && b.iter().all(|t| a.contains(t)) {
         return Some(a);
     }
@@ -420,11 +296,11 @@ fn merge_side(
     let assumptions = assumptions.extend(space);
     // prove: max(a) <= max(b) (lower) or min(a) >= min(b) (upper) — then
     // keeping `a` is sound for the union; and vice versa.
-    let a_covers_b = side_dominates(&a, &b, lower, &assumptions);
+    let a_covers_b = side_dominates(a, b, lower, &assumptions);
     if a_covers_b {
         return Some(a);
     }
-    if side_dominates(&b, &a, lower, &assumptions) {
+    if side_dominates(b, a, lower, &assumptions) {
         return Some(b);
     }
     None
@@ -473,20 +349,26 @@ fn prove_le(a: &(LinExpr, Int), b: &(LinExpr, Int), assumptions: &System) -> boo
     is_empty(&sys) == Feasibility::Empty
 }
 
-/// Builder state for emitting the target program.
+/// Emits the target program from the nest `plan_nest` reads off the plans,
+/// renaming each loop's placeholder to the loop it opens.
 struct Builder<'x> {
     src: &'x Program,
     layout: &'x InstanceLayout,
-    ast: &'x NewAst,
-    plans: &'x [StmtPlan],
-    slot_bounds: &'x HashMap<usize, SlotBounds>,
-    np: usize,
-    /// Every loop opened so far, with where it comes from.
-    origins: RefCell<Vec<(LoopId, LoopOrigin)>>,
+    /// The statements' plans, by statement.
+    plans: &'x [&'x StmtPlan],
+}
+
+/// What the `Builder` fills in as it emits: the target loop open for each
+/// placeholder, the source-to-target statement map, and where each target
+/// loop comes from, by `LoopId`.
+struct Emitted {
+    open: Vec<Option<LoopId>>,
+    stmt_map: Vec<StmtId>,
+    origins: Vec<LoopOrigin>,
 }
 
 impl Builder<'_> {
-    fn build(&self) -> Result<CodegenResult, InlError> {
+    fn build(&self, nest: &[Nest]) -> Result<(CodegenResult, Vec<LoopOrigin>), InlError> {
         let mut b = ProgramBuilder::new(format!("{}_transformed", self.src.name()));
         for name in self.src.params() {
             b.param(name.clone());
@@ -494,69 +376,68 @@ impl Builder<'_> {
         for a in self.src.assumes() {
             b.assume(a.clone());
         }
-        let mut arrays = Vec::new();
         for a in self.src.arrays() {
             let d = self.src.array_decl(a);
-            arrays.push(b.array(d.name.clone(), &d.dims));
+            b.array(d.name.clone(), &d.dims);
         }
-        // map: slot position -> target LoopId (filled as loops open)
-        let mut slot_loop: HashMap<usize, LoopId> = HashMap::new();
-        let mut stmt_map = vec![StmtId(usize::MAX); self.src.stmts().count()];
-        let root: Vec<Node> = self.ast.program.root().to_vec();
-        self.emit_nodes(&mut b, &root, &mut slot_loop, &mut stmt_map)?;
+        // one placeholder per slot position and per row of the widest plan
+        let rows = self.plans.iter().map(|pl| pl.sched.rows.nrows()).max();
+        let mut e = Emitted {
+            open: vec![None; self.layout.len() + rows.unwrap_or(0)],
+            stmt_map: vec![StmtId(usize::MAX); self.plans.len()],
+            origins: Vec::new(),
+        };
+        self.emit(&mut b, nest, &mut e)?;
         let program = b.finish_unchecked();
         if let Err(e) = program.validate() {
             let why = format!("generated program invalid: {e}");
             return Err(InlError::new(InlErrorKind::Infeasible, why));
         }
-        Ok(CodegenResult {
+        let result = CodegenResult {
             program,
-            stmt_map,
+            stmt_map: e.stmt_map,
             features: crate::cost::CostFeatures::default(),
-        })
+        };
+        Ok((result, e.origins))
     }
 
-    fn emit_nodes(
+    fn emit(
         &self,
         b: &mut ProgramBuilder,
-        nodes: &[Node],
-        slot_loop: &mut HashMap<usize, LoopId>,
-        stmt_map: &mut [StmtId],
+        nodes: &[Nest],
+        e: &mut Emitted,
     ) -> Result<(), InlError> {
-        for &n in nodes {
-            match n {
-                Node::Loop(l) => {
-                    // slot position of this loop in the pinned layout
-                    let qpos = self.ast.layout.loop_position(l);
-                    let (lo, hi) = self
-                        .slot_bounds
-                        .get(&qpos)
-                        .ok_or_else(|| unbounded(format!("slot {qpos}")))?;
-                    let name = self.slot_name(qpos);
-                    let lower = Bound {
-                        terms: lo
-                            .iter()
-                            .map(|t| self.to_aff(t, slot_loop, None))
-                            .collect::<Result<_, _>>()?,
+        for node in nodes {
+            match node {
+                Nest::Loop(l) => {
+                    let bound =
+                        |side: &[Aff], open: &[Option<LoopId>]| -> Result<Bound, InlError> {
+                            let terms = side.iter().map(|a| rename(a, open));
+                            Ok(Bound {
+                                terms: terms.collect::<Result<_, _>>()?,
+                            })
+                        };
+                    let (lower, upper) = (bound(l.lower, &e.open)?, bound(l.upper, &e.open)?);
+                    let name = match l.origin {
+                        LoopOrigin::Slot(q) => self.slot_name(q),
+                        LoopOrigin::Aug { stmt, level } => {
+                            let stmt = self.src.stmt_decl(stmt).name.to_lowercase();
+                            format!("{stmt}_a{level}")
+                        }
                     };
-                    let upper = Bound {
-                        terms: hi
-                            .iter()
-                            .map(|t| self.to_aff(t, slot_loop, None))
-                            .collect::<Result<_, _>>()?,
-                    };
-                    let children = self.ast.program.loop_decl(l).children.clone();
                     let mut res: Result<(), InlError> = Ok(());
                     b.loop_full(name, lower, upper, 1, false, |b| {
                         let id = b.current_loop().expect("inside loop");
-                        slot_loop.insert(qpos, id);
-                        self.origins.borrow_mut().push((id, LoopOrigin::Slot(qpos)));
-                        res = self.emit_nodes(b, &children, slot_loop, stmt_map);
+                        assert_eq!(id, l.id, "the nest numbers loops as the builder does");
+                        e.origins.push(l.origin);
+                        let outer = e.open[l.var.0].replace(id);
+                        res = self.emit(b, &l.children, e);
+                        e.open[l.var.0] = outer;
                     });
                     res?;
                 }
-                Node::Stmt(s) => {
-                    self.emit_stmt(b, s, slot_loop, stmt_map)?;
+                &Nest::Stmt { stmt, write, rhs } => {
+                    e.stmt_map[stmt.0] = self.emit_stmt(b, stmt, write, rhs, &e.open)?;
                 }
             }
         }
@@ -608,231 +489,26 @@ impl Builder<'_> {
         }
     }
 
-    /// Convert a globalized bound term into a target-program `Aff`.
-    /// `aug_ctx` maps aug tail indices to target loop ids (for aug-loop
-    /// bounds referencing outer augs).
-    fn to_aff(
-        &self,
-        t: &(LinExpr, Int),
-        slot_loop: &HashMap<usize, LoopId>,
-        aug_ctx: Option<&HashMap<usize, LoopId>>,
-    ) -> Result<Aff, InlError> {
-        let n = self.layout.len();
-        let ill = |what: &str| InlError::new(InlErrorKind::IllFormed, what.to_string());
-        let mut acc = Aff::konst(t.0.constant_term());
-        for (i, &c) in t.0.coeffs().iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let v = if i < self.np {
-                VarKey::Param(inl_ir::ParamId(i))
-            } else if i < self.np + n {
-                let qpos = i - self.np;
-                VarKey::Loop(
-                    *slot_loop
-                        .get(&qpos)
-                        .ok_or_else(|| ill("bound references a loop slot that is not yet open"))?,
-                )
-            } else {
-                let r = i - self.np - n;
-                VarKey::Loop(
-                    *aug_ctx
-                        .ok_or_else(|| {
-                            ill("bound references an augmented variable outside its statement")
-                        })?
-                        .get(&r)
-                        .ok_or_else(|| {
-                            ill("bound references an augmented loop that is not yet open")
-                        })?,
-                )
-            };
-            acc = acc + Aff::var(v) * c;
-        }
-        if t.1 != 1 {
-            acc = acc.exact_div(t.1);
-        }
-        Ok(acc)
-    }
-
+    /// Emit statement `s` — `write = rhs` over placeholders, with its
+    /// guards — inside the loops `open` holds; its target id.
     fn emit_stmt(
         &self,
         b: &mut ProgramBuilder,
         s: StmtId,
-        slot_loop: &mut HashMap<usize, LoopId>,
-        stmt_map: &mut [StmtId],
-    ) -> Result<(), InlError> {
-        let plan = self
-            .plans
-            .iter()
-            .find(|pl| pl.sched.stmt == s)
-            .expect("plan");
+        write: &Access,
+        rhs: &Expr,
+        open: &[Option<LoopId>],
+    ) -> Result<StmtId, InlError> {
+        let plan = self.plans[s.0];
         let sched = &plan.sched;
-        let k = sched.slot_positions.len();
-        let knew = sched.rows.nrows();
-
-        // open augmented loops (innermost around the statement)
-        let mut aug_ctx: HashMap<usize, LoopId> = HashMap::new();
-        self.emit_aug_loops(b, plan, k, &mut aug_ctx, slot_loop, s, stmt_map)?;
-        if knew == k {
-            // no augs: emit directly
-            self.emit_stmt_body(b, s, plan, slot_loop, &aug_ctx, stmt_map)?;
-        }
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn emit_aug_loops(
-        &self,
-        b: &mut ProgramBuilder,
-        plan: &StmtPlan,
-        r: usize,
-        aug_ctx: &mut HashMap<usize, LoopId>,
-        slot_loop: &mut HashMap<usize, LoopId>,
-        s: StmtId,
-        stmt_map: &mut [StmtId],
-    ) -> Result<(), InlError> {
-        let knew = plan.sched.rows.nrows();
-        if r >= knew {
-            if plan.sched.n_aug > 0 {
-                self.emit_stmt_body(b, s, plan, slot_loop, aug_ctx, stmt_map)?;
-            }
-            return Ok(());
-        }
-        let vb = &plan.bounds[r];
-        let lo: Vec<Aff> = vb
-            .lowers
-            .iter()
-            .map(|t| {
-                self.to_aff(
-                    &(globalize_tail(&t.expr, plan, self.layout, self.np)?, t.div),
-                    slot_loop,
-                    Some(aug_ctx),
-                )
-            })
-            .collect::<Result<_, _>>()?;
-        let hi: Vec<Aff> = vb
-            .uppers
-            .iter()
-            .map(|t| {
-                self.to_aff(
-                    &(globalize_tail(&t.expr, plan, self.layout, self.np)?, t.div),
-                    slot_loop,
-                    Some(aug_ctx),
-                )
-            })
-            .collect::<Result<_, _>>()?;
-        if lo.is_empty() || hi.is_empty() {
-            return Err(unbounded(format!(
-                "augmented loop {r} of {}",
-                self.src.stmt_decl(s).name
-            )));
-        }
-        let name = format!(
-            "{}_a{}",
-            self.src.stmt_decl(s).name.to_lowercase(),
-            r - plan.sched.slot_positions.len()
-        );
-        // the augmented rows so far, over the instance vector
-        let k = plan.sched.slot_positions.len();
-        let aug_rows: Vec<IVec> = (k..=r)
-            .map(|a| {
-                let mut row = IVec::zeros(self.layout.len());
-                for (i, &old) in self.layout.stmt_loops(s).iter().enumerate() {
-                    row[self.layout.loop_position(old)] = plan.sched.rows[(a, i)];
-                }
-                row
-            })
-            .collect();
-        let mut res: Result<(), InlError> = Ok(());
-        b.loop_full(
-            name,
-            Bound { terms: lo },
-            Bound { terms: hi },
-            1,
-            false,
-            |b| {
-                let id = b.current_loop().expect("inside loop");
-                aug_ctx.insert(r, id);
-                self.origins.borrow_mut().push((
-                    id,
-                    LoopOrigin::Aug {
-                        stmt: s,
-                        rows: aug_rows.clone(),
-                    },
-                ));
-                res = self.emit_aug_loops(b, plan, r + 1, aug_ctx, slot_loop, s, stmt_map);
-            },
-        );
-        res
-    }
-
-    fn emit_stmt_body(
-        &self,
-        b: &mut ProgramBuilder,
-        s: StmtId,
-        plan: &StmtPlan,
-        slot_loop: &HashMap<usize, LoopId>,
-        aug_ctx: &HashMap<usize, LoopId>,
-        stmt_map: &mut [StmtId],
-    ) -> Result<(), InlError> {
-        let sched = &plan.sched;
-        let k = sched.slot_positions.len();
         let old_loops = self.layout.stmt_loops(s);
-
-        // target loop variable for row r of the schedule
-        let target_var = |r: usize| -> VarKey {
-            if r < k {
-                VarKey::Loop(*slot_loop.get(&sched.slot_positions[r]).expect("slot open"))
-            } else {
-                VarKey::Loop(*aug_ctx.get(&r).expect("aug open"))
-            }
-        };
-
-        // i = N_S⁻¹ · (v - off), one Aff per old loop dim
-        let inv = gauss::inverse_rational(&sched.n_s)?.ok_or_else(|| {
-            InlError::new(
-                InlErrorKind::RankDeficient,
-                "per-statement transform N_S is singular",
-            )
-        })?;
-        let kq = sched.n_s.nrows();
-        let mut old_exprs: Vec<Aff> = Vec::with_capacity(kq);
-        for q in 0..kq {
-            // common denominator of row q
-            let den = inv.rows[q]
-                .iter()
-                .try_fold(1, |acc, x| lcm(acc, x.den()).map(|l| l.max(1)))?;
-            let mut acc = Aff::konst(0);
-            let mut constant: Int = 0;
-            for (j, &coef) in inv.rows[q].iter().enumerate() {
-                if coef.is_zero() {
-                    continue;
-                }
-                let r = sched.n_s_rows[j];
-                let c = coef
-                    .num()
-                    .checked_mul(den / coef.den())
-                    .ok_or_else(|| InlError::overflow("schedule coefficient"))?;
-                acc = acc + Aff::var(target_var(r)) * c;
-                constant = c
-                    .checked_mul(sched.offsets[r])
-                    .and_then(|t| constant.checked_sub(t))
-                    .ok_or_else(|| InlError::overflow("schedule offset"))?;
-            }
-            acc = acc + Aff::konst(constant);
-            if den != 1 {
-                acc = acc.exact_div(den);
-            }
-            old_exprs.push(acc);
-        }
-        let subst = |a: &Aff| -> Aff {
-            a.substitute_loops(&|l: LoopId| {
-                match old_loops.iter().position(|&x| x == l) {
-                    Some(q) => old_exprs[q].clone(),
-                    None => Aff::var(VarKey::Loop(l)), // not ours (impossible after validation)
-                }
-            })
-        };
+        let n = self.layout.len();
+        // every loop of the statement is open around it
+        let real = |a: &Aff| rename(a, open).expect("a statement's loops are open around it");
+        let row = |r: usize| real(&Aff::loop_var(row_loop(sched, n, r)));
+        // i = N_S⁻¹ · (v − off) over the target loops
+        let old_exprs: Vec<Aff> = plan.old_exprs.iter().map(real).collect();
+        let subst = |a: &Aff| through(&old_exprs, old_loops, a);
 
         // guards
         let mut guards: Vec<Guard> = Vec::new();
@@ -848,7 +524,7 @@ impl Builder<'_> {
             let den = coeffs
                 .iter()
                 .try_fold(1, |acc, x| lcm(acc, x.den()).map(|l| l.max(1)))?;
-            let mut e = (Aff::var(target_var(r)) - Aff::konst(sched.offsets[r])) * den;
+            let mut e = (row(r) - Aff::konst(sched.offsets[r])) * den;
             for (j, coef) in coeffs.iter().enumerate() {
                 if coef.is_zero() {
                     continue;
@@ -858,7 +534,7 @@ impl Builder<'_> {
                     .num()
                     .checked_mul(den / coef.den())
                     .ok_or_else(|| InlError::overflow("singular-row coefficient"))?;
-                e = e - (Aff::var(target_var(rj)) - Aff::konst(sched.offsets[rj])) * c;
+                e = e - (row(rj) - Aff::konst(sched.offsets[rj])) * c;
             }
             guards.push(Guard::Eq(e.numerator()));
         }
@@ -893,13 +569,24 @@ impl Builder<'_> {
 
         // body
         let sd = self.src.stmt_decl(s);
-        let write_idxs: Vec<Aff> = sd.write.idxs.iter().map(&subst).collect();
-        let rhs = sd.rhs.map_affs(&subst);
-        let target_array = inl_ir::ArrayId(sd.write.array.0); // arrays copied in order
-        let new_id = b.stmt_guarded(sd.name.clone(), target_array, write_idxs, rhs, guards);
-        stmt_map[s.0] = new_id;
-        Ok(())
+        let write_idxs: Vec<Aff> = write.idxs.iter().map(real).collect();
+        let rhs = rhs.map_affs(&real);
+        let target_array = inl_ir::ArrayId(write.array.0); // arrays copied in order
+        Ok(b.stmt_guarded(sd.name.clone(), target_array, write_idxs, rhs, guards))
     }
+}
+
+/// `a`, over placeholders, over the target program's loops: placeholder
+/// `ph` is the loop `open[ph]`.
+fn rename(a: &Aff, open: &[Option<LoopId>]) -> Result<Aff, InlError> {
+    let target = |l: LoopId| open.get(l.0).copied().flatten();
+    if a.vars()
+        .any(|v| matches!(v, VarKey::Loop(l) if target(l).is_none()))
+    {
+        let why = "bound references a loop that is not open";
+        return Err(InlError::new(InlErrorKind::IllFormed, why));
+    }
+    Ok(a.substitute_loops(&|l| Aff::loop_var(target(l).expect("open"))))
 }
 
 /// Drop guards implied by the enclosing loops' bounds (and the program
@@ -960,46 +647,4 @@ fn unimplied_guards(program: &Program, s: StmtId) -> Option<Vec<Guard>> {
         .cloned()
         .collect();
     Some(kept)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use inl_core::depend::analyze;
-    use inl_core::instance::InstanceLayout;
-    use inl_ir::zoo;
-
-    #[test]
-    fn bound_on_eliminated_old_var_is_typed_error() {
-        // A scan bound referencing an old (pre-transformation) iteration
-        // variable means projection broke off early; the globalizers must
-        // report IllFormed instead of panicking.
-        let p = zoo::wavefront();
-        let layout = InstanceLayout::new(&p);
-        let deps = analyze(&p, &layout).expect("analysis");
-        let m = IMat::identity(layout.len());
-        let report = check_legal(&p, &layout, &deps, &m).expect("legality");
-        let ast = report.new_ast.as_ref().unwrap();
-        let schedules = schedule_all(&p, &layout, ast, &m, &deps, &report).expect("schedule");
-        let sched = schedules.into_iter().next().unwrap();
-        let np = p.nparams();
-        let kold = layout.stmt_loops(sched.stmt).len();
-        let plan = StmtPlan {
-            sched,
-            bounds: Vec::new(),
-            np,
-            kold,
-        };
-        let space = np + kold + plan.sched.rows.nrows();
-        let bad = LinExpr::var(space, np); // slot np = first old iteration var
-        let err = globalize_tail(&bad, &plan, &layout, np).unwrap_err();
-        assert_eq!(err.kind(), InlErrorKind::IllFormed);
-        assert!(
-            err.to_string()
-                .contains("eliminated old iteration variable"),
-            "{err}"
-        );
-        let err = globalize(&bad, &plan, &layout, np).unwrap_err();
-        assert_eq!(err.kind(), InlErrorKind::IllFormed);
-    }
 }

@@ -12,7 +12,12 @@
 //!    the one a completion carries) and does not check again.
 //! 2. **Per-statement schedules** — [`inl_core::perstmt`] builds each
 //!    statement's (possibly augmented) transformation `T'_S`, its
-//!    non-singular core `N_S`, and the singular-row combinations.
+//!    non-singular core `N_S`, and the singular-row combinations. With the
+//!    statement's bounds and its body through `N_S⁻¹` (steps 3 and 5) this
+//!    is the statement's *plan*, a function of the statement's own rows of
+//!    `M` alone: [`PlanTable`] makes each distinct one once across the
+//!    leaves of a shape, and the predicted cost ([`cost`]) is read off the
+//!    plans before anything is emitted.
 //! 3. **Bounds** — for every statement, the polyhedron `{domain(i), v =
 //!    T'_S·i + off}` is projected onto `(params, v)` by Fourier–Motzkin and
 //!    scanned (Ancourt–Irigoin) to get per-loop bounds; bounds of loops
@@ -34,6 +39,7 @@
 pub mod batch;
 pub mod cost;
 pub mod generate;
+mod plan;
 
 #[cfg(test)]
 mod tests;
@@ -41,3 +47,4 @@ mod tests;
 pub use batch::{batch_map, compile_batch, CompiledVariant};
 pub use cost::{CostFeatures, Executor, InnerLoop, PredictedCost, NOMINAL_EXTENT};
 pub use generate::{build, generate, generate_seq, BuiltVariant, CodegenResult};
+pub use plan::PlanTable;

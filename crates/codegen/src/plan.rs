@@ -1,0 +1,552 @@
+//! Statement plans: everything code generation works out for one statement
+//! before a loop is emitted, and the per-shape table that makes each
+//! distinct plan once.
+//!
+//! A statement's schedule under `M` (§5.4–5.5: `M_S`, its augmentation to
+//! `T'_S`, `N_S`) reads only the statement's own rows of `M`, their offsets
+//! and the self-dependences `M` leaves unsatisfied: its [`PlanKey`]. So
+//! does everything derived from it — the projected system and its scanned
+//! bounds, the recovered indices `i = N_S⁻¹(v − off)` and the statement's
+//! accesses through them. A [`StmtPlan`] holds all of that over *row
+//! placeholders*: the loop of slot position `q` is named `LoopId(q)`, the
+//! statement's augmented row `r` is `LoopId(n + r)` (`n` the layout's
+//! length), never a target program's `LoopId`. So the leaves of one shape
+//! that give a statement the same rows share its plan, and a [`PlanTable`]
+//! makes it once for all of them.
+
+use crate::cost::{Certify, LoopOrigin, Nest, NestLoop, PredictedCost};
+use crate::generate::{merge_slots, unbounded, SlotAffs};
+use inl_core::depend::DependenceMatrix;
+use inl_core::instance::InstanceLayout;
+use inl_core::legal::{LegalityReport, NewAst};
+use inl_core::perstmt::{raw_per_stmt, schedule_stmt, StmtSchedule};
+use inl_ir::{Access, Aff, Expr, Guard, LoopId, Node, Program, StmtId, VarKey};
+use inl_linalg::{gauss, lcm, IMat, IVec, InlError, InlErrorKind, Int};
+use inl_poly::{fm, scan_bounds, BoundTerm, LinExpr};
+use std::collections::HashMap;
+use std::sync::OnceLock;
+
+/// Lower/upper bound term lists of one loop, over the shared space
+/// `[params | layout positions]`.
+pub(crate) type SlotBounds = (Vec<(LinExpr, Int)>, Vec<(LinExpr, Int)>);
+
+/// What [`schedule_stmt`] reads of a leaf for one statement: the
+/// statement, `M_S`, `g_S` and the unsatisfied self-dependences of the
+/// statement. Equal keys in one shape make equal plans.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub(crate) struct PlanKey {
+    stmt: StmtId,
+    ms: IMat,
+    gs: IVec,
+    pending: Vec<usize>,
+}
+
+impl PlanKey {
+    fn new(
+        layout: &InstanceLayout,
+        deps: &DependenceMatrix,
+        m: &IMat,
+        report: &LegalityReport,
+        s: StmtId,
+    ) -> PlanKey {
+        let (_, ms, gs) = raw_per_stmt(layout, m, s);
+        let pending = report.unsatisfied_self.iter().copied();
+        PlanKey {
+            stmt: s,
+            ms,
+            gs,
+            pending: pending.filter(|&i| deps.deps[i].src == s).collect(),
+        }
+    }
+}
+
+/// One statement's schedule, bounds and rewritten body over row
+/// placeholders (module docs).
+pub(crate) struct StmtPlan {
+    pub(crate) sched: StmtSchedule,
+    /// Bound terms of each slot row, over the shared space.
+    pub(crate) slots: Vec<SlotBounds>,
+    /// The augmented loops around the statement, outermost first.
+    pub(crate) augs: Vec<AugLoop>,
+    /// `i = N_S⁻¹(v − off)`: one expression per old loop, over placeholders.
+    pub(crate) old_exprs: Vec<Aff>,
+    /// The statement's write through `old_exprs`.
+    pub(crate) write: Access,
+    /// Its right-hand side through `old_exprs`.
+    pub(crate) rhs: Expr,
+}
+
+/// One augmented loop (§5.4) of a plan.
+pub(crate) struct AugLoop {
+    /// Its bound terms over placeholders.
+    pub(crate) lower: Vec<Aff>,
+    pub(crate) upper: Vec<Aff>,
+    /// The augmented rows so far over the instance vector, outermost first,
+    /// this loop's own last: what its DOALL certificate is computed over.
+    pub(crate) rows: Vec<IVec>,
+}
+
+/// The placeholder of row `r` of `sched` (module docs).
+pub(crate) fn row_loop(sched: &StmtSchedule, n: usize, r: usize) -> LoopId {
+    match sched.slot_positions.get(r) {
+        Some(&q) => LoopId(q),
+        None => LoopId(n + r),
+    }
+}
+
+/// A bound term over the shared space (tail included) as an `Aff` over
+/// placeholders: variable `np + j` is `LoopId(j)`.
+pub(crate) fn placeholder_aff(t: &(LinExpr, Int), np: usize) -> Aff {
+    let var = |i: usize| match i < np {
+        true => VarKey::Param(inl_ir::ParamId(i)),
+        false => VarKey::Loop(LoopId(i - np)),
+    };
+    let terms = t.0.coeffs().iter().enumerate().map(|(i, &c)| (var(i), c));
+    let acc = Aff::from_terms(terms.collect(), t.0.constant_term());
+    match t.1 {
+        1 => acc,
+        d => acc.exact_div(d),
+    }
+}
+
+/// `a` with source loop `old_loops[q]` replaced by `old_exprs[q]`.
+pub(crate) fn through(old_exprs: &[Aff], old_loops: &[LoopId], a: &Aff) -> Aff {
+    a.substitute_loops(&|l: LoopId| match old_loops.iter().position(|&x| x == l) {
+        Some(q) => old_exprs[q].clone(),
+        None => Aff::var(VarKey::Loop(l)), // not ours (impossible after validation)
+    })
+}
+
+/// Make the plan of statement `s` under the leaf `(m, report)`: its
+/// schedule, the projection and scan of its polyhedron `{domain(i), v =
+/// T'_S·i + off}`, and its body through `N_S⁻¹`.
+pub(crate) fn make_plan(
+    p: &Program,
+    layout: &InstanceLayout,
+    deps: &DependenceMatrix,
+    m: &IMat,
+    report: &LegalityReport,
+    s: StmtId,
+) -> Result<StmtPlan, InlError> {
+    let _span = inl_obs::span("codegen.plan");
+    let sched = schedule_stmt(layout, m, deps, report, s)?;
+    let np = p.nparams();
+    let n = layout.len();
+    let old_loops = layout.stmt_loops(s);
+    let kold = old_loops.len();
+    let k = sched.slot_positions.len();
+    let knew = sched.rows.nrows();
+    let space = np + kold + knew;
+    let mut sys = p.assumption_system(space)?;
+    if let Some(&l) = old_loops.iter().find(|&&l| p.loop_decl(l).step != 1) {
+        let name = &p.loop_decl(l).name;
+        let why = format!("loop {name}: non-unit steps unsupported by codegen");
+        return Err(InlError::new(InlErrorKind::Unsupported, why));
+    }
+    // A `Div` guard is left out: that only widens the bounds, and the
+    // rewritten guard is emitted on the target statement.
+    let guards = p.stmt_decl(s).guards.iter();
+    let slot = |l: LoopId| Some(np + old_loops.iter().position(|&x| x == l)?);
+    p.append_domain(
+        s,
+        guards.filter(|g| !matches!(g, Guard::Div(..))),
+        &mut sys,
+        &slot,
+    )?;
+    // v_r = rows_r · i + off_r
+    let neg = |c: Int| {
+        c.checked_neg()
+            .ok_or_else(|| InlError::overflow("schedule row"))
+    };
+    for r in 0..knew {
+        let mut coeffs = vec![0; space];
+        coeffs[np + kold + r] = 1;
+        for (q, &c) in sched.rows.row_slice(r).iter().enumerate() {
+            coeffs[np + q] = neg(c)?;
+        }
+        sys.add_eq(LinExpr::from_parts(coeffs, neg(sched.offsets[r])?));
+    }
+    // eliminate old iteration variables
+    let keep: Vec<usize> = (0..np).chain(np + kold..space).collect();
+    let (projected, _exact) = fm::project(&sys, &keep)?;
+    let order: Vec<usize> = (np + kold..space).collect();
+    let bounds = scan_bounds(&projected, &order)?;
+    inl_obs::counter_add!("codegen.bounds_scanned", bounds.len());
+    inl_obs::counter_add!("codegen.loops_augmented", sched.n_aug);
+
+    let local = Local {
+        sched: &sched,
+        np,
+        kold,
+        n,
+    };
+    let global = |terms: &[BoundTerm]| -> Result<Vec<(LinExpr, Int)>, InlError> {
+        terms
+            .iter()
+            .map(|t| Ok((local.globalize(&t.expr)?, t.div)))
+            .collect()
+    };
+    let slots = bounds[..k]
+        .iter()
+        .map(|vb| Ok((global(&vb.lowers)?, global(&vb.uppers)?)))
+        .collect::<Result<_, InlError>>()?;
+    let tail = |terms: &[BoundTerm]| -> Result<Vec<Aff>, InlError> {
+        let global = |t: &BoundTerm| Ok((local.globalize_tail(&t.expr)?, t.div));
+        terms
+            .iter()
+            .map(|t| Ok(placeholder_aff(&global(t)?, np)))
+            .collect()
+    };
+    let mut augs = Vec::with_capacity(knew - k);
+    let mut rows: Vec<IVec> = Vec::new();
+    for (r, vb) in bounds.iter().enumerate().skip(k) {
+        let (lower, upper) = (tail(&vb.lowers)?, tail(&vb.uppers)?);
+        if lower.is_empty() || upper.is_empty() {
+            let name = &p.stmt_decl(s).name;
+            return Err(unbounded(format!("augmented loop {r} of {name}")));
+        }
+        // the augmented row over the instance vector
+        let mut row = IVec::zeros(n);
+        for (i, &old) in old_loops.iter().enumerate() {
+            row[layout.loop_position(old)] = sched.rows[(r, i)];
+        }
+        rows.push(row);
+        augs.push(AugLoop {
+            lower,
+            upper,
+            rows: rows.clone(),
+        });
+    }
+
+    let old_exprs = recovered_indices(&sched, n)?;
+    let sd = p.stmt_decl(s);
+    let through = |a: &Aff| through(&old_exprs, old_loops, a);
+    let write = Access {
+        array: sd.write.array,
+        idxs: sd.write.idxs.iter().map(through).collect(),
+    };
+    let rhs = sd.rhs.map_affs(&through);
+    Ok(StmtPlan {
+        sched,
+        slots,
+        augs,
+        old_exprs,
+        write,
+        rhs,
+    })
+}
+
+/// `i = N_S⁻¹ · (v − off)`, one `Aff` per old loop dimension, over row
+/// placeholders.
+fn recovered_indices(sched: &StmtSchedule, n: usize) -> Result<Vec<Aff>, InlError> {
+    let inv = gauss::inverse_rational(&sched.n_s)?.ok_or_else(|| {
+        InlError::new(
+            InlErrorKind::RankDeficient,
+            "per-statement transform N_S is singular",
+        )
+    })?;
+    let mut old_exprs: Vec<Aff> = Vec::with_capacity(inv.rows.len());
+    for row in &inv.rows {
+        // common denominator of the row
+        let den = row
+            .iter()
+            .try_fold(1, |acc, x| lcm(acc, x.den()).map(|l| l.max(1)))?;
+        let mut acc = Aff::konst(0);
+        let mut constant: Int = 0;
+        for (j, &coef) in row.iter().enumerate() {
+            if coef.is_zero() {
+                continue;
+            }
+            let r = sched.n_s_rows[j];
+            let c = coef
+                .num()
+                .checked_mul(den / coef.den())
+                .ok_or_else(|| InlError::overflow("schedule coefficient"))?;
+            acc = acc + Aff::loop_var(row_loop(sched, n, r)) * c;
+            constant = c
+                .checked_mul(sched.offsets[r])
+                .and_then(|t| constant.checked_sub(t))
+                .ok_or_else(|| InlError::overflow("schedule offset"))?;
+        }
+        acc = acc + Aff::konst(constant);
+        if den != 1 {
+            acc = acc.exact_div(den);
+        }
+        old_exprs.push(acc);
+    }
+    Ok(old_exprs)
+}
+
+/// A plan's local space `[params | old iters | new vars]`, for moving its
+/// scan bounds into the shared space.
+pub(crate) struct Local<'a> {
+    pub(crate) sched: &'a StmtSchedule,
+    pub(crate) np: usize,
+    pub(crate) kold: usize,
+    /// The layout's length.
+    pub(crate) n: usize,
+}
+
+impl Local<'_> {
+    /// Translate a bound from the local space into the shared space
+    /// `[params | layout positions]`: coefficients keyed by parameter or by
+    /// *slot position*. Fails when an augmented variable appears
+    /// (augmented loops are innermost and never feed shared-slot bounds);
+    /// [`Self::globalize_tail`] keeps them.
+    pub(crate) fn globalize(&self, e: &LinExpr) -> Result<LinExpr, InlError> {
+        let shared = self.np + self.n;
+        let out = self.globalize_tail(e)?;
+        if out.coeffs()[shared..].iter().any(|&c| c != 0) {
+            return Err(InlError::new(
+                InlErrorKind::IllFormed,
+                "shared-slot bound references an augmented variable",
+            ));
+        }
+        Ok(LinExpr::from_parts(
+            out.coeffs()[..shared].to_vec(),
+            out.constant_term(),
+        ))
+    }
+
+    /// Like [`Self::globalize`], but keeps a per-statement tail for
+    /// augmented variables: space `[params | layout positions | this
+    /// statement's rows]`.
+    pub(crate) fn globalize_tail(&self, e: &LinExpr) -> Result<LinExpr, InlError> {
+        let (np, n) = (self.np, self.n);
+        let mut coeffs: Vec<Int> = vec![0; np + n + self.sched.rows.nrows()];
+        let oops = || InlError::overflow("globalized bound coefficient");
+        for (i, &c) in e.coeffs().iter().enumerate() {
+            if c == 0 {
+                continue;
+            }
+            let to = if i < np {
+                i
+            } else if i < np + self.kold {
+                return Err(InlError::new(
+                    InlErrorKind::IllFormed,
+                    "bound references an eliminated old iteration variable",
+                ));
+            } else {
+                np + row_loop(self.sched, n, i - np - self.kold).0
+            };
+            coeffs[to] = coeffs[to].checked_add(c).ok_or_else(oops)?;
+        }
+        Ok(LinExpr::from_parts(coeffs, e.constant_term()))
+    }
+}
+
+/// The legal AST a report carries: an illegal matrix is `Infeasible`.
+pub(crate) fn legal_ast(report: &LegalityReport) -> Result<&NewAst, InlError> {
+    let illegal = |why: String| InlError::new(InlErrorKind::Infeasible, why);
+    let ast = report.new_ast.as_ref().map_err(|e| illegal(e.clone()))?;
+    if !report.violations.is_empty() {
+        return Err(illegal(format!("{:?}", report.violations)));
+    }
+    Ok(ast)
+}
+
+/// The nest of the target program of a leaf, read off its AST, its
+/// statements' plans and its merged slot bounds, over placeholders: what
+/// the ranking walks and what the `Builder` emits. Loops are numbered in
+/// pre-order from `*next`, as `ProgramBuilder` numbers them (the `Builder`
+/// checks).
+pub(crate) fn plan_nest<'a>(
+    ast: &NewAst,
+    plans: &[&'a StmtPlan],
+    slot_bounds: &'a [Option<SlotAffs>],
+    nodes: &[Node],
+    next: &mut usize,
+) -> Result<Vec<Nest<'a>>, InlError> {
+    let n = slot_bounds.len(); // one entry per layout position
+    let mut out = Vec::with_capacity(nodes.len());
+    for &node in nodes {
+        match node {
+            Node::Loop(l) => {
+                let qpos = ast.layout.loop_position(l);
+                let (lo, hi) = slot_bounds[qpos]
+                    .as_ref()
+                    .ok_or_else(|| unbounded(format!("slot {qpos}")))?;
+                let id = LoopId(*next);
+                *next += 1;
+                let children = &ast.program.loop_decl(l).children;
+                out.push(Nest::Loop(NestLoop {
+                    id,
+                    var: LoopId(qpos),
+                    lower: lo,
+                    upper: hi,
+                    origin: LoopOrigin::Slot(qpos),
+                    children: plan_nest(ast, plans, slot_bounds, children, next)?,
+                }));
+            }
+            Node::Stmt(s) => {
+                let plan = plans[s.0];
+                let k = plan.sched.slot_positions.len();
+                let first = *next;
+                *next += plan.augs.len();
+                let mut nest = Nest::Stmt {
+                    stmt: s,
+                    write: &plan.write,
+                    rhs: &plan.rhs,
+                };
+                for (a, aug) in plan.augs.iter().enumerate().rev() {
+                    nest = Nest::Loop(NestLoop {
+                        id: LoopId(first + a),
+                        var: LoopId(n + k + a),
+                        lower: &aug.lower,
+                        upper: &aug.upper,
+                        origin: LoopOrigin::Aug { stmt: s, level: a },
+                        children: vec![nest],
+                    });
+                }
+                out.push(nest);
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// The [`PredictedCost`] of the leaf `(m, ast)` from its statements' plans
+/// (indexed by statement): merge the slot bounds, read the nest off the
+/// plans, and walk it. Nothing is built.
+pub(crate) fn predict_from_plans(
+    p: &Program,
+    layout: &InstanceLayout,
+    deps: &DependenceMatrix,
+    m: &IMat,
+    ast: &NewAst,
+    plans: &[&StmtPlan],
+) -> Result<PredictedCost, InlError> {
+    let slot_bounds = merge_slots(p, layout, plans)?;
+    let _span = inl_obs::span("codegen.predict");
+    let nest = plan_nest(ast, plans, &slot_bounds, ast.program.root(), &mut 0)?;
+    let cert = Certify {
+        layout,
+        deps,
+        m,
+        plans,
+    };
+    Ok(crate::cost::predict(&nest, &cert))
+}
+
+/// The statement plans of one shape's leaves, each distinct one made once,
+/// when a leaf first needs it and on whichever thread ranks that leaf. A
+/// plan is a function of the statement's rows of `M`, their offsets and its
+/// unsatisfied self-dependences, so the table holds the same plans at any
+/// thread count. It lives as long as one schedule, not the process.
+pub struct PlanTable<'a> {
+    p: &'a Program,
+    layout: &'a InstanceLayout,
+    deps: &'a DependenceMatrix,
+    index: HashMap<PlanKey, usize>,
+    entries: Vec<Entry<'a>>,
+}
+
+/// One distinct key: the leaf it was first seen in, whose matrix and
+/// report make its plan, and the plan once made.
+struct Entry<'a> {
+    m: &'a IMat,
+    report: &'a LegalityReport,
+    stmt: StmtId,
+    plan: OnceLock<Result<StmtPlan, InlError>>,
+}
+
+impl<'a> PlanTable<'a> {
+    /// An empty table for the shape `(p, layout, deps)`.
+    pub fn new(p: &'a Program, layout: &'a InstanceLayout, deps: &'a DependenceMatrix) -> Self {
+        PlanTable {
+            p,
+            layout,
+            deps,
+            index: HashMap::new(),
+            entries: Vec::new(),
+        }
+    }
+
+    /// Enter the leaf `(m, report)`: the index of each statement's plan, in
+    /// statement order. Makes nothing.
+    pub fn intern(&mut self, m: &'a IMat, report: &'a LegalityReport) -> Vec<usize> {
+        self.p
+            .stmts()
+            .map(|s| {
+                let key = PlanKey::new(self.layout, self.deps, m, report, s);
+                let next = self.entries.len();
+                let i = *self.index.entry(key).or_insert(next);
+                if i == next {
+                    self.entries.push(Entry {
+                        m,
+                        report,
+                        stmt: s,
+                        plan: OnceLock::new(),
+                    });
+                }
+                i
+            })
+            .collect()
+    }
+
+    /// The ranking key of the leaf `(m, report)`, whose plans
+    /// [`intern`](Self::intern) returned: `build(..)?.predicted(..)`, or
+    /// the error `build` fails with, with no program built. Makes the plans
+    /// not made yet.
+    pub fn predict(
+        &self,
+        m: &IMat,
+        report: &LegalityReport,
+        plans: &[usize],
+    ) -> Result<PredictedCost, InlError> {
+        let ast = legal_ast(report)?;
+        let plans = plans
+            .iter()
+            .map(|&i| self.plan(i))
+            .collect::<Result<Vec<_>, _>>()?;
+        predict_from_plans(self.p, self.layout, self.deps, m, ast, &plans)
+    }
+
+    fn plan(&self, i: usize) -> Result<&StmtPlan, InlError> {
+        let e = &self.entries[i];
+        let made = e
+            .plan
+            .get_or_init(|| make_plan(self.p, self.layout, self.deps, e.m, e.report, e.stmt));
+        made.as_ref().map_err(Clone::clone)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use inl_core::depend::analyze;
+    use inl_core::legal::check_legal;
+    use inl_ir::zoo;
+
+    #[test]
+    fn bound_on_eliminated_old_var_is_typed_error() {
+        // A scan bound referencing an old (pre-transformation) iteration
+        // variable means projection broke off early; the globalizers must
+        // report IllFormed instead of panicking.
+        let p = zoo::wavefront();
+        let layout = InstanceLayout::new(&p);
+        let deps = analyze(&p, &layout).expect("analysis");
+        let m = IMat::identity(layout.len());
+        let report = check_legal(&p, &layout, &deps, &m).expect("legality");
+        let sched = schedule_stmt(&layout, &m, &deps, &report, StmtId(0)).expect("schedule");
+        let np = p.nparams();
+        let kold = layout.stmt_loops(sched.stmt).len();
+        let local = Local {
+            sched: &sched,
+            np,
+            kold,
+            n: layout.len(),
+        };
+        let space = np + kold + sched.rows.nrows();
+        let bad = LinExpr::var(space, np); // slot np = first old iteration var
+        let err = local.globalize_tail(&bad).unwrap_err();
+        assert_eq!(err.kind(), InlErrorKind::IllFormed);
+        assert!(
+            err.to_string()
+                .contains("eliminated old iteration variable"),
+            "{err}"
+        );
+        let err = local.globalize(&bad).unwrap_err();
+        assert_eq!(err.kind(), InlErrorKind::IllFormed);
+    }
+}

@@ -362,18 +362,27 @@ fn a_stepped_source_loop_is_unsupported() {
 }
 
 #[test]
-fn both_halves_of_generate_agree_on_the_predicted_cost() {
-    // the scheduler ranks on what `build` reports and trusts it to be what
-    // `generate` would report: guard simplification must not move the
-    // predicted cost, whether it drops every guard (identity), most of
-    // them (interchanges, skew) or has to keep some (scaling)
+fn the_plan_key_is_what_generate_reports() {
+    // the scheduler ranks on the key read off the statement plans, nothing
+    // built, and trusts it to be what `generate` would report: neither the
+    // build nor guard simplification may move the predicted cost, whether
+    // it drops every guard (identity), most of them (interchanges, skew) or
+    // has to keep some (scaling), with or without augmented loops
     let mut checked = 0;
     let mut check = |p: &Program, m: &IMat| {
         let layout = InstanceLayout::new(p);
         let deps = analyze(p, &layout).expect("analysis");
         let report = inl_core::legal::check_legal(p, &layout, &deps, m).expect("legality");
+        let mut table = crate::PlanTable::new(p, &layout, &deps);
+        let plans = table.intern(m, &report);
+        let ranked_on = table.predict(m, &report, &plans).expect("ranks");
         let built = crate::build(p, &layout, &deps, m, &report).expect("builds");
-        let ranked_on = built.predicted(&layout, &deps, m);
+        assert_eq!(
+            ranked_on,
+            built.predicted(&layout, &deps, m),
+            "{}",
+            p.name()
+        );
         let finished = built.finish(p, &layout, &deps, m);
         assert_eq!(ranked_on, finished.features.predicted, "{}", p.name());
         let whole = generate(p, &layout, &deps, m).expect("generates");
@@ -408,5 +417,14 @@ fn both_halves_of_generate_agree_on_the_predicted_cost() {
     let layout = InstanceLayout::new(&p);
     let swap = Transform::Interchange(looop(&p, "I2"), looop(&p, "J"));
     check(&p, &swap.matrix(&p, &layout));
-    assert_eq!(checked, zoo::ALL.len() + 3);
+    // §5.4's skew, which gives S1 an augmented loop
+    let p = zoo::augmentation_example();
+    let layout = InstanceLayout::new(&p);
+    let skew = Transform::Skew {
+        target: looop(&p, "I"),
+        source: looop(&p, "J"),
+        factor: -1,
+    };
+    check(&p, &skew.matrix(&p, &layout));
+    assert_eq!(checked, zoo::ALL.len() + 4);
 }

@@ -481,8 +481,7 @@ mod tests {
             vec![1, 2, 0],
             "children reorder to J,S1,I"
         );
-        let scheds =
-            schedule_all(&p, &layout, ast, &c.matrix, &deps, &c.report).expect("schedules");
+        let scheds = schedule_all(&p, &layout, &c.matrix, &deps, &c.report).expect("schedules");
         for s in &scheds {
             assert_eq!(s.n_aug, 0, "no augmentation needed (paper's claim)");
             assert!(s.n_s.is_unimodular());

@@ -18,7 +18,7 @@
 
 use crate::depend::{DepEntry, DependenceMatrix};
 use crate::instance::InstanceLayout;
-use crate::legal::{LegalityReport, NewAst};
+use crate::legal::LegalityReport;
 use inl_ir::{Program, StmtId};
 use inl_linalg::{gauss, IMat, IVec, InlError, InlErrorKind, Rational};
 
@@ -53,12 +53,7 @@ pub struct StmtSchedule {
 
 /// Compute `M_S` and `g_S` (the projection of `M·E_S` / `M·f_S` onto the
 /// statement's new loop slots), before augmentation.
-pub fn raw_per_stmt(
-    layout: &InstanceLayout,
-    ast: &NewAst,
-    m: &IMat,
-    s: StmtId,
-) -> (Vec<usize>, IMat, IVec) {
+pub fn raw_per_stmt(layout: &InstanceLayout, m: &IMat, s: StmtId) -> (Vec<usize>, IMat, IVec) {
     let (e, f) = layout.embedding(s);
     let me = m.mul(e);
     let mf = m.mul_vec(f);
@@ -72,7 +67,6 @@ pub fn raw_per_stmt(
     let k = slots.len();
     let ms = IMat::from_fn(k, k, |r, c| me[(slots[r], c)]);
     let gs: IVec = slots.iter().map(|&p| mf[p]).collect();
-    let _ = &ast.program; // slots identical in source and target layouts
     (slots, ms, gs)
 }
 
@@ -105,16 +99,13 @@ fn ambiguous(dep: usize) -> InlError {
 /// Build the full schedule for a statement: per-statement transform,
 /// `Complete` augmentation (Fig. 7), and `N_S` extraction.
 pub fn schedule_stmt(
-    p: &Program,
     layout: &InstanceLayout,
-    ast: &NewAst,
     m: &IMat,
     deps: &DependenceMatrix,
     report: &LegalityReport,
     s: StmtId,
 ) -> Result<StmtSchedule, InlError> {
-    let _ = p;
-    let (slots, ms, gs) = raw_per_stmt(layout, ast, m, s);
+    let (slots, ms, gs) = raw_per_stmt(layout, m, s);
     let k = slots.len();
 
     // unsatisfied self deps of this statement, projected
@@ -211,13 +202,12 @@ pub fn schedule_stmt(
 pub fn schedule_all(
     p: &Program,
     layout: &InstanceLayout,
-    ast: &NewAst,
     m: &IMat,
     deps: &DependenceMatrix,
     report: &LegalityReport,
 ) -> Result<Vec<StmtSchedule>, InlError> {
     p.stmts()
-        .map(|s| schedule_stmt(p, layout, ast, m, deps, report, s))
+        .map(|s| schedule_stmt(layout, m, deps, report, s))
         .collect()
 }
 
@@ -261,14 +251,13 @@ mod tests {
     #[test]
     fn paper_per_stmt_transforms() {
         // §5.4: M_S1 = [0], M_S2 = [[1, -1], [0, 1]]
-        let (p, layout, _deps, m, report) = skew_setup();
-        let ast = report.new_ast.as_ref().unwrap();
+        let (p, layout, _, m, _) = skew_setup();
         let s1 = stmt(&p, "S1");
         let s2 = stmt(&p, "S2");
-        let (_, ms1, g1) = raw_per_stmt(&layout, ast, &m, s1);
+        let (_, ms1, g1) = raw_per_stmt(&layout, &m, s1);
         assert_eq!(ms1, IMat::from_rows(&[&[0][..]]));
         assert!(g1.is_zero());
-        let (_, ms2, g2) = raw_per_stmt(&layout, ast, &m, s2);
+        let (_, ms2, g2) = raw_per_stmt(&layout, &m, s2);
         assert_eq!(ms2, IMat::from_rows(&[&[1, -1][..], &[0, 1]]));
         assert!(g2.is_zero());
     }
@@ -278,9 +267,8 @@ mod tests {
         // §5.4: the augmentation completes S1's [0] to [[0], [1]] — a new
         // innermost loop carrying its self dependence — with N_S1 = [1].
         let (p, layout, deps, m, report) = skew_setup();
-        let ast = report.new_ast.as_ref().unwrap();
         let s1 = stmt(&p, "S1");
-        let sched = schedule_stmt(&p, &layout, ast, &m, &deps, &report, s1).unwrap();
+        let sched = schedule_stmt(&layout, &m, &deps, &report, s1).unwrap();
         assert_eq!(sched.n_aug, 1);
         assert_eq!(sched.rows, IMat::from_rows(&[&[0][..], &[1]]));
         assert_eq!(sched.n_s, IMat::from_rows(&[&[1][..]]));
@@ -294,9 +282,8 @@ mod tests {
     fn s2_needs_no_augmentation() {
         // §5.4: N_S2 = [[1, -1], [0, 1]] directly.
         let (p, layout, deps, m, report) = skew_setup();
-        let ast = report.new_ast.as_ref().unwrap();
         let s2 = stmt(&p, "S2");
-        let sched = schedule_stmt(&p, &layout, ast, &m, &deps, &report, s2).unwrap();
+        let sched = schedule_stmt(&layout, &m, &deps, &report, s2).unwrap();
         assert_eq!(sched.n_aug, 0);
         assert_eq!(sched.n_s, IMat::from_rows(&[&[1, -1][..], &[0, 1]]));
         assert!(sched.singular.iter().all(|s| s.is_none()));
@@ -321,9 +308,8 @@ mod tests {
         ]);
         let report = check_legal(&p, &layout, &deps, &c).expect("legality");
         assert!(report.is_legal());
-        let ast = report.new_ast.as_ref().unwrap();
         for s in p.stmts() {
-            let sched = schedule_stmt(&p, &layout, ast, &c, &deps, &report, s).unwrap();
+            let sched = schedule_stmt(&layout, &c, &deps, &report, s).unwrap();
             assert_eq!(
                 sched.n_aug,
                 0,
@@ -336,7 +322,7 @@ mod tests {
         // and the per-statement map of S3 is the left-looking permutation
         // (k, j, l) -> (l, j, k)
         let s3 = stmt(&p, "S3");
-        let sched = schedule_stmt(&p, &layout, ast, &c, &deps, &report, s3).unwrap();
+        let sched = schedule_stmt(&layout, &c, &deps, &report, s3).unwrap();
         assert_eq!(
             sched.rows,
             IMat::from_rows(&[&[0, 0, 1][..], &[0, 1, 0], &[1, 0, 0]])
@@ -350,9 +336,8 @@ mod tests {
         let deps = analyze(&p, &layout).expect("analysis");
         let m = IMat::identity(layout.len());
         let report = check_legal(&p, &layout, &deps, &m).expect("legality");
-        let ast = report.new_ast.as_ref().unwrap();
         for s in p.stmts() {
-            let sched = schedule_stmt(&p, &layout, ast, &m, &deps, &report, s).unwrap();
+            let sched = schedule_stmt(&layout, &m, &deps, &report, s).unwrap();
             let k = sched.slot_positions.len();
             assert_eq!(sched.rows, IMat::identity(k));
             assert!(sched.offsets.is_zero());
@@ -366,7 +351,6 @@ mod tests {
         // legality aside, offsets must land in g_S)
         let p = zoo::simple_cholesky();
         let layout = InstanceLayout::new(&p);
-        let deps = analyze(&p, &layout).expect("analysis");
         let s1 = stmt(&p, "S1");
         let i = looop(&p, "I");
         let m = Transform::Align {
@@ -375,14 +359,12 @@ mod tests {
             offset: -1,
         }
         .matrix(&p, &layout);
-        let report = check_legal(&p, &layout, &deps, &m).expect("legality");
-        let ast = report.new_ast.as_ref().unwrap();
-        let (_, ms1, g1) = raw_per_stmt(&layout, ast, &m, s1);
+        let (_, ms1, g1) = raw_per_stmt(&layout, &m, s1);
         assert_eq!(ms1, IMat::from_rows(&[&[1][..]]));
         assert_eq!(g1.as_slice(), &[-1]);
         // S2 unaffected
         let s2 = stmt(&p, "S2");
-        let (_, _, g2) = raw_per_stmt(&layout, ast, &m, s2);
+        let (_, _, g2) = raw_per_stmt(&layout, &m, s2);
         assert!(g2.is_zero());
     }
 }

@@ -6,9 +6,10 @@
 //! Case counts: `INL_FUZZ_CASES` (CI sets 2000 per property); local runs
 //! default to a fast smoke count.
 
+use inl_codegen::{build, PlanTable};
 use inl_core::complete::complete_transform;
 use inl_core::depend::{analyze, constant_entry, DepEntry};
-use inl_core::legal::check_structural;
+use inl_core::legal::{check_legal, check_structural, LegalityReport};
 use inl_core::recipe::{Shape, Step};
 use inl_core::sink::sink_statements;
 use inl_core::structural::{distribute, jam};
@@ -16,10 +17,10 @@ use inl_exec::{equivalent, run_fresh, VmRunner};
 use inl_fuzz::{
     analyzed, arb_inner_loop, arb_matrix, arb_program, compile, fuzz_config, fuzz_init, Compiled,
 };
-use inl_linalg::IVec;
+use inl_linalg::{IMat, IVec};
 use inl_poly::{expr_bounds, Feasibility};
 use proptest::prelude::*;
-use proptest::test_runner::TestRunner;
+use proptest::test_runner::{TestRng, TestRunner};
 
 proptest! {
     #![proptest_config(fuzz_config(64))]
@@ -195,6 +196,95 @@ fn entries_are_projections(shape: &Shape, what: &str) -> Result<(), TestCaseErro
         }
     }
     Ok(())
+}
+
+/// The key the scheduler ranks on, read off a leaf's statement plans with
+/// nothing built, is what `build` gives: both `Ok` and equal, field for
+/// field, or both an error of the same kind. The leaves, of the source and
+/// of every distribution and jam the legality walk accepts: every loop
+/// order with random signs, completed; two random partial rows, completed;
+/// a random matrix, legal or not. One plan table per shape, so leaves
+/// share plans as the scheduler's do.
+#[test]
+fn the_plan_key_is_what_build_gives() {
+    let (mut agreed, mut refused) = (0u64, 0u64);
+    TestRunner::new(fuzz_config(64)).run_cases(|rng| {
+        let p = arb_program().generate(rng);
+        let Ok(source) = Shape::source(p.clone()) else {
+            return Ok(());
+        };
+        let steps = Step::candidates(&p);
+        let shapes = steps
+            .iter()
+            .filter_map(|step| source.apply(step).ok().flatten());
+        for shape in std::iter::once(source.clone()).chain(shapes) {
+            let (q, layout, deps) = (&shape.program, &shape.layout, &shape.deps);
+            let n = layout.len();
+            let mut partials: Vec<Vec<IVec>> = Vec::new();
+            let loops: Vec<usize> = layout.loops().map(|(pos, _)| pos).collect();
+            for order in permutations(&loops) {
+                let sign = |pos: usize| match rng.below(2) {
+                    0 => IVec::unit(n, pos),
+                    _ => -&IVec::unit(n, pos),
+                };
+                partials.push(order.into_iter().map(sign).collect());
+            }
+            let cell = |rng: &mut TestRng| rng.below(5) as i128 - 2;
+            let row = |rng: &mut TestRng| IVec::from((0..n).map(|_| cell(rng)).collect::<Vec<_>>());
+            partials.push(vec![row(rng), row(rng)]);
+            let mut leaves: Vec<(IMat, LegalityReport)> = partials
+                .iter()
+                .filter_map(|rows| complete_transform(q, layout, deps, rows).ok())
+                .map(|c| (c.matrix, c.report))
+                .collect();
+            let m = arb_matrix(n, 2).generate(rng);
+            if let Ok(report) = check_legal(q, layout, deps, &m) {
+                leaves.push((m, report));
+            }
+            let mut table = PlanTable::new(q, layout, deps);
+            let plans: Vec<Vec<usize>> = leaves.iter().map(|(m, r)| table.intern(m, r)).collect();
+            for ((m, report), plans) in leaves.iter().zip(&plans) {
+                let what = format!("{} under {m:?}", q.name());
+                let built = build(q, layout, deps, m, report).map(|b| b.predicted(layout, deps, m));
+                match (built, table.predict(m, report, plans)) {
+                    (Ok(built), Ok(keyed)) => {
+                        prop_assert_eq!(keyed, built, "{}", what);
+                        agreed += 1;
+                    }
+                    (Err(built), Err(keyed)) => {
+                        prop_assert_eq!(keyed.kind(), built.kind(), "{}: {}", what, keyed);
+                        refused += 1;
+                    }
+                    (built, keyed) => {
+                        let why = format!("{what}: build {built:?}, plan key {keyed:?}");
+                        return Err(TestCaseError::fail(why));
+                    }
+                }
+            }
+        }
+        Ok(())
+    });
+    assert!(
+        agreed > 0 && refused > 0,
+        "{agreed} agreed, {refused} refused"
+    );
+}
+
+/// Every order of `items`.
+fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
+    if items.is_empty() {
+        return vec![Vec::new()];
+    }
+    let mut out = Vec::new();
+    for (i, &first) in items.iter().enumerate() {
+        let mut rest = items.to_vec();
+        rest.remove(i);
+        for mut tail in permutations(&rest) {
+            tail.insert(0, first);
+            out.push(tail);
+        }
+    }
+    out
 }
 
 /// Guard-free inner loops — what the VM enters as trip kernels: a column of

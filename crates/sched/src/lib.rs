@@ -47,15 +47,19 @@
 //! * the one ranking key is `(predicted cost, reversals, label)`. The
 //!   predicted cost ([`inl_codegen::PredictedCost`]) reads only loop
 //!   bounds, subscripts and nesting of the generated program, the matrix
-//!   and the shape's dependences — nothing guard simplification rewrites.
-//!   So every legal leaf is lowered through the first half of code
-//!   generation ([`inl_codegen::build`]) and **ranked**, and only the
-//!   first is **finished** ([`inl_codegen::generate()`]: guard
-//!   simplification, pseudocode). The chosen variant is the one a
-//!   finish-everything sort would pick, skipped twins included (the
-//!   predicted cost is not provably sign-blind: `tests/search_sound.rs`
-//!   holds that oracle over the whole zoo); the other variants keep what
-//!   was computed for them and are finished on demand.
+//!   and the shape's dependences — nothing guard simplification rewrites —
+//!   and all of those are known before a program is built: each statement's
+//!   plan (schedule, scanned bounds, body through `N_S⁻¹`) and the merged
+//!   bounds of the loops statements share. So every legal leaf is
+//!   **ranked** on the key read off its plans ([`inl_codegen::PlanTable`],
+//!   one per shape, which makes each distinct statement plan once), and
+//!   only the first is **built** and **finished**
+//!   ([`inl_codegen::generate()`]: emission, guard simplification,
+//!   pseudocode). The chosen variant is the one a finish-everything sort
+//!   would pick, skipped twins included (the predicted cost is not
+//!   provably sign-blind: `tests/search_sound.rs` holds that oracle over
+//!   the whole zoo); the other variants keep what was computed for them
+//!   and are finished on demand.
 //!
 //! Every decision (pruned subtree, variant ranked behind, chosen variant) is
 //! recorded as `inl_obs::explain` evidence under a `sched/<program>`
@@ -79,7 +83,7 @@ pub mod sweep;
 
 pub use search::SearchStats;
 
-use inl_codegen::{batch_map, build, generate, CostFeatures, PredictedCost};
+use inl_codegen::{batch_map, generate, CostFeatures, PlanTable, PredictedCost};
 use inl_core::complete::Completion;
 use inl_core::recipe::Recipe;
 use inl_ir::Program;
@@ -95,7 +99,7 @@ pub struct SchedConfig {
     /// 10 000). The search stops early — keeping what it found — when the
     /// budget is exhausted.
     pub budget: u64,
-    /// Worker threads for lowering the candidates (default 0 = one per
+    /// Worker threads for ranking the candidates (default 0 = one per
     /// core; 1 = everything on the calling thread).
     pub threads: usize,
 }
@@ -238,9 +242,9 @@ pub fn schedule(p: &Program) -> Result<ScheduleResult, InlError> {
     schedule_with(p, &SchedConfig::default())
 }
 
-/// [`schedule`] with an explicit configuration. A leaf that fails to lower
-/// as `Unsupported` is dropped; any other failure fails the schedule,
-/// naming the leaf's label, and no leaf left is `Infeasible`.
+/// [`schedule`] with an explicit configuration. A leaf whose plans fail as
+/// `Unsupported` is dropped; any other failure fails the schedule, naming
+/// the leaf's label, and no leaf left is `Infeasible`.
 pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, InlError> {
     let _span = inl_obs::span("sched.schedule");
     inl_obs::counter_add!("sched.programs", 1);
@@ -261,18 +265,25 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, I
         }
     }
 
-    // stage 1: lower every leaf as far as the target program and rank it
-    // on the predicted cost, which guard simplification cannot change; the
-    // completion already proved the matrix legal
+    // stage 1: rank every leaf on the predicted cost, read off its
+    // statements' plans without building it. A plan depends on the leaf
+    // only through its key, so each shape's table makes each distinct plan
+    // once, for whichever leaf needs it first; the completion already
+    // proved every matrix legal
     let ranked = {
         let _span = inl_obs::span("sched.rank");
         inl_obs::counter_add!("sched.variants_ranked", leaves.len());
+        let mut tables: Vec<PlanTable> = shapes
+            .iter()
+            .map(|(_, shape)| PlanTable::new(&shape.program, &shape.layout, &shape.deps))
+            .collect();
+        let plans: Vec<Vec<usize>> = leaves
+            .iter()
+            .map(|(s, _, c)| tables[*s].intern(&c.matrix, &c.report))
+            .collect();
         batch_map(leaves.len(), cfg.threads, |i| {
             let (s, _, c) = &leaves[i];
-            let (_, shape) = &shapes[*s];
-            let (layout, deps) = (&shape.layout, &shape.deps);
-            build(&shape.program, layout, deps, &c.matrix, &c.report)
-                .map(|b| b.predicted(layout, deps, &c.matrix))
+            tables[*s].predict(&c.matrix, &c.report, &plans[i])
         })
     };
     // a legal leaf whose merged bounds are incomparable (`Unsupported`)
@@ -348,6 +359,7 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, I
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inl_codegen::build;
     use inl_ir::zoo;
 
     fn quiet_cfg() -> SchedConfig {
@@ -561,28 +573,66 @@ mod tests {
     #[test]
     fn the_source_is_analysed_once_each_shape_mapped_and_only_the_pick_finished() {
         // one `depend.analyze`, of the source, and one `depend.map` per
-        // other shape — not one per stage, let alone one per variant — and
-        // one `generate`, of the chosen variant, outside the ranking's
-        // batch. One thread, so the thread-local capture sees all of it.
-        let (r, cap) = inl_obs::capture::with(|| schedule_with(&zoo::cholesky_kij(), &quiet_cfg()));
+        // other shape — not one per stage, let alone one per variant — one
+        // plan per distinct statement schedule of a shape, and one
+        // `generate`, the only build, of the chosen variant, outside the
+        // ranking's batch. One thread, so the thread-local capture sees all
+        // of it.
+        let p = zoo::cholesky_kij();
+        let (r, cap) = inl_obs::capture::with(|| schedule_with(&p, &quiet_cfg()));
         let r = r.expect("schedules");
-        let closed = |leaf: &str| -> u64 {
+        let closed = |leaf: &str, under: &str| -> u64 {
             cap.stages
                 .iter()
                 .filter(|(path, _)| path.rsplit('/').next() == Some(leaf))
+                .filter(|(path, _)| path.contains(under))
                 .map(|(_, s)| s.count)
                 .sum()
         };
         assert_eq!(r.stats.shapes, 2, "identity, jam(I+J)");
-        assert_eq!(closed("depend.analyze"), 1);
-        assert_eq!(closed("depend.map"), r.stats.shapes - 1);
-        assert_eq!(closed("sched.rank"), 1);
-        assert_eq!(closed("sched.finish"), 1);
-        assert_eq!(closed("codegen.generate"), 1);
+        assert_eq!(closed("depend.analyze", ""), 1);
+        assert_eq!(closed("depend.map", ""), r.stats.shapes - 1);
+        assert_eq!(closed("sched.rank", ""), 1);
+        assert_eq!(closed("sched.finish", ""), 1);
+        assert_eq!(closed("codegen.generate", ""), 1);
+        assert_eq!(closed("codegen.ast", ""), 1, "the pick is the one build");
         let ranked = cap.counters["sched.variants_ranked"];
         assert_eq!(ranked, r.stats.legal_variants);
         assert_eq!(ranked, r.variants.len() as u64);
-        assert_eq!(closed("batch.compile"), ranked);
+        assert_eq!(closed("batch.compile", ""), ranked);
+        assert_eq!(closed("codegen.merge", "sched.rank/"), ranked);
+        assert_eq!(closed("codegen.predict", "sched.rank/"), ranked);
+        // 15 leaves of three statements each: 45 statement schedules, 19 of
+        // them distinct, each made once; the pick makes its three again
+        let stmts = p.stmts().count() as u64;
+        assert_eq!(ranked * stmts, 45);
+        assert_eq!(closed("codegen.plan", "sched.rank/"), 19);
+        assert_eq!(closed("codegen.plan", "sched.finish/"), stmts);
+        // so the scan counters count plans made, not leaves ranked: one
+        // bound per new loop of the plan's statement, 54 for the 19 (six
+        // of those loops augmented, §5.4) and 1 + 2 + 3 for the pick's
+        assert_eq!(cap.counters["codegen.bounds_scanned"], 54 + 6);
+        assert_eq!(cap.counters["codegen.loops_augmented"], 6);
+    }
+
+    #[test]
+    fn the_ranking_is_the_same_at_any_thread_count() {
+        // a plan is made on whichever thread first needs it, and is a
+        // function of its key alone: four workers rank every leaf as one
+        // does, key for key
+        for ctor in [zoo::cholesky_kij, zoo::lu_kij, zoo::running_example] {
+            let ranked = |threads| -> Vec<(String, PredictedCost)> {
+                let cfg = SchedConfig {
+                    threads,
+                    ..SchedConfig::default()
+                };
+                let r = schedule_with(&ctor(), &cfg).expect("schedules");
+                let keys = r.variants.iter();
+                keys.map(|v| (v.label.clone(), v.predicted.clone()))
+                    .collect()
+            };
+            assert_eq!(ranked(1), ranked(4));
+        }
     }
 
     #[test]
@@ -659,20 +709,32 @@ mod tests {
         assert!(!r.legal.iter().any(|label| label == "jam(I+J)/K.Lo'.I.L"));
         assert_eq!(r.stats.legal_variants, r.variants.len() as u64 + 2);
         // the two are the leaves `build` refuses, and it refuses them as
-        // `Unsupported`: the one failure ranking drops
+        // `Unsupported`: the one failure ranking drops. The plan key, which
+        // ranks without building, refuses the same two the same way
         let mut stats = SearchStats::default();
         let mut refused = Vec::new();
         for shape in search::enumerate_shapes(&split).expect("shapes") {
             let (_, s) = &shape;
-            for (recipe, c) in search::search_shape(&shape, u64::MAX, &mut stats).expect("search") {
-                if let Err(e) = build(&s.program, &s.layout, &s.deps, &c.matrix, &c.report) {
-                    refused.push((recipe.to_string(), e));
+            let found = search::search_shape(&shape, u64::MAX, &mut stats).expect("search");
+            let mut table = PlanTable::new(&s.program, &s.layout, &s.deps);
+            let plans: Vec<Vec<usize>> = found
+                .iter()
+                .map(|(_, c)| table.intern(&c.matrix, &c.report))
+                .collect();
+            for ((recipe, c), plans) in found.iter().zip(&plans) {
+                let built = build(&s.program, &s.layout, &s.deps, &c.matrix, &c.report);
+                let keyed = table.predict(&c.matrix, &c.report, plans);
+                match (built, keyed) {
+                    (Ok(_), Ok(_)) => {}
+                    (Err(b), Err(k)) => refused.push((recipe.to_string(), b.kind(), k.kind())),
+                    (b, k) => panic!("{recipe}: build {:?}, plan key {k:?}", b.err()),
                 }
             }
         }
         assert_eq!(refused.len(), 2, "{refused:?}");
-        for (label, e) in &refused {
-            assert_eq!(e.kind(), InlErrorKind::Unsupported, "{label}: {e}");
+        for (label, built, keyed) in &refused {
+            assert_eq!(*built, InlErrorKind::Unsupported, "{label}");
+            assert_eq!(*keyed, InlErrorKind::Unsupported, "{label}");
             assert!(!r.legal.contains(label), "{label}");
         }
     }

@@ -10,6 +10,9 @@
 //! * **No saturation.** No term of the key saturates on any row: the
 //!   saturating `4096^depth` weighting it replaced left 28 of 63
 //!   `cholesky_kij` leaves pinned at `i64::MAX`, unordered.
+//! * **The key needs no build.** On every row the key read off the
+//!   statement plans, as the scheduler ranks, equals the same walk over the
+//!   program `build` emits, field for field.
 //! * **The fit table is this model.** Every row costs what the table says,
 //!   so the table's terms are the ones the model computes today (the
 //!   codegen test `the_constants_are_the_fit_of_the_committed_sweep`
@@ -17,7 +20,7 @@
 //! * **No tiled row wins.** Why the search has no tile axis, read off the
 //!   same table.
 
-use inl_codegen::{build, generate, PredictedCost};
+use inl_codegen::{build, generate, PlanTable, PredictedCost};
 use inl_core::complete::Completion;
 use inl_core::recipe::{Recipe, Shape, Step};
 use inl_exec::profile;
@@ -55,13 +58,35 @@ fn replay(name: &str, recipe: &Recipe) -> (Shape, Completion) {
     replayed.unwrap_or_else(|why| panic!("{name} {recipe}: {why}"))
 }
 
-/// The predicted cost of the leaf, as the scheduler ranks one: built, not
-/// finished.
+/// The predicted cost of the leaf, as the scheduler ranks one: read off
+/// its statement plans, nothing built.
 fn predicted(name: &str, recipe: &Recipe) -> PredictedCost {
     let (shape, c) = replay(name, recipe);
-    let (layout, deps) = (&shape.layout, &shape.deps);
-    let built = build(&shape.program, layout, deps, &c.matrix, &c.report).expect("builds");
-    built.predicted(layout, deps, &c.matrix)
+    let mut table = PlanTable::new(&shape.program, &shape.layout, &shape.deps);
+    let plans = table.intern(&c.matrix, &c.report);
+    let ranked = table.predict(&c.matrix, &c.report, &plans);
+    ranked.unwrap_or_else(|e| panic!("{name} {recipe}: {e}"))
+}
+
+#[test]
+fn the_plan_key_is_the_cost_of_the_built_program_on_every_row() {
+    // the key the scheduler ranks on, from the plans, against the same
+    // walk over the program `build` emits: every field, the innermost
+    // loops' ids included, on every row, tiled ones too
+    let rows = fit_rows();
+    for (name, recipe, cost) in &rows {
+        let (shape, c) = replay(name, recipe);
+        let (layout, deps) = (&shape.layout, &shape.deps);
+        let built = build(&shape.program, layout, deps, &c.matrix, &c.report).expect("builds");
+        let ranked = predicted(name, recipe);
+        assert_eq!(
+            ranked,
+            built.predicted(layout, deps, &c.matrix),
+            "{name} {recipe}"
+        );
+        assert_eq!(ranked.total(), *cost, "{name} {recipe}: refit");
+    }
+    assert_eq!(rows.len(), 283);
 }
 
 #[test]

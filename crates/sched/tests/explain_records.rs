@@ -57,4 +57,22 @@ fn explain_records_pruned_subtrees() {
     assert!(records.iter().any(|rec| rec.stage == "sched"
         && rec.verdict == Verdict::Accept
         && rec.subject.contains(&r.chosen().label)));
+    // the one build, the pick's, reports its own generation work, whatever
+    // the ranking made: one scanned bound per loop around each statement,
+    // augmented ones those the source statement did not have
+    let codegen: Vec<_> = records
+        .iter()
+        .filter(|rec| rec.stage == "codegen")
+        .collect();
+    assert_eq!(codegen.len(), 1);
+    let loops_around = |p: &inl_ir::Program| -> i64 {
+        p.stmts().map(|s| p.loops_surrounding(s).len() as i64).sum()
+    };
+    let (out, source) = (&r.chosen().program, zoo::augmentation_example());
+    let features = &codegen[0].features;
+    assert_eq!(features["bounds_scanned"], loops_around(out));
+    assert_eq!(
+        features["loops_augmented"],
+        loops_around(out) - loops_around(&source)
+    );
 }

@@ -41,16 +41,8 @@ fn main() {
 
     // Per-statement transformations: all non-singular, no augmentation
     // (the paper's §6 observation).
-    let ast = completion.report.new_ast.as_ref().unwrap();
-    let schedules = schedule_all(
-        &p,
-        &layout,
-        ast,
-        &completion.matrix,
-        &deps,
-        &completion.report,
-    )
-    .expect("schedulable");
+    let schedules = schedule_all(&p, &layout, &completion.matrix, &deps, &completion.report)
+        .expect("schedulable");
     for s in &schedules {
         println!(
             "per-statement transform of {}: N_S =\n{}  (augmented rows: {})",
