@@ -5,14 +5,26 @@
 //! distribution or jam keeps take their parent's entries. Every entry of
 //! every zoo program, of every distribution and jam the legality walk
 //! accepts of it, and of three splits of its innermost reuse loop must be
-//! what `expr_bounds` computes on the dependence's own system, and
+//! what Fourier–Motzkin projects on the dependence's own system, and
 //! `constant_entry`'s answer wherever it has one.
 
 use inl_core::depend::{constant_entry, DepEntry};
 use inl_core::recipe::{Shape, Step};
 use inl_core::tiling;
 use inl_ir::zoo;
-use inl_poly::{expr_bounds, Feasibility};
+use inl_poly::{var_bounds, Feasibility, LinExpr, System};
+
+/// The entry `expr` over `sys` as elimination projects it: the bounds of
+/// `t` over `sys` extended by `t = expr`. `expr_bounds` answers a
+/// difference entry by shortest paths; this row keeps the oracle on
+/// Fourier–Motzkin.
+fn projection(sys: &System, expr: &LinExpr) -> DepEntry {
+    let n = sys.nvars();
+    let mut ext = sys.extend(n + 1);
+    ext.add_eq(LinExpr::var(n + 1, n) - expr.extend(n + 1));
+    let (lo, hi) = var_bounds(&ext, n).expect("projection");
+    DepEntry { lo, hi }
+}
 
 /// `(entries read off, entries projected)` of one shape.
 fn check(what: &str, shape: &Shape) -> (usize, usize) {
@@ -28,8 +40,7 @@ fn check(what: &str, shape: &Shape) -> (usize, usize) {
             let expr = d
                 .checked_delta_expr(layout, p.nparams(), i)
                 .expect("delta expression");
-            let (lo, hi) = expr_bounds(&d.system, &expr).expect("projection");
-            let projection = DepEntry { lo, hi };
+            let projection = projection(&d.system, &expr);
             assert_eq!(
                 d.entries[i], projection,
                 "{what}: dep {k} entry {i} differs from its projection"

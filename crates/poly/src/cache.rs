@@ -14,7 +14,9 @@
 //! inside the public `fm` entry points — with the cache on or off, every
 //! query is answered as a deterministic function of the canonical system,
 //! so disabling the cache ([`set_cache_enabled`]`(false)`) changes speed,
-//! never answers.
+//! never answers. A difference system's feasibility and entry bounds are
+//! answered by shortest paths before canonicalization (see [`crate::fm`])
+//! and never reach the cache.
 //!
 //! The cache is a bounded map: when it reaches [`CACHE_CAP`] entries it is
 //! cleared in one deterministic generation flush (no LRU order to depend
@@ -230,10 +232,19 @@ mod tests {
     /// not interleave.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
+    /// `2y ≥ x`: a row with a coefficient of 2, so every query on a
+    /// system holding it reaches the cache (difference systems are
+    /// answered before it).
+    fn half(s: &mut System) {
+        s.add_ge(LinExpr::var(2, 1) * 2 - LinExpr::var(2, 0));
+    }
+
+    /// `lo ≤ x ≤ hi` and `2y ≥ x`: `x` ranges over `[lo, hi]`.
     fn interval(lo: Int, hi: Int) -> System {
-        let mut s = System::new(1);
-        s.add_ge(LinExpr::var(1, 0) - LinExpr::constant(1, lo));
-        s.add_ge(LinExpr::constant(1, hi) - LinExpr::var(1, 0));
+        let mut s = System::new(2);
+        s.add_ge(LinExpr::var(2, 0) - LinExpr::constant(2, lo));
+        s.add_ge(LinExpr::constant(2, hi) - LinExpr::var(2, 0));
+        half(&mut s);
         s
     }
 
@@ -259,13 +270,15 @@ mod tests {
         clear();
         reset_stats();
         // Same constraint set, different insertion order and a redundant row.
-        let mut a = System::new(1);
-        a.add_ge(LinExpr::var(1, 0) - LinExpr::constant(1, 2));
-        a.add_ge(LinExpr::constant(1, 9) - LinExpr::var(1, 0));
-        let mut b = System::new(1);
-        b.add_ge(LinExpr::constant(1, 9) - LinExpr::var(1, 0));
-        b.add_ge(LinExpr::var(1, 0) - LinExpr::constant(1, 2));
-        b.add_ge(LinExpr::var(1, 0)); // dominated by x >= 2
+        let mut a = System::new(2);
+        a.add_ge(LinExpr::var(2, 0) - LinExpr::constant(2, 2));
+        a.add_ge(LinExpr::constant(2, 9) - LinExpr::var(2, 0));
+        half(&mut a);
+        let mut b = System::new(2);
+        half(&mut b);
+        b.add_ge(LinExpr::constant(2, 9) - LinExpr::var(2, 0));
+        b.add_ge(LinExpr::var(2, 0) - LinExpr::constant(2, 2));
+        b.add_ge(LinExpr::var(2, 0)); // dominated by x >= 2
         assert_eq!(is_empty(&a), is_empty(&b));
         let s = stats();
         assert_eq!(s.hits, 1, "second system must reuse the first's entry");

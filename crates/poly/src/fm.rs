@@ -15,7 +15,8 @@
 //!   projection): a feasible dark shadow proves non-emptiness even when some
 //!   step was inexact.
 //!
-//! One step is kept cheap without changing any answer, error or verdict:
+//! Five fast paths keep the queries cheap without changing any answer,
+//! error or verdict:
 //!
 //! * *64-bit arithmetic where it cannot overflow.* [`inl_linalg::gcd`] runs
 //!   on `u64` when both magnitudes fit, and [`LinExpr`]'s checked multiply
@@ -35,17 +36,31 @@
 //!   so its result does not depend on when it runs.
 //! * The fourth, a constant dependence entry read without a projection,
 //!   lives in `inl_core::depend::constant_entry`.
+//! * The fifth skips elimination altogether for *difference systems*,
+//!   where shortest paths decide. When every row is `±x + k`
+//!   or `x − y + k` (and every constant within `±2^40`), [`is_empty`]
+//!   asks whether the constraint graph has a negative cycle, and
+//!   [`expr_bounds`] of an entry `x − y + c` over a feasible such system
+//!   reads two shortest-path distances (`crate::difference`). The answers
+//!   are elimination's: the matrix of such a system is totally unimodular,
+//!   so its rational optima are integral, and elimination on it is exact —
+//!   every combined coefficient is ±1, so each step is Pugh-exact and no
+//!   gcd tightening applies — and computes exactly those rational
+//!   projections. A size guard keeps the systems the path takes below the
+//!   inequality budget, where elimination would fail instead of answering.
 //!
-//! The three public queries — [`project`], [`is_empty`], [`var_bounds`] —
-//! first rewrite the input into its canonical form
-//! ([`System::canonicalized`]: sign-normalized rows, dominated
-//! inequalities pruned, rows sorted and deduplicated) and then answer as a
-//! pure function of that canonical system, memoized process-wide by
-//! [`crate::cache`]. Because canonicalization runs whether or not the
-//! cache is enabled, cached and uncached runs produce identical answers.
+//! Otherwise the public queries — [`project`], [`is_empty`],
+//! [`var_bounds`], and [`expr_bounds`] through it — first rewrite the input
+//! into its canonical form ([`System::canonicalized`]: sign-normalized
+//! rows, dominated inequalities pruned, rows sorted and deduplicated) and
+//! then answer as a pure function of that canonical system, memoized
+//! process-wide by [`crate::cache`]. Because canonicalization runs whether
+//! or not the cache is enabled, cached and uncached runs produce identical
+//! answers. A difference query is answered before canonicalization and
+//! never reaches the cache: the shortest paths cost less than a lookup.
 
 use crate::cache::{self, Answer, Query};
-use crate::{LinExpr, System};
+use crate::{difference, LinExpr, System};
 use inl_linalg::{gcd, InlError, InlErrorKind, Int};
 
 /// Outcome of the integer feasibility test.
@@ -65,7 +80,7 @@ pub enum Feasibility {
 /// (treated as `Unknown` by feasibility, and as a typed
 /// [`InlErrorKind::Budget`] error by projection, since loop nests never
 /// get near it).
-const MAX_INEQS: usize = 20_000;
+pub(crate) const MAX_INEQS: usize = 20_000;
 
 /// Eliminate variable `var` by Fourier–Motzkin. Returns the resulting
 /// system (same variable space, `var` unconstrained/unused) and whether the
@@ -291,13 +306,17 @@ fn project_core(sys: &System, keep: &[usize]) -> Result<(System, bool), InlError
 
 /// Integer feasibility of the system.
 ///
-/// The input is canonicalized first and the verdict memoized (see
-/// [`crate::cache`]). The `poly.feasibility` span fires on every call, hit
-/// or miss, so telemetry counts queries, not cache state.
+/// A difference system is decided by shortest paths (see the module docs);
+/// any other is canonicalized first and the verdict memoized (see
+/// [`crate::cache`]). The `poly.feasibility` span fires on every call,
+/// whichever answers, so telemetry counts queries, not cache state.
 pub fn is_empty(sys: &System) -> Feasibility {
     let _span = inl_obs::span("poly.feasibility");
     if sys.is_trivially_empty() {
         return Feasibility::Empty;
+    }
+    if let Some(f) = difference::is_empty(sys) {
+        return f;
     }
     let canon = sys.canonicalized();
     match cache::memo(canon, Query::Feasibility, |c| {
@@ -430,6 +449,8 @@ fn var_bounds_core(sys: &System, var: usize) -> Result<(Option<Int>, Option<Int>
 
 /// Integer bounds of an arbitrary linear expression over the system:
 /// introduces a fresh variable `t = expr` and computes [`var_bounds`] on it.
+/// An entry `x − y + c` over a feasible difference system is read off
+/// shortest paths instead, with the same answer (see the module docs).
 ///
 /// # Panics
 /// If `expr` is not over the system's variable space (a programming
@@ -437,6 +458,9 @@ fn var_bounds_core(sys: &System, var: usize) -> Result<(Option<Int>, Option<Int>
 pub fn expr_bounds(sys: &System, expr: &LinExpr) -> Result<(Option<Int>, Option<Int>), InlError> {
     let n = sys.nvars();
     assert_eq!(expr.nvars(), n, "expr_bounds: arity mismatch");
+    if let Some(bounds) = difference::expr_bounds(sys, expr) {
+        return Ok(bounds);
+    }
     let mut ext = sys.extend(n + 1);
     let t = LinExpr::var(n + 1, n);
     ext.add_eq(t.checked_sub(&expr.extend(n + 1))?);

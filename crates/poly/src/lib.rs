@@ -18,7 +18,9 @@
 //!   (`≥ 0`), with normalization and gcd-based integer tightening;
 //! * [`fm`] — Fourier–Motzkin elimination, projection, per-variable bounds,
 //!   and an Omega-style feasibility test (real shadow + exactness tracking +
-//!   dark shadow);
+//!   dark shadow); feasibility and entry bounds of a *difference system*
+//!   (every row `±x + k` or `x − y + k`) are read off shortest paths
+//!   instead, with the same answers;
 //! * [`bounds`] — extraction of loop bounds (`max`/`min` of affine forms
 //!   with ceiling/floor divisions) for code generation;
 //! * [`cache`] — process-wide memoization of projection, feasibility, and
@@ -51,6 +53,7 @@
 
 pub mod bounds;
 pub mod cache;
+mod difference;
 pub mod expr;
 pub mod fm;
 pub mod system;
