@@ -4,10 +4,10 @@
 //! The auto-scheduler (`inl-sched`) ranks legal variants *without running
 //! them*, using integer features computed from the dependence matrix, the
 //! transformation, and the generated loop nest — a `Nest` read off the
-//! statement plans before anything is built, or off a built program: one
-//! walk, `predict`, over either, so the two agree. Everything here is exact
-//! integer arithmetic over structures the pipeline already built — no
-//! timing, no floating point — so ranking is deterministic and
+//! statement plans before anything is built: one walk, `predict`, over the
+//! nest the scheduler ranks and [`crate::generate()`] emits. Everything here
+//! is exact integer arithmetic over structures the pipeline already built —
+//! no timing, no floating point — so ranking is deterministic and
 //! reproducible across machines, and the same numbers double as explain
 //! evidence (`inl_obs::explain` features on the `codegen` stage).
 //!
@@ -64,7 +64,7 @@
 use crate::plan::StmtPlan;
 use inl_core::depend::DependenceMatrix;
 use inl_core::instance::InstanceLayout;
-use inl_ir::{Access, Aff, Expr, LoopId, Node, Program, StmtId, VarKey};
+use inl_ir::{Access, Aff, Expr, LoopId, StmtId, VarKey};
 use inl_linalg::IMat;
 use std::cmp::Reverse;
 use std::fmt;
@@ -217,8 +217,8 @@ pub(crate) enum LoopOrigin {
 }
 
 /// A generated loop nest as the model reads it: off the statement plans
-/// before anything is built (`crate::plan::plan_nest`, also what the
-/// `Builder` emits), or off a built program ([`program_nest`]).
+/// before anything is built (`crate::plan::plan_nest`), and what the
+/// `Builder` emits.
 pub(crate) enum Nest<'a> {
     Loop(NestLoop<'a>),
     /// A source statement: its write and right-hand side.
@@ -240,39 +240,6 @@ pub(crate) struct NestLoop<'a> {
     pub(crate) upper: &'a [Aff],
     pub(crate) origin: LoopOrigin,
     pub(crate) children: Vec<Nest<'a>>,
-}
-
-/// The nest of the built program `out` from `nodes` down; `origins[l]` says
-/// where loop `l` comes from, `sources[t]` which source statement target
-/// statement `t` is.
-pub(crate) fn program_nest<'a>(
-    out: &'a Program,
-    origins: &[LoopOrigin],
-    sources: &[StmtId],
-    nodes: &[Node],
-) -> Vec<Nest<'a>> {
-    let node = |&n: &Node| match n {
-        Node::Loop(l) => {
-            let ld = out.loop_decl(l);
-            Nest::Loop(NestLoop {
-                id: l,
-                var: l,
-                lower: &ld.lower.terms,
-                upper: &ld.upper.terms,
-                origin: origins[l.0],
-                children: program_nest(out, origins, sources, &ld.children),
-            })
-        }
-        Node::Stmt(s) => {
-            let sd = out.stmt_decl(s);
-            Nest::Stmt {
-                stmt: sources[s.0],
-                write: &sd.write,
-                rhs: &sd.rhs,
-            }
-        }
-    };
-    nodes.iter().map(node).collect()
 }
 
 /// At most how many trips a loop runs per entry when two of its bound terms

@@ -2,15 +2,16 @@
 //!
 //! Three stages after the legality check: each statement's plan
 //! (`crate::plan`), the merge of the bounds of the loops statements share
-//! (`merge_slots`), then either the predicted cost read off the plans
-//! (`plan::predict_from_plans`, what the scheduler ranks on) or the target
-//! program emitted (`Builder`, what [`build`] returns).
+//! (`merge_slots`), then the nest read off the plans (`plan::plan_nest`).
+//! The scheduler ranks on the predicted cost walked over that nest
+//! (`plan::predict_from_plans`); [`generate`] walks the same nest for the
+//! cost and emits it as the target program (`Builder`).
 
 use crate::cost::{Certify, LoopOrigin, Nest};
 use crate::plan::{legal_ast, make_plan, placeholder_aff, plan_nest, row_loop, through, StmtPlan};
 use inl_core::depend::{analyze, DependenceMatrix};
 use inl_core::instance::{InstanceLayout, Position};
-use inl_core::legal::{check_legal, LegalityReport};
+use inl_core::legal::check_legal;
 use inl_core::transform::Transform;
 use inl_ir::{Access, Aff, Bound, Expr, Guard, LoopId, Program, ProgramBuilder, StmtId, VarKey};
 use inl_linalg::{lcm, IMat, InlError, InlErrorKind, Int};
@@ -34,10 +35,13 @@ pub struct CodegenResult {
     pub features: crate::cost::CostFeatures,
 }
 
-/// Generate the transformed program for a legal matrix `m`: check it
-/// ([`check_legal`], the one check), [`build`], then
-/// `BuiltVariant::finish` — two halves in sequence, and the only way a
-/// variant is ever finished, whoever asks.
+/// Generate the transformed program for a matrix `m`, the one way a
+/// variant is built: check it ([`check_legal`]), make each statement's
+/// plan, merge the bounds of the loops statements share, read the nest off
+/// the plans, walk it once for the predicted cost and once to emit the
+/// program, then drop the guards the enclosing bounds imply. An illegal `m`
+/// is an `Infeasible` error; bounds two statements sharing a loop cannot
+/// merge are `Unsupported`.
 pub fn generate(
     p: &Program,
     layout: &InstanceLayout,
@@ -46,173 +50,105 @@ pub fn generate(
 ) -> Result<CodegenResult, InlError> {
     let _span = inl_obs::span("codegen.generate");
     let report = check_legal(p, layout, deps, m)?;
-    Ok(build(p, layout, deps, m, &report)?.finish(p, layout, deps, m))
+    let ast = legal_ast(&report)?;
+    let plans: Vec<StmtPlan> = p
+        .stmts()
+        .map(|s| make_plan(p, layout, deps, m, &report, s))
+        .collect::<Result<_, _>>()?;
+    let plans: Vec<&StmtPlan> = plans.iter().collect();
+    let slot_bounds = merge_slots(p, layout, &plans)?;
+    let ast_span = inl_obs::span("codegen.ast");
+    let nest = plan_nest(ast, &plans, &slot_bounds, ast.program.root(), &mut 0)?;
+    let builder = Builder {
+        src: p,
+        layout,
+        plans: &plans,
+    };
+    let (mut program, stmt_map) = builder.build(&nest)?;
+    drop(ast_span);
+    let cert = Certify {
+        layout,
+        deps,
+        m,
+        plans: &plans,
+    };
+    let predicted = crate::cost::predict(&nest, &cert);
+    simplify_guards(&mut program);
+    let guards = program
+        .stmts()
+        .map(|s| program.stmt_decl(s).guards.len() as i64)
+        .sum();
+    let out = CodegenResult {
+        program,
+        stmt_map,
+        features: crate::cost::CostFeatures { guards, predicted },
+    };
+    if inl_obs::explain_enabled() {
+        record_cost_features(p, layout, deps, m, &plans, &out);
+    }
+    Ok(out)
 }
 
-/// A variant lowered as far as the target [`Program`] — per-statement
-/// plans, merge, emission — but with its guards not yet simplified and no
-/// cost features computed.
-///
-/// The program stays private: the only thing readable here is
-/// [`BuiltVariant::predicted`], which guard simplification provably leaves
-/// alone, so no caller can see an unsimplified guard count.
-pub struct BuiltVariant {
-    result: CodegenResult,
-    /// Where each loop of the target program comes from, by `LoopId`.
-    origins: Vec<LoopOrigin>,
-    /// The statements' plans, by statement.
-    plans: Vec<StmtPlan>,
-}
-
-impl BuiltVariant {
-    /// The cost of the variant, walked over the built program. Equal to
-    /// the finished variant's [`crate::cost::CostFeatures::predicted`] and
-    /// to the key the scheduler ranks on, which is read off the plans
-    /// alone ([`crate::PlanTable::predict`]). Takes the arguments [`build`]
-    /// was given.
-    pub fn predicted(
-        &self,
-        layout: &InstanceLayout,
-        deps: &DependenceMatrix,
-        m: &IMat,
-    ) -> crate::cost::PredictedCost {
-        let out = &self.result.program;
-        let mut sources = vec![StmtId(0); self.result.stmt_map.len()];
-        for (s, t) in self.result.stmt_map.iter().enumerate() {
-            sources[t.0] = StmtId(s);
-        }
-        let nest = crate::cost::program_nest(out, &self.origins, &sources, out.root());
-        let plans: Vec<&StmtPlan> = self.plans.iter().collect();
-        let cert = Certify {
-            layout,
-            deps,
-            m,
-            plans: &plans,
-        };
-        crate::cost::predict(&nest, &cert)
-    }
-
-    /// The second half of [`generate`]: drop the guards the enclosing
-    /// bounds imply and compute the cost features. Takes the arguments
-    /// [`build`] was given.
-    pub(crate) fn finish(
-        mut self,
-        p: &Program,
-        layout: &InstanceLayout,
-        deps: &DependenceMatrix,
-        m: &IMat,
-    ) -> CodegenResult {
-        let predicted = self.predicted(layout, deps, m);
-        let out = &mut self.result.program;
-        simplify_guards(out);
-        let guards = out
-            .stmts()
-            .map(|s| out.stmt_decl(s).guards.len() as i64)
-            .sum();
-        self.result.features = crate::cost::CostFeatures { guards, predicted };
-        if inl_obs::explain_enabled() {
-            self.record_cost_features(p, layout, deps, m);
-        }
-        self.result
-    }
-
-    /// Attach the finished variant's features to the explain stream (stage
-    /// `codegen`): dependence-matrix summary, parallel/wavefront shape under
-    /// this transformation, generation work counts and the predicted cost.
-    /// Everything here but the features is computed for this record alone.
-    fn record_cost_features(
-        &self,
-        p: &Program,
-        layout: &InstanceLayout,
-        deps: &DependenceMatrix,
-        m: &IMat,
-    ) {
-        use inl_core::depend::DepKind;
-        use inl_core::provenance;
-        let (out, f) = (&self.result, &self.result.features);
-        let count = |kind: DepKind| deps.deps.iter().filter(|d| d.kind == kind).count();
-        let (flow, anti, output) = (
-            count(DepKind::Flow),
-            count(DepKind::Anti),
-            count(DepKind::Output),
-        );
-        let ndeps = deps.deps.len() as i64;
-        let deps_certain = deps.deps.iter().filter(|d| d.certain).count() as i64;
-        let doall = inl_core::parallel::parallel_slots(layout, deps, m);
-        let loop_slots: Vec<usize> = layout.loops().map(|(q, _)| q).collect();
-        // inner parallelism only: a wavefront schedule
-        let wavefront = matches!((doall.first(), loop_slots.first()), (Some(s), Some(f)) if s > f);
-        // one scanned bound per new loop of a statement
-        let bounds_scanned: usize = self.plans.iter().map(|pl| pl.sched.rows.nrows()).sum();
-        let loops_augmented: usize = self.plans.iter().map(|pl| pl.sched.n_aug).sum();
-        let rec = inl_obs::explain::note(
-            "codegen",
-            format!("program {} under {}", p.name(), provenance::matrix_text(m)),
-            format!(
-                "generated {} statements over {} loop slot(s); {} DOALL slot(s)",
-                out.stmt_map.len(),
-                loop_slots.len(),
-                doall.len()
-            ),
-        )
-        .detail(
-            "dep_summary",
-            format!(
-                "{ndeps} deps ({flow} flow, {anti} anti, {output} output; {deps_certain} certain)"
-            ),
-        )
-        .feature("deps", ndeps)
-        .feature("deps_certain", deps_certain)
-        .feature("stmts", out.stmt_map.len() as i64)
-        .feature("bounds_scanned", bounds_scanned as i64)
-        .feature("loops_augmented", loops_augmented as i64)
-        .feature("guards_emitted", f.guards)
-        .feature("parallel_slots", doall.len() as i64)
-        .feature("wavefront", wavefront as i64)
-        .feature("predicted_cost", f.predicted.total())
-        .feature("trip_cost", f.predicted.trip_cost)
-        .feature("entry_cost", f.predicted.entry_cost)
-        .feature("nest_cost", f.predicted.nest_cost);
-        if !doall.is_empty() {
-            let listed: Vec<String> = doall.iter().map(|q| q.to_string()).collect();
-            rec.detail("doall_slots", listed.join(" "));
-        }
-    }
-}
-
-/// The first half of [`generate`]: everything through the emitted target
-/// program, for `m` and the [`LegalityReport`] that proved it
-/// ([`check_legal`]'s, or the one [`inl_core::complete::Completion`]
-/// carries) — `m` is not checked again. A report of an illegal matrix is an
-/// `Infeasible` error; bounds two statements sharing a loop cannot merge
-/// are `Unsupported`.
-pub fn build(
+/// Attach the finished variant's features to the explain stream (stage
+/// `codegen`): dependence-matrix summary, parallel/wavefront shape under
+/// this transformation, generation work counts and the predicted cost.
+/// Everything here but the features is computed for this record alone.
+fn record_cost_features(
     p: &Program,
     layout: &InstanceLayout,
     deps: &DependenceMatrix,
     m: &IMat,
-    report: &LegalityReport,
-) -> Result<BuiltVariant, InlError> {
-    let ast = legal_ast(report)?;
-    let plans: Vec<StmtPlan> = p
-        .stmts()
-        .map(|s| make_plan(p, layout, deps, m, report, s))
-        .collect::<Result<_, _>>()?;
-    let refs: Vec<&StmtPlan> = plans.iter().collect();
-    let slot_bounds = merge_slots(p, layout, &refs)?;
-    let _span = inl_obs::span("codegen.ast");
-    let nest = plan_nest(ast, &refs, &slot_bounds, ast.program.root(), &mut 0)?;
-    let builder = Builder {
-        src: p,
-        layout,
-        plans: &refs,
-    };
-    let (result, origins) = builder.build(&nest)?;
-    Ok(BuiltVariant {
-        result,
-        origins,
-        plans,
-    })
+    plans: &[&StmtPlan],
+    out: &CodegenResult,
+) {
+    use inl_core::depend::DepKind;
+    use inl_core::provenance;
+    let f = &out.features;
+    let count = |kind: DepKind| deps.deps.iter().filter(|d| d.kind == kind).count();
+    let (flow, anti, output) = (
+        count(DepKind::Flow),
+        count(DepKind::Anti),
+        count(DepKind::Output),
+    );
+    let ndeps = deps.deps.len() as i64;
+    let deps_certain = deps.deps.iter().filter(|d| d.certain).count() as i64;
+    let doall = inl_core::parallel::parallel_slots(layout, deps, m);
+    let loop_slots: Vec<usize> = layout.loops().map(|(q, _)| q).collect();
+    // inner parallelism only: a wavefront schedule
+    let wavefront = matches!((doall.first(), loop_slots.first()), (Some(s), Some(f)) if s > f);
+    // one scanned bound per new loop of a statement
+    let bounds_scanned: usize = plans.iter().map(|pl| pl.sched.rows.nrows()).sum();
+    let loops_augmented: usize = plans.iter().map(|pl| pl.sched.n_aug).sum();
+    let rec = inl_obs::explain::note(
+        "codegen",
+        format!("program {} under {}", p.name(), provenance::matrix_text(m)),
+        format!(
+            "generated {} statements over {} loop slot(s); {} DOALL slot(s)",
+            out.stmt_map.len(),
+            loop_slots.len(),
+            doall.len()
+        ),
+    )
+    .detail(
+        "dep_summary",
+        format!("{ndeps} deps ({flow} flow, {anti} anti, {output} output; {deps_certain} certain)"),
+    )
+    .feature("deps", ndeps)
+    .feature("deps_certain", deps_certain)
+    .feature("stmts", out.stmt_map.len() as i64)
+    .feature("bounds_scanned", bounds_scanned as i64)
+    .feature("loops_augmented", loops_augmented as i64)
+    .feature("guards_emitted", f.guards)
+    .feature("parallel_slots", doall.len() as i64)
+    .feature("wavefront", wavefront as i64)
+    .feature("predicted_cost", f.predicted.total())
+    .feature("trip_cost", f.predicted.trip_cost)
+    .feature("entry_cost", f.predicted.entry_cost)
+    .feature("nest_cost", f.predicted.nest_cost);
+    if !doall.is_empty() {
+        let listed: Vec<String> = doall.iter().map(|q| q.to_string()).collect();
+        rec.detail("doall_slots", listed.join(" "));
+    }
 }
 
 /// A loop left with no bound on one side: `IllFormed`.
@@ -359,16 +295,16 @@ struct Builder<'x> {
 }
 
 /// What the `Builder` fills in as it emits: the target loop open for each
-/// placeholder, the source-to-target statement map, and where each target
-/// loop comes from, by `LoopId`.
+/// placeholder, and the source-to-target statement map.
 struct Emitted {
     open: Vec<Option<LoopId>>,
     stmt_map: Vec<StmtId>,
-    origins: Vec<LoopOrigin>,
 }
 
 impl Builder<'_> {
-    fn build(&self, nest: &[Nest]) -> Result<(CodegenResult, Vec<LoopOrigin>), InlError> {
+    /// The target program of `nest`, and `stmt_map` (as
+    /// [`CodegenResult::stmt_map`]); its guards are not yet simplified.
+    fn build(&self, nest: &[Nest]) -> Result<(Program, Vec<StmtId>), InlError> {
         let mut b = ProgramBuilder::new(format!("{}_transformed", self.src.name()));
         for name in self.src.params() {
             b.param(name.clone());
@@ -385,7 +321,6 @@ impl Builder<'_> {
         let mut e = Emitted {
             open: vec![None; self.layout.len() + rows.unwrap_or(0)],
             stmt_map: vec![StmtId(usize::MAX); self.plans.len()],
-            origins: Vec::new(),
         };
         self.emit(&mut b, nest, &mut e)?;
         let program = b.finish_unchecked();
@@ -393,12 +328,7 @@ impl Builder<'_> {
             let why = format!("generated program invalid: {e}");
             return Err(InlError::new(InlErrorKind::Infeasible, why));
         }
-        let result = CodegenResult {
-            program,
-            stmt_map: e.stmt_map,
-            features: crate::cost::CostFeatures::default(),
-        };
-        Ok((result, e.origins))
+        Ok((program, e.stmt_map))
     }
 
     fn emit(
@@ -429,7 +359,6 @@ impl Builder<'_> {
                     b.loop_full(name, lower, upper, 1, false, |b| {
                         let id = b.current_loop().expect("inside loop");
                         assert_eq!(id, l.id, "the nest numbers loops as the builder does");
-                        e.origins.push(l.origin);
                         let outer = e.open[l.var.0].replace(id);
                         res = self.emit(b, &l.children, e);
                         e.open[l.var.0] = outer;

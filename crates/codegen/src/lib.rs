@@ -8,8 +8,8 @@
 //!
 //! 1. **Legality & AST** — [`inl_core::legal::check_legal`] recovers the
 //!    transformed AST (child reorderings) and the self-dependences left
-//!    unsatisfied; [`generate()`] runs it, [`build`] takes its report (or
-//!    the one a completion carries) and does not check again.
+//!    unsatisfied; [`generate()`] runs it, and the scheduler's
+//!    [`PlanTable`] takes the report a completion carries instead.
 //! 2. **Per-statement schedules** — [`inl_core::perstmt`] builds each
 //!    statement's (possibly augmented) transformation `T'_S`, its
 //!    non-singular core `N_S`, and the singular-row combinations. With the
@@ -41,10 +41,7 @@ pub mod cost;
 pub mod generate;
 mod plan;
 
-#[cfg(test)]
-mod tests;
-
 pub use batch::{batch_map, compile_batch, CompiledVariant};
 pub use cost::{CostFeatures, Executor, InnerLoop, PredictedCost, NOMINAL_EXTENT};
-pub use generate::{build, generate, generate_seq, BuiltVariant, CodegenResult};
+pub use generate::{generate, generate_seq, CodegenResult};
 pub use plan::PlanTable;

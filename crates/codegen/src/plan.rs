@@ -485,9 +485,9 @@ impl<'a> PlanTable<'a> {
     }
 
     /// The ranking key of the leaf `(m, report)`, whose plans
-    /// [`intern`](Self::intern) returned: `build(..)?.predicted(..)`, or
-    /// the error `build` fails with, with no program built. Makes the plans
-    /// not made yet.
+    /// [`intern`](Self::intern) returned: the predicted cost
+    /// [`generate`](crate::generate()) reports for `m`, or the error it fails
+    /// with, with no program built. Makes the plans not made yet.
     pub fn predict(
         &self,
         m: &IMat,

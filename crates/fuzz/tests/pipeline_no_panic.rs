@@ -6,7 +6,7 @@
 //! Case counts: `INL_FUZZ_CASES` (CI sets 2000 per property); local runs
 //! default to a fast smoke count.
 
-use inl_codegen::{build, PlanTable};
+use inl_codegen::{generate, PlanTable};
 use inl_core::complete::complete_transform;
 use inl_core::depend::{analyze, constant_entry, DepEntry};
 use inl_core::legal::{check_legal, check_structural, LegalityReport};
@@ -206,14 +206,14 @@ fn entries_are_projections(shape: &Shape, what: &str) -> Result<(), TestCaseErro
 }
 
 /// The key the scheduler ranks on, read off a leaf's statement plans with
-/// nothing built, is what `build` gives: both `Ok` and equal, field for
-/// field, or both an error of the same kind. The leaves, of the source and
+/// nothing built, is what `generate` reports: both `Ok` and equal, field
+/// for field, or both an error of the same kind. The leaves, of the source and
 /// of every distribution and jam the legality walk accepts: every loop
 /// order with random signs, completed; two random partial rows, completed;
 /// a random matrix, legal or not. One plan table per shape, so leaves
 /// share plans as the scheduler's do.
 #[test]
-fn the_plan_key_is_what_build_gives() {
+fn the_plan_key_is_what_generate_reports() {
     let (mut agreed, mut refused) = (0u64, 0u64);
     TestRunner::new(fuzz_config(64)).run_cases(|rng| {
         let p = arb_program().generate(rng);
@@ -252,18 +252,18 @@ fn the_plan_key_is_what_build_gives() {
             let plans: Vec<Vec<usize>> = leaves.iter().map(|(m, r)| table.intern(m, r)).collect();
             for ((m, report), plans) in leaves.iter().zip(&plans) {
                 let what = format!("{} under {m:?}", q.name());
-                let built = build(q, layout, deps, m, report).map(|b| b.predicted(layout, deps, m));
-                match (built, table.predict(m, report, plans)) {
-                    (Ok(built), Ok(keyed)) => {
-                        prop_assert_eq!(keyed, built, "{}", what);
+                let generated = generate(q, layout, deps, m).map(|r| r.features.predicted);
+                match (generated, table.predict(m, report, plans)) {
+                    (Ok(generated), Ok(keyed)) => {
+                        prop_assert_eq!(keyed, generated, "{}", what);
                         agreed += 1;
                     }
-                    (Err(built), Err(keyed)) => {
-                        prop_assert_eq!(keyed.kind(), built.kind(), "{}: {}", what, keyed);
+                    (Err(generated), Err(keyed)) => {
+                        prop_assert_eq!(keyed.kind(), generated.kind(), "{}: {}", what, keyed);
                         refused += 1;
                     }
-                    (built, keyed) => {
-                        let why = format!("{what}: build {built:?}, plan key {keyed:?}");
+                    (generated, keyed) => {
+                        let why = format!("{what}: generate {generated:?}, plan key {keyed:?}");
                         return Err(TestCaseError::fail(why));
                     }
                 }

@@ -359,7 +359,6 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, I
 #[cfg(test)]
 mod tests {
     use super::*;
-    use inl_codegen::build;
     use inl_ir::zoo;
 
     fn quiet_cfg() -> SchedConfig {
@@ -508,9 +507,9 @@ mod tests {
                 found
                     .into_iter()
                     .map(|(recipe, c)| {
-                        let built = build(&shape.program, layout, deps, &c.matrix, &c.report)
-                            .expect("builds");
-                        (recipe, built.predicted(layout, deps, &c.matrix))
+                        let r =
+                            generate(&shape.program, layout, deps, &c.matrix).expect("generates");
+                        (recipe, r.features.predicted)
                     })
                     .collect()
             };
@@ -708,7 +707,7 @@ mod tests {
         let r = schedule_with(&split, &quiet_cfg()).expect("schedules");
         assert!(!r.legal.iter().any(|label| label == "jam(I+J)/K.Lo'.I.L"));
         assert_eq!(r.stats.legal_variants, r.variants.len() as u64 + 2);
-        // the two are the leaves `build` refuses, and it refuses them as
+        // the two are the leaves `generate` refuses, and it refuses them as
         // `Unsupported`: the one failure ranking drops. The plan key, which
         // ranks without building, refuses the same two the same way
         let mut stats = SearchStats::default();
@@ -722,18 +721,18 @@ mod tests {
                 .map(|(_, c)| table.intern(&c.matrix, &c.report))
                 .collect();
             for ((recipe, c), plans) in found.iter().zip(&plans) {
-                let built = build(&s.program, &s.layout, &s.deps, &c.matrix, &c.report);
+                let generated = generate(&s.program, &s.layout, &s.deps, &c.matrix);
                 let keyed = table.predict(&c.matrix, &c.report, plans);
-                match (built, keyed) {
+                match (generated, keyed) {
                     (Ok(_), Ok(_)) => {}
-                    (Err(b), Err(k)) => refused.push((recipe.to_string(), b.kind(), k.kind())),
-                    (b, k) => panic!("{recipe}: build {:?}, plan key {k:?}", b.err()),
+                    (Err(g), Err(k)) => refused.push((recipe.to_string(), g.kind(), k.kind())),
+                    (g, k) => panic!("{recipe}: generate {:?}, plan key {k:?}", g.err()),
                 }
             }
         }
         assert_eq!(refused.len(), 2, "{refused:?}");
-        for (label, built, keyed) in &refused {
-            assert_eq!(*built, InlErrorKind::Unsupported, "{label}");
+        for (label, generated, keyed) in &refused {
+            assert_eq!(*generated, InlErrorKind::Unsupported, "{label}");
             assert_eq!(*keyed, InlErrorKind::Unsupported, "{label}");
             assert!(!r.legal.contains(label), "{label}");
         }

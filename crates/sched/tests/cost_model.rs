@@ -3,16 +3,14 @@
 //! fitted on — each replayed from its label (`Recipe::replay`): the leaves
 //! the scheduler ranks, and tiled leaves, which it does not build.
 //!
-//! * **Executor oracle.** For every row, the executor the model predicts
-//!   for each innermost loop is the one a profiled VM run at N = 12 used
-//!   (`LoopProfile::mode`): the model never promises columns, or a carried
-//!   chain, that the VM does not run.
+//! * **Executor oracle.** For every row, the innermost loops the model
+//!   lists are, by id and in order, the generated program's loops that
+//!   hold no loop, and the executor it predicts for each is the one a
+//!   profiled VM run at N = 12 used (`LoopProfile::mode`): the model never
+//!   promises columns, or a carried chain, that the VM does not run.
 //! * **No saturation.** No term of the key saturates on any row: the
 //!   saturating `4096^depth` weighting it replaced left 28 of 63
 //!   `cholesky_kij` leaves pinned at `i64::MAX`, unordered.
-//! * **The key needs no build.** On every row the key read off the
-//!   statement plans, as the scheduler ranks, equals the same walk over the
-//!   program `build` emits, field for field.
 //! * **The fit table is this model.** Every row costs what the table says,
 //!   so the table's terms are the ones the model computes today (the
 //!   codegen test `the_constants_are_the_fit_of_the_committed_sweep`
@@ -20,12 +18,12 @@
 //! * **No tiled row wins.** Why the search has no tile axis, read off the
 //!   same table.
 
-use inl_codegen::{build, generate, PlanTable, PredictedCost};
+use inl_codegen::{generate, PlanTable, PredictedCost};
 use inl_core::complete::Completion;
 use inl_core::recipe::{Recipe, Shape, Step};
 use inl_exec::profile;
 use inl_exec::{Machine, VmRunner};
-use inl_ir::zoo;
+use inl_ir::{zoo, LoopId, Node, Program};
 use inl_sched::schedule;
 use std::collections::BTreeMap;
 
@@ -68,25 +66,18 @@ fn predicted(name: &str, recipe: &Recipe) -> PredictedCost {
     ranked.unwrap_or_else(|e| panic!("{name} {recipe}: {e}"))
 }
 
-#[test]
-fn the_plan_key_is_the_cost_of_the_built_program_on_every_row() {
-    // the key the scheduler ranks on, from the plans, against the same
-    // walk over the program `build` emits: every field, the innermost
-    // loops' ids included, on every row, tiled ones too
-    let rows = fit_rows();
-    for (name, recipe, cost) in &rows {
-        let (shape, c) = replay(name, recipe);
-        let (layout, deps) = (&shape.layout, &shape.deps);
-        let built = build(&shape.program, layout, deps, &c.matrix, &c.report).expect("builds");
-        let ranked = predicted(name, recipe);
-        assert_eq!(
-            ranked,
-            built.predicted(layout, deps, &c.matrix),
-            "{name} {recipe}"
-        );
-        assert_eq!(ranked.total(), *cost, "{name} {recipe}: refit");
+/// The loops of `p` from `nodes` down that hold no loop, in program order.
+fn innermost_loops(p: &Program, nodes: &[Node], out: &mut Vec<LoopId>) {
+    for &n in nodes {
+        if let Node::Loop(l) = n {
+            let children = &p.loop_decl(l).children;
+            if children.iter().any(|c| matches!(c, Node::Loop(_))) {
+                innermost_loops(p, children, out);
+            } else {
+                out.push(l);
+            }
+        }
     }
-    assert_eq!(rows.len(), 283);
 }
 
 #[test]
@@ -97,6 +88,11 @@ fn predicted_executors_are_the_ones_the_vm_runs() {
         let (shape, c) = replay(name, &recipe);
         let v = generate(&shape.program, &shape.layout, &shape.deps, &c.matrix).expect("generates");
         variants += 1;
+        // a wrong id would only make `loop_profile` below find no loop
+        let mut innermost = Vec::new();
+        innermost_loops(&v.program, v.program.root(), &mut innermost);
+        let predicted: Vec<LoopId> = v.features.predicted.inner.iter().map(|l| l.id).collect();
+        assert_eq!(predicted, innermost, "{name} {recipe}: innermost loops");
         let params = vec![12; v.program.nparams()];
         let runner = VmRunner::new(&v.program);
         let counts = runner.run_profiled(&mut Machine::new(&v.program, &params, &zoo::spd_init));
