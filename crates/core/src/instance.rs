@@ -55,8 +55,6 @@ struct StmtEmbed {
     e: IMat,
     /// `f_S`: the constant edge labels.
     f: IVec,
-    /// Positions padded by procedure M (Definition 4).
-    padded: Vec<usize>,
 }
 
 /// The instance-vector layout of a program: the meaning of each vector
@@ -155,11 +153,6 @@ impl InstanceLayout {
         &self.stmt_embed[s.0].loops
     }
 
-    /// The padded positions of a statement (Definition 4).
-    pub fn padded_positions(&self, s: StmtId) -> &[usize] {
-        &self.stmt_embed[s.0].padded
-    }
-
     /// The embedding `(E_S, f_S)` with `L(instance) = E_S·i + f_S` for the
     /// iteration vector `i` (outside-in).
     pub fn embedding(&self, s: StmtId) -> (&IMat, &IVec) {
@@ -211,7 +204,6 @@ impl InstanceLayout {
         let n = self.len();
         let mut e = IMat::zeros(n, k);
         let mut f = IVec::zeros(n);
-        let mut padded = Vec::new();
         // Path-of-children: for each loop on the path (and the root), which
         // child index continues towards s.
         for (i, pos) in self.positions.iter().enumerate() {
@@ -228,7 +220,6 @@ impl InstanceLayout {
                             .iter()
                             .rev()
                             .find_map(|a| loops.iter().position(|&x| x == *a));
-                        padded.push(i);
                         if let Some(idx) = lab {
                             e[(i, idx)] = 1;
                         } // else: no labeled ancestor — padded with 0
@@ -256,12 +247,7 @@ impl InstanceLayout {
                 }
             }
         }
-        StmtEmbed {
-            loops,
-            e,
-            f,
-            padded,
-        }
+        StmtEmbed { loops, e, f }
     }
 }
 
@@ -297,6 +283,17 @@ mod tests {
     use inl_ir::zoo;
     use inl_linalg::lex::lex_cmp;
     use std::cmp::Ordering;
+
+    impl InstanceLayout {
+        /// The padded positions of a statement (Definition 4): the
+        /// positions of the loops that do not surround it.
+        fn padded_positions(&self, s: StmtId) -> Vec<usize> {
+            let surrounds = |l| self.stmt_loops(s).contains(&l);
+            (0..self.len())
+                .filter(|&i| matches!(self.positions[i], Position::Loop(l) if !surrounds(l)))
+                .collect()
+        }
+    }
 
     fn stmt_by_name(p: &Program, name: &str) -> StmtId {
         p.stmts().find(|&s| p.stmt_decl(s).name == name).unwrap()

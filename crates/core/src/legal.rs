@@ -28,7 +28,7 @@ use crate::depend::{Dependence, DependenceMatrix};
 use crate::instance::{InstanceLayout, Position};
 use crate::project::{common_positions, row_dot, DepState, RowEffect};
 use crate::structural::StructuralResult;
-use inl_ir::{LoopId, Program, StmtId};
+use inl_ir::{LoopId, Program};
 use inl_linalg::{IMat, InlError};
 use std::collections::HashMap;
 
@@ -407,25 +407,24 @@ fn zero_case(target: &Program, d: &Dependence) -> DepStatus {
     }
 }
 
-/// Group a report's unsatisfied self-dependences by statement (input to the
-/// augmentation procedure).
-pub fn unsatisfied_by_stmt(
-    deps: &DependenceMatrix,
-    report: &LegalityReport,
-) -> HashMap<StmtId, Vec<usize>> {
-    let mut map: HashMap<StmtId, Vec<usize>> = HashMap::new();
-    for &idx in &report.unsatisfied_self {
-        map.entry(deps.deps[idx].src).or_default().push(idx);
-    }
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::depend::analyze;
     use crate::transform::Transform;
-    use inl_ir::zoo;
+    use inl_ir::{zoo, StmtId};
+
+    /// Group a report's unsatisfied self-dependences by statement.
+    fn unsatisfied_by_stmt(
+        deps: &DependenceMatrix,
+        report: &LegalityReport,
+    ) -> HashMap<StmtId, Vec<usize>> {
+        let mut map: HashMap<StmtId, Vec<usize>> = HashMap::new();
+        for &idx in &report.unsatisfied_self {
+            map.entry(deps.deps[idx].src).or_default().push(idx);
+        }
+        map
+    }
 
     fn looop(p: &Program, name: &str) -> LoopId {
         p.loops().find(|&l| p.loop_decl(l).name == name).unwrap()

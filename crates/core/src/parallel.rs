@@ -98,29 +98,6 @@ fn record_outer_rows(rows: &[IVec], ndeps: usize) {
     }
 }
 
-/// True iff `row · d = 0` for every dependence (using exact entries only).
-/// Conservative: an inexact entry — or a dot product that overflows —
-/// disqualifies the row.
-pub fn is_parallel_row(deps: &DependenceMatrix, row: &IVec) -> bool {
-    deps.deps.iter().all(|d| {
-        let mut acc: inl_linalg::Int = 0;
-        for (j, &c) in row.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            match d.entries[j]
-                .as_dist()
-                .and_then(|v| c.checked_mul(v))
-                .and_then(|t| acc.checked_add(t))
-            {
-                Some(next) => acc = next,
-                None => return false,
-            }
-        }
-        acc == 0
-    })
-}
-
 /// Where one dependence stands at a loop, given the loop's row and the rows
 /// of the loops around it, outside-in.
 enum AtLoop {
@@ -288,6 +265,30 @@ mod tests {
     use crate::legal::check_legal;
     use crate::transform::Transform;
     use inl_ir::zoo;
+
+    /// True iff `row · d = 0` for every dependence (using exact entries
+    /// only): the oracle every row of [`parallel_rows`]' basis is checked
+    /// against. Conservative: an inexact entry — or a dot product that
+    /// overflows — disqualifies the row.
+    fn is_parallel_row(deps: &DependenceMatrix, row: &IVec) -> bool {
+        deps.deps.iter().all(|d| {
+            let mut acc: inl_linalg::Int = 0;
+            for (j, &c) in row.iter().enumerate() {
+                if c == 0 {
+                    continue;
+                }
+                match d.entries[j]
+                    .as_dist()
+                    .and_then(|v| c.checked_mul(v))
+                    .and_then(|t| acc.checked_add(t))
+                {
+                    Some(next) => acc = next,
+                    None => return false,
+                }
+            }
+            acc == 0
+        })
+    }
 
     #[test]
     fn wavefront_has_no_outer_parallelism() {

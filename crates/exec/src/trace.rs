@@ -68,18 +68,6 @@ impl Trace {
             depth_histogram,
         }
     }
-
-    /// The multiset of instances (sorted), for comparing coverage between
-    /// a program and its transformation (same instances, different order).
-    pub fn sorted_multiset(&self, p: &Program) -> Vec<(String, Vec<Int>)> {
-        let mut v: Vec<(String, Vec<Int>)> = self
-            .instances
-            .iter()
-            .map(|r| (p.stmt_decl(r.stmt).name.clone(), r.iter.clone()))
-            .collect();
-        v.sort();
-        v
-    }
 }
 
 /// Aggregated view of a [`Trace`]; see [`Trace::summary`].
@@ -148,6 +136,21 @@ pub fn run_traced(
 mod tests {
     use super::*;
     use inl_ir::zoo;
+
+    impl Trace {
+        /// The multiset of instances (sorted), for comparing coverage
+        /// between a program and its transformation (same instances,
+        /// different order).
+        fn sorted_multiset(&self, p: &Program) -> Vec<(String, Vec<Int>)> {
+            let mut v: Vec<(String, Vec<Int>)> = self
+                .instances
+                .iter()
+                .map(|r| (p.stmt_decl(r.stmt).name.clone(), r.iter.clone()))
+                .collect();
+            v.sort();
+            v
+        }
+    }
 
     #[test]
     fn trace_counts_match_loop_bounds() {

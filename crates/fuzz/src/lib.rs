@@ -271,7 +271,8 @@ pub struct InnerLoopRecipe {
 /// Build `do I = 1..3 { do J = (1 | I)..N step s { stmts } }` over two
 /// arrays of `4N+16` cells, every subscript shifted by `2N+8` so that
 /// `|a| ≤ 2`, `|b| ≤ 1`, `|c| ≤ 3` stay in range. `I`'s body is only `J`:
-/// wherever `J` lowers to a trip kernel, the VM runs `I` two-level.
+/// wherever `J` lowers to a trip kernel, the VM enters it once per trip of
+/// `I`.
 pub fn build_inner_loop(r: &InnerLoopRecipe) -> Program {
     let mut b = ProgramBuilder::new(format!("fuzz_inner_{r:?}"));
     let n = b.param("N");

@@ -297,13 +297,13 @@ fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
 /// Guard-free inner loops — what the VM enters as trip kernels: a column of
 /// trips at a time, around one carried cell, or handed back to the
 /// dispatcher, as their address spans allow — leave the interpreter's memory
-/// image, bit for bit, and between them take all three ways. `I`'s body is
-/// only `J`, so wherever `J` is a kernel its entries are made by `I`'s
-/// two-level header; most cases must have one.
+/// image, bit for bit, and between them take all three ways. `J` is entered
+/// once per trip of `I`, by the dispatcher's header; most cases must lower
+/// it to a kernel.
 #[test]
 fn inner_loops_agree_on_both_backends() {
     const LANES: [&str; 3] = ["vm.trips.columns", "vm.trips.carried", "vm.trips.dispatch"];
-    let (mut trips, mut cases, mut two_level) = ([0u64; 3], 0u64, 0u64);
+    let (mut trips, mut cases, mut kernel) = ([0u64; 3], 0u64, 0u64);
     TestRunner::new(fuzz_config(64)).run_cases(|rng| {
         let (p, n) = arb_inner_loop().generate(rng);
         let mi = run_fresh(&p, &[n], &fuzz_init);
@@ -314,7 +314,7 @@ fn inner_loops_agree_on_both_backends() {
             *sum += seen.counters.get(lane).copied().unwrap_or(0);
         }
         cases += 1;
-        two_level += runner.compiled().bind(&[n]).two_level[0].is_some() as u64;
+        kernel += runner.compiled().bind(&[n]).kernels[1].is_some() as u64;
         prop_assert_eq!(
             mi.same_state(&mv)
                 .map_err(|e| format!("{} at N = {n}: {e}", p.name())),
@@ -324,7 +324,7 @@ fn inner_loops_agree_on_both_backends() {
     });
     assert!(trips.iter().all(|&lane| lane > 0), "{LANES:?}: {trips:?}");
     assert!(
-        2 * two_level > cases,
-        "{two_level} of {cases} ran I two-level"
+        2 * kernel > cases,
+        "{kernel} of {cases} lowered J to a kernel"
     );
 }

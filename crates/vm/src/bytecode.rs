@@ -41,9 +41,6 @@
 //! trips (see [`mod@crate::run`]); every other loop stays on the
 //! dispatcher. A body with one `Store` is also kept split around each load
 //! that may be of the cell one trip hands to the next ([`CarriedKernel`]).
-//! A loop whose body is exactly one kernel loop, not marked `parallel`, is a
-//! [`TwoLevel`] loop: its header runs every outer trip itself, stepping the
-//! slots' first offsets.
 
 use inl_ir::{LoopId, Program};
 use inl_linalg::Int;
@@ -579,20 +576,6 @@ impl TripKernel {
     }
 }
 
-/// A loop whose body is exactly one kernel loop. Its header runs every
-/// outer trip itself: it evaluates the inner bounds, steps each slot's
-/// first offset instead of re-deriving it, and enters the kernel.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TwoLevel {
-    /// The kernel loop that is the body (index into
-    /// [`BoundProgram::kernels`] and [`CompiledProgram::loops`]).
-    pub inner: usize,
-    /// Per slot of the inner kernel: the coefficient of the inner loop
-    /// register in its offset, and the change of its offset per outer trip
-    /// (the outer register's coefficient times the outer step).
-    pub steps: Vec<(i64, i64)>,
-}
-
 /// A [`CompiledProgram`] with parameters bound: array layout computed,
 /// accesses lowered, ready to execute on one `f64` slice per array.
 #[derive(Clone, Debug)]
@@ -609,9 +592,6 @@ pub struct BoundProgram<'c> {
     /// loop whose body qualifies — fixed here, by the body alone; which
     /// executor runs a loop entry is decided from that entry's addresses.
     pub kernels: Vec<Option<TripKernel>>,
-    /// Two-level loops, parallel to `cp.loops`: `Some` for every loop whose
-    /// body is exactly one kernel loop.
-    pub two_level: Vec<Option<TwoLevel>>,
 }
 
 impl CompiledProgram {
@@ -672,15 +652,10 @@ impl CompiledProgram {
             .iter()
             .map(|acc| self.lower_access(acc, &arrays))
             .collect();
-        let kernels: Vec<_> = self
+        let kernels = self
             .loops
             .iter()
             .map(|meta| self.lower_kernel(meta.as_ref()?, &accs))
-            .collect();
-        let two_level = self
-            .loops
-            .iter()
-            .map(|meta| self.lower_two_level(meta.as_ref()?, &accs, &kernels))
             .collect();
         BoundProgram {
             cp: self,
@@ -688,7 +663,6 @@ impl CompiledProgram {
             arrays,
             accs,
             kernels,
-            two_level,
         }
     }
 
@@ -747,7 +721,10 @@ impl CompiledProgram {
     /// true of every body is not checked again: an operator's operands are
     /// distinct registers, and a register is written before it is read.
     fn lower_kernel(&self, meta: &LoopMeta, accs: &[FlatAcc]) -> Option<TripKernel> {
-        let per_trip = |terms: &[(IReg, i64)]| coefficient(terms, meta.var).checked_mul(meta.step);
+        let per_trip = |terms: &[(IReg, i64)]| {
+            let coef = terms.iter().find(|t| t.0 == meta.var).map_or(0, |t| t.1);
+            coef.checked_mul(meta.step)
+        };
         let mut slots: Vec<Slot> = Vec::new();
         let mut slot = |acc: u32, stored: bool| {
             let FlatAcc::Flat { terms, .. } = &accs[acc as usize] else {
@@ -815,37 +792,6 @@ impl CompiledProgram {
                 .collect();
         }
         Some(k)
-    }
-
-    /// Lower a loop to a [`TwoLevel`] one, or `None` unless its body is
-    /// exactly one kernel loop — that loop's header first, its latch last,
-    /// nothing around them — that is not marked `parallel` (its own header
-    /// decides how its trips run), and every slot's change per outer trip
-    /// fits.
-    fn lower_two_level(
-        &self,
-        meta: &LoopMeta,
-        accs: &[FlatAcc],
-        kernels: &[Option<TripKernel>],
-    ) -> Option<TwoLevel> {
-        let is_body = |m: &Option<LoopMeta>| m.is_some_and(|m| (m.header, m.exit) == meta.body);
-        let inner = self.loops.iter().position(is_body)?;
-        let (k, inner_meta) = (kernels[inner].as_ref()?, self.loops[inner]?);
-        if inner_meta.parallel {
-            return None;
-        }
-        let var = inner_meta.var;
-        let steps = k.slots.iter().map(|s| {
-            let FlatAcc::Flat { terms, .. } = &accs[s.acc as usize] else {
-                unreachable!("a kernel's accesses are flat")
-            };
-            let outer = coefficient(terms, meta.var).checked_mul(meta.step)?;
-            Some((coefficient(terms, var), outer))
-        });
-        Some(TwoLevel {
-            inner,
-            steps: steps.collect::<Option<_>>()?,
-        })
     }
 
     /// Metadata for a loop, if it is attached to the program tree.
@@ -969,11 +915,6 @@ impl CompiledProgram {
         }
         out
     }
-}
-
-/// The coefficient of integer register `var` in a row's terms.
-fn coefficient(terms: &[(IReg, i64)], var: IReg) -> i64 {
-    terms.iter().find(|t| t.0 == var).map_or(0, |t| t.1)
 }
 
 /// Lower bound of a row range: max of ceilings (a divisor-1 row is not

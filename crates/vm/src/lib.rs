@@ -25,10 +25,7 @@
 //!   fixed delta instead of re-derived, a whole column of trips per
 //!   dispatch, when no trip touches a cell another trip stores — or only
 //!   the one cell each trip hands to the next, which then rides in a
-//!   register;
-//! * a loop whose body is exactly one such loop → a **two-level** loop
-//!   ([`bytecode::TwoLevel`]): its header runs every outer trip, stepping
-//!   the slots' offsets instead of re-entering through the dispatcher.
+//!   register.
 //!
 //! The per-instance hot path is integer multiply-adds and indexed loads —
 //! zero allocation, zero hashing — and, inside a kernel, not even a
@@ -84,13 +81,11 @@
 //! and [`bytecode::CarriedKernel`] for the half the body fixes): columns
 //! for the ops that never see it, then one pass over them with the cell in
 //! a register. An entry that allows neither is handed back to the
-//! dispatcher. The loop around a kernel loop, when that is its whole body,
-//! is a [`bytecode::TwoLevel`] loop whose header makes every entry itself:
-//! inner bounds per outer trip, first offsets stepped by each slot's outer
-//! coefficient, the same range proof and choice of executor per entry.
-//! Counters and profile are credited the dispatcher's closed form, so they
-//! do not depend on the executor; every other loop, and every statement
-//! outside an innermost loop, stays on the dispatcher. There is nothing to
+//! dispatcher. That header makes every entry of a kernel, one each time the
+//! dispatcher reaches it. Counters and profile are credited the
+//! dispatcher's closed form, so they do not depend on the executor; every
+//! other loop, and every statement outside an innermost loop, stays on the
+//! dispatcher. There is nothing to
 //! configure, and the interpreter is the oracle for all of it
 //! (`tests/trip_kernels.rs`). The kernel — slots with first offset and
 //! stride, straight-line two-address ops — is also the lowered form a
@@ -110,7 +105,7 @@
 //! per trip), under an `exec.par.wavefront` span per entry and an
 //! `exec.par.chunk` span per worker; `exec.par.wavefronts` counts the
 //! entries. Above one thread a marked loop's trips never run in a trip
-//! kernel, and no [`bytecode::TwoLevel`] loop has a marked inner loop.
+//! kernel.
 //!
 //! ## Telemetry
 //!

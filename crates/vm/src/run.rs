@@ -12,14 +12,15 @@
 //!
 //! # Trip kernels
 //!
-//! The `Loop` header of a kernel loop can run all the loop's trips itself
-//! and jump to its exit. At entry it resolves every slot's first offset and
-//! asserts it and the *last* trip's offset inside the slot's array: an
-//! offset is affine in the trip, so every trip between lies between, and a
-//! guard-free body performs every access on every trip, so nothing is
-//! checked that would not have run — and nothing is checked again, op by op,
-//! while the trips run. It then picks an [`Executor`] from the address spans
-//! alone ([`trips_are_independent`], [`carried_slot`]):
+//! The `Loop` header of a kernel loop, the one way into a trip kernel, can
+//! run all the loop's trips itself and jump to its exit. At entry it
+//! resolves every slot's first offset and asserts it and the *last* trip's
+//! offset inside the slot's array: an offset is affine in the trip, so every
+//! trip between lies between, and a guard-free body performs every access on
+//! every trip, so nothing is checked that would not have run — and nothing
+//! is checked again, op by op, while the trips run. It then picks an
+//! [`Executor`] from the address spans alone ([`trips_are_independent`],
+//! [`carried_slot`]):
 //!
 //! * **columns** — each op applied to up to [`COLUMN`] trips at once over
 //!   register columns, when no cell a trip stores is touched by any other
@@ -42,32 +43,20 @@
 //! there is nothing to switch: the interpreter is the oracle for every
 //! executor.
 //!
-//! # Two-level loops
-//!
-//! The header of a [`TwoLevel`] loop — one whose body is exactly one kernel
-//! loop — runs every outer trip itself: it evaluates the inner bounds, steps
-//! each slot's offset by the slot's outer coefficient instead of re-deriving
-//! it, and enters the kernel as the inner header would, range proof and
-//! choice of executor included; only an entry neither executor may run goes
-//! back to the dispatcher, for that outer trip alone. It leaves both loops'
-//! registers and bound slots as the dispatcher would, and credits the
-//! counters and the profile with the dispatcher's closed form.
-//!
 //! # Parallel loops
 //!
 //! Above one thread ([`run_threads`]), the header of a loop marked
 //! `parallel` — one whose trips the dependence framework certified
-//! independent — comes before both of the above. Two or more trips it splits
-//! into chunks of `ceil(trips / threads)` on scoped workers, each a clone of
-//! the state that dispatches the body range once per trip on one thread over
-//! the same [`SharedBuf`]; a single trip it runs inline. It credits what a
+//! independent — comes before the kernel header above. Two or more trips it
+//! splits into chunks of `ceil(trips / threads)` on scoped workers, each a
+//! clone of the state that dispatches the body range once per trip on one
+//! thread over the same [`SharedBuf`]; a single trip it runs inline. It credits what a
 //! one-thread run counts and leaves the register and bound slot as the
-//! latch leaves them. Such a loop's trips never enter a trip kernel, and
-//! binding builds no [`TwoLevel`] loop around one.
+//! latch leaves them. Such a loop's trips never enter a trip kernel.
 
 use crate::bytecode::{
     eval_hi, eval_lo, BoundProgram, FlatAcc, GuardKind, IReg, Instr, LoopMeta, Pc, Reg, Row, Slot,
-    TripKernel, TwoLevel, CARRY, KERNEL_REGS, KERNEL_SLOTS,
+    TripKernel, CARRY, KERNEL_REGS, KERNEL_SLOTS,
 };
 use crate::profile::Samples;
 use inl_linalg::{Int, Rational};
@@ -627,67 +616,6 @@ fn chain_trips(chain: &[Instr], cols: &mut Columns, out: Reg, n: usize, mut carr
     }
 }
 
-/// Run every trip of two-level loop `two`, whose header is at `meta` and
-/// whose register holds its first trip's value: per outer trip, the inner
-/// bounds, each slot's first offset stepped from the outer trip before, and
-/// one kernel entry — handed back to the dispatcher, for that outer trip
-/// alone, when neither executor may run it. Leaves in both loops' registers
-/// and bound slots what the dispatcher leaves, and credits the inner header
-/// and the outer latch once per outer trip.
-#[allow(clippy::too_many_arguments)]
-fn outer_trips<const PROFILE: bool>(
-    bp: &BoundProgram,
-    two: &TwoLevel,
-    meta: &LoopMeta,
-    trips: u64,
-    st: &mut VmState,
-    buf: &SharedBuf<'_>,
-    tally: &mut Tally,
-) {
-    let inner = bp.cp.loops[two.inner]
-        .as_ref()
-        .expect("a two-level loop's body is a loop");
-    let k = bp.kernels[two.inner].as_ref().expect("… and a kernel");
-    let (rows, var) = (&bp.cp.rows, inner.var as usize);
-    // each slot's offset with the inner register at 0, this outer trip
-    let mut base = [0i64; KERNEL_SLOTS];
-    for ((b, s), &(coef, _)) in base.iter_mut().zip(&k.slots).zip(&two.steps) {
-        *b = slot_offset(bp, s, &st.iregs) - coef * st.iregs[var];
-    }
-    let lo = st.iregs[meta.var as usize];
-    for t in 0..trips {
-        if t > 0 {
-            st.iregs[meta.var as usize] = lo + t as i64 * meta.step;
-            for (b, &(_, outer)) in base.iter_mut().zip(&two.steps) {
-                *b += outer;
-            }
-        }
-        // the inner header and the outer latch
-        tally.instrs += 2;
-        if PROFILE {
-            tally.samples.pcs[inner.header as usize] += 1;
-            tally.samples.pcs[inner.exit as usize] += 1;
-        }
-        let (ilo, ihi) = (
-            eval_lo(rows, inner.lo, &st.iregs),
-            eval_hi(rows, inner.hi, &st.iregs),
-        );
-        if ilo > ihi {
-            continue;
-        }
-        st.iregs[var] = ilo;
-        st.his[two.inner] = ihi;
-        let mut first = [0i64; KERNEL_SLOTS];
-        for ((f, b), &(coef, _)) in first.iter_mut().zip(&base).zip(&two.steps) {
-            *f = b + coef * ilo;
-        }
-        let itrips = ((ihi - ilo) / inner.step) as u64 + 1;
-        if !enter::<PROFILE>(bp, k, inner, first, itrips, st, buf, tally) {
-            dispatch::<PROFILE>(bp, st, buf, inner.header + 1, inner.exit, tally, 1);
-        }
-    }
-}
-
 /// Run the `trips ≥ 2` trips of `parallel`-marked loop `meta`, whose
 /// register holds the first trip's value, in chunks of `ceil(trips /
 /// threads)` on scoped workers: each a clone of `st` that dispatches the
@@ -802,9 +730,6 @@ fn dispatch<const PROFILE: bool>(
                             // one trip: the body below, inline
                             pc + 1
                         }
-                    } else if let Some(two) = &bp.two_level[l] {
-                        outer_trips::<PROFILE>(bp, two, meta(), trips, st, buf, tally);
-                        exit
                     } else if let Some(k) = &bp.kernels[l] {
                         let mut first = [0i64; KERNEL_SLOTS];
                         for (f, s) in first.iter_mut().zip(&k.slots) {

@@ -52,8 +52,8 @@ fn lanes(seen: &inl_obs::capture::Capture) -> [u64; 3] {
 // the nests the tables' bodies run in
 // ---------------------------------------------------------------------
 
-/// The outer loops of the two-level table ([`inner_range`] says what each
-/// does to the entries of `J`).
+/// The outer loops both tables also run under ([`inner_range`] says what
+/// each does to the entries of `J`).
 const OUTERS: [&str; 5] = ["constant", "triangular", "tiled", "empty", "meets"];
 
 /// `O`'s bounds for `OUTERS[kind]`.
@@ -123,7 +123,7 @@ fn table_program(
     b.finish()
 }
 
-/// The entries of `J` in a two-level program of the tables at `N = n`: on
+/// The entries of `J` in a program of the tables under `O` at `N = n`: on
 /// each trip of `O`, `(O, J's first value, trips)` — no trip when the entry
 /// is empty.
 fn entries(p: &Program, n: Int) -> Vec<(Int, Int, Int)> {
@@ -473,19 +473,19 @@ fn carried_bodies_match_the_interpreter_on_the_executor_their_cells_allow() {
 }
 
 // ---------------------------------------------------------------------
-// (f) two levels: both tables under an outer loop
+// (f) both tables under an outer loop
 // ---------------------------------------------------------------------
 
 /// Every body of both tables under each of [`OUTERS`] at `N = COLUMN + 2`
 /// (the triangular entries run 130, 129, 128 and 127 trips), each with one
-/// of [`SEEDS`] in the cell its first load of `A` reads first: the outer
-/// loop must be two-level, the image the interpreter's, and every trip
-/// counted on one lane — for the carried table, on the lane a cell-by-cell
-/// walk allows *that entry*, so that one header's entries go different ways
-/// exactly when their addresses do. An unoptimised build walks every
-/// seventh body.
+/// of [`SEEDS`] in the cell its first load of `A` reads first: `J` must be
+/// a kernel, entered by the dispatcher's header once per trip of `O`, the
+/// image the interpreter's, and every trip counted on one lane — for the
+/// carried table, on the lane a cell-by-cell walk allows *that entry*, so
+/// that one header's entries go different ways exactly when their addresses
+/// do. An unoptimised build walks every seventh body.
 #[test]
-fn two_level_headers_match_the_interpreter_on_every_body_of_both_tables() {
+fn kernel_entries_under_outer_loops_match_the_interpreter_on_every_body_of_both_tables() {
     const N: Int = COLUMN as Int + 2;
     let (mut bodies, mut cases, mut mixed) = (0usize, 0u64, 0u64);
     // trips each lane ran, per outer loop
@@ -501,8 +501,8 @@ fn two_level_headers_match_the_interpreter_on_every_body_of_both_tables() {
                     what: String| {
         let runner = VmRunner::new(p);
         assert!(
-            runner.compiled().bind(&[N]).two_level[0].is_some(),
-            "{what}: O's body is only J"
+            runner.compiled().bind(&[N]).kernels[1].is_some(),
+            "{what}: J is a kernel"
         );
         let entries = entries(p, N);
         let mut start = Machine::new(p, &[N], &init);
@@ -915,8 +915,8 @@ fn empty_range_runs_nothing_and_asserts_nothing() {
 /// previous trip of the step-2 loop stored: handed back to the dispatcher,
 /// or carried when S2 is the `only` statement) or `Y[I,J]` (columns), and
 /// `lo` is 2, or `4I − 2` when `triangular` — J's entries then shorten by
-/// two trips an `I` and run out at `N < 14`. `I`'s body is only `J`: it is a
-/// two-level loop.
+/// two trips an `I` and run out at `N < 14`. `I`'s body is only `J`, and
+/// the dispatcher's header of `J` makes every entry.
 fn nest(only: bool, recurrence: bool, triangular: bool) -> Program {
     let mut b = ProgramBuilder::new("nest");
     let n = b.param("N");
@@ -994,8 +994,6 @@ fn counters_and_profile_equal_the_dispatchers_closed_form() {
             );
             assert!(bp.kernels[0].is_none(), "I holds a loop");
             assert!(bp.kernels[1].is_some());
-            assert_eq!(bp.two_level[0].as_ref().map(|t| t.inner), Some(1));
-            assert!(bp.two_level[1].is_none());
             let body_len = (inner.body.1 - inner.body.0) as u64;
 
             let mut arrays = filled(&bp, 1.5);
@@ -1075,8 +1073,8 @@ fn loop_registers_hold_the_last_trip_after_a_kernel() {
                     "{what}"
                 );
 
-                // the two-level header: I at its last trip and bound, J and
-                // its bound as the last entry that was not empty left them
+                // the whole nest: I at its last trip and bound, J and its
+                // bound as the last entry that was not empty left them
                 let mut st = bp.new_state();
                 (st.iregs[inner.var as usize], st.his[1]) = (UNSET, UNSET);
                 exec_range(&bp, &mut st, &buf, outer.header, outer.exit);
@@ -1266,41 +1264,4 @@ fn every_zoo_loop_that_was_a_kernel_still_is() {
         })
         .collect();
     assert_eq!(lowered, RECORDED);
-}
-
-/// Per zoo program, the loops whose body is exactly one kernel loop: the
-/// two-level loops, whose header makes every entry of that kernel itself.
-/// In the Cholesky and LU forms that is the loop around the update's
-/// innermost loop; in the single nests, the outer loop.
-#[test]
-fn zoo_two_level_loops_are_the_loops_around_one_kernel() {
-    const RECORDED: [(&str, &[&str]); 13] = [
-        ("simple_cholesky", &[]),
-        ("running_example", &[]),
-        ("perfect_nest", &["I"]),
-        ("augmentation_example", &[]),
-        ("cholesky_kij", &["J"]),
-        ("cholesky_left_looking", &["J"]),
-        ("lu_kij", &["I2"]),
-        ("wavefront", &["I"]),
-        ("matmul", &["J"]),
-        ("rect_wavefront", &["I"]),
-        ("row_prefix_sums", &["I"]),
-        ("distributed_simple_cholesky", &["I2"]),
-        ("independent_pair", &[]),
-    ];
-    for ((name, ctor), (recorded, loops)) in inl_ir::zoo::ALL.iter().zip(RECORDED) {
-        let p = ctor();
-        let cp = inl_vm::compile(&p);
-        let bp = cp.bind(&vec![9; p.nparams()]);
-        let two_level: Vec<_> = (0..cp.loops.len())
-            .filter(|&l| bp.two_level[l].is_some())
-            .map(|l| p.loop_decl(LoopId(l)).name.as_str())
-            .collect();
-        assert_eq!((*name, &two_level[..]), (recorded, loops));
-        // … each around a kernel loop that is its whole body
-        for two in bp.two_level.iter().flatten() {
-            assert!(bp.kernels[two.inner].is_some(), "{name}");
-        }
-    }
 }
