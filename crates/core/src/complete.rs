@@ -25,7 +25,6 @@ use crate::depend::DependenceMatrix;
 use crate::instance::{InstanceLayout, Position};
 use crate::legal::{check_legal, LegalityReport};
 use crate::project::{build_states, commit_all, step_all, DepState};
-use crate::structural::parent_path;
 use inl_ir::{LoopId, Node, Program, StmtId};
 use inl_linalg::{IMat, IVec, InlError, InlErrorKind};
 use std::collections::HashMap;
@@ -303,7 +302,7 @@ pub fn complete_transform(
                     .collect();
                 inl_obs::explain::reject(
                     "complete",
-                    format!("child ordering at {}", parent_path(p, *node)),
+                    format!("child ordering at {}", p.parent_path(*node)),
                     "all-zero cross-statement dependences impose a cyclic child order",
                 )
                 .detail("constraints", evidence.join("; "))

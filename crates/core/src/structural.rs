@@ -12,99 +12,8 @@
 //! ([`crate::legal::check_structural`]).
 
 use crate::instance::{InstanceLayout, Position};
-use inl_ir::{Aff, Bound, LoopId, Node, Program, VarKey};
+use inl_ir::{LoopId, Program};
 use inl_linalg::{IMat, InlError, Int};
-
-/// Human-readable path of a parent node, for [`InlError::invalid_target`].
-pub(crate) fn parent_path(p: &Program, parent: Option<LoopId>) -> String {
-    match parent {
-        None => "<root>".to_string(),
-        Some(q) => format!("loop {}", p.loop_decl(q).name),
-    }
-}
-
-/// The two jam targets must be adjacent sibling *loops* with identical
-/// bounds (after renaming the second's variable to the first's) and steps.
-/// Errors name the offending node path.
-fn jam_targets(
-    p: &Program,
-    parent: Option<LoopId>,
-    idx: usize,
-) -> Result<(LoopId, LoopId), InlError> {
-    let siblings = p.children(parent);
-    if idx + 1 >= siblings.len() {
-        return Err(InlError::invalid_target(
-            parent_path(p, parent),
-            format!(
-                "jam needs children {idx} and {} but there are only {}",
-                idx + 1,
-                siblings.len()
-            ),
-        ));
-    }
-    let (Node::Loop(a), Node::Loop(b)) = (siblings[idx], siblings[idx + 1]) else {
-        return Err(InlError::invalid_target(
-            format!("{}, children {idx} and {}", parent_path(p, parent), idx + 1),
-            "jam targets must both be loops",
-        ));
-    };
-    let da = p.loop_decl(a);
-    let db = p.loop_decl(b);
-    let rename = |aff: &Aff| -> Aff {
-        aff.substitute_loops(&|id: LoopId| {
-            if id == b {
-                Aff::var(VarKey::Loop(a))
-            } else {
-                Aff::var(VarKey::Loop(id))
-            }
-        })
-    };
-    let rebound = |bd: &Bound| Bound {
-        terms: bd.terms.iter().map(&rename).collect(),
-    };
-    if rebound(&db.lower) != da.lower || rebound(&db.upper) != da.upper {
-        return Err(InlError::invalid_target(
-            format!("loops {} and {}", da.name, db.name),
-            "jam requires identical bounds",
-        ));
-    }
-    if da.step != db.step {
-        return Err(InlError::invalid_target(
-            format!("loops {} and {}", da.name, db.name),
-            "jam requires identical steps",
-        ));
-    }
-    Ok((a, b))
-}
-
-/// Distribution's split point must cut a loop with >= 2 children into two
-/// non-empty parts, and the loop must be attached to the program.
-fn distribute_target(
-    p: &Program,
-    l: LoopId,
-    split: usize,
-) -> Result<(Option<LoopId>, usize), InlError> {
-    let name = &p.loop_decl(l).name;
-    let nchildren = p.loop_decl(l).children.len();
-    if split == 0 || split >= nchildren {
-        return Err(InlError::invalid_target(
-            format!("loop {name}"),
-            format!("split {split} out of range for {nchildren} children"),
-        ));
-    }
-    let parent = p.loops_surrounding_loop(l).last().copied();
-    let old_siblings = p.children(parent);
-    let t = old_siblings
-        .iter()
-        .position(|&x| x == Node::Loop(l))
-        .ok_or_else(|| {
-            InlError::invalid_target(
-                format!("loop {name}"),
-                "loop is not attached to the program",
-            )
-        })?;
-    Ok((parent, t))
-}
 
 /// The result of a structural transformation: the (generally non-square)
 /// matrix, the target program, and its layout.
@@ -121,16 +30,16 @@ pub struct StructuralResult {
 /// Distribute loop `l` at `split` and build the distribution matrix.
 ///
 /// Fails with [`InlErrorKind::InvalidTarget`](inl_linalg::InlErrorKind) when
-/// `split` does not cut `l`'s children into two non-empty parts or `l` is
-/// detached from the program.
+/// [`Program::distribute_loop`] does: `split` does not cut `l`'s children
+/// into two non-empty parts or `l` is detached from the program.
 pub fn distribute(
     p: &Program,
     layout: &InstanceLayout,
     l: LoopId,
     split: usize,
 ) -> Result<StructuralResult, InlError> {
-    let (parent, t) = distribute_target(p, l, split)?;
-    let (target, new_loop) = p.distribute_loop(l, split);
+    let (target, new_loop) = p.distribute_loop(l, split)?;
+    let (parent, t) = p.loop_site(l)?;
     let target_layout = InstanceLayout::new(&target);
     let n_old = layout.len();
     let n_new = target_layout.len();
@@ -193,17 +102,16 @@ pub fn distribute(
 /// `parent` — and build the jamming matrix.
 ///
 /// Fails with [`InlErrorKind::InvalidTarget`](inl_linalg::InlErrorKind) when
-/// the targets are not both loops, are not adjacent siblings of `parent`,
-/// or have mismatched bounds/steps.
+/// [`Program::jam_loops`] does: the targets are not both loops, are not
+/// adjacent siblings of `parent`, or have mismatched bounds/steps.
 pub fn jam(
     p: &Program,
     layout: &InstanceLayout,
     parent: Option<LoopId>,
     idx: usize,
 ) -> Result<StructuralResult, InlError> {
-    let (a, b) = jam_targets(p, parent, idx)?;
+    let (target, a, b) = p.jam_loops(parent, idx)?;
     let ma = p.loop_decl(a).children.len();
-    let target = p.jam_loops(parent, idx);
     let target_layout = InstanceLayout::new(&target);
     let n_old = layout.len();
     let n_new = target_layout.len();
@@ -456,24 +364,31 @@ mod tests {
 
     #[test]
     fn jam_mismatched_bounds_rejected() {
-        use inl_ir::{Aff, Expr, ProgramBuilder};
+        use inl_ir::{Aff, Bound, Expr, ProgramBuilder};
         use inl_linalg::InlErrorKind;
-        let mut b = ProgramBuilder::new("mismatched");
-        let n = b.param("N");
-        let x = b.array("X", &[Aff::param(n) + Aff::konst(2)]);
-        b.hloop("I", Aff::konst(1), Aff::param(n), |b| {
-            let i = b.loop_var("I");
-            b.stmt("S1", x, vec![Aff::var(i)], Expr::index(Aff::var(i)));
-        });
-        b.hloop("I2", Aff::konst(2), Aff::param(n), |b| {
-            let i = b.loop_var("I2");
-            b.stmt("S2", x, vec![Aff::var(i)], Expr::index(Aff::var(i)));
-        });
-        let p = b.finish();
-        let layout = InstanceLayout::new(&p);
-        let e = jam(&p, &layout, None, 0).unwrap_err();
-        assert_eq!(e.kind(), InlErrorKind::InvalidTarget);
-        assert!(e.to_string().contains("identical bounds"), "{e}");
+        // the second loop's lower bound and step, and the complaint
+        for (lo2, step2, complaint) in [
+            (2, 1, "loops I and I2: jam requires identical bounds"),
+            (1, 2, "loops I and I2: jam requires identical steps"),
+        ] {
+            let mut b = ProgramBuilder::new("mismatched");
+            let n = b.param("N");
+            let x = b.array("X", &[Aff::param(n) + Aff::konst(2)]);
+            b.hloop("I", Aff::konst(1), Aff::param(n), |b| {
+                let i = b.loop_var("I");
+                b.stmt("S1", x, vec![Aff::var(i)], Expr::index(Aff::var(i)));
+            });
+            let (lo, hi) = (Bound::single(Aff::konst(lo2)), Bound::single(Aff::param(n)));
+            b.loop_full("I2", lo, hi, step2, false, |b| {
+                let i = b.loop_var("I2");
+                b.stmt("S2", x, vec![Aff::var(i)], Expr::index(Aff::var(i)));
+            });
+            let p = b.finish();
+            let layout = InstanceLayout::new(&p);
+            let e = jam(&p, &layout, None, 0).unwrap_err();
+            assert_eq!(e.kind(), InlErrorKind::InvalidTarget);
+            assert_eq!(e.message(), complaint);
+        }
     }
 
     #[test]

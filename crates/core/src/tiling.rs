@@ -50,7 +50,7 @@ pub struct SplitResult {
 /// access's working set. Returns `None` when every access varies with
 /// every surrounding loop (splitting cannot create reuse) — ties on depth
 /// go to the earliest-declared loop for determinism. Stepped loops are
-/// never candidates (surgery cannot split them).
+/// never candidates (the surgery refuses to split them).
 pub fn innermost_reuse_loop(p: &Program) -> Option<LoopId> {
     let mut best: Option<(usize, LoopId)> = None;
     for s in p.stmts() {
@@ -84,30 +84,10 @@ pub fn innermost_reuse_loop(p: &Program) -> Option<LoopId> {
 /// Split loop `l` by `tile` and build the split program's layout.
 ///
 /// Fails with [`InlErrorKind::InvalidTarget`](inl_linalg::InlErrorKind)
-/// when `tile < 2`, `l` is a stepped loop, or `l` is detached from the
-/// program — the same conditions `Program::split_loop` would panic on.
+/// when [`Program::split_loop`] does: `tile < 2`, `l` is a stepped loop, or
+/// `l` is detached from the program.
 pub fn split(p: &Program, l: LoopId, tile: Int) -> Result<SplitResult, InlError> {
-    let name = &p.loop_decl(l).name;
-    if tile < 2 {
-        return Err(InlError::invalid_target(
-            format!("loop {name}"),
-            format!("tile size {tile} must be at least 2"),
-        ));
-    }
-    if p.loop_decl(l).step != 1 {
-        return Err(InlError::invalid_target(
-            format!("loop {name}"),
-            "cannot split a stepped loop",
-        ));
-    }
-    let parent = p.loops_surrounding_loop(l).last().copied();
-    if !p.children(parent).contains(&inl_ir::Node::Loop(l)) {
-        return Err(InlError::invalid_target(
-            format!("loop {name}"),
-            "loop is not attached to the program",
-        ));
-    }
-    let (program, _) = p.split_loop(l, tile);
+    let (program, _) = p.split_loop(l, tile)?;
     let layout = InstanceLayout::new(&program);
     Ok(SplitResult {
         program,
@@ -224,10 +204,37 @@ mod tests {
 
     #[test]
     fn split_rejects_bad_targets_typed() {
+        use inl_ir::{Aff, Bound, Expr, ProgramBuilder};
         let p = zoo::matmul();
         let k = loop_named(&p, "K");
-        let e = split(&p, k, 1).unwrap_err();
-        assert_eq!(e.kind(), InlErrorKind::InvalidTarget);
-        assert!(e.to_string().contains("tile size"), "{e}");
+        // a loop of step 2
+        let mut b = ProgramBuilder::new("stepped");
+        let n = b.param("N");
+        let x = b.array("X", &[Aff::param(n) + Aff::konst(1)]);
+        let (lo, hi) = (Bound::single(Aff::konst(1)), Bound::single(Aff::param(n)));
+        b.loop_full("I", lo, hi, 2, false, |b| {
+            let i = b.loop_var("I");
+            b.stmt("S1", x, vec![Aff::var(i)], Expr::konst(1.0));
+        });
+        let stepped = b.finish();
+        let i = loop_named(&stepped, "I");
+        // jamming I with I2 leaves I2's declaration behind, detached
+        let (jammed, _, i2) = zoo::distributed_simple_cholesky()
+            .jam_loops(None, 0)
+            .expect("jams");
+        for (p, l, tile, complaint) in [
+            (&p, k, 1, "loop K: tile size 1 must be at least 2"),
+            (&stepped, i, 4, "loop I: cannot split a stepped loop"),
+            (
+                &jammed,
+                i2,
+                4,
+                "loop I2: loop is not attached to the program",
+            ),
+        ] {
+            let e = split(p, l, tile).unwrap_err();
+            assert_eq!(e.kind(), InlErrorKind::InvalidTarget);
+            assert_eq!(e.message(), complaint);
+        }
     }
 }

@@ -164,7 +164,7 @@ impl Transform {
         let mut m = IMat::identity(layout.len());
         for t in seq {
             // matrices stack on the left as transformations compose
-            m = t.try_matrix(p, layout)?.mul(&m);
+            m = t.try_matrix(p, layout)?.checked_mul(&m)?;
         }
         Ok(m)
     }

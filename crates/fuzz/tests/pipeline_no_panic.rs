@@ -13,11 +13,12 @@ use inl_core::legal::{check_legal, check_structural, LegalityReport};
 use inl_core::recipe::{Shape, Step};
 use inl_core::sink::sink_statements;
 use inl_core::structural::{distribute, jam};
+use inl_core::tiling;
 use inl_exec::{equivalent, run_fresh, VmRunner};
 use inl_fuzz::{
     analyzed, arb_inner_loop, arb_matrix, arb_program, compile, fuzz_config, fuzz_init, Compiled,
 };
-use inl_linalg::{IMat, IVec};
+use inl_linalg::{IMat, IVec, InlErrorKind};
 use inl_poly::{var_bounds, Feasibility, LinExpr};
 use proptest::prelude::*;
 use proptest::test_runner::{TestRng, TestRunner};
@@ -86,15 +87,18 @@ proptest! {
         }
     }
 
-    /// Structural operations: arbitrary (mostly invalid) distribute/jam
-    /// targets report typed `InlError`s, the legality walk decides every
-    /// valid one, and sinking returns a typed error or a program — no
-    /// panics, no asserts.
+    /// Structural operations: arbitrary (mostly invalid) distribute, jam
+    /// and split targets report typed `InlError`s, the legality walk
+    /// decides every valid distribution or jam, the proof of every valid
+    /// split (strip-mining keeps the source order) finds it legal, and
+    /// sinking returns a typed error or a program — no panics, no asserts.
+    /// The loop is split in the source and in each step's target, where a
+    /// jam may have left it detached.
     #[test]
     fn structural_ops_never_panic(
-        (p, li, split, idx) in arb_program().prop_flat_map(|p| {
+        (p, li, split, idx, tile) in arb_program().prop_flat_map(|p| {
             let nloops = p.loops().count();
-            (Just(p), 0..nloops.max(1), 0usize..4, 0usize..4)
+            (Just(p), 0..nloops.max(1), 0usize..4, 0usize..4, -2i64..40)
         }),
     ) {
         let Ok((layout, deps)) = analyzed(&p) else { return Ok(()); };
@@ -104,6 +108,16 @@ proptest! {
         let steps = [distribute(&p, &layout, l, split), jam(&p, &layout, parent, idx)];
         for r in steps.iter().flatten() {
             let _ = check_structural(&p, &layout, &deps, r, "step");
+        }
+        for q in std::iter::once(&p).chain(steps.iter().flatten().map(|r| &r.target)) {
+            match tiling::split(q, l, tile as i128) {
+                Ok(r) => {
+                    if let Ok(report) = tiling::split_legal(&r) {
+                        prop_assert!(report.is_legal(), "{}: split {tile}", p.name());
+                    }
+                }
+                Err(e) => prop_assert_eq!(e.kind(), InlErrorKind::InvalidTarget, "{}", e),
+            }
         }
         let _ = sink_statements(&p);
     }

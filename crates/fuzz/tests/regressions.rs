@@ -68,8 +68,8 @@ fn empty_domain_under_scaling_is_rejected() {
 }
 
 /// Jamming two loops whose bounds differ used to trip an `assert!` inside
-/// the IR surgery; the structural layer must reject it first with a typed
-/// `InvalidTarget` error naming the parent node.
+/// the IR surgery; it must be a typed `InvalidTarget` error naming the two
+/// loops.
 #[test]
 fn jam_mismatched_bounds_is_invalid_target() {
     use inl_ir::{Aff, Expr, ProgramBuilder};
@@ -92,6 +92,29 @@ fn jam_mismatched_bounds_is_invalid_target() {
     let err = inl_core::structural::jam(&p, &layout, None, 0).unwrap_err();
     assert_eq!(err.kind(), inl_linalg::InlErrorKind::InvalidTarget);
     assert!(err.to_string().contains("identical bounds"), "{err}");
+}
+
+/// Composing skews whose factors multiply past `i128` used to panic in the
+/// unchecked matrix product although `compose` returns a `Result`; it must
+/// report a typed Overflow error.
+#[test]
+fn compose_past_i128_is_typed_overflow() {
+    use inl_core::transform::Transform;
+    let p = inl_ir::zoo::matmul();
+    let layout = inl_core::instance::InstanceLayout::new(&p);
+    let loops: Vec<_> = p.loops().collect();
+    let skew = |target, source| Transform::Skew {
+        target,
+        source,
+        factor: 1 << 100,
+    };
+    let seq = [
+        skew(loops[0], loops[1]),
+        skew(loops[1], loops[0]),
+        skew(loops[0], loops[1]),
+    ];
+    let err = Transform::compose(&p, &layout, &seq).unwrap_err();
+    assert_eq!(err.kind(), inl_linalg::InlErrorKind::Overflow, "{err}");
 }
 
 /// Sinking a nest whose candidate loop has sibling statements *after* the

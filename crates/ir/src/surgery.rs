@@ -6,13 +6,51 @@
 //! matrix framework (see DESIGN.md → "Tiling"). Legality is the caller's
 //! business (`inl-core`); the operations here are purely structural and
 //! keep statement ids stable so instance mappings can be tracked across
-//! the surgery.
+//! the surgery. Distribution, jamming and splitting check their own
+//! structural preconditions and report a violated one as an
+//! [`InvalidTarget`](inl_linalg::InlErrorKind::InvalidTarget) error that
+//! names the node path.
 
 use crate::aff::{Aff, VarKey};
 use crate::program::{Bound, LoopDecl, LoopId, Node, Program};
-use inl_linalg::Int;
+use inl_linalg::{InlError, Int};
 
 impl Program {
+    /// Human-readable path of a node (`None` = virtual root) as
+    /// [`InlError::invalid_target`] errors name it: `<root>` or
+    /// `loop {name}`.
+    pub fn parent_path(&self, parent: Option<LoopId>) -> String {
+        match parent {
+            None => "<root>".to_string(),
+            Some(q) => format!("loop {}", self.loops[q.0].name),
+        }
+    }
+
+    /// The parent of loop `l` (`None` = virtual root) and `l`'s index
+    /// among its children.
+    ///
+    /// # Errors
+    /// `InvalidTarget` if `l` is detached from the program (a jam leaves
+    /// the second loop's declaration behind, attached nowhere).
+    pub fn loop_site(&self, l: LoopId) -> Result<(Option<LoopId>, usize), InlError> {
+        let parent = self.loops_surrounding_loop(l).last().copied();
+        let siblings = self.children(parent);
+        match siblings.iter().position(|&n| n == Node::Loop(l)) {
+            Some(idx) => Ok((parent, idx)),
+            None => Err(InlError::invalid_target(
+                self.parent_path(Some(l)),
+                "loop is not attached to the program",
+            )),
+        }
+    }
+
+    fn children_mut(&mut self, parent: Option<LoopId>) -> &mut Vec<Node> {
+        match parent {
+            None => &mut self.root,
+            Some(l) => &mut self.loops[l.0].children,
+        }
+    }
+
     /// A copy with the children of `parent` (`None` = virtual root)
     /// reordered: old child `j` moves to index `perm[j]`.
     ///
@@ -20,10 +58,7 @@ impl Program {
     /// If `perm` is not a permutation of the child indices.
     pub fn reorder_children(&self, parent: Option<LoopId>, perm: &[usize]) -> Program {
         let mut out = self.clone();
-        let children = match parent {
-            None => &mut out.root,
-            Some(l) => &mut out.loops[l.0].children,
-        };
+        let children = out.children_mut(parent);
         assert_eq!(perm.len(), children.len(), "permutation arity mismatch");
         let old = children.clone();
         for (j, &nj) in perm.iter().enumerate() {
@@ -39,15 +74,19 @@ impl Program {
     /// index variable inside the moved subtree are rewritten to the new
     /// loop's variable. Returns the program and the fresh loop's id.
     ///
-    /// # Panics
-    /// If `split` is not in `1..children.len()`.
-    pub fn distribute_loop(&self, l: LoopId, split: usize) -> (Program, LoopId) {
+    /// # Errors
+    /// `InvalidTarget` if `split` is not in `1..children.len()` or `l` is
+    /// detached from the program.
+    pub fn distribute_loop(&self, l: LoopId, split: usize) -> Result<(Program, LoopId), InlError> {
+        let nchildren = self.loops[l.0].children.len();
+        if split == 0 || split >= nchildren {
+            return Err(InlError::invalid_target(
+                self.parent_path(Some(l)),
+                format!("split {split} out of range for {nchildren} children"),
+            ));
+        }
+        let (parent, idx) = self.loop_site(l)?;
         let mut out = self.clone();
-        let nchildren = out.loops[l.0].children.len();
-        assert!(
-            split >= 1 && split < nchildren,
-            "split {split} out of range for {nchildren} children"
-        );
         let moved: Vec<Node> = out.loops[l.0].children.split_off(split);
         let new_id = LoopId(out.loops.len());
         let old_decl = out.loops[l.0].clone();
@@ -60,91 +99,78 @@ impl Program {
             parallel: false,
         });
         // rewrite l -> new_id in the moved subtree
-        let subst = |a: &Aff| -> Aff {
-            a.substitute_loops(&|id: LoopId| {
-                if id == l {
-                    Aff::var(VarKey::Loop(new_id))
-                } else {
-                    Aff::var(VarKey::Loop(id))
-                }
-            })
-        };
-        rewrite_subtree(&mut out, &moved, &subst);
+        rewrite_subtree(&mut out, &moved, &|a| rename_loop(a, l, new_id));
         // insert the new loop right after l in its parent's child list
-        let parent = self.loops_surrounding_loop(l).last().copied();
-        let siblings = match parent {
-            None => &mut out.root,
-            Some(q) => &mut out.loops[q.0].children,
-        };
-        let idx = siblings
-            .iter()
-            .position(|&n| n == Node::Loop(l))
-            .expect("loop in parent");
-        siblings.insert(idx + 1, Node::Loop(new_id));
+        out.children_mut(parent).insert(idx + 1, Node::Loop(new_id));
         out.name = format!("{}_distributed", self.name);
-        (out, new_id)
+        Ok((out, new_id))
     }
 
     /// Jam (fuse) two adjacent sibling loops: children `idx` and `idx + 1`
     /// of `parent` must both be loops with structurally identical bounds
-    /// (after renaming the second's variable to the first's). The second
-    /// loop's body is appended to the first's; references to the second
-    /// loop's variable are rewritten.
+    /// (after renaming the second's variable to the first's) and steps.
+    /// The second loop's body is appended to the first's; references to
+    /// the second loop's variable are rewritten. Returns the program and
+    /// the two fused loops: the first, which now holds both bodies, and
+    /// the second, whose declaration stays behind detached.
     ///
-    /// # Panics
-    /// If the children are not adjacent sibling loops with matching bounds
-    /// and steps.
-    pub fn jam_loops(&self, parent: Option<LoopId>, idx: usize) -> Program {
-        let mut out = self.clone();
-        let siblings = match parent {
-            None => out.root.clone(),
-            Some(q) => out.loops[q.0].children.clone(),
-        };
-        assert!(idx + 1 < siblings.len(), "no adjacent sibling to jam");
+    /// # Errors
+    /// `InvalidTarget` if the children are not adjacent sibling loops with
+    /// identical bounds and steps.
+    pub fn jam_loops(
+        &self,
+        parent: Option<LoopId>,
+        idx: usize,
+    ) -> Result<(Program, LoopId, LoopId), InlError> {
+        let siblings = self.children(parent);
+        if idx + 1 >= siblings.len() {
+            return Err(InlError::invalid_target(
+                self.parent_path(parent),
+                format!(
+                    "jam needs children {idx} and {} but there are only {}",
+                    idx + 1,
+                    siblings.len()
+                ),
+            ));
+        }
         let (Node::Loop(a), Node::Loop(b)) = (siblings[idx], siblings[idx + 1]) else {
-            panic!("jam targets must both be loops");
+            return Err(InlError::invalid_target(
+                format!(
+                    "{}, children {idx} and {}",
+                    self.parent_path(parent),
+                    idx + 1
+                ),
+                "jam targets must both be loops",
+            ));
         };
-        // bounds of b with b's variable renamed to a must equal a's bounds
-        let rename = |aff: &Aff| -> Aff {
-            aff.substitute_loops(&|id: LoopId| {
-                if id == b {
-                    Aff::var(VarKey::Loop(a))
-                } else {
-                    Aff::var(VarKey::Loop(id))
-                }
-            })
-        };
+        let (da, db) = (&self.loops[a.0], &self.loops[b.0]);
+        let rename = |aff: &Aff| rename_loop(aff, b, a);
         let rebound = |bd: &Bound| Bound {
-            terms: bd.terms.iter().map(&rename).collect(),
+            terms: bd.terms.iter().map(rename).collect(),
         };
-        assert_eq!(
-            rebound(&out.loops[b.0].lower),
-            out.loops[a.0].lower,
-            "jam: lower bounds differ"
-        );
-        assert_eq!(
-            rebound(&out.loops[b.0].upper),
-            out.loops[a.0].upper,
-            "jam: upper bounds differ"
-        );
-        assert_eq!(
-            out.loops[a.0].step, out.loops[b.0].step,
-            "jam: steps differ"
-        );
+        let mismatch = if rebound(&db.lower) != da.lower || rebound(&db.upper) != da.upper {
+            Some("jam requires identical bounds")
+        } else if da.step != db.step {
+            Some("jam requires identical steps")
+        } else {
+            None
+        };
+        if let Some(why) = mismatch {
+            return Err(InlError::invalid_target(
+                format!("loops {} and {}", da.name, db.name),
+                why,
+            ));
+        }
+        let mut out = self.clone();
         // rewrite b -> a in b's subtree, then append children
-        let moved = out.loops[b.0].children.clone();
+        let moved = std::mem::take(&mut out.loops[b.0].children);
         rewrite_subtree(&mut out, &moved, &rename);
-        out.loops[b.0].children.clear();
         out.loops[a.0].children.extend(moved);
         // remove b from the sibling list (the dead LoopDecl remains,
         // harmlessly detached)
-        let siblings = match parent {
-            None => &mut out.root,
-            Some(q) => &mut out.loops[q.0].children,
-        };
-        siblings.remove(idx + 1);
+        out.children_mut(parent).remove(idx + 1);
         out.name = format!("{}_jammed", self.name);
-        out
+        Ok((out, a, b))
     }
 
     /// Split (strip-mine) loop `l` into an outer×tile pair: a fresh outer
@@ -169,11 +195,24 @@ impl Program {
     ///   `Bound` min/max natively expresses the partial last tile, so no
     ///   explicit min-guard statement is needed.
     ///
-    /// # Panics
-    /// If `tile < 2`, `l` has a non-unit step, or `l` is detached.
-    pub fn split_loop(&self, l: LoopId, tile: Int) -> (Program, LoopId) {
-        assert!(tile >= 2, "tile size {tile} must be at least 2");
-        assert_eq!(self.loops[l.0].step, 1, "cannot split a stepped loop");
+    /// # Errors
+    /// `InvalidTarget` if `tile < 2`, `l` has a non-unit step, or `l` is
+    /// detached from the program.
+    pub fn split_loop(&self, l: LoopId, tile: Int) -> Result<(Program, LoopId), InlError> {
+        let path = || self.parent_path(Some(l));
+        if tile < 2 {
+            return Err(InlError::invalid_target(
+                path(),
+                format!("tile size {tile} must be at least 2"),
+            ));
+        }
+        if self.loops[l.0].step != 1 {
+            return Err(InlError::invalid_target(
+                path(),
+                "cannot split a stepped loop",
+            ));
+        }
+        let (parent, idx) = self.loop_site(l)?;
         let mut out = self.clone();
         let outer = LoopId(out.loops.len());
         let old = &out.loops[l.0];
@@ -203,19 +242,15 @@ impl Program {
             .terms
             .push(clamp + Aff::konst(tile - 1));
         // the outer loop takes the original's place in its parent
-        let parent = self.loops_surrounding_loop(l).last().copied();
-        let siblings = match parent {
-            None => &mut out.root,
-            Some(q) => &mut out.loops[q.0].children,
-        };
-        let idx = siblings
-            .iter()
-            .position(|&n| n == Node::Loop(l))
-            .expect("split target must be attached");
-        siblings[idx] = Node::Loop(outer);
+        out.children_mut(parent)[idx] = Node::Loop(outer);
         out.name = format!("{}_split", self.name);
-        (out, outer)
+        Ok((out, outer))
     }
+}
+
+/// `a` with loop `from`'s variable renamed to loop `to`'s.
+fn rename_loop(a: &Aff, from: LoopId, to: LoopId) -> Aff {
+    a.substitute_loops(&|id| Aff::var(VarKey::Loop(if id == from { to } else { id })))
 }
 
 /// Rewrite every affine expression in the subtree (nested loop bounds,
@@ -267,7 +302,7 @@ mod tests {
         // distributing the I loop of simple Cholesky yields the §4.2 shape
         let p = zoo::simple_cholesky();
         let i = p.loops().next().unwrap();
-        let (q, new_loop) = p.distribute_loop(i, 1);
+        let (q, new_loop) = p.distribute_loop(i, 1).unwrap();
         assert_eq!(q.root().len(), 2);
         assert_eq!(q.root()[1], Node::Loop(new_loop));
         assert_eq!(q.loop_decl(i).children.len(), 1);
@@ -286,8 +321,8 @@ mod tests {
     fn jam_round_trips_distribution() {
         let p = zoo::simple_cholesky();
         let i = p.loops().next().unwrap();
-        let (q, _new) = p.distribute_loop(i, 1);
-        let r = q.jam_loops(None, 0);
+        let (q, _new) = p.distribute_loop(i, 1).unwrap();
+        let (r, _, _) = q.jam_loops(None, 0).unwrap();
         assert_eq!(r.root().len(), 1);
         let Node::Loop(merged) = r.root()[0] else {
             panic!()
@@ -302,7 +337,7 @@ mod tests {
     fn split_matmul_k_structure() {
         let p = zoo::matmul();
         let k = p.loops().nth(2).unwrap();
-        let (q, outer) = p.split_loop(k, 16);
+        let (q, outer) = p.split_loop(k, 16).unwrap();
         assert!(q.validate().is_ok(), "{:?}", q.validate());
         assert_eq!(q.loop_decl(outer).name, "Ko");
         // outer replaced K in J's children; K is the outer's only child
@@ -325,7 +360,7 @@ mod tests {
         // tiles 0..=2, union of clamped inner ranges must be 1..=21 exactly
         let p = zoo::matmul();
         let k = p.loops().nth(2).unwrap();
-        let (q, outer) = p.split_loop(k, 8);
+        let (q, outer) = p.split_loop(k, 8).unwrap();
         let n = 21i128;
         let kd = q.loop_decl(k);
         let od = q.loop_decl(outer);
@@ -358,7 +393,7 @@ mod tests {
             .loops()
             .find(|&l| p.loop_decl(l).name == "L")
             .expect("L loop");
-        let (q, outer) = p.split_loop(l, 32);
+        let (q, outer) = p.split_loop(l, 32).unwrap();
         assert!(q.validate().is_ok(), "{:?}", q.validate());
         // the outer's bounds carry divisor-32 terms
         assert!(q
@@ -370,15 +405,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "tile size 1 must be at least 2")]
     fn split_rejects_degenerate_tile() {
         let p = zoo::matmul();
         let k = p.loops().nth(2).unwrap();
-        let _ = p.split_loop(k, 1);
+        let e = p.split_loop(k, 1).unwrap_err();
+        assert_eq!(e.message(), "loop K: tile size 1 must be at least 2");
     }
 
     #[test]
-    #[should_panic(expected = "lower bounds differ")]
     fn jam_rejects_mismatched_bounds() {
         let mut b = crate::ProgramBuilder::new("t");
         let n = b.param("N");
@@ -392,6 +426,7 @@ mod tests {
             b.stmt("S2", a, vec![Aff::var(i)], crate::Expr::konst(2.0));
         });
         let p = b.finish();
-        let _ = p.jam_loops(None, 0);
+        let e = p.jam_loops(None, 0).unwrap_err();
+        assert_eq!(e.message(), "loops I and I2: jam requires identical bounds");
     }
 }
