@@ -11,10 +11,11 @@ use crate::cost::{Certify, LoopOrigin, Nest};
 use crate::plan::{legal_ast, make_plan, placeholder_aff, plan_nest, row_loop, through, StmtPlan};
 use inl_core::depend::{analyze, DependenceMatrix};
 use inl_core::instance::{InstanceLayout, Position};
-use inl_core::legal::check_legal;
+use inl_core::legal::{check_legal, NewAst};
 use inl_core::transform::Transform;
 use inl_ir::{Access, Aff, Bound, Expr, Guard, LoopId, Program, ProgramBuilder, StmtId, VarKey};
 use inl_linalg::{lcm, IMat, InlError, InlErrorKind, Int};
+use inl_poly::difference::Closure;
 use inl_poly::{is_empty, Feasibility, LinExpr, System};
 
 /// Merged lower/upper bound terms of one shared loop slot, over
@@ -35,13 +36,11 @@ pub struct CodegenResult {
     pub features: crate::cost::CostFeatures,
 }
 
-/// Generate the transformed program for a matrix `m`, the one way a
-/// variant is built: check it ([`check_legal`]), make each statement's
-/// plan, merge the bounds of the loops statements share, read the nest off
-/// the plans, walk it once for the predicted cost and once to emit the
-/// program, then drop the guards the enclosing bounds imply. An illegal `m`
-/// is an `Infeasible` error; bounds two statements sharing a loop cannot
-/// merge are `Unsupported`.
+/// Generate the transformed program for a matrix `m`: check it
+/// ([`check_legal`]), make each statement's plan, and build the leaf from
+/// them with the one build [`crate::PlanTable::generate`] shares. An
+/// illegal `m` is an `Infeasible` error; bounds two statements sharing a
+/// loop cannot merge are `Unsupported`.
 pub fn generate(
     p: &Program,
     layout: &InstanceLayout,
@@ -55,14 +54,29 @@ pub fn generate(
         .stmts()
         .map(|s| make_plan(p, layout, deps, m, &report, s))
         .collect::<Result<_, _>>()?;
-    let plans: Vec<&StmtPlan> = plans.iter().collect();
-    let slot_bounds = merge_slots(p, layout, &plans)?;
+    build(p, layout, deps, m, ast, &plans.iter().collect::<Vec<_>>())
+}
+
+/// Emit the leaf `(m, ast)` from its statements' plans (by statement):
+/// merge the bounds of the loops statements share, read the nest off the
+/// plans, walk it once for the predicted cost and once to emit the
+/// program, then drop the guards the enclosing bounds imply. [`generate`]
+/// and [`crate::PlanTable::generate`] both end here.
+pub(crate) fn build(
+    p: &Program,
+    layout: &InstanceLayout,
+    deps: &DependenceMatrix,
+    m: &IMat,
+    ast: &NewAst,
+    plans: &[&StmtPlan],
+) -> Result<CodegenResult, InlError> {
+    let slot_bounds = merge_slots(p, layout, plans)?;
     let ast_span = inl_obs::span("codegen.ast");
-    let nest = plan_nest(ast, &plans, &slot_bounds, ast.program.root(), &mut 0)?;
+    let nest = plan_nest(ast, plans, &slot_bounds, ast.program.root(), &mut 0)?;
     let builder = Builder {
         src: p,
         layout,
-        plans: &plans,
+        plans,
     };
     let (mut program, stmt_map) = builder.build(&nest)?;
     drop(ast_span);
@@ -70,7 +84,7 @@ pub fn generate(
         layout,
         deps,
         m,
-        plans: &plans,
+        plans,
     };
     let predicted = crate::cost::predict(&nest, &cert);
     simplify_guards(&mut program);
@@ -84,7 +98,7 @@ pub fn generate(
         features: crate::cost::CostFeatures { guards, predicted },
     };
     if inl_obs::explain_enabled() {
-        record_cost_features(p, layout, deps, m, &plans, &out);
+        record_cost_features(p, layout, deps, m, plans, &out);
     }
     Ok(out)
 }
@@ -532,46 +546,49 @@ fn simplify_guards(program: &mut Program) {
 }
 
 /// The guards of `s` that its domain without them does not imply; `None`
-/// when that domain cannot be built, so every guard stays.
+/// when that domain cannot be built, so every guard stays. A difference
+/// domain is closed once ([`Closure`]) and each difference guard read off
+/// it; any other guard is refuted by [`is_empty`] on the domain with its
+/// negation added.
 fn unimplied_guards(program: &Program, s: StmtId) -> Option<Vec<Guard>> {
     let slot = |l: LoopId| Some(program.loop_var_index(l));
     let mut sys = program.assumption_system(program.space()).ok()?;
     program.append_domain(s, [], &mut sys, &slot).ok()?;
+    let closure = Closure::of(&sys);
     let space = sys.nvars();
     let to_expr = |a: &Aff| program.aff_expr(a, space, &slot);
+    // `e ≥ 1` has no point in the domain; overflow while forming the
+    // query proves nothing
+    let refuted = |e: Result<LinExpr, InlError>| {
+        let Ok(e) = e.and_then(|x| x.checked_sub(&LinExpr::constant(space, 1))) else {
+            return false;
+        };
+        let mut t = sys.clone();
+        t.add_ge(e);
+        is_empty(&t) == Feasibility::Empty
+    };
     let kept = program
         .stmt_decl(s)
         .guards
         .iter()
-        .filter(|g| match g {
-            Guard::Ge(a) => {
-                // keep unless ¬(a ≥ 0) is infeasible in context;
-                // overflow while forming the query keeps the guard
-                let Ok(e) = to_expr(a)
-                    .and_then(|x| x.checked_neg())
-                    .and_then(|x| x.checked_sub(&LinExpr::constant(space, 1)))
-                else {
-                    return true;
-                };
-                let mut neg = sys.clone();
-                neg.add_ge(e);
-                is_empty(&neg) != Feasibility::Empty
+        .filter(|g| {
+            let (a, eq) = match g {
+                Guard::Ge(a) => (a, false),
+                Guard::Eq(a) => (a, true),
+                Guard::Div(_, _) => return true,
+            };
+            let Ok(e) = to_expr(a) else {
+                return true;
+            };
+            if let Some(implied) = closure.as_ref().and_then(|c| c.implies(&e, eq)) {
+                return !implied;
             }
-            Guard::Eq(a) => {
-                let above = to_expr(a).and_then(|x| x.checked_sub(&LinExpr::constant(space, 1)));
-                let below = to_expr(a)
-                    .and_then(|x| x.checked_neg())
-                    .and_then(|x| x.checked_sub(&LinExpr::constant(space, 1)));
-                let (Ok(above), Ok(below)) = (above, below) else {
-                    return true;
-                };
-                let mut pos = sys.clone();
-                pos.add_ge(above);
-                let mut negs = sys.clone();
-                negs.add_ge(below);
-                is_empty(&pos) != Feasibility::Empty || is_empty(&negs) != Feasibility::Empty
+            // keep unless ¬(a ≥ 0) is infeasible in context, and for an
+            // equality ¬(a ≤ 0) too
+            match eq {
+                false => !refuted(e.checked_neg()),
+                true => !refuted(Ok(e.clone())) || !refuted(e.checked_neg()),
             }
-            Guard::Div(_, _) => true,
         })
         .cloned()
         .collect();

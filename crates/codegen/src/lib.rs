@@ -20,7 +20,9 @@
 //!    plans before anything is emitted.
 //! 3. **Bounds** — for every statement, the polyhedron `{domain(i), v =
 //!    T'_S·i + off}` is projected onto `(params, v)` by Fourier–Motzkin and
-//!    scanned (Ancourt–Irigoin) to get per-loop bounds; bounds of loops
+//!    scanned (Ancourt–Irigoin) to get per-loop bounds
+//!    ([`inl_poly::project_scan`], whose steps run on compact rows when
+//!    every constraint is a difference row); bounds of loops
 //!    shared by several statements are merged by proving pairwise `≤` under
 //!    the program's parameter assumptions.
 //! 4. **Guards** — exactness does not rely on the (possibly over-
@@ -29,7 +31,9 @@
 //!    guards after clearing denominators), divisibility guards when `N_S`
 //!    is non-unimodular, and equality guards for singular rows (§5.5's
 //!    `i_k = Σ m_j·i_j`). Guards implied by the enclosing loop bounds are
-//!    removed by a Fourier–Motzkin implication pass.
+//!    removed by an implication pass: one shortest-path closure of the
+//!    statement's domain when it is a difference system, Fourier–Motzkin
+//!    feasibility otherwise.
 //! 5. **Bodies** — subscripts and expressions are rewritten with the same
 //!    `N_S⁻¹` substitution (exact rational, guarded divisors).
 //!

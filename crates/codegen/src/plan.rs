@@ -15,14 +15,14 @@
 //! makes it once for all of them.
 
 use crate::cost::{Certify, LoopOrigin, Nest, NestLoop, PredictedCost};
-use crate::generate::{merge_slots, unbounded, SlotAffs};
+use crate::generate::{build, merge_slots, unbounded, CodegenResult, SlotAffs};
 use inl_core::depend::DependenceMatrix;
 use inl_core::instance::InstanceLayout;
 use inl_core::legal::{LegalityReport, NewAst};
 use inl_core::perstmt::{raw_per_stmt, schedule_stmt, StmtSchedule};
 use inl_ir::{Access, Aff, Expr, Guard, LoopId, Node, Program, StmtId, VarKey};
 use inl_linalg::{gauss, lcm, IMat, IVec, InlError, InlErrorKind, Int};
-use inl_poly::{fm, scan_bounds, BoundTerm, LinExpr};
+use inl_poly::{project_scan, BoundTerm, LinExpr};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -166,11 +166,10 @@ pub(crate) fn make_plan(
         }
         sys.add_eq(LinExpr::from_parts(coeffs, neg(sched.offsets[r])?));
     }
-    // eliminate old iteration variables
+    // eliminate old iteration variables, then scan the new ones
     let keep: Vec<usize> = (0..np).chain(np + kold..space).collect();
-    let (projected, _exact) = fm::project(&sys, &keep)?;
     let order: Vec<usize> = (np + kold..space).collect();
-    let bounds = scan_bounds(&projected, &order)?;
+    let bounds = project_scan(&sys, &keep, &order)?;
     inl_obs::counter_add!("codegen.bounds_scanned", bounds.len());
     inl_obs::counter_add!("codegen.loops_augmented", sched.n_aug);
 
@@ -495,11 +494,27 @@ impl<'a> PlanTable<'a> {
         plans: &[usize],
     ) -> Result<PredictedCost, InlError> {
         let ast = legal_ast(report)?;
-        let plans = plans
-            .iter()
-            .map(|&i| self.plan(i))
-            .collect::<Result<Vec<_>, _>>()?;
+        let plans = self.plans(plans)?;
         predict_from_plans(self.p, self.layout, self.deps, m, ast, &plans)
+    }
+
+    /// Build the leaf `(m, report)` from the plans it was ranked on: what
+    /// [`generate`](crate::generate()) returns for `m`, with no legality
+    /// check and no plan made again.
+    pub fn generate(
+        &self,
+        m: &IMat,
+        report: &LegalityReport,
+        plans: &[usize],
+    ) -> Result<CodegenResult, InlError> {
+        let _span = inl_obs::span("codegen.generate");
+        let ast = legal_ast(report)?;
+        let plans = self.plans(plans)?;
+        build(self.p, self.layout, self.deps, m, ast, &plans)
+    }
+
+    fn plans(&self, plans: &[usize]) -> Result<Vec<&StmtPlan>, InlError> {
+        plans.iter().map(|&i| self.plan(i)).collect()
     }
 
     fn plan(&self, i: usize) -> Result<&StmtPlan, InlError> {

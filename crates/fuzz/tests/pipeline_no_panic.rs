@@ -86,41 +86,61 @@ proptest! {
             prop_assert!(report.is_legal(), "completion returned an illegal matrix");
         }
     }
+}
 
-    /// Structural operations: arbitrary (mostly invalid) distribute, jam
-    /// and split targets report typed `InlError`s, the legality walk
-    /// decides every valid distribution or jam, the proof of every valid
-    /// split (strip-mining keeps the source order) finds it legal, and
-    /// sinking returns a typed error or a program — no panics, no asserts.
-    /// The loop is split in the source and in each step's target, where a
-    /// jam may have left it detached.
-    #[test]
-    fn structural_ops_never_panic(
-        (p, li, split, idx, tile) in arb_program().prop_flat_map(|p| {
-            let nloops = p.loops().count();
-            (Just(p), 0..nloops.max(1), 0usize..4, 0usize..4, -2i64..40)
-        }),
-    ) {
-        let Ok((layout, deps)) = analyzed(&p) else { return Ok(()); };
+/// Structural operations: arbitrary (mostly invalid) distribute, jam and
+/// split targets report typed `InlError`s, the legality walk decides every
+/// valid distribution or jam, the proof of every valid split (strip-mining
+/// keeps the source order) finds it legal, and sinking returns a typed
+/// error or a program — no panics, no asserts. The loop is split in the
+/// source and in each step's target, where a jam may have left it
+/// detached. Half the programs are drawn from `arb_inner_loop`, whose
+/// inner loop is stepped two times in three, so the split's refusal of a
+/// stepped loop is reached in every run.
+#[test]
+fn structural_ops_never_panic() {
+    let mut stepped = 0u64;
+    TestRunner::new(fuzz_config(64)).run_cases(|rng| {
+        let p = match rng.below(2) {
+            0 => arb_inner_loop().generate(rng).0,
+            _ => arb_program().generate(rng),
+        };
+        let (li, split, idx) = (
+            rng.below(4) as usize,
+            rng.below(4) as usize,
+            rng.below(4) as usize,
+        );
+        let tile = rng.below(42) as i128 - 2;
+        let Ok((layout, deps)) = analyzed(&p) else {
+            return Ok(());
+        };
         let loops: Vec<_> = p.loops().collect();
         let l = loops[li.min(loops.len() - 1)];
         let parent = p.loops_surrounding_loop(l).first().copied();
-        let steps = [distribute(&p, &layout, l, split), jam(&p, &layout, parent, idx)];
+        let steps = [
+            distribute(&p, &layout, l, split),
+            jam(&p, &layout, parent, idx),
+        ];
         for r in steps.iter().flatten() {
             let _ = check_structural(&p, &layout, &deps, r, "step");
         }
         for q in std::iter::once(&p).chain(steps.iter().flatten().map(|r| &r.target)) {
-            match tiling::split(q, l, tile as i128) {
+            match tiling::split(q, l, tile) {
                 Ok(r) => {
                     if let Ok(report) = tiling::split_legal(&r) {
                         prop_assert!(report.is_legal(), "{}: split {tile}", p.name());
                     }
                 }
-                Err(e) => prop_assert_eq!(e.kind(), InlErrorKind::InvalidTarget, "{}", e),
+                Err(e) => {
+                    prop_assert_eq!(e.kind(), InlErrorKind::InvalidTarget, "{}", e);
+                    stepped += e.message().contains("cannot split a stepped loop") as u64;
+                }
             }
         }
         let _ = sink_statements(&p);
-    }
+        Ok(())
+    });
+    assert!(stepped > 0, "no split of a stepped loop was refused");
 }
 
 /// Every distribution and jam of a generated program that Definition 6

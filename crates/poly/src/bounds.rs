@@ -6,7 +6,7 @@
 //! forms in outer variables) and upper bounds (`min` of floor-divided
 //! forms), in the manner of Ancourt & Irigoin's polyhedron scanning.
 
-use crate::{fm, LinExpr, System};
+use crate::{difference, fm, LinExpr, System};
 use inl_linalg::{InlError, Int};
 
 /// One bound term: the affine expression `expr` (over the full variable
@@ -22,7 +22,7 @@ pub struct BoundTerm {
 }
 
 /// Bounds of one loop variable: `max(lowers) ≤ x ≤ min(uppers)`.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct VarBounds {
     /// Lower bound terms (`x ≥ ceil(expr/div)`); empty means unbounded below.
     pub lowers: Vec<BoundTerm>,
@@ -90,24 +90,34 @@ impl VarBounds {
 /// statements still need their membership guards unless the elimination was
 /// exact — which it is for the unimodular transforms that dominate in
 /// practice.
+///
+/// Each level reads the rows in place — the inequalities, then each
+/// equality as `e ≥ 0` and `−e ≥ 0` — and fails, as negating it would, on
+/// an equality with an `Int::MIN` entry.
 pub fn scan_bounds(sys: &System, order: &[usize]) -> Result<Vec<VarBounds>, InlError> {
     let mut cur = sys.clone();
     let mut out: Vec<VarBounds> = vec![VarBounds::default(); order.len()];
     for k in (0..order.len()).rev() {
         let var = order[k];
-        let inner: std::collections::HashSet<usize> = order[k + 1..].iter().copied().collect();
+        let unnegatable =
+            |e: &LinExpr| e.constant_term() == Int::MIN || e.coeffs().contains(&Int::MIN);
+        if cur.eqs().iter().any(unnegatable) {
+            return Err(InlError::overflow("linear expression negation"));
+        }
+        let halves = cur.eqs().iter().flat_map(|e| [(1, e), (-1, e)]);
         let mut vb = VarBounds::default();
-        for e in cur.checked_to_ineqs()? {
-            let a = e.coeff(var);
+        for (s, e) in cur.ineqs().iter().map(|e| (1, e)).chain(halves) {
+            // s·e = a·x + rest ≥ 0
+            let a = s * e.coeff(var);
             if a == 0 {
                 continue;
             }
             debug_assert!(
-                e.support().all(|v| v == var || !inner.contains(&v)),
+                e.support()
+                    .all(|v| v == var || !order[k + 1..].contains(&v)),
                 "constraint on {var} mentions an inner variable"
             );
-            // a·x + rest ≥ 0
-            let mut rest = e.clone();
+            let mut rest = if s == 1 { e.clone() } else { e.checked_neg()? };
             rest.set_coeff(var, 0);
             if a > 0 {
                 // x ≥ ceil(-rest / a)
@@ -132,6 +142,23 @@ pub fn scan_bounds(sys: &System, order: &[usize]) -> Result<Vec<VarBounds>, InlE
         cur = next;
     }
     Ok(out)
+}
+
+/// [`scan_bounds`] over `order` of the projection of `sys` onto `keep`
+/// ([`fm::project`]): the bounds a loop nest scanning the projection
+/// takes. A difference system runs elimination's own steps on compact rows
+/// instead (`crate::difference`), with the same terms in the same order;
+/// any other system, and any error, is elimination's.
+pub fn project_scan(
+    sys: &System,
+    keep: &[usize],
+    order: &[usize],
+) -> Result<Vec<VarBounds>, InlError> {
+    if let Some(bounds) = difference::project_scan(sys, keep, order) {
+        return Ok(bounds);
+    }
+    let (projected, _exact) = fm::project(sys, keep)?;
+    scan_bounds(&projected, order)
 }
 
 fn dedup_terms(terms: &mut Vec<BoundTerm>) {

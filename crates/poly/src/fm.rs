@@ -15,7 +15,7 @@
 //!   projection): a feasible dark shadow proves non-emptiness even when some
 //!   step was inexact.
 //!
-//! Five fast paths keep the queries cheap without changing any answer,
+//! Six fast paths keep the queries cheap without changing any answer,
 //! error or verdict:
 //!
 //! * *64-bit arithmetic where it cannot overflow.* [`inl_linalg::gcd`] runs
@@ -48,6 +48,17 @@
 //!   gcd tightening applies — and computes exactly those rational
 //!   projections. A size guard keeps the systems the path takes below the
 //!   inequality budget, where elimination would fail instead of answering.
+//!   Code generation reads its guard implications off one closure of the
+//!   same graph (`crate::difference::Closure`).
+//! * The sixth runs this module's own steps on such a system's rows. A
+//!   scan's bound terms depend on the elimination path, so no shortest
+//!   path can stand in for [`project`] followed by
+//!   [`crate::bounds::scan_bounds`]; [`crate::bounds::project_scan`]
+//!   replays canonicalization, `pick_var`'s order, `eliminate_one` and
+//!   the scan's read-off on `(p, q, k)` rows with `i64` constants, and
+//!   returns the same terms in the same order. Anything outside the class
+//!   (a split's tile rows, skews, more than 16 variables, an `i64`
+//!   overflow) is projected and scanned here, as before.
 //!
 //! Otherwise the public queries — [`project`], [`is_empty`],
 //! [`var_bounds`], and [`expr_bounds`] through it — first rewrite the input
@@ -56,8 +67,9 @@
 //! then answer as a pure function of that canonical system, memoized
 //! process-wide by [`crate::cache`]. Because canonicalization runs whether
 //! or not the cache is enabled, cached and uncached runs produce identical
-//! answers. A difference query is answered before canonicalization and
-//! never reaches the cache: the shortest paths cost less than a lookup.
+//! answers. A difference query, and a plan of a difference system, is
+//! answered before canonicalization and never reaches the cache: the
+//! shortest paths and the row steps cost less than a lookup.
 
 use crate::cache::{self, Answer, Query};
 use crate::{difference, LinExpr, System};

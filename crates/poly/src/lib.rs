@@ -53,12 +53,12 @@
 
 pub mod bounds;
 pub mod cache;
-mod difference;
+pub mod difference;
 pub mod expr;
 pub mod fm;
 pub mod system;
 
-pub use bounds::{scan_bounds, BoundTerm, VarBounds};
+pub use bounds::{project_scan, scan_bounds, BoundTerm, VarBounds};
 pub use cache::{cache_enabled, set_cache_enabled, CacheStats};
 pub use expr::LinExpr;
 pub use fm::{eliminate, expr_bounds, is_empty, project, var_bounds, Feasibility};

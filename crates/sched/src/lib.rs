@@ -53,9 +53,9 @@
 //!   bounds of the loops statements share. So every legal leaf is
 //!   **ranked** on the key read off its plans ([`inl_codegen::PlanTable`],
 //!   one per shape, which makes each distinct statement plan once), and
-//!   only the first is **built** and **finished**
-//!   ([`inl_codegen::generate()`]: emission, guard simplification,
-//!   pseudocode). The chosen variant is the one a finish-everything sort
+//!   only the first is **built** and **finished**, from the plans it was
+//!   ranked on ([`inl_codegen::PlanTable::generate`]: emission, guard
+//!   simplification, pseudocode; no plan made again). The chosen variant is the one a finish-everything sort
 //!   would pick, skipped twins included (the predicted cost is not
 //!   provably sign-blind: `tests/search_sound.rs` holds that oracle over
 //!   the whole zoo); the other variants keep what was computed for them
@@ -83,7 +83,7 @@ pub mod sweep;
 
 pub use search::SearchStats;
 
-use inl_codegen::{batch_map, generate, CostFeatures, PlanTable, PredictedCost};
+use inl_codegen::{batch_map, generate, CodegenResult, CostFeatures, PlanTable, PredictedCost};
 use inl_core::complete::Completion;
 use inl_core::recipe::Recipe;
 use inl_ir::Program;
@@ -196,8 +196,18 @@ impl ScheduleResult {
 /// pseudocode, against the variant's shape.
 fn finish(shapes: &[search::StepShape], v: &RankedVariant) -> Result<ScheduledVariant, InlError> {
     let (_, shape) = &shapes[v.shape];
-    let r = generate(&shape.program, &shape.layout, &shape.deps, &v.matrix)
-        .map_err(|e| in_variant(&v.label, e))?;
+    finished(
+        v,
+        generate(&shape.program, &shape.layout, &shape.deps, &v.matrix),
+    )
+}
+
+/// The variant `v` from what building it returned, printed.
+fn finished(
+    v: &RankedVariant,
+    built: Result<CodegenResult, InlError>,
+) -> Result<ScheduledVariant, InlError> {
+    let r = built.map_err(|e| in_variant(&v.label, e))?;
     Ok(ScheduledVariant {
         label: v.label.clone(),
         recipe: v.recipe.clone(),
@@ -269,9 +279,10 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, I
     // statements' plans without building it. A plan depends on the leaf
     // only through its key, so each shape's table makes each distinct plan
     // once, for whichever leaf needs it first; the completion already
-    // proved every matrix legal
-    let ranked = {
-        let _span = inl_obs::span("sched.rank");
+    // proved every matrix legal. Stage 2 builds the pick alone from the
+    // plans it was ranked on; the rest are finished on demand
+    let (chosen, variants) = {
+        let rank_span = inl_obs::span("sched.rank");
         inl_obs::counter_add!("sched.variants_ranked", leaves.len());
         let mut tables: Vec<PlanTable> = shapes
             .iter()
@@ -281,42 +292,46 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, I
             .iter()
             .map(|(s, _, c)| tables[*s].intern(&c.matrix, &c.report))
             .collect();
-        batch_map(leaves.len(), cfg.threads, |i| {
+        let ranked = batch_map(leaves.len(), cfg.threads, |i| {
             let (s, _, c) = &leaves[i];
             tables[*s].predict(&c.matrix, &c.report, &plans[i])
-        })
-    };
-    // a legal leaf whose merged bounds are incomparable (`Unsupported`)
-    // is no variant — a jam of `cholesky_kij`'s split program has two; any
-    // other failure fails the schedule
-    let mut variants: Vec<RankedVariant> = Vec::with_capacity(leaves.len());
-    for ((shape, recipe, c), predicted) in leaves.into_iter().zip(ranked) {
-        let label = recipe.to_string();
-        let predicted = match predicted {
-            Ok(predicted) => predicted,
-            Err(e) if e.kind() == InlErrorKind::Unsupported => continue,
-            Err(e) => return Err(in_variant(&label, e)),
-        };
-        variants.push(RankedVariant {
-            label,
-            recipe,
-            shape,
-            matrix: c.matrix,
-            predicted,
         });
-    }
-    if variants.is_empty() {
-        return Err(InlError::new(
-            InlErrorKind::Infeasible,
-            "no legal variant found",
-        ));
-    }
-    variants.sort_by(|a, b| a.key().cmp(&b.key()));
-
-    // stage 2: finish the pick alone; the rest are finished on demand
-    let chosen = {
+        drop(rank_span);
+        // a legal leaf whose merged bounds are incomparable (`Unsupported`)
+        // is no variant — a jam of `cholesky_kij`'s split program has two;
+        // any other failure fails the schedule
+        let mut variants: Vec<(RankedVariant, usize)> = Vec::with_capacity(leaves.len());
+        for (i, ((shape, recipe, c), predicted)) in leaves.iter().zip(ranked).enumerate() {
+            let label = recipe.to_string();
+            let predicted = match predicted {
+                Ok(predicted) => predicted,
+                Err(e) if e.kind() == InlErrorKind::Unsupported => continue,
+                Err(e) => return Err(in_variant(&label, e)),
+            };
+            let v = RankedVariant {
+                label,
+                recipe: recipe.clone(),
+                shape: *shape,
+                matrix: c.matrix.clone(),
+                predicted,
+            };
+            variants.push((v, i));
+        }
+        variants.sort_by(|(a, _), (b, _)| a.key().cmp(&b.key()));
+        let Some((pick, i)) = variants.first() else {
+            return Err(InlError::new(
+                InlErrorKind::Infeasible,
+                "no legal variant found",
+            ));
+        };
         let _span = inl_obs::span("sched.finish");
-        finish(&shapes, &variants[0])?
+        let (shape, _, c) = &leaves[*i];
+        let built = tables[*shape].generate(&c.matrix, &c.report, &plans[*i]);
+        let chosen = finished(pick, built)?;
+        (
+            chosen,
+            variants.into_iter().map(|(v, _)| v).collect::<Vec<_>>(),
+        )
     };
 
     if explain {
@@ -575,8 +590,8 @@ mod tests {
         // other shape — not one per stage, let alone one per variant — one
         // plan per distinct statement schedule of a shape, and one
         // `generate`, the only build, of the chosen variant, outside the
-        // ranking's batch. One thread, so the thread-local capture sees all
-        // of it.
+        // ranking's batch and from the plans the ranking made. One thread,
+        // so the thread-local capture sees all of it.
         let p = zoo::cholesky_kij();
         let (r, cap) = inl_obs::capture::with(|| schedule_with(&p, &quiet_cfg()));
         let r = r.expect("schedules");
@@ -594,6 +609,7 @@ mod tests {
         assert_eq!(closed("sched.rank", ""), 1);
         assert_eq!(closed("sched.finish", ""), 1);
         assert_eq!(closed("codegen.generate", ""), 1);
+        assert_eq!(closed("codegen.generate", "sched.finish/"), 1);
         assert_eq!(closed("codegen.ast", ""), 1, "the pick is the one build");
         let ranked = cap.counters["sched.variants_ranked"];
         assert_eq!(ranked, r.stats.legal_variants);
@@ -602,15 +618,19 @@ mod tests {
         assert_eq!(closed("codegen.merge", "sched.rank/"), ranked);
         assert_eq!(closed("codegen.predict", "sched.rank/"), ranked);
         // 15 leaves of three statements each: 45 statement schedules, 19 of
-        // them distinct, each made once; the pick makes its three again
+        // them distinct, each made once; the pick is built from three of
+        // them, with no plan made and no legality checked again
         let stmts = p.stmts().count() as u64;
         assert_eq!(ranked * stmts, 45);
         assert_eq!(closed("codegen.plan", "sched.rank/"), 19);
-        assert_eq!(closed("codegen.plan", "sched.finish/"), stmts);
+        assert_eq!(closed("codegen.plan", ""), 19);
+        assert_eq!(closed("codegen.plan", "sched.finish/"), 0);
+        assert_eq!(closed("legal.check", "sched.finish/"), 0);
+        assert_eq!(closed("codegen.merge", "sched.finish/"), 1);
         // so the scan counters count plans made, not leaves ranked: one
         // bound per new loop of the plan's statement, 54 for the 19 (six
-        // of those loops augmented, §5.4) and 1 + 2 + 3 for the pick's
-        assert_eq!(cap.counters["codegen.bounds_scanned"], 54 + 6);
+        // of those loops augmented, §5.4)
+        assert_eq!(cap.counters["codegen.bounds_scanned"], 54);
         assert_eq!(cap.counters["codegen.loops_augmented"], 6);
     }
 

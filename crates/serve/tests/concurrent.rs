@@ -15,10 +15,18 @@ fn start() -> inl_serve::ServerHandle {
     .expect("bind ephemeral port")
 }
 
-/// The mixed request set each client thread replays.
+/// The mixed request set each client thread replays. A `tile(…)` order
+/// is compiled too: its plans carry the split's `L = 16·Lo + l` row, which
+/// only elimination takes, so they are what the shared query cache holds
+/// (a permutation's plans are difference systems, scanned on rows).
 fn requests_for(thread: usize) -> Vec<Request> {
     let orders = ["KJLI", "KIJL", "IKJL", "JKLI"]; // two legal, two rejected
     vec![
+        Request::Compile {
+            program: "cholesky_kij".into(),
+            order: Some("tile(L@16)/K.Lo.J.L.I".into()),
+            telemetry: false,
+        },
         Request::Compile {
             program: "cholesky_kij".into(),
             order: Some(orders[thread % orders.len()].into()),
@@ -101,13 +109,13 @@ fn parallel_sessions_match_in_process_results_bitwise() {
         "warm wave rate {warm_rate} below cold wave rate {cold_rate}"
     );
 
-    // Transport counters saw all 40 requests (2 waves × 4 threads × 5).
+    // Transport counters saw all 48 requests (2 waves × 4 threads × 6).
     let stats = handle.stats_json();
     let requests = stats
         .get("requests")
         .and_then(inl_obs::Json::as_u64)
         .unwrap();
-    assert!(requests >= 40, "{stats:?}");
+    assert!(requests >= 48, "{stats:?}");
     handle.shutdown();
 }
 
