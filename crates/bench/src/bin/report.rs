@@ -132,10 +132,10 @@ fn main() -> ExitCode {
     }
 
     // ------------------------------------- pipeline compile batch driver
-    // Compile the full 12-variant sweep three ways: serially with the poly
-    // query cache disabled (the seed pipeline), serially with the cache
-    // enabled, and across a thread pool on the warm cache. The third run
-    // issuing only cache hits keeps the telemetry counters deterministic
+    // Compile the full 12-variant sweep three ways: serially with the
+    // analysis memo off (the seed pipeline), serially on a cold memo, and
+    // across a thread pool on the warm memo. The third run's analyses are
+    // all memo hits, which keeps the telemetry counters deterministic
     // despite the parallelism. Generated code must be identical in all
     // three.
     println!("\n## pipeline compile batch — 12 Cholesky variants\n");
@@ -146,36 +146,16 @@ fn main() -> ExitCode {
     let cold = compile_batch(&p, &variants, 1);
     inl_poly::cache::set_cache_enabled(true);
     inl_poly::cache::clear();
-    let pre_warm = inl_poly::cache::stats();
     let warm = compile_batch(&p, &variants, 1);
-    let post_warm = inl_poly::cache::stats();
     let par = compile_batch(&p, &variants, host_threads);
-    let post_par = inl_poly::cache::stats();
     let batch_bitwise = cold
         .iter()
         .zip(&warm)
         .zip(&par)
         .all(|((c, w), q)| c.pseudocode == w.pseudocode && c.pseudocode == q.pseudocode);
     all_bitwise &= batch_bitwise;
-    let warm_hit_rate = {
-        let (h, m) = (
-            post_warm.hits - pre_warm.hits,
-            post_warm.misses - pre_warm.misses,
-        );
-        h as f64 / (h + m).max(1) as f64
-    };
-    let par_hit_rate = {
-        let (h, m) = (
-            post_par.hits - post_warm.hits,
-            post_par.misses - post_warm.misses,
-        );
-        h as f64 / (h + m).max(1) as f64
-    };
     println!(
-        "serial no-cache, serial cached (hit rate {:.1}%), parallel x{host_threads} cached \
-         (hit rate {:.1}%): generated code {}",
-        warm_hit_rate * 100.0,
-        par_hit_rate * 100.0,
+        "serial memo off, serial, parallel x{host_threads}: generated code {}",
         identical(batch_bitwise)
     );
 
@@ -277,21 +257,10 @@ fn main() -> ExitCode {
 
     // ------------------------------------------------- telemetry report
     let report = PipelineReport::capture();
-    // Poly query-cache stats, cumulative over the whole report run.
-    let cs = inl_poly::cache::stats();
-    println!("\n## poly query cache\n");
-    println!(
-        "hits {}, misses {}, insertions {}, evictions {}, resident entries {} (hit rate {:.1}%)",
-        cs.hits,
-        cs.misses,
-        cs.insertions,
-        cs.evictions,
-        cs.entries,
-        cs.hit_rate() * 100.0
-    );
+    println!("\n## analysis memo\n");
     let ms = inl_core::depend::memo_stats();
     println!(
-        "analysis memo: hits {}, misses {}, evictions {}, resident entries {}",
+        "hits {}, misses {}, evictions {}, resident entries {}",
         ms.hits, ms.misses, ms.evictions, ms.entries
     );
 

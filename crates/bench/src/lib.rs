@@ -6,8 +6,8 @@
 //! summary. See `EXPERIMENTS.md` at the workspace root for the experiment
 //! index (E1–E14) and recorded results.
 //!
-//! Nothing here reads a clock. Times — backends, compile batch, poly
-//! cache, framework costs per layer — are rows of the system benchmark in
+//! Nothing here reads a clock. Times — backends, compile batch,
+//! framework costs per layer — are rows of the system benchmark in
 //! `benchmark/`; the hand-compiled kernels of E7/E14/E8, where cache
 //! behaviour makes the paper's "performance can be quite different"
 //! visible, are the `kernels` binary of this crate.

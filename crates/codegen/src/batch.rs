@@ -3,9 +3,8 @@
 //!
 //! What a batch shares is the one thing that does not depend on the
 //! variant: the program's `(InstanceLayout, DependenceMatrix)` pair is
-//! built once per batch and every job lowers its matrix against it (the
-//! poly query cache, `inl_poly::cache`, then makes the repeated
-//! sub-systems cheap across jobs). [`batch_map`] is the job loop itself:
+//! built once per batch and every job lowers its matrix against it.
+//! [`batch_map`] is the job loop itself:
 //! workers pull indices from a shared atomic counter (jobs differ in cost;
 //! `inl_exec::VmRunner::run_threads`, whose loop trips do not, splits each
 //! entry of a `parallel` loop into static chunks instead), and every job runs under one

@@ -50,12 +50,12 @@
 //! another's matrix. A mapped matrix is the one [`analyze`] would store. A
 //! hit returns a clone of the matrix the miss computed; only `Ok` results
 //! are stored; the analysis itself runs outside the lock (threads racing on
-//! a cold key all compute, last write wins). The memo is a tenant of the
-//! poly cache's lifecycle rather than a switch of its own:
+//! a cold key all compute, last write wins). It is the compile side's
+//! only memo (`inl-poly` answers every query afresh; EXPERIMENTS.md E9):
 //! `inl_poly::cache::set_cache_enabled(false)` bypasses it,
 //! `inl_poly::cache::clear()` empties it (entries are stamped with
-//! [`inl_poly::cache::epoch`]), and it is bounded by [`MEMO_CAP`] with the
-//! same counted generation flush.
+//! [`inl_poly::cache::epoch`]), and it is bounded by [`MEMO_CAP`] with a
+//! counted generation flush.
 //!
 //! Telemetry: the `depend.analyze` span and the `depend.map` span (and so
 //! their timeline slices) fire on every call, hit or miss — requested
@@ -79,7 +79,7 @@ use inl_poly::{expr_bounds, is_empty, Feasibility, LinExpr, System};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::BuildHasher;
+use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -255,7 +255,7 @@ impl DependenceMatrix {
 }
 
 /// Entry cap of the analysis memo: one counted generation flush when
-/// reached, as in `inl_poly::cache`. A process that schedules the zoo holds
+/// reached (`insert_bounded`). A process that schedules the zoo holds
 /// 18 entries (its 13 programs, and the 5 shapes the scheduler maps of
 /// them); the bound is for `inl-fuzz` and the property tests, which feed it
 /// programs without end.
@@ -308,7 +308,7 @@ fn memo_key(p: &Program, positions: &[Position]) -> u64 {
 }
 
 /// Counters of the analysis memo since process start, tracked whether or
-/// not `inl-obs` is enabled (the companion of `inl_poly::cache::CacheStats`).
+/// not `inl-obs` is enabled.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoStats {
     /// Analyses answered with a stored matrix.
@@ -323,7 +323,7 @@ pub struct MemoStats {
 
 impl MemoStats {
     /// Render as a JSON object: the `analysis_memo` section of the wire
-    /// `Stats` reply and of `report`'s poly-cache table.
+    /// `Stats` reply.
     pub fn to_json(&self) -> inl_obs::Json {
         let mut o = inl_obs::Json::object();
         o.insert("hits", inl_obs::Json::Int(self.hits));
@@ -481,12 +481,25 @@ fn memoised(
         positions: layout.positions().to_vec(),
         deps: Arc::new(deps.clone()),
     };
-    let evicted = inl_poly::cache::insert_bounded(&mut memo().entries, key, entry, MEMO_CAP);
+    let evicted = insert_bounded(&mut memo().entries, key, entry, MEMO_CAP);
     if evicted > 0 {
         MEMO_EVICTIONS.fetch_add(evicted as u64, Ordering::Relaxed);
         inl_obs::counter_add!("depend.memo.evictions", evicted as u64);
     }
     Ok(deps)
+}
+
+/// Insert with a generation-flush bound: when the map is full, clear it
+/// wholesale (deterministic, no recency ordering) and count the dropped
+/// entries as evictions. Returns the number of evicted entries.
+fn insert_bounded<K: Eq + Hash, V>(map: &mut HashMap<K, V>, key: K, value: V, cap: usize) -> usize {
+    let mut evicted = 0;
+    if map.len() >= cap {
+        evicted = map.len();
+        map.clear();
+    }
+    map.insert(key, value);
+    evicted
 }
 
 /// The analysis itself: a pure function of `(p, layout)`.
@@ -718,6 +731,19 @@ mod tests {
 
     fn stmt(p: &Program, name: &str) -> StmtId {
         p.stmts().find(|&s| p.stmt_decl(s).name == name).unwrap()
+    }
+
+    #[test]
+    fn generation_flush_counts_evictions() {
+        let mut m = HashMap::new();
+        for i in 0..3 {
+            assert_eq!(insert_bounded(&mut m, i, (), 3), 0);
+        }
+        assert_eq!(m.len(), 3);
+        // The fourth insert meets the cap: the whole generation is
+        // flushed, then the entry is stored.
+        assert_eq!(insert_bounded(&mut m, 3, (), 3), 3);
+        assert_eq!(m.len(), 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The process-wide memo behind `inl_core::depend::analyze`: what it may
 //! answer from store (an *equal* program and layout, nothing else), that a
 //! stored answer equals a computed one, and that it lives and dies with
-//! the poly cache's switch, `clear()` and bound.
+//! the switch and `clear()` of `inl_poly::cache`, and its bound.
 //!
 //! The memo and its counters are process-global, so this is its own test
 //! binary and every test holds one lock.
@@ -29,7 +29,7 @@ fn analysed(p: &Program, layout: &InstanceLayout) -> DependenceMatrix {
     analyze(p, layout).expect("analysis")
 }
 
-/// The analysis with the memo (and the poly cache) bypassed: ground truth.
+/// The analysis with the memo bypassed: ground truth.
 fn bypassed(p: &Program, layout: &InstanceLayout) -> DependenceMatrix {
     inl_poly::cache::set_cache_enabled(false);
     let before = memo_stats();

@@ -38,10 +38,10 @@
 //! measurements: nanosecond durations, and the work counters of every
 //! *memoised layer*, which say how much an earlier request left warm
 //! rather than what this one asked for. [`MEMOISED_LAYERS`] names those
-//! layers' counter families: `poly.` (the query cache: hit/miss splits,
-//! and the FM work a hit skips) and `depend.` (the analysis memo:
+//! layers' counter families: `depend.` (the analysis memo:
 //! `depend.memo.*`, and `depend.pairs_tested` & co., which fire only on a
-//! miss). [`deterministic_projection`] extracts the deterministic part —
+//! miss) and `poly.` (the FM work under an analysis, which a hit skips).
+//! [`deterministic_projection`] extracts the deterministic part —
 //! [`Json::deterministic`] strips every `*_ns` value, and it drops every
 //! counter of a memoised layer and every span nested in `poly.` — so two
 //! captures of the same request in different processes can be compared
@@ -59,7 +59,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
 /// Schema version of [`Capture::to_json`] (the wire `telemetry` section).
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Explain-record tallies inside a capture window (populated only while
 /// the explain layer is enabled — see [`crate::explain_enabled`]).
@@ -99,17 +99,16 @@ impl Capture {
     ///
     /// ```json
     /// {
-    ///   "version": 1,
+    ///   "version": 2,
     ///   "stages":  { "serve.compile": { "count": 1, "total_ns": 812345,
     ///                                   "min_ns": 812345, "max_ns": 812345 } },
-    ///   "counters": { "exec.instances": 385, "poly.cache.hit": 12 },
-    ///   "poly_cache": { "hits": 12, "misses": 0, "insertions": 0, "evictions": 0 },
+    ///   "counters": { "exec.instances": 385, "depend.memo.hit": 1 },
     ///   "explain":  { "accepts": 0, "rejects": 0, "notes": 0 }
     /// }
     /// ```
     ///
-    /// `poly_cache` is derived from the `poly.cache.*` counter deltas for
-    /// convenience (the keys mirror `inl_poly::cache::CacheStats`).
+    /// Version 2 dropped version 1's `poly_cache` section with the query
+    /// cache it summarised.
     pub fn to_json(&self) -> Json {
         let mut root = Json::object();
         root.insert("version", Json::Int(SCHEMA_VERSION));
@@ -125,14 +124,6 @@ impl Capture {
             counters.insert(name, Json::Int(v));
         }
         root.insert("counters", counters);
-
-        let delta = |name: &str| self.counters.get(name).copied().unwrap_or(0);
-        let mut cache = Json::object();
-        cache.insert("hits", Json::Int(delta("poly.cache.hit")));
-        cache.insert("misses", Json::Int(delta("poly.cache.miss")));
-        cache.insert("insertions", Json::Int(delta("poly.cache.insertions")));
-        cache.insert("evictions", Json::Int(delta("poly.cache.evictions")));
-        root.insert("poly_cache", cache);
 
         let mut explain = Json::object();
         explain.insert("accepts", Json::Int(self.explain.accepts));
@@ -264,16 +255,15 @@ pub(crate) fn record_explain(verdict: crate::explain::Verdict) {
     });
 }
 
-/// Counter families of the layers that memoise their work (the poly query
-/// cache, the dependence-analysis memo): what they count depends on what
-/// earlier requests warmed, so [`deterministic_projection`] drops them.
+/// Counter families whose values depend on what earlier requests warmed:
+/// the dependence-analysis memo's, and the FM work under an analysis,
+/// which a memo hit skips. [`deterministic_projection`] drops them.
 pub const MEMOISED_LAYERS: [&str; 2] = ["poly.", "depend."];
 
 /// True iff every `/`-separated segment of a span path is outside the
-/// `poly.` namespace: poly spans run inside the cached computation (and,
-/// under `depend.analyze` or `depend.map`, inside the memoised one), so
-/// how many close depends on warmth. No other memoised layer has spans
-/// below its entry.
+/// `poly.` namespace: under `depend.analyze` or `depend.map`, poly spans
+/// run inside the memoised analysis, so how many close depends on warmth.
+/// No memoised layer has other spans below its entry.
 fn path_is_deterministic(path: &str) -> bool {
     path.split('/').all(|seg| !seg.starts_with("poly."))
 }
@@ -284,7 +274,7 @@ fn path_is_deterministic(path: &str) -> bool {
 /// **counts**, and without the [`MEMOISED_LAYERS`] counter families, whose
 /// values depend on what earlier requests warmed.
 /// Two captures of the same request — taken in different processes, at
-/// different cache temperatures — project to byte-identical canonical
+/// different memo temperatures — project to byte-identical canonical
 /// JSON; `inl-load --telemetry` compares exactly this.
 pub fn deterministic_projection(telemetry: &Json) -> Json {
     let det = telemetry.deterministic();
@@ -426,10 +416,9 @@ mod tests {
     }
 
     #[test]
-    fn capture_json_is_versioned_and_derives_poly_cache() {
+    fn capture_json_is_versioned() {
         let mut cap = Capture::default();
-        cap.counters.insert("poly.cache.hit", 4);
-        cap.counters.insert("poly.cache.miss", 1);
+        cap.counters.insert("poly.fm.eliminations", 4);
         cap.counters.insert("exec.instances", 99);
         cap.stages.insert(
             "serve.compile".into(),
@@ -441,11 +430,13 @@ mod tests {
             },
         );
         let j = cap.to_json();
-        assert_eq!(j.get("version").and_then(Json::as_u64), Some(1));
-        let pc = j.get("poly_cache").unwrap();
-        assert_eq!(pc.get("hits").and_then(Json::as_u64), Some(4));
-        assert_eq!(pc.get("misses").and_then(Json::as_u64), Some(1));
-        assert_eq!(pc.get("evictions").and_then(Json::as_u64), Some(0));
+        assert_eq!(j.get("version").and_then(Json::as_u64), Some(2));
+        assert!(j.get("poly_cache").is_none());
+        let counters = j.get("counters").unwrap();
+        assert_eq!(
+            counters.get("poly.fm.eliminations").and_then(Json::as_u64),
+            Some(4)
+        );
         let stage = j.get("stages").unwrap().get("serve.compile").unwrap();
         assert_eq!(stage.get("count").and_then(Json::as_u64), Some(1));
     }
@@ -453,7 +444,7 @@ mod tests {
     #[test]
     fn projection_strips_nondeterministic_evidence() {
         let mut cap = Capture::default();
-        cap.counters.insert("poly.cache.hit", 4);
+        cap.counters.insert("poly.fm.eliminations", 4);
         cap.counters.insert("exec.instances", 99);
         cap.counters.insert("exec.par.thread_busy_ns", 123_456);
         cap.stages.insert(
@@ -492,9 +483,9 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(1)
         );
-        // Identical captures at different cache temperatures project equal.
+        // Identical captures at different memo temperatures project equal.
         let mut warm = cap.clone();
-        warm.counters.insert("poly.cache.hit", 400);
+        warm.counters.insert("poly.fm.eliminations", 400);
         warm.stages.get_mut("serve.compile").unwrap().total_ns = 999;
         warm.stages.remove("serve.compile/poly.feasibility");
         assert_eq!(
@@ -517,7 +508,7 @@ mod tests {
         miss.counters.insert("depend.memo.miss", 1);
         miss.counters.insert("depend.pairs_tested", 39);
         miss.counters.insert("depend.polyhedra_retained", 14);
-        miss.counters.insert("poly.cache.miss", 210);
+        miss.counters.insert("poly.fm.eliminations", 210);
         miss.counters.insert("legal.fast_path_hits", 20);
         miss.stages.insert("serve.compile".into(), stage(1));
         miss.stages

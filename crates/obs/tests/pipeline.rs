@@ -65,9 +65,9 @@ fn span_nesting_builds_slash_separated_paths() {
     set_enabled(false);
 }
 
-/// The quickstart pipeline on a clean registry and a cold poly query
-/// cache (a warm one would answer everything without running FM, zeroing
-/// the counters the tests below pin).
+/// The quickstart pipeline on a clean registry and a cold analysis memo
+/// (a warm one would answer the analysis without running FM, zeroing the
+/// counters the tests below pin).
 fn run_quickstart_pipeline() {
     use inl_codegen::generate;
     use inl_core::depend::analyze;

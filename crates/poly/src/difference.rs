@@ -18,7 +18,7 @@
 //! for why. Three entries take such systems:
 //!
 //! * [`crate::fm::is_empty`] and [`crate::fm::expr_bounds`] read one answer
-//!   per query, before canonicalization and the cache;
+//!   per query, before canonicalization;
 //! * a [`Closure`] is one Floyd–Warshall pass whose distances answer the
 //!   range of any number of difference rows (code generation's guard
 //!   implications);

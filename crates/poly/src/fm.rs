@@ -64,14 +64,11 @@
 //! [`var_bounds`], and [`expr_bounds`] through it — first rewrite the input
 //! into its canonical form ([`System::canonicalized`]: sign-normalized
 //! rows, dominated inequalities pruned, rows sorted and deduplicated) and
-//! then answer as a pure function of that canonical system, memoized
-//! process-wide by [`crate::cache`]. Because canonicalization runs whether
-//! or not the cache is enabled, cached and uncached runs produce identical
-//! answers. A difference query, and a plan of a difference system, is
-//! answered before canonicalization and never reaches the cache: the
-//! shortest paths and the row steps cost less than a lookup.
+//! then answer as a pure function of that canonical system, so systems
+//! built along different paths get the same answer. Nothing is memoised
+//! here (EXPERIMENTS.md E9 has the measurement that retired the query
+//! cache); the dependence-analysis memo in `inl_core::depend` sits above.
 
-use crate::cache::{self, Answer, Query};
 use crate::{difference, LinExpr, System};
 use inl_linalg::{gcd, InlError, InlErrorKind, Int};
 
@@ -278,23 +275,11 @@ fn pick_var(sys: &System, vars: &[usize]) -> usize {
 /// variable. The result lives in the *same* variable space (eliminated
 /// variables simply no longer appear); the boolean reports whether the whole
 /// chain was integer-exact. Errors (overflow, inequality budget) are
-/// deterministic functions of the canonical input, so they memoize exactly
-/// like successful answers.
+/// deterministic functions of the canonical input.
 ///
-/// The input is canonicalized first and the answer memoized (see
-/// [`crate::cache`]); repeated projections of equivalent systems are free.
+/// The input is canonicalized first, so equivalent systems project alike.
 pub fn project(sys: &System, keep: &[usize]) -> Result<(System, bool), InlError> {
-    let mut keep_key: Vec<usize> = keep.iter().copied().filter(|&v| v < sys.nvars()).collect();
-    keep_key.sort_unstable();
-    keep_key.dedup();
-    let canon = sys.canonicalized();
-    let keep_for_core = keep_key.clone();
-    match cache::memo(canon, Query::Project(keep_key), move |c| {
-        Answer::Project(project_core(c, &keep_for_core))
-    }) {
-        Answer::Project(r) => r,
-        _ => unreachable!("project answered with a non-projection"),
-    }
+    project_core(&sys.canonicalized(), keep)
 }
 
 /// Elimination loop on an already-canonicalized system.
@@ -319,9 +304,8 @@ fn project_core(sys: &System, keep: &[usize]) -> Result<(System, bool), InlError
 /// Integer feasibility of the system.
 ///
 /// A difference system is decided by shortest paths (see the module docs);
-/// any other is canonicalized first and the verdict memoized (see
-/// [`crate::cache`]). The `poly.feasibility` span fires on every call,
-/// whichever answers, so telemetry counts queries, not cache state.
+/// any other is canonicalized first. The `poly.feasibility` span fires on
+/// every call, whichever answers.
 pub fn is_empty(sys: &System) -> Feasibility {
     let _span = inl_obs::span("poly.feasibility");
     if sys.is_trivially_empty() {
@@ -330,13 +314,7 @@ pub fn is_empty(sys: &System) -> Feasibility {
     if let Some(f) = difference::is_empty(sys) {
         return f;
     }
-    let canon = sys.canonicalized();
-    match cache::memo(canon, Query::Feasibility, |c| {
-        Answer::Feasibility(is_empty_core(c))
-    }) {
-        Answer::Feasibility(f) => f,
-        _ => unreachable!("feasibility answered with a non-verdict"),
-    }
+    is_empty_core(&sys.canonicalized())
 }
 
 /// Shadow-chasing feasibility on an already-canonicalized system.
@@ -413,21 +391,8 @@ fn dark_shadow_nonempty(sys: &System, order: &[usize]) -> bool {
 /// infeasible the interval may be contradictory (`lo > hi`) — callers that
 /// care should test [`is_empty`] first.
 ///
-/// The input is canonicalized first and the interval memoized (see
-/// [`crate::cache`]); the inner projection goes through the cached
-/// [`project`], so a bounds query also warms the projection entry.
+/// The projection canonicalizes the input (see [`project`]).
 pub fn var_bounds(sys: &System, var: usize) -> Result<(Option<Int>, Option<Int>), InlError> {
-    let canon = sys.canonicalized();
-    match cache::memo(canon, Query::VarBounds(var), |c| {
-        Answer::VarBounds(var_bounds_core(c, var))
-    }) {
-        Answer::VarBounds(r) => r,
-        _ => unreachable!("var_bounds answered with a non-interval"),
-    }
-}
-
-/// Bounds read-off on an already-canonicalized system.
-fn var_bounds_core(sys: &System, var: usize) -> Result<(Option<Int>, Option<Int>), InlError> {
     let (proj, _) = project(sys, &[var])?;
     if proj.is_trivially_empty() {
         return Ok((Some(1), Some(0))); // canonical contradictory interval

@@ -23,10 +23,9 @@
 //!   instead, with the same answers;
 //! * [`bounds`] — extraction of loop bounds (`max`/`min` of affine forms
 //!   with ceiling/floor divisions) for code generation;
-//! * [`cache`] — process-wide memoization of projection, feasibility, and
-//!   bounds queries, keyed by [`System::canonicalized`] form
-//!   ([`cache::set_cache_enabled`]`(false)` disables memoization; answers are
-//!   identical either way).
+//! * [`cache`] — the switch and epoch of the compile side's one memo, the
+//!   dependence-analysis memo in `inl_core::depend`; every query here is
+//!   answered from [`System::canonicalized`] form each time it is asked.
 //!
 //! # Example: the paper's §3 dependence system
 //!

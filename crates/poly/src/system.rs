@@ -11,7 +11,7 @@ use std::fmt;
 /// their coefficients with the constant floored (integer tightening — sound
 /// because solutions are integral), equalities whose gcd does not divide the
 /// constant mark the system as trivially infeasible.
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct System {
     nvars: usize,
     eqs: Vec<LinExpr>,
@@ -211,9 +211,8 @@ impl System {
     /// * A trivially empty system canonicalizes to the bare empty system
     ///   (no rows, flag set) regardless of what it accumulated.
     ///
-    /// This is the hashable key used by the query cache in [`crate::cache`]
-    /// and the preprocessing step of every cached query, so two systems
-    /// built along different paths share cached answers. The function is
+    /// Every [`crate::fm`] query answers on this form, so two systems
+    /// built along different paths get the same answer. The function is
     /// idempotent.
     pub fn canonicalized(&self) -> System {
         if self.trivially_empty {
@@ -231,8 +230,7 @@ impl System {
             .iter()
             .map(|e| match e.coeffs().iter().find(|&&c| c != 0) {
                 // An `Int::MIN` coefficient cannot be negated; keeping the
-                // row unnormalized is sound (e = 0 ⇔ -e = 0 — it only costs
-                // cache sharing for that pathological key).
+                // row unnormalized is sound (e = 0 ⇔ -e = 0).
                 Some(&c) if c < 0 => e.checked_neg().unwrap_or_else(|_| e.clone()),
                 _ => e.clone(),
             })

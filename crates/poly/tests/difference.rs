@@ -1,5 +1,5 @@
 //! Difference systems — every row `±x + k` or `x − y + k` — are answered
-//! by shortest paths before canonicalization and the query cache. On
+//! by shortest paths before canonicalization. On
 //! random ones (inequalities and equalities, parameters, negative cycles,
 //! unbounded sides) `is_empty` and `expr_bounds` must give exactly what
 //! Fourier–Motzkin gives, and what enumerating a small box gives; any
@@ -14,8 +14,8 @@
 use inl_linalg::Int;
 use inl_poly::difference::Closure;
 use inl_poly::{
-    cache, expr_bounds, fm, is_empty, project_scan, scan_bounds, var_bounds, Feasibility, LinExpr,
-    System, VarBounds,
+    expr_bounds, fm, is_empty, project_scan, scan_bounds, var_bounds, Feasibility, LinExpr, System,
+    VarBounds,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -164,22 +164,19 @@ fn triangle() -> System {
 }
 
 #[test]
-fn a_difference_query_skips_elimination_and_the_cache() {
+fn a_difference_query_skips_elimination() {
     let _g = lock();
     inl_obs::set_enabled(true);
-    cache::clear();
     let s = triangle();
-    let (answers, elims, lookups) = (
+    let (answers, elims) = (
         counter("poly.difference.answers"),
         counter("poly.fm.eliminations"),
-        cache::stats().hits + cache::stats().misses,
     );
     assert_eq!(is_empty(&s), Feasibility::NonEmpty);
     assert_eq!(expr_bounds(&s, &(v(2) - v(1))), Ok((Some(1), None)));
     assert_eq!(expr_bounds(&s, &(k(4) - v(0))), Ok((None, Some(2))));
     assert_eq!(counter("poly.difference.answers"), answers + 3);
     assert_eq!(counter("poly.fm.eliminations"), elims);
-    assert_eq!(cache::stats().hits + cache::stats().misses, lookups);
 }
 
 #[test]
@@ -200,7 +197,7 @@ fn a_negative_cycle_is_empty() {
 /// row, two variables of one sign, a constant past `2^40`, more variables
 /// than the inequality budget allows — and bounds the path turns down on a
 /// difference system — an entry constant past `2^40`, an infeasible
-/// system — are answered by elimination (it eliminates, on a cold cache)
+/// system — are answered by elimination (it eliminates)
 /// and the path's counter stays put.
 #[test]
 fn anything_else_is_answered_by_elimination() {
@@ -233,7 +230,6 @@ fn anything_else_is_answered_by_elimination() {
     cases.push(("17 variables", chain, last, true));
 
     for (what, s, e, outside) in cases {
-        cache::clear();
         let (answers, elims) = (
             counter("poly.difference.answers"),
             counter("poly.fm.eliminations"),
@@ -295,7 +291,7 @@ fn scan_case() -> impl Strategy<Value = (System, Vec<usize>, Vec<usize>)> {
         })
 }
 
-/// Elimination's scan: `scan_bounds` of the cached projection.
+/// Elimination's scan: `scan_bounds` of the projection.
 fn fm_scan(
     s: &System,
     keep: &[usize],
@@ -426,7 +422,6 @@ fn the_row_scan_leaves_everything_else_to_elimination() {
     }
     cases.push(("17 variables", chain, vec![0, 16], vec![16]));
     for (what, s, keep, order) in cases {
-        cache::clear();
         let answers = counter("poly.difference.answers");
         let got = project_scan(&s, &keep, &order);
         assert_eq!(counter("poly.difference.answers"), answers, "{what}");

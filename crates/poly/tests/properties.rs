@@ -3,7 +3,9 @@
 //! soundness properties of Fourier–Motzkin elimination.
 
 use inl_linalg::{InlError, InlErrorKind, Int};
-use inl_poly::{expr_bounds, fm, is_empty, scan_bounds, Feasibility, LinExpr, System};
+use inl_poly::{
+    expr_bounds, fm, is_empty, project, scan_bounds, var_bounds, Feasibility, LinExpr, System,
+};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
@@ -103,6 +105,54 @@ fn enumerate(s: &System, bound: Int) -> Vec<[Int; NVARS]> {
         }
     }
     out
+}
+
+/// `s` with `eqs` added, and a copy of it built from the same rows in a
+/// shuffled order with one row added twice: the same constraint set, so
+/// the same canonical form.
+fn with_shuffled_copy(mut s: System, eqs: Vec<LinExpr>, seed: u64) -> (System, System) {
+    for e in eqs {
+        s.add_eq(e);
+    }
+    let mut rows: Vec<(bool, LinExpr)> = (s.eqs().iter().map(|e| (true, e.clone())))
+        .chain(s.ineqs().iter().map(|e| (false, e.clone())))
+        .collect();
+    let mut rng = TestRng::new(seed);
+    for i in (1..rows.len()).rev() {
+        rows.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    if !rows.is_empty() {
+        let twice = rows[rng.below(rows.len() as u64) as usize].clone();
+        rows.push(twice);
+    }
+    let mut copy = System::new(NVARS);
+    if s.is_trivially_empty() {
+        copy.add_ge(LinExpr::constant(NVARS, -1));
+    }
+    for (eq, row) in rows {
+        if eq {
+            copy.add_eq(row);
+        } else {
+            copy.add_ge(row);
+        }
+    }
+    (s, copy)
+}
+
+/// Every public query's answer, error included, for comparison.
+type Answers = (
+    Result<(System, bool), InlError>,
+    Feasibility,
+    Vec<Result<(Option<Int>, Option<Int>), InlError>>,
+);
+
+fn query_all(s: &System, keep_mask: usize) -> Answers {
+    let keep: Vec<usize> = (0..NVARS).filter(|v| keep_mask & (1 << v) != 0).collect();
+    (
+        project(s, &keep),
+        is_empty(s),
+        (0..NVARS).map(|v| var_bounds(s, v)).collect(),
+    )
 }
 
 proptest! {
@@ -251,6 +301,63 @@ proptest! {
                 }
             }
             Err(e) => prop_assert!(typed(&e), "untyped failure {e:?}"),
+        }
+    }
+
+    /// Canonicalization preserves the solution set exactly.
+    #[test]
+    fn canonical_form_same_solutions(s in small_system()) {
+        let canon = s.canonicalized();
+        for x in -7i64..=7 {
+            for y in -7i64..=7 {
+                for z in -7i64..=7 {
+                    let pt = [x as Int, y as Int, z as Int];
+                    prop_assert_eq!(
+                        s.contains(&pt),
+                        canon.contains(&pt),
+                        "solution set changed at {:?}",
+                        pt
+                    );
+                }
+            }
+        }
+    }
+
+    /// The canonical form is insertion-order independent and idempotent:
+    /// every query answers on it, so systems built along different paths
+    /// get the same answers.
+    #[test]
+    fn canonical_form_order_independent(cons in prop::collection::vec(small_constraint(), 0..6)) {
+        let mut fwd = System::new(NVARS);
+        let mut rev = System::new(NVARS);
+        for c in &cons {
+            fwd.add_ge(c.clone());
+        }
+        for c in cons.iter().rev() {
+            rev.add_ge(c.clone());
+        }
+        let cf = fwd.canonicalized();
+        let cr = rev.canonicalized();
+        prop_assert_eq!(&cf, &cr, "insertion order leaked into the canonical form");
+        prop_assert_eq!(&cf.canonicalized(), &cf, "canonicalization not idempotent");
+    }
+
+    /// `project`, `is_empty` and `var_bounds` answer exactly alike, errors
+    /// included, on a system and on a copy with its rows shuffled and one
+    /// row duplicated: on small coefficients, and on wide ones whose
+    /// answers take the `i128` fallback and whose errors are `Overflow`.
+    #[test]
+    fn queries_ignore_row_order_and_repeats(
+        small in small_system(),
+        small_eqs in prop::collection::vec(small_constraint(), 0..2),
+        wide in wide_system(),
+        wide_eqs in prop::collection::vec(wide_constraint(), 0..2),
+        keep_mask in 0usize..(1 << NVARS),
+        seed in 0u64..u64::MAX,
+    ) {
+        for (s, eqs) in [(small, small_eqs), (wide, wide_eqs)] {
+            let (s, copy) = with_shuffled_copy(s, eqs, seed);
+            prop_assert_eq!(query_all(&s, keep_mask), query_all(&copy, keep_mask));
         }
     }
 

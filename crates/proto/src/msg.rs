@@ -12,7 +12,7 @@
 //! `compile` / `run` / `explain` requests accept an opt-in boolean
 //! `telemetry` flag. When it is `true`, the matching response carries a
 //! versioned `telemetry` JSON object (per-stage span durations, counter
-//! deltas including poly-cache hits/misses, explain verdict summary —
+//! deltas, explain verdict summary —
 //! the schema is owned by `inl_obs::capture`). Both the flag and the
 //! section are **encoded only when present**, so a telemetry-off
 //! exchange is byte-identical to the pre-telemetry protocol; `metrics`
@@ -98,8 +98,8 @@ pub enum Request {
         /// Ask for a per-request `telemetry` section (see module docs).
         telemetry: bool,
     },
-    /// Snapshot service counters and the process-wide poly-cache and
-    /// analysis-memo stats.
+    /// Snapshot service counters and the process-wide analysis-memo
+    /// stats.
     Stats,
     /// Snapshot the server's sliding-window live metrics (latency
     /// percentiles, request rate, error rate over the last N seconds).
@@ -207,8 +207,8 @@ pub enum Response {
         /// Per-request telemetry section (see [`Response::Compile`]).
         telemetry: Option<Json>,
     },
-    /// Answer to [`Request::Stats`]: a free-form JSON object (poly-cache
-    /// and analysis-memo counters, serve counters, uptime/session gauges).
+    /// Answer to [`Request::Stats`]: a free-form JSON object
+    /// (analysis-memo counters, serve counters, uptime/session gauges).
     Stats {
         /// The stats object.
         stats: Json,
@@ -806,7 +806,7 @@ mod tests {
         let mut telemetry = Json::object();
         telemetry.insert("version", Json::Int(1));
         let mut counters = Json::object();
-        counters.insert("poly.cache.hit", Json::Int(3));
+        counters.insert("depend.memo.hit", Json::Int(3));
         telemetry.insert("counters", counters);
         let mut metrics = Json::object();
         metrics.insert("count", Json::Int(12));

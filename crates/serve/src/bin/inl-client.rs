@@ -7,7 +7,7 @@
 //! inl-client run <prog> <N> [M ...] [--order LABEL] [--backend vm|interp]
 //! inl-client explain <program> <label>      # why legal / why rejected
 //! inl-client schedule <program>             # auto-schedule: chosen variant
-//! inl-client stats                          # cache + transport counters
+//! inl-client stats                          # memo + transport counters
 //! inl-client metrics                        # sliding-window latency/rates
 //! inl-client shutdown                       # graceful stop
 //! ```

@@ -19,7 +19,7 @@
 //!
 //! With `--telemetry` every compile/run/explain request also asks for
 //! the per-request capture section. The returned section's
-//! *deterministic projection* (durations and cache-warmth evidence
+//! *deterministic projection* (durations and memo-warmth evidence
 //! stripped — see [`inl_obs::capture::deterministic_projection`]) must
 //! be **byte-identical** to the projection of an in-process capture of
 //! the same request; the core response bytes are compared with the

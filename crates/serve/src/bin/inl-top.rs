@@ -7,7 +7,7 @@
 //! Polls the `metrics` and `stats` requests on one connection and
 //! redraws a terminal summary each tick: throughput and error rate over
 //! the sliding window, latency percentiles, the per-request-type
-//! breakdown, poly-cache hit rate, analysis-memo hits and misses, and the
+//! breakdown, analysis-memo hits and misses, and the
 //! server's lifetime transport gauges (uptime, sessions, in-flight
 //! high-water mark). Standard library only — the "dashboard" is aligned
 //! text plus an ANSI clear-screen, suitable for any terminal or for
@@ -34,7 +34,6 @@ fn fmt_uptime(ms: u64) -> String {
 fn render(metrics: &inl_obs::Json, stats: &inl_obs::Json) -> String {
     let mut out = String::new();
     let serve = stats.get("serve");
-    let cache = stats.get("poly_cache");
     let lat = metrics.get("latency_ns");
 
     let req_per_sec = u(metrics, "req_per_sec_milli") as f64 / 1e3;
@@ -65,18 +64,6 @@ fn render(metrics: &inl_obs::Json, stats: &inl_obs::Json) -> String {
             u(serve, "in_flight_hwm"),
             u(serve, "requests"),
             u(serve, "errors"),
-        ));
-    }
-    if let Some(cache) = cache {
-        let rate = match cache.get("hit_rate") {
-            Some(inl_obs::Json::Float(f)) => *f * 100.0,
-            _ => 0.0,
-        };
-        out.push_str(&format!(
-            "poly cache {} hit(s) / {} miss(es) — {:.1}% hit rate\n",
-            u(cache, "hits"),
-            u(cache, "misses"),
-            rate
         ));
     }
     if let Some(memo) = stats.get("analysis_memo") {

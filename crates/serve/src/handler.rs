@@ -218,7 +218,6 @@ fn handle_core(req: &Request) -> Response {
         Request::Schedule { program, .. } => handle_schedule(program),
         Request::Stats => {
             let mut stats = inl_obs::Json::object();
-            stats.insert("poly_cache", inl_poly::cache::stats_json());
             stats.insert("analysis_memo", memo_stats().to_json());
             Ok(Response::Stats { stats })
         }
@@ -232,7 +231,7 @@ fn handle_core(req: &Request) -> Response {
 
 /// Handle one request. Infallible by design: anything that can go wrong
 /// becomes a [`Response::Error`]. [`Request::Stats`] answers with the
-/// process-wide poly-cache and analysis-memo snapshots (the server layer
+/// process-wide analysis-memo snapshot (the server layer
 /// adds its own transport counters on top); [`Request::Metrics`]
 /// snapshots the process-wide [sliding window](crate::request_window)
 /// (empty unless a server in this process has been feeding it);
@@ -242,7 +241,7 @@ fn handle_core(req: &Request) -> Response {
 /// A request with `telemetry: true` is handled inside an
 /// `inl_obs::capture` window and its response carries the capture as a
 /// versioned `telemetry` section — counters, per-stage durations, and
-/// poly-cache deltas attributable to exactly this request. Error
+/// explain tallies attributable to exactly this request. Error
 /// responses have no telemetry slot and are returned bare.
 pub fn handle_request(req: &Request) -> Response {
     if !req.wants_telemetry() {
@@ -568,13 +567,11 @@ mod tests {
     }
 
     #[test]
-    fn stats_carries_the_poly_cache_snapshot() {
+    fn stats_carries_the_analysis_memo_snapshot() {
         let resp = handle_request(&Request::Stats);
         match resp {
             Response::Stats { stats } => {
-                let pc = stats.get("poly_cache").expect("poly_cache section");
-                assert!(pc.get("hits").is_some());
-                assert!(pc.get("hit_rate").is_some());
+                assert!(stats.get("poly_cache").is_none(), "{stats:?}");
                 let memo = stats.get("analysis_memo").expect("analysis_memo section");
                 for key in ["hits", "misses", "entries", "evictions"] {
                     assert!(memo.get(key).is_some(), "missing {key}: {memo:?}");
@@ -602,7 +599,7 @@ mod tests {
             compile.get("count").and_then(inl_obs::Json::as_u64),
             Some(1)
         );
-        assert!(section.get("poly_cache").is_some());
+        assert!(section.get("poly_cache").is_none());
         assert!(section.get("explain").is_some());
         // The core answer (telemetry stripped) is byte-identical to the
         // telemetry-off answer for the same request.
@@ -629,7 +626,7 @@ mod tests {
             telemetry: true,
         };
         // whoever analysed lu_kij first, by the second request it is stored
-        // (nothing in this test binary clears the poly cache)
+        // (nothing in this test binary clears the analysis memo)
         handle_request(&req);
         let resp = handle_request(&req);
         let section = resp.telemetry().expect("telemetry section");

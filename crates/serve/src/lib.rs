@@ -17,17 +17,18 @@
 //! * [`window`] — the sliding window of live request latencies behind
 //!   the `metrics` request.
 //!
-//! All sessions share the process-wide `inl_poly` query cache: a warm
-//! server answers repeated completions mostly from memo, which the
-//! `stats` request exposes (hits/misses/hit-rate) alongside the transport
-//! counters of [`ServeStats`].
+//! All sessions share the process-wide dependence-analysis memo
+//! (`inl_core::depend::analyze`): a warm server analyses each program
+//! once, which the `stats` request exposes (`analysis_memo`: hits,
+//! misses, entries, evictions) alongside the transport counters of
+//! [`ServeStats`].
 //!
 //! ## Telemetry
 //!
 //! Requests that set `telemetry: true` are evaluated inside an
 //! [`inl_obs::capture`] scope; the response carries a versioned
 //! `telemetry` section with per-stage span durations, counter deltas,
-//! the poly-cache delta, and the explain tally for that one request.
+//! and the explain tally for that one request.
 //! Every served request additionally feeds [`request_window`], the
 //! process-wide sliding window behind the `metrics` request (live
 //! req/s, error rate, and latency percentiles over the last minute).

@@ -8,8 +8,8 @@
 //! all under a `serve.request` span carrying the process-unique request
 //! id into the timeline. Decode failures answer with a typed `error`
 //! response on the same connection; only transport failures (broken
-//! socket) end a session early. All sessions share the process-wide poly
-//! query cache, so a warm server completes repeated schedules from memo.
+//! socket) end a session early. All sessions share the process-wide
+//! analysis memo, so a warm server analyses each program once.
 //!
 //! Shutdown: a `shutdown` request is acknowledged on its own connection,
 //! then the stop flag is raised and the listener unblocked with a

@@ -2,6 +2,7 @@
 //! parallel client threads, checked bitwise against in-process
 //! compilation, then shut down gracefully mid-traffic.
 
+use inl_core::depend::memo_stats;
 use inl_serve::{
     handle_request, serve, BackendChoice, Client, FrameLimits, Request, Response, ServerConfig,
 };
@@ -17,8 +18,8 @@ fn start() -> inl_serve::ServerHandle {
 
 /// The mixed request set each client thread replays. A `tile(…)` order
 /// is compiled too: its plans carry the split's `L = 16·Lo + l` row, which
-/// only elimination takes, so they are what the shared query cache holds
-/// (a permutation's plans are difference systems, scanned on rows).
+/// only elimination takes (a permutation's plans are difference systems,
+/// scanned on rows), and its split program is a second memo entry.
 fn requests_for(thread: usize) -> Vec<Request> {
     let orders = ["KJLI", "KIJL", "IKJL", "JKLI"]; // two legal, two rejected
     vec![
@@ -92,21 +93,17 @@ fn parallel_sessions_match_in_process_results_bitwise() {
         });
     };
 
-    let before = inl_poly::cache::stats();
     wave(4);
-    let mid = inl_poly::cache::stats();
-    wave(4); // identical second wave: the shared cache must be warm now
-    let after = inl_poly::cache::stats();
-    let (h, m) = (after.hits - mid.hits, after.misses - mid.misses);
-    assert!(h > 0, "second wave must hit the warm cache: {after:?}");
-    let warm_rate = h as f64 / (h + m).max(1) as f64;
-    let cold_rate = {
-        let (h0, m0) = (mid.hits - before.hits, mid.misses - before.misses);
-        h0 as f64 / (h0 + m0).max(1) as f64
-    };
+    let mid = memo_stats();
+    wave(4); // identical second wave: the shared analysis memo is warm now
+    let after = memo_stats();
     assert!(
-        warm_rate >= cold_rate,
-        "warm wave rate {warm_rate} below cold wave rate {cold_rate}"
+        after.hits > mid.hits,
+        "second wave must hit the memo: {after:?}"
+    );
+    assert_eq!(
+        after.misses, mid.misses,
+        "every analysis of the second wave is stored: {after:?}"
     );
 
     // Transport counters saw all 48 requests (2 waves × 4 threads × 6).
@@ -120,7 +117,7 @@ fn parallel_sessions_match_in_process_results_bitwise() {
 }
 
 #[test]
-fn stats_request_reports_transport_and_cache_counters() {
+fn stats_request_reports_transport_and_memo_counters() {
     let handle = start();
     let mut client = Client::connect(handle.local_addr()).expect("connect");
     // Generate some traffic first so counters are non-trivial.
@@ -143,7 +140,7 @@ fn stats_request_reports_transport_and_cache_counters() {
                 .and_then(inl_obs::Json::as_u64)
                 .unwrap();
             assert!(requests >= 2, "{serve:?}");
-            assert!(stats.get("poly_cache").is_some());
+            assert!(stats.get("poly_cache").is_none(), "{stats:?}");
             assert!(stats.get("analysis_memo").is_some());
         }
         other => panic!("expected Stats, got {other:?}"),

@@ -56,7 +56,7 @@ fn telemetry_sections_match_in_process_captures() {
             "core bytes diverged for {req:?}"
         );
         // Telemetry: identical under the deterministic projection
-        // (durations and cache-warmth evidence stripped).
+        // (durations and memo-warmth evidence stripped).
         let remote_proj = inl_obs::capture::deterministic_projection(
             remote.telemetry().expect("server telemetry"),
         );
