@@ -309,9 +309,11 @@ struct Builder<'x> {
 }
 
 /// What the `Builder` fills in as it emits: the target loop open for each
-/// placeholder, and the source-to-target statement map.
+/// placeholder, the names of the loops open around the emission point,
+/// and the source-to-target statement map.
 struct Emitted {
     open: Vec<Option<LoopId>>,
+    names: Vec<String>,
     stmt_map: Vec<StmtId>,
 }
 
@@ -334,6 +336,7 @@ impl Builder<'_> {
         let rows = self.plans.iter().map(|pl| pl.sched.rows.nrows()).max();
         let mut e = Emitted {
             open: vec![None; self.layout.len() + rows.unwrap_or(0)],
+            names: Vec::new(),
             stmt_map: vec![StmtId(usize::MAX); self.plans.len()],
         };
         self.emit(&mut b, nest, &mut e)?;
@@ -363,12 +366,16 @@ impl Builder<'_> {
                         };
                     let (lower, upper) = (bound(l.lower, &e.open)?, bound(l.upper, &e.open)?);
                     let name = match l.origin {
-                        LoopOrigin::Slot(q) => self.slot_name(q),
+                        LoopOrigin::Slot(q) => match self.source_name(q) {
+                            Some(name) => name,
+                            None => self.fresh_name(format!("t{q}"), &e.names),
+                        },
                         LoopOrigin::Aug { stmt, level } => {
                             let stmt = self.src.stmt_decl(stmt).name.to_lowercase();
-                            format!("{stmt}_a{level}")
+                            self.fresh_name(format!("{stmt}_a{level}"), &e.names)
                         }
                     };
+                    e.names.push(name.clone());
                     let mut res: Result<(), InlError> = Ok(());
                     b.loop_full(name, lower, upper, 1, false, |b| {
                         let id = b.current_loop().expect("inside loop");
@@ -377,6 +384,7 @@ impl Builder<'_> {
                         res = self.emit(b, &l.children, e);
                         e.open[l.var.0] = outer;
                     });
+                    e.names.pop();
                     res?;
                 }
                 &Nest::Stmt { stmt, write, rhs } => {
@@ -387,10 +395,28 @@ impl Builder<'_> {
         Ok(())
     }
 
-    /// Name a slot loop: reuse the source loop's name when every statement
-    /// schedules this slot as exactly that loop (identity row), otherwise
-    /// a fresh `t<pos>`.
-    fn slot_name(&self, qpos: usize) -> String {
+    /// `base`, or the first of `base_2`, `base_3`, … that names neither a
+    /// loop of `open` (the loops around the new one) nor a source loop,
+    /// whose name [`Builder::source_name`] may give a loop inside it.
+    fn fresh_name(&self, base: String, open: &[String]) -> String {
+        let taken = |name: &String| {
+            open.contains(name)
+                || self
+                    .src
+                    .loops()
+                    .any(|l| self.src.loop_decl(l).name == *name)
+        };
+        if !taken(&base) {
+            return base;
+        }
+        let mut suffixed = (2..).map(|k| format!("{base}_{k}"));
+        suffixed.find(|name| !taken(name)).expect("a free name")
+    }
+
+    /// The name of a slot loop when every statement schedules the slot as
+    /// exactly one source loop (identity row): that loop's. `None` asks
+    /// for a fresh `t<pos>`.
+    fn source_name(&self, qpos: usize) -> Option<String> {
         let mut source: Option<usize> = None;
         let mut uniform = true;
         for plan in self.plans {
@@ -420,15 +446,9 @@ impl Builder<'_> {
                 break;
             }
         }
-        match (uniform, source) {
-            (true, Some(oldpos)) => {
-                if let Position::Loop(l) = self.layout.positions()[oldpos] {
-                    self.src.loop_decl(l).name.clone()
-                } else {
-                    format!("t{qpos}")
-                }
-            }
-            _ => format!("t{qpos}"),
+        match self.layout.positions()[source.filter(|_| uniform)?] {
+            Position::Loop(l) => Some(self.src.loop_decl(l).name.clone()),
+            _ => None,
         }
     }
 

@@ -23,11 +23,12 @@
 
 use crate::depend::DependenceMatrix;
 use crate::instance::{InstanceLayout, Position};
-use crate::legal::{check_legal, LegalityReport};
-use crate::project::{build_states, commit_all, step_all, DepState};
+use crate::legal::{check_legal, tree_nodes, LegalityReport, NewAst};
+use crate::project::{build_states, commit_all, revert_all, step_all, DepState, Undo};
 use inl_ir::{LoopId, Node, Program, StmtId};
 use inl_linalg::{IMat, IVec, InlError, InlErrorKind};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A successful completion.
 #[derive(Clone, Debug)]
@@ -44,22 +45,27 @@ fn loop_slot_positions(layout: &InstanceLayout) -> Vec<usize> {
     layout.loops().map(|(pos, _)| pos).collect()
 }
 
-/// [`loop_slot_positions`], once `partial` fits them: no more rows than
-/// slots, each as long as an instance vector. `InvalidTarget` otherwise.
+/// `InvalidTarget` unless row `i` of a prefix fits a layout with `slots`
+/// loop slots: a slot is left for it, and it is as long as an instance
+/// vector.
+fn fits(layout: &InstanceLayout, slots: usize, i: usize, row: &IVec) -> Result<(), InlError> {
+    let why = if i >= slots {
+        "more partial rows than loop slots".to_string()
+    } else if row.len() != layout.len() {
+        format!("row {i} has length {}, not {}", row.len(), layout.len())
+    } else {
+        return Ok(());
+    };
+    Err(InlError::new(InlErrorKind::InvalidTarget, why))
+}
+
+/// [`loop_slot_positions`], once every row of `partial` [`fits`] them.
 fn slots_for(layout: &InstanceLayout, partial: &[IVec]) -> Result<Vec<usize>, InlError> {
     let slots = loop_slot_positions(layout);
-    let invalid = |why: String| Err(InlError::new(InlErrorKind::InvalidTarget, why));
-    if partial.len() > slots.len() {
-        return invalid("more partial rows than loop slots".to_string());
+    for (i, row) in partial.iter().enumerate() {
+        fits(layout, slots.len(), i, row)?;
     }
-    match partial.iter().position(|row| row.len() != layout.len()) {
-        Some(i) => invalid(format!(
-            "row {i} has length {}, not {}",
-            partial[i].len(),
-            layout.len()
-        )),
-        None => Ok(slots),
-    }
+    Ok(slots)
 }
 
 /// Outcome of [`check_prefix`]: either every supplied row keeps every
@@ -81,17 +87,273 @@ pub enum PrefixCheck {
     },
 }
 
+/// Child permutations by node (`None`: the virtual root), old child index
+/// → new, as [`NewAst::child_perms`].
+type ChildPerms = HashMap<Option<LoopId>, Vec<usize>>;
+
+/// Child permutations that are not the identity, sorted by node: the key
+/// of a walk's recovered ASTs.
+type PermKey = Vec<(Option<LoopId>, Vec<usize>)>;
+
+/// A prefix of transformation rows, walked outside-in one loop slot at a
+/// time on the projection stepper (`project.rs`). Each pushed row is one
+/// step of every still-active dependence whose common loops include the
+/// slot; a row that keeps them all non-negative is committed, and
+/// [`PrefixWalk::pop`] takes the commit back. [`check_prefix`] and
+/// [`complete_transform`] push their rows on a fresh walk; the scheduler
+/// carries one down its search tree, so a node pays one step rather than
+/// its whole path's.
+pub struct PrefixWalk<'a> {
+    p: &'a Program,
+    layout: &'a InstanceLayout,
+    deps: &'a DependenceMatrix,
+    /// Loop-slot positions, outside-in.
+    slots: Vec<usize>,
+    states: Vec<DepState<'a>>,
+    rows: Vec<IVec>,
+    /// What each pushed row's commit changed.
+    undo: Vec<Vec<(usize, Undo)>>,
+    /// The ASTs [`PrefixWalk::complete`] recovered, by child permutations.
+    asts: HashMap<PermKey, Arc<NewAst>>,
+}
+
+impl<'a> PrefixWalk<'a> {
+    /// The empty prefix of `p`'s transformations: every dependence active.
+    pub fn new(p: &'a Program, layout: &'a InstanceLayout, deps: &'a DependenceMatrix) -> Self {
+        PrefixWalk {
+            p,
+            layout,
+            deps,
+            slots: loop_slot_positions(layout),
+            states: build_states(layout, deps),
+            rows: Vec::new(),
+            undo: Vec::new(),
+            asts: HashMap::new(),
+        }
+    }
+
+    /// The rows pushed so far, outside-in.
+    pub fn rows(&self) -> &[IVec] {
+        &self.rows
+    }
+
+    /// Push `row` for the next loop slot: [`PrefixCheck::Legal`] commits
+    /// it; a [`PrefixCheck::Violation`] (whose `row` is this row's index)
+    /// leaves the walk as it was. `InvalidTarget` when every slot has a row
+    /// or `row` is not as long as an instance vector.
+    pub fn push(&mut self, row: IVec) -> Result<PrefixCheck, InlError> {
+        let _span = inl_obs::span("complete.prefix");
+        inl_obs::counter_add!("complete.prefix_checks", 1);
+        self.step(row)
+    }
+
+    /// [`PrefixWalk::push`], unobserved.
+    fn step(&mut self, row: IVec) -> Result<PrefixCheck, InlError> {
+        fits(self.layout, self.slots.len(), self.rows.len(), &row)?;
+        let (slot, nparams) = (self.slots[self.rows.len()], self.p.nparams());
+        match step_all(self.layout, nparams, slot, row.as_slice(), &self.states)? {
+            Err(dep) => Ok(PrefixCheck::Violation {
+                row: self.rows.len(),
+                dep,
+            }),
+            Ok(effects) => {
+                self.undo.push(commit_all(&mut self.states, effects));
+                self.rows.push(row);
+                Ok(PrefixCheck::Legal)
+            }
+        }
+    }
+
+    /// Take back the last pushed row.
+    pub fn pop(&mut self) {
+        if let Some(undo) = self.undo.pop() {
+            revert_all(&mut self.states, undo);
+            self.rows.pop();
+        }
+    }
+
+    /// The matrix of the walk's rows, once every loop slot has one, with
+    /// the edge rows the syntactic-ordering constraints call for: the
+    /// dependences still active between different statements order the
+    /// children at the node where the statements' paths diverge. The
+    /// constrained nodes' child permutations come with it (old child →
+    /// new). `Infeasible` on a cyclic child order.
+    fn assemble(&self) -> Result<(IMat, ChildPerms), InlError> {
+        let (p, layout, deps) = (self.p, self.layout, self.deps);
+        let mut constraints: HashMap<Option<LoopId>, Vec<(usize, usize)>> = HashMap::new();
+        let mut constraint_deps: HashMap<Option<LoopId>, Vec<usize>> = HashMap::new();
+        for st in &self.states {
+            if st.satisfied || st.dep.src == st.dep.dst {
+                continue;
+            }
+            let (node, ca, cb) = divergence(p, st.dep.src, st.dep.dst);
+            if ca != cb {
+                constraints.entry(node).or_default().push((ca, cb));
+                constraint_deps.entry(node).or_default().push(st.idx);
+            }
+        }
+        // topological sort of each constrained node's children
+        let mut perms = ChildPerms::new();
+        for (node, edges) in &constraints {
+            let c = p.children(*node).len();
+            let Some(order) = topo_order(c, edges) else {
+                if inl_obs::explain_enabled() {
+                    let evidence: Vec<String> = constraint_deps[node]
+                        .iter()
+                        .zip(edges)
+                        .map(|(&idx, &(ca, cb))| {
+                            format!(
+                                "{} (row {}) needs child {ca} before child {cb}",
+                                crate::provenance::dep_label(p, idx, &deps.deps[idx]),
+                                crate::provenance::dep_row(&deps.deps[idx])
+                            )
+                        })
+                        .collect();
+                    inl_obs::explain::reject(
+                        "complete",
+                        format!("child ordering at {}", p.parent_path(*node)),
+                        "all-zero cross-statement dependences impose a cyclic child order",
+                    )
+                    .detail("constraints", evidence.join("; "))
+                    .feature("constraints", edges.len() as i64);
+                }
+                return Err(InlError::new(
+                    InlErrorKind::Infeasible,
+                    "cyclic child order",
+                ));
+            };
+            // order[i] = old child at new index i  =>  perm[old] = new
+            let mut perm = vec![0usize; c];
+            for (newi, &old) in order.iter().enumerate() {
+                perm[old] = newi;
+            }
+            perms.insert(*node, perm);
+        }
+
+        let mut m = IMat::zeros(layout.len(), layout.len());
+        for (slot, row) in self.slots.iter().zip(&self.rows) {
+            for (j, &v) in row.iter().enumerate() {
+                m[(*slot, j)] = v;
+            }
+        }
+        for (i, pos) in layout.positions().iter().enumerate() {
+            if let Position::Edge { parent, child } = *pos {
+                let new_child = perms.get(&parent).map_or(child, |perm| perm[child]);
+                let target = layout.edge_position(parent, new_child).expect("edge");
+                m[(target, i)] = 1;
+            }
+        }
+        Ok((m, perms))
+    }
+
+    /// Complete a walk whose rows are signed unit selectors of distinct
+    /// loop positions, one per loop slot — a leaf of the scheduler's tree —
+    /// as [`complete_transform`] completes those rows, without checking
+    /// the matrix again: its legality report is read off the walk. Every
+    /// row kept every dependence non-negative, the edge rows order what
+    /// stays active between statements, and the active self-dependences,
+    /// in dependence order, are left to augmentation. Such a matrix is a
+    /// signed permutation (determinant ±1), and its AST is recovered once
+    /// per child order and shared. Writes the records
+    /// [`complete_transform`] writes. `InvalidTarget` on any other rows.
+    pub fn complete(&mut self) -> Result<Completion, InlError> {
+        let _span = inl_obs::span("complete.transform");
+        // the loop slot each row selects, if it is a signed unit row
+        let selected = self.rows.iter().filter_map(|row| {
+            let mut nonzero = row.iter().enumerate().filter(|(_, &v)| v != 0);
+            match (nonzero.next(), nonzero.next()) {
+                (Some((j, v)), None) if v.abs() == 1 && self.slots.contains(&j) => Some(j),
+                _ => None,
+            }
+        });
+        let mut selected: Vec<usize> = selected.collect();
+        selected.sort_unstable();
+        selected.dedup();
+        if selected.len() != self.slots.len() {
+            return Err(InlError::new(
+                InlErrorKind::InvalidTarget,
+                "a walk completes one signed unit row per loop slot",
+            ));
+        }
+        let explain = inl_obs::explain_enabled();
+        if explain {
+            for (slot_idx, (&slot, row)) in self.slots.iter().zip(&self.rows).enumerate() {
+                record_partial_row(slot_idx, slot, row);
+            }
+        }
+        let (m, perms) = self.assemble()?;
+        let mut key: PermKey = perms
+            .into_iter()
+            .filter(|(_, perm)| perm.iter().enumerate().any(|(i, &x)| i != x))
+            .collect();
+        key.sort_unstable();
+        let (p, layout) = (self.p, self.layout);
+        let ast = self.asts.entry(key).or_insert_with_key(|key| {
+            let mut perms: ChildPerms = tree_nodes(p, layout)
+                .map(|node| (node, (0..p.children(node).len()).collect()))
+                .collect();
+            perms.extend(key.iter().cloned());
+            Arc::new(NewAst::rebuild(p, layout, perms))
+        });
+        let unsatisfied_self = self.states.iter().filter(|st| !st.satisfied);
+        let unsatisfied_self = unsatisfied_self.filter(|st| st.dep.src == st.dep.dst);
+        let report = LegalityReport {
+            new_ast: Ok(Arc::clone(ast)),
+            violations: Vec::new(),
+            unsatisfied_self: unsatisfied_self.map(|st| st.idx).collect(),
+        };
+        #[cfg(debug_assertions)]
+        crate::legal::assert_walk_agrees(p, layout, self.deps, &m, &report);
+        if explain {
+            crate::legal::record_legal(p, self.deps, &m, &report);
+            record_completed(&m, self.rows.len(), &report, self.deps);
+        }
+        Ok(Completion { matrix: m, report })
+    }
+}
+
+/// The `complete` record of a supplied row that keeps every active
+/// dependence non-negative. Only called with the explain layer enabled.
+fn record_partial_row(slot_idx: usize, slot: usize, row: &IVec) {
+    inl_obs::explain::accept(
+        "complete",
+        format!(
+            "partial row {slot_idx} {}",
+            crate::provenance::row_text(row)
+        ),
+        "row keeps every active dependence non-negative",
+    )
+    .feature("slot", slot as i64);
+}
+
+/// The `complete` record of a completed matrix. Only called with the
+/// explain layer enabled.
+fn record_completed(m: &IMat, partial: usize, report: &LegalityReport, deps: &DependenceMatrix) {
+    inl_obs::explain::accept(
+        "complete",
+        format!("assembled matrix {}", crate::provenance::matrix_text(m)),
+        format!(
+            "completed {partial} partial rows to a legal transformation ({} self-dependences to augmentation)",
+            report.unsatisfied_self.len()
+        ),
+    )
+    .feature("partial_rows", partial as i64)
+    .feature("unsatisfied_self", report.unsatisfied_self.len() as i64)
+    .feature("deps", deps.deps.len() as i64);
+}
+
 /// Check whether a *prefix* of transformation rows can be extended to a
-/// legal matrix, without running the completion itself.
+/// legal matrix, without running the completion itself: the rows pushed
+/// on a fresh [`PrefixWalk`].
 ///
-/// This is the pruning predicate of the auto-scheduler (`inl-sched`): a
-/// search over outer-row choices calls this at every tree node, and a
-/// [`PrefixCheck::Violation`] kills the entire subtree below the node — the
-/// dimension-matching idea from Acharya–Bondhugula applied to the paper's
-/// dependence projections. The check is sound and complete for prefix
-/// legality (it is exactly the validation pass [`complete_transform`] runs
-/// over user-supplied rows), but deliberately emits **no** explain records:
-/// callers running thousands of probes record their own decisions.
+/// A [`PrefixCheck::Violation`] kills the entire subtree below the prefix
+/// — the dimension-matching idea from Acharya–Bondhugula applied to the
+/// paper's dependence projections, which the auto-scheduler (`inl-sched`)
+/// applies node by node on a walk it carries. The check is sound and
+/// complete for prefix legality (it is exactly the validation pass
+/// [`complete_transform`] runs over user-supplied rows), but deliberately
+/// emits **no** explain records: callers running thousands of probes
+/// record their own decisions.
 pub fn check_prefix(
     p: &Program,
     layout: &InstanceLayout,
@@ -100,13 +362,12 @@ pub fn check_prefix(
 ) -> Result<PrefixCheck, InlError> {
     let _span = inl_obs::span("complete.prefix");
     inl_obs::counter_add!("complete.prefix_checks", 1);
-    let nparams = p.nparams();
-    let loop_slots = slots_for(layout, partial)?;
-    let mut states = build_states(layout, deps);
-    for (slot_idx, (&slot, row)) in loop_slots.iter().zip(partial).enumerate() {
-        match step_all(layout, nparams, slot, row.as_slice(), &states)? {
-            Err(dep) => return Ok(PrefixCheck::Violation { row: slot_idx, dep }),
-            Ok(effects) => commit_all(&mut states, effects),
+    slots_for(layout, partial)?;
+    let mut walk = PrefixWalk::new(p, layout, deps);
+    for row in partial {
+        let verdict = walk.step(row.clone())?;
+        if verdict != PrefixCheck::Legal {
+            return Ok(verdict);
         }
     }
     Ok(PrefixCheck::Legal)
@@ -124,76 +385,54 @@ pub fn complete_transform(
 ) -> Result<Completion, InlError> {
     let _span = inl_obs::span("complete.transform");
     let n = layout.len();
-    let nparams = p.nparams();
     let loop_slots = slots_for(layout, partial)?;
+    let mut walk = PrefixWalk::new(p, layout, deps);
 
-    // dependency state
-    let mut states = build_states(layout, deps);
-
-    let mut chosen_rows: Vec<(usize, IVec)> = Vec::new(); // (slot, row)
-    let mut used_positions: Vec<bool> = vec![false; n];
-    for (slot_idx, &slot) in loop_slots.iter().enumerate() {
-        // one projection step of a row against every active dependence
-        // whose common slots include this slot: the first violated
-        // dependence's index, or the verdicts to commit
-        let step = |row: &IVec, states: &[DepState<'_>]| {
-            step_all(layout, nparams, slot, row.as_slice(), states)
-        };
-
-        let independent = |row: &IVec, chosen: &[(usize, IVec)]| -> Result<bool, InlError> {
-            let mut m = IMat::zeros(0, 0);
-            for (_, r) in chosen {
-                m.push_row(r);
-            }
-            let before = if m.nrows() == 0 { 0 } else { m.checked_rank()? };
-            m.push_row(row);
-            Ok(m.checked_rank()? > before)
-        };
-
-        if slot_idx < partial.len() {
-            let row = partial[slot_idx].clone();
-            let effects = step(&row, &states)?.map_err(|dep_idx| {
-                if inl_obs::explain_enabled() {
-                    let d = &deps.deps[dep_idx];
-                    inl_obs::explain::reject(
-                        "complete",
-                        format!(
-                            "partial row {slot_idx} {}",
-                            crate::provenance::row_text(&row)
-                        ),
-                        format!(
-                            "{}: projection of row would go negative",
-                            crate::provenance::dep_label(p, dep_idx, d)
-                        ),
-                    )
-                    .detail("dep_row", crate::provenance::dep_row(d))
-                    .feature("slot", slot as i64)
-                    .feature("deps", deps.deps.len() as i64);
-                }
-                InlError::new(
-                    InlErrorKind::Infeasible,
-                    format!("row {slot_idx} is illegal"),
-                )
-            })?;
+    for (slot_idx, row) in partial.iter().enumerate() {
+        let slot = loop_slots[slot_idx];
+        if let PrefixCheck::Violation { dep: dep_idx, .. } = walk.step(row.clone())? {
             if inl_obs::explain_enabled() {
-                inl_obs::explain::accept(
+                let d = &deps.deps[dep_idx];
+                inl_obs::explain::reject(
                     "complete",
                     format!(
                         "partial row {slot_idx} {}",
-                        crate::provenance::row_text(&row)
+                        crate::provenance::row_text(row)
                     ),
-                    "row keeps every active dependence non-negative",
+                    format!(
+                        "{}: projection of row would go negative",
+                        crate::provenance::dep_label(p, dep_idx, d)
+                    ),
                 )
-                .feature("slot", slot as i64);
+                .detail("dep_row", crate::provenance::dep_row(d))
+                .feature("slot", slot as i64)
+                .feature("deps", deps.deps.len() as i64);
             }
-            commit_all(&mut states, effects);
+            return Err(InlError::new(
+                InlErrorKind::Infeasible,
+                format!("row {slot_idx} is illegal"),
+            ));
+        }
+        if inl_obs::explain_enabled() {
+            record_partial_row(slot_idx, slot, row);
+        }
+    }
+
+    let independent = |row: &IVec, chosen: &[IVec]| -> Result<bool, InlError> {
+        let mut m = IMat::zeros(0, 0);
+        for r in chosen {
+            m.push_row(r);
+        }
+        let before = if m.nrows() == 0 { 0 } else { m.checked_rank()? };
+        m.push_row(row);
+        Ok(m.checked_rank()? > before)
+    };
+    for (slot_idx, &slot) in loop_slots.iter().enumerate().skip(partial.len()) {
+        let mut used_positions = vec![false; n];
+        for row in walk.rows() {
             for (j, &v) in row.iter().enumerate() {
-                if v != 0 {
-                    used_positions[j] = true;
-                }
+                used_positions[j] |= v != 0;
             }
-            chosen_rows.push((slot, row));
-            continue;
         }
         // Candidate preference mirrors the paper's worked example: keep the
         // remaining original loops in their original order. Try the slot's
@@ -223,17 +462,15 @@ pub fn complete_transform(
         }
         let mut picked = None;
         let mut tried = 0i64;
-        for cand in &candidates {
+        for cand in candidates {
             inl_obs::counter_add!("complete.candidates_tried", 1);
             tried += 1;
-            if independent(cand, &chosen_rows)? {
-                if let Ok(effects) = step(cand, &states)? {
-                    picked = Some((cand.clone(), effects));
-                    break;
-                }
+            if independent(&cand, walk.rows())? && walk.step(cand)? == PrefixCheck::Legal {
+                picked = walk.rows().last();
+                break;
             }
         }
-        let Some((row, effects)) = picked else {
+        let Some(row) = picked else {
             if inl_obs::explain_enabled() {
                 inl_obs::explain::reject(
                     "complete",
@@ -254,88 +491,15 @@ pub fn complete_transform(
                 format!("loop slot {slot}"),
                 format!(
                     "chose row {} after {tried} candidates",
-                    crate::provenance::row_text(&row)
+                    crate::provenance::row_text(row)
                 ),
             )
             .feature("slot", slot as i64)
             .feature("candidates_tried", tried);
         }
-        commit_all(&mut states, effects);
-        for (j, &v) in row.iter().enumerate() {
-            if v != 0 {
-                used_positions[j] = true;
-            }
-        }
-        chosen_rows.push((slot, row));
     }
 
-    // syntactic ordering constraints from deps still active between
-    // different statements
-    let mut constraints: HashMap<Option<LoopId>, Vec<(usize, usize)>> = HashMap::new();
-    let mut constraint_deps: HashMap<Option<LoopId>, Vec<usize>> = HashMap::new();
-    for st in &states {
-        if st.satisfied || st.dep.src == st.dep.dst {
-            continue;
-        }
-        let (node, ca, cb) = divergence(p, st.dep.src, st.dep.dst);
-        if ca != cb {
-            constraints.entry(node).or_default().push((ca, cb));
-            constraint_deps.entry(node).or_default().push(st.idx);
-        }
-    }
-    // topological sort of each constrained node's children
-    let mut perms: HashMap<Option<LoopId>, Vec<usize>> = HashMap::new();
-    for (node, edges) in &constraints {
-        let c = p.children(*node).len();
-        let Some(order) = topo_order(c, edges) else {
-            if inl_obs::explain_enabled() {
-                let evidence: Vec<String> = constraint_deps[node]
-                    .iter()
-                    .zip(edges)
-                    .map(|(&idx, &(ca, cb))| {
-                        format!(
-                            "{} (row {}) needs child {ca} before child {cb}",
-                            crate::provenance::dep_label(p, idx, &deps.deps[idx]),
-                            crate::provenance::dep_row(&deps.deps[idx])
-                        )
-                    })
-                    .collect();
-                inl_obs::explain::reject(
-                    "complete",
-                    format!("child ordering at {}", p.parent_path(*node)),
-                    "all-zero cross-statement dependences impose a cyclic child order",
-                )
-                .detail("constraints", evidence.join("; "))
-                .feature("constraints", edges.len() as i64);
-            }
-            return Err(InlError::new(
-                InlErrorKind::Infeasible,
-                "cyclic child order",
-            ));
-        };
-        // order[i] = old child at new index i  =>  perm[old] = new
-        let mut perm = vec![0usize; c];
-        for (newi, &old) in order.iter().enumerate() {
-            perm[old] = newi;
-        }
-        perms.insert(*node, perm);
-    }
-
-    // assemble the matrix
-    let mut m = IMat::zeros(n, n);
-    for (slot, row) in &chosen_rows {
-        for (j, &v) in row.iter().enumerate() {
-            m[(*slot, j)] = v;
-        }
-    }
-    for (i, pos) in layout.positions().iter().enumerate() {
-        if let Position::Edge { parent, child } = *pos {
-            let new_child = perms.get(&parent).map_or(child, |perm| perm[child]);
-            let target = layout.edge_position(parent, new_child).expect("edge");
-            m[(target, i)] = 1;
-        }
-    }
-
+    let (m, _) = walk.assemble()?;
     let report = check_legal(p, layout, deps, &m)?;
     if !report.is_legal() {
         let why = report
@@ -360,18 +524,7 @@ pub fn complete_transform(
         ));
     }
     if inl_obs::explain_enabled() {
-        inl_obs::explain::accept(
-            "complete",
-            format!("assembled matrix {}", crate::provenance::matrix_text(&m)),
-            format!(
-                "completed {} partial rows to a legal transformation ({} self-dependences to augmentation)",
-                partial.len(),
-                report.unsatisfied_self.len()
-            ),
-        )
-        .feature("partial_rows", partial.len() as i64)
-        .feature("unsatisfied_self", report.unsatisfied_self.len() as i64)
-        .feature("deps", deps.deps.len() as i64);
+        record_completed(&m, partial.len(), &report, deps);
     }
     Ok(Completion { matrix: m, report })
 }
@@ -643,6 +796,42 @@ mod tests {
         let e = check_prefix(&p, &layout, &deps, &rows).expect_err("too many");
         assert_eq!(e.kind(), InlErrorKind::InvalidTarget);
         assert_eq!(e.message(), "more partial rows than loop slots");
+    }
+
+    #[test]
+    fn a_walk_completes_only_a_signed_permutation() {
+        // a skew row is a legal prefix of the wavefront, and completion
+        // finishes it, but a walk's leaf report assumes a determinant of
+        // ±1: it completes signed unit rows of distinct loops, all slots
+        // filled, and nothing else
+        let p = zoo::wavefront();
+        let layout = InstanceLayout::new(&p);
+        let deps = analyze(&p, &layout).expect("analysis");
+        let (i, j) = (looop(&p, "I"), looop(&p, "J"));
+        let unit = |l| IVec::unit(layout.len(), layout.loop_position(l));
+        let mut walk = PrefixWalk::new(&p, &layout, &deps);
+        let skew = &unit(i) + &unit(j);
+        assert_eq!(walk.push(skew.clone()).unwrap(), PrefixCheck::Legal);
+        assert!(complete_transform(&p, &layout, &deps, &[skew]).is_ok());
+        assert_eq!(walk.push(unit(j)).unwrap(), PrefixCheck::Legal);
+        let e = walk.complete().expect_err("a skewed leaf");
+        assert_eq!(e.kind(), InlErrorKind::InvalidTarget);
+        let e = walk.push(unit(i)).expect_err("every slot has a row");
+        assert_eq!(e.message(), "more partial rows than loop slots");
+        walk.pop();
+        walk.pop();
+        assert!(walk.rows().is_empty());
+        // a slot left, then a loop twice
+        for _ in 0..2 {
+            assert_eq!(walk.push(unit(j)).unwrap(), PrefixCheck::Legal);
+            let e = walk.complete().expect_err("not a signed permutation");
+            assert_eq!(e.kind(), InlErrorKind::InvalidTarget);
+        }
+        walk.pop();
+        assert_eq!(walk.push(unit(i)).unwrap(), PrefixCheck::Legal);
+        let c = walk.complete().expect("JI completes");
+        let from_root = complete_transform(&p, &layout, &deps, walk.rows()).unwrap();
+        assert_eq!(c.matrix, from_root.matrix);
     }
 
     #[test]

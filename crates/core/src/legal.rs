@@ -31,6 +31,7 @@ use crate::structural::StructuralResult;
 use inl_ir::{LoopId, Program};
 use inl_linalg::{IMat, InlError};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The recovered transformed AST (Fig. 6): the source program with each
 /// node's children permuted. Every slot keeps its position, so a loop sits
@@ -48,6 +49,44 @@ pub struct NewAst {
     pub child_perms: HashMap<Option<LoopId>, Vec<usize>>,
 }
 
+/// The nodes a transformation can reorder the children of: the virtual
+/// root and every loop `layout` embeds (a loop detached by surgery, e.g.
+/// after jamming, has no layout slots and no children in the tree).
+pub(crate) fn tree_nodes<'a>(
+    p: &'a Program,
+    layout: &'a InstanceLayout,
+) -> impl Iterator<Item = Option<LoopId>> + 'a {
+    let embedded = |l: &LoopId| layout.positions().contains(&Position::Loop(*l));
+    std::iter::once(None).chain(p.loops().filter(embedded).map(Some))
+}
+
+impl NewAst {
+    /// `p` with each node's children permuted by `child_perms`, which names
+    /// every node of [`tree_nodes`], laid out on `layout`'s positions.
+    pub(crate) fn rebuild(
+        p: &Program,
+        layout: &InstanceLayout,
+        child_perms: HashMap<Option<LoopId>, Vec<usize>>,
+    ) -> NewAst {
+        let _span = inl_obs::span("legal.recover_ast");
+        // node identities are stable under reordering
+        let mut program = p.clone();
+        for (node, perm) in &child_perms {
+            if perm.iter().enumerate().any(|(i, &x)| i != x) {
+                program = program.reorder_children(*node, perm);
+            }
+        }
+        // pinned-slot layout: same position vector, interpreted against
+        // the reordered program
+        let layout = InstanceLayout::with_positions(&program, layout.positions().to_vec());
+        NewAst {
+            program,
+            layout,
+            child_perms,
+        }
+    }
+}
+
 /// Why a dependence is violated.
 #[derive(Clone, Debug)]
 pub struct Violation {
@@ -60,8 +99,9 @@ pub struct Violation {
 /// Result of [`check_legal`].
 #[derive(Clone, Debug)]
 pub struct LegalityReport {
-    /// The recovered AST, or the block-structure error.
-    pub new_ast: Result<NewAst, String>,
+    /// The recovered AST, or the block-structure error. Shared: the leaves
+    /// of one search that order children alike hold one AST.
+    pub new_ast: Result<Arc<NewAst>, String>,
     /// Violated dependences.
     pub violations: Vec<Violation>,
     /// Indices of self-dependences left unsatisfied (`P = 0`, `S1 = S2`);
@@ -88,6 +128,17 @@ impl LegalityReport {
 /// the new child order. Loop rows are unconstrained here (they are vetted
 /// by the dependence test and the per-statement rank machinery).
 pub fn recover_ast(p: &Program, layout: &InstanceLayout, m: &IMat) -> Result<NewAst, String> {
+    Ok(NewAst::rebuild(p, layout, child_perms(p, layout, m)?))
+}
+
+/// The child permutation of every node of [`tree_nodes`] that the edge
+/// rows of `m` spell, once `m` is square, non-singular and of the block
+/// structure: what [`recover_ast`] reads before it rebuilds the program.
+fn child_perms(
+    p: &Program,
+    layout: &InstanceLayout,
+    m: &IMat,
+) -> Result<HashMap<Option<LoopId>, Vec<usize>>, String> {
     let n = layout.len();
     if m.nrows() != n || m.ncols() != n {
         return Err(format!(
@@ -102,14 +153,8 @@ pub fn recover_ast(p: &Program, layout: &InstanceLayout, m: &IMat) -> Result<New
         Err(_) => return Err("determinant computation overflows".to_string()),
     }
     let mut perms: HashMap<Option<LoopId>, Vec<usize>> = HashMap::new();
-    // visit the virtual root and every loop
-    for node in std::iter::once(None).chain(p.loops().map(Some)) {
+    for node in tree_nodes(p, layout) {
         let c = p.children(node).len();
-        // loops detached by surgery (e.g. after jamming) have no layout
-        // slots and no children in the tree — skip them
-        if node.is_some_and(|l| !layout.positions().contains(&Position::Loop(l))) {
-            continue;
-        }
         let name = match node {
             None => "<root>".to_string(),
             Some(l) => p.loop_decl(l).name.clone(),
@@ -161,22 +206,7 @@ pub fn recover_ast(p: &Program, layout: &InstanceLayout, m: &IMat) -> Result<New
         }
         perms.insert(node, perm);
     }
-    // Build the reordered program by applying each non-identity child
-    // permutation (node identities are stable under reordering).
-    let mut program = p.clone();
-    for (node, perm) in &perms {
-        if perm.iter().enumerate().any(|(i, &x)| i != x) {
-            program = program.reorder_children(*node, perm);
-        }
-    }
-    // Pinned-slot layout: same position vector, interpreted against the
-    // reordered program.
-    let new_layout = InstanceLayout::with_positions(&program, layout.positions().to_vec());
-    Ok(NewAst {
-        program,
-        layout: new_layout,
-        child_perms: perms,
-    })
+    Ok(perms)
 }
 
 /// Outcome of one dependence under the transformation.
@@ -197,30 +227,70 @@ pub fn check_legal(
     m: &IMat,
 ) -> Result<LegalityReport, InlError> {
     let _span = inl_obs::span("legal.check");
-    let new_ast = recover_ast(p, layout, m);
-    let (violations, unsatisfied_self) = match &new_ast {
+    let new_ast = recover_ast(p, layout, m).map(Arc::new);
+    let walked = match &new_ast {
         Ok(ast) => walk(p, layout, deps, m, &ast.program, &ast.layout)?,
-        Err(_) => Default::default(),
+        Err(_) => Walked::default(),
+    };
+    walked.count();
+    let report = LegalityReport {
+        new_ast,
+        violations: walked.violations,
+        unsatisfied_self: walked.unsatisfied_self,
     };
     if inl_obs::explain_enabled() {
-        let subject = format!("transformation {}", crate::provenance::matrix_text(m));
-        match &new_ast {
+        match &report.new_ast {
             Err(e) => {
+                let subject = format!("transformation {}", crate::provenance::matrix_text(m));
                 let why = format!("no Fig. 5 block structure: {e}");
                 inl_obs::explain::reject("legal", subject, why)
                     .feature("deps", deps.deps.len() as i64);
             }
-            Ok(ast) => {
-                let verdicts = (&violations[..], &unsatisfied_self[..]);
-                record_verdict("legal", subject, p, deps, m, &ast.layout, verdicts);
-            }
+            Ok(_) => record_legal(p, deps, m, &report),
         }
     }
-    Ok(LegalityReport {
-        new_ast,
-        violations,
-        unsatisfied_self,
-    })
+    Ok(report)
+}
+
+/// The `legal` record of [`check_legal`] for `report`, which holds the
+/// recovered AST of `m`. Only called with the explain layer enabled.
+pub(crate) fn record_legal(
+    p: &Program,
+    deps: &DependenceMatrix,
+    m: &IMat,
+    report: &LegalityReport,
+) {
+    let Ok(ast) = &report.new_ast else {
+        return;
+    };
+    let subject = format!("transformation {}", crate::provenance::matrix_text(m));
+    let verdicts = (&report.violations[..], &report.unsatisfied_self[..]);
+    record_verdict("legal", subject, p, deps, m, &ast.layout, verdicts);
+}
+
+/// Panic unless `report`, which a walk of the rows of `m` read off its
+/// carried states without checking `m`, is what [`check_legal`] finds for
+/// `m`: the same child permutations, no violation and the same
+/// self-dependences left to augmentation. Opens no span and counts and
+/// records nothing, so a debug build traces what a release build does.
+#[cfg(debug_assertions)]
+pub(crate) fn assert_walk_agrees(
+    p: &Program,
+    layout: &InstanceLayout,
+    deps: &DependenceMatrix,
+    m: &IMat,
+    report: &LegalityReport,
+) {
+    let ast = report.new_ast.as_ref().expect("a walk recovers its AST");
+    let perms = child_perms(p, layout, m).expect("a walk's matrix has the block structure");
+    assert_eq!(perms, ast.child_perms, "child permutations of {m:?}");
+    let walked = walk(p, layout, deps, m, &ast.program, &ast.layout).expect("legality");
+    let violations = (&report.violations, &walked.violations);
+    assert!(
+        violations.0.is_empty() && violations.1.is_empty(),
+        "{m:?}: {violations:?}"
+    );
+    assert_eq!(walked.unsatisfied_self, report.unsatisfied_self, "{m:?}");
 }
 
 /// Definition 6 for the structural step (§4.2) that made `r` of `p`: the
@@ -237,13 +307,14 @@ pub fn check_structural(
     step: &str,
 ) -> Result<bool, InlError> {
     let (m, target) = (&r.matrix, &r.target_layout);
-    let (violations, unsatisfied_self) = walk(p, layout, deps, m, &r.target, target)?;
+    let walked = walk(p, layout, deps, m, &r.target, target)?;
+    walked.count();
     if inl_obs::explain_enabled() {
         let subject = format!("shape {step} of {}", p.name());
-        let verdicts = (&violations[..], &unsatisfied_self[..]);
+        let verdicts = (&walked.violations[..], &walked.unsatisfied_self[..]);
         record_verdict("structural", subject, p, deps, m, target, verdicts);
     }
-    Ok(violations.is_empty())
+    Ok(walked.violations.is_empty())
 }
 
 /// Feed the decision-provenance layer: one record per verdict, under
@@ -328,11 +399,35 @@ fn record_verdict(
     .feature("unsatisfied_self", unsatisfied_self.len() as i64);
 }
 
+/// What [`walk`] found.
+#[derive(Default)]
+struct Walked {
+    violations: Vec<Violation>,
+    /// The self-dependences left to augmentation.
+    unsatisfied_self: Vec<usize>,
+    /// Dependences walked, and those whose walk needed the polyhedron.
+    deps: usize,
+    exact: usize,
+}
+
+impl Walked {
+    /// Count the walk: `legal.exact_fallbacks` for the dependences that
+    /// needed the polyhedron, `legal.fast_path_hits` for the rest.
+    fn count(&self) {
+        let fast = self.deps - self.exact;
+        if self.exact > 0 {
+            inl_obs::counter_add!("legal.exact_fallbacks", self.exact);
+        }
+        if fast > 0 {
+            inl_obs::counter_add!("legal.fast_path_hits", fast);
+        }
+    }
+}
+
 /// Definition 6's dependence test, the one walk behind [`check_legal`] and
 /// [`check_structural`]: every dependence of `p` through the rows of `m` at
 /// the loops its source and target share in `target` (laid out by
-/// `target_layout`), outside-in, on the shared projection stepper. Returns
-/// the violations and the self-dependences left to augmentation.
+/// `target_layout`), outside-in, on the shared projection stepper.
 fn walk(
     p: &Program,
     layout: &InstanceLayout,
@@ -340,28 +435,31 @@ fn walk(
     m: &IMat,
     target: &Program,
     target_layout: &InstanceLayout,
-) -> Result<(Vec<Violation>, Vec<usize>), InlError> {
-    let mut violations = Vec::new();
-    let mut unsatisfied_self = Vec::new();
+) -> Result<Walked, InlError> {
+    let mut walked = Walked::default();
     for (idx, d) in deps.deps.iter().enumerate() {
         let st = DepState::new(idx, d, common_positions(target_layout, d));
-        match check_dep(layout, p.nparams(), m, st, target)? {
+        let (status, exact) = check_dep(layout, p.nparams(), m, st, target)?;
+        walked.deps += 1;
+        walked.exact += usize::from(exact);
+        match status {
             DepStatus::Satisfied => {}
-            DepStatus::UnsatisfiedSelf => unsatisfied_self.push(idx),
-            DepStatus::Violated(reason) => violations.push(Violation { dep: idx, reason }),
+            DepStatus::UnsatisfiedSelf => walked.unsatisfied_self.push(idx),
+            DepStatus::Violated(reason) => walked.violations.push(Violation { dep: idx, reason }),
         }
     }
-    Ok((violations, unsatisfied_self))
+    Ok(walked)
 }
 
-/// Walk one dependence through the rows of `m` at its common loops.
+/// Walk one dependence through the rows of `m` at its common loops; the
+/// verdict, and whether a row needed the polyhedron.
 fn check_dep(
     layout: &InstanceLayout,
     nparams: usize,
     m: &IMat,
     mut st: DepState<'_>,
     target: &Program,
-) -> Result<DepStatus, InlError> {
+) -> Result<(DepStatus, bool), InlError> {
     // once a row has needed the polyhedron, a violation is reported as an
     // instance of it rather than as an interval
     let mut exact = false;
@@ -385,14 +483,9 @@ fn check_dep(
             break;
         }
     }
-    if exact {
-        inl_obs::counter_add!("legal.exact_fallbacks", 1);
-    } else {
-        inl_obs::counter_add!("legal.fast_path_hits", 1);
-    }
     // every common row can be zero at once: the target's syntactic order
     // decides
-    Ok(status.unwrap_or_else(|| zero_case(target, st.dep)))
+    Ok((status.unwrap_or_else(|| zero_case(target, st.dep)), exact))
 }
 
 fn zero_case(target: &Program, d: &Dependence) -> DepStatus {

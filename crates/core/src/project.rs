@@ -14,10 +14,11 @@
 //!
 //! [`crate::legal::check_legal`] and [`crate::legal::check_structural`] walk
 //! a finished matrix through it one dependence at a time;
-//! [`crate::complete::check_prefix`] and
-//! [`crate::complete::complete_transform`] walk candidate rows through it
-//! one slot at a time ([`step_all`], [`commit_all`]). There is no other
-//! copy of the interval arithmetic or of the `row·Δ` construction.
+//! [`crate::complete::PrefixWalk`] walks candidate rows through it one slot
+//! at a time ([`step_all`], [`commit_all`], [`revert_all`]): the search's
+//! nodes, [`crate::complete::check_prefix`] and
+//! [`crate::complete::complete_transform`] all push rows on it. There is
+//! no other copy of the interval arithmetic or of the `row·Δ` construction.
 
 use crate::depend::{DepEntry, Dependence, DependenceMatrix};
 use crate::instance::InstanceLayout;
@@ -183,18 +184,41 @@ impl<'a> DepState<'a> {
         })
     }
 
-    /// Apply the verdict of an accepted row.
-    pub(crate) fn commit(&mut self, effect: RowEffect) {
+    /// Apply the verdict of an accepted row; what it changed, for
+    /// [`DepState::revert`] (`None`: nothing).
+    pub(crate) fn commit(&mut self, effect: RowEffect) -> Option<Undo> {
         match effect {
-            RowEffect::Satisfies => self.satisfied = true,
-            RowEffect::NonNegative(Some(zero)) => self
-                .context
-                .get_or_insert_with(|| self.dep.system.clone())
-                .add_eq(zero),
-            RowEffect::NonNegative(None) => {}
+            RowEffect::Satisfies => {
+                self.satisfied = true;
+                Some(Undo::Unsatisfy)
+            }
+            RowEffect::NonNegative(Some(zero)) => {
+                let before = self.context.clone();
+                self.context
+                    .get_or_insert_with(|| self.dep.system.clone())
+                    .add_eq(zero);
+                Some(Undo::Context(before))
+            }
+            RowEffect::NonNegative(None) => None,
             RowEffect::Invalid => unreachable!("an invalid row is never committed"),
         }
     }
+
+    /// Take back a [`DepState::commit`].
+    pub(crate) fn revert(&mut self, undo: Undo) {
+        match undo {
+            Undo::Unsatisfy => self.satisfied = false,
+            Undo::Context(before) => self.context = before,
+        }
+    }
+}
+
+/// What one [`DepState::commit`] changed.
+pub(crate) enum Undo {
+    /// The row satisfied the dependence, which was active before it.
+    Unsatisfy,
+    /// The row pinned one more expression to zero; the context before it.
+    Context(Option<System>),
 }
 
 /// Fresh state for every dependence.
@@ -234,9 +258,19 @@ pub(crate) fn step_all(
     Ok(Ok(effects))
 }
 
-/// Commit a row that [`step_all`] accepted.
-pub(crate) fn commit_all(states: &mut [DepState<'_>], effects: Vec<(usize, RowEffect)>) {
-    for (i, effect) in effects {
-        states[i].commit(effect);
+/// Commit a row that [`step_all`] accepted; what it changed, keyed by
+/// state index, for [`revert_all`].
+pub(crate) fn commit_all(
+    states: &mut [DepState<'_>],
+    effects: Vec<(usize, RowEffect)>,
+) -> Vec<(usize, Undo)> {
+    let commit = |(i, effect): (usize, RowEffect)| Some((i, states[i].commit(effect)?));
+    effects.into_iter().filter_map(commit).collect()
+}
+
+/// Take back a [`commit_all`].
+pub(crate) fn revert_all(states: &mut [DepState<'_>], undo: Vec<(usize, Undo)>) {
+    for (i, u) in undo {
+        states[i].revert(u);
     }
 }

@@ -27,9 +27,13 @@
 //! Tiling is outside the search: at the one nominal extent no tiled leaf
 //! can win, so a split is reached only through a `tile(…)` label.
 //!
-//! Illegal *prefixes* are pruned with
-//! [`inl_core::complete::check_prefix`]: the first dependence whose
-//! projection goes lexicographically negative kills the entire subtree.
+//! Illegal *prefixes* are pruned on a [`inl_core::complete::PrefixWalk`]
+//! carried down each shape's tree, whose verdict at a node is
+//! [`inl_core::complete::check_prefix`]'s for the node's whole prefix: the
+//! first dependence whose projection goes lexicographically negative kills
+//! the entire subtree. A node costs one step of the dependences still
+//! active, and a leaf's completion and legality report are read off the
+//! walk — its matrix is not checked again.
 //! The two rules account for all of the `Σ_d P(L,d)·2^d` exhaustive tree:
 //! `nodes_visited + pruned_nodes + twin_nodes == nodes_exhaustive`
 //! ([`SearchStats`]).
@@ -627,6 +631,24 @@ mod tests {
         assert_eq!(closed("codegen.plan", "sched.finish/"), 0);
         assert_eq!(closed("legal.check", "sched.finish/"), 0);
         assert_eq!(closed("codegen.merge", "sched.finish/"), 1);
+        // the search does its legality work once: one step per node on the
+        // walk it carries, no matrix checked again at a leaf, and one AST
+        // recovered per child order of a shape
+        assert_eq!(closed("complete.prefix", ""), r.stats.nodes_visited);
+        assert_eq!(closed("legal.check", "sched.search/"), 0);
+        let mut orders = std::collections::HashSet::new();
+        for v in &r.variants {
+            let (_, shape) = &r.shapes[v.shape];
+            let ast = inl_core::legal::recover_ast(&shape.program, &shape.layout, &v.matrix);
+            let mut perms: Vec<_> = ast.expect("legal").child_perms.into_iter().collect();
+            perms.sort();
+            orders.insert((v.shape, perms));
+        }
+        assert_eq!(
+            closed("legal.recover_ast", "sched.search/"),
+            orders.len() as u64
+        );
+        assert_eq!(closed("legal.recover_ast", ""), 4, "for 15 leaves");
         // so the scan counters count plans made, not leaves ranked: one
         // bound per new loop of the plan's statement, 54 for the 19 (six
         // of those loops augmented, §5.4)

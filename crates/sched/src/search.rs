@@ -3,7 +3,10 @@
 //! The search tree over one program shape assigns one *signed loop
 //! selector row* per level: a node at depth `d` is a prefix of `d` rows,
 //! each `±e_pos(ℓ)` for a distinct loop `ℓ` (the sign is reversal, §4.1).
-//! Every visited node is tested with [`inl_core::complete::check_prefix`]:
+//! The search carries one [`PrefixWalk`] per shape down the tree: every
+//! visited node pushes its row — one step of each still-active dependence,
+//! committed, and undone on the way back up — and the verdict is
+//! [`inl_core::complete::check_prefix`]'s for the node's whole prefix:
 //!
 //! * a [`PrefixCheck::Violation`] proves that *no* extension of the prefix
 //!   is legal (the violated dependence projection is already
@@ -15,10 +18,12 @@
 //!   the root of a sign-twin subtree that ties on the predicted cost and
 //!   loses the tie-break on reversal count (crate docs).
 //!
-//! Full-depth legal prefixes are handed to
-//! [`inl_core::complete::complete_transform`], whose syntactic-ordering
-//! topological sort supplies the statement-order (edge-row) part of the
-//! matrix — the statement-permutation axis of the space comes for free.
+//! A full-depth legal prefix is completed from the carried states
+//! ([`PrefixWalk::complete`]): the syntactic-ordering topological sort of
+//! [`inl_core::complete::complete_transform`] supplies the statement-order
+//! (edge-row) part of the matrix — the statement-permutation axis of the
+//! space comes for free — and the leaf's legality report is read off the
+//! walk, with one recovered AST per child order of the shape.
 //!
 //! The *shape* axis is enumerated first: [`enumerate_shapes`] yields the
 //! identity shape and every legal one-level loop distribution and fusion
@@ -26,7 +31,7 @@
 //! compare globally across shapes. A leaf is named by its [`Recipe`]: the
 //! shape's step and the signed loop order walked.
 
-use inl_core::complete::{check_prefix, complete_transform, Completion, PrefixCheck};
+use inl_core::complete::{Completion, PrefixCheck, PrefixWalk};
 use inl_core::instance::Position;
 use inl_core::provenance;
 use inl_core::recipe::{Recipe, Shape, Step};
@@ -38,8 +43,8 @@ use inl_linalg::{IVec, InlError, InlErrorKind};
 /// exactly by the `BENCH_sched.json` CI baseline.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Search-tree nodes actually tested with `check_prefix`, summed over
-    /// shapes.
+    /// Search-tree nodes actually visited — each one row pushed on the
+    /// shape's prefix walk and tested — summed over shapes.
     pub nodes_visited: u64,
     /// Nodes a brute-force enumeration of the same trees would test
     /// (`Σ_d P(L,d)·2^d` per shape: every loop order, both signs).
@@ -150,11 +155,11 @@ pub(crate) fn search_shape(
             shape: step.clone(),
             order: Vec::new(),
         },
+        walk: PrefixWalk::new(&shape.program, &shape.layout, &shape.deps),
         legal: Vec::new(),
     };
-    let mut rows: Vec<IVec> = Vec::new();
     let mut used = vec![false; loops.len()];
-    ctx.descend(&loops, &mut rows, &mut used)?;
+    ctx.descend(&loops, &mut used)?;
     Ok(ctx.legal)
 }
 
@@ -166,16 +171,13 @@ struct Dfs<'a> {
     explain: bool,
     /// The node being visited: the shape's step and the order so far.
     prefix: Recipe,
+    /// The node's rows, with every dependence's state under them.
+    walk: PrefixWalk<'a>,
     legal: Vec<(Recipe, Completion)>,
 }
 
 impl Dfs<'_> {
-    fn descend(
-        &mut self,
-        loops: &[LoopId],
-        rows: &mut Vec<IVec>,
-        used: &mut [bool],
-    ) -> Result<(), InlError> {
+    fn descend(&mut self, loops: &[LoopId], used: &mut [bool]) -> Result<(), InlError> {
         let (p, layout, deps) = (&self.shape.program, &self.shape.layout, &self.shape.deps);
         for i in 0..loops.len() {
             if used[i] {
@@ -190,14 +192,15 @@ impl Dfs<'_> {
                 self.stats.nodes_visited += 1;
                 let l = loops[i];
                 let unit = IVec::unit(layout.len(), layout.loop_position(l));
-                rows.push(if reversed { -&unit } else { unit });
                 self.prefix
                     .order
                     .push((p.loop_decl(l).name.clone(), reversed));
                 used[i] = true;
+                let depth = self.walk.rows().len() + 1;
                 // strict descendants of this node in the full ± tree
-                let below = exhaustive_nodes((loops.len() - rows.len()) as u64);
-                let legal = match check_prefix(p, layout, deps, rows)? {
+                let below = exhaustive_nodes((loops.len() - depth) as u64);
+                let row = if reversed { -&unit } else { unit };
+                let legal = match self.walk.push(row)? {
                     PrefixCheck::Violation { row: vr, dep } => {
                         self.stats.pruned_subtrees += 1;
                         self.stats.pruned_nodes += below;
@@ -213,7 +216,7 @@ impl Dfs<'_> {
                                 ),
                             )
                             .detail("dep_row", provenance::dep_row(d))
-                            .feature("depth", rows.len() as i64)
+                            .feature("depth", depth as i64)
                             .feature("nodes_pruned", below as i64);
                         }
                         false
@@ -222,15 +225,15 @@ impl Dfs<'_> {
                         if !reversed {
                             self.stats.twin_nodes += 1 + below;
                         }
-                        if rows.len() == loops.len() {
-                            self.complete_leaf(rows);
+                        if depth == loops.len() {
+                            self.complete_leaf();
                         } else {
-                            self.descend(loops, rows, used)?;
+                            self.descend(loops, used)?;
                         }
+                        self.walk.pop();
                         true
                     }
                 };
-                rows.pop();
                 self.prefix.order.pop();
                 used[i] = false;
                 if legal {
@@ -243,9 +246,9 @@ impl Dfs<'_> {
 
     /// A full-depth legal prefix: complete it (statement order falls out
     /// of the completion's topological sort) into a full matrix.
-    fn complete_leaf(&mut self, rows: &[IVec]) {
-        let (p, layout, deps) = (&self.shape.program, &self.shape.layout, &self.shape.deps);
-        match complete_transform(p, layout, deps, rows) {
+    fn complete_leaf(&mut self) {
+        let p = &self.shape.program;
+        match self.walk.complete() {
             Ok(c) => {
                 self.stats.legal_variants += 1;
                 self.legal.push((self.prefix.clone(), c));

@@ -27,6 +27,14 @@ fn explain_records_pruned_subtrees() {
             .collect()
     };
     let (rejects, structural) = (rejects("sched"), rejects("structural"));
+    // a leaf's report is read off the search's walk, which writes the
+    // `legal` record a check of the leaf's matrix writes: one accept per
+    // legal leaf, each with its proof
+    let legal: Vec<_> = records.iter().filter(|rec| rec.stage == "legal").collect();
+    assert_eq!(legal.len() as u64, r.stats.legal_variants);
+    assert!(legal
+        .iter()
+        .all(|rec| rec.verdict == Verdict::Accept && rec.details.contains_key("proof")));
     assert_eq!(
         rejects.len() as u64,
         r.stats.pruned_subtrees + r.stats.completion_failures,

@@ -7,12 +7,14 @@
 //! error; its re-pick leaves the source's memory image on the interpreter
 //! and on the VM at small sizes (N = 7; `rect_wavefront`'s M = 7, N = 6);
 //! and each program's pick is a fixed point, re-scheduled at the predicted
-//! cost it was picked at. An unoptimised build re-schedules every seventh
+//! cost it was picked at. No variant and no re-pick opens a loop inside
+//! one of the same name, save a single-trip wrapper that reads the loop it
+//! shadows (`do K = K..K`). An unoptimised build re-schedules every seventh
 //! non-pick variant and every pick; the release build, as CI runs it,
 //! re-schedules all of them.
 
 use inl_exec::{run_fresh, Machine, VmRunner};
-use inl_ir::{zoo, Program};
+use inl_ir::{zoo, Aff, Bound, Program};
 use inl_linalg::Int;
 use inl_sched::{schedule_with, SchedConfig};
 
@@ -23,6 +25,24 @@ fn images(p: &Program, params: &[Int]) -> (Machine, Machine) {
     let mut vm = Machine::new(p, params, &zoo::spd_init);
     VmRunner::new(p).run(&mut vm);
     (interp, vm)
+}
+
+/// The loops of `p` named like a loop that encloses them, except the
+/// single-trip wrappers whose bounds are the enclosing loop's index (ROADMAP
+/// item 22): their names.
+fn shadowing(p: &Program) -> Vec<String> {
+    let mut found = Vec::new();
+    for l in p.loops() {
+        let d = p.loop_decl(l);
+        for outer in p.loops_surrounding_loop(l) {
+            let reads_outer = |b: &Bound| b.terms == [Aff::loop_var(outer)];
+            let wrapper = reads_outer(&d.lower) && reads_outer(&d.upper);
+            if p.loop_decl(outer).name == d.name && !wrapper {
+                found.push(d.name.clone());
+            }
+        }
+    }
+    found
 }
 
 #[test]
@@ -43,10 +63,19 @@ fn every_variant_reschedules_and_its_repick_computes_the_source() {
                 continue;
             }
             let v = result.materialise(i).expect("a ranked variant finishes");
+            let shadowed = shadowing(&v.program);
+            assert!(shadowed.is_empty(), "{name} {}: {shadowed:?}", v.label);
             let again = schedule_with(&v.program, &cfg)
                 .unwrap_or_else(|e| panic!("{name} {}: re-schedule failed: {e:?}", v.label));
             rescheduled += 1;
             let repick = &again.chosen().program;
+            let shadowed = shadowing(repick);
+            assert!(
+                shadowed.is_empty(),
+                "{name} {} -> {}: {shadowed:?} shadow an enclosing loop",
+                v.label,
+                again.chosen().label
+            );
             let (interp, vm) = images(repick, &params);
             for (backend, image) in [("interpreter", &interp), ("VM", &vm)] {
                 if let Err(e) = source.same_state(image) {

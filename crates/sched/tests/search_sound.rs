@@ -30,16 +30,25 @@
 //! variant keeps a guard, the premise of a key without one. And every
 //! returned variant, in every shape, must run bitwise identically to the
 //! source program.
+//!
+//! A third oracle guards the walk the search carries down its tree
+//! ([`PrefixWalk`]): over every shape of every tree, each node's verdict is
+//! the one [`check_prefix`] gives the node's whole prefix from the root,
+//! and each leaf's completion, read off the walk, is the one
+//! [`complete_transform`] makes of the leaf's rows, with the report
+//! [`check_legal`] gives its matrix.
 
 use inl_codegen::{batch_map, generate};
-use inl_core::complete::{check_prefix, complete_transform, PrefixCheck};
+use inl_core::complete::{check_prefix, complete_transform, Completion, PrefixCheck, PrefixWalk};
 use inl_core::instance::Position;
-use inl_core::recipe::{Recipe, Shape};
+use inl_core::legal::{check_legal, LegalityReport, NewAst};
+use inl_core::recipe::{Recipe, Shape, Step};
 use inl_core::tiling;
 use inl_exec::run_fresh;
 use inl_ir::{zoo, LoopId, Program};
-use inl_linalg::{IMat, IVec};
+use inl_linalg::{IMat, IVec, InlErrorKind};
 use inl_sched::{schedule, ScheduledVariant};
+use std::sync::Arc;
 
 /// The programs whose source trees are checked: `p` itself and, where it
 /// has a reuse-carrying loop, that loop strip-mined at 16 — the program,
@@ -282,4 +291,132 @@ fn lazy_ranking_matches_the_finish_everything_oracle() {
         }
     }
     assert_eq!(finished_everything, 81, "one variant per sign class");
+}
+
+/// `t` and every legal one-level distribution and jam of it: the shapes
+/// the scheduler searches for `t`'s program.
+fn shapes(t: Shape) -> Vec<Shape> {
+    let mut out = vec![];
+    for step in Step::candidates(&t.program) {
+        match t.apply(&step) {
+            Ok(Some(shape)) => out.push(shape),
+            Ok(None) => {}
+            Err(e) if e.kind() == InlErrorKind::InvalidTarget => {}
+            Err(e) => panic!("{step}: {e:?}"),
+        }
+    }
+    out.insert(0, t);
+    out
+}
+
+/// What [`walk_agrees`] checked.
+#[derive(Default)]
+struct Walked {
+    nodes: usize,
+    leaves: usize,
+    /// Distinct ASTs the leaves of one shape hold, summed over shapes.
+    asts: usize,
+}
+
+/// The recovered AST of a legal report.
+fn ast(r: &LegalityReport) -> &Arc<NewAst> {
+    r.new_ast.as_ref().expect("a legal report recovers its AST")
+}
+
+/// Every node below the walk's prefix whose prefix is legal, with both
+/// signs of every selector (a superset of the nodes the search visits):
+/// the carried verdict against [`check_prefix`] from the root and, at a
+/// full-depth leaf, the walk's completion against [`complete_transform`]'s
+/// and [`check_legal`]'s.
+fn walk_agrees(
+    s: &Shape,
+    walk: &mut PrefixWalk<'_>,
+    slots: &[usize],
+    used: &mut [bool],
+    asts: &mut Vec<Arc<NewAst>>,
+    seen: &mut Walked,
+) {
+    let (p, layout, deps) = (&s.program, &s.layout, &s.deps);
+    for i in 0..slots.len() {
+        if used[i] {
+            continue;
+        }
+        used[i] = true;
+        for reversed in [false, true] {
+            let unit = IVec::unit(layout.len(), slots[i]);
+            let row = if reversed { -&unit } else { unit };
+            let mut rows = walk.rows().to_vec();
+            rows.push(row.clone());
+            let from_root = check_prefix(p, layout, deps, &rows).expect("prefix");
+            seen.nodes += 1;
+            assert_eq!(walk.push(row).expect("push"), from_root, "{rows:?}");
+            if from_root != PrefixCheck::Legal {
+                continue;
+            }
+            if rows.len() == slots.len() {
+                seen.leaves += 1;
+                let carried = walk.complete();
+                let rooted = complete_transform(p, layout, deps, &rows);
+                match (carried, rooted) {
+                    (Ok(c), Ok(r)) => {
+                        completions_agree(s, &c, &r);
+                        let shared = ast(&c.report);
+                        if !asts.iter().any(|a| Arc::ptr_eq(a, shared)) {
+                            asts.push(Arc::clone(shared));
+                        }
+                    }
+                    (Err(c), Err(r)) => assert_eq!(c.message(), r.message(), "{rows:?}"),
+                    (c, r) => panic!("{rows:?}: walk {:?}, from the root {:?}", c.err(), r.err()),
+                }
+            } else {
+                walk_agrees(s, walk, slots, used, asts, seen);
+            }
+            walk.pop();
+        }
+        used[i] = false;
+    }
+}
+
+/// The walk's completion `c` is `complete_transform`'s `r`, and both
+/// reports are what `check_legal` finds for the matrix: the same child
+/// permutations and reordered program, no violation, the same
+/// self-dependences left to augmentation.
+fn completions_agree(s: &Shape, c: &Completion, r: &Completion) {
+    let m = &c.matrix;
+    assert_eq!(*m, r.matrix);
+    let checked = check_legal(&s.program, &s.layout, &s.deps, m).expect("legality");
+    for report in [&c.report, &r.report, &checked] {
+        assert!(report.is_legal(), "{m:?}: {:?}", report.violations);
+        assert_eq!(report.unsatisfied_self, c.report.unsatisfied_self, "{m:?}");
+        let (want, got) = (ast(report), ast(&c.report));
+        assert_eq!(want.child_perms, got.child_perms, "{m:?}");
+        assert_eq!(want.layout.positions(), got.layout.positions(), "{m:?}");
+        assert_eq!(
+            want.program.to_pseudocode(),
+            got.program.to_pseudocode(),
+            "{m:?}"
+        );
+    }
+}
+
+/// The third oracle of the module docs, over every shape of the 13 zoo
+/// trees and of the 7 split trees.
+#[test]
+fn the_carried_walk_agrees_with_the_walk_from_the_root() {
+    let mut seen = Walked::default();
+    for &(name, ctor) in zoo::ALL {
+        for t in trees(&ctor()) {
+            for s in shapes(t) {
+                let slots: Vec<usize> = s.layout.loops().map(|(pos, _)| pos).collect();
+                let mut walk = PrefixWalk::new(&s.program, &s.layout, &s.deps);
+                let mut used = vec![false; slots.len()];
+                let mut asts = Vec::new();
+                walk_agrees(&s, &mut walk, &slots, &mut used, &mut asts, &mut seen);
+                assert!(walk.rows().is_empty(), "{name}: every push popped");
+                seen.asts += asts.len();
+            }
+        }
+    }
+    // the leaves of a shape share few child orders, so few ASTs
+    assert_eq!((seen.nodes, seen.leaves, seen.asts), (4504, 2429, 37));
 }
