@@ -6,10 +6,10 @@
 //! perfectly nested loops \[10\]:
 //!
 //! * loop slots are processed outside-in; each gets either the next
-//!   user-supplied row or a greedily chosen candidate (unit position
-//!   selectors, then their negations, then pairwise skew combinations)
-//!   that keeps every still-active dependence non-negative — preferring
-//!   candidates that *strictly satisfy* the most dependences;
+//!   user-supplied row or the first candidate (unit position selectors,
+//!   then their negations, then pairwise skew combinations) that is
+//!   linearly independent of the rows so far and keeps every
+//!   still-active dependence non-negative;
 //! * dependences whose projection ends up all-zero between *different*
 //!   statements are satisfied syntactically: they impose "source's child
 //!   before target's child" constraints at the divergence node, which a
@@ -17,13 +17,20 @@
 //! * leftover all-zero *self* dependences are legal — the augmentation
 //!   step (§5.4) adds loops that carry them.
 //!
+//! Every row is one step of a [`PrefixWalk`], so the completed matrix is
+//! legal by construction: its legality report is read off the walk, and
+//! the one thing the walk cannot see, a singular matrix, is ruled out by a
+//! determinant where the rows are not a signed permutation.
+//! [`complete_transform`] and the scheduler's leaves
+//! ([`PrefixWalk::complete`]) end on the same finish.
+//!
 //! The §6 worked example — completing "make the updated-column position
 //! outermost" on right-looking Cholesky into the left-looking form — is
 //! reproduced in the tests.
 
 use crate::depend::DependenceMatrix;
 use crate::instance::{InstanceLayout, Position};
-use crate::legal::{check_legal, tree_nodes, LegalityReport, NewAst};
+use crate::legal::{nonsingular, tree_nodes, LegalityReport, NewAst};
 use crate::project::{build_states, commit_all, revert_all, step_all, DepState, Undo};
 use inl_ir::{LoopId, Node, Program, StmtId};
 use inl_linalg::{IMat, IVec, InlError, InlErrorKind};
@@ -40,11 +47,6 @@ pub struct Completion {
     pub report: LegalityReport,
 }
 
-/// Loop-slot positions of the layout, outside-in.
-fn loop_slot_positions(layout: &InstanceLayout) -> Vec<usize> {
-    layout.loops().map(|(pos, _)| pos).collect()
-}
-
 /// `InvalidTarget` unless row `i` of a prefix fits a layout with `slots`
 /// loop slots: a slot is left for it, and it is as long as an instance
 /// vector.
@@ -57,15 +59,6 @@ fn fits(layout: &InstanceLayout, slots: usize, i: usize, row: &IVec) -> Result<(
         return Ok(());
     };
     Err(InlError::new(InlErrorKind::InvalidTarget, why))
-}
-
-/// [`loop_slot_positions`], once every row of `partial` [`fits`] them.
-fn slots_for(layout: &InstanceLayout, partial: &[IVec]) -> Result<Vec<usize>, InlError> {
-    let slots = loop_slot_positions(layout);
-    for (i, row) in partial.iter().enumerate() {
-        fits(layout, slots.len(), i, row)?;
-    }
-    Ok(slots)
 }
 
 /// Outcome of [`check_prefix`]: either every supplied row keeps every
@@ -100,9 +93,9 @@ type PermKey = Vec<(Option<LoopId>, Vec<usize>)>;
 /// step of every still-active dependence whose common loops include the
 /// slot; a row that keeps them all non-negative is committed, and
 /// [`PrefixWalk::pop`] takes the commit back. [`check_prefix`] and
-/// [`complete_transform`] push their rows on a fresh walk; the scheduler
-/// carries one down its search tree, so a node pays one step rather than
-/// its whole path's.
+/// [`complete_transform`] push their supplied rows on a fresh walk in one
+/// pass; the scheduler carries one down its search tree, so a node pays
+/// one step rather than its whole path's.
 pub struct PrefixWalk<'a> {
     p: &'a Program,
     layout: &'a InstanceLayout,
@@ -124,12 +117,36 @@ impl<'a> PrefixWalk<'a> {
             p,
             layout,
             deps,
-            slots: loop_slot_positions(layout),
+            slots: layout.loops().map(|(pos, _)| pos).collect(),
             states: build_states(layout, deps),
             rows: Vec::new(),
             undo: Vec::new(),
             asts: HashMap::new(),
         }
+    }
+
+    /// A fresh walk with the rows of `partial` pushed, unobserved, up to
+    /// the first that drives a dependence negative: that row's
+    /// [`PrefixCheck::Violation`], or [`PrefixCheck::Legal`]. The one pass
+    /// over supplied rows of [`check_prefix`] and [`complete_transform`];
+    /// `InvalidTarget` before any step unless every row [`fits`].
+    fn supplied(
+        p: &'a Program,
+        layout: &'a InstanceLayout,
+        deps: &'a DependenceMatrix,
+        partial: &[IVec],
+    ) -> Result<(Self, PrefixCheck), InlError> {
+        let mut walk = PrefixWalk::new(p, layout, deps);
+        for (i, row) in partial.iter().enumerate() {
+            fits(layout, walk.slots.len(), i, row)?;
+        }
+        for row in partial {
+            let verdict = walk.step(row.clone())?;
+            if verdict != PrefixCheck::Legal {
+                return Ok((walk, verdict));
+            }
+        }
+        Ok((walk, PrefixCheck::Legal))
     }
 
     /// The rows pushed so far, outside-in.
@@ -246,42 +263,83 @@ impl<'a> PrefixWalk<'a> {
         Ok((m, perms))
     }
 
-    /// Complete a walk whose rows are signed unit selectors of distinct
-    /// loop positions, one per loop slot — a leaf of the scheduler's tree —
-    /// as [`complete_transform`] completes those rows, without checking
-    /// the matrix again: its legality report is read off the walk. Every
-    /// row kept every dependence non-negative, the edge rows order what
-    /// stays active between statements, and the active self-dependences,
-    /// in dependence order, are left to augmentation. Such a matrix is a
-    /// signed permutation (determinant ±1), and its AST is recovered once
-    /// per child order and shared. Writes the records
-    /// [`complete_transform`] writes. `InvalidTarget` on any other rows.
+    /// Complete a walk with a row for every loop slot — a leaf of the
+    /// scheduler's tree — as [`complete_transform`] completes those rows:
+    /// the rows are recorded as supplied rows, then the walk finishes as
+    /// every completion does. `InvalidTarget` while a slot has no row.
     pub fn complete(&mut self) -> Result<Completion, InlError> {
         let _span = inl_obs::span("complete.transform");
-        // the loop slot each row selects, if it is a signed unit row
-        let selected = self.rows.iter().filter_map(|row| {
-            let mut nonzero = row.iter().enumerate().filter(|(_, &v)| v != 0);
-            match (nonzero.next(), nonzero.next()) {
-                (Some((j, v)), None) if v.abs() == 1 && self.slots.contains(&j) => Some(j),
-                _ => None,
-            }
-        });
-        let mut selected: Vec<usize> = selected.collect();
-        selected.sort_unstable();
-        selected.dedup();
-        if selected.len() != self.slots.len() {
+        if self.rows.len() != self.slots.len() {
             return Err(InlError::new(
                 InlErrorKind::InvalidTarget,
-                "a walk completes one signed unit row per loop slot",
+                "a walk completes with a row for every loop slot",
             ));
         }
+        if inl_obs::explain_enabled() {
+            self.record_rows();
+        }
+        self.finish(self.rows.len())
+    }
+
+    /// The `complete` record of each row pushed so far: it keeps every
+    /// active dependence non-negative. Only called with the explain layer
+    /// enabled.
+    fn record_rows(&self) {
+        for (slot_idx, (&slot, row)) in self.slots.iter().zip(&self.rows).enumerate() {
+            inl_obs::explain::accept(
+                "complete",
+                format!(
+                    "partial row {slot_idx} {}",
+                    crate::provenance::row_text(row)
+                ),
+                "row keeps every active dependence non-negative",
+            )
+            .feature("slot", slot as i64);
+        }
+    }
+
+    /// Whether every row selects a distinct loop position, with sign ±1:
+    /// with the edge rows the matrix is then a signed permutation, whose
+    /// determinant is ±1.
+    fn signed_permutation(&self) -> bool {
+        let mut seen = vec![false; self.layout.len()];
+        self.rows.iter().all(|row| {
+            let mut nonzero = row.iter().enumerate().filter(|(_, &v)| v != 0);
+            match (nonzero.next(), nonzero.next()) {
+                (Some((j, v)), None) if v.abs() == 1 && self.slots.contains(&j) => {
+                    !std::mem::replace(&mut seen[j], true)
+                }
+                _ => false,
+            }
+        })
+    }
+
+    /// The one tail of every completion, once every loop slot has a row:
+    /// the [`assemble`](Self::assemble)d matrix, whose legality report is
+    /// read off the walk rather than checked again. Every row kept every
+    /// dependence non-negative, the edge rows order what stays active
+    /// between statements, and the active self-dependences, in dependence
+    /// order, are left to augmentation. What the walk cannot see is a
+    /// singular matrix: rows that are not a signed permutation get one
+    /// [`nonsingular`] check. The AST is recovered once per child order and
+    /// shared. Writes the `legal` and `completed` records, `partial` being
+    /// how many rows the caller supplied. `Infeasible` on a cyclic child
+    /// order or a singular matrix.
+    fn finish(&mut self, partial: usize) -> Result<Completion, InlError> {
         let explain = inl_obs::explain_enabled();
-        if explain {
-            for (slot_idx, (&slot, row)) in self.slots.iter().zip(&self.rows).enumerate() {
-                record_partial_row(slot_idx, slot, row);
+        let (m, perms) = self.assemble()?;
+        if !self.signed_permutation() {
+            if let Err(why) = nonsingular(&m) {
+                let why = format!("final legality check failed: {why}");
+                if explain {
+                    let subject =
+                        format!("assembled matrix {}", crate::provenance::matrix_text(&m));
+                    inl_obs::explain::reject("complete", subject, why.clone())
+                        .feature("partial_rows", partial as i64);
+                }
+                return Err(InlError::new(InlErrorKind::Infeasible, why));
             }
         }
-        let (m, perms) = self.assemble()?;
         let mut key: PermKey = perms
             .into_iter()
             .filter(|(_, perm)| perm.iter().enumerate().any(|(i, &x)| i != x))
@@ -306,40 +364,20 @@ impl<'a> PrefixWalk<'a> {
         crate::legal::assert_walk_agrees(p, layout, self.deps, &m, &report);
         if explain {
             crate::legal::record_legal(p, self.deps, &m, &report);
-            record_completed(&m, self.rows.len(), &report, self.deps);
+            let unsatisfied = report.unsatisfied_self.len();
+            inl_obs::explain::accept(
+                "complete",
+                format!("assembled matrix {}", crate::provenance::matrix_text(&m)),
+                format!(
+                    "completed {partial} partial rows to a legal transformation ({unsatisfied} self-dependences to augmentation)"
+                ),
+            )
+            .feature("partial_rows", partial as i64)
+            .feature("unsatisfied_self", unsatisfied as i64)
+            .feature("deps", self.deps.deps.len() as i64);
         }
         Ok(Completion { matrix: m, report })
     }
-}
-
-/// The `complete` record of a supplied row that keeps every active
-/// dependence non-negative. Only called with the explain layer enabled.
-fn record_partial_row(slot_idx: usize, slot: usize, row: &IVec) {
-    inl_obs::explain::accept(
-        "complete",
-        format!(
-            "partial row {slot_idx} {}",
-            crate::provenance::row_text(row)
-        ),
-        "row keeps every active dependence non-negative",
-    )
-    .feature("slot", slot as i64);
-}
-
-/// The `complete` record of a completed matrix. Only called with the
-/// explain layer enabled.
-fn record_completed(m: &IMat, partial: usize, report: &LegalityReport, deps: &DependenceMatrix) {
-    inl_obs::explain::accept(
-        "complete",
-        format!("assembled matrix {}", crate::provenance::matrix_text(m)),
-        format!(
-            "completed {partial} partial rows to a legal transformation ({} self-dependences to augmentation)",
-            report.unsatisfied_self.len()
-        ),
-    )
-    .feature("partial_rows", partial as i64)
-    .feature("unsatisfied_self", report.unsatisfied_self.len() as i64)
-    .feature("deps", deps.deps.len() as i64);
 }
 
 /// Check whether a *prefix* of transformation rows can be extended to a
@@ -350,10 +388,10 @@ fn record_completed(m: &IMat, partial: usize, report: &LegalityReport, deps: &De
 /// — the dimension-matching idea from Acharya–Bondhugula applied to the
 /// paper's dependence projections, which the auto-scheduler (`inl-sched`)
 /// applies node by node on a walk it carries. The check is sound and
-/// complete for prefix legality (it is exactly the validation pass
-/// [`complete_transform`] runs over user-supplied rows), but deliberately
-/// emits **no** explain records: callers running thousands of probes
-/// record their own decisions.
+/// complete for prefix legality (it is the one pass over supplied rows
+/// that [`complete_transform`] makes too), but deliberately emits **no**
+/// explain records: callers running thousands of probes record their own
+/// decisions.
 pub fn check_prefix(
     p: &Program,
     layout: &InstanceLayout,
@@ -362,21 +400,15 @@ pub fn check_prefix(
 ) -> Result<PrefixCheck, InlError> {
     let _span = inl_obs::span("complete.prefix");
     inl_obs::counter_add!("complete.prefix_checks", 1);
-    slots_for(layout, partial)?;
-    let mut walk = PrefixWalk::new(p, layout, deps);
-    for row in partial {
-        let verdict = walk.step(row.clone())?;
-        if verdict != PrefixCheck::Legal {
-            return Ok(verdict);
-        }
-    }
-    Ok(PrefixCheck::Legal)
+    Ok(PrefixWalk::supplied(p, layout, deps, partial)?.1)
 }
 
 /// Complete a partial transformation into a full legal matrix.
 ///
 /// `partial` supplies desired rows (over source vector positions) for the
-/// outermost loop slots, in order; it may be empty.
+/// outermost loop slots, in order; it may be empty. The remaining slots
+/// get candidate rows pushed on the same walk, which then finishes as a
+/// scheduler leaf does ([`PrefixWalk::complete`]).
 pub fn complete_transform(
     p: &Program,
     layout: &InstanceLayout,
@@ -384,38 +416,38 @@ pub fn complete_transform(
     partial: &[IVec],
 ) -> Result<Completion, InlError> {
     let _span = inl_obs::span("complete.transform");
-    let n = layout.len();
-    let loop_slots = slots_for(layout, partial)?;
-    let mut walk = PrefixWalk::new(p, layout, deps);
-
-    for (slot_idx, row) in partial.iter().enumerate() {
-        let slot = loop_slots[slot_idx];
-        if let PrefixCheck::Violation { dep: dep_idx, .. } = walk.step(row.clone())? {
-            if inl_obs::explain_enabled() {
-                let d = &deps.deps[dep_idx];
-                inl_obs::explain::reject(
-                    "complete",
-                    format!(
-                        "partial row {slot_idx} {}",
-                        crate::provenance::row_text(row)
-                    ),
-                    format!(
-                        "{}: projection of row would go negative",
-                        crate::provenance::dep_label(p, dep_idx, d)
-                    ),
-                )
-                .detail("dep_row", crate::provenance::dep_row(d))
-                .feature("slot", slot as i64)
-                .feature("deps", deps.deps.len() as i64);
-            }
-            return Err(InlError::new(
-                InlErrorKind::Infeasible,
-                format!("row {slot_idx} is illegal"),
-            ));
+    let (n, explain) = (layout.len(), inl_obs::explain_enabled());
+    let (mut walk, verdict) = PrefixWalk::supplied(p, layout, deps, partial)?;
+    let loop_slots = walk.slots.clone();
+    if explain {
+        walk.record_rows();
+    }
+    if let PrefixCheck::Violation {
+        row: slot_idx,
+        dep: dep_idx,
+    } = verdict
+    {
+        if explain {
+            let d = &deps.deps[dep_idx];
+            inl_obs::explain::reject(
+                "complete",
+                format!(
+                    "partial row {slot_idx} {}",
+                    crate::provenance::row_text(&partial[slot_idx])
+                ),
+                format!(
+                    "{}: projection of row would go negative",
+                    crate::provenance::dep_label(p, dep_idx, d)
+                ),
+            )
+            .detail("dep_row", crate::provenance::dep_row(d))
+            .feature("slot", loop_slots[slot_idx] as i64)
+            .feature("deps", deps.deps.len() as i64);
         }
-        if inl_obs::explain_enabled() {
-            record_partial_row(slot_idx, slot, row);
-        }
+        return Err(InlError::new(
+            InlErrorKind::Infeasible,
+            format!("row {slot_idx} is illegal"),
+        ));
     }
 
     let independent = |row: &IVec, chosen: &[IVec]| -> Result<bool, InlError> {
@@ -471,7 +503,7 @@ pub fn complete_transform(
             }
         }
         let Some(row) = picked else {
-            if inl_obs::explain_enabled() {
+            if explain {
                 inl_obs::explain::reject(
                     "complete",
                     format!("loop slot {slot}"),
@@ -485,7 +517,7 @@ pub fn complete_transform(
                 format!("no legal row for slot {slot_idx}"),
             ));
         };
-        if inl_obs::explain_enabled() {
+        if explain {
             inl_obs::explain::note(
                 "complete",
                 format!("loop slot {slot}"),
@@ -499,34 +531,7 @@ pub fn complete_transform(
         }
     }
 
-    let (m, _) = walk.assemble()?;
-    let report = check_legal(p, layout, deps, &m)?;
-    if !report.is_legal() {
-        let why = report
-            .new_ast
-            .as_ref()
-            .err()
-            .cloned()
-            .unwrap_or_else(|| format!("{:?}", report.violations));
-        if inl_obs::explain_enabled() {
-            // check_legal above already recorded the violating dependence
-            // row; this record ties the failure to the completion attempt.
-            inl_obs::explain::reject(
-                "complete",
-                format!("assembled matrix {}", crate::provenance::matrix_text(&m)),
-                format!("final legality check failed: {why}"),
-            )
-            .feature("partial_rows", partial.len() as i64);
-        }
-        return Err(InlError::new(
-            InlErrorKind::Infeasible,
-            format!("final legality check failed: {why}"),
-        ));
-    }
-    if inl_obs::explain_enabled() {
-        record_completed(&m, partial.len(), &report, deps);
-    }
-    Ok(Completion { matrix: m, report })
+    walk.finish(partial.len())
 }
 
 /// The node at which the paths to two statements diverge, and the child
@@ -722,69 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_violation_iff_projection_violation() {
-        // One stepper, walked two ways — slot by slot over candidate rows
-        // (check_prefix) and dependence by dependence over a finished
-        // matrix (check_legal) — must tell the same story for every signed
-        // full-depth loop permutation: the prefix is cut iff the matrix
-        // assembled from those rows has a projection violation, and the
-        // dependence the cut names is one of the violated ones.
-        for (name, make) in zoo::ALL {
-            let p = make();
-            let layout = InstanceLayout::new(&p);
-            let slots = loop_slot_positions(&layout);
-            if slots.len() > 4 {
-                continue;
-            }
-            let deps = analyze(&p, &layout).expect("analysis");
-            let n = layout.len();
-            for order in inl_linalg::permutations(&slots) {
-                for signs in 0..1u32 << slots.len() {
-                    let rows: Vec<IVec> = order
-                        .iter()
-                        .enumerate()
-                        .map(|(k, &q)| {
-                            let unit = IVec::unit(n, q);
-                            if signs >> k & 1 == 1 {
-                                -&unit
-                            } else {
-                                unit
-                            }
-                        })
-                        .collect();
-                    // the rows at the loop slots, identity at the edge slots
-                    let mut m = IMat::identity(n);
-                    for (&slot, row) in slots.iter().zip(&rows) {
-                        for (j, &v) in row.iter().enumerate() {
-                            m[(slot, j)] = v;
-                        }
-                    }
-                    let report = check_legal(&p, &layout, &deps, &m).expect("legality");
-                    assert!(report.new_ast.is_ok(), "{name}: signed permutation");
-                    // a zero projection against the syntactic order is the
-                    // completion's business (child reordering), not a cut
-                    let negative: Vec<usize> = report
-                        .violations
-                        .iter()
-                        .filter(|v| !v.reason.starts_with("projection is zero"))
-                        .map(|v| v.dep)
-                        .collect();
-                    match check_prefix(&p, &layout, &deps, &rows).expect("prefix") {
-                        PrefixCheck::Legal => assert!(
-                            negative.is_empty(),
-                            "{name} {rows:?}: prefix legal, check_legal violates {negative:?}"
-                        ),
-                        PrefixCheck::Violation { dep, .. } => assert!(
-                            negative.contains(&dep),
-                            "{name} {rows:?}: prefix names dep {dep}, check_legal {negative:?}"
-                        ),
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn prefix_check_validates_shape() {
         let p = zoo::perfect_nest();
         let layout = InstanceLayout::new(&p);
@@ -799,39 +741,41 @@ mod tests {
     }
 
     #[test]
-    fn a_walk_completes_only_a_signed_permutation() {
-        // a skew row is a legal prefix of the wavefront, and completion
-        // finishes it, but a walk's leaf report assumes a determinant of
-        // ±1: it completes signed unit rows of distinct loops, all slots
-        // filled, and nothing else
+    fn a_walk_completes_any_rows_one_per_slot() {
+        // a walk finishes as complete_transform does: a skewed leaf is
+        // legal, a loop given twice is singular, and a slot without a row
+        // is no leaf
         let p = zoo::wavefront();
         let layout = InstanceLayout::new(&p);
         let deps = analyze(&p, &layout).expect("analysis");
         let (i, j) = (looop(&p, "I"), looop(&p, "J"));
         let unit = |l| IVec::unit(layout.len(), layout.loop_position(l));
         let mut walk = PrefixWalk::new(&p, &layout, &deps);
-        let skew = &unit(i) + &unit(j);
-        assert_eq!(walk.push(skew.clone()).unwrap(), PrefixCheck::Legal);
-        assert!(complete_transform(&p, &layout, &deps, &[skew]).is_ok());
-        assert_eq!(walk.push(unit(j)).unwrap(), PrefixCheck::Legal);
-        let e = walk.complete().expect_err("a skewed leaf");
+        assert_eq!(walk.push(&unit(i) + &unit(j)).unwrap(), PrefixCheck::Legal);
+        let e = walk.complete().expect_err("a slot without a row");
         assert_eq!(e.kind(), InlErrorKind::InvalidTarget);
+        assert_eq!(walk.push(unit(j)).unwrap(), PrefixCheck::Legal);
+        let c = walk.complete().expect("a skewed leaf");
+        let from_rows = complete_transform(&p, &layout, &deps, walk.rows()).unwrap();
+        assert_eq!(c.matrix, from_rows.matrix);
+        assert_eq!(c.report.unsatisfied_self, from_rows.report.unsatisfied_self);
         let e = walk.push(unit(i)).expect_err("every slot has a row");
         assert_eq!(e.message(), "more partial rows than loop slots");
         walk.pop();
         walk.pop();
-        assert!(walk.rows().is_empty());
-        // a slot left, then a loop twice
-        for _ in 0..2 {
-            assert_eq!(walk.push(unit(j)).unwrap(), PrefixCheck::Legal);
-            let e = walk.complete().expect_err("not a signed permutation");
-            assert_eq!(e.kind(), InlErrorKind::InvalidTarget);
+        assert_eq!(walk.push(unit(j)).unwrap(), PrefixCheck::Legal);
+        assert_eq!(walk.push(unit(j)).unwrap(), PrefixCheck::Legal);
+        let twice = [
+            walk.complete(),
+            complete_transform(&p, &layout, &deps, walk.rows()),
+        ];
+        for e in twice.map(|c| c.expect_err("J twice")) {
+            assert_eq!(e.kind(), InlErrorKind::Infeasible);
+            assert_eq!(
+                e.message(),
+                "final legality check failed: matrix is singular"
+            );
         }
-        walk.pop();
-        assert_eq!(walk.push(unit(i)).unwrap(), PrefixCheck::Legal);
-        let c = walk.complete().expect("JI completes");
-        let from_root = complete_transform(&p, &layout, &deps, walk.rows()).unwrap();
-        assert_eq!(c.matrix, from_root.matrix);
     }
 
     #[test]

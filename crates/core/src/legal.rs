@@ -19,6 +19,13 @@
 //! (fast, conservative), falling back to exact feasibility queries on the
 //! retained dependence polyhedra when the intervals are inconclusive.
 //!
+//! [`check_legal`] decides a matrix made elsewhere: a [`crate::transform`]
+//! composition, code generation's input, a split. A completion never
+//! comes here: its matrix was built on the walk, so its report is read off
+//! the walk's states (`complete.rs`), and of the block structure only
+//! non-singularity needs checking (`nonsingular`, shared with
+//! [`recover_ast`]).
+//!
 //! Distribution and jamming (§4.2) are decided by the same walk
 //! ([`check_structural`]). Their matrices are non-square and there is no
 //! AST to recover: the step's surgery built the target program, and
@@ -147,11 +154,7 @@ fn child_perms(
             m.ncols()
         ));
     }
-    match m.checked_det() {
-        Ok(0) => return Err("matrix is singular".to_string()),
-        Ok(_) => {}
-        Err(_) => return Err("determinant computation overflows".to_string()),
-    }
+    nonsingular(m)?;
     let mut perms: HashMap<Option<LoopId>, Vec<usize>> = HashMap::new();
     for node in tree_nodes(p, layout) {
         let c = p.children(node).len();
@@ -207,6 +210,17 @@ fn child_perms(
         perms.insert(node, perm);
     }
     Ok(perms)
+}
+
+/// The one non-singularity check of a transformation matrix, and its
+/// messages: [`recover_ast`] makes it, and so does a completion whose rows
+/// are not a signed permutation.
+pub(crate) fn nonsingular(m: &IMat) -> Result<(), String> {
+    match m.checked_det() {
+        Ok(0) => Err("matrix is singular".to_string()),
+        Ok(_) => Ok(()),
+        Err(_) => Err("determinant computation overflows".to_string()),
+    }
 }
 
 /// Outcome of one dependence under the transformation.
@@ -503,9 +517,11 @@ fn zero_case(target: &Program, d: &Dependence) -> DepStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complete::{check_prefix, PrefixCheck};
     use crate::depend::analyze;
     use crate::transform::Transform;
     use inl_ir::{zoo, StmtId};
+    use inl_linalg::IVec;
 
     /// Group a report's unsatisfied self-dependences by statement.
     fn unsatisfied_by_stmt(
@@ -768,5 +784,68 @@ mod tests {
         .matrix(&p, &layout);
         let r = check_legal(&p, &layout, &deps, &fwd).expect("legality");
         assert!(!r.is_legal());
+    }
+
+    #[test]
+    fn prefix_violation_iff_projection_violation() {
+        // One stepper, walked two ways — slot by slot over candidate rows
+        // (check_prefix) and dependence by dependence over a finished
+        // matrix (check_legal) — must tell the same story for every signed
+        // full-depth loop permutation: the prefix is cut iff the matrix
+        // assembled from those rows has a projection violation, and the
+        // dependence the cut names is one of the violated ones.
+        for (name, make) in zoo::ALL {
+            let p = make();
+            let layout = InstanceLayout::new(&p);
+            let slots: Vec<usize> = layout.loops().map(|(pos, _)| pos).collect();
+            if slots.len() > 4 {
+                continue;
+            }
+            let deps = analyze(&p, &layout).expect("analysis");
+            let n = layout.len();
+            for order in inl_linalg::permutations(&slots) {
+                for signs in 0..1u32 << slots.len() {
+                    let rows: Vec<IVec> = order
+                        .iter()
+                        .enumerate()
+                        .map(|(k, &q)| {
+                            let unit = IVec::unit(n, q);
+                            if signs >> k & 1 == 1 {
+                                -&unit
+                            } else {
+                                unit
+                            }
+                        })
+                        .collect();
+                    // the rows at the loop slots, identity at the edge slots
+                    let mut m = IMat::identity(n);
+                    for (&slot, row) in slots.iter().zip(&rows) {
+                        for (j, &v) in row.iter().enumerate() {
+                            m[(slot, j)] = v;
+                        }
+                    }
+                    let report = check_legal(&p, &layout, &deps, &m).expect("legality");
+                    assert!(report.new_ast.is_ok(), "{name}: signed permutation");
+                    // a zero projection against the syntactic order is the
+                    // completion's business (child reordering), not a cut
+                    let negative: Vec<usize> = report
+                        .violations
+                        .iter()
+                        .filter(|v| !v.reason.starts_with("projection is zero"))
+                        .map(|v| v.dep)
+                        .collect();
+                    match check_prefix(&p, &layout, &deps, &rows).expect("prefix") {
+                        PrefixCheck::Legal => assert!(
+                            negative.is_empty(),
+                            "{name} {rows:?}: prefix legal, check_legal violates {negative:?}"
+                        ),
+                        PrefixCheck::Violation { dep, .. } => assert!(
+                            negative.contains(&dep),
+                            "{name} {rows:?}: prefix names dep {dep}, check_legal {negative:?}"
+                        ),
+                    }
+                }
+            }
+        }
     }
 }

@@ -13,12 +13,15 @@
 //! polyhedron under the *zero context* — the earlier rows pinned to zero.
 //!
 //! [`crate::legal::check_legal`] and [`crate::legal::check_structural`] walk
-//! a finished matrix through it one dependence at a time;
+//! a matrix made elsewhere through it one dependence at a time;
 //! [`crate::complete::PrefixWalk`] walks candidate rows through it one slot
 //! at a time ([`step_all`], [`commit_all`], [`revert_all`]): the search's
 //! nodes, [`crate::complete::check_prefix`] and
-//! [`crate::complete::complete_transform`] all push rows on it. There is
-//! no other copy of the interval arithmetic or of the `row·Δ` construction.
+//! [`crate::complete::complete_transform`] all push rows on it, and every
+//! completion, a search leaf's or `complete_transform`'s, reads its
+//! legality report off that walk rather than walking its matrix again.
+//! There is no other copy of the interval arithmetic or of the `row·Δ`
+//! construction.
 
 use crate::depend::{DepEntry, Dependence, DependenceMatrix};
 use crate::instance::InstanceLayout;

@@ -68,8 +68,11 @@ proptest! {
         }
     }
 
-    /// Completion: random partial rows either complete to a matrix the
-    /// checker accepts, or fail with a typed error.
+    /// Completion: random partial rows (skews, entries in edge columns,
+    /// dependent rows) either complete to a matrix whose report, read off
+    /// the completion's walk, is the checker's — the same child
+    /// permutations, no violation, the same self-dependences left to
+    /// augmentation — or fail with a typed error.
     #[test]
     fn completion_never_panics(
         (p, rows) in arb_program().prop_flat_map(|p| {
@@ -81,9 +84,13 @@ proptest! {
     ) {
         let Ok((layout, deps)) = analyzed(&p) else { return Ok(()); };
         if let Ok(c) = complete_transform(&p, &layout, &deps, &rows) {
-            let report = inl_core::legal::check_legal(&p, &layout, &deps, &c.matrix)
+            let report = check_legal(&p, &layout, &deps, &c.matrix)
                 .map_err(|e| TestCaseError::fail(format!("legality after completion: {e}")))?;
             prop_assert!(report.is_legal(), "completion returned an illegal matrix");
+            prop_assert!(c.report.violations.is_empty());
+            prop_assert_eq!(&c.report.unsatisfied_self, &report.unsatisfied_self);
+            let perms = |r: &LegalityReport| r.new_ast.as_ref().ok().map(|a| a.child_perms.clone());
+            prop_assert_eq!(perms(&c.report), perms(&report));
         }
     }
 }

@@ -70,7 +70,8 @@ impl Program {
 
     /// Distribute loop `l` at `split`: the loop is replaced by two copies,
     /// the first keeping children `..split`, the second (a fresh loop with
-    /// the same bounds) getting children `split..`. All references to `l`'s
+    /// the same bounds, named by the first of `{name}_2`, `{name}_3`, …
+    /// that no loop of the program has) getting children `split..`. All references to `l`'s
     /// index variable inside the moved subtree are rewritten to the new
     /// loop's variable. Returns the program and the fresh loop's id.
     ///
@@ -90,8 +91,10 @@ impl Program {
         let moved: Vec<Node> = out.loops[l.0].children.split_off(split);
         let new_id = LoopId(out.loops.len());
         let old_decl = out.loops[l.0].clone();
+        let taken = |name: &String| self.loops.iter().any(|d| d.name == *name);
+        let mut names = (2..).map(|k| format!("{}_{k}", old_decl.name));
         out.loops.push(LoopDecl {
-            name: format!("{}_2", old_decl.name),
+            name: names.find(|name| !taken(name)).expect("a free name"),
             lower: old_decl.lower.clone(),
             upper: old_decl.upper.clone(),
             step: old_decl.step,
@@ -315,6 +318,19 @@ mod tests {
         let lower = &q.loop_decl(j).lower.terms[0];
         assert_eq!(lower.coeff(VarKey::Loop(new_loop)), 1);
         assert_eq!(lower.coeff(VarKey::Loop(i)), 0);
+    }
+
+    #[test]
+    fn distribution_names_a_loop_no_loop_has() {
+        // once I is distributed, I_2 is taken: distributing I again makes I_3
+        let p = zoo::running_example();
+        let named = |p: &Program, name: &str| p.loops().find(|&l| p.loop_decl(l).name == name);
+        let (p, i2) = p.distribute_loop(named(&p, "I").unwrap(), 1).unwrap();
+        let (p, j2) = p.distribute_loop(named(&p, "J").unwrap(), 1).unwrap();
+        let (p, i3) = p.distribute_loop(named(&p, "I").unwrap(), 1).unwrap();
+        let names = [i2, j2, i3].map(|l| p.loop_decl(l).name.clone());
+        assert_eq!(names, ["I_2", "J_2", "I_3"]);
+        assert!(p.validate().is_ok(), "{:?}", p.validate());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! End-to-end pin of the decision-provenance layer: sweeping all 24
 //! Cholesky loop orders with the explain layer on must leave an acceptance
-//! record with proving evidence for each of the 12 legal orders, and a
-//! record naming the violating dependence for each rejected order; the
+//! record with proving evidence for each of the 12 legal orders, a record
+//! naming the violating dependence for each rejected order, and one record
+//! of each supplied row an order's completion judged; the
 //! artifact must read back into exactly the records the store holds; and
 //! the `inl-explain` binary must render, query, and diff it.
 
@@ -66,9 +67,15 @@ fn cholesky_sweep_explains_every_order_and_binary_renders_it() {
             .filter(|r| r.session == session)
             .collect();
         assert!(!recs.is_empty(), "{label}: no records");
+        // every supplied row is recorded once, by the one pass over them
+        let mut rows = BTreeSet::new();
+        let complete = recs.iter().filter(|r| r.stage == "complete");
+        for r in complete.filter(|r| r.subject.starts_with("partial row")) {
+            assert!(rows.insert(&r.subject), "{label}: {} twice", r.subject);
+        }
         if legal.contains(&order) {
-            // acceptance with proving evidence: the final legality check
-            // records every dependence's projected row
+            // acceptance with proving evidence: the completion's `legal`
+            // record carries every dependence's projected row
             let accept = recs
                 .iter()
                 .find(|r| r.stage == "legal" && r.verdict == Verdict::Accept)
@@ -86,6 +93,7 @@ fn cholesky_sweep_explains_every_order_and_binary_renders_it() {
                     .any(|r| r.stage == "complete" && r.verdict == Verdict::Accept),
                 "{label}: completion success not recorded"
             );
+            assert_eq!(rows.len(), 4, "{label}: one record per supplied row");
         } else {
             // rejection naming the violating dependence row
             let reject = recs

@@ -12,11 +12,18 @@
 //! shadows (`do K = K..K`). An unoptimised build re-schedules every seventh
 //! non-pick variant and every pick; the release build, as CI runs it,
 //! re-schedules all of them.
+//!
+//! Generation 2 by label: where a variant names each of its loops once,
+//! every label its re-schedule ranks replays (`Recipe::replay`, as the
+//! service compiles an order) to the matrix it was ranked with. Where two
+//! of its loops share a name, a label is ambiguous (ROADMAP items 22, 23).
 
+use inl_core::recipe::{Recipe, Shape};
 use inl_exec::{run_fresh, Machine, VmRunner};
 use inl_ir::{zoo, Aff, Bound, Program};
 use inl_linalg::Int;
-use inl_sched::{schedule_with, SchedConfig};
+use inl_sched::{schedule_with, SchedConfig, ScheduleResult};
+use std::collections::HashSet;
 
 /// Both backends' final memory image of `p` run at `params` from
 /// `zoo::spd_init`.
@@ -45,6 +52,27 @@ fn shadowing(p: &Program) -> Vec<String> {
     found
 }
 
+/// Whether no two loops of `p` share a name.
+fn names_each_loop_once(p: &Program) -> bool {
+    let mut seen = HashSet::new();
+    p.loops().all(|l| seen.insert(&p.loop_decl(l).name))
+}
+
+/// Replay every label `again` ranks for program `p` from `p`; the labels
+/// replayed.
+fn replay_labels(p: &Program, again: &ScheduleResult) -> u64 {
+    let source = Shape::source(p.clone()).expect("a variant analyses");
+    for ranked in &again.variants {
+        let recipe: Recipe = ranked.label.parse().expect("a label parses");
+        let replayed = recipe.replay(source.clone());
+        let what = || format!("{} {}", p.name(), ranked.label);
+        let replayed = replayed.unwrap_or_else(|e| panic!("{}: {e}", what()));
+        let (_, c) = replayed.unwrap_or_else(|why| panic!("{}: {why}", what()));
+        assert_eq!(c.matrix, ranked.matrix, "{}", what());
+    }
+    again.variants.len() as u64
+}
+
 #[test]
 fn every_variant_reschedules_and_its_repick_computes_the_source() {
     let cfg = SchedConfig {
@@ -52,6 +80,7 @@ fn every_variant_reschedules_and_its_repick_computes_the_source() {
         ..SchedConfig::default()
     };
     let (mut variants, mut rescheduled, mut fixed_points) = (0u64, 0, 0);
+    let (mut once_named, mut replayed) = (0, 0);
     for &(name, ctor) in zoo::ALL {
         let p = ctor();
         let params: Vec<Int> = (0..p.nparams()).map(|i| 7 - i as Int).collect();
@@ -68,6 +97,10 @@ fn every_variant_reschedules_and_its_repick_computes_the_source() {
             let again = schedule_with(&v.program, &cfg)
                 .unwrap_or_else(|e| panic!("{name} {}: re-schedule failed: {e:?}", v.label));
             rescheduled += 1;
+            if names_each_loop_once(&v.program) {
+                once_named += 1;
+                replayed += replay_labels(&v.program, &again);
+            }
             let repick = &again.chosen().program;
             let shadowed = shadowing(repick);
             assert!(
@@ -101,6 +134,7 @@ fn every_variant_reschedules_and_its_repick_computes_the_source() {
     assert_eq!(fixed_points, zoo::ALL.len(), "every pick is a fixed point");
     if !cfg!(debug_assertions) {
         assert_eq!(rescheduled, variants, "every variant re-scheduled");
+        assert_eq!((once_named, replayed), (54, 15_213), "labels replayed");
     }
     assert_eq!(variants, 81, "ranked variants of the zoo");
 }
