@@ -327,9 +327,9 @@ fn chain_latency(e: &Expr, carried: &Access) -> Option<i64> {
         }
         on_chain
     }
-    let mut reads = Vec::new();
-    e.collect_reads(&mut reads);
-    if reads.iter().filter(|r| *r == carried).count() != 1 {
+    let mut reads_of_carried = 0;
+    e.for_each_read(&mut |r| reads_of_carried += usize::from(r == carried));
+    if reads_of_carried != 1 {
         return None;
     }
     let mut found = Vec::new();
@@ -380,13 +380,13 @@ impl Kernel {
 /// How the trips of innermost loop `l`, whose body is the statements
 /// `body` (write, right-hand side), run (module docs).
 fn kernel(l: &NestLoop, body: &[(&Access, &Expr)], cert: &Certify) -> Kernel {
-    let mut accesses: Vec<Access> = Vec::new();
+    let mut accesses: Vec<&Access> = Vec::new();
     for &(write, rhs) in body {
-        accesses.push(write.clone());
-        rhs.collect_reads(&mut accesses);
+        accesses.push(write);
+        rhs.for_each_read(&mut |r| accesses.push(r));
     }
     let mut distinct: Vec<&Access> = Vec::new();
-    for a in &accesses {
+    for &a in &accesses {
         if !distinct.contains(&a) {
             distinct.push(a);
         }
@@ -450,13 +450,14 @@ fn index_values_integral(e: &Expr) -> bool {
 /// accesses classed by `inner`, the variable of the innermost loop around
 /// it that iterates more than once.
 fn per_trip(write: &Access, rhs: &Expr, inner: Option<VarKey>, kernel: &Kernel) -> i64 {
-    let mut reads = Vec::new();
-    rhs.collect_reads(&mut reads);
-    let accesses = std::iter::once(write).chain(&reads);
-    let access: i64 = accesses
-        .filter(|&a| kernel.held.as_ref() != Some(a))
-        .map(|a| ACCESS[inner.map_or(0, |v| access_class(&a.idxs, v))])
-        .sum();
+    let mut access: i64 = 0;
+    let mut add = |a: &Access| {
+        if kernel.held.as_ref() != Some(a) {
+            access += ACCESS[inner.map_or(0, |v| access_class(&a.idxs, v))];
+        }
+    };
+    add(write);
+    rhs.for_each_read(&mut add);
     let (op_cost, instrs) = ops(rhs);
     access
         + match kernel.executor {

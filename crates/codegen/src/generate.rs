@@ -287,13 +287,13 @@ fn prove_le(a: &(LinExpr, Int), b: &(LinExpr, Int), assumptions: &System) -> boo
     let space = a.0.nvars();
     debug_assert_eq!(assumptions.nvars(), space, "prove_le: space mismatch");
     // counterexample: a·db − b·da ≥ 1
-    let counter =
-        a.0.checked_scale(b.1)
-            .and_then(|x| x.checked_sub(&b.0.checked_scale(a.1)?))
-            .and_then(|x| x.checked_sub(&LinExpr::constant(space, 1)));
-    let Ok(counter) = counter else {
+    let Ok(mut counter) = a.0.checked_combine(b.1, &b.0, -a.1) else {
         return false;
     };
+    let Some(c) = counter.constant_term().checked_sub(1) else {
+        return false;
+    };
+    counter.set_constant(c);
     let mut sys = assumptions.clone();
     sys.add_ge(counter);
     is_empty(&sys) == Feasibility::Empty
@@ -423,15 +423,15 @@ impl Builder<'_> {
             let Some(r) = plan.sched.slot_positions.iter().position(|&sp| sp == qpos) else {
                 continue;
             };
-            let row = plan.sched.rows.row(r);
             if plan.sched.offsets[r] != 0 {
                 uniform = false;
                 break;
             }
             // identity selector of some old loop dimension?
-            let nz: Vec<usize> = (0..row.len()).filter(|&i| row[i] != 0).collect();
-            if nz.len() == 1 && row[nz[0]] == 1 {
-                let old = self.layout.stmt_loops(plan.sched.stmt)[nz[0]];
+            let row = plan.sched.rows.row_slice(r).iter().enumerate();
+            let mut nz = row.filter(|&(_, &c)| c != 0);
+            if let (Some((i, 1)), None) = (nz.next(), nz.next()) {
+                let old = self.layout.stmt_loops(plan.sched.stmt)[i];
                 let oldpos = self.layout.loop_position(old);
                 match source {
                     None => source = Some(oldpos),
@@ -478,7 +478,7 @@ impl Builder<'_> {
         // (a) divisibility of each recovered old index
         for e in &old_exprs {
             if e.divisor() > 1 {
-                guards.push(Guard::Div(e.numerator(), e.divisor()));
+                guards.push(Guard::Div(e.clone().numerator(), e.divisor()));
             }
         }
         // (b) singular-row equalities: v_r - off_r = Σ m_j (v_kj - off_kj)
@@ -501,17 +501,17 @@ impl Builder<'_> {
             }
             guards.push(Guard::Eq(e.numerator()));
         }
-        // (c) original bounds re-derived through the substitution
-        for &l in old_loops {
+        // (c) original bounds re-derived through the substitution, which
+        // takes each old loop to its entry of `old_exprs`
+        for (&l, iv) in old_loops.iter().zip(&old_exprs) {
             let ld = self.src.loop_decl(l);
-            let iv = subst(&Aff::var(VarKey::Loop(l)));
             for t in &ld.lower.terms {
                 // d·i - t ≥ 0
-                let e = iv.clone() * t.divisor() - subst(&t.numerator());
+                let e = iv.clone() * t.divisor() - subst(&t.clone().numerator());
                 guards.push(Guard::Ge(e.numerator()));
             }
             for t in &ld.upper.terms {
-                let e = subst(&t.numerator()) - iv.clone() * t.divisor();
+                let e = subst(&t.clone().numerator()) - iv.clone() * t.divisor();
                 guards.push(Guard::Ge(e.numerator()));
             }
         }
@@ -525,7 +525,8 @@ impl Builder<'_> {
                     // (e/d) mod m == 0 with guaranteed divisibility of d:
                     // check m·d | e (conservative exactness: the separate
                     // Div guard for d already holds when this runs)
-                    Guard::Div(sa.numerator(), md * sa.divisor())
+                    let d = sa.divisor();
+                    Guard::Div(sa.numerator(), md * d)
                 }
             });
         }
@@ -549,7 +550,7 @@ fn rename(a: &Aff, open: &[Option<LoopId>]) -> Result<Aff, InlError> {
         let why = "bound references a loop that is not open";
         return Err(InlError::new(InlErrorKind::IllFormed, why));
     }
-    Ok(a.substitute_loops(&|l| Aff::loop_var(target(l).expect("open"))))
+    Ok(a.rename_loops(|l| target(l).expect("open")))
 }
 
 /// Drop guards implied by the enclosing loops' bounds (and the program
@@ -580,9 +581,13 @@ fn unimplied_guards(program: &Program, s: StmtId) -> Option<Vec<Guard>> {
     // `e ≥ 1` has no point in the domain; overflow while forming the
     // query proves nothing
     let refuted = |e: Result<LinExpr, InlError>| {
-        let Ok(e) = e.and_then(|x| x.checked_sub(&LinExpr::constant(space, 1))) else {
+        let Ok(mut e) = e else {
             return false;
         };
+        let Some(c) = e.constant_term().checked_sub(1) else {
+            return false;
+        };
+        e.set_constant(c);
         let mut t = sys.clone();
         t.add_ge(e);
         is_empty(&t) == Feasibility::Empty

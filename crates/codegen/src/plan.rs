@@ -101,8 +101,11 @@ pub(crate) fn placeholder_aff(t: &(LinExpr, Int), np: usize) -> Aff {
         true => VarKey::Param(inl_ir::ParamId(i)),
         false => VarKey::Loop(LoopId(i - np)),
     };
-    let terms = t.0.coeffs().iter().enumerate().map(|(i, &c)| (var(i), c));
-    let acc = Aff::from_terms(terms.collect(), t.0.constant_term());
+    let terms = t.0.coeffs().iter().enumerate().filter(|&(_, &c)| c != 0);
+    let acc = Aff::from_terms(
+        terms.map(|(i, &c)| (var(i), c)).collect(),
+        t.0.constant_term(),
+    );
     match t.1 {
         1 => acc,
         d => acc.exact_div(d),
@@ -111,10 +114,8 @@ pub(crate) fn placeholder_aff(t: &(LinExpr, Int), np: usize) -> Aff {
 
 /// `a` with source loop `old_loops[q]` replaced by `old_exprs[q]`.
 pub(crate) fn through(old_exprs: &[Aff], old_loops: &[LoopId], a: &Aff) -> Aff {
-    a.substitute_loops(&|l: LoopId| match old_loops.iter().position(|&x| x == l) {
-        Some(q) => old_exprs[q].clone(),
-        None => Aff::var(VarKey::Loop(l)), // not ours (impossible after validation)
-    })
+    // a loop not ours stays (impossible after validation)
+    a.substitute_loops(|l| Some(&old_exprs[old_loops.iter().position(|&x| x == l)?]))
 }
 
 /// Make the plan of statement `s` under the leaf `(m, report)`: its

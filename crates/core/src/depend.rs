@@ -47,10 +47,14 @@
 //! structural, name included): entries are found by hash and a hit is
 //! confirmed by `==` on the stored pair, so a program that differs in one
 //! bound, guard, subscript or assumption can never be answered with
-//! another's matrix. A mapped matrix is the one [`analyze`] would store. A
-//! hit returns a clone of the matrix the miss computed; only `Ok` results
-//! are stored; the analysis itself runs outside the lock (threads racing on
-//! a cold key all compute, last write wins). It is the compile side's
+//! another's matrix. A mapped matrix is the one [`analyze`] would store. The
+//! columns are immutable and shared (`Arc<[Dependence]>`): a hit hands out
+//! the matrix the miss computed, column slice and all, and allocates
+//! nothing. The key's hash is a multiply-rotate fold (`MemoHasher`): a
+//! collision costs a miss, never a wrong answer. Only `Ok` results are
+//! stored; the analysis itself runs outside the lock (threads racing on a
+//! cold key all compute, last write wins, and a re-insert of a stored key
+//! replaces it without a flush). It is the compile side's
 //! only memo (`inl-poly` answers every query afresh; EXPERIMENTS.md E9):
 //! `inl_poly::cache::set_cache_enabled(false)` bypasses it,
 //! `inl_poly::cache::clear()` empties it (entries are stamped with
@@ -76,10 +80,9 @@ use crate::instance::{InstanceLayout, Position};
 use inl_ir::{LoopId, Program, StmtId};
 use inl_linalg::{InlError, Int};
 use inl_poly::{expr_bounds, is_empty, Feasibility, LinExpr, System};
-use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasher, Hash};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -226,8 +229,9 @@ impl Dependence {
 pub struct DependenceMatrix {
     /// Instance-vector length.
     pub n: usize,
-    /// The dependences (columns of the paper's dependence matrix).
-    pub deps: Vec<Dependence>,
+    /// The dependences (columns of the paper's dependence matrix), shared
+    /// by every clone of the matrix: the analysis memo hands them out.
+    pub deps: Arc<[Dependence]>,
 }
 
 impl DependenceMatrix {
@@ -266,7 +270,7 @@ pub const MEMO_CAP: usize = 256;
 struct MemoEntry {
     program: Program,
     positions: Vec<Position>,
-    deps: Arc<DependenceMatrix>,
+    deps: DependenceMatrix,
 }
 
 struct Memo {
@@ -301,10 +305,30 @@ fn memo() -> MutexGuard<'static, Memo> {
 }
 
 fn memo_key(p: &Program, positions: &[Position]) -> u64 {
-    static HASHER: OnceLock<RandomState> = OnceLock::new();
-    HASHER
-        .get_or_init(RandomState::new)
-        .hash_one((p, positions))
+    BuildHasherDefault::<MemoHasher>::default().hash_one((p, positions))
+}
+
+/// The memo key's hash: each eight-byte word is folded in by a rotate, an
+/// xor and a multiply (the Fx hash). A whole program is hashed per lookup,
+/// where SipHash costs more than the rest of a hit. A collision, crafted or
+/// not, is only a miss: a hit compares the stored program, one hash holds
+/// one entry, and the map's own buckets keep the default hasher.
+#[derive(Default)]
+struct MemoHasher(u64);
+
+impl Hasher for MemoHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let folded = self.0.rotate_left(5) ^ u64::from_le_bytes(word);
+            self.0 = folded.wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Counters of the analysis memo since process start, tracked whether or
@@ -349,7 +373,7 @@ pub fn memo_stats() -> MemoStats {
 ///
 /// Memoised process-wide on `(p, layout.positions())` — see the module
 /// docs: the first call for a program analyses it, every later call for an
-/// equal program and layout returns a clone of that matrix.
+/// equal program and layout shares that matrix's columns.
 ///
 /// Errors only when exact arithmetic on the program's constraints leaves
 /// the `i128` range (or a polyhedral budget is exhausted) — dependence
@@ -467,11 +491,11 @@ fn memoised(
         .entries
         .get(&key)
         .filter(|e| e.positions == layout.positions() && e.program == *p)
-        .map(|e| Arc::clone(&e.deps));
+        .map(|e| e.deps.clone());
     if let Some(deps) = stored {
         MEMO_HITS.fetch_add(1, Ordering::Relaxed);
         inl_obs::counter_add!("depend.memo.hit", 1);
-        return Ok(DependenceMatrix::clone(&deps));
+        return Ok(deps);
     }
     MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
     inl_obs::counter_add!("depend.memo.miss", 1);
@@ -479,7 +503,7 @@ fn memoised(
     let entry = MemoEntry {
         program: p.clone(),
         positions: layout.positions().to_vec(),
-        deps: Arc::new(deps.clone()),
+        deps: deps.clone(),
     };
     let evicted = insert_bounded(&mut memo().entries, key, entry, MEMO_CAP);
     if evicted > 0 {
@@ -489,12 +513,13 @@ fn memoised(
     Ok(deps)
 }
 
-/// Insert with a generation-flush bound: when the map is full, clear it
-/// wholesale (deterministic, no recency ordering) and count the dropped
-/// entries as evictions. Returns the number of evicted entries.
+/// Insert with a generation-flush bound: when the map is full and `key`
+/// is not in it, clear it wholesale (deterministic, no recency ordering)
+/// and count the dropped entries as evictions; a stored key's entry is
+/// replaced in place. Returns the number of evicted entries.
 fn insert_bounded<K: Eq + Hash, V>(map: &mut HashMap<K, V>, key: K, value: V, cap: usize) -> usize {
     let mut evicted = 0;
-    if map.len() >= cap {
+    if map.len() >= cap && !map.contains_key(&key) {
         evicted = map.len();
         map.clear();
     }
@@ -525,24 +550,20 @@ fn analyze_stmt_pair(
     // access pairs: (kind, src subscripts, dst subscripts, array)
     let sd = p.stmt_decl(src);
     let dd = p.stmt_decl(dst);
-    let mut src_reads = Vec::new();
-    sd.rhs.collect_reads(&mut src_reads);
-    let mut dst_reads = Vec::new();
-    dd.rhs.collect_reads(&mut dst_reads);
 
     let mut pairs: Vec<(DepKind, &inl_ir::Access, &inl_ir::Access)> = Vec::new();
     // write -> read: flow
-    for r in &dst_reads {
+    dd.rhs.for_each_read(&mut |r| {
         if r.array == sd.write.array {
             pairs.push((DepKind::Flow, &sd.write, r));
         }
-    }
+    });
     // read -> write: anti
-    for r in &src_reads {
+    sd.rhs.for_each_read(&mut |r| {
         if r.array == dd.write.array {
             pairs.push((DepKind::Anti, r, &dd.write));
         }
-    }
+    });
     // write -> write: output
     if sd.write.array == dd.write.array {
         pairs.push((DepKind::Output, &sd.write, &dd.write));
@@ -572,7 +593,10 @@ fn dedup(n: usize, deps: Vec<Dependence>) -> DependenceMatrix {
             uniq.push(d);
         }
     }
-    DependenceMatrix { n, deps: uniq }
+    DependenceMatrix {
+        n,
+        deps: uniq.into(),
+    }
 }
 
 /// The entry of a Δ expression that needs no projection: a constant `c`
@@ -616,12 +640,10 @@ fn analyze_pair(
 
     // subscript equality, cross-multiplying divisors
     for (is_, id_) in asrc.idxs.iter().zip(&adst.idxs) {
-        let es = p.aff_expr(is_, space, &src_slot)?;
-        let ed = p.aff_expr(id_, space, &dst_slot)?;
-        base_sys.add_eq(
-            es.checked_scale(id_.divisor())?
-                .checked_sub(&ed.checked_scale(is_.divisor())?)?,
-        );
+        let mut row = LinExpr::zero(space);
+        p.add_aff(&mut row, id_.divisor(), is_, &src_slot)?;
+        p.add_aff(&mut row, -is_.divisor(), id_, &dst_slot)?;
+        base_sys.add_eq(row);
     }
 
     // One feasibility test on the shared base system prunes every level at
@@ -635,13 +657,19 @@ fn analyze_pair(
 
     // precedence levels over common loops
     let ncommon = common_loops(layout, src, dst);
-    // the Δ of the q-th common loop, which both statements place at q
-    let delta = |q: usize| LinExpr::var(space, nparams + ks + q) - LinExpr::var(space, nparams + q);
+    // the Δ of the q-th common loop, which both statements place at q,
+    // plus `c`
+    let delta = |q: usize, c: Int| {
+        let mut row = LinExpr::constant(space, c);
+        row.set_coeff(nparams + ks + q, 1);
+        row.set_coeff(nparams + q, -1);
+        row
+    };
     // A common loop's Δ that an equality of the base system fixes (equal
     // subscripts `A[K]` on both sides fix K's at 0) rules out, with no
     // feasibility query, every level whose precedence contradicts it.
     let fixed: Vec<Option<Int>> = (0..ncommon)
-        .map(|q| fixed_value(&base_sys, &delta(q)))
+        .map(|q| fixed_value(&base_sys, &delta(q, 0)))
         .collect();
     let mut out = Vec::new();
     for level in 0..=ncommon {
@@ -659,10 +687,10 @@ fn analyze_pair(
         }
         let mut sys = base_sys.clone();
         for q in 0..level {
-            sys.add_eq(delta(q));
+            sys.add_eq(delta(q, 0));
         }
         if level < ncommon {
-            sys.add_ge(delta(level) - LinExpr::constant(space, 1));
+            sys.add_ge(delta(level, -1));
         }
         let feas = is_empty(&sys);
         if feas == Feasibility::Empty {
@@ -744,6 +772,19 @@ mod tests {
         // flushed, then the entry is stored.
         assert_eq!(insert_bounded(&mut m, 3, (), 3), 3);
         assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn a_full_memo_replaces_a_stored_key_without_a_flush() {
+        // The second of two workers storing the same miss, or a key
+        // collision: the full map keeps its generation.
+        let mut m = HashMap::new();
+        for i in 0..3 {
+            insert_bounded(&mut m, i, 'a', 3);
+        }
+        assert_eq!(insert_bounded(&mut m, 1, 'b', 3), 0);
+        assert_eq!(m.len(), 3);
+        assert_eq!(m[&1], 'b');
     }
 
     #[test]
@@ -831,7 +872,7 @@ mod tests {
         assert!(dm.has_column(&[E::dist(1), E::dist(0)]), "{}", dm.display());
         assert!(dm.has_column(&[E::dist(0), E::dist(1)]), "{}", dm.display());
         // no negative-distance columns (all deps lexicographically positive)
-        for d in &dm.deps {
+        for d in dm.deps.iter() {
             assert!(
                 d.entries[0].is_positive() || d.entries[0].is_zero(),
                 "dep not lexicographically positive: {}",
@@ -850,7 +891,7 @@ mod tests {
         assert!(!dm.deps.is_empty());
         // every dependence is lexicographically non-negative as an
         // instance-vector difference (execution order!)
-        for d in &dm.deps {
+        for d in dm.deps.iter() {
             let first_nonzero = d.entries.iter().find(|e| !e.is_zero());
             if let Some(e) = first_nonzero {
                 assert!(

@@ -36,7 +36,7 @@ pub fn parallel_rows(
     let n = layout.len();
     let mut constraint = IMat::zeros(0, 0);
     let mut inexact = vec![false; n];
-    for d in &deps.deps {
+    for d in deps.deps.iter() {
         let mut row = IVec::zeros(n);
         for (j, e) in d.entries.iter().enumerate() {
             match e.as_dist() {

@@ -20,7 +20,7 @@ use crate::depend::{DepEntry, DependenceMatrix};
 use crate::instance::InstanceLayout;
 use crate::legal::LegalityReport;
 use inl_ir::{Program, StmtId};
-use inl_linalg::{gauss, IMat, IVec, InlError, InlErrorKind, Rational};
+use inl_linalg::{gauss, IMat, IVec, InlError, InlErrorKind, Int, Rational};
 
 /// The complete scheduling recipe for one statement under a legal matrix.
 #[derive(Clone, Debug)]
@@ -52,11 +52,13 @@ pub struct StmtSchedule {
 }
 
 /// Compute `M_S` and `g_S` (the projection of `M·E_S` / `M·f_S` onto the
-/// statement's new loop slots), before augmentation.
+/// statement's new loop slots), before augmentation: only those `k` rows
+/// of the products are formed.
+///
+/// # Panics
+/// If an entry of those rows overflows (as `IMat::mul` does).
 pub fn raw_per_stmt(layout: &InstanceLayout, m: &IMat, s: StmtId) -> (Vec<usize>, IMat, IVec) {
     let (e, f) = layout.embedding(s);
-    let me = m.mul(e);
-    let mf = m.mul_vec(f);
     // Slots are pinned: the new loops surrounding s are the same loop slots
     // as in the source layout, in ascending position order.
     let slots = {
@@ -64,9 +66,18 @@ pub fn raw_per_stmt(layout: &InstanceLayout, m: &IMat, s: StmtId) -> (Vec<usize>
         v.sort_unstable();
         v
     };
+    // row `p` of `M` times the column `col`, summed in `IMat::mul`'s order
+    let dot = |p: usize, col: &dyn Fn(usize) -> Int| {
+        let mut terms = m.row_slice(p).iter().enumerate();
+        terms
+            .try_fold(0 as Int, |acc, (j, &a)| {
+                acc.checked_add(a.checked_mul(col(j))?)
+            })
+            .expect("M_S overflow: completed rows have small entries")
+    };
     let k = slots.len();
-    let ms = IMat::from_fn(k, k, |r, c| me[(slots[r], c)]);
-    let gs: IVec = slots.iter().map(|&p| mf[p]).collect();
+    let ms = IMat::from_fn(k, k, |r, c| dot(slots[r], &|j| e[(j, c)]));
+    let gs: IVec = slots.iter().map(|&p| dot(p, &|j| f[j])).collect();
     (slots, ms, gs)
 }
 

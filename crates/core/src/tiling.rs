@@ -55,8 +55,8 @@ pub fn innermost_reuse_loop(p: &Program) -> Option<LoopId> {
     let mut best: Option<(usize, LoopId)> = None;
     for s in p.stmts() {
         let sd = p.stmt_decl(s);
-        let mut accesses: Vec<Access> = vec![sd.write.clone()];
-        sd.rhs.collect_reads(&mut accesses);
+        let mut accesses: Vec<&Access> = vec![&sd.write];
+        sd.rhs.for_each_read(&mut |r| accesses.push(r));
         for &l in &p.loops_surrounding(s) {
             if p.loop_decl(l).step != 1 {
                 continue;

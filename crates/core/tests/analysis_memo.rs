@@ -13,7 +13,7 @@ use inl_core::structural::{distribute, jam};
 use inl_core::tiling;
 use inl_ir::{zoo, Aff, Expr, Guard, LoopId, Node, Program, ProgramBuilder};
 use inl_linalg::Int;
-use std::sync::{Barrier, Mutex, MutexGuard};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -297,6 +297,36 @@ fn a_structural_edit_never_hits_another_programs_entry() {
     let before = memo_stats();
     assert_eq!(analysed(&base, &base_layout), base_deps);
     assert_eq!(gained(before), (1, 0));
+}
+
+#[test]
+fn hits_share_the_stored_columns_and_a_bypass_shares_nothing() {
+    let _g = begin();
+    for (name, build) in zoo::ALL {
+        let p = build();
+        let layout = InstanceLayout::new(&p);
+        let truth = bypassed(&p, &layout);
+        let stored = analysed(&p, &layout);
+        // two hits on equal programs built separately
+        let twin = build();
+        let (first, second) = (
+            analysed(&twin, &InstanceLayout::new(&twin)),
+            analysed(&p, &layout),
+        );
+        assert!(
+            Arc::ptr_eq(&first.deps, &stored.deps),
+            "{name}: a hit copied"
+        );
+        assert!(Arc::ptr_eq(&first.deps, &second.deps), "{name}");
+        assert_eq!(first, truth, "{name}: a hit differs from the analysis");
+
+        inl_poly::cache::set_cache_enabled(false);
+        let (a, b) = (analysed(&p, &layout), analysed(&p, &layout));
+        inl_poly::cache::set_cache_enabled(true);
+        assert!(!Arc::ptr_eq(&a.deps, &b.deps), "{name}: bypasses share");
+        assert!(!Arc::ptr_eq(&a.deps, &stored.deps), "{name}: a bypass hit");
+        assert_eq!((&a, &b), (&truth, &truth), "{name}");
+    }
 }
 
 #[test]

@@ -72,29 +72,10 @@ impl Aff {
 
     /// Build from terms (need not be sorted/deduped) and a constant.
     pub fn from_terms(terms: Vec<(VarKey, Int)>, constant: Int) -> Self {
-        let mut a = Aff {
-            terms: vec![],
+        Aff {
+            terms: merged(terms),
             constant,
             div: 1,
-        };
-        for (v, c) in terms {
-            a.add_term(v, c);
-        }
-        a
-    }
-
-    fn add_term(&mut self, v: VarKey, c: Int) {
-        if c == 0 {
-            return;
-        }
-        match self.terms.binary_search_by_key(&v, |&(k, _)| k) {
-            Ok(i) => {
-                self.terms[i].1 += c;
-                if self.terms[i].1 == 0 {
-                    self.terms.remove(i);
-                }
-            }
-            Err(i) => self.terms.insert(i, (v, c)),
         }
     }
 
@@ -175,46 +156,59 @@ impl Aff {
         r.is_integer().then(|| r.num())
     }
 
-    /// Substitute each loop variable via `subst` (parameters are kept).
-    /// Each replacement may itself have a divisor; the result is normalized.
-    pub fn substitute_loops(&self, subst: &dyn Fn(LoopId) -> Aff) -> Aff {
-        let mut acc = Aff {
-            terms: vec![],
-            constant: self.constant,
-            div: 1,
+    /// Substitute loop variables: loop `l` becomes `subst(l)`, or stays
+    /// when that is `None` (parameters are kept). Each replacement may
+    /// itself have a divisor; the result is normalized.
+    pub fn substitute_loops<'r>(&self, subst: impl Fn(LoopId) -> Option<&'r Aff>) -> Aff {
+        let replacement = |v: VarKey| match v {
+            VarKey::Param(_) => None,
+            VarKey::Loop(l) => subst(l),
         };
+        // common denominator: den (lcm of replacement divisors)
         let mut den: Int = 1;
-        let mut parts: Vec<(Aff, Int)> = Vec::new(); // (replacement, coeff)
-        for &(v, c) in &self.terms {
-            match v {
-                VarKey::Param(_) => acc.add_term(v, c),
-                VarKey::Loop(l) => {
-                    let r = subst(l);
+        let mut len = 0;
+        for &(v, _) in &self.terms {
+            match replacement(v) {
+                None => len += 1,
+                Some(r) => {
                     den = den
                         .checked_mul(r.div / gcd(den, r.div).max(1))
                         .expect("lcm overflow");
-                    parts.push((r, c));
+                    len += r.terms.len();
                 }
             }
         }
-        // common denominator: den (lcm of replacement divisors)
-        let mut out = Aff {
-            terms: vec![],
-            constant: 0,
-            div: 1,
-        };
-        for (v, c) in acc.terms {
-            out.add_term(v, c * den);
-        }
-        out.constant = acc.constant * den;
-        for (r, c) in parts {
-            let scale = c * (den / r.div);
-            for &(v, rc) in &r.terms {
-                out.add_term(v, rc * scale);
+        let mut terms = Vec::with_capacity(len);
+        let mut constant = self.constant * den;
+        for &(v, c) in &self.terms {
+            match replacement(v) {
+                None => terms.push((v, c * den)),
+                Some(r) => {
+                    let scale = c * (den / r.div);
+                    terms.extend(r.terms.iter().map(|&(v, rc)| (v, rc * scale)));
+                    constant += r.constant * scale;
+                }
             }
-            out.constant += r.constant * scale;
         }
-        out.div = den * self.div;
+        let mut out = Aff {
+            terms: merged(terms),
+            constant,
+            div: den * self.div,
+        };
+        out.normalize();
+        out
+    }
+
+    /// Rename loop variables: loop `l` becomes loop `to(l)`.
+    pub fn rename_loops(&self, to: impl Fn(LoopId) -> LoopId) -> Aff {
+        let rename = |&(v, c): &(VarKey, Int)| match v {
+            VarKey::Param(_) => (v, c),
+            VarKey::Loop(l) => (VarKey::Loop(to(l)), c),
+        };
+        let mut out = Aff {
+            terms: merged(self.terms.iter().map(rename).collect()),
+            ..*self
+        };
         out.normalize();
         out
     }
@@ -227,13 +221,25 @@ impl Aff {
     /// The numerator as a divisor-free expression: `numerator() / divisor()
     /// == self` as exact rationals. Useful for turning `e/d ≥ 0` into the
     /// equivalent integer constraint `e ≥ 0` (the divisor is positive).
-    pub fn numerator(&self) -> Aff {
-        Aff {
-            terms: self.terms.clone(),
-            constant: self.constant,
-            div: 1,
-        }
+    pub fn numerator(mut self) -> Aff {
+        self.div = 1;
+        self
     }
+}
+
+/// `terms` sorted by variable, each variable's coefficients summed, and
+/// zero sums dropped: the one merge of every sum of terms.
+fn merged(mut terms: Vec<(VarKey, Int)>) -> Vec<(VarKey, Int)> {
+    terms.sort_unstable_by_key(|&(v, _)| v);
+    terms.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 += later.1;
+        }
+        same
+    });
+    terms.retain(|&(_, c)| c != 0);
+    terms
 }
 
 impl Add for Aff {
@@ -243,18 +249,16 @@ impl Add for Aff {
         let d2 = rhs.div;
         let l = d1 / gcd(d1, d2).max(1) * d2; // lcm
         let (s1, s2) = (l / d1, l / d2);
+        let mut terms = self.terms;
+        for t in &mut terms {
+            t.1 *= s1;
+        }
+        terms.extend(rhs.terms.iter().map(|&(v, c)| (v, c * s2)));
         let mut out = Aff {
-            terms: vec![],
-            constant: 0,
+            terms: merged(terms),
+            constant: self.constant * s1 + rhs.constant * s2,
             div: l,
         };
-        for (v, c) in self.terms {
-            out.add_term(v, c * s1);
-        }
-        for (v, c) in rhs.terms {
-            out.add_term(v, c * s2);
-        }
-        out.constant = self.constant * s1 + rhs.constant * s2;
         out.normalize();
         out
     }
@@ -305,18 +309,21 @@ impl fmt::Debug for Aff {
 
 impl Aff {
     /// Render with names supplied by `name`.
-    pub fn display_with<'a>(&'a self, name: &'a dyn Fn(VarKey) -> String) -> AffDisplay<'a> {
+    pub fn display_with<'a, N: fmt::Display>(
+        &'a self,
+        name: &'a dyn Fn(VarKey) -> N,
+    ) -> AffDisplay<'a, N> {
         AffDisplay { aff: self, name }
     }
 }
 
 /// Helper for [`Aff::display_with`].
-pub struct AffDisplay<'a> {
+pub struct AffDisplay<'a, N> {
     aff: &'a Aff,
-    name: &'a dyn Fn(VarKey) -> String,
+    name: &'a dyn Fn(VarKey) -> N,
 }
 
-impl fmt::Display for AffDisplay<'_> {
+impl<N: fmt::Display> fmt::Display for AffDisplay<'_, N> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.aff.div != 1 {
             write!(f, "(")?;
@@ -426,9 +433,10 @@ mod tests {
     fn substitute_loops_basic() {
         // expr = i + 2j + 1 with i := u - v, j := v  =>  u + v + 1
         let e = Aff::var(l(0)) + Aff::var(l(1)) * 2 + Aff::konst(1);
-        let r = e.substitute_loops(&|id: LoopId| match id.0 {
-            0 => Aff::var(l(10)) - Aff::var(l(11)),
-            1 => Aff::var(l(11)),
+        let (u_minus_v, v) = (Aff::var(l(10)) - Aff::var(l(11)), Aff::var(l(11)));
+        let r = e.substitute_loops(|id: LoopId| match id.0 {
+            0 => Some(&u_minus_v),
+            1 => Some(&v),
             _ => unreachable!(),
         });
         assert_eq!(r.coeff(l(10)), 1);
@@ -441,10 +449,26 @@ mod tests {
     fn substitute_loops_with_divisor() {
         // expr = i, i := u/2  =>  u/2
         let e = Aff::var(l(0)) + Aff::param(ParamId(0));
-        let r = e.substitute_loops(&|_| Aff::var(l(10)).exact_div(2));
+        let half_u = Aff::var(l(10)).exact_div(2);
+        let r = e.substitute_loops(|_| Some(&half_u));
         assert_eq!(r.divisor(), 2);
         assert_eq!(r.coeff(l(10)), 1);
         assert_eq!(r.coeff(p(0)), 2);
+    }
+
+    #[test]
+    fn sums_merge_terms_once() {
+        // 2i + 3j - 2i + k = 3j + k, sorted, with no zero term
+        let e = Aff::from_terms(vec![(l(0), 2), (l(2), 1), (l(1), 3), (l(0), -2)], 4);
+        assert_eq!(e.terms(), [(l(1), 3), (l(2), 1)]);
+        assert_eq!(e.clone() - e.clone(), Aff::zero());
+        // renaming i to j merges their terms and renormalizes
+        let r = (Aff::var(l(0)) + Aff::var(l(1))).exact_div(2);
+        let r = r.rename_loops(|id| if id.0 == 0 { LoopId(1) } else { id });
+        assert_eq!(r, Aff::var(l(1)));
+        // a loop with no replacement stays
+        let kept = (Aff::var(l(0)) * 3).substitute_loops(|_| None);
+        assert_eq!(kept, Aff::var(l(0)) * 3);
     }
 
     #[test]

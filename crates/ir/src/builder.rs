@@ -174,12 +174,12 @@ impl ProgramBuilder {
         assert!(self.stack.is_empty(), "finish called with open loops");
         Program {
             name: self.name,
-            params: self.params,
+            params: self.params.into(),
             loops: self.loops,
-            stmts: self.stmts,
-            arrays: self.arrays,
+            stmts: self.stmts.into(),
+            arrays: self.arrays.into(),
             root: self.root,
-            assumes: self.assumes,
+            assumes: self.assumes.into(),
         }
     }
 }

@@ -130,15 +130,15 @@ impl Expr {
         Expr::Div(Box::new(a), Box::new(b))
     }
 
-    /// Collect every array read in the expression, left-to-right.
-    pub fn collect_reads(&self, out: &mut Vec<Access>) {
+    /// Visit every array read in the expression, left-to-right, borrowed.
+    pub fn for_each_read<'a>(&'a self, f: &mut impl FnMut(&'a Access)) {
         match self {
             Expr::Const(_) | Expr::Index(_) => {}
-            Expr::Read(a) => out.push(a.clone()),
-            Expr::Neg(e) | Expr::Sqrt(e) => e.collect_reads(out),
+            Expr::Read(a) => f(a),
+            Expr::Neg(e) | Expr::Sqrt(e) => e.for_each_read(f),
             Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) | Expr::Div(a, b) => {
-                a.collect_reads(out);
-                b.collect_reads(out);
+                a.for_each_read(f);
+                b.for_each_read(f);
             }
         }
     }
@@ -171,7 +171,7 @@ mod tests {
     use crate::VarKey;
 
     #[test]
-    fn collect_reads_in_order() {
+    fn reads_are_visited_in_order() {
         let a = ArrayId(0);
         let i = Aff::var(VarKey::Loop(LoopId(0)));
         let e = Expr::add(
@@ -182,7 +182,7 @@ mod tests {
             ),
         );
         let mut reads = Vec::new();
-        e.collect_reads(&mut reads);
+        e.for_each_read(&mut |r| reads.push(r));
         assert_eq!(reads.len(), 2);
         assert_eq!(reads[0].idxs[0], i);
         assert_eq!(reads[1].idxs[0], i + Aff::konst(1));
@@ -195,7 +195,7 @@ mod tests {
         let e = Expr::sub(Expr::read(a, vec![i.clone()]), Expr::index(i.clone()));
         let shifted = e.map_affs(&|x| x.clone() + Aff::konst(10));
         let mut reads = Vec::new();
-        shifted.collect_reads(&mut reads);
+        shifted.for_each_read(&mut |r| reads.push(r.clone()));
         assert_eq!(reads[0].idxs[0], i.clone() + Aff::konst(10));
         match shifted {
             Expr::Sub(_, idx) => match *idx {

@@ -3,67 +3,14 @@
 use crate::aff::{Aff, VarKey};
 use crate::expr::{Access, Expr};
 use crate::program::{Bound, Guard, Node, Program};
-use std::fmt::Write;
+use std::fmt::{self, Display, Write};
 
 impl Program {
     /// Human-readable name of a variable.
-    pub fn var_name(&self, v: VarKey) -> String {
+    pub fn var_name(&self, v: VarKey) -> &str {
         match v {
-            VarKey::Param(p) => self.params[p.0].clone(),
-            VarKey::Loop(l) => self.loops[l.0].name.clone(),
-        }
-    }
-
-    /// Render an affine expression with program names.
-    pub fn show_aff(&self, a: &Aff) -> String {
-        let name = |v: VarKey| self.var_name(v);
-        format!("{}", a.display_with(&name))
-    }
-
-    fn show_bound(&self, b: &Bound, lower: bool) -> String {
-        if b.terms.len() == 1 {
-            self.show_aff(&b.terms[0])
-        } else {
-            let inner = b
-                .terms
-                .iter()
-                .map(|t| self.show_aff(t))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!("{}({inner})", if lower { "max" } else { "min" })
-        }
-    }
-
-    fn show_access(&self, a: &Access) -> String {
-        let idxs = a
-            .idxs
-            .iter()
-            .map(|i| self.show_aff(i))
-            .collect::<Vec<_>>()
-            .join("][");
-        format!("{}[{idxs}]", self.arrays[a.array.0].name)
-    }
-
-    /// Render an expression with program names.
-    pub fn show_expr(&self, e: &Expr) -> String {
-        match e {
-            Expr::Const(v) => format!("{v}"),
-            Expr::Index(a) => format!("val({})", self.show_aff(a)),
-            Expr::Read(a) => self.show_access(a),
-            Expr::Neg(x) => format!("-({})", self.show_expr(x)),
-            Expr::Sqrt(x) => format!("sqrt({})", self.show_expr(x)),
-            Expr::Add(a, b) => format!("({} + {})", self.show_expr(a), self.show_expr(b)),
-            Expr::Sub(a, b) => format!("({} - {})", self.show_expr(a), self.show_expr(b)),
-            Expr::Mul(a, b) => format!("({} * {})", self.show_expr(a), self.show_expr(b)),
-            Expr::Div(a, b) => format!("({} / {})", self.show_expr(a), self.show_expr(b)),
-        }
-    }
-
-    fn show_guard(&self, g: &Guard) -> String {
-        match g {
-            Guard::Ge(a) => format!("{} >= 0", self.show_aff(a)),
-            Guard::Eq(a) => format!("{} == 0", self.show_aff(a)),
-            Guard::Div(a, m) => format!("({}) mod {m} == 0", self.show_aff(a)),
+            VarKey::Param(p) => &self.params[p.0],
+            VarKey::Loop(l) => &self.loops[l.0].name,
         }
     }
 
@@ -75,44 +22,103 @@ impl Program {
     }
 
     fn render_nodes(&self, nodes: &[Node], depth: usize, out: &mut String) {
-        let pad = "  ".repeat(depth);
+        // two spaces a level
+        let pad = |out: &mut String, depth: usize| write!(out, "{:1$}", "", 2 * depth);
         for &n in nodes {
+            let _ = pad(out, depth);
             match n {
                 Node::Loop(l) => {
                     let ld = &self.loops[l.0];
-                    let step = if ld.step != 1 {
-                        format!(" step {}", ld.step)
-                    } else {
-                        String::new()
-                    };
                     let par = if ld.parallel { " parallel" } else { "" };
-                    let _ = writeln!(
-                        out,
-                        "{pad}do{par} {} = {}..{}{step}",
-                        ld.name,
-                        self.show_bound(&ld.lower, true),
-                        self.show_bound(&ld.upper, false)
-                    );
+                    let lower = Shown(self, (&ld.lower, true));
+                    let upper = Shown(self, (&ld.upper, false));
+                    let _ = write!(out, "do{par} {} = {lower}..{upper}", ld.name);
+                    if ld.step != 1 {
+                        let _ = write!(out, " step {}", ld.step);
+                    }
+                    out.push('\n');
                     self.render_nodes(&ld.children, depth + 1, out);
                 }
                 Node::Stmt(s) => {
                     let sd = &self.stmts[s.0];
-                    let mut d = depth;
-                    for g in &sd.guards {
-                        let gpad = "  ".repeat(d);
-                        let _ = writeln!(out, "{gpad}if ({})", self.show_guard(g));
-                        d += 1;
+                    // each guard opens a level
+                    for (d, g) in (depth + 1..).zip(&sd.guards) {
+                        let _ = writeln!(out, "if ({})", Shown(self, g));
+                        let _ = pad(out, d);
                     }
-                    let spad = "  ".repeat(d);
-                    let _ = writeln!(
-                        out,
-                        "{spad}{}: {} = {}",
-                        sd.name,
-                        self.show_access(&sd.write),
-                        self.show_expr(&sd.rhs)
-                    );
+                    let (write, rhs) = (Shown(self, &sd.write), Shown(self, &sd.rhs));
+                    let _ = writeln!(out, "{}: {write} = {rhs}", sd.name);
                 }
             }
+        }
+    }
+}
+
+/// A part of a program rendered with the program's names, written
+/// straight into the output.
+struct Shown<'a, T>(&'a Program, T);
+
+impl Display for Shown<'_, &Aff> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = |v: VarKey| self.0.var_name(v);
+        write!(f, "{}", self.1.display_with(&name))
+    }
+}
+
+/// A bound, and whether it is a lower one (`max`) or an upper one (`min`).
+impl Display for Shown<'_, (&Bound, bool)> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (b, lower) = self.1;
+        if let [t] = b.terms.as_slice() {
+            return write!(f, "{}", Shown(self.0, t));
+        }
+        write!(f, "{}(", if lower { "max" } else { "min" })?;
+        for (i, t) in b.terms.iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            write!(f, "{sep}{}", Shown(self.0, t))?;
+        }
+        write!(f, ")")
+    }
+}
+
+impl Display for Shown<'_, &Access> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let a = self.1;
+        write!(f, "{}[", self.0.arrays[a.array.0].name)?;
+        for (i, idx) in a.idxs.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "][" };
+            write!(f, "{sep}{}", Shown(self.0, idx))?;
+        }
+        write!(f, "]")
+    }
+}
+
+impl Display for Shown<'_, &Expr> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let p = self.0;
+        let bin = |f: &mut fmt::Formatter<'_>, a: &Expr, op: &str, b: &Expr| {
+            write!(f, "({} {op} {})", Shown(p, a), Shown(p, b))
+        };
+        match self.1 {
+            Expr::Const(v) => write!(f, "{v}"),
+            Expr::Index(a) => write!(f, "val({})", Shown(p, a)),
+            Expr::Read(a) => write!(f, "{}", Shown(p, a)),
+            Expr::Neg(x) => write!(f, "-({})", Shown(p, &**x)),
+            Expr::Sqrt(x) => write!(f, "sqrt({})", Shown(p, &**x)),
+            Expr::Add(a, b) => bin(f, a, "+", b),
+            Expr::Sub(a, b) => bin(f, a, "-", b),
+            Expr::Mul(a, b) => bin(f, a, "*", b),
+            Expr::Div(a, b) => bin(f, a, "/", b),
+        }
+    }
+}
+
+impl Display for Shown<'_, &Guard> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.1 {
+            Guard::Ge(a) => write!(f, "{} >= 0", Shown(self.0, a)),
+            Guard::Eq(a) => write!(f, "{} == 0", Shown(self.0, a)),
+            Guard::Div(a, m) => write!(f, "({}) mod {m} == 0", Shown(self.0, a)),
         }
     }
 }

@@ -4,6 +4,7 @@ use crate::aff::{Aff, VarKey};
 use crate::expr::{Access, Expr};
 use inl_linalg::{InlError, InlErrorKind, Int};
 use inl_poly::{LinExpr, System};
+use std::sync::Arc;
 
 /// Where a constraint system keeps each loop variable: its index, or
 /// `None` for a loop the system has no variable for.
@@ -135,18 +136,22 @@ pub struct ArrayDecl {
 /// tree shape, assumptions, `f64` literals by bit pattern — so equal
 /// programs are interchangeable inputs to any deterministic analysis
 /// (`inl_core::depend::analyze` memoises on this).
+///
+/// The declarations surgery leaves alone — parameters, arrays, assumptions
+/// and statements — are shared by a program's clones (a statement is copied
+/// once one of them edits it): a clone copies the loops and the tree.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Program {
     pub(crate) name: String,
-    pub(crate) params: Vec<String>,
+    pub(crate) params: Arc<[String]>,
     pub(crate) loops: Vec<LoopDecl>,
-    pub(crate) stmts: Vec<StmtDecl>,
-    pub(crate) arrays: Vec<ArrayDecl>,
+    pub(crate) stmts: Arc<Vec<StmtDecl>>,
+    pub(crate) arrays: Arc<[ArrayDecl]>,
     pub(crate) root: Vec<Node>,
     /// Assumptions on the parameters, each `aff ≥ 0` (e.g. `N - 1 ≥ 0`).
     /// Legality's exact tests and code generation's bound comparisons
     /// reason under these.
-    pub(crate) assumes: Vec<Aff>,
+    pub(crate) assumes: Arc<[Aff]>,
 }
 
 impl Program {
@@ -216,7 +221,7 @@ impl Program {
     /// names a loop variable, both of which [`Program::validate`] rejects.
     pub fn assumption_system(&self, space: usize) -> Result<System, InlError> {
         let mut sys = System::new(space);
-        for a in &self.assumes {
+        for a in self.assumes.iter() {
             if a.divisor() != 1 {
                 return Err(malformed("an assumption has a divisor"));
             }
@@ -332,14 +337,35 @@ impl Program {
     /// `MalformedProgram` for a variable with no index below `nvars`;
     /// overflow when two terms share an index and their sum leaves `Int`.
     pub fn aff_expr(&self, a: &Aff, nvars: usize, slot: Slot<'_>) -> Result<LinExpr, InlError> {
-        let mut coeffs: Vec<Int> = vec![0; nvars];
+        let mut row = LinExpr::zero(nvars);
+        self.add_aff(&mut row, 1, a, slot)?;
+        Ok(row)
+    }
+
+    /// Add `k` times the numerator of `a` to `row`, placing `a`'s variables
+    /// as [`Program::aff_expr`] does: a constraint row is built in its own
+    /// allocation, with no temporary per term.
+    ///
+    /// # Errors
+    /// Those of [`Program::aff_expr`]; overflow when a scaled term or a sum
+    /// leaves `Int`.
+    pub fn add_aff(
+        &self,
+        row: &mut LinExpr,
+        k: Int,
+        a: &Aff,
+        slot: Slot<'_>,
+    ) -> Result<(), InlError> {
+        let oops = || InlError::overflow("affine coefficient");
+        let scaled = |c: Int| c.checked_mul(k).ok_or_else(oops);
         for &(v, c) in a.terms() {
-            let i = self.var_index(v, nvars, slot)?;
-            coeffs[i] = coeffs[i]
-                .checked_add(c)
-                .ok_or_else(|| InlError::overflow("affine coefficient"))?;
+            let i = self.var_index(v, row.nvars(), slot)?;
+            let sum = row.coeff(i).checked_add(scaled(c)?).ok_or_else(oops)?;
+            row.set_coeff(i, sum);
         }
-        Ok(LinExpr::from_parts(coeffs, a.constant()))
+        let constant = row.constant_term().checked_add(scaled(a.constant())?);
+        row.set_constant(constant.ok_or_else(oops)?);
+        Ok(())
     }
 
     /// Where `slot` puts `v` in a system of `nvars` variables.
@@ -371,18 +397,19 @@ impl Program {
     ) -> Result<(), InlError> {
         let n = sys.nvars();
         let ld = &self.loops[l.0];
-        let iv = LinExpr::var(n, self.var_index(VarKey::Loop(l), n, slot)?);
+        let iv = self.var_index(VarKey::Loop(l), n, slot)?;
+        // `sign·(d·i − e)`: `d ≥ 1`, so neither `d` nor `−d` overflows
+        let row = |t: &Aff, sign: Int| -> Result<LinExpr, InlError> {
+            let mut row = LinExpr::zero(n);
+            row.set_coeff(iv, sign * t.divisor());
+            self.add_aff(&mut row, -sign, t, slot)?;
+            Ok(row)
+        };
         for t in &ld.lower.terms {
-            sys.add_ge(
-                iv.checked_scale(t.divisor())?
-                    .checked_sub(&self.aff_expr(t, n, slot)?)?,
-            );
+            sys.add_ge(row(t, 1)?);
         }
         for t in &ld.upper.terms {
-            sys.add_ge(
-                self.aff_expr(t, n, slot)?
-                    .checked_sub(&iv.checked_scale(t.divisor())?)?,
-            );
+            sys.add_ge(row(t, -1)?);
         }
         Ok(())
     }
@@ -404,12 +431,17 @@ impl Program {
         sys: &mut System,
         slot: Slot<'_>,
     ) -> Result<(), InlError> {
-        // a new last variable of `sys`
+        // a new last variable of `sys`: its index
         let fresh = |sys: &mut System| {
-            let n = sys.nvars() + 1;
-            *sys = sys.extend(n);
-            LinExpr::var(n, n - 1)
+            *sys = sys.extend(sys.nvars() + 1);
+            sys.nvars() - 1
         };
+        // `row − m·q` for a fresh `q`, which `row` does not mention
+        let minus_fresh = |mut row: LinExpr, q: usize, m: Int| {
+            row.set_coeff(q, m.checked_neg()?);
+            Some(row)
+        };
+        let oops = || InlError::overflow("affine coefficient");
         for l in self.loops_surrounding(s) {
             self.append_bounds(l, sys, slot)?;
             let ld = &self.loops[l.0];
@@ -428,11 +460,10 @@ impl Program {
                 };
                 let q = fresh(sys);
                 let n = sys.nvars();
-                let i = LinExpr::var(n, self.var_index(VarKey::Loop(l), n, slot)?);
-                sys.add_eq(
-                    i.checked_sub(&self.aff_expr(lo, n, slot)?)?
-                        .checked_sub(&q.checked_scale(ld.step)?)?,
-                );
+                let mut row = LinExpr::zero(n);
+                row.set_coeff(self.var_index(VarKey::Loop(l), n, slot)?, 1);
+                self.add_aff(&mut row, -1, lo, slot)?;
+                sys.add_eq(minus_fresh(row, q, ld.step).ok_or_else(oops)?);
             }
         }
         for g in guards {
@@ -446,7 +477,7 @@ impl Program {
                 Guard::Div(a, m) => {
                     let q = fresh(sys);
                     let e = self.aff_expr(a, sys.nvars(), slot)?;
-                    sys.add_eq(e.checked_sub(&q.checked_scale(*m)?)?);
+                    sys.add_eq(minus_fresh(e, q, *m).ok_or_else(oops)?);
                 }
             }
         }
@@ -456,7 +487,7 @@ impl Program {
     /// Replace a statement's guards (used by code generation's guard
     /// simplification pass).
     pub fn set_stmt_guards(&mut self, s: StmtId, guards: Vec<Guard>) {
-        self.stmts[s.0].guards = guards;
+        Arc::make_mut(&mut self.stmts)[s.0].guards = guards;
     }
 
     /// Mark a loop parallel (or not). The caller asserts the loop carries
@@ -468,7 +499,7 @@ impl Program {
 
     /// Append a guard to a statement (used by statement sinking).
     pub fn stmts_guard_push(&mut self, s: StmtId, guard: Guard) {
-        self.stmts[s.0].guards.push(guard);
+        Arc::make_mut(&mut self.stmts)[s.0].guards.push(guard);
     }
 
     /// Replace a loop's child list (structural surgery; the caller is
@@ -584,11 +615,13 @@ impl Program {
                 Ok(())
             };
             check_access(&sd.write)?;
-            let mut reads = Vec::new();
-            sd.rhs.collect_reads(&mut reads);
-            for r in reads {
-                check_access(&r)?;
-            }
+            let mut reads = Ok(());
+            sd.rhs.for_each_read(&mut |r| {
+                if reads.is_ok() {
+                    reads = check_access(r);
+                }
+            });
+            reads?;
             for g in &sd.guards {
                 let a = match g {
                     Guard::Ge(a) | Guard::Eq(a) | Guard::Div(a, _) => a,

@@ -14,6 +14,7 @@
 use crate::aff::{Aff, VarKey};
 use crate::program::{Bound, LoopDecl, LoopId, Node, Program};
 use inl_linalg::{InlError, Int};
+use std::sync::Arc;
 
 impl Program {
     /// Human-readable path of a node (`None` = virtual root) as
@@ -51,21 +52,20 @@ impl Program {
         }
     }
 
-    /// A copy with the children of `parent` (`None` = virtual root)
+    /// The program with the children of `parent` (`None` = virtual root)
     /// reordered: old child `j` moves to index `perm[j]`.
     ///
     /// # Panics
     /// If `perm` is not a permutation of the child indices.
-    pub fn reorder_children(&self, parent: Option<LoopId>, perm: &[usize]) -> Program {
-        let mut out = self.clone();
-        let children = out.children_mut(parent);
+    pub fn reorder_children(mut self, parent: Option<LoopId>, perm: &[usize]) -> Program {
+        let children = self.children_mut(parent);
         assert_eq!(perm.len(), children.len(), "permutation arity mismatch");
         let old = children.clone();
         for (j, &nj) in perm.iter().enumerate() {
             children[nj] = old[j];
         }
-        out.name = format!("{}_reordered", self.name);
-        out
+        self.name = format!("{}_reordered", self.name);
+        self
     }
 
     /// Distribute loop `l` at `split`: the loop is replaced by two copies,
@@ -253,7 +253,7 @@ impl Program {
 
 /// `a` with loop `from`'s variable renamed to loop `to`'s.
 fn rename_loop(a: &Aff, from: LoopId, to: LoopId) -> Aff {
-    a.substitute_loops(&|id| Aff::var(VarKey::Loop(if id == from { to } else { id })))
+    a.rename_loops(|id| if id == from { to } else { id })
 }
 
 /// Rewrite every affine expression in the subtree (nested loop bounds,
@@ -269,7 +269,7 @@ fn rewrite_subtree(p: &mut Program, nodes: &[Node], subst: &dyn Fn(&Aff) -> Aff)
                 rewrite_subtree(p, &children, subst);
             }
             Node::Stmt(s) => {
-                let sd = &mut p.stmts[s.0];
+                let sd = &mut Arc::make_mut(&mut p.stmts)[s.0];
                 sd.write.idxs = sd.write.idxs.iter().map(subst).collect();
                 sd.rhs = sd.rhs.map_affs(subst);
                 for g in &mut sd.guards {

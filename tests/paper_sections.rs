@@ -86,7 +86,7 @@ fn e3_dependence_matrix_of_simplified_cholesky() {
         DepEntry::plus()
     ]));
     // every dependence keeps the retained polyhedron non-empty
-    for d in &dm.deps {
+    for d in dm.deps.iter() {
         assert!(
             inl::poly::is_empty(&d.system) != inl::poly::Feasibility::Empty,
             "stored dependence with empty polyhedron"

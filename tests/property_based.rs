@@ -175,7 +175,7 @@ proptest! {
     fn dependences_are_lex_nonnegative(p in arb_program()) {
         let layout = InstanceLayout::new(&p);
         let deps = analyze(&p, &layout).expect("analysis");
-        for d in &deps.deps {
+        for d in deps.deps.iter() {
             let lead = d.entries.iter().find(|e| !e.is_zero());
             if let Some(e) = lead {
                 prop_assert!(
