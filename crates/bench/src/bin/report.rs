@@ -133,9 +133,9 @@ fn main() -> ExitCode {
 
     // ------------------------------------- pipeline compile batch driver
     // Compile the full 12-variant sweep three ways: serially with the
-    // analysis memo off (the seed pipeline), serially on a cold memo, and
-    // across a thread pool on the warm memo. The third run's analyses are
-    // all memo hits, which keeps the telemetry counters deterministic
+    // memos off (the seed pipeline), serially on cold memos, and across a
+    // thread pool on the warm memos. The third run's analyses and plans
+    // are all memo hits, which keeps the telemetry counters deterministic
     // despite the parallelism. Generated code must be identical in all
     // three.
     println!("\n## pipeline compile batch — 12 Cholesky variants\n");

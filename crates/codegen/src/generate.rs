@@ -8,15 +8,16 @@
 //! cost and emits it as the target program (`Builder`).
 
 use crate::cost::{Certify, LoopOrigin, Nest};
-use crate::plan::{legal_ast, make_plan, placeholder_aff, plan_nest, row_loop, through, StmtPlan};
+use crate::plan::{legal_ast, placeholder_aff, plan_nest, row_loop, through, Plans, StmtPlan};
 use inl_core::depend::{analyze, DependenceMatrix};
 use inl_core::instance::{InstanceLayout, Position};
-use inl_core::legal::{check_legal, NewAst};
+use inl_core::legal::{check_legal, LegalityReport, NewAst};
 use inl_core::transform::Transform;
 use inl_ir::{Access, Aff, Bound, Expr, Guard, LoopId, Program, ProgramBuilder, StmtId, VarKey};
 use inl_linalg::{lcm, IMat, InlError, InlErrorKind, Int};
 use inl_poly::difference::Closure;
 use inl_poly::{is_empty, Feasibility, LinExpr, System};
+use std::sync::Arc;
 
 /// Merged lower/upper bound terms of one shared loop slot, over
 /// placeholders (`crate::plan`).
@@ -37,10 +38,9 @@ pub struct CodegenResult {
 }
 
 /// Generate the transformed program for a matrix `m`: check it
-/// ([`check_legal`]), make each statement's plan, and build the leaf from
-/// them with the one build [`crate::PlanTable::generate`] shares. An
-/// illegal `m` is an `Infeasible` error; bounds two statements sharing a
-/// loop cannot merge are `Unsupported`.
+/// ([`check_legal`]), then [`generate_with_report`]. An illegal `m` is an
+/// `Infeasible` error; bounds two statements sharing a loop cannot merge
+/// are `Unsupported`.
 pub fn generate(
     p: &Program,
     layout: &InstanceLayout,
@@ -49,12 +49,47 @@ pub fn generate(
 ) -> Result<CodegenResult, InlError> {
     let _span = inl_obs::span("codegen.generate");
     let report = check_legal(p, layout, deps, m)?;
-    let ast = legal_ast(&report)?;
-    let plans: Vec<StmtPlan> = p
+    from_plans(p, layout, deps, m, &report)
+}
+
+/// Generate the transformed program for `m` from its legality report (a
+/// completion's, `inl_core::complete::Completion::report`), with no
+/// legality check: get each statement's plan from the plan memo and build
+/// the leaf from them with the one build [`crate::PlanTable::generate`]
+/// shares. What [`generate`] returns for `m`, when `report` is
+/// [`check_legal`]'s for it.
+pub fn generate_with_report(
+    p: &Program,
+    layout: &InstanceLayout,
+    deps: &DependenceMatrix,
+    m: &IMat,
+    report: &LegalityReport,
+) -> Result<CodegenResult, InlError> {
+    let _span = inl_obs::span("codegen.generate");
+    from_plans(p, layout, deps, m, report)
+}
+
+fn from_plans(
+    p: &Program,
+    layout: &InstanceLayout,
+    deps: &DependenceMatrix,
+    m: &IMat,
+    report: &LegalityReport,
+) -> Result<CodegenResult, InlError> {
+    let ast = legal_ast(report)?;
+    let plans = Plans::new(p, layout, deps);
+    let got: Vec<Arc<StmtPlan>> = p
         .stmts()
-        .map(|s| make_plan(p, layout, deps, m, &report, s))
+        .map(|s| plans.get(&plans.key(m, report, s), m, report))
         .collect::<Result<_, _>>()?;
-    build(p, layout, deps, m, ast, &plans.iter().collect::<Vec<_>>())
+    build(
+        p,
+        layout,
+        deps,
+        m,
+        ast,
+        &got.iter().map(|p| &**p).collect::<Vec<_>>(),
+    )
 }
 
 /// Emit the leaf `(m, ast)` from its statements' plans (by statement):

@@ -8,16 +8,20 @@
 //!
 //! 1. **Legality & AST** — [`inl_core::legal::check_legal`] recovers the
 //!    transformed AST (child reorderings) and the self-dependences left
-//!    unsatisfied; [`generate()`] runs it, and the scheduler's
-//!    [`PlanTable`] takes the report a completion carries instead.
+//!    unsatisfied; [`generate()`] runs it, while [`generate_with_report`]
+//!    and the scheduler's [`PlanTable`] take the report a completion
+//!    carries instead.
 //! 2. **Per-statement schedules** — [`inl_core::perstmt`] builds each
 //!    statement's (possibly augmented) transformation `T'_S`, its
 //!    non-singular core `N_S`, and the singular-row combinations. With the
 //!    statement's bounds and its body through `N_S⁻¹` (steps 3 and 5) this
 //!    is the statement's *plan*, a function of the statement's own rows of
-//!    `M` alone: [`PlanTable`] makes each distinct one once across the
-//!    leaves of a shape, and the predicted cost ([`cost`]) is read off the
-//!    plans before anything is emitted.
+//!    `M` alone, so each distinct plan is made once per process: every
+//!    plan is got from the plan memo (a table of
+//!    [`inl_core::memo`], beside the analysis memo; [`plan_memo_stats`]),
+//!    [`PlanTable`] asks it once per distinct plan of a shape's leaves, and
+//!    the predicted cost ([`cost`]) is read off the plans before anything
+//!    is emitted.
 //! 3. **Bounds** — for every statement, the polyhedron `{domain(i), v =
 //!    T'_S·i + off}` is projected onto `(params, v)` by Fourier–Motzkin and
 //!    scanned (Ancourt–Irigoin) to get per-loop bounds
@@ -47,5 +51,5 @@ mod plan;
 
 pub use batch::{batch_map, compile_batch, CompiledVariant};
 pub use cost::{CostFeatures, Executor, InnerLoop, PredictedCost, NOMINAL_EXTENT};
-pub use generate::{generate, generate_seq, CodegenResult};
-pub use plan::PlanTable;
+pub use generate::{generate, generate_seq, generate_with_report, CodegenResult};
+pub use plan::{plan_memo_stats, PlanTable, PLAN_CAP};

@@ -1,6 +1,6 @@
 //! Statement plans: everything code generation works out for one statement
-//! before a loop is emitted, and the per-shape table that makes each
-//! distinct plan once.
+//! before a loop is emitted, the plan memo that makes each distinct plan
+//! once per process, and the per-shape table the scheduler ranks from.
 //!
 //! A statement's schedule under `M` (§5.4–5.5: `M_S`, its augmentation to
 //! `T'_S`, `N_S`) reads only the statement's own rows of `M`, their offsets
@@ -10,21 +10,32 @@
 //! accesses through them. A [`StmtPlan`] holds all of that over *row
 //! placeholders*: the loop of slot position `q` is named `LoopId(q)`, the
 //! statement's augmented row `r` is `LoopId(n + r)` (`n` the layout's
-//! length), never a target program's `LoopId`. So the leaves of one shape
-//! that give a statement the same rows share its plan, and a [`PlanTable`]
-//! makes it once for all of them.
+//! length), never a target program's `LoopId`. So every leaf of a program
+//! that gives a statement the same rows shares its plan.
+//!
+//! Plans are memoised beside the dependence analysis, as the second table
+//! of `inl_core::memo`: per program and layout (found by hash, confirmed by
+//! `==`), then per [`PlanKey`], which carries the pending self-dependences'
+//! entries rather than their indices, so a `generate` handed some other
+//! matrix can never get a plan made for another one. Both
+//! [`crate::generate()`] and [`PlanTable`] get every plan through the memo
+//! (`Plans::get`, the one caller of [`make_plan`]). The switch and
+//! `clear()` of `inl_poly::cache` bypass and empty it with the analysis
+//! memo, and [`PLAN_CAP`] bounds the plans it holds over every program.
+//! Only made plans are stored: an error is made again when asked again.
 
 use crate::cost::{Certify, LoopOrigin, Nest, NestLoop, PredictedCost};
 use crate::generate::{build, merge_slots, unbounded, CodegenResult, SlotAffs};
-use inl_core::depend::DependenceMatrix;
+use inl_core::depend::{DepEntry, DependenceMatrix};
 use inl_core::instance::InstanceLayout;
 use inl_core::legal::{LegalityReport, NewAst};
+use inl_core::memo::{Memo, MemoStats, Scope};
 use inl_core::perstmt::{raw_per_stmt, schedule_stmt, StmtSchedule};
 use inl_ir::{Access, Aff, Expr, Guard, LoopId, Node, Program, StmtId, VarKey};
 use inl_linalg::{gauss, lcm, IMat, IVec, InlError, InlErrorKind, Int};
 use inl_poly::{project_scan, BoundTerm, LinExpr};
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Lower/upper bound term lists of one loop, over the shared space
 /// `[params | layout positions]`.
@@ -32,13 +43,18 @@ pub(crate) type SlotBounds = (Vec<(LinExpr, Int)>, Vec<(LinExpr, Int)>);
 
 /// What [`schedule_stmt`] reads of a leaf for one statement: the
 /// statement, `M_S`, `g_S` and the unsatisfied self-dependences of the
-/// statement. Equal keys in one shape make equal plans.
+/// statement, by content. Equal keys of one program and layout make equal
+/// plans.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub(crate) struct PlanKey {
     stmt: StmtId,
     ms: IMat,
     gs: IVec,
-    pending: Vec<usize>,
+    /// The entries of the pending self-dependences at the statement's loop
+    /// positions, one dependence after another: their content, not their
+    /// indices into some matrix, so a key never stands for another
+    /// matrix's columns.
+    pending: Vec<DepEntry>,
 }
 
 impl PlanKey {
@@ -50,12 +66,16 @@ impl PlanKey {
         s: StmtId,
     ) -> PlanKey {
         let (_, ms, gs) = raw_per_stmt(layout, m, s);
-        let pending = report.unsatisfied_self.iter().copied();
+        let loops = layout.stmt_loops(s);
+        let pending = report.unsatisfied_self.iter().map(|&i| &deps.deps[i]);
         PlanKey {
             stmt: s,
             ms,
             gs,
-            pending: pending.filter(|&i| deps.deps[i].src == s).collect(),
+            pending: pending
+                .filter(|d| d.src == s)
+                .flat_map(|d| loops.iter().map(|&l| d.entries[layout.loop_position(l)]))
+                .collect(),
         }
     }
 }
@@ -129,7 +149,6 @@ pub(crate) fn make_plan(
     report: &LegalityReport,
     s: StmtId,
 ) -> Result<StmtPlan, InlError> {
-    let _span = inl_obs::span("codegen.plan");
     let sched = schedule_stmt(layout, m, deps, report, s)?;
     let np = p.nparams();
     let n = layout.len();
@@ -171,8 +190,8 @@ pub(crate) fn make_plan(
     let keep: Vec<usize> = (0..np).chain(np + kold..space).collect();
     let order: Vec<usize> = (np + kold..space).collect();
     let bounds = project_scan(&sys, &keep, &order)?;
-    inl_obs::counter_add!("codegen.bounds_scanned", bounds.len());
-    inl_obs::counter_add!("codegen.loops_augmented", sched.n_aug);
+    inl_obs::counter_add!("codegen.plan.bounds_scanned", bounds.len());
+    inl_obs::counter_add!("codegen.plan.loops_augmented", sched.n_aug);
 
     let local = Local {
         sched: &sched,
@@ -428,35 +447,105 @@ pub(crate) fn predict_from_plans(
     Ok(crate::cost::predict(&nest, &cert))
 }
 
-/// The statement plans of one shape's leaves, each distinct one made once,
-/// when a leaf first needs it and on whichever thread ranks that leaf. A
-/// plan is a function of the statement's rows of `M`, their offsets and its
-/// unsatisfied self-dependences, so the table holds the same plans at any
-/// thread count. It lives as long as one schedule, not the process.
-pub struct PlanTable<'a> {
+/// Entry cap of the plan memo: statement plans over every program, with
+/// one counted generation flush when reached (`inl_core::memo`). Once-over
+/// work on the zoo holds about a hundred (every loop order of the three
+/// deep programs and `matmul`, 41; a schedule of each zoo program, 108);
+/// re-scheduled variants rank thousands of leaves, and `inl-fuzz` feeds
+/// programs without end.
+pub const PLAN_CAP: usize = 4096;
+
+/// The plan memo: the second table of the compile side's memo mechanism,
+/// beside the analysis memo, under the same switch and `clear()`.
+static PLANS: Memo<PlanKey, Arc<StmtPlan>> = Memo::new(PLAN_CAP);
+
+/// Snapshot the plan memo's counters.
+pub fn plan_memo_stats() -> MemoStats {
+    PLANS.stats()
+}
+
+/// Where the plans of one shape `(p, layout, deps)` come from: the plan
+/// memo, and [`make_plan`] on a miss or with the switch off.
+pub(crate) struct Plans<'a> {
     p: &'a Program,
     layout: &'a InstanceLayout,
     deps: &'a DependenceMatrix,
+    memo: Option<Scope<'a, PlanKey, Arc<StmtPlan>>>,
+}
+
+impl<'a> Plans<'a> {
+    pub(crate) fn new(
+        p: &'a Program,
+        layout: &'a InstanceLayout,
+        deps: &'a DependenceMatrix,
+    ) -> Self {
+        Plans {
+            p,
+            layout,
+            deps,
+            memo: PLANS.scope(p, layout.positions()),
+        }
+    }
+
+    /// The key of statement `s` under the leaf `(m, report)`.
+    pub(crate) fn key(&self, m: &IMat, report: &LegalityReport, s: StmtId) -> PlanKey {
+        PlanKey::new(self.layout, self.deps, m, report, s)
+    }
+
+    /// The plan of `key`, a key of the leaf `(m, report)`. The
+    /// `codegen.plan` span fires on every call, hit or miss;
+    /// `codegen.plan.memo.*` count the lookups, and the scan counters of
+    /// [`make_plan`] fire only when a plan is made.
+    pub(crate) fn get(
+        &self,
+        key: &PlanKey,
+        m: &IMat,
+        report: &LegalityReport,
+    ) -> Result<Arc<StmtPlan>, InlError> {
+        let _span = inl_obs::span("codegen.plan");
+        let make = || make_plan(self.p, self.layout, self.deps, m, report, key.stmt).map(Arc::new);
+        let Some(memo) = &self.memo else {
+            return make();
+        };
+        if let Some(plan) = memo.get(key) {
+            inl_obs::counter_add!("codegen.plan.memo.hit", 1);
+            return Ok(plan);
+        }
+        inl_obs::counter_add!("codegen.plan.memo.miss", 1);
+        let plan = make()?;
+        let evicted = memo.insert(key.clone(), Arc::clone(&plan));
+        if evicted > 0 {
+            inl_obs::counter_add!("codegen.plan.memo.evictions", evicted as u64);
+        }
+        Ok(plan)
+    }
+}
+
+/// The statement plans of one shape's leaves, each distinct one asked of
+/// the plan memo once, when a leaf first needs it and on whichever thread
+/// ranks that leaf. A plan is a function of its key alone, so the table
+/// holds the same plans at any thread count, and with the memo switched
+/// off it still makes each distinct plan once per table.
+pub struct PlanTable<'a> {
+    plans: Plans<'a>,
     index: HashMap<PlanKey, usize>,
     entries: Vec<Entry<'a>>,
 }
 
 /// One distinct key: the leaf it was first seen in, whose matrix and
-/// report make its plan, and the plan once made.
+/// report make its plan, and the plan once asked for.
 struct Entry<'a> {
     m: &'a IMat,
     report: &'a LegalityReport,
-    stmt: StmtId,
-    plan: OnceLock<Result<StmtPlan, InlError>>,
+    key: PlanKey,
+    plan: OnceLock<Result<Arc<StmtPlan>, InlError>>,
 }
 
 impl<'a> PlanTable<'a> {
     /// An empty table for the shape `(p, layout, deps)`.
     pub fn new(p: &'a Program, layout: &'a InstanceLayout, deps: &'a DependenceMatrix) -> Self {
         PlanTable {
-            p,
-            layout,
-            deps,
+            plans: Plans::new(p, layout, deps),
             index: HashMap::new(),
             entries: Vec::new(),
         }
@@ -465,20 +554,22 @@ impl<'a> PlanTable<'a> {
     /// Enter the leaf `(m, report)`: the index of each statement's plan, in
     /// statement order. Makes nothing.
     pub fn intern(&mut self, m: &'a IMat, report: &'a LegalityReport) -> Vec<usize> {
-        self.p
+        self.plans
+            .p
             .stmts()
             .map(|s| {
-                let key = PlanKey::new(self.layout, self.deps, m, report, s);
-                let next = self.entries.len();
-                let i = *self.index.entry(key).or_insert(next);
-                if i == next {
-                    self.entries.push(Entry {
-                        m,
-                        report,
-                        stmt: s,
-                        plan: OnceLock::new(),
-                    });
+                let key = self.plans.key(m, report, s);
+                if let Some(&i) = self.index.get(&key) {
+                    return i;
                 }
+                let i = self.entries.len();
+                self.index.insert(key.clone(), i);
+                self.entries.push(Entry {
+                    m,
+                    report,
+                    key,
+                    plan: OnceLock::new(),
+                });
                 i
             })
             .collect()
@@ -487,7 +578,7 @@ impl<'a> PlanTable<'a> {
     /// The ranking key of the leaf `(m, report)`, whose plans
     /// [`intern`](Self::intern) returned: the predicted cost
     /// [`generate`](crate::generate()) reports for `m`, or the error it fails
-    /// with, with no program built. Makes the plans not made yet.
+    /// with, with no program built. Asks for the plans not asked for yet.
     pub fn predict(
         &self,
         m: &IMat,
@@ -496,12 +587,15 @@ impl<'a> PlanTable<'a> {
     ) -> Result<PredictedCost, InlError> {
         let ast = legal_ast(report)?;
         let plans = self.plans(plans)?;
-        predict_from_plans(self.p, self.layout, self.deps, m, ast, &plans)
+        let Plans {
+            p, layout, deps, ..
+        } = self.plans;
+        predict_from_plans(p, layout, deps, m, ast, &plans)
     }
 
     /// Build the leaf `(m, report)` from the plans it was ranked on: what
     /// [`generate`](crate::generate()) returns for `m`, with no legality
-    /// check and no plan made again.
+    /// check and no plan asked for again.
     pub fn generate(
         &self,
         m: &IMat,
@@ -511,7 +605,10 @@ impl<'a> PlanTable<'a> {
         let _span = inl_obs::span("codegen.generate");
         let ast = legal_ast(report)?;
         let plans = self.plans(plans)?;
-        build(self.p, self.layout, self.deps, m, ast, &plans)
+        let Plans {
+            p, layout, deps, ..
+        } = self.plans;
+        build(p, layout, deps, m, ast, &plans)
     }
 
     fn plans(&self, plans: &[usize]) -> Result<Vec<&StmtPlan>, InlError> {
@@ -520,10 +617,8 @@ impl<'a> PlanTable<'a> {
 
     fn plan(&self, i: usize) -> Result<&StmtPlan, InlError> {
         let e = &self.entries[i];
-        let made = e
-            .plan
-            .get_or_init(|| make_plan(self.p, self.layout, self.deps, e.m, e.report, e.stmt));
-        made.as_ref().map_err(Clone::clone)
+        let got = e.plan.get_or_init(|| self.plans.get(&e.key, e.m, e.report));
+        got.as_deref().map_err(Clone::clone)
     }
 }
 
@@ -533,6 +628,75 @@ mod tests {
     use inl_core::depend::analyze;
     use inl_core::legal::check_legal;
     use inl_ir::zoo;
+
+    /// `simple_cholesky` under the identity: its layout, dependences,
+    /// matrix, report, and the index of a self-dependence of `S2`.
+    fn cholesky_leaf() -> (
+        InstanceLayout,
+        DependenceMatrix,
+        IMat,
+        LegalityReport,
+        usize,
+    ) {
+        let p = zoo::simple_cholesky();
+        let layout = InstanceLayout::new(&p);
+        let deps = analyze(&p, &layout).expect("analysis");
+        let m = IMat::identity(layout.len());
+        let report = check_legal(&p, &layout, &deps, &m).expect("legality");
+        let s2 = StmtId(1);
+        let d = deps.deps.iter().position(|d| d.src == s2 && d.dst == s2);
+        (layout, deps, m, report, d.expect("S2 depends on itself"))
+    }
+
+    #[test]
+    fn the_same_rows_with_another_pending_set_are_another_key() {
+        let (layout, deps, m, mut report, d) = cholesky_leaf();
+        let key = |report: &LegalityReport| PlanKey::new(&layout, &deps, &m, report, StmtId(1));
+        report.unsatisfied_self.clear();
+        let none = key(&report);
+        report.unsatisfied_self.push(d);
+        let one = key(&report);
+        assert_eq!(
+            (&none.ms, &none.gs),
+            (&one.ms, &one.gs),
+            "the same M_S and g_S"
+        );
+        assert!(none != one, "a pending self-dependence is part of the key");
+        // another statement's key reads none of S2's pending dependences
+        let s1 = |report: &LegalityReport| PlanKey::new(&layout, &deps, &m, report, StmtId(0));
+        let kept = s1(&report);
+        report.unsatisfied_self.clear();
+        assert!(s1(&report) == kept);
+    }
+
+    #[test]
+    fn a_key_holds_pending_entries_not_indices() {
+        let (layout, deps, m, mut report, d) = cholesky_leaf();
+        report.unsatisfied_self = vec![d];
+        let key = |deps: &DependenceMatrix| PlanKey::new(&layout, deps, &m, &report, StmtId(1));
+        let stored = key(&deps);
+        // the same index into a matrix whose column there differs
+        let mut columns = deps.deps.to_vec();
+        columns[d]
+            .entries
+            .iter_mut()
+            .for_each(|e| *e = DepEntry::plus());
+        let other = DependenceMatrix {
+            n: deps.n,
+            deps: columns.into(),
+        };
+        assert!(key(&other) != stored, "another column, another key");
+        // the same column at another index
+        let mut columns = deps.deps.to_vec();
+        columns.swap(0, d);
+        let moved = DependenceMatrix {
+            n: deps.n,
+            deps: columns.into(),
+        };
+        report.unsatisfied_self = vec![0];
+        let key = PlanKey::new(&layout, &moved, &m, &report, StmtId(1));
+        assert!(key == stored, "the same column, the same key");
+    }
 
     #[test]
     fn bound_on_eliminated_old_var_is_typed_error() {

@@ -42,24 +42,19 @@
 //! The matrix is a function of the program and its layout alone, and the
 //! compile service, the batch compiler and the scheduler ask for the same
 //! few programs' matrices over and over, so [`analyze`] is memoised
-//! process-wide, and `map` consults and fills the same memo. The key is the
-//! *value* `(Program, layout.positions())` (`Program: Eq + Hash` is
-//! structural, name included): entries are found by hash and a hit is
-//! confirmed by `==` on the stored pair, so a program that differs in one
-//! bound, guard, subscript or assumption can never be answered with
-//! another's matrix. A mapped matrix is the one [`analyze`] would store. The
-//! columns are immutable and shared (`Arc<[Dependence]>`): a hit hands out
-//! the matrix the miss computed, column slice and all, and allocates
-//! nothing. The key's hash is a multiply-rotate fold (`MemoHasher`): a
-//! collision costs a miss, never a wrong answer. Only `Ok` results are
-//! stored; the analysis itself runs outside the lock (threads racing on a
-//! cold key all compute, last write wins, and a re-insert of a stored key
-//! replaces it without a flush). It is the compile side's
-//! only memo (`inl-poly` answers every query afresh; EXPERIMENTS.md E9):
-//! `inl_poly::cache::set_cache_enabled(false)` bypasses it,
-//! `inl_poly::cache::clear()` empties it (entries are stamped with
-//! [`inl_poly::cache::epoch`]), and it is bounded by [`MEMO_CAP`] with a
-//! counted generation flush.
+//! process-wide, and `map` consults and fills the same memo. It is one of
+//! the two tables of the compile side's one memo mechanism
+//! ([`crate::memo`]; the other holds `inl_codegen`'s statement plans): the
+//! key is the *value* `(Program, layout.positions())` (`Program: Eq + Hash`
+//! is structural, name included), found by hash and confirmed by `==`, so a
+//! program that differs in one bound, guard, subscript or assumption can
+//! never be answered with another's matrix. A mapped matrix is the one
+//! [`analyze`] would store. The columns are immutable and shared
+//! (`Arc<[Dependence]>`): a hit hands out the matrix the miss computed,
+//! column slice and all, and allocates nothing. Only `Ok` results are
+//! stored. `inl_poly::cache::set_cache_enabled(false)` bypasses it,
+//! `inl_poly::cache::clear()` empties it, and it is bounded by
+//! [`MEMO_CAP`] matrices with a counted generation flush.
 //!
 //! Telemetry: the `depend.analyze` span and the `depend.map` span (and so
 //! their timeline slices) fire on every call, hit or miss — requested
@@ -76,19 +71,18 @@
 //! warmth-dependent, and `inl_obs::capture::deterministic_projection` drops
 //! it as it drops `poly.`.
 
-use crate::instance::{InstanceLayout, Position};
+use crate::instance::InstanceLayout;
+use crate::memo::Memo;
+pub use crate::memo::MemoStats;
 use inl_ir::{LoopId, Program, StmtId};
 use inl_linalg::{InlError, Int};
 use inl_poly::{expr_bounds, is_empty, Feasibility, LinExpr, System};
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::Arc;
 
 /// One entry of a dependence vector: an integer interval containing every
 /// value the corresponding instance-vector difference takes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct DepEntry {
     /// Greatest known lower bound (`None` = unbounded below).
     pub lo: Option<Int>,
@@ -259,113 +253,18 @@ impl DependenceMatrix {
 }
 
 /// Entry cap of the analysis memo: one counted generation flush when
-/// reached (`insert_bounded`). A process that schedules the zoo holds
+/// reached (`crate::memo`). A process that schedules the zoo holds
 /// 18 entries (its 13 programs, and the 5 shapes the scheduler maps of
 /// them); the bound is for `inl-fuzz` and the property tests, which feed it
 /// programs without end.
 pub const MEMO_CAP: usize = 256;
 
-/// A memoised analysis. The map key is only the hash of the pair stored
-/// here; the pair itself is what a lookup is compared against.
-struct MemoEntry {
-    program: Program,
-    positions: Vec<Position>,
-    deps: DependenceMatrix,
-}
-
-struct Memo {
-    /// [`inl_poly::cache::epoch`] under which `entries` were stored.
-    epoch: u64,
-    entries: HashMap<u64, MemoEntry>,
-}
-
-static MEMO_HITS: AtomicU64 = AtomicU64::new(0);
-static MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
-static MEMO_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Lock the memo, first dropping entries from before the last
-/// `inl_poly::cache::clear()`.
-fn memo() -> MutexGuard<'static, Memo> {
-    static MEMO: OnceLock<Mutex<Memo>> = OnceLock::new();
-    let mut memo = MEMO
-        .get_or_init(|| {
-            Mutex::new(Memo {
-                epoch: inl_poly::cache::epoch(),
-                entries: HashMap::new(),
-            })
-        })
-        .lock()
-        .expect("the memo lock is held across map operations only, which do not panic");
-    let epoch = inl_poly::cache::epoch();
-    if memo.epoch != epoch {
-        memo.entries.clear();
-        memo.epoch = epoch;
-    }
-    memo
-}
-
-fn memo_key(p: &Program, positions: &[Position]) -> u64 {
-    BuildHasherDefault::<MemoHasher>::default().hash_one((p, positions))
-}
-
-/// The memo key's hash: each eight-byte word is folded in by a rotate, an
-/// xor and a multiply (the Fx hash). A whole program is hashed per lookup,
-/// where SipHash costs more than the rest of a hit. A collision, crafted or
-/// not, is only a miss: a hit compares the stored program, one hash holds
-/// one entry, and the map's own buckets keep the default hasher.
-#[derive(Default)]
-struct MemoHasher(u64);
-
-impl Hasher for MemoHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            let folded = self.0.rotate_left(5) ^ u64::from_le_bytes(word);
-            self.0 = folded.wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Counters of the analysis memo since process start, tracked whether or
-/// not `inl-obs` is enabled.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Analyses answered with a stored matrix.
-    pub hits: u64,
-    /// Analyses that ran because no equal program was stored.
-    pub misses: u64,
-    /// Matrices currently stored.
-    pub entries: u64,
-    /// Matrices dropped by generation flushes at [`MEMO_CAP`].
-    pub evictions: u64,
-}
-
-impl MemoStats {
-    /// Render as a JSON object: the `analysis_memo` section of the wire
-    /// `Stats` reply.
-    pub fn to_json(&self) -> inl_obs::Json {
-        let mut o = inl_obs::Json::object();
-        o.insert("hits", inl_obs::Json::Int(self.hits));
-        o.insert("misses", inl_obs::Json::Int(self.misses));
-        o.insert("entries", inl_obs::Json::Int(self.entries));
-        o.insert("evictions", inl_obs::Json::Int(self.evictions));
-        o
-    }
-}
+/// The analysis memo: one matrix per program and layout, under the key `()`.
+static ANALYSES: Memo<(), DependenceMatrix> = Memo::new(MEMO_CAP);
 
 /// Snapshot the analysis memo's counters.
 pub fn memo_stats() -> MemoStats {
-    MemoStats {
-        hits: MEMO_HITS.load(Ordering::Relaxed),
-        misses: MEMO_MISSES.load(Ordering::Relaxed),
-        entries: memo().entries.len() as u64,
-        evictions: MEMO_EVICTIONS.load(Ordering::Relaxed),
-    }
+    ANALYSES.stats()
 }
 
 /// Compute the dependence matrix of a program (the general procedure of
@@ -483,48 +382,20 @@ fn memoised(
     layout: &InstanceLayout,
     compute: impl FnOnce() -> Result<DependenceMatrix, InlError>,
 ) -> Result<DependenceMatrix, InlError> {
-    if !inl_poly::cache::cache_enabled() {
+    let Some(scope) = ANALYSES.scope(p, layout.positions()) else {
         return compute();
-    }
-    let key = memo_key(p, layout.positions());
-    let stored = memo()
-        .entries
-        .get(&key)
-        .filter(|e| e.positions == layout.positions() && e.program == *p)
-        .map(|e| e.deps.clone());
-    if let Some(deps) = stored {
-        MEMO_HITS.fetch_add(1, Ordering::Relaxed);
+    };
+    if let Some(deps) = scope.get(&()) {
         inl_obs::counter_add!("depend.memo.hit", 1);
         return Ok(deps);
     }
-    MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
     inl_obs::counter_add!("depend.memo.miss", 1);
     let deps = compute()?;
-    let entry = MemoEntry {
-        program: p.clone(),
-        positions: layout.positions().to_vec(),
-        deps: deps.clone(),
-    };
-    let evicted = insert_bounded(&mut memo().entries, key, entry, MEMO_CAP);
+    let evicted = scope.insert((), deps.clone());
     if evicted > 0 {
-        MEMO_EVICTIONS.fetch_add(evicted as u64, Ordering::Relaxed);
         inl_obs::counter_add!("depend.memo.evictions", evicted as u64);
     }
     Ok(deps)
-}
-
-/// Insert with a generation-flush bound: when the map is full and `key`
-/// is not in it, clear it wholesale (deterministic, no recency ordering)
-/// and count the dropped entries as evictions; a stored key's entry is
-/// replaced in place. Returns the number of evicted entries.
-fn insert_bounded<K: Eq + Hash, V>(map: &mut HashMap<K, V>, key: K, value: V, cap: usize) -> usize {
-    let mut evicted = 0;
-    if map.len() >= cap && !map.contains_key(&key) {
-        evicted = map.len();
-        map.clear();
-    }
-    map.insert(key, value);
-    evicted
 }
 
 /// The analysis itself: a pure function of `(p, layout)`.
@@ -759,32 +630,6 @@ mod tests {
 
     fn stmt(p: &Program, name: &str) -> StmtId {
         p.stmts().find(|&s| p.stmt_decl(s).name == name).unwrap()
-    }
-
-    #[test]
-    fn generation_flush_counts_evictions() {
-        let mut m = HashMap::new();
-        for i in 0..3 {
-            assert_eq!(insert_bounded(&mut m, i, (), 3), 0);
-        }
-        assert_eq!(m.len(), 3);
-        // The fourth insert meets the cap: the whole generation is
-        // flushed, then the entry is stored.
-        assert_eq!(insert_bounded(&mut m, 3, (), 3), 3);
-        assert_eq!(m.len(), 1);
-    }
-
-    #[test]
-    fn a_full_memo_replaces_a_stored_key_without_a_flush() {
-        // The second of two workers storing the same miss, or a key
-        // collision: the full map keeps its generation.
-        let mut m = HashMap::new();
-        for i in 0..3 {
-            insert_bounded(&mut m, i, 'a', 3);
-        }
-        assert_eq!(insert_bounded(&mut m, 1, 'b', 3), 0);
-        assert_eq!(m.len(), 3);
-        assert_eq!(m[&1], 'b');
     }
 
     #[test]

@@ -67,6 +67,7 @@ pub mod complete;
 pub mod depend;
 pub mod instance;
 pub mod legal;
+pub mod memo;
 pub mod parallel;
 pub mod perstmt;
 mod project;

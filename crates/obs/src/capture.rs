@@ -40,14 +40,17 @@
 //! rather than what this one asked for. [`MEMOISED_LAYERS`] names those
 //! layers' counter families: `depend.` (the analysis memo:
 //! `depend.memo.*`, and `depend.pairs_tested` & co., which fire only on a
-//! miss) and `poly.` (the FM work under an analysis, which a hit skips).
+//! miss), `codegen.plan.` (the plan memo: `codegen.plan.memo.*`, and the
+//! scan counters of a plan made) and `poly.` (the FM work under either,
+//! which a hit skips).
 //! [`deterministic_projection`] extracts the deterministic part —
 //! [`Json::deterministic`] strips every `*_ns` value, and it drops every
 //! counter of a memoised layer and every span nested in `poly.` — so two
 //! captures of the same request in different processes can be compared
 //! **bitwise** on their canonical JSON. A memoised layer's *entry* spans
 //! (`depend.analyze`, `depend.map`) wrap hits and misses alike and stay in
-//! the projection, so requested analyses remain countable. `inl-load
+//! the projection, so requested analyses remain countable; so does
+//! `codegen.plan`, which wraps every plan asked for. `inl-load
 //! --telemetry` and the serve integration tests compare exactly this.
 
 use crate::json::Json;
@@ -256,14 +259,17 @@ pub(crate) fn record_explain(verdict: crate::explain::Verdict) {
 }
 
 /// Counter families whose values depend on what earlier requests warmed:
-/// the dependence-analysis memo's, and the FM work under an analysis,
-/// which a memo hit skips. [`deterministic_projection`] drops them.
-pub const MEMOISED_LAYERS: [&str; 2] = ["poly.", "depend."];
+/// the dependence-analysis memo's, the statement-plan memo's (the scan
+/// work of a plan made, and its memo's hits and misses), and the FM work
+/// under either, which a memo hit skips. [`deterministic_projection`] drops
+/// them.
+pub const MEMOISED_LAYERS: [&str; 3] = ["poly.", "depend.", "codegen.plan."];
 
 /// True iff every `/`-separated segment of a span path is outside the
-/// `poly.` namespace: under `depend.analyze` or `depend.map`, poly spans
-/// run inside the memoised analysis, so how many close depends on warmth.
-/// No memoised layer has other spans below its entry.
+/// `poly.` namespace: under `depend.analyze`, `depend.map` or
+/// `codegen.plan`, poly spans run inside the memoised work, so how many
+/// close depends on warmth. No memoised layer has other spans below its
+/// entry.
 fn path_is_deterministic(path: &str) -> bool {
     path.split('/').all(|seg| !seg.starts_with("poly."))
 }

@@ -125,7 +125,7 @@ fn quickstart_pipeline_fires_every_stage_family() {
         poly.iter().sum::<u64>() > 0,
         "poly metrics missing: {poly:?}"
     );
-    assert!(report.counters["codegen.bounds_scanned"] > 0);
+    assert!(report.counters["codegen.plan.bounds_scanned"] > 0);
     assert!(report.counters["exec.instances"] > 0);
     let feasibility_tests: u64 = report
         .spans

@@ -2,11 +2,11 @@
 //!
 //! `inl-poly` memoises nothing: [`crate::fm`] answers every query from the
 //! canonical system ([`crate::System::canonicalized`]) each time it is
-//! asked. The one compile-side memo is the dependence-analysis memo in
-//! `inl_core::depend`, which reads the two process-wide values kept here:
-//! the switch ([`set_cache_enabled`]`(false)` bypasses the memo) and the
-//! epoch ([`clear`] starts a new one, and the memo drops entries stored
-//! under an older one). EXPERIMENTS.md E9 has the measurement that
+//! asked. The compile side's memos are the two tables of `inl_core::memo`
+//! (dependence analyses and statement plans), which read the two
+//! process-wide values kept here: the switch ([`set_cache_enabled`]`(false)`
+//! bypasses both) and the epoch ([`clear`] starts a new one, and each
+//! drops entries stored under an older one). EXPERIMENTS.md E9 has the measurement that
 //! retired the query cache this module once held.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -64,7 +64,7 @@ pub fn clear() {
 }
 
 /// Number of [`clear`] calls so far. A memo in a crate above this one (the
-/// dependence-analysis memo in `inl-core`) stamps its entries with the
+/// tables of `inl_core::memo`) stamps its entries with the
 /// epoch it filled them in and discards them once the epoch has moved, so
 /// `clear()` makes the whole compile side cold without knowing who
 /// memoises.

@@ -23,9 +23,10 @@
 //!   instead, with the same answers;
 //! * [`bounds`] — extraction of loop bounds (`max`/`min` of affine forms
 //!   with ceiling/floor divisions) for code generation;
-//! * [`cache`] — the switch and epoch of the compile side's one memo, the
-//!   dependence-analysis memo in `inl_core::depend`; every query here is
-//!   answered from [`System::canonicalized`] form each time it is asked.
+//! * [`cache`] — the switch and epoch of the compile side's memos, the
+//!   dependence-analysis and statement-plan tables of `inl_core::memo`;
+//!   every query here is answered from [`System::canonicalized`] form each
+//!   time it is asked.
 //!
 //! # Example: the paper's §3 dependence system
 //!

@@ -8,7 +8,7 @@
 //! [`Response::Error`], and an *illegal loop order* is not an error at
 //! all but a structured [`CompileOutcome::Rejected`].
 
-use inl_codegen::generate;
+use inl_codegen::{generate, generate_with_report};
 use inl_core::depend::memo_stats;
 use inl_core::recipe::{Recipe, Shape};
 use inl_ir::{zoo, Program};
@@ -47,15 +47,21 @@ fn zoo_program(name: &str) -> Result<Program, InlError> {
 fn compile_inner(p: Program, order: Option<&str>) -> Result<Result<Program, String>, InlError> {
     let _span = inl_obs::span("serve.compile");
     let source = Shape::source(p)?;
-    let (matrix, shape) = match order.map(str::parse::<Recipe>).transpose()? {
-        None => (IMat::identity(source.layout.len()), source),
+    let generated = match order.map(str::parse::<Recipe>).transpose()? {
+        None => {
+            let m = IMat::identity(source.layout.len());
+            generate(&source.program, &source.layout, &source.deps, &m)
+        }
+        // the completion's report: no second legality check
         Some(recipe) => match recipe.replay(source)? {
-            Ok((shape, c)) => (c.matrix, shape),
+            Ok((s, c)) => {
+                generate_with_report(&s.program, &s.layout, &s.deps, &c.matrix, &c.report)
+            }
             // deterministic per input: the same text for the same rejection
             Err(why) => return Ok(Err(why.to_string())),
         },
     };
-    match generate(&shape.program, &shape.layout, &shape.deps, &matrix) {
+    match generated {
         Ok(r) => Ok(Ok(r.program)),
         Err(e) => Ok(Err(format!(
             "codegen rejected the schedule: {}",
@@ -667,9 +673,19 @@ mod tests {
                 .and_then(inl_obs::Json::as_u64)
                 .unwrap_or(0)
         };
-        assert!(counter("codegen.bounds_scanned") > 0, "{section:?}");
         assert!(counter("sched.variants_ranked") > 1, "{section:?}");
         let stages = section.get("stages").expect("stages");
+        // the ranking asks for its plans, made or found in the plan memo
+        let Some(inl_obs::Json::Object(paths)) = Some(stages) else {
+            panic!("stages: {stages:?}");
+        };
+        let ranked = "serve.schedule/sched.schedule/sched.rank/";
+        assert!(
+            paths
+                .keys()
+                .any(|p| p.starts_with(ranked) && p.ends_with("/codegen.plan")),
+            "{stages:?}"
+        );
         for stage in [
             "serve.schedule/sched.schedule/sched.rank/batch.compile",
             "serve.schedule/sched.schedule/sched.finish/codegen.generate",

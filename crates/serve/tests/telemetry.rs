@@ -85,6 +85,57 @@ fn telemetry_sections_match_in_process_captures() {
 }
 
 #[test]
+fn a_compile_projects_the_same_cold_and_warm() {
+    // No other test here compiles `lu_kij`: the first request makes its
+    // analysis and plans, the second finds them in the memos.
+    let req = Request::Compile {
+        program: "lu_kij".into(),
+        order: Some("K.J.I2.I".into()),
+        telemetry: true,
+    };
+    inl_poly::cache::clear();
+    let cold = handle_request(&req);
+    let warm = handle_request(&req);
+    assert!(
+        matches!(
+            &cold,
+            Response::Compile {
+                outcome: inl_proto::CompileOutcome::Legal { .. },
+                ..
+            }
+        ),
+        "{cold:?}"
+    );
+    assert_eq!(
+        inl_proto::encode_response(&cold.strip_telemetry()),
+        inl_proto::encode_response(&warm.strip_telemetry()),
+    );
+    let counters = |r: &Response| r.telemetry().and_then(|t| t.get("counters")).cloned();
+    let (cold_counters, warm_counters) = (counters(&cold).unwrap(), counters(&warm).unwrap());
+    assert!(
+        jget(&cold_counters, "codegen.plan.memo.miss") > 0,
+        "{cold_counters:?}"
+    );
+    assert!(jget(&cold_counters, "codegen.plan.bounds_scanned") > 0);
+    assert_eq!(
+        jget(&warm_counters, "codegen.plan.memo.miss"),
+        0,
+        "{warm_counters:?}"
+    );
+    assert_eq!(jget(&warm_counters, "codegen.plan.bounds_scanned"), 0);
+    assert!(jget(&warm_counters, "codegen.plan.memo.hit") > 0);
+    assert_eq!(
+        jget(&cold_counters, "codegen.guards_simplified"),
+        jget(&warm_counters, "codegen.guards_simplified"),
+    );
+    let projected = |r: &Response| {
+        inl_obs::capture::deterministic_projection(r.telemetry().expect("telemetry"))
+            .to_pretty_string()
+    };
+    assert_eq!(projected(&cold), projected(&warm));
+}
+
+#[test]
 fn telemetry_off_wire_bytes_are_unchanged() {
     let handle = start();
     let mut client = Client::connect(handle.local_addr()).expect("connect");

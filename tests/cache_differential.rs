@@ -1,7 +1,9 @@
-//! Differential test for the analysis memo and its switch: generated
-//! code must be bitwise identical with the memo off, cold, and warm.
+//! Differential test for the compile side's memos and their switch: the
+//! analysis memo and the plan memo. Generated code must be bitwise
+//! identical with the memos off, cold, and warm.
 //!
-//! `analyze` is memoised on the program and its layout, and every
+//! `analyze` is memoised on the program and its layout, a statement plan
+//! on the program, its layout and the plan's key, and every
 //! Fourier–Motzkin query is a function of the canonical system, so the
 //! switch cannot change what the pipeline produces — only how fast it
 //! produces it. The twelve legal Cholesky loop-order variants exercise
@@ -10,15 +12,18 @@
 //! on rows. The legal orders of Cholesky with `L` strip-mined at 16
 //! (`tile(L@16)/…`) carry the split's `L = 16·Lo + l` row, which only
 //! elimination takes. Each sweep asks for one dependence analysis per
-//! program.
+//! program and one plan per statement of each variant, and compares what
+//! `generate` returns in full: pseudocode, statement map and cost features.
+//! The zoo's schedules, ranked on the plans a `PlanTable` gets through the
+//! memo, rank the same labels at the same predicted costs either way.
 
-use inl_codegen::generate;
+use inl_codegen::{generate, plan_memo_stats, CostFeatures, PredictedCost};
 use inl_core::complete::complete_transform;
 use inl_core::depend::{analyze, memo_stats};
 use inl_core::instance::InstanceLayout;
 use inl_core::recipe::Recipe;
 use inl_core::tiling;
-use inl_ir::{zoo, Program};
+use inl_ir::{zoo, Program, StmtId};
 use inl_linalg::{permutations, IMat};
 use std::sync::Mutex;
 
@@ -66,9 +71,13 @@ fn sweeps() -> Vec<(Program, Vec<(String, IMat)>)> {
         .collect()
 }
 
-/// Run the full pipeline over every variant of every sweep and return the
-/// generated pseudocode per variant, in sweep and variant order.
-fn compile_all(sweeps: &[(Program, Vec<(String, IMat)>)]) -> Vec<String> {
+/// What `generate` returns for one variant, but the program itself: its
+/// pseudocode, statement map and cost features.
+type Generated = (String, Vec<StmtId>, CostFeatures);
+
+/// Run the full pipeline over every variant of every sweep and return what
+/// each generates, in sweep and variant order.
+fn compile_all(sweeps: &[(Program, Vec<(String, IMat)>)]) -> Vec<Generated> {
     let mut out = Vec::new();
     for (p, variants) in sweeps {
         let layout = InstanceLayout::new(p);
@@ -76,7 +85,7 @@ fn compile_all(sweeps: &[(Program, Vec<(String, IMat)>)]) -> Vec<String> {
         for (label, m) in variants {
             let r = generate(p, &layout, &deps, m)
                 .unwrap_or_else(|e| panic!("variant {label} failed to generate: {e:?}"));
-            out.push(r.program.to_pseudocode());
+            out.push((r.program.to_pseudocode(), r.stmt_map, r.features));
         }
     }
     out
@@ -84,7 +93,7 @@ fn compile_all(sweeps: &[(Program, Vec<(String, IMat)>)]) -> Vec<String> {
 
 #[test]
 fn all_cholesky_variants_identical_with_cache_on_and_off() {
-    let _l = CACHE_TOGGLE.lock().unwrap();
+    let _l = CACHE_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
     let sweeps = sweeps();
     assert_eq!(
         sweeps[0].1.len(),
@@ -96,47 +105,101 @@ fn all_cholesky_variants_identical_with_cache_on_and_off() {
         .iter()
         .flat_map(|(_, v)| v.iter().map(|(l, _)| l))
         .collect();
+    // one plan asked for per statement of every variant
+    let plans_asked: u64 = sweeps
+        .iter()
+        .map(|(p, v)| (p.stmts().count() * v.len()) as u64)
+        .sum();
 
-    // Ground truth: the memo switched off.
+    // Ground truth: the memos switched off.
     inl_poly::set_cache_enabled(false);
     inl_poly::cache::clear();
-    let before_off = memo_stats();
+    let (before_off, plans_off) = (memo_stats(), plan_memo_stats());
     let uncached = compile_all(&sweeps);
     assert_eq!(
-        memo_stats(),
-        before_off,
-        "with the switch off the analysis memo is bypassed"
+        (memo_stats(), plan_memo_stats()),
+        (before_off, plans_off),
+        "with the switch off both memos are bypassed"
     );
 
-    // Cold memo: each program's analysis misses, then is stored.
+    // Cold memos: each program's analysis misses, then is stored; each
+    // distinct plan misses once.
     inl_poly::set_cache_enabled(true);
     inl_poly::cache::clear();
     let cold = compile_all(&sweeps);
-    let memo_cold = memo_stats();
+    let (memo_cold, plans_cold) = (memo_stats(), plan_memo_stats());
     assert_eq!(
         (memo_cold.hits, memo_cold.misses),
         (before_off.hits, before_off.misses + 2),
         "after clear() each program's analysis must miss the memo"
     );
+    let made = plans_cold.misses - plans_off.misses;
+    assert_eq!(made + plans_cold.hits - plans_off.hits, plans_asked);
+    assert_eq!(plans_cold.entries, made, "every plan made is stored");
+    assert!(made < plans_asked, "variants share plans: {made} made");
 
-    // Warm memo: the same sweep again.
+    // Warm memos: the same sweep again.
     let warm = compile_all(&sweeps);
-    let memo_warm = memo_stats();
+    let (memo_warm, plans_warm) = (memo_stats(), plan_memo_stats());
     assert_eq!(
         (memo_warm.hits, memo_warm.misses),
         (memo_cold.hits + 2, memo_cold.misses),
         "the second sweep's analyses must hit the memo"
     );
+    assert_eq!(
+        (plans_warm.hits, plans_warm.misses),
+        (plans_cold.hits + plans_asked, plans_cold.misses),
+        "the second sweep makes no plan"
+    );
 
-    inl_poly::set_cache_enabled(true);
     for (i, label) in labels.iter().enumerate() {
         assert_eq!(
             uncached[i], cold[i],
-            "variant {label}: a cold memo changed generated code"
+            "variant {label}: a cold memo changed what was generated"
         );
         assert_eq!(
             uncached[i], warm[i],
-            "variant {label}: a warm memo changed generated code"
+            "variant {label}: a warm memo changed what was generated"
+        );
+    }
+}
+
+/// Every zoo program's ranked labels with their predicted costs.
+fn ranked_zoo() -> Vec<Vec<(String, PredictedCost)>> {
+    zoo::ALL
+        .iter()
+        .map(|(name, build)| {
+            let r = inl_sched::schedule_with(&build(), &inl_sched::SchedConfig::default())
+                .unwrap_or_else(|e| panic!("{name}: {e:?}"));
+            let ranked = r.variants.into_iter();
+            ranked.map(|v| (v.label, v.predicted)).collect()
+        })
+        .collect()
+}
+
+#[test]
+fn zoo_rankings_identical_with_the_memos_off_cold_and_warm() {
+    let _l = CACHE_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
+    inl_poly::set_cache_enabled(false);
+    let uncached = ranked_zoo();
+    inl_poly::set_cache_enabled(true);
+    inl_poly::cache::clear();
+    let cold = ranked_zoo();
+    let made = plan_memo_stats();
+    let warm = ranked_zoo();
+    assert_eq!(
+        plan_memo_stats().misses,
+        made.misses,
+        "a warm ranking makes no plan"
+    );
+    for (i, (name, _)) in zoo::ALL.iter().enumerate() {
+        assert_eq!(
+            uncached[i], cold[i],
+            "{name}: a cold memo changed the ranking"
+        );
+        assert_eq!(
+            uncached[i], warm[i],
+            "{name}: a warm memo changed the ranking"
         );
     }
 }
