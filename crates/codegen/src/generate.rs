@@ -1,27 +1,24 @@
 //! The code generator. See the crate docs for the pipeline overview.
 //!
-//! Three stages after the legality check: each statement's plan
+//! Four stages after the legality check: each statement's plan
 //! (`crate::plan`), the merge of the bounds of the loops statements share
-//! (`merge_slots`), then the nest read off the plans (`plan::plan_nest`).
-//! The scheduler ranks on the predicted cost walked over that nest
-//! (`plan::predict_from_plans`); [`generate`] walks the same nest for the
-//! cost and emits it as the target program (`Builder`).
+//! (`merge_slots`), each statement's guards proved against its domain in
+//! the leaf (`Plans::guards`), then the nest read off the plans
+//! (`plan::plan_nest`). The scheduler ranks on the predicted cost walked
+//! over that nest (`plan::predict_from_plans`), and proves no guard;
+//! [`generate`] walks the same nest for the cost and emits it as the target
+//! program with the guards kept (`Builder`).
 
 use crate::cost::{Certify, LoopOrigin, Nest};
-use crate::plan::{legal_ast, placeholder_aff, plan_nest, row_loop, through, Plans, StmtPlan};
+use crate::plan::{legal_ast, plan_nest, Guards, Plans, SlotAffs, StmtPlan};
 use inl_core::depend::{analyze, DependenceMatrix};
 use inl_core::instance::{InstanceLayout, Position};
 use inl_core::legal::{check_legal, LegalityReport, NewAst};
 use inl_core::transform::Transform;
-use inl_ir::{Access, Aff, Bound, Expr, Guard, LoopId, Program, ProgramBuilder, StmtId, VarKey};
-use inl_linalg::{lcm, IMat, InlError, InlErrorKind, Int};
-use inl_poly::difference::Closure;
+use inl_ir::{Access, Aff, Bound, Expr, LoopId, Program, ProgramBuilder, StmtId, VarKey};
+use inl_linalg::{IMat, InlError, InlErrorKind, Int};
 use inl_poly::{is_empty, Feasibility, LinExpr, System};
 use std::sync::Arc;
-
-/// Merged lower/upper bound terms of one shared loop slot, over
-/// placeholders (`crate::plan`).
-pub(crate) type SlotAffs = (Vec<Aff>, Vec<Aff>);
 
 /// The generated program, with the mapping from source to target
 /// statements and the variant's static cost features.
@@ -83,38 +80,45 @@ fn from_plans(
         .map(|s| plans.get(&plans.key(m, report, s), m, report))
         .collect::<Result<_, _>>()?;
     build(
-        p,
-        layout,
-        deps,
+        &plans,
         m,
         ast,
         &got.iter().map(|p| &**p).collect::<Vec<_>>(),
     )
 }
 
-/// Emit the leaf `(m, ast)` from its statements' plans (by statement):
-/// merge the bounds of the loops statements share, read the nest off the
-/// plans, walk it once for the predicted cost and once to emit the
-/// program, then drop the guards the enclosing bounds imply. [`generate`]
-/// and [`crate::PlanTable::generate`] both end here.
+/// Emit the leaf `(m, ast)` of the shape `source` from its statements'
+/// plans (by statement): merge the bounds of the loops statements share,
+/// prove each statement's guards against its domain in the leaf, read the
+/// nest off the plans, and walk it once for the predicted cost and once to
+/// emit the program with the guards kept. [`generate`] and
+/// [`crate::PlanTable::generate`] both end here.
 pub(crate) fn build(
-    p: &Program,
-    layout: &InstanceLayout,
-    deps: &DependenceMatrix,
+    source: &Plans,
     m: &IMat,
     ast: &NewAst,
     plans: &[&StmtPlan],
 ) -> Result<CodegenResult, InlError> {
+    let Plans {
+        p, layout, deps, ..
+    } = *source;
     let slot_bounds = merge_slots(p, layout, plans)?;
+    let guards: Vec<Arc<Guards>> = plans
+        .iter()
+        .map(|plan| source.guards(plan, &slot_bounds))
+        .collect::<Result<_, _>>()?;
     let ast_span = inl_obs::span("codegen.ast");
     let nest = plan_nest(ast, plans, &slot_bounds, ast.program.root(), &mut 0)?;
     let builder = Builder {
         src: p,
         layout,
         plans,
+        guards: &guards,
     };
-    let (mut program, stmt_map) = builder.build(&nest)?;
+    let (program, stmt_map) = builder.build(&nest)?;
     drop(ast_span);
+    #[cfg(debug_assertions)]
+    oracle::assert_guards_proved(p, layout, plans, &program, &stmt_map);
     let cert = Certify {
         layout,
         deps,
@@ -122,11 +126,7 @@ pub(crate) fn build(
         plans,
     };
     let predicted = crate::cost::predict(&nest, &cert);
-    simplify_guards(&mut program);
-    let guards = program
-        .stmts()
-        .map(|s| program.stmt_decl(s).guards.len() as i64)
-        .sum();
+    let guards = guards.iter().map(|g| g.kept.len() as i64).sum();
     let out = CodegenResult {
         program,
         stmt_map,
@@ -220,16 +220,16 @@ pub fn generate_seq(p: &Program, seq: &[Transform]) -> Result<CodegenResult, Inl
 /// The bounds of every loop slot of the leaf whose statements' plans are
 /// `plans` (by statement), by slot position: each member statement's
 /// scanned bounds for the slot, merged by proving pairwise `≤` under the
-/// program's assumptions, over placeholders. `None` at a position no
-/// statement's loop holds.
+/// program's assumptions, over placeholders (those of the plan whose terms
+/// the merge keeps, shared). `None` at a position no statement's loop
+/// holds.
 pub(crate) fn merge_slots(
     p: &Program,
     layout: &InstanceLayout,
     plans: &[&StmtPlan],
 ) -> Result<Vec<Option<SlotAffs>>, InlError> {
     let _span = inl_obs::span("codegen.merge");
-    let np = p.nparams();
-    let assumptions = p.assumption_system(np)?;
+    let assumptions = p.assumption_system(p.nparams())?;
     let mut slot_bounds = vec![None; layout.len()];
     for (qi, pos) in layout.positions().iter().enumerate() {
         if !matches!(pos, Position::Loop(_)) {
@@ -238,9 +238,10 @@ pub(crate) fn merge_slots(
         // the statements under this slot, each with its bounds for it
         let mut members = plans.iter().filter_map(|plan| {
             let r = plan.sched.slot_positions.iter().position(|&sp| sp == qi)?;
-            Some(&plan.slots[r])
+            let ((lo, hi), (lo_affs, hi_affs)) = (&plan.slots[r], &plan.slot_affs[r]);
+            Some(((&lo[..], lo_affs), (&hi[..], hi_affs)))
         });
-        let Some((mut lo, mut hi)) = members.next().map(|(l, h)| (&l[..], &h[..])) else {
+        let Some((mut lo, mut hi)) = members.next() else {
             continue;
         };
         let incomparable = |side: &str| {
@@ -251,41 +252,41 @@ pub(crate) fn merge_slots(
             lo = merge_side(lo, l, true, &assumptions).ok_or_else(|| incomparable("lower"))?;
             hi = merge_side(hi, h, false, &assumptions).ok_or_else(|| incomparable("upper"))?;
         }
-        if lo.is_empty() || hi.is_empty() {
+        if lo.0.is_empty() || hi.0.is_empty() {
             return Err(unbounded(format!("loop slot {qi}")));
         }
-        let affs = |side: &[(LinExpr, Int)]| side.iter().map(|t| placeholder_aff(t, np)).collect();
-        slot_bounds[qi] = Some((affs(lo), affs(hi)));
+        slot_bounds[qi] = Some((Arc::clone(lo.1), Arc::clone(hi.1)));
     }
     Ok(slot_bounds)
 }
 
-/// Merge bound-term lists from two statements on one side.
-/// `lower = true`: result must be `≤` both maxima; prefer the provably
-/// smaller side. `lower = false`: result must be `≥` both minima.
-fn merge_side<'x>(
-    a: &'x [(LinExpr, Int)],
-    b: &'x [(LinExpr, Int)],
+/// Merge bound-term lists from two statements on one side, each beside
+/// what it stands for (`T`). `lower = true`: result must be `≤` both
+/// maxima; prefer the provably smaller side. `lower = false`: result must
+/// be `≥` both minima.
+fn merge_side<'x, T>(
+    a: (&'x [(LinExpr, Int)], T),
+    b: (&'x [(LinExpr, Int)], T),
     lower: bool,
     assumptions: &System,
-) -> Option<&'x [(LinExpr, Int)]> {
-    if a.iter().all(|t| b.contains(t)) && b.iter().all(|t| a.contains(t)) {
+) -> Option<(&'x [(LinExpr, Int)], T)> {
+    let (ta, tb) = (a.0, b.0);
+    if ta.iter().all(|t| tb.contains(t)) && tb.iter().all(|t| ta.contains(t)) {
         return Some(a);
     }
     // All globalized terms share one space; extend the assumptions into it
     // once rather than per prove_le query.
-    let space = a
+    let space = ta
         .first()
-        .or_else(|| b.first())
+        .or_else(|| tb.first())
         .map_or(assumptions.nvars(), |t| t.0.nvars());
     let assumptions = assumptions.extend(space);
     // prove: max(a) <= max(b) (lower) or min(a) >= min(b) (upper) — then
     // keeping `a` is sound for the union; and vice versa.
-    let a_covers_b = side_dominates(a, b, lower, &assumptions);
-    if a_covers_b {
+    if side_dominates(ta, tb, lower, &assumptions) {
         return Some(a);
     }
-    if side_dominates(b, a, lower, &assumptions) {
+    if side_dominates(tb, ta, lower, &assumptions) {
         return Some(b);
     }
     None
@@ -341,6 +342,8 @@ struct Builder<'x> {
     layout: &'x InstanceLayout,
     /// The statements' plans, by statement.
     plans: &'x [&'x StmtPlan],
+    /// The statements' proved guards, by statement.
+    guards: &'x [Arc<Guards>],
 }
 
 /// What the `Builder` fills in as it emits: the target loop open for each
@@ -354,19 +357,10 @@ struct Emitted {
 
 impl Builder<'_> {
     /// The target program of `nest`, and `stmt_map` (as
-    /// [`CodegenResult::stmt_map`]); its guards are not yet simplified.
+    /// [`CodegenResult::stmt_map`]). It shares the source's parameters,
+    /// arrays and assumptions.
     fn build(&self, nest: &[Nest]) -> Result<(Program, Vec<StmtId>), InlError> {
         let mut b = ProgramBuilder::new(format!("{}_transformed", self.src.name()));
-        for name in self.src.params() {
-            b.param(name.clone());
-        }
-        for a in self.src.assumes() {
-            b.assume(a.clone());
-        }
-        for a in self.src.arrays() {
-            let d = self.src.array_decl(a);
-            b.array(d.name.clone(), &d.dims);
-        }
         // one placeholder per slot position and per row of the widest plan
         let rows = self.plans.iter().map(|pl| pl.sched.rows.nrows()).max();
         let mut e = Emitted {
@@ -375,7 +369,7 @@ impl Builder<'_> {
             stmt_map: vec![StmtId(usize::MAX); self.plans.len()],
         };
         self.emit(&mut b, nest, &mut e)?;
-        let program = b.finish_unchecked();
+        let program = b.finish_sharing(self.src);
         if let Err(e) = program.validate() {
             let why = format!("generated program invalid: {e}");
             return Err(InlError::new(InlErrorKind::Infeasible, why));
@@ -487,8 +481,8 @@ impl Builder<'_> {
         }
     }
 
-    /// Emit statement `s` — `write = rhs` over placeholders, with its
-    /// guards — inside the loops `open` holds; its target id.
+    /// Emit statement `s` — `write = rhs` and its kept guards, over
+    /// placeholders — inside the loops `open` holds; its target id.
     fn emit_stmt(
         &self,
         b: &mut ProgramBuilder,
@@ -497,81 +491,14 @@ impl Builder<'_> {
         rhs: &Expr,
         open: &[Option<LoopId>],
     ) -> Result<StmtId, InlError> {
-        let plan = self.plans[s.0];
-        let sched = &plan.sched;
-        let old_loops = self.layout.stmt_loops(s);
-        let n = self.layout.len();
         // every loop of the statement is open around it
         let real = |a: &Aff| rename(a, open).expect("a statement's loops are open around it");
-        let row = |r: usize| real(&Aff::loop_var(row_loop(sched, n, r)));
-        // i = N_S⁻¹ · (v − off) over the target loops
-        let old_exprs: Vec<Aff> = plan.old_exprs.iter().map(real).collect();
-        let subst = |a: &Aff| through(&old_exprs, old_loops, a);
-
-        // guards
-        let mut guards: Vec<Guard> = Vec::new();
-        // (a) divisibility of each recovered old index
-        for e in &old_exprs {
-            if e.divisor() > 1 {
-                guards.push(Guard::Div(e.clone().numerator(), e.divisor()));
-            }
-        }
-        // (b) singular-row equalities: v_r - off_r = Σ m_j (v_kj - off_kj)
-        for (r, sing) in sched.singular.iter().enumerate() {
-            let Some(coeffs) = sing else { continue };
-            let den = coeffs
-                .iter()
-                .try_fold(1, |acc, x| lcm(acc, x.den()).map(|l| l.max(1)))?;
-            let mut e = (row(r) - Aff::konst(sched.offsets[r])) * den;
-            for (j, coef) in coeffs.iter().enumerate() {
-                if coef.is_zero() {
-                    continue;
-                }
-                let rj = sched.n_s_rows[j];
-                let c = coef
-                    .num()
-                    .checked_mul(den / coef.den())
-                    .ok_or_else(|| InlError::overflow("singular-row coefficient"))?;
-                e = e - (row(rj) - Aff::konst(sched.offsets[rj])) * c;
-            }
-            guards.push(Guard::Eq(e.numerator()));
-        }
-        // (c) original bounds re-derived through the substitution, which
-        // takes each old loop to its entry of `old_exprs`
-        for (&l, iv) in old_loops.iter().zip(&old_exprs) {
-            let ld = self.src.loop_decl(l);
-            for t in &ld.lower.terms {
-                // d·i - t ≥ 0
-                let e = iv.clone() * t.divisor() - subst(&t.clone().numerator());
-                guards.push(Guard::Ge(e.numerator()));
-            }
-            for t in &ld.upper.terms {
-                let e = subst(&t.clone().numerator()) - iv.clone() * t.divisor();
-                guards.push(Guard::Ge(e.numerator()));
-            }
-        }
-        // (d) original statement guards, rewritten
-        for g in &self.src.stmt_decl(s).guards {
-            guards.push(match g {
-                Guard::Ge(a) => Guard::Ge(subst(a).numerator()),
-                Guard::Eq(a) => Guard::Eq(subst(a).numerator()),
-                Guard::Div(a, md) => {
-                    let sa = subst(a);
-                    // (e/d) mod m == 0 with guaranteed divisibility of d:
-                    // check m·d | e (conservative exactness: the separate
-                    // Div guard for d already holds when this runs)
-                    let d = sa.divisor();
-                    Guard::Div(sa.numerator(), md * d)
-                }
-            });
-        }
-
-        // body
-        let sd = self.src.stmt_decl(s);
+        let guards = self.guards[s.0].kept.iter().map(|g| g.map_aff(real));
         let write_idxs: Vec<Aff> = write.idxs.iter().map(real).collect();
         let rhs = rhs.map_affs(&real);
-        let target_array = inl_ir::ArrayId(write.array.0); // arrays copied in order
-        Ok(b.stmt_guarded(sd.name.clone(), target_array, write_idxs, rhs, guards))
+        let name = self.src.stmt_decl(s).name.clone();
+        let target_array = inl_ir::ArrayId(write.array.0); // the source's arrays
+        Ok(b.stmt_guarded(name, target_array, write_idxs, rhs, guards.collect()))
     }
 }
 
@@ -588,69 +515,53 @@ fn rename(a: &Aff, open: &[Option<LoopId>]) -> Result<Aff, InlError> {
     Ok(a.rename_loops(|l| target(l).expect("open")))
 }
 
-/// Drop guards implied by the enclosing loops' bounds (and the program
-/// assumptions): the paper's "standard optimizations" step, §5.5.
-fn simplify_guards(program: &mut Program) {
-    let stmts: Vec<StmtId> = program.stmts().collect();
-    for s in stmts {
-        if let Some(kept) = unimplied_guards(program, s) {
-            let dropped = program.stmt_decl(s).guards.len() - kept.len();
-            inl_obs::counter_add!("codegen.guards_simplified", dropped);
-            program.set_stmt_guards(s, kept);
+/// The guard oracle of debug builds: each statement's full guard list,
+/// proved on its domain in the emitted program, against the guards proved
+/// before emission (`crate::plan`).
+#[cfg(debug_assertions)]
+mod oracle {
+    use crate::plan::{plan_guards, row_of, unimplied, StmtPlan};
+    use inl_core::instance::InstanceLayout;
+    use inl_ir::{Guard, LoopId, Program, StmtId};
+
+    /// Each statement of `program`, the leaf built from `plans`, holds the
+    /// guards a fresh proof on its domain in `program` keeps of its plan's
+    /// full guard list.
+    pub(super) fn assert_guards_proved(
+        p: &Program,
+        layout: &InstanceLayout,
+        plans: &[&StmtPlan],
+        program: &Program,
+        stmt_map: &[StmtId],
+    ) {
+        for (plan, &t) in plans.iter().zip(stmt_map) {
+            // row `r` of the plan is the `r`-th loop around its statement
+            let around = program.loops_surrounding(t);
+            let target = |l: LoopId| {
+                around[row_of(&plan.sched, layout.len(), l).expect("a row of the statement")]
+            };
+            let full = plan_guards(p, layout, plan).expect("derived before emission");
+            let full: Vec<Guard> = full
+                .iter()
+                .map(|g| g.map_aff(|a| a.rename_loops(target)))
+                .collect();
+            let kept = unimplied_guards(program, t, full.clone()).unwrap_or(full);
+            assert_eq!(
+                program.stmt_decl(t).guards,
+                kept,
+                "{}: the guards proved before emission differ from a proof on the program\n{}",
+                program.stmt_decl(t).name,
+                program.to_pseudocode()
+            );
         }
     }
-}
 
-/// The guards of `s` that its domain without them does not imply; `None`
-/// when that domain cannot be built, so every guard stays. A difference
-/// domain is closed once ([`Closure`]) and each difference guard read off
-/// it; any other guard is refuted by [`is_empty`] on the domain with its
-/// negation added.
-fn unimplied_guards(program: &Program, s: StmtId) -> Option<Vec<Guard>> {
-    let slot = |l: LoopId| Some(program.loop_var_index(l));
-    let mut sys = program.assumption_system(program.space()).ok()?;
-    program.append_domain(s, [], &mut sys, &slot).ok()?;
-    let closure = Closure::of(&sys);
-    let space = sys.nvars();
-    let to_expr = |a: &Aff| program.aff_expr(a, space, &slot);
-    // `e ≥ 1` has no point in the domain; overflow while forming the
-    // query proves nothing
-    let refuted = |e: Result<LinExpr, InlError>| {
-        let Ok(mut e) = e else {
-            return false;
-        };
-        let Some(c) = e.constant_term().checked_sub(1) else {
-            return false;
-        };
-        e.set_constant(c);
-        let mut t = sys.clone();
-        t.add_ge(e);
-        is_empty(&t) == Feasibility::Empty
-    };
-    let kept = program
-        .stmt_decl(s)
-        .guards
-        .iter()
-        .filter(|g| {
-            let (a, eq) = match g {
-                Guard::Ge(a) => (a, false),
-                Guard::Eq(a) => (a, true),
-                Guard::Div(_, _) => return true,
-            };
-            let Ok(e) = to_expr(a) else {
-                return true;
-            };
-            if let Some(implied) = closure.as_ref().and_then(|c| c.implies(&e, eq)) {
-                return !implied;
-            }
-            // keep unless ¬(a ≥ 0) is infeasible in context, and for an
-            // equality ¬(a ≤ 0) too
-            match eq {
-                false => !refuted(e.checked_neg()),
-                true => !refuted(Ok(e.clone())) || !refuted(e.checked_neg()),
-            }
-        })
-        .cloned()
-        .collect();
-    Some(kept)
+    /// The guards of `guards` that the domain of `s` in `program` does not
+    /// imply; `None` when that domain cannot be built.
+    fn unimplied_guards(program: &Program, s: StmtId, guards: Vec<Guard>) -> Option<Vec<Guard>> {
+        let slot = |l: LoopId| Some(program.loop_var_index(l));
+        let mut sys = program.assumption_system(program.space()).ok()?;
+        program.append_domain(s, [], &mut sys, &slot).ok()?;
+        Some(unimplied(program, &sys, &slot, guards))
+    }
 }

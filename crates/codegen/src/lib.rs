@@ -34,10 +34,14 @@
 //!    its original bounds through `i = N_S⁻¹(v − off)` (integer `Ge`
 //!    guards after clearing denominators), divisibility guards when `N_S`
 //!    is non-unimodular, and equality guards for singular rows (§5.5's
-//!    `i_k = Σ m_j·i_j`). Guards implied by the enclosing loop bounds are
-//!    removed by an implication pass: one shortest-path closure of the
-//!    statement's domain when it is a difference system, Fourier–Motzkin
-//!    feasibility otherwise.
+//!    `i_k = Σ m_j·i_j`). Before a leaf is emitted, the guards its
+//!    statement's domain there implies (the merged bounds of its loops and
+//!    those of its augmented loops) are dropped: one shortest-path closure
+//!    of the domain when it is a difference system, Fourier–Motzkin
+//!    feasibility otherwise. The verdict is a function of the plan's key
+//!    and those merged bounds, so it is proved once per process (the guard
+//!    memo, the third table of [`inl_core::memo`]; [`guard_memo_stats`]),
+//!    and only for leaves that are built: ranking proves none.
 //! 5. **Bodies** — subscripts and expressions are rewritten with the same
 //!    `N_S⁻¹` substitution (exact rational, guarded divisors).
 //!
@@ -52,4 +56,4 @@ mod plan;
 pub use batch::{batch_map, compile_batch, CompiledVariant};
 pub use cost::{CostFeatures, Executor, InnerLoop, PredictedCost, NOMINAL_EXTENT};
 pub use generate::{generate, generate_seq, generate_with_report, CodegenResult};
-pub use plan::{plan_memo_stats, PlanTable, PLAN_CAP};
+pub use plan::{guard_memo_stats, plan_memo_stats, PlanTable, GUARD_CAP, PLAN_CAP};

@@ -1,6 +1,7 @@
 //! Statement plans: everything code generation works out for one statement
 //! before a loop is emitted, the plan memo that makes each distinct plan
-//! once per process, and the per-shape table the scheduler ranks from.
+//! once per process, the guard memo that proves a statement's guards in a
+//! leaf once per process, and the per-shape table the scheduler ranks from.
 //!
 //! A statement's schedule under `M` (§5.4–5.5: `M_S`, its augmentation to
 //! `T'_S`, `N_S`) reads only the statement's own rows of `M`, their offsets
@@ -23,23 +24,39 @@
 //! `clear()` of `inl_poly::cache` bypass and empty it with the analysis
 //! memo, and [`PLAN_CAP`] bounds the plans it holds over every program.
 //! Only made plans are stored: an error is made again when asked again.
+//!
+//! A statement's guards (§5.5) are derived from its plan ([`plan_guards`])
+//! and proved against its domain in a leaf that is built — the program's
+//! assumptions, the merged bounds of its slots and the bounds of its
+//! augmented loops ([`leaf_domain`]) — before anything is emitted. The
+//! verdict, the kept guards over placeholders and the number dropped, is a
+//! function of a [`GuardKey`] (the plan's key and those merged bounds): the
+//! third table of `inl_core::memo`, under the same switch and `clear()`,
+//! bounded by [`GUARD_CAP`] (`Plans::guards`, the one caller of
+//! [`prove_guards`]). Ranking proves no guard.
 
 use crate::cost::{Certify, LoopOrigin, Nest, NestLoop, PredictedCost};
-use crate::generate::{build, merge_slots, unbounded, CodegenResult, SlotAffs};
+use crate::generate::{build, merge_slots, unbounded, CodegenResult};
 use inl_core::depend::{DepEntry, DependenceMatrix};
 use inl_core::instance::InstanceLayout;
 use inl_core::legal::{LegalityReport, NewAst};
 use inl_core::memo::{Memo, MemoStats, Scope};
 use inl_core::perstmt::{raw_per_stmt, schedule_stmt, StmtSchedule};
+use inl_ir::program::Slot;
 use inl_ir::{Access, Aff, Expr, Guard, LoopId, Node, Program, StmtId, VarKey};
 use inl_linalg::{gauss, lcm, IMat, IVec, InlError, InlErrorKind, Int};
-use inl_poly::{project_scan, BoundTerm, LinExpr};
+use inl_poly::difference::Closure;
+use inl_poly::{is_empty, project_scan, BoundTerm, Feasibility, LinExpr, System};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Lower/upper bound term lists of one loop, over the shared space
 /// `[params | layout positions]`.
 pub(crate) type SlotBounds = (Vec<(LinExpr, Int)>, Vec<(LinExpr, Int)>);
+
+/// Lower/upper bound terms of one loop slot over placeholders, shared by
+/// the plan that scanned them and every leaf whose merge keeps them.
+pub(crate) type SlotAffs = (Arc<[Aff]>, Arc<[Aff]>);
 
 /// What [`schedule_stmt`] reads of a leaf for one statement: the
 /// statement, `M_S`, `g_S` and the unsatisfied self-dependences of the
@@ -83,9 +100,13 @@ impl PlanKey {
 /// One statement's schedule, bounds and rewritten body over row
 /// placeholders (module docs).
 pub(crate) struct StmtPlan {
+    /// The key the plan was made for.
+    pub(crate) key: Arc<PlanKey>,
     pub(crate) sched: StmtSchedule,
     /// Bound terms of each slot row, over the shared space.
     pub(crate) slots: Vec<SlotBounds>,
+    /// The same terms over placeholders.
+    pub(crate) slot_affs: Vec<SlotAffs>,
     /// The augmented loops around the statement, outermost first.
     pub(crate) augs: Vec<AugLoop>,
     /// `i = N_S⁻¹(v − off)`: one expression per old loop, over placeholders.
@@ -132,23 +153,35 @@ pub(crate) fn placeholder_aff(t: &(LinExpr, Int), np: usize) -> Aff {
     }
 }
 
+/// The row of `sched` whose placeholder is `l`: the inverse of
+/// [`row_loop`].
+pub(crate) fn row_of(sched: &StmtSchedule, n: usize, l: LoopId) -> Option<usize> {
+    match l.0.checked_sub(n) {
+        None => sched.slot_positions.iter().position(|&q| q == l.0),
+        Some(r) => (sched.slot_positions.len()..sched.rows.nrows())
+            .contains(&r)
+            .then_some(r),
+    }
+}
+
 /// `a` with source loop `old_loops[q]` replaced by `old_exprs[q]`.
 pub(crate) fn through(old_exprs: &[Aff], old_loops: &[LoopId], a: &Aff) -> Aff {
     // a loop not ours stays (impossible after validation)
     a.substitute_loops(|l| Some(&old_exprs[old_loops.iter().position(|&x| x == l)?]))
 }
 
-/// Make the plan of statement `s` under the leaf `(m, report)`: its
-/// schedule, the projection and scan of its polyhedron `{domain(i), v =
-/// T'_S·i + off}`, and its body through `N_S⁻¹`.
+/// Make the plan of `key`, a key of the leaf `(m, report)`: the
+/// statement's schedule, the projection and scan of its polyhedron
+/// `{domain(i), v = T'_S·i + off}`, and its body through `N_S⁻¹`.
 pub(crate) fn make_plan(
     p: &Program,
     layout: &InstanceLayout,
     deps: &DependenceMatrix,
     m: &IMat,
     report: &LegalityReport,
-    s: StmtId,
+    key: &PlanKey,
 ) -> Result<StmtPlan, InlError> {
+    let s = key.stmt;
     let sched = schedule_stmt(layout, m, deps, report, s)?;
     let np = p.nparams();
     let n = layout.len();
@@ -205,10 +238,12 @@ pub(crate) fn make_plan(
             .map(|t| Ok((local.globalize(&t.expr)?, t.div)))
             .collect()
     };
-    let slots = bounds[..k]
+    let slots: Vec<SlotBounds> = bounds[..k]
         .iter()
         .map(|vb| Ok((global(&vb.lowers)?, global(&vb.uppers)?)))
         .collect::<Result<_, InlError>>()?;
+    let affs = |side: &[(LinExpr, Int)]| side.iter().map(|t| placeholder_aff(t, np)).collect();
+    let slot_affs = slots.iter().map(|(lo, hi)| (affs(lo), affs(hi))).collect();
     let tail = |terms: &[BoundTerm]| -> Result<Vec<Aff>, InlError> {
         let global = |t: &BoundTerm| Ok((local.globalize_tail(&t.expr)?, t.div));
         terms
@@ -246,8 +281,10 @@ pub(crate) fn make_plan(
     };
     let rhs = sd.rhs.map_affs(&through);
     Ok(StmtPlan {
+        key: Arc::new(key.clone()),
         sched,
         slots,
+        slot_affs,
         augs,
         old_exprs,
         write,
@@ -294,6 +331,195 @@ fn recovered_indices(sched: &StmtSchedule, n: usize) -> Result<Vec<Aff>, InlErro
         old_exprs.push(acc);
     }
     Ok(old_exprs)
+}
+
+/// The guards of the statement of `plan`, over placeholders, in the order
+/// they are emitted (§5.5): (a) divisibility of each recovered index, (b)
+/// each singular row's equality over the rows of `N_S`, (c) the source
+/// bounds of each old loop through `N_S⁻¹`, (d) the source guards through
+/// it. Derived for a plan that is built, never for ranking.
+pub(crate) fn plan_guards(
+    p: &Program,
+    layout: &InstanceLayout,
+    plan: &StmtPlan,
+) -> Result<Vec<Guard>, InlError> {
+    let sched = &plan.sched;
+    let s = sched.stmt;
+    let old_loops = layout.stmt_loops(s);
+    let n = layout.len();
+    let row = |r: usize| Aff::loop_var(row_loop(sched, n, r));
+    let subst = |a: &Aff| through(&plan.old_exprs, old_loops, a);
+    let mut guards: Vec<Guard> = Vec::new();
+    // (a) divisibility of each recovered old index
+    for e in &plan.old_exprs {
+        if e.divisor() > 1 {
+            guards.push(Guard::Div(e.clone().numerator(), e.divisor()));
+        }
+    }
+    // (b) singular-row equalities: v_r - off_r = Σ m_j (v_kj - off_kj)
+    for (r, sing) in sched.singular.iter().enumerate() {
+        let Some(coeffs) = sing else { continue };
+        let den = coeffs
+            .iter()
+            .try_fold(1, |acc, x| lcm(acc, x.den()).map(|l| l.max(1)))?;
+        let mut e = (row(r) - Aff::konst(sched.offsets[r])) * den;
+        for (j, coef) in coeffs.iter().enumerate() {
+            if coef.is_zero() {
+                continue;
+            }
+            let rj = sched.n_s_rows[j];
+            let c = coef
+                .num()
+                .checked_mul(den / coef.den())
+                .ok_or_else(|| InlError::overflow("singular-row coefficient"))?;
+            e = e - (row(rj) - Aff::konst(sched.offsets[rj])) * c;
+        }
+        guards.push(Guard::Eq(e.numerator()));
+    }
+    // (c) original bounds re-derived through the substitution, which takes
+    // each old loop to its entry of `old_exprs`
+    for (&l, iv) in old_loops.iter().zip(&plan.old_exprs) {
+        let ld = p.loop_decl(l);
+        for t in &ld.lower.terms {
+            // d·i - t ≥ 0
+            let e = iv.clone() * t.divisor() - subst(&t.clone().numerator());
+            guards.push(Guard::Ge(e.numerator()));
+        }
+        for t in &ld.upper.terms {
+            let e = subst(&t.clone().numerator()) - iv.clone() * t.divisor();
+            guards.push(Guard::Ge(e.numerator()));
+        }
+    }
+    // (d) original statement guards, rewritten
+    for g in &p.stmt_decl(s).guards {
+        guards.push(match g {
+            Guard::Ge(a) => Guard::Ge(subst(a).numerator()),
+            Guard::Eq(a) => Guard::Eq(subst(a).numerator()),
+            Guard::Div(a, md) => {
+                let sa = subst(a);
+                // (e/d) mod m == 0 with guaranteed divisibility of d: check
+                // m·d | e (conservative exactness: the separate Div guard
+                // for d already holds when this runs)
+                let d = sa.divisor();
+                Guard::Div(sa.numerator(), md * d)
+            }
+        });
+    }
+    Ok(guards)
+}
+
+/// A statement's guards in a leaf, proved (§5.5's "standard
+/// optimizations"): those its domain there does not imply, over
+/// placeholders, and how many it implies.
+pub(crate) struct Guards {
+    pub(crate) kept: Vec<Guard>,
+    pub(crate) dropped: usize,
+}
+
+/// What a statement's [`Guards`] read of a leaf: its plan's key and the
+/// merged bounds of its slots, outermost first. A merge may widen a slot
+/// beyond the statement's own bounds, so the plan's key alone is not
+/// enough.
+#[derive(PartialEq, Eq, Hash)]
+pub(crate) struct GuardKey {
+    plan: Arc<PlanKey>,
+    slots: Vec<SlotAffs>,
+}
+
+/// Prove the guards of `plan` in a leaf that merges its slots to `slots`
+/// (outermost first): [`unimplied`] on [`leaf_domain`]. A domain that
+/// cannot be built keeps every guard.
+fn prove_guards(
+    p: &Program,
+    layout: &InstanceLayout,
+    plan: &StmtPlan,
+    slots: &[SlotAffs],
+) -> Result<Guards, InlError> {
+    let guards = plan_guards(p, layout, plan)?;
+    let (np, n) = (p.nparams(), layout.len());
+    let slot = |l: LoopId| Some(np + row_of(&plan.sched, n, l)?);
+    let Ok(domain) = leaf_domain(p, plan, slots, &slot) else {
+        return Ok(Guards {
+            kept: guards,
+            dropped: 0,
+        });
+    };
+    let total = guards.len();
+    let kept = unimplied(p, &domain, &slot, guards);
+    Ok(Guards {
+        dropped: total - kept.len(),
+        kept,
+    })
+}
+
+/// The statement of `plan`'s domain in a leaf that merges its slots to
+/// `slots`, before its guards: the program's assumptions, those bounds and
+/// the bounds of its augmented loops, over `[params | its rows]` — its
+/// slots outermost first, then its augmented rows — with placeholders
+/// placed by `slot`.
+fn leaf_domain(
+    p: &Program,
+    plan: &StmtPlan,
+    slots: &[SlotAffs],
+    slot: Slot<'_>,
+) -> Result<System, InlError> {
+    let np = p.nparams();
+    let mut sys = p.assumption_system(np + plan.sched.rows.nrows())?;
+    let slots = slots.iter().map(|(lo, hi)| (&lo[..], &hi[..]));
+    let augs = plan.augs.iter().map(|a| (&a.lower[..], &a.upper[..]));
+    for (r, (lo, hi)) in slots.chain(augs).enumerate() {
+        p.append_bound_terms(np + r, lo, hi, &mut sys, slot)?;
+    }
+    Ok(sys)
+}
+
+/// The guards of `guards` that the domain `sys` does not imply, with `p`
+/// placing their variables by `slot`. A difference domain is closed once
+/// ([`Closure`]) and each difference guard read off it; any other guard is
+/// refuted by [`is_empty`] on the domain with its negation added. A `Div`
+/// guard always stays.
+pub(crate) fn unimplied(
+    p: &Program,
+    sys: &System,
+    slot: Slot<'_>,
+    mut guards: Vec<Guard>,
+) -> Vec<Guard> {
+    let closure = Closure::of(sys);
+    let space = sys.nvars();
+    // `e ≥ 1` has no point in the domain; overflow while forming the query
+    // proves nothing
+    let refuted = |e: Result<LinExpr, InlError>| {
+        let Ok(mut e) = e else {
+            return false;
+        };
+        let Some(c) = e.constant_term().checked_sub(1) else {
+            return false;
+        };
+        e.set_constant(c);
+        let mut t = sys.clone();
+        t.add_ge(e);
+        is_empty(&t) == Feasibility::Empty
+    };
+    guards.retain(|g| {
+        let (a, eq) = match g {
+            Guard::Ge(a) => (a, false),
+            Guard::Eq(a) => (a, true),
+            Guard::Div(_, _) => return true,
+        };
+        let Ok(e) = p.aff_expr(a, space, slot) else {
+            return true;
+        };
+        if let Some(implied) = closure.as_ref().and_then(|c| c.implies(&e, eq)) {
+            return !implied;
+        }
+        // keep unless ¬(a ≥ 0) is infeasible in context, and for an
+        // equality ¬(a ≤ 0) too
+        match eq {
+            false => !refuted(e.checked_neg()),
+            true => !refuted(Ok(e.clone())) || !refuted(e.checked_neg()),
+        }
+    });
+    guards
 }
 
 /// A plan's local space `[params | old iters | new vars]`, for moving its
@@ -457,20 +683,37 @@ pub const PLAN_CAP: usize = 4096;
 
 /// The plan memo: the second table of the compile side's memo mechanism,
 /// beside the analysis memo, under the same switch and `clear()`.
-static PLANS: Memo<PlanKey, Arc<StmtPlan>> = Memo::new(PLAN_CAP);
+static PLANS: Memo<Arc<PlanKey>, Arc<StmtPlan>> = Memo::new(PLAN_CAP);
 
 /// Snapshot the plan memo's counters.
 pub fn plan_memo_stats() -> MemoStats {
     PLANS.stats()
 }
 
-/// Where the plans of one shape `(p, layout, deps)` come from: the plan
-/// memo, and [`make_plan`] on a miss or with the switch off.
+/// Entry cap of the guard memo: proved guards of a statement in a leaf,
+/// over every program, with one counted generation flush when reached. A
+/// built leaf asks for one per statement, and leaves that give a statement
+/// the same plan and the same merged bounds share it: the 42 legal orders
+/// of `compile_orders` ask for 102 and prove 43.
+pub const GUARD_CAP: usize = 4096;
+
+/// The guard memo: the third table of the compile side's memo mechanism.
+static GUARDS: Memo<GuardKey, Arc<Guards>> = Memo::new(GUARD_CAP);
+
+/// Snapshot the guard memo's counters.
+pub fn guard_memo_stats() -> MemoStats {
+    GUARDS.stats()
+}
+
+/// Where the plans of one shape `(p, layout, deps)` and the proved guards
+/// of its leaves come from: the plan and guard memos, and [`make_plan`]
+/// and [`prove_guards`] on a miss or with the switch off.
 pub(crate) struct Plans<'a> {
-    p: &'a Program,
-    layout: &'a InstanceLayout,
-    deps: &'a DependenceMatrix,
-    memo: Option<Scope<'a, PlanKey, Arc<StmtPlan>>>,
+    pub(crate) p: &'a Program,
+    pub(crate) layout: &'a InstanceLayout,
+    pub(crate) deps: &'a DependenceMatrix,
+    memo: Option<Scope<'a, Arc<PlanKey>, Arc<StmtPlan>>>,
+    guard_memo: Option<Scope<'a, GuardKey, Arc<Guards>>>,
 }
 
 impl<'a> Plans<'a> {
@@ -479,11 +722,13 @@ impl<'a> Plans<'a> {
         layout: &'a InstanceLayout,
         deps: &'a DependenceMatrix,
     ) -> Self {
+        let memo = PLANS.scope(p, layout.positions());
         Plans {
             p,
             layout,
             deps,
-            memo: PLANS.scope(p, layout.positions()),
+            guard_memo: memo.as_ref().map(|scope| scope.sibling(&GUARDS)),
+            memo,
         }
     }
 
@@ -503,7 +748,7 @@ impl<'a> Plans<'a> {
         report: &LegalityReport,
     ) -> Result<Arc<StmtPlan>, InlError> {
         let _span = inl_obs::span("codegen.plan");
-        let make = || make_plan(self.p, self.layout, self.deps, m, report, key.stmt).map(Arc::new);
+        let make = || make_plan(self.p, self.layout, self.deps, m, report, key).map(Arc::new);
         let Some(memo) = &self.memo else {
             return make();
         };
@@ -513,11 +758,55 @@ impl<'a> Plans<'a> {
         }
         inl_obs::counter_add!("codegen.plan.memo.miss", 1);
         let plan = make()?;
-        let evicted = memo.insert(key.clone(), Arc::clone(&plan));
+        let evicted = memo.insert(Arc::clone(&plan.key), Arc::clone(&plan));
         if evicted > 0 {
             inl_obs::counter_add!("codegen.plan.memo.evictions", evicted as u64);
         }
         Ok(plan)
+    }
+
+    /// The proved guards of `plan`'s statement in a leaf whose merged slot
+    /// bounds are `slot_bounds` (by slot position). The `codegen.guards`
+    /// span fires on every call, hit or miss; `codegen.guards.memo.*`
+    /// count the lookups, and `codegen.guards_simplified` the guards
+    /// dropped.
+    pub(crate) fn guards(
+        &self,
+        plan: &StmtPlan,
+        slot_bounds: &[Option<SlotAffs>],
+    ) -> Result<Arc<Guards>, InlError> {
+        let _span = inl_obs::span("codegen.guards");
+        let slots = plan.sched.slot_positions.iter().map(|&q| {
+            let merged = slot_bounds[q].clone();
+            merged.ok_or_else(|| unbounded(format!("slot {q}")))
+        });
+        let key = GuardKey {
+            plan: Arc::clone(&plan.key),
+            slots: slots.collect::<Result<_, _>>()?,
+        };
+        let got = self.proved(plan, key)?;
+        inl_obs::counter_add!("codegen.guards_simplified", got.dropped);
+        Ok(got)
+    }
+
+    /// The guards of `key`, `plan`'s statement in a leaf: from the guard
+    /// memo, or proved.
+    fn proved(&self, plan: &StmtPlan, key: GuardKey) -> Result<Arc<Guards>, InlError> {
+        let make = || prove_guards(self.p, self.layout, plan, &key.slots).map(Arc::new);
+        let Some(memo) = &self.guard_memo else {
+            return make();
+        };
+        if let Some(got) = memo.get(&key) {
+            inl_obs::counter_add!("codegen.guards.memo.hit", 1);
+            return Ok(got);
+        }
+        inl_obs::counter_add!("codegen.guards.memo.miss", 1);
+        let got = make()?;
+        let evicted = memo.insert(key, Arc::clone(&got));
+        if evicted > 0 {
+            inl_obs::counter_add!("codegen.guards.memo.evictions", evicted as u64);
+        }
+        Ok(got)
     }
 }
 
@@ -605,10 +894,7 @@ impl<'a> PlanTable<'a> {
         let _span = inl_obs::span("codegen.generate");
         let ast = legal_ast(report)?;
         let plans = self.plans(plans)?;
-        let Plans {
-            p, layout, deps, ..
-        } = self.plans;
-        build(p, layout, deps, m, ast, &plans)
+        build(&self.plans, m, ast, &plans)
     }
 
     fn plans(&self, plans: &[usize]) -> Result<Vec<&StmtPlan>, InlError> {
@@ -696,6 +982,29 @@ mod tests {
         report.unsatisfied_self = vec![0];
         let key = PlanKey::new(&layout, &moved, &m, &report, StmtId(1));
         assert!(key == stored, "the same column, the same key");
+    }
+
+    #[test]
+    fn a_wider_merged_bound_is_another_guard_key_and_keeps_a_guard() {
+        let p = zoo::simple_cholesky();
+        let (layout, deps, m, report, _) = cholesky_leaf();
+        let plans = Plans::new(&p, &layout, &deps);
+        let plan = |s| plans.get(&plans.key(&m, &report, s), &m, &report);
+        let (s1, s2) = (plan(StmtId(0)).expect("S1"), plan(StmtId(1)).expect("S2"));
+        let slot_bounds = merge_slots(&p, &layout, &[&s1, &s2]).expect("merges");
+        let own = plans.guards(&s2, &slot_bounds).expect("proved");
+        assert!(
+            own.kept.is_empty(),
+            "the loops of the source imply its bounds"
+        );
+        // `J` from 1 rather than from `I + 1`: `J ≥ I + 1` is no longer implied
+        let mut wider = slot_bounds.clone();
+        let j = s2.sched.slot_positions[1];
+        let (_, upper) = wider[j].clone().expect("J is a slot");
+        wider[j] = Some((Arc::from([Aff::konst(1)]), upper));
+        let widened = plans.guards(&s2, &wider).expect("proved");
+        assert_eq!(widened.kept.len(), 1, "{:?}", widened.kept);
+        assert_eq!(widened.dropped + 1, own.dropped);
     }
 
     #[test]

@@ -1,13 +1,16 @@
-//! The process-wide plan memo behind `inl_codegen::generate` and
-//! `PlanTable`: a plan is answered from store only for an equal program
-//! and layout, a stored plan generates what a made one does, and the memo
-//! lives and dies with the switch and `clear()` of `inl_poly::cache`, under
-//! a bound on the plans it holds over every program.
+//! The process-wide plan and guard memos behind `inl_codegen::generate`
+//! and `PlanTable`: a plan is answered from store only for an equal program
+//! and layout, a stored plan generates what a made one does, and both memos
+//! live and die with the switch and `clear()` of `inl_poly::cache`, each
+//! under a bound on the values it holds over every program.
 //!
 //! The memo and its counters are process-global, so this is its own test
 //! binary and every test holds one lock.
 
-use inl_codegen::{generate, generate_with_report, plan_memo_stats, CodegenResult, PLAN_CAP};
+use inl_codegen::{
+    generate, generate_with_report, guard_memo_stats, plan_memo_stats, CodegenResult, GUARD_CAP,
+    PLAN_CAP,
+};
 use inl_core::complete::complete_transform;
 use inl_core::depend::analyze;
 use inl_core::instance::InstanceLayout;
@@ -40,13 +43,19 @@ fn identity(p: &Program) -> CodegenResult {
     generate(p, &layout, &deps, &m).expect("generates")
 }
 
+/// `(hits, misses)` of the guard memo gained since `before`.
+fn guards_gained(before: MemoStats) -> (u64, u64) {
+    let now = guard_memo_stats();
+    (now.hits - before.hits, now.misses - before.misses)
+}
+
 /// What [`identity`] gives with the memos bypassed: ground truth.
 fn bypassed(p: &Program) -> CodegenResult {
     inl_poly::cache::set_cache_enabled(false);
-    let before = plan_memo_stats();
+    let before = (plan_memo_stats(), guard_memo_stats());
     let r = identity(p);
     assert_eq!(
-        plan_memo_stats(),
+        (plan_memo_stats(), guard_memo_stats()),
         before,
         "a bypassed generate touches no memo"
     );
@@ -136,22 +145,34 @@ fn clear_empties_and_the_switch_bypasses_the_plan_memo() {
     let _g = begin();
     let p = zoo::lu_kij();
     let truth = bypassed(&p);
-    let before = plan_memo_stats();
+    let (before, guards_before) = (plan_memo_stats(), guard_memo_stats());
     assert!(same(&identity(&p), &truth));
     let (_, made) = gained(before);
     assert!(made > 0);
     assert_eq!(plan_memo_stats().entries, made);
+    assert_eq!(
+        guards_gained(guards_before),
+        (0, made),
+        "one proof a statement"
+    );
+    assert_eq!(guard_memo_stats().entries, made);
     assert!(same(&identity(&p), &truth));
     assert_eq!(gained(before), (made, made), "warm: every plan found");
+    assert_eq!(
+        guards_gained(guards_before),
+        (made, made),
+        "and every proof"
+    );
     inl_poly::cache::clear();
     assert_eq!(
-        plan_memo_stats().entries,
-        0,
-        "clear() empties the plan memo"
+        (plan_memo_stats().entries, guard_memo_stats().entries),
+        (0, 0),
+        "clear() empties the plan and guard memos"
     );
-    let before = plan_memo_stats();
+    let (before, guards_before) = (plan_memo_stats(), guard_memo_stats());
     assert!(same(&identity(&p), &truth));
     assert_eq!(gained(before), (0, made), "clear() forces every plan again");
+    assert_eq!(guards_gained(guards_before), (0, made), "and every proof");
 }
 
 /// One statement, `A(I) = A(I - k) + 1`: a distinct program, and so a
@@ -171,9 +192,14 @@ fn recurrence(k: Int) -> Program {
     b.finish()
 }
 
+// One statement a program below: a proof per plan, and both memos flush
+// at once.
+const _: () = assert!(GUARD_CAP == PLAN_CAP);
+
 #[test]
 fn the_plan_memo_is_bounded_over_every_program() {
     let _g = begin();
+    let guards_before = guard_memo_stats();
     let before = plan_memo_stats();
     let first = identity(&recurrence(0));
     for k in 1..PLAN_CAP as Int {
@@ -190,6 +216,9 @@ fn the_plan_memo_is_bounded_over_every_program() {
     let flushed = plan_memo_stats();
     assert_eq!(flushed.entries, 1);
     assert_eq!(flushed.evictions, before.evictions + PLAN_CAP as u64);
+    let guards = guard_memo_stats();
+    assert_eq!(guards.entries, 1);
+    assert_eq!(guards.evictions, guards_before.evictions + GUARD_CAP as u64);
     assert!(same(&made, &bypassed(&over)));
     assert!(same(&identity(&over), &made));
     assert_eq!(gained(flushed), (1, 0), "the newcomer is stored");

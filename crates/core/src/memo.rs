@@ -1,10 +1,12 @@
 //! The compile side's process-wide memo: one mechanism, one table per use.
 //!
-//! Two answers of the compile side are functions of a program and its
+//! Three answers of the compile side are functions of a program and its
 //! layout, plus a small key, and are asked for over and over: the
-//! dependence matrix ([`crate::depend::analyze`], no further key) and a
+//! dependence matrix ([`crate::depend::analyze`], no further key), a
 //! statement's code plan (`inl_codegen`'s plan table, keyed by the
-//! statement's rows of `M`, their offsets and its pending self-dependences).
+//! statement's rows of `M`, their offsets and its pending self-dependences)
+//! and a statement's proved guards in a leaf (`inl_codegen`'s guard table,
+//! keyed by the plan's key and the merged bounds of the statement's loops).
 //! A [`Memo`] stores such answers once per process:
 //!
 //! * **Key.** Values are shelved per *value* `(Program,
@@ -12,8 +14,9 @@
 //!   found by the pair's hash (`MemoHasher`) and confirmed by `==` on the
 //!   stored pair, so a program that differs in one bound, guard, subscript
 //!   or assumption can never be answered with another's value; a colliding
-//!   pair replaces the shelf. A [`Scope`] hashes its pair once and, once it
-//!   has confirmed a shelf, finds it again by the shelf's serial number.
+//!   pair replaces the shelf. A [`Scope`] hashes its pair once (its
+//!   [`sibling`](Scope::sibling) in another table reuses the hash) and, once
+//!   it has confirmed a shelf, finds it again by the shelf's serial number.
 //! * **Switch and epoch.** While `inl_poly::cache::cache_enabled()` is false
 //!   there is no scope (the caller computes); `inl_poly::cache::clear()`
 //!   starts a new epoch, and a memo drops what it stored under an older one
@@ -28,12 +31,13 @@
 //!   kept whether or not `inl-obs` is on; the caller mirrors them into its
 //!   own `inl-obs` counter family, whose names are literals.
 //!
-//! Values are stored and handed out by `Clone`; both tables store shared
+//! Values are stored and handed out by `Clone`; every table stores shared
 //! values (`Arc`s), so a hit allocates nothing. A miss computes outside the
 //! lock: threads racing on one key all compute, and the last store wins.
 
 use crate::instance::Position;
 use inl_ir::Program;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -146,10 +150,25 @@ pub struct Scope<'a, K, V> {
     serial: AtomicU64,
 }
 
-impl<K: Eq + Hash, V: Clone> Scope<'_, K, V> {
-    /// The value stored under `key`, counted as a hit, or `None`, counted as
-    /// a miss.
-    pub fn get(&self, key: &K) -> Option<V> {
+impl<'a, K: Eq + Hash, V: Clone> Scope<'a, K, V> {
+    /// The same program's and layout's view of another memo, with the pair
+    /// not hashed again.
+    pub fn sibling<K2, V2>(&self, memo: &'a Memo<K2, V2>) -> Scope<'a, K2, V2> {
+        Scope {
+            memo,
+            program: self.program,
+            positions: self.positions,
+            hash: self.hash,
+            serial: AtomicU64::new(0),
+        }
+    }
+
+    /// The value stored under `key` (or under a key that borrows as it),
+    /// counted as a hit, or `None`, counted as a miss.
+    pub fn get<Q: Eq + Hash + ?Sized>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+    {
         let mut state = self.memo.lock();
         let value = self
             .shelf(&mut state)

@@ -6,6 +6,7 @@ use crate::program::{
     ArrayDecl, ArrayId, Bound, Guard, LoopDecl, LoopId, Node, ParamId, Program, StmtDecl, StmtId,
 };
 use inl_linalg::Int;
+use std::sync::Arc;
 
 /// Builds a [`Program`] with nested closures mirroring the loop structure.
 ///
@@ -166,6 +167,31 @@ impl ProgramBuilder {
             panic!("invalid program {}: {e}", p.name());
         }
         p
+    }
+
+    /// Finish without validation, with `src`'s parameters, arrays and
+    /// assumptions in place of this builder's, of which none may have been
+    /// declared: for a program generated from `src`, whose loops and
+    /// statements name them by `src`'s ids. It shares them with `src`, as
+    /// `src`'s clones do.
+    ///
+    /// # Panics
+    /// If a parameter, array or assumption was declared, or a loop is open.
+    pub fn finish_sharing(self, src: &Program) -> Program {
+        assert!(self.stack.is_empty(), "finish called with open loops");
+        assert!(
+            self.params.is_empty() && self.arrays.is_empty() && self.assumes.is_empty(),
+            "a program sharing another's declarations declares none"
+        );
+        Program {
+            name: self.name,
+            params: Arc::clone(&src.params),
+            loops: self.loops,
+            stmts: self.stmts.into(),
+            arrays: Arc::clone(&src.arrays),
+            root: self.root,
+            assumes: Arc::clone(&src.assumes),
+        }
     }
 
     /// Finish without validation (for tests that construct invalid

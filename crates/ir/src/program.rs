@@ -87,6 +87,17 @@ pub enum Guard {
     Div(Aff, Int),
 }
 
+impl Guard {
+    /// The guard with `f` applied to its expression.
+    pub fn map_aff(&self, f: impl Fn(&Aff) -> Aff) -> Guard {
+        match self {
+            Guard::Ge(a) => Guard::Ge(f(a)),
+            Guard::Eq(a) => Guard::Eq(f(a)),
+            Guard::Div(a, m) => Guard::Div(f(a), *m),
+        }
+    }
+}
+
 /// A loop declaration.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct LoopDecl {
@@ -329,7 +340,7 @@ impl Program {
     /// parameter `p` at index `p.0`, loop `l` at `slot(l)`. The divisor is
     /// the caller's to apply.
     ///
-    /// This, [`Program::assumption_system`] and the two appenders below are
+    /// This, [`Program::assumption_system`] and the appenders below are
     /// the one place where bounds, steps, guards and assumptions become
     /// constraints.
     ///
@@ -395,9 +406,23 @@ impl Program {
         sys: &mut System,
         slot: Slot<'_>,
     ) -> Result<(), InlError> {
-        let n = sys.nvars();
         let ld = &self.loops[l.0];
-        let iv = self.var_index(VarKey::Loop(l), n, slot)?;
+        let iv = self.var_index(VarKey::Loop(l), sys.nvars(), slot)?;
+        self.append_bound_terms(iv, &ld.lower.terms, &ld.upper.terms, sys, slot)
+    }
+
+    /// Append the bounds `lower`/`upper` of the variable at index `iv` to
+    /// `sys`, as [`Program::append_bounds`] appends a loop's: for a loop
+    /// whose bounds are not (yet) declared in this program.
+    pub fn append_bound_terms(
+        &self,
+        iv: usize,
+        lower: &[Aff],
+        upper: &[Aff],
+        sys: &mut System,
+        slot: Slot<'_>,
+    ) -> Result<(), InlError> {
+        let n = sys.nvars();
         // `sign·(d·i − e)`: `d ≥ 1`, so neither `d` nor `−d` overflows
         let row = |t: &Aff, sign: Int| -> Result<LinExpr, InlError> {
             let mut row = LinExpr::zero(n);
@@ -405,10 +430,10 @@ impl Program {
             self.add_aff(&mut row, -sign, t, slot)?;
             Ok(row)
         };
-        for t in &ld.lower.terms {
+        for t in lower {
             sys.add_ge(row(t, 1)?);
         }
-        for t in &ld.upper.terms {
+        for t in upper {
             sys.add_ge(row(t, -1)?);
         }
         Ok(())
@@ -482,12 +507,6 @@ impl Program {
             }
         }
         Ok(())
-    }
-
-    /// Replace a statement's guards (used by code generation's guard
-    /// simplification pass).
-    pub fn set_stmt_guards(&mut self, s: StmtId, guards: Vec<Guard>) {
-        Arc::make_mut(&mut self.stmts)[s.0].guards = guards;
     }
 
     /// Mark a loop parallel (or not). The caller asserts the loop carries

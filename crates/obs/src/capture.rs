@@ -41,16 +41,19 @@
 //! layers' counter families: `depend.` (the analysis memo:
 //! `depend.memo.*`, and `depend.pairs_tested` & co., which fire only on a
 //! miss), `codegen.plan.` (the plan memo: `codegen.plan.memo.*`, and the
-//! scan counters of a plan made) and `poly.` (the FM work under either,
-//! which a hit skips).
+//! scan counters of a plan made), `codegen.guards.` (the guard memo:
+//! `codegen.guards.memo.*`; `codegen.guards_simplified` counts the guards
+//! dropped per build, hit or miss, and stays) and `poly.` (the FM work
+//! under any of them, which a hit skips).
 //! [`deterministic_projection`] extracts the deterministic part —
 //! [`Json::deterministic`] strips every `*_ns` value, and it drops every
 //! counter of a memoised layer and every span nested in `poly.` — so two
 //! captures of the same request in different processes can be compared
 //! **bitwise** on their canonical JSON. A memoised layer's *entry* spans
 //! (`depend.analyze`, `depend.map`) wrap hits and misses alike and stay in
-//! the projection, so requested analyses remain countable; so does
-//! `codegen.plan`, which wraps every plan asked for. `inl-load
+//! the projection, so requested analyses remain countable; so do
+//! `codegen.plan` and `codegen.guards`, which wrap every plan and every
+//! statement's guards asked for. `inl-load
 //! --telemetry` and the serve integration tests compare exactly this.
 
 use crate::json::Json;
@@ -260,10 +263,10 @@ pub(crate) fn record_explain(verdict: crate::explain::Verdict) {
 
 /// Counter families whose values depend on what earlier requests warmed:
 /// the dependence-analysis memo's, the statement-plan memo's (the scan
-/// work of a plan made, and its memo's hits and misses), and the FM work
-/// under either, which a memo hit skips. [`deterministic_projection`] drops
-/// them.
-pub const MEMOISED_LAYERS: [&str; 3] = ["poly.", "depend.", "codegen.plan."];
+/// work of a plan made, and its memo's hits and misses), the guard memo's
+/// hits and misses, and the FM work under any of them, which a memo hit
+/// skips. [`deterministic_projection`] drops them.
+pub const MEMOISED_LAYERS: [&str; 4] = ["poly.", "depend.", "codegen.plan.", "codegen.guards."];
 
 /// True iff every `/`-separated segment of a span path is outside the
 /// `poly.` namespace: under `depend.analyze`, `depend.map` or

@@ -74,10 +74,11 @@ fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
 /// Ceiling on three cold deep schedules: 20 892 when it was set (35 985
 /// while a memo hit copied its matrix and rows were built from temporaries).
 const DEEP_SCHEDULES_CAP: u64 = 22_000;
-/// Ceiling on one warm pass over the 78 orders: 20 770 when it was set,
+/// Ceiling on one warm pass over the 78 orders: 15 672 when it was set,
 /// plus the 1 589 of margin the ceiling had over 34 911 before statement
-/// plans were memoised (71 141 before that).
-const ORDERS_PASS_CAP: u64 = 22_359;
+/// plans were memoised (71 141 before that, 20 770 before guards were
+/// proved once and generated programs shared the source's declarations).
+const ORDERS_PASS_CAP: u64 = 17_261;
 
 const DEEP: [fn() -> Program; 3] = [zoo::cholesky_kij, zoo::cholesky_left_looking, zoo::lu_kij];
 

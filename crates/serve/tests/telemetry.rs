@@ -87,7 +87,7 @@ fn telemetry_sections_match_in_process_captures() {
 #[test]
 fn a_compile_projects_the_same_cold_and_warm() {
     // No other test here compiles `lu_kij`: the first request makes its
-    // analysis and plans, the second finds them in the memos.
+    // analysis, plans and guards, the second finds them in the memos.
     let req = Request::Compile {
         program: "lu_kij".into(),
         order: Some("K.J.I2.I".into()),
@@ -124,6 +124,14 @@ fn a_compile_projects_the_same_cold_and_warm() {
     );
     assert_eq!(jget(&warm_counters, "codegen.plan.bounds_scanned"), 0);
     assert!(jget(&warm_counters, "codegen.plan.memo.hit") > 0);
+    // the guards of the statements, proved once and then found
+    assert!(jget(&cold_counters, "codegen.guards.memo.miss") > 0);
+    assert_eq!(
+        jget(&warm_counters, "codegen.guards.memo.miss"),
+        0,
+        "{warm_counters:?}"
+    );
+    assert!(jget(&warm_counters, "codegen.guards.memo.hit") > 0);
     assert_eq!(
         jget(&cold_counters, "codegen.guards_simplified"),
         jget(&warm_counters, "codegen.guards_simplified"),

@@ -15,15 +15,18 @@
 //! program and one plan per statement of each variant, and compares what
 //! `generate` returns in full: pseudocode, statement map and cost features.
 //! The zoo's schedules, ranked on the plans a `PlanTable` gets through the
-//! memo, rank the same labels at the same predicted costs either way.
+//! memo, rank the same labels at the same predicted costs either way. The
+//! guard memo, whose verdicts are proved against a leaf's merged bounds,
+//! is held to the same on leaves whose guards survive the proof.
 
-use inl_codegen::{generate, plan_memo_stats, CostFeatures, PredictedCost};
+use inl_codegen::{generate, guard_memo_stats, plan_memo_stats, CostFeatures, PredictedCost};
 use inl_core::complete::complete_transform;
 use inl_core::depend::{analyze, memo_stats};
 use inl_core::instance::InstanceLayout;
 use inl_core::recipe::Recipe;
 use inl_core::tiling;
-use inl_ir::{zoo, Program, StmtId};
+use inl_core::transform::Transform;
+use inl_ir::{zoo, Guard, Program, StmtId};
 use inl_linalg::{permutations, IMat};
 use std::sync::Mutex;
 
@@ -200,6 +203,90 @@ fn zoo_rankings_identical_with_the_memos_off_cold_and_warm() {
         assert_eq!(
             uncached[i], warm[i],
             "{name}: a warm memo changed the ranking"
+        );
+    }
+}
+
+/// Leaves whose guards survive the proof: the §5.5 skew of the
+/// augmentation example, which pins its `S1` to one value of the outer
+/// loop, and `independent_pair` scaled by 2, whose recovered index needs a
+/// divisibility guard.
+fn guarded_leaves() -> Vec<(Program, IMat)> {
+    let aug = zoo::augmentation_example();
+    let named = |p: &Program, name: &str| {
+        let found = p.loops().find(|&l| p.loop_decl(l).name == name);
+        found.expect("a loop of that name")
+    };
+    let skew = Transform::Skew {
+        target: named(&aug, "I"),
+        source: named(&aug, "J"),
+        factor: -1,
+    };
+    let pair = zoo::independent_pair();
+    let scale = Transform::Scale {
+        target: named(&pair, "I"),
+        factor: 2,
+    };
+    [(aug, skew), (pair, scale)]
+        .into_iter()
+        .map(|(p, t)| {
+            let layout = InstanceLayout::new(&p);
+            let m = Transform::compose(&p, &layout, &[t]).expect("composes");
+            (p, m)
+        })
+        .collect()
+}
+
+/// What `generate` returns for each leaf but the program itself, and the
+/// guards it kept.
+fn compile_guarded(leaves: &[(Program, IMat)]) -> Vec<(Generated, Vec<Vec<Guard>>)> {
+    leaves
+        .iter()
+        .map(|(p, m)| {
+            let layout = InstanceLayout::new(p);
+            let deps = analyze(p, &layout).expect("analysis");
+            let r = generate(p, &layout, &deps, m).expect("generates");
+            let t = &r.program;
+            let guards = t.stmts().map(|s| t.stmt_decl(s).guards.clone()).collect();
+            ((t.to_pseudocode(), r.stmt_map, r.features), guards)
+        })
+        .collect()
+}
+
+#[test]
+fn surviving_guards_identical_with_the_memos_off_cold_and_warm() {
+    let _l = CACHE_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
+    let leaves = guarded_leaves();
+    let asked: u64 = leaves.iter().map(|(p, _)| p.stmts().count() as u64).sum();
+    inl_poly::set_cache_enabled(false);
+    let off = guard_memo_stats();
+    let uncached = compile_guarded(&leaves);
+    assert_eq!(
+        guard_memo_stats(),
+        off,
+        "the switch bypasses the guard memo"
+    );
+    inl_poly::set_cache_enabled(true);
+    inl_poly::cache::clear();
+    let cold = compile_guarded(&leaves);
+    let made = guard_memo_stats();
+    assert_eq!(made.misses - off.misses, asked, "one proof a statement");
+    let warm = compile_guarded(&leaves);
+    let found = guard_memo_stats();
+    assert_eq!(
+        (found.hits - made.hits, found.misses),
+        (asked, made.misses),
+        "a warm build proves nothing"
+    );
+    for (i, ((code, _, features), _)) in uncached.iter().enumerate() {
+        assert!(features.guards > 0, "leaf {i} keeps a guard:\n{code}");
+        assert_eq!(
+            uncached[i], cold[i],
+            "leaf {i}: a cold memo changed the code"
+        );
+        assert_eq!(
+            uncached[i], warm[i],
+            "leaf {i}: a warm memo changed the code"
         );
     }
 }
